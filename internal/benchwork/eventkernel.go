@@ -97,7 +97,7 @@ var kernelDelays = [...]sim.Tick{
 // schedules EventsPerOp events through the kernel and drains them,
 // keeping a standing population so the heap pays its O(log n)
 // comparisons. legacyHeap=true drives the seed-style binary heap
-// through the legacy closure API (one closure per event — what every
+// with one closure per event through sim.InvokeFunc (what every
 // pre-wheel call site paid); legacyHeap=false drives the wheel's
 // pooled ScheduleEvent path with one pre-bound handler, the pattern
 // the cpu/coherence/interconnect/memsys controllers migrated to.
@@ -121,7 +121,7 @@ func BenchEventKernel(legacyHeap bool) func(b *testing.B) {
 				}
 				if legacyHeap {
 					v := uint64(j)
-					s.Schedule(d, func() { fired += v & 1 })
+					s.ScheduleEvent(d, sim.InvokeFunc, func() { fired += v & 1 }, 0)
 				} else {
 					s.ScheduleEvent(d, count, nil, uint64(j))
 				}

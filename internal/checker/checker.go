@@ -20,6 +20,7 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/relation"
 	"repro/internal/stats"
+	"repro/internal/testgen"
 )
 
 // Violation describes a detected MCM violation.
@@ -35,11 +36,42 @@ func (v *Violation) Error() string {
 		v.Iteration, v.Result.Kind, v.Result.Detail)
 }
 
-// edge is one conflict-order pair of rfcoRUN, identified by the stable
-// per-iteration event keys.
-type edge struct {
-	pred, succ memmodel.Key
+// subsPerInstr bounds the sub-event numbers of one instruction: an RMW
+// maps to a read (sub 0) and a write (sub 1), everything else to sub 0.
+const subsPerInstr = 2
+
+// slot is the recorder's state for one event key (TID, Instr, Sub),
+// found by index — slots[TID][Instr*subsPerInstr+Sub] — instead of by
+// hashing the key. Both halves are epoch-stamped, so starting a new
+// iteration or a new run invalidates every slot at once.
+type slot struct {
+	// ev is the key's event in the current iteration's execution,
+	// valid while iterGen matches the recorder's.
+	ev      relation.EventID
+	iterGen uint64
+	// run indexes the key's entry in Recorder.run, valid while runGen
+	// matches the recorder's.
+	run    int32
+	runGen uint64
 }
+
+// runEvent is the run-level state of one distinct event executed during
+// the test-run.
+type runEvent struct {
+	addr memsys.Addr
+	// preds holds the distinct events conflict-ordered immediately
+	// before this one across the run's iterations: the (pred, this)
+	// pairs are exactly this event's share of rfcoRUN, and their count
+	// is its NDe. Non-determinism per event is small, so membership is a
+	// scan.
+	preds []pred
+}
+
+// pred names a conflict-order predecessor: the run index of a program
+// event, or ^(address>>3) for the initial write of a word.
+type pred int64
+
+func initPred(addr memsys.Addr) pred { return ^pred(addr >> 3) }
 
 // Recorder implements cpu.Observer: it assembles one candidate execution
 // per iteration and accumulates run-level non-determinism state.
@@ -70,19 +102,25 @@ type Recorder struct {
 	// memo call does not allocate a fresh closure.
 	checkFn collective.CheckFunc
 
-	// Per-iteration state.
+	// slots is the per-key state, grown on demand to the shape of the
+	// programs being recorded.
+	slots [][]slot
+
+	// Per-iteration state. exec is reused from iteration to iteration
+	// unless lent is set: Execution hands the object out, and whoever
+	// took it may keep it past EndIteration.
 	exec       *memmodel.Execution
-	writeByVal map[uint64]relation.EventID
+	lent       bool
+	iterGen    uint64
 	reads      []relation.EventID
 	serialized []memmodel.Key
-	eventByKey map[memmodel.Key]relation.EventID
 
-	// Run-level state (across iterations).
+	// Run-level state (across iterations): one runEvent per distinct
+	// read or write event, and |rfcoRUN| as the total of their preds.
 	iteration int
-	rfcoRun   map[edge]struct{}
-	preds     map[memmodel.Key]map[memmodel.Key]struct{}
-	addrOf    map[memmodel.Key]memsys.Addr
-	allEvents map[memmodel.Key]struct{}
+	runGen    uint64
+	run       []runEvent
+	rfcoRun   int
 }
 
 // NewRecorder returns a recorder checking against arch. The fastpath
@@ -105,10 +143,9 @@ func NewRecorder(arch memmodel.Arch) *Recorder {
 func (r *Recorder) ResetAll() {
 	r.resetIteration()
 	r.iteration = 0
-	r.rfcoRun = make(map[edge]struct{})
-	r.preds = make(map[memmodel.Key]map[memmodel.Key]struct{})
-	r.addrOf = make(map[memmodel.Key]memsys.Addr)
-	r.allEvents = make(map[memmodel.Key]struct{})
+	r.runGen++
+	r.run = r.run[:0]
+	r.rfcoRun = 0
 	r.ded = stats.Dedupe{}
 	r.chk.ResetStats()
 }
@@ -155,48 +192,91 @@ func (r *Recorder) SetFastpath(on bool) {
 func (r *Recorder) Fastpath() stats.Fastpath { return r.chk.Fastpath() }
 
 func (r *Recorder) resetIteration() {
-	r.exec = memmodel.NewExecution()
-	r.writeByVal = make(map[uint64]relation.EventID)
+	if r.exec == nil || r.lent {
+		r.exec, r.lent = memmodel.NewExecution(), false
+	} else {
+		// Nothing else holds the execution: verdicts, memo entries and
+		// violation witnesses carry event IDs and strings, not the
+		// object.
+		r.exec.Reset()
+	}
+	r.iterGen++
 	r.reads = r.reads[:0]
 	r.serialized = r.serialized[:0]
-	r.eventByKey = make(map[memmodel.Key]relation.EventID)
 }
 
-// Execution exposes the current iteration's execution (for inspection
-// before EndIteration resets it).
-func (r *Recorder) Execution() *memmodel.Execution { return r.exec }
+// Execution exposes the current iteration's execution. The caller may
+// keep it: EndIteration completes its rf and co in place and the
+// recorder then moves on to a fresh object instead of reusing this one.
+func (r *Recorder) Execution() *memmodel.Execution {
+	r.lent = true
+	return r.exec
+}
+
+// slot returns the state of key (tid, instr, sub), growing the table to
+// hold it.
+func (r *Recorder) slot(tid, instr, sub int) *slot {
+	if sub < 0 || sub >= subsPerInstr {
+		panic(fmt.Sprintf("checker: sub-event %d out of range [0,%d)", sub, subsPerInstr))
+	}
+	for tid >= len(r.slots) {
+		r.slots = append(r.slots, nil)
+	}
+	i := instr*subsPerInstr + sub
+	if i >= len(r.slots[tid]) {
+		r.slots[tid] = append(r.slots[tid], make([]slot, i+1-len(r.slots[tid]))...)
+	}
+	return &r.slots[tid][i]
+}
+
+// peek returns key's slot without growing the table: nil when no event
+// with that key was ever committed.
+func (r *Recorder) peek(key memmodel.Key) *slot {
+	if key.TID < 0 || key.TID >= len(r.slots) || key.Instr < 0 || key.Sub < 0 || key.Sub >= subsPerInstr {
+		return nil
+	}
+	i := key.Instr*subsPerInstr + key.Sub
+	if i >= len(r.slots[key.TID]) {
+		return nil
+	}
+	return &r.slots[key.TID][i]
+}
+
+// event returns the current iteration's event for key, if it committed.
+func (r *Recorder) event(key memmodel.Key) (relation.EventID, bool) {
+	sl := r.peek(key)
+	if sl == nil || sl.iterGen != r.iterGen {
+		return 0, false
+	}
+	return sl.ev, true
+}
 
 // Iteration returns the number of completed iterations this run.
 func (r *Recorder) Iteration() int { return r.iteration }
 
 // CommitRead implements cpu.Observer.
 func (r *Recorder) CommitRead(tid, instr, sub int, addr memsys.Addr, val uint64, atomic bool) {
-	key := memmodel.Key{TID: tid, Instr: instr, Sub: sub}
 	id := r.exec.AddEvent(memmodel.Event{
-		Key:    key,
+		Key:    memmodel.Key{TID: tid, Instr: instr, Sub: sub},
 		Kind:   memmodel.KindRead,
 		Addr:   addr.WordAddr(),
 		Value:  val,
 		Atomic: atomic,
 	})
-	r.eventByKey[key] = id
 	r.reads = append(r.reads, id)
-	r.noteEvent(key, addr)
+	r.noteEvent(r.slot(tid, instr, sub), id, addr)
 }
 
 // CommitWrite implements cpu.Observer.
 func (r *Recorder) CommitWrite(tid, instr, sub int, addr memsys.Addr, val uint64, atomic bool) {
-	key := memmodel.Key{TID: tid, Instr: instr, Sub: sub}
 	id := r.exec.AddEvent(memmodel.Event{
-		Key:    key,
+		Key:    memmodel.Key{TID: tid, Instr: instr, Sub: sub},
 		Kind:   memmodel.KindWrite,
 		Addr:   addr.WordAddr(),
 		Value:  val,
 		Atomic: atomic,
 	})
-	r.eventByKey[key] = id
-	r.writeByVal[val] = id
-	r.noteEvent(key, addr)
+	r.noteEvent(r.slot(tid, instr, sub), id, addr)
 }
 
 // WriteSerialized implements cpu.Observer: calls arrive in global
@@ -209,33 +289,81 @@ func (r *Recorder) WriteSerialized(tid, instr, sub int, addr memsys.Addr, val ui
 // events of the candidate execution. Fences carry no address and take
 // no conflict edges, so they stay out of the run-level NDT state.
 func (r *Recorder) CommitFence(tid, instr, sub int, kind memmodel.FenceKind) {
-	key := memmodel.Key{TID: tid, Instr: instr, Sub: sub}
-	id := r.exec.AddEvent(memmodel.Event{
-		Key:   key,
+	sl := r.slot(tid, instr, sub)
+	sl.ev, sl.iterGen = r.exec.AddEvent(memmodel.Event{
+		Key:   memmodel.Key{TID: tid, Instr: instr, Sub: sub},
 		Kind:  memmodel.KindFence,
 		Fence: kind,
-	})
-	r.eventByKey[key] = id
+	}), r.iterGen
 }
 
-func (r *Recorder) noteEvent(key memmodel.Key, addr memsys.Addr) {
-	r.allEvents[key] = struct{}{}
-	r.addrOf[key] = addr.WordAddr()
-}
-
-// initKey identifies the initial write of addr in rfcoRUN edges.
-func initKey(addr memsys.Addr) memmodel.Key {
-	return memmodel.Key{TID: memmodel.InitTID, Instr: int(addr >> 3)}
-}
-
-func (r *Recorder) addRunEdge(pred, succ memmodel.Key) {
-	r.rfcoRun[edge{pred, succ}] = struct{}{}
-	m, ok := r.preds[succ]
-	if !ok {
-		m = make(map[memmodel.Key]struct{})
-		r.preds[succ] = m
+// noteEvent binds a committed read or write to its slot and, the first
+// time the run sees the key, gives it a run-level entry.
+func (r *Recorder) noteEvent(sl *slot, id relation.EventID, addr memsys.Addr) {
+	sl.ev, sl.iterGen = id, r.iterGen
+	if sl.runGen == r.runGen {
+		r.run[sl.run].addr = addr.WordAddr()
+		return
 	}
-	m[pred] = struct{}{}
+	sl.run, sl.runGen = int32(len(r.run)), r.runGen
+	if len(r.run) < cap(r.run) {
+		// Reuse the entry, and its preds backing array, left behind by
+		// an earlier run.
+		r.run = r.run[:len(r.run)+1]
+		e := &r.run[sl.run]
+		e.addr, e.preds = addr.WordAddr(), e.preds[:0]
+	} else {
+		r.run = append(r.run, runEvent{addr: addr.WordAddr()})
+	}
+}
+
+// runPred names ev as a conflict-order predecessor.
+func (r *Recorder) runPred(ev *memmodel.Event) pred {
+	if ev.IsInit() {
+		return initPred(ev.Addr)
+	}
+	return pred(r.runIndex(ev))
+}
+
+// runIndex returns the run-level entry of a committed read or write.
+func (r *Recorder) runIndex(ev *memmodel.Event) int32 {
+	return r.peek(ev.Key).run
+}
+
+// addRunEdge folds the conflict-order pair (p, succ) into rfcoRUN.
+func (r *Recorder) addRunEdge(p pred, succ *memmodel.Event) {
+	e := &r.run[r.runIndex(succ)]
+	for _, q := range e.preds {
+		if q == p {
+			return
+		}
+	}
+	e.preds = append(e.preds, p)
+	r.rfcoRun++
+}
+
+// writeOf maps an observed nonzero value back to the write that produced
+// it this iteration. Generated programs write testgen.WriteIDFor values,
+// which name the writing instruction, so the producer is found in its
+// slot; any other value is looked up by scanning the execution's writes.
+func (r *Recorder) writeOf(val uint64) (relation.EventID, bool) {
+	if tid, instr, ok := testgen.DecodeWriteID(val); ok {
+		for sub := 0; sub < subsPerInstr; sub++ {
+			id, ok := r.event(memmodel.Key{TID: tid, Instr: instr, Sub: sub})
+			if ok {
+				if ev := r.exec.Event(id); ev.IsWrite() && ev.Value == val {
+					return id, true
+				}
+			}
+		}
+	}
+	events := r.exec.Events()
+	for i := len(events) - 1; i >= 0; i-- {
+		if ev := &events[i]; ev.IsWrite() && !ev.IsInit() && ev.Value == val {
+			return ev.ID, true
+		}
+	}
+	return 0, false
 }
 
 // EndIteration assembles the iteration's candidate execution, verifies
@@ -248,7 +376,7 @@ func (r *Recorder) EndIteration() *Violation {
 	// serialize before its commit callback in rare schedules, so the
 	// event may be missing; that is a recorder invariant failure.
 	for _, key := range r.serialized {
-		id, ok := r.eventByKey[key]
+		id, ok := r.event(key)
 		if !ok {
 			return &Violation{
 				Iteration: r.iteration,
@@ -274,7 +402,7 @@ func (r *Recorder) EndIteration() *Violation {
 			w = exec.InitWrite(ev.Addr)
 		} else {
 			var ok bool
-			w, ok = r.writeByVal[ev.Value]
+			w, ok = r.writeOf(ev.Value)
 			if !ok {
 				// The read observed a value no write produced:
 				// corrupted data (e.g. a dropped writeback).
@@ -315,34 +443,17 @@ func (r *Recorder) EndIteration() *Violation {
 	// Fold this iteration's rf and co (immediate edges) into rfcoRUN
 	// (Definition 1), regardless of validity.
 	for _, read := range r.reads {
-		ev := exec.Event(read)
 		w, _ := exec.RF(read)
-		wev := exec.Event(w)
-		pk := wev.Key
-		if wev.IsInit() {
-			pk = initKey(wev.Addr)
-		}
-		r.addRunEdge(pk, ev.Key)
+		r.addRunEdge(r.runPred(exec.Event(w)), exec.Event(read))
 	}
 	for _, addr := range exec.Addresses() {
-		order := exec.CO(addr)
-		for i, id := range order {
+		p := initPred(addr)
+		for _, id := range exec.CO(addr) {
 			ev := exec.Event(id)
-			if ev.IsInit() {
-				continue
+			if !ev.IsInit() {
+				r.addRunEdge(p, ev)
+				p = r.runPred(ev)
 			}
-			var pk memmodel.Key
-			if i == 0 {
-				pk = initKey(addr)
-			} else {
-				prev := exec.Event(order[i-1])
-				if prev.IsInit() {
-					pk = initKey(addr)
-				} else {
-					pk = prev.Key
-				}
-			}
-			r.addRunEdge(pk, ev.Key)
 		}
 	}
 
@@ -358,17 +469,20 @@ func (r *Recorder) EndIteration() *Violation {
 // NDT returns the average non-determinism of the test-run
 // (Definition 2): |rfcoRUN| / n, over the distinct events executed.
 func (r *Recorder) NDT() float64 {
-	n := len(r.allEvents)
-	if n == 0 {
+	if len(r.run) == 0 {
 		return 0
 	}
-	return float64(len(r.rfcoRun)) / float64(n)
+	return float64(r.rfcoRun) / float64(len(r.run))
 }
 
 // NDe returns the non-determinism of one event (Definition 3): the
 // number of distinct events conflict-ordered before it across the run.
 func (r *Recorder) NDe(key memmodel.Key) int {
-	return len(r.preds[key])
+	sl := r.peek(key)
+	if sl == nil || sl.runGen != r.runGen {
+		return 0
+	}
+	return len(r.run[sl.run].preds)
 }
 
 // FitAddrs returns the addresses of events whose NDe exceeds the rounded
@@ -376,11 +490,9 @@ func (r *Recorder) NDe(key memmodel.Key) int {
 func (r *Recorder) FitAddrs() map[memsys.Addr]bool {
 	cut := int(math.Round(r.NDT()))
 	out := make(map[memsys.Addr]bool)
-	for key, preds := range r.preds {
-		if len(preds) > cut {
-			if addr, ok := r.addrOf[key]; ok {
-				out[addr] = true
-			}
+	for i := range r.run {
+		if len(r.run[i].preds) > cut {
+			out[r.run[i].addr] = true
 		}
 	}
 	return out
@@ -392,7 +504,7 @@ func (r *Recorder) FitAddrs() map[memsys.Addr]bool {
 func (r *Recorder) LastSerializedValue(addr memsys.Addr) (uint64, bool) {
 	addr = addr.WordAddr()
 	for i := len(r.serialized) - 1; i >= 0; i-- {
-		id, ok := r.eventByKey[r.serialized[i]]
+		id, ok := r.event(r.serialized[i])
 		if !ok {
 			continue
 		}
@@ -408,7 +520,7 @@ func (r *Recorder) LastSerializedValue(addr memsys.Addr) (uint64, bool) {
 // in the current (un-ended) iteration, for litmus outcome matching. It
 // must be called before EndIteration resets the iteration state.
 func (r *Recorder) ReadValue(tid, instr, sub int) (uint64, bool) {
-	id, ok := r.eventByKey[memmodel.Key{TID: tid, Instr: instr, Sub: sub}]
+	id, ok := r.event(memmodel.Key{TID: tid, Instr: instr, Sub: sub})
 	if !ok {
 		return 0, false
 	}

@@ -9,29 +9,39 @@ import (
 // Array is a set-associative cache structure with LRU replacement,
 // parameterized over the per-line protocol state. Victim selection takes
 // a predicate so controllers never evict lines in transient states.
+//
+// Tests are tiny next to the cache (§4: 1KB of test memory against
+// megabytes of L1+L2) and the array is cleared after every iteration, so
+// the array is sparse: a set's ways are allocated on its first Insert,
+// and Clear advances an epoch instead of touching entries — an entry is
+// valid only while its stamp equals the array's current epoch.
 type Array[L any] struct {
-	sets, ways int
-	entries    []arrayEntry[L]
-	clock      uint64
+	ways  int
+	sets  [][]arrayEntry[L]
+	clock uint64
+	// epoch is the current validity stamp; it starts at 1 so zeroed
+	// entries are invalid.
+	epoch uint64
 }
 
 type arrayEntry[L any] struct {
-	valid bool
+	// epoch marks the entry valid while it equals the array's.
+	epoch uint64
 	addr  memsys.Addr
 	lru   uint64
 	line  L
 }
 
 // NewArray returns a sets×ways cache array. Both dimensions must be
-// powers of two are not required, but sets must be positive.
+// positive.
 func NewArray[L any](sets, ways int) *Array[L] {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("coherence: invalid geometry %dx%d", sets, ways))
 	}
 	return &Array[L]{
-		sets:    sets,
-		ways:    ways,
-		entries: make([]arrayEntry[L], sets*ways),
+		ways:  ways,
+		sets:  make([][]arrayEntry[L], sets),
+		epoch: 1,
 	}
 }
 
@@ -42,42 +52,55 @@ func GeomFor(sizeBytes, ways int) (int, int) {
 	return lines / ways, ways
 }
 
+func (a *Array[L]) setIndex(addr memsys.Addr) int {
+	return int(uint64(addr) / memsys.LineSize % uint64(len(a.sets)))
+}
+
+// set returns addr's ways; nil while the set has never been inserted
+// into.
 func (a *Array[L]) set(addr memsys.Addr) []arrayEntry[L] {
-	idx := int(uint64(addr) / memsys.LineSize % uint64(a.sets))
-	return a.entries[idx*a.ways : (idx+1)*a.ways]
+	return a.sets[a.setIndex(addr)]
+}
+
+// find returns the valid entry holding the line-aligned addr, or nil.
+func (a *Array[L]) find(addr memsys.Addr) *arrayEntry[L] {
+	set := a.set(addr)
+	for i := range set {
+		if set[i].epoch == a.epoch && set[i].addr == addr {
+			return &set[i]
+		}
+	}
+	return nil
 }
 
 // Lookup returns the line for addr if present, touching LRU state.
 func (a *Array[L]) Lookup(addr memsys.Addr) (*L, bool) {
-	addr = addr.LineAddr()
-	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].addr == addr {
-			a.clock++
-			set[i].lru = a.clock
-			return &set[i].line, true
-		}
+	e := a.find(addr.LineAddr())
+	if e == nil {
+		return nil, false
 	}
-	return nil, false
+	a.clock++
+	e.lru = a.clock
+	return &e.line, true
 }
 
 // Peek returns the line for addr without touching LRU state.
 func (a *Array[L]) Peek(addr memsys.Addr) (*L, bool) {
-	addr = addr.LineAddr()
-	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].addr == addr {
-			return &set[i].line, true
-		}
+	e := a.find(addr.LineAddr())
+	if e == nil {
+		return nil, false
 	}
-	return nil, false
+	return &e.line, true
 }
 
 // HasFree reports whether addr's set has an unused way.
 func (a *Array[L]) HasFree(addr memsys.Addr) bool {
-	set := a.set(addr.LineAddr())
+	set := a.set(addr)
+	if set == nil {
+		return true
+	}
 	for i := range set {
-		if !set[i].valid {
+		if set[i].epoch != a.epoch {
 			return true
 		}
 	}
@@ -89,16 +112,18 @@ func (a *Array[L]) HasFree(addr memsys.Addr) bool {
 // evict first.
 func (a *Array[L]) Insert(addr memsys.Addr) *L {
 	addr = addr.LineAddr()
-	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].addr == addr {
-			panic(fmt.Sprintf("coherence: double insert of %s", addr))
-		}
+	if a.find(addr) != nil {
+		panic(fmt.Sprintf("coherence: double insert of %s", addr))
 	}
+	idx := a.setIndex(addr)
+	if a.sets[idx] == nil {
+		a.sets[idx] = make([]arrayEntry[L], a.ways)
+	}
+	set := a.sets[idx]
 	for i := range set {
-		if !set[i].valid {
+		if set[i].epoch != a.epoch {
 			a.clock++
-			set[i] = arrayEntry[L]{valid: true, addr: addr, lru: a.clock}
+			set[i] = arrayEntry[L]{epoch: a.epoch, addr: addr, lru: a.clock}
 			return &set[i].line
 		}
 	}
@@ -108,10 +133,10 @@ func (a *Array[L]) Insert(addr memsys.Addr) *L {
 // Victim returns the least-recently-used line in addr's set satisfying
 // the predicate, or ok=false if none qualifies.
 func (a *Array[L]) Victim(addr memsys.Addr, canEvict func(*L) bool) (memsys.Addr, *L, bool) {
-	set := a.set(addr.LineAddr())
+	set := a.set(addr)
 	best := -1
 	for i := range set {
-		if !set[i].valid || !canEvict(&set[i].line) {
+		if set[i].epoch != a.epoch || !canEvict(&set[i].line) {
 			continue
 		}
 		if best < 0 || set[i].lru < set[best].lru {
@@ -126,41 +151,30 @@ func (a *Array[L]) Victim(addr memsys.Addr, canEvict func(*L) bool) (memsys.Addr
 
 // Remove invalidates addr's entry if present.
 func (a *Array[L]) Remove(addr memsys.Addr) {
-	addr = addr.LineAddr()
-	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].addr == addr {
-			set[i] = arrayEntry[L]{}
-			return
-		}
+	if e := a.find(addr.LineAddr()); e != nil {
+		*e = arrayEntry[L]{}
 	}
 }
 
-// Range calls fn for every valid line until fn returns false.
+// Range calls fn for every valid line, in (set, way) order, until fn
+// returns false.
 func (a *Array[L]) Range(fn func(addr memsys.Addr, line *L) bool) {
-	for i := range a.entries {
-		if a.entries[i].valid {
-			if !fn(a.entries[i].addr, &a.entries[i].line) {
+	for _, set := range a.sets {
+		for i := range set {
+			if set[i].epoch == a.epoch && !fn(set[i].addr, &set[i].line) {
 				return
 			}
 		}
 	}
 }
 
-// Clear invalidates every entry.
-func (a *Array[L]) Clear() {
-	for i := range a.entries {
-		a.entries[i] = arrayEntry[L]{}
-	}
-}
+// Clear invalidates every entry in O(1). The LRU clock keeps running
+// across clears.
+func (a *Array[L]) Clear() { a.epoch++ }
 
 // Count returns the number of valid lines.
 func (a *Array[L]) Count() int {
 	n := 0
-	for i := range a.entries {
-		if a.entries[i].valid {
-			n++
-		}
-	}
+	a.Range(func(memsys.Addr, *L) bool { n++; return true })
 	return n
 }

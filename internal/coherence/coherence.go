@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
+	"repro/internal/sim"
 )
 
 // CoverageSink receives one record per executed protocol transition.
@@ -60,11 +61,34 @@ type IDCoverageSink interface {
 	CoverageID(controller, state, event string) (TransitionID, bool)
 }
 
-// internKey names one dispatch-table entry for pre-resolution: the
-// dense (state, event) coordinates plus their string names.
-type internKey struct {
-	s, e         int
-	state, event string
+// internKey is the dense (state, event) coordinate of one dispatch-
+// table entry.
+type internKey struct{ s, e int }
+
+// tableKeys lists the occupied cells of a states×events dispatch table
+// in (state, event) order — the controller's transition vocabulary.
+func tableKeys(states, events int, occupied func(s, e int) bool) []internKey {
+	var keys []internKey
+	for s := 0; s < states; s++ {
+		for e := 0; e < events; e++ {
+			if occupied(s, e) {
+				keys = append(keys, internKey{s, e})
+			}
+		}
+	}
+	return keys
+}
+
+// keyTransitions names a vocabulary for coverage accounting. extra
+// entries (transitions outside the table) are appended before sorting.
+func keyTransitions(controller string, keys []internKey, states, events []string, extra ...Transition) []Transition {
+	out := make([]Transition, 0, len(keys)+len(extra))
+	for _, k := range keys {
+		out = append(out, Transition{Controller: controller, State: states[k.s], Event: events[k.e]})
+	}
+	out = append(out, extra...)
+	sortTransitions(out)
+	return out
 }
 
 // covRecorder is the coverage front end shared by all four
@@ -78,28 +102,30 @@ type covRecorder struct {
 	sink       CoverageSink
 	fast       IDCoverageSink
 	ids        [][]TransitionID
+	// states/events name the lattice coordinates for the string path.
+	states, events []string
 }
 
 // newCovRecorder pre-resolves a controller's transition vocabulary
 // against the sink. Lattice entries the sink's vocabulary does not
 // know stay NoTransitionID and fall back to the string path; a sink
 // without the fast path keeps the string path for everything.
-func newCovRecorder(sink CoverageSink, controller string, states, events int, keys []internKey) covRecorder {
-	r := covRecorder{controller: controller, sink: sink}
+func newCovRecorder(sink CoverageSink, controller string, states, events []string, keys []internKey) covRecorder {
+	r := covRecorder{controller: controller, sink: sink, states: states, events: events}
 	fast, ok := sink.(IDCoverageSink)
 	if !ok {
 		return r
 	}
-	ids := make([][]TransitionID, states)
+	ids := make([][]TransitionID, len(states))
 	for s := range ids {
-		row := make([]TransitionID, events)
+		row := make([]TransitionID, len(events))
 		for e := range row {
 			row[e] = NoTransitionID
 		}
 		ids[s] = row
 	}
 	for _, k := range keys {
-		if id, ok := fast.CoverageID(controller, k.state, k.event); ok {
+		if id, ok := fast.CoverageID(controller, states[k.s], events[k.e]); ok {
 			ids[k.s][k.e] = id
 		}
 	}
@@ -109,14 +135,14 @@ func newCovRecorder(sink CoverageSink, controller string, states, events int, ke
 
 // record counts one executed transition, through the interned fast
 // path when available.
-func (r *covRecorder) record(state, event int, stateName, eventName string) {
+func (r *covRecorder) record(state, event int) {
 	if r.fast != nil {
 		if id := r.ids[state][event]; id != NoTransitionID {
 			r.fast.RecordID(id)
 			return
 		}
 	}
-	r.sink.RecordTransition(r.controller, stateName, eventName)
+	r.sink.RecordTransition(r.controller, r.states[state], r.events[event])
 }
 
 // resolve interns one transition outside the lattice (e.g. TSO-CC's
@@ -168,23 +194,101 @@ type CollectErrors struct {
 // ProtocolError implements ErrorSink.
 func (c *CollectErrors) ProtocolError(err error) { c.Errors = append(c.Errors, err) }
 
+// ReqKind classifies a CPU operation handed to an L1.
+type ReqKind uint8
+
+// CPU operation kinds.
+const (
+	ReqLoad ReqKind = iota
+	ReqStore
+	// ReqAtomic is a locked exchange: it stores Val at the coherence
+	// point and completes with the old value.
+	ReqAtomic
+	// ReqFlush evicts the line (clflush).
+	ReqFlush
+)
+
+// Request is one CPU operation in flight at an L1 (an MSHR slot). The
+// issuer owns the record and recycles it: from Issue until Done fires
+// the cache holds the only live reference and the issuer must leave the
+// record alone; once Done has been called the cache never touches it
+// again, so Done may hand it straight to a free list.
+type Request struct {
+	Kind ReqKind
+	// Addr is the word address.
+	Addr memsys.Addr
+	// Val is the value a store or atomic writes.
+	Val uint64
+	// Tag and Aux are the issuer's words, opaque to the cache (the same
+	// idiom as sim.ScheduleEvent's arg/aux): the core keeps the program
+	// slot and the generations that invalidate stale completions there.
+	Tag, Aux uint64
+	// Done fires when the operation performs in the memory system:
+	//
+	//   - a load completes synchronously at its perform point with the
+	//     loaded value; invalidated=true means the line was invalidated
+	//     concurrently with the fill (the IS_I "use data once" path) and
+	//     the LQ must treat the load as immediately invalidated;
+	//   - a store completes when it is written into the cache at the
+	//     coherence point — its serialization (co) point;
+	//   - an atomic completes likewise, val carrying the old value;
+	//   - a flush completes once the line has left the cache.
+	Done func(r *Request, val uint64, invalidated bool)
+
+	// next chains requests coalesced on one transient line.
+	next *Request
+}
+
+// requestDone is the completion event of stores, atomics and flushes:
+// the request travels as arg, the old value as aux.
+var requestDone sim.Handler = func(arg any, aux uint64) {
+	r := arg.(*Request)
+	r.Done(r, aux, false)
+}
+
+// reqQueue is the FIFO of requests deferred on one transient line,
+// linked through the requests themselves.
+type reqQueue struct{ head, tail *Request }
+
+func (q *reqQueue) empty() bool { return q.head == nil }
+
+func (q *reqQueue) push(r *Request) {
+	r.next = nil
+	if q.tail == nil {
+		q.head = r
+	} else {
+		q.tail.next = r
+	}
+	q.tail = r
+}
+
+func (q *reqQueue) pushFront(r *Request) {
+	r.next = q.head
+	q.head = r
+	if q.tail == nil {
+		q.tail = r
+	}
+}
+
+// replay empties the queue, scheduling every request through h (a
+// controller's cpuOp handler) in FIFO order.
+func (q *reqQueue) replay(s *sim.Sim, h sim.Handler) {
+	r := q.head
+	*q = reqQueue{}
+	for r != nil {
+		next := r.next
+		r.next = nil
+		s.ScheduleEvent(0, h, r, 0)
+		r = next
+	}
+}
+
 // CacheL1 is the interface the core model uses to talk to its private L1
-// regardless of protocol. Completion callbacks fire at the time the
-// operation performs in the memory system:
-//
-//   - Load's callback delivers the loaded value; invalidated=true means
-//     the line was invalidated concurrently with the fill (the IS_I
-//     "use data once" path) and the LQ must treat the load as
-//     immediately invalidated.
-//   - Store's callback fires when the store is written into the cache at
-//     the coherence point — the store's serialization (co) point.
-//   - Atomic applies fn at the coherence point and returns the old value.
-//   - Flush evicts the line (clflush).
+// regardless of protocol.
 type CacheL1 interface {
-	Load(addr memsys.Addr, cb func(val uint64, invalidated bool))
-	Store(addr memsys.Addr, val uint64, cb func())
-	Atomic(addr memsys.Addr, apply func(old uint64) uint64, cb func(old uint64))
-	Flush(addr memsys.Addr, cb func())
+	// Issue hands one CPU operation to the cache; r.Done reports its
+	// completion (see Request).
+	Issue(r *Request)
 	// Acquire applies a fence's acquire side at the cache, making
 	// writes that serialized before the fence visible to po-later
 	// loads. Lazily-coherent protocols (TSO-CC) self-invalidate their
@@ -307,8 +411,9 @@ type Msg struct {
 	Requestor int
 	// AckTo is where invalidation acks must be sent.
 	AckTo interconnect.NodeID
-	// Data carries line data where applicable.
-	Data *memsys.LineData
+	// Data carries line data where applicable, inline: a message is one
+	// pooled object, not a header plus a line copy.
+	Data memsys.LineData
 	// Dirty marks data newer than memory.
 	Dirty bool
 	// AckCount is the number of invalidation acks the requestor must
@@ -325,6 +430,54 @@ type Msg struct {
 	Ts     uint32
 	Epoch  uint32
 	Writer int
+
+	// held marks a delivered message its consumer queued again (a
+	// recycled request, a retried fetch): release leaves it in flight.
+	held bool
+	// next links the pool's free list.
+	next *Msg
+}
+
+// MsgPool recycles the coherence messages of one machine. A message is
+// taken by its sender and released by its consumer once Deliver (or the
+// access-latency event behind it) has finished with it — the discipline
+// the sim kernel's event freelist uses — so steady-state traffic
+// allocates nothing. Like the simulator it serves, a pool is
+// single-threaded. Messages still in flight when a run is cut short are
+// simply left to the garbage collector.
+type MsgPool struct{ free *Msg }
+
+// NewMsgPool returns an empty pool; machine.New shares one between all
+// controllers.
+func NewMsgPool() *MsgPool { return &MsgPool{} }
+
+// alloc returns a pooled message initialized to v.
+func (p *MsgPool) alloc(v Msg) *Msg {
+	m := p.free
+	if m == nil {
+		m = new(Msg)
+	} else {
+		p.free = m.next
+	}
+	*m = v
+	return m
+}
+
+// requeue marks m as delivered again by its own consumer.
+func (m *Msg) requeue() *Msg {
+	m.held = true
+	return m
+}
+
+// release returns a consumed message to the pool, unless its consumer
+// queued it again.
+func (p *MsgPool) release(m *Msg) {
+	if m.held {
+		m.held = false
+		return
+	}
+	m.next = p.free
+	p.free = m
 }
 
 func (m *Msg) String() string {
@@ -359,7 +512,7 @@ func (t Transition) String() string {
 }
 
 // sortTransitions orders an enumeration by (controller, state, event)
-// so table listings built from map iteration come out deterministic.
+// names, the order the interned coverage vocabulary is numbered in.
 func sortTransitions(ts []Transition) {
 	sort.Slice(ts, func(i, j int) bool {
 		a, b := ts[i], ts[j]
@@ -370,17 +523,5 @@ func sortTransitions(ts []Transition) {
 			return a.State < b.State
 		}
 		return a.Event < b.Event
-	})
-}
-
-// sortInternKeys orders a transition vocabulary by its dense (state,
-// event) coordinates, detaching recorder construction from map
-// iteration order.
-func sortInternKeys(keys []internKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].s != keys[j].s {
-			return keys[i].s < keys[j].s
-		}
-		return keys[i].e < keys[j].e
 	})
 }

@@ -41,6 +41,15 @@ type testSys struct {
 	errs   *CollectErrors
 }
 
+// issue hands one CPU operation to core's L1; done receives the
+// completion value (loaded value, atomic's old value, 0 otherwise).
+func (ts *testSys) issue(core int, kind ReqKind, addr memsys.Addr, val uint64, done func(uint64)) {
+	ts.l1s[core].Issue(&Request{
+		Kind: kind, Addr: addr, Val: val,
+		Done: func(_ *Request, v uint64, _ bool) { done(v) },
+	})
+}
+
 const (
 	tCores = 4
 	tTiles = 4
@@ -58,6 +67,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 	s := sim.New(seed)
 	net := interconnect.New(s, interconnect.DefaultConfig())
 	mem := memsys.NewMemory()
+	msgs := NewMsgPool()
 	ts := &testSys{
 		t: t, sim: s, net: net, mem: mem,
 		cov: newCovCounter(), errs: &CollectErrors{},
@@ -65,7 +75,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 	if sink == nil {
 		sink = ts.cov
 	}
-	if _, err := NewMemCtrl(s, net, mem); err != nil {
+	if _, err := NewMemCtrl(s, net, mem, msgs); err != nil {
 		t.Fatalf("NewMemCtrl: %v", err)
 	}
 	for i := 0; i < tCores; i++ {
@@ -73,7 +83,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 		case "MESI":
 			l1, err := NewMESIL1(s, net, MESIL1Config{
 				CoreID: i, Tiles: tTiles, SizeBytes: 1024, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs,
+				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
 			}, 0, i)
 			if err != nil {
 				t.Fatalf("NewMESIL1: %v", err)
@@ -84,7 +94,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 			l1, err := NewTSOCCL1(s, net, TSOCCL1Config{
 				CoreID: i, Cores: tCores, Tiles: tTiles,
 				SizeBytes: 1024, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs,
+				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
 			}, 0, i)
 			if err != nil {
 				t.Fatalf("NewTSOCCL1: %v", err)
@@ -98,7 +108,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 		case "MESI":
 			l2, err := NewMESIL2(s, net, MESIL2Config{
 				Tile: j, Cores: tCores, SizeBytes: 2048, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs,
+				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
 			}, 1, j)
 			if err != nil {
 				t.Fatalf("NewMESIL2: %v", err)
@@ -107,7 +117,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 		case "TSO-CC":
 			l2, err := NewTSOCCL2(s, net, TSOCCL2Config{
 				Tile: j, Cores: tCores, SizeBytes: 2048, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs,
+				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
 			}, 1, j)
 			if err != nil {
 				t.Fatalf("NewTSOCCL2: %v", err)
@@ -139,7 +149,7 @@ func (ts *testSys) load(core int, addr memsys.Addr) uint64 {
 	ts.t.Helper()
 	var val uint64
 	done := false
-	ts.l1s[core].Load(addr, func(v uint64, _ bool) { val, done = v, true })
+	ts.issue(core, ReqLoad, addr, 0, func(v uint64) { val, done = v, true })
 	if err := ts.sim.RunUntil(func() bool { return done }, opDeadline); err != nil {
 		ts.t.Fatalf("load(%d, %v): %v (protocol errors: %v)", core, addr, err, ts.errs.Errors)
 	}
@@ -150,7 +160,7 @@ func (ts *testSys) load(core int, addr memsys.Addr) uint64 {
 func (ts *testSys) store(core int, addr memsys.Addr, v uint64) {
 	ts.t.Helper()
 	done := false
-	ts.l1s[core].Store(addr, v, func() { done = true })
+	ts.issue(core, ReqStore, addr, v, func(uint64) { done = true })
 	if err := ts.sim.RunUntil(func() bool { return done }, opDeadline); err != nil {
 		ts.t.Fatalf("store(%d, %v): %v (protocol errors: %v)", core, addr, err, ts.errs.Errors)
 	}
@@ -161,7 +171,7 @@ func (ts *testSys) atomic(core int, addr memsys.Addr, newVal uint64) uint64 {
 	ts.t.Helper()
 	var old uint64
 	done := false
-	ts.l1s[core].Atomic(addr, func(o uint64) uint64 { return newVal }, func(o uint64) { old, done = o, true })
+	ts.issue(core, ReqAtomic, addr, newVal, func(o uint64) { old, done = o, true })
 	if err := ts.sim.RunUntil(func() bool { return done }, opDeadline); err != nil {
 		ts.t.Fatalf("atomic(%d, %v): %v (errors: %v)", core, addr, err, ts.errs.Errors)
 	}
@@ -172,7 +182,7 @@ func (ts *testSys) atomic(core int, addr memsys.Addr, newVal uint64) uint64 {
 func (ts *testSys) flush(core int, addr memsys.Addr) {
 	ts.t.Helper()
 	done := false
-	ts.l1s[core].Flush(addr, func() { done = true })
+	ts.issue(core, ReqFlush, addr, 0, func(uint64) { done = true })
 	if err := ts.sim.RunUntil(func() bool { return done }, opDeadline); err != nil {
 		ts.t.Fatalf("flush(%d, %v): %v (errors: %v)", core, addr, err, ts.errs.Errors)
 	}
@@ -368,15 +378,15 @@ func TestConcurrentStress(t *testing.T) {
 							written[addr] = make(map[uint64]bool)
 						}
 						written[addr][v] = true
-						ts.l1s[core].Store(addr, v, func() { outstanding-- })
+						ts.issue(core, ReqStore, addr, v, func(uint64) { outstanding-- })
 					case 2, 3:
 						a := addr
-						ts.l1s[core].Load(addr, func(v uint64, _ bool) {
+						ts.issue(core, ReqLoad, addr, 0, func(v uint64) {
 							reads = append(reads, obs{a, v})
 							outstanding--
 						})
 					case 4:
-						ts.l1s[core].Flush(addr, func() { outstanding-- })
+						ts.issue(core, ReqFlush, addr, 0, func(uint64) { outstanding-- })
 					}
 					// Let a little traffic overlap.
 					if rng.Intn(3) == 0 {

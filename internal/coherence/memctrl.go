@@ -11,9 +11,10 @@ import (
 // band (the access latency below plus network traversal lands round
 // trips in the 120–230 cycle range).
 type MemCtrl struct {
-	sim *sim.Sim
-	net *interconnect.Network
-	mem *memsys.Memory
+	sim  *sim.Sim
+	net  *interconnect.Network
+	mem  *memsys.Memory
+	msgs *MsgPool
 
 	// meta retains per-line writer/timestamp metadata written back by
 	// the TSO-CC L2, so the acquire rule keeps working across L2
@@ -38,12 +39,17 @@ type memMeta struct {
 }
 
 // NewMemCtrl creates the controller and registers it on the network at
-// position (0, 0).
-func NewMemCtrl(s *sim.Sim, net *interconnect.Network, mem *memsys.Memory) (*MemCtrl, error) {
+// position (0, 0). msgs is the machine's shared message pool; nil gives
+// the controller a private one.
+func NewMemCtrl(s *sim.Sim, net *interconnect.Network, mem *memsys.Memory, msgs *MsgPool) (*MemCtrl, error) {
+	if msgs == nil {
+		msgs = NewMsgPool()
+	}
 	m := &MemCtrl{
 		sim:          s,
 		net:          net,
 		mem:          mem,
+		msgs:         msgs,
 		meta:         make(map[memsys.Addr]memMeta),
 		AccessMin:    100,
 		AccessJitter: 80,
@@ -80,8 +86,9 @@ func (m *MemCtrl) Deliver(vnet interconnect.VNet, payload interface{}) {
 		m.sim.ScheduleEvent(lat, m.serveReadH, msg, 0)
 	case MsgMemWrite:
 		m.writes++
-		m.mem.WriteLine(msg.Addr, *msg.Data)
+		m.mem.WriteLine(msg.Addr, msg.Data)
 		m.meta[msg.Addr.LineAddr()] = memMeta{writer: msg.Writer, ts: msg.Ts, epoch: msg.Epoch}
+		m.msgs.release(msg)
 	default:
 		panic("memctrl: unexpected message " + msg.Type.String())
 	}
@@ -90,18 +97,18 @@ func (m *MemCtrl) Deliver(vnet interconnect.VNet, payload interface{}) {
 // serveRead completes a MsgMemRead after the access latency: read the
 // line, attach retained writer/timestamp metadata, respond.
 func (m *MemCtrl) serveRead(msg *Msg) {
-	data := m.mem.ReadLine(msg.Addr)
 	meta, ok := m.meta[msg.Addr.LineAddr()]
 	if !ok {
 		meta = memMeta{writer: -1}
 	}
-	m.net.Send(MemNode, msg.Src, interconnect.VNetResponse, &Msg{
+	m.net.Send(MemNode, msg.Src, interconnect.VNetResponse, m.msgs.alloc(Msg{
 		Type:   MsgMemData,
 		Addr:   msg.Addr,
 		Src:    MemNode,
-		Data:   &data,
+		Data:   m.mem.ReadLine(msg.Addr),
 		Writer: meta.writer,
 		Ts:     meta.ts,
 		Epoch:  meta.epoch,
-	})
+	}))
+	m.msgs.release(msg)
 }

@@ -75,26 +75,6 @@ var l1EventNames = [...]string{
 
 func (e l1Event) String() string { return l1EventNames[e] }
 
-// l1OpKind classifies a pending CPU operation.
-type l1OpKind uint8
-
-const (
-	opLoad l1OpKind = iota
-	opStore
-	opAtomic
-	opFlush
-)
-
-// l1Op is one CPU operation in flight at the L1 (an MSHR slot).
-type l1Op struct {
-	kind     l1OpKind
-	addr     memsys.Addr // word address
-	storeVal uint64
-	apply    func(old uint64) uint64
-	loadCB   func(val uint64, invalidated bool)
-	doneCB   func(old uint64)
-}
-
 // mesiL1Line is the per-line L1 state.
 type mesiL1Line struct {
 	state       l1State
@@ -105,8 +85,8 @@ type mesiL1Line struct {
 	// line's writeback was in flight (E_I/M_I), so a later PutStale
 	// completes the writeback instead of waiting for a forward.
 	servedFwd bool
-	primary   *l1Op
-	deferred  []*l1Op
+	primary   *Request
+	deferred  reqQueue
 }
 
 // MESIL1 is one core's private L1 data cache controller.
@@ -116,6 +96,7 @@ type MESIL1 struct {
 	array *Array[mesiL1Line]
 	sim   *sim.Sim
 	net   *interconnect.Network
+	msgs  *MsgPool
 	bugs  bugs.Set
 	cov   CoverageSink
 	// covRec is the interned coverage front end: every table entry's
@@ -123,6 +104,10 @@ type MESIL1 struct {
 	// one RecordID call when the sink interns the vocabulary.
 	covRec covRecorder
 	errs   ErrorSink
+	// absent stands in for the line of a message whose line is not
+	// cached: such messages dispatch against state I (only ack-style
+	// responses are legal) and must not retain the line.
+	absent mesiL1Line
 
 	// HitLatency is the L1 hit latency (Table 2: 3 cycles).
 	HitLatency sim.Tick
@@ -151,6 +136,9 @@ type MESIL1Config struct {
 	Bugs            bugs.Set
 	Coverage        CoverageSink
 	Errors          ErrorSink
+	// Msgs is the machine's shared message pool; nil gives the
+	// controller a private one.
+	Msgs *MsgPool
 }
 
 // NewMESIL1 creates the controller and registers it on the network at the
@@ -163,6 +151,7 @@ func NewMESIL1(s *sim.Sim, net *interconnect.Network, cfg MESIL1Config, row, col
 		array:       NewArray[mesiL1Line](sets, ways),
 		sim:         s,
 		net:         net,
+		msgs:        cfg.Msgs,
 		bugs:        cfg.Bugs,
 		cov:         cfg.Coverage,
 		errs:        cfg.Errors,
@@ -170,20 +159,18 @@ func NewMESIL1(s *sim.Sim, net *interconnect.Network, cfg MESIL1Config, row, col
 		RetryDelay:  8,
 		invalNotify: func(memsys.Addr) {},
 	}
-	c.cpuOpH = func(arg any, _ uint64) { c.cpuOp(arg.(*l1Op)) }
-	c.cpuOpNowH = func(arg any, _ uint64) { c.cpuOpNow(arg.(*l1Op)) }
+	c.cpuOpH = func(arg any, _ uint64) { c.Issue(arg.(*Request)) }
+	c.cpuOpNowH = func(arg any, _ uint64) { c.cpuOpNow(arg.(*Request)) }
+	if c.msgs == nil {
+		c.msgs = NewMsgPool()
+	}
 	if c.cov == nil {
 		c.cov = NopCoverage{}
 	}
 	if c.errs == nil {
 		c.errs = PanicErrors{}
 	}
-	keys := make([]internKey, 0, len(mesiL1Table))
-	for k := range mesiL1Table {
-		keys = append(keys, internKey{int(k.state), int(k.ev), k.state.String(), k.ev.String()})
-	}
-	sortInternKeys(keys)
-	c.covRec = newCovRecorder(c.cov, "L1Cache", len(l1StateNames), len(l1EventNames), keys)
+	c.covRec = newCovRecorder(c.cov, "L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys)
 	if err := net.Register(L1Node(cfg.CoreID), c, row, col); err != nil {
 		return nil, err
 	}
@@ -204,37 +191,18 @@ func (c *MESIL1) Acquire() {}
 // Stats returns hit/miss counters.
 func (c *MESIL1) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Load implements CacheL1.
-func (c *MESIL1) Load(addr memsys.Addr, cb func(val uint64, invalidated bool)) {
-	c.cpuOp(&l1Op{kind: opLoad, addr: addr, loadCB: cb})
-}
-
-// Store implements CacheL1.
-func (c *MESIL1) Store(addr memsys.Addr, val uint64, cb func()) {
-	c.cpuOp(&l1Op{kind: opStore, addr: addr, storeVal: val, doneCB: func(uint64) { cb() }})
-}
-
-// Atomic implements CacheL1.
-func (c *MESIL1) Atomic(addr memsys.Addr, apply func(old uint64) uint64, cb func(old uint64)) {
-	c.cpuOp(&l1Op{kind: opAtomic, addr: addr, apply: apply, doneCB: cb})
-}
-
-// Flush implements CacheL1.
-func (c *MESIL1) Flush(addr memsys.Addr, cb func()) {
-	c.cpuOp(&l1Op{kind: opFlush, addr: addr, doneCB: func(uint64) { cb() }})
-}
-
-// cpuOp pays the L1 tag/data access latency, then dispatches the CPU
-// operation through the state machine (deferring into the MSHR when the
-// line is transient). Processing after the latency keeps a load's value
-// capture and completion atomic: there is no window in which a captured
-// value can be invalidated before the LQ learns the load performed.
-func (c *MESIL1) cpuOp(op *l1Op) {
+// Issue implements CacheL1: it pays the L1 tag/data access latency,
+// then dispatches the CPU operation through the state machine
+// (deferring into the MSHR when the line is transient). Processing after
+// the latency keeps a load's value capture and completion atomic: there
+// is no window in which a captured value can be invalidated before the
+// LQ learns the load performed.
+func (c *MESIL1) Issue(op *Request) {
 	c.sim.ScheduleEvent(c.HitLatency, c.cpuOpNowH, op, 0)
 }
 
-func (c *MESIL1) cpuOpNow(op *l1Op) {
-	lineAddr := op.addr.LineAddr()
+func (c *MESIL1) cpuOpNow(op *Request) {
+	lineAddr := op.Addr.LineAddr()
 	line, ok := c.array.Lookup(lineAddr)
 	if ok && !line.state.stable() {
 		// The line has an operation in flight: coalesce. The op
@@ -242,8 +210,8 @@ func (c *MESIL1) cpuOpNow(op *l1Op) {
 		// hit in SM, which holds valid shared data (the SM,Inv bug
 		// window needs performed loads from SM); those dispatch
 		// through the (SM, Load) table entry below.
-		if !(line.state == l1SM && op.kind == opLoad) {
-			line.deferred = append(line.deferred, op)
+		if !(line.state == l1SM && op.Kind == ReqLoad) {
+			line.deferred.push(op)
 			return
 		}
 	}
@@ -258,36 +226,24 @@ func (c *MESIL1) cpuOpNow(op *l1Op) {
 			return
 		}
 	}
-	c.dispatch(opEvent(op.kind), lineAddr, line, nil, op)
+	c.dispatch(l1ReqEvent[op.Kind], lineAddr, line, nil, op)
 }
 
-func opEvent(k l1OpKind) l1Event {
-	switch k {
-	case opLoad:
-		return l1Load
-	case opStore:
-		return l1Store
-	case opAtomic:
-		return l1Atomic
-	default:
-		return l1Flush
-	}
-}
+// l1ReqEvent maps a CPU operation kind to its state-machine input.
+var l1ReqEvent = [...]l1Event{ReqLoad: l1Load, ReqStore: l1Store, ReqAtomic: l1Atomic, ReqFlush: l1Flush}
 
 // allocate makes room for lineAddr. A flush of an absent line completes
 // immediately (nothing to flush); other ops get a fresh I line, possibly
 // after evicting a stable victim. Returns (nil, true) when the caller
 // must retry later, (nil, false) when the op completed inline.
-func (c *MESIL1) allocate(lineAddr memsys.Addr, op *l1Op) (*mesiL1Line, bool) {
-	if op.kind == opFlush {
+func (c *MESIL1) allocate(lineAddr memsys.Addr, op *Request) (*mesiL1Line, bool) {
+	if op.Kind == ReqFlush {
 		// clflush of an uncached line is a no-op.
-		c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, op.doneCB, 0)
+		c.sim.ScheduleEvent(c.HitLatency, requestDone, op, 0)
 		return nil, false
 	}
 	if !c.array.HasFree(lineAddr) {
-		vAddr, vLine, ok := c.array.Victim(lineAddr, func(l *mesiL1Line) bool {
-			return l.state.stable()
-		})
+		vAddr, vLine, ok := c.array.Victim(lineAddr, mesiL1Evictable)
 		if !ok {
 			return nil, true // all ways transient: retry
 		}
@@ -301,21 +257,23 @@ func (c *MESIL1) allocate(lineAddr memsys.Addr, op *l1Op) (*mesiL1Line, bool) {
 	return line, false
 }
 
+func mesiL1Evictable(l *mesiL1Line) bool { return l.state.stable() }
+
 // Deliver implements interconnect.Handler.
 func (c *MESIL1) Deliver(vnet interconnect.VNet, payload interface{}) {
 	msg := payload.(*Msg)
 	lineAddr := msg.Addr.LineAddr()
 	line, ok := c.array.Peek(lineAddr)
 	if !ok {
-		// Messages for an absent line dispatch against state I using
-		// a throwaway line (only ack-style responses are legal).
-		line = &mesiL1Line{state: l1I}
+		c.absent = mesiL1Line{state: l1I}
+		line = &c.absent
 	}
 	ev, ok := l1MsgEvent(msg.Type)
 	if !ok {
 		panic(fmt.Sprintf("mesi l1: unroutable message %s", msg))
 	}
 	c.dispatch(ev, lineAddr, line, msg, nil)
+	c.msgs.release(msg)
 }
 
 func l1MsgEvent(t MsgType) (l1Event, bool) {
@@ -347,24 +305,20 @@ func l1MsgEvent(t MsgType) (l1Event, bool) {
 	}
 }
 
-// l1Ctx carries a transition's inputs.
+// l1Ctx carries a transition's inputs; handlers take it by value so a
+// dispatch allocates nothing.
 type l1Ctx struct {
 	addr memsys.Addr // line address
 	line *mesiL1Line
 	msg  *Msg
-	op   *l1Op
+	op   *Request
 }
 
-type l1Key struct {
-	state l1State
-	ev    l1Event
-}
+type l1Handler func(c *MESIL1, x l1Ctx)
 
-type l1Handler func(c *MESIL1, x *l1Ctx)
-
-func (c *MESIL1) dispatch(ev l1Event, addr memsys.Addr, line *mesiL1Line, msg *Msg, op *l1Op) {
-	h, ok := mesiL1Table[l1Key{line.state, ev}]
-	if !ok {
+func (c *MESIL1) dispatch(ev l1Event, addr memsys.Addr, line *mesiL1Line, msg *Msg, op *Request) {
+	h := mesiL1Table[line.state][ev]
+	if h == nil {
 		c.errs.ProtocolError(&InvalidTransitionError{
 			Controller: "L1Cache",
 			State:      line.state.String(),
@@ -373,8 +327,8 @@ func (c *MESIL1) dispatch(ev l1Event, addr memsys.Addr, line *mesiL1Line, msg *M
 		})
 		return
 	}
-	c.covRec.record(int(line.state), int(ev), line.state.String(), ev.String())
-	h(c, &l1Ctx{addr: addr, line: line, msg: msg, op: op})
+	c.covRec.record(int(line.state), int(ev))
+	h(c, l1Ctx{addr: addr, line: line, msg: msg, op: op})
 }
 
 // --- helpers -------------------------------------------------------------
@@ -383,9 +337,9 @@ func (c *MESIL1) homeTile(addr memsys.Addr) interconnect.NodeID {
 	return L2Node(TileOf(addr, c.tiles))
 }
 
-func (c *MESIL1) send(dst interconnect.NodeID, vnet interconnect.VNet, m *Msg) {
+func (c *MESIL1) send(dst interconnect.NodeID, vnet interconnect.VNet, m Msg) {
 	m.Src = L1Node(c.id)
-	c.net.Send(L1Node(c.id), dst, vnet, m)
+	c.net.Send(L1Node(c.id), dst, vnet, c.msgs.alloc(m))
 }
 
 // notify forwards an invalidation of lineAddr to the LQ unless suppressed
@@ -400,42 +354,35 @@ func (c *MESIL1) notify(lineAddr memsys.Addr, suppressed bool) {
 // completeLoad captures the value and completes the load synchronously:
 // the capture is the load's perform point, so no invalidation can slip
 // between capture and the LQ seeing the load as performed.
-func (c *MESIL1) completeLoad(line *mesiL1Line, op *l1Op, invalidated bool) {
-	op.loadCB(line.data.Word(op.addr), invalidated)
+func (c *MESIL1) completeLoad(line *mesiL1Line, op *Request, invalidated bool) {
+	op.Done(op, line.data.Word(op.Addr), invalidated)
 }
 
 // performStore writes the store at the coherence point (line must be M).
-func (c *MESIL1) performStore(line *mesiL1Line, op *l1Op) {
-	line.data.SetWord(op.addr, op.storeVal)
-	c.sim.ScheduleEvent(0, sim.InvokeUint64, op.doneCB, 0)
+func (c *MESIL1) performStore(line *mesiL1Line, op *Request) {
+	line.data.SetWord(op.Addr, op.Val)
+	c.sim.ScheduleEvent(0, requestDone, op, 0)
 }
 
-func (c *MESIL1) performAtomic(line *mesiL1Line, op *l1Op) {
-	old := line.data.Word(op.addr)
-	line.data.SetWord(op.addr, op.apply(old))
-	c.sim.ScheduleEvent(0, sim.InvokeUint64, op.doneCB, old)
+func (c *MESIL1) performAtomic(line *mesiL1Line, op *Request) {
+	old := line.data.Word(op.Addr)
+	line.data.SetWord(op.Addr, op.Val)
+	c.sim.ScheduleEvent(0, requestDone, op, old)
 }
 
 // settle replays MSHR-deferred operations after the line reaches a stable
 // state (or is removed).
 func (c *MESIL1) settle(line *mesiL1Line) {
-	ops := line.deferred
-	line.deferred = nil
 	line.primary = nil
-	for _, op := range ops {
-		c.sim.ScheduleEvent(0, c.cpuOpH, op, 0)
-	}
+	line.deferred.replay(c.sim, c.cpuOpH)
 }
 
 // removeLine drops the array entry and replays deferred ops (they will
 // re-miss).
 func (c *MESIL1) removeLine(addr memsys.Addr, line *mesiL1Line) {
 	deferred := line.deferred
-	line.deferred = nil
 	c.array.Remove(addr)
-	for _, op := range deferred {
-		c.sim.ScheduleEvent(0, c.cpuOpH, op, 0)
-	}
+	deferred.replay(c.sim, c.cpuOpH)
 }
 
 // satisfyPrimary completes the miss-initiating op once data is available.
@@ -445,12 +392,12 @@ func (c *MESIL1) satisfyPrimary(line *mesiL1Line, invalidated bool) {
 		return
 	}
 	line.primary = nil
-	switch op.kind {
-	case opLoad:
+	switch op.Kind {
+	case ReqLoad:
 		c.completeLoad(line, op, invalidated)
-	case opStore:
+	case ReqStore:
 		c.performStore(line, op)
-	case opAtomic:
+	case ReqAtomic:
 		c.performAtomic(line, op)
 	}
 }
@@ -466,6 +413,6 @@ func (c *MESIL1) maybeCompleteGETX(addr memsys.Addr, line *mesiL1Line) {
 	line.haveData = false
 	c.satisfyPrimary(line, false)
 	c.send(c.homeTile(addr), interconnect.VNetRequest,
-		&Msg{Type: MsgUnblock, Addr: addr, Requestor: c.id})
+		Msg{Type: MsgUnblock, Addr: addr, Requestor: c.id})
 	c.settle(line)
 }

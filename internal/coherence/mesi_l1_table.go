@@ -1,9 +1,6 @@
 package coherence
 
-import (
-	"repro/internal/interconnect"
-	"repro/internal/sim"
-)
+import "repro/internal/interconnect"
 
 // mesiL1Table is the complete L1 transition table. Every entry is one
 // coverage unit; a (state, event) pair without an entry is an invalid
@@ -11,302 +8,317 @@ import (
 // protocol (e.g. Inv in M) are deliberately present, mirroring Ruby
 // controllers whose never-covered transitions keep Table 6's maxima
 // below 100%.
-var mesiL1Table map[l1Key]l1Handler
+//
+// The table is a dense [state][event] array filled once at package
+// init (machines run on several goroutines, so nothing here is lazy):
+// dispatch is two index operations and a nil cell is the invalid
+// transition.
+var mesiL1Table [len(l1StateNames)][len(l1EventNames)]l1Handler
+
+// mesiL1Keys is the table's vocabulary in (state, event) order.
+var mesiL1Keys []internKey
 
 func init() {
-	mesiL1Table = map[l1Key]l1Handler{
+	mesiL1Table = [len(l1StateNames)][len(l1EventNames)]l1Handler{
 		// ---- I ----------------------------------------------------
-		{l1I, l1Load}: func(c *MESIL1, x *l1Ctx) {
-			c.misses++
-			x.line.state = l1IS
-			x.line.primary = x.op
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgGETS, Addr: x.addr, Requestor: c.id})
-		},
-		{l1I, l1Store}:  l1StartGETX,
-		{l1I, l1Atomic}: l1StartGETX,
-		{l1I, l1Inv}: func(c *MESIL1, x *l1Ctx) {
-			// We already replaced the line; the requestor still
-			// needs its ack.
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
-		},
-		{l1I, l1Recall}: func(c *MESIL1, x *l1Ctx) {
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgRecallStale, Addr: x.addr})
+		l1I: {
+			l1Load: func(c *MESIL1, x l1Ctx) {
+				c.misses++
+				x.line.state = l1IS
+				x.line.primary = x.op
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgGETS, Addr: x.addr, Requestor: c.id})
+			},
+			l1Store:  l1StartGETX,
+			l1Atomic: l1StartGETX,
+			l1Inv: func(c *MESIL1, x l1Ctx) {
+				// We already replaced the line; the requestor still
+				// needs its ack.
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
+			l1Recall: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgRecallStale, Addr: x.addr})
+			},
 		},
 
 		// ---- S ----------------------------------------------------
-		{l1S, l1Load}: l1Hit,
-		{l1S, l1Store}: func(c *MESIL1, x *l1Ctx) {
-			c.misses++
-			x.line.state = l1SM
-			x.line.primary = x.op
-			x.line.pendingAcks = 0
-			x.line.haveData = false
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
-		},
-		{l1S, l1Atomic}: func(c *MESIL1, x *l1Ctx) {
-			mesiL1Table[l1Key{l1S, l1Store}](c, x)
-		},
-		{l1S, l1Flush}: func(c *MESIL1, x *l1Ctx) {
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
-			// A flushed line leaves the cache: later remote writes
-			// will not be forwarded here, so the LQ must be told
-			// (own flushes are never bug-gated).
-			c.notify(x.addr, false)
-			c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, x.op.doneCB, 0)
-			c.removeLine(x.addr, x.line)
-		},
-		{l1S, l1Replace}: func(c *MESIL1, x *l1Ctx) {
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
-			// Bug MESI,LQ+S,Replacement: the replacement fails to
-			// notify the LQ.
-			c.notify(x.addr, c.bugs.MESILQSRepl)
-			c.removeLine(x.addr, x.line)
-		},
-		{l1S, l1Inv}: func(c *MESIL1, x *l1Ctx) {
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
-			c.notify(x.addr, false)
-			c.removeLine(x.addr, x.line)
+		l1S: {
+			l1Load:   l1Hit,
+			l1Store:  l1UpgradeFromS,
+			l1Atomic: l1UpgradeFromS,
+			l1Flush: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
+				// A flushed line leaves the cache: later remote writes
+				// will not be forwarded here, so the LQ must be told
+				// (own flushes are never bug-gated).
+				c.notify(x.addr, false)
+				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.removeLine(x.addr, x.line)
+			},
+			l1Replace: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
+				// Bug MESI,LQ+S,Replacement: the replacement fails to
+				// notify the LQ.
+				c.notify(x.addr, c.bugs.MESILQSRepl)
+				c.removeLine(x.addr, x.line)
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) {
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+				c.notify(x.addr, false)
+				c.removeLine(x.addr, x.line)
+			},
 		},
 
 		// ---- E ----------------------------------------------------
-		{l1E, l1Load}: l1Hit,
-		{l1E, l1Store}: func(c *MESIL1, x *l1Ctx) {
-			// Silent E→M upgrade: the L2 keeps believing the line
-			// is clean (expectClean), the Replace-Race setup.
-			x.line.state = l1M
-			c.hits++
-			c.performStore(x.line, x.op)
-		},
-		{l1E, l1Atomic}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1M
-			c.hits++
-			c.performAtomic(x.line, x.op)
-		},
-		{l1E, l1Flush}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1EI
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
-			c.notify(x.addr, false)
-			c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, x.op.doneCB, 0)
-		},
-		{l1E, l1Replace}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1EI
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
-			c.notify(x.addr, false)
-		},
-		{l1E, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
-			c.notify(x.addr, c.bugs.MESILQEInv)
-			c.removeLine(x.addr, x.line)
-		},
-		{l1E, l1FwdGETS}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1S
-			data := x.line.data
-			c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-				&Msg{Type: MsgDataSB, Addr: x.addr, Data: &data})
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgWBData, Addr: x.addr, Data: &data, Dirty: false, Requestor: c.id})
-		},
-		{l1E, l1FwdGETX}: func(c *MESIL1, x *l1Ctx) {
-			data := x.line.data
-			c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-				&Msg{Type: MsgDataM, Addr: x.addr, Data: &data, AckCount: 0})
-			// Bug MESI,LQ+E,Inv: invalidation in E not forwarded
-			// to the LQ.
-			c.notify(x.addr, c.bugs.MESILQEInv)
-			c.removeLine(x.addr, x.line)
-		},
-		{l1E, l1Recall}: func(c *MESIL1, x *l1Ctx) {
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgRecallAck, Addr: x.addr})
-			c.notify(x.addr, c.bugs.MESILQEInv)
-			c.removeLine(x.addr, x.line)
+		l1E: {
+			l1Load: l1Hit,
+			l1Store: func(c *MESIL1, x l1Ctx) {
+				// Silent E→M upgrade: the L2 keeps believing the line
+				// is clean (expectClean), the Replace-Race setup.
+				x.line.state = l1M
+				c.hits++
+				c.performStore(x.line, x.op)
+			},
+			l1Atomic: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1M
+				c.hits++
+				c.performAtomic(x.line, x.op)
+			},
+			l1Flush: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1EI
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
+				c.notify(x.addr, false)
+				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+			},
+			l1Replace: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1EI
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
+				c.notify(x.addr, false)
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+				c.notify(x.addr, c.bugs.MESILQEInv)
+				c.removeLine(x.addr, x.line)
+			},
+			l1FwdGETS: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1S
+				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
+					Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgWBData, Addr: x.addr, Data: x.line.data, Dirty: false, Requestor: c.id})
+			},
+			l1FwdGETX: func(c *MESIL1, x l1Ctx) {
+				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
+					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+				// Bug MESI,LQ+E,Inv: invalidation in E not forwarded
+				// to the LQ.
+				c.notify(x.addr, c.bugs.MESILQEInv)
+				c.removeLine(x.addr, x.line)
+			},
+			l1Recall: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgRecallAck, Addr: x.addr})
+				c.notify(x.addr, c.bugs.MESILQEInv)
+				c.removeLine(x.addr, x.line)
+			},
 		},
 
 		// ---- M ----------------------------------------------------
-		{l1M, l1Load}: l1Hit,
-		{l1M, l1Store}: func(c *MESIL1, x *l1Ctx) {
-			c.hits++
-			c.performStore(x.line, x.op)
-		},
-		{l1M, l1Atomic}: func(c *MESIL1, x *l1Ctx) {
-			c.hits++
-			c.performAtomic(x.line, x.op)
-		},
-		{l1M, l1Flush}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1MI
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgPUTX, Addr: x.addr, Data: &data, Dirty: true, Requestor: c.id})
-			c.notify(x.addr, false)
-			c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, x.op.doneCB, 0)
-		},
-		{l1M, l1Replace}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1MI
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgPUTX, Addr: x.addr, Data: &data, Dirty: true, Requestor: c.id})
-			c.notify(x.addr, false)
-		},
-		{l1M, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
-			c.notify(x.addr, c.bugs.MESILQMInv)
-			c.removeLine(x.addr, x.line)
-		},
-		{l1M, l1FwdGETS}: func(c *MESIL1, x *l1Ctx) {
-			x.line.state = l1S
-			data := x.line.data
-			c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-				&Msg{Type: MsgDataSB, Addr: x.addr, Data: &data})
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgWBData, Addr: x.addr, Data: &data, Dirty: true, Requestor: c.id})
-		},
-		{l1M, l1FwdGETX}: func(c *MESIL1, x *l1Ctx) {
-			data := x.line.data
-			c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-				&Msg{Type: MsgDataM, Addr: x.addr, Data: &data, AckCount: 0})
-			// Bug MESI,LQ+M,Inv.
-			c.notify(x.addr, c.bugs.MESILQMInv)
-			c.removeLine(x.addr, x.line)
-		},
-		{l1M, l1Recall}: func(c *MESIL1, x *l1Ctx) {
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgRecallData, Addr: x.addr, Data: &data, Dirty: true})
-			c.notify(x.addr, c.bugs.MESILQMInv)
-			c.removeLine(x.addr, x.line)
+		l1M: {
+			l1Load: l1Hit,
+			l1Store: func(c *MESIL1, x l1Ctx) {
+				c.hits++
+				c.performStore(x.line, x.op)
+			},
+			l1Atomic: func(c *MESIL1, x l1Ctx) {
+				c.hits++
+				c.performAtomic(x.line, x.op)
+			},
+			l1Flush: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1MI
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
+				c.notify(x.addr, false)
+				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+			},
+			l1Replace: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1MI
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
+				c.notify(x.addr, false)
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+				c.notify(x.addr, c.bugs.MESILQMInv)
+				c.removeLine(x.addr, x.line)
+			},
+			l1FwdGETS: func(c *MESIL1, x l1Ctx) {
+				x.line.state = l1S
+				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
+					Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgWBData, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
+			},
+			l1FwdGETX: func(c *MESIL1, x l1Ctx) {
+				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
+					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+				// Bug MESI,LQ+M,Inv.
+				c.notify(x.addr, c.bugs.MESILQMInv)
+				c.removeLine(x.addr, x.line)
+			},
+			l1Recall: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgRecallData, Addr: x.addr, Data: x.line.data, Dirty: true})
+				c.notify(x.addr, c.bugs.MESILQMInv)
+				c.removeLine(x.addr, x.line)
+			},
 		},
 
 		// ---- IS ---------------------------------------------------
-		{l1IS, l1Inv}: func(c *MESIL1, x *l1Ctx) {
-			// The invalidation raced ahead of our data response:
-			// sink it (ack now) and remember via IS_I that the
-			// data, when it arrives, is already invalidated.
-			x.line.state = l1ISI
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
-		},
-		{l1IS, l1DataS}: func(c *MESIL1, x *l1Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.state = l1S
-			c.satisfyPrimary(x.line, false)
-			c.settle(x.line)
-		},
-		{l1IS, l1DataSB}: func(c *MESIL1, x *l1Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.state = l1S
-			c.satisfyPrimary(x.line, false)
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
-			c.settle(x.line)
-		},
-		{l1IS, l1DataE}: func(c *MESIL1, x *l1Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.state = l1E
-			c.satisfyPrimary(x.line, false)
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
-			c.settle(x.line)
+		l1IS: {
+			l1Inv: func(c *MESIL1, x l1Ctx) {
+				// The invalidation raced ahead of our data response:
+				// sink it (ack now) and remember via IS_I that the
+				// data, when it arrives, is already invalidated.
+				x.line.state = l1ISI
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
+			l1DataS: func(c *MESIL1, x l1Ctx) {
+				x.line.data = x.msg.Data
+				x.line.state = l1S
+				c.satisfyPrimary(x.line, false)
+				c.settle(x.line)
+			},
+			l1DataSB: func(c *MESIL1, x l1Ctx) {
+				x.line.data = x.msg.Data
+				x.line.state = l1S
+				c.satisfyPrimary(x.line, false)
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
+				c.settle(x.line)
+			},
+			l1DataE: func(c *MESIL1, x l1Ctx) {
+				x.line.data = x.msg.Data
+				x.line.state = l1E
+				c.satisfyPrimary(x.line, false)
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
+				c.settle(x.line)
+			},
 		},
 
 		// ---- IS_I -------------------------------------------------
-		{l1ISI, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
+		l1ISI: {
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
+			l1DataS:  l1DataInISI,
+			l1DataSB: l1DataInISIUnblock,
+			l1DataE:  l1DataInISIUnblock,
 		},
-		{l1ISI, l1DataS}:  l1DataInISI,
-		{l1ISI, l1DataSB}: l1DataInISIUnblock,
-		{l1ISI, l1DataE}:  l1DataInISIUnblock,
 
 		// ---- IM ---------------------------------------------------
-		{l1IM, l1DataM}: func(c *MESIL1, x *l1Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.haveData = true
-			x.line.pendingAcks += x.msg.AckCount
-			c.maybeCompleteGETX(x.addr, x.line)
-		},
-		{l1IM, l1InvAck}: func(c *MESIL1, x *l1Ctx) {
-			x.line.pendingAcks--
-			c.maybeCompleteGETX(x.addr, x.line)
-		},
-		{l1IM, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
+		l1IM: {
+			l1DataM: func(c *MESIL1, x l1Ctx) {
+				x.line.data = x.msg.Data
+				x.line.haveData = true
+				x.line.pendingAcks += x.msg.AckCount
+				c.maybeCompleteGETX(x.addr, x.line)
+			},
+			l1InvAck: func(c *MESIL1, x l1Ctx) {
+				x.line.pendingAcks--
+				c.maybeCompleteGETX(x.addr, x.line)
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
 		},
 
 		// ---- SM ---------------------------------------------------
-		{l1SM, l1Load}: l1Hit, // SM retains valid shared data
-		{l1SM, l1DataM}: func(c *MESIL1, x *l1Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.haveData = true
-			x.line.pendingAcks += x.msg.AckCount
-			c.maybeCompleteGETX(x.addr, x.line)
-		},
-		{l1SM, l1InvAck}: func(c *MESIL1, x *l1Ctx) {
-			x.line.pendingAcks--
-			c.maybeCompleteGETX(x.addr, x.line)
-		},
-		{l1SM, l1Inv}: func(c *MESIL1, x *l1Ctx) {
-			// Another core's GETX won at the directory: our shared
-			// copy dies; the upgrade degrades to a full miss.
-			// Bug MESI,LQ+SM,Inv: the invalidation is not
-			// forwarded to the LSQ.
-			c.notify(x.addr, c.bugs.MESILQSMInv)
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
-			x.line.state = l1IM
+		l1SM: {
+			l1Load: l1Hit, // SM retains valid shared data
+			l1DataM: func(c *MESIL1, x l1Ctx) {
+				x.line.data = x.msg.Data
+				x.line.haveData = true
+				x.line.pendingAcks += x.msg.AckCount
+				c.maybeCompleteGETX(x.addr, x.line)
+			},
+			l1InvAck: func(c *MESIL1, x l1Ctx) {
+				x.line.pendingAcks--
+				c.maybeCompleteGETX(x.addr, x.line)
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) {
+				// Another core's GETX won at the directory: our shared
+				// copy dies; the upgrade degrades to a full miss.
+				// Bug MESI,LQ+SM,Inv: the invalidation is not
+				// forwarded to the LSQ.
+				c.notify(x.addr, c.bugs.MESILQSMInv)
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+				x.line.state = l1IM
+			},
 		},
 
 		// ---- E_I --------------------------------------------------
-		{l1EI, l1WBAck}:    l1RemoveOnAck,
-		{l1EI, l1PutStale}: l1PutStaleInWB,
-		{l1EI, l1FwdGETS}:  l1ServeFwdGETSInWB,
-		{l1EI, l1FwdGETX}:  l1ServeFwdGETXInWB,
-		{l1EI, l1Recall}: func(c *MESIL1, x *l1Ctx) {
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgRecallStale, Addr: x.addr})
-		},
-		{l1EI, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
+		l1EI: {
+			l1WBAck:    l1RemoveOnAck,
+			l1PutStale: l1PutStaleInWB,
+			l1FwdGETS:  l1ServeFwdGETSInWB,
+			l1FwdGETX:  l1ServeFwdGETXInWB,
+			l1Recall: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgRecallStale, Addr: x.addr})
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
 		},
 
 		// ---- M_I --------------------------------------------------
-		{l1MI, l1WBAck}:    l1RemoveOnAck,
-		{l1MI, l1PutStale}: l1PutStaleInWB,
-		{l1MI, l1FwdGETS}:  l1ServeFwdGETSInWB,
-		{l1MI, l1FwdGETX}:  l1ServeFwdGETXInWB,
-		{l1MI, l1Recall}: func(c *MESIL1, x *l1Ctx) {
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-				&Msg{Type: MsgRecallStale, Addr: x.addr})
-		},
-		{l1MI, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
+		l1MI: {
+			l1WBAck:    l1RemoveOnAck,
+			l1PutStale: l1PutStaleInWB,
+			l1FwdGETS:  l1ServeFwdGETSInWB,
+			l1FwdGETX:  l1ServeFwdGETXInWB,
+			l1Recall: func(c *MESIL1, x l1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
+					Msg{Type: MsgRecallStale, Addr: x.addr})
+			},
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
 		},
 
 		// ---- E_IS / M_IS (stale PUT acknowledged, forward owed) ---
-		{l1EIS, l1FwdGETS}: l1ServeFwdGETSThenDrop,
-		{l1EIS, l1FwdGETX}: l1ServeFwdGETXThenDrop,
-		{l1EIS, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
+		l1EIS: {
+			l1FwdGETS: l1ServeFwdGETSThenDrop,
+			l1FwdGETX: l1ServeFwdGETXThenDrop,
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
 		},
-		{l1MIS, l1FwdGETS}: l1ServeFwdGETSThenDrop,
-		{l1MIS, l1FwdGETX}: l1ServeFwdGETXThenDrop,
-		{l1MIS, l1Inv}: func(c *MESIL1, x *l1Ctx) { // defensive
-			c.send(x.msg.AckTo, interconnect.VNetResponse,
-				&Msg{Type: MsgInvAck, Addr: x.addr})
+		l1MIS: {
+			l1FwdGETS: l1ServeFwdGETSThenDrop,
+			l1FwdGETX: l1ServeFwdGETXThenDrop,
+			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
+				c.send(x.msg.AckTo, interconnect.VNetResponse,
+					Msg{Type: MsgInvAck, Addr: x.addr})
+			},
 		},
 	}
 
@@ -316,14 +328,13 @@ func init() {
 	// the line in any state. Answer RecallStale (dropped at the L2)
 	// without disturbing the current line. States with a specific
 	// Recall handler above (E, M, E_I, M_I, I) keep it.
-	recallStale := func(c *MESIL1, x *l1Ctx) {
+	recallStale := func(c *MESIL1, x l1Ctx) {
 		c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-			&Msg{Type: MsgRecallStale, Addr: x.addr})
+			Msg{Type: MsgRecallStale, Addr: x.addr})
 	}
-	for st := l1I; st <= l1MIS; st++ {
-		key := l1Key{st, l1Recall}
-		if _, ok := mesiL1Table[key]; !ok {
-			mesiL1Table[key] = recallStale
+	for st := range mesiL1Table {
+		if mesiL1Table[st][l1Recall] == nil {
+			mesiL1Table[st][l1Recall] = recallStale
 		}
 	}
 
@@ -333,22 +344,24 @@ func init() {
 	// hitting a non-owner state is stale and dropped; the requestor it
 	// named has been (or will be) served through the generation's
 	// resolution path.
-	dropFwd := func(c *MESIL1, x *l1Ctx) {}
-	for st := l1I; st <= l1MIS; st++ {
+	dropFwd := func(c *MESIL1, x l1Ctx) {}
+	for st := range mesiL1Table {
 		for _, ev := range []l1Event{l1FwdGETS, l1FwdGETX} {
-			key := l1Key{st, ev}
-			if _, ok := mesiL1Table[key]; !ok {
-				mesiL1Table[key] = dropFwd
+			if mesiL1Table[st][ev] == nil {
+				mesiL1Table[st][ev] = dropFwd
 			}
 		}
 	}
+
+	mesiL1Keys = tableKeys(len(l1StateNames), len(l1EventNames),
+		func(s, e int) bool { return mesiL1Table[s][e] != nil })
 }
 
 // l1PutStaleInWB handles the L2's "your PUT raced with a forward" ack:
 // if the forward was already served from the writeback state, the line
 // can go; otherwise it must stay, holding data, until the forward
 // arrives (PutStale can overtake the forward across virtual networks).
-func l1PutStaleInWB(c *MESIL1, x *l1Ctx) {
+func l1PutStaleInWB(c *MESIL1, x l1Ctx) {
 	if x.line.servedFwd {
 		c.removeLine(x.addr, x.line)
 		return
@@ -363,53 +376,60 @@ func l1PutStaleInWB(c *MESIL1, x *l1Ctx) {
 // l1ServeFwdGETSInWB serves a forwarded GETS from a writeback state. No
 // WBData copy is sent to the L2: the in-flight PUT carries the data and
 // the L2 absorbs it as the writeback.
-func l1ServeFwdGETSInWB(c *MESIL1, x *l1Ctx) {
-	data := x.line.data
+func l1ServeFwdGETSInWB(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		&Msg{Type: MsgDataSB, Addr: x.addr, Data: &data})
+		Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
 	x.line.servedFwd = true
 }
 
-func l1ServeFwdGETXInWB(c *MESIL1, x *l1Ctx) {
-	data := x.line.data
+func l1ServeFwdGETXInWB(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		&Msg{Type: MsgDataM, Addr: x.addr, Data: &data, AckCount: 0})
+		Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 	x.line.servedFwd = true
 }
 
-func l1ServeFwdGETSThenDrop(c *MESIL1, x *l1Ctx) {
-	data := x.line.data
+func l1ServeFwdGETSThenDrop(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		&Msg{Type: MsgDataSB, Addr: x.addr, Data: &data})
+		Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
 	c.removeLine(x.addr, x.line)
 }
 
-func l1ServeFwdGETXThenDrop(c *MESIL1, x *l1Ctx) {
-	data := x.line.data
+func l1ServeFwdGETXThenDrop(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		&Msg{Type: MsgDataM, Addr: x.addr, Data: &data, AckCount: 0})
+		Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 	c.removeLine(x.addr, x.line)
 }
 
 // l1Hit services a load hit.
-func l1Hit(c *MESIL1, x *l1Ctx) {
+func l1Hit(c *MESIL1, x l1Ctx) {
 	c.hits++
 	c.completeLoad(x.line, x.op, false)
 }
 
+// l1UpgradeFromS begins a store/atomic upgrade of a shared line.
+func l1UpgradeFromS(c *MESIL1, x l1Ctx) {
+	c.misses++
+	x.line.state = l1SM
+	x.line.primary = x.op
+	x.line.pendingAcks = 0
+	x.line.haveData = false
+	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+		Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
+}
+
 // l1StartGETX begins a store/atomic miss from I.
-func l1StartGETX(c *MESIL1, x *l1Ctx) {
+func l1StartGETX(c *MESIL1, x l1Ctx) {
 	c.misses++
 	x.line.state = l1IM
 	x.line.primary = x.op
 	x.line.pendingAcks = 0
 	x.line.haveData = false
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		&Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
+		Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
 }
 
 // l1RemoveOnAck finishes a writeback.
-func l1RemoveOnAck(c *MESIL1, x *l1Ctx) {
+func l1RemoveOnAck(c *MESIL1, x l1Ctx) {
 	c.removeLine(x.addr, x.line)
 }
 
@@ -420,41 +440,32 @@ func l1RemoveOnAck(c *MESIL1, x *l1Ctx) {
 //
 // Bug MESI,LQ+IS,Inv suppresses the notification, so the load commits a
 // value that can be stale relative to program order.
-func l1DataInISI(c *MESIL1, x *l1Ctx) {
-	x.line.data = *x.msg.Data
+func l1DataInISI(c *MESIL1, x l1Ctx) {
+	x.line.data = x.msg.Data
 	c.notify(x.addr, c.bugs.MESILQISInv)
 	op := x.line.primary
 	x.line.primary = nil
-	if op != nil && op.kind == opLoad {
-		op.loadCB(x.line.data.Word(op.addr), !c.bugs.MESILQISInv)
+	if op != nil && op.Kind == ReqLoad {
+		op.Done(op, x.line.data.Word(op.Addr), !c.bugs.MESILQISInv)
 	} else if op != nil {
 		// A store/atomic primary cannot use once-only data; replay
 		// it after removal (it will miss afresh).
-		x.line.deferred = append([]*l1Op{op}, x.line.deferred...)
+		x.line.deferred.pushFront(op)
 	}
 	c.removeLine(x.addr, x.line)
 }
 
-func l1DataInISIUnblock(c *MESIL1, x *l1Ctx) {
+func l1DataInISIUnblock(c *MESIL1, x l1Ctx) {
 	// The line is discarded right after the once-only use, so the
 	// unblock must carry Dropped: the directory would otherwise record
 	// this core as owner/sharer of a line it no longer holds.
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		&Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id, Dropped: true})
+		Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id, Dropped: true})
 	l1DataInISI(c, x)
 }
 
 // MESIL1Transitions enumerates the L1 transition table for coverage
 // accounting.
 func MESIL1Transitions() []Transition {
-	out := make([]Transition, 0, len(mesiL1Table))
-	for k := range mesiL1Table {
-		out = append(out, Transition{
-			Controller: "L1Cache",
-			State:      k.state.String(),
-			Event:      k.ev.String(),
-		})
-	}
-	sortTransitions(out)
-	return out
+	return keyTransitions("L1Cache", mesiL1Keys, l1StateNames[:], l1EventNames[:])
 }

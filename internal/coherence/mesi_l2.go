@@ -96,11 +96,15 @@ type MESIL2 struct {
 	array *Array[mesiL2Line]
 	sim   *sim.Sim
 	net   *interconnect.Network
+	msgs  *MsgPool
 	bugs  bugs.Set
 	cov   CoverageSink
 	// covRec is the interned coverage front end (see MESIL1).
 	covRec covRecorder
 	errs   ErrorSink
+	// absent stands in for the line of a message whose line is not
+	// present (see MESIL1).
+	absent mesiL2Line
 
 	// AccessLatency is the tile's tag+data access latency; together
 	// with routing it lands L2 round trips in Table 2's 30–80 band.
@@ -125,6 +129,9 @@ type MESIL2Config struct {
 	Bugs            bugs.Set
 	Coverage        CoverageSink
 	Errors          ErrorSink
+	// Msgs is the machine's shared message pool; nil gives the
+	// controller a private one.
+	Msgs *MsgPool
 }
 
 // NewMESIL2 creates the tile controller and registers it on the network.
@@ -136,6 +143,7 @@ func NewMESIL2(s *sim.Sim, net *interconnect.Network, cfg MESIL2Config, row, col
 		array:         NewArray[mesiL2Line](sets, ways),
 		sim:           s,
 		net:           net,
+		msgs:          cfg.Msgs,
 		bugs:          cfg.Bugs,
 		cov:           cfg.Coverage,
 		errs:          cfg.Errors,
@@ -143,18 +151,16 @@ func NewMESIL2(s *sim.Sim, net *interconnect.Network, cfg MESIL2Config, row, col
 		RecycleDelay:  10,
 	}
 	c.processH = func(arg any, _ uint64) { c.process(arg.(*Msg)) }
+	if c.msgs == nil {
+		c.msgs = NewMsgPool()
+	}
 	if c.cov == nil {
 		c.cov = NopCoverage{}
 	}
 	if c.errs == nil {
 		c.errs = PanicErrors{}
 	}
-	keys := make([]internKey, 0, len(mesiL2Table))
-	for k := range mesiL2Table {
-		keys = append(keys, internKey{int(k.state), int(k.ev), k.state.String(), k.ev.String()})
-	}
-	sortInternKeys(keys)
-	c.covRec = newCovRecorder(c.cov, "L2Cache", len(l2StateNames), len(l2EventNames), keys)
+	c.covRec = newCovRecorder(c.cov, "L2Cache", l2StateNames[:], l2EventNames[:], mesiL2Keys)
 	if err := net.Register(L2Node(cfg.Tile), c, row, col); err != nil {
 		return nil, err
 	}
@@ -181,7 +187,10 @@ func (c *MESIL2) Deliver(vnet interconnect.VNet, payload interface{}) {
 	}
 }
 
+// process runs one message through the state machine and releases it
+// (a recycled request stays in flight).
 func (c *MESIL2) process(msg *Msg) {
+	defer c.msgs.release(msg)
 	lineAddr := msg.Addr.LineAddr()
 	line, ok := c.array.Peek(lineAddr)
 	if !ok {
@@ -196,7 +205,8 @@ func (c *MESIL2) process(msg *Msg) {
 				return
 			}
 		default:
-			line = &mesiL2Line{state: l2NP, owner: -1}
+			c.absent = mesiL2Line{state: l2NP, owner: -1}
+			line = &c.absent
 		}
 	}
 	ev, ok := l2MsgEvent(msg.Type)
@@ -241,9 +251,7 @@ func l2MsgEvent(t MsgType) (l2Event, bool) {
 // needed. Returns (nil, true) when the request must be recycled.
 func (c *MESIL2) allocate(lineAddr memsys.Addr) (*mesiL2Line, bool) {
 	if !c.array.HasFree(lineAddr) {
-		vAddr, vLine, ok := c.array.Victim(lineAddr, func(l *mesiL2Line) bool {
-			return l.state.stable()
-		})
+		vAddr, vLine, ok := c.array.Victim(lineAddr, mesiL2Evictable)
 		if !ok {
 			return nil, true
 		}
@@ -258,14 +266,11 @@ func (c *MESIL2) allocate(lineAddr memsys.Addr) (*mesiL2Line, bool) {
 	return line, false
 }
 
+func mesiL2Evictable(l *mesiL2Line) bool { return l.state.stable() }
+
 func (c *MESIL2) recycle(msg *Msg) {
 	c.recycles++
-	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg)
-}
-
-type l2Key struct {
-	state l2State
-	ev    l2Event
+	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg.requeue())
 }
 
 type l2Ctx struct {
@@ -274,11 +279,11 @@ type l2Ctx struct {
 	msg  *Msg
 }
 
-type l2Handler func(c *MESIL2, x *l2Ctx)
+type l2Handler func(c *MESIL2, x l2Ctx)
 
 func (c *MESIL2) dispatch(ev l2Event, addr memsys.Addr, line *mesiL2Line, msg *Msg) {
-	h, ok := mesiL2Table[l2Key{line.state, ev}]
-	if !ok {
+	h := mesiL2Table[line.state][ev]
+	if h == nil {
 		c.errs.ProtocolError(&InvalidTransitionError{
 			Controller: "L2Cache",
 			State:      line.state.String(),
@@ -287,35 +292,34 @@ func (c *MESIL2) dispatch(ev l2Event, addr memsys.Addr, line *mesiL2Line, msg *M
 		})
 		return
 	}
-	c.covRec.record(int(line.state), int(ev), line.state.String(), ev.String())
-	h(c, &l2Ctx{addr: addr, line: line, msg: msg})
+	c.covRec.record(int(line.state), int(ev))
+	h(c, l2Ctx{addr: addr, line: line, msg: msg})
 }
 
-func (c *MESIL2) send(dst interconnect.NodeID, vnet interconnect.VNet, m *Msg) {
+func (c *MESIL2) send(dst interconnect.NodeID, vnet interconnect.VNet, m Msg) {
 	m.Src = c.node()
-	c.net.Send(c.node(), dst, vnet, m)
+	c.net.Send(c.node(), dst, vnet, c.msgs.alloc(m))
 }
 
 func (c *MESIL2) writeMem(addr memsys.Addr, data memsys.LineData) {
-	d := data
 	c.send(MemNode, interconnect.VNetRequest,
-		&Msg{Type: MsgMemWrite, Addr: addr, Data: &d, Writer: -1})
+		Msg{Type: MsgMemWrite, Addr: addr, Data: data, Writer: -1})
 }
 
 func (c *MESIL2) readMem(addr memsys.Addr) {
-	c.send(MemNode, interconnect.VNetRequest, &Msg{Type: MsgMemRead, Addr: addr})
+	c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: addr})
 }
 
 // invalidateSharers sends Inv to every sharer except skip (-1 for none),
 // directing acks at ackTo. Returns the number of invalidations sent.
-func (c *MESIL2) invalidateSharers(x *l2Ctx, skip int, ackTo interconnect.NodeID) int {
+func (c *MESIL2) invalidateSharers(x l2Ctx, skip int, ackTo interconnect.NodeID) int {
 	n := 0
 	for core := 0; core < c.cores; core++ {
 		if core == skip || !x.line.isSharer(core) {
 			continue
 		}
 		c.send(L1Node(core), interconnect.VNetForward,
-			&Msg{Type: MsgInv, Addr: x.addr, AckTo: ackTo, Requestor: x.msg.Requestor})
+			Msg{Type: MsgInv, Addr: x.addr, AckTo: ackTo, Requestor: x.msg.Requestor})
 		n++
 	}
 	return n

@@ -6,336 +6,355 @@ import "repro/internal/interconnect"
 // MESI+PUTX-Race bug removes the (MT_MB, L1_PUTX) race handling at
 // runtime, turning the Komuravelli race into a Ruby-style invalid
 // transition; the MESI+Replace-Race bug drops dirty recall/writeback
-// data when the directory believed the line clean.
-var mesiL2Table map[l2Key]l2Handler
+// data when the directory believed the line clean. Like mesiL1Table it
+// is a dense [state][event] array filled once at package init.
+var mesiL2Table [len(l2StateNames)][len(l2EventNames)]l2Handler
 
-func init() { buildMESIL2Table() }
+// mesiL2Keys is the table's vocabulary in (state, event) order.
+var mesiL2Keys []internKey
 
-func buildMESIL2Table() {
-	recycleReq := func(c *MESIL2, x *l2Ctx) { c.recycle(x.msg) }
-	dropMsg := func(c *MESIL2, x *l2Ctx) {}
-	putStale := func(c *MESIL2, x *l2Ctx) {
+func init() {
+	recycleReq := func(c *MESIL2, x l2Ctx) { c.recycle(x.msg) }
+	dropMsg := func(c *MESIL2, x l2Ctx) {}
+	putStale := func(c *MESIL2, x l2Ctx) {
 		c.send(x.msg.Src, interconnect.VNetResponse,
-			&Msg{Type: MsgPutStale, Addr: x.addr})
+			Msg{Type: MsgPutStale, Addr: x.addr})
 	}
 
-	mesiL2Table = map[l2Key]l2Handler{
+	mesiL2Table = [len(l2StateNames)][len(l2EventNames)]l2Handler{
 		// ---- NP ---------------------------------------------------
-		{l2NP, l2GETS}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2IFS
-			x.line.reqCore = x.msg.Requestor
-			c.readMem(x.addr)
+		l2NP: {
+			l2GETS: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2IFS
+				x.line.reqCore = x.msg.Requestor
+				c.readMem(x.addr)
+			},
+			l2GETX: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2IFX
+				x.line.reqCore = x.msg.Requestor
+				c.readMem(x.addr)
+			},
+			l2PUTS:        dropMsg,
+			l2PUTE:        putStale,
+			l2PUTX:        putStale,
+			l2RecallStale: dropMsg,
 		},
-		{l2NP, l2GETX}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2IFX
-			x.line.reqCore = x.msg.Requestor
-			c.readMem(x.addr)
-		},
-		{l2NP, l2PUTS}:        dropMsg,
-		{l2NP, l2PUTE}:        putStale,
-		{l2NP, l2PUTX}:        putStale,
-		{l2NP, l2RecallStale}: dropMsg,
 
 		// ---- ISS (memory fetch for GETS) --------------------------
-		{l2IFS, l2MemData}: func(c *MESIL2, x *l2Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.dirty = false
-			x.line.state = l2BE
-			x.line.expectClean = true
-			data := x.line.data
-			c.send(L1Node(x.line.reqCore), interconnect.VNetResponse,
-				&Msg{Type: MsgDataE, Addr: x.addr, Data: &data})
+		l2IFS: {
+			l2MemData: func(c *MESIL2, x l2Ctx) {
+				x.line.data = x.msg.Data
+				x.line.dirty = false
+				x.line.state = l2BE
+				x.line.expectClean = true
+				c.send(L1Node(x.line.reqCore), interconnect.VNetResponse,
+					Msg{Type: MsgDataE, Addr: x.addr, Data: x.line.data})
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-		{l2IFS, l2GETS}: recycleReq,
-		{l2IFS, l2GETX}: recycleReq,
-		{l2IFS, l2PUTS}: dropMsg,
 
 		// ---- IMX (memory fetch for GETX) --------------------------
-		{l2IFX, l2MemData}: func(c *MESIL2, x *l2Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.dirty = false
-			x.line.state = l2BX
-			x.line.expectClean = false
-			data := x.line.data
-			c.send(L1Node(x.line.reqCore), interconnect.VNetResponse,
-				&Msg{Type: MsgDataM, Addr: x.addr, Data: &data, AckCount: 0})
+		l2IFX: {
+			l2MemData: func(c *MESIL2, x l2Ctx) {
+				x.line.data = x.msg.Data
+				x.line.dirty = false
+				x.line.state = l2BX
+				x.line.expectClean = false
+				c.send(L1Node(x.line.reqCore), interconnect.VNetResponse,
+					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-		{l2IFX, l2GETS}: recycleReq,
-		{l2IFX, l2GETX}: recycleReq,
-		{l2IFX, l2PUTS}: dropMsg,
 
 		// ---- BE (exclusive grant, waiting unblock) ----------------
-		{l2BE, l2Unblock}: func(c *MESIL2, x *l2Ctx) {
-			if x.msg.Dropped {
-				// The grantee's copy was invalidated in flight (IS_I)
-				// and discarded after its once-only use; the L2 still
-				// holds the data, so the line simply returns to SS
-				// with no sharers.
-				x.line.state = l2SS
-				x.line.owner = -1
+		l2BE: {
+			l2Unblock: func(c *MESIL2, x l2Ctx) {
+				if x.msg.Dropped {
+					// The grantee's copy was invalidated in flight (IS_I)
+					// and discarded after its once-only use; the L2 still
+					// holds the data, so the line simply returns to SS
+					// with no sharers.
+					x.line.state = l2SS
+					x.line.owner = -1
+					x.line.sharers = 0
+					x.line.expectClean = false
+					return
+				}
+				x.line.state = l2MT
+				x.line.owner = x.msg.Requestor
 				x.line.sharers = 0
-				x.line.expectClean = false
-				return
-			}
-			x.line.state = l2MT
-			x.line.owner = x.msg.Requestor
-			x.line.sharers = 0
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-		{l2BE, l2GETS}: recycleReq,
-		{l2BE, l2GETX}: recycleReq,
-		{l2BE, l2PUTS}: dropMsg,
 
 		// ---- BX (modified grant, waiting unblock) -----------------
-		{l2BX, l2Unblock}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2MT
-			x.line.owner = x.msg.Requestor
-			x.line.sharers = 0
-			x.line.expectClean = false
+		l2BX: {
+			l2Unblock: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2MT
+				x.line.owner = x.msg.Requestor
+				x.line.sharers = 0
+				x.line.expectClean = false
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-		{l2BX, l2GETS}: recycleReq,
-		{l2BX, l2GETX}: recycleReq,
-		{l2BX, l2PUTS}: dropMsg,
 
 		// ---- SS ---------------------------------------------------
-		{l2SS, l2GETS}: func(c *MESIL2, x *l2Ctx) {
-			if x.line.sharerCount() == 0 {
-				// No sharers: grant exclusive-clean; the silent
-				// upgrade belief starts here.
-				x.line.state = l2BE
-				x.line.reqCore = x.msg.Requestor
-				x.line.expectClean = true
-				data := x.line.data
+		l2SS: {
+			l2GETS: func(c *MESIL2, x l2Ctx) {
+				if x.line.sharerCount() == 0 {
+					// No sharers: grant exclusive-clean; the silent
+					// upgrade belief starts here.
+					x.line.state = l2BE
+					x.line.reqCore = x.msg.Requestor
+					x.line.expectClean = true
+					c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
+						Msg{Type: MsgDataE, Addr: x.addr, Data: x.line.data})
+					return
+				}
+				// Shared data: non-blocking grant — the directory can
+				// immediately process another core's GETX, whose Inv
+				// can then overtake this DataS (the IS_I race of
+				// MESI,LQ+IS,Inv).
+				x.line.addSharer(x.msg.Requestor)
 				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-					&Msg{Type: MsgDataE, Addr: x.addr, Data: &data})
-				return
-			}
-			// Shared data: non-blocking grant — the directory can
-			// immediately process another core's GETX, whose Inv
-			// can then overtake this DataS (the IS_I race of
-			// MESI,LQ+IS,Inv).
-			x.line.addSharer(x.msg.Requestor)
-			data := x.line.data
-			c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-				&Msg{Type: MsgDataS, Addr: x.addr, Data: &data})
+					Msg{Type: MsgDataS, Addr: x.addr, Data: x.line.data})
+			},
+			l2GETX: func(c *MESIL2, x l2Ctx) {
+				req := x.msg.Requestor
+				acks := c.invalidateSharers(x, req, L1Node(req))
+				x.line.sharers = 0
+				x.line.reqCore = req
+				x.line.state = l2BX
+				x.line.expectClean = false
+				c.send(L1Node(req), interconnect.VNetResponse,
+					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: acks})
+			},
+			l2PUTS: func(c *MESIL2, x l2Ctx) {
+				x.line.dropSharer(x.msg.Requestor)
+			},
+			l2PUTE: putStale,
+			l2PUTX: putStale,
+			l2Replace: func(c *MESIL2, x l2Ctx) {
+				if x.line.sharerCount() == 0 {
+					if x.line.dirty {
+						c.writeMem(x.addr, x.line.data)
+					}
+					c.array.Remove(x.addr)
+					return
+				}
+				// Recall all shared copies before dropping the line
+				// (inclusive L2).
+				n := 0
+				for core := 0; core < c.cores; core++ {
+					if !x.line.isSharer(core) {
+						continue
+					}
+					c.send(L1Node(core), interconnect.VNetForward,
+						Msg{Type: MsgInv, Addr: x.addr, AckTo: c.node()})
+					n++
+				}
+				x.line.pending = n
+				x.line.state = l2SI
+			},
 		},
-		{l2SS, l2GETX}: func(c *MESIL2, x *l2Ctx) {
-			req := x.msg.Requestor
-			acks := c.invalidateSharers(x, req, L1Node(req))
-			x.line.sharers = 0
-			x.line.reqCore = req
-			x.line.state = l2BX
-			x.line.expectClean = false
-			data := x.line.data
-			c.send(L1Node(req), interconnect.VNetResponse,
-				&Msg{Type: MsgDataM, Addr: x.addr, Data: &data, AckCount: acks})
+
+		// ---- MT ---------------------------------------------------
+		l2MT: {
+			l2GETS: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2MTSB
+				x.line.reqCore = x.msg.Requestor
+				x.line.gotWB = false
+				x.line.gotUnb = false
+				c.send(L1Node(x.line.owner), interconnect.VNetForward,
+					Msg{Type: MsgFwdGETS, Addr: x.addr, Requestor: x.msg.Requestor})
+			},
+			l2GETX: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2MTMB
+				x.line.reqCore = x.msg.Requestor
+				c.send(L1Node(x.line.owner), interconnect.VNetForward,
+					Msg{Type: MsgFwdGETX, Addr: x.addr, Requestor: x.msg.Requestor})
+			},
+			l2PUTS: dropMsg,
+			l2PUTX: func(c *MESIL2, x l2Ctx) {
+				if x.msg.Src != L1Node(x.line.owner) {
+					c.send(x.msg.Src, interconnect.VNetResponse,
+						Msg{Type: MsgPutStale, Addr: x.addr})
+					return
+				}
+				x.line.data = x.msg.Data
+				x.line.dirty = true
+				x.line.owner = -1
+				x.line.sharers = 0
+				x.line.state = l2SS
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgWBAck, Addr: x.addr})
+			},
+			l2PUTE: func(c *MESIL2, x l2Ctx) {
+				if x.msg.Src != L1Node(x.line.owner) {
+					c.send(x.msg.Src, interconnect.VNetResponse,
+						Msg{Type: MsgPutStale, Addr: x.addr})
+					return
+				}
+				// Clean owner replacement: the L2 copy is still valid.
+				x.line.owner = -1
+				x.line.sharers = 0
+				x.line.state = l2SS
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgWBAck, Addr: x.addr})
+			},
+			l2Replace: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2MTI
+				c.send(L1Node(x.line.owner), interconnect.VNetForward,
+					Msg{Type: MsgRecall, Addr: x.addr})
+			},
 		},
-		{l2SS, l2PUTS}: func(c *MESIL2, x *l2Ctx) {
-			x.line.dropSharer(x.msg.Requestor)
+
+		// ---- MT_SB ------------------------------------------------
+		l2MTSB: {
+			l2WBData: func(c *MESIL2, x l2Ctx) {
+				x.line.data = x.msg.Data
+				x.line.dirty = x.line.dirty || x.msg.Dirty
+				// The owner downgraded to S and stays a sharer.
+				x.line.addSharer(x.msg.Requestor)
+				x.line.gotWB = true
+				l2MaybeFinishSB(c, x)
+			},
+			l2PUTX: func(c *MESIL2, x l2Ctx) {
+				// The owner replaced the line while our FwdGETS was in
+				// flight; it has answered (or will answer) the forward
+				// from M_I. Absorb the writeback as the data copy.
+				x.line.data = x.msg.Data
+				x.line.dirty = true
+				x.line.owner = -1
+				x.line.gotWB = true
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgPutStale, Addr: x.addr})
+				l2MaybeFinishSB(c, x)
+			},
+			l2PUTE: func(c *MESIL2, x l2Ctx) {
+				x.line.owner = -1
+				x.line.gotWB = true
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgPutStale, Addr: x.addr})
+				l2MaybeFinishSB(c, x)
+			},
+			l2Unblock: func(c *MESIL2, x l2Ctx) {
+				// A Dropped unblock means the requestor discarded its copy
+				// (IS_I): complete the transaction without recording it as
+				// a sharer.
+				if !x.msg.Dropped {
+					x.line.addSharer(x.msg.Requestor)
+				}
+				x.line.gotUnb = true
+				l2MaybeFinishSB(c, x)
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-		{l2SS, l2PUTE}: putStale,
-		{l2SS, l2PUTX}: putStale,
-		{l2SS, l2Replace}: func(c *MESIL2, x *l2Ctx) {
-			if x.line.sharerCount() == 0 {
+
+		// ---- MT_MB ------------------------------------------------
+		l2MTMB: {
+			l2Unblock: func(c *MESIL2, x l2Ctx) {
+				x.line.state = l2MT
+				x.line.owner = x.msg.Requestor
+				x.line.sharers = 0
+				x.line.expectClean = false
+			},
+			l2PUTX: func(c *MESIL2, x l2Ctx) {
+				// The Komuravelli race: the old owner's replacement
+				// PUTX arrives while the directory is blocked on the
+				// forwarded GETX.
+				//
+				// Bug MESI+PUTX-Race: the handler is missing, which
+				// Ruby reports as an invalid transition.
+				if c.bugs.MESIPUTXRace {
+					c.errs.ProtocolError(&InvalidTransitionError{
+						Controller: "L2Cache",
+						State:      x.line.state.String(),
+						Event:      l2PUTX.String(),
+						Addr:       x.addr,
+					})
+					return
+				}
+				// Fixed: the old owner has served (or will serve) the
+				// forward from M_I; its writeback is superseded by the
+				// new owner's copy.
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgPutStale, Addr: x.addr})
+			},
+			l2PUTE: putStale,
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
+		},
+
+		// ---- S_I --------------------------------------------------
+		l2SI: {
+			l2InvAck: func(c *MESIL2, x l2Ctx) {
+				x.line.pending--
+				if x.line.pending > 0 {
+					return
+				}
 				if x.line.dirty {
 					c.writeMem(x.addr, x.line.data)
 				}
 				c.array.Remove(x.addr)
-				return
-			}
-			// Recall all shared copies before dropping the line
-			// (inclusive L2).
-			n := 0
-			for core := 0; core < c.cores; core++ {
-				if !x.line.isSharer(core) {
-					continue
-				}
-				c.send(L1Node(core), interconnect.VNetForward,
-					&Msg{Type: MsgInv, Addr: x.addr, AckTo: c.node()})
-				n++
-			}
-			x.line.pending = n
-			x.line.state = l2SI
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-
-		// ---- MT ---------------------------------------------------
-		{l2MT, l2GETS}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2MTSB
-			x.line.reqCore = x.msg.Requestor
-			x.line.gotWB = false
-			x.line.gotUnb = false
-			c.send(L1Node(x.line.owner), interconnect.VNetForward,
-				&Msg{Type: MsgFwdGETS, Addr: x.addr, Requestor: x.msg.Requestor})
-		},
-		{l2MT, l2GETX}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2MTMB
-			x.line.reqCore = x.msg.Requestor
-			c.send(L1Node(x.line.owner), interconnect.VNetForward,
-				&Msg{Type: MsgFwdGETX, Addr: x.addr, Requestor: x.msg.Requestor})
-		},
-		{l2MT, l2PUTS}: dropMsg,
-		{l2MT, l2PUTX}: func(c *MESIL2, x *l2Ctx) {
-			if x.msg.Src != L1Node(x.line.owner) {
-				c.send(x.msg.Src, interconnect.VNetResponse,
-					&Msg{Type: MsgPutStale, Addr: x.addr})
-				return
-			}
-			x.line.data = *x.msg.Data
-			x.line.dirty = true
-			x.line.owner = -1
-			x.line.sharers = 0
-			x.line.state = l2SS
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgWBAck, Addr: x.addr})
-		},
-		{l2MT, l2PUTE}: func(c *MESIL2, x *l2Ctx) {
-			if x.msg.Src != L1Node(x.line.owner) {
-				c.send(x.msg.Src, interconnect.VNetResponse,
-					&Msg{Type: MsgPutStale, Addr: x.addr})
-				return
-			}
-			// Clean owner replacement: the L2 copy is still valid.
-			x.line.owner = -1
-			x.line.sharers = 0
-			x.line.state = l2SS
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgWBAck, Addr: x.addr})
-		},
-		{l2MT, l2Replace}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2MTI
-			c.send(L1Node(x.line.owner), interconnect.VNetForward,
-				&Msg{Type: MsgRecall, Addr: x.addr})
-		},
-
-		// ---- MT_SB ------------------------------------------------
-		{l2MTSB, l2WBData}: func(c *MESIL2, x *l2Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.dirty = x.line.dirty || x.msg.Dirty
-			// The owner downgraded to S and stays a sharer.
-			x.line.addSharer(x.msg.Requestor)
-			x.line.gotWB = true
-			l2MaybeFinishSB(c, x)
-		},
-		{l2MTSB, l2PUTX}: func(c *MESIL2, x *l2Ctx) {
-			// The owner replaced the line while our FwdGETS was in
-			// flight; it has answered (or will answer) the forward
-			// from M_I. Absorb the writeback as the data copy.
-			x.line.data = *x.msg.Data
-			x.line.dirty = true
-			x.line.owner = -1
-			x.line.gotWB = true
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgPutStale, Addr: x.addr})
-			l2MaybeFinishSB(c, x)
-		},
-		{l2MTSB, l2PUTE}: func(c *MESIL2, x *l2Ctx) {
-			x.line.owner = -1
-			x.line.gotWB = true
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgPutStale, Addr: x.addr})
-			l2MaybeFinishSB(c, x)
-		},
-		{l2MTSB, l2Unblock}: func(c *MESIL2, x *l2Ctx) {
-			// A Dropped unblock means the requestor discarded its copy
-			// (IS_I): complete the transaction without recording it as
-			// a sharer.
-			if !x.msg.Dropped {
-				x.line.addSharer(x.msg.Requestor)
-			}
-			x.line.gotUnb = true
-			l2MaybeFinishSB(c, x)
-		},
-		{l2MTSB, l2GETS}: recycleReq,
-		{l2MTSB, l2GETX}: recycleReq,
-		{l2MTSB, l2PUTS}: dropMsg,
-
-		// ---- MT_MB ------------------------------------------------
-		{l2MTMB, l2Unblock}: func(c *MESIL2, x *l2Ctx) {
-			x.line.state = l2MT
-			x.line.owner = x.msg.Requestor
-			x.line.sharers = 0
-			x.line.expectClean = false
-		},
-		{l2MTMB, l2PUTX}: func(c *MESIL2, x *l2Ctx) {
-			// The Komuravelli race: the old owner's replacement
-			// PUTX arrives while the directory is blocked on the
-			// forwarded GETX.
-			//
-			// Bug MESI+PUTX-Race: the handler is missing, which
-			// Ruby reports as an invalid transition.
-			if c.bugs.MESIPUTXRace {
-				c.errs.ProtocolError(&InvalidTransitionError{
-					Controller: "L2Cache",
-					State:      x.line.state.String(),
-					Event:      l2PUTX.String(),
-					Addr:       x.addr,
-				})
-				return
-			}
-			// Fixed: the old owner has served (or will serve) the
-			// forward from M_I; its writeback is superseded by the
-			// new owner's copy.
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgPutStale, Addr: x.addr})
-		},
-		{l2MTMB, l2PUTE}: putStale,
-		{l2MTMB, l2GETS}: recycleReq,
-		{l2MTMB, l2GETX}: recycleReq,
-		{l2MTMB, l2PUTS}: dropMsg,
-
-		// ---- S_I --------------------------------------------------
-		{l2SI, l2InvAck}: func(c *MESIL2, x *l2Ctx) {
-			x.line.pending--
-			if x.line.pending > 0 {
-				return
-			}
-			if x.line.dirty {
-				c.writeMem(x.addr, x.line.data)
-			}
-			c.array.Remove(x.addr)
-		},
-		{l2SI, l2GETS}: recycleReq,
-		{l2SI, l2GETX}: recycleReq,
-		{l2SI, l2PUTS}: dropMsg,
 
 		// ---- MT_I -------------------------------------------------
-		{l2MTI, l2RecallData}: func(c *MESIL2, x *l2Ctx) {
-			// Bug MESI+Replace-Race: the directory believed the
-			// line clean (granted E, silently upgraded by the
-			// owner) and "does not expect modified data": the
-			// dirty writeback is dropped and memory stays stale.
-			if !(x.line.expectClean && c.bugs.MESIReplaceRace) {
-				c.writeMem(x.addr, *x.msg.Data)
-			}
-			c.array.Remove(x.addr)
+		l2MTI: {
+			l2RecallData: func(c *MESIL2, x l2Ctx) {
+				// Bug MESI+Replace-Race: the directory believed the
+				// line clean (granted E, silently upgraded by the
+				// owner) and "does not expect modified data": the
+				// dirty writeback is dropped and memory stays stale.
+				if !(x.line.expectClean && c.bugs.MESIReplaceRace) {
+					c.writeMem(x.addr, x.msg.Data)
+				}
+				c.array.Remove(x.addr)
+			},
+			l2RecallAck: func(c *MESIL2, x l2Ctx) {
+				if x.line.dirty {
+					c.writeMem(x.addr, x.line.data)
+				}
+				c.array.Remove(x.addr)
+			},
+			l2RecallStale: dropMsg, // the owner's PUT is in flight
+			l2PUTX: func(c *MESIL2, x l2Ctx) {
+				// Owner replacement raced our recall: same belief, same
+				// bug.
+				if !(x.line.expectClean && c.bugs.MESIReplaceRace) {
+					c.writeMem(x.addr, x.msg.Data)
+				}
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgWBAck, Addr: x.addr})
+				c.array.Remove(x.addr)
+			},
+			l2PUTE: func(c *MESIL2, x l2Ctx) {
+				if x.line.dirty {
+					c.writeMem(x.addr, x.line.data)
+				}
+				c.send(x.msg.Src, interconnect.VNetResponse,
+					Msg{Type: MsgWBAck, Addr: x.addr})
+				c.array.Remove(x.addr)
+			},
+			l2GETS: recycleReq,
+			l2GETX: recycleReq,
+			l2PUTS: dropMsg,
 		},
-		{l2MTI, l2RecallAck}: func(c *MESIL2, x *l2Ctx) {
-			if x.line.dirty {
-				c.writeMem(x.addr, x.line.data)
-			}
-			c.array.Remove(x.addr)
-		},
-		{l2MTI, l2RecallStale}: dropMsg, // the owner's PUT is in flight
-		{l2MTI, l2PUTX}: func(c *MESIL2, x *l2Ctx) {
-			// Owner replacement raced our recall: same belief, same
-			// bug.
-			if !(x.line.expectClean && c.bugs.MESIReplaceRace) {
-				c.writeMem(x.addr, *x.msg.Data)
-			}
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgWBAck, Addr: x.addr})
-			c.array.Remove(x.addr)
-		},
-		{l2MTI, l2PUTE}: func(c *MESIL2, x *l2Ctx) {
-			if x.line.dirty {
-				c.writeMem(x.addr, x.line.data)
-			}
-			c.send(x.msg.Src, interconnect.VNetResponse,
-				&Msg{Type: MsgWBAck, Addr: x.addr})
-			c.array.Remove(x.addr)
-		},
-		{l2MTI, l2GETS}: recycleReq,
-		{l2MTI, l2GETX}: recycleReq,
-		{l2MTI, l2PUTS}: dropMsg,
 	}
 
 	// A RecallStale answers a Recall whose line the directory has since
@@ -343,17 +362,19 @@ func buildMESIL2Table() {
 	// arrives the line may be in any state (including re-allocated):
 	// it is stale in all of them and dropped. MT_I keeps its specific
 	// entry above (wait for the PUT).
-	for st := l2NP; st <= l2MTI; st++ {
-		key := l2Key{st, l2RecallStale}
-		if _, ok := mesiL2Table[key]; !ok {
-			mesiL2Table[key] = dropMsg
+	for st := range mesiL2Table {
+		if mesiL2Table[st][l2RecallStale] == nil {
+			mesiL2Table[st][l2RecallStale] = dropMsg
 		}
 	}
+
+	mesiL2Keys = tableKeys(len(l2StateNames), len(l2EventNames),
+		func(s, e int) bool { return mesiL2Table[s][e] != nil })
 }
 
 // l2MaybeFinishSB completes the MT→SS transition once both the owner's
 // data and the requestor's unblock have arrived.
-func l2MaybeFinishSB(c *MESIL2, x *l2Ctx) {
+func l2MaybeFinishSB(c *MESIL2, x l2Ctx) {
 	if !x.line.gotWB || !x.line.gotUnb {
 		return
 	}
@@ -366,16 +387,7 @@ func l2MaybeFinishSB(c *MESIL2, x *l2Ctx) {
 // MESIL2Transitions enumerates the L2 transition table for coverage
 // accounting.
 func MESIL2Transitions() []Transition {
-	out := make([]Transition, 0, len(mesiL2Table))
-	for k := range mesiL2Table {
-		out = append(out, Transition{
-			Controller: "L2Cache",
-			State:      k.state.String(),
-			Event:      k.ev.String(),
-		})
-	}
-	sortTransitions(out)
-	return out
+	return keyTransitions("L2Cache", mesiL2Keys, l2StateNames[:], l2EventNames[:])
 }
 
 // MESITransitions enumerates the full MESI transition table (both

@@ -85,8 +85,8 @@ type tsoL1Line struct {
 	// write group.
 	wts      uint32
 	wepoch   uint32
-	primary  *l1Op
-	deferred []*l1Op
+	primary  *Request
+	deferred reqQueue
 }
 
 // tsoSeen is the last-seen timestamp record a core keeps per writer.
@@ -103,6 +103,7 @@ type TSOCCL1 struct {
 	array *Array[tsoL1Line]
 	sim   *sim.Sim
 	net   *interconnect.Network
+	msgs  *MsgPool
 	bugs  bugs.Set
 	cov   CoverageSink
 	// covRec is the interned coverage front end (see MESIL1);
@@ -111,6 +112,10 @@ type TSOCCL1 struct {
 	covRec    covRecorder
 	tsResetID TransitionID
 	errs      ErrorSink
+	// absent stands in for the line of a message whose line is not
+	// cached (see MESIL1); victims is selfInvalidate's scratch list.
+	absent  tsoL1Line
+	victims []memsys.Addr
 
 	// Timestamp machinery (per core, §5.3).
 	ts            uint32
@@ -150,6 +155,9 @@ type TSOCCL1Config struct {
 	Bugs            bugs.Set
 	Coverage        CoverageSink
 	Errors          ErrorSink
+	// Msgs is the machine's shared message pool; nil gives the
+	// controller a private one.
+	Msgs *MsgPool
 }
 
 // NewTSOCCL1 creates the controller and registers it on the network.
@@ -162,6 +170,7 @@ func NewTSOCCL1(s *sim.Sim, net *interconnect.Network, cfg TSOCCL1Config, row, c
 		array:       NewArray[tsoL1Line](sets, ways),
 		sim:         s,
 		net:         net,
+		msgs:        cfg.Msgs,
 		bugs:        cfg.Bugs,
 		cov:         cfg.Coverage,
 		errs:        cfg.Errors,
@@ -173,20 +182,18 @@ func NewTSOCCL1(s *sim.Sim, net *interconnect.Network, cfg TSOCCL1Config, row, c
 		RetryDelay:  8,
 		invalNotify: func(memsys.Addr) {},
 	}
-	c.cpuOpH = func(arg any, _ uint64) { c.cpuOp(arg.(*l1Op)) }
-	c.cpuOpNowH = func(arg any, _ uint64) { c.cpuOpNow(arg.(*l1Op)) }
+	c.cpuOpH = func(arg any, _ uint64) { c.Issue(arg.(*Request)) }
+	c.cpuOpNowH = func(arg any, _ uint64) { c.cpuOpNow(arg.(*Request)) }
+	if c.msgs == nil {
+		c.msgs = NewMsgPool()
+	}
 	if c.cov == nil {
 		c.cov = NopCoverage{}
 	}
 	if c.errs == nil {
 		c.errs = PanicErrors{}
 	}
-	keys := make([]internKey, 0, len(tsoccL1Table))
-	for k := range tsoccL1Table {
-		keys = append(keys, internKey{int(k.state), int(k.ev), k.state.String(), k.ev.String()})
-	}
-	sortInternKeys(keys)
-	c.covRec = newCovRecorder(c.cov, "L1Cache", len(tsoL1StateNames), len(tsoL1EventNames), keys)
+	c.covRec = newCovRecorder(c.cov, "L1Cache", tsoL1StateNames[:], tsoL1EventNames[:], tsoccL1Keys)
 	c.tsResetID = c.covRec.resolve("core", tTsReset.String())
 	if err := net.Register(L1Node(cfg.CoreID), c, row, col); err != nil {
 		return nil, err
@@ -212,42 +219,23 @@ func (c *TSOCCL1) Stats() (hits, misses, selfInvs, resets uint64) {
 	return c.hits, c.misses, c.selfInvs, c.resets
 }
 
-// Load implements CacheL1.
-func (c *TSOCCL1) Load(addr memsys.Addr, cb func(val uint64, invalidated bool)) {
-	c.cpuOp(&l1Op{kind: opLoad, addr: addr, loadCB: cb})
-}
-
-// Store implements CacheL1.
-func (c *TSOCCL1) Store(addr memsys.Addr, val uint64, cb func()) {
-	c.cpuOp(&l1Op{kind: opStore, addr: addr, storeVal: val, doneCB: func(uint64) { cb() }})
-}
-
-// Atomic implements CacheL1.
-func (c *TSOCCL1) Atomic(addr memsys.Addr, apply func(old uint64) uint64, cb func(old uint64)) {
-	c.cpuOp(&l1Op{kind: opAtomic, addr: addr, apply: apply, doneCB: cb})
-}
-
-// Flush implements CacheL1.
-func (c *TSOCCL1) Flush(addr memsys.Addr, cb func()) {
-	c.cpuOp(&l1Op{kind: opFlush, addr: addr, doneCB: func(uint64) { cb() }})
-}
-
-// cpuOp pays the access latency, then processes atomically (see the
-// MESI counterpart for the capture/perform atomicity argument).
-func (c *TSOCCL1) cpuOp(op *l1Op) {
+// Issue implements CacheL1: it pays the access latency, then processes
+// atomically (see the MESI counterpart for the capture/perform atomicity
+// argument).
+func (c *TSOCCL1) Issue(op *Request) {
 	c.sim.ScheduleEvent(c.HitLatency, c.cpuOpNowH, op, 0)
 }
 
-func (c *TSOCCL1) cpuOpNow(op *l1Op) {
-	lineAddr := op.addr.LineAddr()
+func (c *TSOCCL1) cpuOpNow(op *Request) {
+	lineAddr := op.Addr.LineAddr()
 	line, ok := c.array.Lookup(lineAddr)
 	if ok && !line.state.stable() {
-		line.deferred = append(line.deferred, op)
+		line.deferred.push(op)
 		return
 	}
 	if !ok {
-		if op.kind == opFlush {
-			c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, op.doneCB, 0)
+		if op.Kind == ReqFlush {
+			c.sim.ScheduleEvent(c.HitLatency, requestDone, op, 0)
 			return
 		}
 		var retry bool
@@ -259,27 +247,17 @@ func (c *TSOCCL1) cpuOpNow(op *l1Op) {
 			return
 		}
 	}
-	c.dispatch(tsoOpEvent(op.kind), lineAddr, line, nil, op)
+	c.dispatch(tsoReqEvent[op.Kind], lineAddr, line, nil, op)
 }
 
-func tsoOpEvent(k l1OpKind) tsoL1Event {
-	switch k {
-	case opLoad:
-		return tLoad
-	case opStore:
-		return tStore
-	case opAtomic:
-		return tAtomic
-	default:
-		return tFlush
-	}
-}
+// tsoReqEvent maps a CPU operation kind to its state-machine input.
+var tsoReqEvent = [...]tsoL1Event{ReqLoad: tLoad, ReqStore: tStore, ReqAtomic: tAtomic, ReqFlush: tFlush}
+
+func tsoL1Evictable(l *tsoL1Line) bool { return l.state.stable() }
 
 func (c *TSOCCL1) allocate(lineAddr memsys.Addr) (*tsoL1Line, bool) {
 	if !c.array.HasFree(lineAddr) {
-		vAddr, vLine, ok := c.array.Victim(lineAddr, func(l *tsoL1Line) bool {
-			return l.state.stable()
-		})
+		vAddr, vLine, ok := c.array.Victim(lineAddr, tsoL1Evictable)
 		if !ok {
 			return nil, true
 		}
@@ -296,6 +274,7 @@ func (c *TSOCCL1) allocate(lineAddr memsys.Addr) (*tsoL1Line, bool) {
 // Deliver implements interconnect.Handler.
 func (c *TSOCCL1) Deliver(vnet interconnect.VNet, payload interface{}) {
 	msg := payload.(*Msg)
+	defer c.msgs.release(msg)
 	if msg.Type == MsgTTsReset {
 		// Timestamp resets are core-level, not per-line.
 		c.covRec.recordID(c.tsResetID, "core", tTsReset.String())
@@ -305,7 +284,8 @@ func (c *TSOCCL1) Deliver(vnet interconnect.VNet, payload interface{}) {
 	lineAddr := msg.Addr.LineAddr()
 	line, ok := c.array.Peek(lineAddr)
 	if !ok {
-		line = &tsoL1Line{state: tsoI}
+		c.absent = tsoL1Line{state: tsoI}
+		line = &c.absent
 	}
 	ev, ok := tsoL1MsgEvent(msg.Type)
 	if !ok {
@@ -331,23 +311,18 @@ func tsoL1MsgEvent(t MsgType) (tsoL1Event, bool) {
 	}
 }
 
-type tsoL1Key struct {
-	state tsoL1State
-	ev    tsoL1Event
-}
-
 type tsoL1Ctx struct {
 	addr memsys.Addr
 	line *tsoL1Line
 	msg  *Msg
-	op   *l1Op
+	op   *Request
 }
 
-type tsoL1Handler func(c *TSOCCL1, x *tsoL1Ctx)
+type tsoL1Handler func(c *TSOCCL1, x tsoL1Ctx)
 
-func (c *TSOCCL1) dispatch(ev tsoL1Event, addr memsys.Addr, line *tsoL1Line, msg *Msg, op *l1Op) {
-	h, ok := tsoccL1Table[tsoL1Key{line.state, ev}]
-	if !ok {
+func (c *TSOCCL1) dispatch(ev tsoL1Event, addr memsys.Addr, line *tsoL1Line, msg *Msg, op *Request) {
+	h := tsoccL1Table[line.state][ev]
+	if h == nil {
 		c.errs.ProtocolError(&InvalidTransitionError{
 			Controller: "L1Cache",
 			State:      line.state.String(),
@@ -356,13 +331,13 @@ func (c *TSOCCL1) dispatch(ev tsoL1Event, addr memsys.Addr, line *tsoL1Line, msg
 		})
 		return
 	}
-	c.covRec.record(int(line.state), int(ev), line.state.String(), ev.String())
-	h(c, &tsoL1Ctx{addr: addr, line: line, msg: msg, op: op})
+	c.covRec.record(int(line.state), int(ev))
+	h(c, tsoL1Ctx{addr: addr, line: line, msg: msg, op: op})
 }
 
-func (c *TSOCCL1) send(dst interconnect.NodeID, vnet interconnect.VNet, m *Msg) {
+func (c *TSOCCL1) send(dst interconnect.NodeID, vnet interconnect.VNet, m Msg) {
 	m.Src = L1Node(c.id)
-	c.net.Send(L1Node(c.id), dst, vnet, m)
+	c.net.Send(L1Node(c.id), dst, vnet, c.msgs.alloc(m))
 }
 
 func (c *TSOCCL1) homeTile(addr memsys.Addr) interconnect.NodeID {
@@ -440,13 +415,14 @@ func (c *TSOCCL1) decideSelfInvalidate(writer int, epoch, ts uint32) bool {
 // under TSO-CC, so this notification carries the whole Peekaboo burden.
 func (c *TSOCCL1) selfInvalidate() {
 	c.selfInvs++
-	var victims []memsys.Addr
+	victims := c.victims[:0]
 	c.array.Range(func(addr memsys.Addr, line *tsoL1Line) bool {
-		if line.state == tsoSH && len(line.deferred) == 0 && line.primary == nil {
+		if line.state == tsoSH && line.deferred.empty() && line.primary == nil {
 			victims = append(victims, addr)
 		}
 		return true
 	})
+	c.victims = victims[:0]
 	for _, addr := range victims {
 		c.array.Remove(addr)
 		c.invalNotify(addr)
@@ -473,7 +449,7 @@ func (c *TSOCCL1) tsOnWrite() {
 		if core == c.id {
 			continue
 		}
-		c.send(L1Node(core), interconnect.VNetForward, &Msg{
+		c.send(L1Node(core), interconnect.VNetForward, Msg{
 			Type:   MsgTTsReset,
 			Writer: c.id,
 			Epoch:  c.epoch,
@@ -496,46 +472,39 @@ func (c *TSOCCL1) handleTsReset(msg *Msg) {
 
 // completeLoad captures and completes synchronously: the capture is the
 // perform point (no invalidation window before the LQ sees it).
-func (c *TSOCCL1) completeLoad(line *tsoL1Line, op *l1Op, invalidated bool) {
-	op.loadCB(line.data.Word(op.addr), invalidated)
+func (c *TSOCCL1) completeLoad(line *tsoL1Line, op *Request, invalidated bool) {
+	op.Done(op, line.data.Word(op.Addr), invalidated)
 }
 
-func (c *TSOCCL1) performStore(line *tsoL1Line, op *l1Op) {
-	line.data.SetWord(op.addr, op.storeVal)
+func (c *TSOCCL1) performStore(line *tsoL1Line, op *Request) {
+	line.data.SetWord(op.Addr, op.Val)
 	line.dirty = true
 	line.wts, line.wepoch = c.ts, c.epoch
 	c.tsOnWrite()
-	c.sim.ScheduleEvent(0, sim.InvokeUint64, op.doneCB, 0)
+	c.sim.ScheduleEvent(0, requestDone, op, 0)
 }
 
-func (c *TSOCCL1) performAtomic(line *tsoL1Line, op *l1Op) {
-	old := line.data.Word(op.addr)
-	line.data.SetWord(op.addr, op.apply(old))
+func (c *TSOCCL1) performAtomic(line *tsoL1Line, op *Request) {
+	old := line.data.Word(op.Addr)
+	line.data.SetWord(op.Addr, op.Val)
 	line.dirty = true
 	line.wts, line.wepoch = c.ts, c.epoch
 	c.tsOnWrite()
 	// RMWs are fences: the acquire side self-invalidates all Shared
 	// lines (the release side is the CPU's store-buffer drain).
 	c.selfInvalidate()
-	c.sim.ScheduleEvent(0, sim.InvokeUint64, op.doneCB, old)
+	c.sim.ScheduleEvent(0, requestDone, op, old)
 }
 
 func (c *TSOCCL1) settle(line *tsoL1Line) {
-	ops := line.deferred
-	line.deferred = nil
 	line.primary = nil
-	for _, op := range ops {
-		c.sim.ScheduleEvent(0, c.cpuOpH, op, 0)
-	}
+	line.deferred.replay(c.sim, c.cpuOpH)
 }
 
 func (c *TSOCCL1) removeLine(addr memsys.Addr, line *tsoL1Line) {
 	deferred := line.deferred
-	line.deferred = nil
 	c.array.Remove(addr)
-	for _, op := range deferred {
-		c.sim.ScheduleEvent(0, c.cpuOpH, op, 0)
-	}
+	deferred.replay(c.sim, c.cpuOpH)
 }
 
 func (c *TSOCCL1) satisfyPrimary(line *tsoL1Line) {
@@ -544,12 +513,12 @@ func (c *TSOCCL1) satisfyPrimary(line *tsoL1Line) {
 		return
 	}
 	line.primary = nil
-	switch op.kind {
-	case opLoad:
+	switch op.Kind {
+	case ReqLoad:
 		c.completeLoad(line, op, false)
-	case opStore:
+	case ReqStore:
 		c.performStore(line, op)
-	case opAtomic:
+	case ReqAtomic:
 		c.performAtomic(line, op)
 	}
 }

@@ -3,196 +3,210 @@ package coherence
 import (
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
-	"repro/internal/sim"
 )
 
-// tsoccL1Table is the complete TSO-CC L1 transition table.
-var tsoccL1Table map[tsoL1Key]tsoL1Handler
+// tsoccL1Table is the complete TSO-CC L1 transition table, a dense
+// [state][event] array filled once at package init (see mesiL1Table).
+var tsoccL1Table [len(tsoL1StateNames)][len(tsoL1EventNames)]tsoL1Handler
+
+// tsoccL1Keys is the table's vocabulary in (state, event) order.
+var tsoccL1Keys []internKey
 
 func init() {
-	tsoccL1Table = map[tsoL1Key]tsoL1Handler{
+	tsoccL1Table = [len(tsoL1StateNames)][len(tsoL1EventNames)]tsoL1Handler{
 		// ---- I ----------------------------------------------------
-		{tsoI, tLoad}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.misses++
-			x.line.state = tsoISD
-			x.line.primary = x.op
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
+		tsoI: {
+			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.misses++
+				x.line.state = tsoISD
+				x.line.primary = x.op
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
+			},
+			tStore:  tsoStartGetX,
+			tAtomic: tsoStartGetX,
+			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
+				// Stale fetch: our writeback already carried the data.
+			},
+			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {},
 		},
-		{tsoI, tStore}:  tsoStartGetX,
-		{tsoI, tAtomic}: tsoStartGetX,
-		{tsoI, tFetch}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			// Stale fetch: our writeback already carried the data.
-		},
-		{tsoI, tFetchInv}: func(c *TSOCCL1, x *tsoL1Ctx) {},
 
 		// ---- Sh ---------------------------------------------------
-		{tsoSH, tLoad}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			if x.line.readsLeft > 0 {
-				// Bounded shared read (max-reads rule).
-				x.line.readsLeft--
-				c.hits++
-				c.completeLoad(x.line, x.op, false)
-				return
-			}
-			// Read budget exhausted: re-fetch for eventual
-			// visibility. Dropping the bounded stale copy is an
-			// invalidation of that copy: speculatively-performed
-			// loads that used it must squash, because the refill
-			// may carry newer data while an older load is still
-			// outstanding (TSO R→R).
-			c.notify(x.addr)
-			c.misses++
-			x.line.state = tsoISD
-			x.line.primary = x.op
-			c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-				&Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
-		},
-		// A store upgrade also drops the bounded stale copy: the
-		// exclusive fill may carry newer data, so performed loads on
-		// the old copy must squash, like on the re-fetch path above.
-		{tsoSH, tStore}:  tsoUpgradeFromSH,
-		{tsoSH, tAtomic}: tsoUpgradeFromSH,
-		{tsoSH, tFlush}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			// Shared lines are untracked: drop silently. The LQ
-			// must still learn of the eviction.
-			c.notify(x.addr)
-			c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, x.op.doneCB, 0)
-			c.removeLine(x.addr, x.line)
-		},
-		{tsoSH, tReplace}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.notify(x.addr)
-			c.removeLine(x.addr, x.line)
-		},
-		{tsoSH, tFetchInv}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			// A fetch reaching a non-owner is stale by construction
-			// (the directory's generation has already resolved):
-			// invalidate the copy, send no ack — we are not the
-			// writer and must not fabricate timestamp metadata.
-			c.notify(x.addr)
-			c.removeLine(x.addr, x.line)
+		tsoSH: {
+			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
+				if x.line.readsLeft > 0 {
+					// Bounded shared read (max-reads rule).
+					x.line.readsLeft--
+					c.hits++
+					c.completeLoad(x.line, x.op, false)
+					return
+				}
+				// Read budget exhausted: re-fetch for eventual
+				// visibility. Dropping the bounded stale copy is an
+				// invalidation of that copy: speculatively-performed
+				// loads that used it must squash, because the refill
+				// may carry newer data while an older load is still
+				// outstanding (TSO R→R).
+				c.notify(x.addr)
+				c.misses++
+				x.line.state = tsoISD
+				x.line.primary = x.op
+				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+					Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
+			},
+			// A store upgrade also drops the bounded stale copy: the
+			// exclusive fill may carry newer data, so performed loads on
+			// the old copy must squash, like on the re-fetch path above.
+			tStore:  tsoUpgradeFromSH,
+			tAtomic: tsoUpgradeFromSH,
+			tFlush: func(c *TSOCCL1, x tsoL1Ctx) {
+				// Shared lines are untracked: drop silently. The LQ
+				// must still learn of the eviction.
+				c.notify(x.addr)
+				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.removeLine(x.addr, x.line)
+			},
+			tReplace: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.notify(x.addr)
+				c.removeLine(x.addr, x.line)
+			},
+			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {
+				// A fetch reaching a non-owner is stale by construction
+				// (the directory's generation has already resolved):
+				// invalidate the copy, send no ack — we are not the
+				// writer and must not fabricate timestamp metadata.
+				c.notify(x.addr)
+				c.removeLine(x.addr, x.line)
+			},
+			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {}, // defensive
 		},
 
 		// ---- Ex ---------------------------------------------------
-		{tsoEX, tLoad}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.hits++
-			c.completeLoad(x.line, x.op, false)
-		},
-		{tsoEX, tStore}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.hits++
-			c.performStore(x.line, x.op)
-		},
-		{tsoEX, tAtomic}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.hits++
-			c.performAtomic(x.line, x.op)
-		},
-		{tsoEX, tFlush}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.startWriteback(x)
-			c.notify(x.addr)
-			c.sim.ScheduleEvent(c.HitLatency, sim.InvokeUint64, x.op.doneCB, 0)
-		},
-		{tsoEX, tReplace}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.startWriteback(x)
-			c.notify(x.addr)
-		},
-		{tsoEX, tFetch}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			if x.msg.AckCount <= x.line.grantSeq {
-				return // stale: aimed at an earlier grant of this line
-			}
-			// Remote read: provide data and downgrade to Shared;
-			// the line stays valid, so the LQ needs no notice.
-			x.line.state = tsoSH
-			x.line.readsLeft = c.MaxReads
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
-				Type: MsgTFetchAck, Addr: x.addr, Data: &data,
-				Dirty: x.line.dirty, Writer: c.id,
-				Ts: x.line.wts, Epoch: x.line.wepoch,
-				AckCount: x.msg.AckCount,
-			})
-			x.line.dirty = false
-		},
-		{tsoEX, tFetchInv}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			if x.msg.AckCount <= x.line.grantSeq {
-				return // stale: aimed at an earlier grant of this line
-			}
-			// Ownership transfer or L2 eviction: full invalidation.
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
-				Type: MsgTFetchAck, Addr: x.addr, Data: &data,
-				Dirty: x.line.dirty, Writer: c.id,
-				Ts: x.line.wts, Epoch: x.line.wepoch,
-				AckCount: x.msg.AckCount,
-			})
-			c.notify(x.addr)
-			c.removeLine(x.addr, x.line)
+		tsoEX: {
+			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.hits++
+				c.completeLoad(x.line, x.op, false)
+			},
+			tStore: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.hits++
+				c.performStore(x.line, x.op)
+			},
+			tAtomic: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.hits++
+				c.performAtomic(x.line, x.op)
+			},
+			tFlush: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.startWriteback(x)
+				c.notify(x.addr)
+				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+			},
+			tReplace: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.startWriteback(x)
+				c.notify(x.addr)
+			},
+			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
+				if x.msg.AckCount <= x.line.grantSeq {
+					return // stale: aimed at an earlier grant of this line
+				}
+				// Remote read: provide data and downgrade to Shared;
+				// the line stays valid, so the LQ needs no notice.
+				x.line.state = tsoSH
+				x.line.readsLeft = c.MaxReads
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
+					Dirty: x.line.dirty, Writer: c.id,
+					Ts: x.line.wts, Epoch: x.line.wepoch,
+					AckCount: x.msg.AckCount,
+				})
+				x.line.dirty = false
+			},
+			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {
+				if x.msg.AckCount <= x.line.grantSeq {
+					return // stale: aimed at an earlier grant of this line
+				}
+				// Ownership transfer or L2 eviction: full invalidation.
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
+					Dirty: x.line.dirty, Writer: c.id,
+					Ts: x.line.wts, Epoch: x.line.wepoch,
+					AckCount: x.msg.AckCount,
+				})
+				c.notify(x.addr)
+				c.removeLine(x.addr, x.line)
+			},
 		},
 
 		// ---- ISD --------------------------------------------------
 		// Stale fetches (the L2 generation that sent them has already
 		// resolved through our writeback) may find the line
 		// re-allocated and fetching; they are dropped, like in state I.
-		{tsoISD, tFetch}:    func(c *TSOCCL1, x *tsoL1Ctx) {},
-		{tsoISD, tFetchInv}: func(c *TSOCCL1, x *tsoL1Ctx) {},
-		{tsoSH, tFetch}:     func(c *TSOCCL1, x *tsoL1Ctx) {}, // defensive
-		{tsoISD, tData}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			// The acquire rule: decide self-invalidation from the
-			// writer metadata before the load performs.
-			if c.decideSelfInvalidate(x.msg.Writer, x.msg.Epoch, x.msg.Ts) {
-				c.selfInvalidate()
-			}
-			x.line.data = *x.msg.Data
-			x.line.state = tsoSH
-			x.line.readsLeft = c.MaxReads - 1 // the primary load reads once
-			x.line.dirty = false
-			x.line.grantSeq = x.msg.AckCount
-			c.satisfyPrimary(x.line)
-			c.settle(x.line)
+		tsoISD: {
+			tFetch:    func(c *TSOCCL1, x tsoL1Ctx) {},
+			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {},
+			tData: func(c *TSOCCL1, x tsoL1Ctx) {
+				// The acquire rule: decide self-invalidation from the
+				// writer metadata before the load performs.
+				if c.decideSelfInvalidate(x.msg.Writer, x.msg.Epoch, x.msg.Ts) {
+					c.selfInvalidate()
+				}
+				x.line.data = x.msg.Data
+				x.line.state = tsoSH
+				x.line.readsLeft = c.MaxReads - 1 // the primary load reads once
+				x.line.dirty = false
+				x.line.grantSeq = x.msg.AckCount
+				c.satisfyPrimary(x.line)
+				c.settle(x.line)
+			},
 		},
 
 		// ---- IXD --------------------------------------------------
-		{tsoIXD, tDataEx}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			x.line.data = *x.msg.Data
-			x.line.state = tsoEX
-			x.line.dirty = false
-			x.line.grantSeq = x.msg.AckCount
-			c.satisfyPrimary(x.line)
-			c.settle(x.line)
-		},
-		{tsoIXD, tFetch}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			// The L2's fetch for a later request overtook our
-			// exclusive grant: retry shortly.
-			c.net.LocalDeliver(L1Node(c.id), interconnect.VNetForward, c.RetryDelay, x.msg)
-		},
-		{tsoIXD, tFetchInv}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.net.LocalDeliver(L1Node(c.id), interconnect.VNetForward, c.RetryDelay, x.msg)
+		tsoIXD: {
+			tDataEx: func(c *TSOCCL1, x tsoL1Ctx) {
+				x.line.data = x.msg.Data
+				x.line.state = tsoEX
+				x.line.dirty = false
+				x.line.grantSeq = x.msg.AckCount
+				c.satisfyPrimary(x.line)
+				c.settle(x.line)
+			},
+			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
+				// The L2's fetch for a later request overtook our
+				// exclusive grant: retry shortly.
+				c.net.LocalDeliver(L1Node(c.id), interconnect.VNetForward, c.RetryDelay, x.msg.requeue())
+			},
+			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.net.LocalDeliver(L1Node(c.id), interconnect.VNetForward, c.RetryDelay, x.msg.requeue())
+			},
 		},
 
 		// ---- WB_I -------------------------------------------------
-		{tsoWBI, tWBAck}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			c.removeLine(x.addr, x.line)
-		},
-		{tsoWBI, tFetch}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			// We still hold the data while the writeback is in
-			// flight; answer from the retained copy.
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
-				Type: MsgTFetchAck, Addr: x.addr, Data: &data,
-				Dirty: x.line.dirty, Writer: c.id,
-				Ts: x.line.wts, Epoch: x.line.wepoch,
-				AckCount: x.msg.AckCount,
-			})
-		},
-		{tsoWBI, tFetchInv}: func(c *TSOCCL1, x *tsoL1Ctx) {
-			data := x.line.data
-			c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
-				Type: MsgTFetchAck, Addr: x.addr, Data: &data,
-				Dirty: x.line.dirty, Writer: c.id,
-				Ts: x.line.wts, Epoch: x.line.wepoch,
-				AckCount: x.msg.AckCount,
-			})
+		tsoWBI: {
+			tWBAck: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.removeLine(x.addr, x.line)
+			},
+			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
+				// We still hold the data while the writeback is in
+				// flight; answer from the retained copy.
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
+					Dirty: x.line.dirty, Writer: c.id,
+					Ts: x.line.wts, Epoch: x.line.wepoch,
+					AckCount: x.msg.AckCount,
+				})
+			},
+			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
+					Dirty: x.line.dirty, Writer: c.id,
+					Ts: x.line.wts, Epoch: x.line.wepoch,
+					AckCount: x.msg.AckCount,
+				})
+			},
 		},
 	}
+
+	tsoccL1Keys = tableKeys(len(tsoL1StateNames), len(tsoL1EventNames),
+		func(s, e int) bool { return tsoccL1Table[s][e] != nil })
 }
 
 // notify forwards an invalidation/eviction of lineAddr to the LQ. Under
@@ -200,26 +214,25 @@ func init() {
 // remove *invalidations*, not notifications).
 func (c *TSOCCL1) notify(lineAddr memsys.Addr) { c.invalNotify(lineAddr) }
 
-func tsoStartGetX(c *TSOCCL1, x *tsoL1Ctx) {
+func tsoStartGetX(c *TSOCCL1, x tsoL1Ctx) {
 	c.misses++
 	x.line.state = tsoIXD
 	x.line.primary = x.op
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		&Msg{Type: MsgTGetX, Addr: x.addr, Requestor: c.id})
+		Msg{Type: MsgTGetX, Addr: x.addr, Requestor: c.id})
 }
 
-func tsoUpgradeFromSH(c *TSOCCL1, x *tsoL1Ctx) {
+func tsoUpgradeFromSH(c *TSOCCL1, x tsoL1Ctx) {
 	c.notify(x.addr)
 	tsoStartGetX(c, x)
 }
 
 // startWriteback moves an exclusive line into WB_I and sends the data
 // home with its write-time timestamp metadata.
-func (c *TSOCCL1) startWriteback(x *tsoL1Ctx) {
+func (c *TSOCCL1) startWriteback(x tsoL1Ctx) {
 	x.line.state = tsoWBI
-	data := x.line.data
-	c.send(c.homeTile(x.addr), interconnect.VNetRequest, &Msg{
-		Type: MsgTWB, Addr: x.addr, Data: &data, Dirty: x.line.dirty,
+	c.send(c.homeTile(x.addr), interconnect.VNetRequest, Msg{
+		Type: MsgTWB, Addr: x.addr, Data: x.line.data, Dirty: x.line.dirty,
 		Writer: c.id, Ts: x.line.wts, Epoch: x.line.wepoch,
 		Requestor: c.id,
 	})
@@ -228,15 +241,6 @@ func (c *TSOCCL1) startWriteback(x *tsoL1Ctx) {
 // TSOCCL1Transitions enumerates the TSO-CC L1 table plus the core-level
 // timestamp-reset transition.
 func TSOCCL1Transitions() []Transition {
-	out := make([]Transition, 0, len(tsoccL1Table)+1)
-	for k := range tsoccL1Table {
-		out = append(out, Transition{
-			Controller: "L1Cache",
-			State:      k.state.String(),
-			Event:      k.ev.String(),
-		})
-	}
-	out = append(out, Transition{Controller: "L1Cache", State: "core", Event: tTsReset.String()})
-	sortTransitions(out)
-	return out
+	return keyTransitions("L1Cache", tsoccL1Keys, tsoL1StateNames[:], tsoL1EventNames[:],
+		Transition{Controller: "L1Cache", State: "core", Event: tTsReset.String()})
 }

@@ -73,11 +73,15 @@ type TSOCCL2 struct {
 	array *Array[tsoL2Line]
 	sim   *sim.Sim
 	net   *interconnect.Network
+	msgs  *MsgPool
 	bugs  bugs.Set
 	cov   CoverageSink
 	// covRec is the interned coverage front end (see MESIL1).
 	covRec covRecorder
 	errs   ErrorSink
+	// absent stands in for the line of a message whose line is not
+	// present (see MESIL1).
+	absent tsoL2Line
 
 	AccessLatency sim.Tick
 	RecycleDelay  sim.Tick
@@ -96,6 +100,9 @@ type TSOCCL2Config struct {
 	Bugs            bugs.Set
 	Coverage        CoverageSink
 	Errors          ErrorSink
+	// Msgs is the machine's shared message pool; nil gives the
+	// controller a private one.
+	Msgs *MsgPool
 }
 
 // NewTSOCCL2 creates the tile and registers it on the network.
@@ -107,6 +114,7 @@ func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg TSOCCL2Config, row, c
 		array:         NewArray[tsoL2Line](sets, ways),
 		sim:           s,
 		net:           net,
+		msgs:          cfg.Msgs,
 		bugs:          cfg.Bugs,
 		cov:           cfg.Coverage,
 		errs:          cfg.Errors,
@@ -114,18 +122,16 @@ func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg TSOCCL2Config, row, c
 		RecycleDelay:  10,
 	}
 	c.processH = func(arg any, _ uint64) { c.process(arg.(*Msg)) }
+	if c.msgs == nil {
+		c.msgs = NewMsgPool()
+	}
 	if c.cov == nil {
 		c.cov = NopCoverage{}
 	}
 	if c.errs == nil {
 		c.errs = PanicErrors{}
 	}
-	keys := make([]internKey, 0, len(tsoccL2Table))
-	for k := range tsoccL2Table {
-		keys = append(keys, internKey{int(k.state), int(k.ev), k.state.String(), k.ev.String()})
-	}
-	sortInternKeys(keys)
-	c.covRec = newCovRecorder(c.cov, "L2Cache", len(tsoL2StateNames), len(tsoL2EventNames), keys)
+	c.covRec = newCovRecorder(c.cov, "L2Cache", tsoL2StateNames[:], tsoL2EventNames[:], tsoccL2Keys)
 	if err := net.Register(L2Node(cfg.Tile), c, row, col); err != nil {
 		return nil, err
 	}
@@ -151,7 +157,10 @@ func (c *TSOCCL2) Deliver(vnet interconnect.VNet, payload interface{}) {
 	}
 }
 
+// process runs one message through the state machine and releases it
+// (a recycled request stays in flight).
 func (c *TSOCCL2) process(msg *Msg) {
+	defer c.msgs.release(msg)
 	lineAddr := msg.Addr.LineAddr()
 	line, ok := c.array.Peek(lineAddr)
 	if !ok {
@@ -166,7 +175,8 @@ func (c *TSOCCL2) process(msg *Msg) {
 				return
 			}
 		default:
-			line = &tsoL2Line{state: tsoNP, owner: -1, writer: -1}
+			c.absent = tsoL2Line{state: tsoNP, owner: -1, writer: -1}
+			line = &c.absent
 		}
 	}
 	ev, ok := tsoL2MsgEvent(msg.Type)
@@ -195,9 +205,7 @@ func tsoL2MsgEvent(t MsgType) (tsoL2Event, bool) {
 
 func (c *TSOCCL2) allocate(lineAddr memsys.Addr) (*tsoL2Line, bool) {
 	if !c.array.HasFree(lineAddr) {
-		vAddr, vLine, ok := c.array.Victim(lineAddr, func(l *tsoL2Line) bool {
-			return l.state.stable()
-		})
+		vAddr, vLine, ok := c.array.Victim(lineAddr, tsoL2Evictable)
 		if !ok {
 			return nil, true
 		}
@@ -213,14 +221,11 @@ func (c *TSOCCL2) allocate(lineAddr memsys.Addr) (*tsoL2Line, bool) {
 	return line, false
 }
 
+func tsoL2Evictable(l *tsoL2Line) bool { return l.state.stable() }
+
 func (c *TSOCCL2) recycle(msg *Msg) {
 	c.recycles++
-	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg)
-}
-
-type tsoL2Key struct {
-	state tsoL2State
-	ev    tsoL2Event
+	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg.requeue())
 }
 
 type tsoL2Ctx struct {
@@ -229,11 +234,11 @@ type tsoL2Ctx struct {
 	msg  *Msg
 }
 
-type tsoL2Handler func(c *TSOCCL2, x *tsoL2Ctx)
+type tsoL2Handler func(c *TSOCCL2, x tsoL2Ctx)
 
 func (c *TSOCCL2) dispatch(ev tsoL2Event, addr memsys.Addr, line *tsoL2Line, msg *Msg) {
-	h, ok := tsoccL2Table[tsoL2Key{line.state, ev}]
-	if !ok {
+	h := tsoccL2Table[line.state][ev]
+	if h == nil {
 		c.errs.ProtocolError(&InvalidTransitionError{
 			Controller: "L2Cache",
 			State:      line.state.String(),
@@ -242,233 +247,244 @@ func (c *TSOCCL2) dispatch(ev tsoL2Event, addr memsys.Addr, line *tsoL2Line, msg
 		})
 		return
 	}
-	c.covRec.record(int(line.state), int(ev), line.state.String(), ev.String())
-	h(c, &tsoL2Ctx{addr: addr, line: line, msg: msg})
+	c.covRec.record(int(line.state), int(ev))
+	h(c, tsoL2Ctx{addr: addr, line: line, msg: msg})
 }
 
-func (c *TSOCCL2) send(dst interconnect.NodeID, vnet interconnect.VNet, m *Msg) {
+func (c *TSOCCL2) send(dst interconnect.NodeID, vnet interconnect.VNet, m Msg) {
 	m.Src = c.node()
-	c.net.Send(c.node(), dst, vnet, m)
+	c.net.Send(c.node(), dst, vnet, c.msgs.alloc(m))
 }
 
 // writeMem writes data and timestamp metadata back to memory so the
 // acquire rule keeps working across L2 evictions.
-func (c *TSOCCL2) writeMem(x *tsoL2Ctx) {
-	d := x.line.data
-	c.send(MemNode, interconnect.VNetRequest, &Msg{
-		Type: MsgMemWrite, Addr: x.addr, Data: &d,
+func (c *TSOCCL2) writeMem(x tsoL2Ctx) {
+	c.send(MemNode, interconnect.VNetRequest, Msg{
+		Type: MsgMemWrite, Addr: x.addr, Data: x.line.data,
 		Writer: x.line.writer, Ts: x.line.ts, Epoch: x.line.epoch,
 	})
 }
 
 // respondData sends a TData with the line's writer metadata.
-func (c *TSOCCL2) respondData(x *tsoL2Ctx, core int) {
-	data := x.line.data
-	c.send(L1Node(core), interconnect.VNetResponse, &Msg{
-		Type: MsgTData, Addr: x.addr, Data: &data,
+func (c *TSOCCL2) respondData(x tsoL2Ctx, core int) {
+	c.send(L1Node(core), interconnect.VNetResponse, Msg{
+		Type: MsgTData, Addr: x.addr, Data: x.line.data,
 		Writer: x.line.writer, Ts: x.line.ts, Epoch: x.line.epoch,
 		AckCount: x.line.fetchSeq,
 	})
 }
 
-func (c *TSOCCL2) respondDataEx(x *tsoL2Ctx, core int) {
-	data := x.line.data
-	c.send(L1Node(core), interconnect.VNetResponse, &Msg{
-		Type: MsgTDataEx, Addr: x.addr, Data: &data,
+func (c *TSOCCL2) respondDataEx(x tsoL2Ctx, core int) {
+	c.send(L1Node(core), interconnect.VNetResponse, Msg{
+		Type: MsgTDataEx, Addr: x.addr, Data: x.line.data,
 		AckCount: x.line.fetchSeq,
 	})
 }
 
 // absorb captures data and metadata from an owner's response.
-func (c *TSOCCL2) absorb(x *tsoL2Ctx) {
-	x.line.data = *x.msg.Data
+func (c *TSOCCL2) absorb(x tsoL2Ctx) {
+	x.line.data = x.msg.Data
 	x.line.dirty = x.line.dirty || x.msg.Dirty
 	x.line.writer = x.msg.Writer
 	x.line.ts = x.msg.Ts
 	x.line.epoch = x.msg.Epoch
 }
 
-// tsoccL2Table is the complete TSO-CC L2 transition table.
-var tsoccL2Table map[tsoL2Key]tsoL2Handler
+// tsoccL2Table is the complete TSO-CC L2 transition table, a dense
+// [state][event] array filled once at package init (see mesiL1Table).
+var tsoccL2Table [len(tsoL2StateNames)][len(tsoL2EventNames)]tsoL2Handler
+
+// tsoccL2Keys is the table's vocabulary in (state, event) order.
+var tsoccL2Keys []internKey
 
 func init() {
-	recycleReq := func(c *TSOCCL2, x *tsoL2Ctx) { c.recycle(x.msg) }
-	dropMsg := func(c *TSOCCL2, x *tsoL2Ctx) {}
+	recycleReq := func(c *TSOCCL2, x tsoL2Ctx) { c.recycle(x.msg) }
+	dropMsg := func(c *TSOCCL2, x tsoL2Ctx) {}
 
-	tsoccL2Table = map[tsoL2Key]tsoL2Handler{
+	tsoccL2Table = [len(tsoL2StateNames)][len(tsoL2EventNames)]tsoL2Handler{
 		// ---- NP ---------------------------------------------------
-		{tsoNP, tGetS}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			x.line.state = tsoIFS
-			x.line.reqCore = x.msg.Requestor
-			c.send(MemNode, interconnect.VNetRequest, &Msg{Type: MsgMemRead, Addr: x.addr})
+		tsoNP: {
+			tGetS: func(c *TSOCCL2, x tsoL2Ctx) {
+				x.line.state = tsoIFS
+				x.line.reqCore = x.msg.Requestor
+				c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: x.addr})
+			},
+			tGetX: func(c *TSOCCL2, x tsoL2Ctx) {
+				x.line.state = tsoIFX
+				x.line.reqCore = x.msg.Requestor
+				c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: x.addr})
+			},
+			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				// A writeback reaching an absent line is stale: the
+				// owner's data was already captured when its ownership
+				// generation resolved. Absorbing (or writing memory)
+				// here would overwrite newer data with older data.
+				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+			},
+			tFetchAck: dropMsg, // stale
 		},
-		{tsoNP, tGetX}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			x.line.state = tsoIFX
-			x.line.reqCore = x.msg.Requestor
-			c.send(MemNode, interconnect.VNetRequest, &Msg{Type: MsgMemRead, Addr: x.addr})
-		},
-		{tsoNP, tWB}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			// A writeback reaching an absent line is stale: the
-			// owner's data was already captured when its ownership
-			// generation resolved. Absorbing (or writing memory)
-			// here would overwrite newer data with older data.
-			c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-		},
-		{tsoNP, tFetchAck}: dropMsg, // stale
 
 		// ---- IFS --------------------------------------------------
-		{tsoIFS, tMemData}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			c.absorb(x)
-			x.line.dirty = false
-			x.line.state = tsoTV
-			c.respondData(x, x.line.reqCore)
+		tsoIFS: {
+			tMemData: func(c *TSOCCL2, x tsoL2Ctx) {
+				c.absorb(x)
+				x.line.dirty = false
+				x.line.state = tsoTV
+				c.respondData(x, x.line.reqCore)
+			},
+			tGetS:     recycleReq,
+			tGetX:     recycleReq,
+			tFetchAck: dropMsg, // stale ack from a closed fetch generation
 		},
-		{tsoIFS, tGetS}:     recycleReq,
-		{tsoIFS, tGetX}:     recycleReq,
-		{tsoIFS, tFetchAck}: dropMsg, // stale ack from a closed fetch generation
 
 		// ---- IFX --------------------------------------------------
-		{tsoIFX, tMemData}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			c.absorb(x)
-			x.line.dirty = false
-			x.line.owner = x.line.reqCore
-			x.line.state = tsoTX
-			c.respondDataEx(x, x.line.reqCore)
+		tsoIFX: {
+			tMemData: func(c *TSOCCL2, x tsoL2Ctx) {
+				c.absorb(x)
+				x.line.dirty = false
+				x.line.owner = x.line.reqCore
+				x.line.state = tsoTX
+				c.respondDataEx(x, x.line.reqCore)
+			},
+			tGetS:     recycleReq,
+			tGetX:     recycleReq,
+			tFetchAck: dropMsg, // stale ack from a closed fetch generation
 		},
-		{tsoIFX, tGetS}:     recycleReq,
-		{tsoIFX, tGetX}:     recycleReq,
-		{tsoIFX, tFetchAck}: dropMsg, // stale ack from a closed fetch generation
 
 		// ---- V ----------------------------------------------------
-		{tsoTV, tGetS}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			c.respondData(x, x.msg.Requestor)
-		},
-		{tsoTV, tGetX}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			x.line.owner = x.msg.Requestor
-			x.line.state = tsoTX
-			c.respondDataEx(x, x.msg.Requestor)
-		},
-		{tsoTV, tWB}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			// Stale writeback (the fetch-ack path already captured
-			// this data, and the line may have been rewritten by a
-			// newer owner since): ack without absorbing.
-			c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-		},
-		{tsoTV, tFetchAck}: dropMsg, // late ack after a WB race
-		{tsoTV, tL2Replace}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			if x.line.dirty {
-				c.writeMem(x)
-			}
-			c.array.Remove(x.addr)
+		tsoTV: {
+			tGetS: func(c *TSOCCL2, x tsoL2Ctx) {
+				c.respondData(x, x.msg.Requestor)
+			},
+			tGetX: func(c *TSOCCL2, x tsoL2Ctx) {
+				x.line.owner = x.msg.Requestor
+				x.line.state = tsoTX
+				c.respondDataEx(x, x.msg.Requestor)
+			},
+			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				// Stale writeback (the fetch-ack path already captured
+				// this data, and the line may have been rewritten by a
+				// newer owner since): ack without absorbing.
+				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+			},
+			tFetchAck: dropMsg, // late ack after a WB race
+			tL2Replace: func(c *TSOCCL2, x tsoL2Ctx) {
+				if x.line.dirty {
+					c.writeMem(x)
+				}
+				c.array.Remove(x.addr)
+			},
 		},
 
 		// ---- X ----------------------------------------------------
-		{tsoTX, tGetS}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			x.line.state = tsoFO
-			x.line.reqCore = x.msg.Requestor
-			x.line.fetchSeq++
-			c.send(L1Node(x.line.owner), interconnect.VNetForward,
-				&Msg{Type: MsgTFetch, Addr: x.addr, AckCount: x.line.fetchSeq})
-		},
-		{tsoTX, tGetX}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			x.line.state = tsoFOX
-			x.line.reqCore = x.msg.Requestor
-			x.line.fetchSeq++
-			c.send(L1Node(x.line.owner), interconnect.VNetForward,
-				&Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
-		},
-		{tsoTX, tWB}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			if x.msg.Src != L1Node(x.line.owner) {
-				c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-				return
-			}
-			c.absorb(x)
-			x.line.owner = -1
-			x.line.state = tsoTV
-			c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-		},
-		{tsoTX, tFetchAck}: dropMsg, // late ack after a WB race
-		{tsoTX, tL2Replace}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			x.line.state = tsoFOI
-			x.line.fetchSeq++
-			c.send(L1Node(x.line.owner), interconnect.VNetForward,
-				&Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
+		tsoTX: {
+			tGetS: func(c *TSOCCL2, x tsoL2Ctx) {
+				x.line.state = tsoFO
+				x.line.reqCore = x.msg.Requestor
+				x.line.fetchSeq++
+				c.send(L1Node(x.line.owner), interconnect.VNetForward,
+					Msg{Type: MsgTFetch, Addr: x.addr, AckCount: x.line.fetchSeq})
+			},
+			tGetX: func(c *TSOCCL2, x tsoL2Ctx) {
+				x.line.state = tsoFOX
+				x.line.reqCore = x.msg.Requestor
+				x.line.fetchSeq++
+				c.send(L1Node(x.line.owner), interconnect.VNetForward,
+					Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
+			},
+			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				if x.msg.Src != L1Node(x.line.owner) {
+					c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+					return
+				}
+				c.absorb(x)
+				x.line.owner = -1
+				x.line.state = tsoTV
+				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+			},
+			tFetchAck: dropMsg, // late ack after a WB race
+			tL2Replace: func(c *TSOCCL2, x tsoL2Ctx) {
+				x.line.state = tsoFOI
+				x.line.fetchSeq++
+				c.send(L1Node(x.line.owner), interconnect.VNetForward,
+					Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
+			},
 		},
 
 		// ---- FO (owner fetch for GetS) ----------------------------
-		{tsoFO, tFetchAck}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			if x.msg.AckCount != x.line.fetchSeq {
-				return // stale generation
-			}
-			c.absorb(x)
-			x.line.owner = -1
-			x.line.state = tsoTV
-			c.respondData(x, x.line.reqCore)
+		tsoFO: {
+			tFetchAck: func(c *TSOCCL2, x tsoL2Ctx) {
+				if x.msg.AckCount != x.line.fetchSeq {
+					return // stale generation
+				}
+				c.absorb(x)
+				x.line.owner = -1
+				x.line.state = tsoTV
+				c.respondData(x, x.line.reqCore)
+			},
+			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				// The owner replaced the line while our fetch was in
+				// flight; its writeback doubles as the fetch response.
+				c.absorb(x)
+				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+				x.line.owner = -1
+				x.line.state = tsoTV
+				c.respondData(x, x.line.reqCore)
+			},
+			tGetS: recycleReq,
+			tGetX: recycleReq,
 		},
-		{tsoFO, tWB}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			// The owner replaced the line while our fetch was in
-			// flight; its writeback doubles as the fetch response.
-			c.absorb(x)
-			c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-			x.line.owner = -1
-			x.line.state = tsoTV
-			c.respondData(x, x.line.reqCore)
-		},
-		{tsoFO, tGetS}: recycleReq,
-		{tsoFO, tGetX}: recycleReq,
 
 		// ---- FOX (owner fetch for GetX) ---------------------------
-		{tsoFOX, tFetchAck}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			if x.msg.AckCount != x.line.fetchSeq {
-				return // stale generation
-			}
-			c.absorb(x)
-			x.line.owner = x.line.reqCore
-			x.line.state = tsoTX
-			c.respondDataEx(x, x.line.reqCore)
+		tsoFOX: {
+			tFetchAck: func(c *TSOCCL2, x tsoL2Ctx) {
+				if x.msg.AckCount != x.line.fetchSeq {
+					return // stale generation
+				}
+				c.absorb(x)
+				x.line.owner = x.line.reqCore
+				x.line.state = tsoTX
+				c.respondDataEx(x, x.line.reqCore)
+			},
+			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				c.absorb(x)
+				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+				x.line.owner = x.line.reqCore
+				x.line.state = tsoTX
+				c.respondDataEx(x, x.line.reqCore)
+			},
+			tGetS: recycleReq,
+			tGetX: recycleReq,
 		},
-		{tsoFOX, tWB}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			c.absorb(x)
-			c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-			x.line.owner = x.line.reqCore
-			x.line.state = tsoTX
-			c.respondDataEx(x, x.line.reqCore)
-		},
-		{tsoFOX, tGetS}: recycleReq,
-		{tsoFOX, tGetX}: recycleReq,
 
 		// ---- FO_I (owner fetch for L2 eviction) -------------------
-		{tsoFOI, tFetchAck}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			if x.msg.AckCount != x.line.fetchSeq {
-				return // stale generation
-			}
-			c.absorb(x)
-			c.writeMem(x)
-			c.array.Remove(x.addr)
+		tsoFOI: {
+			tFetchAck: func(c *TSOCCL2, x tsoL2Ctx) {
+				if x.msg.AckCount != x.line.fetchSeq {
+					return // stale generation
+				}
+				c.absorb(x)
+				c.writeMem(x)
+				c.array.Remove(x.addr)
+			},
+			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				c.absorb(x)
+				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+				c.writeMem(x)
+				c.array.Remove(x.addr)
+			},
+			tGetS: recycleReq,
+			tGetX: recycleReq,
 		},
-		{tsoFOI, tWB}: func(c *TSOCCL2, x *tsoL2Ctx) {
-			c.absorb(x)
-			c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
-			c.writeMem(x)
-			c.array.Remove(x.addr)
-		},
-		{tsoFOI, tGetS}: recycleReq,
-		{tsoFOI, tGetX}: recycleReq,
 	}
+
+	tsoccL2Keys = tableKeys(len(tsoL2StateNames), len(tsoL2EventNames),
+		func(s, e int) bool { return tsoccL2Table[s][e] != nil })
 }
 
 // TSOCCL2Transitions enumerates the TSO-CC L2 transition table.
 func TSOCCL2Transitions() []Transition {
-	out := make([]Transition, 0, len(tsoccL2Table))
-	for k := range tsoccL2Table {
-		out = append(out, Transition{
-			Controller: "L2Cache",
-			State:      k.state.String(),
-			Event:      k.ev.String(),
-		})
-	}
-	sortTransitions(out)
-	return out
+	return keyTransitions("L2Cache", tsoccL2Keys, tsoL2StateNames[:], tsoL2EventNames[:])
 }
 
 // TSOCCTransitions enumerates the full TSO-CC transition table, the

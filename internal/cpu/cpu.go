@@ -176,8 +176,19 @@ type Core struct {
 	// advanceH is the core's pre-bound hot callback: every delay-0
 	// re-schedule and barrier release dispatches through it on the
 	// kernel's zero-alloc path (the pre-wheel code built a fresh
-	// method-value closure per schedule).
+	// method-value closure per schedule). timerH completes the two
+	// core-internal timed operations, forwarded loads and OpDelay.
 	advanceH sim.Handler
+	timerH   sim.Handler
+
+	// reqFree recycles the records of in-flight operations — L1 requests
+	// and the core's own timers. A record carries its program slot and
+	// the generations that void a completion arriving after a squash or
+	// a program reload, and returns here when its completion fires. A
+	// free list rather than one record per slot: a squashed load's
+	// request is still inside the L1 when its slot re-issues. Records of
+	// operations that never complete (a wedged run) are dropped.
+	reqFree []*coherence.Request
 
 	committed uint64
 	squashes  uint64
@@ -191,6 +202,7 @@ func New(id int, s *sim.Sim, l1 coherence.CacheL1, cfg Config, obs Observer) *Co
 	}
 	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, obs: obs, done: true}
 	c.advanceH = func(any, uint64) { c.advance() }
+	c.timerH = func(arg any, _ uint64) { c.timerDone(arg.(*coherence.Request)) }
 	l1.SetInvalListener(c.onInvalidation)
 	return c
 }
@@ -210,7 +222,14 @@ func (c *Core) Squashes() uint64 { return c.squashes }
 func (c *Core) Load(prog testgen.Program) {
 	c.prog = prog
 	c.progGen++
-	c.status = make([]instState, len(prog))
+	if cap(c.status) < len(prog) {
+		c.status = make([]instState, len(prog))
+	} else {
+		// Stale completions check progGen before they index status, so
+		// the previous program's slots can be reused.
+		c.status = c.status[:len(prog)]
+		clear(c.status)
+	}
 	c.nextCommit = 0
 	c.outLoads = 0
 	c.sb = c.sb[:0]
@@ -340,54 +359,139 @@ func (c *Core) depReady(idx int) bool {
 	return c.status[dep].performed
 }
 
+// newReq takes a record from the free list for the operation at program
+// slot idx. gen is the slot's squash generation (the store buffer
+// passes the sub-event number instead: stores are never squashed).
+func (c *Core) newReq(idx int, gen uint32, val uint64) *coherence.Request {
+	var r *coherence.Request
+	if n := len(c.reqFree); n > 0 {
+		r = c.reqFree[n-1]
+		c.reqFree = c.reqFree[:n-1]
+	} else {
+		r = &coherence.Request{Done: c.l1Done}
+	}
+	r.Val = val
+	r.Tag, r.Aux = uint64(idx)<<32|uint64(gen), c.progGen
+	return r
+}
+
+// issue sends the operation at slot idx to the L1.
+func (c *Core) issue(kind coherence.ReqKind, idx int, gen uint32, addr memsys.Addr, val uint64) {
+	r := c.newReq(idx, gen, val)
+	r.Kind, r.Addr = kind, addr
+	c.l1.Issue(r)
+}
+
+// after completes slot idx with val through timerDone, delay ticks on.
+func (c *Core) after(delay sim.Tick, idx int, gen uint32, val uint64) {
+	c.sim.ScheduleEvent(delay, c.timerH, c.newReq(idx, gen, val), 0)
+}
+
+// freeReq recycles a completed record and reports its slot, its
+// generation word, and whether the completion is still current: false
+// means it belongs to a program that has since been replaced (e.g. a
+// squashed load's L1 response landing after the next iteration's program
+// was installed).
+func (c *Core) freeReq(r *coherence.Request) (idx int, gen uint32, current bool) {
+	idx, gen, current = int(r.Tag>>32), uint32(r.Tag), r.Aux == c.progGen
+	c.reqFree = append(c.reqFree, r)
+	return
+}
+
 // issueLoad sends one load to the L1 (or forwards from an older store).
 func (c *Core) issueLoad(idx int) {
 	st := &c.status[idx]
 	st.issued = true
-	pg := c.progGen
 	if val, ok := c.forwardSource(idx); ok {
 		st.forwarded = true
-		gen := st.gen
-		c.sim.Schedule(1, func() {
-			if c.progGen != pg || c.status[idx].gen != gen {
-				return
-			}
-			c.status[idx].performed = true
-			c.status[idx].val = val
-			c.schedule()
-		})
+		c.after(1, idx, st.gen, val)
 		return
 	}
 	c.outLoads++
-	gen := st.gen
-	addr := c.prog[idx].Addr
-	c.l1.Load(addr, func(val uint64, invalidated bool) {
-		if c.progGen != pg || c.status[idx].gen != gen {
-			return // squashed or reloaded while in flight
-		}
-		c.outLoads--
-		st := &c.status[idx]
-		st.performed = true
+	c.issue(coherence.ReqLoad, idx, st.gen, c.prog[idx].Addr, 0)
+}
+
+// timerDone completes the core's own timed operations: a forwarded load
+// (the record carries the forwarded value) and an OpDelay.
+func (c *Core) timerDone(r *coherence.Request) {
+	val := r.Val
+	idx, gen, current := c.freeReq(r)
+	if !current || c.status[idx].gen != gen {
+		return
+	}
+	c.status[idx].performed = true
+	c.status[idx].val = val
+	c.schedule()
+}
+
+// l1Done is the completion callback of every L1 request.
+func (c *Core) l1Done(r *coherence.Request, val uint64, invalidated bool) {
+	kind, addr, wval := r.Kind, r.Addr, r.Val
+	idx, gen, current := c.freeReq(r)
+	if !current {
+		return
+	}
+	if kind == coherence.ReqStore {
+		c.storeDone(idx, int(gen), addr, wval)
+		return
+	}
+	st := &c.status[idx]
+	if st.gen != gen {
+		return // squashed while in flight
+	}
+	st.performed = true
+	switch kind {
+	case coherence.ReqLoad:
+		c.loadDone(idx, val, invalidated)
+	case coherence.ReqAtomic:
 		st.val = val
-		if invalidated && !c.squashDisabled() {
-			// The fill arrived with a pending invalidation (IS_I):
-			// the data predates the invalidation, and a fence or an
-			// older operation may already have completed after the
-			// data left the coherence point — retry unconditionally.
-			st.violated = true
-		}
-		if idx == c.nextCommit && !st.violated {
-			// The load is the oldest uncommitted instruction and its
-			// value was captured synchronously by the cache: commit
-			// immediately, leaving no window for an invalidation to
-			// arrive between capture and commit. This is the
-			// non-speculative at-retirement load that guarantees
-			// forward progress under heavy invalidation traffic.
-			c.advance()
-			return
-		}
+		c.obs.WriteSerialized(c.id, idx, 1, addr, wval)
 		c.schedule()
-	})
+	case coherence.ReqFlush:
+		c.flushBusy = false
+		c.schedule()
+	}
+}
+
+// loadDone records a load the L1 just performed.
+func (c *Core) loadDone(idx int, val uint64, invalidated bool) {
+	c.outLoads--
+	st := &c.status[idx]
+	st.val = val
+	if invalidated && !c.squashDisabled() {
+		// The fill arrived with a pending invalidation (IS_I):
+		// the data predates the invalidation, and a fence or an
+		// older operation may already have completed after the
+		// data left the coherence point — retry unconditionally.
+		st.violated = true
+	}
+	if idx == c.nextCommit && !st.violated {
+		// The load is the oldest uncommitted instruction and its
+		// value was captured synchronously by the cache: commit
+		// immediately, leaving no window for an invalidation to
+		// arrive between capture and commit. This is the
+		// non-speculative at-retirement load that guarantees
+		// forward progress under heavy invalidation traffic.
+		c.advance()
+		return
+	}
+	c.schedule()
+}
+
+// storeDone retires the store-buffer entry of (instr, sub): the store
+// reached its coherence point, so it is no longer a legal forwarding
+// source.
+func (c *Core) storeDone(instr, sub int, addr memsys.Addr, val uint64) {
+	c.status[instr].performed = true
+	c.obs.WriteSerialized(c.id, instr, sub, addr, val)
+	c.sbDrains--
+	for k := range c.sb {
+		if c.sb[k].instr == instr && c.sb[k].sub == sub {
+			c.sb = append(c.sb[:k], c.sb[k+1:]...)
+			break
+		}
+	}
+	c.schedule()
 }
 
 // loadStalled reports whether load j must wait before issuing, under the
@@ -499,25 +603,7 @@ func (c *Core) drainSB() {
 		}
 		e.draining = true
 		c.sbDrains++
-		instr, sub, addr, val := e.instr, e.sub, e.addr, e.val
-		pg := c.progGen
-		c.l1.Store(addr, val, func() {
-			if c.progGen != pg {
-				return
-			}
-			// The store reached its coherence point: it is no longer
-			// a legal forwarding source.
-			c.status[instr].performed = true
-			c.obs.WriteSerialized(c.id, instr, sub, addr, val)
-			c.sbDrains--
-			for k := range c.sb {
-				if c.sb[k].instr == instr && c.sb[k].sub == sub {
-					c.sb = append(c.sb[:k], c.sb[k+1:]...)
-					break
-				}
-			}
-			c.schedule()
-		})
+		c.issue(coherence.ReqStore, e.instr, uint32(e.sub), e.addr, e.val)
 		if !bugOOO && !relaxOOO {
 			return
 		}
@@ -630,19 +716,7 @@ func (c *Core) commitHead() bool {
 		}
 		if !st.issued {
 			st.issued = true
-			gen := st.gen
-			pg := c.progGen
-			newVal := in.WriteID
-			addr, instr := in.Addr, idx
-			c.l1.Atomic(in.Addr, func(old uint64) uint64 { return newVal }, func(old uint64) {
-				if c.progGen != pg || c.status[instr].gen != gen {
-					return
-				}
-				c.status[instr].performed = true
-				c.status[instr].val = old
-				c.obs.WriteSerialized(c.id, instr, 1, addr, newVal)
-				c.schedule()
-			})
+			c.issue(coherence.ReqAtomic, idx, st.gen, in.Addr, in.WriteID)
 			return false
 		}
 		if !st.performed {
@@ -662,16 +736,7 @@ func (c *Core) commitHead() bool {
 		if !st.issued {
 			st.issued = true
 			c.flushBusy = true
-			gen := st.gen
-			pg := c.progGen
-			c.l1.Flush(in.Addr, func() {
-				if c.progGen != pg || c.status[idx].gen != gen {
-					return
-				}
-				c.status[idx].performed = true
-				c.flushBusy = false
-				c.schedule()
-			})
+			c.issue(coherence.ReqFlush, idx, st.gen, in.Addr, 0)
 			return false
 		}
 		if !st.performed {
@@ -684,16 +749,7 @@ func (c *Core) commitHead() bool {
 	case testgen.OpDelay:
 		if !st.issued {
 			st.issued = true
-			delay := sim.Tick(in.Delay)
-			gen := st.gen
-			pg := c.progGen
-			c.sim.Schedule(delay, func() {
-				if c.progGen != pg || c.status[idx].gen != gen {
-					return
-				}
-				c.status[idx].performed = true
-				c.schedule()
-			})
+			c.after(sim.Tick(in.Delay), idx, st.gen, 0)
 			return false
 		}
 		if !st.performed {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bugs"
+	"repro/internal/coherence"
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
 	"repro/internal/sim"
@@ -41,36 +42,35 @@ func (f *fakeL1) lat(a memsys.Addr) sim.Tick {
 	return 3
 }
 
-func (f *fakeL1) Load(addr memsys.Addr, cb func(uint64, bool)) {
-	f.loads++
-	a := addr.WordAddr()
-	f.s.Schedule(f.lat(addr), func() { cb(f.mem[a], false) })
-}
+func after(s *sim.Sim, d sim.Tick, fn func()) { s.ScheduleEvent(d, sim.InvokeFunc, fn, 0) }
 
-func (f *fakeL1) Store(addr memsys.Addr, val uint64, cb func()) {
-	f.stores++
-	a := addr.WordAddr()
-	f.s.Schedule(f.storeLat, func() {
-		f.mem[a] = val
-		f.serializeLog = append(f.serializeLog, val)
-		cb()
-	})
-}
-
-func (f *fakeL1) Atomic(addr memsys.Addr, apply func(uint64) uint64, cb func(uint64)) {
-	f.atomics++
-	a := addr.WordAddr()
-	f.s.Schedule(f.storeLat, func() {
-		old := f.mem[a]
-		f.mem[a] = apply(old)
-		f.serializeLog = append(f.serializeLog, f.mem[a])
-		cb(old)
-	})
-}
-
-func (f *fakeL1) Flush(addr memsys.Addr, cb func()) {
-	f.flushes++
-	f.s.Schedule(3, func() { cb() })
+func (f *fakeL1) Issue(r *coherence.Request) {
+	a := r.Addr.WordAddr()
+	switch r.Kind {
+	case coherence.ReqLoad:
+		f.loads++
+		after(f.s, f.lat(r.Addr), func() { r.Done(r, f.mem[a], false) })
+	case coherence.ReqStore:
+		f.stores++
+		val := r.Val
+		after(f.s, f.storeLat, func() {
+			f.mem[a] = val
+			f.serializeLog = append(f.serializeLog, val)
+			r.Done(r, 0, false)
+		})
+	case coherence.ReqAtomic:
+		f.atomics++
+		val := r.Val
+		after(f.s, f.storeLat, func() {
+			old := f.mem[a]
+			f.mem[a] = val
+			f.serializeLog = append(f.serializeLog, val)
+			r.Done(r, old, false)
+		})
+	case coherence.ReqFlush:
+		f.flushes++
+		after(f.s, 3, func() { r.Done(r, 0, false) })
+	}
 }
 
 func (f *fakeL1) SetInvalListener(fn func(memsys.Addr)) { f.notify = fn }
@@ -233,7 +233,7 @@ func TestInvalidationSquashesSpeculativeLoad(t *testing.T) {
 	c.Start(0, func() { done = true })
 	// At tick 100 (younger performed, older still pending), the value
 	// changes and the line is invalidated.
-	s.Schedule(100, func() {
+	after(s, 100, func() {
 		l1.mem[0x2000] = 20
 		l1.notify(memsys.Addr(0x2000).LineAddr())
 	})
@@ -265,7 +265,7 @@ func TestLQNoTSOBugSkipsSquash(t *testing.T) {
 	c.Load(prog)
 	done := false
 	c.Start(0, func() { done = true })
-	s.Schedule(100, func() {
+	after(s, 100, func() {
 		l1.mem[0x2000] = 20
 		l1.notify(memsys.Addr(0x2000).LineAddr())
 	})
@@ -355,9 +355,6 @@ func TestAddressDependencyDelaysIssue(t *testing.T) {
 	l1 := newFakeL1(s)
 	l1.loadLat[0x1000] = 100
 	l1.loadLat[0x2000] = 2
-	issueTick := map[memsys.Addr]sim.Tick{}
-	origLoad := l1.Load
-	_ = origLoad
 	obs := &events{}
 	c := New(0, s, l1, DefaultConfig(), obs)
 	c.Load(prog)
@@ -368,7 +365,6 @@ func TestAddressDependencyDelaysIssue(t *testing.T) {
 	if err := s.RunUntil(func() bool { return done }, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	_ = issueTick
 	if l1.loads != 2 {
 		t.Fatalf("loads = %d", l1.loads)
 	}
@@ -424,7 +420,7 @@ func TestProgramReloadIsolatesCallbacks(t *testing.T) {
 	c.Load(testgen.Program{read(0x1000), read(0x2000)})
 	done := false
 	c.Start(0, func() { done = true })
-	s.Schedule(10, func() { l1.notify(memsys.Addr(0x2000).LineAddr()) })
+	after(s, 10, func() { l1.notify(memsys.Addr(0x2000).LineAddr()) })
 	if err := s.RunUntil(func() bool { return done }, 1_000_000); err != nil {
 		t.Fatal(err)
 	}

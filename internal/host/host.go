@@ -214,11 +214,11 @@ func (h *Host) barrierOffsets() []sim.Tick {
 	return offs
 }
 
-// ResetTestMem implements reset_test_mem (Table 1): zero the test
-// memory and flush all cache levels. Must run at quiescence.
-func (h *Host) ResetTestMem(layout memsys.Layout) {
+// resetTestMem implements reset_test_mem (Table 1): zero the test
+// memory's lines and flush all cache levels. Must run at quiescence.
+func (h *Host) resetTestMem(lines []memsys.Addr) {
 	h.m.ResetCaches()
-	h.m.ZeroTestMemory(layout)
+	h.m.ZeroTestMemory(lines)
 }
 
 // RunTest executes one complete test-run per Algorithm 2: compile the
@@ -269,7 +269,8 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 	var res RunResult
 
 	h.rec.ResetAll()
-	h.ResetTestMem(t.Layout)
+	lines := t.Layout.Lines()
+	h.resetTestMem(lines)
 
 	for iter := 0; iter < h.opts.Iterations; iter++ {
 		if h.opts.Barrier == GuestBarrier {
@@ -326,11 +327,11 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 			res.Violation = &Violation{Source: SourceChecker, Err: v}
 			break
 		}
-		// ResetTestMem is deliberately not lapped: the reset is sim-phase
+		// resetTestMem is deliberately not lapped: the reset is sim-phase
 		// work and the next iteration's sim lap absorbs it, saving one
 		// clock read per iteration (the final iteration's reset goes
 		// unattributed — it is a memset, not a measurement target).
-		h.ResetTestMem(t.Layout)
+		h.resetTestMem(lines)
 	}
 
 	res.NDT = h.rec.NDT()

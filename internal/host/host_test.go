@@ -225,3 +225,31 @@ func TestRunResultFields(t *testing.T) {
 		t.Error("FitAddrs nil")
 	}
 }
+
+// TestRunTestAllocationBudget guards the simulator access path: cache
+// lines, coherence messages, L1 requests, the recorder's tables and the
+// execution object are all reused, so a steady-state test-run's
+// allocations come from what is built per run (the compiled programs,
+// the line list, FitAddrs) and from the checker — a few hundred objects,
+// where one heap object per message, request and transition used to
+// make it tens of thousands.
+func TestRunTestAllocationBudget(t *testing.T) {
+	for _, proto := range []machine.Protocol{machine.MESI, machine.TSOCC} {
+		t.Run(string(proto), func(t *testing.T) {
+			h := build(t, proto, bugs.Set{}, 5, Options{Iterations: 5, Barrier: HostBarrier, MaxTicksPerIteration: 30_000_000})
+			tst := randomTest(t, 9, 256, 8, memsys.MustLayout(1024, 16))
+			run := func() {
+				res, err := h.RunTest(tst)
+				if err != nil || res.Violation != nil {
+					t.Fatalf("run failed: %v %v", err, res.Violation)
+				}
+			}
+			run() // pools, sets and tables reach their steady size
+			run()
+			const budget = 1000 // measured: about 320
+			if n := testing.AllocsPerRun(5, run); n > budget {
+				t.Fatalf("a test-run allocates %.0f objects, budget %d", n, budget)
+			}
+		})
+	}
+}

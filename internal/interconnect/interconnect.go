@@ -91,6 +91,9 @@ func DefaultConfig() Config {
 type node struct {
 	handler  Handler
 	row, col int
+	// idx is the node's dense index, assigned in registration order; it
+	// addresses the channel table.
+	idx int
 	// sink is the node's pre-bound delivery callback for the kernel's
 	// zero-alloc path: the payload travels as the event's arg (a
 	// pointer, so no boxing) and the virtual network as its aux word,
@@ -98,31 +101,36 @@ type node struct {
 	sink sim.Handler
 }
 
-type chanKey struct {
-	src, dst NodeID
-	vnet     VNet
-}
-
 // Network is the mesh. Not safe for concurrent use; the simulation is
 // single-threaded by design.
 type Network struct {
-	sim   *sim.Sim
-	cfg   Config
-	nodes map[NodeID]*node
-	// lastArrival enforces per-channel FIFO delivery.
-	lastArrival map[chanKey]sim.Tick
+	sim *sim.Sim
+	cfg Config
+	// nodes is indexed by NodeID (nil = unregistered); count is the
+	// number of registered nodes.
+	nodes []*node
+	count int
+	// nextFree enforces per-channel FIFO delivery: for the channel
+	// (src, dst, vnet) — flat index (src.idx*count+dst.idx)*NumVNets+vnet
+	// — it holds the tick after the channel's last arrival, the earliest
+	// tick the next message may arrive unclamped. Zero means no message
+	// yet, which is also right at tick 0: nothing is earlier than it.
+	nextFree []sim.Tick
 	// sent counts messages per vnet for statistics.
 	sent [NumVNets]uint64
 }
 
 // New returns an empty network on the given simulator.
 func New(s *sim.Sim, cfg Config) *Network {
-	return &Network{
-		sim:         s,
-		cfg:         cfg,
-		nodes:       make(map[NodeID]*node),
-		lastArrival: make(map[chanKey]sim.Tick),
+	return &Network{sim: s, cfg: cfg}
+}
+
+// node returns the registered node id, or nil.
+func (n *Network) node(id NodeID) *node {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
 	}
+	return n.nodes[id]
 }
 
 // Register attaches a handler at mesh position (row, col). Multiple
@@ -131,19 +139,37 @@ func (n *Network) Register(id NodeID, h Handler, row, col int) error {
 	if row < 0 || row >= n.cfg.Rows || col < 0 || col >= n.cfg.Cols {
 		return fmt.Errorf("interconnect: position (%d,%d) outside %dx%d mesh", row, col, n.cfg.Rows, n.cfg.Cols)
 	}
-	if _, dup := n.nodes[id]; dup {
+	if id < 0 {
+		return fmt.Errorf("interconnect: negative node id %d", id)
+	}
+	if n.node(id) != nil {
 		return fmt.Errorf("interconnect: node %d already registered", id)
 	}
+	for int(id) >= len(n.nodes) {
+		n.nodes = append(n.nodes, nil)
+	}
 	n.nodes[id] = &node{
-		handler: h, row: row, col: col,
+		handler: h, row: row, col: col, idx: n.count,
 		sink: func(payload any, aux uint64) { h.Deliver(VNet(aux), payload) },
+	}
+	// Re-lay the channel table out for the wider stride, keeping the
+	// FIFO state of channels already in use.
+	old, oldRow := n.nextFree, n.count*int(NumVNets)
+	n.count++
+	newRow := n.count * int(NumVNets)
+	n.nextFree = make([]sim.Tick, n.count*newRow)
+	for src := 0; src*oldRow < len(old); src++ {
+		copy(n.nextFree[src*newRow:], old[src*oldRow:(src+1)*oldRow])
 	}
 	return nil
 }
 
 // Hops returns the Manhattan distance between two registered nodes.
 func (n *Network) Hops(src, dst NodeID) int {
-	a, b := n.nodes[src], n.nodes[dst]
+	return hops(n.node(src), n.node(dst))
+}
+
+func hops(a, b *node) int {
 	dr, dc := a.row-b.row, a.col-b.col
 	if dr < 0 {
 		dr = -dr
@@ -162,24 +188,21 @@ func (n *Network) Sent(v VNet) uint64 { return n.sent[v] }
 // stay FIFO. Messages on different channels (different endpoints or
 // vnets) may be reordered freely — the race surface.
 func (n *Network) Send(src, dst NodeID, vnet VNet, payload interface{}) {
-	to, ok := n.nodes[dst]
-	if !ok {
+	from, to := n.node(src), n.node(dst)
+	if to == nil {
 		panic(fmt.Sprintf("interconnect: send to unregistered node %d", dst))
 	}
-	hops := n.Hops(src, dst)
-	lat := n.cfg.RouterLatency*sim.Tick(hops+1) + n.cfg.LinkLatency*sim.Tick(hops)
+	h := hops(from, to)
+	lat := n.cfg.RouterLatency*sim.Tick(h+1) + n.cfg.LinkLatency*sim.Tick(h)
 	if n.cfg.JitterMax > 0 {
 		lat += sim.Tick(n.sim.Rand().Int63n(int64(n.cfg.JitterMax) + 1))
 	}
 	arrive := n.sim.Now() + lat
-	key := chanKey{src, dst, vnet}
-	if last, ok := n.lastArrival[key]; ok && arrive <= last {
-		arrive = last + 1
-		if n.cfg.CongestionWindow > 0 {
-			arrive += n.cfg.CongestionWindow
-		}
+	free := &n.nextFree[(from.idx*n.count+to.idx)*int(NumVNets)+int(vnet)]
+	if arrive < *free {
+		arrive = *free + n.cfg.CongestionWindow
 	}
-	n.lastArrival[key] = arrive
+	*free = arrive + 1
 	n.sent[vnet]++
 	n.sim.ScheduleEvent(arrive-n.sim.Now(), to.sink, payload, uint64(vnet))
 }
@@ -188,8 +211,8 @@ func (n *Network) Send(src, dst NodeID, vnet VNet, payload interface{}) {
 // fixed latency, bypassing routing (used for a controller's mandatory
 // queue and recycled messages).
 func (n *Network) LocalDeliver(dst NodeID, vnet VNet, delay sim.Tick, payload interface{}) {
-	to, ok := n.nodes[dst]
-	if !ok {
+	to := n.node(dst)
+	if to == nil {
 		panic(fmt.Sprintf("interconnect: local delivery to unregistered node %d", dst))
 	}
 	n.sim.ScheduleEvent(delay, to.sink, payload, uint64(vnet))

@@ -176,3 +176,136 @@ func TestVNetString(t *testing.T) {
 		t.Error("VNet strings wrong")
 	}
 }
+
+// zeroLatency is a network in which every unclamped message would arrive
+// the tick it is sent: only the channel table orders deliveries.
+func zeroLatency() Config {
+	return Config{Rows: 2, Cols: 4, LinkLatency: 0, RouterLatency: 0, JitterMax: 0, CongestionWindow: 0}
+}
+
+func TestChannelFIFOFromTickZero(t *testing.T) {
+	// At tick 0 with zero latency the first message of a channel arrives
+	// at tick 0 — the tick that also encodes "no previous arrival". The
+	// table must still clamp every later message of that channel behind
+	// it, one tick apart, and independently per (src, dst, vnet).
+	s, n, recs := build(t, 1, zeroLatency())
+	for i := 0; i < 4; i++ {
+		n.Send(0, 5, VNetRequest, i)
+	}
+	n.Send(0, 5, VNetResponse, "other vnet")
+	n.Send(1, 5, VNetRequest, "other src")
+	n.Send(0, 6, VNetRequest, "other dst")
+	s.Run()
+	rec := recs[5]
+	var req []sim.Tick
+	for i, m := range rec.msgs {
+		switch m {
+		case "other vnet", "other src":
+			if rec.at[i] != 0 {
+				t.Errorf("%v delayed to tick %d by another channel's traffic", m, rec.at[i])
+			}
+		default:
+			if m.(int) != len(req) {
+				t.Fatalf("channel delivered %v as message %d", m, len(req))
+			}
+			req = append(req, rec.at[i])
+		}
+	}
+	for i, at := range req {
+		if at != sim.Tick(i) {
+			t.Fatalf("arrivals %v, want one per tick from tick 0", req)
+		}
+	}
+	if len(req) != 4 {
+		t.Fatalf("channel delivered %d of 4 messages", len(req))
+	}
+	if at := recs[6].at; len(at) != 1 || at[0] != 0 {
+		t.Errorf("other dst arrived at %v, want [0]", at)
+	}
+}
+
+func TestRegisterAfterSendKeepsChannelState(t *testing.T) {
+	// Registering a node re-lays out the channel table; channels already
+	// in use must keep their FIFO clamp, and channels of the new node
+	// start empty.
+	cfg := zeroLatency()
+	s := sim.New(1)
+	n := New(s, cfg)
+	recs := map[NodeID]*recorder{}
+	register := func(id NodeID) {
+		recs[id] = &recorder{s: s}
+		if err := n.Register(id, recs[id], 0, 0); err != nil {
+			t.Fatalf("Register(%d): %v", id, err)
+		}
+	}
+	register(3)
+	register(64) // sparse ids, dense table
+	n.Send(3, 64, VNetForward, "a")
+	n.Send(64, 3, VNetForward, "x")
+	register(128)
+	register(0)
+	n.Send(3, 64, VNetForward, "b")
+	n.Send(64, 3, VNetForward, "y")
+	n.Send(3, 128, VNetForward, "fresh")
+	n.Send(0, 3, VNetForward, "fresh too")
+	s.Run()
+	if at := recs[64].at; len(at) != 2 || at[0] != 0 || at[1] != 1 {
+		t.Errorf("3→64 arrivals %v, want [0 1]", at)
+	}
+	if got := recs[3]; len(got.at) != 3 || got.msgs[0] != "x" || got.at[0] != 0 || got.msgs[2] != "y" || got.at[2] != 1 {
+		t.Errorf("deliveries at node 3: %v at %v, want x@0, fresh too@0, y@1", got.msgs, got.at)
+	}
+	if at := recs[128].at; len(at) != 1 || at[0] != 0 {
+		t.Errorf("3→128 arrivals %v, want [0]", at)
+	}
+}
+
+func TestUnregisteredEndpointsPanic(t *testing.T) {
+	_, n, _ := build(t, 1, DefaultConfig())
+	panicOf := func(fn func()) (v any) {
+		defer func() { v = recover() }()
+		fn()
+		return nil
+	}
+	for _, dst := range []NodeID{8, 1000, -1} {
+		want := "interconnect: send to unregistered node " + map[NodeID]string{8: "8", 1000: "1000", -1: "-1"}[dst]
+		if got := panicOf(func() { n.Send(0, dst, VNetRequest, nil) }); got != want {
+			t.Errorf("Send to %d panicked with %v, want %q", dst, got, want)
+		}
+	}
+	if got := panicOf(func() { n.LocalDeliver(9, VNetRequest, 1, nil) }); got != "interconnect: local delivery to unregistered node 9" {
+		t.Errorf("LocalDeliver panicked with %v", got)
+	}
+	// An unregistered source has no mesh position to route from: the
+	// nil node dereference it always was.
+	for _, src := range []NodeID{8, 1000, -1} {
+		err, ok := panicOf(func() { n.Send(src, 0, VNetRequest, nil) }).(error)
+		if !ok || err.Error() != "runtime error: invalid memory address or nil pointer dereference" {
+			t.Errorf("Send from %d panicked with %v, want a nil dereference", src, err)
+		}
+	}
+}
+
+func TestSendAllocatesNothing(t *testing.T) {
+	s := sim.New(1)
+	n := New(s, DefaultConfig())
+	sink := HandlerFunc(func(VNet, interface{}) {})
+	for _, at := range []struct {
+		id       NodeID
+		row, col int
+	}{{0, 0, 0}, {7, 1, 3}} {
+		if err := n.Register(at.id, sink, at.row, at.col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := &struct{}{}
+	send := func() {
+		n.Send(0, 7, VNetRequest, payload)
+		n.Send(7, 0, VNetResponse, payload)
+		s.Run()
+	}
+	send() // grow the kernel's event freelist
+	if got := testing.AllocsPerRun(200, send); got != 0 {
+		t.Fatalf("Send allocates %.1f objects per round trip, want 0", got)
+	}
+}

@@ -144,7 +144,11 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 	mem := memsys.NewMemory()
 	m := &Machine{Cfg: cfg, Sim: s, Net: net, Mem: mem}
 
-	ctrl, err := coherence.NewMemCtrl(s, net, mem)
+	// One message pool for the whole machine: a message is allocated by
+	// its sender and released by its consumer, usually another
+	// controller.
+	msgs := coherence.NewMsgPool()
+	ctrl, err := coherence.NewMemCtrl(s, net, mem, msgs)
 	if err != nil {
 		return nil, err
 	}
@@ -160,13 +164,13 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 			l1, err = coherence.NewMESIL1(s, net, coherence.MESIL1Config{
 				CoreID: i, Tiles: cfg.Tiles,
 				SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs,
+				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
 			}, row, col)
 		case TSOCC:
 			l1, err = coherence.NewTSOCCL1(s, net, coherence.TSOCCL1Config{
 				CoreID: i, Cores: cfg.Cores, Tiles: cfg.Tiles,
 				SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs,
+				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
 			}, row, col)
 		}
 		if err != nil {
@@ -186,7 +190,7 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 			l2, err := coherence.NewMESIL2(s, net, coherence.MESIL2Config{
 				Tile: t, Cores: cfg.Cores,
 				SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs,
+				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
 			}, row, col)
 			if err != nil {
 				return nil, err
@@ -196,7 +200,7 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 			l2, err := coherence.NewTSOCCL2(s, net, coherence.TSOCCL2Config{
 				Tile: t, Cores: cfg.Cores,
 				SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs,
+				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
 			}, row, col)
 			if err != nil {
 				return nil, err
@@ -258,10 +262,11 @@ func (m *Machine) ResetCaches() {
 }
 
 // ZeroTestMemory writes initial (zero) values over a test layout's
-// lines and forgets their timestamp metadata, implementing the memory
-// half of reset_test_mem.
-func (m *Machine) ZeroTestMemory(layout memsys.Layout) {
-	for _, line := range layout.Lines() {
+// lines (layout.Lines(), computed once by the caller — the reset runs
+// after every iteration) and forgets their timestamp metadata,
+// implementing the memory half of reset_test_mem.
+func (m *Machine) ZeroTestMemory(lines []memsys.Addr) {
+	for _, line := range lines {
 		m.Mem.WriteLine(line, memsys.LineData{})
 		m.Ctrl.ClearMeta(line)
 	}

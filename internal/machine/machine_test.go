@@ -92,7 +92,7 @@ func TestRunProgramsAndReset(t *testing.T) {
 	}
 	// The written line reached the coherent domain; reset zeroes it.
 	m.ResetCaches()
-	m.ZeroTestMemory(layout)
+	m.ZeroTestMemory(layout.Lines())
 	if got := m.Mem.ReadWord(pool[0]); got != 0 {
 		t.Fatalf("after reset, mem = %d", got)
 	}

@@ -38,6 +38,25 @@ func NewExecution() *Execution {
 	}
 }
 
+// Reset empties the execution for reuse while keeping what it has
+// allocated: the event array, the maps' buckets, and the per-thread and
+// per-address order slices (truncated in place, so a reset execution may
+// hold empty entries for threads and addresses it no longer has). The
+// caller must hold the only reference: a recorder that reuses one
+// execution per iteration resets it only if it never handed it out.
+func (x *Execution) Reset() {
+	x.events = x.events[:0]
+	for tid, ids := range x.threads {
+		x.threads[tid] = ids[:0]
+	}
+	for addr, order := range x.co {
+		x.co[addr] = order[:0]
+	}
+	clear(x.rf)
+	clear(x.coPos)
+	clear(x.init)
+}
+
 // NumEvents returns the number of events, including initial writes.
 func (x *Execution) NumEvents() int { return len(x.events) }
 
@@ -50,8 +69,8 @@ func (x *Execution) Events() []Event { return x.events }
 // Threads returns the sorted TIDs with at least one event.
 func (x *Execution) Threads() []int {
 	tids := make([]int, 0, len(x.threads))
-	for tid := range x.threads {
-		if tid != InitTID {
+	for tid, ids := range x.threads {
+		if tid != InitTID && len(ids) > 0 {
 			tids = append(tids, tid)
 		}
 	}
@@ -88,7 +107,10 @@ func (x *Execution) InitWrite(addr memsys.Addr) relation.EventID {
 	x.init[addr] = id
 	// The initial write is co-minimal for its address: it must precede
 	// any writes already serialized.
-	x.co[addr] = append([]relation.EventID{id}, x.co[addr]...)
+	order := append(x.co[addr], id)
+	copy(order[1:], order)
+	order[0] = id
+	x.co[addr] = order
 	x.renumberCO(addr)
 	return id
 }

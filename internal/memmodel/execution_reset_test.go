@@ -1,0 +1,96 @@
+package memmodel
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/memsys"
+	"repro/internal/relation"
+)
+
+// fillRandom records one random sequentially consistent execution into
+// x: threads interleaved at random, reads observing the latest write.
+func fillRandom(x *Execution, rng *rand.Rand, threads, ops, addrs int) {
+	last := map[memsys.Addr]relation.EventID{}
+	for i := 0; i < ops; i++ {
+		tid := rng.Intn(threads)
+		addr := memsys.Addr(0x1000 + 8*rng.Intn(addrs))
+		key := Key{TID: tid, Instr: i}
+		switch rng.Intn(5) {
+		case 0, 1:
+			w := x.AddEvent(Event{Key: key, Kind: KindWrite, Addr: addr, Value: uint64(i + 1)})
+			if err := x.AppendCO(w); err != nil {
+				panic(err)
+			}
+			last[addr] = w
+		case 2, 3:
+			w, ok := last[addr]
+			if !ok {
+				w = x.InitWrite(addr)
+			}
+			r := x.AddEvent(Event{Key: key, Kind: KindRead, Addr: addr, Value: x.Event(w).Value})
+			if err := x.SetRF(r, w); err != nil {
+				panic(err)
+			}
+		default:
+			x.AddEvent(Event{Key: key, Kind: KindFence, Fence: FenceKind(rng.Intn(int(NumFenceKinds)))})
+		}
+	}
+}
+
+// view flattens everything an execution exposes.
+func view(x *Execution) map[string]any {
+	v := map[string]any{
+		"events":    append([]Event(nil), x.Events()...),
+		"threads":   x.Threads(),
+		"addresses": x.Addresses(),
+	}
+	for _, tid := range append(x.Threads(), InitTID) {
+		v["thread"+Key{TID: tid}.String()] = append([]relation.EventID(nil), x.ThreadEvents(tid)...)
+	}
+	for _, a := range x.Addresses() {
+		v["co"+a.String()] = append([]relation.EventID(nil), x.CO(a)...)
+	}
+	for i := range x.Events() {
+		id := relation.EventID(i)
+		if w, ok := x.RF(id); ok {
+			v["rf"+x.Event(id).Key.String()] = w
+		}
+		if pos, ok := x.COIndex(id); ok {
+			v["copos"+x.Event(id).Key.String()] = pos
+		}
+	}
+	return v
+}
+
+// TestExecutionResetEqualsFresh: an execution reset and refilled is
+// indistinguishable from a fresh one given the same events — whatever
+// it held before, including threads and addresses the new contents do
+// not have — and every model returns the same verdict on both.
+func TestExecutionResetEqualsFresh(t *testing.T) {
+	reused := NewExecution()
+	for round := 0; round < 30; round++ {
+		seed := int64(100 + round)
+		// Shapes shrink and grow so stale threads and addresses linger.
+		threads, ops, addrs := 1+(round*5)%7, 20+(round*37)%200, 1+(round*3)%9
+		fresh := NewExecution()
+		fillRandom(fresh, rand.New(rand.NewSource(seed)), threads, ops, addrs)
+		reused.Reset()
+		if reused.NumEvents() != 0 || len(reused.Threads()) != 0 || len(reused.Addresses()) != 0 {
+			t.Fatalf("round %d: Reset left %d events, threads %v", round, reused.NumEvents(), reused.Threads())
+		}
+		fillRandom(reused, rand.New(rand.NewSource(seed)), threads, ops, addrs)
+		if got, want := view(reused), view(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: reset execution differs from fresh:\n got  %v\n want %v", round, got, want)
+		}
+		if err := reused.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for _, arch := range []Arch{SC{}, TSO{}, PSO{}, RMO{}} {
+			if got, want := Check(reused, arch), Check(fresh, arch); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d %s: verdict %+v on the reset execution, %+v on the fresh one", round, arch.Name(), got, want)
+			}
+		}
+	}
+}

@@ -84,6 +84,10 @@ func (m *Memory) ReadLine(a Addr) LineData {
 
 // WriteLine replaces the line containing a with d.
 func (m *Memory) WriteLine(a Addr, d LineData) {
+	if l, ok := m.lines[a.LineAddr()]; ok {
+		*l = d
+		return
+	}
 	m.lines[a.LineAddr()] = &d
 }
 

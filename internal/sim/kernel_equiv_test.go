@@ -64,7 +64,7 @@ func kernelTrace(t *testing.T, seed int64, s *sim.Sim) []dispatch {
 			tag++
 			if rng.Intn(3) == 0 {
 				tt := tag
-				s.Schedule(d, func() { trace = append(trace, dispatch{s.Now(), tt + 1<<32}) })
+				s.ScheduleEvent(d, sim.InvokeFunc, func() { trace = append(trace, dispatch{s.Now(), tt + 1<<32}) }, 0)
 			} else {
 				s.ScheduleEvent(d, h, nil, tag)
 			}

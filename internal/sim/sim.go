@@ -14,19 +14,16 @@
 // loop depends on, since it schedules one event per simulated
 // message/cycle, millions of times per sample.
 //
-// Two scheduling APIs coexist:
+// There is one way to schedule: ScheduleEvent(delay, h, arg, aux), where
+// h is a Handler the component pre-bound once at construction and
+// (arg, aux) carry the event's operands (a pointer-shaped value and a
+// small integer) without boxing. One-off closures ride the same path
+// through the InvokeFunc adapter.
 //
-//   - ScheduleEvent(delay, h, arg, aux) is the zero-alloc path: h is a
-//     Handler the component pre-bound once at construction, and
-//     (arg, aux) carry the event's operands (a pointer-shaped value
-//     and a small integer) without boxing.
-//   - Schedule(delay, fn) is the original closure API, kept as a shim
-//     over ScheduleEvent via the InvokeFunc adapter.
-//
-// Events scheduled for the same tick run in scheduling order under
-// both APIs and any mix of them, exactly like the retired heap ordered
-// its (tick, seq) pairs — the determinism contract the fleet's
-// byte-identical-at-any-worker-count guarantees build on.
+// Events scheduled for the same tick run in scheduling order, exactly
+// like the retired heap ordered its (tick, seq) pairs — the determinism
+// contract the fleet's byte-identical-at-any-worker-count guarantees
+// build on.
 package sim
 
 import (
@@ -57,14 +54,10 @@ type Handler func(arg any, aux uint64)
 // Pre-bound adapters for the common callback shapes, shared by every
 // component so call sites do not rebuild them.
 var (
-	// InvokeFunc runs arg as a niladic func. It is the adapter behind
-	// the Schedule shim: the caller's closure travels as arg (func
-	// values are pointer-shaped, so the conversion does not allocate —
-	// only the closure itself, which the legacy API always paid).
+	// InvokeFunc runs arg as a niladic func: a one-off closure travels
+	// as arg (func values are pointer-shaped, so the conversion does not
+	// allocate — only the closure itself does).
 	InvokeFunc Handler = func(arg any, _ uint64) { arg.(func())() }
-	// InvokeUint64 calls arg as func(uint64) passing aux — the shape of
-	// the cache controllers' completion callbacks (done(0), done(old)).
-	InvokeUint64 Handler = func(arg any, aux uint64) { arg.(func(uint64))(aux) }
 	// Nop discards the event; used for pure time-keeping events such as
 	// the guest barrier gap.
 	Nop Handler = func(any, uint64) {}
@@ -213,13 +206,6 @@ func (s *Sim) release(e *event) {
 	e.h, e.arg, e.aux = nil, nil, 0
 	e.next = s.free
 	s.free = e
-}
-
-// Schedule runs fn after delay ticks. It is the original closure API,
-// kept as a shim over the zero-alloc path: hot components pre-bind a
-// Handler and call ScheduleEvent instead.
-func (s *Sim) Schedule(delay Tick, fn func()) {
-	s.ScheduleEvent(delay, InvokeFunc, fn, 0)
 }
 
 // ScheduleEvent runs h(arg, aux) after delay ticks. The fast path: no

@@ -5,12 +5,15 @@ import (
 	"testing"
 )
 
+// after schedules a one-off closure.
+func after(s *Sim, delay Tick, fn func()) { s.ScheduleEvent(delay, InvokeFunc, fn, 0) }
+
 func TestScheduleOrdering(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.Schedule(10, func() { order = append(order, 2) })
-	s.Schedule(5, func() { order = append(order, 1) })
-	s.Schedule(10, func() { order = append(order, 3) }) // same tick: FIFO
+	after(s, 10, func() { order = append(order, 2) })
+	after(s, 5, func() { order = append(order, 1) })
+	after(s, 10, func() { order = append(order, 3) }) // same tick: FIFO
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -26,9 +29,9 @@ func TestScheduleOrdering(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := New(1)
 	var ticks []Tick
-	s.Schedule(1, func() {
+	after(s, 1, func() {
 		ticks = append(ticks, s.Now())
-		s.Schedule(4, func() { ticks = append(ticks, s.Now()) })
+		after(s, 4, func() { ticks = append(ticks, s.Now()) })
 	})
 	s.Run()
 	if len(ticks) != 2 || ticks[0] != 1 || ticks[1] != 5 {
@@ -39,8 +42,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestZeroDelayRunsAtSameTick(t *testing.T) {
 	s := New(1)
 	ran := false
-	s.Schedule(3, func() {
-		s.Schedule(0, func() {
+	after(s, 3, func() {
+		after(s, 0, func() {
 			if s.Now() != 3 {
 				t.Errorf("zero-delay ran at %d", s.Now())
 			}
@@ -60,10 +63,10 @@ func TestRunUntilStop(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 10 {
-			s.Schedule(1, tick)
+			after(s, 1, tick)
 		}
 	}
-	s.Schedule(1, tick)
+	after(s, 1, tick)
 	if err := s.RunUntil(func() bool { return count >= 5 }, 1000); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -74,7 +77,7 @@ func TestRunUntilStop(t *testing.T) {
 
 func TestRunUntilDeadlock(t *testing.T) {
 	s := New(1)
-	s.Schedule(1, func() {})
+	after(s, 1, func() {})
 	err := s.RunUntil(func() bool { return false }, 1000)
 	var dead *ErrDeadlock
 	if !errors.As(err, &dead) {
@@ -85,8 +88,8 @@ func TestRunUntilDeadlock(t *testing.T) {
 func TestRunUntilTimeout(t *testing.T) {
 	s := New(1)
 	var spin func()
-	spin = func() { s.Schedule(10, spin) }
-	s.Schedule(0, spin)
+	spin = func() { after(s, 10, spin) }
+	after(s, 0, spin)
 	err := s.RunUntil(func() bool { return false }, 100)
 	var to *ErrTimeout
 	if !errors.As(err, &to) {
@@ -117,8 +120,8 @@ func TestPending(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatal("fresh sim has pending events")
 	}
-	s.Schedule(1, func() {})
-	s.Schedule(2, func() {})
+	after(s, 1, func() {})
+	after(s, 2, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", s.Pending())
 	}

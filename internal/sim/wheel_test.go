@@ -16,9 +16,9 @@ func TestSameTickFIFOInterleaved(t *testing.T) {
 	var order []int
 	push := func(n int) { order = append(order, n) }
 	rec := Handler(func(_ any, aux uint64) { order = append(order, int(aux)) })
-	s.Schedule(7, func() { push(0) })
+	after(s, 7, func() { push(0) })
 	s.ScheduleEvent(7, rec, nil, 1)
-	s.Schedule(7, func() { push(2) })
+	after(s, 7, func() { push(2) })
 	s.ScheduleEvent(7, rec, nil, 3)
 	s.ScheduleEvent(3, rec, nil, 99) // earlier tick runs first regardless
 	s.Run()
@@ -72,7 +72,7 @@ func TestOverflowCascadeOrdering(t *testing.T) {
 	}
 	for i, d := range delays {
 		d, i := d, i
-		s.Schedule(d, func() { got = append(got, fire{s.Now(), i}) })
+		after(s, d, func() { got = append(got, fire{s.Now(), i}) })
 	}
 	s.Run()
 	if len(got) != len(delays) {
@@ -98,15 +98,15 @@ func TestFarFutureDelay(t *testing.T) {
 	s := New(1)
 	const far = Tick(10_000_000) // ~4883 windows at wheelSize 2048
 	fired := Tick(0)
-	s.Schedule(far, func() { fired = s.Now() })
+	after(s, far, func() { fired = s.Now() })
 	// A sparse chain keeps intermediate windows non-empty.
 	var chain func()
 	chain = func() {
 		if s.Now() < far-30_000 {
-			s.Schedule(25_000, chain)
+			after(s, 25_000, chain)
 		}
 	}
-	s.Schedule(0, chain)
+	after(s, 0, chain)
 	s.Run()
 	if fired != far {
 		t.Fatalf("far event fired at %d, want %d", fired, far)
@@ -121,8 +121,8 @@ func TestRunUntilTimeoutExact(t *testing.T) {
 	s := New(1)
 	ran := 0
 	var spin func()
-	spin = func() { ran++; s.Schedule(10, spin) }
-	s.Schedule(0, spin)
+	spin = func() { ran++; after(s, 10, spin) }
+	after(s, 0, spin)
 	err := s.RunUntil(func() bool { return false }, 95)
 	var to *ErrTimeout
 	if !errors.As(err, &to) {
@@ -150,7 +150,7 @@ func TestRunUntilEventAtDeadlineRuns(t *testing.T) {
 	s := New(1)
 	ran := false
 	done := false
-	s.Schedule(100, func() { ran = true; done = true })
+	after(s, 100, func() { ran = true; done = true })
 	if err := s.RunUntil(func() bool { return done }, 100); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestRunUntilEventAtDeadlineRuns(t *testing.T) {
 // the watchdog fires without ever advancing to it.
 func TestRunUntilTimeoutFarEvent(t *testing.T) {
 	s := New(1)
-	s.Schedule(5*wheelSize, func() { t.Error("event past deadline executed") })
+	after(s, 5*wheelSize, func() { t.Error("event past deadline executed") })
 	err := s.RunUntil(func() bool { return false }, 1000)
 	var to *ErrTimeout
 	if !errors.As(err, &to) {
@@ -183,11 +183,11 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := s.NextEventTime(); ok {
 		t.Fatal("empty sim reported a next event")
 	}
-	s.Schedule(3*wheelSize+7, func() {})
+	after(s, 3*wheelSize+7, func() {})
 	if at, ok := s.NextEventTime(); !ok || at != 3*wheelSize+7 {
 		t.Fatalf("next = %d,%v want %d,true", at, ok, 3*wheelSize+7)
 	}
-	s.Schedule(11, func() {})
+	after(s, 11, func() {})
 	if at, ok := s.NextEventTime(); !ok || at != 11 {
 		t.Fatalf("next = %d,%v want 11,true", at, ok)
 	}
