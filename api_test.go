@@ -82,3 +82,12 @@ func TestMemoryLayoutExposed(t *testing.T) {
 		t.Error("invalid layout accepted")
 	}
 }
+
+func mustScenario(t *testing.T, name string) Scenario {
+	t.Helper()
+	s, err := ScenarioByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

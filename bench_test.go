@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/benchwork"
 	"repro/internal/bugs"
 	"repro/internal/checker"
 	"repro/internal/core"
@@ -351,57 +350,4 @@ func BenchmarkFleetIslands(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkCollectiveChecker is the tentpole A/B: the shared
-// repetitive-iteration workload (benchwork.CheckerWorkload: a
-// 1k-operation test whose iterations cycle through 4 distinct
-// interleavings, the shape the per-campaign hot path sees when most
-// executions repeat the same observed orderings) checked naively per
-// iteration versus collectively through the signature memo. The
-// collective variant's steady state replaces the full model check with
-// one signature hash — the paper-motivated >=2x checker-phase speedup
-// is the acceptance bar, the measured gap is typically far larger.
-// cmd/bench snapshots the identical A/B to BENCH_<n>.json.
-func BenchmarkCollectiveChecker(b *testing.B) {
-	progs, orders := benchwork.CheckerWorkload()
-	b.Run("naive", benchwork.BenchChecker(false, progs, orders))
-	b.Run("collective", benchwork.BenchChecker(true, progs, orders))
-}
-
-// BenchmarkFastpathChecker is the checker-decision A/B: the pure
-// exact checker versus the vector-clock fast path over the same
-// captured executions (replay and recorder bookkeeping excluded from
-// both sides). The fast side asserts verdict agreement with the exact
-// checker in-band before the timer starts, so CI's bench smoke run
-// catches a divergence even at -benchtime 1x. cmd/bench snapshots the
-// same A/B into BENCH_8.json with the gated checker_fastpath_speedup
-// and fastpath_conclusive_rate.
-func BenchmarkFastpathChecker(b *testing.B) {
-	progs, orders := benchwork.CheckerWorkload()
-	execs := benchwork.FastcheckExecutions(progs, orders)
-	b.Run("exact-check", benchwork.BenchExactCheck(execs, memmodel.TSO{}))
-	b.Run("fastpath-check", benchwork.BenchFastpathCheck(execs, memmodel.TSO{}))
-}
-
-// BenchmarkCoverageHotpath is the per-transition recording A/B: one op
-// is one test-run's worth of coverage records plus the run-boundary
-// fitness pass, through the seed-style string-keyed tracker (legacy)
-// versus the interned, sharded engine (id). cmd/bench snapshots the
-// same workload into BENCH_4.json with the derived speedup.
-func BenchmarkCoverageHotpath(b *testing.B) {
-	b.Run("legacy-string", benchwork.BenchCoverage(false))
-	b.Run("interned-id", benchwork.BenchCoverage(true))
-}
-
-// BenchmarkEventKernel is the event-kernel A/B: one op is one burst of
-// benchwork.EventsPerOp schedule+dispatch cycles, through the seed's
-// binary heap driven by the legacy closure API (heap-schedule) versus
-// the timing wheel's pooled, pre-bound ScheduleEvent path
-// (wheel-schedule). cmd/bench snapshots the same workload into
-// BENCH_5.json with the derived event_kernel_speedup and
-// event_kernel_alloc_ratio.
-func BenchmarkEventKernel(b *testing.B) {
-	b.Run("heap-schedule", benchwork.BenchEventKernel(true))
-	b.Run("wheel-schedule", benchwork.BenchEventKernel(false))
 }

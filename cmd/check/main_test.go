@@ -158,6 +158,13 @@ func TestExitCodes(t *testing.T) {
 	if code := run([]string{"-model", "SC"}, strings.NewReader("garbage\n"), &out, &errb); code != 2 {
 		t.Errorf("garbage input exited %d, want 2 (stderr %q)", code, errb.String())
 	}
+	// Over the trace format's int-field ceiling: a positioned decode error.
+	errb.Reset()
+	const oversized = "mctrace 1\ntrace o\nthread 4294967296\nw 0x100 1\nend\n"
+	if code := run([]string{"-model", "SC"}, strings.NewReader(oversized), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "line 3") {
+		t.Errorf("oversized thread id exited %d, want 2 naming line 3 (stderr %q)", code, errb.String())
+	}
 	// Structurally broken trace: decodes, fails at materialization.
 	errb.Reset()
 	const broken = "mctrace 1\ntrace b\nthread 0\nr 0x100 7\nend\n"

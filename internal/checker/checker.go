@@ -175,7 +175,7 @@ func (r *Recorder) SetScope(scope string) { r.scope = scope }
 func (r *Recorder) Dedupe() stats.Dedupe { return r.ded }
 
 // SetFastpath enables or disables the clock-rule fast path. Disabling
-// it routes every check through the exact memmodel.Check — the A/B
+// it routes every check through the exact procedure — the A/B
 // reference configuration; verdicts are identical either way.
 func (r *Recorder) SetFastpath(on bool) {
 	if on {

@@ -28,37 +28,30 @@ import (
 	"repro/internal/sim"
 )
 
-// CoverageSink receives one record per executed protocol transition.
-// Identical controllers are not distinguished (§3.2: "we do not
-// distinguish between identical controllers, and instead consider the
-// sum of their transitions").
-type CoverageSink interface {
-	RecordTransition(controller, state, event string)
-}
-
 // TransitionID is the dense interned index of a transition in the
 // sink's vocabulary. It aliases uint32 (as does the coverage package's
-// TransitionID) so sinks satisfy IDCoverageSink structurally without
-// an import in either direction.
+// TransitionID) so sinks satisfy CoverageSink structurally without an
+// import in either direction.
 type TransitionID = uint32
 
 // NoTransitionID marks a transition the sink's vocabulary does not
-// know; controllers fall back to the string path for it.
+// know. Controllers record it like any other ID; the sink tallies it
+// as an unknown record.
 const NoTransitionID TransitionID = ^TransitionID(0)
 
-// IDCoverageSink is the optional interned fast path of CoverageSink:
-// a sink that interns the protocol's transition vocabulary resolves
-// each (controller, state, event) triple to a TransitionID once, and
-// the per-event record becomes RecordID — no string handling on the
-// hot path. Controllers detect the interface at construction and
-// pre-resolve their whole dispatch table.
-type IDCoverageSink interface {
-	CoverageSink
-	// RecordID records one occurrence of an interned transition.
-	RecordID(id TransitionID)
+// CoverageSink receives one record per executed protocol transition.
+// Identical controllers are not distinguished (§3.2: "we do not
+// distinguish between identical controllers, and instead consider the
+// sum of their transitions"). The sink interns the protocol's
+// transition vocabulary: controllers resolve their whole dispatch table
+// to TransitionIDs once at construction, and the per-event record is
+// RecordID — no string handling on the hot path.
+type CoverageSink interface {
 	// CoverageID resolves a transition to its interned ID; ok is
 	// false for transitions outside the vocabulary.
 	CoverageID(controller, state, event string) (TransitionID, bool)
+	// RecordID records one occurrence of an interned transition.
+	RecordID(id TransitionID)
 }
 
 // internKey is the dense (state, event) coordinate of one dispatch-
@@ -92,80 +85,47 @@ func keyTransitions(controller string, keys []internKey, states, events []string
 }
 
 // covRecorder is the coverage front end shared by all four
-// controllers: the sink, the optional interned fast path, and the
-// pre-resolved dense (state × event) TransitionID lattice. One
-// instance is built per controller at construction, so the per-event
-// record is a lattice load plus one RecordID call when the sink
-// interns, and the string API otherwise.
+// controllers: the sink and the pre-resolved dense (state × event)
+// TransitionID lattice. One instance is built per controller at
+// construction, so the per-event record is a lattice load plus one
+// RecordID call.
 type covRecorder struct {
 	controller string
 	sink       CoverageSink
-	fast       IDCoverageSink
 	ids        [][]TransitionID
-	// states/events name the lattice coordinates for the string path.
-	states, events []string
 }
 
 // newCovRecorder pre-resolves a controller's transition vocabulary
 // against the sink. Lattice entries the sink's vocabulary does not
-// know stay NoTransitionID and fall back to the string path; a sink
-// without the fast path keeps the string path for everything.
+// know stay NoTransitionID.
 func newCovRecorder(sink CoverageSink, controller string, states, events []string, keys []internKey) covRecorder {
-	r := covRecorder{controller: controller, sink: sink, states: states, events: events}
-	fast, ok := sink.(IDCoverageSink)
-	if !ok {
-		return r
-	}
-	ids := make([][]TransitionID, len(states))
-	for s := range ids {
+	r := covRecorder{controller: controller, sink: sink, ids: make([][]TransitionID, len(states))}
+	for s := range r.ids {
 		row := make([]TransitionID, len(events))
 		for e := range row {
 			row[e] = NoTransitionID
 		}
-		ids[s] = row
+		r.ids[s] = row
 	}
 	for _, k := range keys {
-		if id, ok := fast.CoverageID(controller, states[k.s], events[k.e]); ok {
-			ids[k.s][k.e] = id
-		}
+		r.ids[k.s][k.e] = r.resolve(states[k.s], events[k.e])
 	}
-	r.fast, r.ids = fast, ids
 	return r
 }
 
-// record counts one executed transition, through the interned fast
-// path when available.
+// record counts one executed transition.
 func (r *covRecorder) record(state, event int) {
-	if r.fast != nil {
-		if id := r.ids[state][event]; id != NoTransitionID {
-			r.fast.RecordID(id)
-			return
-		}
-	}
-	r.sink.RecordTransition(r.controller, r.states[state], r.events[event])
+	r.sink.RecordID(r.ids[state][event])
 }
 
-// resolve interns one transition outside the lattice (e.g. TSO-CC's
-// core-level timestamp reset); NoTransitionID when the sink has no
-// fast path or no such vocabulary entry.
+// resolve interns one transition by name (lattice entries, and
+// transitions outside the lattice such as TSO-CC's core-level timestamp
+// reset); NoTransitionID when the sink has no such vocabulary entry.
 func (r *covRecorder) resolve(stateName, eventName string) TransitionID {
-	if r.fast == nil {
-		return NoTransitionID
-	}
-	if id, ok := r.fast.CoverageID(r.controller, stateName, eventName); ok {
+	if id, ok := r.sink.CoverageID(r.controller, stateName, eventName); ok {
 		return id
 	}
 	return NoTransitionID
-}
-
-// recordID counts a transition pre-resolved with resolve, falling back
-// to the string path when it never interned.
-func (r *covRecorder) recordID(id TransitionID, stateName, eventName string) {
-	if id != NoTransitionID {
-		r.fast.RecordID(id)
-		return
-	}
-	r.sink.RecordTransition(r.controller, stateName, eventName)
 }
 
 // ErrorSink receives protocol-level failures: invalid transitions and
@@ -177,8 +137,13 @@ type ErrorSink interface {
 // NopCoverage discards coverage records.
 type NopCoverage struct{}
 
-// RecordTransition implements CoverageSink.
-func (NopCoverage) RecordTransition(controller, state, event string) {}
+// CoverageID implements CoverageSink: nothing is in the vocabulary.
+func (NopCoverage) CoverageID(controller, state, event string) (TransitionID, bool) {
+	return NoTransitionID, false
+}
+
+// RecordID implements CoverageSink.
+func (NopCoverage) RecordID(TransitionID) {}
 
 // PanicErrors panics on protocol errors; useful in tests.
 type PanicErrors struct{}

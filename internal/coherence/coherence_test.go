@@ -12,17 +12,38 @@ import (
 	"repro/internal/sim"
 )
 
-// covCounter counts distinct and total transitions.
+// covCounter is an open-vocabulary coverage sink: it interns every
+// triple a controller resolves at construction and tallies records by
+// name. A NoTransitionID record — a dispatch cell outside the
+// controller's declared vocabulary — lands in unknown.
 type covCounter struct {
-	seen  map[Transition]uint64
-	total uint64
+	ids     map[Transition]TransitionID
+	names   []Transition
+	seen    map[Transition]uint64
+	unknown uint64
 }
 
-func newCovCounter() *covCounter { return &covCounter{seen: make(map[Transition]uint64)} }
+func newCovCounter() *covCounter {
+	return &covCounter{ids: make(map[Transition]TransitionID), seen: make(map[Transition]uint64)}
+}
 
-func (c *covCounter) RecordTransition(controller, state, event string) {
-	c.seen[Transition{controller, state, event}]++
-	c.total++
+func (c *covCounter) CoverageID(controller, state, event string) (TransitionID, bool) {
+	tr := Transition{controller, state, event}
+	id, ok := c.ids[tr]
+	if !ok {
+		id = TransitionID(len(c.names))
+		c.ids[tr] = id
+		c.names = append(c.names, tr)
+	}
+	return id, true
+}
+
+func (c *covCounter) RecordID(id TransitionID) {
+	if uint64(id) >= uint64(len(c.names)) {
+		c.unknown++
+		return
+	}
+	c.seen[c.names[id]]++
 }
 
 // testSys assembles a small coherent system for protocol-level tests:
@@ -60,8 +81,8 @@ func newSys(t *testing.T, proto string, seed int64, bug bugs.Set) *testSys {
 }
 
 // newSysSink is newSys with an overridable coverage sink (nil keeps
-// the default string-counting covCounter); the fast-path equivalence
-// test plugs in an interning sink here.
+// the default covCounter); the tracker tests plug in a real
+// coverage.Tracker here.
 func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink CoverageSink) *testSys {
 	t.Helper()
 	s := sim.New(seed)
@@ -534,30 +555,9 @@ func TestCoverageSubsetOfTable(t *testing.T) {
 	for _, proto := range protocols {
 		t.Run(proto, func(t *testing.T) {
 			ts := newSys(t, proto, 10, bugs.Set{})
-			rng := rand.New(rand.NewSource(10))
-			layout := memsys.MustLayout(1024, 16)
-			pool := layout.Pool()
-			for i := 0; i < 300; i++ {
-				core := rng.Intn(tCores)
-				addr := pool[rng.Intn(len(pool))]
-				switch rng.Intn(4) {
-				case 0, 1:
-					ts.store(core, addr, uint64(i+1))
-				case 2:
-					ts.load(core, addr)
-				case 3:
-					ts.flush(core, addr)
-				}
-			}
-			ts.quiesce()
+			ts.stress(10)
 			table := make(map[Transition]bool)
-			var all []Transition
-			if proto == "MESI" {
-				all = MESITransitions()
-			} else {
-				all = TSOCCTransitions()
-			}
-			for _, tr := range all {
+			for _, tr := range protoTransitions(proto) {
 				table[tr] = true
 			}
 			for tr := range ts.cov.seen {
@@ -568,104 +568,147 @@ func TestCoverageSubsetOfTable(t *testing.T) {
 			if len(ts.cov.seen) < 10 {
 				t.Errorf("too few distinct transitions recorded: %d", len(ts.cov.seen))
 			}
-			ts.checkNoErrors()
+			if ts.cov.unknown != 0 {
+				t.Errorf("%d records hit dispatch cells outside the declared vocabulary", ts.cov.unknown)
+			}
 		})
 	}
 }
 
-// internCov is an interning sink: it resolves transitions through a
-// coverage.Table and receives the controllers' pre-resolved IDs via
-// the fast path, while tallying into the same map shape as covCounter
-// so the two can be compared record-for-record.
-type internCov struct {
-	table *coverage.Table
-	seen  map[Transition]uint64
-	byID  uint64 // records that arrived through RecordID
-	byStr uint64 // records that fell back to the string path
-}
-
-func newInternCov(all []Transition) *internCov {
-	vocab := make([]coverage.Transition, len(all))
-	for i, tr := range all {
-		vocab[i] = coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event}
+// protoTransitions returns a protocol's declared vocabulary.
+func protoTransitions(proto string) []Transition {
+	if proto == "MESI" {
+		return MESITransitions()
 	}
-	return &internCov{table: coverage.NewTable(vocab), seen: make(map[Transition]uint64)}
+	return TSOCCTransitions()
 }
 
-func (c *internCov) RecordTransition(controller, state, event string) {
-	c.seen[Transition{controller, state, event}]++
-	c.byStr++
-}
-
-func (c *internCov) RecordID(id TransitionID) {
-	tr, ok := c.table.Lookup(id)
-	if !ok {
-		panic(fmt.Sprintf("RecordID(%d) outside vocabulary", id))
+// newTracker builds a real coverage.Tracker over the transitions keep
+// admits.
+func newTracker(all []Transition, keep func(Transition) bool) *coverage.Tracker {
+	var vocab []coverage.Transition
+	for _, tr := range all {
+		if keep(tr) {
+			vocab = append(vocab, coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event})
+		}
 	}
-	c.seen[Transition{tr.Controller, tr.State, tr.Event}]++
-	c.byID++
+	return coverage.NewTracker(vocab, coverage.DefaultParams())
 }
 
-func (c *internCov) CoverageID(controller, state, event string) (TransitionID, bool) {
-	return c.table.ID(coverage.Transition{Controller: controller, State: state, Event: event})
+// stress drives the seeded store/load/flush mix the sink tests share.
+func (ts *testSys) stress(seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	pool := memsys.MustLayout(1024, 16).Pool()
+	for i := 0; i < 400; i++ {
+		core := rng.Intn(tCores)
+		addr := pool[rng.Intn(len(pool))]
+		switch rng.Intn(4) {
+		case 0, 1:
+			ts.store(core, addr, uint64(i+1))
+		case 2:
+			ts.load(core, addr)
+		case 3:
+			ts.flush(core, addr)
+		}
+	}
+	ts.quiesce()
+	ts.checkNoErrors()
 }
 
 // TestIDFastPathMatchesStringPath drives the same seeded stress
-// workload through a string-only sink and through an interning sink:
-// the controllers must take the RecordID fast path for the latter and
-// both must observe the identical transition multiset.
+// workload into the name-keyed covCounter and into a real
+// coverage.Tracker interning the protocol's declared vocabulary: the
+// tracker's per-ID counts, read back through its table, must be the
+// identical transition multiset, with no record left unknown.
 func TestIDFastPathMatchesStringPath(t *testing.T) {
 	for _, proto := range protocols {
 		t.Run(proto, func(t *testing.T) {
-			var all []Transition
-			if proto == "MESI" {
-				all = MESITransitions()
-			} else {
-				all = TSOCCTransitions()
-			}
-			fast := newInternCov(all)
-			slow := newSys(t, proto, 21, bugs.Set{})
-			sys := newSysSink(t, proto, 21, bugs.Set{}, fast)
+			tracker := newTracker(protoTransitions(proto), func(Transition) bool { return true })
+			byName := newSys(t, proto, 21, bugs.Set{})
+			byName.stress(21)
+			newSysSink(t, proto, 21, bugs.Set{}, tracker).stress(21)
 
-			drive := func(ts *testSys) {
-				rng := rand.New(rand.NewSource(21))
-				layout := memsys.MustLayout(1024, 16)
-				pool := layout.Pool()
-				for i := 0; i < 400; i++ {
-					core := rng.Intn(tCores)
-					addr := pool[rng.Intn(len(pool))]
-					switch rng.Intn(4) {
-					case 0, 1:
-						ts.store(core, addr, uint64(i+1))
-					case 2:
-						ts.load(core, addr)
-					case 3:
-						ts.flush(core, addr)
-					}
-				}
-				ts.quiesce()
+			if n := tracker.UnknownRecords(); n != 0 {
+				t.Errorf("%d records unknown despite a full vocabulary", n)
 			}
-			drive(slow)
-			drive(sys)
-			slow.checkNoErrors()
-			sys.checkNoErrors()
-
-			if fast.byID == 0 {
-				t.Fatal("interning sink never took the RecordID fast path")
+			if tracker.Covered() != len(byName.cov.seen) {
+				t.Fatalf("distinct transitions diverge: tracker %d vs counter %d",
+					tracker.Covered(), len(byName.cov.seen))
 			}
-			if fast.byStr != 0 {
-				t.Errorf("%d records fell back to the string path despite a full vocabulary", fast.byStr)
-			}
-			if len(fast.seen) != len(slow.cov.seen) {
-				t.Fatalf("distinct transitions diverge: id-path %d vs string-path %d",
-					len(fast.seen), len(slow.cov.seen))
-			}
-			for tr, n := range slow.cov.seen {
-				if fast.seen[tr] != n {
-					t.Errorf("count diverges for %v: id-path %d vs string-path %d", tr, fast.seen[tr], n)
+			for id, n := range tracker.Snapshot(nil) {
+				tr, _ := tracker.Table().Lookup(coverage.TransitionID(id))
+				if want := byName.cov.seen[Transition{tr.Controller, tr.State, tr.Event}]; n != want {
+					t.Errorf("count diverges for %v: tracker %d vs counter %d", tr, n, want)
 				}
 			}
 		})
+	}
+}
+
+// TestUndeclaredTransitionCountsAsUnknown: a transition the sink's
+// vocabulary does not declare is still recorded — as NoTransitionID,
+// which the tracker tallies in UnknownRecords instead of dropping it
+// silently. With every L2 transition undeclared, the unknown tally is
+// exactly the number of L2 transitions the counter saw.
+func TestUndeclaredTransitionCountsAsUnknown(t *testing.T) {
+	for _, proto := range protocols {
+		t.Run(proto, func(t *testing.T) {
+			tracker := newTracker(protoTransitions(proto), func(tr Transition) bool { return tr.Controller != "L2Cache" })
+			byName := newSys(t, proto, 21, bugs.Set{})
+			byName.stress(21)
+			newSysSink(t, proto, 21, bugs.Set{}, tracker).stress(21)
+
+			var l2, rest uint64
+			for tr, n := range byName.cov.seen {
+				if tr.Controller == "L2Cache" {
+					l2 += n
+				} else {
+					rest += n
+				}
+			}
+			if l2 == 0 {
+				t.Fatal("workload recorded no L2 transition; the test covers nothing")
+			}
+			if got := tracker.UnknownRecords(); got != l2 {
+				t.Errorf("UnknownRecords = %d, want the %d undeclared L2 records", got, l2)
+			}
+			var known uint64
+			for _, n := range tracker.Snapshot(nil) {
+				known += n
+			}
+			if known != rest {
+				t.Errorf("declared records = %d, want %d", known, rest)
+			}
+		})
+	}
+}
+
+// TestCovRecorderRecordAllocatesNothing gates the live per-transition
+// path: one lattice load and one RecordID into a real tracker, for a
+// declared cell and for an undeclared one.
+func TestCovRecorderRecordAllocatesNothing(t *testing.T) {
+	tracker := newTracker(MESITransitions(), func(Transition) bool { return true })
+	rec := newCovRecorder(tracker, "L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys)
+	k := mesiL1Keys[0]
+	undeclared := internKey{-1, -1}
+	for s := range rec.ids {
+		for e, id := range rec.ids[s] {
+			if id == NoTransitionID {
+				undeclared = internKey{s, e}
+			}
+		}
+	}
+	if undeclared.s < 0 {
+		t.Fatal("MESI L1 lattice has no undeclared cell")
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		rec.record(k.s, k.e)
+		rec.record(undeclared.s, undeclared.e)
+	}); n != 0 {
+		t.Fatalf("covRecorder.record allocates %v objects per call, want 0", n)
+	}
+	if tracker.Covered() != 1 || tracker.UnknownRecords() == 0 {
+		t.Fatalf("records did not land: covered %d, unknown %d", tracker.Covered(), tracker.UnknownRecords())
 	}
 }
 

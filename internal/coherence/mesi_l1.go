@@ -101,7 +101,7 @@ type MESIL1 struct {
 	cov   CoverageSink
 	// covRec is the interned coverage front end: every table entry's
 	// TransitionID is pre-resolved at construction, so recording is
-	// one RecordID call when the sink interns the vocabulary.
+	// one RecordID call.
 	covRec covRecorder
 	errs   ErrorSink
 	// absent stands in for the line of a message whose line is not

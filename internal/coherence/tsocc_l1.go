@@ -277,7 +277,7 @@ func (c *TSOCCL1) Deliver(vnet interconnect.VNet, payload interface{}) {
 	defer c.msgs.release(msg)
 	if msg.Type == MsgTTsReset {
 		// Timestamp resets are core-level, not per-line.
-		c.covRec.recordID(c.tsResetID, "core", tTsReset.String())
+		c.cov.RecordID(c.tsResetID)
 		c.handleTsReset(msg)
 		return
 	}

@@ -7,9 +7,7 @@
 // (per-thread program slices plus the observed rf and co conflict
 // orders), memoizes verdicts in a concurrency-safe table keyed by
 // signature so each unique (test, observed-ordering) pair is model-
-// checked at most once per memo lifetime, and offers a batch API that
-// groups pending executions by signature and dispatches only unique
-// representatives to memmodel.Check.
+// checked at most once per memo lifetime.
 //
 // Sharing a Memo across fleet workers is safe and deterministic: the
 // verdict for a signature is a pure function of (execution, memory
@@ -236,7 +234,7 @@ func ScopedKey(scope string, sig Sig, arch memmodel.Arch) Sig {
 }
 
 // Check returns the verdict for the execution whose signature is sig,
-// running memmodel.Check at most once per *valid* signature. hit
+// running the exact checker at most once per *valid* signature. hit
 // reports whether the verdict was already present (or being computed
 // by a concurrent submitter).
 //
@@ -259,13 +257,13 @@ func (m *Memo) Check(sig Sig, x *memmodel.Execution, arch memmodel.Arch) (res me
 // scenario matrix without cross-scenario leakage. The empty scope is
 // itself a scope (the one Check uses).
 func (m *Memo) CheckScoped(scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch) (res memmodel.Result, hit bool) {
-	return m.CheckScopedVia(scope, sig, x, arch, memmodel.Check)
+	return m.CheckScopedVia(scope, sig, x, arch, memmodel.NewChecker().Check)
 }
 
 // CheckFunc is a drop-in decision procedure for CheckScopedVia. It must
-// return Results identical to memmodel.Check's for every input — the
-// contract the fastpath checker keeps by falling back to the exact
-// checker whenever its clock rules cannot decide.
+// return Results identical to the exact memmodel.Checker's for every
+// input — the contract a Checker with a fast pass keeps by falling back
+// to the exact procedure whenever the clock rules cannot decide.
 type CheckFunc func(*memmodel.Execution, memmodel.Arch) memmodel.Result
 
 // CheckScopedVia is CheckScoped with a caller-supplied decision
@@ -326,51 +324,4 @@ func (m *Memo) Stats() stats.Dedupe {
 		Unique:  m.entries.Load(),
 		Durable: m.durable.Load(),
 	}
-}
-
-// Batch accumulates pending executions and checks them collectively:
-// Flush groups them by signature and dispatches one representative per
-// unique signature to memmodel.Check (through the shared memo when one
-// was provided, so batches also reuse verdicts across flushes and
-// across goroutines).
-type Batch struct {
-	arch memmodel.Arch
-	memo *Memo
-	pend []pending
-}
-
-type pending struct {
-	x   *memmodel.Execution
-	sig Sig
-}
-
-// NewBatch returns a batch checking against arch. memo may be nil, in
-// which case the batch dedupes against a private table.
-func NewBatch(arch memmodel.Arch, memo *Memo) *Batch {
-	if memo == nil {
-		memo = NewMemo()
-	}
-	return &Batch{arch: arch, memo: memo}
-}
-
-// Add enqueues x for the next Flush and returns its signature. The
-// execution must not be mutated until after the flush.
-func (b *Batch) Add(x *memmodel.Execution) Sig {
-	sig := Signature(x)
-	b.pend = append(b.pend, pending{x: x, sig: sig})
-	return sig
-}
-
-// Len returns the number of pending executions.
-func (b *Batch) Len() int { return len(b.pend) }
-
-// Flush collectively checks all pending executions and returns one
-// Result per Add, in Add order, clearing the pending set.
-func (b *Batch) Flush() []memmodel.Result {
-	out := make([]memmodel.Result, len(b.pend))
-	for i, p := range b.pend {
-		out[i], _ = b.memo.Check(p.sig, p.x, b.arch)
-	}
-	b.pend = b.pend[:0]
-	return out
 }

@@ -179,7 +179,7 @@ func TestMemoVerdictMatchesDirectCheck(t *testing.T) {
 	for _, o := range [][2]uint64{{102, 101}, {102, 0}, {0, 0}} {
 		ops, co, rf := mpOps(o[0], o[1])
 		x := replay(t, ops, co, rf)
-		want := memmodel.Check(x, memmodel.TSO{})
+		want := memmodel.NewChecker().Check(x, memmodel.TSO{})
 		// Submit a different interleaving of the same execution: the
 		// memoized verdict must match the direct check of either.
 		x2 := replay(t, permute(ops), co, rf)
@@ -241,7 +241,7 @@ func TestMemoHitRederivesInvalidWitness(t *testing.T) {
 	if !hit || got.Valid {
 		t.Fatalf("repeat: valid=%v hit=%v", got.Valid, hit)
 	}
-	want := memmodel.Check(x2, memmodel.TSO{})
+	want := memmodel.NewChecker().Check(x2, memmodel.TSO{})
 	if got.Detail != want.Detail {
 		t.Errorf("hit returned foreign witness:\n got %q\nwant %q", got.Detail, want.Detail)
 	}
@@ -288,8 +288,8 @@ func TestSignatureDistinguishesRMWPairing(t *testing.T) {
 	// And the verdicts genuinely differ, which is why collision would
 	// be unsound: the paired version breaks atomicity, the unpaired
 	// one does not.
-	paired := memmodel.Check(pairedX, memmodel.TSO{})
-	unpaired := memmodel.Check(unpairedX, memmodel.TSO{})
+	paired := memmodel.NewChecker().Check(pairedX, memmodel.TSO{})
+	unpaired := memmodel.NewChecker().Check(unpairedX, memmodel.TSO{})
 	if paired.Kind != memmodel.ViolationAtomicity || unpaired.Kind == memmodel.ViolationAtomicity {
 		t.Fatalf("unexpected verdicts: paired=%v unpaired=%v", paired.Kind, unpaired.Kind)
 	}
@@ -338,30 +338,5 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 	}
 	if d.Checks != goroutines*20 || d.Checks-d.Unique != d.Hits {
 		t.Fatalf("inconsistent counters: %+v", d)
-	}
-}
-
-func TestBatchMatchesNaive(t *testing.T) {
-	b := NewBatch(memmodel.TSO{}, nil)
-	outcomes := [][2]uint64{{102, 101}, {102, 0}, {102, 101}, {0, 0}, {102, 0}, {102, 101}}
-	var want []memmodel.Result
-	for _, o := range outcomes {
-		ops, co, rf := mpOps(o[0], o[1])
-		x := replay(t, ops, co, rf)
-		want = append(want, memmodel.Check(x, memmodel.TSO{}))
-		b.Add(x)
-	}
-	if b.Len() != len(outcomes) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(outcomes))
-	}
-	got := b.Flush()
-	for i := range want {
-		if got[i].Valid != want[i].Valid || got[i].Kind != want[i].Kind {
-			t.Errorf("execution %d: collective (%v,%v) != naive (%v,%v)",
-				i, got[i].Valid, got[i].Kind, want[i].Valid, want[i].Kind)
-		}
-	}
-	if b.Len() != 0 {
-		t.Error("Flush left pending executions behind")
 	}
 }

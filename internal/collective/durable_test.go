@@ -29,11 +29,11 @@ func (s *mapStore) Put(key Sig, v Verdict) {
 	s.m[key] = v
 }
 
-// countingCheck wraps memmodel.Check with a call counter.
+// countingCheck wraps the exact checker with a call counter.
 func countingCheck(n *int) CheckFunc {
 	return func(x *memmodel.Execution, arch memmodel.Arch) memmodel.Result {
 		*n++
-		return memmodel.Check(x, arch)
+		return memmodel.NewChecker().Check(x, arch)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestMemoStoreWarmHit(t *testing.T) {
 	cold := NewMemo()
 	cold.SetStore(st)
 	x := replay(t, ops, co, rf)
-	coldRes, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.Check)
+	coldRes, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check)
 
 	warm := NewMemo()
 	warm.SetStore(st)
@@ -107,7 +107,7 @@ func TestMemoStoreWarmInvalidRederives(t *testing.T) {
 	cold := NewMemo()
 	cold.SetStore(st)
 	x := replay(t, ops, co, rf)
-	if res, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.Check); res.Valid {
+	if res, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check); res.Valid {
 		t.Fatal("forbidden MP outcome accepted")
 	}
 
@@ -119,7 +119,7 @@ func TestMemoStoreWarmInvalidRederives(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("invalid durable hit ran %d checks, want 1 (witness re-derivation)", calls)
 	}
-	want := memmodel.Check(x2, memmodel.TSO{})
+	want := memmodel.NewChecker().Check(x2, memmodel.TSO{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm invalid Result is not the submitted execution's:\n got %+v\nwant %+v", got, want)
 	}
@@ -138,7 +138,7 @@ func TestMemoStoreScopeIsolation(t *testing.T) {
 	m1 := NewMemo()
 	m1.SetStore(st)
 	x := replay(t, ops, co, rf)
-	m1.CheckScopedVia("scopeA", Signature(x), x, memmodel.TSO{}, memmodel.Check)
+	m1.CheckScopedVia("scopeA", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check)
 
 	m2 := NewMemo()
 	m2.SetStore(st)

@@ -11,8 +11,7 @@
 // is an atomic increment into a flat array plus a dirty-bit, and the
 // per-run fitness pass visits only the transitions the run actually
 // touched (via the dirty bitset) against a maintained rare-set instead
-// of sweeping the full table. The string-keyed RecordTransition API is
-// kept as a compatibility shim over the same machinery.
+// of sweeping the full table.
 package coverage
 
 import (
@@ -23,7 +22,7 @@ import (
 
 // Transition identifies one (controller, state, event) coverage unit.
 // It mirrors coherence.Transition without importing it, so the tracker
-// satisfies coherence.CoverageSink (and its ID fast path) structurally.
+// satisfies coherence.CoverageSink structurally.
 type Transition struct {
 	Controller, State, Event string
 }
@@ -139,7 +138,7 @@ func (t *Tracker) Table() *Table { return t.table }
 // Tracker methods; concurrent recorders take a Shard each via NewShard
 // so recording never contends on a lock.
 //
-// Recording (RecordID/RecordTransition) is safe from any number of
+// Recording (RecordID) is safe from any number of
 // goroutines. Run-boundary scoring is not symmetric: StartRun/EndRun
 // mutate the tracker's shared rare-set and cut-off, so per-run fitness
 // is well-defined — and deterministic — only when one consumer drives
@@ -189,18 +188,6 @@ func (s *Shard) RecordID(id TransitionID) {
 	// instead of losing it.
 	atomic.AddUint64(&s.run[id], 1)
 	atomic.OrUint64(&s.dirty[id>>6], 1<<(id&63))
-}
-
-// RecordTransition is the string-keyed compatibility shim: it resolves
-// the triple against the interned table and records by ID. Unknown
-// transitions are dropped from coverage (as before, they never counted
-// towards the table-bounded metrics).
-func (s *Shard) RecordTransition(controller, state, event string) {
-	if id, ok := s.t.table.ID(Transition{controller, state, event}); ok {
-		s.RecordID(id)
-		return
-	}
-	s.t.unknown.Add(1)
 }
 
 // drainLocked walks the shard's dirty bitset, invoking visit for every
@@ -293,13 +280,8 @@ func (t *Tracker) rebuildRareLocked() {
 	}
 }
 
-// RecordTransition implements coherence.CoverageSink on the tracker's
-// built-in shard.
-func (t *Tracker) RecordTransition(controller, state, event string) {
-	t.main.RecordTransition(controller, state, event)
-}
-
-// RecordID implements the coherence ID fast path on the built-in shard.
+// RecordID implements coherence.CoverageSink on the tracker's built-in
+// shard.
 func (t *Tracker) RecordID(id TransitionID) { t.main.RecordID(id) }
 
 // CoverageID resolves a transition's interned ID; controllers call it

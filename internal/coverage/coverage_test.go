@@ -13,14 +13,25 @@ func table(n int) []Transition {
 	return out
 }
 
+// record resolves a transition by name, the way a controller does once
+// at build time, and records its ID; a name outside the table records
+// NoTransitionID.
+func record(tr *Tracker, controller, state, event string) {
+	id, ok := tr.CoverageID(controller, state, event)
+	if !ok {
+		id = NoTransitionID
+	}
+	tr.RecordID(id)
+}
+
 func TestTotalCoverage(t *testing.T) {
 	tr := NewTracker(table(10), DefaultParams())
 	if tr.TotalCoverage() != 0 {
 		t.Fatal("fresh tracker nonzero coverage")
 	}
-	tr.RecordTransition("C", "S0", "E")
-	tr.RecordTransition("C", "S1", "E")
-	tr.RecordTransition("C", "S1", "E") // repeat
+	record(tr, "C", "S0", "E")
+	record(tr, "C", "S1", "E")
+	record(tr, "C", "S1", "E") // repeat
 	if got := tr.TotalCoverage(); got != 0.2 {
 		t.Fatalf("TotalCoverage = %v, want 0.2", got)
 	}
@@ -31,7 +42,7 @@ func TestTotalCoverage(t *testing.T) {
 
 func TestRecordOutsideTableIgnoredInCoverage(t *testing.T) {
 	tr := NewTracker(table(4), DefaultParams())
-	tr.RecordTransition("X", "weird", "E")
+	record(tr, "X", "weird", "E")
 	if tr.TotalCoverage() != 0 {
 		t.Fatal("transition outside the table affected total coverage")
 	}
@@ -40,8 +51,8 @@ func TestRecordOutsideTableIgnoredInCoverage(t *testing.T) {
 func TestRunFitness(t *testing.T) {
 	tr := NewTracker(table(10), DefaultParams())
 	tr.StartRun()
-	tr.RecordTransition("C", "S0", "E")
-	tr.RecordTransition("C", "S1", "E")
+	record(tr, "C", "S0", "E")
+	record(tr, "C", "S1", "E")
 	f := tr.EndRun()
 	// All 10 are rare at first; run covered 2.
 	if f != 0.2 {
@@ -55,19 +66,19 @@ func TestAdaptiveCutoffExcludesFrequent(t *testing.T) {
 	// Hammer S0 until it is no longer rare.
 	for i := 0; i < 5; i++ {
 		tr.StartRun()
-		tr.RecordTransition("C", "S0", "E")
+		record(tr, "C", "S0", "E")
 		tr.EndRun()
 	}
 	// Now a run covering only S0 gets 0 fitness contribution from it:
 	// rare set = {S1}, covered = 0.
 	tr.StartRun()
-	tr.RecordTransition("C", "S0", "E")
+	record(tr, "C", "S0", "E")
 	if f := tr.EndRun(); f != 0 {
 		t.Fatalf("fitness = %v, want 0 (S0 is frequent)", f)
 	}
 	// Covering the rare S1 yields 1.0.
 	tr.StartRun()
-	tr.RecordTransition("C", "S1", "E")
+	record(tr, "C", "S1", "E")
 	if f := tr.EndRun(); f != 1.0 {
 		t.Fatalf("fitness = %v, want 1.0", f)
 	}
@@ -78,7 +89,7 @@ func TestCutoffDoubling(t *testing.T) {
 	tr := NewTracker(table(4), params)
 	// Saturate all transitions so everything is frequent.
 	for i := 0; i < 4; i++ {
-		tr.RecordTransition("C", fmt.Sprintf("S%d", i), "E")
+		record(tr, "C", fmt.Sprintf("S%d", i), "E")
 	}
 	start := tr.Cutoff()
 	for i := 0; i < 3; i++ {
@@ -98,7 +109,7 @@ func TestCoverageMonotonic(t *testing.T) {
 	last := 0.0
 	for i := 0; i < 20; i++ {
 		tr.StartRun()
-		tr.RecordTransition("C", fmt.Sprintf("S%d", i%20), "E")
+		record(tr, "C", fmt.Sprintf("S%d", i%20), "E")
 		tr.EndRun()
 		cur := tr.TotalCoverage()
 		if cur < last {
@@ -113,7 +124,7 @@ func TestCoverageMonotonic(t *testing.T) {
 
 func TestUncoveredSorted(t *testing.T) {
 	tr := NewTracker(table(5), DefaultParams())
-	tr.RecordTransition("C", "S2", "E")
+	record(tr, "C", "S2", "E")
 	un := tr.Uncovered()
 	if len(un) != 4 {
 		t.Fatalf("Uncovered = %d entries, want 4", len(un))
@@ -159,7 +170,7 @@ func TestPartialParamsKeepExplicitFields(t *testing.T) {
 		t.Fatalf("zero InitialCutoff not defaulted: %d", tr.Cutoff())
 	}
 	tr.StartRun()
-	tr.RecordTransition("C", "S0", "E") // fitness 0.5 < 0.9: unproductive
+	record(tr, "C", "S0", "E") // fitness 0.5 < 0.9: unproductive
 	tr.EndRun()
 	if tr.Doublings() != 1 {
 		t.Fatalf("explicit LowFitness/Patience discarded: doublings = %d, want 1", tr.Doublings())
@@ -178,14 +189,14 @@ func TestExactPerRunCounts(t *testing.T) {
 
 	// Seed the pre-run count at 1 (< cutoff 2: still rare).
 	tr.StartRun()
-	tr.RecordTransition("C", "S0", "E")
+	record(tr, "C", "S0", "E")
 	tr.EndRun()
 
 	// The run under test hits the same transition twice, straddling
 	// the cut-off (1 before, 3 after).
 	tr.StartRun()
-	tr.RecordTransition("C", "S0", "E")
-	tr.RecordTransition("C", "S0", "E")
+	record(tr, "C", "S0", "E")
+	record(tr, "C", "S0", "E")
 	if f := tr.EndRun(); f != 1.0 {
 		t.Fatalf("fitness = %v, want 1.0 (pre-run count 1 < cutoff 2)", f)
 	}
@@ -193,44 +204,9 @@ func TestExactPerRunCounts(t *testing.T) {
 	// With the count now at 3 >= 2 the transition is frequent: the
 	// rare set is empty and a further hit scores 0.
 	tr.StartRun()
-	tr.RecordTransition("C", "S0", "E")
+	record(tr, "C", "S0", "E")
 	if f := tr.EndRun(); f != 0 {
 		t.Fatalf("fitness = %v, want 0 (transition now frequent)", f)
-	}
-}
-
-// TestIDAndStringPathsEquivalent: the interned fast path and the
-// string compatibility shim must drive identical counts, fitness and
-// cut-off trajectories.
-func TestIDAndStringPathsEquivalent(t *testing.T) {
-	all := table(12)
-	byStr := NewTracker(all, DefaultParams())
-	byID := NewTracker(all, DefaultParams())
-	for run := 0; run < 30; run++ {
-		byStr.StartRun()
-		byID.StartRun()
-		for i := 0; i < 40; i++ {
-			tr := all[(run*7+i*3)%len(all)]
-			byStr.RecordTransition(tr.Controller, tr.State, tr.Event)
-			id, ok := byID.CoverageID(tr.Controller, tr.State, tr.Event)
-			if !ok {
-				t.Fatalf("CoverageID(%v) unknown", tr)
-			}
-			byID.RecordID(id)
-		}
-		fs, fi := byStr.EndRun(), byID.EndRun()
-		if fs != fi {
-			t.Fatalf("run %d: fitness diverges: string %v vs id %v", run, fs, fi)
-		}
-	}
-	if byStr.TotalCoverage() != byID.TotalCoverage() || byStr.Cutoff() != byID.Cutoff() {
-		t.Fatal("coverage/cutoff diverge between string and ID paths")
-	}
-	s1, s2 := byStr.Snapshot(nil), byID.Snapshot(nil)
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("count[%d] diverges: %d vs %d", i, s1[i], s2[i])
-		}
 	}
 }
 
@@ -248,7 +224,7 @@ func TestConcurrentCampaignIsolation(t *testing.T) {
 			for r := 0; r < runs; r++ {
 				tr.StartRun()
 				for i := 0; i < 20; i += 2 {
-					tr.RecordTransition("C", fmt.Sprintf("S%d", i), "E")
+					record(tr, "C", fmt.Sprintf("S%d", i), "E")
 				}
 				tr.EndRun()
 			}

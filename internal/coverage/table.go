@@ -9,8 +9,8 @@ import "sort"
 type TransitionID = uint32
 
 // NoTransitionID marks a transition the interning table does not know.
-// Controllers that pre-resolve their vocabulary fall back to the
-// string path for entries resolving to it.
+// Controllers that pre-resolve their vocabulary record it for entries
+// the table lacks; RecordID tallies it in UnknownRecords.
 const NoTransitionID TransitionID = ^TransitionID(0)
 
 // Table interns a protocol's transition vocabulary once: every

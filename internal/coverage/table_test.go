@@ -79,18 +79,33 @@ func TestTableDedupes(t *testing.T) {
 	}
 }
 
-// TestRecordIDOutsideVocabularyDropped: unknown IDs (and unknown
-// string triples) must not corrupt the flat count arrays.
+// TestRecordIDOutsideVocabularyDropped: unknown IDs must not corrupt
+// the flat count arrays.
 func TestRecordIDOutsideVocabularyDropped(t *testing.T) {
 	tr := NewTracker(vocab(4), DefaultParams())
 	tr.RecordID(TransitionID(4))
 	tr.RecordID(NoTransitionID)
-	tr.RecordTransition("X", "weird", "E")
 	if tr.TotalCoverage() != 0 || tr.Covered() != 0 {
 		t.Fatal("out-of-vocabulary records affected coverage")
 	}
-	if tr.UnknownRecords() != 3 {
-		t.Fatalf("UnknownRecords = %d, want 3", tr.UnknownRecords())
+	if tr.UnknownRecords() != 2 {
+		t.Fatalf("UnknownRecords = %d, want 2", tr.UnknownRecords())
+	}
+}
+
+// TestRecordIDAllocatesNothing gates the live record path: known and
+// unknown IDs alike, on a worker shard and on the built-in one.
+func TestRecordIDAllocatesNothing(t *testing.T) {
+	tr := NewTracker(vocab(64), DefaultParams())
+	shard := tr.NewShard()
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		shard.RecordID(TransitionID(i % 64))
+		tr.RecordID(TransitionID(i % 64))
+		shard.RecordID(NoTransitionID)
+		i++
+	}); n != 0 {
+		t.Fatalf("RecordID allocates %v objects per call, want 0", n)
 	}
 }
 

@@ -271,6 +271,34 @@ func (em *emitter) emit(ev Event) {
 	}
 }
 
+// newEmitter starts a fleet run of n work items: the event channel,
+// the shared phase tracer under Options.Obs, and the item and worker
+// counts.
+func newEmitter(opts Options, n int) *emitter {
+	em := &emitter{ch: opts.Events}
+	if opts.Obs {
+		em.ps = &obs.PhaseStats{}
+	}
+	em.stats.Samples = n
+	em.stats.Workers = Workers(opts.Workers, n)
+	return em
+}
+
+// finish closes the run's aggregate: the memo's dedupe counters, the
+// coverage union (meaningful while every item shares one vocabulary;
+// zero when scenarios span protocols), the phase breakdown and the
+// wall-clock since start.
+func (em *emitter) finish(memo *collective.Memo, start time.Time) Stats {
+	if memo != nil {
+		em.stats.Dedupe = memo.Stats()
+	}
+	em.stats.UnionCoverage = em.unionCoverage()
+	em.stats.Obs = em.ps.Snapshot()
+	//mcvlint:allow nondeterm wall-clock telemetry for Stats.Wall; excluded from canonical bytes
+	em.stats.Wall = time.Since(start)
+	return em.stats
+}
+
 // SampleSet runs n campaigns of cfg with seeds derived from baseSeed
 // (core.SampleSeed), sharded across the fleet's worker pool. The
 // result slice is indexed by sample; samples never started because of
@@ -282,12 +310,7 @@ func SampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64, opts
 	opts = opts.withDefaults()
 	//mcvlint:allow nondeterm wall-clock telemetry for Stats.Wall; excluded from canonical bytes
 	start := time.Now()
-	em := &emitter{ch: opts.Events}
-	if opts.Obs {
-		em.ps = &obs.PhaseStats{}
-	}
-	em.stats.Samples = n
-	em.stats.Workers = Workers(opts.Workers, n)
+	em := newEmitter(opts, n)
 
 	// Collective checking: every sample's campaign shares one verdict
 	// memo, keyed by canonical execution signature — the fleet-wide
@@ -304,28 +327,26 @@ func SampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64, opts
 	if opts.Islands && cfg.Generator != core.GenRandom {
 		results, err = islandSampleSet(ctx, cfg, n, baseSeed, opts, em)
 	} else {
-		results, err = pooledSampleSet(ctx, cfg, n, baseSeed, opts, em)
+		results, err = pooledItems(ctx, n, opts, em, func(i int) (core.Config, string) {
+			c := cfg
+			c.Seed = core.SampleSeed(baseSeed, i)
+			return c, ""
+		})
 	}
-	if cfg.Memo != nil {
-		em.stats.Dedupe = cfg.Memo.Stats()
-	}
-	em.stats.UnionCoverage = em.unionCoverage()
-	em.stats.Obs = em.ps.Snapshot()
-	//mcvlint:allow nondeterm wall-clock telemetry for Stats.Wall; excluded from canonical bytes
-	em.stats.Wall = time.Since(start)
-	return results, em.stats, err
+	return results, em.finish(cfg.Memo, start), err
 }
 
-// pooledSampleSet is the plain (non-island) path: each sample is one
-// independent work item run to completion.
-func pooledSampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64, opts Options, em *emitter) ([]core.Result, error) {
+// pooledItems is the plain (non-island) path under SampleSet and
+// ScenarioSweep: item i is one independent campaign, run to completion,
+// of the config item(i) returns; the string beside it labels the
+// item's events (Event.Scenario).
+func pooledItems(ctx context.Context, n int, opts Options, em *emitter, item func(i int) (core.Config, string)) ([]core.Result, error) {
 	ctx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
 
 	results, err := Map(ctx, opts.Workers, n, func(ctx context.Context, i int) (core.Result, error) {
-		c := cfg
-		c.Seed = core.SampleSeed(baseSeed, i)
-		camp, err := core.NewCampaign(c)
+		cfg, label := item(i)
+		camp, err := core.NewCampaign(cfg)
 		if err != nil {
 			return core.Result{}, err
 		}
@@ -337,14 +358,16 @@ func pooledSampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64
 		res, err := camp.RunContext(ctx)
 		em.absorb(camp.Tracker().Table(), camp.Tracker().Snapshot(nil))
 		em.absorbFastpath(camp.Fastpath())
+		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
+		ev := Event{Sample: i, Scenario: label, Done: true, Result: res, Elapsed: time.Since(t0)}
 		if err != nil {
 			// The sample did not complete: report its partial tally to
 			// listeners and Stats either way. Only a genuine cancellation
 			// caused by a sibling's find is benign; a campaign's own
 			// failure (or caller cancellation) must still surface even if
 			// the early-stop cause is already set.
-			//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-			em.emit(Event{Sample: i, Done: true, Stopped: true, Result: res, Elapsed: time.Since(t0)})
+			ev.Stopped = true
+			em.emit(ev)
 			if errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errEarlyStop) {
 				return res, nil
 			}
@@ -353,8 +376,7 @@ func pooledSampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64
 		if opts.StopOnFound && res.Found {
 			stop(errEarlyStop) // first cancel wins; later calls are no-ops
 		}
-		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-		em.emit(Event{Sample: i, Done: true, Result: res, Elapsed: time.Since(t0)})
+		em.emit(ev)
 		return res, nil
 	})
 	// Map records the bare cancellation for items it never started;

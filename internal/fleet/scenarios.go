@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/collective"
@@ -30,61 +29,23 @@ func ScenarioSweep(ctx context.Context, base core.Config, scens []scenario.Scena
 	//mcvlint:allow nondeterm wall-clock telemetry for Stats.Wall; excluded from canonical bytes
 	start := time.Now()
 	n := len(scens) * samples
-	em := &emitter{ch: opts.Events}
-	em.stats.Samples = n
-	em.stats.Workers = Workers(opts.Workers, n)
+	em := newEmitter(opts, n)
 
 	if opts.Collective && base.Memo == nil {
 		base.Memo = collective.NewMemo()
 	}
 	attachStore(base.Memo, opts)
 
-	ctx, stop := context.WithCancelCause(ctx)
-	defer stop(nil)
-
-	flat, err := Map(ctx, opts.Workers, n, func(ctx context.Context, i int) (core.Result, error) {
+	flat, err := pooledItems(ctx, n, opts, em, func(i int) (core.Config, string) {
 		cfg := base
 		cfg.Scenario = scens[i/samples]
 		cfg.Seed = core.SampleSeed(baseSeed, i)
-		camp, err := core.NewCampaign(cfg)
-		if err != nil {
-			return core.Result{}, err
-		}
-		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-		t0 := time.Now()
-		res, err := camp.RunContext(ctx)
-		em.absorb(camp.Tracker().Table(), camp.Tracker().Snapshot(nil))
-		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-		ev := Event{Sample: i, Scenario: cfg.Scenario.Name, Result: res, Elapsed: time.Since(t0), Done: true}
-		if err != nil {
-			ev.Stopped = true
-			em.emit(ev)
-			if errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errEarlyStop) {
-				return res, nil
-			}
-			return res, err
-		}
-		if opts.StopOnFound && res.Found {
-			stop(errEarlyStop)
-		}
-		em.emit(ev)
-		return res, nil
+		return cfg, cfg.Scenario.Name
 	})
-	if errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errEarlyStop) {
-		err = nil
-	}
 
 	out := make([][]core.Result, len(scens))
 	for si := range scens {
 		out[si] = flat[si*samples : (si+1)*samples]
 	}
-	if base.Memo != nil {
-		em.stats.Dedupe = base.Memo.Stats()
-	}
-	// Meaningful for same-protocol sweeps (one shared vocabulary);
-	// zero when scenarios span protocols.
-	em.stats.UnionCoverage = em.unionCoverage()
-	//mcvlint:allow nondeterm wall-clock telemetry for Stats.Wall; excluded from canonical bytes
-	em.stats.Wall = time.Since(start)
-	return out, em.stats, err
+	return out, em.finish(base.Memo, start), err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -84,5 +85,37 @@ func TestScenarioSweepFindsBug(t *testing.T) {
 	}
 	if !res[1][0].Found {
 		t.Fatal("buggy scenario missed LQ+no-TSO")
+	}
+}
+
+// TestScenarioSweepObsAndFastpath: a sweep carries the same operator
+// telemetry SampleSet does — the fast-path tally always, the phase
+// breakdown under Options.Obs — and instrumenting it changes no Result.
+func TestScenarioSweepObsAndFastpath(t *testing.T) {
+	scens := sweepScenarios(t)[:2]
+	cfg := scaledConfig(core.GenRandom, "", 10)
+	run := func(on bool) ([][]core.Result, Stats) {
+		res, st, err := ScenarioSweep(context.Background(), cfg, scens, 2, 77,
+			Options{Collective: true, Obs: on})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, st
+	}
+	off, offStats := run(false)
+	on, onStats := run(true)
+	if !reflect.DeepEqual(off, on) {
+		t.Fatalf("Obs changed sweep results:\noff %+v\non  %+v", off, on)
+	}
+	if !offStats.Obs.Empty() {
+		t.Errorf("uninstrumented sweep carries spans: %s", offStats.Obs)
+	}
+	if sim := onStats.Obs.Phase(obs.PhaseSim); sim.Ns <= 0 || sim.Count == 0 {
+		t.Errorf("instrumented sweep reports no sim phase: %s", onStats.Obs)
+	}
+	for _, st := range []Stats{offStats, onStats} {
+		if st.Fastpath.Checks == 0 {
+			t.Errorf("sweep reports no fast-path checks: %+v", st.Fastpath)
+		}
 	}
 }

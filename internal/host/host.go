@@ -228,9 +228,9 @@ func (h *Host) resetTestMem(lines []memsys.Addr) {
 // is computed and returned, then cleared.
 func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 	// Phase spans: lap() attributes the section since the last mark to
-	// one pipeline phase. The loop is the hottest in the system and the
-	// obs_overhead bench gates it at 2%, so each lap is a single
-	// monotonic clock read (time.Since on a monotonic base, not
+	// one pipeline phase. The loop is the hottest in the system and
+	// tracing it must stay under 2% (obs.overhead_share), so each lap is
+	// a single monotonic clock read (time.Since on a monotonic base, not
 	// time.Now, which also reads the wall clock) and spans accumulate in
 	// locals, flushed to the shared tracer once per test-run. With obs
 	// detached the cost is one nil check per section.

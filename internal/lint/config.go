@@ -15,8 +15,6 @@ package lint
 //   - internal/service: the daemon half (lease TTLs, admission,
 //     checkpoint mtimes) runs on real wall clocks by design; its
 //     determinism-critical work is delegated to fleet/core.
-//   - internal/benchwork, cmd/bench: the timing harness measures the
-//     clock on purpose.
 //   - cmd/*, examples/, internal/lint: driver and tooling code.
 var criticalPackages = map[string]bool{
 	"repro":                            true,

@@ -9,9 +9,9 @@ import (
 // NewMergefields returns the mergefields analyzer: for every
 // merge-shaped method — a method named Merge*/Union* whose single
 // parameter has the receiver's own type (stats.Dedupe.Merge,
-// obs.Snapshot.Merge, relation.UnionInto, ...) — every mergeable field
-// of the type must be mentioned somewhere in the method, directly or
-// via other methods of the same type it calls. "Added a counter, forgot
+// obs.Snapshot.Merge, ...) — every mergeable field of the type must be
+// mentioned somewhere in the method, directly or via other methods of
+// the same type it calls. "Added a counter, forgot
 // to add it to Merge" is the bug class: the new field silently drops
 // shard contributions and the merged totals go wrong only under
 // distribution, where nothing crashes.

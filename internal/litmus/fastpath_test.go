@@ -33,6 +33,7 @@ func TestFastpathMatchesExactOnCorpus(t *testing.T) {
 	}
 
 	fc := fastpath.New() // shared across all checks: exercises scratch reuse
+	fast := memmodel.NewChecker(memmodel.WithFastDecider(fc))
 	for _, model := range memmodel.Names() {
 		arch, err := memmodel.ByName(model)
 		if err != nil {
@@ -44,8 +45,8 @@ func TestFastpathMatchesExactOnCorpus(t *testing.T) {
 			if !ok {
 				continue
 			}
-			exact := memmodel.Check(x, arch)
-			res, v := fc.Check(x, arch)
+			exact := memmodel.NewChecker().Check(x, arch)
+			res, v := fast.Check(x, arch), fc.Decide(x, arch)
 			if !reflect.DeepEqual(res, exact) {
 				t.Fatalf("%s under %s: fastpath Result diverges\n  fast  %+v\n  exact %+v",
 					tst.Name, model, res, exact)

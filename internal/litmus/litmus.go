@@ -490,7 +490,7 @@ func Forbidden(t *Test, arch memmodel.Arch) bool {
 	if !ok {
 		return false
 	}
-	return !memmodel.Check(x, arch).Valid
+	return !memmodel.NewChecker().Check(x, arch).Valid
 }
 
 // Execution materializes the candidate execution of the test's

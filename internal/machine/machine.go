@@ -64,12 +64,6 @@ type Config struct {
 	Bugs bugs.Set
 	// Seed drives all simulation randomness.
 	Seed int64
-	// Kernel, when non-nil, supplies an alternative event queue for
-	// the machine's simulator (sim.NewWithKernel). It exists for the
-	// old-vs-new kernel equivalence harness — internal/benchwork's
-	// HeapKernel is the retired binary heap — and is nil in production:
-	// the built-in timing wheel.
-	Kernel func() sim.ExternalKernel
 }
 
 // DefaultConfig returns the Table 2 system.
@@ -134,12 +128,7 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 	if errs == nil {
 		errs = coherence.PanicErrors{}
 	}
-	var s *sim.Sim
-	if cfg.Kernel != nil {
-		s = sim.NewWithKernel(cfg.Seed, cfg.Kernel())
-	} else {
-		s = sim.New(cfg.Seed)
-	}
+	s := sim.New(cfg.Seed)
 	net := interconnect.New(s, cfg.Mesh)
 	mem := memsys.NewMemory()
 	m := &Machine{Cfg: cfg, Sim: s, Net: net, Mem: mem}

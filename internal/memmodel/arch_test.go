@@ -164,11 +164,11 @@ func TestSCStricterThanTSO(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sc := Check(x, SC{})
+		sc := NewChecker().Check(x, SC{})
 		if !sc.Valid {
 			t.Fatalf("trial %d: interleaved execution invalid under SC: %s", trial, sc.Detail)
 		}
-		tso := Check(x, TSO{})
+		tso := NewChecker().Check(x, TSO{})
 		if !tso.Valid {
 			t.Fatalf("trial %d: SC-valid execution invalid under TSO: %s", trial, tso.Detail)
 		}

@@ -182,14 +182,14 @@ func TestModelContainment(t *testing.T) {
 		}
 		for k := 0; k+1 < len(chain); k++ {
 			strong, weak := chain[k], chain[k+1]
-			if Check(x, strong).Valid && !Check(x, weak).Valid {
+			if NewChecker().Check(x, strong).Valid && !NewChecker().Check(x, weak).Valid {
 				t.Fatalf("trial %d: execution valid under %s but invalid under %s",
 					trial, strong.Name(), weak.Name())
 			}
 		}
 		// Interleavings are SC-valid by construction, hence valid
 		// everywhere down the chain.
-		if res := Check(x, SC{}); !res.Valid {
+		if res := NewChecker().Check(x, SC{}); !res.Valid {
 			t.Fatalf("trial %d: interleaved execution invalid under SC: %s", trial, res.Detail)
 		}
 	}

@@ -26,7 +26,7 @@ func TestBuilderValueResolution(t *testing.T) {
 	if got, ok := xc.RF(r0); !ok || got != xc.InitWrite(y) {
 		t.Errorf("rf(read 0) = %d, %v; want the initial write", got, ok)
 	}
-	if res := Check(xc, SC{}); !res.Valid {
+	if res := NewChecker().Check(xc, SC{}); !res.Valid {
 		t.Errorf("trivial execution rejected: %s", res.Detail)
 	}
 }

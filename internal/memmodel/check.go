@@ -69,15 +69,14 @@ func (r Result) Err() error {
 // Scratch holds the per-check working state — the derived-relation edge
 // sets and the two incremental acyclicity engines — so repeated checks
 // reuse allocations instead of rebuilding maps and adjacency arrays per
-// execution. A Scratch is single-use-at-a-time; Check draws one from an
-// internal pool, and callers with their own loop can hold one directly
-// via CheckWith.
+// execution. A Scratch is single-use-at-a-time; a Checker draws one
+// from an internal pool unless it was built WithScratch.
 type Scratch struct {
 	rf, co, fr, poloc, rfe, ppo *relation.Relation
 	base, uni                   *relation.Topo
 }
 
-// NewScratch returns an empty scratch ready for CheckWith.
+// NewScratch returns an empty scratch ready for WithScratch.
 func NewScratch() *Scratch {
 	return &Scratch{
 		rf:    relation.New(),
@@ -104,35 +103,18 @@ func (s *Scratch) reset() {
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
-// Check decides whether execution x is valid under arch. The procedure
-// is the complete polynomial-time pre-silicon check of §4.1: all
-// conflict orders are visible, so each constraint is a cycle search
+// check decides whether execution x is valid under arch, using s as
+// working state; it is the exact procedure under Checker.Check. The
+// procedure is the complete polynomial-time pre-silicon check of §4.1:
+// all conflict orders are visible, so each constraint is a cycle search
 // over explicit edges. The search runs on the incremental acyclicity
 // engine (relation.Topo): the co ∪ fr core shared by the uniproc and
 // GHB constraint graphs is topologically sorted once and its sort
 // state reused for both, and each constraint's own edges are inserted
 // incrementally with the first order-closing insertion yielding the
-// witness cycle. Working state comes from a shared pool; see CheckWith
-// to supply your own.
-//
-// Deprecated: new callers should go through a Checker (or the public
-// oracle package), which unifies exact checking, scratch ownership and
-// the fast-path dispatch behind one type. Check remains the exact-check
-// core Checker wraps and is not going away.
-func Check(x *Execution, arch Arch) Result {
-	s := scratchPool.Get().(*Scratch)
-	res := CheckWith(x, arch, s)
-	scratchPool.Put(s)
-	return res
-}
-
-// CheckWith is Check with caller-provided scratch. The returned Result
-// shares no state with s, so s may be reused immediately.
-//
-// Deprecated: new callers should hold a Checker built with WithScratch
-// instead of threading a Scratch by hand; CheckWith remains the
-// underlying implementation.
-func CheckWith(x *Execution, arch Arch, s *Scratch) Result {
+// witness cycle. The returned Result shares no state with s, so s may
+// be reused immediately.
+func check(x *Execution, arch Arch, s *Scratch) Result {
 	if err := x.Validate(); err != nil {
 		return Result{Kind: ViolationStructural, Detail: err.Error()}
 	}
@@ -198,16 +180,12 @@ func uniprocViolation(x *Execution, cycle []relation.EventID) Result {
 	}
 }
 
-// CheckAtomicity verifies every RMW pair. A pair is the read half
+// CheckAtomicity verifies every RMW pair; ok is false, with the
+// violation's Result, for the first broken one. A pair is the read half
 // followed by the write half of the same instruction (same Key.TID and
-// Key.Instr, consecutive Sub numbers, both Atomic). Exported so the
-// fastpath checker shares the one implementation and, with it, the
-// exact checker's Result for atomicity violations.
-//
-// Deprecated: CheckAtomicity is a constraint internal to the decision
-// procedure; callers wanting a verdict should use a Checker, which runs
-// it as part of the full check. It stays exported for the fastpath
-// subpackage.
+// Key.Instr, consecutive Sub numbers, both Atomic). It is one
+// constraint of the decision procedure, not a verdict: exported so the
+// fastpath clock pass and the exact core share the one implementation.
 func CheckAtomicity(x *Execution) (Result, bool) {
 	for _, tid := range x.Threads() {
 		events := x.ThreadEvents(tid)

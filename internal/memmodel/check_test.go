@@ -98,7 +98,7 @@ func checkBoth(t *testing.T, build func(b *builder), wantSC, wantTSO bool) {
 	}{{SC{}, wantSC}, {TSO{}, wantTSO}} {
 		b := newBuilder(t)
 		build(b)
-		res := Check(b.done(), tc.arch)
+		res := NewChecker().Check(b.done(), tc.arch)
 		if res.Valid != tc.want {
 			t.Errorf("%s: Valid = %v (%s), want %v", tc.arch.Name(), res.Valid, res.Detail, tc.want)
 		}
@@ -199,7 +199,7 @@ func TestCoherenceUniproc(t *testing.T) {
 		b.write(1, x, 2)
 		b.read(2, x, 2)
 		b.read(2, x, 1) // stale after fresh: uniproc violation
-		res := Check(b.done(), arch)
+		res := NewChecker().Check(b.done(), arch)
 		if res.Valid {
 			t.Errorf("%s: stale-after-fresh accepted", arch.Name())
 		}
@@ -228,7 +228,7 @@ func TestRMWAtomicityViolation(t *testing.T) {
 	// atomic because the first's write intervenes.
 	b.rmw(1, x, 0, 10)
 	b.rmw(2, x, 0, 20)
-	res := Check(b.done(), TSO{})
+	res := NewChecker().Check(b.done(), TSO{})
 	if res.Valid {
 		t.Fatal("broken RMW atomicity accepted")
 	}
@@ -241,7 +241,7 @@ func TestRMWAtomicityValidChain(t *testing.T) {
 	b := newBuilder(t)
 	b.rmw(1, x, 0, 10)
 	b.rmw(2, x, 10, 20)
-	res := Check(b.done(), TSO{})
+	res := NewChecker().Check(b.done(), TSO{})
 	if !res.Valid {
 		t.Fatalf("valid RMW chain rejected: %s", res.Detail)
 	}
@@ -255,7 +255,7 @@ func TestRMWFencingForbidsSB(t *testing.T) {
 	b.read(1, y, 0)
 	b.rmw(2, y, 0, 1)
 	b.read(2, x, 0)
-	res := Check(b.done(), TSO{})
+	res := NewChecker().Check(b.done(), TSO{})
 	if res.Valid {
 		t.Fatal("SB with locked RMWs accepted under TSO")
 	}
@@ -274,7 +274,7 @@ func TestStructuralValueMismatch(t *testing.T) {
 	if err := x1.SetRF(r, w); err != nil {
 		t.Fatalf("SetRF: %v", err)
 	}
-	res := Check(x1, TSO{})
+	res := NewChecker().Check(x1, TSO{})
 	if res.Valid || res.Kind != ViolationStructural {
 		t.Fatalf("value mismatch not caught: %+v", res)
 	}
@@ -313,7 +313,7 @@ func TestAtomicityInterleavedWriteViolation(t *testing.T) {
 	b.rmw(2, x, 1, 3) // reads 1, writes 3
 	b.write(3, x, 2)  // intruder
 	b.co(x, 1, 2, 3)  // intruder serializes inside the RMW window
-	res := Check(b.done(), TSO{})
+	res := NewChecker().Check(b.done(), TSO{})
 	if res.Valid {
 		t.Fatal("interleaved same-address write inside RMW window accepted")
 	}
@@ -330,7 +330,7 @@ func TestAtomicityInterleavedWriteOutsideWindow(t *testing.T) {
 	b.rmw(2, x, 1, 3)
 	b.write(3, x, 2)
 	b.co(x, 1, 3, 2) // intruder last: window intact
-	res := Check(b.done(), TSO{})
+	res := NewChecker().Check(b.done(), TSO{})
 	if !res.Valid {
 		t.Fatalf("post-RMW write rejected: %s (%s)", res.Kind, res.Detail)
 	}
@@ -345,7 +345,7 @@ func TestDescribeCycleOutput(t *testing.T) {
 	b.write(1, x, 2)
 	b.read(2, x, 2)
 	b.read(2, x, 1) // stale after fresh
-	res := Check(b.done(), TSO{})
+	res := NewChecker().Check(b.done(), TSO{})
 	if res.Valid || res.Kind != ViolationUniproc {
 		t.Fatalf("expected uniproc violation, got %+v", res)
 	}
@@ -379,7 +379,7 @@ func TestStructuralMissingRF(t *testing.T) {
 		t.Fatal(err)
 	}
 	x1.AddEvent(Event{Key: Key{TID: 2}, Kind: KindRead, Addr: x, Value: 1})
-	res := Check(x1, TSO{})
+	res := NewChecker().Check(x1, TSO{})
 	if res.Valid || res.Kind != ViolationStructural {
 		t.Fatalf("read without rf not caught: %+v", res)
 	}
@@ -393,7 +393,7 @@ func TestStructuralMissingRF(t *testing.T) {
 func TestStructuralWriteMissingFromCO(t *testing.T) {
 	x1 := NewExecution()
 	x1.AddEvent(Event{Key: Key{TID: 1}, Kind: KindWrite, Addr: x, Value: 1})
-	res := Check(x1, TSO{})
+	res := NewChecker().Check(x1, TSO{})
 	if res.Valid || res.Kind != ViolationStructural {
 		t.Fatalf("write outside co not caught: %+v", res)
 	}

@@ -45,9 +45,7 @@ type FastDecider interface {
 	DecideFast(x *Execution, arch Arch) FastOutcome
 }
 
-// Checker is the unified check entry point: one type collapsing the
-// loose Check/CheckWith/CheckAtomicity functions and the recorder's
-// hand-rolled fastpath dispatch behind options. A Checker decides
+// Checker is the one way to check an execution. A Checker decides
 // executions fast-path-first when a FastDecider is configured, falls
 // back to the exact procedure otherwise, and owns its scratch so
 // repeated checks reuse allocations. Results are byte-identical across
@@ -82,7 +80,7 @@ func WithScratch(s *Scratch) CheckerOption {
 
 // NewChecker returns a Checker with the given options. The zero
 // configuration (no options) checks exactly, drawing scratch from the
-// shared pool — equivalent to the loose Check function.
+// shared pool.
 func NewChecker(opts ...CheckerOption) *Checker {
 	c := &Checker{}
 	for _, o := range opts {
@@ -116,10 +114,12 @@ func (c *Checker) Check(x *Execution, arch Arch) Result {
 }
 
 func (c *Checker) exact(x *Execution, arch Arch) Result {
-	if c.scratch != nil {
-		return CheckWith(x, arch, c.scratch)
+	s := c.scratch
+	if s == nil {
+		s = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(s)
 	}
-	return Check(x, arch)
+	return check(x, arch, s)
 }
 
 // Fastpath returns the fast-pass outcome counters accumulated since

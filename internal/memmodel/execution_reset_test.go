@@ -88,7 +88,7 @@ func TestExecutionResetEqualsFresh(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for _, arch := range []Arch{SC{}, TSO{}, PSO{}, RMO{}} {
-			if got, want := Check(reused, arch), Check(fresh, arch); !reflect.DeepEqual(got, want) {
+			if got, want := NewChecker().Check(reused, arch), NewChecker().Check(fresh, arch); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d %s: verdict %+v on the reset execution, %+v on the fresh one", round, arch.Name(), got, want)
 			}
 		}

@@ -21,12 +21,13 @@
 //
 // The pass returns Valid, Invalid, or Inconclusive. RMO (and any model
 // the clock rules were not audited against) and structurally malformed
-// executions are Inconclusive by design and fall back to the exact
-// memmodel.Check; invalid executions also route through the exact
-// checker once so the caller receives the canonical witness cycle and
-// Detail. Either way the Result handed back is byte-identical to the
-// exact checker's — memoization, fleet merging and the service layer
-// cannot observe which path decided an execution.
+// executions are Inconclusive by design: a memmodel.Checker running
+// this pass (memmodel.WithFastDecider) falls back to its exact
+// procedure for them, and also routes invalid executions through it
+// once so the caller receives the canonical witness cycle and Detail.
+// Either way the Result handed back is byte-identical to the exact
+// checker's — memoization, fleet merging and the service layer cannot
+// observe which path decided an execution.
 package fastpath
 
 import (
@@ -103,22 +104,6 @@ func Supported(arch memmodel.Arch) bool {
 		return true
 	}
 	return false
-}
-
-// Check decides x under arch, consulting the exact checker whenever the
-// clock pass cannot (Inconclusive) or to re-derive the canonical
-// witness (Invalid). The returned Result is always byte-identical to
-// memmodel.Check's; the Verdict reports how the decision was reached.
-func (c *Checker) Check(x *memmodel.Execution, arch memmodel.Arch) (memmodel.Result, Verdict) {
-	v := c.Decide(x, arch)
-	if v.Outcome == OutcomeValid {
-		return memmodel.Result{Valid: true}, v
-	}
-	// Invalid: the violation is terminal for its campaign, so paying one
-	// exact check for the canonical cycle and Detail is the same trade
-	// the collective memo makes on invalid re-hits. Inconclusive: the
-	// exact checker is the decision procedure.
-	return memmodel.Check(x, arch), v
 }
 
 // DecideFast implements memmodel.FastDecider: the pure clock pass

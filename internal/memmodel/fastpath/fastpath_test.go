@@ -179,12 +179,20 @@ func rebuildWithCO(x *memmodel.Execution, addr memsys.Addr, newOrder []relation.
 	return x2
 }
 
-// checkerFor memoizes one Checker per test to exercise scratch reuse
-// across executions — the deployment shape.
+// check decides x on the deployed route — a memmodel.Checker running c
+// as its fast pass, exact fallback behind it — and returns the clock
+// pass's own verdict beside the Result.
+func check(c *Checker, x *memmodel.Execution, arch memmodel.Arch) (memmodel.Result, Verdict) {
+	return memmodel.NewChecker(memmodel.WithFastDecider(c)).Check(x, arch), c.Decide(x, arch)
+}
+
+// diffCheck compares the deployed route against the exact checker;
+// callers share one Checker per test to exercise scratch reuse across
+// executions — the deployment shape.
 func diffCheck(t *testing.T, c *Checker, x *memmodel.Execution, arch memmodel.Arch) {
 	t.Helper()
-	exact := memmodel.Check(x, arch)
-	res, v := c.Check(x, arch)
+	exact := memmodel.NewChecker().Check(x, arch)
+	res, v := check(c, x, arch)
 	if !reflect.DeepEqual(res, exact) {
 		t.Fatalf("%s: fastpath Result diverges:\n fast: %+v\nexact: %+v", arch.Name(), res, exact)
 	}
@@ -317,10 +325,10 @@ func TestGHBStoreBuffering(t *testing.T) {
 	c := New()
 	sc, _ := memmodel.ByName("SC")
 	tso, _ := memmodel.ByName("TSO")
-	if res, v := c.Check(x, sc); res.Valid || v.Outcome != OutcomeInvalid || v.Kind != memmodel.ViolationGHB {
+	if res, v := check(c, x, sc); res.Valid || v.Outcome != OutcomeInvalid || v.Kind != memmodel.ViolationGHB {
 		t.Fatalf("SB under SC: res=%+v verdict=%+v", res, v)
 	}
-	if res, v := c.Check(x, tso); !res.Valid || v.Outcome != OutcomeValid {
+	if res, v := check(c, x, tso); !res.Valid || v.Outcome != OutcomeValid {
 		t.Fatalf("SB under TSO: res=%+v verdict=%+v", res, v)
 	}
 }
@@ -344,8 +352,8 @@ func assertInvalid(t *testing.T, x *memmodel.Execution, kind memmodel.ViolationK
 	c := New()
 	for _, name := range []string{"SC", "TSO", "PSO"} {
 		arch, _ := memmodel.ByName(name)
-		res, v := c.Check(x, arch)
-		exact := memmodel.Check(x, arch)
+		res, v := check(c, x, arch)
+		exact := memmodel.NewChecker().Check(x, arch)
 		if !reflect.DeepEqual(res, exact) {
 			t.Fatalf("%s: Result diverges:\n fast: %+v\nexact: %+v", name, res, exact)
 		}

@@ -1,9 +1,10 @@
 // Package relation implements binary relations over memory-consistency
 // events and the graph algorithms the axiomatic checker is built on
 // (§2.1: "At the core of an axiomatic model checker ... is a graph-search
-// algorithm"). Relations are edge sets over dense event IDs; acyclicity is
-// decided by an iterative three-colour DFS that returns a concrete cycle
-// witness for diagnosis.
+// algorithm"). Relations are edge sets over dense event IDs. The checker
+// decides acyclicity on the incremental engine (Topo); AcyclicCheck, an
+// iterative three-colour DFS returning a concrete cycle witness, is the
+// reference the engine's tests compare it against.
 package relation
 
 import (
@@ -31,15 +32,6 @@ type Relation struct {
 // New returns an empty relation.
 func New() *Relation {
 	return &Relation{succ: make(map[EventID]map[EventID]struct{})}
-}
-
-// FromEdges returns a relation containing exactly the given edges.
-func FromEdges(edges []Edge) *Relation {
-	r := New()
-	for _, e := range edges {
-		r.Add(e.From, e.To)
-	}
-	return r
 }
 
 // Add inserts the edge (from, to). Duplicate insertions are ignored.
@@ -100,67 +92,6 @@ func (r *Relation) Edges() []Edge {
 		return out[i].To < out[j].To
 	})
 	return out
-}
-
-// UnionInto adds every edge of o into r.
-func (r *Relation) UnionInto(o *Relation) {
-	for from, s := range o.succ {
-		for to := range s {
-			r.Add(from, to)
-		}
-	}
-}
-
-// Union returns a fresh relation holding the edges of all given relations.
-func Union(rels ...*Relation) *Relation {
-	out := New()
-	for _, rel := range rels {
-		if rel != nil {
-			out.UnionInto(rel)
-		}
-	}
-	return out
-}
-
-// Inverse returns the relation with every edge reversed.
-func (r *Relation) Inverse() *Relation {
-	out := New()
-	for from, s := range r.succ {
-		for to := range s {
-			out.Add(to, from)
-		}
-	}
-	return out
-}
-
-// Compose returns the relational composition r;o, i.e. the set of edges
-// (a, c) such that (a, b) ∈ r and (b, c) ∈ o for some b.
-func Compose(r, o *Relation) *Relation {
-	out := New()
-	for a, s := range r.succ {
-		for b := range s {
-			for c := range o.succ[b] {
-				out.Add(a, c)
-			}
-		}
-	}
-	return out
-}
-
-// Irreflexive reports whether the relation has no self-edge, returning an
-// offending event otherwise.
-func (r *Relation) Irreflexive() (EventID, bool) {
-	ids := make([]EventID, 0, len(r.succ))
-	for from := range r.succ {
-		ids = append(ids, from)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, from := range ids {
-		if _, ok := r.succ[from][from]; ok {
-			return from, false
-		}
-	}
-	return 0, true
 }
 
 // dfs colours.
@@ -228,53 +159,6 @@ func (r *Relation) AcyclicCheck() (cycle []EventID, ok bool) {
 		}
 	}
 	return nil, true
-}
-
-// Acyclic reports whether the relation contains no cycle.
-func (r *Relation) Acyclic() bool {
-	_, ok := r.AcyclicCheck()
-	return ok
-}
-
-// TransitiveClosure returns the transitive closure of r. Intended for
-// tests and small relations; the checker itself relies on reachability
-// via DFS instead.
-func (r *Relation) TransitiveClosure() *Relation {
-	out := New()
-	out.UnionInto(r)
-	// Floyd-Warshall style saturation over the touched ID universe.
-	ids := out.universe()
-	changed := true
-	for changed {
-		changed = false
-		for _, a := range ids {
-			for _, b := range out.Successors(a) {
-				for _, c := range out.Successors(b) {
-					if !out.Has(a, c) {
-						out.Add(a, c)
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func (r *Relation) universe() []EventID {
-	set := make(map[EventID]struct{})
-	for from, s := range r.succ {
-		set[from] = struct{}{}
-		for to := range s {
-			set[to] = struct{}{}
-		}
-	}
-	ids := make([]EventID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // String renders the relation as a compact edge list for debugging.

@@ -1,25 +1,104 @@
 package sim_test
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 
-	"repro/internal/benchwork"
 	"repro/internal/sim"
 )
 
-// TestWheelMatchesHeapKernel is the kernel-level half of the old-vs-new
-// equivalence proof (the machine-level half runs whole campaigns at the
-// repo root): identical randomized schedule/dispatch workloads driven
-// into the timing wheel and into the retired binary heap
-// (benchwork.HeapKernel via sim.NewWithKernel) must observe identical
-// dispatch sequences — same ticks, same order, same-tick ties broken by
-// scheduling order — including across overflow cascades, nested
-// reschedules and RunUntil watchdog cuts.
+// kernel is what kernelTrace drives: the wheel (*sim.Sim) and the heap
+// reference model below both satisfy it.
+type kernel interface {
+	Now() sim.Tick
+	ScheduleEvent(delay sim.Tick, h sim.Handler, arg any, aux uint64)
+	Run()
+	RunUntil(stop func() bool, maxTicks sim.Tick) error
+	Pending() int
+}
+
+// heapSim is the reference event loop: a container/heap ordered by
+// (tick, scheduling order), the contract the wheel must reproduce. It
+// is deliberately the obvious implementation and shares no code with
+// the wheel.
+type heapSim struct {
+	now sim.Tick
+	seq uint64
+	q   heapEvents
+}
+
+type heapEvent struct {
+	at  sim.Tick
+	seq uint64
+	h   sim.Handler
+	arg any
+	aux uint64
+}
+
+type heapEvents []heapEvent
+
+func (q heapEvents) Len() int { return len(q) }
+func (q heapEvents) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q heapEvents) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *heapEvents) Push(x any)   { *q = append(*q, x.(heapEvent)) }
+func (q *heapEvents) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
+func (s *heapSim) Now() sim.Tick { return s.now }
+func (s *heapSim) Pending() int  { return len(s.q) }
+
+func (s *heapSim) ScheduleEvent(delay sim.Tick, h sim.Handler, arg any, aux uint64) {
+	s.seq++
+	heap.Push(&s.q, heapEvent{at: s.now + delay, seq: s.seq, h: h, arg: arg, aux: aux})
+}
+
+// runTo dispatches events in order until the queue drains (true) or
+// the next one lies past limit (false).
+func (s *heapSim) runTo(limit sim.Tick) bool {
+	for len(s.q) > 0 {
+		if s.q[0].at > limit {
+			return false
+		}
+		e := heap.Pop(&s.q).(heapEvent)
+		s.now = e.at
+		e.h(e.arg, e.aux)
+	}
+	return true
+}
+
+func (s *heapSim) Run() { s.runTo(^sim.Tick(0)) }
+
+// RunUntil mirrors Sim.RunUntil for a stop condition that never holds,
+// the only shape kernelTrace uses.
+func (s *heapSim) RunUntil(_ func() bool, maxTicks sim.Tick) error {
+	limit := s.now + maxTicks
+	if s.runTo(limit) {
+		return &sim.ErrDeadlock{At: s.now}
+	}
+	return &sim.ErrTimeout{At: limit}
+}
+
+// TestWheelMatchesHeapKernel is the old-vs-new equivalence proof for
+// the event kernel: identical randomized schedule/dispatch workloads
+// driven into the timing wheel and into the (tick, seq) binary-heap
+// reference must observe identical dispatch sequences — same ticks,
+// same order, same-tick ties broken by scheduling order — including
+// across overflow cascades, nested reschedules and RunUntil watchdog
+// cuts.
 func TestWheelMatchesHeapKernel(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		wheelTrace := kernelTrace(t, seed, sim.New(seed))
-		heapTrace := kernelTrace(t, seed, sim.NewWithKernel(seed, benchwork.NewHeapKernel()))
+		heapTrace := kernelTrace(t, seed, &heapSim{})
 		if len(wheelTrace) != len(heapTrace) {
 			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(wheelTrace), len(heapTrace))
 		}
@@ -42,7 +121,7 @@ type dispatch struct {
 // shapes: delay-0 chains, short latencies, window-straddling delays,
 // far-future timers, events that reschedule from inside handlers, and
 // a watchdog-bounded phase.
-func kernelTrace(t *testing.T, seed int64, s *sim.Sim) []dispatch {
+func kernelTrace(t *testing.T, seed int64, s kernel) []dispatch {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed * 7919))
 	var trace []dispatch

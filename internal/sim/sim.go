@@ -21,9 +21,10 @@
 // through the InvokeFunc adapter.
 //
 // Events scheduled for the same tick run in scheduling order, exactly
-// like the retired heap ordered its (tick, seq) pairs — the determinism
-// contract the fleet's byte-identical-at-any-worker-count guarantees
-// build on.
+// like a heap ordered by (tick, seq) pairs — the reference model
+// TestWheelMatchesHeapKernel compares dispatch traces against, and the
+// determinism contract the fleet's byte-identical-at-any-worker-count
+// guarantees build on.
 package sim
 
 import (
@@ -96,25 +97,6 @@ type bucket struct {
 	head, tail *event
 }
 
-// ExternalKernel is a drop-in replacement event queue for a Sim. It
-// exists for the A/B and equivalence harnesses only — internal/benchwork
-// keeps the seed repo's binary heap alive behind this interface so
-// BenchmarkEventKernel and the machine-level old-vs-new equivalence
-// test measure the real before/after; production simulators always run
-// the built-in wheel. Implementations must order events by (tick,
-// scheduling order), the contract the wheel provides natively.
-type ExternalKernel interface {
-	// Push enqueues an event due at tick at.
-	Push(at Tick, h Handler, arg any, aux uint64)
-	// Pop removes and returns the earliest event; ok is false when the
-	// queue is empty.
-	Pop() (at Tick, h Handler, arg any, aux uint64, ok bool)
-	// Peek returns the earliest event's tick without removing it.
-	Peek() (at Tick, ok bool)
-	// Len returns the number of queued events.
-	Len() int
-}
-
 // Sim is a single-threaded discrete-event simulator. Events scheduled at
 // the same tick run in scheduling order, making runs fully deterministic
 // for a given seed.
@@ -145,24 +127,11 @@ type Sim struct {
 
 	// free is the pooled node freelist, grown in slabs.
 	free *event
-
-	// ext, when non-nil, replaces the wheel entirely (A/B baseline and
-	// equivalence harness; see ExternalKernel).
-	ext ExternalKernel
 }
 
 // New returns a simulator whose jitter draws come from the given seed.
 func New(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed))}
-}
-
-// NewWithKernel returns a simulator backed by an alternative event
-// queue instead of the built-in wheel — the hook the heap-baseline
-// equivalence test and benchmarks use.
-func NewWithKernel(seed int64, k ExternalKernel) *Sim {
-	s := New(seed)
-	s.ext = k
-	return s
 }
 
 // Now returns the current simulated time.
@@ -177,12 +146,7 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Executed() uint64 { return s.executed }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int {
-	if s.ext != nil {
-		return s.ext.Len()
-	}
-	return s.pending
-}
+func (s *Sim) Pending() int { return s.pending }
 
 // alloc takes a node from the freelist, growing it by one slab when
 // empty.
@@ -213,10 +177,6 @@ func (s *Sim) release(e *event) {
 // zero allocations in steady state.
 func (s *Sim) ScheduleEvent(delay Tick, h Handler, arg any, aux uint64) {
 	at := s.now + delay
-	if s.ext != nil {
-		s.ext.Push(at, h, arg, aux)
-		return
-	}
 	e := s.alloc()
 	e.at, e.h, e.arg, e.aux = at, h, arg, aux
 	s.pending++
@@ -295,9 +255,6 @@ func (s *Sim) cascade() {
 // timeout against this timestamp so an event past the deadline never
 // executes.
 func (s *Sim) NextEventTime() (Tick, bool) {
-	if s.ext != nil {
-		return s.ext.Peek()
-	}
 	if s.pending == 0 {
 		return 0, false
 	}
@@ -320,23 +277,6 @@ const (
 // the single engine under both step and RunUntil, so the watchdog's
 // lookahead and the dispatch share one bucket scan per event.
 func (s *Sim) stepLimit(limit Tick) int {
-	if s.ext != nil {
-		at, ok := s.ext.Peek()
-		if !ok {
-			return stepEmpty
-		}
-		if at > limit {
-			return stepBeyond
-		}
-		at, h, arg, aux, _ := s.ext.Pop()
-		if at < s.now {
-			panic(fmt.Sprintf("sim: time went backwards: %d < %d", at, s.now))
-		}
-		s.now = at
-		s.executed++
-		h(arg, aux)
-		return stepRan
-	}
 	if s.pending == 0 {
 		return stepEmpty
 	}

@@ -158,12 +158,14 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 }
 
 // limits keep a corrupt or adversarial length prefix from ballooning
-// one frame into gigabytes of allocation.
+// one frame into gigabytes of allocation. The text decoder enforces the
+// same name, count and int-field ceilings, so every trace one format
+// accepts survives re-encoding into the other.
 const (
-	maxBinaryName    = 1 << 16
-	maxBinaryCount   = 1 << 24
-	maxBinaryFence   = 0x7f
-	maxBinarySignedU = 1 << 31 // int-typed fields decoded from uvarints
+	maxNameLen     = 1 << 16
+	maxCount       = 1 << 24
+	maxBinaryFence = 0x7f
+	maxIntField    = 1 << 31 // int-typed fields (tid, instr, sub) and counts
 )
 
 func (d *BinaryDecoder) fail(err error) error {
@@ -191,7 +193,7 @@ func (d *BinaryDecoder) uint(what string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v >= maxBinarySignedU {
+	if v >= maxIntField {
 		return 0, d.failf("%s %d out of range", what, v)
 	}
 	return int(v), nil
@@ -202,8 +204,8 @@ func (d *BinaryDecoder) count(what string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n > maxBinaryCount {
-		return 0, d.failf("%s %d exceeds limit %d", what, n, maxBinaryCount)
+	if n > maxCount {
+		return 0, d.failf("%s %d exceeds limit %d", what, n, maxCount)
 	}
 	return n, nil
 }
@@ -258,8 +260,8 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 	if err != nil {
 		return nil, d.failf("truncated frame: %v", err)
 	}
-	if nameLen > maxBinaryName {
-		return nil, d.failf("name length %d exceeds limit %d", nameLen, maxBinaryName)
+	if nameLen > maxNameLen {
+		return nil, d.failf("name length %d exceeds limit %d", nameLen, maxNameLen)
 	}
 	t := &Trace{}
 	name := make([]byte, nameLen)

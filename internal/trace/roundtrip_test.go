@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/collective"
@@ -157,8 +159,8 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("iter %d: signature changed across round trip: %x != %x\n%s", i, got, want, text.String())
 		}
 		for _, arch := range allModels {
-			want := memmodel.Check(x, arch)
-			got := memmodel.Check(x1, arch)
+			want := memmodel.NewChecker().Check(x, arch)
+			got := memmodel.NewChecker().Check(x1, arch)
 			if got.Valid != want.Valid || got.Kind != want.Kind {
 				t.Fatalf("iter %d: %s verdict changed: (%v,%v) != (%v,%v)",
 					i, arch.Name(), got.Valid, got.Kind, want.Valid, want.Kind)
@@ -178,7 +180,7 @@ func TestRoundTripInvalidExecution(t *testing.T) {
 	rx := b.Read(2, 0x100, 0)
 	_, _ = ry, rx
 	x := b.MustBuild()
-	if memmodel.Check(x, memmodel.TSO{}).Valid {
+	if memmodel.NewChecker().Check(x, memmodel.TSO{}).Valid {
 		t.Fatal("forbidden MP outcome accepted directly")
 	}
 
@@ -198,8 +200,8 @@ func TestRoundTripInvalidExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := memmodel.Check(x, memmodel.TSO{})
-	got := memmodel.Check(x2, memmodel.TSO{})
+	want := memmodel.NewChecker().Check(x, memmodel.TSO{})
+	got := memmodel.NewChecker().Check(x2, memmodel.TSO{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("verdict changed across round trip:\n got %+v\nwant %+v", got, want)
 	}
@@ -234,5 +236,37 @@ func TestMultiTraceStream(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fromText, traces) || !reflect.DeepEqual(fromBin, traces) {
 		t.Fatal("multi-trace stream did not round trip")
+	}
+}
+
+// TestTextBoundaryValuesSurviveBinary: the largest thread id, key pin,
+// event ref and name the text decoder accepts re-encode to binary,
+// decode again and come back as the same text — the two formats carry
+// the same traces right up to their shared ceilings.
+func TestTextBoundaryValuesSurviveBinary(t *testing.T) {
+	const top = maxIntField - 1
+	in := fmt.Sprintf("mctrace 1\ntrace %s\nthread %d\nw 0x100 1 @%d.%d\nr 0x100 1 @0.%d\nrf %d:0.%d %d:%d.%d\nco 0x100 %d:%d.%d\nend\n",
+		strings.Repeat("n", maxNameLen), top, top, top, top, top, top, top, top, top, top, top, top)
+	fromText, err := DecodeAll(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("boundary values rejected by the text decoder: %v", err)
+	}
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, fromText...); err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := DecodeAllBinary(&bin)
+	if err != nil {
+		t.Fatalf("text-accepted trace rejected by the binary decoder: %v", err)
+	}
+	if !reflect.DeepEqual(fromBin, fromText) {
+		t.Fatalf("trace changed across text -> binary:\n got %+v\nwant %+v", fromBin, fromText)
+	}
+	var text bytes.Buffer
+	if err := WriteText(&text, fromBin...); err != nil {
+		t.Fatal(err)
+	}
+	if text.String() != in {
+		t.Fatalf("text -> binary -> text is not the identity:\n got %q\nwant %q", text.String(), in)
 	}
 }

@@ -182,6 +182,9 @@ func (d *Decoder) Next() (*Trace, error) {
 			return nil, d.errf("trace takes at most one name token, got %q", line)
 		}
 		if len(f) == 2 {
+			if len(f[1]) > maxNameLen {
+				return nil, d.errf("trace name length %d exceeds limit %d", len(f[1]), maxNameLen)
+			}
 			t.Name = f[1]
 		}
 	case "thread":
@@ -221,17 +224,26 @@ func (d *Decoder) Next() (*Trace, error) {
 				return nil, err
 			}
 			th := &t.Threads[len(t.Threads)-1]
+			if len(th.Ops) == maxCount {
+				return nil, d.errf("thread %d has more than %d ops", th.TID, maxCount)
+			}
 			th.Ops = append(th.Ops, op)
 		case "rf":
 			edge, err := d.rf(f)
 			if err != nil {
 				return nil, err
 			}
+			if len(t.RF) == maxCount {
+				return nil, d.errf("more than %d rf edges", maxCount)
+			}
 			t.RF = append(t.RF, edge)
 		case "co":
 			c, err := d.co(f)
 			if err != nil {
 				return nil, err
+			}
+			if len(t.CO) == maxCount {
+				return nil, d.errf("more than %d co orders", maxCount)
 			}
 			t.CO = append(t.CO, c)
 		case "trace":
@@ -252,6 +264,12 @@ func (d *Decoder) thread(t *Trace, f []string) error {
 	}
 	if tid < 0 {
 		return d.errf("thread id %d is negative (TID -1 is reserved for initial writes)", tid)
+	}
+	if tid >= maxIntField {
+		return d.errf("thread id %d out of range (limit %d)", tid, maxIntField)
+	}
+	if len(t.Threads) == maxCount {
+		return d.errf("more than %d threads", maxCount)
 	}
 	t.Threads = append(t.Threads, Thread{TID: tid})
 	return nil
@@ -382,19 +400,23 @@ func parseAddr(s string) (memsys.Addr, error) {
 	return memsys.Addr(v), nil
 }
 
+// parseIntField parses a non-negative int-typed field (tid, instr, sub)
+// under the ceiling the binary format puts on the same fields.
+func parseIntField(s string) (int, bool) {
+	v, err := strconv.Atoi(s)
+	return v, err == nil && v >= 0 && v < maxIntField
+}
+
 // parseKeyPin parses "@i" or "@i.s".
 func parseKeyPin(s string) (instr, sub int, err error) {
 	body := strings.TrimPrefix(s, "@")
 	is, ss, dotted := strings.Cut(body, ".")
-	instr, err = strconv.Atoi(is)
-	if err != nil || instr < 0 {
-		return 0, 0, fmt.Errorf("malformed key pin %q", s)
+	instr, ok := parseIntField(is)
+	if ok && dotted {
+		sub, ok = parseIntField(ss)
 	}
-	if dotted {
-		sub, err = strconv.Atoi(ss)
-		if err != nil || sub < 0 {
-			return 0, 0, fmt.Errorf("malformed key pin %q", s)
-		}
+	if !ok {
+		return 0, 0, fmt.Errorf("malformed or out-of-range key pin %q", s)
 	}
 	return instr, sub, nil
 }
@@ -406,22 +428,17 @@ func parseRef(s string) (Ref, error) {
 	if !ok {
 		return r, fmt.Errorf("malformed event ref %q (want tid:instr[.sub])", s)
 	}
-	tid, err := strconv.Atoi(ts)
-	if err != nil || tid < 0 {
-		return r, fmt.Errorf("malformed event ref %q (bad tid)", s)
+	if r.TID, ok = parseIntField(ts); !ok {
+		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad tid)", s)
 	}
 	is, ss, dotted := strings.Cut(rest, ".")
-	instr, err := strconv.Atoi(is)
-	if err != nil || instr < 0 {
-		return r, fmt.Errorf("malformed event ref %q (bad instr)", s)
+	if r.Instr, ok = parseIntField(is); !ok {
+		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad instr)", s)
 	}
-	r.TID, r.Instr = tid, instr
 	if dotted {
-		sub, err := strconv.Atoi(ss)
-		if err != nil || sub < 0 {
-			return r, fmt.Errorf("malformed event ref %q (bad sub)", s)
+		if r.Sub, ok = parseIntField(ss); !ok {
+			return r, fmt.Errorf("malformed or out-of-range event ref %q (bad sub)", s)
 		}
-		r.Sub = sub
 	}
 	return r, nil
 }

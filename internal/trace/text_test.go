@@ -33,14 +33,14 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := memmodel.Check(x, memmodel.TSO{})
+	res := memmodel.NewChecker().Check(x, memmodel.TSO{})
 	if res.Valid {
 		t.Fatal("forbidden MP outcome accepted under TSO")
 	}
 	if res.Kind != memmodel.ViolationGHB {
 		t.Fatalf("violation kind = %v, want ghb", res.Kind)
 	}
-	if memmodel.Check(x, memmodel.RMO{}).Valid != true {
+	if memmodel.NewChecker().Check(x, memmodel.RMO{}).Valid != true {
 		t.Fatal("MP outcome must be allowed under RMO without fences")
 	}
 }
@@ -66,7 +66,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !memmodel.Check(x, memmodel.PSO{}).Valid {
+	if !memmodel.NewChecker().Check(x, memmodel.PSO{}).Valid {
 		t.Fatal("fenced MP with RMW should be valid under PSO")
 	}
 }
@@ -113,6 +113,17 @@ func TestLinePreciseErrors(t *testing.T) {
 		{"mctrace 1\ntrace t\nthread -1\nend\n", "line 3"},
 		{"mctrace 1\ntrace t\nthread 0\nw 0x100 1\n", "line 4"}, // missing end
 		{"mctrace 1\ntrace a\ntrace b\n", "line 3"},
+		// The ceilings the binary format shares: int-typed fields stop
+		// below 1<<31, names at 1<<16 bytes.
+		{"mctrace 1\ntrace t\nthread 2147483648\nend\n", "line 3"},
+		{"mctrace 1\ntrace t\nthread 4294967296\nend\n", "line 3"},
+		{"mctrace 1\ntrace t\nthread 0\nw 0x100 1 @2147483648\nend\n", "line 4"},
+		{"mctrace 1\ntrace t\nthread 0\nw 0x100 1 @0.2147483648\nend\n", "line 4"},
+		{"mctrace 1\ntrace t\nthread 0\nr 0x100 0\nrf 2147483648:0 init\nend\n", "line 5"},
+		{"mctrace 1\ntrace t\nthread 0\nr 0x100 0\nrf 0:2147483648 init\nend\n", "line 5"},
+		{"mctrace 1\ntrace t\nthread 0\nr 0x100 0\nrf 0:0.2147483648 init\nend\n", "line 5"},
+		{"mctrace 1\ntrace t\nthread 0\nw 0x100 1\nco 0x100 0:4294967296\nend\n", "line 5"},
+		{"mctrace 1\n# padding\ntrace " + strings.Repeat("n", maxNameLen+1) + "\nend\n", "line 3"},
 	}
 	for _, c := range cases {
 		_, err := DecodeAll(strings.NewReader(c.in))
@@ -220,8 +231,8 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := memmodel.Check(xp, memmodel.SC{})
-	ri := memmodel.Check(xi, memmodel.SC{})
+	rp := memmodel.NewChecker().Check(xp, memmodel.SC{})
+	ri := memmodel.NewChecker().Check(xi, memmodel.SC{})
 	if !rp.Valid || !ri.Valid {
 		t.Fatalf("valid trace rejected: pinned=%v inferred=%v", rp.Valid, ri.Valid)
 	}

@@ -10,8 +10,9 @@
 //     load/store queues and a FIFO store buffer, private L1s, a NUCA
 //     shared L2 over a 2×4 mesh, under a two-level directory MESI or the
 //     lazy TSO-CC coherence protocol (Table 2);
-//   - an axiomatic memory-model checker (SC and TSO) with full conflict-
-//     order visibility, polynomial per-execution checking (§4.1);
+//   - an axiomatic memory-model checker (SC, TSO, PSO and RMO) with full
+//     conflict-order visibility, polynomial per-execution checking
+//     (§4.1);
 //   - the GP engine with the paper's selective crossover (Algorithm 1),
 //     NDT/NDe test-suitability metrics (Definitions 1–3) and adaptive
 //     structural-coverage fitness (§3.2);

@@ -210,7 +210,7 @@ func (c *Checker) Model() Model { return c.arch }
 
 // CheckExecution decides x, routing through the memo (and the durable
 // store when attached). The Result is byte-identical to
-// memmodel.Check(x, model) on every route.
+// the exact memmodel.Checker's on every route.
 func (c *Checker) CheckExecution(x *Execution) Result {
 	sig := collective.Signature(x)
 	res, _ := c.CheckSig(sig, x)

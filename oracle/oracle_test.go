@@ -234,7 +234,7 @@ func TestPhases(t *testing.T) {
 }
 
 // TestVerdictMatchesInProcessCheck: the public surface's verdicts agree
-// with raw memmodel.Check — the oracle contract cmd/check's golden test
+// with the exact memmodel.Checker — the oracle contract cmd/check's golden test
 // leans on.
 func TestVerdictMatchesInProcessCheck(t *testing.T) {
 	corpus, err := LitmusCorpus()
@@ -259,9 +259,9 @@ func TestVerdictMatchesInProcessCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := memmodel.Check(x, arch)
+			want := memmodel.NewChecker().Check(x, arch)
 			if v.Valid != want.Valid {
-				t.Errorf("%s/%s: valid=%v, memmodel.Check says %v", e.Trace.Name, model, v.Valid, want.Valid)
+				t.Errorf("%s/%s: valid=%v, exact memmodel.Checker says %v", e.Trace.Name, model, v.Valid, want.Valid)
 			}
 			if !want.Valid && v.Kind != want.Kind.String() {
 				t.Errorf("%s/%s: kind=%q, want %q", e.Trace.Name, model, v.Kind, want.Kind)
