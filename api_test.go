@@ -1,6 +1,16 @@
 package mcversi
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
+
+// bugScenario is the paper's MESI/TSO target with one bug injected.
+func bugScenario(bug string) Scenario {
+	s := DefaultScenario()
+	s.Bugs = []string{bug}
+	return s
+}
 
 func TestBugRegistryExposed(t *testing.T) {
 	if len(Bugs()) != 11 || len(BugNames()) != 11 {
@@ -9,7 +19,7 @@ func TestBugRegistryExposed(t *testing.T) {
 }
 
 func TestNewCampaignConfigPaperScale(t *testing.T) {
-	cfg := NewCampaignConfig(GenGPAll, MESI, "LQ+no-TSO")
+	cfg := NewScenarioCampaignConfig(GenGPAll, bugScenario("LQ+no-TSO"))
 	if cfg.Test.Size != 1000 {
 		t.Errorf("test size = %d, want 1000 (Table 3)", cfg.Test.Size)
 	}
@@ -25,7 +35,7 @@ func TestNewCampaignConfigPaperScale(t *testing.T) {
 }
 
 func TestScaledCampaignRunEndToEnd(t *testing.T) {
-	cfg := ScaledCampaignConfig(GenRandom, MESI, "LQ+no-TSO", 1024)
+	cfg := ScaledScenarioConfig(GenRandom, bugScenario("LQ+no-TSO"), 1024)
 	cfg.Seed = 5
 	cfg.MaxTestRuns = 120
 	res, err := Run(cfg)
@@ -38,16 +48,19 @@ func TestScaledCampaignRunEndToEnd(t *testing.T) {
 }
 
 func TestRunSamplesSeedsDiffer(t *testing.T) {
-	cfg := ScaledCampaignConfig(GenRandom, MESI, "", 1024)
+	cfg := ScaledScenarioConfig(GenRandom, DefaultScenario(), 1024)
 	cfg.MaxTestRuns = 3
-	results, err := RunSamples(cfg, 2, 9)
+	set, err := RunCampaignSet(context.Background(), cfg, []Scenario{DefaultScenario()}, 2, 9, DefaultFleetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
+	if len(set.Results) != 2 {
+		t.Fatalf("results = %d, want 2", len(set.Results))
 	}
-	for _, r := range results {
+	if set.Results[0].SumFitness == set.Results[1].SumFitness {
+		t.Errorf("both samples have fitness sum %v: same seed twice?", set.Results[0].SumFitness)
+	}
+	for _, r := range set.Results {
 		if r.Found {
 			t.Errorf("bug-free sample reported a bug: %s", r.Detail)
 		}

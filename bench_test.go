@@ -14,10 +14,8 @@ package mcversi
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/bugs"
@@ -288,54 +286,21 @@ func BenchmarkSelectiveCrossover(b *testing.B) {
 	}
 }
 
-// fleetBenchConfig is the shared workload for the fleet benchmarks: a
-// bug-free RAND campaign (no bug means no early exit, so every sample
-// does identical work and the comparison is pure scheduling).
-func fleetBenchConfig() core.Config {
+// BenchmarkFleetIslands measures the island model's epoch-barrier
+// overhead against the plain pooled path on a bug-free GP workload (no
+// bug means no early exit, so every sample does identical work and the
+// comparison is pure scheduling).
+func BenchmarkFleetIslands(b *testing.B) {
+	const samples = 4
 	cfg := core.DefaultConfig()
-	cfg.Generator = core.GenRandom
+	cfg.Generator = core.GenGPAll
+	cfg.GP.PopulationSize = 12
 	cfg.Test = testgen.Config{
 		Size: 96, Threads: 8, Layout: memsys.MustLayout(1024, 16),
 	}
 	cfg.Host = host.Options{Iterations: 3, Barrier: host.HostBarrier, MaxTicksPerIteration: 30_000_000}
 	cfg.MaxTestRuns = 30
-	return cfg
-}
-
-// BenchmarkFleetSampleSet compares the sequential multi-sample loop
-// with the fleet sharding the same samples across all cores. Campaigns
-// are independent CPU-bound work, so on a host with >=4 cores the
-// fleet variant shows a >=2x (typically near-linear) wall-clock
-// speedup; at GOMAXPROCS=1 the two are within noise of each other,
-// demonstrating that workers=1 is the zero-overhead degenerate case.
-// Results are byte-identical across all variants (TestFleetDeterminism
-// asserts this).
-func BenchmarkFleetSampleSet(b *testing.B) {
-	const samples = 8
-	cfg := fleetBenchConfig()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SampleSet(cfg, samples, 42); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("fleet-workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fleet.SampleSet(context.Background(), cfg, samples, 42, fleet.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFleetIslands measures the island model's epoch-barrier
-// overhead against the plain pooled path on a GP workload.
-func BenchmarkFleetIslands(b *testing.B) {
-	const samples = 4
-	cfg := fleetBenchConfig()
-	cfg.Generator = core.GenGPAll
-	cfg.GP.PopulationSize = 12
+	spec := core.NewSpec(cfg, []Scenario{DefaultScenario()}, samples, 42)
 	for _, islands := range []bool{false, true} {
 		name := "pooled"
 		if islands {
@@ -344,7 +309,7 @@ func BenchmarkFleetIslands(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opts := fleet.Options{Islands: islands, MigrationInterval: 10, MigrationSize: 2}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fleet.SampleSet(context.Background(), cfg, samples, 42, opts); err != nil {
+				if _, err := fleet.LocalMerged(context.Background(), spec, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

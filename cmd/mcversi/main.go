@@ -1,9 +1,11 @@
 // Command mcversi runs McVerSi verification campaigns: a generator
-// (rand | gp-all | gp-std-xo) hunting one injected bug (or none) on a
+// (rand | gp-all | gp-std-xo) hunting injected bugs (or none) on a
 // simulated MESI or TSO-CC machine, checked against a scenario's
-// axiomatic model. Multi-sample runs are sharded across cores by the
-// campaign fleet; -parallel 1 forces the sequential path (results are
-// identical either way for a fixed seed).
+// axiomatic model. Every invocation is one campaign set — scenarios ×
+// samples, described by a serializable spec — sharded across cores by
+// the campaign fleet, or across machines by a mcversid service with
+// -remote; results are identical either way for a fixed seed, and at
+// any -parallel.
 //
 // The verification target is a scenario (-list-scenarios to enumerate):
 //
@@ -11,15 +13,17 @@
 //	mcversi -scenario mesi-tso,mesi-rmo   # sweep a subset
 //	mcversi -scenario all                 # sweep every registered one
 //
-// Without -scenario the legacy -protocol/-bug flags select the paper's
-// TSO target directly.
+// Without -scenario, -protocol/-bug describe one: the paper's TSO
+// target on that protocol with that bug injected.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,33 +35,51 @@ import (
 )
 
 func main() {
-	gen := flag.String("gen", "gp-all", "generator: rand | gp-all | gp-std-xo")
-	proto := flag.String("protocol", "MESI", "protocol: MESI | TSO-CC")
-	bug := flag.String("bug", "", "bug to inject (empty = none); -list for names")
-	mem := flag.Int("mem", 8192, "test memory bytes (paper: 1024 or 8192)")
-	budget := flag.Int("budget", 1000, "campaign budget in test-runs")
-	samples := flag.Int("samples", 1, "number of samples (distinct seeds)")
-	seed := flag.Int64("seed", 1, "base seed")
-	parallel := flag.Int("parallel", 0, "fleet workers (0 = all cores, 1 = sequential)")
-	timeout := flag.Duration("timeout", 0, "wall-clock limit for the whole fleet (0 = none)")
-	stopOnFound := flag.Bool("stop-on-found", false, "cancel sibling samples once one finds the bug")
-	islands := flag.Bool("islands", false, "GP island model: migrate elites between samples")
-	migrate := flag.Int("migrate", 50, "island migration interval in test-runs")
-	collective := flag.Bool("collective", true,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process surface injected: 0 on a finished
+// campaign set (finding a bug is not a failure), 1 when the run, the
+// service or the verdict store failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcversi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gen := fs.String("gen", "gp-all", "generator: rand | gp-all | gp-std-xo")
+	proto := fs.String("protocol", "MESI", "protocol: MESI | TSO-CC")
+	bug := fs.String("bug", "", "bug to inject (empty = none); -list for names")
+	mem := fs.Int("mem", 8192, "test memory bytes (paper: 1024 or 8192)")
+	budget := fs.Int("budget", 1000, "campaign budget in test-runs")
+	samples := fs.Int("samples", 1, "number of samples (distinct seeds)")
+	seed := fs.Int64("seed", 1, "base seed")
+	parallel := fs.Int("parallel", 0, "fleet workers (0 = all cores, 1 = sequential)")
+	timeout := fs.Duration("timeout", 0, "wall-clock limit for the whole fleet (0 = none)")
+	stopOnFound := fs.Bool("stop-on-found", false, "cancel sibling samples once one finds the bug")
+	islands := fs.Bool("islands", false, "GP island model: migrate elites between samples")
+	migrate := fs.Int("migrate", 50, "island migration interval in test-runs")
+	collective := fs.Bool("collective", true,
 		"collective checking: dedupe executions by signature, one shared verdict memo per fleet (disable for naive A/B benchmarks)")
-	storeDir := flag.String("store", "",
+	storeDir := fs.String("store", "",
 		"durable verdict store directory: signatures decided by earlier runs (or other processes on the same directory) are answered from disk; results are byte-identical either way")
-	progress := flag.Bool("progress", false, "stream per-sample fleet events to stderr")
-	list := flag.Bool("list", false, "list the 11 studied bugs and exit")
-	scenarioFlag := flag.String("scenario", "",
+	progress := fs.Bool("progress", false, "stream per-sample fleet events to stderr")
+	list := fs.Bool("list", false, "list the 11 studied bugs and exit")
+	scenarioFlag := fs.String("scenario", "",
 		"verification scenario(s): a registered name, a comma-separated list, or 'all' (-list-scenarios for names); overrides -protocol/-bug")
-	listScenarios := flag.Bool("list-scenarios", false, "list the registered scenarios and exit")
-	remote := flag.String("remote", "",
+	listScenarios := fs.Bool("list-scenarios", false, "list the registered scenarios and exit")
+	remote := fs.String("remote", "",
 		"submit the campaign to a mcversid service at this base URL instead of running locally")
-	tenant := flag.String("tenant", "", "tenant id for -remote admission control")
-	mergedOut := flag.String("merged-out", "",
-		"write the canonical merged result JSON to this file (local runs use the same merge path as the service, so outputs are byte-comparable)")
-	flag.Parse()
+	tenant := fs.String("tenant", "", "tenant id for -remote admission control")
+	mergedOut := fs.String("merged-out", "",
+		"write the canonical merged result JSON to this file (local and -remote runs of one campaign produce byte-identical files)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "mcversi:", err)
+		return code
+	}
 
 	if *list {
 		for _, b := range mcversi.Bugs() {
@@ -65,53 +87,54 @@ func main() {
 			if b.Real {
 				star = "*"
 			}
-			fmt.Printf("%s %-26s [%s] %s\n", star, b.Name, b.Protocol, b.Description)
+			fmt.Fprintf(stdout, "%s %-26s [%s] %s\n", star, b.Name, b.Protocol, b.Description)
 		}
-		return
+		return 0
 	}
 	if *listScenarios {
 		for _, s := range mcversi.Scenarios() {
-			fmt.Printf("%-12s %-28s %s\n", s.Name, s.ID(), s.Description)
+			fmt.Fprintf(stdout, "%-12s %-28s %s\n", s.Name, s.ID(), s.Description)
 		}
-		return
+		return 0
 	}
 
 	var scens []mcversi.Scenario
-	if *scenarioFlag != "" {
-		names := strings.Split(*scenarioFlag, ",")
-		if *scenarioFlag == "all" {
-			scens = mcversi.Scenarios()
-		} else {
-			for _, name := range names {
-				s, err := mcversi.ScenarioByName(strings.TrimSpace(name))
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "mcversi:", err)
-					os.Exit(2)
-				}
-				scens = append(scens, s)
-			}
-		}
-	}
-
-	var base mcversi.Scenario
-	if len(scens) > 0 {
-		if *islands {
-			// Islands exchange chromosomes between populations bred for
-			// one machine contract; scenario sweeps run different
-			// contracts side by side, so the combination is rejected
-			// rather than silently dropped.
-			fmt.Fprintln(os.Stderr, "mcversi: -islands is not supported with -scenario sweeps")
-			os.Exit(2)
-		}
-		base = scens[0]
-	} else {
-		base = mcversi.Scenario{Protocol: mcversi.Protocol(*proto), Model: "TSO"}
+	switch *scenarioFlag {
+	case "":
+		s := mcversi.Scenario{Protocol: mcversi.Protocol(*proto), Model: "TSO"}
 		if *bug != "" {
-			base.Bugs = []string{*bug}
+			s.Bugs = []string{*bug}
+		}
+		scens = []mcversi.Scenario{s}
+	case "all":
+		scens = mcversi.Scenarios()
+	default:
+		for _, name := range strings.Split(*scenarioFlag, ",") {
+			s, err := mcversi.ScenarioByName(strings.TrimSpace(name))
+			if err != nil {
+				return fail(2, err)
+			}
+			scens = append(scens, s)
 		}
 	}
-	cfg := mcversi.ScaledScenarioConfig(mcversi.GeneratorKind(*gen), base, *mem)
+	switch {
+	case *islands && len(scens) > 1:
+		// Islands exchange chromosomes between populations bred for one
+		// machine contract; a sweep runs different contracts side by side.
+		return fail(2, errors.New("-islands needs a single scenario, not a sweep"))
+	case *remote != "" && (*islands || *stopOnFound):
+		return fail(2, errors.New("-islands/-stop-on-found are not available with -remote (shards must be independent and deterministic)"))
+	case *remote != "" && *storeDir != "":
+		// The store is a local directory; a remote daemon attaches its
+		// own via mcversid -store.
+		return fail(2, errors.New("-store is not available with -remote (use mcversid -store on the daemon)"))
+	}
+	cfg := mcversi.ScaledScenarioConfig(mcversi.GeneratorKind(*gen), scens[0], *mem)
 	cfg.MaxTestRuns = *budget
+	spec := core.NewSpec(cfg, scens, *samples, *seed)
+	if err := spec.Validate(); err != nil {
+		return fail(2, err)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -120,296 +143,188 @@ func main() {
 		defer cancel()
 	}
 
-	if *remote != "" || *mergedOut != "" {
-		// Spec mode: the campaign travels as a serializable core.Spec,
-		// either to a remote mcversid or through the local shard-merge
-		// path — the two produce byte-identical merged output.
-		if *islands || *stopOnFound {
-			fmt.Fprintln(os.Stderr, "mcversi: -islands/-stop-on-found are not available with -remote/-merged-out (shards must be independent and deterministic)")
-			os.Exit(2)
-		}
-		specScens := scens
-		if len(specScens) == 0 {
-			specScens = []mcversi.Scenario{base}
-		}
-		if *remote != "" && *storeDir != "" {
-			// The store is a local directory; a remote daemon attaches its
-			// own via mcversid -store.
-			fmt.Fprintln(os.Stderr, "mcversi: -store is not available with -remote (use mcversid -store on the daemon)")
-			os.Exit(2)
-		}
-		spec := core.NewSpec(cfg, specScens, *samples, *seed)
-		runSpecMode(ctx, spec, specModeOptions{
-			Remote: *remote, Tenant: *tenant, MergedOut: *mergedOut,
-			Parallel: *parallel, Collective: *collective, Progress: *progress,
-			StoreDir: *storeDir,
-		})
-		return
-	}
-
-	opts := mcversi.FleetOptions{
-		Workers:           *parallel,
-		StopOnFound:       *stopOnFound,
-		Islands:           *islands,
-		MigrationInterval: *migrate,
-		Collective:        *collective,
-		Obs:               *progress,
-	}
-	var vs *mcversi.DurableVerdictStore
-	if *storeDir != "" {
-		var verr error
-		vs, verr = mcversi.OpenVerdictStore(*storeDir)
-		if verr != nil {
-			fmt.Fprintln(os.Stderr, "mcversi:", verr)
-			os.Exit(2)
-		}
-		// Closed explicitly below: os.Exit on the error path would skip
-		// a defer, and Close is what fsyncs the active segment.
-		opts.Store = vs
-	}
-	var drained chan struct{}
-	var events chan mcversi.FleetEvent
-	if *progress {
-		events = make(chan mcversi.FleetEvent, 64)
-		drained = make(chan struct{})
-		opts.Events = events
-		go func() {
-			defer close(drained)
-			for ev := range events {
-				state := "epoch"
-				switch {
-				case ev.Done && ev.Stopped:
-					state = "stopped"
-				case ev.Done:
-					state = "done"
-				}
-				dedupe := ""
-				if ev.Result.Dedupe.Checks > 0 {
-					dedupe = fmt.Sprintf(", %.0f%% dedupe (%d unique sigs)",
-						100*ev.Result.Dedupe.HitRate(), ev.Result.Dedupe.Unique)
-				}
-				scen := ""
-				if ev.Scenario != "" {
-					scen = " " + ev.Scenario
-				}
-				fmt.Fprintf(os.Stderr, "[fleet] sample %d%s %s: %d runs, %.1f%% coverage%s, %s\n",
-					ev.Sample, scen, state, ev.Result.TestRuns, 100*ev.Result.TotalCoverage, dedupe, ev.Elapsed.Round(time.Millisecond))
-			}
-		}()
-	}
-
-	var (
-		st  mcversi.FleetStats
-		err error
-	)
-	found, totalRuns, totalSamples := 0, 0, 0
-	if len(scens) > 0 {
-		// Scenario sweep: one fleet across the whole matrix, results
-		// grouped per scenario.
-		var grouped [][]mcversi.CampaignResult
-		grouped, st, err = mcversi.RunScenarioSweep(ctx, cfg, scens, *samples, *seed, opts)
-		for si, results := range grouped {
-			fmt.Printf("scenario %s (%s):\n", scens[si].Name, scens[si].ID())
-			for i, r := range results {
-				fmt.Printf("  sample %d: %s\n", i, r)
-				totalRuns += r.TestRuns
-				totalSamples++
-				if r.Found {
-					found++
-					fmt.Printf("    %s\n", strings.TrimSpace(r.Detail))
-				}
-			}
-		}
-	} else {
-		var results []mcversi.CampaignResult
-		results, st, err = mcversi.RunSamplesFleet(ctx, cfg, *samples, *seed, opts)
-		// On error (e.g. -timeout expiry) still report every sample's
-		// tally — completed samples and partial ones — before exiting
-		// nonzero.
-		for i, r := range results {
-			fmt.Printf("sample %d: %s\n", i, r)
-			totalRuns += r.TestRuns
-			totalSamples++
-			if r.Found {
-				found++
-				fmt.Printf("  %s\n", strings.TrimSpace(r.Detail))
-			}
-		}
-	}
-	if events != nil {
-		close(events)
-		<-drained
-	}
-	fmt.Printf("\n%d/%d samples found a bug (%d workers, %d test-runs total, %s wall)\n",
-		found, totalSamples, st.Workers, totalRuns, st.Wall.Round(time.Millisecond))
-	if st.Dedupe.Checks > 0 {
-		fmt.Printf("collective checking: %s\n", st.Dedupe)
-	}
-	if st.Fastpath.Checks > 0 {
-		fmt.Printf("checker fast path: %s\n", st.Fastpath)
-	}
-	if st.UnionCoverage > 0 {
-		fmt.Printf("fleet union coverage: %.1f%% of the transition table\n", 100*st.UnionCoverage)
-	}
-	if *progress {
-		fmt.Fprintf(os.Stderr, "[obs] phase breakdown: %s\n", st.Obs)
-	}
-	if vs != nil {
-		if cerr := vs.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "mcversi: verdict store:", cerr)
-			os.Exit(1)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcversi:", err)
-		os.Exit(1)
-	}
-}
-
-type specModeOptions struct {
-	Remote, Tenant, MergedOut string
-	Parallel                  int
-	Collective, Progress      bool
-	// StoreDir is the durable verdict store directory (local spec runs
-	// only; rejected with -remote before reaching here).
-	StoreDir string
-}
-
-// renderSample writes one per-sample progress line to stderr in the
-// same shape the local fleet's -progress stream uses, so remote SSE
-// progress reads identically.
-func renderSample(sample int, scen string, r mcversi.CampaignResult, elapsed time.Duration) {
-	dedupe := ""
-	if r.Dedupe.Checks > 0 {
-		dedupe = fmt.Sprintf(", %.0f%% dedupe (%d unique sigs)",
-			100*r.Dedupe.HitRate(), r.Dedupe.Unique)
-	}
-	el := ""
-	if elapsed > 0 {
-		el = ", " + elapsed.Round(time.Millisecond).String()
-	}
-	if scen != "" {
-		scen = " " + scen
-	}
-	fmt.Fprintf(os.Stderr, "[fleet] sample %d%s done: %d runs, %.1f%% coverage%s%s\n",
-		sample, scen, r.TestRuns, 100*r.TotalCoverage, dedupe, el)
-}
-
-// runSpecMode executes a spec campaign remotely (against mcversid) or
-// locally (through the identical shard-merge path) and reports the
-// merged result.
-func runSpecMode(ctx context.Context, spec core.Spec, o specModeOptions) {
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "mcversi:", err)
-		os.Exit(1)
-	}
-
 	var (
 		merged fleet.Merged
-		data   []byte
+		data   []byte // the service's exact result bytes (-remote only)
+		runErr error
+		code   int
 	)
-	if o.Remote != "" {
-		client := service.NewClient(o.Remote)
-		id, err := client.Submit(ctx, o.Tenant, spec)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "mcversi: submitted campaign %s to %s (%d items)\n", id, o.Remote, spec.Items())
-		if o.Progress {
-			err := client.Events(ctx, id, func(ev service.Event) bool {
-				switch ev.Type {
-				case service.EventSample:
-					if ev.Result != nil {
-						renderSample(ev.Sample, ev.Scenario, *ev.Result, 0)
-					}
-				case service.EventLeased:
-					fmt.Fprintf(os.Stderr, "[fleet] shard %s leased to %s\n", ev.Shard, ev.Worker)
-				case service.EventExpired:
-					fmt.Fprintf(os.Stderr, "[fleet] shard %s lease expired on %s, re-issuing\n", ev.Shard, ev.Worker)
-				}
-				return true
-			})
-			if err != nil {
-				fail(err)
-			}
-		}
-		if _, err := client.WaitDone(ctx, id, 100*time.Millisecond); err != nil {
-			fail(err)
-		}
-		if data, err = client.ResultBytes(ctx, id); err != nil {
-			fail(err)
-		}
-		if err := json.Unmarshal(data, &merged); err != nil {
-			fail(err)
-		}
+	if *remote != "" {
+		merged, data, runErr = runRemote(ctx, *remote, *tenant, spec, *progress, stderr)
 	} else {
 		// -progress also turns on phase spans: the same breakdown the
 		// daemon's /statusz reports, printed locally. Merged bytes are
 		// identical either way (spans ride outside CanonicalBytes).
-		fopts := fleet.Options{Workers: o.Parallel, Collective: o.Collective, Obs: o.Progress}
-		if o.StoreDir != "" {
-			vs, err := mcversi.OpenVerdictStore(o.StoreDir)
-			if err != nil {
-				fail(err)
+		opts := fleet.Options{
+			Workers:           *parallel,
+			StopOnFound:       *stopOnFound,
+			Islands:           *islands,
+			MigrationInterval: *migrate,
+			Collective:        *collective,
+			Obs:               *progress,
+		}
+		var vs *mcversi.DurableVerdictStore
+		if *storeDir != "" {
+			var err error
+			if vs, err = mcversi.OpenVerdictStore(*storeDir); err != nil {
+				return fail(2, err)
 			}
-			defer vs.Close()
-			fopts.Store = vs
+			opts.Store = vs
 		}
-		var drained chan struct{}
-		if o.Progress {
-			events := make(chan fleet.Event, 64)
-			drained = make(chan struct{})
-			fopts.Events = events
-			go func() {
-				defer close(drained)
-				for ev := range events {
-					if ev.Done {
-						renderSample(ev.Sample, ev.Scenario, ev.Result, ev.Elapsed)
-					}
-				}
-			}()
-			defer func() {
-				close(events)
-				<-drained
-			}()
-		}
-		var err error
-		if merged, err = fleet.LocalMerged(ctx, spec, fopts); err != nil {
-			fail(err)
-		}
-		if data, err = merged.CanonicalBytes(); err != nil {
-			fail(err)
-		}
-		if o.Progress {
-			fmt.Fprintf(os.Stderr, "[obs] phase breakdown: %s\n", merged.Obs)
+		merged, runErr = runLocal(ctx, spec, opts, stderr)
+		if vs != nil {
+			// Close is what flushes and fsyncs the active segment: a
+			// failure means later runs will not see this run's verdicts.
+			if err := vs.Close(); err != nil {
+				code = fail(1, fmt.Errorf("verdict store: %w", err))
+			}
 		}
 	}
 
+	// On error (e.g. -timeout expiry) a local run still reports every
+	// sample's tally — completed samples and partial ones — before
+	// exiting nonzero.
+	report(stdout, spec, merged)
+	if runErr != nil {
+		return fail(1, runErr)
+	}
+	if *mergedOut != "" {
+		if data == nil {
+			var err error
+			if data, err = merged.CanonicalBytes(); err != nil {
+				return fail(1, err)
+			}
+		}
+		if err := os.WriteFile(*mergedOut, data, 0o644); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stderr, "mcversi: wrote canonical merged result to %s (%d bytes)\n", *mergedOut, len(data))
+	}
+	return code
+}
+
+// runLocal runs the spec on this process's fleet, streaming events and
+// the phase breakdown to stderr under opts.Obs (-progress).
+func runLocal(ctx context.Context, spec core.Spec, opts fleet.Options, stderr io.Writer) (fleet.Merged, error) {
+	if !opts.Obs {
+		return fleet.LocalMerged(ctx, spec, opts)
+	}
+	events := make(chan fleet.Event, 64) // slack so a slow terminal does not stall workers
+	drained := make(chan struct{})
+	opts.Events = events
+	go func() {
+		defer close(drained)
+		for ev := range events {
+			renderEvent(stderr, ev)
+		}
+	}()
+	merged, err := fleet.LocalMerged(ctx, spec, opts)
+	close(events)
+	<-drained
+	fmt.Fprintf(stderr, "[obs] phase breakdown: %s\n", merged.Obs)
+	return merged, err
+}
+
+// runRemote submits the spec to a mcversid service, narrates its event
+// stream under progress, and fetches the merged result: the decoded
+// aggregate and the exact bytes the service produced.
+func runRemote(ctx context.Context, url, tenant string, spec core.Spec, progress bool, stderr io.Writer) (fleet.Merged, []byte, error) {
+	client := service.NewClient(url)
+	id, err := client.Submit(ctx, tenant, spec)
+	if err != nil {
+		return fleet.Merged{}, nil, err
+	}
+	fmt.Fprintf(stderr, "mcversi: submitted campaign %s to %s (%d items)\n", id, url, spec.Items())
+	if progress {
+		err := client.Events(ctx, id, func(ev service.Event) bool {
+			switch ev.Type {
+			case service.EventSample:
+				if ev.Result != nil {
+					renderEvent(stderr, fleet.Event{Sample: ev.Sample, Scenario: ev.Scenario, Done: true, Result: *ev.Result})
+				}
+			case service.EventLeased:
+				fmt.Fprintf(stderr, "[fleet] shard %s leased to %s\n", ev.Shard, ev.Worker)
+			case service.EventExpired:
+				fmt.Fprintf(stderr, "[fleet] shard %s lease expired on %s, re-issuing\n", ev.Shard, ev.Worker)
+			}
+			return true
+		})
+		if err != nil {
+			return fleet.Merged{}, nil, err
+		}
+	}
+	if _, err := client.WaitDone(ctx, id, 100*time.Millisecond); err != nil {
+		return fleet.Merged{}, nil, err
+	}
+	data, err := client.ResultBytes(ctx, id)
+	if err != nil {
+		return fleet.Merged{}, nil, err
+	}
+	var merged fleet.Merged
+	if err := json.Unmarshal(data, &merged); err != nil {
+		return fleet.Merged{}, nil, err
+	}
+	return merged, data, nil
+}
+
+// renderEvent writes one progress line to stderr; local fleet events
+// and remote SSE sample events read identically.
+func renderEvent(w io.Writer, ev fleet.Event) {
+	state := "epoch"
+	switch {
+	case ev.Done && ev.Stopped:
+		state = "stopped"
+	case ev.Done:
+		state = "done"
+	}
+	scen := ""
+	if ev.Scenario != "" {
+		scen = " " + ev.Scenario
+	}
+	dedupe := ""
+	if ev.Result.Dedupe.Checks > 0 {
+		dedupe = fmt.Sprintf(", %.0f%% dedupe (%d unique sigs)",
+			100*ev.Result.Dedupe.HitRate(), ev.Result.Dedupe.Unique)
+	}
+	elapsed := ""
+	if ev.Elapsed > 0 {
+		elapsed = ", " + ev.Elapsed.Round(time.Millisecond).String()
+	}
+	fmt.Fprintf(w, "[fleet] sample %d%s %s: %d runs, %.1f%% coverage%s%s\n",
+		ev.Sample, scen, state, ev.Result.TestRuns, 100*ev.Result.TotalCoverage, dedupe, elapsed)
+}
+
+// report prints a campaign set: every sample under its scenario, then
+// the aggregate. A set that never ran (no results) prints nothing.
+func report(w io.Writer, spec core.Spec, m fleet.Merged) {
+	if len(m.Results) != spec.Items() {
+		return
+	}
 	for si, scen := range spec.Scenarios {
-		fmt.Printf("scenario %s (%s):\n", scen.Name, scen.ID())
-		for j := 0; j < spec.Samples; j++ {
-			r := merged.Results[si*spec.Samples+j]
-			fmt.Printf("  sample %d: %s\n", j, r)
+		fmt.Fprintf(w, "scenario %s:\n", scen)
+		for j, r := range m.Results[si*spec.Samples : (si+1)*spec.Samples] {
+			fmt.Fprintf(w, "  sample %d: %s\n", j, r)
 			if r.Found {
-				fmt.Printf("    %s\n", strings.TrimSpace(r.Detail))
+				fmt.Fprintf(w, "    %s\n", strings.TrimSpace(r.Detail))
 			}
 		}
 	}
-	fmt.Printf("\n%d/%d samples found a bug (%d test-runs total)\n",
-		merged.Stats.Found, merged.Stats.Items, merged.Stats.TestRuns)
-	if merged.Stats.Dedupe.Checks > 0 {
-		fmt.Printf("collective checking: %s\n", merged.Stats.Dedupe)
+	fmt.Fprintf(w, "\n%d/%d samples found a bug (%d test-runs total)\n",
+		m.Stats.Found, m.Stats.Items, m.Stats.TestRuns)
+	// A local run reports its shared memo — the view that counts
+	// durable hits; the service's result carries only the per-campaign
+	// tallies its canonical bytes are built from.
+	dedupe := m.MemoDedupe
+	if dedupe.Checks == 0 {
+		dedupe = m.Stats.Dedupe
 	}
-	if merged.Fastpath.Checks > 0 {
-		fmt.Printf("checker fast path: %s\n", merged.Fastpath)
+	if dedupe.Checks > 0 {
+		fmt.Fprintf(w, "collective checking: %s\n", dedupe)
 	}
-	if merged.Stats.UnionCoverage > 0 {
-		fmt.Printf("fleet union coverage: %.1f%% of the transition table\n", 100*merged.Stats.UnionCoverage)
+	if m.Fastpath.Checks > 0 {
+		fmt.Fprintf(w, "checker fast path: %s\n", m.Fastpath)
 	}
-	if o.MergedOut != "" {
-		if err := os.WriteFile(o.MergedOut, data, 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "mcversi: wrote canonical merged result to %s (%d bytes)\n", o.MergedOut, len(data))
+	if m.Stats.UnionCoverage > 0 {
+		fmt.Fprintf(w, "fleet union coverage: %.1f%% of the transition table\n", 100*m.Stats.UnionCoverage)
 	}
 }

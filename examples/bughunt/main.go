@@ -13,8 +13,12 @@ import (
 
 func main() {
 	const bug = "MESI,LQ+S,Replacement"
+	// The paper's target — the Table 2 MESI machine checked against TSO —
+	// with the bug injected.
+	target := mcversi.DefaultScenario()
+	target.Bugs = []string{bug}
 	for _, gen := range []mcversi.GeneratorKind{mcversi.GenGPAll, mcversi.GenRandom} {
-		cfg := mcversi.ScaledCampaignConfig(gen, mcversi.MESI, bug, 8192)
+		cfg := mcversi.ScaledScenarioConfig(gen, target, 8192)
 		cfg.Seed = 2
 		cfg.MaxTestRuns = 900
 		res, err := mcversi.Run(cfg)
@@ -25,7 +29,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("The same bug is invisible at 1KB (no capacity evictions, Table 4):")
-	cfg := mcversi.ScaledCampaignConfig(mcversi.GenGPAll, mcversi.MESI, bug, 1024)
+	cfg := mcversi.ScaledScenarioConfig(mcversi.GenGPAll, target, 1024)
 	cfg.Seed = 2
 	cfg.MaxTestRuns = 300
 	res, err := mcversi.Run(cfg)

@@ -24,7 +24,9 @@ func main() {
 	// Hunt the canonical pipeline bug with pseudo-random tests: the LQ
 	// ignores forwarded invalidations, so speculative loads commit
 	// stale values and the checker sees the MP-style cycle.
-	cfg := mcversi.ScaledCampaignConfig(mcversi.GenRandom, mcversi.MESI, "LQ+no-TSO", 1024)
+	target := mcversi.DefaultScenario() // the Table 2 MESI machine against TSO
+	target.Bugs = []string{"LQ+no-TSO"}
+	cfg := mcversi.ScaledScenarioConfig(mcversi.GenRandom, target, 1024)
 	cfg.Seed = 1
 	cfg.MaxTestRuns = 200
 	res, err := mcversi.Run(cfg)

@@ -193,9 +193,6 @@ func NewMemo() *Memo {
 // synchronization on the check path.
 func (m *Memo) SetStore(s VerdictStore) { m.store = s }
 
-// Store returns the attached durable tier, or nil.
-func (m *Memo) Store() VerdictStore { return m.store }
-
 func (m *Memo) entry(sig Sig) (*memoEntry, bool) {
 	s := &m.shards[sig.Lo%memoShards]
 	s.mu.Lock()

@@ -447,26 +447,9 @@ func RunCampaign(cfg Config) (Result, error) {
 }
 
 // SampleSeed derives the i-th sample's seed from a base seed. The
-// derivation is a pure function of (baseSeed, i), shared by the
-// sequential SampleSet and the fleet's sharded scheduler so that
-// results are identical at any worker count.
+// derivation is a pure function of (baseSeed, i) — Spec.ItemSeed is
+// built on it — so a campaign set's results are identical at any
+// worker count.
 func SampleSeed(baseSeed int64, i int) int64 {
 	return baseSeed + int64(i)*7919
-}
-
-// SampleSet runs n campaigns with distinct seeds (the paper's 10
-// samples per generator/bug pair, §5.1) and returns all results. It is
-// the sequential reference path; internal/fleet shards the same work
-// across workers and degenerates to exactly this loop at workers=1.
-func SampleSet(cfg Config, n int, baseSeed int64) ([]Result, error) {
-	results := make([]Result, 0, n)
-	for i := 0; i < n; i++ {
-		cfg.Seed = SampleSeed(baseSeed, i)
-		r, err := RunCampaign(cfg)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
 }

@@ -197,27 +197,6 @@ func TestPUTXRaceReportsProtocolError(t *testing.T) {
 	t.Error("PUTX race not found on any seed")
 }
 
-// TestSampleSet checks the multi-sample driver.
-func TestSampleSet(t *testing.T) {
-	cfg := scaledConfig(GenRandom, machine.MESI, "LQ+no-TSO", 1024, 60)
-	results, err := SampleSet(cfg, 3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
-	}
-	found := 0
-	for _, r := range results {
-		if r.Found {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Error("no sample found LQ+no-TSO")
-	}
-}
-
 // TestResultString covers the report rendering.
 func TestResultString(t *testing.T) {
 	r := Result{Found: true, Source: "mcm-violation", TestRuns: 5, SimSeconds: 0.001, TotalCoverage: 0.5, MaxNDT: 2.5}

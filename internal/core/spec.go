@@ -20,10 +20,13 @@ import (
 // a custom event kernel, a shared memo — deliberately have no wire form.
 //
 // A spec describes len(Scenarios) × Samples independent campaigns
-// ("items"). Item i runs scenario Scenarios[i/Samples] with seed
-// SampleSeed(BaseSeed, i) — exactly the flat indexing of the in-process
-// fleet.SampleSet / fleet.ScenarioSweep paths, which is what makes a
-// sharded remote run mergeable into a byte-identical whole.
+// ("items") — the paper's samples-per-cell (§5.1) times a scenario
+// axis. Item i runs scenario Scenarios[i/Samples] with seed
+// SampleSeed(BaseSeed, i); both are pure functions of (spec, i), which
+// is what makes a sharded remote run mergeable into a whole that is
+// byte-identical to a local one. The spec is the only description of a
+// campaign set: fleet.RunShard, local or on a remote worker, runs
+// nothing else.
 type Spec struct {
 	// Scenarios are the verification targets, one campaign column per
 	// entry. At least one is required.

@@ -100,10 +100,10 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%d/%d (%.0f runs, %.2f sim-ms)", c.Found, c.Samples, c.MeanRuns, c.MeanSimMS)
 }
 
-// RunCell evaluates one generator/bug pair. The cell's samples run
-// through the fleet's sequential (workers=1) path — the table drivers
-// shard whole cells across workers instead, which keeps every cell's
-// result bit-identical to the sequential reproduction.
+// RunCell evaluates one generator/bug pair. The cell's samples run as
+// a one-scenario campaign set on one worker — the table drivers shard
+// whole cells across workers instead, which keeps every cell's result
+// bit-identical to the sequential reproduction.
 func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 	cell := Cell{Samples: sc.Samples}
 	proto := machine.MESI
@@ -138,11 +138,13 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 		// Cells run collectively: the samples of one cell share a
 		// verdict memo (fresh per cell, so cell results stay a pure
 		// function of (spec, bug, sc)).
-		results, _, err := fleet.SampleSet(context.Background(), cfg, sc.Samples, sc.Seed, fleet.Options{Workers: 1, Collective: true})
+		set, err := fleet.LocalMerged(context.Background(),
+			core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, sc.Samples, sc.Seed),
+			fleet.Options{Workers: 1, Collective: true})
 		if err != nil {
 			return cell, err
 		}
-		for _, res := range results {
+		for _, res := range set.Results {
 			if res.TotalCoverage > cell.Coverage {
 				cell.Coverage = res.TotalCoverage
 			}
@@ -335,13 +337,13 @@ func ScenarioMatrix(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "\nRegistered scenarios: bug-free soundness smoke (%d runs each)\n\n", sc.Budget)
 	fmt.Fprintf(w, "%-12s %-28s %8s %10s %8s\n", "Scenario", "Identity", "Runs", "Coverage", "Quiet")
 	cfg := campaignFor(GeneratorSpec{Kind: core.GenGPAll, MemBytes: 1024}, machine.MESI, "", sc)
-	results, _, err := fleet.ScenarioSweep(context.Background(), cfg, scens, 1, sc.Seed,
+	set, err := fleet.LocalMerged(context.Background(), core.NewSpec(cfg, scens, 1, sc.Seed),
 		fleet.Options{Workers: sc.Parallel, Collective: true})
 	if err != nil {
 		return err
 	}
 	for i, s := range scens {
-		res := results[i][0]
+		res := set.Results[i]
 		quiet := "yes"
 		if res.Found {
 			quiet = "NO: " + res.Detail

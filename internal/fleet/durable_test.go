@@ -70,45 +70,3 @@ func TestDurableStoreColdWarm(t *testing.T) {
 		t.Fatal("store-backed merge differs from storeless reference")
 	}
 }
-
-// TestSampleSetStoreWarm covers the non-spec fleet path (SampleSet with
-// Options.Store): a second fleet over the same store dedupes durably
-// with identical per-sample Results.
-func TestSampleSetStoreWarm(t *testing.T) {
-	cfg := scaledConfig(core.GenRandom, "", 8)
-	dir := filepath.Join(t.TempDir(), "verdicts")
-
-	run := func() ([]core.Result, Stats) {
-		t.Helper()
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cfg
-		res, stats, err := SampleSet(context.Background(), c, 2, 31, Options{Collective: true, Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return res, stats
-	}
-
-	coldRes, coldStats := run()
-	warmRes, warmStats := run()
-	if coldStats.Dedupe.Durable != 0 {
-		t.Fatalf("cold durable = %d, want 0", coldStats.Dedupe.Durable)
-	}
-	if warmStats.Dedupe.Durable == 0 {
-		t.Fatalf("warm durable = 0 (stats %+v)", warmStats.Dedupe)
-	}
-	if len(coldRes) != len(warmRes) {
-		t.Fatalf("result counts differ: %d vs %d", len(coldRes), len(warmRes))
-	}
-	for i := range coldRes {
-		if coldRes[i] != warmRes[i] {
-			t.Fatalf("sample %d result changed under warm store:\n cold %+v\n warm %+v", i, coldRes[i], warmRes[i])
-		}
-	}
-}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -64,6 +65,36 @@ func checkNoLeaks(t *testing.T, before int) {
 	}
 }
 
+// setSpec is scaledConfig as a campaign set: n samples of the paper's
+// MESI/TSO target with bug injected ("" = none).
+func setSpec(gen core.GeneratorKind, bug string, budget, n int, baseSeed int64) core.Spec {
+	cfg := scaledConfig(gen, bug, budget)
+	return core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, n, baseSeed)
+}
+
+// withEvents runs fn with a drained Events channel and returns every
+// event the run sent.
+func withEvents(fn func(events chan<- Event)) []Event {
+	events := make(chan Event, 64)
+	done := make(chan []Event)
+	go func() {
+		var got []Event
+		for ev := range events {
+			got = append(got, ev)
+		}
+		done <- got
+	}()
+	fn(events)
+	close(events)
+	return <-done
+}
+
+// resultHash fingerprints a campaign result the way the root
+// simpath_identity_test.go does.
+func resultHash(r core.Result) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", r))))[:16]
+}
+
 func TestMapPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		out, err := Map(context.Background(), workers, 20, func(_ context.Context, i int) (int, error) {
@@ -95,47 +126,52 @@ func TestMapFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestFleetDeterminism is the tentpole guarantee: the same baseSeed
-// yields byte-identical per-sample Results at any worker count, and
-// the workers=1 fleet path matches the sequential core.SampleSet loop
-// exactly.
+// TestFleetDeterminism is the tentpole guarantee: item i of LocalMerged
+// is byte-identical, at any worker count, to a plain
+// core.RunCampaign(spec.ItemConfig(i)) — the fleet adds scheduling and
+// nothing else.
 func TestFleetDeterminism(t *testing.T) {
-	const n, baseSeed = 6, 100
-	cfg := scaledConfig(core.GenRandom, "LQ+no-TSO", 40)
+	const n = 6
+	spec := setSpec(core.GenRandom, "LQ+no-TSO", 40, n, 100)
 
-	want, err := core.SampleSet(cfg, n, baseSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		if w.SumFitness <= 0 {
-			t.Fatalf("sample %d: SumFitness = %v, want > 0 (fitness stream empty?)", i, w.SumFitness)
+	want := make([]core.Result, n)
+	for i := range want {
+		cfg, err := spec.ItemConfig(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = core.RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if want[i].SumFitness <= 0 {
+			t.Fatalf("sample %d: SumFitness = %v, want > 0 (fitness stream empty?)", i, want[i].SumFitness)
 		}
 	}
 	wantUnion := -1.0
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			restoreProcs(t, workers)
-			got, st, err := SampleSet(context.Background(), cfg, n, baseSeed, Options{Workers: workers})
+			m, err := LocalMerged(context.Background(), spec, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != n {
-				t.Fatalf("got %d results, want %d", len(got), n)
+			if len(m.Results) != n {
+				t.Fatalf("got %d results, want %d", len(m.Results), n)
 			}
-			for i := range got {
+			for i, got := range m.Results {
 				// The per-sample fitness stream (not just the verdict)
 				// must be byte-identical at any worker count: SumFitness
 				// fingerprints every run's adaptive-coverage fitness.
-				if got[i].SumFitness != want[i].SumFitness {
+				if got.SumFitness != want[i].SumFitness {
 					t.Errorf("sample %d: fitness stream diverges at workers=%d: got %v, want %v",
-						i, workers, got[i].SumFitness, want[i].SumFitness)
+						i, workers, got.SumFitness, want[i].SumFitness)
 				}
-				if got[i] != want[i] {
-					t.Errorf("sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got[i], want[i])
+				if got != want[i] {
+					t.Errorf("sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got, want[i])
 				}
 			}
-			if st.Workers < 1 || st.Completed != n || st.TestRuns == 0 {
+			st := m.Stats
+			if st.Items != n || st.TestRuns == 0 {
 				t.Errorf("implausible stats: %+v", st)
 			}
 			// Fleet union coverage merges commutatively, so it too is
@@ -156,9 +192,8 @@ func TestFleetDeterminism(t *testing.T) {
 // TestFleetIslandDeterminism: the epoch-synchronized migration ring
 // must also be worker-count independent.
 func TestFleetIslandDeterminism(t *testing.T) {
-	const n, baseSeed = 4, 7
-	cfg := scaledConfig(core.GenGPAll, "", 36)
-	opts := Options{Islands: true, MigrationInterval: 8, MigrationSize: 2}
+	spec := setSpec(core.GenGPAll, "", 36, 4, 7)
+	opts := Options{Islands: true, MigrationInterval: 8, MigrationSize: 2, Obs: true}
 
 	var want []core.Result
 	wantUnion := -1.0
@@ -166,15 +201,28 @@ func TestFleetIslandDeterminism(t *testing.T) {
 		restoreProcs(t, workers)
 		o := opts
 		o.Workers = workers
-		got, st, err := SampleSet(context.Background(), cfg, n, baseSeed, o)
-		if err != nil {
-			t.Fatal(err)
+		var m Merged
+		epochs := 0
+		for _, ev := range withEvents(func(events chan<- Event) {
+			o.Events = events
+			var err error
+			if m, err = LocalMerged(context.Background(), spec, o); err != nil {
+				t.Fatal(err)
+			}
+		}) {
+			if ev.Epoch > epochs {
+				epochs = ev.Epoch
+			}
 		}
-		if st.Migrations == 0 || st.Epochs == 0 {
-			t.Fatalf("workers=%d: island model idle: %+v", workers, st)
+		if epochs == 0 {
+			t.Fatalf("workers=%d: island model idle: no event past epoch 0", workers)
 		}
-		// The islands' epoch-merged union coverage must be identical
-		// at any worker count, like the per-sample results.
+		if m.Obs.Testgen.Count == 0 {
+			t.Errorf("workers=%d: instrumented islands report no testgen spans: %s", workers, m.Obs)
+		}
+		// The islands' union coverage must be identical at any worker
+		// count, like the per-sample results.
+		st := m.Stats
 		if st.UnionCoverage <= 0 || st.UnionCoverage < st.MaxCoverage {
 			t.Fatalf("workers=%d: implausible union coverage %v (max %v)",
 				workers, st.UnionCoverage, st.MaxCoverage)
@@ -186,17 +234,64 @@ func TestFleetIslandDeterminism(t *testing.T) {
 				workers, st.UnionCoverage, wantUnion)
 		}
 		if want == nil {
-			want = got
+			want = m.Results
 			continue
 		}
-		for i := range got {
-			if got[i].SumFitness != want[i].SumFitness {
+		for i, got := range m.Results {
+			if got.SumFitness != want[i].SumFitness {
 				t.Errorf("island sample %d: fitness stream diverges at workers=%d: got %v, want %v",
-					i, workers, got[i].SumFitness, want[i].SumFitness)
+					i, workers, got.SumFitness, want[i].SumFitness)
 			}
-			if got[i] != want[i] {
-				t.Errorf("island sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got[i], want[i])
+			if got != want[i] {
+				t.Errorf("island sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got, want[i])
 			}
+		}
+	}
+}
+
+// TestIslandIdentity pins the island schedule the way the root
+// simpath_identity_test.go pins the simulator. The hashes are the
+// per-sample core.Results recorded on the commit before the island
+// scheduler moved under RunShard (campaigns from spec.ItemConfig, one
+// coverage merge per finished island); no change to the ring, the
+// barrier or the item materialization may move them. GP-All, 4 samples,
+// base seed 42, MigrationInterval 10, MigrationSize 2, collective
+// checking on — once to the budget, once as a StopOnFound hunt that
+// cuts sample 3 off at an epoch barrier.
+func TestIslandIdentity(t *testing.T) {
+	cases := []struct {
+		name     string
+		bug      string
+		budget   int
+		memBytes int
+		stop     bool
+		want     [4]string
+	}{
+		{"budget", "", 40, 1024, false,
+			[4]string{"d7cc8482751ec292", "2466c34c880cc6df", "7524bbea1497b98e", "7524bbea1497b98e"}},
+		{"stop-on-found", "LQ+no-TSO", 2000, 8192, true,
+			[4]string{"d576122ca7db9382", "0156e843e78ecadc", "6ef097f0efb0b854", "3eda9ece2b12f7e0"}},
+	}
+	for _, tc := range cases {
+		cfg := scaledConfig(core.GenGPAll, tc.bug, tc.budget)
+		cfg.Test.Layout = memsys.MustLayout(tc.memBytes, 16)
+		spec := core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, 4, 42)
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				restoreProcs(t, workers)
+				m, err := LocalMerged(context.Background(), spec, Options{
+					Workers: workers, Collective: true, Islands: true, StopOnFound: tc.stop,
+					MigrationInterval: 10, MigrationSize: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range m.Results {
+					if got := resultHash(r); got != tc.want[i] {
+						t.Errorf("sample %d: result hash %s, want %s\n result: %+v", i, got, tc.want[i], r)
+					}
+				}
+			})
 		}
 	}
 }
@@ -204,20 +299,19 @@ func TestFleetIslandDeterminism(t *testing.T) {
 // TestFleetIslandsDifferFromPooled: migration must actually change the
 // evolutionary trajectory (otherwise the ring is dead code).
 func TestFleetIslandsDifferFromPooled(t *testing.T) {
-	const n, baseSeed = 3, 7
-	cfg := scaledConfig(core.GenGPAll, "", 40)
-	pooled, _, err := SampleSet(context.Background(), cfg, n, baseSeed, Options{Workers: 1})
+	spec := setSpec(core.GenGPAll, "", 40, 3, 7)
+	pooled, err := LocalMerged(context.Background(), spec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	isl, _, err := SampleSet(context.Background(), cfg, n, baseSeed,
+	isl, err := LocalMerged(context.Background(), spec,
 		Options{Workers: 1, Islands: true, MigrationInterval: 8, MigrationSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := true
-	for i := range pooled {
-		if pooled[i] != isl[i] {
+	for i := range pooled.Results {
+		if pooled.Results[i] != isl.Results[i] {
 			same = false
 		}
 	}
@@ -234,40 +328,38 @@ func TestFleetEarlyStopCancelsSiblings(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// A large budget that sequential execution would take ages to
 	// exhaust: early stop is what keeps this test fast.
-	cfg := scaledConfig(core.GenRandom, "LQ+no-TSO", 100000)
-	events := make(chan Event, 64)
-	done := make(chan Stats, 1)
-	go func() {
-		var agg Stats
-		for ev := range events {
-			if ev.Done {
-				agg.Completed++
-				agg.TestRuns += ev.Result.TestRuns
-			}
+	spec := setSpec(core.GenRandom, "LQ+no-TSO", 100000, 4, 100)
+	var m Merged
+	evs := withEvents(func(events chan<- Event) {
+		var err error
+		m, err = LocalMerged(context.Background(), spec,
+			Options{Workers: 4, StopOnFound: true, Events: events})
+		if err != nil {
+			t.Fatal(err)
 		}
-		done <- agg
-	}()
-	results, st, err := SampleSet(context.Background(), cfg, 4, 100,
-		Options{Workers: 4, StopOnFound: true, Events: events})
-	close(events)
-	agg := <-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for _, r := range results {
-		if r.Found {
-			found++
-		}
-	}
-	if found == 0 {
+	})
+	if m.Stats.Found == 0 {
 		t.Fatal("no sample found LQ+no-TSO")
 	}
-	if st.Found == 0 || st.Completed+st.Stopped == 0 {
-		t.Errorf("implausible stats: %+v", st)
+	// Every item that ran reported exactly one final event carrying the
+	// tally the merge kept; the rest never started and stay zero.
+	seen := map[int]bool{}
+	for _, ev := range evs {
+		if !ev.Done || seen[ev.Sample] {
+			t.Errorf("unexpected event %+v", ev)
+		}
+		seen[ev.Sample] = true
+		if ev.Result != m.Results[ev.Sample] {
+			t.Errorf("sample %d: event tally %+v, merged %+v", ev.Sample, ev.Result, m.Results[ev.Sample])
+		}
+		if ev.Stopped == ev.Result.Found {
+			t.Errorf("sample %d: stopped=%v with found=%v", ev.Sample, ev.Stopped, ev.Result.Found)
+		}
 	}
-	if agg.Completed != st.Completed+st.Stopped {
-		t.Errorf("event stream saw %d done events, stats say %d", agg.Completed, st.Completed+st.Stopped)
+	for i, r := range m.Results {
+		if !seen[i] && r != (core.Result{}) {
+			t.Errorf("sample %d has a tally but no final event: %+v", i, r)
+		}
 	}
 	checkNoLeaks(t, before)
 }
@@ -276,76 +368,72 @@ func TestFleetEarlyStopCancelsSiblings(t *testing.T) {
 func TestFleetEarlyStopIslands(t *testing.T) {
 	restoreProcs(t, 4)
 	before := runtime.NumGoroutine()
-	cfg := scaledConfig(core.GenGPAll, "LQ+no-TSO", 100000)
-	results, st, err := SampleSet(context.Background(), cfg, 3, 100,
+	spec := setSpec(core.GenGPAll, "LQ+no-TSO", 100000, 3, 100)
+	m, err := LocalMerged(context.Background(), spec,
 		Options{Workers: 4, StopOnFound: true, Islands: true, MigrationInterval: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := 0
-	for _, r := range results {
-		if r.Found {
-			found++
-		}
-	}
-	if found == 0 {
+	if m.Stats.Found == 0 {
 		t.Fatal("no island found LQ+no-TSO")
 	}
-	if st.Found == 0 {
-		t.Errorf("stats missed the find: %+v", st)
-	}
 	checkNoLeaks(t, before)
+}
+
+// cancelledPartials runs spec under a deadline it cannot meet and
+// checks the contract for a cut-off run: the deadline surfaces as the
+// error (unlike early stop), and beside it come the partial tallies,
+// each announced by a Stopped final event.
+func cancelledPartials(t *testing.T, spec core.Spec, opts Options, deadline time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	var m Merged
+	evs := withEvents(func(events chan<- Event) {
+		opts.Events = events
+		var err error
+		m, err = LocalMerged(ctx, spec, opts)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want deadline exceeded", err)
+		}
+	})
+	if len(m.Results) != spec.Items() {
+		t.Fatalf("cancelled run returned %d results, want %d", len(m.Results), spec.Items())
+	}
+	if m.Stats.TestRuns == 0 {
+		t.Error("cancellation discarded every in-flight partial tally")
+	}
+	stopped := 0
+	for _, ev := range evs {
+		if ev.Done && ev.Stopped {
+			stopped++
+			if ev.Result != m.Results[ev.Sample] {
+				t.Errorf("sample %d: stopped event tally %+v, merged %+v", ev.Sample, ev.Result, m.Results[ev.Sample])
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Error("no cut-off item emitted a Stopped final event")
+	}
 }
 
 // TestFleetContextCancellation: caller cancellation surfaces as an
 // error (unlike early stop) and still returns partial tallies.
 func TestFleetContextCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := scaledConfig(core.GenRandom, "", 100000)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	results, _, err := SampleSet(ctx, cfg, 2, 1, Options{Workers: 2})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	// In-flight samples keep their partial tallies on cancellation.
-	partial := 0
-	for _, r := range results {
-		if r.TestRuns > 0 {
-			partial++
-		}
-	}
-	if partial == 0 {
-		t.Error("cancellation discarded every in-flight partial tally")
-	}
+	cancelledPartials(t, setSpec(core.GenRandom, "", 100000, 2, 1), Options{Workers: 2}, 50*time.Millisecond)
 	checkNoLeaks(t, before)
 }
 
 // TestFleetIslandCancellationKeepsPartials mirrors the pooled partial
 // tally guarantee for islands cut off mid-epoch.
 func TestFleetIslandCancellationKeepsPartials(t *testing.T) {
-	cfg := scaledConfig(core.GenGPAll, "", 100000)
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	results, _, err := SampleSet(ctx, cfg, 2, 1,
-		Options{Workers: 2, Islands: true, MigrationInterval: 5})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	partial := 0
-	for _, r := range results {
-		if r.TestRuns > 0 {
-			partial++
-		}
-	}
-	if partial == 0 {
-		t.Error("island cancellation discarded every partial tally")
-	}
+	cancelledPartials(t, setSpec(core.GenGPAll, "", 100000, 2, 1),
+		Options{Workers: 2, Islands: true, MigrationInterval: 5}, 100*time.Millisecond)
 }
 
 func TestFleetConfigErrorPropagates(t *testing.T) {
-	cfg := scaledConfig("bogus", "", 10)
-	if _, _, err := SampleSet(context.Background(), cfg, 2, 1, Options{}); err == nil {
+	if _, err := LocalMerged(context.Background(), setSpec("bogus", "", 10, 2, 1), Options{}); err == nil {
 		t.Fatal("bogus generator accepted")
 	}
 }
@@ -367,28 +455,27 @@ func TestWorkersResolution(t *testing.T) {
 // violations in the same samples after the same number of test-runs as
 // naive per-iteration checking — the memo may only deduplicate work.
 func TestFleetCollectiveMatchesNaive(t *testing.T) {
-	const n, baseSeed = 4, 100
 	for _, bug := range []string{"", "LQ+no-TSO"} {
-		cfg := scaledConfig(core.GenRandom, bug, 30)
-		naive, _, err := SampleSet(context.Background(), cfg, n, baseSeed, Options{Workers: 1})
+		spec := setSpec(core.GenRandom, bug, 30, 4, 100)
+		naive, err := LocalMerged(context.Background(), spec, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coll, st, err := SampleSet(context.Background(), cfg, n, baseSeed, Options{Workers: 1, Collective: true})
+		coll, err := LocalMerged(context.Background(), spec, Options{Workers: 1, Collective: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Dedupe.Checks == 0 || st.Dedupe.Unique == 0 {
-			t.Fatalf("bug=%q: collective fleet never consulted the memo: %+v", bug, st.Dedupe)
+		dd := coll.MemoDedupe
+		if dd.Checks == 0 || dd.Unique == 0 {
+			t.Fatalf("bug=%q: collective fleet never consulted the memo: %+v", bug, dd)
 		}
-		if st.Dedupe.Checks-st.Dedupe.Unique != st.Dedupe.Hits {
-			t.Fatalf("bug=%q: inconsistent memo counters: %+v", bug, st.Dedupe)
+		if dd.Checks-dd.Unique != dd.Hits {
+			t.Fatalf("bug=%q: inconsistent memo counters: %+v", bug, dd)
 		}
-		for i := range coll {
-			got := coll[i]
-			got.Dedupe = naive[i].Dedupe // the only field allowed to differ
-			if got != naive[i] {
-				t.Errorf("bug=%q sample %d: collective %+v\n              != naive %+v", bug, i, coll[i], naive[i])
+		for i, got := range coll.Results {
+			got.Dedupe = naive.Results[i].Dedupe // the only field allowed to differ
+			if got != naive.Results[i] {
+				t.Errorf("bug=%q sample %d: collective %+v\n              != naive %+v", bug, i, coll.Results[i], naive.Results[i])
 			}
 		}
 	}
@@ -399,29 +486,27 @@ func TestFleetCollectiveMatchesNaive(t *testing.T) {
 // is classified against the campaign's own signature history precisely
 // so that racing on the shared memo cannot leak into Results.
 func TestFleetCollectiveDeterminism(t *testing.T) {
-	const n, baseSeed = 6, 100
-	cfg := scaledConfig(core.GenRandom, "LQ+no-TSO", 40)
+	spec := setSpec(core.GenRandom, "LQ+no-TSO", 40, 6, 100)
 	var want []core.Result
 	var wantUnique uint64
 	for _, workers := range []int{1, 4, 8} {
 		restoreProcs(t, workers)
-		got, st, err := SampleSet(context.Background(), cfg, n, baseSeed,
-			Options{Workers: workers, Collective: true})
+		m, err := LocalMerged(context.Background(), spec, Options{Workers: workers, Collective: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {
-			want, wantUnique = got, st.Dedupe.Unique
+			want, wantUnique = m.Results, m.MemoDedupe.Unique
 			continue
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got[i], want[i])
+		for i, got := range m.Results {
+			if got != want[i] {
+				t.Errorf("sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got, want[i])
 			}
 		}
-		if st.Dedupe.Unique != wantUnique {
+		if m.MemoDedupe.Unique != wantUnique {
 			t.Errorf("workers=%d: fleet-wide unique signatures = %d, want %d",
-				workers, st.Dedupe.Unique, wantUnique)
+				workers, m.MemoDedupe.Unique, wantUnique)
 		}
 	}
 }
@@ -430,26 +515,24 @@ func TestFleetCollectiveDeterminism(t *testing.T) {
 // model (migrated elites re-evaluated by other islands are where the
 // cross-campaign sharing pays off) without perturbing results.
 func TestFleetCollectiveIslands(t *testing.T) {
-	const n, baseSeed = 3, 7
-	cfg := scaledConfig(core.GenGPAll, "", 24)
+	spec := setSpec(core.GenGPAll, "", 24, 3, 7)
 	opts := Options{Workers: 1, Islands: true, MigrationInterval: 8, MigrationSize: 2}
-	naive, _, err := SampleSet(context.Background(), cfg, n, baseSeed, opts)
+	naive, err := LocalMerged(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Collective = true
-	coll, st, err := SampleSet(context.Background(), cfg, n, baseSeed, opts)
+	coll, err := LocalMerged(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dedupe.Checks == 0 {
-		t.Fatalf("island fleet never consulted the memo: %+v", st.Dedupe)
+	if coll.MemoDedupe.Checks == 0 {
+		t.Fatalf("island fleet never consulted the memo: %+v", coll.MemoDedupe)
 	}
-	for i := range coll {
-		got := coll[i]
-		got.Dedupe = naive[i].Dedupe
-		if got != naive[i] {
-			t.Errorf("island sample %d: collective %+v != naive %+v", i, coll[i], naive[i])
+	for i, got := range coll.Results {
+		got.Dedupe = naive.Results[i].Dedupe
+		if got != naive.Results[i] {
+			t.Errorf("island sample %d: collective %+v != naive %+v", i, coll.Results[i], naive.Results[i])
 		}
 	}
 }

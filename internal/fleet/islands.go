@@ -8,47 +8,7 @@ import (
 	"repro/internal/gp"
 )
 
-// island is one sample's campaign plus its scheduling state.
-type island struct {
-	camp    *core.Campaign
-	started time.Time
-	done    bool
-	stopped bool
-	// lastCounts snapshots the island's per-transition coverage
-	// counts as of the last epoch merge, so each barrier folds only
-	// the epoch's delta into the fleet-wide union; scratch is the
-	// spare buffer the two ping-pong through so the per-epoch merge
-	// allocates only on the first barrier.
-	lastCounts []uint64
-	scratch    []uint64
-	merged     bool
-}
-
-// mergeCoverage folds the island's coverage delta since the last
-// barrier into the fleet union; done islands merge exactly once more.
-func (is *island) mergeCoverage(em *emitter) {
-	if is.merged {
-		return
-	}
-	tr := is.camp.Tracker()
-	cur := tr.Snapshot(is.scratch)
-	if is.lastCounts == nil {
-		is.lastCounts = make([]uint64, len(cur))
-	}
-	// Turn lastCounts into the delta in place, then keep it as the
-	// next snapshot buffer.
-	delta := is.lastCounts
-	for i := range cur {
-		delta[i] = cur[i] - delta[i]
-	}
-	em.absorb(tr.Table(), delta)
-	is.lastCounts, is.scratch = cur, delta
-	if is.done {
-		is.merged = true
-	}
-}
-
-// islandSampleSet runs n GP campaigns as an island model: every epoch
+// islands runs the shard's GP campaigns as an island model: every epoch
 // each live island advances MigrationInterval test-runs in parallel,
 // then — at a barrier, in ring order — sends deep copies of its
 // MigrationSize fittest individuals to the next live island. Because
@@ -56,100 +16,71 @@ func (is *island) mergeCoverage(em *emitter) {
 // the worker count influences only wall-clock time, never results;
 // StopOnFound is likewise checked only at the barrier, so even early
 // stop is deterministic here.
-func islandSampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64, opts Options, em *emitter) ([]core.Result, error) {
-	isles := make([]*island, n)
-	//mcvlint:allow nondeterm island start stamp for Elapsed telemetry; never feeds results
-	now := time.Now()
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = core.SampleSeed(baseSeed, i)
-		camp, err := core.NewCampaign(c)
-		if err != nil {
-			return make([]core.Result, n), err
-		}
-		if em.ps != nil {
-			camp.InstrumentObs(em.ps)
-		}
-		isles[i] = &island{camp: camp, started: now}
-	}
-
+func (s *shardRun) islands(ctx context.Context) ([]core.Result, error) {
+	n := s.r.Len()
 	results := make([]core.Result, n)
+	camps := make([]*core.Campaign, n)
+	for i := range camps {
+		camp, err := s.newCampaign(s.r.Start + i)
+		if err != nil {
+			return results, err
+		}
+		camps[i] = camp
+	}
+	//mcvlint:allow nondeterm island start stamp for Elapsed telemetry; never feeds results
+	started := time.Now()
+	done := make([]bool, n)
+	epoch := 0
 	finish := func(i int, stopped bool) {
-		isles[i].done = true
-		isles[i].stopped = stopped
-		results[i] = isles[i].camp.Result()
-		em.absorbFastpath(isles[i].camp.Fastpath())
-		em.emit(Event{
-			Sample: i, Epoch: em.stats.Epochs, Done: true, Stopped: stopped,
-			//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-			Result: results[i], Elapsed: time.Since(isles[i].started),
-		})
+		done[i] = true
+		results[i] = camps[i].Result()
+		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
+		s.finish(s.r.Start+i, camps[i], Event{Epoch: epoch, Stopped: stopped, Result: results[i], Elapsed: time.Since(started)})
 	}
 
 	for {
 		// Parallel slice: each live island advances one epoch. done
 		// flags are written by at most one worker per index and read
 		// only after the Map barrier.
-		_, err := Map(ctx, opts.Workers, n, func(ctx context.Context, i int) (struct{}, error) {
-			if isles[i].done {
+		_, err := Map(ctx, s.opts.Workers, n, func(ctx context.Context, i int) (struct{}, error) {
+			if done[i] {
 				return struct{}{}, nil
 			}
-			completed, err := isles[i].camp.Advance(ctx, opts.MigrationInterval)
+			completed, err := camps[i].Advance(ctx, s.opts.MigrationInterval)
 			if err != nil {
 				return struct{}{}, err
 			}
 			if completed {
 				finish(i, false)
-			} else if em.ch != nil {
-				em.emit(Event{
-					Sample: i, Epoch: em.stats.Epochs,
-					//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-					Result: isles[i].camp.Result(), Elapsed: time.Since(isles[i].started),
-				})
+			} else if s.opts.Events != nil {
+				//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
+				s.emit(s.r.Start+i, Event{Epoch: epoch, Result: camps[i].Result(), Elapsed: time.Since(started)})
 			}
 			return struct{}{}, nil
 		})
-		if err != nil {
-			// Preserve and report the partial tallies of islands cut off
-			// mid-epoch.
-			for i, is := range isles {
-				if !is.done {
-					finish(i, true)
-				}
-				is.mergeCoverage(em)
-			}
-			return results, err
-		}
-
-		// Epoch merge: every island folds the coverage delta it
-		// accumulated this epoch into the fleet-wide union, in island
-		// order at the barrier (count merging is commutative, so the
-		// order is cosmetic — the union is worker-count independent
-		// either way).
-		for _, is := range isles {
-			is.mergeCoverage(em)
-		}
 
 		// Barrier reached: collect the live ring.
 		var live []int
 		foundAny := false
-		for i, is := range isles {
-			if !is.done {
+		for i := range camps {
+			if !done[i] {
 				live = append(live, i)
 			} else if results[i].Found {
 				foundAny = true
 			}
 		}
-		if opts.StopOnFound && foundAny {
+		if err != nil || (s.opts.StopOnFound && foundAny) {
+			// Islands cut off mid-run keep and report their partial
+			// tallies.
 			for _, i := range live {
 				finish(i, true)
 			}
-			return results, nil
+			return results, err
 		}
 		if len(live) == 0 {
 			return results, nil
 		}
-		em.stats.Epochs++
+		epoch++
 
 		if len(live) < 2 {
 			continue
@@ -161,12 +92,10 @@ func islandSampleSet(ctx context.Context, cfg core.Config, n int, baseSeed int64
 		// received.
 		elites := make([][]*gp.Individual, len(live))
 		for k, i := range live {
-			elites[k] = isles[i].camp.Engine().Elites(opts.MigrationSize)
+			elites[k] = camps[i].Engine().Elites(s.opts.MigrationSize)
 		}
 		for k, i := range live {
-			from := elites[(k+len(live)-1)%len(live)]
-			isles[i].camp.Engine().Immigrate(from)
-			em.stats.Migrations += len(from)
+			camps[i].Engine().Immigrate(elites[(k+len(live)-1)%len(live)])
 		}
 	}
 }

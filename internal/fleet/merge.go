@@ -15,8 +15,8 @@ import (
 // coverageAcc merges per-transition count vectors that share one
 // interned vocabulary, identified by key (the protocol name) instead of
 // table pointer identity so shards from other processes merge too.
-// Mixing keys poisons the accumulator — the same degradation the
-// in-process emitter applies to cross-protocol sweeps.
+// Mixing keys poisons the accumulator: a cross-protocol sweep has no
+// common vocabulary to take a union over.
 type coverageAcc struct {
 	key    string
 	counts []uint64
@@ -187,17 +187,16 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 	return m, nil
 }
 
-// LocalMerged is the single-process reference: it runs the whole spec
-// as one shard on the calling process's pool and merges it. The
-// distributed tier's acceptance test is byte equality between this and
-// a remote-worker run of the same spec.
+// LocalMerged is the one local entry point and the single-process
+// reference: it runs the whole spec as one shard on the calling
+// process's pool and merges it. The distributed tier's acceptance test
+// is byte equality between this and a remote-worker run of the same
+// spec. Like RunShard it returns the partial merge beside a campaign
+// or cancellation error.
 func LocalMerged(ctx context.Context, spec core.Spec, opts Options) (Merged, error) {
-	if err := spec.Validate(); err != nil {
-		return Merged{}, err
-	}
-	sr, err := RunShard(ctx, spec, Range{Start: 0, End: spec.Items()}, opts)
-	if err != nil {
-		return Merged{}, err
+	sr, runErr := RunShard(ctx, spec, Range{Start: 0, End: spec.Items()}, opts)
+	if sr.Results == nil {
+		return Merged{}, runErr
 	}
 	// MergeShards itself stays clock-free (pure function of its inputs);
 	// the caller times it so the merge phase shows up in the breakdown.
@@ -207,9 +206,12 @@ func LocalMerged(ctx context.Context, spec core.Spec, opts Options) (Merged, err
 		t0 = time.Now()
 	}
 	merged, err := MergeShards(spec.Items(), []ShardResult{sr})
-	if err == nil && opts.Obs {
+	if err != nil {
+		return Merged{}, err
+	}
+	if opts.Obs {
 		//mcvlint:allow nondeterm merge-span telemetry; CanonicalBytes strips phase timing
 		merged.Obs = merged.Obs.Merge(obs.Span(obs.PhaseMerge, time.Since(t0)))
 	}
-	return merged, err
+	return merged, runErr
 }

@@ -140,35 +140,3 @@ func TestObsPhaseBreakdownPlausible(t *testing.T) {
 		t.Errorf("memo spans = %d, dedupe hits = %d", s.Memo.Count, dd.Hits)
 	}
 }
-
-// TestObsSampleSetStats: the pooled fleet surfaces the aggregate via
-// Stats.Obs, GP islands included; with Obs off the snapshot stays
-// zero.
-func TestObsSampleSetStats(t *testing.T) {
-	cfg := scaledConfig(core.GenRandom, "", 4)
-	_, st, err := SampleSet(context.Background(), cfg, 2, 7, Options{Collective: true, Obs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Obs.Empty() || st.Obs.Sim.Count == 0 {
-		t.Fatalf("pooled Stats.Obs = %+v", st.Obs)
-	}
-
-	_, st, err = SampleSet(context.Background(), cfg, 2, 7, Options{Collective: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Obs.Empty() {
-		t.Fatalf("obs-off Stats.Obs = %+v", st.Obs)
-	}
-
-	gpCfg := scaledConfig(core.GenGPAll, "", 4)
-	_, st, err = SampleSet(context.Background(), gpCfg, 2, 7,
-		Options{Collective: true, Obs: true, Islands: true, MigrationInterval: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Obs.Empty() || st.Obs.Testgen.Count == 0 {
-		t.Fatalf("island Stats.Obs = %+v", st.Obs)
-	}
-}

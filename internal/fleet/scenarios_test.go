@@ -10,55 +10,41 @@ import (
 	"repro/internal/scenario"
 )
 
-func sweepScenarios(t *testing.T) []scenario.Scenario {
-	t.Helper()
-	var out []scenario.Scenario
-	for _, name := range []string{"mesi-tso", "mesi-pso", "mesi-rmo", "mesi-sc"} {
-		s, err := scenario.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, s)
-	}
-	return out
-}
+var sweepNames = []string{"mesi-tso", "mesi-pso", "mesi-rmo", "mesi-sc"}
 
 // TestScenarioSweepDeterminism: a scenario sweep's results are
 // byte-identical at any worker count, with every sample stamped with
 // its scenario's identity.
 func TestScenarioSweepDeterminism(t *testing.T) {
-	scens := sweepScenarios(t)
-	cfg := scaledConfig(core.GenRandom, "", 10)
-	run := func(workers int) [][]core.Result {
-		res, st, err := ScenarioSweep(context.Background(), cfg, scens, 2, 77,
-			Options{Workers: workers, Collective: true})
+	spec := shardSpec(core.GenRandom, 2, 10, 77, sweepNames...)
+	run := func(workers int) []core.Result {
+		m, err := LocalMerged(context.Background(), spec, Options{Workers: workers, Collective: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Samples != len(scens)*2 {
-			t.Fatalf("stats samples = %d, want %d", st.Samples, len(scens)*2)
+		if m.Stats.Items != len(sweepNames)*2 {
+			t.Fatalf("stats items = %d, want %d", m.Stats.Items, len(sweepNames)*2)
 		}
-		if st.Dedupe.Checks == 0 {
+		if m.MemoDedupe.Checks == 0 {
 			t.Error("sweep did not share a collective memo")
 		}
-		return res
+		return m.Results
 	}
 	seq := run(1)
 	par := run(8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("sweep diverges across worker counts:\nseq %+v\npar %+v", seq, par)
 	}
-	for si, s := range scens {
-		for _, r := range seq[si] {
-			if r.Scenario != s.ID() {
-				t.Fatalf("result under %s stamped %q", s.Name, r.Scenario)
-			}
-			if r.TestRuns != 10 {
-				t.Fatalf("scenario %s ran %d test-runs, want 10", s.Name, r.TestRuns)
-			}
-			if r.Found {
-				t.Fatalf("bug-free sweep found a bug under %s: %s", s.Name, r.Detail)
-			}
+	for i, r := range seq {
+		s := spec.ItemScenario(i)
+		if r.Scenario != s.ID() {
+			t.Fatalf("result under %s stamped %q", s.Name, r.Scenario)
+		}
+		if r.TestRuns != 10 {
+			t.Fatalf("scenario %s ran %d test-runs, want 10", s.Name, r.TestRuns)
+		}
+		if r.Found {
+			t.Fatalf("bug-free sweep found a bug under %s: %s", s.Name, r.Detail)
 		}
 	}
 }
@@ -74,48 +60,44 @@ func TestScenarioSweepFindsBug(t *testing.T) {
 	buggy := clean
 	buggy.Name = "mesi-tso-lqbug"
 	buggy.Bugs = []string{"LQ+no-TSO"}
-	cfg := scaledConfig(core.GenRandom, "", 60)
-	res, _, err := ScenarioSweep(context.Background(), cfg, []scenario.Scenario{clean, buggy}, 1, 100,
-		Options{Collective: true})
+	spec := core.NewSpec(scaledConfig(core.GenRandom, "", 60), []scenario.Scenario{clean, buggy}, 1, 100)
+	m, err := LocalMerged(context.Background(), spec, Options{Collective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0][0].Found {
-		t.Fatalf("clean scenario found a bug: %s", res[0][0].Detail)
+	if m.Results[0].Found {
+		t.Fatalf("clean scenario found a bug: %s", m.Results[0].Detail)
 	}
-	if !res[1][0].Found {
+	if !m.Results[1].Found {
 		t.Fatal("buggy scenario missed LQ+no-TSO")
 	}
 }
 
-// TestScenarioSweepObsAndFastpath: a sweep carries the same operator
-// telemetry SampleSet does — the fast-path tally always, the phase
-// breakdown under Options.Obs — and instrumenting it changes no Result.
+// TestScenarioSweepObsAndFastpath: a sweep carries its operator
+// telemetry — the fast-path tally always, the phase breakdown under
+// Options.Obs — and instrumenting it changes no Result.
 func TestScenarioSweepObsAndFastpath(t *testing.T) {
-	scens := sweepScenarios(t)[:2]
-	cfg := scaledConfig(core.GenRandom, "", 10)
-	run := func(on bool) ([][]core.Result, Stats) {
-		res, st, err := ScenarioSweep(context.Background(), cfg, scens, 2, 77,
-			Options{Collective: true, Obs: on})
+	spec := shardSpec(core.GenRandom, 2, 10, 77, sweepNames[:2]...)
+	run := func(on bool) Merged {
+		m, err := LocalMerged(context.Background(), spec, Options{Collective: true, Obs: on})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, st
+		return m
 	}
-	off, offStats := run(false)
-	on, onStats := run(true)
-	if !reflect.DeepEqual(off, on) {
-		t.Fatalf("Obs changed sweep results:\noff %+v\non  %+v", off, on)
+	off, on := run(false), run(true)
+	if !reflect.DeepEqual(off.Results, on.Results) {
+		t.Fatalf("Obs changed sweep results:\noff %+v\non  %+v", off.Results, on.Results)
 	}
-	if !offStats.Obs.Empty() {
-		t.Errorf("uninstrumented sweep carries spans: %s", offStats.Obs)
+	if !off.Obs.Empty() {
+		t.Errorf("uninstrumented sweep carries spans: %s", off.Obs)
 	}
-	if sim := onStats.Obs.Phase(obs.PhaseSim); sim.Ns <= 0 || sim.Count == 0 {
-		t.Errorf("instrumented sweep reports no sim phase: %s", onStats.Obs)
+	if sim := on.Obs.Phase(obs.PhaseSim); sim.Ns <= 0 || sim.Count == 0 {
+		t.Errorf("instrumented sweep reports no sim phase: %s", on.Obs)
 	}
-	for _, st := range []Stats{offStats, onStats} {
-		if st.Fastpath.Checks == 0 {
-			t.Errorf("sweep reports no fast-path checks: %+v", st.Fastpath)
+	for _, m := range []Merged{off, on} {
+		if m.Fastpath.Checks == 0 {
+			t.Errorf("sweep reports no fast-path checks: %+v", m.Fastpath)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -88,90 +89,167 @@ type ShardResult struct {
 }
 
 // RunShard executes one range of spec's items in-process: each item is
-// an independent campaign with its spec-derived scenario and seed, run
-// through the same pooled path as SampleSet. Under opts.Collective all
-// items in the shard share one verdict memo (memos never cross process
-// boundaries; Results are identical either way). Options.Events, when
-// set, receives one Done event per completed item with Sample carrying
-// the item's global index.
+// an independent campaign with its spec-derived scenario and seed.
+// Under opts.Collective all items in the shard share one verdict memo
+// (memos never cross process boundaries; Results are identical either
+// way). Events carry the item's global index in Sample.
 //
-// Islands and StopOnFound are rejected: island migration couples
-// samples across the whole campaign set (it cannot be sharded), and
-// early stop makes partial tallies timing-dependent — both would break
-// the byte-identical merge the distributed tier is built on.
+// Islands and StopOnFound are honoured when r is the whole spec and
+// rejected for a strict sub-range: island migration couples samples
+// across the whole campaign set (it cannot be sharded), and early stop
+// makes partial tallies timing-dependent — both would break the
+// byte-identical merge the distributed tier is built on. Islands is
+// also rejected across more than one scenario.
+//
+// When a campaign fails or ctx is cancelled, the error is returned
+// beside the partial ShardResult: items that started keep their tally
+// so far (and emitted a Stopped event), items that never started keep a
+// zero Result. Only a spec, range or option error returns no results.
 func RunShard(ctx context.Context, spec core.Spec, r Range, opts Options) (ShardResult, error) {
-	if opts.Islands || opts.StopOnFound {
-		return ShardResult{}, fmt.Errorf("fleet: shard runs support neither Islands nor StopOnFound")
-	}
 	if err := spec.Validate(); err != nil {
 		return ShardResult{}, err
 	}
 	if r.Start < 0 || r.End > spec.Items() || r.Len() <= 0 {
 		return ShardResult{}, fmt.Errorf("fleet: shard range %s outside spec items [0,%d)", r, spec.Items())
 	}
-
-	var memo *collective.Memo
-	if opts.Collective {
-		memo = collective.NewMemo()
+	if (opts.Islands || opts.StopOnFound) && r.Len() != spec.Items() {
+		return ShardResult{}, fmt.Errorf("fleet: Islands and StopOnFound need the whole spec, not sub-range %s", r)
 	}
-	attachStore(memo, opts)
-	var ps *obs.PhaseStats
+	if opts.Islands && len(spec.Scenarios) > 1 {
+		return ShardResult{}, fmt.Errorf("fleet: Islands needs a single scenario, spec has %d", len(spec.Scenarios))
+	}
+
+	s := &shardRun{spec: spec, r: r, opts: opts.withDefaults()}
+	if opts.Collective {
+		s.memo = collective.NewMemo()
+		if opts.Store != nil {
+			s.memo.SetStore(opts.Store)
+		}
+	}
 	if opts.Obs {
-		ps = &obs.PhaseStats{}
+		s.ps = &obs.PhaseStats{}
 	}
 
 	var (
-		mu    sync.Mutex
-		acc   coverageAcc
-		fpAcc stats.Fastpath
+		results []core.Result
+		err     error
 	)
-	results, err := Map(ctx, opts.Workers, r.Len(), func(ctx context.Context, k int) (core.Result, error) {
-		item := r.Start + k
-		cfg, err := spec.ItemConfig(item)
+	if opts.Islands && spec.Generator != core.GenRandom {
+		results, err = s.islands(ctx)
+	} else {
+		results, err = s.pooled(ctx)
+	}
+
+	out := ShardResult{Range: r, Results: results, CoverageMixed: s.cov.mixed, Fastpath: s.fp}
+	if s.memo != nil {
+		out.MemoDedupe = s.memo.Stats()
+	}
+	out.CoverageKey, out.CoverageCounts = s.cov.merged()
+	if s.ps != nil {
+		snap := s.ps.Snapshot()
+		out.Obs = &snap
+	}
+	return out, err
+}
+
+// shardRun is what the campaigns of one RunShard call share: the memo
+// and phase tracer they record into, and the coverage and fast-path
+// aggregates they fold into as they finish.
+type shardRun struct {
+	spec core.Spec
+	r    Range
+	opts Options
+	memo *collective.Memo
+	ps   *obs.PhaseStats
+
+	mu  sync.Mutex
+	cov coverageAcc
+	fp  stats.Fastpath
+}
+
+// newCampaign builds item's campaign from the spec and hooks it to the
+// shard's memo and tracer.
+func (s *shardRun) newCampaign(item int) (*core.Campaign, error) {
+	cfg, err := s.spec.ItemConfig(item)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Memo = s.memo
+	camp, err := core.NewCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.ps != nil {
+		camp.InstrumentObs(s.ps)
+	}
+	return camp, nil
+}
+
+// finish folds a campaign that will not advance again into the shard's
+// aggregates and emits its Done event. Count and tally merging are
+// commutative, so the order items finish in — and therefore the worker
+// count — cannot change the shard's totals.
+func (s *shardRun) finish(item int, camp *core.Campaign, ev Event) {
+	counts := camp.Tracker().Snapshot(nil)
+	s.mu.Lock()
+	s.cov.absorb(string(s.spec.ItemScenario(item).Protocol), counts)
+	s.fp.Merge(camp.Fastpath())
+	s.mu.Unlock()
+	ev.Done = true
+	s.emit(item, ev)
+}
+
+func (s *shardRun) emit(item int, ev Event) {
+	if s.opts.Events == nil {
+		return
+	}
+	ev.Sample = item
+	ev.Scenario = s.spec.ItemScenario(item).Name
+	s.opts.Events <- ev
+}
+
+// earlyStopped reports whether err is the cancellation a sibling's find
+// caused, as opposed to caller cancellation or a campaign's own failure.
+func earlyStopped(ctx context.Context, err error) bool {
+	return errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errEarlyStop)
+}
+
+// pooled is the plain schedule: every item is one independent campaign
+// run to completion on the worker pool.
+func (s *shardRun) pooled(ctx context.Context) ([]core.Result, error) {
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+
+	results, err := Map(ctx, s.opts.Workers, s.r.Len(), func(ctx context.Context, k int) (core.Result, error) {
+		item := s.r.Start + k
+		camp, err := s.newCampaign(item)
 		if err != nil {
 			return core.Result{}, err
-		}
-		cfg.Memo = memo
-		camp, err := core.NewCampaign(cfg)
-		if err != nil {
-			return core.Result{}, err
-		}
-		if ps != nil {
-			camp.InstrumentObs(ps)
 		}
 		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
 		t0 := time.Now()
 		res, err := camp.RunContext(ctx)
-		mu.Lock()
-		acc.absorb(string(spec.ItemScenario(item).Protocol), camp.Tracker().Snapshot(nil))
-		fpAcc.Merge(camp.Fastpath())
-		mu.Unlock()
+		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
+		s.finish(item, camp, Event{Stopped: err != nil, Result: res, Elapsed: time.Since(t0)})
 		if err != nil {
+			// The item keeps its partial tally either way. Only a
+			// cancellation caused by a sibling's find is benign; a
+			// campaign's own failure (or caller cancellation) must still
+			// surface even if the early-stop cause is already set.
+			if earlyStopped(ctx, err) {
+				return res, nil
+			}
 			return res, err
 		}
-		if opts.Events != nil {
-			opts.Events <- Event{
-				Sample:   item,
-				Scenario: spec.ItemScenario(item).Name,
-				Done:     true,
-				Result:   res,
-				//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
-				Elapsed: time.Since(t0),
-			}
+		if s.opts.StopOnFound && res.Found {
+			stop(errEarlyStop) // first cancel wins; later calls are no-ops
 		}
 		return res, nil
 	})
-	if err != nil {
-		return ShardResult{}, err
+	// Map records the bare cancellation for items it never started;
+	// clear it only when the cancellation came from early stop.
+	if earlyStopped(ctx, err) {
+		err = nil
 	}
-	out := ShardResult{Range: r, Results: results, CoverageMixed: acc.mixed, Fastpath: fpAcc}
-	if memo != nil {
-		out.MemoDedupe = memo.Stats()
-	}
-	out.CoverageKey, out.CoverageCounts = acc.merged()
-	if ps != nil {
-		snap := ps.Snapshot()
-		out.Obs = &snap
-	}
-	return out, nil
+	return results, err
 }

@@ -43,41 +43,10 @@ func TestPlanShards(t *testing.T) {
 	}
 }
 
-// TestRunShardMatchesSampleSet: the shard runner must reproduce the
-// established fleet.SampleSet path exactly — same per-sample Results,
-// same union coverage — since SampleSet is the reference the
-// distributed tier's byte-identity guarantee is stated against.
-func TestRunShardMatchesSampleSet(t *testing.T) {
-	spec := shardSpec(core.GenRandom, 4, 6, 17, "mesi-tso")
-	cfg, err := spec.ItemConfig(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Memo = nil
-	want, wantStats, err := SampleSet(context.Background(), cfg, 4, 17, Options{Collective: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := LocalMerged(context.Background(), spec, Options{Collective: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Results, want) {
-		t.Fatalf("RunShard diverged from SampleSet:\n  fleet %+v\n  shard %+v", want, merged.Results)
-	}
-	if merged.Stats.UnionCoverage != wantStats.UnionCoverage {
-		t.Fatalf("union coverage diverged: fleet %v, shard %v",
-			wantStats.UnionCoverage, merged.Stats.UnionCoverage)
-	}
-	if merged.Stats.TestRuns != wantStats.TestRuns {
-		t.Fatalf("test-run totals diverged: fleet %d, shard %d",
-			wantStats.TestRuns, merged.Stats.TestRuns)
-	}
-}
-
 // TestRunShardEventsAndGuards: per-item Done events carry global item
-// indices; invalid ranges and unshardable options are rejected.
+// indices; invalid ranges are rejected, and so are the options that
+// couple items — for a strict sub-range, and Islands across scenarios
+// even for the whole spec.
 func TestRunShardEventsAndGuards(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 2, 4, 3, "mesi-tso", "mesi-pso")
 	events := make(chan Event, 16)
@@ -111,10 +80,17 @@ func TestRunShardEventsAndGuards(t *testing.T) {
 		t.Error("empty shard accepted")
 	}
 	if _, err := RunShard(context.Background(), spec, Range{Start: 0, End: 1}, Options{Islands: true}); err == nil {
-		t.Error("Islands accepted in shard run")
+		t.Error("Islands accepted for a sub-range")
 	}
 	if _, err := RunShard(context.Background(), spec, Range{Start: 0, End: 1}, Options{StopOnFound: true}); err == nil {
-		t.Error("StopOnFound accepted in shard run")
+		t.Error("StopOnFound accepted for a sub-range")
+	}
+	whole := Range{Start: 0, End: spec.Items()}
+	if _, err := RunShard(context.Background(), spec, whole, Options{Islands: true}); err == nil {
+		t.Error("Islands accepted across two scenarios")
+	}
+	if sr, err := RunShard(context.Background(), spec, whole, Options{StopOnFound: true}); err != nil || len(sr.Results) != spec.Items() {
+		t.Errorf("StopOnFound over the whole spec: %d results, err %v", len(sr.Results), err)
 	}
 }
 

@@ -66,7 +66,7 @@ func runTopology(t *testing.T, spec core.Spec, shardSize, embedded, remote int) 
 
 // TestServiceDistributedEquivalence is the tentpole guarantee: the
 // service's merged output over HTTP is byte-identical to the local
-// fleet.SampleSet reference at every worker topology — one embedded
+// fleet.LocalMerged reference at every worker topology — one embedded
 // pool, 1/2/4 remote workers, and a mixed fleet. The shard results
 // themselves cross the wire as JSON, so this also proves the wire
 // encoding round-trips every stat exactly.

@@ -15,7 +15,7 @@
 // of (spec, range), so leases that expire on worker death are simply
 // re-issued — a re-run yields identical bytes — and the merged output
 // at any worker topology is byte-identical to a single-process
-// fleet.SampleSet run of the same spec (proven in equiv_test.go).
+// fleet.LocalMerged run of the same spec (proven in equiv_test.go).
 package service
 
 import (

@@ -124,10 +124,15 @@ func runLease(ctx context.Context, src Source, lease *Lease, opts WorkerOptions)
 		Obs:        true,
 		Store:      opts.Store,
 	})
+	// Read before the cancel below: a run cut off because the lease was
+	// lost or the worker is stopping is abandoned, not failed.
+	abandoned := runCtx.Err() != nil
 	cancel()
 	wg.Wait()
 	if err != nil {
-		if ctx.Err() == nil && runCtx.Err() == nil {
+		// RunShard returns partial results beside its error; they are
+		// never a shard's outcome.
+		if !abandoned {
 			_ = src.Fail(ctx, lease.ID, err.Error())
 		}
 		return

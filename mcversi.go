@@ -22,9 +22,14 @@
 //
 // Quick start:
 //
-//	cfg := mcversi.NewCampaignConfig(mcversi.GenGPAll, mcversi.MESI, "MESI,LQ+IS,Inv")
+//	scen := mcversi.DefaultScenario() // the Table 2 MESI machine against TSO
+//	scen.Bugs = []string{"MESI,LQ+IS,Inv"}
+//	cfg := mcversi.NewScenarioCampaignConfig(mcversi.GenGPAll, scen)
 //	cfg.Seed = 42
 //	res, err := mcversi.Run(cfg)
+//
+// RunCampaignSet runs the paper's unit of evaluation — several seeds of
+// one configuration, optionally across a scenario list — on all cores.
 //
 // See examples/ for complete programs and EXPERIMENTS.md for the
 // reproduction of every table and figure.
@@ -101,17 +106,11 @@ func NewMemoryLayout(sizeBytes, stride int) (MemoryLayout, error) {
 	return memsys.NewLayout(sizeBytes, stride)
 }
 
-// NewCampaignConfig assembles a campaign at the paper's parameters
-// (Table 2 machine, Table 3 test generation: 1k-operation tests over 8
-// threads, 10 iterations per test-run, 8KB/16B test memory) with the
-// given generator, protocol and bug. Pass bug == "" for a bug-free run.
-func NewCampaignConfig(gen GeneratorKind, proto Protocol, bug string) CampaignConfig {
-	return NewScenarioCampaignConfig(gen, scenario.ForBug(proto, bug))
-}
-
 // NewScenarioCampaignConfig assembles a campaign at the paper's
-// parameters against an arbitrary verification scenario (protocol ×
-// model × relaxations × bugs).
+// parameters (Table 2 machine, Table 3 test generation: 1k-operation
+// tests over 8 threads, 10 iterations per test-run, 8KB/16B test
+// memory) against a verification scenario (protocol × model ×
+// relaxations × bugs).
 func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig {
 	cfg := core.DefaultConfig()
 	cfg.Scenario = scen
@@ -124,16 +123,10 @@ func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig 
 	return cfg
 }
 
-// ScaledCampaignConfig assembles a campaign scaled for interactive use:
-// smaller tests and fewer iterations, preserving all generator
-// behaviours. memBytes selects the test-memory size (1024 or 8192 in
-// the paper).
-func ScaledCampaignConfig(gen GeneratorKind, proto Protocol, bug string, memBytes int) CampaignConfig {
-	return ScaledScenarioConfig(gen, scenario.ForBug(proto, bug), memBytes)
-}
-
-// ScaledScenarioConfig assembles an interactive-scale campaign against
-// an arbitrary verification scenario.
+// ScaledScenarioConfig assembles a campaign scaled for interactive use
+// against a verification scenario: smaller tests and fewer iterations,
+// preserving all generator behaviours. memBytes selects the test-memory
+// size (1024 or 8192 in the paper).
 func ScaledScenarioConfig(gen GeneratorKind, scen Scenario, memBytes int) CampaignConfig {
 	cfg := NewScenarioCampaignConfig(gen, scen)
 	cfg.Test.Size = 96
@@ -168,39 +161,41 @@ func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name
 // checked against TSO.
 func DefaultScenario() Scenario { return scenario.Default() }
 
-// RunScenarioSweep shards a campaign fleet across a scenario matrix:
-// samples campaigns per scenario, seeds derived from baseSeed, results
-// indexed [scenario][sample] and byte-identical at any worker count.
-func RunScenarioSweep(ctx context.Context, cfg CampaignConfig, scens []Scenario, samples int, baseSeed int64, opts FleetOptions) ([][]CampaignResult, FleetStats, error) {
-	return fleet.ScenarioSweep(ctx, cfg, scens, samples, baseSeed, opts)
-}
-
 // Run executes a campaign to completion.
 func Run(cfg CampaignConfig) (CampaignResult, error) {
 	return core.RunCampaign(cfg)
 }
 
-// RunSamples executes n campaigns with distinct seeds (the paper's 10
-// samples per generator/bug pair). Samples are sharded across all
-// cores by the fleet; seed derivation is per-sample, so the results
-// are identical to the sequential core.SampleSet loop regardless of
-// the worker count.
-func RunSamples(cfg CampaignConfig, n int, baseSeed int64) ([]CampaignResult, error) {
-	res, _, err := fleet.SampleSet(context.Background(), cfg, n, baseSeed, fleet.DefaultOptions())
-	return res, err
+// CampaignSet is a campaign set's deterministic output: per-campaign
+// results in flat [scenario][sample] order (campaign i ran scenario
+// i/samples) plus their aggregate. Its canonical JSON is byte-identical
+// at any worker count and to a distributed run of the same set.
+type CampaignSet = fleet.Merged
+
+// RunCampaignSet runs samples campaigns of cfg per scenario (the
+// paper's 10 samples per generator/bug pair, §5.1, times a scenario
+// axis) with seeds derived from baseSeed, sharded across the fleet's
+// workers. ctx bounds the whole run; opts selects worker count, early
+// stop on first bug found and the GP island model. On cancellation the
+// partial set is returned beside the error. cfg contributes what a
+// serializable spec carries — generator, test generation, GP, coverage,
+// host options and budget; its Scenario, Seed, Machine and Memo are not
+// used. See internal/fleet for the determinism guarantees.
+func RunCampaignSet(ctx context.Context, cfg CampaignConfig, scens []Scenario, samples int, baseSeed int64, opts FleetOptions) (CampaignSet, error) {
+	return fleet.LocalMerged(ctx, core.NewSpec(cfg, scens, samples, baseSeed), opts)
 }
 
 // CollectiveMemo is a concurrency-safe verdict memo table for
 // collective checking: candidate executions are collapsed to canonical
 // order-independent signatures and each unique (test, observed-
 // ordering) pair is model-checked at most once per memo lifetime. Set
-// CampaignConfig.Memo — or FleetOptions.Collective, which shares one
-// memo across all of a fleet's samples — to enable it. Verdicts are
+// CampaignConfig.Memo for a single campaign; FleetOptions.Collective
+// shares one memo across all of a campaign set's samples. Verdicts are
 // identical with or without a memo; only the checking work shrinks.
 type CollectiveMemo = collective.Memo
 
 // NewCollectiveMemo returns an empty verdict memo, e.g. for sharing
-// verdicts across several fleet runs via CampaignConfig.Memo.
+// verdicts across several Run calls via CampaignConfig.Memo.
 func NewCollectiveMemo() *CollectiveMemo { return collective.NewMemo() }
 
 // VerdictStore is the durable tier beneath a CollectiveMemo: verdicts
@@ -227,21 +222,9 @@ type FleetOptions = fleet.Options
 // FleetEvent is one streamed fleet progress report.
 type FleetEvent = fleet.Event
 
-// FleetStats aggregates a fleet run (per-shard test-run counts,
-// coverage, wall-clock).
-type FleetStats = fleet.Stats
-
 // DefaultFleetOptions runs on all cores with every sample completing
 // and the island model off.
 func DefaultFleetOptions() FleetOptions { return fleet.DefaultOptions() }
-
-// RunSamplesFleet executes n campaigns with distinct seeds under full
-// fleet control: ctx bounds the whole run (deadline/cancellation),
-// opts selects worker count, early stop on first bug found, and the
-// GP island model. See internal/fleet for the determinism guarantees.
-func RunSamplesFleet(ctx context.Context, cfg CampaignConfig, n int, baseSeed int64, opts FleetOptions) ([]CampaignResult, FleetStats, error) {
-	return fleet.SampleSet(ctx, cfg, n, baseSeed, opts)
-}
 
 // LitmusTest is one diy-style generated litmus test.
 type LitmusTest = litmus.Test

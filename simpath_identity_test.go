@@ -54,7 +54,7 @@ func TestSimPathIdentity(t *testing.T) {
 		// The PUTX-race hunt ends in an L2 invalid transition: the nil
 		// dispatch cell and its error text.
 		{"mesi-putx-race", func(*testing.T) CampaignConfig {
-			return ScaledCampaignConfig(GenGPAll, MESI, "MESI+PUTX-Race", 8192)
+			return ScaledScenarioConfig(GenGPAll, bugScenario("MESI+PUTX-Race"), 8192)
 		}, 300, []pin{{17, "64162102a48f53d6"}}},
 	}
 	for _, tc := range cases {
