@@ -1,7 +1,8 @@
 package mcversi
 
 // The benchmark harness regenerates every table of the paper's
-// evaluation at a scaled budget (see DESIGN.md §4 and EXPERIMENTS.md):
+// evaluation at a scaled budget (see EXPERIMENTS.md, "Table 4" to
+// "Table 6" for the scale and "Benchmarks" for how to run these):
 //
 //	BenchmarkTable4 — bug coverage per generator configuration
 //	BenchmarkTable5 — bugs found under stepped budgets

@@ -129,6 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// own via mcversid -store.
 		return fail(2, errors.New("-store is not available with -remote (use mcversid -store on the daemon)"))
 	}
+	if _, err := mcversi.NewMemoryLayout(*mem, mcversi.TestMemoryStride); err != nil {
+		return fail(2, fmt.Errorf("-mem: %w", err))
+	}
 	cfg := mcversi.ScaledScenarioConfig(mcversi.GeneratorKind(*gen), scens[0], *mem)
 	cfg.MaxTestRuns = *budget
 	spec := core.NewSpec(cfg, scens, *samples, *seed)

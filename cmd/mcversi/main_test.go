@@ -17,7 +17,8 @@ func mcversiRun(args ...string) (code int, stdout, stderr string) {
 
 // TestUsageErrors: flag combinations a campaign set cannot run are
 // usage errors (exit 2) with nothing on stdout. Spec.Validate is what
-// stops -samples -1 before it sizes the pool's result slice.
+// stops -samples -1 before it sizes the pool's result slice; -mem is
+// checked before the configuration is built, whose MustLayout panics.
 func TestUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,6 +33,8 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown scenario", []string{"-scenario", "no-such"}, "no-such"},
 		{"unknown generator", []string{"-gen", "bogus"}, "bogus"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
+		{"mem off the stride", []string{"-mem", "1000"}, "size 1000 must be a multiple of stride 16"},
+		{"mem zero", []string{"-mem", "0"}, "-mem"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,8 +19,8 @@ type Array[L any] struct {
 	ways  int
 	sets  [][]arrayEntry[L]
 	clock uint64
-	// epoch is the current validity stamp; it starts at 1 so zeroed
-	// entries are invalid.
+	// epoch is the current validity stamp; Reset moves it off zero before
+	// first use, so zeroed entries are invalid.
 	epoch uint64
 }
 
@@ -38,11 +38,18 @@ func NewArray[L any](sets, ways int) *Array[L] {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("coherence: invalid geometry %dx%d", sets, ways))
 	}
-	return &Array[L]{
-		ways:  ways,
-		sets:  make([][]arrayEntry[L], sets),
-		epoch: 1,
-	}
+	a := &Array[L]{ways: ways, sets: make([][]arrayEntry[L], sets)}
+	a.Reset()
+	return a
+}
+
+// Reset returns the array to its just-built state — empty, LRU clock at
+// zero — keeping the ways its sets have allocated. Which way an insert
+// takes and which line Victim picks depend only on the valid entries and
+// the order of their LRU stamps, so a reset array replays a fresh one.
+func (a *Array[L]) Reset() {
+	a.Clear()
+	a.clock = 0
 }
 
 // GeomFor returns (sets, ways) for a cache of the given total size with

@@ -86,36 +86,47 @@ func keyTransitions(controller string, keys []internKey, states, events []string
 
 // covRecorder is the coverage front end shared by all four
 // controllers: the sink and the pre-resolved dense (state × event)
-// TransitionID lattice. One instance is built per controller at
-// construction, so the per-event record is a lattice load plus one
-// RecordID call.
+// TransitionID lattice, stored flat with one row of len(events) per
+// state. One instance is built per controller at construction and bound
+// to a sink by the controller's Reset, so the per-event record is a
+// lattice load plus one RecordID call.
 type covRecorder struct {
-	controller string
-	sink       CoverageSink
-	ids        [][]TransitionID
+	controller     string
+	states, events []string
+	keys           []internKey
+	sink           CoverageSink
+	ids            []TransitionID
 }
 
-// newCovRecorder pre-resolves a controller's transition vocabulary
-// against the sink. Lattice entries the sink's vocabulary does not
-// know stay NoTransitionID.
-func newCovRecorder(sink CoverageSink, controller string, states, events []string, keys []internKey) covRecorder {
-	r := covRecorder{controller: controller, sink: sink, ids: make([][]TransitionID, len(states))}
-	for s := range r.ids {
-		row := make([]TransitionID, len(events))
-		for e := range row {
-			row[e] = NoTransitionID
-		}
-		r.ids[s] = row
+// newCovRecorder lays out a controller's lattice with every cell
+// unresolved; bind resolves the occupied ones (keys).
+func newCovRecorder(controller string, states, events []string, keys []internKey) covRecorder {
+	r := covRecorder{
+		controller: controller, states: states, events: events, keys: keys,
+		ids: make([]TransitionID, len(states)*len(events)),
 	}
-	for _, k := range keys {
-		r.ids[k.s][k.e] = r.resolve(states[k.s], events[k.e])
+	for i := range r.ids {
+		r.ids[i] = NoTransitionID
 	}
 	return r
 }
 
+// bind points the recorder at sink (nil discards) and resolves the
+// controller's transition vocabulary against it. Lattice entries the
+// sink's vocabulary does not know stay NoTransitionID.
+func (r *covRecorder) bind(sink CoverageSink) {
+	if sink == nil {
+		sink = NopCoverage{}
+	}
+	r.sink = sink
+	for _, k := range r.keys {
+		r.ids[k.s*len(r.events)+k.e] = r.resolve(r.states[k.s], r.events[k.e])
+	}
+}
+
 // record counts one executed transition.
 func (r *covRecorder) record(state, event int) {
-	r.sink.RecordID(r.ids[state][event])
+	r.sink.RecordID(r.ids[state*len(r.events)+event])
 }
 
 // resolve interns one transition by name (lattice entries, and
@@ -132,6 +143,14 @@ func (r *covRecorder) resolve(stateName, eventName string) TransitionID {
 // data-integrity violations detected by the protocol machinery itself.
 type ErrorSink interface {
 	ProtocolError(err error)
+}
+
+// errorSink returns errs, or the panicking default for nil.
+func errorSink(errs ErrorSink) ErrorSink {
+	if errs == nil {
+		return PanicErrors{}
+	}
+	return errs
 }
 
 // NopCoverage discards coverage records.
@@ -412,7 +431,7 @@ type Msg struct {
 // simply left to the garbage collector.
 type MsgPool struct{ free *Msg }
 
-// NewMsgPool returns an empty pool; machine.New shares one between all
+// NewMsgPool returns an empty pool; a machine shares one between all its
 // controllers.
 func NewMsgPool() *MsgPool { return &MsgPool{} }
 

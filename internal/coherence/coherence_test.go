@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bugs"
@@ -53,6 +54,7 @@ type testSys struct {
 	sim    *sim.Sim
 	net    *interconnect.Network
 	mem    *memsys.Memory
+	ctrl   *MemCtrl
 	l1s    []CacheL1
 	mesi   []*MESIL1
 	tso    []*TSOCCL1
@@ -96,7 +98,8 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 	if sink == nil {
 		sink = ts.cov
 	}
-	if _, err := NewMemCtrl(s, net, mem, msgs); err != nil {
+	var err error
+	if ts.ctrl, err = NewMemCtrl(s, net, mem, msgs); err != nil {
 		t.Fatalf("NewMemCtrl: %v", err)
 	}
 	for i := 0; i < tCores; i++ {
@@ -688,14 +691,13 @@ func TestUndeclaredTransitionCountsAsUnknown(t *testing.T) {
 // declared cell and for an undeclared one.
 func TestCovRecorderRecordAllocatesNothing(t *testing.T) {
 	tracker := newTracker(MESITransitions(), func(Transition) bool { return true })
-	rec := newCovRecorder(tracker, "L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys)
+	rec := newCovRecorder("L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys)
+	rec.bind(tracker)
 	k := mesiL1Keys[0]
 	undeclared := internKey{-1, -1}
-	for s := range rec.ids {
-		for e, id := range rec.ids[s] {
-			if id == NoTransitionID {
-				undeclared = internKey{s, e}
-			}
+	for i, id := range rec.ids {
+		if id == NoTransitionID {
+			undeclared = internKey{i / len(l1EventNames), i % len(l1EventNames)}
 		}
 	}
 	if undeclared.s < 0 {
@@ -709,6 +711,86 @@ func TestCovRecorderRecordAllocatesNothing(t *testing.T) {
 	}
 	if tracker.Covered() != 1 || tracker.UnknownRecords() == 0 {
 		t.Fatalf("records did not land: covered %d, unknown %d", tracker.Covered(), tracker.UnknownRecords())
+	}
+}
+
+// churn drives a seeded mix over the 8 KB layout, whose partitions
+// collide in the tiny test caches: L1 and L2 replacements, memory
+// writebacks (which leave TSO-CC writer metadata at the controller) and
+// timestamp resets all occur. It returns every loaded value.
+func (ts *testSys) churn(seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	pool := memsys.MustLayout(8192, 16).Pool()
+	var loaded []uint64
+	for i := 0; i < 600; i++ {
+		core := rng.Intn(tCores)
+		addr := pool[rng.Intn(len(pool))]
+		switch rng.Intn(5) {
+		case 0, 1:
+			ts.store(core, addr, uint64(seed)<<32|uint64(i+1))
+		case 2:
+			loaded = append(loaded, ts.load(core, addr))
+		case 3:
+			loaded = append(loaded, ts.atomic(core, addr, uint64(seed)<<32|uint64(i+1)))
+		case 4:
+			ts.flush(core, addr)
+		}
+	}
+	ts.quiesce()
+	ts.checkNoErrors()
+	return loaded
+}
+
+// TestResetReplaysANewSystem: after every component's Reset, a system
+// that already ran one workload runs another exactly as a new system
+// does — same loaded values, same transition multiset, same final tick
+// and event count. TSO-CC also runs with the timestamp-compare filter
+// live (its bug injection), the one configuration in which a core's
+// last-seen table steers the protocol.
+func TestResetReplaysANewSystem(t *testing.T) {
+	for _, tc := range []struct {
+		name, proto string
+		bug         bugs.Set
+	}{
+		{"MESI", "MESI", bugs.Set{}},
+		{"TSO-CC", "TSO-CC", bugs.Set{}},
+		{"TSO-CC+compare", "TSO-CC", bugs.Set{TSOCCCompare: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := newSys(t, tc.proto, 31, tc.bug)
+			want := fresh.churn(31)
+
+			used := newSys(t, tc.proto, 77, tc.bug)
+			used.churn(77)
+			used.cov = newCovCounter()
+			used.sim.Reset(31)
+			used.net.Reset()
+			used.ctrl.Reset()
+			for _, c := range used.mesi {
+				c.Reset(used.cov, used.errs)
+			}
+			for _, c := range used.tso {
+				c.Reset(used.cov, used.errs)
+			}
+			for _, c := range used.mesiL2 {
+				c.Reset(used.cov, used.errs)
+			}
+			for _, c := range used.tsoL2 {
+				c.Reset(used.cov, used.errs)
+			}
+			got := used.churn(31)
+
+			if !reflect.DeepEqual(got, want) {
+				t.Error("loaded values differ between the reset system and a new one")
+			}
+			if !reflect.DeepEqual(used.cov.seen, fresh.cov.seen) {
+				t.Error("transition multisets differ between the reset system and a new one")
+			}
+			if used.sim.Now() != fresh.sim.Now() || used.sim.Executed() != fresh.sim.Executed() {
+				t.Errorf("reset system ended at tick %d after %d events, a new one at tick %d after %d",
+					used.sim.Now(), used.sim.Executed(), fresh.sim.Now(), fresh.sim.Executed())
+			}
+		})
 	}
 }
 

@@ -61,6 +61,14 @@ func NewMemCtrl(s *sim.Sim, net *interconnect.Network, mem *memsys.Memory, msgs 
 	return m, nil
 }
 
+// Reset returns the controller to its just-built state: memory all zero,
+// no retained line metadata, counters at zero.
+func (m *MemCtrl) Reset() {
+	m.mem.Clear()
+	clear(m.meta)
+	m.reads, m.writes = 0, 0
+}
+
 // Memory returns the backing store (for reset and direct inspection by
 // the host interface).
 func (m *MemCtrl) Memory() *memsys.Memory { return m.mem }

@@ -98,10 +98,9 @@ type MESIL1 struct {
 	net   *interconnect.Network
 	msgs  *MsgPool
 	bugs  bugs.Set
-	cov   CoverageSink
 	// covRec is the interned coverage front end: every table entry's
-	// TransitionID is pre-resolved at construction, so recording is
-	// one RecordID call.
+	// TransitionID is pre-resolved when Reset binds the sink, so
+	// recording is one RecordID call.
 	covRec covRecorder
 	errs   ErrorSink
 	// absent stands in for the line of a message whose line is not
@@ -153,8 +152,7 @@ func NewMESIL1(s *sim.Sim, net *interconnect.Network, cfg MESIL1Config, row, col
 		net:         net,
 		msgs:        cfg.Msgs,
 		bugs:        cfg.Bugs,
-		cov:         cfg.Coverage,
-		errs:        cfg.Errors,
+		covRec:      newCovRecorder("L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys),
 		HitLatency:  3,
 		RetryDelay:  8,
 		invalNotify: func(memsys.Addr) {},
@@ -164,17 +162,24 @@ func NewMESIL1(s *sim.Sim, net *interconnect.Network, cfg MESIL1Config, row, col
 	if c.msgs == nil {
 		c.msgs = NewMsgPool()
 	}
-	if c.cov == nil {
-		c.cov = NopCoverage{}
-	}
-	if c.errs == nil {
-		c.errs = PanicErrors{}
-	}
-	c.covRec = newCovRecorder(c.cov, "L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys)
+	c.Reset(cfg.Coverage, cfg.Errors)
 	if err := net.Register(L1Node(cfg.CoreID), c, row, col); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Reset returns the controller to its just-built state — the state the
+// constructor leaves it in, which the constructor itself reaches through
+// this call — reporting transitions to cov and protocol errors to errs
+// from now on (nil discards and panics respectively). What the
+// controller has allocated stays. Must only be called with no message or
+// request of the controller in flight.
+func (c *MESIL1) Reset(cov CoverageSink, errs ErrorSink) {
+	c.covRec.bind(cov)
+	c.errs = errorSink(errs)
+	c.array.Reset()
+	c.hits, c.misses = 0, 0
 }
 
 // SetInvalListener implements CacheL1.

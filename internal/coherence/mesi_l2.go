@@ -98,7 +98,6 @@ type MESIL2 struct {
 	net   *interconnect.Network
 	msgs  *MsgPool
 	bugs  bugs.Set
-	cov   CoverageSink
 	// covRec is the interned coverage front end (see MESIL1).
 	covRec covRecorder
 	errs   ErrorSink
@@ -145,8 +144,7 @@ func NewMESIL2(s *sim.Sim, net *interconnect.Network, cfg MESIL2Config, row, col
 		net:           net,
 		msgs:          cfg.Msgs,
 		bugs:          cfg.Bugs,
-		cov:           cfg.Coverage,
-		errs:          cfg.Errors,
+		covRec:        newCovRecorder("L2Cache", l2StateNames[:], l2EventNames[:], mesiL2Keys),
 		AccessLatency: 18,
 		RecycleDelay:  10,
 	}
@@ -154,17 +152,20 @@ func NewMESIL2(s *sim.Sim, net *interconnect.Network, cfg MESIL2Config, row, col
 	if c.msgs == nil {
 		c.msgs = NewMsgPool()
 	}
-	if c.cov == nil {
-		c.cov = NopCoverage{}
-	}
-	if c.errs == nil {
-		c.errs = PanicErrors{}
-	}
-	c.covRec = newCovRecorder(c.cov, "L2Cache", l2StateNames[:], l2EventNames[:], mesiL2Keys)
+	c.Reset(cfg.Coverage, cfg.Errors)
 	if err := net.Register(L2Node(cfg.Tile), c, row, col); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Reset returns the tile to its just-built state, reporting to cov and
+// errs from now on (see MESIL1.Reset).
+func (c *MESIL2) Reset(cov CoverageSink, errs ErrorSink) {
+	c.covRec.bind(cov)
+	c.errs = errorSink(errs)
+	c.array.Reset()
+	c.recycles = 0
 }
 
 // ResetCaches drops all tile state (reset_test_mem support).

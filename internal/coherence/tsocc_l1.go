@@ -105,7 +105,6 @@ type TSOCCL1 struct {
 	net   *interconnect.Network
 	msgs  *MsgPool
 	bugs  bugs.Set
-	cov   CoverageSink
 	// covRec is the interned coverage front end (see MESIL1);
 	// tsResetID is the pre-resolved core-level timestamp-reset
 	// pseudo-transition.
@@ -172,8 +171,7 @@ func NewTSOCCL1(s *sim.Sim, net *interconnect.Network, cfg TSOCCL1Config, row, c
 		net:         net,
 		msgs:        cfg.Msgs,
 		bugs:        cfg.Bugs,
-		cov:         cfg.Coverage,
-		errs:        cfg.Errors,
+		covRec:      newCovRecorder("L1Cache", tsoL1StateNames[:], tsoL1EventNames[:], tsoccL1Keys),
 		lastSeen:    make([]tsoSeen, cfg.Cores),
 		MaxReads:    4,
 		GroupSize:   4,
@@ -187,18 +185,25 @@ func NewTSOCCL1(s *sim.Sim, net *interconnect.Network, cfg TSOCCL1Config, row, c
 	if c.msgs == nil {
 		c.msgs = NewMsgPool()
 	}
-	if c.cov == nil {
-		c.cov = NopCoverage{}
-	}
-	if c.errs == nil {
-		c.errs = PanicErrors{}
-	}
-	c.covRec = newCovRecorder(c.cov, "L1Cache", tsoL1StateNames[:], tsoL1EventNames[:], tsoccL1Keys)
-	c.tsResetID = c.covRec.resolve("core", tTsReset.String())
+	c.Reset(cfg.Coverage, cfg.Errors)
 	if err := net.Register(L1Node(cfg.CoreID), c, row, col); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Reset returns the controller to its just-built state, reporting to
+// cov and errs from now on (see MESIL1.Reset). Unlike ResetCaches it
+// also rewinds the timestamp machinery: a machine handed to a new
+// campaign starts where a new machine does.
+func (c *TSOCCL1) Reset(cov CoverageSink, errs ErrorSink) {
+	c.covRec.bind(cov)
+	c.tsResetID = c.covRec.resolve("core", tTsReset.String())
+	c.errs = errorSink(errs)
+	c.array.Reset()
+	c.ts, c.epoch, c.writesInGroup = 0, 0, 0
+	clear(c.lastSeen)
+	c.hits, c.misses, c.selfInvs, c.resets = 0, 0, 0, 0
 }
 
 // SetInvalListener implements CacheL1.
@@ -277,7 +282,7 @@ func (c *TSOCCL1) Deliver(vnet interconnect.VNet, payload interface{}) {
 	defer c.msgs.release(msg)
 	if msg.Type == MsgTTsReset {
 		// Timestamp resets are core-level, not per-line.
-		c.cov.RecordID(c.tsResetID)
+		c.covRec.sink.RecordID(c.tsResetID)
 		c.handleTsReset(msg)
 		return
 	}
@@ -362,7 +367,9 @@ func (c *TSOCCL1) tsGroup(ts uint32) uint32 {
 // *filtering* — skipping the self-invalidation when the reader already
 // synchronized past the writer's timestamp — is exactly where the two
 // studied TSO-CC bugs live, so the filter is only active under those
-// injections (see DESIGN.md §1 for this substitution):
+// injections (EXPERIMENTS.md, "Scenario matrix — PSO/RMO
+// discrimination", notes what the substitution still leaves open as its
+// known limitation):
 //
 //   - Bug TSO-CC+no-epoch-ids: the filter compares raw timestamp groups
 //     with no epoch guard, so a response generated after a timestamp

@@ -75,7 +75,6 @@ type TSOCCL2 struct {
 	net   *interconnect.Network
 	msgs  *MsgPool
 	bugs  bugs.Set
-	cov   CoverageSink
 	// covRec is the interned coverage front end (see MESIL1).
 	covRec covRecorder
 	errs   ErrorSink
@@ -116,8 +115,7 @@ func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg TSOCCL2Config, row, c
 		net:           net,
 		msgs:          cfg.Msgs,
 		bugs:          cfg.Bugs,
-		cov:           cfg.Coverage,
-		errs:          cfg.Errors,
+		covRec:        newCovRecorder("L2Cache", tsoL2StateNames[:], tsoL2EventNames[:], tsoccL2Keys),
 		AccessLatency: 18,
 		RecycleDelay:  10,
 	}
@@ -125,17 +123,20 @@ func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg TSOCCL2Config, row, c
 	if c.msgs == nil {
 		c.msgs = NewMsgPool()
 	}
-	if c.cov == nil {
-		c.cov = NopCoverage{}
-	}
-	if c.errs == nil {
-		c.errs = PanicErrors{}
-	}
-	c.covRec = newCovRecorder(c.cov, "L2Cache", tsoL2StateNames[:], tsoL2EventNames[:], tsoccL2Keys)
+	c.Reset(cfg.Coverage, cfg.Errors)
 	if err := net.Register(L2Node(cfg.Tile), c, row, col); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Reset returns the tile to its just-built state, reporting to cov and
+// errs from now on (see MESIL1.Reset).
+func (c *TSOCCL2) Reset(cov CoverageSink, errs ErrorSink) {
+	c.covRec.bind(cov)
+	c.errs = errorSink(errs)
+	c.array.Reset()
+	c.recycles = 0
 }
 
 // ResetCaches drops all tile state.

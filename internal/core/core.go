@@ -189,10 +189,11 @@ type Campaign struct {
 	cfg     Config
 	scn     scenario.Scenario
 	tracker *coverage.Tracker
-	h       *host.Host
-	gen     *testgen.Generator
-	engine  *gp.Engine
-	norm    gp.NormalizeNDT
+	// h drives the campaign's machine; nil once Release gave it back.
+	h      *host.Host
+	gen    *testgen.Generator
+	engine *gp.Engine
+	norm   gp.NormalizeNDT
 
 	// ps, when non-nil, accumulates per-phase wall-clock spans
 	// (generation and GP feedback here, execution and verification in
@@ -211,12 +212,17 @@ type Campaign struct {
 
 	out      Result
 	finished bool
+	// failed records that a test-run returned an error: the machine may
+	// have stopped anywhere and is not fit for reuse.
+	failed bool
 }
 
 // NewCampaign builds all components for one campaign: the scenario is
 // resolved once and supplies the machine contract (protocol, relax,
 // bugs), the checker's axiomatic model, and the collective-checking
-// memo scope.
+// memo scope. The machine comes from machine.Acquire — a used one reset
+// to this campaign's seed when an earlier campaign released one at the
+// same configuration — and the campaign's owner returns it with Release.
 func NewCampaign(cfg Config) (*Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -245,7 +251,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	rec.SetMemo(cfg.Memo)
 	rec.SetScope(scn.ID())
 	trap := host.NewErrorTrap()
-	m, err := machine.New(mcfg, tracker, trap, rec)
+	m, err := machine.Acquire(mcfg, tracker, trap, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +278,26 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		c.engine = engine
 	}
 	return c, nil
+}
+
+// Release ends the campaign and gives its machine back for reuse by a
+// later NewCampaign. Only the campaign's one owner calls it, once nobody
+// will advance the campaign again; Result, Tracker and Fastpath keep
+// answering with the final tally, Host returns nil. A machine whose
+// campaign found a violation of any source (checker, protocol error,
+// watchdog) or returned an error is dropped instead: it may hold
+// transient lines, queued events or corrupted data.
+func (c *Campaign) Release() {
+	if c.h == nil {
+		return
+	}
+	c.out = c.Result()
+	c.finished = true
+	m := c.h.Machine()
+	c.h = nil
+	if !c.out.Found && !c.failed {
+		machine.Release(m)
+	}
 }
 
 // Host exposes the campaign's host (for inspection).
@@ -338,6 +364,7 @@ func (c *Campaign) Step() (host.RunResult, float64, error) {
 	c.tracker.StartRun()
 	res, err := c.h.RunTest(tst)
 	if err != nil {
+		c.failed = true
 		return host.RunResult{}, 0, err
 	}
 	fitness := c.tracker.EndRun()
@@ -411,9 +438,11 @@ func (c *Campaign) Advance(ctx context.Context, extra int) (bool, error) {
 func (c *Campaign) Result() Result {
 	out := c.out
 	out.Scenario = c.scn.ID()
-	out.SimTicks = c.h.Machine().Sim.Now()
+	if c.h != nil { // after Release, c.out holds the machine's final totals
+		out.SimTicks = c.h.Machine().Sim.Now()
+		out.Committed = c.h.Machine().CommittedInstructions()
+	}
 	out.SimSeconds = out.SimTicks.Seconds()
-	out.Committed = c.h.Machine().CommittedInstructions()
 	out.TotalCoverage = c.tracker.TotalCoverage()
 	return out
 }
@@ -443,6 +472,7 @@ func RunCampaign(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.Release()
 	return c.Run()
 }
 

@@ -9,11 +9,13 @@ import (
 
 // TestDeepSoundness is the extended false-positive gate: bug-free GP
 // campaigns under both protocols and both memory layouts across many
-// seeds. It is the regression net for the race fixes documented in
-// DESIGN.md and runs only without -short.
+// seeds. It is the regression net for the protocol race fixes; the
+// shapes it still trips on are listed with their seeds in
+// benchmark/README.md, "Known exclusions".
 func TestDeepSoundness(t *testing.T) {
 	if os.Getenv("REPRO_DEEP_SOUNDNESS") == "" {
-		// Known limitation (see DESIGN.md "Known limitations"): under
+		// Known limitation (see EXPERIMENTS.md, "Scenario matrix —
+		// PSO/RMO discrimination", last paragraph): under
 		// hundreds of maximally-racy GP-evolved runs, rare schedule
 		// corners still produce false positives (residual TSO-CC
 		// acquire filtering races and livelock watchdog trips). The

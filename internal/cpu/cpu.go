@@ -167,7 +167,6 @@ type Core struct {
 	sbDrains   int
 	sbGroup    uint32
 	flushBusy  bool
-	delayUntil sim.Tick
 
 	running bool
 	done    bool
@@ -197,14 +196,27 @@ type Core struct {
 // New creates a core bound to its L1. The LQ invalidation listener is
 // registered here.
 func New(id int, s *sim.Sim, l1 coherence.CacheL1, cfg Config, obs Observer) *Core {
-	if obs == nil {
-		obs = nopObserver{}
-	}
-	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, obs: obs, done: true}
+	c := &Core{id: id, sim: s, l1: l1, cfg: cfg}
 	c.advanceH = func(any, uint64) { c.advance() }
 	c.timerH = func(arg any, _ uint64) { c.timerDone(arg.(*coherence.Request)) }
 	l1.SetInvalListener(c.onInvalidation)
+	c.Reset(obs)
 	return c
+}
+
+// Reset returns the core to its just-built state — no program, idle,
+// counters at zero — reporting to obs from now on (nil discards). New
+// itself reaches that state through this call. The status table, store
+// buffer and request free list keep their storage. Must only be called
+// with no operation of the core in flight.
+func (c *Core) Reset(obs Observer) {
+	if obs == nil {
+		obs = nopObserver{}
+	}
+	c.obs = obs
+	c.Load(nil)
+	c.progGen, c.onDone = 0, nil
+	c.committed, c.squashes = 0, 0
 }
 
 // ID returns the core's hardware thread id.

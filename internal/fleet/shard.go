@@ -186,10 +186,11 @@ func (s *shardRun) newCampaign(item int) (*core.Campaign, error) {
 }
 
 // finish folds a campaign that will not advance again into the shard's
-// aggregates and emits its Done event. Count and tally merging are
-// commutative, so the order items finish in — and therefore the worker
-// count — cannot change the shard's totals.
+// aggregates, gives its machine back and emits its Done event. Count and
+// tally merging are commutative, so the order items finish in — and
+// therefore the worker count — cannot change the shard's totals.
 func (s *shardRun) finish(item int, camp *core.Campaign, ev Event) {
+	camp.Release()
 	counts := camp.Tracker().Snapshot(nil)
 	s.mu.Lock()
 	s.cov.absorb(string(s.spec.ItemScenario(item).Protocol), counts)

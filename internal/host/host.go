@@ -160,6 +160,16 @@ type Host struct {
 	// verdicts, so results are identical with obs on or off.
 	obs *obs.PhaseStats
 
+	// Buffers RunTest reuses from one test-run to the next. The cores
+	// read progs only while a run's events execute, and every run loads
+	// its programs first, so the next compile may overwrite them; lines
+	// is layout's line list, recomputed only when a test brings another
+	// layout; offsets is read by RunPrograms before it returns.
+	progs   []testgen.Program
+	layout  memsys.Layout
+	lines   []memsys.Addr
+	offsets []sim.Tick
+
 	runs uint64
 }
 
@@ -203,15 +213,17 @@ func (h *Host) Runs() uint64 { return h.runs }
 // barrierOffsets draws per-core release offsets for one iteration.
 func (h *Host) barrierOffsets() []sim.Tick {
 	rng := h.m.Sim.Rand()
-	offs := make([]sim.Tick, len(h.m.Cores))
+	if h.offsets == nil {
+		h.offsets = make([]sim.Tick, len(h.m.Cores))
+	}
 	max := int64(hostSkewMax)
 	if h.opts.Barrier == GuestBarrier {
 		max = guestSkewMax
 	}
-	for i := range offs {
-		offs[i] = sim.Tick(rng.Int63n(max + 1))
+	for i := range h.offsets {
+		h.offsets[i] = sim.Tick(rng.Int63n(max + 1))
 	}
-	return offs
+	return h.offsets
 }
 
 // resetTestMem implements reset_test_mem (Table 1): zero the test
@@ -260,16 +272,20 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 		mark = now
 	}
 
-	progs, err := testgen.Compile(t)
+	progs, err := testgen.CompileInto(h.progs, t)
 	if err != nil {
 		return RunResult{}, err
 	}
+	h.progs = progs
 	lap(obs.PhaseTestgen)
 	start := h.m.Sim.Now()
 	var res RunResult
 
 	h.rec.ResetAll()
-	lines := t.Layout.Lines()
+	if h.lines == nil || h.layout != t.Layout {
+		h.layout, h.lines = t.Layout, t.Layout.Lines()
+	}
+	lines := h.lines
 	h.resetTestMem(lines)
 
 	for iter := 0; iter < h.opts.Iterations; iter++ {

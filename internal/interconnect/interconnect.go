@@ -111,11 +111,14 @@ type Network struct {
 	nodes []*node
 	count int
 	// nextFree enforces per-channel FIFO delivery: for the channel
-	// (src, dst, vnet) — flat index (src.idx*count+dst.idx)*NumVNets+vnet
+	// (src, dst, vnet) — flat index (src.idx*laid+dst.idx)*NumVNets+vnet
 	// — it holds the tick after the channel's last arrival, the earliest
 	// tick the next message may arrive unclamped. Zero means no message
 	// yet, which is also right at tick 0: nothing is earlier than it.
+	// laid is the node count the table is laid out for; the first Send
+	// after a registration brings it up to count.
 	nextFree []sim.Tick
+	laid     int
 	// sent counts messages per vnet for statistics.
 	sent [NumVNets]uint64
 }
@@ -152,16 +155,29 @@ func (n *Network) Register(id NodeID, h Handler, row, col int) error {
 		handler: h, row: row, col: col, idx: n.count,
 		sink: func(payload any, aux uint64) { h.Deliver(VNet(aux), payload) },
 	}
-	// Re-lay the channel table out for the wider stride, keeping the
-	// FIFO state of channels already in use.
-	old, oldRow := n.nextFree, n.count*int(NumVNets)
 	n.count++
-	newRow := n.count * int(NumVNets)
-	n.nextFree = make([]sim.Tick, n.count*newRow)
+	return nil
+}
+
+// layOut sizes the channel table for every registered node, keeping the
+// FIFO state of channels already in use. A machine registers all its
+// nodes before the first message, so its table is laid out once.
+func (n *Network) layOut() {
+	old, oldRow := n.nextFree, n.laid*int(NumVNets)
+	n.laid = n.count
+	newRow := n.laid * int(NumVNets)
+	n.nextFree = make([]sim.Tick, n.laid*newRow)
 	for src := 0; src*oldRow < len(old); src++ {
 		copy(n.nextFree[src*newRow:], old[src*oldRow:(src+1)*oldRow])
 	}
-	return nil
+}
+
+// Reset forgets all traffic: every channel is idle again and the sent
+// counters restart, as on a network that has carried no message. The
+// registered nodes stay.
+func (n *Network) Reset() {
+	clear(n.nextFree)
+	n.sent = [NumVNets]uint64{}
 }
 
 // Hops returns the Manhattan distance between two registered nodes.
@@ -198,7 +214,10 @@ func (n *Network) Send(src, dst NodeID, vnet VNet, payload interface{}) {
 		lat += sim.Tick(n.sim.Rand().Int63n(int64(n.cfg.JitterMax) + 1))
 	}
 	arrive := n.sim.Now() + lat
-	free := &n.nextFree[(from.idx*n.count+to.idx)*int(NumVNets)+int(vnet)]
+	if n.laid != n.count {
+		n.layOut()
+	}
+	free := &n.nextFree[(from.idx*n.laid+to.idx)*int(NumVNets)+int(vnet)]
 	if arrive < *free {
 		arrive = *free + n.cfg.CongestionWindow
 	}

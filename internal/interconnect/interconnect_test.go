@@ -309,3 +309,43 @@ func TestSendAllocatesNothing(t *testing.T) {
 		t.Fatalf("Send allocates %.1f objects per round trip, want 0", got)
 	}
 }
+
+func TestChannelTableLaidOutOnce(t *testing.T) {
+	// A machine registers its 17 nodes before the first message: the
+	// table is sized once, for all of them, by that message.
+	s := sim.New(1)
+	n := New(s, DefaultConfig())
+	sink := HandlerFunc(func(VNet, interface{}) {})
+	for id := NodeID(0); id < 17; id++ {
+		if err := n.Register(id, sink, int(id)%2, int(id)%4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(n.nextFree) != 0 {
+		t.Fatalf("Register laid out %d channels before any message", len(n.nextFree))
+	}
+	n.Send(0, 16, VNetRequest, nil)
+	if want := 17 * 17 * int(NumVNets); len(n.nextFree) != want {
+		t.Fatalf("first Send laid out %d channels, want %d", len(n.nextFree), want)
+	}
+}
+
+func TestResetIdlesChannels(t *testing.T) {
+	// Three messages at tick 0 leave the channel busy until tick 3. On a
+	// reset network (and simulator) the next message arrives at tick 0
+	// again, and the counters restart.
+	s, n, recs := build(t, 1, zeroLatency())
+	for i := 0; i < 3; i++ {
+		n.Send(0, 5, VNetRequest, i)
+	}
+	s.Reset(1)
+	n.Reset()
+	if got := n.Sent(VNetRequest); got != 0 {
+		t.Fatalf("Sent = %d after Reset, want 0", got)
+	}
+	n.Send(0, 5, VNetRequest, "after")
+	s.Run()
+	if rec := recs[5]; len(rec.at) != 1 || rec.at[0] != 0 || rec.msgs[0] != "after" {
+		t.Fatalf("after Reset node 5 received %v at %v, want only \"after\" at tick 0", rec.msgs, rec.at)
+	}
+}

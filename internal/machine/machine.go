@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -99,8 +100,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// resetter is any cache level that can be dropped between tests.
-type resetter interface{ ResetCaches() }
+// controller is any cache level: dropped between tests, reset between
+// campaigns.
+type controller interface {
+	ResetCaches()
+	Reset(cov coherence.CoverageSink, errs coherence.ErrorSink)
+}
 
 // Machine is the assembled system.
 type Machine struct {
@@ -112,23 +117,30 @@ type Machine struct {
 	L1s   []coherence.CacheL1
 	Cores []*cpu.Core
 
-	l2s []resetter
+	// caches lists every L1 and L2 tile controller.
+	caches []controller
 }
 
 // New builds a machine. cov receives protocol transitions, errs receives
 // protocol errors, obs receives architectural events from every core;
 // any of them may be nil.
 func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs cpu.Observer) (*Machine, error) {
+	m, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.reset(cfg.Seed, cov, errs, obs)
+	return m, nil
+}
+
+// build allocates and wires a machine's components. It decides nothing
+// a campaign can observe: seed, sinks and every counter are set by
+// reset, which New calls next and Acquire calls on a used machine.
+func build(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cov == nil {
-		cov = coherence.NopCoverage{}
-	}
-	if errs == nil {
-		errs = coherence.PanicErrors{}
-	}
-	s := sim.New(cfg.Seed)
+	s := new(sim.Sim) // seeded by reset
 	net := interconnect.New(s, cfg.Mesh)
 	mem := memsys.NewMemory()
 	m := &Machine{Cfg: cfg, Sim: s, Net: net, Mem: mem}
@@ -144,60 +156,140 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 	m.Ctrl = ctrl
 
 	pos := func(i int) (int, int) { return i / cfg.Mesh.Cols, i % cfg.Mesh.Cols }
+	cpuCfg := cfg.CPU
+	cpuCfg.Bugs = cfg.Bugs
+	cpuCfg.Relax = cfg.Relax
 
 	for i := 0; i < cfg.Cores; i++ {
 		row, col := pos(i)
-		var l1 coherence.CacheL1
+		var l1 interface {
+			coherence.CacheL1
+			controller
+		}
 		switch cfg.Protocol {
 		case MESI:
 			l1, err = coherence.NewMESIL1(s, net, coherence.MESIL1Config{
 				CoreID: i, Tiles: cfg.Tiles,
 				SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
+				Bugs: cfg.Bugs, Msgs: msgs,
 			}, row, col)
 		case TSOCC:
 			l1, err = coherence.NewTSOCCL1(s, net, coherence.TSOCCL1Config{
 				CoreID: i, Cores: cfg.Cores, Tiles: cfg.Tiles,
 				SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
+				Bugs: cfg.Bugs, Msgs: msgs,
 			}, row, col)
 		}
 		if err != nil {
 			return nil, err
 		}
 		m.L1s = append(m.L1s, l1)
-		cpuCfg := cfg.CPU
-		cpuCfg.Bugs = cfg.Bugs
-		cpuCfg.Relax = cfg.Relax
-		m.Cores = append(m.Cores, cpu.New(i, s, l1, cpuCfg, obs))
+		m.caches = append(m.caches, l1)
+		m.Cores = append(m.Cores, cpu.New(i, s, l1, cpuCfg, nil))
 	}
 
 	for t := 0; t < cfg.Tiles; t++ {
 		row, col := pos(t)
+		var l2 controller
 		switch cfg.Protocol {
 		case MESI:
-			l2, err := coherence.NewMESIL2(s, net, coherence.MESIL2Config{
+			l2, err = coherence.NewMESIL2(s, net, coherence.MESIL2Config{
 				Tile: t, Cores: cfg.Cores,
 				SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
+				Bugs: cfg.Bugs, Msgs: msgs,
 			}, row, col)
-			if err != nil {
-				return nil, err
-			}
-			m.l2s = append(m.l2s, l2)
 		case TSOCC:
-			l2, err := coherence.NewTSOCCL2(s, net, coherence.TSOCCL2Config{
+			l2, err = coherence.NewTSOCCL2(s, net, coherence.TSOCCL2Config{
 				Tile: t, Cores: cfg.Cores,
 				SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
-				Bugs: cfg.Bugs, Coverage: cov, Errors: errs, Msgs: msgs,
+				Bugs: cfg.Bugs, Msgs: msgs,
 			}, row, col)
-			if err != nil {
-				return nil, err
-			}
-			m.l2s = append(m.l2s, l2)
 		}
+		if err != nil {
+			return nil, err
+		}
+		m.caches = append(m.caches, l2)
 	}
 	return m, nil
+}
+
+// reset puts the machine in the state a campaign starts from: tick
+// zero, empty event queue, random source at seed, idle network, zero
+// memory, empty caches, idle cores, every counter at zero, reporting to
+// the given sinks. It is the one initialisation path — New runs it on
+// what build allocated, Acquire on a machine some other campaign used —
+// so a reused machine replays a new one event for event. Everything
+// allocated stays: event, message and request free lists, cache ways,
+// memory lines.
+func (m *Machine) reset(seed int64, cov coherence.CoverageSink, errs coherence.ErrorSink, obs cpu.Observer) {
+	m.Cfg.Seed = seed
+	m.Sim.Reset(seed)
+	m.Net.Reset()
+	m.Ctrl.Reset()
+	for _, c := range m.caches {
+		c.Reset(cov, errs)
+	}
+	for _, c := range m.Cores {
+		c.Reset(obs)
+	}
+}
+
+// maxIdle bounds the idle list: enough for every worker of a wide fleet
+// to find its last machine again across a handful of scenarios, small
+// enough (a machine at rest is a few hundred kB) not to matter.
+const maxIdle = 16
+
+// idle holds machines between campaigns, most recently released last.
+// It is a plain bounded list rather than a sync.Pool so that what a
+// process allocates does not depend on when the collector ran.
+var idle struct {
+	sync.Mutex
+	list []*Machine
+}
+
+// key is what two machines must share to stand in for each other:
+// everything build reads.
+func (c Config) key() Config {
+	c.Seed = 0
+	return c
+}
+
+// Acquire is New that prefers a machine Release parked at the same
+// configuration (the seed aside), reset to cfg.Seed and the given sinks.
+// The caller owns the machine until it hands it to Release.
+func Acquire(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs cpu.Observer) (*Machine, error) {
+	key := cfg.key()
+	idle.Lock()
+	for i := len(idle.list) - 1; i >= 0; i-- {
+		if m := idle.list[i]; m.Cfg.key() == key {
+			idle.list = slices.Delete(idle.list, i, i+1)
+			idle.Unlock()
+			m.reset(cfg.Seed, cov, errs, obs)
+			return m, nil
+		}
+	}
+	idle.Unlock()
+	return New(cfg, cov, errs, obs)
+}
+
+// Release parks m for a later Acquire. The caller must be m's only user
+// and must not touch it again. Only a machine that ended clean may be
+// released — no protocol error, no watchdog, no failed run; one with
+// events still queued is dropped here regardless. When the list is full
+// the machine idle longest makes room.
+func Release(m *Machine) {
+	if m.Sim.Pending() != 0 {
+		return
+	}
+	// Let go of the finished campaign's sinks now: an idle machine must
+	// not keep a recorder and its verdict memo alive.
+	m.reset(0, nil, nil, nil)
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.list) == maxIdle {
+		idle.list = slices.Delete(idle.list, 0, 1)
+	}
+	idle.list = append(idle.list, m)
 }
 
 // covTables memoizes one interned coverage vocabulary per protocol:
@@ -242,11 +334,8 @@ func (m *Machine) Transitions() []coherence.Transition {
 // ResetCaches drops every cache level without traffic. Must only be
 // called at quiescence (between test executions).
 func (m *Machine) ResetCaches() {
-	for _, l1 := range m.L1s {
-		l1.ResetCaches()
-	}
-	for _, l2 := range m.l2s {
-		l2.ResetCaches()
+	for _, c := range m.caches {
+		c.ResetCaches()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/interconnect"
 	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/testgen"
@@ -127,5 +128,157 @@ func TestTransitionsMatchProtocol(t *testing.T) {
 	}
 	if got, want := len(mt.Transitions()), len(coherence.TSOCCTransitions()); got != want {
 		t.Errorf("TSO-CC transitions = %d, want %d", got, want)
+	}
+}
+
+// emptyIdle starts a test from an empty idle list (it is process-wide).
+func emptyIdle(t *testing.T) {
+	t.Helper()
+	idle.Lock()
+	idle.list = nil
+	idle.Unlock()
+}
+
+// observed is what a run leaves visible from outside the machine.
+type observed struct {
+	now           sim.Tick
+	events        uint64
+	committed     uint64
+	sent          [3]uint64
+	reads, writes uint64
+	words         [4]uint64
+}
+
+// runPingPong runs a four-core store/load/RMW exchange over two lines,
+// long enough to draw jitter, evict nothing and touch every layer, then
+// reports what it left behind.
+func runPingPong(t *testing.T, m *Machine, rounds int) observed {
+	t.Helper()
+	pool := memsys.MustLayout(512, 16).Pool()
+	progs := make([]testgen.Program, 4)
+	for tid := range progs {
+		for i := 0; i < rounds; i++ {
+			a := pool[(tid+i)%4*4] // four words over two lines
+			kind := []testgen.OpKind{testgen.OpWrite, testgen.OpRead, testgen.OpRMW, testgen.OpRead}[(tid+i)%4]
+			in := testgen.Instr{Kind: kind, Addr: a, DepLoad: -1}
+			if kind != testgen.OpRead {
+				in.WriteID = testgen.WriteIDFor(tid, i)
+			}
+			progs[tid] = append(progs[tid], in)
+		}
+	}
+	if err := m.LoadPrograms(progs); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunPrograms([]sim.Tick{0, 1, 2, 3}, 10_000_000); err != nil {
+		t.Fatalf("RunPrograms: %v", err)
+	}
+	m.Quiesce()
+	o := observed{now: m.Sim.Now(), events: m.Sim.Executed(), committed: m.CommittedInstructions()}
+	for v := range o.sent {
+		o.sent[v] = m.Net.Sent(interconnect.VNet(v))
+	}
+	o.reads, o.writes = m.Ctrl.Stats()
+	m.ResetCaches() // flushes nothing: read what reached memory
+	for i := range o.words {
+		o.words[i] = m.Mem.ReadWord(pool[i*4])
+	}
+	return o
+}
+
+// TestAcquireResetsAUsedMachine: a machine that ran one workload at one
+// seed, was released and acquired at another seed is, from outside, the
+// machine New builds at that seed — on both protocols (TSO-CC carries
+// timestamps and epochs across ResetCaches, which a campaign reset must
+// rewind).
+func TestAcquireResetsAUsedMachine(t *testing.T) {
+	for _, proto := range Protocols() {
+		t.Run(string(proto), func(t *testing.T) {
+			emptyIdle(t)
+			cfg := DefaultConfig()
+			cfg.Protocol = proto
+			cfg.Seed = 5
+			fresh, err := New(cfg, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runPingPong(t, fresh, 60)
+
+			other := cfg
+			other.Seed = 77
+			used, err := Acquire(other, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runPingPong(t, used, 90); got == want {
+				t.Fatal("the warm-up run is indistinguishable from the reference; the test shows nothing")
+			}
+			Release(used)
+
+			again, err := Acquire(cfg, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != used {
+				t.Fatal("Acquire built a machine with one idle at the same configuration")
+			}
+			if again.Cfg != cfg {
+				t.Errorf("reused machine reports config %+v, want %+v", again.Cfg, cfg)
+			}
+			if got := runPingPong(t, again, 60); got != want {
+				t.Errorf("reused machine: %+v\nnew machine:    %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestReleaseKeepsOnlyQuiescentMachines: a machine with events still
+// queued (a wedged or aborted run) never enters the idle list.
+func TestReleaseKeepsOnlyQuiescentMachines(t *testing.T) {
+	emptyIdle(t)
+	cfg := DefaultConfig()
+	m, err := New(cfg, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Sim.ScheduleEvent(10, sim.Nop, nil, 0)
+	Release(m)
+	if n := len(idle.list); n != 0 {
+		t.Fatalf("idle list holds %d machines after releasing one with a pending event", n)
+	}
+	m.Quiesce()
+	Release(m)
+	if got, err := Acquire(cfg, nil, nil, nil); err != nil || got != m {
+		t.Fatalf("a quiescent machine was not kept: got %p, %v, want %p", got, err, m)
+	}
+}
+
+// TestIdleListIsBounded: fifty configurations pass through; the list
+// never grows past maxIdle and keeps the most recent ones.
+func TestIdleListIsBounded(t *testing.T) {
+	emptyIdle(t)
+	cfgAt := func(i int) Config {
+		cfg := DefaultConfig()
+		cfg.L1Size, cfg.L2TileSize = 4096, 8192 // small tables: fifty machines are built
+		cfg.CPU.ROBSize = 40 + i
+		return cfg
+	}
+	for i := 0; i < 50; i++ {
+		m, err := Acquire(cfgAt(i), nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Release(m)
+		if n := len(idle.list); n > maxIdle {
+			t.Fatalf("idle list holds %d machines after %d configurations, bound %d", n, i+1, maxIdle)
+		}
+	}
+	if n := len(idle.list); n != maxIdle {
+		t.Fatalf("idle list holds %d machines, want it full at %d", n, maxIdle)
+	}
+	for k, m := range idle.list {
+		if want := cfgAt(50 - maxIdle + k); m.Cfg != want {
+			t.Errorf("idle slot %d holds ROB %d, want %d (oldest evicted first)", k, m.Cfg.CPU.ROBSize, want.CPU.ROBSize)
+		}
 	}
 }

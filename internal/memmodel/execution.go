@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/memsys"
@@ -25,6 +26,12 @@ type Execution struct {
 	coPos map[relation.EventID]int
 	// init maps each address to its initial-write event, created lazily.
 	init map[memsys.Addr]relation.EventID
+	// addrs is the answer of Addresses, valid while addrsValid (adding
+	// an event or resetting invalidates it); addrSet is the set it is
+	// built through, made on first use and kept like addrs.
+	addrs      []memsys.Addr
+	addrSet    map[memsys.Addr]struct{}
+	addrsValid bool
 }
 
 // NewExecution returns an empty execution.
@@ -55,6 +62,7 @@ func (x *Execution) Reset() {
 	clear(x.rf)
 	clear(x.coPos)
 	clear(x.init)
+	x.addrsValid = false
 }
 
 // NumEvents returns the number of events, including initial writes.
@@ -89,6 +97,7 @@ func (x *Execution) AddEvent(e Event) relation.EventID {
 	e.PO = len(x.threads[e.Key.TID])
 	x.events = append(x.events, e)
 	x.threads[e.Key.TID] = append(x.threads[e.Key.TID], id)
+	x.addrsValid = false
 	return id
 }
 
@@ -181,19 +190,30 @@ func (x *Execution) COSuccessor(w relation.EventID) (relation.EventID, bool) {
 }
 
 // Addresses returns the sorted set of word addresses touched by writes or
-// reads of the execution.
+// reads of the execution. It is computed once per set of events into
+// storage the execution keeps: the caller must not mutate the slice, it
+// is only good until the next AddEvent, InitWrite or Reset, and — the
+// first call being a write — goroutines sharing an execution must not
+// call it concurrently.
 func (x *Execution) Addresses() []memsys.Addr {
-	set := make(map[memsys.Addr]struct{})
+	if x.addrsValid {
+		return x.addrs
+	}
+	if x.addrSet == nil {
+		x.addrSet = make(map[memsys.Addr]struct{})
+	}
+	clear(x.addrSet)
 	for i := range x.events {
 		if x.events[i].Kind != KindFence {
-			set[x.events[i].Addr] = struct{}{}
+			x.addrSet[x.events[i].Addr] = struct{}{}
 		}
 	}
-	addrs := make([]memsys.Addr, 0, len(set))
-	for a := range set {
+	addrs := slices.Grow(x.addrs[:0], len(x.addrSet))
+	for a := range x.addrSet {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
+	x.addrs, x.addrsValid = addrs, true
 	return addrs
 }
 

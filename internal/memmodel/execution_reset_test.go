@@ -94,3 +94,39 @@ func TestExecutionResetEqualsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestAddressesComputedOncePerExecution: the address set is computed on
+// first use and answered from the execution's own storage afterwards —
+// a checked iteration asks for it three times — until an event is added
+// or the execution is reset.
+func TestAddressesComputedOncePerExecution(t *testing.T) {
+	x := NewExecution()
+	fillRandom(x, rand.New(rand.NewSource(4)), 4, 120, 6)
+	want := append([]memsys.Addr(nil), x.Addresses()...)
+	if len(want) != 6 {
+		t.Fatalf("Addresses = %v, want 6 distinct", want)
+	}
+	if n := testing.AllocsPerRun(100, func() { x.Addresses() }); n != 0 {
+		t.Fatalf("a repeated Addresses call allocates %.0f objects, want 0", n)
+	}
+	if got := x.Addresses(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeated call returned %v, first %v", got, want)
+	}
+
+	// A read of a word nobody touched: one event, then its initial write.
+	fresh := memsys.Addr(0x10)
+	r := x.AddEvent(Event{Key: Key{TID: 0, Instr: 999}, Kind: KindRead, Addr: fresh})
+	if got := x.Addresses(); len(got) != 7 || got[0] != fresh {
+		t.Fatalf("after AddEvent: %v, want %v first of 7", got, fresh)
+	}
+	if err := x.SetRF(r, x.InitWrite(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	if got := x.Addresses(); len(got) != 7 {
+		t.Fatalf("after InitWrite: %v", got)
+	}
+	x.Reset()
+	if got := x.Addresses(); len(got) != 0 {
+		t.Fatalf("after Reset: %v, want none", got)
+	}
+}

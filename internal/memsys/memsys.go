@@ -84,11 +84,14 @@ func (m *Memory) ReadLine(a Addr) LineData {
 
 // WriteLine replaces the line containing a with d.
 func (m *Memory) WriteLine(a Addr, d LineData) {
-	if l, ok := m.lines[a.LineAddr()]; ok {
-		*l = d
-		return
+	l, ok := m.lines[a.LineAddr()]
+	if !ok {
+		// A line of its own, not &d: taking the parameter's address
+		// would move it to the heap on every call, hit or miss.
+		l = new(LineData)
+		m.lines[a.LineAddr()] = l
 	}
-	m.lines[a.LineAddr()] = &d
+	*l = d
 }
 
 // ReadWord returns the word at a.
@@ -110,9 +113,13 @@ func (m *Memory) WriteWord(a Addr, v uint64) {
 	l.SetWord(a, v)
 }
 
-// Clear zeroes all memory.
+// Clear zeroes all memory in place: the lines written so far stay
+// allocated (a zero line reads the same as an absent one), so a memory
+// cleared between uses settles at its working set.
 func (m *Memory) Clear() {
-	m.lines = make(map[Addr]*LineData)
+	for _, l := range m.lines {
+		*l = LineData{}
+	}
 }
 
 // Layout describes the usable test-memory address range of a campaign

@@ -164,3 +164,56 @@ func kernelTrace(t *testing.T, seed int64, s kernel) []dispatch {
 	}
 	return trace
 }
+
+// TestResetReplaysANewSim: a simulator reset in the middle of a run —
+// ring and overflow tier both occupied, clock advanced, random source
+// drawn from — dispatches the next workload exactly as a new one does,
+// draws the same random numbers, and schedules out of the nodes it
+// already owns.
+func TestResetReplaysANewSim(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		want := kernelTrace(t, seed, sim.New(seed))
+		wantRand := sim.New(seed).Rand().Int63()
+
+		s := sim.New(seed + 100)
+		kernelTrace(t, seed+100, s)
+		for i := 0; i < 500; i++ {
+			s.ScheduleEvent(sim.Tick(i*37), sim.Nop, nil, 0) // out to tick 18 463: ring and overflow
+		}
+		if err := s.RunUntil(func() bool { return false }, 1000); err == nil {
+			t.Fatal("RunUntil finished without watchdog")
+		}
+		s.Rand().Int63()
+		if s.Pending() == 0 {
+			t.Fatal("nothing left queued; the reset has nothing to discard")
+		}
+
+		s.Reset(seed)
+		if s.Now() != 0 || s.Pending() != 0 || s.Executed() != 0 {
+			t.Fatalf("after Reset: tick %d, %d pending, %d executed", s.Now(), s.Pending(), s.Executed())
+		}
+		if _, ok := s.NextEventTime(); ok {
+			t.Fatal("after Reset: an event is still due")
+		}
+		if got := s.Rand().Int63(); got != wantRand {
+			t.Fatalf("seed %d: first draw after Reset %d, new simulator draws %d", seed, got, wantRand)
+		}
+		if n := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 300; i++ {
+				s.ScheduleEvent(sim.Tick(i*37), sim.Nop, nil, 0)
+			}
+			s.Reset(seed)
+		}); n != 0 {
+			t.Fatalf("schedule-and-discard allocates %.0f objects per round: Reset lost the queued nodes", n)
+		}
+		got := kernelTrace(t, seed, s)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: reset simulator dispatched %d events, a new one %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d diverged: reset %+v, new %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

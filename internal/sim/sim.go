@@ -131,7 +131,43 @@ type Sim struct {
 
 // New returns a simulator whose jitter draws come from the given seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	s := new(Sim)
+	s.Reset(seed)
+	return s
+}
+
+// Reset returns the simulator to tick zero with an empty queue and its
+// random source re-seeded — the state New hands out, which New itself
+// reaches through this call. Events still queued are discarded into the
+// freelist. The zero Sim is an empty queue at tick zero that only lacks
+// the random source, so an owner that resets before first use (the
+// machine) may start from new(Sim) and seed once.
+func (s *Sim) Reset(seed int64) {
+	if s.pending > 0 {
+		for i := range s.buckets {
+			s.freeChain(s.buckets[i].head)
+			s.buckets[i] = bucket{}
+		}
+		s.freeChain(s.ofHead)
+		s.occ = [wheelWords]uint64{}
+		s.pending, s.ringN = 0, 0
+		s.ofHead, s.ofTail, s.ofN, s.ofMin = nil, nil, 0, 0
+	}
+	s.now, s.base, s.executed = 0, 0, 0
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+}
+
+// freeChain releases every node of an intrusive chain.
+func (s *Sim) freeChain(e *event) {
+	for e != nil {
+		next := e.next
+		s.release(e)
+		e = next
+	}
 }
 
 // Now returns the current simulated time.

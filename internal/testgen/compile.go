@@ -68,14 +68,25 @@ func DecodeWriteID(v uint64) (tid, instr int, ok bool) {
 
 // Compile lowers the flat test into per-thread programs. The result has
 // Threads entries; threads with no genes get empty programs.
-func Compile(t *Test) ([]Program, error) {
+func Compile(t *Test) ([]Program, error) { return CompileInto(nil, t) }
+
+// CompileInto is Compile into storage the caller owns: dst's programs
+// are overwritten in place and grown as needed, so a caller that
+// compiles one test after another (the host, once per test-run) settles
+// at the largest program it has seen. The result aliases dst; nothing of
+// an earlier result may still be in use.
+func CompileInto(dst []Program, t *Test) ([]Program, error) {
 	if t.Threads <= 0 {
 		return nil, fmt.Errorf("testgen: test has no threads")
 	}
-	progs := make([]Program, t.Threads)
-	lastLoad := make([]int, t.Threads)
-	for i := range lastLoad {
-		lastLoad[i] = -1
+	dst = dst[:cap(dst)]
+	progs := dst[:0]
+	for tid := 0; tid < t.Threads; tid++ {
+		var p Program
+		if tid < len(dst) {
+			p = dst[tid][:0]
+		}
+		progs = append(progs, p)
 	}
 	for nodeIdx, n := range t.Nodes {
 		if n.PID < 0 || n.PID >= t.Threads {
@@ -95,20 +106,27 @@ func Compile(t *Test) ([]Program, error) {
 		case OpWrite, OpRMW:
 			in.WriteID = WriteIDFor(tid, idx)
 		case OpReadAddrDp:
-			if lastLoad[tid] >= 0 {
-				in.DepLoad = lastLoad[tid]
-			} else {
-				// No producing load yet: degrade to a plain
-				// read, as the dependency has no source.
+			// The dependency's source is the thread's latest load. With
+			// none yet, degrade to a plain read — which is then a load
+			// itself, so the scan is short from here on.
+			in.DepLoad = lastLoad(progs[tid])
+			if in.DepLoad < 0 {
 				in.Kind = OpRead
 			}
 		}
 		progs[tid] = append(progs[tid], in)
-		if in.IsLoad() {
-			lastLoad[tid] = idx
-		}
 	}
 	return progs, nil
+}
+
+// lastLoad returns the index of p's last load, or -1.
+func lastLoad(p Program) int {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i].IsLoad() {
+			return i
+		}
+	}
+	return -1
 }
 
 // EventCount returns the number of memory-model events the programs will

@@ -106,6 +106,11 @@ func NewMemoryLayout(sizeBytes, stride int) (MemoryLayout, error) {
 	return memsys.NewLayout(sizeBytes, stride)
 }
 
+// TestMemoryStride is the base-address granularity of the campaign
+// configurations built here (Table 3: 16B stride); a test-memory size
+// must be a multiple of it.
+const TestMemoryStride = 16
+
 // NewScenarioCampaignConfig assembles a campaign at the paper's
 // parameters (Table 2 machine, Table 3 test generation: 1k-operation
 // tests over 8 threads, 10 iterations per test-run, 8KB/16B test
@@ -118,7 +123,7 @@ func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig 
 	cfg.Test = testgen.Config{
 		Size:    1000,
 		Threads: cfg.Machine.Cores,
-		Layout:  memsys.MustLayout(8192, 16),
+		Layout:  memsys.MustLayout(8192, TestMemoryStride),
 	}
 	return cfg
 }
@@ -126,11 +131,13 @@ func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig 
 // ScaledScenarioConfig assembles a campaign scaled for interactive use
 // against a verification scenario: smaller tests and fewer iterations,
 // preserving all generator behaviours. memBytes selects the test-memory
-// size (1024 or 8192 in the paper).
+// size (1024 or 8192 in the paper); it panics on a size
+// NewMemoryLayout(memBytes, TestMemoryStride) rejects, so callers
+// holding user input check that first.
 func ScaledScenarioConfig(gen GeneratorKind, scen Scenario, memBytes int) CampaignConfig {
 	cfg := NewScenarioCampaignConfig(gen, scen)
 	cfg.Test.Size = 96
-	cfg.Test.Layout = memsys.MustLayout(memBytes, 16)
+	cfg.Test.Layout = memsys.MustLayout(memBytes, TestMemoryStride)
 	cfg.GP.PopulationSize = 24
 	cfg.Host.Iterations = 3
 	return cfg

@@ -25,39 +25,47 @@ func resultHash(r core.Result) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", r))))[:16]
 }
 
-func TestSimPathIdentity(t *testing.T) {
-	type pin struct {
-		seed int64
-		want string
-	}
-	cases := []struct {
-		name string
-		cfg  func(t *testing.T) CampaignConfig
-		runs int
-		pins []pin
-	}{
+// identityPin is one recorded (seed, result hash) pair.
+type identityPin struct {
+	seed int64
+	want string
+}
+
+// identityCase is one pinned campaign shape.
+type identityCase struct {
+	name string
+	cfg  func(t *testing.T) CampaignConfig
+	runs int
+	pins []identityPin
+}
+
+func identityCases() []identityCase {
+	return []identityCase{
 		// Every registered protocol × model scenario under GP feedback
 		// with collective checking on: the Dedupe tallies pin the
 		// signature stream, SumFitness the coverage stream.
-		{"mesi-sc", scenarioCfg("mesi-sc", 1024), 40, []pin{{1, "7eab0e8f8fe58621"}, {7, "2cbde16cc806d0eb"}}},
-		{"mesi-tso", scenarioCfg("mesi-tso", 1024), 40, []pin{{1, "bb63ffcded20ef2b"}, {7, "294a2eedd637254a"}}},
-		{"mesi-pso", scenarioCfg("mesi-pso", 1024), 40, []pin{{1, "ea00cd8c3496d3af"}, {7, "a6ef62d95ae2256a"}}},
-		{"mesi-rmo", scenarioCfg("mesi-rmo", 1024), 40, []pin{{1, "cedd05f06af6f398"}, {7, "799ba14ed4cb6087"}}},
-		{"tsocc-tso", scenarioCfg("tsocc-tso", 1024), 40, []pin{{1, "6e423f223cbe4f45"}, {7, "fc1b45a75a643702"}}},
-		{"tsocc-pso", scenarioCfg("tsocc-pso", 1024), 40, []pin{{1, "526648cf594f5e61"}, {7, "ee61102e0186bd67"}}},
-		{"tsocc-rmo", scenarioCfg("tsocc-rmo", 1024), 40, []pin{{1, "740ea2c21d201c0f"}, {7, "ddce19e2d8a62854"}}},
+		{"mesi-sc", scenarioCfg("mesi-sc", 1024), 40, []identityPin{{1, "7eab0e8f8fe58621"}, {7, "2cbde16cc806d0eb"}}},
+		{"mesi-tso", scenarioCfg("mesi-tso", 1024), 40, []identityPin{{1, "bb63ffcded20ef2b"}, {7, "294a2eedd637254a"}}},
+		{"mesi-pso", scenarioCfg("mesi-pso", 1024), 40, []identityPin{{1, "ea00cd8c3496d3af"}, {7, "a6ef62d95ae2256a"}}},
+		{"mesi-rmo", scenarioCfg("mesi-rmo", 1024), 40, []identityPin{{1, "cedd05f06af6f398"}, {7, "799ba14ed4cb6087"}}},
+		{"tsocc-tso", scenarioCfg("tsocc-tso", 1024), 40, []identityPin{{1, "6e423f223cbe4f45"}, {7, "fc1b45a75a643702"}}},
+		{"tsocc-pso", scenarioCfg("tsocc-pso", 1024), 40, []identityPin{{1, "526648cf594f5e61"}, {7, "ee61102e0186bd67"}}},
+		{"tsocc-rmo", scenarioCfg("tsocc-rmo", 1024), 40, []identityPin{{1, "740ea2c21d201c0f"}, {7, "ddce19e2d8a62854"}}},
 		// 8KB layouts spread 128 lines over 16 partitions that collide
 		// in one L1/L2 set each: Victim and replacement run after sparse
 		// clears on both protocols.
-		{"mesi-tso-8k", scenarioCfg("mesi-tso", 8192), 10, []pin{{3, "2a447eb644284422"}}},
-		{"tsocc-tso-8k", scenarioCfg("tsocc-tso", 8192), 10, []pin{{3, "5cffaac3b794ea71"}}},
+		{"mesi-tso-8k", scenarioCfg("mesi-tso", 8192), 10, []identityPin{{3, "2a447eb644284422"}}},
+		{"tsocc-tso-8k", scenarioCfg("tsocc-tso", 8192), 10, []identityPin{{3, "5cffaac3b794ea71"}}},
 		// The PUTX-race hunt ends in an L2 invalid transition: the nil
 		// dispatch cell and its error text.
 		{"mesi-putx-race", func(*testing.T) CampaignConfig {
 			return ScaledScenarioConfig(GenGPAll, bugScenario("MESI+PUTX-Race"), 8192)
-		}, 300, []pin{{17, "64162102a48f53d6"}}},
+		}, 300, []identityPin{{17, "64162102a48f53d6"}}},
 	}
-	for _, tc := range cases {
+}
+
+func TestSimPathIdentity(t *testing.T) {
+	for _, tc := range identityCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -76,6 +84,118 @@ func TestSimPathIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pinnedCampaign builds tc's campaign at seed with a memo of its own.
+func pinnedCampaign(t *testing.T, tc identityCase, seed int64) *core.Campaign {
+	t.Helper()
+	cfg := tc.cfg(t)
+	cfg.MaxTestRuns = tc.runs
+	cfg.Seed = seed
+	cfg.Memo = NewCollectiveMemo()
+	camp, err := core.NewCampaign(cfg)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return camp
+}
+
+// TestMachineReuseIdentity holds a reset machine to the hashes a new one
+// produces. Every pinned campaign runs on the machine a campaign at
+// another seed just gave back — dirty caches, advanced TSO-CC
+// timestamps, grown free lists, a spent random source — and must still
+// return its pinned core.Result, equal in every field (the hash covers
+// only what Result.String prints) to the same campaign run before that
+// history existed. A campaign that ends in a violation must not give
+// its machine back at all: the PUTX-race hunt stops on an L2 invalid
+// transition with events still queued, and a forced watchdog leaves
+// every core mid-program. The subtests run one after another, so
+// between a Release and the next NewCampaign nobody else takes from the
+// process-wide idle list.
+func TestMachineReuseIdentity(t *testing.T) {
+	for _, tc := range identityCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range tc.pins {
+				first := pinnedCampaign(t, tc, p.seed)
+				ref, err := first.Run()
+				if err != nil {
+					t.Fatalf("seed %d: %v", p.seed, err)
+				}
+				first.Release()
+
+				// Ten test-runs at another seed leave every layer used.
+				short := tc
+				short.runs = min(tc.runs, 10)
+				warm := pinnedCampaign(t, short, p.seed+1000)
+				used := warm.Host().Machine()
+				wres, err := warm.Run()
+				if err != nil {
+					t.Fatalf("warm-up for seed %d: %v", p.seed, err)
+				}
+				warm.Release()
+
+				camp := pinnedCampaign(t, tc, p.seed)
+				m := camp.Host().Machine()
+				if reused := m == used; reused == wres.Found {
+					t.Fatalf("seed %d: warm-up found=%v, pinned campaign reused its machine=%v", p.seed, wres.Found, reused)
+				}
+				res, err := camp.Run()
+				if err != nil {
+					t.Fatalf("seed %d: %v", p.seed, err)
+				}
+				if got := resultHash(res); got != p.want {
+					t.Errorf("seed %d on a used machine: result hash %s, want %s\n result: %+v", p.seed, got, p.want, res)
+				}
+				if res != ref {
+					t.Errorf("seed %d: the result depends on what the machine ran before\n  first: %#v\n reused: %#v", p.seed, ref, res)
+				}
+				camp.Release()
+				if !res.Found {
+					continue
+				}
+				// The campaign ended in a violation: whoever asks next
+				// gets some other machine and the same answer.
+				again := pinnedCampaign(t, tc, p.seed)
+				if again.Host().Machine() == m {
+					t.Fatalf("seed %d: machine reused after %s", p.seed, res.Source)
+				}
+				if res, err = again.Run(); err != nil || resultHash(res) != p.want {
+					t.Errorf("seed %d after a dropped machine: %+v, %v", p.seed, res, err)
+				}
+				again.Release()
+			}
+		})
+	}
+
+	t.Run("watchdog", func(t *testing.T) {
+		tc := identityCases()[1] // mesi-tso
+		cfg := tc.cfg(t)
+		cfg.MaxTestRuns = tc.runs
+		cfg.Seed = 99
+		cfg.Host.MaxTicksPerIteration = 200 // no test finishes in 200 ticks
+		wedged, err := core.NewCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := wedged.Host().Machine()
+		res, err := wedged.Run()
+		if err != nil || res.Source != "deadlock" || m.Sim.Pending() == 0 {
+			t.Fatalf("forced watchdog: %+v, %v, %d events pending", res, err, m.Sim.Pending())
+		}
+		wedged.Release()
+		for _, p := range tc.pins {
+			camp := pinnedCampaign(t, tc, p.seed)
+			if camp.Host().Machine() == m {
+				t.Fatal("machine reused after a watchdog timeout")
+			}
+			res, err := camp.Run()
+			if err != nil || resultHash(res) != p.want {
+				t.Errorf("seed %d after a wedged machine: %+v, %v", p.seed, res, err)
+			}
+			camp.Release()
+		}
+	})
 }
 
 func scenarioCfg(name string, memBytes int) func(*testing.T) CampaignConfig {
