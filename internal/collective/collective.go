@@ -16,8 +16,8 @@
 package collective
 
 import (
-	"encoding/binary"
 	"hash/fnv"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -48,65 +48,84 @@ const (
 // program order (never in commit order), rf is folded in at each read
 // as the producing write's stable Key, and co is walked per address in
 // address order. Initial writes — whose Keys depend on creation order,
-// i.e. on the interleaving — are canonicalized by their address.
+// i.e. on the interleaving — are canonicalized by their address. The
+// digest is FNV-128a over the little-endian words of that walk; on an
+// execution that has answered Threads and Addresses before, computing it
+// allocates nothing.
 func Signature(x *memmodel.Execution) Sig {
-	h := fnv.New128a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	h := fnv128a{offset128Hi, offset128Lo}
 	ekey := func(id relation.EventID) {
 		e := x.Event(id)
 		if e.IsInit() {
-			u64(sigInit)
-			u64(uint64(e.Addr))
+			h.u64(sigInit)
+			h.u64(uint64(e.Addr))
 			return
 		}
-		u64(uint64(int64(e.Key.TID)))
-		u64(uint64(int64(e.Key.Instr)))
-		u64(uint64(int64(e.Key.Sub)))
+		h.u64(uint64(int64(e.Key.TID)))
+		h.u64(uint64(int64(e.Key.Instr)))
+		h.u64(uint64(int64(e.Key.Sub)))
 	}
 	for _, tid := range x.Threads() {
-		u64(sigThread)
-		u64(uint64(int64(tid)))
+		h.u64(sigThread)
+		h.u64(uint64(int64(tid)))
 		for _, id := range x.ThreadEvents(tid) {
 			e := x.Event(id)
 			// Instr and Sub matter beyond position: RMW atomicity
 			// pairs events by (Instr, consecutive Subs), so two
 			// kind/addr/value-identical slices with different pairing
 			// must not collide.
-			u64(uint64(int64(e.Key.Instr)))
-			u64(uint64(int64(e.Key.Sub)))
-			u64(uint64(e.Kind))
-			u64(uint64(e.Fence))
-			u64(uint64(e.Addr))
-			u64(e.Value)
+			h.u64(uint64(int64(e.Key.Instr)))
+			h.u64(uint64(int64(e.Key.Sub)))
+			h.u64(uint64(e.Kind))
+			h.u64(uint64(e.Fence))
+			h.u64(uint64(e.Addr))
+			h.u64(e.Value)
 			if e.Atomic {
-				u64(1)
+				h.u64(1)
 			} else {
-				u64(0)
+				h.u64(0)
 			}
 			if e.IsRead() {
 				if w, ok := x.RF(id); ok {
 					ekey(w)
 				} else {
-					u64(sigNoRF)
+					h.u64(sigNoRF)
 				}
 			}
 		}
 	}
 	for _, addr := range x.Addresses() {
-		u64(sigCO)
-		u64(uint64(addr))
+		h.u64(sigCO)
+		h.u64(uint64(addr))
 		for _, id := range x.CO(addr) {
 			ekey(id)
 		}
 	}
-	sum := h.Sum(nil)
-	return Sig{
-		Hi: binary.BigEndian.Uint64(sum[:8]),
-		Lo: binary.BigEndian.Uint64(sum[8:]),
+	return Sig{Hi: h.hi, Lo: h.lo}
+}
+
+// fnv128a is the FNV-1a 128-bit hash state — hash/fnv's New128a, inlined
+// so hashing a word is eight multiply steps with no interface call and
+// no allocation. The digest hash/fnv would print big-endian is hi then
+// lo.
+type fnv128a struct{ hi, lo uint64 }
+
+const (
+	offset128Hi = 0x6c62272e07bb0142
+	offset128Lo = 0x62b821756295c58d
+	// The 128-bit FNV prime is 2⁸⁸ + 0x13b.
+	prime128Lo    = 0x13b
+	prime128Shift = 24
+)
+
+// u64 hashes v's eight bytes, least significant first.
+func (h *fnv128a) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.lo ^= v & 0xff
+		v >>= 8
+		carry, lo := bits.Mul64(prime128Lo, h.lo)
+		h.hi = carry + h.lo<<prime128Shift + prime128Lo*h.hi
+		h.lo = lo
 	}
 }
 

@@ -1,6 +1,9 @@
 package collective
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -338,5 +341,25 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 	}
 	if d.Checks != goroutines*20 || d.Checks-d.Unique != d.Hits {
 		t.Fatalf("inconsistent counters: %+v", d)
+	}
+}
+
+// TestInlinedFNVMatchesHashFNV: the signature's inlined hash is
+// hash/fnv's 128-bit FNV-1a over the same little-endian words — the
+// stream every stored verdict and golden signature was keyed under.
+func TestInlinedFNVMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ref := fnv.New128a()
+	h := fnv128a{offset128Hi, offset128Lo}
+	for i := 0; i < 1000; i++ {
+		v := rng.Uint64() >> uint(rng.Intn(64))
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		ref.Write(buf[:])
+		h.u64(v)
+		sum := ref.Sum(nil)
+		if hi, lo := binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:]); h.hi != hi || h.lo != lo {
+			t.Fatalf("after %d words: inlined %016x%016x, hash/fnv %x", i+1, h.hi, h.lo, sum)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package memmodel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/memsys"
 	"repro/internal/relation"
 )
 
@@ -200,5 +202,126 @@ func TestBuilderCOOverrideOrder(t *testing.T) {
 	got := order[len(order)-2:]
 	if got[0] != w2 || got[1] != w1 {
 		t.Fatalf("co(x) = %v, want ... %d %d", order, w2, w1)
+	}
+}
+
+// buildShape drives one of a few differently shaped, partly malformed
+// constructions into b, the way the trace materializer would.
+func buildShape(b *Builder, shape int) (*Execution, error) {
+	switch shape % 5 {
+	case 0: // message passing with an override and pins, threads 7 and 2
+		w1 := b.Write(7, x, 1)
+		w2 := b.Write(7, x, 2)
+		wy := b.Write(7, y, 1)
+		ry := b.Read(2, y, 1)
+		rx := b.Read(2, x, 0)
+		b.CO(x, w2, w1)
+		b.SetRF(ry, wy)
+		b.SetRFInit(rx)
+	case 1: // value resolution, an RMW, fences, out-of-order keys
+		b.WriteKeyed(Key{TID: 1, Instr: 9}, y, 5, false)
+		b.FenceKeyed(Key{TID: 1, Instr: 3}, FenceSS)
+		b.RMW(1, y, 5, 6)
+		b.Read(4, y, 6)
+		b.Read(4, x, 0)
+	case 2: // ambiguous value: an error from Build
+		b.Write(1, x, 7)
+		b.Write(3, x, 7)
+		b.Read(5, x, 7)
+	case 3: // a sticky error from a call, then more calls
+		w := b.Write(1, y, 1)
+		b.CO(y, w, w)
+		b.Read(2, y, 1)
+	default: // one thread, one address, nothing else
+		b.Write(1<<30, x, 3)
+		b.Read(1<<30, x, 3)
+	}
+	return b.Build()
+}
+
+// TestBuilderResetEqualsFresh: a builder reset and driven again builds
+// what a fresh one builds — the same execution or the same error —
+// whatever it built, or failed to build, before.
+func TestBuilderResetEqualsFresh(t *testing.T) {
+	reused := NewBuilder()
+	for round := 0; round < 25; round++ {
+		shape := round * 3
+		want, wantErr := buildShape(NewBuilder(), shape)
+		reused.Reset()
+		got, gotErr := buildShape(reused, shape)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("round %d: reused builder: %v, fresh: %v", round, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if g, w := view(got), view(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("round %d: reused builder built\n %v\nfresh\n %v", round, g, w)
+		}
+	}
+}
+
+// TestBuilderLookupAndDuplicateKey: Lookup resolves keys whether a
+// thread's keys ascend in program order or not; DuplicateKey names the
+// first event added that repeats an earlier one's key.
+func TestBuilderLookupAndDuplicateKey(t *testing.T) {
+	b := NewBuilder()
+	ids := map[Key]relation.EventID{}
+	for _, k := range []Key{
+		{TID: 3, Instr: 0}, {TID: 3, Instr: 4}, {TID: 3, Instr: 4, Sub: 1}, {TID: 3, Instr: 1 << 30}, // ascending
+		{TID: 1, Instr: 1000}, {TID: 1, Instr: 0}, {TID: 1, Instr: 7, Sub: 2}, {TID: 1, Instr: 7}, // not
+	} {
+		ids[k] = b.ReadKeyed(k, x, 0, false)
+	}
+	for k, want := range ids {
+		if got, ok := b.Lookup(k); !ok || got != want {
+			t.Errorf("Lookup(%v) = %d, %v; want %d", k, got, ok, want)
+		}
+	}
+	for _, k := range []Key{{TID: 3, Instr: 2}, {TID: 3, Instr: 4, Sub: 2}, {TID: 2}, {TID: InitTID}, {TID: 1, Instr: 7, Sub: 1}} {
+		if got, ok := b.Lookup(k); ok {
+			t.Errorf("Lookup(%v) = %d, want no such event", k, got)
+		}
+	}
+	if k, dup := b.DuplicateKey(); dup {
+		t.Fatalf("DuplicateKey = %v on distinct keys", k)
+	}
+
+	// Two repeats: thread 1's comes first in insertion order.
+	first := b.ReadKeyed(Key{TID: 1, Instr: 0}, y, 0, false)
+	b.ReadKeyed(Key{TID: 3, Instr: 4}, y, 0, false)
+	if k, dup := b.DuplicateKey(); !dup || k != (Key{TID: 1, Instr: 0}) {
+		t.Fatalf("DuplicateKey = %v, %v; want t1:i0.0 (event %d)", k, dup, first)
+	}
+	if got, _ := b.Lookup(Key{TID: 1, Instr: 0}); got != ids[Key{TID: 1, Instr: 0}] {
+		t.Errorf("Lookup of a repeated key = %d, want the first event %d", got, ids[Key{TID: 1, Instr: 0}])
+	}
+}
+
+// TestBuilderDeclaredThreadStaysInvisible: a thread declared but never
+// given an event, and an address only a CO call ever named, appear
+// nowhere in the built execution.
+func TestBuilderDeclaredThreadStaysInvisible(t *testing.T) {
+	b := NewBuilder()
+	b.DeclareThread(5)
+	b.DeclareThread(9)
+	b.Write(9, x, 1)
+	b.CO(y) // no writes to y: an empty order is its whole order
+	xc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := xc.Threads(); !reflect.DeepEqual(got, []int{9}) {
+		t.Errorf("Threads = %v, want [9]", got)
+	}
+	if got := xc.Addresses(); !reflect.DeepEqual(got, []memsys.Addr{x}) {
+		t.Errorf("Addresses = %v, want [%v]", got, x)
+	}
+
+	b = NewBuilder()
+	b.CO(y)
+	b.CO(y)
+	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "set twice") {
+		t.Errorf("second CO of an untouched address: %v, want 'set twice'", err)
 	}
 }

@@ -67,13 +67,15 @@ func (r Result) Err() error {
 }
 
 // Scratch holds the per-check working state — the derived-relation edge
-// sets and the two incremental acyclicity engines — so repeated checks
-// reuse allocations instead of rebuilding maps and adjacency arrays per
-// execution. A Scratch is single-use-at-a-time; a Checker draws one
-// from an internal pool unless it was built WithScratch.
+// sets, the two incremental acyclicity engines and the po-loc walk's
+// per-address marks — so repeated checks reuse allocations instead of
+// rebuilding maps and adjacency arrays per execution. A Scratch is
+// single-use-at-a-time; a Checker draws one from an internal pool unless
+// it was built WithScratch.
 type Scratch struct {
 	rf, co, fr, poloc, rfe, ppo *relation.Relation
 	base, uni                   *relation.Topo
+	last                        AddrMarks
 }
 
 // NewScratch returns an empty scratch ready for WithScratch.
@@ -139,7 +141,7 @@ func check(x *Execution, arch Arch, s *Scratch) Result {
 	// acyclic(po-loc ∪ rf ∪ co ∪ fr).
 	uni := s.uni
 	uni.CopyFrom(base)
-	for _, rel := range []*relation.Relation{x.POLocRelationInto(s.poloc), rf} {
+	for _, rel := range []*relation.Relation{x.POLocRelationInto(s.poloc, &s.last), rf} {
 		if cycle, ok := uni.AddRelation(rel); !ok {
 			return uniprocViolation(x, cycle)
 		}

@@ -3,7 +3,6 @@ package memmodel
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/memsys"
 	"repro/internal/relation"
@@ -13,56 +12,186 @@ import (
 // test iteration together with program order, read-from and coherence
 // order. Conflict orders are fully visible in simulation, so rf and co
 // are given, not guessed.
+//
+// Representation: events live in one slice indexed by their dense
+// EventID, and everything else hangs off dense indices — each event's rf
+// source, coherence position and address slot in a parallel per-event
+// array, program order per thread slot, coherence order and initial
+// write per address slot. A thread slot is found through a small table
+// sorted by TID, an address slot through the one map the type holds.
+// Slots number threads and addresses in order of first use.
+// Storage is sized only by how many events, threads and addresses are
+// present, never by the value of a TID, instruction index or address:
+// those come from the input and may be anything up to 2³¹ or 2⁶⁴.
 type Execution struct {
 	events []Event
-	// threads maps TID -> event IDs in program order (fences included).
-	threads map[int][]relation.EventID
-	// rf maps each read event to the write event it reads from.
-	rf map[relation.EventID]relation.EventID
-	// co maps each word address to its writes in coherence order,
-	// including the (implicit) initial write at position 0 when created.
-	co map[memsys.Addr][]relation.EventID
-	// coPos caches each write's position within its address's co order.
-	coPos map[relation.EventID]int
-	// init maps each address to its initial-write event, created lazily.
-	init map[memsys.Addr]relation.EventID
-	// addrs is the answer of Addresses, valid while addrsValid (adding
-	// an event or resetting invalidates it); addrSet is the set it is
-	// built through, made on first use and kept like addrs.
+	// links[id] is event id's share of the conflict orders.
+	links []link
+
+	// byTID is the thread table, sorted by TID; each entry names the
+	// thread's slot in po, which is assigned on first use and never
+	// moves. lastTID/lastSlot remember the thread of the latest added
+	// event: events mostly arrive in runs of one thread.
+	byTID    []threadRef
+	po       [][]relation.EventID
+	lastTID  int
+	lastSlot int32
+	// tids is the answer of Threads, valid while tidsValid (a thread
+	// gaining its first event, or a reset, invalidates it).
+	tids      []int
+	tidsValid bool
+
+	// addrSlot maps a word address to its slot in addrTab, assigned on
+	// first use.
+	addrSlot map[memsys.Addr]int32
+	addrTab  []addrState
+	nInit    int
+	// coArena backs the coherence orders of an execution whose builder
+	// knew their lengths ahead (reserveCO).
+	coArena []relation.EventID
+	// addrs is the answer of Addresses, valid while addrsValid (an
+	// address gaining its first event, or a reset, invalidates it).
 	addrs      []memsys.Addr
-	addrSet    map[memsys.Addr]struct{}
 	addrsValid bool
+}
+
+// addrState is what the execution holds per address slot.
+type addrState struct {
+	addr memsys.Addr
+	// used is set by the address's first event. A slot can exist without
+	// one (Builder.CO on an address nothing touches); it stays invisible.
+	used bool
+	// init is the initial-write event, noEvent until created.
+	init relation.EventID
+	// co holds the writes in coherence order, including the (implicit)
+	// initial write at position 0 once created.
+	co []relation.EventID
+}
+
+// noEvent marks an absent event in the per-event and per-slot arrays.
+const noEvent relation.EventID = -1
+
+// link is the per-event part of rf and co: the write a read reads from,
+// a write's position in its address's coherence order (both -1 until
+// recorded), and the slot of the event's address (-1 for fences).
+type link struct {
+	rf    relation.EventID
+	coPos int32
+	addr  int32
+}
+
+type threadRef struct {
+	tid  int
+	slot int32
 }
 
 // NewExecution returns an empty execution.
 func NewExecution() *Execution {
-	return &Execution{
-		threads: make(map[int][]relation.EventID),
-		rf:      make(map[relation.EventID]relation.EventID),
-		co:      make(map[memsys.Addr][]relation.EventID),
-		coPos:   make(map[relation.EventID]int),
-		init:    make(map[memsys.Addr]relation.EventID),
-	}
+	return &Execution{addrSlot: make(map[memsys.Addr]int32), lastSlot: -1}
 }
 
 // Reset empties the execution for reuse while keeping what it has
-// allocated: the event array, the maps' buckets, and the per-thread and
-// per-address order slices (truncated in place, so a reset execution may
-// hold empty entries for threads and addresses it no longer has). The
-// caller must hold the only reference: a recorder that reuses one
-// execution per iteration resets it only if it never handed it out.
+// allocated: the event and link arrays, the thread and address tables,
+// and every per-thread and per-address order slice (they are handed to
+// whichever threads and addresses come next). The caller must hold the
+// only reference: a recorder that reuses one execution per iteration
+// resets it only if it never handed it out.
 func (x *Execution) Reset() {
 	x.events = x.events[:0]
-	for tid, ids := range x.threads {
-		x.threads[tid] = ids[:0]
-	}
-	for addr, order := range x.co {
-		x.co[addr] = order[:0]
-	}
-	clear(x.rf)
-	clear(x.coPos)
-	clear(x.init)
+	x.links = x.links[:0]
+	x.byTID = x.byTID[:0]
+	x.po = x.po[:0]
+	x.lastSlot = -1
+	x.tidsValid = false
+	clear(x.addrSlot)
+	x.addrTab = x.addrTab[:0]
+	x.nInit = 0
 	x.addrsValid = false
+}
+
+// grow extends s by one element and returns it with the index of the new
+// element. Within capacity it revives whatever a truncation left there,
+// so an element's own slices keep their backing arrays across Resets;
+// the caller truncates them.
+func grow[T any](s []T) ([]T, int) {
+	n := len(s)
+	if n < cap(s) {
+		return s[:n+1], n
+	}
+	var zero T
+	return append(s, zero), n
+}
+
+// searchThread returns tid's position in the sorted thread table, or the
+// position it would be inserted at.
+func (x *Execution) searchThread(tid int) (int, bool) {
+	lo, hi := 0, len(x.byTID)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x.byTID[mid].tid < tid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(x.byTID) && x.byTID[lo].tid == tid
+}
+
+// findThread returns tid's slot, or -1 when no such thread exists.
+func (x *Execution) findThread(tid int) int {
+	i, ok := x.searchThread(tid)
+	if !ok {
+		return -1
+	}
+	return int(x.byTID[i].slot)
+}
+
+// threadSlot returns tid's slot, creating an empty thread on first use.
+// A new TID above every present one is appended; any other shifts the
+// table's tail, so whoever registers many threads does it in ascending
+// order.
+func (x *Execution) threadSlot(tid int) int {
+	if x.lastSlot >= 0 && x.lastTID == tid {
+		return int(x.lastSlot)
+	}
+	i, ok := x.searchThread(tid)
+	if !ok {
+		var slot int
+		x.po, slot = grow(x.po)
+		x.po[slot] = x.po[slot][:0]
+		x.byTID = slices.Insert(x.byTID, i, threadRef{tid: tid, slot: int32(slot)})
+	}
+	x.lastTID, x.lastSlot = tid, x.byTID[i].slot
+	return int(x.lastSlot)
+}
+
+// slotOf returns addr's slot, creating it on first use.
+func (x *Execution) slotOf(addr memsys.Addr) int32 {
+	if slot, ok := x.addrSlot[addr]; ok {
+		return slot
+	}
+	var slot int
+	x.addrTab, slot = grow(x.addrTab)
+	x.addrTab[slot] = addrState{addr: addr, init: noEvent, co: x.addrTab[slot].co[:0]}
+	x.addrSlot[addr] = int32(slot)
+	return int32(slot)
+}
+
+// reserveCO gives the (still empty) coherence order of every address slot
+// room for room[slot] events, all out of one array the execution keeps —
+// for a builder that knows the lengths, one allocation at most instead of
+// one growing slice per address.
+func (x *Execution) reserveCO(room []int32) {
+	total := 0
+	for _, n := range room {
+		total += int(n)
+	}
+	x.coArena = slices.Grow(x.coArena[:0], total)[:total]
+	off := 0
+	for slot, n := range room {
+		x.addrTab[slot].co = x.coArena[off : off : off+int(n)]
+		off += int(n)
+	}
 }
 
 // NumEvents returns the number of events, including initial writes.
@@ -74,53 +203,87 @@ func (x *Execution) Event(id relation.EventID) *Event { return &x.events[id] }
 // Events returns all events. The returned slice must not be mutated.
 func (x *Execution) Events() []Event { return x.events }
 
-// Threads returns the sorted TIDs with at least one event.
+// Threads returns the sorted TIDs with at least one event. Like
+// Addresses it is computed once per set of threads into storage the
+// execution keeps: the caller must not mutate the slice, it is only good
+// until the next AddEvent, InitWrite or Reset, and — the first call
+// being a write — goroutines sharing an execution must not make it
+// concurrently (Builder.Build has made it already).
 func (x *Execution) Threads() []int {
-	tids := make([]int, 0, len(x.threads))
-	for tid, ids := range x.threads {
-		if tid != InitTID && len(ids) > 0 {
-			tids = append(tids, tid)
+	if x.tidsValid {
+		return clipped(x.tids)
+	}
+	tids := x.tids[:0]
+	for _, r := range x.byTID {
+		if r.tid != InitTID && len(x.po[r.slot]) > 0 {
+			tids = append(tids, r.tid)
 		}
 	}
-	sort.Ints(tids)
-	return tids
+	x.tids, x.tidsValid = tids, true
+	return clipped(tids)
 }
 
+// clipped returns s without spare capacity, so an append by whoever
+// receives it copies instead of writing into the kept array.
+func clipped[T any](s []T) []T { return s[:len(s):len(s)] }
+
 // ThreadEvents returns the event IDs of tid in program order.
-func (x *Execution) ThreadEvents(tid int) []relation.EventID { return x.threads[tid] }
+func (x *Execution) ThreadEvents(tid int) []relation.EventID {
+	slot := x.findThread(tid)
+	if slot < 0 {
+		return nil
+	}
+	return x.po[slot]
+}
 
 // AddEvent appends an event to its thread's program order and returns its
 // ID. PO is assigned from the thread's current length.
 func (x *Execution) AddEvent(e Event) relation.EventID {
 	id := relation.EventID(len(x.events))
+	slot := x.threadSlot(e.Key.TID)
 	e.ID = id
-	e.PO = len(x.threads[e.Key.TID])
+	e.PO = len(x.po[slot])
+	if e.PO == 0 {
+		x.tidsValid = false
+	}
+	l := link{rf: noEvent, coPos: -1, addr: -1}
+	if e.Kind != KindFence {
+		l.addr = x.slotOf(e.Addr)
+		if a := &x.addrTab[l.addr]; !a.used {
+			a.used, x.addrsValid = true, false
+		}
+	}
 	x.events = append(x.events, e)
-	x.threads[e.Key.TID] = append(x.threads[e.Key.TID], id)
-	x.addrsValid = false
+	x.links = append(x.links, l)
+	x.po[slot] = append(x.po[slot], id)
 	return id
 }
 
 // InitWrite returns the initial-write event for addr, creating it on
 // first use with value 0.
 func (x *Execution) InitWrite(addr memsys.Addr) relation.EventID {
-	if id, ok := x.init[addr]; ok {
+	slot := x.slotOf(addr)
+	if id := x.addrTab[slot].init; id != noEvent {
 		return id
 	}
 	id := x.AddEvent(Event{
-		Key:   Key{TID: InitTID, Instr: len(x.init)},
+		Key:   Key{TID: InitTID, Instr: x.nInit},
 		Kind:  KindWrite,
 		Addr:  addr,
 		Value: 0,
 	})
-	x.init[addr] = id
+	x.nInit++
+	a := &x.addrTab[slot]
+	a.init = id
 	// The initial write is co-minimal for its address: it must precede
 	// any writes already serialized.
-	order := append(x.co[addr], id)
+	order := append(a.co, id)
 	copy(order[1:], order)
 	order[0] = id
-	x.co[addr] = order
-	x.renumberCO(addr)
+	a.co = order
+	for i, w := range order {
+		x.links[w].coPos = int32(i)
+	}
 	return id
 }
 
@@ -136,14 +299,14 @@ func (x *Execution) SetRF(r, w relation.EventID) error {
 	if re.Addr != we.Addr {
 		return fmt.Errorf("memmodel: rf address mismatch %v vs %v", re, we)
 	}
-	x.rf[r] = w
+	x.links[r].rf = w
 	return nil
 }
 
 // RF returns the write read r reads from, if recorded.
 func (x *Execution) RF(r relation.EventID) (relation.EventID, bool) {
-	w, ok := x.rf[r]
-	return w, ok
+	w := x.links[r].rf
+	return max(w, 0), w != noEvent
 }
 
 // AppendCO appends write w to the coherence order of its address.
@@ -153,94 +316,90 @@ func (x *Execution) AppendCO(w relation.EventID) error {
 	if !we.IsWrite() {
 		return fmt.Errorf("memmodel: co element %v is not a write", we)
 	}
-	x.coPos[w] = len(x.co[we.Addr])
-	x.co[we.Addr] = append(x.co[we.Addr], w)
+	l := &x.links[w]
+	a := &x.addrTab[l.addr]
+	l.coPos = int32(len(a.co))
+	a.co = append(a.co, w)
 	return nil
-}
-
-func (x *Execution) renumberCO(addr memsys.Addr) {
-	for i, id := range x.co[addr] {
-		x.coPos[id] = i
-	}
 }
 
 // CO returns the coherence order of addr (including the initial write if
 // it has been created).
-func (x *Execution) CO(addr memsys.Addr) []relation.EventID { return x.co[addr] }
+func (x *Execution) CO(addr memsys.Addr) []relation.EventID {
+	slot, ok := x.addrSlot[addr]
+	if !ok {
+		return nil
+	}
+	return x.addrTab[slot].co
+}
 
 // COIndex returns w's position within its address's coherence order —
 // the coherence clock the fastpath checker's frontier rules compare.
 func (x *Execution) COIndex(w relation.EventID) (int, bool) {
-	pos, ok := x.coPos[w]
-	return pos, ok
+	pos := x.links[w].coPos
+	return max(int(pos), 0), pos >= 0
 }
 
 // COSuccessor returns the write immediately co-after w, if any.
 func (x *Execution) COSuccessor(w relation.EventID) (relation.EventID, bool) {
-	addr := x.events[w].Addr
-	pos, ok := x.coPos[w]
-	if !ok {
+	l := x.links[w]
+	if l.coPos < 0 {
 		return 0, false
 	}
-	order := x.co[addr]
-	if pos+1 < len(order) {
-		return order[pos+1], true
+	if order := x.addrTab[l.addr].co; int(l.coPos)+1 < len(order) {
+		return order[l.coPos+1], true
 	}
 	return 0, false
 }
 
+// NumAddrSlots returns the number of address slots: every event that is
+// not a fence has AddrSlot in [0, NumAddrSlots).
+func (x *Execution) NumAddrSlots() int { return len(x.addrTab) }
+
+// AddrSlot returns the dense slot of event id's address, -1 for a fence.
+// Slots number the execution's addresses in order of first use; checkers
+// index their per-address state by it instead of hashing the address.
+func (x *Execution) AddrSlot(id relation.EventID) int { return int(x.links[id].addr) }
+
 // Addresses returns the sorted set of word addresses touched by writes or
-// reads of the execution. It is computed once per set of events into
+// reads of the execution. It is computed once per set of addresses into
 // storage the execution keeps: the caller must not mutate the slice, it
 // is only good until the next AddEvent, InitWrite or Reset, and — the
 // first call being a write — goroutines sharing an execution must not
 // call it concurrently.
 func (x *Execution) Addresses() []memsys.Addr {
 	if x.addrsValid {
-		return x.addrs
+		return clipped(x.addrs)
 	}
-	if x.addrSet == nil {
-		x.addrSet = make(map[memsys.Addr]struct{})
-	}
-	clear(x.addrSet)
-	for i := range x.events {
-		if x.events[i].Kind != KindFence {
-			x.addrSet[x.events[i].Addr] = struct{}{}
+	x.addrs = x.addrs[:0]
+	for i := range x.addrTab {
+		if a := &x.addrTab[i]; a.used {
+			x.addrs = append(x.addrs, a.addr)
 		}
 	}
-	addrs := slices.Grow(x.addrs[:0], len(x.addrSet))
-	for a := range x.addrSet {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	x.addrs, x.addrsValid = addrs, true
-	return addrs
+	slices.Sort(x.addrs)
+	x.addrsValid = true
+	return clipped(x.addrs)
 }
 
-// RFRelation returns rf as a relation (write -> read).
-func (x *Execution) RFRelation() *relation.Relation {
-	return x.RFRelationInto(relation.New())
-}
-
-// RFRelationInto adds the rf edges to r and returns it — the
-// caller-provided-buffer variant the pooled check scratch uses.
+// RFRelationInto adds the rf edges (write -> read) to r and returns it.
+// The relation builders fill caller-provided sinks: the pooled check
+// scratch keeps them from one execution to the next.
 func (x *Execution) RFRelationInto(r *relation.Relation) *relation.Relation {
-	for read, write := range x.rf {
-		r.Add(write, read)
+	for read := range x.links {
+		if write := x.links[read].rf; write != noEvent {
+			r.Add(write, relation.EventID(read))
+		}
 	}
 	return r
 }
 
-// CORelation returns the immediate-successor edges of co. Reachability
-// over immediate edges equals the full co order, which is all the cycle
-// search needs.
-func (x *Execution) CORelation() *relation.Relation {
-	return x.CORelationInto(relation.New())
-}
-
-// CORelationInto adds the immediate co edges to r and returns it.
+// CORelationInto adds the immediate-successor edges of co to r and
+// returns it. Reachability over immediate edges equals the full co
+// order, which is all the cycle search needs.
 func (x *Execution) CORelationInto(r *relation.Relation) *relation.Relation {
-	for _, order := range x.co {
+	for s := range x.addrTab {
+		order := x.addrTab[s].co
 		for i := 0; i+1 < len(order); i++ {
 			r.Add(order[i], order[i+1])
 		}
@@ -248,61 +407,87 @@ func (x *Execution) CORelationInto(r *relation.Relation) *relation.Relation {
 	return r
 }
 
-// FRRelation returns the from-read relation fr = rf⁻¹;co as immediate
-// edges: each read points at the co-successor of the write it read from;
-// reachability extends to all later writes through co edges.
-func (x *Execution) FRRelation() *relation.Relation {
-	return x.FRRelationInto(relation.New())
-}
-
-// FRRelationInto adds the immediate fr edges to r and returns it.
+// FRRelationInto adds the from-read relation fr = rf⁻¹;co to r as
+// immediate edges and returns it: each read points at the co-successor
+// of the write it read from; reachability extends to all later writes
+// through co edges.
 func (x *Execution) FRRelationInto(r *relation.Relation) *relation.Relation {
-	for read, write := range x.rf {
-		if succ, ok := x.COSuccessor(write); ok {
-			r.Add(read, succ)
+	for read := range x.links {
+		if write := x.links[read].rf; write != noEvent {
+			if succ, ok := x.COSuccessor(write); ok {
+				r.Add(relation.EventID(read), succ)
+			}
 		}
 	}
 	return r
 }
 
-// POLocRelation returns program order restricted to same-address pairs,
-// as per-(thread,address) chains of immediate edges.
-func (x *Execution) POLocRelation() *relation.Relation {
-	return x.POLocRelationInto(relation.New())
-}
-
-// POLocRelationInto adds the po-loc chain edges to r and returns it.
-func (x *Execution) POLocRelationInto(r *relation.Relation) *relation.Relation {
-	for _, ids := range x.threads {
-		last := make(map[memsys.Addr]relation.EventID)
+// POLocRelationInto adds program order restricted to same-address pairs
+// to r, as per-(thread, address) chains of immediate edges, and returns
+// it. last is working storage the caller keeps: the latest event of the
+// thread being walked, per address slot.
+func (x *Execution) POLocRelationInto(r *relation.Relation, last *AddrMarks) *relation.Relation {
+	for _, ids := range x.po {
+		last.Begin(x)
 		for _, id := range ids {
-			e := &x.events[id]
-			if e.Kind == KindFence {
+			slot := x.links[id].addr
+			if slot < 0 {
 				continue
 			}
-			if prev, ok := last[e.Addr]; ok {
-				r.Add(prev, id)
+			if prev, ok := last.Swap(int(slot), int64(id)); ok {
+				r.Add(relation.EventID(prev), id)
 			}
-			last[e.Addr] = id
 		}
 	}
 	return r
 }
 
-// RFERelation returns external read-from edges (writer and reader on
-// different threads). Initial writes are external to every reader.
-func (x *Execution) RFERelation() *relation.Relation {
-	return x.RFERelationInto(relation.New())
-}
-
-// RFERelationInto adds the external rf edges to r and returns it.
+// RFERelationInto adds the external read-from edges (writer and reader
+// on different threads) to r and returns it. Initial writes are external
+// to every reader.
 func (x *Execution) RFERelationInto(r *relation.Relation) *relation.Relation {
-	for read, write := range x.rf {
-		if x.events[read].Key.TID != x.events[write].Key.TID {
-			r.Add(write, read)
+	for read := range x.links {
+		if write := x.links[read].rf; write != noEvent && x.events[read].Key.TID != x.events[write].Key.TID {
+			r.Add(write, relation.EventID(read))
 		}
 	}
 	return r
+}
+
+// AddrMarks is per-address-slot working storage for a walk that visits
+// one thread at a time — the latest event, or the latest coherence
+// clock, seen at each address. Begin starts a thread by stamping a new
+// epoch rather than clearing, so a walk costs its events, not threads ×
+// addresses. The zero value is ready; the storage is kept between walks.
+type AddrMarks struct {
+	epoch uint32
+	marks []addrMark
+}
+
+type addrMark struct {
+	epoch uint32
+	val   int64
+}
+
+// Begin forgets every mark and makes room for x's address slots.
+func (m *AddrMarks) Begin(x *Execution) {
+	if n := x.NumAddrSlots(); len(m.marks) < n {
+		m.marks = append(m.marks, make([]addrMark, n-len(m.marks))...)
+	}
+	m.epoch++
+	if m.epoch == 0 { // wrapped: stale stamps could alias, so really clear
+		clear(m.marks)
+		m.epoch = 1
+	}
+}
+
+// Swap marks slot with val and returns the mark it replaces, if the slot
+// was marked since Begin.
+func (m *AddrMarks) Swap(slot int, val int64) (prev int64, ok bool) {
+	k := &m.marks[slot]
+	prev, ok = k.val, k.epoch == m.epoch
+	k.epoch, k.val = m.epoch, val
+	return prev, ok
 }
 
 // Validate performs structural sanity checks: every read has an rf edge,
@@ -312,15 +497,15 @@ func (x *Execution) Validate() error {
 		e := &x.events[i]
 		switch {
 		case e.IsRead():
-			w, ok := x.rf[e.ID]
-			if !ok {
+			w := x.links[i].rf
+			if w == noEvent {
 				return fmt.Errorf("memmodel: read %v has no rf edge", e)
 			}
 			if x.events[w].Value != e.Value {
 				return fmt.Errorf("memmodel: rf value mismatch: %v reads-from %v", e, &x.events[w])
 			}
 		case e.IsWrite():
-			if _, ok := x.coPos[e.ID]; !ok {
+			if x.links[i].coPos < 0 {
 				return fmt.Errorf("memmodel: write %v not in coherence order", e)
 			}
 		}

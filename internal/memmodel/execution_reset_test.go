@@ -39,12 +39,16 @@ func fillRandom(x *Execution, rng *rand.Rand, threads, ops, addrs int) {
 	}
 }
 
-// view flattens everything an execution exposes.
+// view flattens everything an execution exposes, the co and po-loc
+// edges the exact checker derives from it included.
 func view(x *Execution) map[string]any {
 	v := map[string]any{
 		"events":    append([]Event(nil), x.Events()...),
-		"threads":   x.Threads(),
-		"addresses": x.Addresses(),
+		"threads":   append([]int(nil), x.Threads()...),
+		"addresses": append([]memsys.Addr(nil), x.Addresses()...),
+		"co-edges":  x.CORelationInto(relation.New()).Edges(),
+		"po-loc":    x.POLocRelationInto(relation.New(), new(AddrMarks)).Edges(),
+		"slots":     x.NumAddrSlots(),
 	}
 	for _, tid := range append(x.Threads(), InitTID) {
 		v["thread"+Key{TID: tid}.String()] = append([]relation.EventID(nil), x.ThreadEvents(tid)...)
@@ -95,6 +99,55 @@ func TestExecutionResetEqualsFresh(t *testing.T) {
 	}
 }
 
+// TestResetForgetsThreadsAndAddresses: what the first use had and the
+// second lacks is gone from every accessor — not an empty thread, not an
+// address with an empty coherence order, not a co or po-loc edge.
+func TestResetForgetsThreadsAndAddresses(t *testing.T) {
+	x := NewExecution()
+	fillRandom(x, rand.New(rand.NewSource(9)), 7, 300, 9)
+	if len(x.Threads()) != 7 || len(x.Addresses()) != 9 {
+		t.Fatalf("first use: threads %v, addresses %v", x.Threads(), x.Addresses())
+	}
+	gone := x.Addresses()[8]
+	x.Reset()
+
+	const tid, addr = 1 << 30, memsys.Addr(0x2000)
+	w := x.AddEvent(Event{Key: Key{TID: tid}, Kind: KindWrite, Addr: addr, Value: 1})
+	if err := x.AppendCO(w); err != nil {
+		t.Fatal(err)
+	}
+	r := x.AddEvent(Event{Key: Key{TID: tid, Instr: 1}, Kind: KindRead, Addr: addr, Value: 1})
+	if err := x.SetRF(r, w); err != nil {
+		t.Fatal(err)
+	}
+	if got := x.Threads(); !reflect.DeepEqual(got, []int{tid}) {
+		t.Errorf("Threads = %v, want [%d]", got, tid)
+	}
+	if got := x.Addresses(); !reflect.DeepEqual(got, []memsys.Addr{addr}) {
+		t.Errorf("Addresses = %v, want [%v]", got, addr)
+	}
+	for stale := 0; stale < 7; stale++ {
+		if ids := x.ThreadEvents(stale); len(ids) != 0 {
+			t.Errorf("thread %d of the first use still has events %v", stale, ids)
+		}
+	}
+	if co := x.CO(gone); co != nil {
+		t.Errorf("CO(%v) of the first use = %v, want none", gone, co)
+	}
+	if got := x.CO(addr); !reflect.DeepEqual(got, []relation.EventID{w}) {
+		t.Errorf("CO(%v) = %v, want [%d]", addr, got, w)
+	}
+	if n := x.NumAddrSlots(); n != 1 {
+		t.Errorf("%d address slots, want 1", n)
+	}
+	if n := x.CORelationInto(relation.New()).Len(); n != 0 {
+		t.Errorf("%d co edges, want none", n)
+	}
+	if got := x.POLocRelationInto(relation.New(), new(AddrMarks)).Edges(); !reflect.DeepEqual(got, []relation.Edge{{From: w, To: r}}) {
+		t.Errorf("po-loc edges %v, want [%d->%d]", got, w, r)
+	}
+}
+
 // TestAddressesComputedOncePerExecution: the address set is computed on
 // first use and answered from the execution's own storage afterwards —
 // a checked iteration asks for it three times — until an event is added
@@ -106,8 +159,15 @@ func TestAddressesComputedOncePerExecution(t *testing.T) {
 	if len(want) != 6 {
 		t.Fatalf("Addresses = %v, want 6 distinct", want)
 	}
-	if n := testing.AllocsPerRun(100, func() { x.Addresses() }); n != 0 {
-		t.Fatalf("a repeated Addresses call allocates %.0f objects, want 0", n)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, a := range x.Addresses() {
+			x.CO(a)
+		}
+		for _, tid := range x.Threads() {
+			x.ThreadEvents(tid)
+		}
+	}); n != 0 {
+		t.Fatalf("repeated Addresses and Threads calls allocate %.0f objects, want 0", n)
 	}
 	if got := x.Addresses(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("repeated call returned %v, first %v", got, want)

@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"repro/internal/memmodel"
-	"repro/internal/memsys"
 	"repro/internal/relation"
 )
 
@@ -77,7 +76,9 @@ type Verdict struct {
 // Checker holds the reusable flat scratch of the clock pass. It is
 // single-goroutine, like memmodel.Scratch; each recorder owns one.
 type Checker struct {
-	frontier map[memsys.Addr]int64
+	// frontier is the uniproc scan's latest coherence clock per address
+	// slot of the thread being walked.
+	frontier memmodel.AddrMarks
 
 	// GHB graph scratch: a flat edge list bucket-sorted into CSR form,
 	// plus the Kahn in-degree array and wavefront stack.
@@ -90,9 +91,7 @@ type Checker struct {
 }
 
 // New returns a ready checker.
-func New() *Checker {
-	return &Checker{frontier: make(map[memsys.Addr]int64)}
-}
+func New() *Checker { return &Checker{} }
 
 // Supported reports whether the clock rules decide arch conclusively.
 // The set is exactly the models the rules were audited against (SC,
@@ -156,7 +155,7 @@ func (c *Checker) Decide(x *memmodel.Execution, arch memmodel.Arch) Verdict {
 // both flagged.)
 func (c *Checker) uniproc(x *memmodel.Execution) bool {
 	for _, tid := range x.Threads() {
-		clear(c.frontier)
+		c.frontier.Begin(x)
 		for _, id := range x.ThreadEvents(tid) {
 			e := x.Event(id)
 			if e.Kind == memmodel.KindFence {
@@ -171,10 +170,9 @@ func (c *Checker) uniproc(x *memmodel.Execution) bool {
 				ci, _ := x.COIndex(w)
 				pos = 2*int64(ci) + 1
 			}
-			if prev, ok := c.frontier[e.Addr]; ok && pos < prev {
+			if prev, ok := c.frontier.Swap(x.AddrSlot(id), pos); ok && pos < prev {
 				return false
 			}
-			c.frontier[e.Addr] = pos
 		}
 	}
 	return true

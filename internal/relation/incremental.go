@@ -21,6 +21,8 @@ type Topo struct {
 	ord        []int // node -> position in the maintained topological order
 	seen       []bool
 	edges      int
+	// sorted is AddRelation's edge buffer, kept from call to call.
+	sorted []Edge
 }
 
 // NewTopo returns an empty engine with capacity hints for n nodes.
@@ -245,7 +247,8 @@ func sortInts(xs []int) {
 // returning the first cycle found, if any. On a cycle the offending
 // edge is not added and the remaining edges are not attempted.
 func (t *Topo) AddRelation(r *Relation) (cycle []EventID, ok bool) {
-	for _, e := range r.Edges() {
+	t.sorted = r.AppendEdges(t.sorted[:0])
+	for _, e := range t.sorted {
 		if cycle, ok := t.AddEdge(e.From, e.To); !ok {
 			return cycle, false
 		}

@@ -8,7 +8,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,20 +80,25 @@ func (r *Relation) Successors(from EventID) []EventID {
 }
 
 // Edges returns all edges in deterministic order.
-func (r *Relation) Edges() []Edge {
-	out := make([]Edge, 0, r.n)
+func (r *Relation) Edges() []Edge { return r.AppendEdges(nil) }
+
+// AppendEdges appends all edges to buf in Edges' order — by From, then
+// To — and returns it: the variant for callers that keep a buffer.
+func (r *Relation) AppendEdges(buf []Edge) []Edge {
+	start := len(buf)
+	buf = slices.Grow(buf, r.n)
 	for from, s := range r.succ {
 		for to := range s {
-			out = append(out, Edge{from, to})
+			buf = append(buf, Edge{from, to})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(buf[start:], func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return out[i].To < out[j].To
+		return cmp.Compare(a.To, b.To)
 	})
-	return out
+	return buf
 }
 
 // dfs colours.

@@ -166,7 +166,21 @@ const (
 	maxCount       = 1 << 24
 	maxBinaryFence = 0x7f
 	maxIntField    = 1 << 31 // int-typed fields (tid, instr, sub) and counts
+	// maxPresize caps how many elements a decoder allocates on the word
+	// of a count it has just read; a longer list grows as its elements
+	// actually arrive, so a lying prefix costs at most this much.
+	maxPresize = 1 << 10
 )
+
+// presized returns an empty slice with room for n elements, or for
+// maxPresize if n is larger; an empty list stays nil, as appending
+// nothing would have left it.
+func presized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, min(n, maxPresize))
+}
 
 func (d *BinaryDecoder) fail(err error) error {
 	if d.err == nil {
@@ -187,20 +201,22 @@ func (d *BinaryDecoder) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// uint reads a uvarint destined for an int-typed field, bounding it.
-func (d *BinaryDecoder) uint(what string) (int, error) {
-	v, err := d.uvarint(what)
+// uint reads a uvarint destined for an int-typed field, bounding it. The
+// field is named what+part in errors; the two are only joined when there
+// is an error to name it in.
+func (d *BinaryDecoder) uint(what, part string) (int, error) {
+	v, err := binary.ReadUvarint(d.br)
 	if err != nil {
-		return 0, err
+		return 0, d.failf("truncated %s: %v", what+part, err)
 	}
 	if v >= maxIntField {
-		return 0, d.failf("%s %d out of range", what, v)
+		return 0, d.failf("%s %d out of range", what+part, v)
 	}
 	return int(v), nil
 }
 
 func (d *BinaryDecoder) count(what string) (int, error) {
-	n, err := d.uint(what)
+	n, err := d.uint(what, "")
 	if err != nil {
 		return 0, err
 	}
@@ -213,13 +229,13 @@ func (d *BinaryDecoder) count(what string) (int, error) {
 func (d *BinaryDecoder) ref(what string) (Ref, error) {
 	var r Ref
 	var err error
-	if r.TID, err = d.uint(what + " tid"); err != nil {
+	if r.TID, err = d.uint(what, " tid"); err != nil {
 		return r, err
 	}
-	if r.Instr, err = d.uint(what + " instr"); err != nil {
+	if r.Instr, err = d.uint(what, " instr"); err != nil {
 		return r, err
 	}
-	if r.Sub, err = d.uint(what + " sub"); err != nil {
+	if r.Sub, err = d.uint(what, " sub"); err != nil {
 		return r, err
 	}
 	return r, nil
@@ -274,15 +290,17 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.Threads = presized[Thread](nthreads)
 	for i := 0; i < nthreads; i++ {
 		var th Thread
-		if th.TID, err = d.uint("tid"); err != nil {
+		if th.TID, err = d.uint("tid", ""); err != nil {
 			return nil, err
 		}
 		nops, err := d.count("op count")
 		if err != nil {
 			return nil, err
 		}
+		th.Ops = presized[Op](nops)
 		for j := 0; j < nops; j++ {
 			flags, err := d.br.ReadByte()
 			if err != nil {
@@ -328,10 +346,10 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 				}
 			}
 			if op.Keyed {
-				if op.Instr, err = d.uint("op key instr"); err != nil {
+				if op.Instr, err = d.uint("op key instr", ""); err != nil {
 					return nil, err
 				}
-				if op.Sub, err = d.uint("op key sub"); err != nil {
+				if op.Sub, err = d.uint("op key sub", ""); err != nil {
 					return nil, err
 				}
 			}
@@ -344,6 +362,7 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.RF = presized[RFEdge](nrf)
 	for i := 0; i < nrf; i++ {
 		var e RFEdge
 		if e.Read, err = d.ref("rf read"); err != nil {
@@ -370,6 +389,7 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.CO = presized[COOrder](nco)
 	for i := 0; i < nco; i++ {
 		var c COOrder
 		addr, err := d.uvarint("co addr")
@@ -381,6 +401,7 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.Writes = presized[Ref](nwrites)
 		for j := 0; j < nwrites; j++ {
 			w, err := d.ref("co write")
 			if err != nil {

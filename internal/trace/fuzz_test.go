@@ -2,9 +2,78 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/collective"
 )
+
+// extremeTrace carries the largest values the formats admit: TID and
+// instruction index 2³¹−1, sparsely keyed instructions, the last word
+// of the address space.
+func extremeTrace() *Trace {
+	const top = math.MaxInt32
+	return &Trace{
+		Name: "extreme",
+		Threads: []Thread{
+			{TID: top, Ops: []Op{
+				{Kind: OpWrite, Addr: math.MaxUint64 - 7, Value: math.MaxUint64, Keyed: true, Instr: 1 << 20},
+				{Kind: OpRMW, Addr: math.MaxUint64 - 7, Value: math.MaxUint64, Value2: 1, Keyed: true, Instr: top},
+			}},
+			{TID: 3, Ops: []Op{
+				{Kind: OpRead, Addr: math.MaxUint64 - 7, Value: 1, Keyed: true, Instr: top, Sub: top},
+			}},
+		},
+		RF: []RFEdge{
+			{Read: Ref{TID: top, Instr: top}, Write: Ref{TID: top, Instr: 1 << 20}},
+			{Read: Ref{TID: 3, Instr: top, Sub: top}, Write: Ref{TID: top, Instr: top, Sub: 1}},
+		},
+		CO: []COOrder{{Addr: math.MaxUint64 - 7, Writes: []Ref{{TID: top, Instr: 1 << 20}, {TID: top, Instr: top, Sub: 1}}}},
+	}
+}
+
+// residue is what a reused Materializer held before the trace under
+// test: other threads, other addresses, more events, pins and an
+// override — none of which may show afterwards.
+var residue = &Trace{
+	Name: "residue",
+	Threads: []Thread{
+		{TID: 9, Ops: []Op{{Kind: OpWrite, Addr: 0x100, Value: 5}, {Kind: OpWrite, Addr: 0x100, Value: 6}, {Kind: OpFence}}},
+		{TID: 0, Ops: []Op{{Kind: OpRead, Addr: 0x100, Value: 6}, {Kind: OpRead, Addr: 0x900, Value: 0, Keyed: true, Instr: 70}}},
+		{TID: 4, Ops: []Op{{Kind: OpRMW, Addr: 0x200, Value: 0, Value2: 7}}},
+	},
+	RF: []RFEdge{{Read: Ref{TID: 0, Instr: 70}, Init: true}},
+	CO: []COOrder{{Addr: 0x100, Writes: []Ref{{TID: 9, Instr: 1}, {TID: 9}}}},
+}
+
+// materializeBothWays materializes tr fresh and into a Materializer that
+// last held a different trace, and requires the two to be
+// indistinguishable: the same events, the same signature, the same error
+// text.
+func materializeBothWays(t *testing.T, tr *Trace) {
+	t.Helper()
+	fresh, ferr := tr.Execution()
+	var m Materializer
+	if _, err := m.Execution(residue); err != nil {
+		t.Fatalf("residue trace: %v", err)
+	}
+	reused, rerr := m.Execution(tr)
+	if fmt.Sprint(ferr) != fmt.Sprint(rerr) {
+		t.Fatalf("fresh materialization: %v\nreused: %v", ferr, rerr)
+	}
+	if ferr != nil {
+		return
+	}
+	if !slices.Equal(fresh.Events(), reused.Events()) {
+		t.Fatalf("events differ:\n fresh  %v\n reused %v", fresh.Events(), reused.Events())
+	}
+	if f, r := collective.Signature(fresh), collective.Signature(reused); f != r {
+		t.Fatalf("signature %x fresh, %x reused", f, r)
+	}
+}
 
 // FuzzTextDecoder: arbitrary input must never panic the text decoder,
 // and anything it accepts must re-encode and re-decode to the same
@@ -17,6 +86,12 @@ func FuzzTextDecoder(f *testing.F) {
 	f.Add("mctrace 2\n")
 	f.Add("mctrace 1\ntrace t\nthread 0\nw 99999999999999999999 1\nend\n")
 	f.Add("")
+	var extreme bytes.Buffer
+	if err := WriteText(&extreme, extremeTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(extreme.String())
+	f.Add("mctrace 1\ntrace sparse\nthread 2147483647\nw 0xfffffffffffffff8 1 @2147483647\nr 0xfffffffffffffff8 1 @5.2147483647\nthread 0\nf ll @99\nr 0xfffffffffffffff8 0 @7\nrf 0:7 init\nend\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		traces, err := DecodeAll(bytes.NewReader([]byte(in)))
 		if err != nil {
@@ -34,15 +109,16 @@ func FuzzTextDecoder(f *testing.F) {
 			t.Fatalf("decode(encode(decode(in))) != decode(in)\nin: %q", in)
 		}
 		// Materialization may legitimately fail (structural errors), but
-		// must not panic.
+		// must not panic, and must not depend on what the storage held.
 		for _, tr := range traces {
-			_, _ = tr.Execution()
+			materializeBothWays(t, tr)
 		}
 	})
 }
 
 // FuzzBinaryDecoder: arbitrary bytes must never panic or over-allocate
-// the binary decoder.
+// the binary decoder, and whatever it accepts materializes — or fails to
+// — the same way fresh and into reused storage.
 func FuzzBinaryDecoder(f *testing.F) {
 	tr := &Trace{
 		Name: "seed",
@@ -65,10 +141,20 @@ func FuzzBinaryDecoder(f *testing.F) {
 	f.Add([]byte("MCVB\x01"))
 	f.Add([]byte("MCVB\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte{})
+	for _, tr := range []*Trace{extremeTrace(), residue} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		traces, err := DecodeAllBinary(bytes.NewReader(in))
 		if err != nil {
 			return
+		}
+		for _, tr := range traces {
+			materializeBothWays(t, tr)
 		}
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, traces...); err != nil {

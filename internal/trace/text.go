@@ -382,6 +382,7 @@ func (d *Decoder) co(f []string) (COOrder, error) {
 		return c, d.errf("%v", err)
 	}
 	c.Addr = addr
+	c.Writes = make([]Ref, 0, len(f)-2) // as many as the line has tokens
 	for _, tok := range f[2:] {
 		ref, err := parseRef(tok)
 		if err != nil {

@@ -23,7 +23,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
@@ -175,24 +177,78 @@ func (o *Op) key(tid, next int) (memmodel.Key, int) {
 // observations are pinned, everything else resolves by value and
 // registration order. Events are added thread-major in declaration
 // order, so decoding the same trace always yields byte-identical
-// executions.
+// executions. The execution is built in storage of its own and belongs
+// to the caller; a Materializer is the variant that reuses storage.
 func (t *Trace) Execution() (*memmodel.Execution, error) {
-	b := memmodel.NewBuilder()
-	byKey := make(map[Ref]relation.EventID)
-	note := func(tid int, k memmodel.Key, id relation.EventID) error {
-		ref := Ref{TID: tid, Instr: k.Instr, Sub: k.Sub}
-		if _, dup := byKey[ref]; dup {
-			return fmt.Errorf("trace %s: duplicate event key %v", t.label(), ref)
-		}
-		byKey[ref] = id
-		return nil
+	return new(Materializer).Execution(t)
+}
+
+// Materializer materializes traces one after another into storage it
+// keeps — one memmodel.Builder and the execution inside it — so a
+// caller deciding a stream of traces allocates for the largest, not for
+// each. The execution a call returns is only good until the next call:
+// whoever needs to keep one uses Trace.Execution. The zero value is
+// ready; a Materializer is single-goroutine.
+type Materializer struct {
+	b *memmodel.Builder
+	// decls is the thread declarations sorted by TID; writes one
+	// coherence order's resolved refs.
+	decls  []threadDecl
+	writes []relation.EventID
+}
+
+// threadDecl is one thread declaration: its TID and its position in
+// Trace.Threads.
+type threadDecl struct{ tid, index int }
+
+// declare registers t's threads with the builder in ascending TID order
+// (what Builder.DeclareThread asks for) and returns the index of the
+// first thread declaring a TID an earlier thread already declared, or
+// len(t.Threads).
+func (m *Materializer) declare(t *Trace) int {
+	m.decls = m.decls[:0]
+	for i := range t.Threads {
+		m.decls = append(m.decls, threadDecl{tid: t.Threads[i].TID, index: i})
 	}
-	seenTID := make(map[int]bool)
-	for _, th := range t.Threads {
-		if seenTID[th.TID] {
-			return nil, fmt.Errorf("trace %s: thread %d declared twice", t.label(), th.TID)
+	slices.SortFunc(m.decls, func(a, b threadDecl) int {
+		if c := cmp.Compare(a.tid, b.tid); c != 0 {
+			return c
 		}
-		seenTID[th.TID] = true
+		return cmp.Compare(a.index, b.index)
+	})
+	repeat := len(t.Threads)
+	for i, d := range m.decls {
+		if i > 0 && d.tid == m.decls[i-1].tid {
+			repeat = min(repeat, d.index)
+			continue
+		}
+		m.b.DeclareThread(d.tid)
+	}
+	return repeat
+}
+
+// Execution is Trace.Execution into the materializer's storage: the same
+// routine, the same execution event for event, the same errors.
+func (m *Materializer) Execution(t *Trace) (*memmodel.Execution, error) {
+	if m.b == nil {
+		m.b = memmodel.NewBuilder()
+	} else {
+		m.b.Reset()
+	}
+	b := m.b
+
+	// Walk the threads up to the first malformed declaration or op. Event
+	// keys are checked for duplicates after the walk, over the events it
+	// added: a duplicate among them came before whatever stopped it.
+	repeat := m.declare(t)
+	var walkErr error
+walk:
+	for ti := range t.Threads {
+		th := &t.Threads[ti]
+		if ti == repeat {
+			walkErr = fmt.Errorf("trace %s: thread %d declared twice", t.label(), th.TID)
+			break
+		}
 		next := 0
 		for i := range th.Ops {
 			op := &th.Ops[i]
@@ -200,38 +256,30 @@ func (t *Trace) Execution() (*memmodel.Execution, error) {
 			k, next = op.key(th.TID, next)
 			switch op.Kind {
 			case OpRead:
-				id := b.ReadKeyed(k, op.Addr, op.Value, op.Atomic)
-				if err := note(th.TID, k, id); err != nil {
-					return nil, err
-				}
+				b.ReadKeyed(k, op.Addr, op.Value, op.Atomic)
 			case OpWrite:
-				id := b.WriteKeyed(k, op.Addr, op.Value, op.Atomic)
-				if err := note(th.TID, k, id); err != nil {
-					return nil, err
-				}
+				b.WriteKeyed(k, op.Addr, op.Value, op.Atomic)
 			case OpFence:
-				id := b.FenceKeyed(k, op.Fence)
-				if err := note(th.TID, k, id); err != nil {
-					return nil, err
-				}
+				b.FenceKeyed(k, op.Fence)
 			case OpRMW:
-				r := b.ReadKeyed(k, op.Addr, op.Value, true)
-				if err := note(th.TID, k, r); err != nil {
-					return nil, err
-				}
-				wk := k
-				wk.Sub = 1
-				w := b.WriteKeyed(wk, op.Addr, op.Value2, true)
-				if err := note(th.TID, wk, w); err != nil {
-					return nil, err
-				}
+				b.ReadKeyed(k, op.Addr, op.Value, true)
+				k.Sub = 1
+				b.WriteKeyed(k, op.Addr, op.Value2, true)
 			default:
-				return nil, fmt.Errorf("trace %s: thread %d op %d: unknown kind %d", t.label(), th.TID, i, op.Kind)
+				walkErr = fmt.Errorf("trace %s: thread %d op %d: unknown kind %d", t.label(), th.TID, i, op.Kind)
+				break walk
 			}
 		}
 	}
+	if k, dup := b.DuplicateKey(); dup {
+		return nil, fmt.Errorf("trace %s: duplicate event key %v", t.label(), Ref{TID: k.TID, Instr: k.Instr, Sub: k.Sub})
+	}
+	if walkErr != nil {
+		return nil, walkErr
+	}
+
 	resolve := func(ref Ref, what string) (relation.EventID, error) {
-		id, ok := byKey[ref]
+		id, ok := b.Lookup(memmodel.Key{TID: ref.TID, Instr: ref.Instr, Sub: ref.Sub})
 		if !ok {
 			return 0, fmt.Errorf("trace %s: %s references unknown event %v", t.label(), what, ref)
 		}
@@ -253,15 +301,15 @@ func (t *Trace) Execution() (*memmodel.Execution, error) {
 		b.SetRF(r, w)
 	}
 	for _, c := range t.CO {
-		writes := make([]relation.EventID, len(c.Writes))
-		for i, ref := range c.Writes {
+		m.writes = m.writes[:0]
+		for _, ref := range c.Writes {
 			w, err := resolve(ref, "co")
 			if err != nil {
 				return nil, err
 			}
-			writes[i] = w
+			m.writes = append(m.writes, w)
 		}
-		b.CO(c.Addr, writes...)
+		b.CO(c.Addr, m.writes...)
 	}
 	x, err := b.Build()
 	if err != nil {

@@ -12,6 +12,16 @@
 // pass decided. A Checker is single-goroutine; Checkers may share a
 // Memo and through it a Store.
 //
+// What a Checker keeps: its scratch for the exact procedure and, for
+// CheckTrace, one builder with the execution inside it, into which every
+// trace is materialized — the storage grows to the largest trace seen
+// and is reused for the next, so deciding a stream of traces does not
+// allocate an execution per trace. Nothing of it escapes: verdicts and
+// memo entries carry event IDs and strings, never the execution.
+// Executions a caller builds (Builder), takes from Trace.Execution or
+// hands to CheckExecution/CheckSig are the caller's: no Checker keeps,
+// resets or reuses them.
+//
 //	checker, err := oracle.NewChecker("TSO", oracle.Options{})
 //	traces, err := oracle.DecodeTraces(f)
 //	for i, tr := range traces {
@@ -177,6 +187,9 @@ type Checker struct {
 	memo   *Memo
 	scope  string
 	phases obs.PhaseStats
+	// mat is where CheckTrace materializes: one builder and execution,
+	// reused for every trace.
+	mat trace.Materializer
 }
 
 // NewChecker returns a Checker for the named model ("SC", "TSO",
@@ -210,7 +223,8 @@ func (c *Checker) Model() Model { return c.arch }
 
 // CheckExecution decides x, routing through the memo (and the durable
 // store when attached). The Result is byte-identical to
-// the exact memmodel.Checker's on every route.
+// the exact memmodel.Checker's on every route. x stays the caller's: it
+// is read during the call and not kept.
 func (c *Checker) CheckExecution(x *Execution) Result {
 	sig := collective.Signature(x)
 	res, _ := c.CheckSig(sig, x)
@@ -262,11 +276,15 @@ type Verdict struct {
 // CheckTrace materializes the trace and decides it, labelling the
 // verdict with the trace's name and stream index. Malformed traces
 // (events that cannot form an execution at all) return an error rather
-// than a verdict.
+// than a verdict. The execution is materialized into storage the Checker
+// keeps and overwrites on the next call — the same routine as
+// Trace.Execution, the same execution event for event, so verdicts,
+// signatures and errors do not depend on what was checked before; the
+// trace itself is only read.
 func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
-	x, err := t.Execution()
+	x, err := c.mat.Execution(t)
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	c.phases.Observe(obs.PhaseDecode, time.Since(t0))
 	if err != nil {
