@@ -173,6 +173,20 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestModelNamesFoldCase: -model takes any spelling of a bundled name
+// and the output carries the canonical one.
+func TestModelNamesFoldCase(t *testing.T) {
+	const valid = "mctrace 1\ntrace ok\nthread 0\nw 0x100 1\nr 0x100 1\nend\n"
+	var out, errb bytes.Buffer
+	if code := run([]string{"-model", "sc,Tso, SC"}, strings.NewReader(valid), &out, &errb); code != 0 {
+		t.Fatalf("-model sc,Tso exited %d: %s", code, errb.String())
+	}
+	if got := out.String(); !strings.Contains(got, "SC valid") || !strings.Contains(got, "TSO valid") ||
+		strings.Count(got, "valid") != 2 {
+		t.Errorf("output %q, want one canonical SC and one TSO verdict", got)
+	}
+}
+
 // TestDurableStoreWarm: a second run over the same -store answers from
 // the durable tier and reports it under -progress.
 func TestDurableStoreWarm(t *testing.T) {

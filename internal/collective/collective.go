@@ -249,10 +249,21 @@ func ScopedKey(scope string, sig Sig, arch memmodel.Arch) Sig {
 	return archKey(sig, arch, scope)
 }
 
-// Check returns the verdict for the execution whose signature is sig,
-// running the exact checker at most once per *valid* signature. hit
-// reports whether the verdict was already present (or being computed
-// by a concurrent submitter).
+// CheckFunc is the decision procedure behind a memo: it must return
+// Results identical to the exact memmodel.Checker's for every input —
+// the contract a Checker with a fast pass keeps by falling back to the
+// exact procedure whenever the clock rules cannot decide. A
+// memmodel.Checker's Check method is one.
+type CheckFunc func(*memmodel.Execution, memmodel.Arch) memmodel.Result
+
+// CheckScopedVia returns the verdict for the execution whose signature
+// is sig, running check at most once per *valid* signature. hit reports
+// whether the verdict was already present (or being computed by a
+// concurrent submitter). It is the memo's one entry point.
+//
+// Lookups are confined to a scenario scope: different scopes never
+// share verdicts, so one memo can serve a whole scenario matrix without
+// cross-scenario leakage. The empty scope is itself a scope.
 //
 // Invalid verdicts are special-cased: a hit on a known-invalid
 // signature re-derives the witness (Cycle, Detail) from the submitted
@@ -263,29 +274,9 @@ func ScopedKey(scope string, sig Sig, arch memmodel.Arch) Sig {
 // the representative's would make Result details depend on which
 // fleet worker checked first. Violations are terminal for a campaign,
 // so the re-derivation never costs more than one extra check per
-// campaign.
-func (m *Memo) Check(sig Sig, x *memmodel.Execution, arch memmodel.Arch) (res memmodel.Result, hit bool) {
-	return m.CheckScoped("", sig, x, arch)
-}
-
-// CheckScoped is Check confined to a scenario scope: lookups under
-// different scopes never share verdicts, so one memo can serve a whole
-// scenario matrix without cross-scenario leakage. The empty scope is
-// itself a scope (the one Check uses).
-func (m *Memo) CheckScoped(scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch) (res memmodel.Result, hit bool) {
-	return m.CheckScopedVia(scope, sig, x, arch, memmodel.NewChecker().Check)
-}
-
-// CheckFunc is a drop-in decision procedure for CheckScopedVia. It must
-// return Results identical to the exact memmodel.Checker's for every
-// input — the contract a Checker with a fast pass keeps by falling back
-// to the exact procedure whenever the clock rules cannot decide.
-type CheckFunc func(*memmodel.Execution, memmodel.Arch) memmodel.Result
-
-// CheckScopedVia is CheckScoped with a caller-supplied decision
-// procedure: memo misses and invalid-hit witness re-derivations both
-// run through check, so a recorder wiring its fast path in here keeps
-// one set of outcome counters covering every execution it submits.
+// campaign. Memo misses and these re-derivations both run through
+// check, so a recorder wiring its fast path in here keeps one set of
+// outcome counters covering every execution it submits.
 func (m *Memo) CheckScopedVia(scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch, check CheckFunc) (res memmodel.Result, hit bool) {
 	m.checks.Add(1)
 	key := archKey(sig, arch, scope)

@@ -158,12 +158,18 @@ func TestSignatureDistinguishesCO(t *testing.T) {
 	}
 }
 
+// exactVia submits x to m the way every caller does, through
+// CheckScopedVia, with a fresh exact checker as the decision procedure.
+func exactVia(m *Memo, scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch) (memmodel.Result, bool) {
+	return m.CheckScopedVia(scope, sig, x, arch, memmodel.NewChecker().Check)
+}
+
 func TestMemoChecksOncePerSignature(t *testing.T) {
 	m := NewMemo()
 	ops, co, rf := mpOps(102, 101)
 	for i := 0; i < 5; i++ {
 		x := replay(t, ops, co, rf)
-		res, hit := m.Check(Signature(x), x, memmodel.TSO{})
+		res, hit := exactVia(m, "", Signature(x), x, memmodel.TSO{})
 		if !res.Valid {
 			t.Fatalf("valid MP outcome rejected: %s", res.Detail)
 		}
@@ -186,7 +192,7 @@ func TestMemoVerdictMatchesDirectCheck(t *testing.T) {
 		// Submit a different interleaving of the same execution: the
 		// memoized verdict must match the direct check of either.
 		x2 := replay(t, permute(ops), co, rf)
-		got, _ := m.Check(Signature(x2), x2, memmodel.TSO{})
+		got, _ := exactVia(m, "", Signature(x2), x2, memmodel.TSO{})
 		if got.Valid != want.Valid || got.Kind != want.Kind {
 			t.Fatalf("outcome %v: memo (%v,%v) != direct (%v,%v)",
 				o, got.Valid, got.Kind, want.Valid, want.Kind)
@@ -213,10 +219,10 @@ func TestMemoKeysPerArch(t *testing.T) {
 	}
 	x := sb()
 	sig := Signature(x)
-	if res, _ := m.Check(sig, x, memmodel.TSO{}); !res.Valid {
+	if res, _ := exactVia(m, "", sig, x, memmodel.TSO{}); !res.Valid {
 		t.Fatalf("SB rejected under TSO: %s", res.Detail)
 	}
-	res, hit := m.Check(sig, sb(), memmodel.SC{})
+	res, hit := exactVia(m, "", sig, sb(), memmodel.SC{})
 	if hit {
 		t.Fatal("SC query answered from the TSO entry")
 	}
@@ -236,11 +242,11 @@ func TestMemoHitRederivesInvalidWitness(t *testing.T) {
 	m := NewMemo()
 	ops, co, rf := mpOps(102, 0) // forbidden MP outcome
 	x1 := replay(t, ops, co, rf)
-	if res, hit := m.Check(Signature(x1), x1, memmodel.TSO{}); res.Valid || hit {
+	if res, hit := exactVia(m, "", Signature(x1), x1, memmodel.TSO{}); res.Valid || hit {
 		t.Fatalf("representative: valid=%v hit=%v", res.Valid, hit)
 	}
 	x2 := replay(t, permute(ops), co, rf) // same signature, new EventIDs
-	got, hit := m.Check(Signature(x2), x2, memmodel.TSO{})
+	got, hit := exactVia(m, "", Signature(x2), x2, memmodel.TSO{})
 	if !hit || got.Valid {
 		t.Fatalf("repeat: valid=%v hit=%v", got.Valid, hit)
 	}
@@ -323,7 +329,7 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				c := cases[i%2]
-				res, _ := m.Check(c.sig, c.x, memmodel.TSO{})
+				res, _ := exactVia(m, "", c.sig, c.x, memmodel.TSO{})
 				if res.Valid != c.valid {
 					flipped.Store(i, res.Kind)
 				}

@@ -16,25 +16,25 @@ func TestMemoScopesIsolate(t *testing.T) {
 	x := replay(t, ops, co, rf)
 	sig := Signature(x)
 
-	res1, hit1 := memo.CheckScoped("MESI/TSO", sig, x, memmodel.TSO{})
+	res1, hit1 := exactVia(memo, "MESI/TSO", sig, x, memmodel.TSO{})
 	if hit1 {
 		t.Fatal("first scoped check reported a hit")
 	}
 	// Same scope: a hit.
-	if _, hit := memo.CheckScoped("MESI/TSO", sig, x, memmodel.TSO{}); !hit {
+	if _, hit := exactVia(memo, "MESI/TSO", sig, x, memmodel.TSO{}); !hit {
 		t.Fatal("same-scope recheck missed")
 	}
 	// Different scope, same model and signature: computed afresh.
-	res2, hit2 := memo.CheckScoped("MESI/TSO+sb-ooo", sig, x, memmodel.TSO{})
+	res2, hit2 := exactVia(memo, "MESI/TSO+sb-ooo", sig, x, memmodel.TSO{})
 	if hit2 {
 		t.Fatal("verdict leaked across scenario scopes")
 	}
 	if res1.Valid != res2.Valid {
 		t.Fatalf("same execution diverged across scopes: %v vs %v", res1.Valid, res2.Valid)
 	}
-	// The unscoped Check is the empty scope — also isolated from the
-	// named scopes.
-	if _, hit := memo.Check(sig, x, memmodel.TSO{}); hit {
+	// The empty scope is a scope like any other — also isolated from
+	// the named ones.
+	if _, hit := exactVia(memo, "", sig, x, memmodel.TSO{}); hit {
 		t.Fatal("verdict leaked from a named scope into the empty scope")
 	}
 	st := memo.Stats()
@@ -55,7 +55,7 @@ func TestMemoScopeAndArchIndependent(t *testing.T) {
 	sig := Signature(x)
 	for _, scope := range []string{"a", "b"} {
 		for _, arch := range []memmodel.Arch{memmodel.TSO{}, memmodel.PSO{}} {
-			if _, hit := memo.CheckScoped(scope, sig, x, arch); hit {
+			if _, hit := exactVia(memo, scope, sig, x, arch); hit {
 				t.Fatalf("fresh (scope=%s, arch=%s) reported hit", scope, arch.Name())
 			}
 		}

@@ -22,16 +22,8 @@ type Arch interface {
 	// Name returns the model's name, e.g. "TSO".
 	Name() string
 	// PPOEdges appends the preserved-program-order and fence edges of
-	// one thread (events given in program order) to r.
-	PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink)
-}
-
-// EdgeSink receives the edges PPOEdges generates. *relation.Relation
-// satisfies it for the exact checker; the fastpath checker supplies a
-// flat-array sink so both decision procedures share the one ppo/fence
-// edge-generation implementation per model.
-type EdgeSink interface {
-	Add(from, to relation.EventID)
+	// one thread (events given in program order) to g.
+	PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph)
 }
 
 // SC is sequential consistency: ppo = po, nothing is reordered.
@@ -42,9 +34,9 @@ func (SC) Name() string { return "SC" }
 
 // PPOEdges implements Arch: under SC every adjacent po pair is preserved,
 // and adjacency chains give full reachability.
-func (SC) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
+func (SC) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
 	for i := 0; i+1 < len(thread); i++ {
-		r.Add(thread[i], thread[i+1])
+		g.Add(thread[i], thread[i+1])
 	}
 }
 
@@ -65,7 +57,7 @@ func (TSO) Name() string { return "TSO" }
 //     (R→R and F→R are preserved; W→R is not, so writes get no edge
 //     towards reads and no path from a write can reach a po-later read
 //     without passing a fence).
-func (TSO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
+func (TSO) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
 	// Scan backwards keeping the nearest later event of each class.
 	// Only full fences act as ordering points: SS/LL fence events add
 	// nothing TSO does not already preserve, and giving them in-edges
@@ -79,13 +71,13 @@ func (TSO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
 			continue
 		}
 		if haveWrite {
-			r.Add(id, nextWrite)
+			g.Add(id, nextWrite)
 		}
 		if haveFence {
-			r.Add(id, nextFence)
+			g.Add(id, nextFence)
 		}
 		if haveRead && (e.IsRead() || e.IsFullFence()) {
-			r.Add(id, nextRead)
+			g.Add(id, nextRead)
 		}
 		if e.IsFullFence() {
 			// A fence orders with everything after it; later events
@@ -122,7 +114,7 @@ func (PSO) Name() string { return "PSO" }
 //     W …fence… W paths exist exactly when a fence intervenes;
 //   - writes get no other out-edges: no path from a write reaches a
 //     po-later read or write without passing a fence that orders it.
-func (PSO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
+func (PSO) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
 	var chainPrev, lastWW relation.EventID
 	haveChain, haveWW := false, false
 	for _, id := range thread {
@@ -130,10 +122,10 @@ func (PSO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
 		chainMember := e.IsRead() || e.IsFullFence()
 		wwMember := e.OrdersWW()
 		if haveChain && (chainMember || e.IsWrite()) {
-			r.Add(chainPrev, id)
+			g.Add(chainPrev, id)
 		}
 		if haveWW && (wwMember || e.IsWrite()) {
-			r.Add(lastWW, id)
+			g.Add(lastWW, id)
 		}
 		if chainMember {
 			chainPrev, haveChain = id, true
@@ -148,7 +140,7 @@ func (PSO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
 		id := thread[i]
 		e := x.Event(id)
 		if e.IsWrite() && haveWW {
-			r.Add(id, nextWW)
+			g.Add(id, nextWW)
 		}
 		if e.OrdersWW() {
 			nextWW, haveWW = id, true
@@ -173,7 +165,7 @@ func (RMO) Name() string { return "RMO" }
 // a path between two accesses exists exactly when a fence flavour that
 // orders the pair intervenes. The two chains meet only at full fences,
 // which belong to both.
-func (RMO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
+func (RMO) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
 	var lastLL, lastWW relation.EventID
 	haveLL, haveWW := false, false
 	for _, id := range thread {
@@ -181,10 +173,10 @@ func (RMO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
 		llMember := e.OrdersRR()
 		wwMember := e.OrdersWW()
 		if haveLL && (llMember || e.IsRead()) {
-			r.Add(lastLL, id)
+			g.Add(lastLL, id)
 		}
 		if haveWW && (wwMember || e.IsWrite()) {
-			r.Add(lastWW, id)
+			g.Add(lastWW, id)
 		}
 		if llMember {
 			lastLL, haveLL = id, true
@@ -199,10 +191,10 @@ func (RMO) PPOEdges(x *Execution, thread []relation.EventID, r EdgeSink) {
 		id := thread[i]
 		e := x.Event(id)
 		if e.IsRead() && haveLL {
-			r.Add(id, nextLL)
+			g.Add(id, nextLL)
 		}
 		if e.IsWrite() && haveWW {
-			r.Add(id, nextWW)
+			g.Add(id, nextWW)
 		}
 		if e.OrdersRR() {
 			nextLL, haveLL = id, true

@@ -8,20 +8,23 @@ import (
 	"repro/internal/relation"
 )
 
-// reachable reports whether to is reachable from from in r.
-func reachable(r *relation.Relation, from, to relation.EventID) bool {
+// reachable reports whether to is reachable from from in g.
+func reachable(g *relation.Graph, from, to relation.EventID) bool {
 	seen := map[relation.EventID]bool{from: true}
 	stack := []relation.EventID{from}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range r.Successors(n) {
-			if s == to {
+		for _, e := range g.Edges() {
+			if e.From != n {
+				continue
+			}
+			if e.To == to {
 				return true
 			}
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
+			if !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
 			}
 		}
 	}
@@ -74,7 +77,7 @@ func TestTSOPPOEdgesMatchNaive(t *testing.T) {
 				Addr: memsys.Addr(0x1000),
 			}))
 		}
-		r := relation.New()
+		r := new(relation.Graph)
 		TSO{}.PPOEdges(x, ids, r)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -82,7 +85,7 @@ func TestTSOPPOEdgesMatchNaive(t *testing.T) {
 				got := reachable(r, ids[i], ids[j])
 				if got != want {
 					t.Fatalf("trial %d: events %v: ordered(%d,%d) = %v, want %v\nedges: %v",
-						trial, x.Events(), i, j, got, want, r)
+						trial, x.Events(), i, j, got, want, r.Edges())
 				}
 				// Never any backwards ordering.
 				if reachable(r, ids[j], ids[i]) {
@@ -103,7 +106,7 @@ func TestSCPPOEdgesTotal(t *testing.T) {
 		}
 		ids = append(ids, x.AddEvent(Event{Key: Key{TID: 0, Instr: i}, Kind: k, Addr: 0x1000}))
 	}
-	r := relation.New()
+	r := new(relation.Graph)
 	SC{}.PPOEdges(x, ids, r)
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {

@@ -101,7 +101,7 @@ func TestWeakPPOEdgesMatchNaive(t *testing.T) {
 		}
 		// Naive closure per model over mem events.
 		for name, arch := range archs {
-			naive := relation.New()
+			naive := new(relation.Graph)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					if x.Events()[i].Kind == KindFence || x.Events()[j].Kind == KindFence {
@@ -112,7 +112,7 @@ func TestWeakPPOEdgesMatchNaive(t *testing.T) {
 					}
 				}
 			}
-			got := relation.New()
+			got := new(relation.Graph)
 			arch.PPOEdges(x, ids, got)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
@@ -123,7 +123,7 @@ func TestWeakPPOEdgesMatchNaive(t *testing.T) {
 					have := reachable(got, ids[i], ids[j])
 					if want != have {
 						t.Fatalf("trial %d %s: events %v: ordered(%d,%d) = %v, want %v\nedges: %v",
-							trial, name, x.Events(), i, j, have, want, got)
+							trial, name, x.Events(), i, j, have, want, got.Edges())
 					}
 					if reachable(got, ids[j], ids[i]) {
 						t.Fatalf("trial %d %s: backwards reachability %d<-%d", trial, name, i, j)

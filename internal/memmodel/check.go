@@ -66,42 +66,19 @@ func (r Result) Err() error {
 	return fmt.Errorf("memmodel: %s violation: %s", r.Kind, r.Detail)
 }
 
-// Scratch holds the per-check working state — the derived-relation edge
-// sets, the two incremental acyclicity engines and the po-loc walk's
+// Scratch holds the per-check working state — the constraint graph
+// with its edge list and search arrays, and the po-loc walk's
 // per-address marks — so repeated checks reuse allocations instead of
-// rebuilding maps and adjacency arrays per execution. A Scratch is
-// single-use-at-a-time; a Checker draws one from an internal pool unless
-// it was built WithScratch.
+// growing them per execution. A Scratch is single-use-at-a-time; a
+// Checker draws one from an internal pool unless it was built
+// WithScratch.
 type Scratch struct {
-	rf, co, fr, poloc, rfe, ppo *relation.Relation
-	base, uni                   *relation.Topo
-	last                        AddrMarks
+	graph relation.Graph
+	last  AddrMarks
 }
 
 // NewScratch returns an empty scratch ready for WithScratch.
-func NewScratch() *Scratch {
-	return &Scratch{
-		rf:    relation.New(),
-		co:    relation.New(),
-		fr:    relation.New(),
-		poloc: relation.New(),
-		rfe:   relation.New(),
-		ppo:   relation.New(),
-		base:  relation.NewTopo(0),
-		uni:   relation.NewTopo(0),
-	}
-}
-
-func (s *Scratch) reset() {
-	s.rf.Reset()
-	s.co.Reset()
-	s.fr.Reset()
-	s.poloc.Reset()
-	s.rfe.Reset()
-	s.ppo.Reset()
-	s.base.Reset()
-	s.uni.Reset()
-}
+func NewScratch() *Scratch { return new(Scratch) }
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
@@ -109,42 +86,27 @@ var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 // working state; it is the exact procedure under Checker.Check. The
 // procedure is the complete polynomial-time pre-silicon check of §4.1:
 // all conflict orders are visible, so each constraint is a cycle search
-// over explicit edges. The search runs on the incremental acyclicity
-// engine (relation.Topo): the co ∪ fr core shared by the uniproc and
-// GHB constraint graphs is topologically sorted once and its sort
-// state reused for both, and each constraint's own edges are inserted
-// incrementally with the first order-closing insertion yielding the
-// witness cycle. The returned Result shares no state with s, so s may
-// be reused immediately.
+// over explicit edges, run on the one acyclicity engine
+// (relation.Graph) the fast path also decides on. A valid execution
+// costs one Kahn pass per constraint graph; only a cyclic graph is
+// sorted and searched for its witness, whose identity is a property of
+// the order the relations are appended in below (relation.Graph.Cycle).
+// The returned Result shares no state with s, so s may be reused
+// immediately.
 func check(x *Execution, arch Arch, s *Scratch) Result {
 	if err := x.Validate(); err != nil {
 		return Result{Kind: ViolationStructural, Detail: err.Error()}
 	}
-	s.reset()
-
-	rf := x.RFRelationInto(s.rf)
-	co := x.CORelationInto(s.co)
-	fr := x.FRRelationInto(s.fr)
-
-	// Shared core: co ∪ fr appears in both constraint graphs. It is
-	// acyclic by construction (no edge enters a read), but a cycle here
-	// would be a same-address ordering violation, so classify it as
-	// uniproc if it ever happens.
-	base := s.base
-	for _, rel := range []*relation.Relation{co, fr} {
-		if cycle, ok := base.AddRelation(rel); !ok {
-			return uniprocViolation(x, cycle)
-		}
-	}
 
 	// Constraint 1 — uniproc / SC-per-location:
 	// acyclic(po-loc ∪ rf ∪ co ∪ fr).
-	uni := s.uni
-	uni.CopyFrom(base)
-	for _, rel := range []*relation.Relation{x.POLocRelationInto(s.poloc, &s.last), rf} {
-		if cycle, ok := uni.AddRelation(rel); !ok {
-			return uniprocViolation(x, cycle)
-		}
+	g := &s.graph
+	x.coreEdges(g)
+	x.polocEdges(g, &s.last)
+	g.Cut()
+	x.rfEdges(g, false)
+	if !g.Acyclic() {
+		return cycleViolation(x, ViolationUniproc, g, "po-loc ∪ com")
 	}
 
 	// Constraint 2 — RMW atomicity: for the read and write halves of an
@@ -155,30 +117,31 @@ func check(x *Execution, arch Arch, s *Scratch) Result {
 	}
 
 	// Constraint 3 — global happens-before:
-	// acyclic(ppo ∪ fences ∪ rfe ∪ co ∪ fr). Reuses base directly: the
-	// uniproc check is done with its copy.
-	ppo := s.ppo
-	for _, tid := range x.Threads() {
-		arch.PPOEdges(x, x.ThreadEvents(tid), ppo)
-	}
-	for _, rel := range []*relation.Relation{x.RFERelationInto(s.rfe), ppo} {
-		if cycle, ok := base.AddRelation(rel); !ok {
-			return Result{
-				Kind:   ViolationGHB,
-				Cycle:  cycle,
-				Detail: describeCycle(x, cycle, "ghb("+arch.Name()+")"),
-			}
-		}
+	// acyclic(ppo ∪ fences ∪ rfe ∪ co ∪ fr).
+	GHBGraph(x, arch, g)
+	if !g.Acyclic() {
+		return cycleViolation(x, ViolationGHB, g, "ghb("+arch.Name()+")")
 	}
 
 	return Result{Valid: true}
 }
 
-func uniprocViolation(x *Execution, cycle []relation.EventID) Result {
-	return Result{
-		Kind:   ViolationUniproc,
-		Cycle:  cycle,
-		Detail: describeCycle(x, cycle, "po-loc ∪ com"),
+// cycleViolation is the Result of a constraint whose graph g is cyclic.
+func cycleViolation(x *Execution, kind ViolationKind, g *relation.Graph, rel string) Result {
+	cycle := g.Cycle()
+	return Result{Kind: kind, Cycle: cycle, Detail: describeCycle(x, cycle, rel)}
+}
+
+// GHBGraph makes g the global-happens-before constraint graph of x
+// under arch: the co ∪ fr core, rfe, then the ppo and fence edges of
+// every thread, one segment each. The exact procedure and the fast path
+// both decide this graph, so the constraint is written down once.
+func GHBGraph(x *Execution, arch Arch, g *relation.Graph) {
+	x.coreEdges(g)
+	x.rfEdges(g, true)
+	g.Cut()
+	for _, tid := range x.Threads() {
+		arch.PPOEdges(x, x.ThreadEvents(tid), g)
 	}
 }
 

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -399,5 +400,20 @@ func TestStructuralWriteMissingFromCO(t *testing.T) {
 	}
 	if !strings.Contains(res.Detail, "not in coherence order") {
 		t.Errorf("unhelpful structural detail: %q", res.Detail)
+	}
+}
+
+// TestWarmExactCheckAllocatesNothing: a Checker with its own scratch
+// decides a valid execution out of kept storage — the steady state of a
+// recorder's RMO campaign, where every check is exact.
+func TestWarmExactCheckAllocatesNothing(t *testing.T) {
+	x := NewExecution()
+	fillRandom(x, rand.New(rand.NewSource(5)), 4, 1000, 16)
+	c := NewChecker(WithScratch(NewScratch()))
+	if res := c.Check(x, RMO{}); !res.Valid {
+		t.Fatalf("interleaved execution invalid under RMO: %s", res.Detail)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.Check(x, RMO{}) }); n != 0 {
+		t.Fatalf("a warm exact check allocates %.0f objects, want 0", n)
 	}
 }

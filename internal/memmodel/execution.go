@@ -382,51 +382,63 @@ func (x *Execution) Addresses() []memsys.Addr {
 	return clipped(x.addrs)
 }
 
-// RFRelationInto adds the rf edges (write -> read) to r and returns it.
-// The relation builders fill caller-provided sinks: the pooled check
-// scratch keeps them from one execution to the next.
-func (x *Execution) RFRelationInto(r *relation.Relation) *relation.Relation {
+// The edge emitters below append one derived relation each to a
+// constraint graph, as immediate edges: the cycle search only needs
+// reachability. They are the one derivation of each relation; check and
+// GHBGraph compose them, cutting the graph between relations.
+
+// rfEdges appends the rf edges (write -> read) to g; with externalOnly
+// just rfe, those whose writer and reader are on different threads.
+// Initial writes are external to every reader.
+func (x *Execution) rfEdges(g *relation.Graph, externalOnly bool) {
 	for read := range x.links {
-		if write := x.links[read].rf; write != noEvent {
-			r.Add(write, relation.EventID(read))
+		write := x.links[read].rf
+		if write == noEvent || externalOnly && x.events[read].Key.TID == x.events[write].Key.TID {
+			continue
 		}
+		g.Add(write, relation.EventID(read))
 	}
-	return r
 }
 
-// CORelationInto adds the immediate-successor edges of co to r and
-// returns it. Reachability over immediate edges equals the full co
-// order, which is all the cycle search needs.
-func (x *Execution) CORelationInto(r *relation.Relation) *relation.Relation {
+// coEdges appends the immediate-successor edges of co to g.
+func (x *Execution) coEdges(g *relation.Graph) {
 	for s := range x.addrTab {
 		order := x.addrTab[s].co
 		for i := 0; i+1 < len(order); i++ {
-			r.Add(order[i], order[i+1])
+			g.Add(order[i], order[i+1])
 		}
 	}
-	return r
 }
 
-// FRRelationInto adds the from-read relation fr = rf⁻¹;co to r as
-// immediate edges and returns it: each read points at the co-successor
-// of the write it read from; reachability extends to all later writes
-// through co edges.
-func (x *Execution) FRRelationInto(r *relation.Relation) *relation.Relation {
+// coreEdges makes g the co ∪ fr core both constraint graphs start
+// from, one closed segment each. The core is acyclic by construction
+// (no edge enters a read, and co is a chain per address).
+func (x *Execution) coreEdges(g *relation.Graph) {
+	g.Reset()
+	x.coEdges(g)
+	g.Cut()
+	x.frEdges(g)
+	g.Cut()
+}
+
+// frEdges appends the from-read relation fr = rf⁻¹;co to g: each read
+// points at the co-successor of the write it read from, and reaches all
+// later writes through co edges.
+func (x *Execution) frEdges(g *relation.Graph) {
 	for read := range x.links {
 		if write := x.links[read].rf; write != noEvent {
 			if succ, ok := x.COSuccessor(write); ok {
-				r.Add(relation.EventID(read), succ)
+				g.Add(relation.EventID(read), succ)
 			}
 		}
 	}
-	return r
 }
 
-// POLocRelationInto adds program order restricted to same-address pairs
-// to r, as per-(thread, address) chains of immediate edges, and returns
-// it. last is working storage the caller keeps: the latest event of the
-// thread being walked, per address slot.
-func (x *Execution) POLocRelationInto(r *relation.Relation, last *AddrMarks) *relation.Relation {
+// polocEdges appends program order restricted to same-address pairs to
+// g, as per-(thread, address) chains. last is working storage the
+// caller keeps: the latest event of the thread being walked, per
+// address slot.
+func (x *Execution) polocEdges(g *relation.Graph, last *AddrMarks) {
 	for _, ids := range x.po {
 		last.Begin(x)
 		for _, id := range ids {
@@ -435,23 +447,10 @@ func (x *Execution) POLocRelationInto(r *relation.Relation, last *AddrMarks) *re
 				continue
 			}
 			if prev, ok := last.Swap(int(slot), int64(id)); ok {
-				r.Add(relation.EventID(prev), id)
+				g.Add(relation.EventID(prev), id)
 			}
 		}
 	}
-	return r
-}
-
-// RFERelationInto adds the external read-from edges (writer and reader
-// on different threads) to r and returns it. Initial writes are external
-// to every reader.
-func (x *Execution) RFERelationInto(r *relation.Relation) *relation.Relation {
-	for read := range x.links {
-		if write := x.links[read].rf; write != noEvent && x.events[read].Key.TID != x.events[write].Key.TID {
-			r.Add(write, relation.EventID(read))
-		}
-	}
-	return r
 }
 
 // AddrMarks is per-address-slot working storage for a walk that visits

@@ -39,6 +39,20 @@ func fillRandom(x *Execution, rng *rand.Rand, threads, ops, addrs int) {
 	}
 }
 
+// coEdgesOf and polocEdgesOf return the co and po-loc edges the exact
+// checker derives from x, in the order it appends them.
+func coEdgesOf(x *Execution) []relation.Edge {
+	g := new(relation.Graph)
+	x.coEdges(g)
+	return g.Edges()
+}
+
+func polocEdgesOf(x *Execution) []relation.Edge {
+	g := new(relation.Graph)
+	x.polocEdges(g, new(AddrMarks))
+	return g.Edges()
+}
+
 // view flattens everything an execution exposes, the co and po-loc
 // edges the exact checker derives from it included.
 func view(x *Execution) map[string]any {
@@ -46,8 +60,8 @@ func view(x *Execution) map[string]any {
 		"events":    append([]Event(nil), x.Events()...),
 		"threads":   append([]int(nil), x.Threads()...),
 		"addresses": append([]memsys.Addr(nil), x.Addresses()...),
-		"co-edges":  x.CORelationInto(relation.New()).Edges(),
-		"po-loc":    x.POLocRelationInto(relation.New(), new(AddrMarks)).Edges(),
+		"co-edges":  coEdgesOf(x),
+		"po-loc":    polocEdgesOf(x),
 		"slots":     x.NumAddrSlots(),
 	}
 	for _, tid := range append(x.Threads(), InitTID) {
@@ -140,10 +154,10 @@ func TestResetForgetsThreadsAndAddresses(t *testing.T) {
 	if n := x.NumAddrSlots(); n != 1 {
 		t.Errorf("%d address slots, want 1", n)
 	}
-	if n := x.CORelationInto(relation.New()).Len(); n != 0 {
+	if n := len(coEdgesOf(x)); n != 0 {
 		t.Errorf("%d co edges, want none", n)
 	}
-	if got := x.POLocRelationInto(relation.New(), new(AddrMarks)).Edges(); !reflect.DeepEqual(got, []relation.Edge{{From: w, To: r}}) {
+	if got := polocEdgesOf(x); !reflect.DeepEqual(got, []relation.Edge{{From: w, To: r}}) {
 		t.Errorf("po-loc edges %v, want [%d->%d]", got, w, r)
 	}
 }

@@ -1,8 +1,8 @@
 // Package fastpath implements a near-linear-time decision procedure for
 // the TSO-like models (SC, TSO, PSO) in the style of Roy et al., "Fast
 // and Generalized Polynomial Time Memory Consistency Verification": the
-// same candidate execution the exact checker sees is decided by clock
-// rules instead of incremental topological sorting.
+// same candidate execution the exact checker sees is decided without
+// building the uniproc constraint graph and without deriving a witness.
 //
 //   - The uniproc constraint (SC-per-location) collapses to a frontier
 //     scan: assign every access a coherence clock — a write's position
@@ -13,11 +13,11 @@
 //     exactly acyclic(po-loc ∪ rf ∪ co ∪ fr); the rule is complete in
 //     both directions, not an approximation.
 //   - The GHB constraint is decided by frontier propagation (Kahn
-//     waves) over a flat CSR graph built from the same per-model
-//     ppo/fence edge generators the exact checker uses (shared through
-//     memmodel.EdgeSink), plus rfe, immediate co and immediate fr. The
-//     wavefront is the vector clock: events drain in happens-before
-//     order, and a residue means a cycle.
+//     waves) over the very graph the exact checker decides
+//     (memmodel.GHBGraph: the per-model ppo/fence edges plus rfe,
+//     immediate co and immediate fr) on the same engine
+//     (relation.Graph). The wavefront is the vector clock: events drain
+//     in happens-before order, and a residue means a cycle.
 //
 // The pass returns Valid, Invalid, or Inconclusive. RMO (and any model
 // the clock rules were not audited against) and structurally malformed
@@ -80,14 +80,9 @@ type Checker struct {
 	// slot of the thread being walked.
 	frontier memmodel.AddrMarks
 
-	// GHB graph scratch: a flat edge list bucket-sorted into CSR form,
-	// plus the Kahn in-degree array and wavefront stack.
-	edges []relation.Edge
-	off   []int32
-	cur   []int32
-	indeg []int32
-	adj   []relation.EventID
-	queue []relation.EventID
+	// ghb is the GHB constraint graph, kept for its edge list and
+	// search arrays.
+	ghb relation.Graph
 }
 
 // New returns a ready checker.
@@ -137,7 +132,8 @@ func (c *Checker) Decide(x *memmodel.Execution, arch memmodel.Arch) Verdict {
 	if _, ok := memmodel.CheckAtomicity(x); !ok {
 		return Verdict{Outcome: OutcomeInvalid, Kind: memmodel.ViolationAtomicity}
 	}
-	if !c.ghbAcyclic(x, arch) {
+	memmodel.GHBGraph(x, arch, &c.ghb)
+	if !c.ghb.Acyclic() {
 		return Verdict{Outcome: OutcomeInvalid, Kind: memmodel.ViolationGHB}
 	}
 	return Verdict{Outcome: OutcomeValid}
@@ -176,100 +172,4 @@ func (c *Checker) uniproc(x *memmodel.Execution) bool {
 		}
 	}
 	return true
-}
-
-// Add implements memmodel.EdgeSink by appending to the flat GHB edge
-// list — the conduit through which the per-model PPOEdges generators
-// feed the clock pass.
-func (c *Checker) Add(from, to relation.EventID) {
-	c.edges = append(c.edges, relation.Edge{From: from, To: to})
-}
-
-// ghbAcyclic decides acyclic(ppo ∪ fences ∪ rfe ∪ co ∪ fr) by Kahn
-// wave propagation: gather the same edge set the exact checker sorts
-// incrementally, bucket it into CSR arrays, and drain zero-in-degree
-// events. Duplicated edges are harmless (counted symmetrically on both
-// endpoints), so no dedup pass is needed.
-func (c *Checker) ghbAcyclic(x *memmodel.Execution, arch memmodel.Arch) bool {
-	n := x.NumEvents()
-	c.edges = c.edges[:0]
-	for _, tid := range x.Threads() {
-		arch.PPOEdges(x, x.ThreadEvents(tid), c)
-	}
-	events := x.Events()
-	for i := range events {
-		e := &events[i]
-		switch {
-		case e.IsRead():
-			w, _ := x.RF(e.ID)
-			if events[w].Key.TID != e.Key.TID {
-				c.edges = append(c.edges, relation.Edge{From: w, To: e.ID}) // rfe
-			}
-			if succ, ok := x.COSuccessor(w); ok {
-				c.edges = append(c.edges, relation.Edge{From: e.ID, To: succ}) // fr
-			}
-		case e.IsWrite():
-			if succ, ok := x.COSuccessor(e.ID); ok {
-				c.edges = append(c.edges, relation.Edge{From: e.ID, To: succ}) // co
-			}
-		}
-	}
-
-	c.off = growInt32(c.off, n+1)
-	c.cur = growInt32(c.cur, n)
-	c.indeg = growInt32(c.indeg, n)
-	for _, e := range c.edges {
-		c.off[e.From]++
-		c.indeg[e.To]++
-	}
-	var sum int32
-	for v := 0; v < n; v++ {
-		cnt := c.off[v]
-		c.off[v] = sum
-		c.cur[v] = sum
-		sum += cnt
-	}
-	c.off[n] = sum
-	c.adj = growIDs(c.adj, len(c.edges))
-	for _, e := range c.edges {
-		c.adj[c.cur[e.From]] = e.To
-		c.cur[e.From]++
-	}
-
-	queue := growIDs(c.queue, n)[:0]
-	for v := 0; v < n; v++ {
-		if c.indeg[v] == 0 {
-			queue = append(queue, relation.EventID(v))
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
-		for _, w := range c.adj[c.off[v]:c.off[v+1]] {
-			c.indeg[w]--
-			if c.indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	c.queue = queue[:0]
-	return processed == n
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func growIDs(s []relation.EventID, n int) []relation.EventID {
-	if cap(s) < n {
-		return make([]relation.EventID, n)
-	}
-	return s[:n]
 }

@@ -34,6 +34,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/collective"
@@ -93,8 +94,17 @@ func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 // Models returns the bundled model names in containment order.
 func Models() []string { return memmodel.Names() }
 
-// ModelByName resolves a model name (case-insensitive).
-func ModelByName(name string) (Model, error) { return memmodel.ByName(name) }
+// ModelByName resolves a model name (case-insensitive). This is the one
+// place case is folded: memmodel.ByName and everything that compares
+// model names behind it (scenario IDs, store scopes) see canonical names.
+func ModelByName(name string) (Model, error) {
+	for _, known := range memmodel.Names() {
+		if strings.EqualFold(name, known) {
+			return memmodel.ByName(known)
+		}
+	}
+	return memmodel.ByName(name) // the error names the spelling it was given
+}
 
 // Signature computes the canonical signature of x — the key verdicts
 // are memoized and persisted under (after the scope fold; see
@@ -195,7 +205,7 @@ type Checker struct {
 // NewChecker returns a Checker for the named model ("SC", "TSO",
 // "PSO", "RMO"; case-insensitive).
 func NewChecker(model string, opts Options) (*Checker, error) {
-	arch, err := memmodel.ByName(model)
+	arch, err := ModelByName(model)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %v", err)
 	}

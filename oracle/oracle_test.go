@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -200,6 +201,29 @@ func TestTraceReaderAuto(t *testing.T) {
 	}
 	if _, err := NewTraceReader(&bytes.Buffer{}, "sideways"); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+}
+
+// TestModelNamesFoldCase: the oracle's two entry points that take a
+// model name accept any case and answer with the canonical model; an
+// unknown name is reported as it was spelled.
+func TestModelNamesFoldCase(t *testing.T) {
+	for _, name := range []string{"tso", "Tso", "TSO"} {
+		c, err := NewChecker(name, Options{})
+		if err != nil {
+			t.Fatalf("NewChecker(%q): %v", name, err)
+		}
+		if got := c.Model().Name(); got != "TSO" {
+			t.Errorf("NewChecker(%q) decides %s, want TSO", name, got)
+		}
+	}
+	for _, want := range Models() {
+		if m, err := ModelByName(strings.ToLower(want)); err != nil || m.Name() != want {
+			t.Errorf("ModelByName(%q) = %v, %v; want %s", strings.ToLower(want), m, err, want)
+		}
+	}
+	if _, err := NewChecker("power", Options{}); err == nil || !strings.Contains(err.Error(), `"power"`) {
+		t.Errorf("NewChecker(power): error %v, want one naming \"power\"", err)
 	}
 }
 
