@@ -16,13 +16,14 @@
 package collective
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"hash/fnv"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/memmodel"
-	"repro/internal/relation"
 	"repro/internal/stats"
 )
 
@@ -33,6 +34,17 @@ import (
 // program slices) never collide except by 128-bit hash accident, which
 // the non-adversarial simulation workload makes negligible.
 type Sig struct{ Hi, Lo uint64 }
+
+// String returns the signature as 32 lower-case hex digits, Hi then Lo —
+// the form verdicts and goldens carry it in.
+func (s Sig) String() string {
+	var raw [16]byte
+	var digits [32]byte
+	binary.BigEndian.PutUint64(raw[:8], s.Hi)
+	binary.BigEndian.PutUint64(raw[8:], s.Lo)
+	hex.Encode(digits[:], raw[:])
+	return string(digits[:])
+}
 
 // Section markers keep the variable-length sections of the canonical
 // serialization from aliasing one another.
@@ -52,24 +64,22 @@ const (
 // digest is FNV-128a over the little-endian words of that walk; on an
 // execution that has answered Threads and Addresses before, computing it
 // allocates nothing.
+//
+// What makes it cheap is what the words are: sub, kind, fence, the
+// atomic flag and TID fit one byte, instruction indices, addresses and
+// write IDs two or three, and FNV-1a takes a word's most significant
+// byte and every zero byte above it in a single multiplication
+// (fnv128a.u64). The digest is the same 128 bits hashing all eight bytes
+// one by one gives — every stored verdict and golden signature is keyed
+// under it.
 func Signature(x *memmodel.Execution) Sig {
 	h := fnv128a{offset128Hi, offset128Lo}
-	ekey := func(id relation.EventID) {
-		e := x.Event(id)
-		if e.IsInit() {
-			h.u64(sigInit)
-			h.u64(uint64(e.Addr))
-			return
-		}
-		h.u64(uint64(int64(e.Key.TID)))
-		h.u64(uint64(int64(e.Key.Instr)))
-		h.u64(uint64(int64(e.Key.Sub)))
-	}
+	events := x.Events()
 	for _, tid := range x.Threads() {
 		h.u64(sigThread)
 		h.u64(uint64(int64(tid)))
 		for _, id := range x.ThreadEvents(tid) {
-			e := x.Event(id)
+			e := &events[id]
 			// Instr and Sub matter beyond position: RMW atomicity
 			// pairs events by (Instr, consecutive Subs), so two
 			// kind/addr/value-identical slices with different pairing
@@ -87,7 +97,7 @@ func Signature(x *memmodel.Execution) Sig {
 			}
 			if e.IsRead() {
 				if w, ok := x.RF(id); ok {
-					ekey(w)
+					h.eventKey(&events[w])
 				} else {
 					h.u64(sigNoRF)
 				}
@@ -98,14 +108,27 @@ func Signature(x *memmodel.Execution) Sig {
 		h.u64(sigCO)
 		h.u64(uint64(addr))
 		for _, id := range x.CO(addr) {
-			ekey(id)
+			h.eventKey(&events[id])
 		}
 	}
 	return Sig{Hi: h.hi, Lo: h.lo}
 }
 
+// eventKey hashes the stable name of a write another event refers to:
+// its Key, or for an initial write its address.
+func (h *fnv128a) eventKey(e *memmodel.Event) {
+	if e.IsInit() {
+		h.u64(sigInit)
+		h.u64(uint64(e.Addr))
+		return
+	}
+	h.u64(uint64(int64(e.Key.TID)))
+	h.u64(uint64(int64(e.Key.Instr)))
+	h.u64(uint64(int64(e.Key.Sub)))
+}
+
 // fnv128a is the FNV-1a 128-bit hash state — hash/fnv's New128a, inlined
-// so hashing a word is eight multiply steps with no interface call and
+// so hashing a word is a few multiply steps with no interface call and
 // no allocation. The digest hash/fnv would print big-endian is hi then
 // lo.
 type fnv128a struct{ hi, lo uint64 }
@@ -118,15 +141,42 @@ const (
 	prime128Shift = 24
 )
 
-// u64 hashes v's eight bytes, least significant first.
-func (h *fnv128a) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.lo ^= v & 0xff
-		v >>= 8
-		carry, lo := bits.Mul64(prime128Lo, h.lo)
-		h.hi = carry + h.lo<<prime128Shift + prime128Lo*h.hi
-		h.lo = lo
+// primePow[k] is the FNV prime to the k-th power mod 2¹²⁸: k steps on
+// zero bytes in one.
+var primePow = func() (pow [9]fnv128a) {
+	pow[0] = fnv128a{0, 1}
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1]
+		pow[k].mul(fnv128a{1 << prime128Shift, prime128Lo})
 	}
+	return pow
+}()
+
+// mul multiplies the state by p mod 2¹²⁸.
+func (h *fnv128a) mul(p fnv128a) {
+	carry, lo := bits.Mul64(h.lo, p.lo)
+	h.hi = carry + h.hi*p.lo + h.lo*p.hi
+	h.lo = lo
+}
+
+// u64 hashes v's eight bytes, least significant first. An FNV-1a step
+// is "xor the byte in, multiply by the prime", so a zero byte is a bare
+// multiplication, and v's most significant byte together with the k zero
+// bytes above it is one xor and one multiplication by primeᵏ⁺¹: a word
+// costs as many steps as it has significant bytes (one when it is zero),
+// not eight.
+func (h *fnv128a) u64(v uint64) {
+	n := max((bits.Len64(v)+7)/8, 1)
+	hi, lo := h.hi, h.lo
+	for i := 1; i < n; i++ {
+		lo ^= v & 0xff
+		v >>= 8
+		carry, low := bits.Mul64(prime128Lo, lo)
+		hi = carry + lo<<prime128Shift + prime128Lo*hi
+		lo = low
+	}
+	h.hi, h.lo = hi, lo^v
+	h.mul(primePow[9-n])
 }
 
 // Verdict is the durable essence of a check Result: validity and the

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sync"
@@ -352,20 +353,50 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 
 // TestInlinedFNVMatchesHashFNV: the signature's inlined hash is
 // hash/fnv's 128-bit FNV-1a over the same little-endian words — the
-// stream every stored verdict and golden signature was keyed under.
+// stream every stored verdict and golden signature was keyed under —
+// after every single word: random words of every length, the words at
+// which the count of significant bytes changes in every adjacent order,
+// and runs of zero words, which the inlined hash takes in one
+// multiplication each.
 func TestInlinedFNVMatchesHashFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var words []uint64
+	for i := 0; i < 1000; i++ {
+		words = append(words, rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	edges := []uint64{0, 1, 0xff, 0x100, 1 << 56, ^uint64(0)}
+	for _, a := range edges {
+		for _, b := range edges {
+			words = append(words, a, b)
+		}
+	}
+	for shift := 0; shift < 64; shift++ {
+		words = append(words, 1<<shift, 1<<shift-1)
+	}
+	for run := 1; run <= 20; run++ {
+		words = append(words, make([]uint64, run)...)
+		words = append(words, rng.Uint64())
+	}
+
 	ref := fnv.New128a()
 	h := fnv128a{offset128Hi, offset128Lo}
-	for i := 0; i < 1000; i++ {
-		v := rng.Uint64() >> uint(rng.Intn(64))
+	for i, v := range words {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
 		ref.Write(buf[:])
 		h.u64(v)
 		sum := ref.Sum(nil)
 		if hi, lo := binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:]); h.hi != hi || h.lo != lo {
-			t.Fatalf("after %d words: inlined %016x%016x, hash/fnv %x", i+1, h.hi, h.lo, sum)
+			t.Fatalf("after %d words (last %#x): inlined %s, hash/fnv %x", i+1, v, Sig{h.hi, h.lo}, sum)
+		}
+	}
+}
+
+// TestSigString: 32 lower-case hex digits, Hi then Lo, zero-padded.
+func TestSigString(t *testing.T) {
+	for _, s := range []Sig{{}, {Hi: 1, Lo: 0xabcdef}, {Hi: ^uint64(0), Lo: 1 << 63}, {Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}} {
+		if got, want := s.String(), fmt.Sprintf("%016x%016x", s.Hi, s.Lo); got != want {
+			t.Errorf("Sig%+v prints %q, want %q", [2]uint64{s.Hi, s.Lo}, got, want)
 		}
 	}
 }

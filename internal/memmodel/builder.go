@@ -39,6 +39,15 @@ import (
 // overriding coherence orders) are spans of shared arrays, not slices of
 // their own: a trace touches hundreds of addresses a handful of times
 // each.
+//
+// Lookup is cheap on the strength of one property of its callers: keys
+// ascend within a thread (every canonical trace; builderThread.unordered
+// marks a thread whose keys do not, and only that thread pays for a
+// sorted index). Program order is then the key index, and the event
+// carrying instruction i of a thread whose last is n sits near the
+// i/(n+1)-th part of the thread — off only by how unevenly RMW halves
+// and pinned gaps fall — close enough that searching outward from there
+// beats searching the thread.
 type Builder struct {
 	x    *Execution
 	err  error
@@ -270,19 +279,64 @@ func (b *Builder) keyIndex(slot int) []relation.EventID {
 
 // Lookup returns the event carrying key — the first added, should
 // several carry it.
+//
+// It is a lower-bound search of the thread's key index that starts where
+// the key would sit were the thread's instructions spread evenly over its
+// events (exactly right when every key is positional), gallops out from
+// there until the key is bracketed and binary-searches only the bracket.
+// While a thread's keys ascend — every canonical trace — the index is the
+// program order itself and the guess is off by how unevenly RMW pairs and
+// pinned gaps fall, so resolving a trace's refs costs a few probes each,
+// not log(thread length). The guess is only a starting point: any index
+// sorted by (key, ID) gives the same answer from anywhere.
 func (b *Builder) Lookup(key Key) (relation.EventID, bool) {
 	slot := b.x.findThread(key.TID)
 	if slot < 0 || slot >= len(b.threads) {
 		return 0, false
 	}
 	events, ids := b.x.events, b.keyIndex(slot)
-	i, ok := slices.BinarySearchFunc(ids, key, func(id relation.EventID, key Key) int {
-		return compareKeys(events[id].Key, key)
-	})
-	if !ok {
+	if len(ids) == 0 {
 		return 0, false
 	}
-	return ids[i], true
+	// Invariant: every index ≤ lo holds a smaller key, every index ≥ hi
+	// one that is not smaller.
+	lo, hi := -1, len(ids)
+	at := 0
+	if last := events[ids[len(ids)-1]].Key.Instr; key.Instr > 0 && last > 0 {
+		// A product that wraps is still a guess.
+		at = int(min(uint64(key.Instr)*uint64(len(ids))/(uint64(last)+1), uint64(len(ids)-1)))
+	}
+	if compareKeys(events[ids[at]].Key, key) < 0 {
+		lo = at
+		for step := 1; lo+step < hi; step *= 2 {
+			if compareKeys(events[ids[lo+step]].Key, key) >= 0 {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	} else {
+		hi = at
+		for step := 1; hi-step > lo; step *= 2 {
+			if compareKeys(events[ids[hi-step]].Key, key) < 0 {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if compareKeys(events[ids[mid]].Key, key) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if hi == len(ids) || events[ids[hi]].Key != key {
+		return 0, false
+	}
+	return ids[hi], true
 }
 
 // DuplicateKey reports whether two events share a key, returning the key

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/memsys"
@@ -18,8 +19,9 @@ import (
 // source, coherence position and address slot in a parallel per-event
 // array, program order per thread slot, coherence order and initial
 // write per address slot. A thread slot is found through a small table
-// sorted by TID, an address slot through the one map the type holds.
-// Slots number threads and addresses in order of first use.
+// sorted by TID, an address slot through an open-addressed hash table;
+// the type holds no map. Slots number threads and addresses in order of
+// first use.
 // Storage is sized only by how many events, threads and addresses are
 // present, never by the value of a TID, instruction index or address:
 // those come from the input and may be anything up to 2³¹ or 2⁶⁴.
@@ -41,11 +43,16 @@ type Execution struct {
 	tids      []int
 	tidsValid bool
 
-	// addrSlot maps a word address to its slot in addrTab, assigned on
-	// first use.
-	addrSlot map[memsys.Addr]int32
-	addrTab  []addrState
-	nInit    int
+	// cells is the hash table from a word address to its slot in addrTab
+	// (assigned on first use): a power of two long, at most half full,
+	// linearly probed. A cell names a slot — the address is read from
+	// addrTab, which whoever asked for the slot reads next anyway — and is
+	// in use only while its stamp equals gen, so Reset empties the table
+	// by moving gen on and clears nothing.
+	cells   []addrCell
+	gen     uint32
+	addrTab []addrState
+	nInit   int
 	// coArena backs the coherence orders of an execution whose builder
 	// knew their lengths ahead (reserveCO).
 	coArena []relation.EventID
@@ -68,6 +75,12 @@ type addrState struct {
 	co []relation.EventID
 }
 
+// addrCell is one cell of the address table.
+type addrCell struct {
+	slot int32
+	gen  uint32
+}
+
 // noEvent marks an absent event in the per-event and per-slot arrays.
 const noEvent relation.EventID = -1
 
@@ -87,7 +100,7 @@ type threadRef struct {
 
 // NewExecution returns an empty execution.
 func NewExecution() *Execution {
-	return &Execution{addrSlot: make(map[memsys.Addr]int32), lastSlot: -1}
+	return &Execution{cells: make([]addrCell, minAddrCells), gen: 1, lastSlot: -1}
 }
 
 // Reset empties the execution for reuse while keeping what it has
@@ -103,7 +116,11 @@ func (x *Execution) Reset() {
 	x.po = x.po[:0]
 	x.lastSlot = -1
 	x.tidsValid = false
-	clear(x.addrSlot)
+	x.gen++
+	if x.gen == 0 { // wrapped: stale stamps could alias, so really clear
+		clear(x.cells)
+		x.gen = 1
+	}
 	x.addrTab = x.addrTab[:0]
 	x.nInit = 0
 	x.addrsValid = false
@@ -165,15 +182,55 @@ func (x *Execution) threadSlot(tid int) int {
 	return int(x.lastSlot)
 }
 
-// slotOf returns addr's slot, creating it on first use.
+// probe returns the index of addr's cell, or of the empty cell that ends
+// its probe sequence, and whether it is addr's. Fibonacci hashing takes
+// the product's high bits, so addresses that share their low bits (every
+// aligned layout) still spread.
+func (x *Execution) probe(addr memsys.Addr) (int, bool) {
+	mask := len(x.cells) - 1
+	i := int(uint64(addr) * 0x9e3779b97f4a7c15 >> (64 - uint(bits.TrailingZeros(uint(len(x.cells))))))
+	for ; ; i = (i + 1) & mask {
+		if c := x.cells[i]; c.gen != x.gen {
+			return i, false
+		} else if x.addrTab[c.slot].addr == addr {
+			return i, true
+		}
+	}
+}
+
+// findAddr returns addr's slot, or -1 when no event or override has
+// named the address.
+func (x *Execution) findAddr(addr memsys.Addr) int32 {
+	i, ok := x.probe(addr)
+	if !ok {
+		return -1
+	}
+	return x.cells[i].slot
+}
+
+// minAddrCells is the address table's first size.
+const minAddrCells = 16
+
+// slotOf returns addr's slot, creating it on first use. The table is
+// sized by how many addresses are present — it doubles when a new one
+// would fill it past half — never by an address's value.
 func (x *Execution) slotOf(addr memsys.Addr) int32 {
-	if slot, ok := x.addrSlot[addr]; ok {
-		return slot
+	i, ok := x.probe(addr)
+	if ok {
+		return x.cells[i].slot
+	}
+	if 2*(len(x.addrTab)+1) > len(x.cells) {
+		x.cells = make([]addrCell, 2*len(x.cells))
+		for slot := range x.addrTab {
+			j, _ := x.probe(x.addrTab[slot].addr)
+			x.cells[j] = addrCell{slot: int32(slot), gen: x.gen}
+		}
+		i, _ = x.probe(addr)
 	}
 	var slot int
 	x.addrTab, slot = grow(x.addrTab)
 	x.addrTab[slot] = addrState{addr: addr, init: noEvent, co: x.addrTab[slot].co[:0]}
-	x.addrSlot[addr] = int32(slot)
+	x.cells[i] = addrCell{slot: int32(slot), gen: x.gen}
 	return int32(slot)
 }
 
@@ -326,8 +383,8 @@ func (x *Execution) AppendCO(w relation.EventID) error {
 // CO returns the coherence order of addr (including the initial write if
 // it has been created).
 func (x *Execution) CO(addr memsys.Addr) []relation.EventID {
-	slot, ok := x.addrSlot[addr]
-	if !ok {
+	slot := x.findAddr(addr)
+	if slot < 0 {
 		return nil
 	}
 	return x.addrTab[slot].co

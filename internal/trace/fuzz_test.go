@@ -71,7 +71,7 @@ func materializeBothWays(t *testing.T, tr *Trace) {
 		t.Fatalf("events differ:\n fresh  %v\n reused %v", fresh.Events(), reused.Events())
 	}
 	if f, r := collective.Signature(fresh), collective.Signature(reused); f != r {
-		t.Fatalf("signature %x fresh, %x reused", f, r)
+		t.Fatalf("signature %s fresh, %s reused", f, r)
 	}
 }
 

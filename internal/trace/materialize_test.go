@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/memmodel/exectest"
 )
 
 // TestMaterializeErrorPrecedence: the first malformed thing in trace
@@ -133,5 +135,28 @@ func TestMaterializeSizedByCountsNotValues(t *testing.T) {
 	const bound = 8 << 10
 	if small != large || large > bound {
 		t.Fatalf("%d B allocated with small values, %d B with the largest (bound %d)", small, large, bound)
+	}
+}
+
+// TestMaterializeIntoGrownStorageAllocatesNothing: once a Materializer
+// has held a trace, materializing it again — threads, address table,
+// key lookups, coherence orders, the sorted address list — happens
+// entirely in what it kept.
+func TestMaterializeIntoGrownStorageAllocatesNothing(t *testing.T) {
+	tr, err := FromExecution("grown", exectest.SC(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Materializer
+	if _, err := m.Execution(tr); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := m.Execution(tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("materializing into grown storage allocates %.0f objects, want 0", n)
 	}
 }

@@ -156,7 +156,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 		// Signature and verdicts survive the round trip.
 		if got, want := collective.Signature(x1), collective.Signature(x); got != want {
-			t.Fatalf("iter %d: signature changed across round trip: %x != %x\n%s", i, got, want, text.String())
+			t.Fatalf("iter %d: signature changed across round trip: %s != %s\n%s", i, got, want, text.String())
 		}
 		for _, arch := range allModels {
 			want := memmodel.NewChecker().Check(x, arch)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
@@ -102,6 +104,9 @@ type Decoder struct {
 	line     int
 	headerOK bool
 	err      error
+	// f holds the fields of the line being parsed, in storage reused from
+	// line to line.
+	f []string
 }
 
 // NewDecoder returns a streaming text decoder reading from r.
@@ -139,6 +144,36 @@ func (d *Decoder) next() (string, bool) {
 	return "", false
 }
 
+// fields splits a line around runs of white space, as strings.Fields
+// does, into the decoder's field buffer: the result is only good until
+// the next call.
+func (d *Decoder) fields(line string) []string {
+	d.f = d.f[:0]
+	start := -1
+	for i := 0; i < len(line); {
+		c, size := line[i], 1
+		space := c == ' ' || c-'\t' < 5 // \t \n \v \f \r
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			d.f = append(d.f, line[start:i])
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		d.f = append(d.f, line[start:])
+	}
+	return d.f
+}
+
 // Next decodes and returns the next trace, or io.EOF after the last
 // one. The first call validates the stream header.
 func (d *Decoder) Next() (*Trace, error) {
@@ -153,7 +188,7 @@ func (d *Decoder) Next() (*Trace, error) {
 			}
 			return nil, io.EOF
 		}
-		f := strings.Fields(line)
+		f := d.fields(line)
 		if len(f) != 2 || f[0] != "mctrace" {
 			return nil, d.errf("expected header %q, got %q", TextHeader, line)
 		}
@@ -175,7 +210,7 @@ func (d *Decoder) Next() (*Trace, error) {
 		return nil, io.EOF
 	}
 	t := &Trace{}
-	f := strings.Fields(line)
+	f := d.fields(line)
 	switch f[0] {
 	case "trace":
 		if len(f) > 2 {
@@ -204,7 +239,7 @@ func (d *Decoder) Next() (*Trace, error) {
 			}
 			return nil, d.errf("unexpected end of stream: trace %s not closed with 'end'", t.label())
 		}
-		f := strings.Fields(line)
+		f := d.fields(line)
 		switch f[0] {
 		case "end":
 			if len(f) != 1 {

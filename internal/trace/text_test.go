@@ -2,6 +2,7 @@ package trace
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,5 +236,22 @@ end
 	ri := memmodel.NewChecker().Check(xi, memmodel.SC{})
 	if !rp.Valid || !ri.Valid {
 		t.Fatalf("valid trace rejected: pinned=%v inferred=%v", rp.Valid, ri.Valid)
+	}
+}
+
+// TestDecoderFieldsMatchStringsFields: the decoder's line splitter
+// separates exactly where strings.Fields does — ASCII and Unicode white
+// space, invalid UTF-8 kept as field bytes — from line to line in one
+// buffer.
+func TestDecoderFieldsMatchStringsFields(t *testing.T) {
+	var d Decoder
+	for _, line := range []string{
+		"", " ", "a", " a ", "r 0x10 1 a @3.1", "co\t0x100  0:1\v1:2\f2:3\r", "w\n1",
+		"ffull", "f full @2", "\u3000trace\u2003x\u00a0", "n\u0085el", "a\xffb \xc2 c\x80", "\u00e9 \u00e8",
+		"\x1c\x1f\x00 x", strings.Repeat("k ", 70),
+	} {
+		if got, want := d.fields(line), strings.Fields(line); !slices.Equal(got, want) {
+			t.Errorf("fields(%q) = %q, strings.Fields gives %q", line, got, want)
+		}
 	}
 }

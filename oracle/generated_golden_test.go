@@ -254,7 +254,7 @@ func observe(t *testing.T, tr *Trace) goldenTrace {
 	}
 	sig := Signature(x)
 	g.Events = x.NumEvents()
-	g.Sig = fmt.Sprintf("%016x%016x", sig.Hi, sig.Lo)
+	g.Sig = sig.String()
 	g.Fast = map[string]string{}
 	g.Results = map[string]goldenResult{}
 	exact := memmodel.NewChecker(memmodel.WithScratch(memmodel.NewScratch()))

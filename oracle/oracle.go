@@ -197,6 +197,10 @@ type Checker struct {
 	memo   *Memo
 	scope  string
 	phases obs.PhaseStats
+	// decide is the method value the memo calls on a tier miss, made once
+	// so a check does not allocate a closure; decided records that it ran.
+	decide  collective.CheckFunc
+	decided bool
 	// mat is where CheckTrace materializes: one builder and execution,
 	// reused for every trace.
 	mat trace.Materializer
@@ -220,12 +224,21 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 	if opts.Store != nil {
 		memo.SetStore(opts.Store)
 	}
-	return &Checker{
+	c := &Checker{
 		arch:  arch,
 		chk:   memmodel.NewChecker(copts...),
 		memo:  memo,
 		scope: opts.Scope,
-	}, nil
+	}
+	c.decide = c.runCheck
+	return c, nil
+}
+
+// runCheck is the decision procedure as the memo sees it: the unified
+// checker, noting that it was reached.
+func (c *Checker) runCheck(x *Execution, arch Model) Result {
+	c.decided = true
+	return c.chk.Check(x, arch)
 }
 
 // Model returns the model this Checker decides against.
@@ -248,11 +261,16 @@ func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
 	fastBefore := c.chk.Fastpath()
-	res, hit := c.memo.CheckScopedVia(c.scope, sig, x, c.arch, c.chk.Check)
+	c.decided = false
+	res, hit := c.memo.CheckScopedVia(c.scope, sig, x, c.arch, c.decide)
 	fastAfter := c.chk.Fastpath()
 	phase := obs.PhaseCheck
 	switch {
-	case hit:
+	case hit || !c.decided:
+		// A tier answered: the in-RAM memo (hit), or the durable store
+		// below it, which the memo reports as a miss it did not have to
+		// decide. A stored invalid verdict re-derives its witness through
+		// the decision procedure and is booked as the check it pays.
 		phase = obs.PhaseMemo
 	case fastAfter.Valid > fastBefore.Valid && res.Valid:
 		// The fast pass proved it; invalid and fallback routes pay the
@@ -306,7 +324,7 @@ func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 		Name:  t.Name,
 		Index: index,
 		Model: c.arch.Name(),
-		Sig:   fmt.Sprintf("%016x%016x", sig.Hi, sig.Lo),
+		Sig:   sig.String(),
 		Valid: res.Valid,
 	}
 	if !res.Valid {

@@ -200,7 +200,7 @@ func TestGeneratedCorpusReusedMatchesFresh(t *testing.T) {
 			continue
 		}
 		if f, r := Signature(fresh), Signature(reused); f != r {
-			t.Fatalf("%s: signature %x fresh, %x reused", tr.Name, f, r)
+			t.Fatalf("%s: signature %s fresh, %s reused", tr.Name, f, r)
 		}
 		for _, name := range Models() {
 			arch, _ := ModelByName(name)
@@ -277,6 +277,6 @@ func TestSignatureDoesNotAllocate(t *testing.T) {
 	want := Signature(x)
 	var got Sig
 	if n := testing.AllocsPerRun(20, func() { got = Signature(x) }); n != 0 || got != want {
-		t.Fatalf("Signature allocates %.0f objects (want 0) and returns %x (want %x)", n, got, want)
+		t.Fatalf("Signature allocates %.0f objects (want 0) and returns %s (want %s)", n, got, want)
 	}
 }
