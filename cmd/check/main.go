@@ -44,7 +44,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	format := fs.String("format", "auto", "trace encoding: text | binary | auto (sniff the stream magic)")
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
 	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces")
-	exact := fs.Bool("exact", false, "disable the fast-path pass (A/B reference; verdicts are identical)")
 	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs and with campaigns)")
 	scope := fs.String("scope", "", "verdict scope isolating this run's memo entries from other scenarios")
 	progress := fs.Bool("progress", false, "report phase breakdown and memo/fast-path counters to stderr")
@@ -79,7 +78,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		defer store.Close()
 	}
-	opts := oracle.Options{Exact: *exact, Memo: memo, Scope: *scope}
+	opts := oracle.Options{Memo: memo, Scope: *scope}
 	if store != nil {
 		opts.Store = store
 	}

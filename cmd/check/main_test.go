@@ -109,21 +109,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestExactMatchesFast: -exact changes nothing about the verdict stream.
-func TestExactMatchesFast(t *testing.T) {
-	in := corpusText(t)
-	var fast, exact, errb bytes.Buffer
-	if code := run([]string{"-json"}, bytes.NewReader(in), &fast, &errb); code != 1 {
-		t.Fatalf("fast exited %d: %s", code, errb.String())
-	}
-	if code := run([]string{"-json", "-exact"}, bytes.NewReader(in), &exact, &errb); code != 1 {
-		t.Fatalf("exact exited %d: %s", code, errb.String())
-	}
-	if !bytes.Equal(fast.Bytes(), exact.Bytes()) {
-		t.Fatal("-exact output differs from fast-path output")
-	}
-}
-
 // TestExitCodes: 0 all-valid, 1 violation, 2 errors.
 func TestExitCodes(t *testing.T) {
 	const valid = "mctrace 1\ntrace ok\nthread 0\nw 0x100 1\nr 0x100 1\nend\n"

@@ -128,6 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The store is a local directory; a remote daemon attaches its
 		// own via mcversid -store.
 		return fail(2, errors.New("-store is not available with -remote (use mcversid -store on the daemon)"))
+	case *timeout < 0:
+		return fail(2, fmt.Errorf("-timeout must not be negative, got %v", *timeout))
+	case *islands && *migrate <= 0:
+		return fail(2, fmt.Errorf("-migrate must be positive with -islands, got %d", *migrate))
 	}
 	if _, err := mcversi.NewMemoryLayout(*mem, mcversi.TestMemoryStride); err != nil {
 		return fail(2, fmt.Errorf("-mem: %w", err))

@@ -35,6 +35,9 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
 		{"mem off the stride", []string{"-mem", "1000"}, "size 1000 must be a multiple of stride 16"},
 		{"mem zero", []string{"-mem", "0"}, "-mem"},
+		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout must not be negative"},
+		{"islands with zero migrate", []string{"-islands", "-migrate", "0"}, "-migrate must be positive"},
+		{"islands with negative migrate", []string{"-islands", "-migrate", "-4"}, "-migrate must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

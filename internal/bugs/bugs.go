@@ -179,15 +179,3 @@ func SetFor(name string) (Set, error) {
 	b.Enable(&s)
 	return s, nil
 }
-
-// ForProtocol returns the bugs that can manifest under the given
-// protocol (protocol-specific bugs plus the ProtoAny pipeline bugs).
-func ForProtocol(p Protocol) []Bug {
-	var out []Bug
-	for _, b := range registry {
-		if b.Protocol == p || b.Protocol == ProtoAny {
-			out = append(out, b)
-		}
-	}
-	return out
-}

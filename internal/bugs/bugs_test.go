@@ -8,6 +8,7 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatalf("registry has %d bugs, want 11 (§5.3)", len(all))
 	}
 	real := 0
+	perProto := map[Protocol]int{}
 	for _, b := range all {
 		if b.Name == "" || b.Description == "" || b.Enable == nil {
 			t.Errorf("bug %+v incomplete", b)
@@ -15,10 +16,15 @@ func TestRegistryComplete(t *testing.T) {
 		if b.Real {
 			real++
 		}
+		perProto[b.Protocol]++
 	}
 	// The paper marks 4 bugs as real gem5 bugs (*).
 	if real != 4 {
 		t.Errorf("real bug count = %d, want 4", real)
+	}
+	// 7 MESI bugs, 2 TSO-CC bugs, 2 pipeline bugs that fit either.
+	if perProto[ProtoMESI] != 7 || perProto[ProtoTSOCC] != 2 || perProto[ProtoAny] != 2 {
+		t.Errorf("bugs per protocol = %v, want 7 MESI, 2 TSO-CC, 2 any", perProto)
 	}
 }
 
@@ -51,19 +57,6 @@ func TestByNameAndSetFor(t *testing.T) {
 	}
 	if _, err := SetFor("nope"); err == nil {
 		t.Error("SetFor unknown bug accepted")
-	}
-}
-
-func TestForProtocol(t *testing.T) {
-	mesi := ForProtocol(ProtoMESI)
-	// 7 MESI bugs + 2 pipeline bugs.
-	if len(mesi) != 9 {
-		t.Errorf("MESI bugs = %d, want 9", len(mesi))
-	}
-	tsocc := ForProtocol(ProtoTSOCC)
-	// 2 TSO-CC bugs + 2 pipeline bugs.
-	if len(tsocc) != 4 {
-		t.Errorf("TSO-CC bugs = %d, want 4", len(tsocc))
 	}
 }
 

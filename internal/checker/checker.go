@@ -123,8 +123,8 @@ type Recorder struct {
 	rfcoRun   int
 }
 
-// NewRecorder returns a recorder checking against arch. The fastpath
-// checker is on by default; see SetFastpath.
+// NewRecorder returns a recorder checking against arch, fast path
+// first.
 func NewRecorder(arch memmodel.Arch) *Recorder {
 	r := &Recorder{
 		arch: arch,
@@ -174,21 +174,7 @@ func (r *Recorder) SetScope(scope string) { r.scope = scope }
 // of memo sharing.
 func (r *Recorder) Dedupe() stats.Dedupe { return r.ded }
 
-// SetFastpath enables or disables the clock-rule fast path. Disabling
-// it routes every check through the exact procedure — the A/B
-// reference configuration; verdicts are identical either way.
-func (r *Recorder) SetFastpath(on bool) {
-	if on {
-		if !r.chk.FastEnabled() {
-			r.chk.SetFastDecider(fastpath.New())
-		}
-	} else {
-		r.chk.SetFastDecider(nil)
-	}
-}
-
-// Fastpath returns the current run's fast-path outcome counters (zero
-// while the fast path is disabled).
+// Fastpath returns the current run's fast-path outcome counters.
 func (r *Recorder) Fastpath() stats.Fastpath { return r.chk.Fastpath() }
 
 func (r *Recorder) resetIteration() {

@@ -170,14 +170,6 @@ type PanicErrors struct{}
 // ProtocolError implements ErrorSink.
 func (PanicErrors) ProtocolError(err error) { panic(err) }
 
-// CollectErrors accumulates protocol errors.
-type CollectErrors struct {
-	Errors []error
-}
-
-// ProtocolError implements ErrorSink.
-func (c *CollectErrors) ProtocolError(err error) { c.Errors = append(c.Errors, err) }
-
 // ReqKind classifies a CPU operation handed to an L1.
 type ReqKind uint8
 

@@ -64,6 +64,14 @@ type testSys struct {
 	errs   *CollectErrors
 }
 
+// CollectErrors accumulates protocol errors.
+type CollectErrors struct {
+	Errors []error
+}
+
+// ProtocolError implements ErrorSink.
+func (c *CollectErrors) ProtocolError(err error) { c.Errors = append(c.Errors, err) }
+
 // issue hands one CPU operation to core's L1; done receives the
 // completion value (loaded value, atomic's old value, 0 otherwise).
 func (ts *testSys) issue(core int, kind ReqKind, addr memsys.Addr, val uint64, done func(uint64)) {
@@ -595,7 +603,7 @@ func newTracker(all []Transition, keep func(Transition) bool) *coverage.Tracker 
 			vocab = append(vocab, coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event})
 		}
 	}
-	return coverage.NewTracker(vocab, coverage.DefaultParams())
+	return coverage.NewTrackerForTable(coverage.NewTable(vocab), coverage.DefaultParams())
 }
 
 // stress drives the seeded store/load/flush mix the sink tests share.

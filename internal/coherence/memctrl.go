@@ -69,10 +69,6 @@ func (m *MemCtrl) Reset() {
 	m.reads, m.writes = 0, 0
 }
 
-// Memory returns the backing store (for reset and direct inspection by
-// the host interface).
-func (m *MemCtrl) Memory() *memsys.Memory { return m.mem }
-
 // ClearMeta forgets the timestamp metadata of a line, used when the host
 // interface re-initializes test memory (the old writer/timestamp pairing
 // no longer describes the zeroed contents).

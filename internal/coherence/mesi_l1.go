@@ -122,8 +122,6 @@ type MESIL1 struct {
 	cpuOpNowH sim.Handler
 
 	invalNotify func(line memsys.Addr)
-
-	hits, misses uint64
 }
 
 // MESIL1Config configures an L1 controller.
@@ -179,7 +177,6 @@ func (c *MESIL1) Reset(cov CoverageSink, errs ErrorSink) {
 	c.covRec.bind(cov)
 	c.errs = errorSink(errs)
 	c.array.Reset()
-	c.hits, c.misses = 0, 0
 }
 
 // SetInvalListener implements CacheL1.
@@ -192,9 +189,6 @@ func (c *MESIL1) ResetCaches() { c.array.Clear() }
 // already invalidated any stale copy here — so a fence needs no cache
 // action.
 func (c *MESIL1) Acquire() {}
-
-// Stats returns hit/miss counters.
-func (c *MESIL1) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // Issue implements CacheL1: it pays the L1 tag/data access latency,
 // then dispatches the CPU operation through the state machine

@@ -23,7 +23,6 @@ func init() {
 		// ---- I ----------------------------------------------------
 		l1I: {
 			l1Load: func(c *MESIL1, x l1Ctx) {
-				c.misses++
 				x.line.state = l1IS
 				x.line.primary = x.op
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
@@ -81,12 +80,10 @@ func init() {
 				// Silent E→M upgrade: the L2 keeps believing the line
 				// is clean (expectClean), the Replace-Race setup.
 				x.line.state = l1M
-				c.hits++
 				c.performStore(x.line, x.op)
 			},
 			l1Atomic: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1M
-				c.hits++
 				c.performAtomic(x.line, x.op)
 			},
 			l1Flush: func(c *MESIL1, x l1Ctx) {
@@ -135,11 +132,9 @@ func init() {
 		l1M: {
 			l1Load: l1Hit,
 			l1Store: func(c *MESIL1, x l1Ctx) {
-				c.hits++
 				c.performStore(x.line, x.op)
 			},
 			l1Atomic: func(c *MESIL1, x l1Ctx) {
-				c.hits++
 				c.performAtomic(x.line, x.op)
 			},
 			l1Flush: func(c *MESIL1, x l1Ctx) {
@@ -402,13 +397,11 @@ func l1ServeFwdGETXThenDrop(c *MESIL1, x l1Ctx) {
 
 // l1Hit services a load hit.
 func l1Hit(c *MESIL1, x l1Ctx) {
-	c.hits++
 	c.completeLoad(x.line, x.op, false)
 }
 
 // l1UpgradeFromS begins a store/atomic upgrade of a shared line.
 func l1UpgradeFromS(c *MESIL1, x l1Ctx) {
-	c.misses++
 	x.line.state = l1SM
 	x.line.primary = x.op
 	x.line.pendingAcks = 0
@@ -419,7 +412,6 @@ func l1UpgradeFromS(c *MESIL1, x l1Ctx) {
 
 // l1StartGETX begins a store/atomic miss from I.
 func l1StartGETX(c *MESIL1, x l1Ctx) {
-	c.misses++
 	x.line.state = l1IM
 	x.line.primary = x.op
 	x.line.pendingAcks = 0

@@ -115,8 +115,6 @@ type MESIL2 struct {
 	// the tile latency through the kernel's zero-alloc path with the
 	// message as the event argument.
 	processH sim.Handler
-
-	recycles uint64
 }
 
 // MESIL2Config configures an L2 tile.
@@ -165,14 +163,10 @@ func (c *MESIL2) Reset(cov CoverageSink, errs ErrorSink) {
 	c.covRec.bind(cov)
 	c.errs = errorSink(errs)
 	c.array.Reset()
-	c.recycles = 0
 }
 
 // ResetCaches drops all tile state (reset_test_mem support).
 func (c *MESIL2) ResetCaches() { c.array.Clear() }
-
-// Recycles returns how many requests were recycled against blocked lines.
-func (c *MESIL2) Recycles() uint64 { return c.recycles }
 
 func (c *MESIL2) node() interconnect.NodeID { return L2Node(c.tile) }
 
@@ -270,7 +264,6 @@ func (c *MESIL2) allocate(lineAddr memsys.Addr) (*mesiL2Line, bool) {
 func mesiL2Evictable(l *mesiL2Line) bool { return l.state.stable() }
 
 func (c *MESIL2) recycle(msg *Msg) {
-	c.recycles++
 	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg.requeue())
 }
 

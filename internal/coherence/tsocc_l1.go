@@ -141,8 +141,6 @@ type TSOCCL1 struct {
 	cpuOpNowH sim.Handler
 
 	invalNotify func(line memsys.Addr)
-
-	hits, misses, selfInvs, resets uint64
 }
 
 // TSOCCL1Config configures a TSO-CC L1.
@@ -203,7 +201,6 @@ func (c *TSOCCL1) Reset(cov CoverageSink, errs ErrorSink) {
 	c.array.Reset()
 	c.ts, c.epoch, c.writesInGroup = 0, 0, 0
 	clear(c.lastSeen)
-	c.hits, c.misses, c.selfInvs, c.resets = 0, 0, 0, 0
 }
 
 // SetInvalListener implements CacheL1.
@@ -218,11 +215,6 @@ func (c *TSOCCL1) ResetCaches() { c.array.Clear() }
 // fences would not flush timestamp-stale Shared lines, and a po-later
 // load could read a value older than writes ordered before the fence.
 func (c *TSOCCL1) Acquire() { c.selfInvalidate() }
-
-// Stats returns hit/miss/self-invalidation/reset counters.
-func (c *TSOCCL1) Stats() (hits, misses, selfInvs, resets uint64) {
-	return c.hits, c.misses, c.selfInvs, c.resets
-}
 
 // Issue implements CacheL1: it pays the access latency, then processes
 // atomically (see the MESI counterpart for the capture/perform atomicity
@@ -421,7 +413,6 @@ func (c *TSOCCL1) decideSelfInvalidate(writer int, epoch, ts uint32) bool {
 // self-invalidation is the only invalidation Shared lines ever receive
 // under TSO-CC, so this notification carries the whole Peekaboo burden.
 func (c *TSOCCL1) selfInvalidate() {
-	c.selfInvs++
 	victims := c.victims[:0]
 	c.array.Range(func(addr memsys.Addr, line *tsoL1Line) bool {
 		if line.state == tsoSH && line.deferred.empty() && line.primary == nil {
@@ -449,7 +440,6 @@ func (c *TSOCCL1) tsOnWrite() {
 		return
 	}
 	// Timestamp reset: new epoch, broadcast to all other cores.
-	c.resets++
 	c.ts = 0
 	c.epoch++
 	for core := 0; core < c.cores; core++ {

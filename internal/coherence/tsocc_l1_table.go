@@ -17,7 +17,6 @@ func init() {
 		// ---- I ----------------------------------------------------
 		tsoI: {
 			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
-				c.misses++
 				x.line.state = tsoISD
 				x.line.primary = x.op
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
@@ -37,7 +36,6 @@ func init() {
 				if x.line.readsLeft > 0 {
 					// Bounded shared read (max-reads rule).
 					x.line.readsLeft--
-					c.hits++
 					c.completeLoad(x.line, x.op, false)
 					return
 				}
@@ -48,7 +46,6 @@ func init() {
 				// may carry newer data while an older load is still
 				// outstanding (TSO R→R).
 				c.notify(x.addr)
-				c.misses++
 				x.line.state = tsoISD
 				x.line.primary = x.op
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
@@ -84,15 +81,12 @@ func init() {
 		// ---- Ex ---------------------------------------------------
 		tsoEX: {
 			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
-				c.hits++
 				c.completeLoad(x.line, x.op, false)
 			},
 			tStore: func(c *TSOCCL1, x tsoL1Ctx) {
-				c.hits++
 				c.performStore(x.line, x.op)
 			},
 			tAtomic: func(c *TSOCCL1, x tsoL1Ctx) {
-				c.hits++
 				c.performAtomic(x.line, x.op)
 			},
 			tFlush: func(c *TSOCCL1, x tsoL1Ctx) {
@@ -215,7 +209,6 @@ func init() {
 func (c *TSOCCL1) notify(lineAddr memsys.Addr) { c.invalNotify(lineAddr) }
 
 func tsoStartGetX(c *TSOCCL1, x tsoL1Ctx) {
-	c.misses++
 	x.line.state = tsoIXD
 	x.line.primary = x.op
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,

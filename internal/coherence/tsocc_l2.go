@@ -87,8 +87,6 @@ type TSOCCL2 struct {
 
 	// processH is the pre-bound access-latency callback (see MESIL2).
 	processH sim.Handler
-
-	recycles uint64
 }
 
 // TSOCCL2Config configures a TSO-CC L2 tile.
@@ -136,14 +134,10 @@ func (c *TSOCCL2) Reset(cov CoverageSink, errs ErrorSink) {
 	c.covRec.bind(cov)
 	c.errs = errorSink(errs)
 	c.array.Reset()
-	c.recycles = 0
 }
 
 // ResetCaches drops all tile state.
 func (c *TSOCCL2) ResetCaches() { c.array.Clear() }
-
-// Recycles returns the recycled-request count.
-func (c *TSOCCL2) Recycles() uint64 { return c.recycles }
 
 func (c *TSOCCL2) node() interconnect.NodeID { return L2Node(c.tile) }
 
@@ -225,7 +219,6 @@ func (c *TSOCCL2) allocate(lineAddr memsys.Addr) (*tsoL2Line, bool) {
 func tsoL2Evictable(l *tsoL2Line) bool { return l.state.stable() }
 
 func (c *TSOCCL2) recycle(msg *Msg) {
-	c.recycles++
 	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg.requeue())
 }
 

@@ -81,23 +81,10 @@ type Store struct {
 	err    error
 }
 
-// Option configures Open.
-type Option func(*Store)
-
-// WithMaxSegmentRecords overrides the rotation threshold (records per
-// segment). Values < 1 are ignored.
-func WithMaxSegmentRecords(n int) Option {
-	return func(s *Store) {
-		if n >= 1 {
-			s.maxRecs = n
-		}
-	}
-}
-
 // Open opens (creating if needed) the verdict store in dir, replays
 // every segment into the in-memory index, truncates any torn tail off
 // the newest segment, and positions the store to append.
-func Open(dir string, opts ...Option) (*Store, error) {
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
@@ -105,9 +92,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		dir:     dir,
 		maxRecs: DefaultMaxSegmentRecords,
 		index:   make(map[collective.Sig]collective.Verdict),
-	}
-	for _, o := range opts {
-		o(s)
 	}
 	segs, err := segments(dir)
 	if err != nil {
@@ -343,9 +327,6 @@ func (s *Store) Err() error {
 	defer s.mu.RUnlock()
 	return s.err
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Sync flushes the active segment to stable storage.
 func (s *Store) Sync() error {

@@ -180,10 +180,11 @@ func TestCorruptCRCTruncated(t *testing.T) {
 
 func TestRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithMaxSegmentRecords(8))
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxRecs = 8
 	const n = 30
 	for i := uint64(0); i < n; i++ {
 		s.Put(key(i), verdict(i))
@@ -199,7 +200,7 @@ func TestRotation(t *testing.T) {
 		t.Fatalf("expected >= 3 segments after rotation, got %d", len(segs))
 	}
 
-	s2, err := Open(dir, WithMaxSegmentRecords(8))
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +284,11 @@ func TestHeaderlessTailSegmentRepaired(t *testing.T) {
 
 func TestConcurrentPutGet(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithMaxSegmentRecords(64))
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxRecs = 64
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -306,7 +308,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, WithMaxSegmentRecords(64))
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,9 +303,6 @@ func (c *Campaign) Release() {
 // Host exposes the campaign's host (for inspection).
 func (c *Campaign) Host() *host.Host { return c.h }
 
-// Scenario returns the campaign's resolved verification target.
-func (c *Campaign) Scenario() scenario.Scenario { return c.scn }
-
 // Tracker exposes the coverage tracker.
 func (c *Campaign) Tracker() *coverage.Tracker { return c.tracker }
 

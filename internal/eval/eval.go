@@ -90,9 +90,6 @@ type Cell struct {
 	MaxNDT    float64
 }
 
-// Consistent reports whether all samples found the bug (bold in Table 4).
-func (c Cell) Consistent() bool { return c.Samples > 0 && c.Found == c.Samples }
-
 func (c Cell) String() string {
 	if c.Found == 0 {
 		return "NF"

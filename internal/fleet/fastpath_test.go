@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -13,31 +12,11 @@ import (
 	"repro/internal/stats"
 )
 
-// runWithFastpath runs one campaign with the fast-path checker forced
-// on or off and returns its deterministic result plus the fast-path
-// tally.
-func runWithFastpath(t *testing.T, cfg core.Config, on bool) (core.Result, stats.Fastpath) {
-	t.Helper()
-	camp, err := core.NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp.Host().Recorder().SetFastpath(on)
-	res, err := camp.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, camp.Fastpath()
-}
-
-// TestFastpathOffMatchesOn is the campaign-level equivalence sweep:
-// across the scenario matrix (all four models) and randomized seeds,
-// a campaign with the fast path disabled produces the exact same
-// core.Result as the default — same verdicts, same dedupe tallies,
-// same coverage, bug for bug. It also pins the fast path's scope: on
-// supported models every check is conclusive, on RMO every check
-// falls back, and a disabled recorder records nothing.
-func TestFastpathOffMatchesOn(t *testing.T) {
+// TestFastpathScopeByModel pins the fast path's scope at campaign
+// level, across the scenario matrix (all four models) and randomized
+// seeds: on supported models every check is conclusive, on RMO every
+// check falls back to the exact procedure.
+func TestFastpathScopeByModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xfa57))
 	for _, gen := range []core.GeneratorKind{core.GenRandom, core.GenGPAll} {
 		for _, name := range []string{"mesi-sc", "mesi-tso", "mesi-pso", "mesi-rmo"} {
@@ -49,25 +28,24 @@ func TestFastpathOffMatchesOn(t *testing.T) {
 				cfg := scaledConfig(gen, "", 5)
 				cfg.Scenario = scn
 				cfg.Seed = rng.Int63()
-				on, fpOn := runWithFastpath(t, cfg, true)
-				off, fpOff := runWithFastpath(t, cfg, false)
-				if !reflect.DeepEqual(on, off) {
-					t.Fatalf("%s/%v seed %d: results diverge with fast path off:\n  on  %+v\n  off %+v",
-						name, gen, cfg.Seed, on, off)
+				camp, err := core.NewCampaign(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if fpOff.Checks != 0 {
-					t.Errorf("%s/%v: disabled fast path recorded %+v", name, gen, fpOff)
+				if _, err := camp.RunContext(context.Background()); err != nil {
+					t.Fatal(err)
 				}
-				if fpOn.Checks == 0 {
+				fp := camp.Fastpath()
+				if fp.Checks == 0 {
 					t.Fatalf("%s/%v: fast path saw no checks", name, gen)
 				}
 				if name == "mesi-rmo" {
-					if fpOn.Fallback != fpOn.Checks {
-						t.Errorf("rmo: %d/%d checks decided on an unsupported model", fpOn.Conclusive(), fpOn.Checks)
+					if fp.Fallback != fp.Checks {
+						t.Errorf("rmo: %d/%d checks decided on an unsupported model", fp.Conclusive(), fp.Checks)
 					}
-				} else if fpOn.Fallback != 0 {
+				} else if fp.Fallback != 0 {
 					t.Errorf("%s: %d/%d checks fell back on a supported model: %s",
-						name, fpOn.Fallback, fpOn.Checks, fpOn)
+						name, fp.Fallback, fp.Checks, fp)
 				}
 			}
 		}

@@ -204,9 +204,6 @@ func (h *Host) SetObs(ps *obs.PhaseStats) { h.obs = ps }
 // Machine returns the underlying machine.
 func (h *Host) Machine() *machine.Machine { return h.m }
 
-// Recorder returns the underlying recorder.
-func (h *Host) Recorder() *checker.Recorder { return h.rec }
-
 // Runs returns the number of completed test-runs.
 func (h *Host) Runs() uint64 { return h.runs }
 

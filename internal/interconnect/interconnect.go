@@ -51,12 +51,6 @@ type Handler interface {
 	Deliver(vnet VNet, payload interface{})
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(vnet VNet, payload interface{})
-
-// Deliver implements Handler.
-func (f HandlerFunc) Deliver(vnet VNet, payload interface{}) { f(vnet, payload) }
-
 // Config holds the network timing parameters (Table 2: 2D mesh, 2 rows,
 // 16B flits; latencies chosen to land L2 round trips in the 30–80 cycle
 // band and memory in the 120–230 band together with controller

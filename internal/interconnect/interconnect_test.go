@@ -289,7 +289,7 @@ func TestUnregisteredEndpointsPanic(t *testing.T) {
 func TestSendAllocatesNothing(t *testing.T) {
 	s := sim.New(1)
 	n := New(s, DefaultConfig())
-	sink := HandlerFunc(func(VNet, interface{}) {})
+	sink := handlerFunc(func(VNet, interface{}) {})
 	for _, at := range []struct {
 		id       NodeID
 		row, col int
@@ -315,7 +315,7 @@ func TestChannelTableLaidOutOnce(t *testing.T) {
 	// table is sized once, for all of them, by that message.
 	s := sim.New(1)
 	n := New(s, DefaultConfig())
-	sink := HandlerFunc(func(VNet, interface{}) {})
+	sink := handlerFunc(func(VNet, interface{}) {})
 	for id := NodeID(0); id < 17; id++ {
 		if err := n.Register(id, sink, int(id)%2, int(id)%4); err != nil {
 			t.Fatal(err)
@@ -349,3 +349,8 @@ func TestResetIdlesChannels(t *testing.T) {
 		t.Fatalf("after Reset node 5 received %v at %v, want only \"after\" at tick 0", rec.msgs, rec.at)
 	}
 }
+
+// handlerFunc adapts a function to the Handler interface.
+type handlerFunc func(vnet VNet, payload interface{})
+
+func (f handlerFunc) Deliver(vnet VNet, payload interface{}) { f(vnet, payload) }

@@ -47,7 +47,7 @@ var criticalPackages = map[string]bool{
 }
 
 // wirePackages hold structs that cross process boundaries as JSON:
-// specs, checkpoints, shard results, service API types, and the
+// specs, shard results, service API types, and the
 // stats/obs aggregates that ride shard results.
 var wirePackages = map[string]bool{
 	"repro/internal/collective": true,

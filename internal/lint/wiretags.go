@@ -10,7 +10,7 @@ import (
 
 // NewWiretags returns the wiretags analyzer, scoped to the wire
 // packages (the ones whose structs cross process boundaries as JSON:
-// fleet shard results, core specs/checkpoints, service API types, the
+// fleet shard results, core specs, service API types, the
 // stats/obs aggregates that ride them). A struct there opts into the
 // wire by tagging at least one field with a json tag; once it has, the
 // contract is total:

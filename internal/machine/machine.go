@@ -320,17 +320,6 @@ func CoverageTable(p Protocol) *coverage.Table {
 	return t.(*coverage.Table)
 }
 
-// Transitions enumerates the machine's protocol transition table (the
-// coverage denominator).
-func (m *Machine) Transitions() []coherence.Transition {
-	switch m.Cfg.Protocol {
-	case TSOCC:
-		return coherence.TSOCCTransitions()
-	default:
-		return coherence.MESITransitions()
-	}
-}
-
 // ResetCaches drops every cache level without traffic. Must only be
 // called at quiescence (between test executions).
 func (m *Machine) ResetCaches() {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/coverage"
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
 	"repro/internal/sim"
@@ -62,7 +63,7 @@ func TestNewBuildsBothProtocols(t *testing.T) {
 		if len(m.Cores) != 8 || len(m.L1s) != 8 {
 			t.Fatalf("%s: cores/L1s = %d/%d", proto, len(m.Cores), len(m.L1s))
 		}
-		if len(m.Transitions()) == 0 {
+		if CoverageTable(proto).Len() == 0 {
 			t.Errorf("%s: empty transition table", proto)
 		}
 	}
@@ -111,23 +112,22 @@ func TestLoadProgramsRejectsTooMany(t *testing.T) {
 	}
 }
 
+// TestTransitionsMatchProtocol: the coverage denominator a campaign
+// tracks is the protocol's declared transition table, entry for entry.
 func TestTransitionsMatchProtocol(t *testing.T) {
-	cfgM := DefaultConfig()
-	mm, err := New(cfgM, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(mm.Transitions()), len(coherence.MESITransitions()); got != want {
-		t.Errorf("MESI transitions = %d, want %d", got, want)
-	}
-	cfgT := DefaultConfig()
-	cfgT.Protocol = TSOCC
-	mt, err := New(cfgT, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(mt.Transitions()), len(coherence.TSOCCTransitions()); got != want {
-		t.Errorf("TSO-CC transitions = %d, want %d", got, want)
+	for p, want := range map[Protocol][]coherence.Transition{
+		MESI:  coherence.MESITransitions(),
+		TSOCC: coherence.TSOCCTransitions(),
+	} {
+		tb := CoverageTable(p)
+		if tb.Len() != len(want) {
+			t.Errorf("%s: coverage table has %d transitions, protocol declares %d", p, tb.Len(), len(want))
+		}
+		for _, tr := range want {
+			if _, ok := tb.ID(coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event}); !ok {
+				t.Errorf("%s: %v missing from the coverage table", p, tr)
+			}
+		}
 	}
 }
 

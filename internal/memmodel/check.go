@@ -67,14 +67,14 @@ func (r Result) Err() error {
 }
 
 // Scratch holds the per-check working state — the constraint graph
-// with its edge list and search arrays, and the po-loc walk's
-// per-address marks — so repeated checks reuse allocations instead of
-// growing them per execution. A Scratch is single-use-at-a-time; a
-// Checker draws one from an internal pool unless it was built
-// WithScratch.
+// with its edge list and search arrays, and the per-address marks of
+// the uniproc scan and the po-loc walk — so repeated checks reuse
+// allocations instead of growing them per execution. A Scratch is
+// single-use-at-a-time; a Checker draws one from an internal pool
+// unless it was built WithScratch.
 type Scratch struct {
 	graph relation.Graph
-	last  AddrMarks
+	marks AddrMarks
 }
 
 // NewScratch returns an empty scratch ready for WithScratch.
@@ -87,10 +87,12 @@ var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 // procedure is the complete polynomial-time pre-silicon check of §4.1:
 // all conflict orders are visible, so each constraint is a cycle search
 // over explicit edges, run on the one acyclicity engine
-// (relation.Graph) the fast path also decides on. A valid execution
-// costs one Kahn pass per constraint graph; only a cyclic graph is
-// sorted and searched for its witness, whose identity is a property of
-// the order the relations are appended in below (relation.Graph.Cycle).
+// (relation.Graph) the fast path also decides on — except uniproc,
+// which a frontier scan decides without a graph (CheckUniproc). A valid
+// execution costs that scan and one Kahn pass over the GHB graph; only
+// a violated constraint's graph is sorted and searched for its witness,
+// whose identity is a property of the order the relations are appended
+// in below (relation.Graph.Cycle).
 // The returned Result shares no state with s, so s may be reused
 // immediately.
 func check(x *Execution, arch Arch, s *Scratch) Result {
@@ -99,14 +101,20 @@ func check(x *Execution, arch Arch, s *Scratch) Result {
 	}
 
 	// Constraint 1 — uniproc / SC-per-location:
-	// acyclic(po-loc ∪ rf ∪ co ∪ fr).
+	// acyclic(po-loc ∪ rf ∪ co ∪ fr). The frontier scan decides it; the
+	// graph is built only to name the witness of a violation. The scan
+	// is complete in both directions, but the graph is the constraint as
+	// written: were it ever acyclic, it is believed and the check goes
+	// on.
 	g := &s.graph
-	x.coreEdges(g)
-	x.polocEdges(g, &s.last)
-	g.Cut()
-	x.rfEdges(g, false)
-	if !g.Acyclic() {
-		return cycleViolation(x, ViolationUniproc, g, "po-loc ∪ com")
+	if !CheckUniproc(x, &s.marks) {
+		x.coreEdges(g)
+		x.polocEdges(g, &s.marks)
+		g.Cut()
+		x.rfEdges(g, false)
+		if !g.Acyclic() {
+			return cycleViolation(x, ViolationUniproc, g, "po-loc ∪ com")
+		}
 	}
 
 	// Constraint 2 — RMW atomicity: for the read and write halves of an
@@ -143,6 +151,46 @@ func GHBGraph(x *Execution, arch Arch, g *relation.Graph) {
 	for _, tid := range x.Threads() {
 		arch.PPOEdges(x, x.ThreadEvents(tid), g)
 	}
+}
+
+// CheckUniproc decides SC-per-location — acyclic(po-loc ∪ rf ∪ co ∪ fr)
+// — by frontier monotonicity, in the style of Roy et al., "Fast and
+// Generalized Polynomial Time Memory Consistency Verification". Each
+// access gets an even/odd-encoded coherence clock — write w ↦
+// 2·coIndex(w), read r ↦ 2·coIndex(rf(r))+1 — under which every rf, co
+// and fr edge strictly increases the clock and po-loc must preserve it,
+// so the constraint holds exactly when the clock never decreases along
+// any per-(thread, address) po-loc chain; the rule is complete in both
+// directions, not an approximation. (The odd offset makes a read sit
+// between its source and the source's co-successor: a same-clock R→R
+// pair shares a source and is legal, while W→R of the same clock means
+// reading a po-earlier value and R→W of a lower-or-equal clock means
+// overwriting with the past — both flagged.) x must have passed
+// Validate. frontier is working storage the caller keeps: the latest
+// clock of the thread being walked, per address slot.
+func CheckUniproc(x *Execution, frontier *AddrMarks) bool {
+	for _, tid := range x.Threads() {
+		frontier.Begin(x)
+		for _, id := range x.ThreadEvents(tid) {
+			e := x.Event(id)
+			if e.Kind == KindFence {
+				continue
+			}
+			var pos int64
+			if e.IsWrite() {
+				ci, _ := x.COIndex(id)
+				pos = 2 * int64(ci)
+			} else {
+				w, _ := x.RF(id)
+				ci, _ := x.COIndex(w)
+				pos = 2*int64(ci) + 1
+			}
+			if prev, ok := frontier.Swap(x.AddrSlot(id), pos); ok && pos < prev {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // CheckAtomicity verifies every RMW pair; ok is false, with the

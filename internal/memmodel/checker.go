@@ -65,8 +65,8 @@ type Checker struct {
 // CheckerOption configures a Checker.
 type CheckerOption func(*Checker)
 
-// WithFastDecider installs a fast decision pass (nil disables it —
-// exact-only checking, the A/B reference configuration).
+// WithFastDecider installs a fast decision pass; without one every
+// execution is decided by the exact procedure.
 func WithFastDecider(fd FastDecider) CheckerOption {
 	return func(c *Checker) { c.fast = fd }
 }
@@ -88,12 +88,6 @@ func NewChecker(opts ...CheckerOption) *Checker {
 	}
 	return c
 }
-
-// SetFastDecider replaces the fast pass at runtime (nil disables).
-func (c *Checker) SetFastDecider(fd FastDecider) { c.fast = fd }
-
-// FastEnabled reports whether a fast pass is configured.
-func (c *Checker) FastEnabled() bool { return c.fast != nil }
 
 // Check decides whether x is valid under arch. With a FastDecider
 // configured the fast pass runs first and its outcome is tallied; the

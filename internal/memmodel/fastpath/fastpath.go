@@ -2,16 +2,12 @@
 // the TSO-like models (SC, TSO, PSO) in the style of Roy et al., "Fast
 // and Generalized Polynomial Time Memory Consistency Verification": the
 // same candidate execution the exact checker sees is decided without
-// building the uniproc constraint graph and without deriving a witness.
+// deriving a witness.
 //
-//   - The uniproc constraint (SC-per-location) collapses to a frontier
-//     scan: assign every access a coherence clock — a write's position
-//     in its address's co order, a read half a step after its source —
-//     and walk each thread's po-loc chain checking the clock never goes
-//     backwards. Every communication edge strictly increases the clock
-//     and po-loc preserves it, so per-adjacent-pair monotonicity is
-//     exactly acyclic(po-loc ∪ rf ∪ co ∪ fr); the rule is complete in
-//     both directions, not an approximation.
+//   - The uniproc constraint (SC-per-location) is the frontier scan the
+//     exact checker also decides by (memmodel.CheckUniproc): a coherence
+//     clock per access that must never go backwards along a thread's
+//     po-loc chain.
 //   - The GHB constraint is decided by frontier propagation (Kahn
 //     waves) over the very graph the exact checker decides
 //     (memmodel.GHBGraph: the per-model ppo/fence edges plus rfe,
@@ -66,8 +62,7 @@ func (o Outcome) String() string {
 
 // Verdict is the clock pass's own answer: the outcome, and for
 // OutcomeInvalid the violated constraint. Conclusive verdicts must
-// agree with the exact checker — the differential harness and the
-// bench A/B enforce it.
+// agree with the exact checker — the differential harness enforces it.
 type Verdict struct {
 	Outcome Outcome
 	Kind    memmodel.ViolationKind
@@ -126,7 +121,7 @@ func (c *Checker) Decide(x *memmodel.Execution, arch memmodel.Arch) Verdict {
 	if x.Validate() != nil {
 		return Verdict{Outcome: OutcomeInconclusive, Kind: memmodel.ViolationStructural}
 	}
-	if !c.uniproc(x) {
+	if !memmodel.CheckUniproc(x, &c.frontier) {
 		return Verdict{Outcome: OutcomeInvalid, Kind: memmodel.ViolationUniproc}
 	}
 	if _, ok := memmodel.CheckAtomicity(x); !ok {
@@ -137,39 +132,4 @@ func (c *Checker) Decide(x *memmodel.Execution, arch memmodel.Arch) Verdict {
 		return Verdict{Outcome: OutcomeInvalid, Kind: memmodel.ViolationGHB}
 	}
 	return Verdict{Outcome: OutcomeValid}
-}
-
-// uniproc checks SC-per-location by frontier monotonicity. Each access
-// gets an even/odd-encoded coherence clock — write w ↦ 2·coIndex(w),
-// read r ↦ 2·coIndex(rf(r))+1 — under which every rf, co and fr edge
-// strictly increases the clock, so acyclic(po-loc ∪ com) holds exactly
-// when the clock never decreases along any per-(thread,address) po-loc
-// chain. (The odd offset makes a read sit between its source and the
-// source's co-successor: a same-clock R→R pair shares a source and is
-// legal, while W→R of the same clock means reading a po-earlier value
-// and R→W of a lower-or-equal clock means overwriting with the past —
-// both flagged.)
-func (c *Checker) uniproc(x *memmodel.Execution) bool {
-	for _, tid := range x.Threads() {
-		c.frontier.Begin(x)
-		for _, id := range x.ThreadEvents(tid) {
-			e := x.Event(id)
-			if e.Kind == memmodel.KindFence {
-				continue
-			}
-			var pos int64
-			if e.IsWrite() {
-				ci, _ := x.COIndex(id)
-				pos = 2 * int64(ci)
-			} else {
-				w, _ := x.RF(id)
-				ci, _ := x.COIndex(w)
-				pos = 2*int64(ci) + 1
-			}
-			if prev, ok := c.frontier.Swap(x.AddrSlot(id), pos); ok && pos < prev {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -46,15 +46,8 @@ func (a Addr) WordAddr() Addr { return a &^ (WordSize - 1) }
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
 // LineData holds the data of one cache line as eight 64-bit words.
-// Values are copied by assignment; use Clone for an explicit copy of a
-// pointer-held line.
+// Values are copied by assignment.
 type LineData [WordsPerLine]uint64
-
-// Clone returns a copy of d.
-func (d *LineData) Clone() *LineData {
-	c := *d
-	return &c
-}
 
 // Word returns the word of d addressed by a (a need not be line-aligned).
 func (d *LineData) Word(a Addr) uint64 { return d[a.WordIndex()] }
@@ -167,12 +160,6 @@ func MustLayout(size, stride int) Layout {
 	return l
 }
 
-// Partitions returns the number of 512B partitions the layout scatters
-// its logical range into.
-func (l Layout) Partitions() int {
-	return (l.Size + PartitionSize - 1) / PartitionSize
-}
-
 // Translate maps a logical offset (0 <= off < Size) to its scattered
 // physical address.
 func (l Layout) Translate(off int) Addr {
@@ -207,16 +194,4 @@ func (l Layout) Lines() []Addr {
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	return lines
-}
-
-// Contains reports whether a lies within one of the layout's partitions.
-func (l Layout) Contains(a Addr) bool {
-	if a < l.Base {
-		return false
-	}
-	off := uint64(a - l.Base)
-	part := off / PartitionSeparation
-	in := off % PartitionSeparation
-	return int(part) < l.Partitions() && in < PartitionSize &&
-		int(part)*PartitionSize+int(in) < l.Size
 }

@@ -1,7 +1,7 @@
 // Package obs is the framework's dependency-free observability core:
 // atomic counters, gauges and fixed-bucket histograms behind a Registry
-// with cheap pre-registered handles (hot paths pay one atomic add, the
-// same discipline as coverage.Shard.RecordID), plus a phase-span tracer
+// with cheap pre-registered handles (hot paths pay one atomic add),
+// plus a phase-span tracer
 // (phase.go) whose per-run timing breakdowns aggregate into a
 // deterministic, mergeable Snapshot.
 //
@@ -54,13 +54,6 @@ type Gauge struct{ v atomic.Int64 }
 func (g *Gauge) Set(n int64) {
 	if g != nil {
 		g.v.Store(n)
-	}
-}
-
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
 	}
 }
 

@@ -22,8 +22,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Inc()
 	c.Add(2)
 	g := r.Gauge("queue_depth", "Queued jobs.")
-	g.Set(5)
-	g.Add(-2)
+	g.Set(3)
 	r.GaugeFunc("workers", "Live workers.", func() float64 { return 3 })
 
 	text := render(t, r)
@@ -112,7 +111,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(7)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles accumulated state")
@@ -163,7 +161,7 @@ func TestConcurrentHandles(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(i + 1))
 				h.Observe(float64(i % 200))
 			}
 		}()
@@ -172,8 +170,8 @@ func TestConcurrentHandles(t *testing.T) {
 	if c.Load() != workers*perWorker {
 		t.Errorf("counter = %d, want %d", c.Load(), workers*perWorker)
 	}
-	if g.Load() != workers*perWorker {
-		t.Errorf("gauge = %d, want %d", g.Load(), workers*perWorker)
+	if g.Load() != perWorker {
+		t.Errorf("gauge = %d, want %d", g.Load(), perWorker)
 	}
 	if h.Count() != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)

@@ -5,15 +5,12 @@
 // gathers them: coherence protocol, machine topology overrides, the
 // legal core relaxations (cpu.Relax), the injected bug set, and the
 // axiomatic model to check against. A registry names the bundled
-// scenarios, Validate enforces the legality rules that keep a scenario
-// coherent (a relaxed core must be checked against a model that permits
-// the relaxation), and Matrix enumerates protocol × model cross-products
-// for campaign sweeps — the TriCheck-style axis the ROADMAP's
-// "as many scenarios as you can imagine" goal asks for.
+// scenarios and Validate enforces the legality rules that keep a
+// scenario coherent (a relaxed core must be checked against a model
+// that permits the relaxation).
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -173,16 +170,6 @@ func (s Scenario) Apply(base machine.Config) (machine.Config, error) {
 	return base, nil
 }
 
-// Parse deserializes a scenario and validates it; marshalling is plain
-// encoding/json over the exported fields.
-func Parse(data []byte) (Scenario, error) {
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Scenario{}, fmt.Errorf("scenario: %w", err)
-	}
-	return s, s.Validate()
-}
-
 // RelaxFor returns the canonical legal relaxation set realizing the
 // given model on the simulated cores: the strongest hardware the model
 // still permits to be tested as relaxed (SC strengthens the stores; TSO
@@ -279,65 +266,6 @@ func Default() Scenario {
 		panic(err) // built-in; cannot happen
 	}
 	return s
-}
-
-// Matrix enumerates a protocol × model × bug cross-product. Zero-value
-// axes default to everything (both protocols, all four models, the
-// bug-free target).
-type Matrix struct {
-	Protocols []machine.Protocol `json:"protocols,omitempty"`
-	Models    []string           `json:"models,omitempty"`
-	// Bugs lists bug names to inject, one scenario per entry; the empty
-	// string is the bug-free target. Nil means bug-free only.
-	Bugs []string `json:"bugs,omitempty"`
-}
-
-// Enumerate expands the matrix into validated scenarios, skipping
-// incoherent combinations (SC on TSO-CC, protocol-mismatched bugs).
-// Relaxations are derived from each model via RelaxFor. The order is
-// deterministic: protocols outermost, then models strongest-to-weakest,
-// then bugs.
-func (m Matrix) Enumerate() []Scenario {
-	protos := m.Protocols
-	if len(protos) == 0 {
-		protos = machine.Protocols()
-	}
-	models := m.Models
-	if len(models) == 0 {
-		models = memmodel.Names()
-	}
-	bugList := m.Bugs
-	if len(bugList) == 0 {
-		bugList = []string{""}
-	}
-	var out []Scenario
-	for _, p := range protos {
-		for _, model := range models {
-			for _, bug := range bugList {
-				s := Scenario{
-					Protocol: p,
-					Model:    model,
-					Relax:    RelaxFor(model),
-				}
-				if bug != "" {
-					s.Bugs = []string{bug}
-				}
-				if s.Validate() != nil {
-					continue
-				}
-				s.Name = strings.ToLower(fmt.Sprintf("%s-%s", protoSlug(p), model))
-				if bug != "" {
-					s.Name += "+" + bug
-				}
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
-
-func protoSlug(p machine.Protocol) string {
-	return strings.ReplaceAll(strings.ToLower(string(p)), "-", "")
 }
 
 func init() {

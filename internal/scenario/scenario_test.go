@@ -142,16 +142,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(data)
-	if err != nil {
+	var back Scenario
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.ID() != s.ID() || back.Name != s.Name {
 		t.Errorf("round trip changed scenario: %v vs %v", back, s)
 	}
-	// Parse validates.
-	if _, err := Parse([]byte(`{"protocol":"MESI","model":"TSO","relax":{"NonFIFOSB":true}}`)); err == nil {
-		t.Error("Parse accepted an incoherent scenario")
+	// An incoherent scenario decodes; Validate is what refuses it.
+	var bad Scenario
+	if err := json.Unmarshal([]byte(`{"protocol":"MESI","model":"TSO","relax":{"NonFIFOSB":true}}`), &bad); err != nil {
+		t.Fatal(err)
+	}
+	if bad.Validate() == nil {
+		t.Error("Validate accepted an incoherent scenario")
 	}
 }
 
@@ -174,9 +178,12 @@ func TestWireStability(t *testing.T) {
 		if string(data) != string(again) {
 			t.Errorf("%s: wire encoding is not deterministic:\n  %s\n  %s", s.Name, data, again)
 		}
-		back, err := Parse(data)
-		if err != nil {
+		var back Scenario
+		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("%s: re-parse: %v", s.Name, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("%s: re-parsed scenario invalid: %v", s.Name, err)
 		}
 		if !reflect.DeepEqual(back, s) {
 			t.Errorf("%s: round trip changed the scenario:\n  sent %+v\n  got  %+v", s.Name, s, back)
@@ -184,31 +191,6 @@ func TestWireStability(t *testing.T) {
 		if back.ID() != s.ID() {
 			t.Errorf("%s: ID changed in flight: %q vs %q", s.Name, back.ID(), s.ID())
 		}
-	}
-}
-
-func TestMatrixEnumerate(t *testing.T) {
-	scens := (Matrix{}).Enumerate()
-	if len(scens) != 7 {
-		t.Fatalf("default matrix has %d scenarios, want 7 (SC×TSO-CC is incoherent)", len(scens))
-	}
-	seen := map[string]bool{}
-	for _, s := range scens {
-		if err := s.Validate(); err != nil {
-			t.Errorf("enumerated scenario %s invalid: %v", s.Name, err)
-		}
-		if seen[s.Name] {
-			t.Errorf("duplicate name %s", s.Name)
-		}
-		seen[s.Name] = true
-	}
-	// A bug axis multiplies only where the bug applies.
-	m := Matrix{Models: []string{"TSO"}, Bugs: []string{"", "TSO-CC+compare"}}
-	scens = m.Enumerate()
-	// MESI/TSO bug-free, MESI/TSO+bug (skipped: protocol mismatch),
-	// TSOCC/TSO bug-free, TSOCC/TSO+bug.
-	if len(scens) != 3 {
-		t.Fatalf("bug matrix has %d scenarios, want 3: %v", len(scens), scens)
 	}
 }
 

@@ -142,16 +142,6 @@ func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Merged fetches and decodes a finished campaign's merged result.
-func (c *Client) Merged(ctx context.Context, id string) (fleet.Merged, error) {
-	data, err := c.ResultBytes(ctx, id)
-	if err != nil {
-		return fleet.Merged{}, err
-	}
-	var m fleet.Merged
-	return m, json.Unmarshal(data, &m)
-}
-
 // Events streams a campaign's SSE feed, invoking fn per event until the
 // stream ends (terminal event), fn returns false, or ctx is cancelled.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {

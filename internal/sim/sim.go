@@ -287,9 +287,7 @@ func (s *Sim) cascade() {
 }
 
 // NextEventTime reports the earliest pending event's tick without
-// dispatching it — the watchdog's lookahead: RunUntil judges the
-// timeout against this timestamp so an event past the deadline never
-// executes.
+// dispatching it.
 func (s *Sim) NextEventTime() (Tick, bool) {
 	if s.pending == 0 {
 		return 0, false

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -65,9 +64,6 @@ func Ratio(num, den uint64) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// DurableRate returns Durable/Checks, or 0 when nothing was checked.
-func (d Dedupe) DurableRate() float64 { return Ratio(d.Durable, d.Checks) }
 
 func (d Dedupe) String() string {
 	s := fmt.Sprintf("%d checks, %d unique, %d hits (%.1f%% dedupe)",
@@ -144,21 +140,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (0 for fewer than
-// two samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Median returns the median of xs, or 0 for an empty slice.
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -171,32 +152,4 @@ func Median(xs []float64) float64 {
 		return c[n/2]
 	}
 	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -18,15 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if !almost(StdDev([]float64{5}), 0) {
-		t.Error("StdDev single != 0")
-	}
-	if !almost(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2.13808993529939) {
-		t.Errorf("StdDev = %v", StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if !almost(Median([]float64{3, 1, 2}), 2) {
 		t.Error("odd median wrong")
@@ -36,16 +27,6 @@ func TestMedian(t *testing.T) {
 	}
 	if !almost(Median(nil), 0) {
 		t.Error("Median(nil) != 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if !almost(Min(xs), -1) || !almost(Max(xs), 7) {
-		t.Error("Min/Max wrong")
-	}
-	if !almost(Min(nil), 0) || !almost(Max(nil), 0) {
-		t.Error("Min/Max nil wrong")
 	}
 }
 

@@ -128,21 +128,3 @@ func lastLoad(p Program) int {
 	}
 	return -1
 }
-
-// EventCount returns the number of memory-model events the programs will
-// produce per iteration (RMW contributes two, fences one; CacheFlush and
-// Delay none).
-func EventCount(progs []Program) int {
-	n := 0
-	for _, p := range progs {
-		for i := range p {
-			switch p[i].Kind {
-			case OpRead, OpReadAddrDp, OpWrite, OpFence:
-				n++
-			case OpRMW:
-				n += 2
-			}
-		}
-	}
-	return n
-}

@@ -89,26 +89,6 @@ func TestCompileRejectsBadPID(t *testing.T) {
 	}
 }
 
-func TestEventCount(t *testing.T) {
-	tst := &Test{
-		Threads: 2,
-		Nodes: []Node{
-			{PID: 0, Op: Op{Kind: OpWrite, Addr: 0x1000}},      // 1 event
-			{PID: 0, Op: Op{Kind: OpRMW, Addr: 0x1000}},        // 2 events
-			{PID: 1, Op: Op{Kind: OpRead, Addr: 0x1000}},       // 1 event
-			{PID: 1, Op: Op{Kind: OpCacheFlush, Addr: 0x1000}}, // 0
-			{PID: 1, Op: Op{Kind: OpDelay, Delay: 1}},          // 0
-		},
-	}
-	progs, err := Compile(tst)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if got := EventCount(progs); got != 4 {
-		t.Fatalf("EventCount = %d, want 4", got)
-	}
-}
-
 func TestCompileRMWIsDependencySource(t *testing.T) {
 	tst := &Test{
 		Threads: 1,

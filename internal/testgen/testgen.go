@@ -90,17 +90,6 @@ func (k OpKind) IsMemOp() bool {
 	}
 }
 
-// IsMemEvent reports whether the operation produces memory-model events
-// (CacheFlush affects the protocol but produces no read/write event).
-func (k OpKind) IsMemEvent() bool {
-	switch k {
-	case OpRead, OpReadAddrDp, OpWrite, OpRMW:
-		return true
-	default:
-		return false
-	}
-}
-
 // Op is one high-level operation.
 type Op struct {
 	Kind OpKind
@@ -160,17 +149,6 @@ func (t *Test) ThreadOps(pid int) []Op {
 		}
 	}
 	return ops
-}
-
-// MemOps returns the indices of nodes holding memory operations.
-func (t *Test) MemOps() []int {
-	var idx []int
-	for i, n := range t.Nodes {
-		if n.Op.Kind.IsMemOp() {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // Addresses returns the distinct word addresses used by memory operations.
@@ -291,9 +269,6 @@ func NewGenerator(cfg Config, rng *rand.Rand) (*Generator, error) {
 	}
 	return g, nil
 }
-
-// Config returns the generator's configuration (with defaults applied).
-func (g *Generator) Config() Config { return g.cfg }
 
 // Pool returns the generator's address pool. Callers must not mutate it.
 func (g *Generator) Pool() []memsys.Addr { return g.pool }

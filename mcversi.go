@@ -147,9 +147,6 @@ func ScaledScenarioConfig(gen GeneratorKind, scen Scenario, memBytes int) Campai
 // protocol, axiomatic model, legal core relaxations and injected bugs.
 type Scenario = scenario.Scenario
 
-// ScenarioMatrix enumerates protocol × model × bug cross-products.
-type ScenarioMatrix = scenario.Matrix
-
 // CoreRelax is the legal core ordering configuration of a scenario.
 type CoreRelax = cpu.Relax
 

@@ -171,10 +171,6 @@ func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 
 // Options configures a Checker.
 type Options struct {
-	// Exact disables the fast-path pass: every execution is decided by
-	// the exact procedure. Results are byte-identical either way; Exact
-	// is the A/B reference configuration.
-	Exact bool
 	// Memo is a shared verdict table (nil = a private one per Checker).
 	// Checkers of different models may share one memo; it keys on the
 	// model.
@@ -213,10 +209,6 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %v", err)
 	}
-	copts := []memmodel.CheckerOption{memmodel.WithScratch(memmodel.NewScratch())}
-	if !opts.Exact {
-		copts = append(copts, memmodel.WithFastDecider(fastpath.New()))
-	}
 	memo := opts.Memo
 	if memo == nil {
 		memo = collective.NewMemo()
@@ -225,8 +217,10 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 		memo.SetStore(opts.Store)
 	}
 	c := &Checker{
-		arch:  arch,
-		chk:   memmodel.NewChecker(copts...),
+		arch: arch,
+		chk: memmodel.NewChecker(
+			memmodel.WithScratch(memmodel.NewScratch()),
+			memmodel.WithFastDecider(fastpath.New())),
 		memo:  memo,
 		scope: opts.Scope,
 	}

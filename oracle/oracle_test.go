@@ -48,19 +48,21 @@ func TestLitmusCorpusKnownAnswers(t *testing.T) {
 	}
 }
 
-// TestExactAndFastAgree: the Exact option changes cost, never outcome —
-// Results are byte-identical across the two configurations.
+// TestExactAndFastAgree: the fast-path pass changes cost, never outcome —
+// a Checker's Results are byte-identical to the exact procedure's with
+// no fast pass in front of it.
 func TestExactAndFastAgree(t *testing.T) {
 	corpus, err := LitmusCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact := memmodel.NewChecker()
 	for _, model := range Models() {
 		fast, err := NewChecker(model, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := NewChecker(model, Options{Exact: true})
+		arch, err := ModelByName(model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,25 +71,15 @@ func TestExactAndFastAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Decode twice: the memo would otherwise alias the results.
-			x2, err := e.Trace.Execution()
-			if err != nil {
-				t.Fatal(err)
-			}
 			rf := fast.CheckExecution(x)
-			re := exact.CheckExecution(x2)
+			re := exact.Check(x, arch)
 			if !reflect.DeepEqual(rf, re) {
 				t.Fatalf("%s under %s: fast %+v != exact %+v", e.Trace.Name, model, rf, re)
 			}
 		}
-	}
-	if fp := func() FastpathStats {
-		c, _ := NewChecker("SC", Options{})
-		x, _ := mustCorpusExec(t, 0)
-		c.CheckExecution(x)
-		return c.Fastpath()
-	}(); fp.Checks == 0 {
-		t.Error("fast checker never consulted the fast pass")
+		if fast.Fastpath().Checks == 0 {
+			t.Errorf("%s: the checker never consulted the fast pass", model)
+		}
 	}
 }
 
