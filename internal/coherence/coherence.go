@@ -21,122 +21,25 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
 	"repro/internal/sim"
 )
 
-// TransitionID is the dense interned index of a transition in the
-// sink's vocabulary. It aliases uint32 (as does the coverage package's
-// TransitionID) so sinks satisfy CoverageSink structurally without an
-// import in either direction.
+// TransitionID is the dense index of a transition in its protocol's
+// vocabulary (MESITransitions, TSOCCTransitions). It aliases uint32 (as
+// does the coverage package's TransitionID) so sinks satisfy
+// CoverageSink structurally without an import in either direction.
 type TransitionID = uint32
-
-// NoTransitionID marks a transition the sink's vocabulary does not
-// know. Controllers record it like any other ID; the sink tallies it
-// as an unknown record.
-const NoTransitionID TransitionID = ^TransitionID(0)
 
 // CoverageSink receives one record per executed protocol transition.
 // Identical controllers are not distinguished (§3.2: "we do not
 // distinguish between identical controllers, and instead consider the
-// sum of their transitions"). The sink interns the protocol's
-// transition vocabulary: controllers resolve their whole dispatch table
-// to TransitionIDs once at construction, and the per-event record is
-// RecordID — no string handling on the hot path.
+// sum of their transitions"): every controller of a kind records from
+// the one lattice numbered at package init.
 type CoverageSink interface {
-	// CoverageID resolves a transition to its interned ID; ok is
-	// false for transitions outside the vocabulary.
-	CoverageID(controller, state, event string) (TransitionID, bool)
-	// RecordID records one occurrence of an interned transition.
 	RecordID(id TransitionID)
-}
-
-// internKey is the dense (state, event) coordinate of one dispatch-
-// table entry.
-type internKey struct{ s, e int }
-
-// tableKeys lists the occupied cells of a states×events dispatch table
-// in (state, event) order — the controller's transition vocabulary.
-func tableKeys(states, events int, occupied func(s, e int) bool) []internKey {
-	var keys []internKey
-	for s := 0; s < states; s++ {
-		for e := 0; e < events; e++ {
-			if occupied(s, e) {
-				keys = append(keys, internKey{s, e})
-			}
-		}
-	}
-	return keys
-}
-
-// keyTransitions names a vocabulary for coverage accounting. extra
-// entries (transitions outside the table) are appended before sorting.
-func keyTransitions(controller string, keys []internKey, states, events []string, extra ...Transition) []Transition {
-	out := make([]Transition, 0, len(keys)+len(extra))
-	for _, k := range keys {
-		out = append(out, Transition{Controller: controller, State: states[k.s], Event: events[k.e]})
-	}
-	out = append(out, extra...)
-	sortTransitions(out)
-	return out
-}
-
-// covRecorder is the coverage front end shared by all four
-// controllers: the sink and the pre-resolved dense (state × event)
-// TransitionID lattice, stored flat with one row of len(events) per
-// state. One instance is built per controller at construction and bound
-// to a sink by the controller's Reset, so the per-event record is a
-// lattice load plus one RecordID call.
-type covRecorder struct {
-	controller     string
-	states, events []string
-	keys           []internKey
-	sink           CoverageSink
-	ids            []TransitionID
-}
-
-// newCovRecorder lays out a controller's lattice with every cell
-// unresolved; bind resolves the occupied ones (keys).
-func newCovRecorder(controller string, states, events []string, keys []internKey) covRecorder {
-	r := covRecorder{
-		controller: controller, states: states, events: events, keys: keys,
-		ids: make([]TransitionID, len(states)*len(events)),
-	}
-	for i := range r.ids {
-		r.ids[i] = NoTransitionID
-	}
-	return r
-}
-
-// bind points the recorder at sink (nil discards) and resolves the
-// controller's transition vocabulary against it. Lattice entries the
-// sink's vocabulary does not know stay NoTransitionID.
-func (r *covRecorder) bind(sink CoverageSink) {
-	if sink == nil {
-		sink = NopCoverage{}
-	}
-	r.sink = sink
-	for _, k := range r.keys {
-		r.ids[k.s*len(r.events)+k.e] = r.resolve(r.states[k.s], r.events[k.e])
-	}
-}
-
-// record counts one executed transition.
-func (r *covRecorder) record(state, event int) {
-	r.sink.RecordID(r.ids[state*len(r.events)+event])
-}
-
-// resolve interns one transition by name (lattice entries, and
-// transitions outside the lattice such as TSO-CC's core-level timestamp
-// reset); NoTransitionID when the sink has no such vocabulary entry.
-func (r *covRecorder) resolve(stateName, eventName string) TransitionID {
-	if id, ok := r.sink.CoverageID(r.controller, stateName, eventName); ok {
-		return id
-	}
-	return NoTransitionID
 }
 
 // ErrorSink receives protocol-level failures: invalid transitions and
@@ -155,11 +58,6 @@ func errorSink(errs ErrorSink) ErrorSink {
 
 // NopCoverage discards coverage records.
 type NopCoverage struct{}
-
-// CoverageID implements CoverageSink: nothing is in the vocabulary.
-func (NopCoverage) CoverageID(controller, state, event string) (TransitionID, bool) {
-	return NoTransitionID, false
-}
 
 // RecordID implements CoverageSink.
 func (NopCoverage) RecordID(TransitionID) {}
@@ -473,31 +371,4 @@ type InvalidTransitionError struct {
 func (e *InvalidTransitionError) Error() string {
 	return fmt.Sprintf("coherence: invalid transition: %s in state %s on event %s (line %s)",
 		e.Controller, e.State, e.Event, e.Addr)
-}
-
-// Transition names one (controller, state, event) entry of a protocol's
-// transition table, the unit of structural coverage (§3.2).
-type Transition struct {
-	Controller string
-	State      string
-	Event      string
-}
-
-func (t Transition) String() string {
-	return t.Controller + ":" + t.State + ":" + t.Event
-}
-
-// sortTransitions orders an enumeration by (controller, state, event)
-// names, the order the interned coverage vocabulary is numbered in.
-func sortTransitions(ts []Transition) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.Controller != b.Controller {
-			return a.Controller < b.Controller
-		}
-		if a.State != b.State {
-			return a.State < b.State
-		}
-		return a.Event < b.Event
-	})
 }

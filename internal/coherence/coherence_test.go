@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bugs"
@@ -13,30 +15,16 @@ import (
 	"repro/internal/sim"
 )
 
-// covCounter is an open-vocabulary coverage sink: it interns every
-// triple a controller resolves at construction and tallies records by
-// name. A NoTransitionID record — a dispatch cell outside the
-// controller's declared vocabulary — lands in unknown.
+// covCounter tallies records by transition name, decoding IDs through
+// the protocol's vocabulary. An ID outside it lands in unknown.
 type covCounter struct {
-	ids     map[Transition]TransitionID
-	names   []Transition
-	seen    map[Transition]uint64
+	names   []string
+	seen    map[string]uint64
 	unknown uint64
 }
 
-func newCovCounter() *covCounter {
-	return &covCounter{ids: make(map[Transition]TransitionID), seen: make(map[Transition]uint64)}
-}
-
-func (c *covCounter) CoverageID(controller, state, event string) (TransitionID, bool) {
-	tr := Transition{controller, state, event}
-	id, ok := c.ids[tr]
-	if !ok {
-		id = TransitionID(len(c.names))
-		c.ids[tr] = id
-		c.names = append(c.names, tr)
-	}
-	return id, true
+func newCovCounter(proto string) *covCounter {
+	return &covCounter{names: protoTransitions(proto), seen: make(map[string]uint64)}
 }
 
 func (c *covCounter) RecordID(id TransitionID) {
@@ -101,7 +89,7 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 	msgs := NewMsgPool()
 	ts := &testSys{
 		t: t, sim: s, net: net, mem: mem,
-		cov: newCovCounter(), errs: &CollectErrors{},
+		cov: newCovCounter(proto), errs: &CollectErrors{},
 	}
 	if sink == nil {
 		sink = ts.cov
@@ -110,24 +98,20 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 	if ts.ctrl, err = NewMemCtrl(s, net, mem, msgs); err != nil {
 		t.Fatalf("NewMemCtrl: %v", err)
 	}
+	cfg := func(id, size int) Config {
+		return Config{ID: id, Cores: tCores, Tiles: tTiles, SizeBytes: size, Ways: 2, Bugs: bug, Msgs: msgs}
+	}
 	for i := 0; i < tCores; i++ {
 		switch proto {
 		case "MESI":
-			l1, err := NewMESIL1(s, net, MESIL1Config{
-				CoreID: i, Tiles: tTiles, SizeBytes: 1024, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
-			}, 0, i)
+			l1, err := NewMESIL1(s, net, cfg(i, 1024), 0, i)
 			if err != nil {
 				t.Fatalf("NewMESIL1: %v", err)
 			}
 			ts.mesi = append(ts.mesi, l1)
 			ts.l1s = append(ts.l1s, l1)
 		case "TSO-CC":
-			l1, err := NewTSOCCL1(s, net, TSOCCL1Config{
-				CoreID: i, Cores: tCores, Tiles: tTiles,
-				SizeBytes: 1024, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
-			}, 0, i)
+			l1, err := NewTSOCCL1(s, net, cfg(i, 1024), 0, i)
 			if err != nil {
 				t.Fatalf("NewTSOCCL1: %v", err)
 			}
@@ -138,26 +122,37 @@ func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink Cover
 	for j := 0; j < tTiles; j++ {
 		switch proto {
 		case "MESI":
-			l2, err := NewMESIL2(s, net, MESIL2Config{
-				Tile: j, Cores: tCores, SizeBytes: 2048, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
-			}, 1, j)
+			l2, err := NewMESIL2(s, net, cfg(j, 2048), 1, j)
 			if err != nil {
 				t.Fatalf("NewMESIL2: %v", err)
 			}
 			ts.mesiL2 = append(ts.mesiL2, l2)
 		case "TSO-CC":
-			l2, err := NewTSOCCL2(s, net, TSOCCL2Config{
-				Tile: j, Cores: tCores, SizeBytes: 2048, Ways: 2,
-				Bugs: bug, Coverage: sink, Errors: ts.errs, Msgs: msgs,
-			}, 1, j)
+			l2, err := NewTSOCCL2(s, net, cfg(j, 2048), 1, j)
 			if err != nil {
 				t.Fatalf("NewTSOCCL2: %v", err)
 			}
 			ts.tsoL2 = append(ts.tsoL2, l2)
 		}
 	}
+	ts.resetAll(sink)
 	return ts
+}
+
+// resetAll resets every controller, reporting to cov and ts.errs.
+func (ts *testSys) resetAll(cov CoverageSink) {
+	for _, c := range ts.mesi {
+		c.Reset(cov, ts.errs)
+	}
+	for _, c := range ts.tso {
+		c.Reset(cov, ts.errs)
+	}
+	for _, c := range ts.mesiL2 {
+		c.Reset(cov, ts.errs)
+	}
+	for _, c := range ts.tsoL2 {
+		c.Reset(cov, ts.errs)
+	}
 }
 
 // resetAllCaches drops every cache level, as the host's reset_test_mem
@@ -525,7 +520,6 @@ func TestTSOCCEventualVisibility(t *testing.T) {
 	ts.load(1, a)
 	ts.store(0, a, 2)
 	ts.quiesce()
-	maxReads := ts.tso[1].MaxReads
 	for i := 0; ; i++ {
 		if got := ts.load(1, a); got == 2 {
 			break
@@ -537,25 +531,37 @@ func TestTSOCCEventualVisibility(t *testing.T) {
 	ts.checkNoErrors()
 }
 
+// TestTransitionTablesEnumerate: each vocabulary is a plausible size,
+// names every transition once with all three parts, and is numbered in
+// sorted (controller, state, event) order.
 func TestTransitionTablesEnumerate(t *testing.T) {
-	mesi := MESITransitions()
-	tso := TSOCCTransitions()
-	if len(mesi) < 40 {
-		t.Errorf("MESI table suspiciously small: %d", len(mesi))
-	}
-	if len(tso) < 25 {
-		t.Errorf("TSO-CC table suspiciously small: %d", len(tso))
-	}
-	for _, set := range [][]Transition{mesi, tso} {
-		seen := make(map[Transition]bool)
-		for _, tr := range set {
-			if seen[tr] {
-				t.Errorf("duplicate transition %v", tr)
+	for proto, min := range map[string]int{"MESI": 40, "TSO-CC": 25} {
+		names := protoTransitions(proto)
+		if len(names) < min {
+			t.Errorf("%s table suspiciously small: %d", proto, len(names))
+		}
+		var prev []string
+		for _, name := range names {
+			parts := strings.Split(name, ":")
+			if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
+				t.Errorf("incomplete transition %q", name)
+				continue
 			}
-			seen[tr] = true
-			if tr.Controller == "" || tr.State == "" || tr.Event == "" {
-				t.Errorf("incomplete transition %v", tr)
+			if prev != nil && slices.Compare(prev, parts) >= 0 {
+				t.Errorf("%s: %q numbered after %q", proto, name, strings.Join(prev, ":"))
 			}
+			prev = parts
+		}
+	}
+}
+
+// TestL1EventsStartWithCPUOps: an L1 dispatches a CPU operation with its
+// ReqKind as the event.
+func TestL1EventsStartWithCPUOps(t *testing.T) {
+	for op, want := range []string{ReqLoad: "Load", ReqStore: "Store", ReqAtomic: "Atomic", ReqFlush: "Flush"} {
+		if l1EventNames[op] != want || tsoL1EventNames[op] != want {
+			t.Errorf("ReqKind %d dispatches as %s (MESI) / %s (TSO-CC), want %s",
+				op, l1EventNames[op], tsoL1EventNames[op], want)
 		}
 	}
 }
@@ -567,43 +573,22 @@ func TestCoverageSubsetOfTable(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			ts := newSys(t, proto, 10, bugs.Set{})
 			ts.stress(10)
-			table := make(map[Transition]bool)
-			for _, tr := range protoTransitions(proto) {
-				table[tr] = true
-			}
-			for tr := range ts.cov.seen {
-				if !table[tr] {
-					t.Errorf("recorded transition %v not in table", tr)
-				}
-			}
 			if len(ts.cov.seen) < 10 {
 				t.Errorf("too few distinct transitions recorded: %d", len(ts.cov.seen))
 			}
 			if ts.cov.unknown != 0 {
-				t.Errorf("%d records hit dispatch cells outside the declared vocabulary", ts.cov.unknown)
+				t.Errorf("%d records outside the declared vocabulary", ts.cov.unknown)
 			}
 		})
 	}
 }
 
 // protoTransitions returns a protocol's declared vocabulary.
-func protoTransitions(proto string) []Transition {
+func protoTransitions(proto string) []string {
 	if proto == "MESI" {
 		return MESITransitions()
 	}
 	return TSOCCTransitions()
-}
-
-// newTracker builds a real coverage.Tracker over the transitions keep
-// admits.
-func newTracker(all []Transition, keep func(Transition) bool) *coverage.Tracker {
-	var vocab []coverage.Transition
-	for _, tr := range all {
-		if keep(tr) {
-			vocab = append(vocab, coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event})
-		}
-	}
-	return coverage.NewTrackerForTable(coverage.NewTable(vocab), coverage.DefaultParams())
 }
 
 // stress drives the seeded store/load/flush mix the sink tests share.
@@ -626,99 +611,23 @@ func (ts *testSys) stress(seed int64) {
 	ts.checkNoErrors()
 }
 
-// TestIDFastPathMatchesStringPath drives the same seeded stress
-// workload into the name-keyed covCounter and into a real
-// coverage.Tracker interning the protocol's declared vocabulary: the
-// tracker's per-ID counts, read back through its table, must be the
-// identical transition multiset, with no record left unknown.
-func TestIDFastPathMatchesStringPath(t *testing.T) {
-	for _, proto := range protocols {
-		t.Run(proto, func(t *testing.T) {
-			tracker := newTracker(protoTransitions(proto), func(Transition) bool { return true })
-			byName := newSys(t, proto, 21, bugs.Set{})
-			byName.stress(21)
-			newSysSink(t, proto, 21, bugs.Set{}, tracker).stress(21)
-
-			if n := tracker.UnknownRecords(); n != 0 {
-				t.Errorf("%d records unknown despite a full vocabulary", n)
-			}
-			if tracker.Covered() != len(byName.cov.seen) {
-				t.Fatalf("distinct transitions diverge: tracker %d vs counter %d",
-					tracker.Covered(), len(byName.cov.seen))
-			}
-			for id, n := range tracker.Snapshot(nil) {
-				tr, _ := tracker.Table().Lookup(coverage.TransitionID(id))
-				if want := byName.cov.seen[Transition{tr.Controller, tr.State, tr.Event}]; n != want {
-					t.Errorf("count diverges for %v: tracker %d vs counter %d", tr, n, want)
-				}
-			}
-		})
-	}
-}
-
-// TestUndeclaredTransitionCountsAsUnknown: a transition the sink's
-// vocabulary does not declare is still recorded — as NoTransitionID,
-// which the tracker tallies in UnknownRecords instead of dropping it
-// silently. With every L2 transition undeclared, the unknown tally is
-// exactly the number of L2 transitions the counter saw.
-func TestUndeclaredTransitionCountsAsUnknown(t *testing.T) {
-	for _, proto := range protocols {
-		t.Run(proto, func(t *testing.T) {
-			tracker := newTracker(protoTransitions(proto), func(tr Transition) bool { return tr.Controller != "L2Cache" })
-			byName := newSys(t, proto, 21, bugs.Set{})
-			byName.stress(21)
-			newSysSink(t, proto, 21, bugs.Set{}, tracker).stress(21)
-
-			var l2, rest uint64
-			for tr, n := range byName.cov.seen {
-				if tr.Controller == "L2Cache" {
-					l2 += n
-				} else {
-					rest += n
-				}
-			}
-			if l2 == 0 {
-				t.Fatal("workload recorded no L2 transition; the test covers nothing")
-			}
-			if got := tracker.UnknownRecords(); got != l2 {
-				t.Errorf("UnknownRecords = %d, want the %d undeclared L2 records", got, l2)
-			}
-			var known uint64
-			for _, n := range tracker.Snapshot(nil) {
-				known += n
-			}
-			if known != rest {
-				t.Errorf("declared records = %d, want %d", known, rest)
-			}
-		})
-	}
-}
-
 // TestCovRecorderRecordAllocatesNothing gates the live per-transition
-// path: one lattice load and one RecordID into a real tracker, for a
-// declared cell and for an undeclared one.
+// path: a load hit through dispatch, which looks the cell up, records
+// its ID into a real tracker and runs the handler.
 func TestCovRecorderRecordAllocatesNothing(t *testing.T) {
-	tracker := newTracker(MESITransitions(), func(Transition) bool { return true })
-	rec := newCovRecorder("L1Cache", l1StateNames[:], l1EventNames[:], mesiL1Keys)
-	rec.bind(tracker)
-	k := mesiL1Keys[0]
-	undeclared := internKey{-1, -1}
-	for i, id := range rec.ids {
-		if id == NoTransitionID {
-			undeclared = internKey{i / len(l1EventNames), i % len(l1EventNames)}
-		}
-	}
-	if undeclared.s < 0 {
-		t.Fatal("MESI L1 lattice has no undeclared cell")
-	}
+	tracker := coverage.NewTracker(len(MESITransitions()), coverage.DefaultParams())
+	c := newSysSink(t, "MESI", 1, bugs.Set{}, tracker).mesi[0]
+	addr := memsys.Addr(0x10000)
+	line := c.array.Insert(addr)
+	line.state = l1S
+	op := &Request{Kind: ReqLoad, Addr: addr, Done: func(*Request, uint64, bool) {}}
 	if n := testing.AllocsPerRun(1000, func() {
-		rec.record(k.s, k.e)
-		rec.record(undeclared.s, undeclared.e)
+		c.dispatch(int(l1Load), addr, line, nil, op)
 	}); n != 0 {
-		t.Fatalf("covRecorder.record allocates %v objects per call, want 0", n)
+		t.Fatalf("dispatch allocates %v objects per call, want 0", n)
 	}
-	if tracker.Covered() != 1 || tracker.UnknownRecords() == 0 {
-		t.Fatalf("records did not land: covered %d, unknown %d", tracker.Covered(), tracker.UnknownRecords())
+	if tracker.Covered() != 1 {
+		t.Fatalf("records did not land: covered %d, want 1", tracker.Covered())
 	}
 }
 
@@ -770,22 +679,11 @@ func TestResetReplaysANewSystem(t *testing.T) {
 
 			used := newSys(t, tc.proto, 77, tc.bug)
 			used.churn(77)
-			used.cov = newCovCounter()
+			used.cov = newCovCounter(tc.proto)
 			used.sim.Reset(31)
 			used.net.Reset()
 			used.ctrl.Reset()
-			for _, c := range used.mesi {
-				c.Reset(used.cov, used.errs)
-			}
-			for _, c := range used.tso {
-				c.Reset(used.cov, used.errs)
-			}
-			for _, c := range used.mesiL2 {
-				c.Reset(used.cov, used.errs)
-			}
-			for _, c := range used.tsoL2 {
-				c.Reset(used.cov, used.errs)
-			}
+			used.resetAll(used.cov)
 			got := used.churn(31)
 
 			if !reflect.DeepEqual(got, want) {

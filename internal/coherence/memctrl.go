@@ -39,12 +39,8 @@ type memMeta struct {
 }
 
 // NewMemCtrl creates the controller and registers it on the network at
-// position (0, 0). msgs is the machine's shared message pool; nil gives
-// the controller a private one.
+// position (0, 0). msgs is the machine's shared message pool.
 func NewMemCtrl(s *sim.Sim, net *interconnect.Network, mem *memsys.Memory, msgs *MsgPool) (*MemCtrl, error) {
-	if msgs == nil {
-		msgs = NewMsgPool()
-	}
 	m := &MemCtrl{
 		sim:          s,
 		net:          net,

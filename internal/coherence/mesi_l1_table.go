@@ -2,24 +2,16 @@ package coherence
 
 import "repro/internal/interconnect"
 
-// mesiL1Table is the complete L1 transition table. Every entry is one
-// coverage unit; a (state, event) pair without an entry is an invalid
-// transition. Defensive entries that are unreachable in the fixed
-// protocol (e.g. Inv in M) are deliberately present, mirroring Ruby
-// controllers whose never-covered transitions keep Table 6's maxima
-// below 100%.
-//
-// The table is a dense [state][event] array filled once at package
-// init (machines run on several goroutines, so nothing here is lazy):
-// dispatch is two index operations and a nil cell is the invalid
-// transition.
-var mesiL1Table [len(l1StateNames)][len(l1EventNames)]l1Handler
+// mesiL1Kind is the MESI L1 protocol. Its table is the complete L1
+// transition table: every entry is one coverage unit; a (state, event)
+// pair without an entry is an invalid transition. Defensive entries that
+// are unreachable in the fixed protocol (e.g. Inv in M) are deliberately
+// present, mirroring Ruby controllers whose never-covered transitions
+// keep Table 6's maxima below 100%.
+var mesiL1Kind kind[MESIL1, mesiL1Line, *mesiL1Line]
 
-// mesiL1Keys is the table's vocabulary in (state, event) order.
-var mesiL1Keys []internKey
-
-func init() {
-	mesiL1Table = [len(l1StateNames)][len(l1EventNames)]l1Handler{
+func initMESIL1() {
+	table := [len(l1StateNames)][len(l1EventNames)]l1Handler{
 		// ---- I ----------------------------------------------------
 		l1I: {
 			l1Load: func(c *MESIL1, x l1Ctx) {
@@ -54,7 +46,7 @@ func init() {
 				// will not be forwarded here, so the LQ must be told
 				// (own flushes are never bug-gated).
 				c.notify(x.addr, false)
-				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 				c.removeLine(x.addr, x.line)
 			},
 			l1Replace: func(c *MESIL1, x l1Ctx) {
@@ -91,7 +83,7 @@ func init() {
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
 					Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
 				c.notify(x.addr, false)
-				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 			},
 			l1Replace: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1EI
@@ -142,7 +134,7 @@ func init() {
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
 					Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
 				c.notify(x.addr, false)
-				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 			},
 			l1Replace: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1MI
@@ -327,9 +319,9 @@ func init() {
 		c.send(c.homeTile(x.addr), interconnect.VNetResponse,
 			Msg{Type: MsgRecallStale, Addr: x.addr})
 	}
-	for st := range mesiL1Table {
-		if mesiL1Table[st][l1Recall] == nil {
-			mesiL1Table[st][l1Recall] = recallStale
+	for st := range table {
+		if table[st][l1Recall] == nil {
+			table[st][l1Recall] = recallStale
 		}
 	}
 
@@ -340,16 +332,32 @@ func init() {
 	// named has been (or will be) served through the generation's
 	// resolution path.
 	dropFwd := func(c *MESIL1, x l1Ctx) {}
-	for st := range mesiL1Table {
+	for st := range table {
 		for _, ev := range []l1Event{l1FwdGETS, l1FwdGETX} {
-			if mesiL1Table[st][ev] == nil {
-				mesiL1Table[st][ev] = dropFwd
+			if table[st][ev] == nil {
+				table[st][ev] = dropFwd
 			}
 		}
 	}
 
-	mesiL1Keys = tableKeys(len(l1StateNames), len(l1EventNames),
-		func(s, e int) bool { return mesiL1Table[s][e] != nil })
+	mesiL1Kind = kind[MESIL1, mesiL1Line, *mesiL1Line]{
+		controller: "L1Cache", states: l1StateNames[:], events: l1EventNames[:],
+		msgEvent: routes(map[MsgType]l1Event{
+			MsgInv: l1Inv, MsgFwdGETS: l1FwdGETS, MsgFwdGETX: l1FwdGETX, MsgRecall: l1Recall,
+			MsgDataS: l1DataS, MsgDataSB: l1DataSB, MsgDataE: l1DataE, MsgDataM: l1DataM,
+			MsgInvAck: l1InvAck, MsgWBAck: l1WBAck, MsgPutStale: l1PutStale,
+		}),
+		replace: int(l1Replace),
+		stable:  1<<l1I | 1<<l1S | 1<<l1E | 1<<l1M,
+		// Loads hit in SM, which holds valid shared data (the SM,Inv bug
+		// window needs performed loads from SM).
+		loadRows: 1 << l1SM,
+		store:    (*MESIL1).performStore,
+		atomic:   (*MESIL1).performAtomic,
+	}
+	for s := range table {
+		mesiL1Kind.table = append(mesiL1Kind.table, table[s][:]...)
+	}
 }
 
 // l1PutStaleInWB handles the L2's "your PUT raced with a forward" ack:
@@ -454,10 +462,4 @@ func l1DataInISIUnblock(c *MESIL1, x l1Ctx) {
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
 		Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id, Dropped: true})
 	l1DataInISI(c, x)
-}
-
-// MESIL1Transitions enumerates the L1 transition table for coverage
-// accounting.
-func MESIL1Transitions() []Transition {
-	return keyTransitions("L1Cache", mesiL1Keys, l1StateNames[:], l1EventNames[:])
 }

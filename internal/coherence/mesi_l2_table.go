@@ -2,18 +2,14 @@ package coherence
 
 import "repro/internal/interconnect"
 
-// mesiL2Table is the complete L2/directory transition table. The
-// MESI+PUTX-Race bug removes the (MT_MB, L1_PUTX) race handling at
-// runtime, turning the Komuravelli race into a Ruby-style invalid
-// transition; the MESI+Replace-Race bug drops dirty recall/writeback
-// data when the directory believed the line clean. Like mesiL1Table it
-// is a dense [state][event] array filled once at package init.
-var mesiL2Table [len(l2StateNames)][len(l2EventNames)]l2Handler
+// mesiL2Kind is the MESI L2/directory protocol. The MESI+PUTX-Race bug
+// removes the (MT_MB, L1_PUTX) race handling at runtime, turning the
+// Komuravelli race into a Ruby-style invalid transition; the
+// MESI+Replace-Race bug drops dirty recall/writeback data when the
+// directory believed the line clean.
+var mesiL2Kind kind[MESIL2, mesiL2Line, *mesiL2Line]
 
-// mesiL2Keys is the table's vocabulary in (state, event) order.
-var mesiL2Keys []internKey
-
-func init() {
+func initMESIL2() {
 	recycleReq := func(c *MESIL2, x l2Ctx) { c.recycle(x.msg) }
 	dropMsg := func(c *MESIL2, x l2Ctx) {}
 	putStale := func(c *MESIL2, x l2Ctx) {
@@ -21,7 +17,7 @@ func init() {
 			Msg{Type: MsgPutStale, Addr: x.addr})
 	}
 
-	mesiL2Table = [len(l2StateNames)][len(l2EventNames)]l2Handler{
+	table := [len(l2StateNames)][len(l2EventNames)]l2Handler{
 		// ---- NP ---------------------------------------------------
 		l2NP: {
 			l2GETS: func(c *MESIL2, x l2Ctx) {
@@ -158,7 +154,7 @@ func init() {
 						continue
 					}
 					c.send(L1Node(core), interconnect.VNetForward,
-						Msg{Type: MsgInv, Addr: x.addr, AckTo: c.node()})
+						Msg{Type: MsgInv, Addr: x.addr, AckTo: c.node})
 					n++
 				}
 				x.line.pending = n
@@ -277,12 +273,7 @@ func init() {
 				// Bug MESI+PUTX-Race: the handler is missing, which
 				// Ruby reports as an invalid transition.
 				if c.bugs.MESIPUTXRace {
-					c.errs.ProtocolError(&InvalidTransitionError{
-						Controller: "L2Cache",
-						State:      x.line.state.String(),
-						Event:      l2PUTX.String(),
-						Addr:       x.addr,
-					})
+					c.invalid(x.line.row(), int(l2PUTX), x.addr)
 					return
 				}
 				// Fixed: the old owner has served (or will serve) the
@@ -362,14 +353,30 @@ func init() {
 	// arrives the line may be in any state (including re-allocated):
 	// it is stale in all of them and dropped. MT_I keeps its specific
 	// entry above (wait for the PUT).
-	for st := range mesiL2Table {
-		if mesiL2Table[st][l2RecallStale] == nil {
-			mesiL2Table[st][l2RecallStale] = dropMsg
+	for st := range table {
+		if table[st][l2RecallStale] == nil {
+			table[st][l2RecallStale] = dropMsg
 		}
 	}
 
-	mesiL2Keys = tableKeys(len(l2StateNames), len(l2EventNames),
-		func(s, e int) bool { return mesiL2Table[s][e] != nil })
+	mesiL2Kind = kind[MESIL2, mesiL2Line, *mesiL2Line]{
+		controller: "L2Cache", states: l2StateNames[:], events: l2EventNames[:],
+		msgEvent: routes(map[MsgType]l2Event{
+			MsgGETS: l2GETS, MsgGETX: l2GETX, MsgPUTS: l2PUTS, MsgPUTE: l2PUTE, MsgPUTX: l2PUTX,
+			MsgUnblock: l2Unblock, MsgWBData: l2WBData, MsgRecallData: l2RecallData,
+			MsgRecallAck: l2RecallAck, MsgRecallStale: l2RecallStale, MsgInvAck: l2InvAck,
+			MsgMemData: l2MemData,
+		}),
+		request:      [numMsgTypes]bool{MsgGETS: true, MsgGETX: true},
+		replace:      int(l2Replace),
+		stable:       1<<l2SS | 1<<l2MT,
+		blank:        mesiL2Line{state: l2NP, owner: -1},
+		recycleNet:   interconnect.VNetRequest,
+		recycleDelay: recycleDelay,
+	}
+	for s := range table {
+		mesiL2Kind.table = append(mesiL2Kind.table, table[s][:]...)
+	}
 }
 
 // l2MaybeFinishSB completes the MT→SS transition once both the owner's
@@ -382,16 +389,4 @@ func l2MaybeFinishSB(c *MESIL2, x l2Ctx) {
 	x.line.owner = -1
 	x.line.gotWB = false
 	x.line.gotUnb = false
-}
-
-// MESIL2Transitions enumerates the L2 transition table for coverage
-// accounting.
-func MESIL2Transitions() []Transition {
-	return keyTransitions("L2Cache", mesiL2Keys, l2StateNames[:], l2EventNames[:])
-}
-
-// MESITransitions enumerates the full MESI transition table (both
-// controller classes), the Table 6 coverage denominator.
-func MESITransitions() []Transition {
-	return append(MESIL1Transitions(), MESIL2Transitions()...)
 }

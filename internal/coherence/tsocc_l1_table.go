@@ -5,15 +5,11 @@ import (
 	"repro/internal/memsys"
 )
 
-// tsoccL1Table is the complete TSO-CC L1 transition table, a dense
-// [state][event] array filled once at package init (see mesiL1Table).
-var tsoccL1Table [len(tsoL1StateNames)][len(tsoL1EventNames)]tsoL1Handler
+// tsoccL1Kind is the TSO-CC L1 protocol.
+var tsoccL1Kind kind[TSOCCL1, tsoL1Line, *tsoL1Line]
 
-// tsoccL1Keys is the table's vocabulary in (state, event) order.
-var tsoccL1Keys []internKey
-
-func init() {
-	tsoccL1Table = [len(tsoL1StateNames)][len(tsoL1EventNames)]tsoL1Handler{
+func initTSOCCL1() {
+	table := [len(tsoL1StateNames)][len(tsoL1EventNames)]tsoL1Handler{
 		// ---- I ----------------------------------------------------
 		tsoI: {
 			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
@@ -60,7 +56,7 @@ func init() {
 				// Shared lines are untracked: drop silently. The LQ
 				// must still learn of the eviction.
 				c.notify(x.addr)
-				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 				c.removeLine(x.addr, x.line)
 			},
 			tReplace: func(c *TSOCCL1, x tsoL1Ctx) {
@@ -92,7 +88,7 @@ func init() {
 			tFlush: func(c *TSOCCL1, x tsoL1Ctx) {
 				c.startWriteback(x)
 				c.notify(x.addr)
-				c.sim.ScheduleEvent(c.HitLatency, requestDone, x.op, 0)
+				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 			},
 			tReplace: func(c *TSOCCL1, x tsoL1Ctx) {
 				c.startWriteback(x)
@@ -105,7 +101,7 @@ func init() {
 				// Remote read: provide data and downgrade to Shared;
 				// the line stays valid, so the LQ needs no notice.
 				x.line.state = tsoSH
-				x.line.readsLeft = c.MaxReads
+				x.line.readsLeft = maxReads
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
 					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
 					Dirty: x.line.dirty, Writer: c.id,
@@ -145,10 +141,10 @@ func init() {
 				}
 				x.line.data = x.msg.Data
 				x.line.state = tsoSH
-				x.line.readsLeft = c.MaxReads - 1 // the primary load reads once
+				x.line.readsLeft = maxReads - 1 // the primary load reads once
 				x.line.dirty = false
 				x.line.grantSeq = x.msg.AckCount
-				c.satisfyPrimary(x.line)
+				c.satisfyPrimary(x.line, false)
 				c.settle(x.line)
 			},
 		},
@@ -160,16 +156,16 @@ func init() {
 				x.line.state = tsoEX
 				x.line.dirty = false
 				x.line.grantSeq = x.msg.AckCount
-				c.satisfyPrimary(x.line)
+				c.satisfyPrimary(x.line, false)
 				c.settle(x.line)
 			},
 			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
 				// The L2's fetch for a later request overtook our
 				// exclusive grant: retry shortly.
-				c.net.LocalDeliver(L1Node(c.id), interconnect.VNetForward, c.RetryDelay, x.msg.requeue())
+				c.recycle(x.msg)
 			},
 			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {
-				c.net.LocalDeliver(L1Node(c.id), interconnect.VNetForward, c.RetryDelay, x.msg.requeue())
+				c.recycle(x.msg)
 			},
 		},
 
@@ -199,8 +195,27 @@ func init() {
 		},
 	}
 
-	tsoccL1Keys = tableKeys(len(tsoL1StateNames), len(tsoL1EventNames),
-		func(s, e int) bool { return tsoccL1Table[s][e] != nil })
+	tsoccL1Kind = kind[TSOCCL1, tsoL1Line, *tsoL1Line]{
+		controller: "L1Cache", states: tsoL1StateNames[:], events: tsoL1EventNames[:],
+		msgEvent: routes(map[MsgType]tsoL1Event{
+			MsgTData: tData, MsgTDataEx: tDataEx, MsgTFetch: tFetch, MsgTFetchInv: tFetchInv,
+			MsgTWBAck: tWBAck,
+		}),
+		replace:      int(tReplace),
+		stable:       1<<tsoI | 1<<tsoSH | 1<<tsoEX,
+		recycleNet:   interconnect.VNetForward,
+		recycleDelay: retryDelay,
+		store:        (*TSOCCL1).performStore,
+		atomic:       (*TSOCCL1).performAtomic,
+		reset:        (*TSOCCL1).resetTimestamps,
+		// Timestamp resets are core-level, not per-line.
+		core:      (*TSOCCL1).handleTsReset,
+		coreEvent: "TsReset",
+	}
+	tsoccL1Kind.msgEvent[MsgTTsReset] = coreRoute
+	for s := range table {
+		tsoccL1Kind.table = append(tsoccL1Kind.table, table[s][:]...)
+	}
 }
 
 // notify forwards an invalidation/eviction of lineAddr to the LQ. Under
@@ -229,11 +244,4 @@ func (c *TSOCCL1) startWriteback(x tsoL1Ctx) {
 		Writer: c.id, Ts: x.line.wts, Epoch: x.line.wepoch,
 		Requestor: c.id,
 	})
-}
-
-// TSOCCL1Transitions enumerates the TSO-CC L1 table plus the core-level
-// timestamp-reset transition.
-func TSOCCL1Transitions() []Transition {
-	return keyTransitions("L1Cache", tsoccL1Keys, tsoL1StateNames[:], tsoL1EventNames[:],
-		Transition{Controller: "L1Cache", State: "core", Event: tTsReset.String()})
 }

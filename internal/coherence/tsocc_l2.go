@@ -1,9 +1,6 @@
 package coherence
 
 import (
-	"fmt"
-
-	"repro/internal/bugs"
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
 	"repro/internal/sim"
@@ -27,10 +24,6 @@ const (
 
 var tsoL2StateNames = [...]string{"NP", "V", "X", "IFS", "IFX", "FO", "FOX", "FO_I"}
 
-func (s tsoL2State) String() string { return tsoL2StateNames[s] }
-
-func (s tsoL2State) stable() bool { return s == tsoTV || s == tsoTX }
-
 type tsoL2Event uint8
 
 const (
@@ -45,8 +38,6 @@ const (
 var tsoL2EventNames = [...]string{
 	"GetS", "GetX", "WB", "FetchAck", "Mem_Data", "Replacement",
 }
-
-func (e tsoL2Event) String() string { return tsoL2EventNames[e] }
 
 // tsoL2Line is the per-line directory state, carrying the last writer's
 // timestamp metadata served with every data response.
@@ -66,188 +57,26 @@ type tsoL2Line struct {
 	fetchSeq int
 }
 
+func (l *tsoL2Line) row() int { return int(l.state) }
+
 // TSOCCL2 is one L2/directory tile under TSO-CC.
 type TSOCCL2 struct {
-	tile  int
-	cores int
-	array *Array[tsoL2Line]
-	sim   *sim.Sim
-	net   *interconnect.Network
-	msgs  *MsgPool
-	bugs  bugs.Set
-	// covRec is the interned coverage front end (see MESIL1).
-	covRec covRecorder
-	errs   ErrorSink
-	// absent stands in for the line of a message whose line is not
-	// present (see MESIL1).
-	absent tsoL2Line
-
-	AccessLatency sim.Tick
-	RecycleDelay  sim.Tick
-
-	// processH is the pre-bound access-latency callback (see MESIL2).
-	processH sim.Handler
+	ctl[TSOCCL2, tsoL2Line, *tsoL2Line]
 }
 
-// TSOCCL2Config configures a TSO-CC L2 tile.
-type TSOCCL2Config struct {
-	Tile            int
-	Cores           int
-	SizeBytes, Ways int
-	Bugs            bugs.Set
-	Coverage        CoverageSink
-	Errors          ErrorSink
-	// Msgs is the machine's shared message pool; nil gives the
-	// controller a private one.
-	Msgs *MsgPool
-}
+type (
+	tsoL2Ctx     = ctx[tsoL2Line]
+	tsoL2Handler = func(c *TSOCCL2, x tsoL2Ctx)
+)
 
-// NewTSOCCL2 creates the tile and registers it on the network.
-func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg TSOCCL2Config, row, col int) (*TSOCCL2, error) {
-	sets, ways := GeomFor(cfg.SizeBytes, cfg.Ways)
-	c := &TSOCCL2{
-		tile:          cfg.Tile,
-		cores:         cfg.Cores,
-		array:         NewArray[tsoL2Line](sets, ways),
-		sim:           s,
-		net:           net,
-		msgs:          cfg.Msgs,
-		bugs:          cfg.Bugs,
-		covRec:        newCovRecorder("L2Cache", tsoL2StateNames[:], tsoL2EventNames[:], tsoccL2Keys),
-		AccessLatency: 18,
-		RecycleDelay:  10,
-	}
-	c.processH = func(arg any, _ uint64) { c.process(arg.(*Msg)) }
-	if c.msgs == nil {
-		c.msgs = NewMsgPool()
-	}
-	c.Reset(cfg.Coverage, cfg.Errors)
-	if err := net.Register(L2Node(cfg.Tile), c, row, col); err != nil {
+// NewTSOCCL2 creates tile cfg.ID's controller and registers it on the
+// network.
+func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg Config, row, col int) (*TSOCCL2, error) {
+	c := new(TSOCCL2)
+	if err := c.build(c, &tsoccL2Kind, s, net, L2Node(cfg.ID), cfg, row, col); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// Reset returns the tile to its just-built state, reporting to cov and
-// errs from now on (see MESIL1.Reset).
-func (c *TSOCCL2) Reset(cov CoverageSink, errs ErrorSink) {
-	c.covRec.bind(cov)
-	c.errs = errorSink(errs)
-	c.array.Reset()
-}
-
-// ResetCaches drops all tile state.
-func (c *TSOCCL2) ResetCaches() { c.array.Clear() }
-
-func (c *TSOCCL2) node() interconnect.NodeID { return L2Node(c.tile) }
-
-// Deliver implements interconnect.Handler.
-func (c *TSOCCL2) Deliver(vnet interconnect.VNet, payload interface{}) {
-	msg := payload.(*Msg)
-	switch msg.Type {
-	case MsgTGetS, MsgTGetX:
-		c.sim.ScheduleEvent(c.AccessLatency, c.processH, msg, 0)
-	default:
-		c.process(msg)
-	}
-}
-
-// process runs one message through the state machine and releases it
-// (a recycled request stays in flight).
-func (c *TSOCCL2) process(msg *Msg) {
-	defer c.msgs.release(msg)
-	lineAddr := msg.Addr.LineAddr()
-	line, ok := c.array.Peek(lineAddr)
-	if !ok {
-		switch msg.Type {
-		case MsgTGetS, MsgTGetX:
-			var retry bool
-			line, retry = c.allocate(lineAddr)
-			if line == nil {
-				if retry {
-					c.recycle(msg)
-				}
-				return
-			}
-		default:
-			c.absent = tsoL2Line{state: tsoNP, owner: -1, writer: -1}
-			line = &c.absent
-		}
-	}
-	ev, ok := tsoL2MsgEvent(msg.Type)
-	if !ok {
-		panic(fmt.Sprintf("tsocc l2: unroutable message %s", msg))
-	}
-	c.dispatch(ev, lineAddr, line, msg)
-}
-
-func tsoL2MsgEvent(t MsgType) (tsoL2Event, bool) {
-	switch t {
-	case MsgTGetS:
-		return tGetS, true
-	case MsgTGetX:
-		return tGetX, true
-	case MsgTWB:
-		return tWB, true
-	case MsgTFetchAck:
-		return tFetchAck, true
-	case MsgMemData:
-		return tMemData, true
-	default:
-		return 0, false
-	}
-}
-
-func (c *TSOCCL2) allocate(lineAddr memsys.Addr) (*tsoL2Line, bool) {
-	if !c.array.HasFree(lineAddr) {
-		vAddr, vLine, ok := c.array.Victim(lineAddr, tsoL2Evictable)
-		if !ok {
-			return nil, true
-		}
-		c.dispatch(tL2Replace, vAddr, vLine, nil)
-		if !c.array.HasFree(lineAddr) {
-			return nil, true
-		}
-	}
-	line := c.array.Insert(lineAddr)
-	line.state = tsoNP
-	line.owner = -1
-	line.writer = -1
-	return line, false
-}
-
-func tsoL2Evictable(l *tsoL2Line) bool { return l.state.stable() }
-
-func (c *TSOCCL2) recycle(msg *Msg) {
-	c.net.LocalDeliver(c.node(), interconnect.VNetRequest, c.RecycleDelay, msg.requeue())
-}
-
-type tsoL2Ctx struct {
-	addr memsys.Addr
-	line *tsoL2Line
-	msg  *Msg
-}
-
-type tsoL2Handler func(c *TSOCCL2, x tsoL2Ctx)
-
-func (c *TSOCCL2) dispatch(ev tsoL2Event, addr memsys.Addr, line *tsoL2Line, msg *Msg) {
-	h := tsoccL2Table[line.state][ev]
-	if h == nil {
-		c.errs.ProtocolError(&InvalidTransitionError{
-			Controller: "L2Cache",
-			State:      line.state.String(),
-			Event:      ev.String(),
-			Addr:       addr,
-		})
-		return
-	}
-	c.covRec.record(int(line.state), int(ev))
-	h(c, tsoL2Ctx{addr: addr, line: line, msg: msg})
-}
-
-func (c *TSOCCL2) send(dst interconnect.NodeID, vnet interconnect.VNet, m Msg) {
-	m.Src = c.node()
-	c.net.Send(c.node(), dst, vnet, c.msgs.alloc(m))
 }
 
 // writeMem writes data and timestamp metadata back to memory so the
@@ -284,18 +113,14 @@ func (c *TSOCCL2) absorb(x tsoL2Ctx) {
 	x.line.epoch = x.msg.Epoch
 }
 
-// tsoccL2Table is the complete TSO-CC L2 transition table, a dense
-// [state][event] array filled once at package init (see mesiL1Table).
-var tsoccL2Table [len(tsoL2StateNames)][len(tsoL2EventNames)]tsoL2Handler
+// tsoccL2Kind is the TSO-CC L2/directory protocol.
+var tsoccL2Kind kind[TSOCCL2, tsoL2Line, *tsoL2Line]
 
-// tsoccL2Keys is the table's vocabulary in (state, event) order.
-var tsoccL2Keys []internKey
-
-func init() {
+func initTSOCCL2() {
 	recycleReq := func(c *TSOCCL2, x tsoL2Ctx) { c.recycle(x.msg) }
 	dropMsg := func(c *TSOCCL2, x tsoL2Ctx) {}
 
-	tsoccL2Table = [len(tsoL2StateNames)][len(tsoL2EventNames)]tsoL2Handler{
+	table := [len(tsoL2StateNames)][len(tsoL2EventNames)]tsoL2Handler{
 		// ---- NP ---------------------------------------------------
 		tsoNP: {
 			tGetS: func(c *TSOCCL2, x tsoL2Ctx) {
@@ -472,17 +297,19 @@ func init() {
 		},
 	}
 
-	tsoccL2Keys = tableKeys(len(tsoL2StateNames), len(tsoL2EventNames),
-		func(s, e int) bool { return tsoccL2Table[s][e] != nil })
-}
-
-// TSOCCL2Transitions enumerates the TSO-CC L2 transition table.
-func TSOCCL2Transitions() []Transition {
-	return keyTransitions("L2Cache", tsoccL2Keys, tsoL2StateNames[:], tsoL2EventNames[:])
-}
-
-// TSOCCTransitions enumerates the full TSO-CC transition table, the
-// Table 6 coverage denominator for the TSO-CC rows.
-func TSOCCTransitions() []Transition {
-	return append(TSOCCL1Transitions(), TSOCCL2Transitions()...)
+	tsoccL2Kind = kind[TSOCCL2, tsoL2Line, *tsoL2Line]{
+		controller: "L2Cache", states: tsoL2StateNames[:], events: tsoL2EventNames[:],
+		msgEvent: routes(map[MsgType]tsoL2Event{
+			MsgTGetS: tGetS, MsgTGetX: tGetX, MsgTWB: tWB, MsgTFetchAck: tFetchAck, MsgMemData: tMemData,
+		}),
+		request:      [numMsgTypes]bool{MsgTGetS: true, MsgTGetX: true},
+		replace:      int(tL2Replace),
+		stable:       1<<tsoTV | 1<<tsoTX,
+		blank:        tsoL2Line{state: tsoNP, owner: -1, writer: -1},
+		recycleNet:   interconnect.VNetRequest,
+		recycleDelay: recycleDelay,
+	}
+	for s := range table {
+		tsoccL2Kind.table = append(tsoccL2Kind.table, table[s][:]...)
+	}
 }

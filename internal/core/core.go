@@ -237,11 +237,10 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	mcfg.Seed = cfg.Seed
 
-	// The transition vocabulary is interned once per protocol and
-	// shared across campaigns; the machine's controllers detect the
-	// tracker's ID fast path and pre-resolve their dispatch tables, so
-	// per-event recording is a couple of atomic increments.
-	tracker := coverage.NewTrackerForTable(machine.CoverageTable(mcfg.Protocol), cfg.Coverage)
+	// The transition vocabulary is numbered once per protocol and shared
+	// by every controller, so per-event recording is an increment into
+	// the tracker's count vector.
+	tracker := coverage.NewTracker(len(machine.Transitions(mcfg.Protocol)), cfg.Coverage)
 
 	arch, err := scn.Arch()
 	if err != nil {

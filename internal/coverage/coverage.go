@@ -6,8 +6,8 @@
 // stays low for too long, steering the population towards unexplored
 // transitions and away from local maxima.
 //
-// The hot path is interned: a Table maps the protocol's transition
-// vocabulary to dense TransitionIDs once, recording an event is an
+// The hot path is interned: the coherence package numbers each
+// protocol's transition vocabulary once, recording an event is an
 // increment into a flat array plus a dirty bit, and the per-run fitness
 // pass visits only the transitions the run actually touched (via the
 // dirty bitset) against a maintained rare-set instead of sweeping the
@@ -16,12 +16,11 @@ package coverage
 
 import "math/bits"
 
-// Transition identifies one (controller, state, event) coverage unit.
-// It mirrors coherence.Transition without importing it, so the tracker
-// satisfies coherence.CoverageSink structurally.
-type Transition struct {
-	Controller, State, Event string
-}
+// TransitionID is the dense index of a transition in its protocol's
+// vocabulary. It is an alias (not a defined type) so that a Tracker
+// structurally satisfies the coherence package's coverage sink without
+// either package importing the other.
+type TransitionID = uint32
 
 // Params tunes the adaptive cut-off behaviour.
 type Params struct {
@@ -68,7 +67,6 @@ func (p Params) withDefaults() Params {
 // RecordID costs an increment and a dirty bit, with no allocation.
 type Tracker struct {
 	params Params
-	table  *Table
 
 	// counts holds the global per-transition occurrence counts,
 	// indexed by TransitionID.
@@ -76,9 +74,6 @@ type Tracker struct {
 	// covered counts transitions with counts > 0 (maintained, so
 	// TotalCoverage is O(1)).
 	covered int
-	// unknown tallies records outside the vocabulary (dropped from
-	// coverage, kept visible for diagnostics).
-	unknown uint64
 
 	// dirty is a bitset over the TransitionIDs recorded since the last
 	// run boundary, so the fitness pass visits only its set bits.
@@ -93,14 +88,11 @@ type Tracker struct {
 	doubled   int
 }
 
-// NewTrackerForTable returns a tracker over an already-interned
-// vocabulary. The table is shared, not copied: TransitionIDs resolved
-// against it feed RecordID directly.
-func NewTrackerForTable(table *Table, params Params) *Tracker {
-	n := table.Len()
+// NewTracker returns a tracker over a vocabulary of n transitions,
+// TransitionIDs 0 to n-1.
+func NewTracker(n int, params Params) *Tracker {
 	t := &Tracker{
 		params: params.withDefaults(),
-		table:  table,
 		counts: make([]uint64, n),
 		dirty:  make([]uint64, (n+63)/64),
 		rare:   make([]bool, n),
@@ -113,15 +105,11 @@ func NewTrackerForTable(table *Table, params Params) *Tracker {
 	return t
 }
 
-// Table exposes the interned vocabulary (shared, read-only).
-func (t *Tracker) Table() *Table { return t.table }
-
 // RecordID implements coherence.CoverageSink: one increment into the
 // global counts and one dirty bit. IDs outside the vocabulary are
-// dropped (counted in UnknownRecords).
+// dropped.
 func (t *Tracker) RecordID(id TransitionID) {
 	if uint64(id) >= uint64(len(t.counts)) {
-		t.unknown++
 		return
 	}
 	if t.counts[id] == 0 {
@@ -129,12 +117,6 @@ func (t *Tracker) RecordID(id TransitionID) {
 	}
 	t.counts[id]++
 	t.dirty[id>>6] |= 1 << (id & 63)
-}
-
-// CoverageID resolves a transition's interned ID; controllers call it
-// once at machine build time to pre-resolve their dispatch tables.
-func (t *Tracker) CoverageID(controller, state, event string) (TransitionID, bool) {
-	return t.table.ID(Transition{controller, state, event})
 }
 
 // drain walks the dirty bitset, counting the touched transitions that
@@ -212,7 +194,7 @@ func (t *Tracker) rebuildRare() {
 // covered at least once since simulation start (the Table 6 metric).
 // O(1): the covered cardinality is maintained at record time.
 func (t *Tracker) TotalCoverage() float64 {
-	n := t.table.Len()
+	n := len(t.counts)
 	if n == 0 {
 		return 0
 	}
@@ -221,10 +203,6 @@ func (t *Tracker) TotalCoverage() float64 {
 
 // Covered returns how many distinct table transitions have occurred.
 func (t *Tracker) Covered() int { return t.covered }
-
-// UnknownRecords returns how many records fell outside the vocabulary
-// (dropped from coverage).
-func (t *Tracker) UnknownRecords() uint64 { return t.unknown }
 
 // Cutoff returns the current adaptive cut-off.
 func (t *Tracker) Cutoff() uint64 { return t.cutoff }

@@ -1,63 +1,36 @@
 package coverage
 
-import (
-	"fmt"
-	"testing"
-)
-
-func table(n int) []Transition {
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = Transition{"C", fmt.Sprintf("S%d", i), "E"}
-	}
-	return out
-}
-
-// NewTracker interns a private table for one tracker.
-func NewTracker(all []Transition, params Params) *Tracker {
-	return NewTrackerForTable(NewTable(all), params)
-}
-
-// record resolves a transition by name, the way a controller does once
-// at build time, and records its ID; a name outside the table records
-// NoTransitionID.
-func record(tr *Tracker, controller, state, event string) {
-	id, ok := tr.CoverageID(controller, state, event)
-	if !ok {
-		id = NoTransitionID
-	}
-	tr.RecordID(id)
-}
+import "testing"
 
 func TestTotalCoverage(t *testing.T) {
-	tr := NewTracker(table(10), DefaultParams())
+	tr := NewTracker(10, DefaultParams())
 	if tr.TotalCoverage() != 0 {
 		t.Fatal("fresh tracker nonzero coverage")
 	}
-	record(tr, "C", "S0", "E")
-	record(tr, "C", "S1", "E")
-	record(tr, "C", "S1", "E") // repeat
+	tr.RecordID(0)
+	tr.RecordID(1)
+	tr.RecordID(1) // repeat
 	if got := tr.TotalCoverage(); got != 0.2 {
 		t.Fatalf("TotalCoverage = %v, want 0.2", got)
 	}
-	if tr.Covered() != 2 || tr.Table().Len() != 10 {
-		t.Fatal("Covered/Table().Len() wrong")
+	if tr.Covered() != 2 {
+		t.Fatal("Covered wrong")
 	}
 }
 
 func TestRecordOutsideTableIgnoredInCoverage(t *testing.T) {
-	tr := NewTracker(table(4), DefaultParams())
-	record(tr, "X", "weird", "E")
+	tr := NewTracker(4, DefaultParams())
+	tr.RecordID(4)
 	if tr.TotalCoverage() != 0 {
 		t.Fatal("transition outside the table affected total coverage")
 	}
 }
 
 func TestRunFitness(t *testing.T) {
-	tr := NewTracker(table(10), DefaultParams())
+	tr := NewTracker(10, DefaultParams())
 	tr.StartRun()
-	record(tr, "C", "S0", "E")
-	record(tr, "C", "S1", "E")
+	tr.RecordID(0)
+	tr.RecordID(1)
 	f := tr.EndRun()
 	// All 10 are rare at first; run covered 2.
 	if f != 0.2 {
@@ -67,23 +40,23 @@ func TestRunFitness(t *testing.T) {
 
 func TestAdaptiveCutoffExcludesFrequent(t *testing.T) {
 	params := Params{InitialCutoff: 2, LowFitness: 0.5, Patience: 1000}
-	tr := NewTracker(table(2), params)
+	tr := NewTracker(2, params)
 	// Hammer S0 until it is no longer rare.
 	for i := 0; i < 5; i++ {
 		tr.StartRun()
-		record(tr, "C", "S0", "E")
+		tr.RecordID(0)
 		tr.EndRun()
 	}
 	// Now a run covering only S0 gets 0 fitness contribution from it:
 	// rare set = {S1}, covered = 0.
 	tr.StartRun()
-	record(tr, "C", "S0", "E")
+	tr.RecordID(0)
 	if f := tr.EndRun(); f != 0 {
 		t.Fatalf("fitness = %v, want 0 (S0 is frequent)", f)
 	}
 	// Covering the rare S1 yields 1.0.
 	tr.StartRun()
-	record(tr, "C", "S1", "E")
+	tr.RecordID(1)
 	if f := tr.EndRun(); f != 1.0 {
 		t.Fatalf("fitness = %v, want 1.0", f)
 	}
@@ -91,10 +64,10 @@ func TestAdaptiveCutoffExcludesFrequent(t *testing.T) {
 
 func TestCutoffDoubling(t *testing.T) {
 	params := Params{InitialCutoff: 1, LowFitness: 0.9, Patience: 3}
-	tr := NewTracker(table(4), params)
+	tr := NewTracker(4, params)
 	// Saturate all transitions so everything is frequent.
 	for i := 0; i < 4; i++ {
-		record(tr, "C", fmt.Sprintf("S%d", i), "E")
+		tr.RecordID(TransitionID(i))
 	}
 	start := tr.Cutoff()
 	for i := 0; i < 3; i++ {
@@ -110,11 +83,11 @@ func TestCutoffDoubling(t *testing.T) {
 }
 
 func TestCoverageMonotonic(t *testing.T) {
-	tr := NewTracker(table(20), DefaultParams())
+	tr := NewTracker(20, DefaultParams())
 	last := 0.0
 	for i := 0; i < 20; i++ {
 		tr.StartRun()
-		record(tr, "C", fmt.Sprintf("S%d", i%20), "E")
+		tr.RecordID(TransitionID(i))
 		tr.EndRun()
 		cur := tr.TotalCoverage()
 		if cur < last {
@@ -128,7 +101,7 @@ func TestCoverageMonotonic(t *testing.T) {
 }
 
 func TestZeroParamsGetDefaults(t *testing.T) {
-	tr := NewTracker(table(1), Params{})
+	tr := NewTracker(1, Params{})
 	if tr.Cutoff() != DefaultParams().InitialCutoff {
 		t.Fatal("zero params did not default")
 	}
@@ -143,7 +116,7 @@ func TestZeroParamsGetDefaults(t *testing.T) {
 func TestPartialParamsKeepExplicitFields(t *testing.T) {
 	// Explicit InitialCutoff, defaulted Patience: one unproductive
 	// run must NOT double the cut-off (Patience defaults to 25).
-	tr := NewTracker(table(2), Params{InitialCutoff: 7})
+	tr := NewTracker(2, Params{InitialCutoff: 7})
 	if tr.Cutoff() != 7 {
 		t.Fatalf("explicit InitialCutoff lost: %d", tr.Cutoff())
 	}
@@ -156,12 +129,12 @@ func TestPartialParamsKeepExplicitFields(t *testing.T) {
 	// Zero InitialCutoff with explicit LowFitness/Patience: the
 	// explicit fields must survive. Patience 1: an unproductive run
 	// doubles the (defaulted) cut-off immediately.
-	tr = NewTracker(table(2), Params{LowFitness: 0.9, Patience: 1})
+	tr = NewTracker(2, Params{LowFitness: 0.9, Patience: 1})
 	if tr.Cutoff() != DefaultParams().InitialCutoff {
 		t.Fatalf("zero InitialCutoff not defaulted: %d", tr.Cutoff())
 	}
 	tr.StartRun()
-	record(tr, "C", "S0", "E") // fitness 0.5 < 0.9: unproductive
+	tr.RecordID(0) // fitness 0.5 < 0.9: unproductive
 	tr.EndRun()
 	if tr.Doublings() != 1 {
 		t.Fatalf("explicit LowFitness/Patience discarded: doublings = %d, want 1", tr.Doublings())
@@ -176,18 +149,18 @@ func TestPartialParamsKeepExplicitFields(t *testing.T) {
 // frequent and the run scored 0.
 func TestExactPerRunCounts(t *testing.T) {
 	params := Params{InitialCutoff: 2, LowFitness: 0.01, Patience: 1000}
-	tr := NewTracker(table(1), params)
+	tr := NewTracker(1, params)
 
 	// Seed the pre-run count at 1 (< cutoff 2: still rare).
 	tr.StartRun()
-	record(tr, "C", "S0", "E")
+	tr.RecordID(0)
 	tr.EndRun()
 
 	// The run under test hits the same transition twice, straddling
 	// the cut-off (1 before, 3 after).
 	tr.StartRun()
-	record(tr, "C", "S0", "E")
-	record(tr, "C", "S0", "E")
+	tr.RecordID(0)
+	tr.RecordID(0)
 	if f := tr.EndRun(); f != 1.0 {
 		t.Fatalf("fitness = %v, want 1.0 (pre-run count 1 < cutoff 2)", f)
 	}
@@ -195,7 +168,7 @@ func TestExactPerRunCounts(t *testing.T) {
 	// With the count now at 3 >= 2 the transition is frequent: the
 	// rare set is empty and a further hit scores 0.
 	tr.StartRun()
-	record(tr, "C", "S0", "E")
+	tr.RecordID(0)
 	if f := tr.EndRun(); f != 0 {
 		t.Fatalf("fitness = %v, want 0 (transition now frequent)", f)
 	}
@@ -203,19 +176,18 @@ func TestExactPerRunCounts(t *testing.T) {
 
 // TestConcurrentCampaignIsolation is the fleet race audit: many
 // trackers driven concurrently, one per goroutine as the fleet runs
-// its campaigns, share only the interned table and must be race-free.
-// Run with -race to make this meaningful.
+// its campaigns, must be race-free. Run with -race to make this
+// meaningful.
 func TestConcurrentCampaignIsolation(t *testing.T) {
 	const campaigns, runs = 8, 50
-	shared := NewTable(table(20))
 	done := make(chan float64)
 	for c := 0; c < campaigns; c++ {
-		tr := NewTrackerForTable(shared, DefaultParams())
+		tr := NewTracker(20, DefaultParams())
 		go func() {
 			for r := 0; r < runs; r++ {
 				tr.StartRun()
 				for i := 0; i < 20; i += 2 {
-					record(tr, "C", fmt.Sprintf("S%d", i), "E")
+					tr.RecordID(TransitionID(i))
 				}
 				tr.EndRun()
 			}
@@ -226,5 +198,30 @@ func TestConcurrentCampaignIsolation(t *testing.T) {
 		if got := <-done; got != 0.5 {
 			t.Errorf("campaign coverage = %v, want 0.5", got)
 		}
+	}
+}
+
+// TestRecordIDOutsideVocabularyDropped: IDs outside the vocabulary must
+// not corrupt the flat count arrays.
+func TestRecordIDOutsideVocabularyDropped(t *testing.T) {
+	tr := NewTracker(4, DefaultParams())
+	tr.RecordID(TransitionID(4))
+	tr.RecordID(^TransitionID(0))
+	if tr.TotalCoverage() != 0 || tr.Covered() != 0 {
+		t.Fatal("out-of-vocabulary records affected coverage")
+	}
+}
+
+// TestRecordIDAllocatesNothing gates the live record path: known and
+// unknown IDs alike.
+func TestRecordIDAllocatesNothing(t *testing.T) {
+	tr := NewTracker(64, DefaultParams())
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.RecordID(TransitionID(i % 64))
+		tr.RecordID(^TransitionID(0))
+		i++
+	}); n != 0 {
+		t.Fatalf("RecordID allocates %v objects per call, want 0", n)
 	}
 }

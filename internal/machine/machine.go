@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/coherence"
-	"repro/internal/coverage"
 	"repro/internal/cpu"
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
@@ -166,19 +165,16 @@ func build(cfg Config) (*Machine, error) {
 			coherence.CacheL1
 			controller
 		}
+		ccfg := coherence.Config{
+			ID: i, Cores: cfg.Cores, Tiles: cfg.Tiles,
+			SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
+			Bugs: cfg.Bugs, Msgs: msgs,
+		}
 		switch cfg.Protocol {
 		case MESI:
-			l1, err = coherence.NewMESIL1(s, net, coherence.MESIL1Config{
-				CoreID: i, Tiles: cfg.Tiles,
-				SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
-				Bugs: cfg.Bugs, Msgs: msgs,
-			}, row, col)
+			l1, err = coherence.NewMESIL1(s, net, ccfg, row, col)
 		case TSOCC:
-			l1, err = coherence.NewTSOCCL1(s, net, coherence.TSOCCL1Config{
-				CoreID: i, Cores: cfg.Cores, Tiles: cfg.Tiles,
-				SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
-				Bugs: cfg.Bugs, Msgs: msgs,
-			}, row, col)
+			l1, err = coherence.NewTSOCCL1(s, net, ccfg, row, col)
 		}
 		if err != nil {
 			return nil, err
@@ -191,19 +187,16 @@ func build(cfg Config) (*Machine, error) {
 	for t := 0; t < cfg.Tiles; t++ {
 		row, col := pos(t)
 		var l2 controller
+		ccfg := coherence.Config{
+			ID: t, Cores: cfg.Cores, Tiles: cfg.Tiles,
+			SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
+			Bugs: cfg.Bugs, Msgs: msgs,
+		}
 		switch cfg.Protocol {
 		case MESI:
-			l2, err = coherence.NewMESIL2(s, net, coherence.MESIL2Config{
-				Tile: t, Cores: cfg.Cores,
-				SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
-				Bugs: cfg.Bugs, Msgs: msgs,
-			}, row, col)
+			l2, err = coherence.NewMESIL2(s, net, ccfg, row, col)
 		case TSOCC:
-			l2, err = coherence.NewTSOCCL2(s, net, coherence.TSOCCL2Config{
-				Tile: t, Cores: cfg.Cores,
-				SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
-				Bugs: cfg.Bugs, Msgs: msgs,
-			}, row, col)
+			l2, err = coherence.NewTSOCCL2(s, net, ccfg, row, col)
 		}
 		if err != nil {
 			return nil, err
@@ -292,32 +285,15 @@ func Release(m *Machine) {
 	idle.list = append(idle.list, m)
 }
 
-// covTables memoizes one interned coverage vocabulary per protocol:
-// the transition table is enumerated and interned once at first use
-// and shared by every campaign (and every fleet worker) thereafter.
-var covTables sync.Map // Protocol → *coverage.Table
-
-// CoverageTable returns the protocol's interned transition vocabulary
-// (the coverage denominator as dense TransitionIDs). The returned
-// table is shared and immutable; pointer identity is per protocol, so
-// trackers built from it can be merged by ID.
-func CoverageTable(p Protocol) *coverage.Table {
-	if t, ok := covTables.Load(p); ok {
-		return t.(*coverage.Table)
+// Transitions returns the protocol's transition vocabulary: its
+// "controller:state:event" names in TransitionID order, the coverage
+// denominator. The slice is shared, numbered once per protocol, and
+// must not be modified.
+func Transitions(p Protocol) []string {
+	if p == TSOCC {
+		return coherence.TSOCCTransitions()
 	}
-	var raw []coherence.Transition
-	switch p {
-	case TSOCC:
-		raw = coherence.TSOCCTransitions()
-	default:
-		raw = coherence.MESITransitions()
-	}
-	all := make([]coverage.Transition, len(raw))
-	for i, tr := range raw {
-		all[i] = coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event}
-	}
-	t, _ := covTables.LoadOrStore(p, coverage.NewTable(all))
-	return t.(*coverage.Table)
+	return coherence.MESITransitions()
 }
 
 // ResetCaches drops every cache level without traffic. Must only be

@@ -1,10 +1,10 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/coherence"
-	"repro/internal/coverage"
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
 	"repro/internal/sim"
@@ -63,7 +63,7 @@ func TestNewBuildsBothProtocols(t *testing.T) {
 		if len(m.Cores) != 8 || len(m.L1s) != 8 {
 			t.Fatalf("%s: cores/L1s = %d/%d", proto, len(m.Cores), len(m.L1s))
 		}
-		if CoverageTable(proto).Len() == 0 {
+		if len(Transitions(proto)) == 0 {
 			t.Errorf("%s: empty transition table", proto)
 		}
 	}
@@ -115,18 +115,12 @@ func TestLoadProgramsRejectsTooMany(t *testing.T) {
 // TestTransitionsMatchProtocol: the coverage denominator a campaign
 // tracks is the protocol's declared transition table, entry for entry.
 func TestTransitionsMatchProtocol(t *testing.T) {
-	for p, want := range map[Protocol][]coherence.Transition{
+	for p, want := range map[Protocol][]string{
 		MESI:  coherence.MESITransitions(),
 		TSOCC: coherence.TSOCCTransitions(),
 	} {
-		tb := CoverageTable(p)
-		if tb.Len() != len(want) {
-			t.Errorf("%s: coverage table has %d transitions, protocol declares %d", p, tb.Len(), len(want))
-		}
-		for _, tr := range want {
-			if _, ok := tb.ID(coverage.Transition{Controller: tr.Controller, State: tr.State, Event: tr.Event}); !ok {
-				t.Errorf("%s: %v missing from the coverage table", p, tr)
-			}
+		if got := Transitions(p); len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%s: coverage vocabulary has %d transitions, the protocol declares %d", p, len(got), len(want))
 		}
 	}
 }
