@@ -126,3 +126,22 @@ func TestTimeoutReportsPartials(t *testing.T) {
 		t.Errorf("partial tallies not reported:\n%s", stdout)
 	}
 }
+
+// TestTSOCCQuietAt1KB: a bug-free TSO-CC machine at the 1 KB layout
+// reports no violation at the base seeds where it used to. Each seed
+// tripped over a way a core could keep reading a value an acquire had
+// made stale: a fill served before the acquire, an exclusive grant whose
+// data was read without one, a writeback from an earlier owner taken as
+// the current one's, or a store-buffer forward outliving its line.
+func TestTSOCCQuietAt1KB(t *testing.T) {
+	for _, seed := range []string{"1", "3", "4", "6"} {
+		code, stdout, stderr := mcversiRun("-scenario", "tsocc-tso", "-mem", "1024", "-budget", "1000",
+			"-parallel", "1", "-seed", seed)
+		if code != 0 {
+			t.Fatalf("seed %s: exit code = %d (stderr %q)", seed, code, stderr)
+		}
+		if !strings.Contains(stdout, "\n0/1 samples found a bug") {
+			t.Errorf("seed %s: bug-free machine reports a bug:\n%s", seed, stdout)
+		}
+	}
+}

@@ -75,6 +75,9 @@ type tsoL1Line struct {
 	// write group.
 	wts    uint32
 	wepoch uint32
+	// invStamp is the core's self-invalidation count when the line's
+	// GetS left (ISD).
+	invStamp uint64
 }
 
 func (l *tsoL1Line) row() int      { return int(l.state) }
@@ -89,14 +92,14 @@ type tsoSeen struct {
 // TSOCCL1 is one core's private L1 under TSO-CC.
 type TSOCCL1 struct {
 	l1ctl[TSOCCL1, tsoL1Line, *tsoL1Line]
-	// victims is selfInvalidate's scratch list.
-	victims []memsys.Addr
 
 	// Timestamp machinery (per core, §5.3).
 	ts            uint32
 	epoch         uint32
 	writesInGroup int
 	lastSeen      []tsoSeen
+	// selfInvs counts self-invalidations, stamping each GetS.
+	selfInvs uint64
 }
 
 type (
@@ -117,7 +120,7 @@ func NewTSOCCL1(s *sim.Sim, net *interconnect.Network, cfg Config, row, col int)
 // keeps it): a machine handed to a new campaign starts where a new
 // machine does.
 func (c *TSOCCL1) resetTimestamps() {
-	c.ts, c.epoch, c.writesInGroup = 0, 0, 0
+	c.ts, c.epoch, c.writesInGroup, c.selfInvs = 0, 0, 0, 0
 	clear(c.lastSeen)
 }
 
@@ -193,19 +196,18 @@ func (c *TSOCCL1) decideSelfInvalidate(writer int, epoch, ts uint32) bool {
 // selfInvalidate drops every Shared line and notifies the LQ for each —
 // self-invalidation is the only invalidation Shared lines ever receive
 // under TSO-CC, so this notification carries the whole Peekaboo burden.
+// Requests deferred on a dropped line replay and miss. A line whose
+// GetS is in flight is left to its fill, which sees the count moved
+// (see the ISD row of the table).
 func (c *TSOCCL1) selfInvalidate() {
-	victims := c.victims[:0]
+	c.selfInvs++
 	c.array.Range(func(addr memsys.Addr, line *tsoL1Line) bool {
-		if line.state == tsoSH && line.deferred.empty() && line.primary == nil {
-			victims = append(victims, addr)
+		if line.state == tsoSH {
+			c.removeLine(addr, line)
+			c.invalNotify(addr)
 		}
 		return true
 	})
-	c.victims = victims[:0]
-	for _, addr := range victims {
-		c.array.Remove(addr)
-		c.invalNotify(addr)
-	}
 }
 
 // tsOnWrite advances the write-group timestamp machinery and triggers a
@@ -248,12 +250,16 @@ func (c *TSOCCL1) handleTsReset(msg *Msg) {
 	seen.ts = 0
 }
 
+// performStore writes the store at the coherence point and completes it
+// there and then: until the core learns the store performed it may
+// forward from it, and a forward taken after the line was fetched away
+// would never be squashed (no copy is left to invalidate).
 func (c *TSOCCL1) performStore(line *tsoL1Line, op *Request) {
 	line.data.SetWord(op.Addr, op.Val)
 	line.dirty = true
 	line.wts, line.wepoch = c.ts, c.epoch
 	c.tsOnWrite()
-	c.sim.ScheduleEvent(0, requestDone, op, 0)
+	op.Done(op, 0, false)
 }
 
 func (c *TSOCCL1) performAtomic(line *tsoL1Line, op *Request) {

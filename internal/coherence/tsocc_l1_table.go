@@ -12,12 +12,7 @@ func initTSOCCL1() {
 	table := [len(tsoL1StateNames)][len(tsoL1EventNames)]tsoL1Handler{
 		// ---- I ----------------------------------------------------
 		tsoI: {
-			tLoad: func(c *TSOCCL1, x tsoL1Ctx) {
-				x.line.state = tsoISD
-				x.line.primary = x.op
-				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
-			},
+			tLoad:   tsoStartGetS,
 			tStore:  tsoStartGetX,
 			tAtomic: tsoStartGetX,
 			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
@@ -42,10 +37,7 @@ func initTSOCCL1() {
 				// may carry newer data while an older load is still
 				// outstanding (TSO R→R).
 				c.notify(x.addr)
-				x.line.state = tsoISD
-				x.line.primary = x.op
-				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
+				tsoStartGetS(c, x)
 			},
 			// A store upgrade also drops the bounded stale copy: the
 			// exclusive fill may carry newer data, so performed loads on
@@ -134,6 +126,13 @@ func initTSOCCL1() {
 			tFetch:    func(c *TSOCCL1, x tsoL1Ctx) {},
 			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {},
 			tData: func(c *TSOCCL1, x tsoL1Ctx) {
+				// A self-invalidation since the GetS left means the data
+				// may predate writes that acquire made visible to
+				// po-later loads: discard it, unread, and fetch again.
+				if x.line.invStamp != c.selfInvs {
+					c.sendGetS(x)
+					return
+				}
 				// The acquire rule: decide self-invalidation from the
 				// writer metadata before the load performs.
 				if c.decideSelfInvalidate(x.msg.Writer, x.msg.Epoch, x.msg.Ts) {
@@ -152,6 +151,12 @@ func initTSOCCL1() {
 		// ---- IXD --------------------------------------------------
 		tsoIXD: {
 			tDataEx: func(c *TSOCCL1, x tsoL1Ctx) {
+				// An exclusive grant hands over the last writer's data,
+				// which later loads read: the acquire rule applies as
+				// to a shared fill.
+				if c.decideSelfInvalidate(x.msg.Writer, x.msg.Epoch, x.msg.Ts) {
+					c.selfInvalidate()
+				}
 				x.line.data = x.msg.Data
 				x.line.state = tsoEX
 				x.line.dirty = false
@@ -222,6 +227,20 @@ func initTSOCCL1() {
 // TSO-CC all notification paths are correct (the studied TSO-CC bugs
 // remove *invalidations*, not notifications).
 func (c *TSOCCL1) notify(lineAddr memsys.Addr) { c.invalNotify(lineAddr) }
+
+func tsoStartGetS(c *TSOCCL1, x tsoL1Ctx) {
+	x.line.state = tsoISD
+	x.line.primary = x.op
+	c.sendGetS(x)
+}
+
+// sendGetS fetches the line for its load, stamping it with the core's
+// self-invalidation count.
+func (c *TSOCCL1) sendGetS(x tsoL1Ctx) {
+	x.line.invStamp = c.selfInvs
+	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
+		Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
+}
 
 func tsoStartGetX(c *TSOCCL1, x tsoL1Ctx) {
 	x.line.state = tsoIXD

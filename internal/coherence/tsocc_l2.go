@@ -88,20 +88,22 @@ func (c *TSOCCL2) writeMem(x tsoL2Ctx) {
 	})
 }
 
-// respondData sends a TData with the line's writer metadata.
-func (c *TSOCCL2) respondData(x tsoL2Ctx, core int) {
+// respond sends a TData or TDataEx grant carrying the line's writer
+// metadata, which the requestor's acquire rule reads.
+func (c *TSOCCL2) respond(x tsoL2Ctx, core int, typ MsgType) {
 	c.send(L1Node(core), interconnect.VNetResponse, Msg{
-		Type: MsgTData, Addr: x.addr, Data: x.line.data,
+		Type: typ, Addr: x.addr, Data: x.line.data,
 		Writer: x.line.writer, Ts: x.line.ts, Epoch: x.line.epoch,
 		AckCount: x.line.fetchSeq,
 	})
 }
 
-func (c *TSOCCL2) respondDataEx(x tsoL2Ctx, core int) {
-	c.send(L1Node(core), interconnect.VNetResponse, Msg{
-		Type: MsgTDataEx, Addr: x.addr, Data: x.line.data,
-		AckCount: x.line.fetchSeq,
-	})
+// ackWB acknowledges a writeback and reports whether it came from the
+// line's owner. Any other writeback is stale — its data was captured
+// when that owner's generation resolved — and must not be absorbed.
+func (c *TSOCCL2) ackWB(x tsoL2Ctx) bool {
+	c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+	return x.msg.Src == L1Node(x.line.owner)
 }
 
 // absorb captures data and metadata from an owner's response.
@@ -119,6 +121,7 @@ var tsoccL2Kind kind[TSOCCL2, tsoL2Line, *tsoL2Line]
 func initTSOCCL2() {
 	recycleReq := func(c *TSOCCL2, x tsoL2Ctx) { c.recycle(x.msg) }
 	dropMsg := func(c *TSOCCL2, x tsoL2Ctx) {}
+	staleWB := func(c *TSOCCL2, x tsoL2Ctx) { c.ackWB(x) }
 
 	table := [len(tsoL2StateNames)][len(tsoL2EventNames)]tsoL2Handler{
 		// ---- NP ---------------------------------------------------
@@ -133,13 +136,11 @@ func initTSOCCL2() {
 				x.line.reqCore = x.msg.Requestor
 				c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: x.addr})
 			},
-			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
-				// A writeback reaching an absent line is stale: the
-				// owner's data was already captured when its ownership
-				// generation resolved. Absorbing (or writing memory)
-				// here would overwrite newer data with older data.
-				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
-			},
+			// A writeback reaching an absent line is stale: the owner's
+			// data was already captured when its ownership generation
+			// resolved. Absorbing (or writing memory) here would
+			// overwrite newer data with older data.
+			tWB:       staleWB,
 			tFetchAck: dropMsg, // stale
 		},
 
@@ -149,7 +150,7 @@ func initTSOCCL2() {
 				c.absorb(x)
 				x.line.dirty = false
 				x.line.state = tsoTV
-				c.respondData(x, x.line.reqCore)
+				c.respond(x, x.line.reqCore, MsgTData)
 			},
 			tGetS:     recycleReq,
 			tGetX:     recycleReq,
@@ -163,7 +164,7 @@ func initTSOCCL2() {
 				x.line.dirty = false
 				x.line.owner = x.line.reqCore
 				x.line.state = tsoTX
-				c.respondDataEx(x, x.line.reqCore)
+				c.respond(x, x.line.reqCore, MsgTDataEx)
 			},
 			tGetS:     recycleReq,
 			tGetX:     recycleReq,
@@ -173,19 +174,17 @@ func initTSOCCL2() {
 		// ---- V ----------------------------------------------------
 		tsoTV: {
 			tGetS: func(c *TSOCCL2, x tsoL2Ctx) {
-				c.respondData(x, x.msg.Requestor)
+				c.respond(x, x.msg.Requestor, MsgTData)
 			},
 			tGetX: func(c *TSOCCL2, x tsoL2Ctx) {
 				x.line.owner = x.msg.Requestor
 				x.line.state = tsoTX
-				c.respondDataEx(x, x.msg.Requestor)
+				c.respond(x, x.msg.Requestor, MsgTDataEx)
 			},
-			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
-				// Stale writeback (the fetch-ack path already captured
-				// this data, and the line may have been rewritten by a
-				// newer owner since): ack without absorbing.
-				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
-			},
+			// Stale writeback (the fetch-ack path already captured this
+			// data, and the line may have been rewritten by a newer
+			// owner since): ack without absorbing.
+			tWB:       staleWB,
 			tFetchAck: dropMsg, // late ack after a WB race
 			tL2Replace: func(c *TSOCCL2, x tsoL2Ctx) {
 				if x.line.dirty {
@@ -212,14 +211,11 @@ func initTSOCCL2() {
 					Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
 			},
 			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
-				if x.msg.Src != L1Node(x.line.owner) {
-					c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
-					return
+				if c.ackWB(x) {
+					c.absorb(x)
+					x.line.owner = -1
+					x.line.state = tsoTV
 				}
-				c.absorb(x)
-				x.line.owner = -1
-				x.line.state = tsoTV
-				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
 			},
 			tFetchAck: dropMsg, // late ack after a WB race
 			tL2Replace: func(c *TSOCCL2, x tsoL2Ctx) {
@@ -239,16 +235,18 @@ func initTSOCCL2() {
 				c.absorb(x)
 				x.line.owner = -1
 				x.line.state = tsoTV
-				c.respondData(x, x.line.reqCore)
+				c.respond(x, x.line.reqCore, MsgTData)
 			},
 			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
 				// The owner replaced the line while our fetch was in
 				// flight; its writeback doubles as the fetch response.
-				c.absorb(x)
-				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
-				x.line.owner = -1
-				x.line.state = tsoTV
-				c.respondData(x, x.line.reqCore)
+				// A writeback from an earlier owner is stale.
+				if c.ackWB(x) {
+					c.absorb(x)
+					x.line.owner = -1
+					x.line.state = tsoTV
+					c.respond(x, x.line.reqCore, MsgTData)
+				}
 			},
 			tGetS: recycleReq,
 			tGetX: recycleReq,
@@ -263,14 +261,16 @@ func initTSOCCL2() {
 				c.absorb(x)
 				x.line.owner = x.line.reqCore
 				x.line.state = tsoTX
-				c.respondDataEx(x, x.line.reqCore)
+				c.respond(x, x.line.reqCore, MsgTDataEx)
 			},
 			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				if !c.ackWB(x) {
+					return
+				}
 				c.absorb(x)
-				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
 				x.line.owner = x.line.reqCore
 				x.line.state = tsoTX
-				c.respondDataEx(x, x.line.reqCore)
+				c.respond(x, x.line.reqCore, MsgTDataEx)
 			},
 			tGetS: recycleReq,
 			tGetX: recycleReq,
@@ -287,8 +287,10 @@ func initTSOCCL2() {
 				c.array.Remove(x.addr)
 			},
 			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
+				if !c.ackWB(x) {
+					return
+				}
 				c.absorb(x)
-				c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
 				c.writeMem(x)
 				c.array.Remove(x.addr)
 			},

@@ -24,7 +24,10 @@ func TestDeepSoundness(t *testing.T) {
 		// tracker for the remaining corners.
 		t.Skip("set REPRO_DEEP_SOUNDNESS=1 to run the extended sweep")
 	}
-	for _, seed := range []int64{2, 40, 77, 123, 999, 4242, 31337} {
+	// Seeds 1, 3, 4 and 6 are the base seeds at which bug-free tsocc-tso
+	// campaigns at 1 KB reported ghb(TSO) cycles (benchmark/README.md,
+	// "Known exclusions").
+	for _, seed := range []int64{1, 2, 3, 4, 6, 40, 77, 123, 999, 4242, 31337} {
 		for _, mem := range []int{1024, 8192} {
 			for _, proto := range []string{"MESI", "TSO-CC"} {
 				cfg := scaledConfig(GenGPAll, machine.Protocol(proto), "", mem, 350)

@@ -293,12 +293,13 @@ func (c *Core) onInvalidation(lineAddr memsys.Addr) {
 	// load included: its value was captured at perform time, and older
 	// instructions (or fences) may have completed after that, so
 	// committing the pre-invalidation value would order the load too
-	// early. Forwarded loads are squashed too: a load forwarded from
-	// the store buffer whose source store has since drained would
-	// otherwise commit a value older than the invalidating write.
+	// early. Forwarded loads are squashed too: a load forwarded from the
+	// store buffer whose source store has since drained would otherwise
+	// commit a value older than the invalidating write — also while it
+	// is still a tick from performing, if the source drained meanwhile.
 	for j := c.nextCommit; j < len(c.prog) && j < c.nextCommit+c.cfg.ROBSize; j++ {
 		st := &c.status[j]
-		if !st.performed || st.violated {
+		if !(st.performed || st.forwarded && c.status[c.forwardFrom(j)].performed) || st.violated {
 			continue
 		}
 		if !c.prog[j].IsLoad() || c.prog[j].Kind == testgen.OpRMW {
@@ -343,17 +344,23 @@ func (c *Core) squash(from int) {
 // it could commit a value that is coherence-older than a write it is
 // already ordered after.
 func (c *Core) forwardSource(loadIdx int) (uint64, bool) {
+	j := c.forwardFrom(loadIdx)
+	if j < 0 || c.status[j].performed {
+		return 0, false // no store, or already serialized: read the cache
+	}
+	return c.prog[j].WriteID, true
+}
+
+// forwardFrom returns the youngest older store to loadIdx's word, or -1.
+func (c *Core) forwardFrom(loadIdx int) int {
 	addr := c.prog[loadIdx].Addr.WordAddr()
 	for j := loadIdx - 1; j >= 0; j-- {
 		in := &c.prog[j]
 		if (in.Kind == testgen.OpWrite || in.Kind == testgen.OpRMW) && in.Addr.WordAddr() == addr {
-			if c.status[j].performed {
-				return 0, false // already serialized: read the cache
-			}
-			return in.WriteID, true
+			return j
 		}
 	}
-	return 0, false
+	return -1
 }
 
 // depReady reports whether a ReadAddrDp's producing load has a value.
