@@ -132,6 +132,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("-timeout must not be negative, got %v", *timeout))
 	case *islands && *migrate <= 0:
 		return fail(2, fmt.Errorf("-migrate must be positive with -islands, got %d", *migrate))
+	case *islands && mcversi.GeneratorKind(*gen) == mcversi.GenRandom:
+		// The fleet migrates GP elites; rand has no population to migrate.
+		return fail(2, errors.New("-islands needs a GP generator, not -gen rand"))
+	case *tenant != "" && *remote == "":
+		return fail(2, errors.New("-tenant is only used with -remote"))
 	}
 	if _, err := mcversi.NewMemoryLayout(*mem, mcversi.TestMemoryStride); err != nil {
 		return fail(2, fmt.Errorf("-mem: %w", err))

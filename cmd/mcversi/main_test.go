@@ -38,6 +38,8 @@ func TestUsageErrors(t *testing.T) {
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout must not be negative"},
 		{"islands with zero migrate", []string{"-islands", "-migrate", "0"}, "-migrate must be positive"},
 		{"islands with negative migrate", []string{"-islands", "-migrate", "-4"}, "-migrate must be positive"},
+		{"islands with rand", []string{"-islands", "-gen", "rand"}, "-islands needs a GP generator"},
+		{"tenant without remote", []string{"-tenant", "foo"}, "-tenant is only used with -remote"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

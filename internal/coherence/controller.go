@@ -98,7 +98,8 @@ type kind[C, L any, P linePtr[L]] struct {
 	// controller cannot serve yet is delivered to itself again.
 	recycleNet   interconnect.VNet
 	recycleDelay sim.Tick
-	evictable    func(*L) bool
+	// evictable is Victim's predicate: the line's row is stable.
+	evictable func(*L) bool
 
 	// L1s only. loadRows are transient rows a load dispatches in anyway
 	// (MESI's SM keeps valid shared data). store/atomic perform a
