@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Oracle smoke: pipe the litmus known-answer corpus through the real
 # cmd/check binary in every ingestion mode — text file, binary file,
-# stdin, parallel fan-out, and cold/warm durable store — and byte-diff
-# the NDJSON verdicts against the committed golden
-# (ci/oracle_golden.json). The golden is what the in-process checker
+# stdin, parallel fan-out, cold/warm durable store, and warm again in
+# parallel — and byte-diff the NDJSON verdicts against the committed
+# golden (ci/oracle_golden.json). The golden is what the in-process checker
 # produces (cmd/check's own tests assert that equivalence), so a diff
 # here means the external-oracle path drifted from the library.
 #
@@ -66,5 +66,18 @@ if ! grep -q "durable" "$WORKDIR/warm.err"; then
   exit 1
 fi
 
+# Warm and parallel: four workers' Checkers share each trace's signature
+# (whichever signs it first, the others wait for it) and answer from the
+# store. Every check must be a durable hit.
+status=0
+"$WORKDIR/check" -json -model all -parallel 4 -store "$WORKDIR/verdicts" -progress "$WORKDIR/corpus.mctrace.bin" >"$WORKDIR/warm-parallel.json" 2>"$WORKDIR/warm-parallel.err" || status=$?
+[ "$status" -le 1 ] || { echo "FAIL: warm parallel store run exited $status" >&2; exit 1; }
+cmp "$GOLDEN" "$WORKDIR/warm-parallel.json" || { echo "FAIL: warm parallel store verdicts differ" >&2; exit 1; }
+if ! grep -Eq 'collective checking: ([0-9]+) checks, .*, \1 durable' "$WORKDIR/warm-parallel.err"; then
+  echo "FAIL: warm parallel store run did not answer every check from the store:" >&2
+  cat "$WORKDIR/warm-parallel.err" >&2
+  exit 1
+fi
+
 lines=$(wc -l <"$GOLDEN")
-echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store paths"
+echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths"

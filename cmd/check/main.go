@@ -152,12 +152,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	status := 0
 	enc := json.NewEncoder(stdout)
 	for ti := range traces {
+		// A trace that cannot be materialized fails every model with the
+		// same error: report it once.
+		if err := errs[ti][0]; err != nil {
+			fmt.Fprintf(stderr, "check: trace %d: %v\n", ti, err)
+			status = 2
+			continue
+		}
 		for mi := range models {
-			if err := errs[ti][mi]; err != nil {
-				fmt.Fprintf(stderr, "check: trace %d: %v\n", ti, err)
-				status = 2
-				continue
-			}
 			v := verdicts[ti][mi]
 			if !v.Valid && status == 0 {
 				status = 1

@@ -158,6 +158,26 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestMalformedTraceReportedOnce: a trace no model can decide is one
+// error on stderr, not one per model, between the verdicts of the traces
+// around it, and the run exits 2.
+func TestMalformedTraceReportedOnce(t *testing.T) {
+	const in = "mctrace 1\ntrace ok\nthread 0\nw 0x100 1\nr 0x100 1\nend\n" +
+		"trace b\nthread 0\nr 0x100 7\nend\n" +
+		"trace ok2\nthread 0\nw 0x100 2\nend\n"
+	var out, errb bytes.Buffer
+	if code := run([]string{"-model", "all", "-parallel", "2"}, strings.NewReader(in), &out, &errb); code != 2 {
+		t.Fatalf("exit code = %d, want 2 (stderr %q)", code, errb.String())
+	}
+	if n := strings.Count(errb.String(), "check: trace 1:"); n != 1 || !strings.Contains(errb.String(), "no producing write") ||
+		strings.Count(errb.String(), "\n") != 1 {
+		t.Errorf("stderr %q, want the malformed trace's error exactly once", errb.String())
+	}
+	if got, want := strings.Count(out.String(), " valid\n"), 2*len(oracle.Models()); got != want {
+		t.Errorf("stdout %q: %d verdicts, want %d for the two good traces", out.String(), got, want)
+	}
+}
+
 // TestModelNamesFoldCase: -model takes any spelling of a bundled name
 // and the output carries the canonical one.
 func TestModelNamesFoldCase(t *testing.T) {

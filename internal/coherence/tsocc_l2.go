@@ -152,8 +152,19 @@ func initTSOCCL2() {
 				x.line.state = tsoTV
 				c.respond(x, x.line.reqCore, MsgTData)
 			},
-			tGetS:     recycleReq,
-			tGetX:     recycleReq,
+			tGetS: recycleReq,
+			tGetX: recycleReq,
+			// The line was absent when this request allocated it, so no
+			// owner exists in this allocation: the writeback is from an
+			// earlier one, as at NP, one request later. That owner sent
+			// it from WB_I, where it answers fetches from the copy it
+			// wrote back, so its generation closed on a FetchAck carrying
+			// this same data (FO, FOX or FO_I). The line then left the L2
+			// through an eviction that wrote the data to memory (FO_I
+			// always, V when dirty) before removing it, and the memory
+			// read this state waits for follows that write on the same
+			// channel. Ack it so the L1 leaves WB_I; absorb nothing.
+			tWB:       staleWB,
 			tFetchAck: dropMsg, // stale ack from a closed fetch generation
 		},
 
@@ -166,8 +177,11 @@ func initTSOCCL2() {
 				x.line.state = tsoTX
 				c.respond(x, x.line.reqCore, MsgTDataEx)
 			},
-			tGetS:     recycleReq,
-			tGetX:     recycleReq,
+			tGetS: recycleReq,
+			tGetX: recycleReq,
+			// Stale, as at IFS: the requestor becomes owner only with the
+			// memory data, so no writeback can be its own yet.
+			tWB:       staleWB,
 			tFetchAck: dropMsg, // stale ack from a closed fetch generation
 		},
 

@@ -3,7 +3,12 @@ package core
 import (
 	"testing"
 
+	"repro/internal/coverage"
+	"repro/internal/gp"
+	"repro/internal/host"
+	"repro/internal/memsys"
 	"repro/internal/scenario"
+	"repro/internal/testgen"
 )
 
 // TestScenarioSoundness: every registered scenario is self-consistent —
@@ -33,6 +38,38 @@ func TestScenarioSoundness(t *testing.T) {
 				t.Errorf("Result.Scenario = %q, want %q", res.Scenario, scn.ID())
 			}
 		})
+	}
+}
+
+// TestTSOCCQuietAt8KB: bug-free tsocc-tso with the 8 KB layout, in the
+// shape benchmark/README.md's "Known exclusions" reproduces with (GP-All,
+// population 24, 256 ops × 8 threads, 5 iterations), stays quiet at base
+// seed 1. Its L2 evictions used to race owners' writebacks into a line
+// re-allocated by the next request: `L2Cache in state IFS on event WB`
+// after 26 test-runs.
+func TestTSOCCQuietAt8KB(t *testing.T) {
+	scn, err := scenario.ByName("tsocc-tso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Generator = GenGPAll
+	cfg.GP = gp.PaperParams()
+	cfg.GP.PopulationSize = 24
+	cfg.Coverage = coverage.DefaultParams()
+	cfg.Test = testgen.Config{Size: 256, Threads: 8, Layout: memsys.MustLayout(8192, 16)}
+	cfg.Host = host.Options{Iterations: 5, Barrier: host.HostBarrier, MaxTicksPerIteration: 30_000_000}
+	cfg.MaxTestRuns = 30
+	item, err := NewSpec(cfg, []scenario.Scenario{scn}, 1, 1).ItemConfig(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCampaign(item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Found || res.TestRuns != 30 {
+		t.Fatalf("bug-free tsocc-tso at 8 KB: %s / %s after %d test-runs, want 30 quiet ones", res.Source, res.Detail, res.TestRuns)
 	}
 }
 

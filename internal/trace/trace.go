@@ -26,7 +26,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/collective"
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
 	"repro/internal/relation"
@@ -144,12 +147,56 @@ type Thread struct {
 }
 
 // Trace is one candidate execution in interchange form.
+//
+// A Trace is read-only once checked: the first Signature call remembers
+// the trace's signature, and every later call — from any goroutine, for
+// any model — answers with it. A trace edited after that would be looked
+// up under the identity of the trace it was.
 type Trace struct {
 	// Name labels the trace in verdicts (optional).
 	Name    string    `json:"name,omitempty"`
 	Threads []Thread  `json:"threads"`
 	RF      []RFEdge  `json:"rf,omitempty"`
 	CO      []COOrder `json:"co,omitempty"`
+
+	id identity
+}
+
+// identity is a trace's signature once computed: mu serializes the call
+// computing it, done publishes sig to calls that never take mu.
+type identity struct {
+	mu   sync.Mutex
+	done atomic.Bool
+	sig  collective.Sig
+}
+
+// Signature returns the canonical signature of t's execution —
+// collective.Signature of what Execution builds — computing it at most
+// once across all goroutines. The call that computes it builds the
+// execution with materialize, which chooses the storage (and may time
+// it), and returns that execution as well; every other call returns a
+// nil execution. Concurrent callers wait for the computing call instead
+// of repeating it: materialize runs under the trace's lock, as
+// sync.Once runs its function, so it must not ask t for its signature.
+// Errors are not remembered: the next call materializes again and meets
+// the same error, so a malformed trace answers every caller alike.
+func (t *Trace) Signature(materialize func(*Trace) (*memmodel.Execution, error)) (collective.Sig, *memmodel.Execution, error) {
+	id := &t.id
+	if id.done.Load() {
+		return id.sig, nil, nil
+	}
+	id.mu.Lock()
+	defer id.mu.Unlock()
+	if id.done.Load() {
+		return id.sig, nil, nil
+	}
+	x, err := materialize(t)
+	if err != nil {
+		return collective.Sig{}, nil, err
+	}
+	id.sig = collective.Signature(x)
+	id.done.Store(true)
+	return id.sig, x, nil
 }
 
 // key computes the effective memmodel.Key of op i given the thread's

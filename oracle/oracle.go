@@ -12,15 +12,24 @@
 // pass decided. A Checker is single-goroutine; Checkers may share a
 // Memo and through it a Store.
 //
+// A trace's identity is shared: the first CheckTrace to see a Trace —
+// whichever model's Checker, on whichever goroutine — materializes and
+// signs it, and every other Checker reuses that signature (concurrent
+// ones wait for it). So a Trace is read-only once checked. CheckTrace
+// materializes only to decide: to sign a trace no Checker has signed,
+// or when its model must actually be decided (a memo or store miss, or
+// a stored invalid verdict re-deriving its witness). A valid hit costs
+// one ScopedKey fold and one lookup.
+//
 // What a Checker keeps: its scratch for the exact procedure and, for
-// CheckTrace, one builder with the execution inside it, into which every
-// trace is materialized — the storage grows to the largest trace seen
-// and is reused for the next, so deciding a stream of traces does not
-// allocate an execution per trace. Nothing of it escapes: verdicts and
-// memo entries carry event IDs and strings, never the execution.
-// Executions a caller builds (Builder), takes from Trace.Execution or
-// hands to CheckExecution/CheckSig are the caller's: no Checker keeps,
-// resets or reuses them.
+// CheckTrace, one builder with the execution inside it, into which a
+// trace is materialized when it has to be — the storage grows to the
+// largest trace seen and is reused for the next, so deciding a stream of
+// traces does not allocate an execution per trace. Nothing of it
+// escapes: verdicts and memo entries carry event IDs and strings, never
+// the execution. Executions a caller builds (Builder), takes from
+// Trace.Execution or hands to CheckExecution/CheckSig are the caller's:
+// no Checker keeps, resets or reuses them.
 //
 //	checker, err := oracle.NewChecker("TSO", oracle.Options{})
 //	traces, err := oracle.DecodeTraces(f)
@@ -197,9 +206,16 @@ type Checker struct {
 	// so a check does not allocate a closure; decided records that it ran.
 	decide  collective.CheckFunc
 	decided bool
+	// materialize is the method value a trace is built with, made once
+	// for the same reason. It books its time as decode and adds it to
+	// inner, the decode time spent inside the current CheckSig.
+	materialize func(*Trace) (*Execution, error)
+	inner       time.Duration
 	// mat is where CheckTrace materializes: one builder and execution,
-	// reused for every trace.
-	mat trace.Materializer
+	// reused for every trace. pending is the trace CheckTrace is
+	// deciding, materialized into mat only if the memo asks for it.
+	mat     trace.Materializer
+	pending *Trace
 }
 
 // NewChecker returns a Checker for the named model ("SC", "TSO",
@@ -225,14 +241,37 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 		scope: opts.Scope,
 	}
 	c.decide = c.runCheck
+	c.materialize = c.materializeTrace
 	return c, nil
 }
 
 // runCheck is the decision procedure as the memo sees it: the unified
-// checker, noting that it was reached.
+// checker, noting that it was reached. A nil x is CheckTrace's pending
+// trace, materialized now that it has to be decided.
 func (c *Checker) runCheck(x *Execution, arch Model) Result {
 	c.decided = true
+	if x == nil {
+		var err error
+		if x, err = c.materialize(c.pending); err != nil {
+			// It materialized once already, to be signed, and
+			// materializing is a function of the trace alone.
+			panic(fmt.Sprintf("oracle: trace %s changed after it was checked: %v", c.pending.Name, err))
+		}
+	}
 	return c.chk.Check(x, arch)
+}
+
+// materializeTrace builds t's execution in the Checker's storage, booked
+// as decode.
+func (c *Checker) materializeTrace(t *Trace) (*Execution, error) {
+	//mcvlint:allow nondeterm phase telemetry; never feeds results
+	t0 := time.Now()
+	x, err := c.mat.Execution(t)
+	//mcvlint:allow nondeterm phase telemetry; never feeds results
+	d := time.Since(t0)
+	c.phases.Observe(obs.PhaseDecode, d)
+	c.inner += d
+	return x, err
 }
 
 // Model returns the model this Checker decides against.
@@ -255,7 +294,7 @@ func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
 	fastBefore := c.chk.Fastpath()
-	c.decided = false
+	c.decided, c.inner = false, 0
 	res, hit := c.memo.CheckScopedVia(c.scope, sig, x, c.arch, c.decide)
 	fastAfter := c.chk.Fastpath()
 	phase := obs.PhaseCheck
@@ -272,7 +311,7 @@ func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
 		phase = obs.PhaseFastCheck
 	}
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	c.phases.Observe(phase, time.Since(t0))
+	c.phases.Observe(phase, time.Since(t0)-c.inner)
 	return res, hit
 }
 
@@ -295,25 +334,20 @@ type Verdict struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// CheckTrace materializes the trace and decides it, labelling the
-// verdict with the trace's name and stream index. Malformed traces
-// (events that cannot form an execution at all) return an error rather
-// than a verdict. The execution is materialized into storage the Checker
-// keeps and overwrites on the next call — the same routine as
-// Trace.Execution, the same execution event for event, so verdicts,
-// signatures and errors do not depend on what was checked before; the
-// trace itself is only read.
+// CheckTrace decides the trace, labelling the verdict with the trace's
+// name and stream index. Malformed traces (events that cannot form an
+// execution at all) return an error rather than a verdict, the same one
+// from every model. The trace's signature is computed once across all
+// Checkers (Trace.Signature); its execution is materialized only to
+// sign it or to decide it, into storage the Checker keeps and overwrites
+// on the next call — the same routine as Trace.Execution, the same
+// execution event for event, so verdicts, signatures and errors do not
+// depend on what was checked before, or by whom.
 func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
-	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	t0 := time.Now()
-	x, err := c.mat.Execution(t)
-	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	c.phases.Observe(obs.PhaseDecode, time.Since(t0))
+	sig, res, err := c.checkTrace(t)
 	if err != nil {
 		return Verdict{}, err
 	}
-	sig := collective.Signature(x)
-	res, _ := c.CheckSig(sig, x)
 	v := Verdict{
 		Name:  t.Name,
 		Index: index,
@@ -328,6 +362,21 @@ func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 	return v, nil
 }
 
+// checkTrace is CheckTrace's decision: the trace's signature and the
+// full Result, witness cycle included.
+func (c *Checker) checkTrace(t *Trace) (Sig, Result, error) {
+	// x is nil unless this call signed the trace; the memo asks runCheck
+	// for an execution only when the model must be decided.
+	sig, x, err := t.Signature(c.materialize)
+	if err != nil {
+		return Sig{}, Result{}, err
+	}
+	c.pending = t
+	res, _ := c.CheckSig(sig, x)
+	c.pending = nil
+	return sig, res, nil
+}
+
 // Dedupe snapshots the memo's effectiveness counters (shared across
 // every Checker on the same memo).
 func (c *Checker) Dedupe() Dedupe { return c.memo.Stats() }
@@ -336,8 +385,9 @@ func (c *Checker) Dedupe() Dedupe { return c.memo.Stats() }
 func (c *Checker) Fastpath() FastpathStats { return c.chk.Fastpath() }
 
 // Phases snapshots this Checker's per-phase time breakdown: decode
-// (trace materialization), fastcheck (fast-pass-proved decisions),
-// check (exact decisions), memo (answered from a tier).
+// (one span per trace materialization, to sign or to decide), fastcheck
+// (fast-pass-proved decisions), check (exact decisions), memo (answered
+// from a tier).
 func (c *Checker) Phases() PhaseSnapshot { return c.phases.Snapshot() }
 
 // LitmusCorpus returns the bundled weak-memory classics as traces of

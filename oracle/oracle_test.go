@@ -219,7 +219,11 @@ func TestModelNamesFoldCase(t *testing.T) {
 	}
 }
 
-// TestPhases: the oracle attributes decode and check time.
+// TestPhases: the oracle attributes decode and check time. A decode span
+// is one materialization: the first pass signs each classic and decides
+// it on the same execution; the second finds the memo's verdict, and as
+// every classic is forbidden under SC, materializes again to re-derive
+// its witness.
 func TestPhases(t *testing.T) {
 	c, err := NewChecker("SC", Options{})
 	if err != nil {

@@ -217,9 +217,10 @@ func TestGeneratedCorpusReusedMatchesFresh(t *testing.T) {
 
 // TestCheckTraceSteadyStateAllocationBudget: once a Checker has seen the
 // corpus's shapes, deciding a benchmark-sized trace the durable store
-// already knows allocates the verdict and its memo entry, not an
-// execution: a few kilobytes, where rebuilding one out of maps took
-// about 746 kB.
+// already knows — materializing and signing it in the Checker's storage,
+// as no other Checker has — allocates the verdict and its memo entry,
+// not an execution: a few kilobytes, where rebuilding one out of maps
+// took about 746 kB.
 func TestCheckTraceSteadyStateAllocationBudget(t *testing.T) {
 	traces := largeTraces(t, 8)
 	st, err := OpenStore(t.TempDir())
@@ -238,26 +239,30 @@ func TestCheckTraceSteadyStateAllocationBudget(t *testing.T) {
 	}
 
 	// A new memo over the filled store: every first sight of a trace is a
-	// durable hit. All but the last three warm the Checker's storage.
+	// durable hit. All but the last three warm the Checker's storage. The
+	// filler signed the traces, so the new Checker is handed unsigned
+	// copies.
 	c, err := NewChecker("TSO", Options{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := len(traces) - 3
 	for i, tr := range traces[:warm] {
-		if _, err := c.CheckTrace(tr, i); err != nil {
+		if _, err := c.CheckTrace(clone(tr), i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const maxBytes, maxObjects = 8 << 10, 40
 	for i, tr := range traces[warm:] {
-		durable := c.Dedupe().Durable
+		tr = clone(tr)
+		durable, decodes := c.Dedupe().Durable, c.Phases().Decode.Count
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := c.CheckTrace(tr, warm+i)
 		runtime.ReadMemStats(&after)
-		if err != nil || c.Dedupe().Durable != durable+1 {
-			t.Fatalf("%s: err %v, %s; want one more durable hit", tr.Name, err, c.Dedupe())
+		if err != nil || c.Dedupe().Durable != durable+1 || c.Phases().Decode.Count != decodes+1 {
+			t.Fatalf("%s: err %v, %s, %d materializations; want one more durable hit and one materialization",
+				tr.Name, err, c.Dedupe(), c.Phases().Decode.Count-decodes)
 		}
 		bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 		t.Logf("%s: %d B in %d objects", tr.Name, bytes, objects)
