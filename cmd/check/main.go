@@ -1,8 +1,10 @@
 // Command check is the standalone oracle: it reads candidate-execution
 // traces (text or binary, files or stdin) and decides each against the
-// bundled axiomatic memory models, with the same fast-path-first,
-// memo-deduplicated pipeline — and byte-identical verdicts — as an
-// in-process campaign.
+// bundled axiomatic memory models through the oracle package, with
+// verdicts byte-identical to an in-process campaign's. A trace's models
+// are checked strongest first on one worker, so a trace valid under one
+// model is answered for the weaker ones without another check; the memo
+// and -store answer what was decided before.
 //
 //	check -model TSO trace.txt            # human-readable verdicts
 //	check -model all -json < traces.bin   # NDJSON, one verdict per line
@@ -27,14 +29,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-}
-
-// job is one (trace, model) verdict to compute; verdicts land in a
-// preallocated slot so output order is input order regardless of
-// -parallel scheduling.
-type job struct {
-	trace int
-	model int
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -84,8 +78,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	// One worker = one Checker per model (Checkers are single-goroutine;
-	// the memo and store are the shared tiers). Verdicts land in
-	// input-order slots.
+	// the memo and store are the shared tiers). A job is one trace, whose
+	// models the worker checks in order, strongest first, so a weaker
+	// model never races ahead of the stronger one's proof. Verdicts land
+	// in input-order slots.
 	workers := *parallel
 	if workers < 1 {
 		workers = 1
@@ -94,12 +90,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		workers = len(traces)
 	}
 	verdicts := make([][]oracle.Verdict, len(traces))
-	errs := make([][]error, len(traces))
+	errs := make([]error, len(traces))
 	for i := range verdicts {
 		verdicts[i] = make([]oracle.Verdict, len(models))
-		errs[i] = make([]error, len(models))
 	}
-	jobs := make(chan job)
+	jobs := make(chan int)
 	var (
 		wg        sync.WaitGroup
 		statMu    sync.Mutex
@@ -123,9 +118,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				verdicts[j.trace][j.model], errs[j.trace][j.model] =
-					checkers[j.model].CheckTrace(traces[j.trace], j.trace)
+			for ti := range jobs {
+				for mi, c := range checkers {
+					// A trace that cannot be materialized fails every
+					// model with the same error.
+					if verdicts[ti][mi], errs[ti] = c.CheckTrace(traces[ti], ti); errs[ti] != nil {
+						break
+					}
+				}
 			}
 			statMu.Lock()
 			for _, c := range checkers {
@@ -142,9 +142,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for ti := range traces {
-		for mi := range models {
-			jobs <- job{trace: ti, model: mi}
-		}
+		jobs <- ti
 	}
 	close(jobs)
 	wg.Wait()
@@ -152,9 +150,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	status := 0
 	enc := json.NewEncoder(stdout)
 	for ti := range traces {
-		// A trace that cannot be materialized fails every model with the
-		// same error: report it once.
-		if err := errs[ti][0]; err != nil {
+		if err := errs[ti]; err != nil {
 			fmt.Fprintf(stderr, "check: trace %d: %v\n", ti, err)
 			status = 2
 			continue
@@ -203,23 +199,26 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return status
 }
 
-// resolveModels expands the -model flag into validated model names in
-// the bundled containment order (so "all" output is deterministic and
-// lists strongest first).
+// resolveModels expands the -model flag into validated model names, each
+// once, in the bundled containment order whatever order the flag lists
+// them in: output lists strongest first, and a worker checks a trace's
+// models in the order that lets a valid verdict answer the weaker ones.
 func resolveModels(spec string) ([]string, error) {
 	if spec == "all" || spec == "" {
 		return oracle.Models(), nil
 	}
-	var out []string
-	seen := map[string]bool{}
+	asked := map[string]bool{}
 	for _, name := range strings.Split(spec, ",") {
 		m, err := oracle.ModelByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		if !seen[m.Name()] {
-			seen[m.Name()] = true
-			out = append(out, m.Name())
+		asked[m.Name()] = true
+	}
+	var out []string
+	for _, m := range oracle.Models() {
+		if asked[m] {
+			out = append(out, m)
 		}
 	}
 	return out, nil

@@ -192,6 +192,31 @@ func TestModelNamesFoldCase(t *testing.T) {
 	}
 }
 
+// TestModelListStrongestFirst: a -model list is checked and printed in
+// the bundled containment order, whatever order it names the models in.
+func TestModelListStrongestFirst(t *testing.T) {
+	in := corpusText(t)
+	var want, got, errb bytes.Buffer
+	if code := run([]string{"-json", "-model", "SC,TSO,RMO"}, bytes.NewReader(in), &want, &errb); code != 1 {
+		t.Fatalf("-model SC,TSO,RMO exited %d: %s", code, errb.String())
+	}
+	if code := run([]string{"-json", "-model", "rmo,SC,tso", "-parallel", "3"}, bytes.NewReader(in), &got, &errb); code != 1 {
+		t.Fatalf("-model rmo,SC,tso exited %d: %s", code, errb.String())
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("-model rmo,SC,tso:\n%s\nwant the SC,TSO,RMO output:\n%s", got.String(), want.String())
+	}
+
+	const valid = "mctrace 1\ntrace ok\nthread 0\nw 0x100 1\nr 0x100 1\nend\n"
+	var out bytes.Buffer
+	if code := run([]string{"-model", "TSO,SC"}, strings.NewReader(valid), &out, &errb); code != 0 {
+		t.Fatalf("-model TSO,SC exited %d: %s", code, errb.String())
+	}
+	if want := "ok: SC valid\nok: TSO valid\n"; out.String() != want {
+		t.Errorf("-model TSO,SC printed %q, want %q", out.String(), want)
+	}
+}
+
 // TestDurableStoreWarm: a second run over the same -store answers from
 // the durable tier and reports it under -progress.
 func TestDurableStoreWarm(t *testing.T) {

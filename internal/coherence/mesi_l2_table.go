@@ -324,7 +324,23 @@ func initMESIL2() {
 				c.array.Remove(x.addr)
 			},
 			l2RecallStale: dropMsg, // the owner's PUT is in flight
+			// A PUT resolves the recall only if it comes from the owner
+			// the recall went to. Any other PUT is an earlier owner's,
+			// left in flight when that owner answered a FwdGETX from
+			// E_I/M_I. The data it carries was handed to the next owner
+			// with that answer, and the line has been granted since. So
+			// the PUT is stale, as gem5 MESI_Two_Level's L1_PUTX_old is:
+			// PutStale lets its sender, which has served the forward,
+			// drop the line. The recall stays outstanding. Taking the PUT
+			// as the owner's wrote the earlier owner's data to memory and
+			// removed the line while the current owner held it in M, so
+			// that owner's Recall_Data found NP, or ISS once another
+			// request had re-allocated the line.
 			l2PUTX: func(c *MESIL2, x l2Ctx) {
+				if x.msg.Src != L1Node(x.line.owner) {
+					putStale(c, x)
+					return
+				}
 				// Owner replacement raced our recall: same belief, same
 				// bug.
 				if !(x.line.expectClean && c.bugs.MESIReplaceRace) {
@@ -335,6 +351,10 @@ func initMESIL2() {
 				c.array.Remove(x.addr)
 			},
 			l2PUTE: func(c *MESIL2, x l2Ctx) {
+				if x.msg.Src != L1Node(x.line.owner) {
+					putStale(c, x) // an earlier owner's, as for PUTX
+					return
+				}
 				if x.line.dirty {
 					c.writeMem(x.addr, x.line.data)
 				}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/machine"
@@ -9,20 +8,11 @@ import (
 
 // TestDeepSoundness is the extended false-positive gate: bug-free GP
 // campaigns under both protocols and both memory layouts across many
-// seeds. It is the regression net for the protocol race fixes; the
-// shapes it still trips on are listed with their seeds in
-// benchmark/README.md, "Known exclusions".
+// seeds. It is the regression net for the protocol race fixes. It takes
+// several seconds, so -short skips it; CI runs it without -short.
 func TestDeepSoundness(t *testing.T) {
-	if os.Getenv("REPRO_DEEP_SOUNDNESS") == "" {
-		// Known limitation (see EXPERIMENTS.md, "Scenario matrix —
-		// PSO/RMO discrimination", last paragraph): under
-		// hundreds of maximally-racy GP-evolved runs, rare schedule
-		// corners still produce false positives (residual TSO-CC
-		// acquire filtering races and livelock watchdog trips). The
-		// standard soundness gates (TestNoFalsePositives, host and
-		// coherence suites) pass; this extended sweep is the opt-in
-		// tracker for the remaining corners.
-		t.Skip("set REPRO_DEEP_SOUNDNESS=1 to run the extended sweep")
+	if testing.Short() {
+		t.Skip("the extended sweep runs without -short")
 	}
 	// Seeds 1, 3, 4 and 6 are the base seeds at which bug-free tsocc-tso
 	// campaigns at 1 KB reported ghb(TSO) cycles (benchmark/README.md,

@@ -41,14 +41,13 @@ func TestScenarioSoundness(t *testing.T) {
 	}
 }
 
-// TestTSOCCQuietAt8KB: bug-free tsocc-tso with the 8 KB layout, in the
-// shape benchmark/README.md's "Known exclusions" reproduces with (GP-All,
-// population 24, 256 ops × 8 threads, 5 iterations), stays quiet at base
-// seed 1. Its L2 evictions used to race owners' writebacks into a line
-// re-allocated by the next request: `L2Cache in state IFS on event WB`
-// after 26 test-runs.
-func TestTSOCCQuietAt8KB(t *testing.T) {
-	scn, err := scenario.ByName("tsocc-tso")
+// quietAt8KB runs one bug-free campaign of the named scenario with the
+// 8 KB layout, in the shape benchmark/README.md's "Known exclusions"
+// reproduces with (GP-All, population 24, 256 ops × 8 threads, 5
+// iterations), and fails t unless all runs test-runs stay quiet.
+func quietAt8KB(t *testing.T, name string, seed int64, runs int) {
+	t.Helper()
+	scn, err := scenario.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +58,8 @@ func TestTSOCCQuietAt8KB(t *testing.T) {
 	cfg.Coverage = coverage.DefaultParams()
 	cfg.Test = testgen.Config{Size: 256, Threads: 8, Layout: memsys.MustLayout(8192, 16)}
 	cfg.Host = host.Options{Iterations: 5, Barrier: host.HostBarrier, MaxTicksPerIteration: 30_000_000}
-	cfg.MaxTestRuns = 30
-	item, err := NewSpec(cfg, []scenario.Scenario{scn}, 1, 1).ItemConfig(0)
+	cfg.MaxTestRuns = runs
+	item, err := NewSpec(cfg, []scenario.Scenario{scn}, 1, seed).ItemConfig(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,31 @@ func TestTSOCCQuietAt8KB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Found || res.TestRuns != 30 {
-		t.Fatalf("bug-free tsocc-tso at 8 KB: %s / %s after %d test-runs, want 30 quiet ones", res.Source, res.Detail, res.TestRuns)
+	if res.Found || res.TestRuns != runs {
+		t.Errorf("bug-free %s at 8 KB, seed %d: %s / %s after %d test-runs, want %d quiet ones",
+			name, seed, res.Source, res.Detail, res.TestRuns, runs)
+	}
+}
+
+// TestTSOCCQuietAt8KB: bug-free tsocc-tso at 8 KB stays quiet at base
+// seed 1. Its L2 evictions used to race owners' writebacks into a line
+// re-allocated by the next request: `L2Cache in state IFS on event WB`
+// after 26 test-runs.
+func TestTSOCCQuietAt8KB(t *testing.T) {
+	quietAt8KB(t, "tsocc-tso", 1, 30)
+}
+
+// TestMESIQuietAt8KB: bug-free MESI at 8 KB stays quiet for 70 test-runs
+// at the base seeds that used to trip `L2Cache in state NP|ISS on event
+// Recall_Data` (benchmark/README.md, "Known exclusions" (a)). The L2,
+// recalling a line from its owner, took an earlier owner's stale PUT for
+// the owner's and dropped the line while the owner held it in M.
+func TestMESIQuietAt8KB(t *testing.T) {
+	for _, c := range []struct {
+		scenario string
+		seed     int64
+	}{{"mesi-tso", 109}, {"mesi-tso", 219}, {"mesi-pso", 29}, {"mesi-sc", 61}} {
+		quietAt8KB(t, c.scenario, c.seed, 70)
 	}
 }
 

@@ -65,3 +65,35 @@ func TestSignatureOncePerTrace(t *testing.T) {
 			built.Load(), handed.Load(), rebuilt.Load(), goroutines)
 	}
 }
+
+// TestProvedValidKeepsTheStrongest: a trace recorded valid under some
+// models, from racing goroutines in any order, answers valid for the
+// strongest of them and every weaker model, and for no stronger one.
+func TestProvedValidKeepsTheStrongest(t *testing.T) {
+	models := len(memmodel.Names())
+	tr := new(Trace)
+	for m := 0; m < models; m++ {
+		if tr.ValidUnder(m) {
+			t.Fatalf("a fresh trace is valid under model %d", m)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, m := range []int{3, 1, 2, 3, 1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.ProvedValid(m)
+		}()
+	}
+	wg.Wait()
+	for m := 0; m < models; m++ {
+		if got := tr.ValidUnder(m); got != (m >= 1) {
+			t.Errorf("after proofs under models 1–3: valid under %d = %v", m, got)
+		}
+	}
+	tr.ProvedValid(0)
+	tr.ProvedValid(2)
+	if !tr.ValidUnder(0) {
+		t.Error("a proof under model 0 was not kept")
+	}
+}

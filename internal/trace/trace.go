@@ -151,7 +151,9 @@ type Thread struct {
 // A Trace is read-only once checked: the first Signature call remembers
 // the trace's signature, and every later call — from any goroutine, for
 // any model — answers with it. A trace edited after that would be looked
-// up under the identity of the trace it was.
+// up under the identity of the trace it was. Next to the signature a
+// trace remembers the strongest model it was decided valid under
+// (ProvedValid), which answers for every weaker model.
 type Trace struct {
 	// Name labels the trace in verdicts (optional).
 	Name    string    `json:"name,omitempty"`
@@ -163,11 +165,15 @@ type Trace struct {
 }
 
 // identity is a trace's signature once computed: mu serializes the call
-// computing it, done publishes sig to calls that never take mu.
+// computing it, done publishes sig to calls that never take mu. valid is
+// one more than the position in memmodel.Names() of the strongest model
+// the trace was decided valid under, 0 while it has been under none; it
+// only ever moves to a stronger model.
 type identity struct {
-	mu   sync.Mutex
-	done atomic.Bool
-	sig  collective.Sig
+	mu    sync.Mutex
+	done  atomic.Bool
+	sig   collective.Sig
+	valid atomic.Int32
 }
 
 // Signature returns the canonical signature of t's execution —
@@ -197,6 +203,30 @@ func (t *Trace) Signature(materialize func(*Trace) (*memmodel.Execution, error))
 	id.sig = collective.Signature(x)
 	id.done.Store(true)
 	return id.sig, x, nil
+}
+
+// ProvedValid records that t's execution was decided valid under the
+// model at position model of memmodel.Names(), strongest first. The
+// models form a chain, each allowing everything the ones before it
+// allow, so the record stands for every model after it too; a call
+// naming a weaker model than the one recorded changes nothing. Safe
+// for concurrent use.
+func (t *Trace) ProvedValid(model int) {
+	v := int32(model) + 1
+	for {
+		cur := t.id.valid.Load()
+		if cur != 0 && cur <= v || t.id.valid.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// ValidUnder reports whether t's execution was recorded valid (see
+// ProvedValid) under the model at position model of memmodel.Names() or
+// under a stronger one — and so is valid under that model.
+func (t *Trace) ValidUnder(model int) bool {
+	cur := t.id.valid.Load()
+	return cur != 0 && int(cur) <= model+1
 }
 
 // key computes the effective memmodel.Key of op i given the thread's

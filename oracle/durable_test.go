@@ -1,8 +1,6 @@
 package oracle
 
 import (
-	"encoding/json"
-	"os"
 	"strconv"
 	"testing"
 
@@ -20,14 +18,7 @@ import (
 // invalid one re-derives its witness and is a check.
 func TestGoldenSignaturesAnswerFromStore(t *testing.T) {
 	traces := generatedTraces(t)
-	data, err := os.ReadFile(generatedGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden []goldenTrace
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
+	golden := loadGolden(t)
 	if len(golden) != len(traces) {
 		t.Fatalf("generated %d traces, golden holds %d", len(traces), len(golden))
 	}

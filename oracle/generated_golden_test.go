@@ -242,6 +242,20 @@ func rfRedirect(tr *Trace, rng *rand.Rand, fix bool) string {
 	return "asis"
 }
 
+// loadGolden reads the recorded generated golden.
+func loadGolden(t *testing.T) []goldenTrace {
+	t.Helper()
+	data, err := os.ReadFile(generatedGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (record it with: go test ./oracle -run TestGeneratedCorpusGolden -update)", err)
+	}
+	var golden []goldenTrace
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
 // observe records everything the golden pins about one trace, decided
 // on an execution of its own by the exact procedure.
 func observe(t *testing.T, tr *Trace) goldenTrace {
@@ -318,14 +332,7 @@ func TestGeneratedCorpusGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data, err := os.ReadFile(generatedGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (record it with: go test ./oracle -run TestGeneratedCorpusGolden -update)", err)
-	}
-	var want []goldenTrace
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := loadGolden(t)
 	if len(got) != len(want) {
 		t.Fatalf("generated %d traces, golden holds %d", len(got), len(want))
 	}

@@ -118,7 +118,9 @@ func concurrentAnswers(traces []*Trace, workers [][]*Checker, seed int64) [][]an
 // sharing one memo and store and deciding shuffled (trace, model) jobs,
 // print the verdict stream one Checker at a time prints — over an empty
 // store, where the Checker that signs a trace is often not the one deciding
-// it, and again over the filled store, where most jobs never materialize.
+// it and a weaker model often decides before a stronger one has proved
+// the trace valid, while others answer from that proof; and again over
+// the filled store, where most jobs never materialize.
 func TestSharedIdentityConcurrent(t *testing.T) {
 	want := answerStream(t, sequentialAnswers(t, identityCorpus(t)))
 	st, err := OpenStore(t.TempDir())
@@ -133,8 +135,18 @@ func TestSharedIdentityConcurrent(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s pass: the shared-identity verdict stream differs from one Checker at a time:\n got %s\nwant %s", name, got, want)
 		}
-		if d := memo.Stats(); name == "warm" && (d.Durable == 0 || d.Durable+d.Hits != d.Checks) {
+		d := memo.Stats()
+		if name == "warm" && (d.Durable == 0 || d.Durable+d.Hits != d.Checks) {
 			t.Errorf("warm pass: %s, want every check answered from a tier", d)
+		}
+		// Over the empty store, a memo span that is not a memo hit is a
+		// chain answer.
+		var p PhaseSnapshot
+		for _, checkers := range workers {
+			p = p.Merge(phaseTotals(checkers))
+		}
+		if name == "cold" && p.Memo.Count <= d.Hits {
+			t.Errorf("cold pass: %d memo spans, %s; want answers from the chain", p.Memo.Count, d)
 		}
 	}
 }

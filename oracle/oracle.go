@@ -21,6 +21,19 @@
 // a stored invalid verdict re-deriving its witness). A valid hit costs
 // one ScopedKey fold and one lookup.
 //
+// A trace also remembers the strongest model it was decided valid under.
+// The bundled models form a chain, SC ⊇ TSO ⊇ PSO ⊇ RMO in what they
+// forbid (Models() lists it strongest first), so a valid decision under
+// one model answers every weaker one. Only a decision a Checker makes in
+// this process records it; a verdict answered from the memo or the store
+// does not. When the memo asks a Checker to decide a trace that is
+// already valid under its model or a stronger one, the Checker answers
+// valid without materializing or checking. The memo and store still see
+// that answer like any other: every (trace, model) is counted, stored and
+// keyed as before. Deciding the models strongest first therefore costs a
+// valid trace one materialization, one signature and one check for all
+// four.
+//
 // What a Checker keeps: its scratch for the exact procedure and, for
 // CheckTrace, one builder with the execution inside it, into which a
 // trace is materialized when it has to be — the storage grows to the
@@ -43,6 +56,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -197,7 +211,10 @@ type Options struct {
 // single-goroutine, like the underlying scratch; build one per worker
 // and share the Memo.
 type Checker struct {
-	arch   Model
+	arch Model
+	// rank is arch's position in Models(), strongest first; -1 for a
+	// model outside the chain, which never answers from it.
+	rank   int
 	chk    *memmodel.Checker
 	memo   *Memo
 	scope  string
@@ -234,6 +251,7 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 	}
 	c := &Checker{
 		arch: arch,
+		rank: slices.Index(memmodel.Names(), arch.Name()),
 		chk: memmodel.NewChecker(
 			memmodel.WithScratch(memmodel.NewScratch()),
 			memmodel.WithFastDecider(fastpath.New())),
@@ -245,20 +263,32 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 	return c, nil
 }
 
-// runCheck is the decision procedure as the memo sees it: the unified
-// checker, noting that it was reached. A nil x is CheckTrace's pending
-// trace, materialized now that it has to be decided.
+// runCheck is the decision procedure as the memo sees it. For
+// CheckTrace's pending trace it first asks the model chain: a trace some
+// Checker decided valid under this model or a stronger one is valid
+// here, answered without a decision. Otherwise it runs the unified
+// checker, noting that it was reached, and a valid decision on a pending
+// trace is recorded on the trace for the weaker models. A nil x is the
+// pending trace, materialized now that it has to be decided.
 func (c *Checker) runCheck(x *Execution, arch Model) Result {
+	t := c.pending
+	if t != nil && c.rank >= 0 && t.ValidUnder(c.rank) {
+		return Result{Valid: true}
+	}
 	c.decided = true
 	if x == nil {
 		var err error
-		if x, err = c.materialize(c.pending); err != nil {
+		if x, err = c.materialize(t); err != nil {
 			// It materialized once already, to be signed, and
 			// materializing is a function of the trace alone.
-			panic(fmt.Sprintf("oracle: trace %s changed after it was checked: %v", c.pending.Name, err))
+			panic(fmt.Sprintf("oracle: trace %s changed after it was checked: %v", t.Name, err))
 		}
 	}
-	return c.chk.Check(x, arch)
+	res := c.chk.Check(x, arch)
+	if res.Valid && t != nil && c.rank >= 0 {
+		t.ProvedValid(c.rank)
+	}
+	return res
 }
 
 // materializeTrace builds t's execution in the Checker's storage, booked
@@ -300,10 +330,11 @@ func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
 	phase := obs.PhaseCheck
 	switch {
 	case hit || !c.decided:
-		// A tier answered: the in-RAM memo (hit), or the durable store
-		// below it, which the memo reports as a miss it did not have to
-		// decide. A stored invalid verdict re-derives its witness through
-		// the decision procedure and is booked as the check it pays.
+		// Answered without a decision: by the in-RAM memo (hit), by the
+		// durable store below it, which the memo reports as a miss it
+		// did not have to decide, or by the model chain. A stored invalid
+		// verdict re-derives its witness through the decision procedure
+		// and is booked as the check it pays.
 		phase = obs.PhaseMemo
 	case fastAfter.Valid > fastBefore.Valid && res.Valid:
 		// The fast pass proved it; invalid and fallback routes pay the
@@ -342,7 +373,10 @@ type Verdict struct {
 // sign it or to decide it, into storage the Checker keeps and overwrites
 // on the next call — the same routine as Trace.Execution, the same
 // execution event for event, so verdicts, signatures and errors do not
-// depend on what was checked before, or by whom.
+// depend on what was checked before, or by whom. A trace this Checker
+// decides valid is recorded as valid under its model, and a trace some
+// Checker recorded valid under this model or a stronger one is answered
+// valid without being decided again (see the package doc).
 func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 	sig, res, err := c.checkTrace(t)
 	if err != nil {
@@ -381,13 +415,15 @@ func (c *Checker) checkTrace(t *Trace) (Sig, Result, error) {
 // every Checker on the same memo).
 func (c *Checker) Dedupe() Dedupe { return c.memo.Stats() }
 
-// Fastpath snapshots this Checker's fast-pass outcome counters.
+// Fastpath snapshots this Checker's fast-pass outcome counters: one per
+// decision it made, none for a verdict answered from a tier or the model
+// chain.
 func (c *Checker) Fastpath() FastpathStats { return c.chk.Fastpath() }
 
 // Phases snapshots this Checker's per-phase time breakdown: decode
 // (one span per trace materialization, to sign or to decide), fastcheck
 // (fast-pass-proved decisions), check (exact decisions), memo (answered
-// from a tier).
+// without a decision, from a tier or the model chain).
 func (c *Checker) Phases() PhaseSnapshot { return c.phases.Snapshot() }
 
 // LitmusCorpus returns the bundled weak-memory classics as traces of
