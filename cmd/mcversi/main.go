@@ -70,6 +70,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tenant := fs.String("tenant", "", "tenant id for -remote admission control")
 	mergedOut := fs.String("merged-out", "",
 		"write the canonical merged result JSON to this file (local and -remote runs of one campaign produce byte-identical files)")
+	bundleDir := fs.String("bundle", "",
+		"for each sample that found a bug, write a repro bundle (campaign, failing test, and for checker violations the failing iteration's trace) under this directory")
+	replayDir := fs.String("replay", "",
+		"re-simulate the repro bundle in this directory and exit 0 only if it fails exactly as recorded")
+	shrinkFlag := fs.Bool("shrink", false, "with -replay: delta-debug the bundle's test and write the shrunk bundle beside it")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -96,6 +101,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %-28s %s\n", s.Name, s.ID(), s.Description)
 		}
 		return 0
+	}
+	switch {
+	case *shrinkFlag && *replayDir == "":
+		return fail(2, errors.New("-shrink needs -replay"))
+	case *replayDir != "":
+		// A bundle carries its whole campaign; any other flag would be
+		// silently ignored.
+		var extra []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "replay" && f.Name != "shrink" {
+				extra = append(extra, "-"+f.Name)
+			}
+		})
+		if len(extra) > 0 {
+			return fail(2, fmt.Errorf("-replay takes only -shrink, not %s", strings.Join(extra, " ")))
+		}
+		return replay(*replayDir, *shrinkFlag, stdout, stderr)
 	}
 
 	var scens []mcversi.Scenario
@@ -137,6 +159,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, errors.New("-islands needs a GP generator, not -gen rand"))
 	case *tenant != "" && *remote == "":
 		return fail(2, errors.New("-tenant is only used with -remote"))
+	case *bundleDir != "" && *islands:
+		// A bundle re-runs one sample on its own; an island's tests came
+		// from its neighbours' elites too.
+		return fail(2, errors.New("-bundle is not available with -islands"))
 	}
 	if _, err := mcversi.NewMemoryLayout(*mem, mcversi.TestMemoryStride); err != nil {
 		return fail(2, fmt.Errorf("-mem: %w", err))
@@ -199,6 +225,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	report(stdout, spec, merged)
 	if runErr != nil {
 		return fail(1, runErr)
+	}
+	if *bundleDir != "" {
+		if err := writeBundles(*bundleDir, spec, merged, stderr); err != nil {
+			return fail(1, err)
+		}
 	}
 	if *mergedOut != "" {
 		if data == nil {

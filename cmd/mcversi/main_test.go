@@ -40,6 +40,10 @@ func TestUsageErrors(t *testing.T) {
 		{"islands with negative migrate", []string{"-islands", "-migrate", "-4"}, "-migrate must be positive"},
 		{"islands with rand", []string{"-islands", "-gen", "rand"}, "-islands needs a GP generator"},
 		{"tenant without remote", []string{"-tenant", "foo"}, "-tenant is only used with -remote"},
+		{"shrink without replay", []string{"-shrink"}, "-shrink needs -replay"},
+		{"bundle with islands", []string{"-islands", "-bundle", t.TempDir()}, "-bundle is not available with -islands"},
+		{"replay of no bundle", []string{"-replay", t.TempDir()}, "bundle.json"},
+		{"replay with campaign flags", []string{"-replay", t.TempDir(), "-shrink", "-seed", "3", "-bundle", t.TempDir()}, "-replay takes only -shrink, not -bundle -seed"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

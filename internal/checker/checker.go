@@ -29,6 +29,12 @@ type Violation struct {
 	Iteration int
 	// Result is the checker verdict.
 	Result memmodel.Result
+	// Exec is the failing iteration's execution, which the recorder
+	// hands over with the violation (its rf and co as far as they were
+	// assembled). Result.Cycle names events of it.
+	Exec *memmodel.Execution
+	// Procedure says how the recorder reached the verdict.
+	Procedure string
 }
 
 func (v *Violation) Error() string {
@@ -126,13 +132,20 @@ type Recorder struct {
 // NewRecorder returns a recorder checking against arch, fast path
 // first.
 func NewRecorder(arch memmodel.Arch) *Recorder {
-	r := &Recorder{
-		arch: arch,
-		chk:  memmodel.NewChecker(memmodel.WithFastDecider(fastpath.New())),
-	}
+	r := &Recorder{chk: memmodel.NewChecker(memmodel.WithFastDecider(fastpath.New()))}
 	r.checkFn = r.chk.Check
-	r.ResetAll()
+	r.Reset(arch)
 	return r
+}
+
+// Reset re-arms the recorder to check against arch with no memo and no
+// scope, and forgets its signature history along with the run and
+// iteration state: the recorder NewRecorder(arch) returns, keeping the
+// storage it has grown. NewRecorder reaches its state through this call.
+func (r *Recorder) Reset(arch memmodel.Arch) {
+	r.arch, r.memo, r.scope = arch, nil, ""
+	clear(r.seen)
+	r.ResetAll()
 }
 
 // ResetAll clears both iteration and run state (verify_reset_all). The
@@ -364,19 +377,10 @@ func (r *Recorder) EndIteration() *Violation {
 	for _, key := range r.serialized {
 		id, ok := r.event(key)
 		if !ok {
-			return &Violation{
-				Iteration: r.iteration,
-				Result: memmodel.Result{
-					Kind:   memmodel.ViolationStructural,
-					Detail: fmt.Sprintf("serialized write %v never committed", key),
-				},
-			}
+			return r.structural(fmt.Sprintf("serialized write %v never committed", key))
 		}
 		if err := exec.AppendCO(id); err != nil {
-			return &Violation{
-				Iteration: r.iteration,
-				Result:    memmodel.Result{Kind: memmodel.ViolationStructural, Detail: err.Error()},
-			}
+			return r.structural(err.Error())
 		}
 	}
 	// Read-from: map observed values back to producing writes; zero is
@@ -392,21 +396,11 @@ func (r *Recorder) EndIteration() *Violation {
 			if !ok {
 				// The read observed a value no write produced:
 				// corrupted data (e.g. a dropped writeback).
-				return &Violation{
-					Iteration: r.iteration,
-					Result: memmodel.Result{
-						Kind: memmodel.ViolationStructural,
-						Detail: fmt.Sprintf(
-							"read %v observed value %#x with no producing write", ev, ev.Value),
-					},
-				}
+				return r.structural(fmt.Sprintf("read %v observed value %#x with no producing write", ev, ev.Value))
 			}
 		}
 		if err := exec.SetRF(read, w); err != nil {
-			return &Violation{
-				Iteration: r.iteration,
-				Result:    memmodel.Result{Kind: memmodel.ViolationStructural, Detail: err.Error()},
-			}
+			return r.structural(err.Error())
 		}
 	}
 
@@ -443,13 +437,33 @@ func (r *Recorder) EndIteration() *Violation {
 		}
 	}
 
-	r.iteration++
-	iter := r.iteration - 1
-	r.resetIteration()
+	var v *Violation
 	if !res.Valid {
-		return &Violation{Iteration: iter, Result: res}
+		// Every invalid verdict, memo hit or not, comes from a check this
+		// recorder's chk just ran (the memo re-derives invalid witnesses).
+		proc := "fast path inconclusive; the exact check decided"
+		if r.chk.LastFast() == memmodel.FastInvalid {
+			proc = "fast path invalid; the exact check derived the witness"
+		}
+		v = &Violation{Iteration: r.iteration, Result: res, Exec: exec, Procedure: proc}
+		r.lent = true // the violation keeps the execution
 	}
-	return nil
+	r.iteration++
+	r.resetIteration()
+	return v
+}
+
+// structural ends the iteration in a malformed execution: the recorder
+// could not assemble its rf or co. The violation takes the execution as
+// far as it got; the run's next ResetAll moves on to a new one.
+func (r *Recorder) structural(detail string) *Violation {
+	r.lent = true
+	return &Violation{
+		Iteration: r.iteration,
+		Result:    memmodel.Result{Kind: memmodel.ViolationStructural, Detail: detail},
+		Exec:      r.exec,
+		Procedure: "none: the recorder could not assemble rf and co",
+	}
 }
 
 // NDT returns the average non-determinism of the test-run

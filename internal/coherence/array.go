@@ -16,8 +16,10 @@ import (
 // and Clear advances an epoch instead of touching entries — an entry is
 // valid only while its stamp equals the array's current epoch.
 type Array[L any] struct {
-	ways  int
-	sets  [][]arrayEntry[L]
+	ways int
+	sets [][]arrayEntry[L]
+	// mask picks a line's set: the set count is a power of two.
+	mask  uint64
 	clock uint64
 	// epoch is the current validity stamp; Reset moves it off zero before
 	// first use, so zeroed entries are invalid.
@@ -33,12 +35,13 @@ type arrayEntry[L any] struct {
 }
 
 // NewArray returns a sets×ways cache array. Both dimensions must be
-// positive.
+// positive and sets a power of two (machine.Config.Validate rejects any
+// other cache geometry with an error).
 func NewArray[L any](sets, ways int) *Array[L] {
-	if sets <= 0 || ways <= 0 {
+	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("coherence: invalid geometry %dx%d", sets, ways))
 	}
-	a := &Array[L]{ways: ways, sets: make([][]arrayEntry[L], sets)}
+	a := &Array[L]{ways: ways, sets: make([][]arrayEntry[L], sets), mask: uint64(sets - 1)}
 	a.Reset()
 	return a
 }
@@ -60,7 +63,7 @@ func GeomFor(sizeBytes, ways int) (int, int) {
 }
 
 func (a *Array[L]) setIndex(addr memsys.Addr) int {
-	return int(uint64(addr) / memsys.LineSize % uint64(len(a.sets)))
+	return int(uint64(addr) / memsys.LineSize & a.mask)
 }
 
 // set returns addr's ways; nil while the set has never been inserted

@@ -274,9 +274,10 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
-// Msg is a coherence message. Fields are used per message type.
+// Msg is a coherence message. Fields are used per message type. They
+// are laid out widest first: every send copies a whole message into its
+// pool slot, padding included.
 type Msg struct {
-	Type MsgType
 	// Addr is the line address.
 	Addr memsys.Addr
 	// Src is the sending node.
@@ -285,14 +286,21 @@ type Msg struct {
 	Requestor int
 	// AckTo is where invalidation acks must be sent.
 	AckTo interconnect.NodeID
-	// Data carries line data where applicable, inline: a message is one
-	// pooled object, not a header plus a line copy.
-	Data memsys.LineData
-	// Dirty marks data newer than memory.
-	Dirty bool
 	// AckCount is the number of invalidation acks the requestor must
 	// collect before its GETX completes.
 	AckCount int
+	// Ts, Epoch, Writer carry TSO-CC timestamp metadata.
+	Writer    int
+	Ts, Epoch uint32
+	// Data carries line data where applicable, inline: a message is one
+	// pooled object, not a header plus a line copy.
+	Data memsys.LineData
+	// next links the pool's free list.
+	next *Msg
+
+	Type MsgType
+	// Dirty marks data newer than memory.
+	Dirty bool
 	// Dropped marks an Unblock from a requestor that did NOT retain the
 	// line: its copy was invalidated while the data was in flight
 	// (IS_I), so the directory must not record it as owner or sharer.
@@ -300,16 +308,9 @@ type Msg struct {
 	// discarded, and the next forwarded request to that core can never
 	// be answered — a wedge that manifests as an MT_SB recycle livelock.
 	Dropped bool
-	// Ts, Epoch, Writer carry TSO-CC timestamp metadata.
-	Ts     uint32
-	Epoch  uint32
-	Writer int
-
 	// held marks a delivered message its consumer queued again (a
 	// recycled request, a retried fetch): release leaves it in flight.
 	held bool
-	// next links the pool's free list.
-	next *Msg
 }
 
 // MsgPool recycles the coherence messages of one machine. A message is
@@ -325,15 +326,15 @@ type MsgPool struct{ free *Msg }
 // controllers.
 func NewMsgPool() *MsgPool { return &MsgPool{} }
 
-// alloc returns a pooled message initialized to v.
-func (p *MsgPool) alloc(v Msg) *Msg {
+// alloc returns a pooled message initialized to *v.
+func (p *MsgPool) alloc(v *Msg) *Msg {
 	m := p.free
 	if m == nil {
 		m = new(Msg)
 	} else {
 		p.free = m.next
 	}
-	*m = v
+	*m = *v
 	return m
 }
 

@@ -217,10 +217,11 @@ type ctl[C, L any, P linePtr[L]] struct {
 	// absent holds the kind's blank line for a message whose line is not
 	// cached.
 	absent L
-	// processH is the pre-bound access-latency callback: requests pay
-	// the tile latency on the kernel's zero-alloc path with the message
-	// as the event argument.
-	processH sim.Handler
+	// deliverH and processH are the pre-bound delivery and access-latency
+	// callbacks: the network dispatches each message straight to deliverH,
+	// and requests pay the tile latency through processH, on the kernel's
+	// zero-alloc path with the message as the event argument.
+	deliverH, processH sim.Handler
 }
 
 // build wires a controller of kind k at node, leaves it reset (no
@@ -234,9 +235,10 @@ func (b *ctl[C, L, P]) build(self *C, k *kind[C, L, P], s *sim.Sim, net *interco
 		self: self, k: k, id: cfg.ID, cores: cfg.Cores, tiles: cfg.Tiles, node: node,
 		array: NewArray[L](sets, ways), sim: s, net: net, msgs: cfg.Msgs, bugs: cfg.Bugs,
 	}
+	b.deliverH = func(arg any, _ uint64) { b.deliver(arg.(*Msg)) }
 	b.processH = func(arg any, _ uint64) { b.process(arg.(*Msg)) }
 	b.Reset(nil, nil)
-	return net.Register(node, b, row, col)
+	return net.Register(node, b.deliverH, row, col)
 }
 
 // Reset returns the controller to its just-built state, reporting
@@ -261,10 +263,9 @@ func (b *ctl[C, L, P]) Reset(cov CoverageSink, errs ErrorSink) {
 // timestamps, is non-test simulation state (§5.1) and stays.
 func (b *ctl[C, L, P]) ResetCaches() { b.array.Clear() }
 
-// Deliver implements interconnect.Handler. Requests pay the access
+// deliver receives a message from the network. Requests pay the access
 // latency before processing; everything else processes immediately.
-func (b *ctl[C, L, P]) Deliver(_ interconnect.VNet, payload interface{}) {
-	msg := payload.(*Msg)
+func (b *ctl[C, L, P]) deliver(msg *Msg) {
 	if b.k.request[msg.Type] {
 		b.sim.ScheduleEvent(accessLatency, b.processH, msg, 0)
 		return
@@ -348,7 +349,10 @@ func (b *ctl[C, L, P]) invalid(row, ev int, addr memsys.Addr) {
 	})
 }
 
-func (b *ctl[C, L, P]) send(dst interconnect.NodeID, vnet interconnect.VNet, m Msg) {
+// send stamps m as this controller's and sends a pooled copy of it. The
+// caller builds m in place (a non-escaping &Msg{...}), so the 136-byte
+// message is copied once, into its pool slot.
+func (b *ctl[C, L, P]) send(dst interconnect.NodeID, vnet interconnect.VNet, m *Msg) {
 	m.Src = b.node
 	b.net.Send(b.node, dst, vnet, b.msgs.alloc(m))
 }

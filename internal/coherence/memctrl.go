@@ -6,10 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
+// Memory access latency: uniform in [memAccessMin, memAccessMin +
+// memAccessJitter], which together with network traversal lands round
+// trips in Table 2's 120–230 cycle band.
+const (
+	memAccessMin    sim.Tick = 100
+	memAccessJitter sim.Tick = 80
+)
+
 // MemCtrl is the memory controller: it owns the flat functional memory
 // and services line reads and writebacks with the Table 2 memory latency
-// band (the access latency below plus network traversal lands round
-// trips in the 120–230 cycle range).
+// band.
 type MemCtrl struct {
 	sim  *sim.Sim
 	net  *interconnect.Network
@@ -21,14 +28,10 @@ type MemCtrl struct {
 	// evictions. MESI writebacks carry Writer = -1 and clear it.
 	meta map[memsys.Addr]memMeta
 
-	// AccessMin/AccessJitter give a uniform access latency in
-	// [AccessMin, AccessMin+AccessJitter].
-	AccessMin    sim.Tick
-	AccessJitter sim.Tick
-
-	// serveReadH is the pre-bound access-latency callback (zero-alloc
-	// schedule path); the request message itself is the event argument.
-	serveReadH sim.Handler
+	// deliverH and serveReadH are the pre-bound delivery and
+	// access-latency callbacks (zero-alloc schedule path); the message
+	// itself is the event argument.
+	deliverH, serveReadH sim.Handler
 
 	reads, writes uint64
 }
@@ -41,17 +44,10 @@ type memMeta struct {
 // NewMemCtrl creates the controller and registers it on the network at
 // position (0, 0). msgs is the machine's shared message pool.
 func NewMemCtrl(s *sim.Sim, net *interconnect.Network, mem *memsys.Memory, msgs *MsgPool) (*MemCtrl, error) {
-	m := &MemCtrl{
-		sim:          s,
-		net:          net,
-		mem:          mem,
-		msgs:         msgs,
-		meta:         make(map[memsys.Addr]memMeta),
-		AccessMin:    100,
-		AccessJitter: 80,
-	}
+	m := &MemCtrl{sim: s, net: net, mem: mem, msgs: msgs, meta: make(map[memsys.Addr]memMeta)}
+	m.deliverH = func(arg any, _ uint64) { m.deliver(arg.(*Msg)) }
 	m.serveReadH = func(arg any, _ uint64) { m.serveRead(arg.(*Msg)) }
-	if err := net.Register(MemNode, m, 0, 0); err != nil {
+	if err := net.Register(MemNode, m.deliverH, 0, 0); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -73,16 +69,12 @@ func (m *MemCtrl) ClearMeta(addr memsys.Addr) { delete(m.meta, addr.LineAddr()) 
 // Stats returns the served read and write counts.
 func (m *MemCtrl) Stats() (reads, writes uint64) { return m.reads, m.writes }
 
-// Deliver implements interconnect.Handler.
-func (m *MemCtrl) Deliver(vnet interconnect.VNet, payload interface{}) {
-	msg := payload.(*Msg)
+// deliver receives a message from the network.
+func (m *MemCtrl) deliver(msg *Msg) {
 	switch msg.Type {
 	case MsgMemRead:
 		m.reads++
-		lat := m.AccessMin
-		if m.AccessJitter > 0 {
-			lat += sim.Tick(m.sim.Rand().Int63n(int64(m.AccessJitter) + 1))
-		}
+		lat := memAccessMin + sim.Tick(m.sim.Rand().Int63n(int64(memAccessJitter)+1))
 		m.sim.ScheduleEvent(lat, m.serveReadH, msg, 0)
 	case MsgMemWrite:
 		m.writes++
@@ -101,7 +93,7 @@ func (m *MemCtrl) serveRead(msg *Msg) {
 	if !ok {
 		meta = memMeta{writer: -1}
 	}
-	m.net.Send(MemNode, msg.Src, interconnect.VNetResponse, m.msgs.alloc(Msg{
+	m.net.Send(MemNode, msg.Src, interconnect.VNetResponse, m.msgs.alloc(&Msg{
 		Type:   MsgMemData,
 		Addr:   msg.Addr,
 		Src:    MemNode,

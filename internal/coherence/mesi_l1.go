@@ -140,6 +140,6 @@ func (c *MESIL1) maybeCompleteGETX(addr memsys.Addr, line *mesiL1Line) {
 	line.haveData = false
 	c.satisfyPrimary(line, false)
 	c.send(c.homeTile(addr), interconnect.VNetRequest,
-		Msg{Type: MsgUnblock, Addr: addr, Requestor: c.id})
+		&Msg{Type: MsgUnblock, Addr: addr, Requestor: c.id})
 	c.settle(line)
 }

@@ -18,7 +18,7 @@ func initMESIL1() {
 				x.line.state = l1IS
 				x.line.primary = x.op
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgGETS, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgGETS, Addr: x.addr, Requestor: c.id})
 			},
 			l1Store:  l1StartGETX,
 			l1Atomic: l1StartGETX,
@@ -26,11 +26,11 @@ func initMESIL1() {
 				// We already replaced the line; the requestor still
 				// needs its ack.
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 			l1Recall: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgRecallStale, Addr: x.addr})
+					&Msg{Type: MsgRecallStale, Addr: x.addr})
 			},
 		},
 
@@ -41,7 +41,7 @@ func initMESIL1() {
 			l1Atomic: l1UpgradeFromS,
 			l1Flush: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
 				// A flushed line leaves the cache: later remote writes
 				// will not be forwarded here, so the LQ must be told
 				// (own flushes are never bug-gated).
@@ -51,7 +51,7 @@ func initMESIL1() {
 			},
 			l1Replace: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgPUTS, Addr: x.addr, Requestor: c.id})
 				// Bug MESI,LQ+S,Replacement: the replacement fails to
 				// notify the LQ.
 				c.notify(x.addr, c.bugs.MESILQSRepl)
@@ -59,7 +59,7 @@ func initMESIL1() {
 			},
 			l1Inv: func(c *MESIL1, x l1Ctx) {
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 				c.notify(x.addr, false)
 				c.removeLine(x.addr, x.line)
 			},
@@ -81,32 +81,32 @@ func initMESIL1() {
 			l1Flush: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1EI
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
 				c.notify(x.addr, false)
 				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 			},
 			l1Replace: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1EI
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgPUTE, Addr: x.addr, Requestor: c.id})
 				c.notify(x.addr, false)
 			},
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 				c.notify(x.addr, c.bugs.MESILQEInv)
 				c.removeLine(x.addr, x.line)
 			},
 			l1FwdGETS: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1S
 				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-					Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
+					&Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgWBData, Addr: x.addr, Data: x.line.data, Dirty: false, Requestor: c.id})
+					&Msg{Type: MsgWBData, Addr: x.addr, Data: x.line.data, Dirty: false, Requestor: c.id})
 			},
 			l1FwdGETX: func(c *MESIL1, x l1Ctx) {
 				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+					&Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 				// Bug MESI,LQ+E,Inv: invalidation in E not forwarded
 				// to the LQ.
 				c.notify(x.addr, c.bugs.MESILQEInv)
@@ -114,7 +114,7 @@ func initMESIL1() {
 			},
 			l1Recall: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgRecallAck, Addr: x.addr})
+					&Msg{Type: MsgRecallAck, Addr: x.addr})
 				c.notify(x.addr, c.bugs.MESILQEInv)
 				c.removeLine(x.addr, x.line)
 			},
@@ -132,39 +132,39 @@ func initMESIL1() {
 			l1Flush: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1MI
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
+					&Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
 				c.notify(x.addr, false)
 				c.sim.ScheduleEvent(hitLatency, requestDone, x.op, 0)
 			},
 			l1Replace: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1MI
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
+					&Msg{Type: MsgPUTX, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
 				c.notify(x.addr, false)
 			},
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 				c.notify(x.addr, c.bugs.MESILQMInv)
 				c.removeLine(x.addr, x.line)
 			},
 			l1FwdGETS: func(c *MESIL1, x l1Ctx) {
 				x.line.state = l1S
 				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-					Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
+					&Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgWBData, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
+					&Msg{Type: MsgWBData, Addr: x.addr, Data: x.line.data, Dirty: true, Requestor: c.id})
 			},
 			l1FwdGETX: func(c *MESIL1, x l1Ctx) {
 				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+					&Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 				// Bug MESI,LQ+M,Inv.
 				c.notify(x.addr, c.bugs.MESILQMInv)
 				c.removeLine(x.addr, x.line)
 			},
 			l1Recall: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgRecallData, Addr: x.addr, Data: x.line.data, Dirty: true})
+					&Msg{Type: MsgRecallData, Addr: x.addr, Data: x.line.data, Dirty: true})
 				c.notify(x.addr, c.bugs.MESILQMInv)
 				c.removeLine(x.addr, x.line)
 			},
@@ -178,7 +178,7 @@ func initMESIL1() {
 				// data, when it arrives, is already invalidated.
 				x.line.state = l1ISI
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 			l1DataS: func(c *MESIL1, x l1Ctx) {
 				x.line.data = x.msg.Data
@@ -191,7 +191,7 @@ func initMESIL1() {
 				x.line.state = l1S
 				c.satisfyPrimary(x.line, false)
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
 				c.settle(x.line)
 			},
 			l1DataE: func(c *MESIL1, x l1Ctx) {
@@ -199,7 +199,7 @@ func initMESIL1() {
 				x.line.state = l1E
 				c.satisfyPrimary(x.line, false)
 				c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-					Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
+					&Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id})
 				c.settle(x.line)
 			},
 		},
@@ -208,7 +208,7 @@ func initMESIL1() {
 		l1ISI: {
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 			l1DataS:  l1DataInISI,
 			l1DataSB: l1DataInISIUnblock,
@@ -229,7 +229,7 @@ func initMESIL1() {
 			},
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 		},
 
@@ -253,7 +253,7 @@ func initMESIL1() {
 				// forwarded to the LSQ.
 				c.notify(x.addr, c.bugs.MESILQSMInv)
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 				x.line.state = l1IM
 			},
 		},
@@ -266,11 +266,11 @@ func initMESIL1() {
 			l1FwdGETX:  l1ServeFwdGETXInWB,
 			l1Recall: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgRecallStale, Addr: x.addr})
+					&Msg{Type: MsgRecallStale, Addr: x.addr})
 			},
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 		},
 
@@ -282,11 +282,11 @@ func initMESIL1() {
 			l1FwdGETX:  l1ServeFwdGETXInWB,
 			l1Recall: func(c *MESIL1, x l1Ctx) {
 				c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-					Msg{Type: MsgRecallStale, Addr: x.addr})
+					&Msg{Type: MsgRecallStale, Addr: x.addr})
 			},
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 		},
 
@@ -296,7 +296,7 @@ func initMESIL1() {
 			l1FwdGETX: l1ServeFwdGETXThenDrop,
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 		},
 		l1MIS: {
@@ -304,7 +304,7 @@ func initMESIL1() {
 			l1FwdGETX: l1ServeFwdGETXThenDrop,
 			l1Inv: func(c *MESIL1, x l1Ctx) { // defensive
 				c.send(x.msg.AckTo, interconnect.VNetResponse,
-					Msg{Type: MsgInvAck, Addr: x.addr})
+					&Msg{Type: MsgInvAck, Addr: x.addr})
 			},
 		},
 	}
@@ -317,7 +317,7 @@ func initMESIL1() {
 	// Recall handler above (E, M, E_I, M_I, I) keep it.
 	recallStale := func(c *MESIL1, x l1Ctx) {
 		c.send(c.homeTile(x.addr), interconnect.VNetResponse,
-			Msg{Type: MsgRecallStale, Addr: x.addr})
+			&Msg{Type: MsgRecallStale, Addr: x.addr})
 	}
 	for st := range table {
 		if table[st][l1Recall] == nil {
@@ -381,25 +381,25 @@ func l1PutStaleInWB(c *MESIL1, x l1Ctx) {
 // the L2 absorbs it as the writeback.
 func l1ServeFwdGETSInWB(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
+		&Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
 	x.line.servedFwd = true
 }
 
 func l1ServeFwdGETXInWB(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+		&Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 	x.line.servedFwd = true
 }
 
 func l1ServeFwdGETSThenDrop(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
+		&Msg{Type: MsgDataSB, Addr: x.addr, Data: x.line.data})
 	c.removeLine(x.addr, x.line)
 }
 
 func l1ServeFwdGETXThenDrop(c *MESIL1, x l1Ctx) {
 	c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-		Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+		&Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 	c.removeLine(x.addr, x.line)
 }
 
@@ -415,7 +415,7 @@ func l1UpgradeFromS(c *MESIL1, x l1Ctx) {
 	x.line.pendingAcks = 0
 	x.line.haveData = false
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
+		&Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
 }
 
 // l1StartGETX begins a store/atomic miss from I.
@@ -425,7 +425,7 @@ func l1StartGETX(c *MESIL1, x l1Ctx) {
 	x.line.pendingAcks = 0
 	x.line.haveData = false
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
+		&Msg{Type: MsgGETX, Addr: x.addr, Requestor: c.id})
 }
 
 // l1RemoveOnAck finishes a writeback.
@@ -460,6 +460,6 @@ func l1DataInISIUnblock(c *MESIL1, x l1Ctx) {
 	// unblock must carry Dropped: the directory would otherwise record
 	// this core as owner/sharer of a line it no longer holds.
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id, Dropped: true})
+		&Msg{Type: MsgUnblock, Addr: x.addr, Requestor: c.id, Dropped: true})
 	l1DataInISI(c, x)
 }

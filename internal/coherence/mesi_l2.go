@@ -105,11 +105,11 @@ func NewMESIL2(s *sim.Sim, net *interconnect.Network, cfg Config, row, col int) 
 
 func (c *MESIL2) writeMem(addr memsys.Addr, data memsys.LineData) {
 	c.send(MemNode, interconnect.VNetRequest,
-		Msg{Type: MsgMemWrite, Addr: addr, Data: data, Writer: -1})
+		&Msg{Type: MsgMemWrite, Addr: addr, Data: data, Writer: -1})
 }
 
 func (c *MESIL2) readMem(addr memsys.Addr) {
-	c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: addr})
+	c.send(MemNode, interconnect.VNetRequest, &Msg{Type: MsgMemRead, Addr: addr})
 }
 
 // invalidateSharers sends Inv to every sharer except skip (-1 for none),
@@ -121,7 +121,7 @@ func (c *MESIL2) invalidateSharers(x l2Ctx, skip int, ackTo interconnect.NodeID)
 			continue
 		}
 		c.send(L1Node(core), interconnect.VNetForward,
-			Msg{Type: MsgInv, Addr: x.addr, AckTo: ackTo, Requestor: x.msg.Requestor})
+			&Msg{Type: MsgInv, Addr: x.addr, AckTo: ackTo, Requestor: x.msg.Requestor})
 		n++
 	}
 	return n

@@ -14,7 +14,7 @@ func initMESIL2() {
 	dropMsg := func(c *MESIL2, x l2Ctx) {}
 	putStale := func(c *MESIL2, x l2Ctx) {
 		c.send(x.msg.Src, interconnect.VNetResponse,
-			Msg{Type: MsgPutStale, Addr: x.addr})
+			&Msg{Type: MsgPutStale, Addr: x.addr})
 	}
 
 	table := [len(l2StateNames)][len(l2EventNames)]l2Handler{
@@ -44,7 +44,7 @@ func initMESIL2() {
 				x.line.state = l2BE
 				x.line.expectClean = true
 				c.send(L1Node(x.line.reqCore), interconnect.VNetResponse,
-					Msg{Type: MsgDataE, Addr: x.addr, Data: x.line.data})
+					&Msg{Type: MsgDataE, Addr: x.addr, Data: x.line.data})
 			},
 			l2GETS: recycleReq,
 			l2GETX: recycleReq,
@@ -59,7 +59,7 @@ func initMESIL2() {
 				x.line.state = l2BX
 				x.line.expectClean = false
 				c.send(L1Node(x.line.reqCore), interconnect.VNetResponse,
-					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
+					&Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: 0})
 			},
 			l2GETS: recycleReq,
 			l2GETX: recycleReq,
@@ -112,7 +112,7 @@ func initMESIL2() {
 					x.line.reqCore = x.msg.Requestor
 					x.line.expectClean = true
 					c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-						Msg{Type: MsgDataE, Addr: x.addr, Data: x.line.data})
+						&Msg{Type: MsgDataE, Addr: x.addr, Data: x.line.data})
 					return
 				}
 				// Shared data: non-blocking grant — the directory can
@@ -121,7 +121,7 @@ func initMESIL2() {
 				// MESI,LQ+IS,Inv).
 				x.line.addSharer(x.msg.Requestor)
 				c.send(L1Node(x.msg.Requestor), interconnect.VNetResponse,
-					Msg{Type: MsgDataS, Addr: x.addr, Data: x.line.data})
+					&Msg{Type: MsgDataS, Addr: x.addr, Data: x.line.data})
 			},
 			l2GETX: func(c *MESIL2, x l2Ctx) {
 				req := x.msg.Requestor
@@ -131,7 +131,7 @@ func initMESIL2() {
 				x.line.state = l2BX
 				x.line.expectClean = false
 				c.send(L1Node(req), interconnect.VNetResponse,
-					Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: acks})
+					&Msg{Type: MsgDataM, Addr: x.addr, Data: x.line.data, AckCount: acks})
 			},
 			l2PUTS: func(c *MESIL2, x l2Ctx) {
 				x.line.dropSharer(x.msg.Requestor)
@@ -154,7 +154,7 @@ func initMESIL2() {
 						continue
 					}
 					c.send(L1Node(core), interconnect.VNetForward,
-						Msg{Type: MsgInv, Addr: x.addr, AckTo: c.node})
+						&Msg{Type: MsgInv, Addr: x.addr, AckTo: c.node})
 					n++
 				}
 				x.line.pending = n
@@ -170,19 +170,19 @@ func initMESIL2() {
 				x.line.gotWB = false
 				x.line.gotUnb = false
 				c.send(L1Node(x.line.owner), interconnect.VNetForward,
-					Msg{Type: MsgFwdGETS, Addr: x.addr, Requestor: x.msg.Requestor})
+					&Msg{Type: MsgFwdGETS, Addr: x.addr, Requestor: x.msg.Requestor})
 			},
 			l2GETX: func(c *MESIL2, x l2Ctx) {
 				x.line.state = l2MTMB
 				x.line.reqCore = x.msg.Requestor
 				c.send(L1Node(x.line.owner), interconnect.VNetForward,
-					Msg{Type: MsgFwdGETX, Addr: x.addr, Requestor: x.msg.Requestor})
+					&Msg{Type: MsgFwdGETX, Addr: x.addr, Requestor: x.msg.Requestor})
 			},
 			l2PUTS: dropMsg,
 			l2PUTX: func(c *MESIL2, x l2Ctx) {
 				if x.msg.Src != L1Node(x.line.owner) {
 					c.send(x.msg.Src, interconnect.VNetResponse,
-						Msg{Type: MsgPutStale, Addr: x.addr})
+						&Msg{Type: MsgPutStale, Addr: x.addr})
 					return
 				}
 				x.line.data = x.msg.Data
@@ -191,12 +191,12 @@ func initMESIL2() {
 				x.line.sharers = 0
 				x.line.state = l2SS
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgWBAck, Addr: x.addr})
+					&Msg{Type: MsgWBAck, Addr: x.addr})
 			},
 			l2PUTE: func(c *MESIL2, x l2Ctx) {
 				if x.msg.Src != L1Node(x.line.owner) {
 					c.send(x.msg.Src, interconnect.VNetResponse,
-						Msg{Type: MsgPutStale, Addr: x.addr})
+						&Msg{Type: MsgPutStale, Addr: x.addr})
 					return
 				}
 				// Clean owner replacement: the L2 copy is still valid.
@@ -204,12 +204,12 @@ func initMESIL2() {
 				x.line.sharers = 0
 				x.line.state = l2SS
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgWBAck, Addr: x.addr})
+					&Msg{Type: MsgWBAck, Addr: x.addr})
 			},
 			l2Replace: func(c *MESIL2, x l2Ctx) {
 				x.line.state = l2MTI
 				c.send(L1Node(x.line.owner), interconnect.VNetForward,
-					Msg{Type: MsgRecall, Addr: x.addr})
+					&Msg{Type: MsgRecall, Addr: x.addr})
 			},
 		},
 
@@ -232,14 +232,14 @@ func initMESIL2() {
 				x.line.owner = -1
 				x.line.gotWB = true
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgPutStale, Addr: x.addr})
+					&Msg{Type: MsgPutStale, Addr: x.addr})
 				l2MaybeFinishSB(c, x)
 			},
 			l2PUTE: func(c *MESIL2, x l2Ctx) {
 				x.line.owner = -1
 				x.line.gotWB = true
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgPutStale, Addr: x.addr})
+					&Msg{Type: MsgPutStale, Addr: x.addr})
 				l2MaybeFinishSB(c, x)
 			},
 			l2Unblock: func(c *MESIL2, x l2Ctx) {
@@ -280,7 +280,7 @@ func initMESIL2() {
 				// forward from M_I; its writeback is superseded by the
 				// new owner's copy.
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgPutStale, Addr: x.addr})
+					&Msg{Type: MsgPutStale, Addr: x.addr})
 			},
 			l2PUTE: putStale,
 			l2GETS: recycleReq,
@@ -347,7 +347,7 @@ func initMESIL2() {
 					c.writeMem(x.addr, x.msg.Data)
 				}
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgWBAck, Addr: x.addr})
+					&Msg{Type: MsgWBAck, Addr: x.addr})
 				c.array.Remove(x.addr)
 			},
 			l2PUTE: func(c *MESIL2, x l2Ctx) {
@@ -359,7 +359,7 @@ func initMESIL2() {
 					c.writeMem(x.addr, x.line.data)
 				}
 				c.send(x.msg.Src, interconnect.VNetResponse,
-					Msg{Type: MsgWBAck, Addr: x.addr})
+					&Msg{Type: MsgWBAck, Addr: x.addr})
 				c.array.Remove(x.addr)
 			},
 			l2GETS: recycleReq,

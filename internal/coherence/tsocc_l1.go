@@ -229,7 +229,7 @@ func (c *TSOCCL1) tsOnWrite() {
 		if core == c.id {
 			continue
 		}
-		c.send(L1Node(core), interconnect.VNetForward, Msg{
+		c.send(L1Node(core), interconnect.VNetForward, &Msg{
 			Type:   MsgTTsReset,
 			Writer: c.id,
 			Epoch:  c.epoch,

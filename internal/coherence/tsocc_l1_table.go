@@ -94,7 +94,7 @@ func initTSOCCL1() {
 				// the line stays valid, so the LQ needs no notice.
 				x.line.state = tsoSH
 				x.line.readsLeft = maxReads
-				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
 					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
 					Dirty: x.line.dirty, Writer: c.id,
 					Ts: x.line.wts, Epoch: x.line.wepoch,
@@ -107,7 +107,7 @@ func initTSOCCL1() {
 					return // stale: aimed at an earlier grant of this line
 				}
 				// Ownership transfer or L2 eviction: full invalidation.
-				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
 					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
 					Dirty: x.line.dirty, Writer: c.id,
 					Ts: x.line.wts, Epoch: x.line.wepoch,
@@ -182,7 +182,7 @@ func initTSOCCL1() {
 			tFetch: func(c *TSOCCL1, x tsoL1Ctx) {
 				// We still hold the data while the writeback is in
 				// flight; answer from the retained copy.
-				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
 					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
 					Dirty: x.line.dirty, Writer: c.id,
 					Ts: x.line.wts, Epoch: x.line.wepoch,
@@ -190,7 +190,7 @@ func initTSOCCL1() {
 				})
 			},
 			tFetchInv: func(c *TSOCCL1, x tsoL1Ctx) {
-				c.send(c.homeTile(x.addr), interconnect.VNetResponse, Msg{
+				c.send(c.homeTile(x.addr), interconnect.VNetResponse, &Msg{
 					Type: MsgTFetchAck, Addr: x.addr, Data: x.line.data,
 					Dirty: x.line.dirty, Writer: c.id,
 					Ts: x.line.wts, Epoch: x.line.wepoch,
@@ -239,14 +239,14 @@ func tsoStartGetS(c *TSOCCL1, x tsoL1Ctx) {
 func (c *TSOCCL1) sendGetS(x tsoL1Ctx) {
 	x.line.invStamp = c.selfInvs
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
+		&Msg{Type: MsgTGetS, Addr: x.addr, Requestor: c.id})
 }
 
 func tsoStartGetX(c *TSOCCL1, x tsoL1Ctx) {
 	x.line.state = tsoIXD
 	x.line.primary = x.op
 	c.send(c.homeTile(x.addr), interconnect.VNetRequest,
-		Msg{Type: MsgTGetX, Addr: x.addr, Requestor: c.id})
+		&Msg{Type: MsgTGetX, Addr: x.addr, Requestor: c.id})
 }
 
 func tsoUpgradeFromSH(c *TSOCCL1, x tsoL1Ctx) {
@@ -258,7 +258,7 @@ func tsoUpgradeFromSH(c *TSOCCL1, x tsoL1Ctx) {
 // home with its write-time timestamp metadata.
 func (c *TSOCCL1) startWriteback(x tsoL1Ctx) {
 	x.line.state = tsoWBI
-	c.send(c.homeTile(x.addr), interconnect.VNetRequest, Msg{
+	c.send(c.homeTile(x.addr), interconnect.VNetRequest, &Msg{
 		Type: MsgTWB, Addr: x.addr, Data: x.line.data, Dirty: x.line.dirty,
 		Writer: c.id, Ts: x.line.wts, Epoch: x.line.wepoch,
 		Requestor: c.id,

@@ -82,7 +82,7 @@ func NewTSOCCL2(s *sim.Sim, net *interconnect.Network, cfg Config, row, col int)
 // writeMem writes data and timestamp metadata back to memory so the
 // acquire rule keeps working across L2 evictions.
 func (c *TSOCCL2) writeMem(x tsoL2Ctx) {
-	c.send(MemNode, interconnect.VNetRequest, Msg{
+	c.send(MemNode, interconnect.VNetRequest, &Msg{
 		Type: MsgMemWrite, Addr: x.addr, Data: x.line.data,
 		Writer: x.line.writer, Ts: x.line.ts, Epoch: x.line.epoch,
 	})
@@ -91,7 +91,7 @@ func (c *TSOCCL2) writeMem(x tsoL2Ctx) {
 // respond sends a TData or TDataEx grant carrying the line's writer
 // metadata, which the requestor's acquire rule reads.
 func (c *TSOCCL2) respond(x tsoL2Ctx, core int, typ MsgType) {
-	c.send(L1Node(core), interconnect.VNetResponse, Msg{
+	c.send(L1Node(core), interconnect.VNetResponse, &Msg{
 		Type: typ, Addr: x.addr, Data: x.line.data,
 		Writer: x.line.writer, Ts: x.line.ts, Epoch: x.line.epoch,
 		AckCount: x.line.fetchSeq,
@@ -102,7 +102,7 @@ func (c *TSOCCL2) respond(x tsoL2Ctx, core int, typ MsgType) {
 // line's owner. Any other writeback is stale — its data was captured
 // when that owner's generation resolved — and must not be absorbed.
 func (c *TSOCCL2) ackWB(x tsoL2Ctx) bool {
-	c.send(x.msg.Src, interconnect.VNetResponse, Msg{Type: MsgTWBAck, Addr: x.addr})
+	c.send(x.msg.Src, interconnect.VNetResponse, &Msg{Type: MsgTWBAck, Addr: x.addr})
 	return x.msg.Src == L1Node(x.line.owner)
 }
 
@@ -129,12 +129,12 @@ func initTSOCCL2() {
 			tGetS: func(c *TSOCCL2, x tsoL2Ctx) {
 				x.line.state = tsoIFS
 				x.line.reqCore = x.msg.Requestor
-				c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: x.addr})
+				c.send(MemNode, interconnect.VNetRequest, &Msg{Type: MsgMemRead, Addr: x.addr})
 			},
 			tGetX: func(c *TSOCCL2, x tsoL2Ctx) {
 				x.line.state = tsoIFX
 				x.line.reqCore = x.msg.Requestor
-				c.send(MemNode, interconnect.VNetRequest, Msg{Type: MsgMemRead, Addr: x.addr})
+				c.send(MemNode, interconnect.VNetRequest, &Msg{Type: MsgMemRead, Addr: x.addr})
 			},
 			// A writeback reaching an absent line is stale: the owner's
 			// data was already captured when its ownership generation
@@ -215,14 +215,14 @@ func initTSOCCL2() {
 				x.line.reqCore = x.msg.Requestor
 				x.line.fetchSeq++
 				c.send(L1Node(x.line.owner), interconnect.VNetForward,
-					Msg{Type: MsgTFetch, Addr: x.addr, AckCount: x.line.fetchSeq})
+					&Msg{Type: MsgTFetch, Addr: x.addr, AckCount: x.line.fetchSeq})
 			},
 			tGetX: func(c *TSOCCL2, x tsoL2Ctx) {
 				x.line.state = tsoFOX
 				x.line.reqCore = x.msg.Requestor
 				x.line.fetchSeq++
 				c.send(L1Node(x.line.owner), interconnect.VNetForward,
-					Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
+					&Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
 			},
 			tWB: func(c *TSOCCL2, x tsoL2Ctx) {
 				if c.ackWB(x) {
@@ -236,7 +236,7 @@ func initTSOCCL2() {
 				x.line.state = tsoFOI
 				x.line.fetchSeq++
 				c.send(L1Node(x.line.owner), interconnect.VNetForward,
-					Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
+					&Msg{Type: MsgTFetchInv, Addr: x.addr, AckCount: x.line.fetchSeq})
 			},
 		},
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gp"
 	"repro/internal/host"
 	"repro/internal/machine"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -189,11 +190,15 @@ type Campaign struct {
 	cfg     Config
 	scn     scenario.Scenario
 	tracker *coverage.Tracker
-	// h drives the campaign's machine; nil once Release gave it back.
+	// h drives the campaign's machine; nil once Release gave it back,
+	// together with the generator and engine, whose random sources the
+	// machine's next campaign re-seeds.
 	h      *host.Host
 	gen    *testgen.Generator
 	engine *gp.Engine
 	norm   gp.NormalizeNDT
+	// test is the kit's buffer the rand generator writes each test into.
+	test *testgen.Test
 
 	// ps, when non-nil, accumulates per-phase wall-clock spans
 	// (generation and GP feedback here, execution and verification in
@@ -217,12 +222,53 @@ type Campaign struct {
 	failed bool
 }
 
+// kit is what a campaign builds around its machine and hands on with it
+// (machine.Machine.Kit): the recorder, the error trap, the host with its
+// buffers, the two random sources and the rand generator's test buffer.
+// NewCampaign re-arms every piece to its campaign — arch, memo and scope,
+// machine and options, seeds — so a reused kit replays a new one,
+// whichever campaign on a machine of that configuration left it (another
+// model, generator, memo or seed).
+type kit struct {
+	rec           *checker.Recorder
+	trap          host.ErrorTrap
+	h             *host.Host
+	genRng, gpRng *rand.Rand
+	test          testgen.Test
+}
+
+// kitFor returns m's kit re-armed for a campaign against arch with
+// host options opts, building one if m came without.
+func kitFor(m *machine.Machine, arch memmodel.Arch, opts host.Options) *kit {
+	k, ok := m.Kit.(*kit)
+	if !ok {
+		k = &kit{rec: checker.NewRecorder(arch), trap: host.NewErrorTrap()}
+		k.h = host.New(m, k.rec, k.trap, opts)
+		m.Kit = k
+		return k
+	}
+	k.rec.Reset(arch)
+	k.h.Reset(m, opts)
+	return k
+}
+
+// seeded returns r re-seeded, or a new source at seed when r is nil:
+// (*rand.Rand).Seed replays rand.NewSource.
+func seeded(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
+}
+
 // NewCampaign builds all components for one campaign: the scenario is
 // resolved once and supplies the machine contract (protocol, relax,
 // bugs), the checker's axiomatic model, and the collective-checking
-// memo scope. The machine comes from machine.Acquire — a used one reset
-// to this campaign's seed when an earlier campaign released one at the
-// same configuration — and the campaign's owner returns it with Release.
+// memo scope. The machine comes from machine.Acquire — a used one, with
+// the kit its last campaign left on it, when an earlier campaign
+// released one at the same configuration — and the campaign's owner
+// returns both with Release.
 func NewCampaign(cfg Config) (*Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -246,23 +292,22 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := checker.NewRecorder(arch)
-	rec.SetMemo(cfg.Memo)
-	rec.SetScope(scn.ID())
-	trap := host.NewErrorTrap()
-	m, err := machine.Acquire(mcfg, tracker, trap, rec)
+	m, err := machine.Acquire(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	h := host.New(m, rec, trap, cfg.Host)
+	k := kitFor(m, arch, cfg.Host)
+	k.rec.SetMemo(cfg.Memo)
+	k.rec.SetScope(scn.ID())
+	m.Reset(mcfg.Seed, tracker, k.trap, k.rec)
 
-	genRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	gen, err := testgen.NewGenerator(cfg.Test, genRng)
+	k.genRng = seeded(k.genRng, cfg.Seed^0x5eed)
+	gen, err := testgen.NewGenerator(cfg.Test, k.genRng)
 	if err != nil {
 		return nil, err
 	}
 
-	c := &Campaign{cfg: cfg, scn: scn, tracker: tracker, h: h, gen: gen}
+	c := &Campaign{cfg: cfg, scn: scn, tracker: tracker, h: k.h, gen: gen, test: &k.test}
 	if cfg.Generator != GenRandom {
 		params := cfg.GP
 		if cfg.Generator == GenGPStdXO {
@@ -270,7 +315,8 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		} else {
 			params.Crossover = gp.SelectiveCrossover
 		}
-		engine, err := gp.New(params, gen, rand.New(rand.NewSource(cfg.Seed^0x6e61)))
+		k.gpRng = seeded(k.gpRng, cfg.Seed^0x6e61)
+		engine, err := gp.New(params, gen, k.gpRng)
 		if err != nil {
 			return nil, err
 		}
@@ -279,13 +325,14 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	return c, nil
 }
 
-// Release ends the campaign and gives its machine back for reuse by a
-// later NewCampaign. Only the campaign's one owner calls it, once nobody
-// will advance the campaign again; Result, Tracker and Fastpath keep
-// answering with the final tally, Host returns nil. A machine whose
-// campaign found a violation of any source (checker, protocol error,
-// watchdog) or returned an error is dropped instead: it may hold
-// transient lines, queued events or corrupted data.
+// Release ends the campaign and gives its machine, with its kit, back
+// for reuse by a later NewCampaign. Only the campaign's one owner calls
+// it, once nobody will advance the campaign again; Result, Tracker and
+// Fastpath keep answering with the final tally, Host and Engine return
+// nil. A machine whose campaign found a violation of any source
+// (checker, protocol error, watchdog) or returned an error is dropped
+// instead, kit and all: it may hold transient lines, queued events or
+// corrupted data.
 func (c *Campaign) Release() {
 	if c.h == nil {
 		return
@@ -293,8 +340,12 @@ func (c *Campaign) Release() {
 	c.out = c.Result()
 	c.finished = true
 	m := c.h.Machine()
-	c.h = nil
+	c.h, c.gen, c.engine, c.test = nil, nil, nil, nil
 	if !c.out.Found && !c.failed {
+		// A parked kit must not keep the campaign's memo or tracer alive.
+		k := m.Kit.(*kit)
+		k.rec.SetMemo(nil)
+		k.h.SetObs(nil)
 		machine.Release(m)
 	}
 }
@@ -305,9 +356,9 @@ func (c *Campaign) Host() *host.Host { return c.h }
 // Tracker exposes the coverage tracker.
 func (c *Campaign) Tracker() *coverage.Tracker { return c.tracker }
 
-// Engine exposes the GP engine, or nil for the rand generator. The
-// fleet's island scheduler uses it to exchange elites between
-// concurrently evolving campaigns.
+// Engine exposes the GP engine, or nil for the rand generator and after
+// Release. The fleet's island scheduler uses it to exchange elites
+// between concurrently evolving campaigns.
 func (c *Campaign) Engine() *gp.Engine { return c.engine }
 
 // InstrumentObs attaches a phase-span tracer (nil detaches). One
@@ -323,7 +374,7 @@ func (c *Campaign) nextTest() *testgen.Test {
 	if c.engine != nil {
 		return c.engine.Next()
 	}
-	return c.gen.NewTest()
+	return c.gen.NewTestInto(c.test)
 }
 
 // feedback returns the evaluation to the generator.
@@ -341,7 +392,7 @@ func (c *Campaign) feedback(tst *testgen.Test, res host.RunResult, covFitness fl
 		Test:     tst,
 		Fitness:  fitness,
 		NDT:      res.NDT,
-		FitAddrs: res.FitAddrs,
+		FitAddrs: c.h.FitAddrs(),
 	})
 }
 

@@ -156,6 +156,8 @@ type Core struct {
 	obs Observer
 
 	prog testgen.Program
+	// linker links a program the first time it is loaded.
+	linker testgen.Linker
 	// progGen invalidates callbacks that survive across Load calls
 	// (e.g. a squashed load's L1 response landing after the next
 	// iteration's program was installed).
@@ -227,8 +229,13 @@ func (c *Core) Committed() uint64 { return c.committed }
 func (c *Core) Squashes() uint64 { return c.squashes }
 
 // Load installs a program; Start must be called to run it. Mirrors the
-// guest workload's make_test_thread (Table 1).
+// guest workload's make_test_thread (Table 1). The first Load of a
+// program links it in place (testgen.Program.Linked), so a compiled test
+// is linked once however often its programs are loaded.
 func (c *Core) Load(prog testgen.Program) {
+	if !prog.Linked() {
+		c.linker.Link(prog)
+	}
 	c.prog = prog
 	c.progGen++
 	if cap(c.status) < len(prog) {
@@ -289,23 +296,20 @@ func (c *Core) onInvalidation(lineAddr memsys.Addr) {
 		return
 	}
 	dirty := false
-	// Every performed, uncommitted load on the line squashes — the head
-	// load included: its value was captured at perform time, and older
-	// instructions (or fences) may have completed after that, so
+	// Every performed, uncommitted plain load on the line squashes — the
+	// head load included: its value was captured at perform time, and
+	// older instructions (or fences) may have completed after that, so
 	// committing the pre-invalidation value would order the load too
 	// early. Forwarded loads are squashed too: a load forwarded from the
 	// store buffer whose source store has since drained would otherwise
 	// commit a value older than the invalidating write — also while it
 	// is still a tick from performing, if the source drained meanwhile.
 	for j := c.nextCommit; j < len(c.prog) && j < c.nextCommit+c.cfg.ROBSize; j++ {
+		if line, _ := c.prog.SnoopLine(j); line != lineAddr {
+			continue
+		}
 		st := &c.status[j]
-		if !(st.performed || st.forwarded && c.status[c.forwardFrom(j)].performed) || st.violated {
-			continue
-		}
-		if !c.prog[j].IsLoad() || c.prog[j].Kind == testgen.OpRMW {
-			continue
-		}
-		if c.prog[j].Addr.LineAddr() == lineAddr {
+		if !st.violated && (st.performed || st.forwarded && c.status[c.prog.Forward(j)].performed) {
 			st.violated = true
 			dirty = true
 		}
@@ -344,23 +348,11 @@ func (c *Core) squash(from int) {
 // it could commit a value that is coherence-older than a write it is
 // already ordered after.
 func (c *Core) forwardSource(loadIdx int) (uint64, bool) {
-	j := c.forwardFrom(loadIdx)
+	j := c.prog.Forward(loadIdx)
 	if j < 0 || c.status[j].performed {
 		return 0, false // no store, or already serialized: read the cache
 	}
 	return c.prog[j].WriteID, true
-}
-
-// forwardFrom returns the youngest older store to loadIdx's word, or -1.
-func (c *Core) forwardFrom(loadIdx int) int {
-	addr := c.prog[loadIdx].Addr.WordAddr()
-	for j := loadIdx - 1; j >= 0; j-- {
-		in := &c.prog[j]
-		if (in.Kind == testgen.OpWrite || in.Kind == testgen.OpRMW) && in.Addr.WordAddr() == addr {
-			return j
-		}
-	}
-	return -1
 }
 
 // depReady reports whether a ReadAddrDp's producing load has a value.
@@ -524,10 +516,9 @@ func (c *Core) loadStalled(j int) bool {
 	if !c.cfg.Relax.StrongStores && !c.cfg.Relax.NoLoadSquash {
 		return false
 	}
-	addr := c.prog[j].Addr.WordAddr()
-	for k := j - 1; k >= c.nextCommit; k-- {
+	for k := c.prog.PrevWord(j); k >= c.nextCommit; k = c.prog.PrevWord(k) {
 		in := &c.prog[k]
-		if in.Addr.WordAddr() != addr || c.status[k].performed {
+		if c.status[k].performed {
 			continue
 		}
 		if c.cfg.Relax.StrongStores && (in.Kind == testgen.OpWrite || in.Kind == testgen.OpRMW) {
@@ -540,45 +531,29 @@ func (c *Core) loadStalled(j int) bool {
 	return false
 }
 
-// issueWindow issues eligible loads out of order within the ROB window.
+// issueWindow issues eligible loads out of order within the ROB window,
+// walking the window's plain loads (the only instructions it issues).
 // With squashing available, loads speculate past uncommitted fences and
 // atomics and the LQ invalidation squash repairs any too-early value at
 // commit — which is precisely how the LQ bugs manifest through fenced
 // litmus shapes. Only under the legal NoLoadSquash relaxation does the
-// fence enforce younger-load order structurally: the scan stops at an
+// fence enforce younger-load order structurally: the walk stops at an
 // uncommitted full or load-load fence (and at atomics, which imply
 // them).
 func (c *Core) issueWindow() {
-	limit := c.nextCommit + c.cfg.ROBSize
-	if limit > len(c.prog) {
-		limit = len(c.prog)
+	limit := min(c.nextCommit+c.cfg.ROBSize, len(c.prog))
+	if c.cfg.Relax.NoLoadSquash {
+		limit = min(limit, c.prog.NextLoadBarrier(c.nextCommit))
 	}
-	for j := c.nextCommit; j < limit; j++ {
+	for j := c.prog.NextLoad(c.nextCommit); j < limit; j = c.prog.NextLoad(j + 1) {
 		if c.outLoads >= c.cfg.LSQSize {
 			return
 		}
-		in := &c.prog[j]
-		if c.cfg.Relax.NoLoadSquash {
-			if in.Kind == testgen.OpRMW {
-				return
-			}
-			if in.Kind == testgen.OpFence && in.Fence != testgen.FenceSS {
-				return
-			}
-		}
-		st := &c.status[j]
-		if st.issued {
+		if c.status[j].issued {
 			continue
 		}
-		switch in.Kind {
-		case testgen.OpRead:
-			if !c.loadStalled(j) {
-				c.issueLoad(j)
-			}
-		case testgen.OpReadAddrDp:
-			if c.depReady(j) && !c.loadStalled(j) {
-				c.issueLoad(j)
-			}
+		if (c.prog[j].Kind == testgen.OpRead || c.depReady(j)) && !c.loadStalled(j) {
+			c.issueLoad(j)
 		}
 	}
 }

@@ -16,6 +16,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/checker"
@@ -115,8 +116,6 @@ type RunResult struct {
 	Violation *Violation
 	// NDT is the run's average non-determinism (Definition 2).
 	NDT float64
-	// FitAddrs is the selective crossover's preferred address set.
-	FitAddrs map[memsys.Addr]bool
 	// Ticks is the simulated time consumed by the run.
 	Ticks sim.Tick
 	// Iterations is how many iterations actually executed.
@@ -160,11 +159,12 @@ type Host struct {
 	// verdicts, so results are identical with obs on or off.
 	obs *obs.PhaseStats
 
-	// Buffers RunTest reuses from one test-run to the next. The cores
-	// read progs only while a run's events execute, and every run loads
-	// its programs first, so the next compile may overwrite them; lines
-	// is layout's line list, recomputed only when a test brings another
-	// layout; offsets is read by RunPrograms before it returns.
+	// Buffers RunTest reuses from one test-run to the next, and Reset from
+	// one machine to the next. The cores read progs only while a run's
+	// events execute, and every run loads its programs first, so the next
+	// compile may overwrite them; lines is layout's line list, recomputed
+	// only when a test brings another layout; offsets, one per core, is
+	// read by RunPrograms before it returns.
 	progs   []testgen.Program
 	layout  memsys.Layout
 	lines   []memsys.Addr
@@ -173,17 +173,27 @@ type Host struct {
 	runs uint64
 }
 
-// New wires a host around a machine and recorder. The machine must have
-// been built with trap as its error sink; use Build to get all pieces
-// wired correctly.
+// New wires a host around a machine and recorder. The machine must
+// report protocol errors to trap and architectural events to rec.
 func New(m *machine.Machine, rec *checker.Recorder, trap ErrorTrap, opts Options) *Host {
+	h := &Host{rec: rec, trap: trap.trap}
+	h.Reset(m, opts)
+	return h
+}
+
+// Reset re-wires the host to drive m with opts, as New would, keeping
+// its recorder, its trap and the buffers it has grown. No test-run may
+// be in progress. New reaches its state through this call.
+func (h *Host) Reset(m *machine.Machine, opts Options) {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 1
 	}
 	if opts.MaxTicksPerIteration == 0 {
 		opts.MaxTicksPerIteration = DefaultOptions().MaxTicksPerIteration
 	}
-	return &Host{m: m, rec: rec, opts: opts, trap: trap.trap}
+	h.m, h.opts, h.obs, h.runs = m, opts, nil, 0
+	h.trap.errs = h.trap.errs[:0]
+	h.offsets = slices.Grow(h.offsets[:0], len(m.Cores))[:len(m.Cores)]
 }
 
 // ErrorTrap is an opaque handle pairing a machine with its host.
@@ -204,15 +214,16 @@ func (h *Host) SetObs(ps *obs.PhaseStats) { h.obs = ps }
 // Machine returns the underlying machine.
 func (h *Host) Machine() *machine.Machine { return h.m }
 
+// FitAddrs returns the selective crossover's preferred address set of
+// the last test-run (a fresh map; only the GP generators ask for it).
+func (h *Host) FitAddrs() map[memsys.Addr]bool { return h.rec.FitAddrs() }
+
 // Runs returns the number of completed test-runs.
 func (h *Host) Runs() uint64 { return h.runs }
 
 // barrierOffsets draws per-core release offsets for one iteration.
 func (h *Host) barrierOffsets() []sim.Tick {
 	rng := h.m.Sim.Rand()
-	if h.offsets == nil {
-		h.offsets = make([]sim.Tick, len(h.m.Cores))
-	}
 	max := int64(hostSkewMax)
 	if h.opts.Barrier == GuestBarrier {
 		max = guestSkewMax
@@ -348,7 +359,6 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 	}
 
 	res.NDT = h.rec.NDT()
-	res.FitAddrs = h.rec.FitAddrs()
 	res.Dedupe = h.rec.Dedupe()
 	res.Fastpath = h.rec.Fastpath()
 	res.Ticks = h.m.Sim.Now() - start

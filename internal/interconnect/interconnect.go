@@ -46,11 +46,6 @@ func (v VNet) String() string {
 	}
 }
 
-// Handler receives delivered messages.
-type Handler interface {
-	Deliver(vnet VNet, payload interface{})
-}
-
 // Config holds the network timing parameters (Table 2: 2D mesh, 2 rows,
 // 16B flits; latencies chosen to land L2 round trips in the 30–80 cycle
 // band and memory in the 120–230 band together with controller
@@ -83,15 +78,14 @@ func DefaultConfig() Config {
 }
 
 type node struct {
-	handler  Handler
 	row, col int
 	// idx is the node's dense index, assigned in registration order; it
 	// addresses the channel table.
 	idx int
-	// sink is the node's pre-bound delivery callback for the kernel's
-	// zero-alloc path: the payload travels as the event's arg (a
-	// pointer, so no boxing) and the virtual network as its aux word,
-	// replacing the per-message closure of the pre-wheel kernel.
+	// sink is the delivery callback the node's owner bound once and
+	// registered: each message is one kernel event dispatched straight
+	// to it, the payload as the event's arg (a pointer, so no boxing) and
+	// the virtual network as its aux word.
 	sink sim.Handler
 }
 
@@ -130,9 +124,10 @@ func (n *Network) node(id NodeID) *node {
 	return n.nodes[id]
 }
 
-// Register attaches a handler at mesh position (row, col). Multiple
-// logical nodes (an L1, its co-located L2 tile) may share a position.
-func (n *Network) Register(id NodeID, h Handler, row, col int) error {
+// Register attaches a node at mesh position (row, col) whose messages
+// are delivered to deliver(payload, vnet). Multiple logical nodes (an
+// L1, its co-located L2 tile) may share a position.
+func (n *Network) Register(id NodeID, deliver sim.Handler, row, col int) error {
 	if row < 0 || row >= n.cfg.Rows || col < 0 || col >= n.cfg.Cols {
 		return fmt.Errorf("interconnect: position (%d,%d) outside %dx%d mesh", row, col, n.cfg.Rows, n.cfg.Cols)
 	}
@@ -145,10 +140,7 @@ func (n *Network) Register(id NodeID, h Handler, row, col int) error {
 	for int(id) >= len(n.nodes) {
 		n.nodes = append(n.nodes, nil)
 	}
-	n.nodes[id] = &node{
-		handler: h, row: row, col: col, idx: n.count,
-		sink: func(payload any, aux uint64) { h.Deliver(VNet(aux), payload) },
-	}
+	n.nodes[id] = &node{row: row, col: col, idx: n.count, sink: deliver}
 	n.count++
 	return nil
 }

@@ -13,9 +13,10 @@ type recorder struct {
 	s    *sim.Sim
 }
 
-func (r *recorder) Deliver(vnet VNet, payload interface{}) {
+// deliver is the recorder's delivery handler.
+func (r *recorder) deliver(payload any, vnet uint64) {
 	r.msgs = append(r.msgs, payload)
-	r.nets = append(r.nets, vnet)
+	r.nets = append(r.nets, VNet(vnet))
 	r.at = append(r.at, r.s.Now())
 }
 
@@ -28,7 +29,7 @@ func build(t *testing.T, seed int64, cfg Config) (*sim.Sim, *Network, map[NodeID
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
 			rec := &recorder{s: s}
-			if err := n.Register(id, rec, r, c); err != nil {
+			if err := n.Register(id, rec.deliver, r, c); err != nil {
 				t.Fatalf("Register: %v", err)
 			}
 			recs[id] = rec
@@ -41,13 +42,13 @@ func build(t *testing.T, seed int64, cfg Config) (*sim.Sim, *Network, map[NodeID
 func TestRegisterValidation(t *testing.T) {
 	s := sim.New(1)
 	n := New(s, DefaultConfig())
-	if err := n.Register(0, &recorder{s: s}, 0, 0); err != nil {
+	if err := n.Register(0, (&recorder{s: s}).deliver, 0, 0); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := n.Register(0, &recorder{s: s}, 0, 1); err == nil {
+	if err := n.Register(0, (&recorder{s: s}).deliver, 0, 1); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := n.Register(1, &recorder{s: s}, 5, 0); err == nil {
+	if err := n.Register(1, (&recorder{s: s}).deliver, 5, 0); err == nil {
 		t.Error("out-of-mesh position accepted")
 	}
 }
@@ -234,7 +235,7 @@ func TestRegisterAfterSendKeepsChannelState(t *testing.T) {
 	recs := map[NodeID]*recorder{}
 	register := func(id NodeID) {
 		recs[id] = &recorder{s: s}
-		if err := n.Register(id, recs[id], 0, 0); err != nil {
+		if err := n.Register(id, recs[id].deliver, 0, 0); err != nil {
 			t.Fatalf("Register(%d): %v", id, err)
 		}
 	}
@@ -289,7 +290,7 @@ func TestUnregisteredEndpointsPanic(t *testing.T) {
 func TestSendAllocatesNothing(t *testing.T) {
 	s := sim.New(1)
 	n := New(s, DefaultConfig())
-	sink := handlerFunc(func(VNet, interface{}) {})
+	sink := sim.Nop
 	for _, at := range []struct {
 		id       NodeID
 		row, col int
@@ -315,7 +316,7 @@ func TestChannelTableLaidOutOnce(t *testing.T) {
 	// table is sized once, for all of them, by that message.
 	s := sim.New(1)
 	n := New(s, DefaultConfig())
-	sink := handlerFunc(func(VNet, interface{}) {})
+	sink := sim.Nop
 	for id := NodeID(0); id < 17; id++ {
 		if err := n.Register(id, sink, int(id)%2, int(id)%4); err != nil {
 			t.Fatal(err)
@@ -349,8 +350,3 @@ func TestResetIdlesChannels(t *testing.T) {
 		t.Fatalf("after Reset node 5 received %v at %v, want only \"after\" at tick 0", rec.msgs, rec.at)
 	}
 }
-
-// handlerFunc adapts a function to the Handler interface.
-type handlerFunc func(vnet VNet, payload interface{})
-
-func (f handlerFunc) Deliver(vnet VNet, payload interface{}) { f(vnet, payload) }

@@ -96,6 +96,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: mesh %dx%d too small for %d cores / %d tiles",
 			c.Mesh.Rows, c.Mesh.Cols, c.Cores, c.Tiles)
 	}
+	if err := validGeometry("L1Size", "L1Ways", c.L1Size, c.L1Ways); err != nil {
+		return err
+	}
+	return validGeometry("L2TileSize", "L2Ways", c.L2TileSize, c.L2Ways)
+}
+
+// validGeometry accepts a cache of size bytes and ways ways only when it
+// is ways × 64-byte lines × a power of two sets: the arrays index a set
+// by masking the line number.
+func validGeometry(sizeField, waysField string, size, ways int) error {
+	if ways <= 0 {
+		return fmt.Errorf("machine: %s must be positive, got %d", waysField, ways)
+	}
+	set := ways * memsys.LineSize
+	if sets := size / set; size <= 0 || size%set != 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("machine: %s %d with %s %d: want %d-byte sets (%d ways of %d-byte lines) times a power of two",
+			sizeField, size, waysField, ways, set, ways, memsys.LineSize)
+	}
 	return nil
 }
 
@@ -118,6 +136,18 @@ type Machine struct {
 
 	// caches lists every L1 and L2 tile controller.
 	caches []controller
+
+	// Kit is the owner's: whatever it leaves here travels with the machine
+	// through Release and Acquire, so what a campaign builds around a
+	// machine (recorder, host buffers, random sources) is reused with it.
+	// The machine never reads it.
+	Kit any
+
+	// running counts the cores RunPrograms still waits for; coreDone and
+	// allDone, bound once by build, count them down and test for zero.
+	running  int
+	coreDone func()
+	allDone  func() bool
 }
 
 // New builds a machine. cov receives protocol transitions, errs receives
@@ -128,13 +158,14 @@ func New(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs c
 	if err != nil {
 		return nil, err
 	}
-	m.reset(cfg.Seed, cov, errs, obs)
+	m.Reset(cfg.Seed, cov, errs, obs)
 	return m, nil
 }
 
 // build allocates and wires a machine's components. It decides nothing
 // a campaign can observe: seed, sinks and every counter are set by
-// reset, which New calls next and Acquire calls on a used machine.
+// Reset, which New calls next and an Acquire caller calls on whatever
+// machine it got.
 func build(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -143,6 +174,8 @@ func build(cfg Config) (*Machine, error) {
 	net := interconnect.New(s, cfg.Mesh)
 	mem := memsys.NewMemory()
 	m := &Machine{Cfg: cfg, Sim: s, Net: net, Mem: mem}
+	m.coreDone = func() { m.running-- }
+	m.allDone = func() bool { return m.running == 0 }
 
 	// One message pool for the whole machine: a message is allocated by
 	// its sender and released by its consumer, usually another
@@ -206,15 +239,16 @@ func build(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// reset puts the machine in the state a campaign starts from: tick
+// Reset puts the machine in the state a campaign starts from: tick
 // zero, empty event queue, random source at seed, idle network, zero
 // memory, empty caches, idle cores, every counter at zero, reporting to
-// the given sinks. It is the one initialisation path — New runs it on
-// what build allocated, Acquire on a machine some other campaign used —
-// so a reused machine replays a new one event for event. Everything
+// the given sinks (any may be nil). It is the one initialisation path —
+// New runs it on what build allocated, a campaign on the machine
+// Acquire handed it, which some other campaign may have used — so a
+// reused machine replays a new one event for event. Everything
 // allocated stays: event, message and request free lists, cache ways,
 // memory lines.
-func (m *Machine) reset(seed int64, cov coherence.CoverageSink, errs coherence.ErrorSink, obs cpu.Observer) {
+func (m *Machine) Reset(seed int64, cov coherence.CoverageSink, errs coherence.ErrorSink, obs cpu.Observer) {
 	m.Cfg.Seed = seed
 	m.Sim.Reset(seed)
 	m.Net.Reset()
@@ -247,22 +281,22 @@ func (c Config) key() Config {
 	return c
 }
 
-// Acquire is New that prefers a machine Release parked at the same
-// configuration (the seed aside), reset to cfg.Seed and the given sinks.
-// The caller owns the machine until it hands it to Release.
-func Acquire(cfg Config, cov coherence.CoverageSink, errs coherence.ErrorSink, obs cpu.Observer) (*Machine, error) {
+// Acquire takes the machine Release parked most recently at cfg's
+// configuration (the seed aside), or builds one. The caller owns it until
+// it hands it to Release and must Reset it before use. A parked machine
+// comes back with the Kit it was parked with; a built one has none.
+func Acquire(cfg Config) (*Machine, error) {
 	key := cfg.key()
 	idle.Lock()
 	for i := len(idle.list) - 1; i >= 0; i-- {
 		if m := idle.list[i]; m.Cfg.key() == key {
 			idle.list = slices.Delete(idle.list, i, i+1)
 			idle.Unlock()
-			m.reset(cfg.Seed, cov, errs, obs)
 			return m, nil
 		}
 	}
 	idle.Unlock()
-	return New(cfg, cov, errs, obs)
+	return build(cfg)
 }
 
 // Release parks m for a later Acquire. The caller must be m's only user
@@ -275,8 +309,9 @@ func Release(m *Machine) {
 		return
 	}
 	// Let go of the finished campaign's sinks now: an idle machine must
-	// not keep a recorder and its verdict memo alive.
-	m.reset(0, nil, nil, nil)
+	// not keep a tracker or a recorder's verdict memo alive. (Its kit
+	// keeps the recorder, which its owner disarmed before parking it.)
+	m.Reset(0, nil, nil, nil)
 	idle.Lock()
 	defer idle.Unlock()
 	if len(idle.list) == maxIdle {
@@ -335,7 +370,7 @@ func (m *Machine) LoadPrograms(progs []testgen.Program) error {
 // until all cores are done, with a watchdog. Offsets model barrier
 // release skew.
 func (m *Machine) RunPrograms(offsets []sim.Tick, maxTicks sim.Tick) error {
-	remaining := 0
+	m.running = 0
 	for i, core := range m.Cores {
 		var off sim.Tick
 		if i < len(offsets) {
@@ -344,13 +379,13 @@ func (m *Machine) RunPrograms(offsets []sim.Tick, maxTicks sim.Tick) error {
 		if core.Done() {
 			continue
 		}
-		remaining++
-		core.Start(off, func() { remaining-- })
+		m.running++
+		core.Start(off, m.coreDone)
 	}
-	if remaining == 0 {
+	if m.running == 0 {
 		return nil
 	}
-	return m.Sim.RunUntil(func() bool { return remaining == 0 }, maxTicks)
+	return m.Sim.RunUntil(m.allDone, maxTicks)
 }
 
 // Quiesce drains all remaining simulation events (in-flight writebacks

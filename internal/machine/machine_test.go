@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
@@ -125,6 +127,18 @@ func TestTransitionsMatchProtocol(t *testing.T) {
 	}
 }
 
+// acquire is Acquire plus the Reset its caller owes: the machine at
+// cfg.Seed, reporting nowhere.
+func acquire(t *testing.T, cfg Config) *Machine {
+	t.Helper()
+	m, err := Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Reset(cfg.Seed, nil, nil, nil)
+	return m
+}
+
 // emptyIdle starts a test from an empty idle list (it is process-wide).
 func emptyIdle(t *testing.T) {
 	t.Helper()
@@ -200,19 +214,13 @@ func TestAcquireResetsAUsedMachine(t *testing.T) {
 
 			other := cfg
 			other.Seed = 77
-			used, err := Acquire(other, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			used := acquire(t, other)
 			if got := runPingPong(t, used, 90); got == want {
 				t.Fatal("the warm-up run is indistinguishable from the reference; the test shows nothing")
 			}
 			Release(used)
 
-			again, err := Acquire(cfg, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			again := acquire(t, cfg)
 			if again != used {
 				t.Fatal("Acquire built a machine with one idle at the same configuration")
 			}
@@ -242,7 +250,7 @@ func TestReleaseKeepsOnlyQuiescentMachines(t *testing.T) {
 	}
 	m.Quiesce()
 	Release(m)
-	if got, err := Acquire(cfg, nil, nil, nil); err != nil || got != m {
+	if got, err := Acquire(cfg); err != nil || got != m {
 		t.Fatalf("a quiescent machine was not kept: got %p, %v, want %p", got, err, m)
 	}
 }
@@ -258,11 +266,7 @@ func TestIdleListIsBounded(t *testing.T) {
 		return cfg
 	}
 	for i := 0; i < 50; i++ {
-		m, err := Acquire(cfgAt(i), nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Release(m)
+		Release(acquire(t, cfgAt(i)))
 		if n := len(idle.list); n > maxIdle {
 			t.Fatalf("idle list holds %d machines after %d configurations, bound %d", n, i+1, maxIdle)
 		}
@@ -274,5 +278,97 @@ func TestIdleListIsBounded(t *testing.T) {
 		if want := cfgAt(50 - maxIdle + k); m.Cfg != want {
 			t.Errorf("idle slot %d holds ROB %d, want %d (oldest evicted first)", k, m.Cfg.CPU.ROBSize, want.CPU.ROBSize)
 		}
+	}
+}
+
+// TestConfigRejectsCacheGeometry: a cache that is not ways × 64-byte
+// lines × a power of two sets is a positioned error, not a panic inside
+// the cache arrays (too small) or a wrong set index (not a power of two).
+func TestConfigRejectsCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"L1 smaller than one set", func(c *Config) { c.L1Size = 128 }, "L1Size 128 with L1Ways 4"},
+		{"L1 sets not a power of two", func(c *Config) { c.L1Size = 3 * 4 * 64 }, "L1Size 768 with L1Ways 4"},
+		{"L1 not whole sets", func(c *Config) { c.L1Size = 32*1024 + 64 }, "L1Size 32832 with L1Ways 4"},
+		{"L1 ways", func(c *Config) { c.L1Ways = 0 }, "L1Ways must be positive"},
+		{"L2 tile smaller than one set", func(c *Config) { c.L2TileSize = 64 }, "L2TileSize 64 with L2Ways 4"},
+		{"L2 tile sets not a power of two", func(c *Config) { c.L2TileSize = 96 * 1024 }, "L2TileSize 98304 with L2Ways 4"},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+			continue
+		}
+		if _, err := New(cfg, nil, nil, nil); err == nil {
+			t.Errorf("%s: New built the machine", tc.name)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.L1Size, cfg.L1Ways = 4*1024, 2 // 32 sets
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("a power-of-two geometry is rejected: %v", err)
+	}
+}
+
+// TestKitTravelsWithItsMachine: a parked machine comes back with its kit;
+// a machine built at another configuration has none.
+func TestKitTravelsWithItsMachine(t *testing.T) {
+	emptyIdle(t)
+	cfg := DefaultConfig()
+	m := acquire(t, cfg)
+	m.Kit = "kit"
+	Release(m)
+	other := cfg
+	other.Protocol = TSOCC
+	if o := acquire(t, other); o == m || o.Kit != nil {
+		t.Fatalf("a new machine at another configuration came with kit %v", o.Kit)
+	}
+	if got := acquire(t, cfg); got != m || got.Kit != "kit" {
+		t.Fatalf("parked machine came back as %p with kit %v, want %p with its kit", got, got.Kit, m)
+	}
+}
+
+// TestRunProgramsAllocatesNothing: once a machine has run a test, running
+// it again — reset, load, run, drain, clear — allocates nothing. (The
+// reset replays the same run: a run at another point of the random
+// stream may need one more in-flight record than any run before it.)
+func TestRunProgramsAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 9
+	m, err := New(cfg, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := memsys.MustLayout(1024, 16)
+	g, err := testgen.NewGenerator(testgen.Config{Size: 256, Threads: cfg.Cores, Layout: layout}, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := testgen.Compile(g.NewTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := layout.Lines()
+	offsets := make([]sim.Tick, cfg.Cores)
+	run := func() {
+		m.Reset(cfg.Seed, nil, nil, nil)
+		if err := m.LoadPrograms(progs); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunPrograms(offsets, 10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		m.Quiesce()
+		m.ResetCaches()
+		m.ZeroTestMemory(lines)
+	}
+	run() // grow the free lists
+	if got := testing.AllocsPerRun(10, run); got != 0 {
+		t.Errorf("a steady-state run allocates %.1f objects, want 0", got)
 	}
 }

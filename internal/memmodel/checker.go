@@ -60,6 +60,7 @@ type Checker struct {
 	scratch *Scratch
 	fast    FastDecider
 	fstats  stats.Fastpath
+	last    FastOutcome
 }
 
 // CheckerOption configures a Checker.
@@ -96,6 +97,7 @@ func (c *Checker) Check(x *Execution, arch Arch) Result {
 	if c.fast != nil {
 		oc := c.fast.DecideFast(x, arch)
 		c.fstats.Note(oc == FastValid, oc != FastFallback)
+		c.last = oc
 		if oc == FastValid {
 			return Result{Valid: true}
 		}
@@ -120,6 +122,11 @@ func (c *Checker) exact(x *Execution, arch Arch) Result {
 // construction or the last ResetStats (all zero when no FastDecider is
 // configured).
 func (c *Checker) Fastpath() stats.Fastpath { return c.fstats }
+
+// LastFast returns the fast pass's answer on the most recent Check
+// (FastFallback when no FastDecider is configured): how that Check was
+// decided.
+func (c *Checker) LastFast() FastOutcome { return c.last }
 
 // ResetStats clears the fast-pass outcome counters.
 func (c *Checker) ResetStats() { c.fstats = stats.Fastpath{} }

@@ -13,6 +13,7 @@ package testgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/memmodel"
@@ -322,12 +323,13 @@ func (g *Generator) RandomNode(constrained []memsys.Addr) Node {
 }
 
 // NewTest generates a fully random test of the configured size.
-func (g *Generator) NewTest() *Test {
-	t := &Test{
-		Nodes:   make([]Node, g.cfg.Size),
-		Layout:  g.cfg.Layout,
-		Threads: g.cfg.Threads,
-	}
+func (g *Generator) NewTest() *Test { return g.NewTestInto(new(Test)) }
+
+// NewTestInto is NewTest into a test the caller owns: t is overwritten,
+// its node storage reused, and returned. The draws are NewTest's.
+func (g *Generator) NewTestInto(t *Test) *Test {
+	t.Nodes = slices.Grow(t.Nodes[:0], g.cfg.Size)[:g.cfg.Size]
+	t.Layout, t.Threads = g.cfg.Layout, g.cfg.Threads
 	for i := range t.Nodes {
 		t.Nodes[i] = g.RandomNode(nil)
 	}

@@ -120,9 +120,11 @@ func pinnedCampaign(t *testing.T, tc identityCase, seed int64) *core.Campaign {
 // history existed. A campaign that ends in a violation must not give
 // its machine back at all: the PUTX-race hunt stops on an L2 invalid
 // transition with events still queued, and a forced watchdog leaves
-// every core mid-program. The subtests run one after another, so
-// between a Release and the next NewCampaign nobody else takes from the
-// process-wide idle list.
+// every core mid-program. Every pin also runs on the kit (recorder,
+// host buffers, random sources) a campaign of another model or of the
+// rand generator parked on its machine (onKitLeftBy). The subtests run
+// one after another, so between a Release and the next NewCampaign
+// nobody else takes from the process-wide idle list.
 func TestMachineReuseIdentity(t *testing.T) {
 	for _, tc := range identityCases() {
 		tc := tc
@@ -162,19 +164,21 @@ func TestMachineReuseIdentity(t *testing.T) {
 					t.Errorf("seed %d: the result depends on what the machine ran before\n  first: %#v\n reused: %#v", p.seed, ref, res)
 				}
 				camp.Release()
-				if !res.Found {
-					continue
+				if res.Found {
+					// The campaign ended in a violation: whoever asks next
+					// gets some other machine and the same answer.
+					again := pinnedCampaign(t, tc, p.seed)
+					if again.Host().Machine() == m {
+						t.Fatalf("seed %d: machine reused after %s", p.seed, res.Source)
+					}
+					if res, err = again.Run(); err != nil || resultHash(res) != p.want {
+						t.Errorf("seed %d after a dropped machine: %+v, %v", p.seed, res, err)
+					}
+					again.Release()
 				}
-				// The campaign ended in a violation: whoever asks next
-				// gets some other machine and the same answer.
-				again := pinnedCampaign(t, tc, p.seed)
-				if again.Host().Machine() == m {
-					t.Fatalf("seed %d: machine reused after %s", p.seed, res.Source)
+				for _, other := range otherShapes(t, tc) {
+					onKitLeftBy(t, tc, p, other, ref)
 				}
-				if res, err = again.Run(); err != nil || resultHash(res) != p.want {
-					t.Errorf("seed %d after a dropped machine: %+v, %v", p.seed, res, err)
-				}
-				again.Release()
 			}
 		})
 	}
@@ -207,6 +211,55 @@ func TestMachineReuseIdentity(t *testing.T) {
 			camp.Release()
 		}
 	})
+}
+
+// otherShapes are campaigns on the pinned campaign's machine
+// configuration whose kit it must be able to take over: the rand
+// generator on the pinned scenario (the pins are all GP), and the pinned
+// machine checked against RMO, which permits every relaxation (RMO pins
+// have no other model).
+func otherShapes(t *testing.T, tc identityCase) []CampaignConfig {
+	pinned := tc.cfg(t)
+	rnd := pinned
+	rnd.Generator = GenRandom
+	shapes := []CampaignConfig{rnd}
+	if pinned.Scenario.Model != "RMO" {
+		rmo := pinned
+		rmo.Scenario.Name, rmo.Scenario.Model = "", "RMO"
+		shapes = append(shapes, rmo)
+	}
+	return shapes
+}
+
+// onKitLeftBy runs pin's campaign on the machine, and the kit — recorder,
+// host buffers, random sources, test buffer — a short campaign of another
+// shape on the same machine configuration has just parked, and holds it
+// to the pinned hash and to ref.
+func onKitLeftBy(t *testing.T, tc identityCase, p identityPin, other CampaignConfig, ref core.Result) {
+	t.Helper()
+	other.MaxTestRuns, other.Seed, other.Memo = 10, p.seed+2000, NewCollectiveMemo()
+	left, err := core.NewCampaign(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kitHost := left.Host()
+	if res, err := left.Run(); err != nil || res.Found {
+		t.Fatalf("seed %d: the %s campaign meant to leave its kit behind: %+v, %v", p.seed, res.Scenario, res, err)
+	}
+	left.Release()
+
+	camp := pinnedCampaign(t, tc, p.seed)
+	if camp.Host() != kitHost {
+		t.Fatalf("seed %d: the pinned campaign did not take the kit a %s/%s campaign left", p.seed, other.Generator, other.Scenario.ID())
+	}
+	res, err := camp.Run()
+	if err != nil {
+		t.Fatalf("seed %d: %v", p.seed, err)
+	}
+	if got := resultHash(res); got != p.want || res != ref {
+		t.Errorf("seed %d on a kit a %s/%s campaign left: result hash %s, want %s\n result: %+v", p.seed, other.Generator, other.Scenario.ID(), got, p.want, res)
+	}
+	camp.Release()
 }
 
 func scenarioCfg(name string, memBytes int) func(*testing.T) CampaignConfig {
