@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,9 +92,16 @@ func withEvents(fn func(events chan<- Event)) []Event {
 }
 
 // resultHash fingerprints a campaign result the way the root
-// simpath_identity_test.go does.
+// simpath_identity_test.go does: every field but Dedupe, as name=%#v.
 func resultHash(r core.Result) string {
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", r))))[:16]
+	v := reflect.ValueOf(r)
+	var b strings.Builder
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Dedupe" {
+			fmt.Fprintf(&b, "%s=%#v;", name, v.Field(i).Interface())
+		}
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
 }
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -251,13 +260,14 @@ func TestFleetIslandDeterminism(t *testing.T) {
 
 // TestIslandIdentity pins the island schedule the way the root
 // simpath_identity_test.go pins the simulator. The hashes are the
-// per-sample core.Results recorded on the commit before the island
-// scheduler moved under RunShard (campaigns from spec.ItemConfig, one
-// coverage merge per finished island); no change to the ring, the
-// barrier or the item materialization may move them. GP-All, 4 samples,
-// base seed 42, MigrationInterval 10, MigrationSize 2, collective
-// checking on — once to the budget, once as a StopOnFound hunt that
-// cuts sample 3 off at an epoch barrier.
+// per-sample core.Results of the island scheduler under RunShard
+// (campaigns from spec.ItemConfig, one coverage merge per finished
+// island), re-recorded with no scheduler change when resultHash began
+// hashing every field instead of Result.String's five; no change to the
+// ring, the barrier or the item materialization may move them. GP-All,
+// 4 samples, base seed 42, MigrationInterval 10, MigrationSize 2 — once
+// to the budget, once as a StopOnFound hunt that cuts sample 3 off at an
+// epoch barrier.
 func TestIslandIdentity(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -268,9 +278,9 @@ func TestIslandIdentity(t *testing.T) {
 		want     [4]string
 	}{
 		{"budget", "", 40, 1024, false,
-			[4]string{"d7cc8482751ec292", "2466c34c880cc6df", "7524bbea1497b98e", "7524bbea1497b98e"}},
+			[4]string{"5d5032d0c1a58b9b", "46af87d139ae4686", "f5eff0de62f30676", "ed84296b26618711"}},
 		{"stop-on-found", "LQ+no-TSO", 2000, 8192, true,
-			[4]string{"d576122ca7db9382", "0156e843e78ecadc", "6ef097f0efb0b854", "3eda9ece2b12f7e0"}},
+			[4]string{"cfb65ce89779fd21", "1c84b21621aeec6e", "9cb2d1f6df08b40b", "d2b710aabcd44b83"}},
 	}
 	for _, tc := range cases {
 		cfg := scaledConfig(core.GenGPAll, tc.bug, tc.budget)

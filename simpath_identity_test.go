@@ -7,8 +7,7 @@ package mcversi
 // reusable. None of that may change a simulated event, so every
 // campaign here must keep producing the byte-identical core.Result it
 // produced then: same violations with the same error text, same tick
-// and instruction counts, same coverage, NDT and fitness floats, same
-// collective-checking tallies.
+// and instruction counts, same coverage, NDT and fitness floats.
 //
 // The tsocc-* hashes were re-recorded twice since. First when TSO-CC stopped
 // reporting violations on bug-free machines at 1 KB: fills that raced a
@@ -18,22 +17,36 @@ package mcversi
 // forwarded from a store whose line was then invalidated. Then when the
 // TSO-CC L2 gained a stale-writeback cell in IFS and IFX: the 8 KB
 // campaign's events changed, and every tsocc-* coverage share moved with
-// its denominator, which counts the cells. Both change TSO-CC only; the
-// mesi-* hashes are the originals.
+// its denominator, which counts the cells. Both change TSO-CC only.
+//
+// Then every hash was re-recorded, with no change to the simulator, when
+// resultHash stopped hashing %+v: Result.String made that render only
+// five of the result's fields.
 
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// resultHash fingerprints a campaign result. core.Result holds only
-// scalars, strings and the Dedupe counter struct, so %+v is a stable
-// rendering.
+// resultHash fingerprints every field of a campaign result except
+// Dedupe, each written as name=%#v. %#v never calls Result.String, which
+// prints only the verdict, test-runs, sim-seconds, coverage and maxNDT;
+// SumFitness, Committed, SimTicks, LastNDT and Detail are hashed too.
+// Dedupe counts memo traffic, not simulated events.
 func resultHash(r core.Result) string {
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", r))))[:16]
+	v := reflect.ValueOf(r)
+	var b strings.Builder
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Dedupe" {
+			fmt.Fprintf(&b, "%s=%#v;", name, v.Field(i).Interface())
+		}
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
 }
 
 // identityPin is one recorded (seed, result hash) pair.
@@ -52,26 +65,26 @@ type identityCase struct {
 
 func identityCases() []identityCase {
 	return []identityCase{
-		// Every registered protocol × model scenario under GP feedback
-		// with collective checking on: the Dedupe tallies pin the
-		// signature stream, SumFitness the coverage stream.
-		{"mesi-sc", scenarioCfg("mesi-sc", 1024), 40, []identityPin{{1, "7eab0e8f8fe58621"}, {7, "2cbde16cc806d0eb"}}},
-		{"mesi-tso", scenarioCfg("mesi-tso", 1024), 40, []identityPin{{1, "bb63ffcded20ef2b"}, {7, "294a2eedd637254a"}}},
-		{"mesi-pso", scenarioCfg("mesi-pso", 1024), 40, []identityPin{{1, "ea00cd8c3496d3af"}, {7, "a6ef62d95ae2256a"}}},
-		{"mesi-rmo", scenarioCfg("mesi-rmo", 1024), 40, []identityPin{{1, "cedd05f06af6f398"}, {7, "799ba14ed4cb6087"}}},
-		{"tsocc-tso", scenarioCfg("tsocc-tso", 1024), 40, []identityPin{{1, "7cba723babc7776d"}, {7, "4a3cab85d542593e"}}},
-		{"tsocc-pso", scenarioCfg("tsocc-pso", 1024), 40, []identityPin{{1, "f71e477c15b16723"}, {7, "aca7716e09f6ee1f"}}},
-		{"tsocc-rmo", scenarioCfg("tsocc-rmo", 1024), 40, []identityPin{{1, "707fb3e7e5b33b46"}, {7, "d192c3812d2d2cba"}}},
+		// Every registered protocol × model scenario under GP feedback:
+		// SumFitness pins the coverage stream, SimTicks and Committed the
+		// simulated events.
+		{"mesi-sc", scenarioCfg("mesi-sc", 1024), 40, []identityPin{{1, "86d1b4d5a46723fb"}, {7, "1e188b54b4a88bf3"}}},
+		{"mesi-tso", scenarioCfg("mesi-tso", 1024), 40, []identityPin{{1, "46dd88f543f6d451"}, {7, "452ca8d2999947d9"}}},
+		{"mesi-pso", scenarioCfg("mesi-pso", 1024), 40, []identityPin{{1, "6d6aed00c3abfcc8"}, {7, "dc51ca2956576233"}}},
+		{"mesi-rmo", scenarioCfg("mesi-rmo", 1024), 40, []identityPin{{1, "284529f179576a11"}, {7, "74f5555487a913f7"}}},
+		{"tsocc-tso", scenarioCfg("tsocc-tso", 1024), 40, []identityPin{{1, "3720e8948e767012"}, {7, "d95ca4490aaeb4f5"}}},
+		{"tsocc-pso", scenarioCfg("tsocc-pso", 1024), 40, []identityPin{{1, "8ae74615a074a5ba"}, {7, "77736cd2afca8399"}}},
+		{"tsocc-rmo", scenarioCfg("tsocc-rmo", 1024), 40, []identityPin{{1, "6c2230a9d78d206f"}, {7, "d98f4fae879da828"}}},
 		// 8KB layouts spread 128 lines over 16 partitions that collide
 		// in one L1/L2 set each: Victim and replacement run after sparse
 		// clears on both protocols.
-		{"mesi-tso-8k", scenarioCfg("mesi-tso", 8192), 10, []identityPin{{3, "2a447eb644284422"}}},
-		{"tsocc-tso-8k", scenarioCfg("tsocc-tso", 8192), 10, []identityPin{{3, "45d6d9a12af53d3e"}}},
+		{"mesi-tso-8k", scenarioCfg("mesi-tso", 8192), 10, []identityPin{{3, "fd9c6bff0c890b72"}}},
+		{"tsocc-tso-8k", scenarioCfg("tsocc-tso", 8192), 10, []identityPin{{3, "d57dbe679e3d5218"}}},
 		// The PUTX-race hunt ends in an L2 invalid transition: the nil
 		// dispatch cell and its error text.
 		{"mesi-putx-race", func(*testing.T) CampaignConfig {
 			return ScaledScenarioConfig(GenGPAll, bugScenario("MESI+PUTX-Race"), 8192)
-		}, 300, []identityPin{{17, "64162102a48f53d6"}}},
+		}, 300, []identityPin{{17, "4765c199e0df05fc"}}},
 	}
 }
 
@@ -115,14 +128,14 @@ func pinnedCampaign(t *testing.T, tc identityCase, seed int64) *core.Campaign {
 // produces. Every pinned campaign runs on the machine a campaign at
 // another seed just gave back — dirty caches, advanced TSO-CC
 // timestamps, grown free lists, a spent random source — and must still
-// return its pinned core.Result, equal in every field (the hash covers
-// only what Result.String prints) to the same campaign run before that
-// history existed. A campaign that ends in a violation must not give
-// its machine back at all: the PUTX-race hunt stops on an L2 invalid
-// transition with events still queued, and a forced watchdog leaves
-// every core mid-program. Every pin also runs on the kit (recorder,
-// host buffers, random sources) a campaign of another model or of the
-// rand generator parked on its machine (onKitLeftBy). The subtests run
+// return its pinned core.Result, equal in every field to the same
+// campaign run before that history existed. A campaign that ends in a
+// violation must not give its machine back at all: the PUTX-race hunt
+// stops on an L2 invalid transition with events still queued, and a
+// forced watchdog leaves every core mid-program. Every pin also runs on
+// the kit (recorder, host buffers, random sources) a campaign of another
+// model or of the rand generator parked on its machine (onKitLeftBy).
+// The subtests run
 // one after another, so between a Release and the next NewCampaign
 // nobody else takes from the process-wide idle list.
 func TestMachineReuseIdentity(t *testing.T) {
