@@ -77,9 +77,9 @@ if [ -z "$sim_ns" ] || ! awk -v v="$sim_ns" 'BEGIN { exit !(v > 0) }'; then
 fi
 
 # The smoke campaign runs only fast-path-supported models (TSO/PSO),
-# so every verdict the worker shipped must have been decided by the
-# fast-path checker — zero conclusive checks or any fallback means its
-# scope silently regressed.
+# and a campaign keeps no verdict memo, so every iteration the worker
+# ran was checked and decided by the fast-path checker — zero
+# conclusive checks or any fallback means its scope silently regressed.
 fast=$(awk -F' ' '/^mcversid_check_fastpath_total/ { print $2 }' service-metrics.txt)
 fallback=$(awk -F' ' '/^mcversid_check_fallback_total/ { print $2 }' service-metrics.txt)
 if [ -z "$fast" ] || ! awk -v v="$fast" 'BEGIN { exit !(v > 0) }'; then

@@ -17,6 +17,10 @@ func main() {
 	passes := flag.Int("passes", 20, "whole-suite passes")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "litmus: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	suite := mcversi.LitmusSuite()
 	if *show {

@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/collective/store"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -30,9 +29,12 @@ func main() {
 	name := flag.String("name", "", "worker name reported in leases (default host-pid)")
 	poll := flag.Duration("poll", 250*time.Millisecond, "idle claim interval")
 	parallel := flag.Int("parallel", 0, "intra-shard fleet workers (0 = all cores)")
-	storeDir := flag.String("store", "", "durable verdict store directory shared across this worker's shards and restarts")
 	flag.Parse()
 
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mcversi-worker: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *server == "" {
 		fmt.Fprintln(os.Stderr, "mcversi-worker: -server is required")
 		os.Exit(2)
@@ -48,37 +50,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var vstore *store.Store
-	if *storeDir != "" {
-		var err error
-		vstore, err = store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcversi-worker:", err)
-			os.Exit(1)
-		}
-	}
-
 	fmt.Fprintf(os.Stderr, "mcversi-worker: %s polling %s every %s\n", *name, *server, *poll)
 	agg := &obs.Agg{}
-	wopts := service.WorkerOptions{
+	_ = service.RunWorker(ctx, service.NewClient(*server), service.WorkerOptions{
 		Name:         *name,
 		Poll:         *poll,
 		FleetWorkers: *parallel,
 		Obs:          agg,
-	}
-	if vstore != nil {
-		// Assign only when open: a typed-nil *store.Store in the
-		// interface field would read as "store attached".
-		wopts.Store = vstore
-	}
-	_ = service.RunWorker(ctx, service.NewClient(*server), wopts)
+	})
 	// The same per-phase breakdown the service aggregates fleet-wide,
 	// scoped to this worker's completed shards.
 	fmt.Fprintf(os.Stderr, "mcversi-worker: %s phase breakdown: %s\n", *name, agg.Snapshot())
-	if vstore != nil {
-		if err := vstore.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "mcversi-worker: verdict store:", err)
-			os.Exit(1)
-		}
-	}
 }

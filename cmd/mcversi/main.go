@@ -39,8 +39,8 @@ func main() {
 }
 
 // run is main with its process surface injected: 0 on a finished
-// campaign set (finding a bug is not a failure), 1 when the run, the
-// service or the verdict store failed, 2 on a usage error.
+// campaign set (finding a bug is not a failure), 1 when the run or the
+// service failed, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcversi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -56,10 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stopOnFound := fs.Bool("stop-on-found", false, "cancel sibling samples once one finds the bug")
 	islands := fs.Bool("islands", false, "GP island model: migrate elites between samples")
 	migrate := fs.Int("migrate", 50, "island migration interval in test-runs")
-	collective := fs.Bool("collective", true,
-		"collective checking: dedupe executions by signature, one shared verdict memo per fleet (disable for naive A/B benchmarks)")
-	storeDir := fs.String("store", "",
-		"durable verdict store directory: signatures decided by earlier runs (or other processes on the same directory) are answered from disk; results are byte-identical either way")
 	progress := fs.Bool("progress", false, "stream per-sample fleet events to stderr")
 	list := fs.Bool("list", false, "list the 11 studied bugs and exit")
 	scenarioFlag := fs.String("scenario", "",
@@ -84,6 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "mcversi:", err)
 		return code
+	}
+	if fs.NArg() > 0 {
+		// flag stops at the first non-flag argument: every flag after it
+		// would be silently ignored.
+		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
 
 	if *list {
@@ -146,10 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, errors.New("-islands needs a single scenario, not a sweep"))
 	case *remote != "" && (*islands || *stopOnFound):
 		return fail(2, errors.New("-islands/-stop-on-found are not available with -remote (shards must be independent and deterministic)"))
-	case *remote != "" && *storeDir != "":
-		// The store is a local directory; a remote daemon attaches its
-		// own via mcversid -store.
-		return fail(2, errors.New("-store is not available with -remote (use mcversid -store on the daemon)"))
 	case *timeout < 0:
 		return fail(2, fmt.Errorf("-timeout must not be negative, got %v", *timeout))
 	case *islands && *migrate <= 0:
@@ -185,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		merged fleet.Merged
 		data   []byte // the service's exact result bytes (-remote only)
 		runErr error
-		code   int
 	)
 	if *remote != "" {
 		merged, data, runErr = runRemote(ctx, *remote, *tenant, spec, *progress, stderr)
@@ -198,25 +194,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			StopOnFound:       *stopOnFound,
 			Islands:           *islands,
 			MigrationInterval: *migrate,
-			Collective:        *collective,
 			Obs:               *progress,
 		}
-		var vs *mcversi.DurableVerdictStore
-		if *storeDir != "" {
-			var err error
-			if vs, err = mcversi.OpenVerdictStore(*storeDir); err != nil {
-				return fail(2, err)
-			}
-			opts.Store = vs
-		}
 		merged, runErr = runLocal(ctx, spec, opts, stderr)
-		if vs != nil {
-			// Close is what flushes and fsyncs the active segment: a
-			// failure means later runs will not see this run's verdicts.
-			if err := vs.Close(); err != nil {
-				code = fail(1, fmt.Errorf("verdict store: %w", err))
-			}
-		}
 	}
 
 	// On error (e.g. -timeout expiry) a local run still reports every
@@ -243,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "mcversi: wrote canonical merged result to %s (%d bytes)\n", *mergedOut, len(data))
 	}
-	return code
+	return 0
 }
 
 // runLocal runs the spec on this process's fleet, streaming events and
@@ -324,17 +304,12 @@ func renderEvent(w io.Writer, ev fleet.Event) {
 	if ev.Scenario != "" {
 		scen = " " + ev.Scenario
 	}
-	dedupe := ""
-	if ev.Result.Dedupe.Checks > 0 {
-		dedupe = fmt.Sprintf(", %.0f%% dedupe (%d unique sigs)",
-			100*ev.Result.Dedupe.HitRate(), ev.Result.Dedupe.Unique)
-	}
 	elapsed := ""
 	if ev.Elapsed > 0 {
 		elapsed = ", " + ev.Elapsed.Round(time.Millisecond).String()
 	}
-	fmt.Fprintf(w, "[fleet] sample %d%s %s: %d runs, %.1f%% coverage%s%s\n",
-		ev.Sample, scen, state, ev.Result.TestRuns, 100*ev.Result.TotalCoverage, dedupe, elapsed)
+	fmt.Fprintf(w, "[fleet] sample %d%s %s: %d runs, %.1f%% coverage%s\n",
+		ev.Sample, scen, state, ev.Result.TestRuns, 100*ev.Result.TotalCoverage, elapsed)
 }
 
 // report prints a campaign set: every sample under its scenario, then
@@ -354,15 +329,9 @@ func report(w io.Writer, spec core.Spec, m fleet.Merged) {
 	}
 	fmt.Fprintf(w, "\n%d/%d samples found a bug (%d test-runs total)\n",
 		m.Stats.Found, m.Stats.Items, m.Stats.TestRuns)
-	// A local run reports its shared memo — the view that counts
-	// durable hits; the service's result carries only the per-campaign
-	// tallies its canonical bytes are built from.
-	dedupe := m.MemoDedupe
-	if dedupe.Checks == 0 {
-		dedupe = m.Stats.Dedupe
-	}
-	if dedupe.Checks > 0 {
-		fmt.Fprintf(w, "collective checking: %s\n", dedupe)
+	if f := m.Stats.FoundBy; m.Stats.Found > 0 {
+		fmt.Fprintf(w, "found by source: %d mcm-violation, %d protocol-error, %d deadlock\n",
+			f.MCMViolation, f.ProtocolError, f.Deadlock)
 	}
 	if m.Fastpath.Checks > 0 {
 		fmt.Fprintf(w, "checker fast path: %s\n", m.Fastpath)

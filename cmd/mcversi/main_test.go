@@ -29,10 +29,10 @@ func TestUsageErrors(t *testing.T) {
 		{"islands across a sweep", []string{"-islands", "-scenario", "mesi-tso,mesi-pso"}, "-islands"},
 		{"islands remote", []string{"-islands", "-remote", "http://127.0.0.1:1"}, "-remote"},
 		{"stop-on-found remote", []string{"-stop-on-found", "-remote", "http://127.0.0.1:1"}, "-remote"},
-		{"store remote", []string{"-store", t.TempDir(), "-remote", "http://127.0.0.1:1"}, "-store"},
 		{"unknown scenario", []string{"-scenario", "no-such"}, "no-such"},
 		{"unknown generator", []string{"-gen", "bogus"}, "bogus"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
+		{"stray argument", []string{"-scenario", "mesi-tso", "-gen", "rand", "-mem", "1024", "stray", "-budget", "3"}, `unexpected argument "stray"`},
 		{"mem off the stride", []string{"-mem", "1000"}, "size 1000 must be a multiple of stride 16"},
 		{"mem zero", []string{"-mem", "0"}, "-mem"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout must not be negative"},
@@ -62,16 +62,19 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestBugHuntAndMergedOut: -protocol/-bug build a one-scenario set that
-// finds the bug, and -merged-out is an output option — it adds the file
-// and changes nothing on stdout.
+// finds the bug, reported under its detection channel, and -merged-out
+// is an output option — it adds the file and changes nothing on stdout.
 func TestBugHuntAndMergedOut(t *testing.T) {
 	hunt := []string{"-bug", "LQ+no-TSO", "-gen", "rand", "-mem", "1024", "-budget", "120", "-seed", "5"}
 	code, plain, stderr := mcversiRun(hunt...)
 	if code != 0 {
 		t.Fatalf("exit code = %d (stderr %q)", code, stderr)
 	}
-	if !strings.Contains(plain, "\n1/1 samples found a bug") {
+	if !strings.Contains(plain, "\n1/1 samples found a bug (") {
 		t.Errorf("hunt did not report the find:\n%s", plain)
+	}
+	if !strings.Contains(plain, "\nfound by source: 1 mcm-violation, 0 protocol-error, 0 deadlock\n") {
+		t.Errorf("hunt did not split the find by source:\n%s", plain)
 	}
 	if !strings.HasPrefix(plain, "scenario MESI/TSO+bugs=LQ+no-TSO:\n") {
 		t.Errorf("output does not open with the scenario header:\n%s", plain)
@@ -87,30 +90,6 @@ func TestBugHuntAndMergedOut(t *testing.T) {
 	}
 	if data, err := os.ReadFile(file); err != nil || !bytes.HasPrefix(data, []byte(`{"results":[`)) {
 		t.Errorf("merged file: err %v, content %.40q", err, data)
-	}
-}
-
-// TestStoreDurableHits: a second local run over the same -store reports
-// the verdicts it answered from disk. The count lives in the shared
-// memo's tally (Merged.MemoDedupe); the per-campaign tallies behind the
-// canonical bytes carry no durable count by design.
-func TestStoreDurableHits(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-scenario", "mesi-tso", "-gen", "rand", "-budget", "5", "-samples", "2", "-mem", "1024",
-		"-store", filepath.Join(dir, "verdicts"), "-merged-out", filepath.Join(dir, "merged.json")}
-	code, cold, stderr := mcversiRun(args...)
-	if code != 0 {
-		t.Fatalf("cold run exit code = %d (stderr %q)", code, stderr)
-	}
-	if strings.Contains(cold, "durable") {
-		t.Errorf("cold run reports durable hits from an empty store:\n%s", cold)
-	}
-	code, warm, stderr := mcversiRun(args...)
-	if code != 0 {
-		t.Fatalf("warm run exit code = %d (stderr %q)", code, stderr)
-	}
-	if !strings.Contains(warm, " durable") {
-		t.Errorf("warm run shows no durable hits:\n%s", warm)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/collective/store"
 	"repro/internal/service"
 )
 
@@ -45,10 +44,13 @@ func main() {
 	maxItems := flag.Int("max-items", 0, "per-campaign item cap (0 = default)")
 	maxAttempts := flag.Int("max-attempts", 0, "lease re-issues per shard before the campaign fails (0 = default)")
 	checkpoint := flag.String("checkpoint", "", "durable campaign directory (empty = in-memory only)")
-	storeDir := flag.String("store", "", "durable verdict store directory shared by the embedded workers (empty = in-RAM memos only)")
 	retain := flag.Int("retain", 0, "finished campaigns kept before the oldest are evicted (0 = default 64)")
 	debugAddr := flag.String("debug-addr", "", "net/http/pprof listen address (empty = disabled)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mcversid: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	cfg := service.Config{
 		MaxActive:        *maxActive,
@@ -61,16 +63,6 @@ func main() {
 		FleetWorkers:     *parallel,
 		CheckpointDir:    *checkpoint,
 		RetainTerminal:   *retain,
-	}
-	var vstore *store.Store
-	if *storeDir != "" {
-		var err error
-		vstore, err = store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcversid:", err)
-			os.Exit(1)
-		}
-		cfg.VerdictStore = vstore
 	}
 	svc, err := service.New(cfg)
 	if err != nil {
@@ -131,10 +123,4 @@ func main() {
 		os.Exit(1)
 	}
 	wg.Wait()
-	if vstore != nil {
-		if err := vstore.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "mcversid: verdict store:", err)
-			os.Exit(1)
-		}
-	}
 }

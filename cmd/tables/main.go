@@ -19,6 +19,10 @@ func main() {
 	full := flag.Bool("full", false, "use the full reproduction scale (slower)")
 	parallel := flag.Int("parallel", 0, "fleet workers sharding table cells (0 = all cores, 1 = sequential)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tables: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	sc := eval.QuickScale()
 	if *full {

@@ -88,16 +88,9 @@ type Recorder struct {
 	// every other.
 	scope string
 
-	// Collective-checking state (nil memo = naive per-iteration
-	// checking). seen is the recorder-lifetime signature history used
-	// for the *local* dedupe counters: classifying a hit against what
-	// this recorder already submitted — rather than against the shared
-	// memo — keeps the counters a pure function of the campaign's own
-	// execution stream, so Results stay identical at any fleet worker
-	// count even though the memo is shared.
+	// memo, when set, answers repeated executions (see SetMemo); nil
+	// checks every iteration.
 	memo *collective.Memo
-	seen map[collective.Sig]struct{}
-	ded  stats.Dedupe
 
 	// chk is the unified decision procedure: the clock-rule fast path
 	// (when enabled) with exact fallback, plus the fast-path outcome
@@ -139,40 +132,29 @@ func NewRecorder(arch memmodel.Arch) *Recorder {
 }
 
 // Reset re-arms the recorder to check against arch with no memo and no
-// scope, and forgets its signature history along with the run and
-// iteration state: the recorder NewRecorder(arch) returns, keeping the
-// storage it has grown. NewRecorder reaches its state through this call.
+// scope, and forgets the run and iteration state: the recorder
+// NewRecorder(arch) returns, keeping the storage it has grown.
+// NewRecorder reaches its state through this call.
 func (r *Recorder) Reset(arch memmodel.Arch) {
 	r.arch, r.memo, r.scope = arch, nil, ""
-	clear(r.seen)
 	r.ResetAll()
 }
 
-// ResetAll clears both iteration and run state (verify_reset_all). The
-// collective-checking signature history survives: it spans the
-// recorder's whole lifetime (a campaign), so repeats of an ordering in
-// later test-runs still count as dedupe hits. The per-run dedupe
-// counters reset with the rest of the run state.
+// ResetAll clears both iteration and run state (verify_reset_all).
 func (r *Recorder) ResetAll() {
 	r.resetIteration()
 	r.iteration = 0
 	r.runGen++
 	r.run = r.run[:0]
 	r.rfcoRun = 0
-	r.ded = stats.Dedupe{}
 	r.chk.ResetStats()
 }
 
-// SetMemo enables collective checking: each iteration's execution is
-// collapsed to its signature and the verdict is fetched from (or
-// computed once into) memo. Memos may be shared across recorders and
-// goroutines; passing nil reverts to naive per-iteration checking.
-func (r *Recorder) SetMemo(m *collective.Memo) {
-	r.memo = m
-	if m != nil && r.seen == nil {
-		r.seen = make(map[collective.Sig]struct{})
-	}
-}
+// SetMemo puts a verdict memo in front of the checker: each iteration's
+// execution is collapsed to its signature and the verdict is fetched
+// from (or computed once into) memo. Memos may be shared across
+// recorders and goroutines; passing nil checks every iteration again.
+func (r *Recorder) SetMemo(m *collective.Memo) { r.memo = m }
 
 // SetScope confines the recorder's memo lookups to the given scenario
 // identity (model + relaxation set + bugs). Two recorders sharing one
@@ -180,12 +162,6 @@ func (r *Recorder) SetMemo(m *collective.Memo) {
 // that is valid under one scenario's machine contract may carry a
 // different meaning under another's, so verdicts must not leak across.
 func (r *Recorder) SetScope(scope string) { r.scope = scope }
-
-// Dedupe returns the current run's collective-checking counters (zero
-// when no memo is set). Hits are classified against this recorder's
-// own signature history, so the counters are deterministic regardless
-// of memo sharing.
-func (r *Recorder) Dedupe() stats.Dedupe { return r.ded }
 
 // Fastpath returns the current run's fast-path outcome counters.
 func (r *Recorder) Fastpath() stats.Fastpath { return r.chk.Fastpath() }
@@ -406,16 +382,9 @@ func (r *Recorder) EndIteration() *Violation {
 
 	var res memmodel.Result
 	if r.memo != nil {
-		// Collective checking: collapse the execution to its canonical
-		// signature; the shared memo model-checks each unique
-		// (program, observed-ordering) pair at most once.
-		sig := collective.Signature(exec)
-		res, _ = r.memo.CheckScopedVia(r.scope, sig, exec, r.arch, r.checkFn)
-		_, dup := r.seen[sig]
-		if !dup {
-			r.seen[sig] = struct{}{}
-		}
-		r.ded.Note(dup)
+		// The memo model-checks each unique (program, observed-ordering)
+		// pair at most once.
+		res, _ = r.memo.CheckScopedVia(r.scope, collective.Signature(exec), exec, r.arch, r.checkFn)
 	} else {
 		res = r.chk.Check(exec, r.arch)
 	}

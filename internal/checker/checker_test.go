@@ -7,7 +7,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
-	"repro/internal/stats"
 )
 
 const (
@@ -183,15 +182,15 @@ func TestRMWEventsRecorded(t *testing.T) {
 }
 
 // TestCollectiveRecorderMatchesNaive: a memoized recorder must return
-// the same verdict stream as a naive one, and must classify repeats of
-// an ordering as dedupe hits — including repeats across test-runs
-// (ResetAll), which reset the per-run counters but not the signature
-// history.
+// the same verdict stream as a naive one, and its memo must answer
+// repeats of an ordering — including repeats in a later test-run
+// (ResetAll), which leaves the memo alone.
 func TestCollectiveRecorderMatchesNaive(t *testing.T) {
 	outcomes := [][2]uint64{{102, 101}, {102, 0}, {102, 101}, {0, 0}, {102, 101}}
 	naive := NewRecorder(memmodel.TSO{})
 	coll := NewRecorder(memmodel.TSO{})
-	coll.SetMemo(collective.NewMemo())
+	memo := collective.NewMemo()
+	coll.SetMemo(memo)
 	for i, o := range outcomes {
 		serialMP(naive, o[0], o[1])
 		vn := naive.EndIteration()
@@ -204,31 +203,25 @@ func TestCollectiveRecorderMatchesNaive(t *testing.T) {
 			t.Fatalf("iteration %d: kinds differ: %v vs %v", i, vn.Result.Kind, vc.Result.Kind)
 		}
 	}
-	d := coll.Dedupe()
 	// 5 checks, 3 unique orderings, 2 repeats of {102,101}.
-	if d.Checks != 5 || d.Unique != 3 || d.Hits != 2 {
-		t.Fatalf("dedupe = %+v, want 5 checks / 3 unique / 2 hits", d)
-	}
-	if naive.Dedupe() != (stats.Dedupe{}) {
-		t.Fatalf("naive recorder counted dedupe: %+v", naive.Dedupe())
+	if d := memo.Stats(); d.Checks != 5 || d.Unique != 3 || d.Hits != 2 {
+		t.Fatalf("memo = %+v, want 5 checks / 3 unique / 2 hits", d)
 	}
 
-	// A new run repeating a known ordering: per-run counters reset,
-	// history persists, so the repeat is a pure hit.
+	// A new run repeating a known ordering is a hit.
 	coll.ResetAll()
 	serialMP(coll, 102, 101)
 	if v := coll.EndIteration(); v != nil {
 		t.Fatal(v)
 	}
-	if d := coll.Dedupe(); d.Checks != 1 || d.Hits != 1 || d.Unique != 0 {
-		t.Fatalf("post-reset dedupe = %+v, want 1 check / 1 hit / 0 unique", d)
+	if d := memo.Stats(); d.Checks != 6 || d.Hits != 3 || d.Unique != 3 {
+		t.Fatalf("memo after ResetAll = %+v, want 6 checks / 3 hits / 3 unique", d)
 	}
 }
 
 // TestCollectiveRecorderSharedMemoLocalCounters: two recorders sharing
-// one memo must keep independent, order-insensitive local counters —
-// each classifies hits against its own history even when the other
-// recorder already computed the verdict.
+// one memo keep their own fast-path counters — only the recorder whose
+// submission the memo checked counts a check, the other's was a hit.
 func TestCollectiveRecorderSharedMemoLocalCounters(t *testing.T) {
 	memo := collective.NewMemo()
 	a := NewRecorder(memmodel.TSO{})
@@ -241,13 +234,10 @@ func TestCollectiveRecorderSharedMemoLocalCounters(t *testing.T) {
 			t.Fatal(v)
 		}
 	}
-	// Both recorders saw a first-time signature locally...
-	for i, r := range []*Recorder{a, b} {
-		if d := r.Dedupe(); d.Unique != 1 || d.Hits != 0 {
-			t.Fatalf("recorder %d: dedupe = %+v, want 1 unique / 0 hits", i, d)
-		}
+	if fa, fb := a.Fastpath(), b.Fastpath(); fa.Checks != 1 || fb.Checks != 0 {
+		t.Fatalf("fast-path checks: a %+v, b %+v; want 1 and 0", fa, fb)
 	}
-	// ...but the shared memo model-checked it exactly once.
+	// The shared memo model-checked the ordering exactly once.
 	if d := memo.Stats(); d.Checks != 2 || d.Unique != 1 || d.Hits != 1 {
 		t.Fatalf("memo stats = %+v, want 2 checks / 1 unique / 1 hit", d)
 	}

@@ -116,9 +116,9 @@ func (rr *refRun) fold(x *memmodel.Execution) {
 func TestReusedRecorderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	reused, lending := NewRecorder(memmodel.TSO{}), NewRecorder(memmodel.TSO{})
-	memo := collective.NewMemo()
-	reused.SetMemo(memo)
-	lending.SetMemo(collective.NewMemo())
+	reusedMemo, lendingMemo := collective.NewMemo(), collective.NewMemo()
+	reused.SetMemo(reusedMemo)
+	lending.SetMemo(lendingMemo)
 	for run := 0; run < 12; run++ {
 		gen, err := testgen.NewGenerator(testgen.Config{
 			Size: 40 + 30*(run%4), Threads: 2 + run%5, Layout: memsys.MustLayout(128, 16),
@@ -153,8 +153,8 @@ func TestReusedRecorderMatchesReference(t *testing.T) {
 				t.Fatalf("run %d iter %d: taken execution incomplete: %v", run, iter, err)
 			}
 			ref.fold(x)
-			if reused.Dedupe() != lending.Dedupe() {
-				t.Fatalf("run %d iter %d: dedupe %+v vs %+v: signatures diverge", run, iter, reused.Dedupe(), lending.Dedupe())
+			if a, b := reusedMemo.Stats(), lendingMemo.Stats(); a != b {
+				t.Fatalf("run %d iter %d: memo %+v vs %+v: signatures diverge", run, iter, a, b)
 			}
 		}
 		wantNDT := float64(ref.edges) / float64(len(ref.events))

@@ -71,13 +71,14 @@ type Config struct {
 	MaxTestRuns int
 	// MaxSimTicks optionally bounds simulated time (0 = unbounded).
 	MaxSimTicks sim.Tick
-	// Memo, when non-nil, enables collective checking: each
-	// iteration's execution is collapsed to its canonical signature
-	// and each unique (program, observed-ordering) pair is model-
-	// checked at most once per memo lifetime. One memo may be shared
-	// by many campaigns (the fleet shares one across all its workers);
-	// verdicts — and therefore Results — are identical with or without
-	// it, only the checking work is deduplicated.
+	// Memo, when non-nil, puts a verdict memo in front of the checker:
+	// each iteration's execution is signed and each unique (program,
+	// observed-ordering) pair is model-checked at most once per memo
+	// lifetime. Results are identical with or without it. Campaigns do
+	// not set it: a signature costs about what a check does, and a
+	// campaign rarely repeats an execution. Its last caller is the
+	// benchmark's traced sweep pass; the field goes when that pass stops
+	// setting it.
 	Memo *collective.Memo
 }
 
@@ -166,11 +167,6 @@ type Result struct {
 	// byte-identical at any fleet worker count; the fleet determinism
 	// tests assert it per sample.
 	SumFitness float64
-	// Dedupe tallies collective checking over the campaign (zero when
-	// Config.Memo is nil). Hits are classified against the campaign's
-	// own signature history, so the tally is deterministic even when
-	// the memo is shared across fleet workers.
-	Dedupe stats.Dedupe
 }
 
 func (r Result) String() string {
@@ -208,11 +204,8 @@ type Campaign struct {
 	ps *obs.PhaseStats
 
 	// fstats accumulates the checker fast-path outcome tallies across
-	// test-runs. It lives outside Result deliberately: under a shared
-	// fleet memo, which campaign pays the one exact-or-fast computation
-	// for a signature depends on worker scheduling, so the per-campaign
-	// split is not a pure function of (spec, range) the way Result must
-	// be — only fleet-wide totals are deterministic.
+	// test-runs. It lives outside Result: it counts checker work, which
+	// a Config.Memo hit skips, not a property of the simulated events.
 	fstats stats.Fastpath
 
 	out      Result
@@ -463,7 +456,6 @@ func (c *Campaign) Advance(ctx context.Context, extra int) (bool, error) {
 		steps++
 		c.out.TestRuns++
 		c.out.SumFitness += fitness
-		c.out.Dedupe.Merge(res.Dedupe)
 		c.fstats.Merge(res.Fastpath)
 		c.out.LastNDT = res.NDT
 		if res.NDT > c.out.MaxNDT {
@@ -495,8 +487,7 @@ func (c *Campaign) Result() Result {
 }
 
 // Fastpath returns the campaign's checker fast-path tally so far. It
-// is reported beside Result, never inside it — see the fstats field
-// for why the split would break Result determinism.
+// is reported beside Result, never inside it — see the fstats field.
 func (c *Campaign) Fastpath() stats.Fastpath { return c.fstats }
 
 // RunContext executes the campaign to completion or until ctx is

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bugs"
+	"repro/internal/collective"
 	"repro/internal/coverage"
 	"repro/internal/gp"
 	"repro/internal/host"
@@ -195,6 +196,43 @@ func TestPUTXRaceReportsProtocolError(t *testing.T) {
 		}
 	}
 	t.Error("PUTX race not found on any seed")
+}
+
+// TestMemoDoesNotChangeResults: a verdict memo only skips checks. Over
+// the bug list (and the bug-free machine), a campaign returns the same
+// Result without a memo, with a memo it fills, and with that memo warm
+// — where every check is a hit and an invalid hit re-derives its
+// witness from the campaign's own execution.
+func TestMemoDoesNotChangeResults(t *testing.T) {
+	memo := collective.NewMemo()
+	found := 0
+	for _, b := range append([]bugs.Bug{{Name: ""}}, bugs.All()...) {
+		cfg := bugCampaign(b, GenRandom, 40)
+		cfg.Seed = 2
+		naive, err := RunCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Memo = memo
+		for _, pass := range []string{"cold", "warm"} {
+			res, err := RunCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != naive {
+				t.Errorf("bug %q, %s memo:\n got %+v\nwant %+v", b.Name, pass, res, naive)
+			}
+		}
+		if naive.Source == host.SourceChecker.String() {
+			found++
+		}
+	}
+	if found == 0 {
+		t.Error("no campaign found an MCM violation: the invalid-hit path went untested")
+	}
+	if d := memo.Stats(); d.Hits == 0 {
+		t.Errorf("the warm passes never hit the memo: %s", d)
+	}
 }
 
 // TestResultString covers the report rendering.

@@ -112,9 +112,9 @@ func (s Spec) Validate() error {
 }
 
 // ItemConfig materializes item i's campaign configuration. The caller
-// owns process-local concerns (attaching a collective memo, picking a
-// tracker); two processes materializing the same (spec, i) build
-// campaigns that produce byte-identical Results.
+// owns process-local concerns (attaching a phase tracer); two processes
+// materializing the same (spec, i) build campaigns that produce
+// byte-identical Results.
 func (s Spec) ItemConfig(i int) (Config, error) {
 	if i < 0 || i >= s.Items() {
 		return Config{}, fmt.Errorf("spec: item %d out of range [0,%d)", i, s.Items())

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"repro/internal/bugs"
-	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/fleet"
@@ -132,12 +131,9 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 		}
 	} else {
 		cfg := campaignFor(spec, proto, bug.Name, sc)
-		// Cells run collectively: the samples of one cell share a
-		// verdict memo (fresh per cell, so cell results stay a pure
-		// function of (spec, bug, sc)).
 		set, err := fleet.LocalMerged(context.Background(),
 			core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, sc.Samples, sc.Seed),
-			fleet.Options{Workers: 1, Collective: true})
+			fleet.Options{Workers: 1})
 		if err != nil {
 			return cell, err
 		}
@@ -335,7 +331,7 @@ func ScenarioMatrix(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-12s %-28s %8s %10s %8s\n", "Scenario", "Identity", "Runs", "Coverage", "Quiet")
 	cfg := campaignFor(GeneratorSpec{Kind: core.GenGPAll, MemBytes: 1024}, machine.MESI, "", sc)
 	set, err := fleet.LocalMerged(context.Background(), core.NewSpec(cfg, scens, 1, sc.Seed),
-		fleet.Options{Workers: sc.Parallel, Collective: true})
+		fleet.Options{Workers: sc.Parallel})
 	if err != nil {
 		return err
 	}
@@ -385,14 +381,10 @@ func Table6(w io.Writer, specs []GeneratorSpec, sc Scale) error {
 			}
 		}
 	}
-	// All Table 6 campaigns (bug-free, so long-lived) share one verdict
-	// memo across cells and workers; results are memo-independent.
-	memo := collective.NewMemo()
 	bests, err := fleet.Map(context.Background(), sc.Parallel, len(items),
 		func(_ context.Context, i int) (float64, error) {
 			cfg := campaignFor(items[i].spec, items[i].proto, "", sc)
 			cfg.Seed = sc.Seed + int64(items[i].sample)*104729
-			cfg.Memo = memo
 			res, err := core.RunCampaign(cfg)
 			if err != nil {
 				return 0, err

@@ -60,7 +60,7 @@ func TestFastpathCountersByteInvisible(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 3, 5, 23, "mesi-tso", "mesi-pso")
 	items := spec.Items()
 
-	ref, err := LocalMerged(context.Background(), spec, Options{Collective: true})
+	ref, err := LocalMerged(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFastpathCountersByteInvisible(t *testing.T) {
 		shards := make([]ShardResult, len(part))
 		var want stats.Fastpath
 		for i, r := range part {
-			sr, err := RunShard(context.Background(), spec, r, Options{Collective: true})
+			sr, err := RunShard(context.Background(), spec, r, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

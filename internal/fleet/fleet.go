@@ -28,7 +28,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/core"
 )
 
@@ -57,28 +56,13 @@ type Options struct {
 	// MigrationSize is how many elites each island sends per epoch
 	// (default 2).
 	MigrationSize int
-	// Collective enables collective checking: all samples share one
-	// verdict memo table, so a (test, observed-ordering) pair is
-	// model-checked at most once per fleet run — across workers and
-	// islands. Verdicts and Results are identical either way (the memo
-	// only deduplicates work), so determinism at any worker count is
-	// preserved.
-	Collective bool
-	// Store attaches a durable verdict tier beneath the collective
-	// memo: signatures already decided by an earlier run (or another
-	// process pointed at the same store directory) are answered from
-	// disk instead of a fresh model check, tallied as Dedupe.Durable.
-	// Results stay byte-identical — the store only persists (valid,
-	// kind) and invalid hits re-derive their witness locally. Ignored
-	// unless Collective is on (the store sits beneath the memo).
-	Store collective.VerdictStore
 	// Events, when non-nil, receives one Done event per item that
 	// started (Stopped when it was cut off) and one per island epoch.
 	// Sends are blocking: the consumer must drain the channel until
 	// RunShard returns. The channel is never closed by the fleet.
 	Events chan<- Event
 	// Obs enables phase-span instrumentation: every campaign times its
-	// testgen/sim/check/memo sections into a shared obs.PhaseStats,
+	// testgen/sim/fastcheck/check sections into a shared obs.PhaseStats,
 	// surfaced as ShardResult.Obs and summed into Merged.Obs.
 	// Spans are a wall-clock side channel outside the deterministic
 	// result surface — Results, and the merged CanonicalBytes built
@@ -86,9 +70,9 @@ type Options struct {
 	Obs bool
 }
 
-// DefaultOptions runs on all cores with collective checking on, runs
-// every sample to completion, and leaves the island model off.
-func DefaultOptions() Options { return Options{Collective: true} }
+// DefaultOptions runs on all cores, runs every sample to completion, and
+// leaves the island model off: the zero Options.
+func DefaultOptions() Options { return Options{} }
 
 func (o Options) withDefaults() Options {
 	if o.MigrationInterval <= 0 {

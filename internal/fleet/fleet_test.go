@@ -92,14 +92,12 @@ func withEvents(fn func(events chan<- Event)) []Event {
 }
 
 // resultHash fingerprints a campaign result the way the root
-// simpath_identity_test.go does: every field but Dedupe, as name=%#v.
+// simpath_identity_test.go does: every field, as name=%#v.
 func resultHash(r core.Result) string {
 	v := reflect.ValueOf(r)
 	var b strings.Builder
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "Dedupe" {
-			fmt.Fprintf(&b, "%s=%#v;", name, v.Field(i).Interface())
-		}
+		fmt.Fprintf(&b, "%s=%#v;", v.Type().Field(i).Name, v.Field(i).Interface())
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
 }
@@ -290,7 +288,7 @@ func TestIslandIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				restoreProcs(t, workers)
 				m, err := LocalMerged(context.Background(), spec, Options{
-					Workers: workers, Collective: true, Islands: true, StopOnFound: tc.stop,
+					Workers: workers, Islands: true, StopOnFound: tc.stop,
 					MigrationInterval: 10, MigrationSize: 2,
 				})
 				if err != nil {
@@ -457,92 +455,5 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if got := Workers(-1, 0); got != 1 {
 		t.Errorf("Workers(-1, 0) = %d, want 1", got)
-	}
-}
-
-// TestFleetCollectiveMatchesNaive is the collective-checking acceptance
-// guarantee: with a shared verdict memo the fleet must find the same
-// violations in the same samples after the same number of test-runs as
-// naive per-iteration checking — the memo may only deduplicate work.
-func TestFleetCollectiveMatchesNaive(t *testing.T) {
-	for _, bug := range []string{"", "LQ+no-TSO"} {
-		spec := setSpec(core.GenRandom, bug, 30, 4, 100)
-		naive, err := LocalMerged(context.Background(), spec, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coll, err := LocalMerged(context.Background(), spec, Options{Workers: 1, Collective: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dd := coll.MemoDedupe
-		if dd.Checks == 0 || dd.Unique == 0 {
-			t.Fatalf("bug=%q: collective fleet never consulted the memo: %+v", bug, dd)
-		}
-		if dd.Checks-dd.Unique != dd.Hits {
-			t.Fatalf("bug=%q: inconsistent memo counters: %+v", bug, dd)
-		}
-		for i, got := range coll.Results {
-			got.Dedupe = naive.Results[i].Dedupe // the only field allowed to differ
-			if got != naive.Results[i] {
-				t.Errorf("bug=%q sample %d: collective %+v\n              != naive %+v", bug, i, coll.Results[i], naive.Results[i])
-			}
-		}
-	}
-}
-
-// TestFleetCollectiveDeterminism: sharing one memo across workers must
-// not perturb any sample's Result — including its Dedupe tally, which
-// is classified against the campaign's own signature history precisely
-// so that racing on the shared memo cannot leak into Results.
-func TestFleetCollectiveDeterminism(t *testing.T) {
-	spec := setSpec(core.GenRandom, "LQ+no-TSO", 40, 6, 100)
-	var want []core.Result
-	var wantUnique uint64
-	for _, workers := range []int{1, 4, 8} {
-		restoreProcs(t, workers)
-		m, err := LocalMerged(context.Background(), spec, Options{Workers: workers, Collective: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want, wantUnique = m.Results, m.MemoDedupe.Unique
-			continue
-		}
-		for i, got := range m.Results {
-			if got != want[i] {
-				t.Errorf("sample %d diverges at workers=%d:\n got %+v\nwant %+v", i, workers, got, want[i])
-			}
-		}
-		if m.MemoDedupe.Unique != wantUnique {
-			t.Errorf("workers=%d: fleet-wide unique signatures = %d, want %d",
-				workers, m.MemoDedupe.Unique, wantUnique)
-		}
-	}
-}
-
-// TestFleetCollectiveIslands: the memo must compose with the island
-// model (migrated elites re-evaluated by other islands are where the
-// cross-campaign sharing pays off) without perturbing results.
-func TestFleetCollectiveIslands(t *testing.T) {
-	spec := setSpec(core.GenGPAll, "", 24, 3, 7)
-	opts := Options{Workers: 1, Islands: true, MigrationInterval: 8, MigrationSize: 2}
-	naive, err := LocalMerged(context.Background(), spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Collective = true
-	coll, err := LocalMerged(context.Background(), spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coll.MemoDedupe.Checks == 0 {
-		t.Fatalf("island fleet never consulted the memo: %+v", coll.MemoDedupe)
-	}
-	for i, got := range coll.Results {
-		got.Dedupe = naive.Results[i].Dedupe
-		if got != naive.Results[i] {
-			t.Errorf("island sample %d: collective %+v != naive %+v", i, coll.Results[i], naive.Results[i])
-		}
 	}
 }

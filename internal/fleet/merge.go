@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -64,14 +65,13 @@ func (a *coverageAcc) merged() (string, []uint64) {
 // MergedStats is the deterministic aggregate of a merged campaign set.
 // Every field is a pure function of the per-item Results and count
 // vectors, folded in flat item order — never of worker topology, shard
-// partition or arrival order. Dedupe in particular is the sum of the
-// per-campaign (campaign-locally classified) counters, not a shared
-// memo's fleet-wide tally, because only the former is identical whether
-// items shared a memo within one process or ran in separate ones.
+// partition or arrival order.
 type MergedStats struct {
-	// Items is the campaign count; Found of them reported a bug.
-	Items int `json:"items"`
-	Found int `json:"found"`
+	// Items is the campaign count; Found of them reported a bug, split
+	// by detection channel in FoundBy.
+	Items   int     `json:"items"`
+	Found   int     `json:"found"`
+	FoundBy FoundBy `json:"found_by"`
 	// TestRuns totals completed test-runs.
 	TestRuns int `json:"test_runs"`
 	// SumFitness totals every campaign's fitness sum, folded in flat
@@ -88,8 +88,36 @@ type MergedStats struct {
 	// rather than a rounded fraction.
 	CoverageKey    string   `json:"coverage_key,omitempty"`
 	CoverageCounts []uint64 `json:"coverage_counts,omitempty"`
-	// Dedupe sums the per-campaign collective-checking tallies.
-	Dedupe stats.Dedupe `json:"dedupe"`
+}
+
+// FoundBy counts finds per host.ViolationSource, so a wedge or a
+// protocol error never reads as a consistency violation.
+type FoundBy struct {
+	MCMViolation  int `json:"mcm_violation"`
+	ProtocolError int `json:"protocol_error"`
+	Deadlock      int `json:"deadlock"`
+}
+
+// note counts one result's find, and rejects a result whose Found and
+// Source disagree: a find from no known channel, or a channel without a
+// find.
+func (f *FoundBy) note(r core.Result) error {
+	if r.Found {
+		switch r.Source {
+		case host.SourceChecker.String():
+			f.MCMViolation++
+			return nil
+		case host.SourceProtocol.String():
+			f.ProtocolError++
+			return nil
+		case host.SourceDeadlock.String():
+			f.Deadlock++
+			return nil
+		}
+	} else if r.Source == "" {
+		return nil
+	}
+	return fmt.Errorf("found=%v with source %q", r.Found, r.Source)
 }
 
 // Merged is a campaign set's complete deterministic output: per-item
@@ -105,18 +133,10 @@ type Merged struct {
 	// the byte-identity currency, and wall-clock spans are the one
 	// shard output that legitimately differs run to run.
 	Obs obs.Snapshot `json:"-"`
-	// Fastpath sums the shards' fast-path checker tallies. Excluded from
-	// the JSON encoding for the same reason as Obs: the split between
-	// fast-path verdicts and memo hits depends on where the shard cuts
-	// fall (memos never cross shards), so the sum is operator telemetry,
-	// not part of the byte-identity contract.
+	// Fastpath sums the shards' fast-path checker tallies. It counts
+	// checker work, not simulated events, so like Obs it is operator
+	// telemetry outside the byte-identity contract.
 	Fastpath stats.Fastpath `json:"-"`
-	// MemoDedupe sums the shards' shared-memo tallies — the view that
-	// carries Dedupe.Durable when a verdict store is attached. Excluded
-	// from the JSON encoding like Fastpath: the per-shard memo split is
-	// partition-dependent operator telemetry (Stats.Dedupe is the
-	// canonical, campaign-locally-classified tally).
-	MemoDedupe stats.Dedupe `json:"-"`
 }
 
 // CanonicalBytes returns the deterministic JSON encoding (fixed field
@@ -130,7 +150,7 @@ func (m Merged) CanonicalBytes() ([]byte, error) {
 // once; order is irrelevant (they are sorted by range). The aggregate
 // is folded in flat item order, so any partition of the same item set
 // merges to identical bytes — the property the merge-algebra tests
-// fuzz.
+// fuzz. A result whose Found and Source disagree is an error.
 func MergeShards(items int, shards []ShardResult) (Merged, error) {
 	sorted := append([]ShardResult(nil), shards...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Range.Start < sorted[b].Range.Start })
@@ -150,7 +170,6 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 			m.Obs = m.Obs.Merge(*sr.Obs)
 		}
 		m.Fastpath.Merge(sr.Fastpath)
-		m.MemoDedupe.Merge(sr.MemoDedupe)
 		if sr.CoverageMixed {
 			acc.poison()
 		} else {
@@ -163,7 +182,10 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 	}
 
 	m.Stats.Items = items
-	for _, r := range m.Results {
+	for i, r := range m.Results {
+		if err := m.Stats.FoundBy.note(r); err != nil {
+			return Merged{}, fmt.Errorf("fleet: item %d: %w", i, err)
+		}
 		if r.Found {
 			m.Stats.Found++
 		}
@@ -172,7 +194,6 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 		if r.TotalCoverage > m.Stats.MaxCoverage {
 			m.Stats.MaxCoverage = r.TotalCoverage
 		}
-		m.Stats.Dedupe.Merge(r.Dedupe)
 	}
 	m.Stats.CoverageKey, m.Stats.CoverageCounts = acc.merged()
 	if n := len(m.Stats.CoverageCounts); n > 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/host"
 )
 
 // randomPartition cuts [0, items) into 1..items contiguous ranges.
@@ -32,8 +33,8 @@ func randomPartition(rng *rand.Rand, items int) []Range {
 // bytes must equal the single-shard reference — i.e. the coverage
 // count-vector union and the SumFitness fold are commutative and
 // associative across partitions. Shards re-run their campaigns from
-// scratch (fresh memos), so the test also exercises the claim that a
-// re-run lease yields identical bytes.
+// scratch, so the test also exercises the claim that a re-run lease
+// yields identical bytes.
 func TestMergeAlgebraPartitions(t *testing.T) {
 	specs := map[string]struct {
 		spec core.Spec
@@ -56,7 +57,7 @@ func TestMergeAlgebraPartitions(t *testing.T) {
 		spec := tc.spec
 		t.Run(name, func(t *testing.T) {
 			items := spec.Items()
-			ref, err := LocalMerged(context.Background(), spec, Options{Collective: true})
+			ref, err := LocalMerged(context.Background(), spec, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +79,7 @@ func TestMergeAlgebraPartitions(t *testing.T) {
 				part := randomPartition(rng, items)
 				shards := make([]ShardResult, len(part))
 				for i, r := range part {
-					sr, err := RunShard(context.Background(), spec, r, Options{Collective: true})
+					sr, err := RunShard(context.Background(), spec, r, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -174,6 +175,39 @@ func TestMergeShardsMixedPoison(t *testing.T) {
 	}
 	if m.Stats.CoverageKey != "TSO-CC" || m.Stats.UnionCoverage == 0 {
 		t.Fatalf("no-data shard poisoned the merge: %+v", m.Stats)
+	}
+}
+
+// TestMergeFoundBySource: finds are counted per detection channel — a
+// deadlock raises only the deadlock count — and a result whose Found
+// and Source disagree fails the merge.
+func TestMergeFoundBySource(t *testing.T) {
+	find := func(source string) core.Result { return core.Result{Found: true, Source: source, Detail: "x"} }
+	shards := []ShardResult{
+		{Range: Range{0, 2}, Results: []core.Result{find(host.SourceDeadlock.String()), {TestRuns: 3}}},
+		{Range: Range{2, 4}, Results: []core.Result{find(host.SourceChecker.String()), find(host.SourceDeadlock.String())}},
+	}
+	m, err := MergeShards(4, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (FoundBy{MCMViolation: 1, Deadlock: 2}); m.Stats.Found != 3 || m.Stats.FoundBy != want {
+		t.Fatalf("found %d by %+v, want 3 by %+v", m.Stats.Found, m.Stats.FoundBy, want)
+	}
+	m, err = MergeShards(1, []ShardResult{{Range: Range{0, 1}, Results: []core.Result{find(host.SourceProtocol.String())}}})
+	if err != nil || m.Stats.FoundBy != (FoundBy{ProtocolError: 1}) {
+		t.Fatalf("protocol error merged to %+v, %v", m.Stats.FoundBy, err)
+	}
+
+	for _, bad := range []core.Result{
+		find(""),
+		find("watchdog"),
+		{Source: host.SourceChecker.String()},
+	} {
+		sr := ShardResult{Range: Range{0, 1}, Results: []core.Result{bad}}
+		if _, err := MergeShards(1, []ShardResult{sr}); err == nil {
+			t.Errorf("merge accepted found=%v with source %q", bad.Found, bad.Source)
+		}
 	}
 }
 

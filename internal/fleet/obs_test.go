@@ -18,7 +18,7 @@ func TestObsDoesNotChangeCanonicalBytes(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 3, 5, 23, "mesi-tso", "mesi-pso")
 	items := spec.Items()
 
-	ref, err := LocalMerged(context.Background(), spec, Options{Collective: true})
+	ref, err := LocalMerged(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestObsDoesNotChangeCanonicalBytes(t *testing.T) {
 		t.Fatalf("obs-off merge carries spans: %s", ref.Obs)
 	}
 
-	on, err := LocalMerged(context.Background(), spec, Options{Collective: true, Obs: true})
+	on, err := LocalMerged(context.Background(), spec, Options{Obs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestObsDoesNotChangeCanonicalBytes(t *testing.T) {
 		part := randomPartition(rng, items)
 		shards := make([]ShardResult, len(part))
 		for i, r := range part {
-			sr, err := RunShard(context.Background(), spec, r, Options{Collective: true, Obs: true})
+			sr, err := RunShard(context.Background(), spec, r, Options{Obs: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestObsSnapshotMergesAcrossPartitions(t *testing.T) {
 	var want obs.Snapshot
 	shards := make([]ShardResult, len(part))
 	for i, r := range part {
-		sr, err := RunShard(context.Background(), spec, r, Options{Collective: true, Obs: true})
+		sr, err := RunShard(context.Background(), spec, r, Options{Obs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,12 +106,11 @@ func TestObsSnapshotMergesAcrossPartitions(t *testing.T) {
 }
 
 // TestObsPhaseBreakdownPlausible: an instrumented run attributes time
-// to the phases the campaign actually executes — test generation and
-// simulation always, and under collective checking with repeated
-// signatures, memo hits distinct from full checks.
+// to the phases the campaign actually executes — test generation,
+// simulation, and one verification span per checked iteration.
 func TestObsPhaseBreakdownPlausible(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 2, 6, 23, "mesi-tso")
-	m, err := LocalMerged(context.Background(), spec, Options{Collective: true, Obs: true})
+	m, err := LocalMerged(context.Background(), spec, Options{Obs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +124,15 @@ func TestObsPhaseBreakdownPlausible(t *testing.T) {
 	if s.Merging.Count != 1 {
 		t.Errorf("merge spans = %+v, want exactly one", s.Merging)
 	}
-	// Every iteration ends in exactly one verdict: fast-path check,
-	// exact check, or memo hit.
-	verdicts := s.FastCheck.Count + s.Check.Count + s.Memo.Count
-	if verdicts == 0 {
-		t.Error("no fastcheck/check/memo spans at all")
+	// Every checked iteration ends in exactly one verdict span, fast
+	// path or exact check; a campaign keeps no memo.
+	if got, want := s.FastCheck.Count+s.Check.Count, m.Fastpath.Checks; got != want || got == 0 {
+		t.Errorf("fastcheck+check spans = %d, checked iterations = %d", got, want)
 	}
-	if dd := m.Stats.Dedupe; dd.Hits > 0 && s.Memo.Count == 0 {
-		t.Errorf("dedupe reports %d hits but no spans classified memo", dd.Hits)
+	if s.FastCheck.Count != m.Fastpath.Conclusive() {
+		t.Errorf("fastcheck spans = %d, conclusive fast-path checks = %d", s.FastCheck.Count, m.Fastpath.Conclusive())
 	}
-	// The memo span count is exactly the dedupe hit count: the host
-	// classifies an iteration as memo iff the shared memo recorded a hit.
-	if dd := m.Stats.Dedupe; s.Memo.Count != dd.Hits {
-		t.Errorf("memo spans = %d, dedupe hits = %d", s.Memo.Count, dd.Hits)
+	if s.Memo.Count != 0 {
+		t.Errorf("a campaign booked %d memo spans", s.Memo.Count)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/gp"
@@ -44,8 +43,7 @@ func serviceShapeSpec(samples int, baseSeed int64) core.Spec {
 // steady state costs: by the third shard every item runs on a machine an
 // earlier item gave back, with the kit (recorder, host buffers, random
 // sources, test buffer) that came with it, so an item allocates what its
-// own tracker, generator and memo entries need — not a machine, and not
-// a recorder. Building a machine per item cost 632 kB and 2 768 objects;
+// own tracker and generator need — not a machine, and not a recorder. Building a machine per item cost 632 kB and 2 768 objects;
 // building the kit per item, 116 kB and 640.
 func TestShardSteadyStateAllocationBudget(t *testing.T) {
 	spec := serviceShapeSpec(4, 5)
@@ -103,7 +101,7 @@ func TestConcurrentShardsOwnTheirMachines(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := &shardRun{spec: spec, r: whole, opts: DefaultOptions().withDefaults(), memo: collective.NewMemo()}
+			s := &shardRun{spec: spec, r: whole, opts: DefaultOptions().withDefaults()}
 			for item := 0; item < spec.Items(); item++ {
 				camp, err := s.newCampaign(item)
 				if err != nil {

@@ -18,15 +18,12 @@ var sweepNames = []string{"mesi-tso", "mesi-pso", "mesi-rmo", "mesi-sc"}
 func TestScenarioSweepDeterminism(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 2, 10, 77, sweepNames...)
 	run := func(workers int) []core.Result {
-		m, err := LocalMerged(context.Background(), spec, Options{Workers: workers, Collective: true})
+		m, err := LocalMerged(context.Background(), spec, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Stats.Items != len(sweepNames)*2 {
 			t.Fatalf("stats items = %d, want %d", m.Stats.Items, len(sweepNames)*2)
-		}
-		if m.MemoDedupe.Checks == 0 {
-			t.Error("sweep did not share a collective memo")
 		}
 		return m.Results
 	}
@@ -61,7 +58,7 @@ func TestScenarioSweepFindsBug(t *testing.T) {
 	buggy.Name = "mesi-tso-lqbug"
 	buggy.Bugs = []string{"LQ+no-TSO"}
 	spec := core.NewSpec(scaledConfig(core.GenRandom, "", 60), []scenario.Scenario{clean, buggy}, 1, 100)
-	m, err := LocalMerged(context.Background(), spec, Options{Collective: true})
+	m, err := LocalMerged(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func TestScenarioSweepFindsBug(t *testing.T) {
 func TestScenarioSweepObsAndFastpath(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 2, 10, 77, sweepNames[:2]...)
 	run := func(on bool) Merged {
-		m, err := LocalMerged(context.Background(), spec, Options{Collective: true, Obs: on})
+		m, err := LocalMerged(context.Background(), spec, Options{Obs: on})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -72,27 +71,16 @@ type ShardResult struct {
 	// enters the merged CanonicalBytes: wall time is the one shard
 	// output that is NOT a pure function of (spec, range).
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-	// Fastpath sums the per-item fast-path checker tallies. A single
-	// shard's total is deterministic (the shared memo computes each
-	// unique signature exactly once), but the sum over a partition is
-	// not — memos never cross shard boundaries, so a signature shared by
-	// two items lands in one shard's Fastpath.Checks or two depending on
-	// where the cut falls. It therefore rides next to Obs: across the
-	// wire for operator visibility, never into CanonicalBytes.
+	// Fastpath sums the per-item fast-path checker tallies: every
+	// iteration is checked, so it is a pure function of (spec, range).
+	// It counts checker work, not simulated events, so it rides the wire
+	// for operator visibility and stays out of CanonicalBytes.
 	Fastpath stats.Fastpath `json:"fastpath"`
-	// MemoDedupe snapshots the shard's shared verdict memo, including
-	// the Durable tier's hit count when a store is attached. Like
-	// Fastpath it is partition-dependent (memos never cross shard
-	// boundaries), so it rides the wire for operator visibility but
-	// stays out of the merged CanonicalBytes.
-	MemoDedupe stats.Dedupe `json:"memo_dedupe"`
 }
 
 // RunShard executes one range of spec's items in-process: each item is
 // an independent campaign with its spec-derived scenario and seed.
-// Under opts.Collective all items in the shard share one verdict memo
-// (memos never cross process boundaries; Results are identical either
-// way). Events carry the item's global index in Sample.
+// Events carry the item's global index in Sample.
 //
 // Islands and StopOnFound are honoured when r is the whole spec and
 // rejected for a strict sub-range: island migration couples samples
@@ -120,12 +108,6 @@ func RunShard(ctx context.Context, spec core.Spec, r Range, opts Options) (Shard
 	}
 
 	s := &shardRun{spec: spec, r: r, opts: opts.withDefaults()}
-	if opts.Collective {
-		s.memo = collective.NewMemo()
-		if opts.Store != nil {
-			s.memo.SetStore(opts.Store)
-		}
-	}
 	if opts.Obs {
 		s.ps = &obs.PhaseStats{}
 	}
@@ -141,9 +123,6 @@ func RunShard(ctx context.Context, spec core.Spec, r Range, opts Options) (Shard
 	}
 
 	out := ShardResult{Range: r, Results: results, CoverageMixed: s.cov.mixed, Fastpath: s.fp}
-	if s.memo != nil {
-		out.MemoDedupe = s.memo.Stats()
-	}
 	out.CoverageKey, out.CoverageCounts = s.cov.merged()
 	if s.ps != nil {
 		snap := s.ps.Snapshot()
@@ -152,14 +131,13 @@ func RunShard(ctx context.Context, spec core.Spec, r Range, opts Options) (Shard
 	return out, err
 }
 
-// shardRun is what the campaigns of one RunShard call share: the memo
-// and phase tracer they record into, and the coverage and fast-path
-// aggregates they fold into as they finish.
+// shardRun is what the campaigns of one RunShard call share: the phase
+// tracer they record into, and the coverage and fast-path aggregates
+// they fold into as they finish.
 type shardRun struct {
 	spec core.Spec
 	r    Range
 	opts Options
-	memo *collective.Memo
 	ps   *obs.PhaseStats
 
 	mu  sync.Mutex
@@ -168,13 +146,12 @@ type shardRun struct {
 }
 
 // newCampaign builds item's campaign from the spec and hooks it to the
-// shard's memo and tracer.
+// shard's tracer.
 func (s *shardRun) newCampaign(item int) (*core.Campaign, error) {
 	cfg, err := s.spec.ItemConfig(item)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Memo = s.memo
 	camp, err := core.NewCampaign(cfg)
 	if err != nil {
 		return nil, err

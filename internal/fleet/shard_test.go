@@ -61,7 +61,7 @@ func TestRunShardEventsAndGuards(t *testing.T) {
 		done <- seen
 	}()
 	sr, err := RunShard(context.Background(), spec, Range{Start: 1, End: 3},
-		Options{Collective: true, Events: events})
+		Options{Events: events})
 	close(events)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestShardCrossProtocolCoverage(t *testing.T) {
 		t.Skip("cross-protocol shard is covered by the merge property tests")
 	}
 	spec := shardSpec(core.GenRandom, 1, 4, 9, "mesi-tso", "tsocc-tso")
-	sr, err := RunShard(context.Background(), spec, Range{Start: 0, End: 2}, Options{Collective: true})
+	sr, err := RunShard(context.Background(), spec, Range{Start: 0, End: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,9 +120,6 @@ type RunResult struct {
 	Ticks sim.Tick
 	// Iterations is how many iterations actually executed.
 	Iterations int
-	// Dedupe is the run's collective-checking tally (zero when the
-	// recorder checks naively).
-	Dedupe stats.Dedupe
 	// Fastpath is the run's checker fast-path outcome tally (zero when
 	// the fast path is disabled).
 	Fastpath stats.Fastpath
@@ -153,10 +150,10 @@ type Host struct {
 
 	// obs, when non-nil, receives per-phase wall-clock spans for every
 	// test-run: compile under testgen, execution under sim, and
-	// verification under check or memo depending on whether the
-	// iteration's signature resolved from the collective memo. Spans
-	// are a pure side channel — they never influence simulation or
-	// verdicts, so results are identical with obs on or off.
+	// verification under fastcheck or check depending on whether the
+	// fast path decided the iteration. Spans are a pure side channel —
+	// they never influence simulation or verdicts, so results are
+	// identical with obs on or off.
 	obs *obs.PhaseStats
 
 	// Buffers RunTest reuses from one test-run to the next, and Reset from
@@ -326,25 +323,18 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 			}
 			return RunResult{}, runErr
 		}
-		// Verification time splits three ways: an iteration whose
-		// signature was already decided is a memo hit (lookup only);
-		// otherwise the lap is fastcheck when the clock-rule fast path
-		// answered conclusively and check when the exact checker ran.
-		// Both classifications come from the recorder's own counter
-		// deltas, so no checker-layer hook is needed.
-		var hits0, fast0 uint64
+		// The verification lap is fastcheck when the clock-rule fast path
+		// answered conclusively and check otherwise, read off the
+		// recorder's own fast-path counter, so no checker-layer hook is
+		// needed.
+		var fast0 uint64
 		if h.obs != nil {
-			hits0 = h.rec.Dedupe().Hits
 			fast0 = h.rec.Fastpath().Conclusive()
 		}
 		v := h.rec.EndIteration()
 		checkPhase := obs.PhaseCheck
-		if h.obs != nil {
-			if h.rec.Dedupe().Hits > hits0 {
-				checkPhase = obs.PhaseMemo
-			} else if h.rec.Fastpath().Conclusive() > fast0 {
-				checkPhase = obs.PhaseFastCheck
-			}
+		if h.obs != nil && h.rec.Fastpath().Conclusive() > fast0 {
+			checkPhase = obs.PhaseFastCheck
 		}
 		lap(checkPhase)
 		if v != nil {
@@ -359,7 +349,6 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 	}
 
 	res.NDT = h.rec.NDT()
-	res.Dedupe = h.rec.Dedupe()
 	res.Fastpath = h.rec.Fastpath()
 	res.Ticks = h.m.Sim.Now() - start
 	h.runs++

@@ -8,7 +8,7 @@ import (
 
 // NewMergefields returns the mergefields analyzer: for every
 // merge-shaped method — a method named Merge*/Union* whose single
-// parameter has the receiver's own type (stats.Dedupe.Merge,
+// parameter has the receiver's own type (stats.Fastpath.Merge,
 // obs.Snapshot.Merge, ...) — every mergeable field of the type must be
 // mentioned somewhere in the method, directly or via other methods of
 // the same type it calls. "Added a counter, forgot

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checker"
-	"repro/internal/collective"
 	"repro/internal/host"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
@@ -113,11 +112,6 @@ type SuiteConfig struct {
 	MaxPasses int
 	// MaxTicksPerIteration is the watchdog.
 	MaxTicksPerIteration sim.Tick
-	// Memo, when non-nil, enables collective checking on the suite's
-	// recorder. Litmus detection is self-checking (read values and
-	// final state), so the verdict memo cannot change outcomes — it
-	// only deduplicates the recorder's bookkeeping checks.
-	Memo *collective.Memo
 }
 
 // DefaultSuiteConfig returns a scaled-down campaign configuration.
@@ -139,10 +133,6 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 	mcfg := cfg.Machine
 	mcfg.Seed = seed
 	rec := checker.NewRecorder(memmodel.TSO{})
-	rec.SetMemo(cfg.Memo)
-	// Litmus runs are a distinct machine contract from campaign runs
-	// (different reset/program regime); confine any shared memo.
-	rec.SetScope("litmus:" + string(mcfg.Protocol))
 	trap := host.NewErrorTrap()
 	m, err := machine.New(mcfg, nil, trap, rec)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bugs"
-	"repro/internal/collective"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
 )
@@ -136,33 +135,5 @@ func TestSuiteMissesReplacementBugs(t *testing.T) {
 	}
 	if res.Found {
 		t.Errorf("replacement bug unexpectedly found by litmus: %s", res.Detail)
-	}
-}
-
-// TestSuiteCollectiveMatchesNaive: running the full generated suite
-// with a verdict memo must report the identical SuiteResult as the
-// naive run — collective checking may not perturb litmus outcomes.
-func TestSuiteCollectiveMatchesNaive(t *testing.T) {
-	tests := Generate(memmodel.TSO{}, 6, 38)
-	cfg := DefaultSuiteConfig()
-	cfg.IterationsPerTest = 2
-	cfg.MaxPasses = 1
-	naive, err := RunSuite(cfg, tests, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Memo = collective.NewMemo()
-	coll, err := RunSuite(cfg, tests, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive != coll {
-		t.Fatalf("collective run diverged:\n got %+v\nwant %+v", coll, naive)
-	}
-	if cfg.Memo.Len() == 0 {
-		t.Fatal("suite run never touched the memo")
-	}
-	if d := cfg.Memo.Stats(); d.Hits == 0 {
-		t.Fatalf("litmus iterations produced no dedupe hits: %+v", d)
 	}
 }

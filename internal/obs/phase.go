@@ -32,12 +32,12 @@ const (
 	// detections also land here: the fast path found the violation and
 	// only the witness was re-derived exactly).
 	PhaseFastCheck
-	// PhaseCheck covers full memmodel/collective verdict computation —
-	// iterations whose execution signature had not been seen before and
-	// the fast path could not decide (or was disabled).
+	// PhaseCheck covers full memmodel verdict computation — executions
+	// the fast path could not decide (or was disabled). A campaign books
+	// every verification lap the fast path did not decide here.
 	PhaseCheck
-	// PhaseMemo covers the collective-checking memo hit path —
-	// iterations resolved by signature lookup without a model check.
+	// PhaseMemo covers the oracle's verdict-memo hit path — traces
+	// resolved by signature lookup without a model check.
 	PhaseMemo
 	// PhaseMerge covers shard-result merging and canonical encoding.
 	PhaseMerge

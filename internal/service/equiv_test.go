@@ -84,7 +84,7 @@ func TestServiceDistributedEquivalence(t *testing.T) {
 	want := referenceBytes(t, spec)
 
 	obsOn, err := fleet.LocalMerged(context.Background(), spec,
-		fleet.Options{Collective: true, Obs: true})
+		fleet.Options{Obs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -65,12 +64,6 @@ type Config struct {
 	// completed shard results and terminal states are persisted as
 	// JSON and recovered by New after a restart.
 	CheckpointDir string
-	// VerdictStore, when non-nil, is the durable verdict tier the
-	// embedded worker pool threads under every shard's collective memo
-	// (remote workers attach their own via WorkerOptions.Store). The
-	// caller owns its lifecycle — open it before New, close it after
-	// the workers drain. Merged results are byte-identical either way.
-	VerdictStore collective.VerdictStore
 	// Now is the clock (tests inject a fake one).
 	Now func() time.Time
 }

@@ -49,7 +49,7 @@ func testSpec(gen core.GeneratorKind, samples, budget int, seed int64, names ...
 // must reproduce at every topology.
 func referenceBytes(t *testing.T, spec core.Spec) []byte {
 	t.Helper()
-	ref, err := fleet.LocalMerged(context.Background(), spec, fleet.Options{Collective: true})
+	ref, err := fleet.LocalMerged(context.Background(), spec, fleet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestServiceKillAndResume(t *testing.T) {
 
 	// A zombie completion against the lost lease is rejected and
 	// discarded.
-	sr, err := fleet.RunShard(context.Background(), spec, doomed.Range, fleet.Options{Collective: true})
+	sr, err := fleet.RunShard(context.Background(), spec, doomed.Range, fleet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestServiceKillAndResume(t *testing.T) {
 		if l == nil {
 			break
 		}
-		out, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{Collective: true})
+		out, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func drainClaims(t *testing.T, s *Service) {
 		if l == nil {
 			return
 		}
-		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{Collective: true})
+		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +444,7 @@ func TestServiceCheckpointRestart(t *testing.T) {
 		if err != nil || l == nil || l.Campaign != want {
 			t.Fatalf("claim order: got %+v, want campaign %s", l, want)
 		}
-		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{Collective: true})
+		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
@@ -38,11 +37,6 @@ type WorkerOptions struct {
 	// way (the snapshot also rides the ShardResult to the service);
 	// results are byte-identical regardless.
 	Obs *obs.Agg
-	// Store, when non-nil, is the durable verdict tier shared by every
-	// shard this worker runs: signatures decided in earlier shards,
-	// runs, or processes are answered from disk. Shard results are
-	// byte-identical with or without it.
-	Store collective.VerdictStore
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -56,10 +50,10 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 }
 
 // RunWorker claims and executes leases until ctx is cancelled. Each
-// lease runs through fleet.RunShard with collective checking on; a
-// renewal heartbeat at TTL/3 keeps the lease alive across long shards,
-// and a lease lost mid-run (service restart, TTL missed under
-// overload) cancels the run and discards the shard — the service has
+// lease runs through fleet.RunShard; a renewal heartbeat at TTL/3 keeps
+// the lease alive across long shards, and a lease lost mid-run (service
+// restart, TTL missed under overload) cancels the run and discards the
+// shard — the service has
 // already re-issued the range, and the re-run produces identical
 // bytes. Shard errors are reported via Fail so the service can re-issue
 // or give up.
@@ -119,10 +113,8 @@ func runLease(ctx context.Context, src Source, lease *Lease, opts WorkerOptions)
 	}()
 
 	sr, err := fleet.RunShard(runCtx, lease.Spec, lease.Range, fleet.Options{
-		Workers:    opts.FleetWorkers,
-		Collective: true,
-		Obs:        true,
-		Store:      opts.Store,
+		Workers: opts.FleetWorkers,
+		Obs:     true,
 	})
 	// Read before the cancel below: a run cut off because the lease was
 	// lost or the worker is stopping is abandoned, not failed.
@@ -181,7 +173,6 @@ func (s *Service) StartWorkers(ctx context.Context, n int) *sync.WaitGroup {
 				Name:         fmt.Sprintf("embedded-%d", i),
 				Poll:         5 * time.Millisecond,
 				FleetWorkers: s.cfg.FleetWorkers,
-				Store:        s.cfg.VerdictStore,
 			})
 		}(i)
 	}

@@ -1,7 +1,7 @@
 // Package stats provides the small set of summary statistics used by the
 // evaluation harness (arithmetic means over samples, as reported in
-// Table 4 of the paper, plus dispersion measures for EXPERIMENTS.md) and
-// the collective-checking dedupe counters surfaced by the fleet.
+// Table 4 of the paper, plus dispersion measures for EXPERIMENTS.md), the
+// verdict memo's counters and the checker fast path's.
 package stats
 
 import (
@@ -9,10 +9,10 @@ import (
 	"sort"
 )
 
-// Dedupe aggregates collective-checking counters: how many candidate
-// executions were submitted to the checker, how many were signature
-// duplicates of an earlier one (hits, skipping a full model check), and
-// how many distinct signatures were seen.
+// Dedupe is a verdict memo's counters (collective.Memo.Stats): how many
+// candidate executions were submitted to the checker, how many were
+// signature duplicates of an earlier one (hits, skipping a full model
+// check), and how many distinct signatures were seen.
 type Dedupe struct {
 	// Checks is the number of candidate executions submitted.
 	Checks uint64
@@ -27,24 +27,6 @@ type Dedupe struct {
 	// not of Hits: the store answers the *first* in-process submission
 	// of a signature, so Checks - Unique == Hits still holds.
 	Durable uint64
-}
-
-// Note records one submission.
-func (d *Dedupe) Note(hit bool) {
-	d.Checks++
-	if hit {
-		d.Hits++
-	} else {
-		d.Unique++
-	}
-}
-
-// Merge folds o's counters into d.
-func (d *Dedupe) Merge(o Dedupe) {
-	d.Checks += o.Checks
-	d.Hits += o.Hits
-	d.Unique += o.Unique
-	d.Durable += o.Durable
 }
 
 // HitRate returns Hits/Checks, or 0 when nothing was checked.
@@ -78,8 +60,8 @@ func (d Dedupe) String() string {
 // executions the clock-rule checker saw, how many it proved valid on
 // its own, how many violations it detected itself, and how many fell
 // back to the exact checker (unsupported model or malformed
-// execution). Like Dedupe the fields are commutative sums, so any
-// partition of the same check stream merges to the same totals.
+// execution). The fields are commutative sums, so any partition of the
+// same check stream merges to the same totals.
 type Fastpath struct {
 	// Checks is the number of executions submitted to the fast path.
 	Checks uint64

@@ -11,8 +11,11 @@
 //     shared L2 over a 2×4 mesh, under a two-level directory MESI or the
 //     lazy TSO-CC coherence protocol (Table 2);
 //   - an axiomatic memory-model checker (SC, TSO, PSO and RMO) with full
-//     conflict-order visibility, polynomial per-execution checking
-//     (§4.1);
+//     conflict-order visibility, checking every iteration's execution
+//     as it finishes, in polynomial time (§4.1); the same checker serves
+//     recorded traces as an oracle (package oracle, cmd/check), where a
+//     verdict memo and an on-disk verdict store answer traces checked
+//     before;
 //   - the GP engine with the paper's selective crossover (Algorithm 1),
 //     NDT/NDe test-suitability metrics (Definitions 1–3) and adaptive
 //     structural-coverage fitness (§3.2);
@@ -40,8 +43,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bugs"
-	"repro/internal/collective"
-	"repro/internal/collective/store"
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/cpu"
@@ -189,38 +190,8 @@ func RunCampaignSet(ctx context.Context, cfg CampaignConfig, scens []Scenario, s
 	return fleet.LocalMerged(ctx, core.NewSpec(cfg, scens, samples, baseSeed), opts)
 }
 
-// CollectiveMemo is a concurrency-safe verdict memo table for
-// collective checking: candidate executions are collapsed to canonical
-// order-independent signatures and each unique (test, observed-
-// ordering) pair is model-checked at most once per memo lifetime. Set
-// CampaignConfig.Memo for a single campaign; FleetOptions.Collective
-// shares one memo across all of a campaign set's samples. Verdicts are
-// identical with or without a memo; only the checking work shrinks.
-type CollectiveMemo = collective.Memo
-
-// NewCollectiveMemo returns an empty verdict memo, e.g. for sharing
-// verdicts across several Run calls via CampaignConfig.Memo.
-func NewCollectiveMemo() *CollectiveMemo { return collective.NewMemo() }
-
-// VerdictStore is the durable tier beneath a CollectiveMemo: verdicts
-// keyed by scoped signature, persisted across processes and campaigns.
-type VerdictStore = collective.VerdictStore
-
-// DurableVerdictStore is the bundled append-only on-disk VerdictStore
-// (crash-safe segments, CRC-checked records; see
-// internal/collective/store).
-type DurableVerdictStore = store.Store
-
-// OpenVerdictStore opens (creating if needed) the append-only on-disk
-// verdict store in dir. Attach it via FleetOptions.Store — campaigns in
-// later runs (or other processes pointed at the same directory) answer
-// already-decided signatures from disk, reported as Dedupe.Durable.
-// Results are byte-identical with or without a store. Close it after
-// the fleet run to flush and fsync the active segment.
-func OpenVerdictStore(dir string) (*store.Store, error) { return store.Open(dir) }
-
 // FleetOptions tune a parallel campaign fleet (worker count, early
-// stop, GP island migration, collective checking, progress events).
+// stop, GP island migration, progress events, phase spans).
 type FleetOptions = fleet.Options
 
 // FleetEvent is one streamed fleet progress report.

@@ -33,18 +33,15 @@ import (
 	"repro/internal/core"
 )
 
-// resultHash fingerprints every field of a campaign result except
-// Dedupe, each written as name=%#v. %#v never calls Result.String, which
-// prints only the verdict, test-runs, sim-seconds, coverage and maxNDT;
-// SumFitness, Committed, SimTicks, LastNDT and Detail are hashed too.
-// Dedupe counts memo traffic, not simulated events.
+// resultHash fingerprints every field of a campaign result, each written
+// as name=%#v. %#v never calls Result.String, which prints only the
+// verdict, test-runs, sim-seconds, coverage and maxNDT; SumFitness,
+// Committed, SimTicks, LastNDT and Detail are hashed too.
 func resultHash(r core.Result) string {
 	v := reflect.ValueOf(r)
 	var b strings.Builder
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "Dedupe" {
-			fmt.Fprintf(&b, "%s=%#v;", name, v.Field(i).Interface())
-		}
+		fmt.Fprintf(&b, "%s=%#v;", v.Type().Field(i).Name, v.Field(i).Interface())
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
 }
@@ -97,7 +94,6 @@ func TestSimPathIdentity(t *testing.T) {
 				cfg := tc.cfg(t)
 				cfg.MaxTestRuns = tc.runs
 				cfg.Seed = p.seed
-				cfg.Memo = NewCollectiveMemo()
 				res, err := core.RunCampaign(cfg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", p.seed, err)
@@ -110,13 +106,12 @@ func TestSimPathIdentity(t *testing.T) {
 	}
 }
 
-// pinnedCampaign builds tc's campaign at seed with a memo of its own.
+// pinnedCampaign builds tc's campaign at seed.
 func pinnedCampaign(t *testing.T, tc identityCase, seed int64) *core.Campaign {
 	t.Helper()
 	cfg := tc.cfg(t)
 	cfg.MaxTestRuns = tc.runs
 	cfg.Seed = seed
-	cfg.Memo = NewCollectiveMemo()
 	camp, err := core.NewCampaign(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -135,9 +130,8 @@ func pinnedCampaign(t *testing.T, tc identityCase, seed int64) *core.Campaign {
 // forced watchdog leaves every core mid-program. Every pin also runs on
 // the kit (recorder, host buffers, random sources) a campaign of another
 // model or of the rand generator parked on its machine (onKitLeftBy).
-// The subtests run
-// one after another, so between a Release and the next NewCampaign
-// nobody else takes from the process-wide idle list.
+// The subtests run one after another, so between a Release and the next
+// NewCampaign nobody else takes from the process-wide idle list.
 func TestMachineReuseIdentity(t *testing.T) {
 	for _, tc := range identityCases() {
 		tc := tc
@@ -250,7 +244,7 @@ func otherShapes(t *testing.T, tc identityCase) []CampaignConfig {
 // to the pinned hash and to ref.
 func onKitLeftBy(t *testing.T, tc identityCase, p identityPin, other CampaignConfig, ref core.Result) {
 	t.Helper()
-	other.MaxTestRuns, other.Seed, other.Memo = 10, p.seed+2000, NewCollectiveMemo()
+	other.MaxTestRuns, other.Seed = 10, p.seed+2000
 	left, err := core.NewCampaign(other)
 	if err != nil {
 		t.Fatal(err)
