@@ -31,13 +31,19 @@ func main() {
 	parallel := flag.Int("parallel", 0, "intra-shard fleet workers (0 = all cores)")
 	flag.Parse()
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "mcversi-worker: unexpected argument %q\n", flag.Arg(0))
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mcversi-worker: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *server == "" {
-		fmt.Fprintln(os.Stderr, "mcversi-worker: -server is required")
-		os.Exit(2)
+	switch {
+	case flag.NArg() > 0:
+		usage("unexpected argument %q", flag.Arg(0))
+	case *server == "":
+		usage("-server is required")
+	case *poll <= 0:
+		usage("-poll must be positive, got %v", *poll)
+	case *parallel < 0:
+		usage("-parallel must not be negative, got %d", *parallel)
 	}
 	if *name == "" {
 		host, err := os.Hostname()

@@ -248,9 +248,10 @@ func runLocal(ctx context.Context, spec core.Spec, opts fleet.Options, stderr io
 	return merged, err
 }
 
-// runRemote submits the spec to a mcversid service, narrates its event
-// stream under progress, and fetches the merged result: the decoded
-// aggregate and the exact bytes the service produced.
+// runRemote submits the spec to a mcversid service, waits for it —
+// narrating its progress log under progress — and fetches the merged
+// result: the decoded aggregate and the exact bytes the service
+// produced.
 func runRemote(ctx context.Context, url, tenant string, spec core.Spec, progress bool, stderr io.Writer) (fleet.Merged, []byte, error) {
 	client := service.NewClient(url)
 	id, err := client.Submit(ctx, tenant, spec)
@@ -259,7 +260,8 @@ func runRemote(ctx context.Context, url, tenant string, spec core.Spec, progress
 	}
 	fmt.Fprintf(stderr, "mcversi: submitted campaign %s to %s (%d items)\n", id, url, spec.Items())
 	if progress {
-		err := client.Events(ctx, id, func(ev service.Event) bool {
+		var failed error
+		err = client.Events(ctx, id, func(ev service.Event) bool {
 			switch ev.Type {
 			case service.EventSample:
 				if ev.Result != nil {
@@ -269,14 +271,18 @@ func runRemote(ctx context.Context, url, tenant string, spec core.Spec, progress
 				fmt.Fprintf(stderr, "[fleet] shard %s leased to %s\n", ev.Shard, ev.Worker)
 			case service.EventExpired:
 				fmt.Fprintf(stderr, "[fleet] shard %s lease expired on %s, re-issuing\n", ev.Shard, ev.Worker)
+			case service.EventFailed:
+				failed = fmt.Errorf("service: campaign failed: %s", ev.Err)
 			}
 			return true
 		})
-		if err != nil {
-			return fleet.Merged{}, nil, err
+		if err == nil {
+			err = failed
 		}
+	} else {
+		_, err = client.WaitDone(ctx, id, 100*time.Millisecond)
 	}
-	if _, err := client.WaitDone(ctx, id, 100*time.Millisecond); err != nil {
+	if err != nil {
 		return fleet.Merged{}, nil, err
 	}
 	data, err := client.ResultBytes(ctx, id)
@@ -291,7 +297,7 @@ func runRemote(ctx context.Context, url, tenant string, spec core.Spec, progress
 }
 
 // renderEvent writes one progress line to stderr; local fleet events
-// and remote SSE sample events read identically.
+// and remote sample events read identically.
 func renderEvent(w io.Writer, ev fleet.Event) {
 	state := "epoch"
 	switch {

@@ -10,11 +10,16 @@
 // embedded worker pool (-workers) and/or remote cmd/mcversi-worker
 // processes; merged results are byte-identical regardless of the mix.
 //
-// Observability rides on the same listener: GET /metrics serves the
-// Prometheus text exposition and GET /statusz a JSON status page with
-// per-campaign phase breakdowns. -debug-addr starts a second listener
-// with net/http/pprof (opt-in so profiling endpoints never share the
-// public port).
+// The admission, lease and retention limits are fixed (see
+// internal/service): 4 running and 64 queued campaigns, 8 pending per
+// tenant, 4096 items per campaign, a 30 s lease TTL, 5 attempts per
+// shard, and the 64 most recent finished campaigns kept.
+//
+// GET /statusz on the same listener is the one status page: service
+// counters and every retained campaign with its phase breakdown; on
+// SIGTERM the daemon logs its in-flight work from it. -debug-addr
+// starts a second listener with net/http/pprof (opt-in so profiling
+// endpoints never share the public port).
 package main
 
 import (
@@ -36,35 +41,30 @@ func main() {
 	listen := flag.String("listen", ":8433", "HTTP listen address")
 	workers := flag.Int("workers", 1, "embedded worker count (0 = remote workers only)")
 	parallel := flag.Int("parallel", 0, "intra-shard fleet workers per embedded worker (0 = all cores)")
-	shardSize := flag.Int("shard-size", 0, "lease granularity in items (0 = default)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "lease TTL before a silent worker's range is re-issued (0 = default 30s)")
-	maxActive := flag.Int("max-active", 0, "concurrently running campaigns (0 = default)")
-	maxQueued := flag.Int("max-queued", 0, "queued campaign cap (0 = default)")
-	tenantPending := flag.Int("tenant-pending", 0, "per-tenant queued+running cap (0 = default)")
-	maxItems := flag.Int("max-items", 0, "per-campaign item cap (0 = default)")
-	maxAttempts := flag.Int("max-attempts", 0, "lease re-issues per shard before the campaign fails (0 = default)")
+	shardSize := flag.Int("shard-size", 0, "lease granularity in items (0 = 4)")
 	checkpoint := flag.String("checkpoint", "", "durable campaign directory (empty = in-memory only)")
-	retain := flag.Int("retain", 0, "finished campaigns kept before the oldest are evicted (0 = default 64)")
 	debugAddr := flag.String("debug-addr", "", "net/http/pprof listen address (empty = disabled)")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "mcversid: unexpected argument %q\n", flag.Arg(0))
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mcversid: "+format+"\n", args...)
 		os.Exit(2)
 	}
-
-	cfg := service.Config{
-		MaxActive:        *maxActive,
-		MaxQueued:        *maxQueued,
-		TenantMaxPending: *tenantPending,
-		MaxItems:         *maxItems,
-		ShardSize:        *shardSize,
-		LeaseTTL:         *leaseTTL,
-		MaxAttempts:      *maxAttempts,
-		FleetWorkers:     *parallel,
-		CheckpointDir:    *checkpoint,
-		RetainTerminal:   *retain,
+	switch {
+	case flag.NArg() > 0:
+		usage("unexpected argument %q", flag.Arg(0))
+	case *workers < 0:
+		usage("-workers must not be negative, got %d", *workers)
+	case *parallel < 0:
+		usage("-parallel must not be negative, got %d", *parallel)
+	case *shardSize < 0:
+		usage("-shard-size must not be negative, got %d", *shardSize)
 	}
-	svc, err := service.New(cfg)
+
+	svc, err := service.New(service.Config{
+		ShardSize:     *shardSize,
+		FleetWorkers:  *parallel,
+		CheckpointDir: *checkpoint,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcversid:", err)
 		os.Exit(1)
@@ -106,12 +106,12 @@ func main() {
 	srv := &http.Server{Addr: *listen, Handler: svc.Handler()}
 	go func() {
 		<-ctx.Done()
-		// Graceful drain: flip mcversid_draining, log what is in flight
-		// (leases are simply abandoned — their ranges re-run to identical
-		// bytes; queued/running campaigns recover from checkpoints).
-		d := svc.Drain()
+		// Graceful drain: log what is in flight (leases are simply
+		// abandoned — their ranges re-run to identical bytes; queued and
+		// running campaigns recover from checkpoints).
+		st := svc.Statusz().Stats
 		fmt.Fprintf(os.Stderr, "mcversid: draining: %d lease(s) in flight, %d queued + %d running campaign(s)\n",
-			d.Leases, d.Queued, d.Running)
+			st.Leases, st.Queued, st.Running)
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(shutCtx)

@@ -1,3 +1,14 @@
+// Package obs is the framework's phase-span tracer: spans attribute
+// wall time to the stages of the verification pipeline, and per-run
+// breakdowns aggregate into a deterministic, mergeable Snapshot.
+//
+// Instrumentation never participates in the deterministic result
+// surface: spans are wall-clock side channels that ride outside
+// fleet.Merged.CanonicalBytes, so an instrumented campaign is
+// byte-identical to an uninstrumented one.
+//
+// Every handle type is nil-safe — methods on a nil *PhaseStats or *Agg
+// are no-ops — so call sites need no "is obs on?" branches of their own.
 package obs
 
 import (
@@ -53,16 +64,6 @@ func (p Phase) String() string {
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
 	return phaseNames[p]
-}
-
-// Phases lists all phases in order — the iteration helper for metric
-// registration and rendering.
-func Phases() [NumPhases]Phase {
-	var out [NumPhases]Phase
-	for i := range out {
-		out[i] = Phase(i)
-	}
-	return out
 }
 
 // PhaseStats is the hot-path span accumulator: one atomic pair per

@@ -28,11 +28,21 @@ func TestPhaseStatsObserveAndSnapshot(t *testing.T) {
 	if total := s.TotalNs(); total != int64(3500*time.Millisecond) {
 		t.Errorf("total = %d", total)
 	}
+}
 
-	var nilPS *PhaseStats
-	nilPS.Observe(PhaseSim, time.Hour)
-	if !nilPS.Snapshot().Empty() {
+// TestNilHandlesAreNoOps: a nil *PhaseStats or *Agg is the disabled
+// tracer, so call sites need no enable flag of their own.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var ps *PhaseStats
+	ps.Observe(PhaseSim, time.Hour)
+	ps.ObserveN(PhaseSim, int64(time.Hour), 3)
+	if !ps.Snapshot().Empty() {
 		t.Error("nil PhaseStats accumulated spans")
+	}
+	var agg *Agg
+	agg.Absorb(Span(PhaseSim, time.Second))
+	if !agg.Snapshot().Empty() {
+		t.Error("nil Agg accumulated")
 	}
 }
 
@@ -52,7 +62,7 @@ func TestPhaseStatsConcurrent(t *testing.T) {
 	wg.Wait()
 	s := ps.Snapshot()
 	var count uint64
-	for _, p := range Phases() {
+	for p := Phase(0); p < NumPhases; p++ {
 		count += s.Phase(p).Count
 	}
 	if count != workers*spans {
@@ -63,7 +73,7 @@ func TestPhaseStatsConcurrent(t *testing.T) {
 // randomSnapshot builds a snapshot with pseudo-random per-phase values.
 func randomSnapshot(rng *rand.Rand) Snapshot {
 	var s Snapshot
-	for _, p := range Phases() {
+	for p := Phase(0); p < NumPhases; p++ {
 		s.set(p, PhaseStat{Ns: int64(rng.Intn(1_000_000)), Count: uint64(rng.Intn(100))})
 	}
 	return s
@@ -135,12 +145,6 @@ func TestSpanAndString(t *testing.T) {
 }
 
 func TestAgg(t *testing.T) {
-	var nilAgg *Agg
-	nilAgg.Absorb(Span(PhaseSim, time.Second))
-	if !nilAgg.Snapshot().Empty() {
-		t.Error("nil Agg accumulated")
-	}
-
 	agg := &Agg{}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -160,9 +164,9 @@ func TestAgg(t *testing.T) {
 
 func TestPhaseNames(t *testing.T) {
 	want := []string{"testgen", "sim", "decode", "fastcheck", "check", "memo", "merge"}
-	for i, p := range Phases() {
-		if p.String() != want[i] {
-			t.Errorf("phase %d = %q, want %q", i, p, want[i])
+	for p := Phase(0); p < NumPhases; p++ {
+		if p.String() != want[p] {
+			t.Errorf("phase %d = %q, want %q", int(p), p, want[p])
 		}
 	}
 	if got := Phase(99).String(); got != "phase(99)" {

@@ -172,7 +172,7 @@ func (s *Service) restoreLocked(data []byte) (*campaign, error) {
 	}
 	c := &campaign{
 		id: ck.ID, tenant: ck.Tenant, spec: ck.Spec,
-		errMsg: ck.Err, subs: map[int]chan Event{},
+		errMsg:    ck.Err,
 		submitted: ck.Submitted, finished: ck.Finished,
 	}
 	items := ck.Spec.Items()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -32,9 +31,10 @@ func NewClient(base string) *Client {
 	}
 }
 
-// do issues a request and decodes the error body on non-2xx statuses,
-// restoring the sentinel errors the server mapped onto HTTP codes.
-func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
+// do issues a request, with an X-Tenant header when tenant is set, and
+// turns an error status into an error, restoring the sentinel its body
+// names.
+func (c *Client) do(ctx context.Context, method, path, tenant string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
@@ -50,6 +50,9 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if tenant != "" {
+		req.Header.Set("X-Tenant", tenant)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -60,57 +63,37 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 			Error string `json:"error"`
 		}
 		_ = json.NewDecoder(resp.Body).Decode(&e)
-		if sent := sentinelFor(resp.StatusCode); sent != nil {
-			return nil, fmt.Errorf("%w (%s)", sent, e.Error)
+		if err := sentinelFor(e.Error); err != nil {
+			return nil, err
 		}
 		return nil, fmt.Errorf("service: %s %s: %s (%s)", method, path, resp.Status, e.Error)
 	}
 	return resp, nil
 }
 
-// sentinelFor inverts statusFor so callers can errors.Is against the
-// service sentinels across the wire.
-func sentinelFor(status int) error {
-	switch status {
-	case http.StatusNotFound:
-		return ErrNotFound
-	case http.StatusRequestEntityTooLarge:
-		return ErrTooLarge
-	case http.StatusConflict:
-		return ErrNotReady
-	case http.StatusGone:
-		return ErrNoLease
-	default:
-		return nil
+// sentinels are the errors a server message can be matched back to.
+var sentinels = []error{ErrNotFound, ErrQueueFull, ErrTenantBudget, ErrTooLarge, ErrNotReady, ErrNoLease}
+
+// sentinelFor restores the service sentinel a server error message
+// starts with, so callers can errors.Is against it across the wire. The
+// message, not the status, names it: ErrQueueFull and ErrTenantBudget
+// share 429.
+func sentinelFor(msg string) error {
+	for _, sent := range sentinels {
+		if rest, ok := strings.CutPrefix(msg, sent.Error()); ok {
+			return fmt.Errorf("%w%s", sent, rest)
+		}
 	}
+	return nil
 }
 
 // Submit sends a campaign spec and returns the assigned campaign ID.
 func (c *Client) Submit(ctx context.Context, tenant string, spec core.Spec) (string, error) {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/campaigns", bytes.NewReader(data))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/campaigns", tenant, spec)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return "", fmt.Errorf("service: submit: %s (%s)", resp.Status, e.Error)
-	}
 	var out struct {
 		ID string `json:"id"`
 	}
@@ -122,7 +105,7 @@ func (c *Client) Submit(ctx context.Context, tenant string, spec core.Spec) (str
 
 // Status fetches a campaign's status.
 func (c *Client) Status(ctx context.Context, id string) (Status, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, "", nil)
 	if err != nil {
 		return Status{}, err
 	}
@@ -134,7 +117,7 @@ func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 // ResultBytes fetches a finished campaign's canonical merged output
 // verbatim — the bytes the byte-identity guarantee is stated about.
 func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/result", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/result", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,33 +125,47 @@ func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Events streams a campaign's SSE feed, invoking fn per event until the
-// stream ends (terminal event), fn returns false, or ctx is cancelled.
+// eventPoll is how long Events waits before pulling again when the
+// log had nothing new.
+const eventPoll = 100 * time.Millisecond
+
+// Events pulls a campaign's progress log, invoking fn per event in log
+// order until the terminal event, fn returns false, or ctx is
+// cancelled. Every event reaches fn exactly once, however long fn
+// takes: the log is pulled from the reader's own offset. A daemon
+// restart rebuilds the log shorter; a reader left past its end when the
+// campaign has ended gets an error instead of polling forever.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
+	for from := 0; ; {
+		resp, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/campaigns/%s/events?from=%d", id, from), "", nil)
+		if err != nil {
+			return err
+		}
+		var page EventPage
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("service: bad event page: %w", err)
+		}
+		for _, ev := range page.Events {
+			if !fn(ev) || ev.Terminal() {
+				return nil
+			}
+		}
+		from += len(page.Events)
+		if len(page.Events) > 0 {
 			continue
 		}
-		var ev Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			return fmt.Errorf("service: bad event payload: %w", err)
+		// The terminal event is in the log once the state is terminal
+		// (both change under one lock), so an empty page then means the
+		// log was rebuilt behind this reader's offset.
+		if page.State == StateDone || page.State == StateFailed {
+			return fmt.Errorf("service: campaign %s ended (%s) but its event log was reset below offset %d", id, page.State, from)
 		}
-		if !fn(ev) || ev.Terminal() {
-			return nil
+		if !sleepCtx(ctx, eventPoll) {
+			return ctx.Err()
 		}
 	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
 }
 
 // WaitDone polls until the campaign reaches a terminal state and
@@ -199,7 +196,7 @@ func (c *Client) WaitDone(ctx context.Context, id string, poll time.Duration) (S
 
 // Claim asks for a lease; nil means no pending work.
 func (c *Client) Claim(ctx context.Context, worker string) (*Lease, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/leases", map[string]string{"worker": worker})
+	resp, err := c.do(ctx, http.MethodPost, "/v1/leases", "", map[string]string{"worker": worker})
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +213,7 @@ func (c *Client) Claim(ctx context.Context, worker string) (*Lease, error) {
 
 // Renew heartbeats a lease.
 func (c *Client) Renew(ctx context.Context, leaseID string) error {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/renew", nil)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/renew", "", nil)
 	if err != nil {
 		return err
 	}
@@ -226,7 +223,7 @@ func (c *Client) Renew(ctx context.Context, leaseID string) error {
 
 // Complete reports a finished shard.
 func (c *Client) Complete(ctx context.Context, leaseID string, sr fleet.ShardResult) error {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/complete", sr)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/complete", "", sr)
 	if err != nil {
 		return err
 	}
@@ -236,7 +233,7 @@ func (c *Client) Complete(ctx context.Context, leaseID string, sr fleet.ShardRes
 
 // Fail reports a shard error.
 func (c *Client) Fail(ctx context.Context, leaseID, reason string) error {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/fail", map[string]string{"reason": reason})
+	resp, err := c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/fail", "", map[string]string{"reason": reason})
 	if err != nil {
 		return err
 	}

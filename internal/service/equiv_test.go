@@ -18,7 +18,7 @@ import (
 // fetched over the wire.
 func runTopology(t *testing.T, spec core.Spec, shardSize, embedded, remote int) []byte {
 	t.Helper()
-	s, err := New(Config{ShardSize: shardSize, LeaseTTL: 30 * time.Second})
+	s, err := New(Config{ShardSize: shardSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestServiceGPEquivalence(t *testing.T) {
 	}
 }
 
-// TestServiceSSEStream: the events endpoint replays history and streams
-// live progress; a full client sees every item exactly once plus the
+// TestServiceEventFeed: a client that starts pulling the event log
+// while the campaign runs sees every item exactly once plus the
 // terminal event — the contract cmd/mcversi -remote's progress
 // rendering relies on.
-func TestServiceSSEStream(t *testing.T) {
+func TestServiceEventFeed(t *testing.T) {
 	s, err := New(Config{ShardSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +199,10 @@ func TestServiceSSEStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if last.Type != EventDone {
-		t.Fatalf("stream ended on %q, want done", last.Type)
+		t.Fatalf("feed ended on %q, want done", last.Type)
 	}
 	if len(samples) != spec.Items() {
-		t.Fatalf("stream carried %d distinct samples, want %d", len(samples), spec.Items())
+		t.Fatalf("feed carried %d distinct samples, want %d", len(samples), spec.Items())
 	}
 	for idx, n := range samples {
 		if n != 1 {

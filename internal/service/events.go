@@ -5,7 +5,7 @@ import (
 	"repro/internal/fleet"
 )
 
-// Event types streamed per campaign (SSE `event:` names).
+// Event types in a campaign's progress log.
 const (
 	EventQueued  = "queued"
 	EventStarted = "started"
@@ -20,7 +20,7 @@ const (
 // Event is one campaign progress report. Sample events carry one
 // item's final core.Result — the same payload a local fleet's Done
 // events carry, which is what lets cmd/mcversi reuse its -progress
-// rendering on a remote stream.
+// rendering on a remote campaign.
 type Event struct {
 	Type     string `json:"type"`
 	Campaign string `json:"campaign"`
@@ -40,68 +40,35 @@ type Event struct {
 	Err string `json:"error,omitempty"`
 }
 
-// Terminal reports whether the event ends its campaign's stream.
+// Terminal reports whether the event ends its campaign's log.
 func (e Event) Terminal() bool { return e.Type == EventDone || e.Type == EventFailed }
 
-// emitLocked appends an event to the campaign's log and fans it out to
-// live subscribers. Sends never block the service lock: each
-// subscriber's channel is sized for a full campaign at subscribe time,
-// and a consumer that still falls behind loses progress events — the
-// stream is best-effort narration; authoritative output is /result.
+// emitLocked appends an event to the campaign's log.
 func (s *Service) emitLocked(c *campaign, ev Event) {
 	ev.Campaign = c.id
 	c.events = append(c.events, ev)
-	for _, ch := range c.subs {
-		select {
-		case ch <- ev:
-		default:
-			s.met.sseDropped.Inc()
-		}
-	}
 }
 
-// closeSubsLocked ends all live streams after a terminal event.
-func (s *Service) closeSubsLocked(c *campaign) {
-	for id, ch := range c.subs {
-		close(ch)
-		delete(c.subs, id)
-	}
+// EventPage is one pull of a campaign's progress log: the events from
+// the requested offset on, and the campaign's state when they were read.
+type EventPage struct {
+	Events []Event       `json:"events"`
+	State  CampaignState `json:"state"`
 }
 
-// Subscribe returns the campaign's full event history so far plus a
-// live channel for what follows; cancel must be called unless the
-// channel was closed by a terminal event. For campaigns already in a
-// terminal state the channel arrives closed.
-func (s *Service) Subscribe(id string) (replay []Event, live <-chan Event, cancel func(), err error) {
+// Events returns the campaign's log from index from on. A reader that
+// asks again from its offset plus what it was given sees every event
+// exactly once, however slowly it reads; the log ends with a terminal
+// event once the campaign is done or failed.
+func (s *Service) Events(id string, from int) (EventPage, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.campaigns[id]
 	if !ok {
-		return nil, nil, nil, ErrNotFound
+		return EventPage{}, ErrNotFound
 	}
-	replay = append([]Event(nil), c.events...)
-	// Sized for the worst-case remainder of the campaign so a live
-	// consumer is never dropped on: one sample event per item, and per
-	// shard up to MaxAttempts leased + MaxAttempts expired events (a
-	// retry-heavy shard re-issues its lease on every expiry) plus one
-	// shard event, plus the terminal event and slack.
-	ch := make(chan Event, c.spec.Items()+len(c.shards)*(2*s.cfg.MaxAttempts+1)+4)
-	if c.state == StateDone || c.state == StateFailed {
-		close(ch)
-		return replay, ch, func() {}, nil
-	}
-	c.nextSub++
-	subID := c.nextSub
-	c.subs[subID] = ch
-	cancel = func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, live := c.subs[subID]; live {
-			close(ch)
-			delete(c.subs, subID)
-		}
-	}
-	return replay, ch, cancel, nil
+	from = min(max(from, 0), len(c.events))
+	return EventPage{Events: append([]Event(nil), c.events[from:]...), State: c.state}, nil
 }
 
 // Lease is one claimed seed-range: everything a worker needs to run

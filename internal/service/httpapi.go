@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -13,29 +14,25 @@ import (
 
 // Handler exposes the service as an HTTP/JSON API:
 //
-//	GET  /v1/healthz                     liveness
-//	GET  /v1/stats                       service-wide counters
-//	POST /v1/campaigns                   submit a core.Spec (X-Tenant header), 202 + {"id": ...}
-//	GET  /v1/campaigns/{id}              status
-//	GET  /v1/campaigns/{id}/result       canonical merged bytes (409 until done)
-//	GET  /v1/campaigns/{id}/events       SSE progress stream (replay + live)
-//	POST /v1/leases                      claim a shard lease (204 when idle)
-//	POST /v1/leases/{id}/renew           heartbeat
-//	POST /v1/leases/{id}/complete        report a fleet.ShardResult
-//	POST /v1/leases/{id}/fail            report a shard error
-//	GET  /metrics                        Prometheus text exposition
-//	GET  /statusz                        JSON status page with per-campaign phase breakdowns
+//	GET  /v1/healthz                        liveness
+//	POST /v1/campaigns                      submit a core.Spec (X-Tenant header), 202 + {"id": ...}
+//	GET  /v1/campaigns/{id}                 status
+//	GET  /v1/campaigns/{id}/result          canonical merged bytes (409 until done)
+//	GET  /v1/campaigns/{id}/events?from=N   EventPage: the progress log from event N on, plus the state
+//	POST /v1/leases                         claim a shard lease (204 when idle)
+//	POST /v1/leases/{id}/renew              heartbeat
+//	POST /v1/leases/{id}/complete           report a fleet.ShardResult
+//	POST /v1/leases/{id}/fail               report a shard error
+//	GET  /statusz                           service counters and every campaign with its phase breakdown
 //
 // Admission errors map onto statuses: 429 queue/tenant pressure, 413
 // oversized campaign, 410 lost lease, 409 result not ready, 404
-// unknown campaign.
+// unknown campaign. Every error body is {"error": err.Error()}, which
+// is what the Client restores the sentinels from.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)
 	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStatus)
@@ -45,10 +42,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/leases/{id}/renew", s.handleRenew)
 	mux.HandleFunc("POST /v1/leases/{id}/complete", s.handleComplete)
 	mux.HandleFunc("POST /v1/leases/{id}/fail", s.handleFail)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.Metrics().WriteText(w)
-	})
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Statusz())
 	})
@@ -94,52 +87,23 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// handleEvents streams a campaign's progress as server-sent events:
-// the full history so far, then live events until the campaign reaches
-// a terminal state or the client goes away.
+// handleEvents serves one pull of a campaign's progress log.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	replay, live, cancel, err := s.Subscribe(r.PathValue("id"))
+	from := 0
+	if q := r.URL.Query().Get("from"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad event offset %q", q))
+			return
+		}
+		from = n
+	}
+	page, err := s.Events(r.PathValue("id"), from)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	defer cancel()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	send := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-		fl.Flush()
-		return !ev.Terminal()
-	}
-	for _, ev := range replay {
-		if !send(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			if !send(ev) {
-				return
-			}
-		}
-	}
+	writeJSON(w, http.StatusOK, page)
 }
 
 func (s *Service) handleClaim(w http.ResponseWriter, r *http.Request) {

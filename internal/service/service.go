@@ -29,37 +29,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Config tunes the service.
+// Config tunes the service. The admission, lease and retention limits
+// are the constants below, not options.
 type Config struct {
-	// MaxActive bounds concurrently running campaigns; further
-	// admitted campaigns queue.
-	MaxActive int
-	// MaxQueued bounds the queue; submissions beyond it are rejected
-	// with ErrQueueFull (HTTP 429).
-	MaxQueued int
-	// TenantMaxPending bounds one tenant's queued+running campaigns;
-	// submissions beyond it are rejected with ErrTenantBudget.
-	TenantMaxPending int
-	// MaxItems bounds a single campaign's item count (ErrTooLarge).
-	MaxItems int
-	// ShardSize is the lease granularity in items.
+	// ShardSize is the lease granularity in items (0 = 4).
 	ShardSize int
-	// LeaseTTL is how long a claimed shard may go without renewal
-	// before its lease expires and the range is re-issued.
-	LeaseTTL time.Duration
-	// MaxAttempts bounds lease re-issues per shard before the campaign
-	// is failed (a shard that keeps killing workers must not loop
-	// forever).
-	MaxAttempts int
 	// FleetWorkers is the intra-shard worker count used by the
 	// embedded pool (0 = all cores). Results never depend on it.
 	FleetWorkers int
-	// RetainTerminal caps how many finished (done or failed) campaigns
-	// the service keeps; beyond it the oldest are evicted — event log,
-	// merged bytes and checkpoint file included — and their IDs return
-	// ErrNotFound. Without a cap a long-running daemon's memory and
-	// per-request scan cost grow without bound.
-	RetainTerminal int
 	// CheckpointDir, when non-empty, makes campaigns durable: specs,
 	// completed shard results and terminal states are persisted as
 	// JSON and recovered by New after a restart.
@@ -68,45 +45,36 @@ type Config struct {
 	Now func() time.Time
 }
 
-// DefaultConfig returns production defaults.
-func DefaultConfig() Config {
-	return Config{
-		MaxActive:        4,
-		MaxQueued:        64,
-		TenantMaxPending: 8,
-		MaxItems:         4096,
-		ShardSize:        4,
-		LeaseTTL:         30 * time.Second,
-		MaxAttempts:      5,
-		RetainTerminal:   64,
-	}
-}
+const (
+	// maxActive bounds concurrently running campaigns; further admitted
+	// campaigns queue.
+	maxActive = 4
+	// maxQueued bounds the queue; submissions beyond it are rejected
+	// with ErrQueueFull (HTTP 429).
+	maxQueued = 64
+	// tenantMaxPending bounds one tenant's queued+running campaigns;
+	// submissions beyond it are rejected with ErrTenantBudget (429).
+	tenantMaxPending = 8
+	// maxItems bounds a single campaign's item count (ErrTooLarge, 413).
+	maxItems = 4096
+	// leaseTTL is how long a claimed shard may go without renewal
+	// before its lease expires and the range is re-issued.
+	leaseTTL = 30 * time.Second
+	// maxAttempts bounds lease re-issues per shard before the campaign
+	// is failed (a shard that keeps killing workers must not loop
+	// forever).
+	maxAttempts = 5
+	// retainTerminal caps how many finished (done or failed) campaigns
+	// the service keeps; beyond it the oldest are evicted — event log,
+	// merged bytes and checkpoint file included — and their IDs return
+	// ErrNotFound. Without a cap a long-running daemon's memory and
+	// per-request scan cost grow without bound.
+	retainTerminal = 64
+)
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MaxActive <= 0 {
-		c.MaxActive = d.MaxActive
-	}
-	if c.MaxQueued <= 0 {
-		c.MaxQueued = d.MaxQueued
-	}
-	if c.TenantMaxPending <= 0 {
-		c.TenantMaxPending = d.TenantMaxPending
-	}
-	if c.MaxItems <= 0 {
-		c.MaxItems = d.MaxItems
-	}
 	if c.ShardSize <= 0 {
-		c.ShardSize = d.ShardSize
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = d.LeaseTTL
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = d.MaxAttempts
-	}
-	if c.RetainTerminal <= 0 {
-		c.RetainTerminal = d.RetainTerminal
+		c.ShardSize = 4
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -172,9 +140,9 @@ type campaign struct {
 	// checkpoint clears it.
 	ckErr string
 
-	events  []Event
-	subs    map[int]chan Event
-	nextSub int
+	// events is the campaign's progress log; readers pull it from any
+	// offset (Events), so none of them can miss an entry.
+	events []Event
 
 	// obs accumulates the phase timing of every completed shard (plus
 	// the final merge span), for /statusz. Pure side channel: never part
@@ -195,9 +163,11 @@ type leaseRef struct {
 // the lock.
 type Service struct {
 	cfg Config
-	met *metrics
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// totals holds the since-start counters of ServiceStats; Statusz
+	// fills in the rest.
+	totals    ServiceStats
 	campaigns map[string]*campaign
 	order     []string // admission order; scheduling scans it FIFO
 	leases    map[string]*leaseRef
@@ -219,7 +189,6 @@ func New(cfg Config) (*Service, error) {
 		leases:    map[string]*leaseRef{},
 		tenants:   map[string]int{},
 	}
-	s.met = newMetrics(s)
 	if err := s.loadCheckpoints(); err != nil {
 		return nil, err
 	}
@@ -233,16 +202,18 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 		tenant = "default"
 	}
 	if err := spec.Validate(); err != nil {
-		s.met.rejectInvalid.Inc()
+		s.mu.Lock()
+		s.totals.RejectedInvalid++
+		s.mu.Unlock()
 		return "", err
 	}
 	items := spec.Items()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if items > s.cfg.MaxItems {
-		s.met.rejectTooLarge.Inc()
-		return "", fmt.Errorf("%w: %d items > cap %d", ErrTooLarge, items, s.cfg.MaxItems)
+	if items > maxItems {
+		s.totals.RejectedTooLarge++
+		return "", fmt.Errorf("%w: %d items > cap %d", ErrTooLarge, items, maxItems)
 	}
 	queued := 0
 	for _, id := range s.order {
@@ -250,15 +221,15 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 			queued++
 		}
 	}
-	if queued >= s.cfg.MaxQueued {
-		s.met.rejectQueue.Inc()
+	if queued >= maxQueued {
+		s.totals.RejectedQueueFull++
 		return "", fmt.Errorf("%w: %d campaigns queued", ErrQueueFull, queued)
 	}
-	if s.tenants[tenant] >= s.cfg.TenantMaxPending {
-		s.met.rejectTenant.Inc()
+	if s.tenants[tenant] >= tenantMaxPending {
+		s.totals.RejectedTenantBudget++
 		return "", fmt.Errorf("%w: tenant %q has %d campaigns pending", ErrTenantBudget, tenant, s.tenants[tenant])
 	}
-	s.met.submitted.Inc()
+	s.totals.Submitted++
 
 	s.seq++
 	c := &campaign{
@@ -266,7 +237,6 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 		tenant:    tenant,
 		spec:      spec,
 		state:     StateQueued,
-		subs:      map[int]chan Event{},
 		submitted: s.cfg.Now(),
 	}
 	for _, r := range fleet.PlanShards(items, s.cfg.ShardSize) {
@@ -285,7 +255,7 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 // active slots remain, in admission order.
 func (s *Service) promoteLocked() {
 	for _, id := range s.order {
-		if s.active >= s.cfg.MaxActive {
+		if s.active >= maxActive {
 			return
 		}
 		c := s.campaigns[id]
@@ -321,17 +291,17 @@ func (s *Service) Claim(worker string) (*Lease, error) {
 			sh.phase = shardLeased
 			sh.leaseID = fmt.Sprintf("l%08d", s.leaseSeq)
 			sh.worker = worker
-			sh.expiry = s.cfg.Now().Add(s.cfg.LeaseTTL)
+			sh.expiry = s.cfg.Now().Add(leaseTTL)
 			sh.attempts++
 			s.leases[sh.leaseID] = &leaseRef{camp: c, shard: sh}
-			s.met.leasesIssued.Inc()
+			s.totals.LeasesIssued++
 			s.emitLocked(c, Event{Type: EventLeased, Shard: &sh.rng, Worker: worker})
 			return &Lease{
 				ID:        sh.leaseID,
 				Campaign:  c.id,
 				Spec:      c.spec,
 				Range:     sh.rng,
-				TTLMillis: s.cfg.LeaseTTL.Milliseconds(),
+				TTLMillis: leaseTTL.Milliseconds(),
 			}, nil
 		}
 	}
@@ -346,8 +316,8 @@ func (s *Service) Renew(leaseID string) error {
 	if !ok {
 		return ErrNoLease
 	}
-	ref.shard.expiry = s.cfg.Now().Add(s.cfg.LeaseTTL)
-	s.met.leaseRenewals.Inc()
+	ref.shard.expiry = s.cfg.Now().Add(leaseTTL)
+	s.totals.LeaseRenewals++
 	return nil
 }
 
@@ -361,7 +331,7 @@ func (s *Service) Complete(leaseID string, sr fleet.ShardResult) error {
 	defer s.mu.Unlock()
 	ref, ok := s.leases[leaseID]
 	if !ok {
-		s.met.zombieDone.Inc()
+		s.totals.ZombieReports++
 		return ErrNoLease
 	}
 	c, sh := ref.camp, ref.shard
@@ -381,17 +351,16 @@ func (s *Service) Complete(leaseID string, sr fleet.ShardResult) error {
 
 	if sr.Obs != nil {
 		c.obs = c.obs.Merge(*sr.Obs)
-		s.met.absorbObs(*sr.Obs)
+		s.totals.Obs = s.totals.Obs.Merge(*sr.Obs)
 	}
-	s.met.absorbFastpath(sr.Fastpath)
 	c.itemsDone += sh.rng.Len()
-	s.met.itemsDone.Add(uint64(sh.rng.Len()))
+	s.totals.ItemsDone += sh.rng.Len()
 	for i, r := range sr.Results {
 		c.testRuns += r.TestRuns
-		s.met.testRuns.Add(uint64(r.TestRuns))
+		s.totals.TestRuns += r.TestRuns
 		if r.Found {
 			c.found++
-			s.met.bugsFound.Inc()
+			s.totals.Found++
 		}
 		rr := r
 		s.emitLocked(c, Event{
@@ -413,16 +382,16 @@ func (s *Service) Complete(leaseID string, sr fleet.ShardResult) error {
 }
 
 // Fail reports a shard run error. The range goes back to pending for
-// re-issue; a shard exceeding MaxAttempts fails the whole campaign.
+// re-issue; a shard exceeding maxAttempts fails the whole campaign.
 func (s *Service) Fail(leaseID, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ref, ok := s.leases[leaseID]
 	if !ok {
-		s.met.zombieDone.Inc()
+		s.totals.ZombieReports++
 		return ErrNoLease
 	}
-	s.met.shardFailures.Inc()
+	s.totals.ShardFailures++
 	delete(s.leases, leaseID)
 	c, sh := ref.camp, ref.shard
 	if sh.phase != shardLeased {
@@ -430,7 +399,7 @@ func (s *Service) Fail(leaseID, reason string) error {
 	}
 	sh.phase = shardPending
 	sh.leaseID, sh.worker = "", ""
-	if sh.attempts >= s.cfg.MaxAttempts {
+	if sh.attempts >= maxAttempts {
 		s.failLocked(c, fmt.Sprintf("shard %s failed %d times, last: %s", sh.rng, sh.attempts, reason))
 	}
 	s.checkpointLocked(c)
@@ -460,20 +429,17 @@ func (s *Service) finishLocked(c *campaign) {
 	}
 	mergeSpan := obs.Span(obs.PhaseMerge, time.Since(t0))
 	c.obs = merged.Obs.Merge(mergeSpan)
-	s.met.absorbObs(mergeSpan)
+	s.totals.Obs = s.totals.Obs.Merge(mergeSpan)
 	c.merged = &merged
 	c.mergedBytes = bytes
 	c.state = StateDone
 	c.finished = s.cfg.Now()
-	s.met.finishedDone.Inc()
-	s.met.campaignSeconds.Observe(c.finished.Sub(c.submitted).Seconds())
 	s.active--
 	s.tenants[c.tenant]--
 	s.emitLocked(c, Event{
 		Type: EventDone, Items: merged.Stats.Items,
 		ItemsDone: merged.Stats.Items, TestRuns: merged.Stats.TestRuns,
 	})
-	s.closeSubsLocked(c)
 	s.promoteLocked()
 	s.pruneTerminalLocked()
 }
@@ -488,8 +454,6 @@ func (s *Service) failLocked(c *campaign, msg string) {
 	c.state = StateFailed
 	c.errMsg = msg
 	c.finished = s.cfg.Now()
-	s.met.finishedFailed.Inc()
-	s.met.campaignSeconds.Observe(c.finished.Sub(c.submitted).Seconds())
 	s.tenants[c.tenant]--
 	for _, sh := range c.shards {
 		if sh.phase == shardLeased {
@@ -499,18 +463,17 @@ func (s *Service) failLocked(c *campaign, msg string) {
 		}
 	}
 	s.emitLocked(c, Event{Type: EventFailed, Err: msg})
-	s.closeSubsLocked(c)
 	s.promoteLocked()
 	s.pruneTerminalLocked()
 }
 
 // pruneTerminalLocked enforces the terminal-campaign retention cap:
-// when more than RetainTerminal campaigns are done/failed, the oldest
+// when more than retainTerminal campaigns are done/failed, the oldest
 // (by admission order) are evicted — dropped from memory along with
 // their event logs and merged bytes, and their checkpoint files
 // deleted. Queued and running campaigns are never touched, so the
 // admission scans over s.order stay bounded by
-// active + queued + RetainTerminal.
+// active + queued + retainTerminal.
 func (s *Service) pruneTerminalLocked() {
 	terminal := 0
 	for _, id := range s.order {
@@ -519,10 +482,10 @@ func (s *Service) pruneTerminalLocked() {
 			terminal++
 		}
 	}
-	if terminal <= s.cfg.RetainTerminal {
+	if terminal <= retainTerminal {
 		return
 	}
-	evict := terminal - s.cfg.RetainTerminal
+	evict := terminal - retainTerminal
 	kept := s.order[:0]
 	for _, id := range s.order {
 		c := s.campaigns[id]
@@ -554,7 +517,7 @@ func (s *Service) expireLocked(now time.Time) int {
 			delete(s.leases, id)
 			ref.shard.phase = shardPending
 			ref.shard.leaseID = ""
-			s.met.leasesExpired.Inc()
+			s.totals.LeasesExpired++
 			s.emitLocked(ref.camp, Event{Type: EventExpired, Shard: &ref.shard.rng, Worker: ref.shard.worker})
 			ref.shard.worker = ""
 			n++
@@ -627,7 +590,9 @@ func (s *Service) ResultBytes(id string) ([]byte, error) {
 	}
 }
 
-// ServiceStats summarizes the whole service for /v1/stats.
+// ServiceStats is the service-wide block of the status page. The first
+// group is the state of the retained campaigns and live leases when the
+// page was taken; the rest are totals since the process started.
 type ServiceStats struct {
 	Campaigns int `json:"campaigns"`
 	Queued    int `json:"queued"`
@@ -635,28 +600,24 @@ type ServiceStats struct {
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
 	Leases    int `json:"leases"`
-	TestRuns  int `json:"test_runs"`
-}
 
-// Stats snapshots service-wide counters.
-func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := ServiceStats{Campaigns: len(s.campaigns), Leases: len(s.leases)}
-	for _, c := range s.campaigns {
-		switch c.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		}
-		st.TestRuns += c.testRuns
-	}
-	return st
+	Submitted            int `json:"submitted"`
+	RejectedInvalid      int `json:"rejected_invalid"`
+	RejectedTooLarge     int `json:"rejected_too_large"`
+	RejectedQueueFull    int `json:"rejected_queue_full"`
+	RejectedTenantBudget int `json:"rejected_tenant_budget"`
+	LeasesIssued         int `json:"leases_issued"`
+	LeaseRenewals        int `json:"lease_renewals"`
+	LeasesExpired        int `json:"leases_expired"`
+	// ZombieReports counts completions and failures for unknown or
+	// expired leases (their results discarded).
+	ZombieReports int `json:"zombie_reports"`
+	ShardFailures int `json:"shard_failures"`
+	ItemsDone     int `json:"items_done"`
+	TestRuns      int `json:"test_runs"`
+	Found         int `json:"found"`
+	// Obs totals the phase spans of every completed shard and merge.
+	Obs obs.Snapshot `json:"obs"`
 }
 
 // CampaignStatusz is one campaign's status plus its phase timing
@@ -676,47 +637,32 @@ type Statusz struct {
 	Campaigns []CampaignStatusz `json:"campaigns"`
 }
 
-// Statusz snapshots the service for the human/JSON status page.
+// Statusz snapshots the service: the one status page, over HTTP and in
+// mcversid's shutdown log.
 func (s *Service) Statusz() Statusz {
-	st := s.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := Statusz{Stats: st, Campaigns: make([]CampaignStatusz, 0, len(s.order))}
+	st := s.totals
+	st.Campaigns, st.Leases = len(s.campaigns), len(s.leases)
+	out := Statusz{Campaigns: make([]CampaignStatusz, 0, len(s.order))}
 	for _, id := range s.order {
 		c := s.campaigns[id]
+		switch c.state {
+		case StateQueued:
+			st.Queued++
+		case StateRunning:
+			st.Running++
+		case StateDone:
+			st.Done++
+		case StateFailed:
+			st.Failed++
+		}
 		out.Campaigns = append(out.Campaigns, CampaignStatusz{
 			Status:       s.statusLocked(c),
 			Obs:          c.obs,
 			PhaseSummary: c.obs.String(),
 		})
 	}
+	out.Stats = st
 	return out
-}
-
-// DrainStatus is the in-flight work snapshot the daemon logs when a
-// shutdown signal arrives.
-type DrainStatus struct {
-	Leases  int `json:"leases"`
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
-}
-
-// Drain marks the daemon draining (mcversid_draining flips to 1) and
-// returns what is still in flight: outstanding leases whose workers
-// are being cancelled, plus queued and running campaigns that will be
-// recovered from checkpoints on restart.
-func (s *Service) Drain() DrainStatus {
-	s.met.draining.Set(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := DrainStatus{Leases: len(s.leases)}
-	for _, c := range s.campaigns {
-		switch c.state {
-		case StateQueued:
-			d.Queued++
-		case StateRunning:
-			d.Running++
-		}
-	}
-	return d
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -101,74 +102,112 @@ func waitDone(t *testing.T, s *Service, id string) Status {
 	}
 }
 
-// TestServiceAdmission: size cap, queue depth, per-tenant budget and
-// FIFO promotion, plus budget release on completion.
+// fillQueue submits campaigns from fresh tenants until, with the have
+// campaigns already pending, maxActive run and the queue holds
+// maxQueued. It spreads them so that no tenant budget binds, and
+// returns the IDs in admission order.
+func fillQueue(t *testing.T, have int, submit func(tenant string) (string, error)) []string {
+	t.Helper()
+	var ids []string
+	for i := 0; i < maxActive+maxQueued-have; i++ {
+		id, err := submit(fmt.Sprintf("fill-%d", i/tenantMaxPending))
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// failCampaign fails the first running campaign's first pending shard
+// maxAttempts times, which fails the campaign without simulating it.
+func failCampaign(t *testing.T, s *Service) {
+	t.Helper()
+	for i := 0; i < maxAttempts; i++ {
+		l, err := s.Claim("w")
+		if err != nil || l == nil {
+			t.Fatalf("attempt %d: no lease (%v)", i, err)
+		}
+		if err := s.Fail(l.ID, "synthetic crash"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestServiceAdmission: size cap, per-tenant budget, queue depth and
+// FIFO promotion at the service's real limits, plus budget and queue
+// release when a campaign ends.
 func TestServiceAdmission(t *testing.T) {
-	s, err := New(Config{
-		MaxActive:        1,
-		MaxQueued:        2,
-		TenantMaxPending: 2,
-		MaxItems:         2,
-		ShardSize:        1,
-	})
+	s, err := New(Config{ShardSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := testSpec(core.GenRandom, 2, 2, 5, "mesi-tso", "mesi-pso") // 4 items
+	big := testSpec(core.GenRandom, maxItems+1, 2, 5, "mesi-tso")
 	if _, err := s.Submit("a", big); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized campaign: got %v, want ErrTooLarge", err)
 	}
 
 	small := testSpec(core.GenRandom, 1, 2, 5, "mesi-tso")
-	a1, err := s.Submit("a", small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := s.Submit("a", small)
-	if err != nil {
-		t.Fatal(err)
+	var a []string
+	for i := 0; i < tenantMaxPending; i++ {
+		id, err := s.Submit("a", small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a = append(a, id)
 	}
 	if _, err := s.Submit("a", small); !errors.Is(err, ErrTenantBudget) {
 		t.Fatalf("tenant over budget: got %v, want ErrTenantBudget", err)
 	}
-	b1, err := s.Submit("b", small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a1 running, a2+b1 queued: the queue is at MaxQueued.
+	// The first maxActive run; everything after them queues until the
+	// queue is full.
+	fillQueue(t, len(a), func(tenant string) (string, error) { return s.Submit(tenant, small) })
 	if _, err := s.Submit("c", small); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue full: got %v, want ErrQueueFull", err)
 	}
-
-	if st, _ := s.Get(a1); st.State != StateRunning {
-		t.Fatalf("a1 state = %s, want running (MaxActive=1)", st.State)
-	}
-	if st, _ := s.Get(a2); st.State != StateQueued {
-		t.Fatalf("a2 state = %s, want queued", st.State)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	wg := s.StartWorkers(ctx, 1)
-	defer wg.Wait()
-	defer cancel()
-
-	// FIFO: campaigns finish in admission order.
-	sa1 := waitDone(t, s, a1)
-	sa2 := waitDone(t, s, a2)
-	sb1 := waitDone(t, s, b1)
-	for id, st := range map[string]Status{a1: sa1, a2: sa2, b1: sb1} {
-		if st.State != StateDone {
-			t.Fatalf("campaign %s failed: %s", id, st.Err)
+	for i, id := range a {
+		want := StateRunning
+		if i >= maxActive {
+			want = StateQueued
+		}
+		if st, _ := s.Get(id); st.State != want {
+			t.Fatalf("a[%d] state = %s, want %s", i, st.State, want)
 		}
 	}
-	if !sa1.Finished.Before(sa2.Finished) && !sa1.Finished.Equal(sa2.Finished) {
-		t.Errorf("a1 finished after a2: FIFO promotion violated")
-	}
 
-	// Terminal campaigns release tenant budget.
-	if _, err := s.Submit("a", small); err != nil {
-		t.Fatalf("budget not released after completion: %v", err)
+	// Ending the oldest running campaign promotes the oldest queued one
+	// (FIFO), and frees its tenant's budget and a queue slot — whether it
+	// completes or fails.
+	ended := func(i int, want CampaignState) {
+		t.Helper()
+		if st, _ := s.Get(a[i]); st.State != want {
+			t.Fatalf("a[%d] state = %s, want %s", i, st.State, want)
+		}
+		if st, _ := s.Get(a[maxActive+i]); st.State != StateRunning {
+			t.Fatalf("a[%d] state = %s, want running (FIFO promotion)", maxActive+i, st.State)
+		}
+		if st, _ := s.Get(a[maxActive+i+1]); st.State != StateQueued {
+			t.Fatalf("a[%d] state = %s, want queued", maxActive+i+1, st.State)
+		}
+		if _, err := s.Submit("a", small); err != nil {
+			t.Fatalf("budget or queue slot not released after a[%d] ended %s: %v", i, want, err)
+		}
 	}
+	// a[0]'s single shard is the first pending one.
+	l, err := s.Claim("w")
+	if err != nil || l == nil || l.Campaign != a[0] {
+		t.Fatalf("claim: lease %+v, err %v, want a[0]'s shard", l, err)
+	}
+	sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Complete(l.ID, sr); err != nil {
+		t.Fatal(err)
+	}
+	ended(0, StateDone)
+	failCampaign(t, s)
+	ended(1, StateFailed)
 }
 
 // TestServiceKillAndResume is the worker-death drill: a worker claims a
@@ -177,11 +216,7 @@ func TestServiceAdmission(t *testing.T) {
 // single-process reference — the re-run is invisible in the output.
 func TestServiceKillAndResume(t *testing.T) {
 	clk := newFakeClock()
-	s, err := New(Config{
-		ShardSize: 2,
-		LeaseTTL:  time.Minute,
-		Now:       clk.Now,
-	})
+	s, err := New(Config{ShardSize: 2, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +239,7 @@ func TestServiceKillAndResume(t *testing.T) {
 	if n := s.ExpireLeases(); n != 0 {
 		t.Fatalf("premature expiry of %d leases", n)
 	}
-	clk.Advance(time.Minute + time.Second)
+	clk.Advance(leaseTTL + time.Second)
 	if n := s.ExpireLeases(); n != 1 {
 		t.Fatalf("expired %d leases, want 1", n)
 	}
@@ -262,13 +297,12 @@ func TestServiceKillAndResume(t *testing.T) {
 	}
 
 	// The expiry shows up in the event log.
-	replay, _, cancel, err := s.Subscribe(id)
+	page, err := s.Events(id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
 	sawExpired := false
-	for _, ev := range replay {
+	for _, ev := range page.Events {
 		if ev.Type == EventExpired && ev.Worker == "doomed" {
 			sawExpired = true
 		}
@@ -305,9 +339,9 @@ func TestServiceCompleteValidation(t *testing.T) {
 }
 
 // TestServiceFailMaxAttempts: a shard that keeps failing takes its
-// campaign down once MaxAttempts is exhausted.
+// campaign down once maxAttempts is exhausted, and not before.
 func TestServiceFailMaxAttempts(t *testing.T) {
-	s, err := New(Config{ShardSize: 4, MaxAttempts: 2})
+	s, err := New(Config{ShardSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +350,7 @@ func TestServiceFailMaxAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxAttempts-1; i++ {
 		l, err := s.Claim("w")
 		if err != nil || l == nil {
 			t.Fatalf("attempt %d: no lease", i)
@@ -325,12 +359,22 @@ func TestServiceFailMaxAttempts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if st, _ := s.Get(id); st.State != StateRunning {
+		t.Fatalf("campaign state %s after %d failures, want running", st.State, maxAttempts-1)
+	}
+	l, err := s.Claim("w")
+	if err != nil || l == nil {
+		t.Fatal("last attempt: no lease")
+	}
+	if err := s.Fail(l.ID, "synthetic crash"); err != nil {
+		t.Fatal(err)
+	}
 	st, err := s.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != StateFailed {
-		t.Fatalf("campaign state %s after MaxAttempts failures, want failed", st.State)
+		t.Fatalf("campaign state %s after maxAttempts failures, want failed", st.State)
 	}
 	if _, err := s.ResultBytes(id); err == nil {
 		t.Error("failed campaign served a result")
@@ -359,26 +403,32 @@ func drainClaims(t *testing.T, s *Service) {
 	}
 }
 
-// TestServiceTerminalRetention: the daemon keeps at most RetainTerminal
+// TestServiceTerminalRetention: the daemon keeps at most retainTerminal
 // finished campaigns; older ones are evicted — memory, event log and
 // checkpoint file — while recent terminal campaigns keep serving their
 // results, in memory and across a restart.
 func TestServiceTerminalRetention(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{ShardSize: 2, RetainTerminal: 2, CheckpointDir: dir}
+	cfg := Config{ShardSize: 2, CheckpointDir: dir}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := testSpec(core.GenRandom, 1, 2, 5, "mesi-tso") // 1 item, 1 shard
+	// Two done campaigns to be evicted, failed ones (no simulation) up
+	// to the cap, then two done ones that stay.
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retainTerminal+2; i++ {
 		id, err := s.Submit("", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
-		drainClaims(t, s)
+		if i < 2 || i >= retainTerminal {
+			drainClaims(t, s)
+		} else {
+			failCampaign(t, s)
+		}
 	}
 
 	for _, id := range ids[:2] {
@@ -389,7 +439,10 @@ func TestServiceTerminalRetention(t *testing.T) {
 			t.Errorf("evicted campaign %s kept its checkpoint file", id)
 		}
 	}
-	for _, id := range ids[2:] {
+	if st, err := s.Get(ids[2]); err != nil || st.State != StateFailed {
+		t.Fatalf("retained failed campaign %s: %+v, %v", ids[2], st, err)
+	}
+	for _, id := range ids[retainTerminal:] {
 		st, err := s.Get(id)
 		if err != nil || st.State != StateDone {
 			t.Fatalf("retained campaign %s: %+v, %v", id, st, err)
@@ -407,7 +460,10 @@ func TestServiceTerminalRetention(t *testing.T) {
 	if _, err := s2.Get(ids[0]); !errors.Is(err, ErrNotFound) {
 		t.Errorf("evicted campaign resurrected by restart: %v", err)
 	}
-	if _, err := s2.ResultBytes(ids[3]); err != nil {
+	if got := len(s2.Statusz().Campaigns); got != retainTerminal {
+		t.Errorf("restart recovered %d campaigns, want %d", got, retainTerminal)
+	}
+	if _, err := s2.ResultBytes(ids[len(ids)-1]); err != nil {
 		t.Errorf("retained campaign unreadable after restart: %v", err)
 	}
 }

@@ -36,10 +36,9 @@ func (d Dedupe) HitRate() float64 { return Ratio(d.Hits, d.Checks) }
 func (d Dedupe) UniqueRate() float64 { return Ratio(d.Unique, d.Checks) }
 
 // Ratio returns num/den, or 0 when den is zero. Every ratio derived
-// from the counters in this package goes through it: these values feed
-// the /metrics exposition, where a NaN from a 0/0 breaks the text
-// format (and rate() math downstream), so zero totals are defined to
-// yield 0 — "no activity", not "undefined".
+// from the counters in this package goes through it: these values are
+// printed and encoded as JSON, which has no NaN, so zero totals are
+// defined to yield 0 — "no activity", not "undefined".
 func Ratio(num, den uint64) float64 {
 	if den == 0 {
 		return 0

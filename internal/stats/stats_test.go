@@ -30,9 +30,8 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-// TestRatioZeroTotals is the /metrics-exposition regression guard: a
-// ratio over a zero total must be 0, never NaN or Inf — a NaN that
-// reaches the text exposition poisons every rate() over the family.
+// TestRatioZeroTotals: a ratio over a zero total must be 0, never NaN
+// or Inf — encoding/json refuses both.
 func TestRatioZeroTotals(t *testing.T) {
 	cases := []struct {
 		num, den uint64
