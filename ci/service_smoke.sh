@@ -39,6 +39,19 @@ for i in $(seq 1 100); do
   sleep 0.1
 done
 
+# A client that stalls inside its request line must not hold its
+# connection: mcversid's 5 s ReadHeaderTimeout closes it, so reading
+# the socket hits EOF well inside 5 s plus slack.
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR#*:}"
+printf 'GET /v1/healthz HT' >&3
+start=$SECONDS
+if ! timeout 10 cat <&3 >/dev/null; then
+  echo "FAIL: mcversid kept a stalled connection open for 10 s" >&2
+  exit 1
+fi
+exec 3<&-
+echo "OK: mcversid closed a stalled connection after $((SECONDS - start)) s"
+
 "$WORKDIR/mcversi-worker" -server "$URL" -name ci-smoke -poll 100ms &
 
 "$WORKDIR/mcversi" "${CAMPAIGN[@]}" -remote "$URL" -progress -merged-out "$WORKDIR/remote.json" 2>"$WORKDIR/progress.txt" || {

@@ -19,7 +19,8 @@
 // counters and every retained campaign with its phase breakdown; on
 // SIGTERM the daemon logs its in-flight work from it. -debug-addr
 // starts a second listener with net/http/pprof (opt-in so profiling
-// endpoints never share the public port).
+// endpoints never share the public port). Both listeners close a
+// connection that has not sent its request headers within 5 s.
 package main
 
 import (
@@ -36,6 +37,11 @@ import (
 
 	"repro/internal/service"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request line and headers on either listener, so a stalled client
+// cannot hold a goroutine and a file descriptor forever.
+const readHeaderTimeout = 5 * time.Second
 
 func main() {
 	listen := flag.String("listen", ":8433", "HTTP listen address")
@@ -97,13 +103,14 @@ func main() {
 	if *debugAddr != "" {
 		go func() {
 			fmt.Fprintf(os.Stderr, "mcversid: pprof on %s\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			dbg := &http.Server{Addr: *debugAddr, ReadHeaderTimeout: readHeaderTimeout}
+			if err := dbg.ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "mcversid: pprof:", err)
 			}
 		}()
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: svc.Handler()}
+	srv := &http.Server{Addr: *listen, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		// Graceful drain: log what is in flight (leases are simply

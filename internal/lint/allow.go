@@ -42,21 +42,16 @@ func (s allowSet) covers(pos token.Position, analyzer string) bool {
 	return false
 }
 
-// knownAnalyzers lets collectAllows distinguish a scoping analyzer name
-// from the first word of a reason. Keep in sync with the constructors
-// in this package.
-var knownAnalyzers = map[string]bool{
-	"nondeterm":   true,
-	"maprange":    true,
-	"mergefields": true,
-	"wiretags":    true,
-}
-
 // collectAllows extracts every //mcvlint:allow directive from files.
-// Directives missing a reason are returned as diagnostics instead of
-// directives: an escape hatch without an explanation is a finding in
-// its own right.
-func collectAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnostic) {
+// A leading word that names one of analyzers scopes the directive;
+// any other first word starts the reason. Directives missing a reason
+// are returned as diagnostics instead of directives: an escape hatch
+// without an explanation is a finding in its own right.
+func collectAllows(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) (allowSet, []Diagnostic) {
+	knownAnalyzers := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		knownAnalyzers[a.Name] = true
+	}
 	var set allowSet
 	var malformed []Diagnostic
 	for _, f := range files {

@@ -2,62 +2,31 @@ package lint_test
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/lint"
 )
 
 // This file is a stdlib-only stand-in for x/tools' analysistest: each
-// testdata/<analyzer> directory is one fixture package, type-checked
-// against the standard library compiled from source, run through the
-// analyzer under test, and diffed against `// want "regexp"`
-// expectations attached to the offending lines. Lines silenced by
-// //mcvlint:allow carry no want comment — if the directive fails to
-// suppress, the unexpected diagnostic fails the test.
+// testdata/<analyzer> directory is one fixture package, loaded like
+// every package TestRepositoryClean checks, run through the analyzer
+// under test, and diffed against `// want "regexp"` expectations
+// attached to the offending lines. Lines silenced by //mcvlint:allow
+// carry no want comment — if the directive fails to suppress, the
+// unexpected diagnostic fails the test.
 
-// loadFixture parses and type-checks testdata/<dir> as import path
-// path.
+// loadFixture loads testdata/<dir> and presents it to the analyzers as
+// import path path.
 func loadFixture(t *testing.T, dir, path string) *lint.Package {
 	t.Helper()
-	fixDir := filepath.Join("testdata", dir)
-	entries, err := os.ReadDir(fixDir)
-	if err != nil {
-		t.Fatal(err)
+	pkgs := load(t, ".", "./testdata/"+dir)
+	if len(pkgs) != 1 {
+		t.Fatalf("testdata/%s: loaded %d packages, want 1", dir, len(pkgs))
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(fixDir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", fixDir)
-	}
-	info := lint.NewInfo()
-	// The source importer compiles imported stdlib packages from
-	// GOROOT source: no export data or network needed.
-	tc := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := tc.Check(path, fset, files, info)
-	if err != nil {
-		t.Fatalf("typechecking %s: %v", fixDir, err)
-	}
-	return &lint.Package{Fset: fset, Files: files, Types: pkg, Info: info, Path: path}
+	pkgs[0].Path = path
+	return pkgs[0]
 }
 
 // wantRe matches `// want "re"` and `// want ` + "`re`" + ` comments.
@@ -144,18 +113,36 @@ func checkFixture(t *testing.T, dir, path string, analyzers ...*lint.Analyzer) {
 }
 
 func TestNondetermFixture(t *testing.T) {
-	critical := func(path string) bool { return path == "fixture/nd" }
-	checkFixture(t, "nondeterm", "fixture/nd", lint.NewNondeterm(critical))
+	checkFixture(t, "nondeterm", "fixture/nd", lint.NewNondeterm())
 }
 
-// TestNondetermScope proves the analyzer is silent outside the
-// determinism-critical package list: the same violating fixture,
-// loaded under a non-critical path, yields nothing.
+// TestNondetermScope pins the exemption rule: the violating fixture is
+// silent under each exempt package and the packages below it, and
+// reported everywhere else in the module.
 func TestNondetermScope(t *testing.T) {
-	pkg := loadFixture(t, "nondeterm", "fixture/other")
-	critical := func(path string) bool { return path == "fixture/nd" }
-	if diags := lint.Run(pkg, []*lint.Analyzer{lint.NewNondeterm(critical)}); len(diags) != 0 {
-		t.Fatalf("nondeterm fired outside critical packages: %v", diags)
+	pkg := loadFixture(t, "nondeterm", "")
+	for _, c := range []struct {
+		path     string
+		critical bool
+	}{
+		{"repro", true},
+		{"repro/oracle", true},
+		{"repro/internal/core", true},
+		{"repro/internal/mergeguard", true},
+		{"repro/internal/memmodel/exectest", true},
+		{"repro/cmdline", true},
+		{"repro/internal/service", false},
+		{"repro/internal/lint", false},
+		{"repro/benchmark", false},
+		{"repro/cmd/mcversid", false},
+		{"repro/examples/quickstart", false},
+		{"repro/ci/statuszcheck", false},
+	} {
+		pkg.Path = c.path
+		diags := lint.Run(pkg, []*lint.Analyzer{lint.NewNondeterm()})
+		if got := len(diags) > 0; got != c.critical {
+			t.Errorf("%s: nondeterm reported %d findings, want critical=%v", c.path, len(diags), c.critical)
+		}
 	}
 }
 
@@ -163,24 +150,12 @@ func TestMaprangeFixture(t *testing.T) {
 	checkFixture(t, "maprange", "fixture/mr", lint.NewMaprange())
 }
 
-func TestMergefieldsFixture(t *testing.T) {
-	checkFixture(t, "mergefields", "fixture/mf", lint.NewMergefields())
-}
-
 func TestWiretagsFixture(t *testing.T) {
-	wire := func(path string) bool { return path == "fixture/wt" }
-	checkFixture(t, "wiretags", "fixture/wt", lint.NewWiretags(wire))
+	checkFixture(t, "wiretags", "fixture/wt", lint.NewWiretags())
 }
 
-// TestWiretagsScope proves wiretags is silent outside wire packages.
-func TestWiretagsScope(t *testing.T) {
-	pkg := loadFixture(t, "wiretags", "fixture/elsewhere")
-	wire := func(path string) bool { return path == "fixture/wt" }
-	if diags := lint.Run(pkg, []*lint.Analyzer{lint.NewWiretags(wire)}); len(diags) != 0 {
-		t.Fatalf("wiretags fired outside wire packages: %v", diags)
-	}
-}
-
+// TestAllowDirectiveFixture runs the whole suite: a directive scoped to
+// an analyzer names one of the analyzers run.
 func TestAllowDirectiveFixture(t *testing.T) {
-	checkFixture(t, "allow", "fixture/al", lint.NewMaprange())
+	checkFixture(t, "allow", "fixture/al", lint.DefaultAnalyzers()...)
 }

@@ -1,12 +1,14 @@
-// Package lint is mcvlint's analysis framework: a dependency-free
+// Package lint is the repository's static analysis: a dependency-free
 // equivalent of golang.org/x/tools/go/analysis sized to this repo's
 // needs. It exists because the invariants the rest of the codebase is
-// built on — byte-identical merges at any worker topology, commutative
-// shard algebra, wire-stable checkpoints — are invisible to the Go
-// compiler, and PRs 6–8 each spent review cycles hand-catching
-// violations (poisoned coverage unions, counters missing from Merge,
-// untagged wire fields). The four analyzers here encode those contracts
-// so `go vet -vettool=mcvlint` catches the next violation at CI time.
+// built on — a campaign is a pure function of (scenario, seed), so
+// merges are byte-identical at any worker topology and checkpoints are
+// wire-stable — are invisible to the Go compiler, and violations of
+// them (map order leaking into output, untagged wire fields, a clock
+// read in the campaign path) were caught by hand in review until now.
+// The three analyzers here encode those
+// contracts, and TestRepositoryClean runs them over every package of
+// the module as part of `go test ./...`.
 //
 // Findings that are deliberate are silenced in source with
 //
@@ -32,11 +34,13 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and scoped
 	// //mcvlint:allow directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description surfaced by mcvlint -flags
-	// style help and the README.
-	Doc string
 	// Run inspects the package and reports findings through pass.
 	Run func(pass *Pass)
+}
+
+// DefaultAnalyzers returns the suite TestRepositoryClean runs.
+func DefaultAnalyzers() []*Analyzer {
+	return []*Analyzer{NewNondeterm(), NewMaprange(), NewWiretags()}
 }
 
 // Pass carries one package's parsed and type-checked source through an
@@ -49,8 +53,7 @@ type Pass struct {
 	// Pkg and Info are the type-checker's output for the package.
 	Pkg  *types.Package
 	Info *types.Info
-	// Path is the package's import path (the canonical path from the
-	// vet config, or the fixture path under test).
+	// Path is the package's import path.
 	Path string
 
 	diags *[]Diagnostic
@@ -82,6 +85,18 @@ type Package struct {
 	Path  string
 }
 
+// NewInfo returns a types.Info with every map the analyzers consult.
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+}
+
 // Run applies analyzers to pkg, filters findings through the
 // //mcvlint:allow directives collected from the package's comments, and
 // returns the surviving diagnostics in file/position order. Malformed
@@ -102,7 +117,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		a.Run(pass)
 	}
 
-	allows, malformed := collectAllows(pkg.Fset, pkg.Files)
+	allows, malformed := collectAllows(pkg.Fset, pkg.Files, analyzers)
 	kept := diags[:0]
 	for _, d := range diags {
 		if !allows.covers(pkg.Fset.Position(d.Pos), d.Analyzer) {

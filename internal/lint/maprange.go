@@ -17,15 +17,11 @@ import (
 // exact bug class behind an order-dependent CanonicalBytes.
 //
 // Recognized-as-safe: appending to a slice that a later sort.* /
-// slices.* call (mentioning the same variable) normalizes, and slices
-// declared inside the loop body. Everything else needs a sort or an
+// slices.* call on the same variable normalizes, and slices declared
+// inside the loop body. Everything else needs a sort or an
 // //mcvlint:allow <reason>.
 func NewMaprange() *Analyzer {
-	a := &Analyzer{
-		Name: "maprange",
-		Doc: "flags map iteration feeding order-sensitive sinks (unsorted slice appends, " +
-			"string/byte builders, encoders, float accumulators)",
-	}
+	a := &Analyzer{Name: "maprange"}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files {
 			if isTestFile(pass, f) {
@@ -188,15 +184,8 @@ func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt) {
 // inside the range statement (loop-local state cannot leak iteration
 // order).
 func declaredWithin(pass *Pass, expr ast.Expr, rs *ast.RangeStmt) bool {
-	id := rootIdent(expr)
-	if id == nil {
-		return false
-	}
-	obj := pass.Info.ObjectOf(id)
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()
+	obj := rootObject(pass, expr)
+	return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()
 }
 
 func rootIdent(expr ast.Expr) *ast.Ident {
@@ -219,12 +208,17 @@ func rootIdent(expr ast.Expr) *ast.Ident {
 }
 
 // sortedLater reports whether, after the append at call, the enclosing
-// function calls a sorting function with an argument that mentions the
-// same target — the canonical collect-then-sort pattern. Sorting
-// functions are anything in package sort or slices, plus local helpers
-// whose name contains "sort" (sortAddrs, sortKeys, ...).
+// function calls a sorting function on the same target — the canonical
+// collect-then-sort pattern. An argument is the target when its root
+// variable is the target's, also under a type conversion
+// (sort.Sort(byName(x))). Sorting functions are anything in
+// package sort or slices, plus local helpers whose name contains "sort"
+// (sortAddrs, sortKeys, ...).
 func sortedLater(pass *Pass, enclosing *ast.BlockStmt, appendCall *ast.CallExpr, target ast.Expr) bool {
-	want := types.ExprString(target)
+	want := rootObject(pass, target)
+	if want == nil {
+		return false
+	}
 	found := false
 	ast.Inspect(enclosing, func(n ast.Node) bool {
 		if found {
@@ -251,7 +245,10 @@ func sortedLater(pass *Pass, enclosing *ast.BlockStmt, appendCall *ast.CallExpr,
 			return true
 		}
 		for _, arg := range call.Args {
-			if strings.Contains(types.ExprString(arg), want) {
+			if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 && pass.Info.Types[conv.Fun].IsType() {
+				arg = conv.Args[0]
+			}
+			if rootObject(pass, arg) == want {
 				found = true
 				return false
 			}
@@ -259,4 +256,13 @@ func sortedLater(pass *Pass, enclosing *ast.BlockStmt, appendCall *ast.CallExpr,
 		return true
 	})
 	return found
+}
+
+// rootObject returns the variable expr's root identifier denotes, or
+// nil if it has none.
+func rootObject(pass *Pass, expr ast.Expr) types.Object {
+	if id := rootIdent(expr); id != nil {
+		return pass.Info.ObjectOf(id)
+	}
+	return nil
 }

@@ -33,18 +33,38 @@ var osEnvBanned = map[string]bool{
 	"Getenv": true, "LookupEnv": true, "Environ": true, "ExpandEnv": true,
 }
 
-// NewNondeterm returns the nondeterm analyzer: in the packages matched
-// by critical (exact import paths), any use — call or value — of a
-// wall-clock read, the global math/rand RNG, or an environment read is
-// a finding. Test files are exempt (they time out, fake clocks, and
-// benchmark freely); the driver additionally skips test-variant
-// packages.
-func NewNondeterm(critical func(path string) bool) *Analyzer {
-	a := &Analyzer{
-		Name: "nondeterm",
-		Doc: "forbids wall-clock reads (time.Now/Since/...), the global math/rand RNG, " +
-			"and environment reads (os.Getenv/...) in determinism-critical packages",
+// exempt lists the packages nondeterm leaves alone, each with every
+// package below it. The daemon half of internal/service (lease TTLs,
+// admission, checkpoint mtimes) runs on real wall clocks by design and
+// delegates its determinism-critical work to fleet and core; the rest
+// are commands, examples and tooling. Every other package of the
+// module is determinism-critical, obs and host included: their clock
+// laps carry //mcvlint:allow, which keeps every other clock read there
+// a finding.
+var exempt = []string{
+	"repro/internal/service",
+	"repro/internal/lint",
+	"repro/benchmark",
+	"repro/cmd",
+	"repro/examples",
+	"repro/ci",
+}
+
+func critical(path string) bool {
+	for _, e := range exempt {
+		if path == e || strings.HasPrefix(path, e+"/") {
+			return false
+		}
 	}
+	return true
+}
+
+// NewNondeterm returns the nondeterm analyzer: in every package not
+// exempt, any use — call or value — of a wall-clock read, the global
+// math/rand RNG, or an environment read is a finding. Test files are
+// exempt (they time out, fake clocks, and benchmark freely).
+func NewNondeterm() *Analyzer {
+	a := &Analyzer{Name: "nondeterm"}
 	a.Run = func(pass *Pass) {
 		if !critical(pass.Path) {
 			return

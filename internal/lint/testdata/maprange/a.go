@@ -39,6 +39,33 @@ func sortedByHelper(m map[string]int) []string {
 
 func sortKeys(ks []string) { sort.Strings(ks) }
 
+// Sorting a different slice whose name contains the target's does not
+// redeem the append.
+func sortedOther(m map[string]int, outer []string) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k) // want `append to out inside map iteration`
+	}
+	sort.Strings(outer)
+	return append(out, outer...)
+}
+
+// A conversion to a sort.Interface still sorts the target.
+type byLen []string
+
+func (b byLen) Len() int           { return len(b) }
+func (b byLen) Less(i, j int) bool { return len(b[i]) < len(b[j]) }
+func (b byLen) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+func sortedViaConversion(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Sort(byLen(keys))
+	return keys
+}
+
 func sortedViaSlice(m map[int]int) []int {
 	var ks []int
 	for k := range m {

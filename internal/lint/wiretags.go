@@ -8,34 +8,25 @@ import (
 	"strings"
 )
 
-// NewWiretags returns the wiretags analyzer, scoped to the wire
-// packages (the ones whose structs cross process boundaries as JSON:
-// fleet shard results, core specs, service API types, the
-// stats/obs aggregates that ride them). A struct there opts into the
-// wire by tagging at least one field with a json tag; once it has, the
-// contract is total:
+// NewWiretags returns the wiretags analyzer. A struct opts into the
+// wire (fleet shard results, core specs, service API types, the
+// stats/obs aggregates that ride them) by tagging at least one field
+// with a json tag; once it has, the contract is total:
 //
 //   - every exported field carries an explicit json tag — field-name
 //     default encoding makes a rename a silent wire break, and an
 //     untagged addition changes bytes the equivalence suite diffs;
-//   - every `json:"-"` field carries a doc or line comment saying why
-//     it is excluded (the PR 7/8 convention: merge-only operator
-//     telemetry never enters CanonicalBytes).
+//   - every `json:"-"` field carries a doc comment saying why it is
+//     excluded (merge-only operator telemetry never enters
+//     CanonicalBytes).
 //
 // Untagged embedded struct fields are exempt: embedding is the
 // explicit JSON-inlining idiom, the embedded type's own fields carry
 // the tags, and renaming the embedded type does not move any wire
 // name.
-func NewWiretags(wire func(path string) bool) *Analyzer {
-	a := &Analyzer{
-		Name: "wiretags",
-		Doc: "exported fields of wire structs (any struct with a json-tagged field in a wire " +
-			"package) need explicit json tags; json:\"-\" fields need a comment explaining the exclusion",
-	}
+func NewWiretags() *Analyzer {
+	a := &Analyzer{Name: "wiretags"}
 	a.Run = func(pass *Pass) {
-		if !wire(pass.Path) {
-			return
-		}
 		for _, f := range pass.Files {
 			if isTestFile(pass, f) {
 				continue

@@ -1,11 +1,10 @@
-// Package mergeguard is the runtime complement to mcvlint's static
-// mergefields analyzer: where the analyzer proves a Merge method
-// *reads* every field, this package proves the merge *propagates*
-// every field. It perturbs one numeric leaf of the right-hand operand
-// at a time with seeded-random values and requires the merged result
-// to change — a merge that drops a counter (the PR 6 coverage-poison
-// bug, the PR 8 fastpath-counter bug) fails the guard on exactly the
-// field it drops.
+// Package mergeguard is the repository's one merge-field guard: it
+// proves a Merge method *propagates* every field. It perturbs one
+// numeric leaf of the right-hand operand at a time with seeded-random
+// values and requires the merged result to change — a merge that drops
+// a counter (a coverage union degraded to "no data", a fast-path
+// counter left out of the fold) fails the guard on exactly the field
+// it drops.
 package mergeguard
 
 import (

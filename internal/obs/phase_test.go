@@ -174,10 +174,9 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-// TestSnapshotMergeCoversEveryField is the runtime half of the
-// mergefields invariant: every PhaseStat leaf of every phase must
-// propagate through Merge — a phase dropped from the Phase/set
-// dispatch tables fails here by name.
+// TestSnapshotMergeCoversEveryField: every PhaseStat leaf of every
+// phase must propagate through Merge — a phase dropped from the
+// Phase/set dispatch tables fails here by name.
 func TestSnapshotMergeCoversEveryField(t *testing.T) {
 	if got := mergeguard.Uncovered(Snapshot.Merge, 1); got != nil {
 		t.Errorf("Snapshot.Merge drops %v", got)

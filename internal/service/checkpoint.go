@@ -37,8 +37,8 @@ type checkpointFile struct {
 	Shards    []shardCheckpoint `json:"shards"`
 }
 
-// checkpointLocked persists a campaign's durable state, atomically
-// (write-to-temp + rename). A no-op without a CheckpointDir. Write
+// checkpointLocked persists a campaign's durable state through
+// writeDurable. A no-op without a CheckpointDir. Write
 // failures are recorded in c.ckErr — surfaced on Status as a durability
 // degradation, never as the campaign failure reason (errMsg stays the
 // semantic failure cause, and what's persisted as Err) — and a later
@@ -71,17 +71,51 @@ func (s *Service) checkpointLocked(c *campaign) {
 		c.ckErr = fmt.Sprintf("checkpoint: %v", err)
 		return
 	}
-	path := filepath.Join(s.cfg.CheckpointDir, c.id+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		c.ckErr = fmt.Sprintf("checkpoint: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeDurable(filepath.Join(s.cfg.CheckpointDir, c.id+".json"), data); err != nil {
 		c.ckErr = fmt.Sprintf("checkpoint: %v", err)
 		return
 	}
 	c.ckErr = ""
+}
+
+// writeDurable replaces path with data so that a crash leaves the old
+// file or the new one, never a torn one that would make New refuse the
+// whole directory: the bytes go to path.tmp, which is synced before
+// the rename, and the directory is synced after it. path.tmp is
+// removed when any step fails.
+func writeDurable(path string, data []byte) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // removeCheckpointLocked deletes an evicted campaign's checkpoint file.

@@ -560,3 +560,74 @@ func TestServiceCheckpointRestart(t *testing.T) {
 		t.Errorf("post-restart id %s, want c00000003", idC)
 	}
 }
+
+// TestServiceCheckpointUnwritable: a checkpoint directory that becomes
+// unwritable degrades durability, never the campaign. The campaign
+// finishes with the checkpoint-less bytes, Status.CheckpointErr says
+// why, and the first write after the directory returns clears it and
+// leaves no temporary file behind.
+func TestServiceCheckpointUnwritable(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	s, err := New(Config{ShardSize: 2, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A regular file in the directory's place refuses every write, even
+	// to root, which a chmod does not.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	spec := testSpec(core.GenRandom, 2, 3, 41, "mesi-tso", "mesi-pso") // 4 items, 2 shards
+	id, err := s.Submit("t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runShard := func() {
+		t.Helper()
+		l, err := s.Claim("w")
+		if err != nil || l == nil {
+			t.Fatalf("claim: %+v, %v", l, err)
+		}
+		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Complete(l.ID, sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runShard()
+	if st, _ := s.Get(id); st.CheckpointErr == "" || st.State != StateRunning {
+		t.Fatalf("after a failed write: state %s, CheckpointErr %q; want running with the error", st.State, st.CheckpointErr)
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	runShard()
+	st, _ := s.Get(id)
+	if st.State != StateDone || st.CheckpointErr != "" {
+		t.Fatalf("after the directory returned: state %s, CheckpointErr %q; want done and cleared", st.State, st.CheckpointErr)
+	}
+	got, err := s.ResultBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceBytes(t, spec); !bytes.Equal(got, want) {
+		t.Fatalf("campaign diverged from reference:\n  want %s\n  got  %s", want, got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != id+".json" {
+		t.Errorf("checkpoint directory holds %v, want only %s.json", entries, id)
+	}
+}

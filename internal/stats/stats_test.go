@@ -126,9 +126,8 @@ func TestFastpathCounters(t *testing.T) {
 	}
 }
 
-// TestMergeCoversEveryField is the runtime half of the mergefields
-// invariant: the static analyzer proves Merge reads each counter, this
-// guard proves each counter actually propagates into the result.
+// TestMergeCoversEveryField proves each counter propagates through
+// Merge into the result.
 func TestMergeCoversEveryField(t *testing.T) {
 	fastpath := func(a, b Fastpath) Fastpath { a.Merge(b); return a }
 	if got := mergeguard.Uncovered(fastpath, 1); got != nil {
