@@ -308,7 +308,7 @@ func BenchmarkFleetIslands(b *testing.B) {
 			name = "islands"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := fleet.Options{Islands: islands, MigrationInterval: 10, MigrationSize: 2}
+			opts := fleet.Options{Islands: islands, MigrationInterval: 10}
 			for i := 0; i < b.N; i++ {
 				if _, err := fleet.LocalMerged(context.Background(), spec, opts); err != nil {
 					b.Fatal(err)

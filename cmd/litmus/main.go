@@ -17,9 +17,12 @@ func main() {
 	passes := flag.Int("passes", 20, "whole-suite passes")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "litmus: unexpected argument %q\n", flag.Arg(0))
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "litmus:", err)
 		os.Exit(2)
+	}
+	if flag.NArg() > 0 {
+		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
 
 	suite := mcversi.LitmusSuite()
@@ -29,6 +32,20 @@ func main() {
 		}
 		fmt.Printf("%d tests\n", len(suite))
 		return
+	}
+	if *passes <= 0 {
+		// Zero passes would report a vacuous "no forbidden outcome".
+		usage(fmt.Errorf("-passes must be positive, got %d", *passes))
+	}
+	// The suite runs the TSO machine under -protocol with -bug injected:
+	// the scenario rules name an unknown protocol or bug, or a bug of the
+	// other protocol.
+	target := mcversi.Scenario{Protocol: mcversi.Protocol(*proto), Model: "TSO"}
+	if *bug != "" {
+		target.Bugs = []string{*bug}
+	}
+	if err := target.Validate(); err != nil {
+		usage(err)
 	}
 	cfg := mcversi.DefaultLitmusConfig(mcversi.Protocol(*proto))
 	cfg.MaxPasses = *passes

@@ -41,7 +41,8 @@ func main() {
 	case "matrix":
 		err = eval.ScenarioMatrix(os.Stdout, sc)
 	default:
-		err = fmt.Errorf("unknown table %q (4, 5, 6 or matrix)", *table)
+		fmt.Fprintf(os.Stderr, "tables: unknown table %q (4, 5, 6 or matrix)\n", *table)
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)

@@ -45,15 +45,9 @@ const (
 // Table 4 cell).
 type Config struct {
 	// Scenario is the verification target: coherence protocol, axiomatic
-	// model, legal core relaxations and injected bugs. The zero value is
-	// normalized to the paper's target (Machine.Protocol — or MESI —
-	// checked against TSO, no relaxations, no bugs), so pre-scenario
-	// configurations keep working.
+	// model, legal core relaxations and injected bugs, on the Table 2
+	// machine. An unset protocol is MESI and an unset model TSO.
 	Scenario scenario.Scenario
-	// Machine is the base simulated topology (cores, cache geometry,
-	// mesh). Protocol, Relax, Bugs and Seed are overridden from
-	// Scenario and Seed.
-	Machine machine.Config
 	// Seed drives simulation and test generation.
 	Seed int64
 	// Test is the test-generation configuration (Table 3).
@@ -69,8 +63,6 @@ type Config struct {
 	// MaxTestRuns bounds the campaign in test-runs (the scaled
 	// equivalent of the paper's 24-hour limit).
 	MaxTestRuns int
-	// MaxSimTicks optionally bounds simulated time (0 = unbounded).
-	MaxSimTicks sim.Tick
 	// Memo, when non-nil, puts a verdict memo in front of the checker:
 	// each iteration's execution is signed and each unique (program,
 	// observed-ordering) pair is model-checked at most once per memo
@@ -87,7 +79,6 @@ type Config struct {
 // tests, 10 iterations per run).
 func DefaultConfig() Config {
 	return Config{
-		Machine:     machine.DefaultConfig(),
 		Generator:   GenGPAll,
 		GP:          gp.PaperParams(),
 		Coverage:    coverage.DefaultParams(),
@@ -97,14 +88,9 @@ func DefaultConfig() Config {
 }
 
 // ResolvedScenario normalizes and validates the campaign's scenario:
-// an unset protocol falls back to the machine config's (then MESI), an
-// unset model to TSO. This keeps pre-scenario configurations — which
-// set Machine.Protocol directly — meaning what they always meant.
+// an unset protocol is MESI, an unset model TSO.
 func (c Config) ResolvedScenario() (scenario.Scenario, error) {
 	s := c.Scenario
-	if s.Protocol == "" {
-		s.Protocol = c.Machine.Protocol
-	}
 	if s.Protocol == "" {
 		s.Protocol = machine.MESI
 	}
@@ -121,8 +107,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown generator %q", c.Generator)
 	}
-	if c.MaxTestRuns <= 0 && c.MaxSimTicks == 0 {
-		return fmt.Errorf("core: campaign needs a budget (MaxTestRuns or MaxSimTicks)")
+	if c.MaxTestRuns <= 0 {
+		return fmt.Errorf("core: MaxTestRuns must be positive, got %d", c.MaxTestRuns)
 	}
 	if err := c.Test.Validate(); err != nil {
 		return err
@@ -131,11 +117,8 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	mcfg, err := s.Apply(c.Machine)
-	if err != nil {
-		return err
-	}
-	return mcfg.Validate()
+	_, err = s.Apply()
+	return err
 }
 
 // Result summarizes one campaign.
@@ -270,7 +253,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	mcfg, err := scn.Apply(cfg.Machine)
+	mcfg, err := scn.Apply()
 	if err != nil {
 		return nil, err
 	}
@@ -438,11 +421,7 @@ func (c *Campaign) Advance(ctx context.Context, extra int) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		if c.cfg.MaxTestRuns > 0 && c.out.TestRuns >= c.cfg.MaxTestRuns {
-			c.finished = true
-			return true, nil
-		}
-		if c.cfg.MaxSimTicks > 0 && c.h.Machine().Sim.Now() >= c.cfg.MaxSimTicks {
+		if c.out.TestRuns >= c.cfg.MaxTestRuns {
 			c.finished = true
 			return true, nil
 		}

@@ -116,19 +116,17 @@ func TestScenarioBugHunt(t *testing.T) {
 	}
 }
 
-// TestResolvedScenarioCompatibility: pre-scenario configurations that
-// set Machine.Protocol directly still resolve to the paper's target.
+// TestResolvedScenarioCompatibility: an unset scenario resolves to the
+// paper's target, and an explicit one is kept.
 func TestResolvedScenarioCompatibility(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Machine.Protocol = "TSO-CC"
 	s, err := cfg.ResolvedScenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Protocol != "TSO-CC" || s.Model != "TSO" {
-		t.Errorf("resolved %s/%s, want TSO-CC/TSO", s.Protocol, s.Model)
+	if s.Protocol != "MESI" || s.Model != "TSO" {
+		t.Errorf("resolved %s/%s, want MESI/TSO", s.Protocol, s.Model)
 	}
-	// An explicit scenario wins over the machine protocol.
 	cfg.Scenario = scenario.Scenario{Protocol: "MESI", Model: "PSO", Relax: scenario.RelaxFor("PSO")}
 	s, err = cfg.ResolvedScenario()
 	if err != nil {

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/coverage"
 	"repro/internal/gp"
 	"repro/internal/host"
+	"repro/internal/machine"
 	"repro/internal/memsys"
 	"repro/internal/scenario"
 	"repro/internal/testgen"
@@ -14,10 +18,10 @@ import (
 
 // Spec is the serializable wire form of a campaign set: everything a
 // remote worker needs to reproduce a slice of a campaign byte-for-byte.
-// It covers the standard configuration surface (scenario list, generator
+// It covers the whole configuration surface (scenario list, generator
 // selection, Table 3 test-generation sizes, GP/coverage/host parameters
-// and the budget); exotic in-process knobs — a custom machine topology,
-// a custom event kernel, a shared memo — deliberately have no wire form.
+// and the budget) on the one Table 2 machine; the benchmark's shared
+// verdict memo is the one in-process knob with no wire form.
 //
 // A spec describes len(Scenarios) × Samples independent campaigns
 // ("items") — the paper's samples-per-cell (§5.1) times a scenario
@@ -47,8 +51,6 @@ type Spec struct {
 	// MemBytes and Stride describe the test-memory layout.
 	MemBytes int `json:"mem_bytes"`
 	Stride   int `json:"stride"`
-	// DelayMax bounds OpDelay NOP counts (0 = testgen default).
-	DelayMax int `json:"delay_max,omitempty"`
 
 	// GP holds the GP parameters (gp-* generators).
 	GP gp.Params `json:"gp"`
@@ -58,9 +60,8 @@ type Spec struct {
 	Host host.Options `json:"host"`
 }
 
-// NewSpec derives the wire form of cfg swept over scens × samples. The
-// machine topology is not carried (remote ends use the Table 2 default,
-// as cfg normally does); Layout.Base likewise resets to the default.
+// NewSpec derives the wire form of cfg swept over scens × samples.
+// Layout.Base is not carried: it resets to the default.
 func NewSpec(cfg Config, scens []scenario.Scenario, samples int, baseSeed int64) Spec {
 	return Spec{
 		Scenarios:   scens,
@@ -72,7 +73,6 @@ func NewSpec(cfg Config, scens []scenario.Scenario, samples int, baseSeed int64)
 		Threads:     cfg.Test.Threads,
 		MemBytes:    cfg.Test.Layout.Size,
 		Stride:      cfg.Test.Layout.Stride,
-		DelayMax:    cfg.Test.DelayMax,
 		GP:          cfg.GP,
 		Coverage:    cfg.Coverage,
 		Host:        cfg.Host,
@@ -130,14 +130,9 @@ func (s Spec) ItemConfig(i int) (Config, error) {
 	cfg.MaxTestRuns = s.MaxTestRuns
 	threads := s.Threads
 	if threads == 0 {
-		threads = cfg.Machine.Cores
+		threads = machine.Cores
 	}
-	cfg.Test = testgen.Config{
-		Size:     s.TestSize,
-		Threads:  threads,
-		Layout:   layout,
-		DelayMax: s.DelayMax,
-	}
+	cfg.Test = testgen.Config{Size: s.TestSize, Threads: threads, Layout: layout}
 	cfg.GP = s.GP
 	cfg.Coverage = s.Coverage
 	cfg.Host = s.Host
@@ -145,11 +140,17 @@ func (s Spec) ItemConfig(i int) (Config, error) {
 }
 
 // ParseSpec deserializes and validates a spec; marshalling is plain
-// encoding/json over the exported fields.
+// encoding/json over the exported fields. A field the spec does not have
+// is an error: a misspelt or retired knob must not run at its default.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("spec: data after the spec object")
 	}
 	return s, s.Validate()
 }

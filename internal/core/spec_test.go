@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -86,6 +87,41 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 	if _, err := s.ItemConfig(s.Items()); err == nil {
 		t.Error("out-of-range item accepted")
+	}
+}
+
+// TestParseSpecRejectsUnknownFields: a retired knob or a misspelt field,
+// at the top or nested, is an error naming it — never a campaign run at
+// the default the field was meant to change.
+func TestParseSpecRejectsUnknownFields(t *testing.T) {
+	data, err := json.Marshal(testSpec(GenRandom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(doc map[string]any)
+	}{
+		{"delay_max", func(doc map[string]any) { doc["delay_max"] = 4 }},
+		{"sampels", func(doc map[string]any) { doc["sampels"] = 9 }},
+		{"Patiense", func(doc map[string]any) { doc["coverage"].(map[string]any)["Patiense"] = 1 }},
+		{"cores", func(doc map[string]any) { doc["scenarios"].([]any)[0].(map[string]any)["cores"] = 4 }},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(doc)
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSpec(edited); err == nil || !strings.Contains(err.Error(), `"`+tc.field+`"`) {
+			t.Errorf("%s: ParseSpec = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	if _, err := ParseSpec(append(data, "{}"...)); err == nil {
+		t.Error("a spec with trailing data was accepted")
 	}
 }
 

@@ -51,11 +51,9 @@ type Options struct {
 	// chromosomes bred for one machine contract.
 	Islands bool
 	// MigrationInterval is the island epoch length in test-runs
-	// (default 50).
+	// (default 50). Each island sends its two fittest individuals per
+	// epoch.
 	MigrationInterval int
-	// MigrationSize is how many elites each island sends per epoch
-	// (default 2).
-	MigrationSize int
 	// Events, when non-nil, receives one Done event per item that
 	// started (Stopped when it was cut off) and one per island epoch.
 	// Sends are blocking: the consumer must drain the channel until
@@ -78,11 +76,11 @@ func (o Options) withDefaults() Options {
 	if o.MigrationInterval <= 0 {
 		o.MigrationInterval = 50
 	}
-	if o.MigrationSize <= 0 {
-		o.MigrationSize = 2
-	}
 	return o
 }
+
+// migrationSize is how many elites each island sends per epoch.
+const migrationSize = 2
 
 // Event is one progress report from the fleet.
 type Event struct {

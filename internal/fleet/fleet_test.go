@@ -200,7 +200,7 @@ func TestFleetDeterminism(t *testing.T) {
 // must also be worker-count independent.
 func TestFleetIslandDeterminism(t *testing.T) {
 	spec := setSpec(core.GenGPAll, "", 36, 4, 7)
-	opts := Options{Islands: true, MigrationInterval: 8, MigrationSize: 2, Obs: true}
+	opts := Options{Islands: true, MigrationInterval: 8, Obs: true}
 
 	var want []core.Result
 	wantUnion := -1.0
@@ -263,9 +263,8 @@ func TestFleetIslandDeterminism(t *testing.T) {
 // island), re-recorded with no scheduler change when resultHash began
 // hashing every field instead of Result.String's five; no change to the
 // ring, the barrier or the item materialization may move them. GP-All,
-// 4 samples, base seed 42, MigrationInterval 10, MigrationSize 2 — once
-// to the budget, once as a StopOnFound hunt that cuts sample 3 off at an
-// epoch barrier.
+// 4 samples, base seed 42, MigrationInterval 10 — once to the budget,
+// once as a StopOnFound hunt that cuts sample 3 off at an epoch barrier.
 func TestIslandIdentity(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -289,7 +288,7 @@ func TestIslandIdentity(t *testing.T) {
 				restoreProcs(t, workers)
 				m, err := LocalMerged(context.Background(), spec, Options{
 					Workers: workers, Islands: true, StopOnFound: tc.stop,
-					MigrationInterval: 10, MigrationSize: 2,
+					MigrationInterval: 10,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -313,7 +312,7 @@ func TestFleetIslandsDifferFromPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	isl, err := LocalMerged(context.Background(), spec,
-		Options{Workers: 1, Islands: true, MigrationInterval: 8, MigrationSize: 3})
+		Options{Workers: 1, Islands: true, MigrationInterval: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

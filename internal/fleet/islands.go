@@ -11,7 +11,7 @@ import (
 // islands runs the shard's GP campaigns as an island model: every epoch
 // each live island advances MigrationInterval test-runs in parallel,
 // then — at a barrier, in ring order — sends deep copies of its
-// MigrationSize fittest individuals to the next live island. Because
+// migrationSize fittest individuals to the next live island. Because
 // every cross-island exchange happens at the barrier in a fixed order,
 // the worker count influences only wall-clock time, never results;
 // StopOnFound is likewise checked only at the barrier, so even early
@@ -92,7 +92,7 @@ func (s *shardRun) islands(ctx context.Context) ([]core.Result, error) {
 		// received.
 		elites := make([][]*gp.Individual, len(live))
 		for k, i := range live {
-			elites[k] = camps[i].Engine().Elites(s.opts.MigrationSize)
+			elites[k] = camps[i].Engine().Elites(migrationSize)
 		}
 		for k, i := range live {
 			camps[i].Engine().Immigrate(elites[(k+len(live)-1)%len(live)])

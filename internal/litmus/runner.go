@@ -110,17 +110,14 @@ type SuiteConfig struct {
 	IterationsPerTest int
 	// MaxPasses bounds the outer loop (the 24h limit, scaled).
 	MaxPasses int
-	// MaxTicksPerIteration is the watchdog.
-	MaxTicksPerIteration sim.Tick
 }
 
 // DefaultSuiteConfig returns a scaled-down campaign configuration.
 func DefaultSuiteConfig() SuiteConfig {
 	return SuiteConfig{
-		Machine:              machine.DefaultConfig(),
-		IterationsPerTest:    10,
-		MaxPasses:            20,
-		MaxTicksPerIteration: 30_000_000,
+		Machine:           machine.DefaultConfig(),
+		IterationsPerTest: 10,
+		MaxPasses:         20,
 	}
 }
 
@@ -141,7 +138,7 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 
 	lowered := make([]*Lowered, 0, len(tests))
 	for _, t := range tests {
-		low, err := Lower(t, mcfg.Cores)
+		low, err := Lower(t, machine.Cores)
 		if err != nil {
 			return SuiteResult{}, err
 		}
@@ -150,6 +147,7 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 
 	var res SuiteResult
 	rng := m.Sim.Rand()
+	watchdog := host.DefaultOptions().MaxTicksPerIteration
 
 	resetMem := func(low *Lowered) {
 		m.ResetCaches()
@@ -173,11 +171,11 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 				if err := m.LoadPrograms(progs); err != nil {
 					return res, err
 				}
-				offs := make([]sim.Tick, mcfg.Cores)
+				offs := make([]sim.Tick, machine.Cores)
 				for i := range offs {
 					offs[i] = sim.Tick(rng.Int63n(5))
 				}
-				runErr := m.RunPrograms(offs, cfg.MaxTicksPerIteration)
+				runErr := m.RunPrograms(offs, watchdog)
 				if runErr == nil {
 					m.Quiesce()
 				}

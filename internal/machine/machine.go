@@ -40,23 +40,24 @@ func ProtocolNames() string {
 	return strings.Join(names, ", ")
 }
 
-// Config describes the simulated system.
+// Table 2's shape: every machine has it. Only what Config holds varies.
+const (
+	// Cores is the core count, one test thread each.
+	Cores = 8
+	// tiles is the shared L2/directory tile count, one per mesh node.
+	tiles = 8
+	// l1Size/l1Ways give each private L1 (32 KB, 4-way); l2TileSize/
+	// l2Ways each L2 tile (128 KB, 4-way).
+	l1Size, l1Ways     = 32 * 1024, 4
+	l2TileSize, l2Ways = 128 * 1024, 4
+)
+
+// Config is what varies between machines: the protocol, the cores'
+// legal relaxations, the injected bugs and the seed. Everything else is
+// Table 2.
 type Config struct {
-	// Cores is the core count (Table 2: 8).
-	Cores int
 	// Protocol selects MESI or TSO-CC.
 	Protocol Protocol
-	// L1Size/L1Ways give the private L1 geometry (32KB, 4-way).
-	L1Size, L1Ways int
-	// L2TileSize/L2Ways give the per-tile shared L2 geometry
-	// (128KB × 8 tiles, 4-way).
-	L2TileSize, L2Ways int
-	// Tiles is the L2 tile count (8).
-	Tiles int
-	// Mesh is the interconnect configuration (2D mesh, 2 rows).
-	Mesh interconnect.Config
-	// CPU is the core configuration (LSQ 32, ROB 40).
-	CPU cpu.Config
 	// Relax is the cores' legal ordering configuration (scenario
 	// feature, not a bug; see cpu.Relax).
 	Relax cpu.Relax
@@ -66,53 +67,15 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the Table 2 system.
+// DefaultConfig returns the Table 2 system under MESI, bug-free.
 func DefaultConfig() Config {
-	return Config{
-		Cores:      8,
-		Protocol:   MESI,
-		L1Size:     32 * 1024,
-		L1Ways:     4,
-		L2TileSize: 128 * 1024,
-		L2Ways:     4,
-		Tiles:      8,
-		Mesh:       interconnect.DefaultConfig(),
-		CPU:        cpu.DefaultConfig(),
-	}
+	return Config{Protocol: MESI}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Cores <= 0 || c.Cores > 32 {
-		return fmt.Errorf("machine: cores must be in (0,32], got %d", c.Cores)
-	}
-	if c.Tiles <= 0 {
-		return fmt.Errorf("machine: tiles must be positive")
-	}
 	if c.Protocol != MESI && c.Protocol != TSOCC {
 		return fmt.Errorf("machine: unknown protocol %q (valid: %s)", c.Protocol, ProtocolNames())
-	}
-	if c.Cores > c.Mesh.Rows*c.Mesh.Cols || c.Tiles > c.Mesh.Rows*c.Mesh.Cols {
-		return fmt.Errorf("machine: mesh %dx%d too small for %d cores / %d tiles",
-			c.Mesh.Rows, c.Mesh.Cols, c.Cores, c.Tiles)
-	}
-	if err := validGeometry("L1Size", "L1Ways", c.L1Size, c.L1Ways); err != nil {
-		return err
-	}
-	return validGeometry("L2TileSize", "L2Ways", c.L2TileSize, c.L2Ways)
-}
-
-// validGeometry accepts a cache of size bytes and ways ways only when it
-// is ways × 64-byte lines × a power of two sets: the arrays index a set
-// by masking the line number.
-func validGeometry(sizeField, waysField string, size, ways int) error {
-	if ways <= 0 {
-		return fmt.Errorf("machine: %s must be positive, got %d", waysField, ways)
-	}
-	set := ways * memsys.LineSize
-	if sets := size / set; size <= 0 || size%set != 0 || sets&(sets-1) != 0 {
-		return fmt.Errorf("machine: %s %d with %s %d: want %d-byte sets (%d ways of %d-byte lines) times a power of two",
-			sizeField, size, waysField, ways, set, ways, memsys.LineSize)
 	}
 	return nil
 }
@@ -171,7 +134,8 @@ func build(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	s := new(sim.Sim) // seeded by reset
-	net := interconnect.New(s, cfg.Mesh)
+	mesh := interconnect.DefaultConfig()
+	net := interconnect.New(s, mesh)
 	mem := memsys.NewMemory()
 	m := &Machine{Cfg: cfg, Sim: s, Net: net, Mem: mem}
 	m.coreDone = func() { m.running-- }
@@ -187,20 +151,20 @@ func build(cfg Config) (*Machine, error) {
 	}
 	m.Ctrl = ctrl
 
-	pos := func(i int) (int, int) { return i / cfg.Mesh.Cols, i % cfg.Mesh.Cols }
-	cpuCfg := cfg.CPU
+	pos := func(i int) (int, int) { return i / mesh.Cols, i % mesh.Cols }
+	cpuCfg := cpu.DefaultConfig()
 	cpuCfg.Bugs = cfg.Bugs
 	cpuCfg.Relax = cfg.Relax
 
-	for i := 0; i < cfg.Cores; i++ {
+	for i := 0; i < Cores; i++ {
 		row, col := pos(i)
 		var l1 interface {
 			coherence.CacheL1
 			controller
 		}
 		ccfg := coherence.Config{
-			ID: i, Cores: cfg.Cores, Tiles: cfg.Tiles,
-			SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
+			ID: i, Cores: Cores, Tiles: tiles,
+			SizeBytes: l1Size, Ways: l1Ways,
 			Bugs: cfg.Bugs, Msgs: msgs,
 		}
 		switch cfg.Protocol {
@@ -217,12 +181,12 @@ func build(cfg Config) (*Machine, error) {
 		m.Cores = append(m.Cores, cpu.New(i, s, l1, cpuCfg, nil))
 	}
 
-	for t := 0; t < cfg.Tiles; t++ {
+	for t := 0; t < tiles; t++ {
 		row, col := pos(t)
 		var l2 controller
 		ccfg := coherence.Config{
-			ID: t, Cores: cfg.Cores, Tiles: cfg.Tiles,
-			SizeBytes: cfg.L2TileSize, Ways: cfg.L2Ways,
+			ID: t, Cores: Cores, Tiles: tiles,
+			SizeBytes: l2TileSize, Ways: l2Ways,
 			Bugs: cfg.Bugs, Msgs: msgs,
 		}
 		switch cfg.Protocol {

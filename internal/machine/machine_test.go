@@ -3,10 +3,11 @@ package machine
 import (
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
+	"repro/internal/bugs"
 	"repro/internal/coherence"
+	"repro/internal/cpu"
 	"repro/internal/interconnect"
 	"repro/internal/memsys"
 	"repro/internal/sim"
@@ -14,43 +15,35 @@ import (
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig()
 	// Table 2.
-	if cfg.Cores != 8 {
-		t.Errorf("Cores = %d, want 8", cfg.Cores)
+	if Cores != 8 || tiles != 8 {
+		t.Errorf("cores/tiles = %d/%d, want 8/8", Cores, tiles)
 	}
-	if cfg.L1Size != 32*1024 || cfg.L1Ways != 4 {
-		t.Errorf("L1 = %d/%d-way, want 32KB 4-way", cfg.L1Size, cfg.L1Ways)
+	if l1Size != 32*1024 || l1Ways != 4 {
+		t.Errorf("L1 = %d/%d-way, want 32KB 4-way", l1Size, l1Ways)
 	}
-	if cfg.L2TileSize != 128*1024 || cfg.Tiles != 8 || cfg.L2Ways != 4 {
-		t.Errorf("L2 = %dx%d/%d-way, want 128KB x8 4-way", cfg.L2TileSize, cfg.Tiles, cfg.L2Ways)
+	if l2TileSize != 128*1024 || l2Ways != 4 {
+		t.Errorf("L2 tile = %d/%d-way, want 128KB 4-way", l2TileSize, l2Ways)
 	}
-	if cfg.Mesh.Rows != 2 {
-		t.Errorf("mesh rows = %d, want 2", cfg.Mesh.Rows)
+	if mesh := interconnect.DefaultConfig(); mesh.Rows != 2 || mesh.Cols != 4 {
+		t.Errorf("mesh = %dx%d, want 2x4", mesh.Rows, mesh.Cols)
 	}
-	if cfg.CPU.LSQSize != 32 || cfg.CPU.ROBSize != 40 {
-		t.Errorf("LSQ/ROB = %d/%d, want 32/40", cfg.CPU.LSQSize, cfg.CPU.ROBSize)
+	if c := cpu.DefaultConfig(); c.ROBSize != 40 || c.LSQSize != 32 || c.SBSize != 8 {
+		t.Errorf("ROB/LSQ/SB = %d/%d/%d, want 40/32/8", c.ROBSize, c.LSQSize, c.SBSize)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Cores = 0
-	if cfg.Validate() == nil {
-		t.Error("zero cores accepted")
-	}
-	cfg = DefaultConfig()
 	cfg.Protocol = "bogus"
 	if cfg.Validate() == nil {
 		t.Error("bogus protocol accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.Cores = 100
-	if cfg.Validate() == nil {
-		t.Error("cores beyond mesh accepted")
+	if _, err := New(cfg, nil, nil, nil); err == nil {
+		t.Error("New built a machine with a bogus protocol")
 	}
 }
 
@@ -108,7 +101,7 @@ func TestLoadProgramsRejectsTooMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs := make([]testgen.Program, cfg.Cores+1)
+	progs := make([]testgen.Program, Cores+1)
 	if err := m.LoadPrograms(progs); err == nil {
 		t.Error("too many programs accepted")
 	}
@@ -259,10 +252,12 @@ func TestReleaseKeepsOnlyQuiescentMachines(t *testing.T) {
 // never grows past maxIdle and keeps the most recent ones.
 func TestIdleListIsBounded(t *testing.T) {
 	emptyIdle(t)
+	// Eight relaxation sets times the first seven bugs: fifty distinct
+	// configurations.
 	cfgAt := func(i int) Config {
 		cfg := DefaultConfig()
-		cfg.L1Size, cfg.L2TileSize = 4096, 8192 // small tables: fifty machines are built
-		cfg.CPU.ROBSize = 40 + i
+		cfg.Relax = cpu.Relax{StrongStores: i&1 != 0, NonFIFOSB: i&2 != 0, NoLoadSquash: i&4 != 0}
+		bugs.All()[i>>3].Enable(&cfg.Bugs)
 		return cfg
 	}
 	for i := 0; i < 50; i++ {
@@ -276,42 +271,8 @@ func TestIdleListIsBounded(t *testing.T) {
 	}
 	for k, m := range idle.list {
 		if want := cfgAt(50 - maxIdle + k); m.Cfg != want {
-			t.Errorf("idle slot %d holds ROB %d, want %d (oldest evicted first)", k, m.Cfg.CPU.ROBSize, want.CPU.ROBSize)
+			t.Errorf("idle slot %d holds %+v, want %+v (oldest evicted first)", k, m.Cfg, want)
 		}
-	}
-}
-
-// TestConfigRejectsCacheGeometry: a cache that is not ways × 64-byte
-// lines × a power of two sets is a positioned error, not a panic inside
-// the cache arrays (too small) or a wrong set index (not a power of two).
-func TestConfigRejectsCacheGeometry(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		edit func(*Config)
-		want string
-	}{
-		{"L1 smaller than one set", func(c *Config) { c.L1Size = 128 }, "L1Size 128 with L1Ways 4"},
-		{"L1 sets not a power of two", func(c *Config) { c.L1Size = 3 * 4 * 64 }, "L1Size 768 with L1Ways 4"},
-		{"L1 not whole sets", func(c *Config) { c.L1Size = 32*1024 + 64 }, "L1Size 32832 with L1Ways 4"},
-		{"L1 ways", func(c *Config) { c.L1Ways = 0 }, "L1Ways must be positive"},
-		{"L2 tile smaller than one set", func(c *Config) { c.L2TileSize = 64 }, "L2TileSize 64 with L2Ways 4"},
-		{"L2 tile sets not a power of two", func(c *Config) { c.L2TileSize = 96 * 1024 }, "L2TileSize 98304 with L2Ways 4"},
-	} {
-		cfg := DefaultConfig()
-		tc.edit(&cfg)
-		err := cfg.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
-			continue
-		}
-		if _, err := New(cfg, nil, nil, nil); err == nil {
-			t.Errorf("%s: New built the machine", tc.name)
-		}
-	}
-	cfg := DefaultConfig()
-	cfg.L1Size, cfg.L1Ways = 4*1024, 2 // 32 sets
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("a power-of-two geometry is rejected: %v", err)
 	}
 }
 
@@ -345,7 +306,7 @@ func TestRunProgramsAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := memsys.MustLayout(1024, 16)
-	g, err := testgen.NewGenerator(testgen.Config{Size: 256, Threads: cfg.Cores, Layout: layout}, rand.New(rand.NewSource(9)))
+	g, err := testgen.NewGenerator(testgen.Config{Size: 256, Threads: Cores, Layout: layout}, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +315,7 @@ func TestRunProgramsAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := layout.Lines()
-	offsets := make([]sim.Tick, cfg.Cores)
+	offsets := make([]sim.Tick, Cores)
 	run := func() {
 		m.Reset(cfg.Seed, nil, nil, nil)
 		if err := m.LoadPrograms(progs); err != nil {

@@ -2,8 +2,7 @@
 // serializable value. The paper's reproduction hard-wires one target —
 // the Table 2 machine checked against TSO — with its pieces scattered
 // across machine.Config, bugs.Set and the recorder's model; a Scenario
-// gathers them: coherence protocol, machine topology overrides, the
-// legal core relaxations (cpu.Relax), the injected bug set, and the
+// gathers them: coherence protocol, the legal core relaxations (cpu.Relax), the injected bug set, and the
 // axiomatic model to check against. A registry names the bundled
 // scenarios and Validate enforces the legality rules that keep a
 // scenario coherent (a relaxed core must be checked against a model
@@ -39,8 +38,6 @@ type Scenario struct {
 	Relax cpu.Relax `json:"relax,omitempty"`
 	// Bugs names the injected bugs (empty for a bug-free target).
 	Bugs []string `json:"bugs,omitempty"`
-	// Cores overrides the core count (0 keeps the Table 2 default).
-	Cores int `json:"cores,omitempty"`
 }
 
 // Arch returns the scenario's axiomatic model.
@@ -85,9 +82,6 @@ func (s Scenario) Validate() error {
 	if _, err := s.Arch(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.describe(), err)
 	}
-	if s.Cores < 0 || s.Cores > 32 {
-		return fmt.Errorf("scenario %s: cores must be in [0,32], got %d", s.describe(), s.Cores)
-	}
 	for _, name := range s.Bugs {
 		b, err := bugs.ByName(name)
 		if err != nil {
@@ -131,9 +125,6 @@ func (s Scenario) describe() string {
 func (s Scenario) ID() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s%s", s.Protocol, s.Model, s.Relax)
-	if s.Cores > 0 {
-		fmt.Fprintf(&b, "/c%d", s.Cores)
-	}
 	if len(s.Bugs) > 0 {
 		names := append([]string(nil), s.Bugs...)
 		sort.Strings(names)
@@ -150,10 +141,10 @@ func (s Scenario) String() string {
 	return s.ID()
 }
 
-// Apply folds the scenario into a base machine topology: protocol,
-// relaxations, bug set and core-count override. The base supplies
-// everything a scenario does not describe (cache geometry, mesh shape).
-func (s Scenario) Apply(base machine.Config) (machine.Config, error) {
+// Apply returns the machine the scenario describes: its protocol,
+// relaxations and bug set on the Table 2 system. The caller sets the
+// seed.
+func (s Scenario) Apply() (machine.Config, error) {
 	if err := s.Validate(); err != nil {
 		return machine.Config{}, err
 	}
@@ -161,13 +152,7 @@ func (s Scenario) Apply(base machine.Config) (machine.Config, error) {
 	if err != nil {
 		return machine.Config{}, err
 	}
-	base.Protocol = s.Protocol
-	base.Relax = s.Relax
-	base.Bugs = set
-	if s.Cores > 0 {
-		base.Cores = s.Cores
-	}
-	return base, nil
+	return machine.Config{Protocol: s.Protocol, Relax: s.Relax, Bugs: set}, nil
 }
 
 // RelaxFor returns the canonical legal relaxation set realizing the

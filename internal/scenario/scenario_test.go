@@ -54,7 +54,6 @@ func TestValidateLegality(t *testing.T) {
 		{"unknown-bug", Scenario{Protocol: machine.MESI, Model: "TSO", Bugs: []string{"nope"}}, false},
 		{"protocol-mismatched-bug", Scenario{Protocol: machine.MESI, Model: "TSO", Bugs: []string{"TSO-CC+compare"}}, false},
 		{"pipeline-bug-anywhere", Scenario{Protocol: machine.TSOCC, Model: "TSO", Bugs: []string{"LQ+no-TSO"}}, true},
-		{"too-many-cores", Scenario{Protocol: machine.MESI, Model: "TSO", Cores: 64}, false},
 	}
 	for _, c := range cases {
 		err := c.s.Validate()
@@ -108,9 +107,7 @@ func TestApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := machine.DefaultConfig()
-	base.Protocol = machine.TSOCC // must be overridden
-	cfg, err := s.Apply(base)
+	cfg, err := s.Apply()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestApply(t *testing.T) {
 		t.Error("bug-free scenario enabled bugs")
 	}
 	s.Bugs = []string{"LQ+no-TSO"}
-	cfg, err = s.Apply(base)
+	cfg, err = s.Apply()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,16 +213,14 @@ type Config struct {
 	Layout memsys.Layout
 	// Bias is the operation distribution; nil means DefaultBias.
 	Bias []Bias
-	// DelayMax bounds OpDelay NOP counts (inclusive); 0 means 8.
-	DelayMax int
 }
+
+// delayMax bounds OpDelay NOP counts (inclusive).
+const delayMax = 8
 
 func (c Config) withDefaults() Config {
 	if c.Bias == nil {
 		c.Bias = DefaultBias()
-	}
-	if c.DelayMax == 0 {
-		c.DelayMax = 8
 	}
 	return c
 }
@@ -304,7 +302,7 @@ func (g *Generator) RandomOp(constrained []memsys.Addr) Op {
 		op.Addr = g.randAddr(constrained)
 	}
 	if kind == OpDelay {
-		op.Delay = 1 + g.rng.Intn(g.cfg.DelayMax)
+		op.Delay = 1 + g.rng.Intn(delayMax)
 	}
 	if kind == OpFence {
 		op.Fence = FenceKind(g.rng.Intn(int(memmodel.NumFenceKinds)))

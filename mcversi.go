@@ -123,7 +123,7 @@ func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig 
 	cfg.Generator = gen
 	cfg.Test = testgen.Config{
 		Size:    1000,
-		Threads: cfg.Machine.Cores,
+		Threads: machine.Cores,
 		Layout:  memsys.MustLayout(8192, TestMemoryStride),
 	}
 	return cfg
@@ -184,8 +184,7 @@ type CampaignSet = fleet.Merged
 // stop on first bug found and the GP island model. On cancellation the
 // partial set is returned beside the error. cfg contributes what a
 // serializable spec carries — generator, test generation, GP, coverage,
-// host options and budget; its Scenario, Seed, Machine and Memo are not
-// used. See internal/fleet for the determinism guarantees.
+// host options and budget; its Scenario, Seed and Memo are not used. See internal/fleet for the determinism guarantees.
 func RunCampaignSet(ctx context.Context, cfg CampaignConfig, scens []Scenario, samples int, baseSeed int64, opts FleetOptions) (CampaignSet, error) {
 	return fleet.LocalMerged(ctx, core.NewSpec(cfg, scens, samples, baseSeed), opts)
 }
@@ -257,10 +256,12 @@ func PaperGPParams() GPParams { return gp.PaperParams() }
 // HostOptions configure the guest-host execution loop (Table 1, §4).
 type HostOptions = host.Options
 
-// MachineConfig describes the simulated system (Table 2).
+// MachineConfig is what varies between simulated systems: protocol,
+// core relaxations, injected bugs and seed. The shape is always Table 2's
+// (8 cores, 32 KB 4-way L1s, 8 × 128 KB 4-way L2 tiles, a 2×4 mesh).
 type MachineConfig = machine.Config
 
-// DefaultMachineConfig returns the Table 2 system.
+// DefaultMachineConfig returns the Table 2 system under MESI, bug-free.
 func DefaultMachineConfig() MachineConfig { return machine.DefaultConfig() }
 
 // CoverageParams tune the adaptive-coverage fitness (§3.2).
