@@ -247,7 +247,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 
 // BenchmarkLitmusSuite measures one whole-suite litmus pass.
 func BenchmarkLitmusSuite(b *testing.B) {
-	tests := litmus.Generate(memmodel.TSO{}, 6, 38)
+	tests := litmus.Suite()
 	cfg := litmus.DefaultSuiteConfig()
 	cfg.IterationsPerTest = 3
 	cfg.MaxPasses = 1

@@ -40,25 +40,26 @@ func main() {
 	// The suite runs the TSO machine under -protocol with -bug injected:
 	// the scenario rules name an unknown protocol or bug, or a bug of the
 	// other protocol.
-	target := mcversi.Scenario{Protocol: mcversi.Protocol(*proto), Model: "TSO"}
+	cfg := mcversi.DefaultLitmusConfig(mcversi.Protocol(*proto))
 	if *bug != "" {
-		target.Bugs = []string{*bug}
+		cfg.Scenario.Bugs = []string{*bug}
 	}
-	if err := target.Validate(); err != nil {
+	if err := cfg.Scenario.Validate(); err != nil {
 		usage(err)
 	}
-	cfg := mcversi.DefaultLitmusConfig(mcversi.Protocol(*proto))
 	cfg.MaxPasses = *passes
-	res, err := mcversi.RunLitmus(cfg, *bug, *seed)
+	res, err := mcversi.RunLitmus(cfg, "", *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "litmus:", err)
 		os.Exit(1)
 	}
+	// A litmus execution lasts microseconds of simulated time.
+	simUS := res.SimTicks.Seconds() * 1e6
 	if res.Found {
-		fmt.Printf("FOUND by %s via %s after %d executions (%.4f sim-s)\n  %s\n",
-			res.TestName, res.Source, res.Executions, res.SimTicks.Seconds(), res.Detail)
+		fmt.Printf("FOUND by %s via %s after %d executions (%.1f sim-µs)\n  %s\n",
+			res.TestName, res.Source, res.Executions, simUS, res.Detail)
 		return
 	}
-	fmt.Printf("no forbidden outcome in %d passes (%d executions, %.4f sim-s)\n",
-		res.Passes, res.Executions, res.SimTicks.Seconds())
+	fmt.Printf("no forbidden outcome in %d passes (%d executions, %.1f sim-µs)\n",
+		res.Passes, res.Executions, simUS)
 }

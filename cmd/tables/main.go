@@ -36,7 +36,6 @@ func main() {
 	case "5":
 		err = eval.Table5(os.Stdout, eval.Columns(), bugs.All(), sc, []int{100, 400, 1000})
 	case "6":
-		sc.Samples = 2
 		err = eval.Table6(os.Stdout, eval.Columns(), sc)
 	case "matrix":
 		err = eval.ScenarioMatrix(os.Stdout, sc)

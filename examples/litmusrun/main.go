@@ -1,7 +1,9 @@
 // Litmusrun: the diy-litmus baseline of §5.2.2 — generate the x86-TSO
-// suite from critical cycles, then run it self-checking against a
-// machine with a litmus-visible bug (SQ+no-FIFO) and a litmus-invisible
-// one (MESI,LQ+S,Replacement), reproducing the Table 4 contrast.
+// suite from critical cycles, then run it against a machine with a
+// litmus-visible bug (SQ+no-FIFO) and a litmus-invisible one
+// (MESI,LQ+S,Replacement), reproducing the Table 4 contrast. An
+// ordering bug is found as a checker violation that realises a test's
+// forbidden outcome.
 package main
 
 import (

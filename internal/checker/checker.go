@@ -466,36 +466,3 @@ func (r *Recorder) FitAddrs() map[memsys.Addr]bool {
 	}
 	return out
 }
-
-// LastSerializedValue returns the value of the last write serialized to
-// the given word address in the current (un-ended) iteration — the
-// location's final value. ok is false if no write serialized there.
-func (r *Recorder) LastSerializedValue(addr memsys.Addr) (uint64, bool) {
-	addr = addr.WordAddr()
-	for i := len(r.serialized) - 1; i >= 0; i-- {
-		id, ok := r.event(r.serialized[i])
-		if !ok {
-			continue
-		}
-		ev := r.exec.Event(id)
-		if ev.Addr == addr {
-			return ev.Value, true
-		}
-	}
-	return 0, false
-}
-
-// ReadValue returns the value committed by the read at (tid, instr, sub)
-// in the current (un-ended) iteration, for litmus outcome matching. It
-// must be called before EndIteration resets the iteration state.
-func (r *Recorder) ReadValue(tid, instr, sub int) (uint64, bool) {
-	id, ok := r.event(memmodel.Key{TID: tid, Instr: instr, Sub: sub})
-	if !ok {
-		return 0, false
-	}
-	ev := r.exec.Event(id)
-	if !ev.IsRead() {
-		return 0, false
-	}
-	return ev.Value, true
-}

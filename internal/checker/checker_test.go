@@ -136,27 +136,6 @@ func TestResetAllClearsRunState(t *testing.T) {
 	}
 }
 
-func TestReadValueAndLastSerialized(t *testing.T) {
-	r := NewRecorder(memmodel.TSO{})
-	r.CommitWrite(0, 0, 0, ax, 7, false)
-	r.WriteSerialized(0, 0, 0, ax, 7)
-	r.CommitWrite(0, 1, 0, ax, 9, false)
-	r.WriteSerialized(0, 1, 0, ax, 9)
-	r.CommitRead(1, 0, 0, ax, 9, false)
-	if got, ok := r.ReadValue(1, 0, 0); !ok || got != 9 {
-		t.Fatalf("ReadValue = %d,%v", got, ok)
-	}
-	if _, ok := r.ReadValue(5, 5, 0); ok {
-		t.Error("missing read reported present")
-	}
-	if got, ok := r.LastSerializedValue(ax); !ok || got != 9 {
-		t.Fatalf("LastSerializedValue = %d,%v, want 9", got, ok)
-	}
-	if _, ok := r.LastSerializedValue(ay); ok {
-		t.Error("unwritten address reported serialized")
-	}
-}
-
 func TestRMWEventsRecorded(t *testing.T) {
 	r := NewRecorder(memmodel.TSO{})
 	r.CommitWrite(0, 0, 0, ax, 5, false)

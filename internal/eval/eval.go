@@ -12,7 +12,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/bugs"
 	"repro/internal/core"
@@ -109,18 +108,14 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 	}
 	var runs, simMS []float64
 	if spec.Litmus {
+		cfg := litmus.SuiteConfig{
+			Scenario:          scenario.ForBug(proto, bug.Name),
+			IterationsPerTest: sc.Iterations * 2,
+			MaxPasses:         sc.LitmusPasses,
+		}
+		suite := litmus.Suite()
 		for s := 0; s < sc.Samples; s++ {
-			seed := core.SampleSeed(sc.Seed, s)
-			cfg := litmus.DefaultSuiteConfig()
-			cfg.Machine.Protocol = proto
-			set, err := bugs.SetFor(bug.Name)
-			if err != nil {
-				return cell, err
-			}
-			cfg.Machine.Bugs = set
-			cfg.IterationsPerTest = sc.Iterations * 2
-			cfg.MaxPasses = sc.LitmusPasses
-			res, err := litmus.RunSuite(cfg, litmusSuite(), seed)
+			res, err := litmus.RunSuite(cfg, suite, core.SampleSeed(sc.Seed, s))
 			if err != nil {
 				return cell, err
 			}
@@ -155,21 +150,6 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 	cell.MeanRuns = stats.Mean(runs)
 	cell.MeanSimMS = stats.Mean(simMS)
 	return cell, nil
-}
-
-var (
-	litmusOnce  sync.Once
-	litmusCache []*litmus.Test
-)
-
-// litmusSuite lazily generates the shared suite once; the sync.Once
-// makes the cache safe when the table drivers evaluate litmus cells
-// concurrently.
-func litmusSuite() []*litmus.Test {
-	litmusOnce.Do(func() {
-		litmusCache = litmus.Generate(memmodel.TSO{}, 6, 38)
-	})
-	return litmusCache
 }
 
 func campaignFor(spec GeneratorSpec, proto machine.Protocol, bug string, sc Scale) core.Config {

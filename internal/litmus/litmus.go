@@ -595,87 +595,82 @@ func tryCycle(c Cycle, arch memmodel.Arch, seen map[string]bool) *Test {
 	return t
 }
 
-// ToTestgen lowers a litmus test into the flat ⟨pid,op⟩ representation
-// executable by the machine. Returns the lowered test plus, for each
-// read, its probe for outcome matching.
-func ToTestgen(t *Test, threads int) (*testgen.Test, []ReadProbe, error) {
-	if len(t.Threads) > threads {
-		return nil, nil, fmt.Errorf("litmus: test needs %d threads, machine has %d", len(t.Threads), threads)
-	}
-	out := &testgen.Test{Threads: threads}
-	var probes []ReadProbe
-	idx := make([]int, threads)
-	for ti, evs := range t.Threads {
-		for _, ev := range evs {
-			if ev.FenceBefore {
-				// Lower to the machine's explicit fence vocabulary
-				// (historically this was a locked RMW to a private
-				// scratch line; OpFence carries the flavour directly).
-				out.Nodes = append(out.Nodes, testgen.Node{
-					PID: ti,
-					Op:  testgen.Op{Kind: testgen.OpFence, Fence: ev.FenceKind},
-				})
-				idx[ti]++
-			}
-			kind := testgen.OpRead
-			if ev.IsWrite {
-				kind = testgen.OpWrite
-			}
-			out.Nodes = append(out.Nodes, testgen.Node{
-				PID: ti,
-				Op:  testgen.Op{Kind: kind, Addr: VarAddr(ev.Var)},
-			})
-			if !ev.IsWrite {
-				probes = append(probes, ReadProbe{
-					Thread: ti, Instr: idx[ti],
-					Var: ev.Var, ExpectInit: ev.Val == 0,
-					ExpectWriter: writerOf(t, ev),
-				})
-			}
-			idx[ti]++
-		}
-	}
-	return out, probes, nil
+// Lowered is a litmus test compiled for the machine, with its forbidden
+// outcome restated in the compiled program's values: the write ID
+// (testgen.WriteIDFor) each probed read observes and each location's
+// coherence-last write stores, 0 standing for the initial value.
+type Lowered struct {
+	Source *Test
+	Test   *testgen.Test
+	Probes []ReadProbe
+	// Final holds, per location, the value its coherence-last write
+	// leaves under the forbidden outcome.
+	Final []uint64
 }
 
-// ScratchAddr gives each thread a private fence scratch line far from
-// litmus locations.
-func ScratchAddr(tid int) memsys.Addr {
-	return memsys.DefaultBase + memsys.Addr(64+tid)*memsys.LineSize
-}
-
-// ReadProbe locates one read of the lowered test and its forbidden-
-// outcome expectation.
+// ReadProbe locates one read of the lowered test and the value it
+// observes under the forbidden outcome.
 type ReadProbe struct {
 	Thread, Instr int
 	Var           int
-	// ExpectInit means the forbidden outcome has this read observing
-	// the initial value; otherwise it observes ExpectWriter's write.
-	ExpectInit   bool
-	ExpectWriter WriterRef
-	// ExpectValue is the concrete expected value in the compiled
-	// program's write-ID space, filled by Lower.
-	ExpectValue uint64
+	ExpectValue   uint64
 }
 
-// WriterRef names a write event of the litmus test.
-type WriterRef struct {
-	Thread, Index int
-	Valid         bool
-}
-
-// writerOf finds which write of the litmus test produces ev's expected
-// value.
-func writerOf(t *Test, ev Event) WriterRef {
-	if ev.Val == 0 {
-		return WriterRef{}
+// ToTestgen lowers a litmus test into the flat ⟨pid,op⟩ representation
+// executable by a machine with the given thread count. The test's
+// layout is its variables' lines, so the host's reset_test_mem zeroes
+// exactly those.
+func ToTestgen(t *Test, threads int) (*Lowered, error) {
+	if len(t.Threads) > threads {
+		return nil, fmt.Errorf("litmus: test needs %d threads, machine has %d", len(t.Threads), threads)
 	}
+	// VarAddr and Layout.Translate agree only inside one partition.
+	if maxVars := memsys.PartitionSize / memsys.LineSize; t.NumVars > maxVars {
+		return nil, fmt.Errorf("litmus: test uses %d locations, one partition holds %d", t.NumVars, maxVars)
+	}
+	low := &Lowered{
+		Source: t,
+		Test: &testgen.Test{
+			Threads: threads,
+			Layout:  memsys.Layout{Base: memsys.DefaultBase, Size: t.NumVars * memsys.LineSize, Stride: memsys.LineSize},
+		},
+		Final: make([]uint64, t.NumVars),
+	}
+	// ids maps a (location, litmus value) write to the write ID its
+	// compiled instruction stores, as CompileInto assigns it.
+	type write struct {
+		v   int
+		val uint64
+	}
+	ids := map[write]uint64{}
 	for ti, evs := range t.Threads {
-		for _, w := range evs {
-			if w.IsWrite && w.Var == ev.Var && w.Val == ev.Val {
-				return WriterRef{Thread: ti, Index: w.Index, Valid: true}
+		instr := 0
+		for _, ev := range evs {
+			if ev.FenceBefore {
+				low.Test.Nodes = append(low.Test.Nodes, testgen.Node{
+					PID: ti,
+					Op:  testgen.Op{Kind: testgen.OpFence, Fence: ev.FenceKind},
+				})
+				instr++
 			}
+			op := testgen.Op{Kind: testgen.OpRead, Addr: VarAddr(ev.Var)}
+			if ev.IsWrite {
+				op.Kind = testgen.OpWrite
+				ids[write{ev.Var, ev.Val}] = testgen.WriteIDFor(ti, instr)
+			} else {
+				low.Probes = append(low.Probes, ReadProbe{Thread: ti, Instr: instr, Var: ev.Var, ExpectValue: ev.Val})
+			}
+			low.Test.Nodes = append(low.Test.Nodes, testgen.Node{PID: ti, Op: op})
+			instr++
 		}
 	}
-	return WriterRef{}
+	// A litmus value 0 is the initial value, which no write stores.
+	for i := range low.Probes {
+		p := &low.Probes[i]
+		p.ExpectValue = ids[write{p.Var, p.ExpectValue}]
+	}
+	for v := range low.Final {
+		low.Final[v] = ids[write{v, t.FinalWrites[v]}]
+	}
+	return low, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/memsys"
 	"repro/internal/testgen"
 )
 
@@ -115,7 +116,7 @@ func TestSBWithFencesForbiddenUnderTSO(t *testing.T) {
 }
 
 func TestGenerateTSOSuite(t *testing.T) {
-	tests := Generate(memmodel.TSO{}, 6, 38)
+	tests := Suite()
 	if len(tests) != 38 {
 		t.Fatalf("generated %d tests, want 38 (the diy x86-TSO count)", len(tests))
 	}
@@ -169,44 +170,85 @@ func TestToTestgenLowering(t *testing.T) {
 	if !Forbidden(tst, memmodel.TSO{}) {
 		t.Fatal("MP not forbidden")
 	}
-	low, probes, err := ToTestgen(tst, 8)
+	low, err := ToTestgen(tst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if low.Threads != 8 {
-		t.Errorf("Threads = %d, want 8", low.Threads)
+	if low.Test.Threads != 8 {
+		t.Errorf("Threads = %d, want 8", low.Test.Threads)
 	}
-	if len(probes) != 2 {
-		t.Fatalf("probes = %d, want 2", len(probes))
+	// The layout is the test's variable lines, so the host's
+	// reset_test_mem zeroes exactly those.
+	lines := low.Test.Layout.Lines()
+	if len(lines) != tst.NumVars {
+		t.Fatalf("layout covers %d lines, want %d", len(lines), tst.NumVars)
 	}
-	// One probe expects the flag write, the other the initial value.
+	for v, line := range lines {
+		if line != VarAddr(v) {
+			t.Errorf("layout line %d = %#x, want VarAddr(%d) = %#x", v, line, v, VarAddr(v))
+		}
+	}
+	if len(low.Probes) != 2 {
+		t.Fatalf("probes = %d, want 2", len(low.Probes))
+	}
+	// One probe expects the flag write, the other the initial value;
+	// the flag write's ID is the one CompileInto gives it.
+	progs, err := testgen.Compile(low.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var init, writer int
-	for _, p := range probes {
-		if p.ExpectInit {
+	for _, p := range low.Probes {
+		switch {
+		case p.ExpectValue == 0:
 			init++
-		} else if p.ExpectWriter.Valid {
+		case isWriteID(progs, p.ExpectValue):
 			writer++
 		}
 	}
 	if init != 1 || writer != 1 {
 		t.Fatalf("probe expectations init=%d writer=%d, want 1/1", init, writer)
 	}
+	for v, want := range low.Final {
+		if !isWriteID(progs, want) {
+			t.Errorf("final value of location %d is %#x, no compiled write's ID", v, want)
+		}
+	}
 	// Too many threads must be rejected.
-	if _, _, err := ToTestgen(tst, 1); err == nil {
+	if _, err := ToTestgen(tst, 1); err == nil {
 		t.Error("1-thread lowering accepted")
 	}
+	// So must more locations than one partition holds: past it, VarAddr
+	// and the layout's translation part ways.
+	wide := *tst
+	wide.NumVars = memsys.PartitionSize/memsys.LineSize + 1
+	if _, err := ToTestgen(&wide, 8); err == nil {
+		t.Error("lowering across a partition boundary accepted")
+	}
+}
+
+// isWriteID reports whether id is the write ID of a compiled write.
+func isWriteID(progs []testgen.Program, id uint64) bool {
+	for _, p := range progs {
+		for _, in := range p {
+			if in.Kind == testgen.OpWrite && in.WriteID == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestFencedLoweringEmitsFences(t *testing.T) {
 	c := Cycle{Fre, MFencedWR, Fre, MFencedWR}
 	tst := mustMaterialize(t, c)
 	Forbidden(tst, memmodel.TSO{}) // resolve expectations
-	low, _, err := ToTestgen(tst, 4)
+	low, err := ToTestgen(tst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fences := 0
-	for _, n := range low.Nodes {
+	for _, n := range low.Test.Nodes {
 		if n.Op.Kind == testgen.OpFence {
 			fences++
 			if n.Op.Fence != memmodel.FenceFull {
@@ -225,12 +267,12 @@ func TestFencedLoweringCarriesFlavour(t *testing.T) {
 	c := Cycle{Rfe, LLFencedRR, Fre, SSFencedWW}
 	tst := mustMaterialize(t, c)
 	Forbidden(tst, memmodel.RMO{}) // resolve expectations
-	low, _, err := ToTestgen(tst, 4)
+	low, err := ToTestgen(tst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[memmodel.FenceKind]int{}
-	for _, n := range low.Nodes {
+	for _, n := range low.Test.Nodes {
 		if n.Op.Kind == testgen.OpFence {
 			got[n.Op.Fence]++
 		}

@@ -7,80 +7,13 @@ import (
 	"repro/internal/host"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
-	"repro/internal/memsys"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/testgen"
 )
 
-// Lowered is a litmus test compiled for the machine, with the outcome-
-// matching data: per-read expected values and the expected final value
-// per location (both in terms of the unique write IDs the compiled
-// program stores).
-type Lowered struct {
-	Source *Test
-	Test   *testgen.Test
-	Probes []ReadProbe
-	// FinalExpect maps each location's word address to the write ID
-	// the coherence-last write must leave under the forbidden outcome.
-	FinalExpect map[memsys.Addr]uint64
-}
-
-// Lower compiles a litmus test for a machine with the given thread
-// count and computes the outcome expectations.
-func Lower(t *Test, threads int) (*Lowered, error) {
-	tst, probes, err := ToTestgen(t, threads)
-	if err != nil {
-		return nil, err
-	}
-	// Map each litmus write (thread, litmus index) to its compiled
-	// program index, to compute write IDs.
-	progs, err := testgen.Compile(tst)
-	if err != nil {
-		return nil, err
-	}
-	// The compiled instruction order per thread follows the node
-	// order; litmus writes appear at the probe-style indices computed
-	// during lowering. Rebuild the mapping by re-walking the threads.
-	writeID := map[[2]int]uint64{} // (thread, litmus index) -> write ID
-	idx := make([]int, threads)
-	for ti, evs := range t.Threads {
-		for _, ev := range evs {
-			if ev.FenceBefore {
-				idx[ti]++ // the fence RMW
-			}
-			if ev.IsWrite {
-				writeID[[2]int{ti, ev.Index}] = progs[ti][idx[ti]].WriteID
-			}
-			idx[ti]++
-		}
-	}
-	low := &Lowered{
-		Source:      t,
-		Test:        tst,
-		Probes:      probes,
-		FinalExpect: map[memsys.Addr]uint64{},
-	}
-	for i := range low.Probes {
-		p := &low.Probes[i]
-		if p.ExpectInit {
-			p.ExpectValue = 0
-		} else if p.ExpectWriter.Valid {
-			p.ExpectValue = writeID[[2]int{p.ExpectWriter.Thread, p.ExpectWriter.Index}]
-		}
-	}
-	// Final values: find the write carrying each location's final
-	// litmus value.
-	for v, val := range t.FinalWrites {
-		for ti, evs := range t.Threads {
-			for _, ev := range evs {
-				if ev.IsWrite && ev.Var == v && ev.Val == val {
-					low.FinalExpect[VarAddr(v)] = writeID[[2]int{ti, ev.Index}]
-				}
-			}
-		}
-	}
-	return low, nil
-}
+// Suite returns the x86-TSO conformance suite: 38 tests, diy's count
+// for TSO (§5.2.2).
+func Suite() []*Test { return Generate(memmodel.TSO{}, 6, 38) }
 
 // SuiteResult reports the outcome of a litmus campaign.
 type SuiteResult struct {
@@ -104,7 +37,9 @@ type SuiteResult struct {
 // SuiteConfig parameterizes a litmus campaign (§5.2.2: all generated
 // tests run in an outer loop until the time limit).
 type SuiteConfig struct {
-	Machine machine.Config
+	// Scenario is the machine the suite runs on, checked against TSO:
+	// scenario.ForBug(protocol, bug).
+	Scenario scenario.Scenario
 	// IterationsPerTest is how many times each litmus test executes
 	// per pass (diy's -r/-s scaled down).
 	IterationsPerTest int
@@ -112,22 +47,32 @@ type SuiteConfig struct {
 	MaxPasses int
 }
 
-// DefaultSuiteConfig returns a scaled-down campaign configuration.
+// DefaultSuiteConfig returns a scaled-down campaign configuration on
+// the bug-free MESI machine.
 func DefaultSuiteConfig() SuiteConfig {
 	return SuiteConfig{
-		Machine:           machine.DefaultConfig(),
+		Scenario:          scenario.ForBug(machine.MESI, ""),
 		IterationsPerTest: 10,
 		MaxPasses:         20,
 	}
 }
 
 // RunSuite executes the litmus tests repeatedly until a forbidden
-// outcome is observed or the pass budget is exhausted. Litmus tests are
-// self-checking (§5.2.2): detection compares committed read values and
-// final memory values against the forbidden outcome; the white-box MCM
-// checker is deliberately not consulted.
+// outcome is observed or the pass budget is exhausted. Every execution
+// is one single-iteration test-run of the host, so a find is what the
+// host reports: a protocol error, a watchdog, or a TSO checker
+// violation. Litmus tests are self-checking (§5.2.2), so a checker
+// violation counts only when its execution realises the test's
+// forbidden outcome: every probed read observes its expected value and
+// every location's coherence-last write is the expected one.
 func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
-	mcfg := cfg.Machine
+	if cfg.Scenario.Model != "TSO" {
+		return SuiteResult{}, fmt.Errorf("litmus: the suite is checked against TSO, not %s", cfg.Scenario.Model)
+	}
+	mcfg, err := cfg.Scenario.Apply()
+	if err != nil {
+		return SuiteResult{}, err
+	}
 	mcfg.Seed = seed
 	rec := checker.NewRecorder(memmodel.TSO{})
 	trap := host.NewErrorTrap()
@@ -135,10 +80,11 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 	if err != nil {
 		return SuiteResult{}, err
 	}
+	h := host.New(m, rec, trap, host.Options{Iterations: 1})
 
 	lowered := make([]*Lowered, 0, len(tests))
 	for _, t := range tests {
-		low, err := Lower(t, machine.Cores)
+		low, err := ToTestgen(t, machine.Cores)
 		if err != nil {
 			return SuiteResult{}, err
 		}
@@ -146,68 +92,30 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 	}
 
 	var res SuiteResult
-	rng := m.Sim.Rand()
-	watchdog := host.DefaultOptions().MaxTicksPerIteration
-
-	resetMem := func(low *Lowered) {
-		m.ResetCaches()
-		for v := 0; v < low.Source.NumVars; v++ {
-			m.Mem.WriteWord(VarAddr(v), 0)
-		}
-		for ti := range low.Source.Threads {
-			m.Mem.WriteWord(ScratchAddr(ti), 0)
-		}
-	}
-
 	for pass := 0; pass < cfg.MaxPasses; pass++ {
 		for _, low := range lowered {
-			progs, err := testgen.Compile(low.Test)
-			if err != nil {
-				return res, err
-			}
-			rec.ResetAll()
-			resetMem(low)
 			for iter := 0; iter < cfg.IterationsPerTest; iter++ {
-				if err := m.LoadPrograms(progs); err != nil {
+				run, err := h.RunTest(low.Test)
+				if err != nil {
 					return res, err
 				}
-				offs := make([]sim.Tick, machine.Cores)
-				for i := range offs {
-					offs[i] = sim.Tick(rng.Int63n(5))
-				}
-				runErr := m.RunPrograms(offs, watchdog)
-				if runErr == nil {
-					m.Quiesce()
-				}
 				res.Executions++
-				if perr := trap.ProtoErr(); perr != nil {
-					res.Found = true
-					res.TestName = low.Source.Name
-					res.Source = "protocol-error"
-					res.Detail = perr.Error()
-					res.SimTicks = m.Sim.Now()
-					return res, nil
+				v := run.Violation
+				if v == nil {
+					continue
 				}
-				if runErr != nil {
-					res.Found = true
-					res.TestName = low.Source.Name
-					res.Source = "deadlock"
-					res.Detail = runErr.Error()
-					res.SimTicks = m.Sim.Now()
-					return res, nil
-				}
-				if matchOutcome(low, rec, m) {
-					res.Found = true
-					res.TestName = low.Source.Name
-					res.Source = "forbidden-outcome"
-					res.Detail = fmt.Sprintf("test %s observed its forbidden outcome (pass %d, iteration %d)",
+				source, detail := v.Source.String(), v.Err.Error()
+				if v.Source == host.SourceChecker {
+					if !low.realised(v.Err.(*checker.Violation).Exec) {
+						continue
+					}
+					source = "forbidden-outcome"
+					detail = fmt.Sprintf("test %s observed its forbidden outcome (pass %d, iteration %d)",
 						low.Source.Name, pass, iter)
-					res.SimTicks = m.Sim.Now()
-					return res, nil
 				}
-				// Self-checking only: the checker verdict is ignored.
-				rec.EndIteration()
-				resetMem(low)
+				res.Found, res.TestName, res.Source, res.Detail = true, low.Source.Name, source, detail
+				res.SimTicks = m.Sim.Now()
+				return res, nil
 			}
 		}
 		res.Passes = pass + 1
@@ -216,26 +124,34 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 	return res, nil
 }
 
-// matchOutcome reports whether the just-finished iteration realized the
-// forbidden outcome: every read probe observed its expected value and
-// every location's final value matches. Final values are taken from the
-// recorder's serialization log (equivalent to reading memory back after
-// a full flush).
-func matchOutcome(low *Lowered, rec *checker.Recorder, m *machine.Machine) bool {
+// realised reports whether x, the execution of one run of the lowered
+// test, realises its forbidden outcome: every probed read observes its
+// expected value and every location's coherence-last write stores the
+// expected one.
+func (low *Lowered) realised(x *memmodel.Execution) bool {
 	for _, p := range low.Probes {
-		got, ok := rec.ReadValue(p.Thread, p.Instr, 0)
-		if !ok || got != p.ExpectValue {
+		if got, ok := readValue(x, p.Thread, p.Instr); !ok || got != p.ExpectValue {
 			return false
 		}
 	}
-	for addr, want := range low.FinalExpect {
-		got, ok := rec.LastSerializedValue(addr)
-		if !ok {
-			got = m.Mem.ReadWord(addr)
+	for v, want := range low.Final {
+		var got uint64 // a location no write reached holds its initial value
+		if co := x.CO(VarAddr(v)); len(co) > 0 {
+			got = x.Event(co[len(co)-1]).Value
 		}
 		if got != want {
 			return false
 		}
 	}
 	return true
+}
+
+// readValue returns the value the read at (tid, instr) observed in x.
+func readValue(x *memmodel.Execution, tid, instr int) (uint64, bool) {
+	for _, id := range x.ThreadEvents(tid) {
+		if ev := x.Event(id); ev.Key.Instr == instr && ev.IsRead() {
+			return ev.Value, true
+		}
+	}
+	return 0, false
 }

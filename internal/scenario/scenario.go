@@ -3,7 +3,7 @@
 // the Table 2 machine checked against TSO — with its pieces scattered
 // across machine.Config, bugs.Set and the recorder's model; a Scenario
 // gathers them: coherence protocol, the legal core relaxations (cpu.Relax), the injected bug set, and the
-// axiomatic model to check against. A registry names the bundled
+// axiomatic model to check against. A sorted table names the bundled
 // scenarios and Validate enforces the legality rules that keep a
 // scenario coherent (a relaxed core must be checked against a model
 // that permits the relaxation).
@@ -11,9 +11,9 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/bugs"
 	"repro/internal/cpu"
@@ -185,63 +185,28 @@ func ForBug(proto machine.Protocol, bug string) Scenario {
 	return s
 }
 
-// registry of named scenarios.
-var (
-	regMu sync.RWMutex
-	reg   = map[string]Scenario{}
-)
-
-// Register adds a named scenario to the registry. The scenario must
-// validate and the name must be unused.
-func Register(s Scenario) error {
-	if s.Name == "" {
-		return fmt.Errorf("scenario: cannot register a nameless scenario")
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := reg[s.Name]; dup {
-		return fmt.Errorf("scenario: %q already registered", s.Name)
-	}
-	reg[s.Name] = s
-	return nil
-}
-
 // ByName returns the named scenario; the error lists the known names.
 func ByName(name string) (Scenario, error) {
-	regMu.RLock()
-	s, ok := reg[name]
-	regMu.RUnlock()
-	if !ok {
-		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (known: %s)",
-			name, strings.Join(Names(), ", "))
+	for _, s := range registry {
+		if s.Name == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (known: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// Names returns the registered scenario names, sorted.
+// Names returns the bundled scenario names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(reg))
-	for n := range reg {
-		names = append(names, n)
+	names := make([]string, len(registry))
+	for i, s := range registry {
+		names[i] = s.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// All returns the registered scenarios in Names order.
-func All() []Scenario {
-	out := make([]Scenario, 0)
-	for _, n := range Names() {
-		s, _ := ByName(n)
-		out = append(out, s)
-	}
-	return out
-}
+// All returns the bundled scenarios in Names order.
+func All() []Scenario { return slices.Clone(registry) }
 
 // Default returns the paper's scenario: the Table 2 MESI machine
 // checked against TSO.
@@ -253,8 +218,9 @@ func Default() Scenario {
 	return s
 }
 
-func init() {
-	for _, s := range []Scenario{
+// registry holds the bundled scenarios, sorted by name once.
+var registry = func() []Scenario {
+	r := []Scenario{
 		{
 			Name:        "mesi-sc",
 			Description: "MESI with store-drain-before-commit cores, checked against SC",
@@ -302,9 +268,7 @@ func init() {
 			Model:       "RMO",
 			Relax:       RelaxFor("RMO"),
 		},
-	} {
-		if err := Register(s); err != nil {
-			panic(err)
-		}
 	}
-}
+	slices.SortFunc(r, func(a, b Scenario) int { return strings.Compare(a.Name, b.Name) })
+	return r
+}()

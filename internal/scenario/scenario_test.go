@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,18 @@ func TestRegisteredScenariosValid(t *testing.T) {
 	if len(names) < 6 {
 		t.Fatalf("only %d registered scenarios, want >= 6", len(names))
 	}
+	if !slices.IsSorted(names) {
+		t.Errorf("names not sorted: %q", names)
+	}
+	seen := map[string]bool{}
 	for _, s := range All() {
+		if s.Name == "" {
+			t.Errorf("nameless scenario %s", s)
+		}
+		if seen[s.Name] {
+			t.Errorf("scenario name %q used twice", s.Name)
+		}
+		seen[s.Name] = true
 		if err := s.Validate(); err != nil {
 			t.Errorf("registered scenario %s invalid: %v", s.Name, err)
 		}
@@ -188,15 +200,6 @@ func TestWireStability(t *testing.T) {
 		if back.ID() != s.ID() {
 			t.Errorf("%s: ID changed in flight: %q vs %q", s.Name, back.ID(), s.ID())
 		}
-	}
-}
-
-func TestRegisterRejectsDuplicatesAndNameless(t *testing.T) {
-	if err := Register(Scenario{Protocol: machine.MESI, Model: "TSO"}); err == nil {
-		t.Error("nameless registration accepted")
-	}
-	if err := Register(Scenario{Name: "mesi-tso", Protocol: machine.MESI, Model: "TSO"}); err == nil {
-		t.Error("duplicate registration accepted")
 	}
 }
 

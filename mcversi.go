@@ -19,8 +19,9 @@
 //   - the GP engine with the paper's selective crossover (Algorithm 1),
 //     NDT/NDe test-suitability metrics (Definitions 1–3) and adaptive
 //     structural-coverage fitness (§3.2);
-//   - a diy-style litmus-test generator and self-checking runner
-//     (§5.2.2);
+//   - a diy-style litmus-test generator and a runner that executes the
+//     suite through the same host loop, counting a checker violation
+//     only when it realises the test's forbidden outcome (§5.2.2);
 //   - the 11 studied bugs (§5.3) as injection toggles.
 //
 // Quick start:
@@ -51,7 +52,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/litmus"
 	"repro/internal/machine"
-	"repro/internal/memmodel"
 	"repro/internal/memsys"
 	"repro/internal/scenario"
 	"repro/internal/testgen"
@@ -205,33 +205,32 @@ type LitmusTest = litmus.Test
 
 // LitmusSuite generates the x86-TSO conformance suite (38 tests, like
 // diy's count for TSO in §5.2.2).
-func LitmusSuite() []*LitmusTest {
-	return litmus.Generate(memmodel.TSO{}, 6, 38)
-}
+func LitmusSuite() []*LitmusTest { return litmus.Suite() }
 
-// LitmusSuiteConfig configures a litmus campaign.
+// LitmusSuiteConfig configures a litmus campaign: the scenario it runs
+// on (TSO-checked) and its pass and iteration budget.
 type LitmusSuiteConfig = litmus.SuiteConfig
 
 // LitmusSuiteResult reports a litmus campaign's outcome.
 type LitmusSuiteResult = litmus.SuiteResult
 
-// RunLitmus executes the litmus suite against a machine with the named
-// bug injected ("" for bug-free).
+// RunLitmus executes the litmus suite on cfg's scenario or, when bug is
+// named, on the TSO machine of that scenario's protocol with the bug
+// injected. A find is a protocol error, a watchdog, or a TSO checker
+// violation whose execution realises the detecting test's forbidden
+// outcome.
 func RunLitmus(cfg LitmusSuiteConfig, bug string, seed int64) (LitmusSuiteResult, error) {
 	if bug != "" {
-		set, err := bugs.SetFor(bug)
-		if err != nil {
-			return LitmusSuiteResult{}, err
-		}
-		cfg.Machine.Bugs = set
+		cfg.Scenario = scenario.ForBug(cfg.Scenario.Protocol, bug)
 	}
-	return litmus.RunSuite(cfg, LitmusSuite(), seed)
+	return litmus.RunSuite(cfg, litmus.Suite(), seed)
 }
 
-// DefaultLitmusConfig returns the scaled litmus campaign configuration.
+// DefaultLitmusConfig returns the scaled litmus campaign configuration
+// on the bug-free proto machine.
 func DefaultLitmusConfig(proto Protocol) LitmusSuiteConfig {
 	cfg := litmus.DefaultSuiteConfig()
-	cfg.Machine.Protocol = proto
+	cfg.Scenario = scenario.ForBug(proto, "")
 	return cfg
 }
 
