@@ -45,6 +45,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "check: -parallel must not be negative, got %d\n", *parallel)
+		return 2
+	}
 
 	if *emitCorpus != "" {
 		return runEmitCorpus(*emitCorpus, stdout, stderr)

@@ -140,6 +140,11 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 	errb.Reset()
+	if code := run([]string{"-model", "SC", "-parallel", "-3"}, strings.NewReader(valid), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "-parallel must not be negative") {
+		t.Errorf("-parallel -3 exited %d, want 2 (stderr %q)", code, errb.String())
+	}
+	errb.Reset()
 	if code := run([]string{"-model", "SC"}, strings.NewReader("garbage\n"), &out, &errb); code != 2 {
 		t.Errorf("garbage input exited %d, want 2 (stderr %q)", code, errb.String())
 	}

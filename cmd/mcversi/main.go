@@ -53,10 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "base seed")
 	parallel := fs.Int("parallel", 0, "fleet workers (0 = all cores, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit for the whole fleet (0 = none)")
-	stopOnFound := fs.Bool("stop-on-found", false, "cancel sibling samples once one finds the bug")
 	islands := fs.Bool("islands", false, "GP island model: migrate elites between samples")
 	migrate := fs.Int("migrate", 50, "island migration interval in test-runs")
-	progress := fs.Bool("progress", false, "stream per-sample fleet events to stderr")
+	progress := fs.Bool("progress", false, "stream per-sample fleet events and the phase breakdown to stderr")
 	list := fs.Bool("list", false, "list the 11 studied bugs and exit")
 	scenarioFlag := fs.String("scenario", "",
 		"verification scenario(s): a registered name, a comma-separated list, or 'all' (-list-scenarios for names); overrides -protocol/-bug")
@@ -145,8 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Islands exchange chromosomes between populations bred for one
 		// machine contract; a sweep runs different contracts side by side.
 		return fail(2, errors.New("-islands needs a single scenario, not a sweep"))
-	case *remote != "" && (*islands || *stopOnFound):
-		return fail(2, errors.New("-islands/-stop-on-found are not available with -remote (shards must be independent and deterministic)"))
+	case *remote != "" && *islands:
+		return fail(2, errors.New("-islands is not available with -remote (shards must be independent)"))
+	case *parallel < 0:
+		return fail(2, fmt.Errorf("-parallel must not be negative, got %d", *parallel))
 	case *timeout < 0:
 		return fail(2, fmt.Errorf("-timeout must not be negative, got %v", *timeout))
 	case *islands && *migrate <= 0:
@@ -186,17 +187,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *remote != "" {
 		merged, data, runErr = runRemote(ctx, *remote, *tenant, spec, *progress, stderr)
 	} else {
-		// -progress also turns on phase spans: the same breakdown the
-		// daemon's /statusz reports, printed locally. Merged bytes are
-		// identical either way (spans ride outside CanonicalBytes).
 		opts := fleet.Options{
 			Workers:           *parallel,
-			StopOnFound:       *stopOnFound,
 			Islands:           *islands,
 			MigrationInterval: *migrate,
-			Obs:               *progress,
 		}
-		merged, runErr = runLocal(ctx, spec, opts, stderr)
+		merged, runErr = runLocal(ctx, spec, opts, *progress, stderr)
 	}
 
 	// On error (e.g. -timeout expiry) a local run still reports every
@@ -227,9 +223,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runLocal runs the spec on this process's fleet, streaming events and
-// the phase breakdown to stderr under opts.Obs (-progress).
-func runLocal(ctx context.Context, spec core.Spec, opts fleet.Options, stderr io.Writer) (fleet.Merged, error) {
-	if !opts.Obs {
+// the phase breakdown — the one the daemon's /statusz reports — to
+// stderr under progress.
+func runLocal(ctx context.Context, spec core.Spec, opts fleet.Options, progress bool, stderr io.Writer) (fleet.Merged, error) {
+	if !progress {
 		return fleet.LocalMerged(ctx, spec, opts)
 	}
 	events := make(chan fleet.Event, 64) // slack so a slow terminal does not stall workers

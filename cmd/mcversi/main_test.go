@@ -28,7 +28,6 @@ func TestUsageErrors(t *testing.T) {
 		{"negative samples", []string{"-samples", "-1"}, "samples must be positive"},
 		{"islands across a sweep", []string{"-islands", "-scenario", "mesi-tso,mesi-pso"}, "-islands"},
 		{"islands remote", []string{"-islands", "-remote", "http://127.0.0.1:1"}, "-remote"},
-		{"stop-on-found remote", []string{"-stop-on-found", "-remote", "http://127.0.0.1:1"}, "-remote"},
 		{"unknown scenario", []string{"-scenario", "no-such"}, "no-such"},
 		{"unknown generator", []string{"-gen", "bogus"}, "bogus"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
@@ -36,6 +35,7 @@ func TestUsageErrors(t *testing.T) {
 		{"mem off the stride", []string{"-mem", "1000"}, "size 1000 must be a multiple of stride 16"},
 		{"mem zero", []string{"-mem", "0"}, "-mem"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout must not be negative"},
+		{"negative parallel", []string{"-parallel", "-2"}, "-parallel must not be negative"},
 		{"islands with zero migrate", []string{"-islands", "-migrate", "0"}, "-migrate must be positive"},
 		{"islands with negative migrate", []string{"-islands", "-migrate", "-4"}, "-migrate must be positive"},
 		{"islands with rand", []string{"-islands", "-gen", "rand"}, "-islands needs a GP generator"},

@@ -23,6 +23,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tables: unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "tables: -parallel must not be negative, got %d\n", *parallel)
+		os.Exit(2)
+	}
 
 	sc := eval.QuickScale()
 	if *full {

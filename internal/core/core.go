@@ -18,6 +18,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
+	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -85,6 +86,27 @@ func DefaultConfig() Config {
 		Host:        host.DefaultOptions(),
 		MaxTestRuns: 10000,
 	}
+}
+
+// ScaledConfig is a campaign against scen at the interactive scale the
+// CLI and the evaluation tables run: Table 3's generator behaviours
+// with 96-operation tests over every core, memBytes of test memory at a
+// 16 B stride, a GP population of 24 and 3 iterations per test-run (the
+// paper runs 1k operations and 10 iterations). It panics on a memBytes
+// memsys.NewLayout rejects, so callers holding user input check that
+// first.
+func ScaledConfig(gen GeneratorKind, scen scenario.Scenario, memBytes int) Config {
+	cfg := DefaultConfig()
+	cfg.Scenario = scen
+	cfg.Generator = gen
+	cfg.Test = testgen.Config{
+		Size:    96,
+		Threads: machine.Cores,
+		Layout:  memsys.MustLayout(memBytes, 16),
+	}
+	cfg.GP.PopulationSize = 24
+	cfg.Host.Iterations = 3
+	return cfg
 }
 
 // ResolvedScenario normalizes and validates the campaign's scenario:
@@ -179,11 +201,10 @@ type Campaign struct {
 	// test is the kit's buffer the rand generator writes each test into.
 	test *testgen.Test
 
-	// ps, when non-nil, accumulates per-phase wall-clock spans
-	// (generation and GP feedback here, execution and verification in
-	// the host). Spans never feed back into seeds, scheduling or
-	// verdicts, so Results are byte-identical with instrumentation on
-	// or off.
+	// ps accumulates per-phase wall-clock spans (generation and GP
+	// feedback here, execution and verification in the host); nil
+	// discards them. Spans never feed back into seeds, scheduling or
+	// verdicts, so Results are byte-identical with a tracer or without.
 	ps *obs.PhaseStats
 
 	// fstats accumulates the checker fast-path outcome tallies across
@@ -374,16 +395,11 @@ func (c *Campaign) feedback(tst *testgen.Test, res host.RunResult, covFitness fl
 
 // Step runs one test-run and returns its host result and fitness.
 func (c *Campaign) Step() (host.RunResult, float64, error) {
-	var t0 time.Time
-	if c.ps != nil {
-		//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
-		t0 = time.Now()
-	}
+	//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
+	t0 := time.Now()
 	tst := c.nextTest()
-	if c.ps != nil {
-		//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
-		c.ps.Observe(obs.PhaseTestgen, time.Since(t0))
-	}
+	//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
+	c.ps.Observe(obs.PhaseTestgen, time.Since(t0))
 	c.tracker.StartRun()
 	res, err := c.h.RunTest(tst)
 	if err != nil {
@@ -391,15 +407,11 @@ func (c *Campaign) Step() (host.RunResult, float64, error) {
 		return host.RunResult{}, 0, err
 	}
 	fitness := c.tracker.EndRun()
-	if c.ps != nil && c.engine != nil {
-		//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
-		t0 = time.Now()
-		c.feedback(tst, res, fitness)
-		//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
-		c.ps.Observe(obs.PhaseTestgen, time.Since(t0))
-	} else {
-		c.feedback(tst, res, fitness)
-	}
+	//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
+	t0 = time.Now()
+	c.feedback(tst, res, fitness)
+	//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
+	c.ps.Observe(obs.PhaseTestgen, time.Since(t0))
 	return res, fitness, nil
 }
 

@@ -15,17 +15,12 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/core"
-	"repro/internal/coverage"
 	"repro/internal/fleet"
-	"repro/internal/gp"
-	"repro/internal/host"
 	"repro/internal/litmus"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
-	"repro/internal/memsys"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/testgen"
 )
 
 // GeneratorSpec is one column of Table 4.
@@ -57,8 +52,6 @@ type Scale struct {
 	Samples int
 	// Budget in test-runs per sample (the scaled 24-hour limit).
 	Budget int
-	// TestSize and Iterations scale Table 3's 1k ops / 10 iterations.
-	TestSize, Iterations int
 	// LitmusPasses bounds the litmus outer loop per sample.
 	LitmusPasses int
 	// Seed is the base seed.
@@ -71,12 +64,12 @@ type Scale struct {
 
 // QuickScale finishes in roughly a minute and shows the headline shape.
 func QuickScale() Scale {
-	return Scale{Samples: 2, Budget: 250, TestSize: 96, Iterations: 3, LitmusPasses: 4, Seed: 11}
+	return Scale{Samples: 2, Budget: 250, LitmusPasses: 4, Seed: 11}
 }
 
 // FullScale is the recommended reproduction scale (minutes).
 func FullScale() Scale {
-	return Scale{Samples: 10, Budget: 1200, TestSize: 96, Iterations: 3, LitmusPasses: 12, Seed: 11}
+	return Scale{Samples: 10, Budget: 1200, LitmusPasses: 12, Seed: 11}
 }
 
 // Cell is one Table 4 entry.
@@ -110,7 +103,7 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 	if spec.Litmus {
 		cfg := litmus.SuiteConfig{
 			Scenario:          scenario.ForBug(proto, bug.Name),
-			IterationsPerTest: sc.Iterations * 2,
+			IterationsPerTest: 6,
 			MaxPasses:         sc.LitmusPasses,
 		}
 		suite := litmus.Suite()
@@ -126,7 +119,8 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 			}
 		}
 	} else {
-		cfg := campaignFor(spec, proto, bug.Name, sc)
+		cfg := core.ScaledConfig(spec.Kind, scenario.ForBug(proto, bug.Name), spec.MemBytes)
+		cfg.MaxTestRuns = sc.Budget
 		set, err := fleet.LocalMerged(context.Background(),
 			core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, sc.Samples, sc.Seed),
 			fleet.Options{Workers: 1})
@@ -152,33 +146,13 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 	return cell, nil
 }
 
-func campaignFor(spec GeneratorSpec, proto machine.Protocol, bug string, sc Scale) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Scenario = scenario.ForBug(proto, bug)
-	cfg.Generator = spec.Kind
-	cfg.Test = testgen.Config{
-		Size:    sc.TestSize,
-		Threads: machine.Cores,
-		Layout:  memsys.MustLayout(spec.MemBytes, 16),
-	}
-	cfg.GP = gp.PaperParams()
-	cfg.GP.PopulationSize = 24
-	cfg.Coverage = coverage.DefaultParams()
-	cfg.Host = host.Options{
-		Iterations:           sc.Iterations,
-		Barrier:              host.HostBarrier,
-		MaxTicksPerIteration: 30_000_000,
-	}
-	cfg.MaxTestRuns = sc.Budget
-	return cfg
-}
-
 // Table4 evaluates the grid and writes the table. The (bug, generator)
 // cells are sharded across the fleet's worker pool (sc.Parallel
 // workers) and printed in table order once all are in.
 func Table4(w io.Writer, specs []GeneratorSpec, bugList []bugs.Bug, sc Scale) error {
 	fmt.Fprintf(w, "Table 4 (scaled): bug found count out of %d samples (mean test-runs to find)\n", sc.Samples)
-	fmt.Fprintf(w, "budget=%d test-runs/sample, test size=%d ops, %d iterations/run\n\n", sc.Budget, sc.TestSize, sc.Iterations)
+	scaled := core.ScaledConfig(core.GenGPAll, scenario.Default(), 1024)
+	fmt.Fprintf(w, "budget=%d test-runs/sample, test size=%d ops, %d iterations/run\n\n", sc.Budget, scaled.Test.Size, scaled.Host.Iterations)
 	fmt.Fprintf(w, "%-26s", "Bug")
 	for _, spec := range specs {
 		fmt.Fprintf(w, " | %-22s", spec.Name)
@@ -295,7 +269,8 @@ func ScenarioMatrix(w io.Writer, sc Scale) error {
 	scens := scenario.All()
 	fmt.Fprintf(w, "\nRegistered scenarios: bug-free soundness smoke (%d runs each)\n\n", sc.Budget)
 	fmt.Fprintf(w, "%-12s %-28s %8s %10s %8s\n", "Scenario", "Identity", "Runs", "Coverage", "Quiet")
-	cfg := campaignFor(GeneratorSpec{Kind: core.GenGPAll, MemBytes: 1024}, machine.MESI, "", sc)
+	cfg := core.ScaledConfig(core.GenGPAll, scenario.ForBug(machine.MESI, ""), 1024)
+	cfg.MaxTestRuns = sc.Budget
 	set, err := fleet.LocalMerged(context.Background(), core.NewSpec(cfg, scens, 1, sc.Seed),
 		fleet.Options{Workers: sc.Parallel})
 	if err != nil {
@@ -349,7 +324,8 @@ func Table6(w io.Writer, specs []GeneratorSpec, sc Scale) error {
 	}
 	bests, err := fleet.Map(context.Background(), sc.Parallel, len(items),
 		func(_ context.Context, i int) (float64, error) {
-			cfg := campaignFor(items[i].spec, items[i].proto, "", sc)
+			cfg := core.ScaledConfig(items[i].spec.Kind, scenario.ForBug(items[i].proto, ""), items[i].spec.MemBytes)
+			cfg.MaxTestRuns = sc.Budget
 			cfg.Seed = sc.Seed + int64(items[i].sample)*104729
 			res, err := core.RunCampaign(cfg)
 			if err != nil {

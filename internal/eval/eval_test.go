@@ -12,7 +12,7 @@ import (
 // table drivers (including the shared litmus suite cache) under the
 // race detector without reproducing the full tables.
 func tinyScale(parallel int) Scale {
-	return Scale{Samples: 1, Budget: 25, TestSize: 48, Iterations: 2, LitmusPasses: 1, Seed: 11, Parallel: parallel}
+	return Scale{Samples: 1, Budget: 25, LitmusPasses: 1, Seed: 11, Parallel: parallel}
 }
 
 func tinySpecs() []GeneratorSpec {

@@ -8,10 +8,12 @@
 // Merged, the one aggregate; its canonical JSON is what a distributed
 // run is byte-compared against.
 //
-// Two options change the schedule and are honoured only when the shard
-// is the whole spec: StopOnFound cancels sibling items once one finds a
-// bug, and Islands runs the items of a single-scenario GP spec as an
-// island model — every MigrationInterval test-runs the islands
+// Every item runs to its end — it finds a bug or spends its budget — and
+// every campaign records its phase spans into its shard's tracer, so
+// each ShardResult and Merged carries a phase breakdown beside its
+// Results. One option changes the schedule, and only when the shard is
+// the whole spec: Islands runs the items of a single-scenario GP spec
+// as an island model — every MigrationInterval test-runs the islands
 // synchronize at a barrier and migrate their elite chromosomes around a
 // neighbor ring, entering the receiving population through the existing
 // selective-crossover path (gp.Engine.Immigrate feeds the same
@@ -25,7 +27,6 @@
 package fleet
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/core"
@@ -35,15 +36,8 @@ import (
 type Options struct {
 	// Workers caps the number of concurrently executing campaigns;
 	// <= 0 means GOMAXPROCS. Results never depend on the value (only
-	// wall-clock does), except under StopOnFound in non-island mode,
-	// where which siblings get cancelled is timing-dependent.
+	// wall-clock does).
 	Workers int
-	// StopOnFound cancels all sibling samples as soon as one sample
-	// finds a bug. Cancelled samples report their partial tally with
-	// Stopped set in their event. In island mode the stop is checked at
-	// epoch barriers, which keeps it deterministic. Whole-spec shards
-	// only: a sub-range cannot see its siblings.
-	StopOnFound bool
 	// Islands enables the GP island model: samples exchange elite
 	// chromosomes around a neighbor ring every MigrationInterval
 	// test-runs. Ignored for the rand generator (no population).
@@ -59,17 +53,10 @@ type Options struct {
 	// Sends are blocking: the consumer must drain the channel until
 	// RunShard returns. The channel is never closed by the fleet.
 	Events chan<- Event
-	// Obs enables phase-span instrumentation: every campaign times its
-	// testgen/sim/fastcheck/check sections into a shared obs.PhaseStats,
-	// surfaced as ShardResult.Obs and summed into Merged.Obs.
-	// Spans are a wall-clock side channel outside the deterministic
-	// result surface — Results, and the merged CanonicalBytes built
-	// from them, are byte-identical with Obs on or off.
-	Obs bool
 }
 
-// DefaultOptions runs on all cores, runs every sample to completion, and
-// leaves the island model off: the zero Options.
+// DefaultOptions runs on all cores and leaves the island model off: the
+// zero Options.
 func DefaultOptions() Options { return Options{} }
 
 func (o Options) withDefaults() Options {
@@ -92,16 +79,12 @@ type Event struct {
 	Epoch int
 	// Done marks the sample's final event.
 	Done bool
-	// Stopped marks a sample cut off before completing (early stop,
-	// caller cancellation, or a campaign error); its Result is the
-	// partial tally.
+	// Stopped marks a sample cut off before completing (caller
+	// cancellation or a campaign error); its Result is the partial
+	// tally.
 	Stopped bool
 	// Result is the sample's tally so far (test-runs, coverage, ...).
 	Result core.Result
 	// Elapsed is the sample's wall-clock time so far.
 	Elapsed time.Duration
 }
-
-// errEarlyStop is the cancellation cause distinguishing "a sibling
-// found the bug" from caller cancellation.
-var errEarlyStop = errors.New("fleet: sibling found bug")

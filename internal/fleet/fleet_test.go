@@ -49,7 +49,7 @@ func restoreProcs(t *testing.T, n int) {
 }
 
 // checkNoLeaks asserts the goroutine count settles back to its
-// pre-test level (early-stop cancellation must not strand workers).
+// pre-test level (cancellation must not strand workers).
 func checkNoLeaks(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -200,7 +200,7 @@ func TestFleetDeterminism(t *testing.T) {
 // must also be worker-count independent.
 func TestFleetIslandDeterminism(t *testing.T) {
 	spec := setSpec(core.GenGPAll, "", 36, 4, 7)
-	opts := Options{Islands: true, MigrationInterval: 8, Obs: true}
+	opts := Options{Islands: true, MigrationInterval: 8}
 
 	var want []core.Result
 	wantUnion := -1.0
@@ -225,7 +225,7 @@ func TestFleetIslandDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: island model idle: no event past epoch 0", workers)
 		}
 		if m.Obs.Testgen.Count == 0 {
-			t.Errorf("workers=%d: instrumented islands report no testgen spans: %s", workers, m.Obs)
+			t.Errorf("workers=%d: islands report no testgen spans: %s", workers, m.Obs)
 		}
 		// The islands' union coverage must be identical at any worker
 		// count, like the per-sample results.
@@ -263,43 +263,27 @@ func TestFleetIslandDeterminism(t *testing.T) {
 // island), re-recorded with no scheduler change when resultHash began
 // hashing every field instead of Result.String's five; no change to the
 // ring, the barrier or the item materialization may move them. GP-All,
-// 4 samples, base seed 42, MigrationInterval 10 — once to the budget,
-// once as a StopOnFound hunt that cuts sample 3 off at an epoch barrier.
+// 4 samples, base seed 42, MigrationInterval 10, every island run to
+// its budget.
 func TestIslandIdentity(t *testing.T) {
-	cases := []struct {
-		name     string
-		bug      string
-		budget   int
-		memBytes int
-		stop     bool
-		want     [4]string
-	}{
-		{"budget", "", 40, 1024, false,
-			[4]string{"5d5032d0c1a58b9b", "46af87d139ae4686", "f5eff0de62f30676", "ed84296b26618711"}},
-		{"stop-on-found", "LQ+no-TSO", 2000, 8192, true,
-			[4]string{"cfb65ce89779fd21", "1c84b21621aeec6e", "9cb2d1f6df08b40b", "d2b710aabcd44b83"}},
-	}
-	for _, tc := range cases {
-		cfg := scaledConfig(core.GenGPAll, tc.bug, tc.budget)
-		cfg.Test.Layout = memsys.MustLayout(tc.memBytes, 16)
-		spec := core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, 4, 42)
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				restoreProcs(t, workers)
-				m, err := LocalMerged(context.Background(), spec, Options{
-					Workers: workers, Islands: true, StopOnFound: tc.stop,
-					MigrationInterval: 10,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, r := range m.Results {
-					if got := resultHash(r); got != tc.want[i] {
-						t.Errorf("sample %d: result hash %s, want %s\n result: %+v", i, got, tc.want[i], r)
-					}
-				}
+	want := [4]string{"5d5032d0c1a58b9b", "46af87d139ae4686", "f5eff0de62f30676", "ed84296b26618711"}
+	cfg := scaledConfig(core.GenGPAll, "", 40)
+	spec := core.NewSpec(cfg, []scenario.Scenario{cfg.Scenario}, 4, 42)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("budget/workers=%d", workers), func(t *testing.T) {
+			restoreProcs(t, workers)
+			m, err := LocalMerged(context.Background(), spec, Options{
+				Workers: workers, Islands: true, MigrationInterval: 10,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range m.Results {
+				if got := resultHash(r); got != want[i] {
+					t.Errorf("sample %d: result hash %s, want %s\n result: %+v", i, got, want[i], r)
+				}
+			}
+		})
 	}
 }
 
@@ -327,70 +311,10 @@ func TestFleetIslandsDifferFromPooled(t *testing.T) {
 	}
 }
 
-// TestFleetEarlyStopCancelsSiblings: with StopOnFound, once one sample
-// finds the bug the others must stop early, and no goroutines may
-// leak.
-func TestFleetEarlyStopCancelsSiblings(t *testing.T) {
-	restoreProcs(t, 4)
-	before := runtime.NumGoroutine()
-	// A large budget that sequential execution would take ages to
-	// exhaust: early stop is what keeps this test fast.
-	spec := setSpec(core.GenRandom, "LQ+no-TSO", 100000, 4, 100)
-	var m Merged
-	evs := withEvents(func(events chan<- Event) {
-		var err error
-		m, err = LocalMerged(context.Background(), spec,
-			Options{Workers: 4, StopOnFound: true, Events: events})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if m.Stats.Found == 0 {
-		t.Fatal("no sample found LQ+no-TSO")
-	}
-	// Every item that ran reported exactly one final event carrying the
-	// tally the merge kept; the rest never started and stay zero.
-	seen := map[int]bool{}
-	for _, ev := range evs {
-		if !ev.Done || seen[ev.Sample] {
-			t.Errorf("unexpected event %+v", ev)
-		}
-		seen[ev.Sample] = true
-		if ev.Result != m.Results[ev.Sample] {
-			t.Errorf("sample %d: event tally %+v, merged %+v", ev.Sample, ev.Result, m.Results[ev.Sample])
-		}
-		if ev.Stopped == ev.Result.Found {
-			t.Errorf("sample %d: stopped=%v with found=%v", ev.Sample, ev.Stopped, ev.Result.Found)
-		}
-	}
-	for i, r := range m.Results {
-		if !seen[i] && r != (core.Result{}) {
-			t.Errorf("sample %d has a tally but no final event: %+v", i, r)
-		}
-	}
-	checkNoLeaks(t, before)
-}
-
-// TestFleetEarlyStopIslands: epoch-barrier early stop in island mode.
-func TestFleetEarlyStopIslands(t *testing.T) {
-	restoreProcs(t, 4)
-	before := runtime.NumGoroutine()
-	spec := setSpec(core.GenGPAll, "LQ+no-TSO", 100000, 3, 100)
-	m, err := LocalMerged(context.Background(), spec,
-		Options{Workers: 4, StopOnFound: true, Islands: true, MigrationInterval: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats.Found == 0 {
-		t.Fatal("no island found LQ+no-TSO")
-	}
-	checkNoLeaks(t, before)
-}
-
 // cancelledPartials runs spec under a deadline it cannot meet and
 // checks the contract for a cut-off run: the deadline surfaces as the
-// error (unlike early stop), and beside it come the partial tallies,
-// each announced by a Stopped final event.
+// error, and beside it come the partial tallies, each announced by a
+// Stopped final event.
 func cancelledPartials(t *testing.T, spec core.Spec, opts Options, deadline time.Duration) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
@@ -425,7 +349,7 @@ func cancelledPartials(t *testing.T, spec core.Spec, opts Options, deadline time
 }
 
 // TestFleetContextCancellation: caller cancellation surfaces as an
-// error (unlike early stop) and still returns partial tallies.
+// error and still returns partial tallies.
 func TestFleetContextCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cancelledPartials(t, setSpec(core.GenRandom, "", 100000, 2, 1), Options{Workers: 2}, 50*time.Millisecond)

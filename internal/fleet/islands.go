@@ -13,9 +13,7 @@ import (
 // then — at a barrier, in ring order — sends deep copies of its
 // migrationSize fittest individuals to the next live island. Because
 // every cross-island exchange happens at the barrier in a fixed order,
-// the worker count influences only wall-clock time, never results;
-// StopOnFound is likewise checked only at the barrier, so even early
-// stop is deterministic here.
+// the worker count influences only wall-clock time, never results.
 func (s *shardRun) islands(ctx context.Context) ([]core.Result, error) {
 	n := s.r.Len()
 	results := make([]core.Result, n)
@@ -61,15 +59,12 @@ func (s *shardRun) islands(ctx context.Context) ([]core.Result, error) {
 
 		// Barrier reached: collect the live ring.
 		var live []int
-		foundAny := false
 		for i := range camps {
 			if !done[i] {
 				live = append(live, i)
-			} else if results[i].Found {
-				foundAny = true
 			}
 		}
-		if err != nil || (s.opts.StopOnFound && foundAny) {
+		if err != nil {
 			// Islands cut off mid-run keep and report their partial
 			// tallies.
 			for _, i := range live {

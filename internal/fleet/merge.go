@@ -127,11 +127,11 @@ func (f *FoundBy) note(r core.Result) error {
 type Merged struct {
 	Results []core.Result `json:"results"`
 	Stats   MergedStats   `json:"stats"`
-	// Obs is the summed phase timing of every shard that carried one
-	// (plus the merge span at call sites that time themselves). It is
-	// deliberately excluded from the JSON encoding: CanonicalBytes is
-	// the byte-identity currency, and wall-clock spans are the one
-	// shard output that legitimately differs run to run.
+	// Obs is the summed phase timing of every shard (plus the merge
+	// span at call sites that time themselves). It is deliberately
+	// excluded from the JSON encoding: CanonicalBytes is the
+	// byte-identity currency, and wall-clock spans are the one shard
+	// output that legitimately differs run to run.
 	Obs obs.Snapshot `json:"-"`
 	// Fastpath sums the shards' fast-path checker tallies. It counts
 	// checker work, not simulated events, so like Obs it is operator
@@ -166,9 +166,7 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 			return Merged{}, fmt.Errorf("fleet: shard %s carries %d results", sr.Range, len(sr.Results))
 		}
 		m.Results = append(m.Results, sr.Results...)
-		if sr.Obs != nil {
-			m.Obs = m.Obs.Merge(*sr.Obs)
-		}
+		m.Obs = m.Obs.Merge(sr.Obs)
 		m.Fastpath.Merge(sr.Fastpath)
 		if sr.CoverageMixed {
 			acc.poison()
@@ -221,18 +219,13 @@ func LocalMerged(ctx context.Context, spec core.Spec, opts Options) (Merged, err
 	}
 	// MergeShards itself stays clock-free (pure function of its inputs);
 	// the caller times it so the merge phase shows up in the breakdown.
-	var t0 time.Time
-	if opts.Obs {
-		//mcvlint:allow nondeterm merge-span telemetry; CanonicalBytes strips phase timing
-		t0 = time.Now()
-	}
+	//mcvlint:allow nondeterm merge-span telemetry; CanonicalBytes strips phase timing
+	t0 := time.Now()
 	merged, err := MergeShards(spec.Items(), []ShardResult{sr})
 	if err != nil {
 		return Merged{}, err
 	}
-	if opts.Obs {
-		//mcvlint:allow nondeterm merge-span telemetry; CanonicalBytes strips phase timing
-		merged.Obs = merged.Obs.Merge(obs.Span(obs.PhaseMerge, time.Since(t0)))
-	}
+	//mcvlint:allow nondeterm merge-span telemetry; CanonicalBytes strips phase timing
+	merged.Obs = merged.Obs.Merge(obs.Span(obs.PhaseMerge, time.Since(t0)))
 	return merged, runErr
 }

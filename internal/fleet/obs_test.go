@@ -3,66 +3,60 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// TestObsDoesNotChangeCanonicalBytes is the tentpole invariant: an
-// instrumented campaign merges to exactly the bytes of an
-// uninstrumented one, at the single-shard reference and across a
-// random multi-shard partition.
+// TestObsDoesNotChangeCanonicalBytes is the tentpole invariant: every
+// campaign a fleet runs records its phase spans, and no span moves a
+// Result. Each LocalMerged item equals the same item run by
+// core.RunCampaign with no tracer, and every partition of the spec
+// merges to the same bytes, each shard carrying spans of its own.
 func TestObsDoesNotChangeCanonicalBytes(t *testing.T) {
-	spec := shardSpec(core.GenRandom, 3, 5, 23, "mesi-tso", "mesi-pso")
-	items := spec.Items()
-
+	spec := core.NewSpec(scaledConfig(core.GenRandom, "", 60), findSweep(t), 1, 100)
 	ref, err := LocalMerged(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref.Stats.Found != 1 {
+		t.Fatalf("%d items found a bug, want 1", ref.Stats.Found)
+	}
+	if ref.Obs.Sim.Count == 0 {
+		t.Fatalf("merge carries no sim spans: %s", ref.Obs)
+	}
+	for i, got := range ref.Results {
+		cfg, err := spec.ItemConfig(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.RunCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("item %d: traced fleet result %+v, untraced campaign %+v", i, got, want)
+		}
 	}
 	refBytes, err := ref.CanonicalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ref.Obs.Empty() {
-		t.Fatalf("obs-off merge carries spans: %s", ref.Obs)
-	}
 
-	on, err := LocalMerged(context.Background(), spec, Options{Obs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onBytes, err := on.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onBytes, refBytes) {
-		t.Fatalf("instrumented merge changed canonical bytes:\n  off %s\n  on  %s", refBytes, onBytes)
-	}
-	if on.Obs.Empty() {
-		t.Fatal("instrumented merge carries no spans")
-	}
-
-	// Multi-shard, instrumented, shuffled: bytes still identical, and
-	// every shard carries its own snapshot.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 3; trial++ {
-		part := randomPartition(rng, items)
+	for _, part := range [][]Range{{{0, 2}}, {{1, 2}, {0, 1}}} {
 		shards := make([]ShardResult, len(part))
 		for i, r := range part {
-			sr, err := RunShard(context.Background(), spec, r, Options{Obs: true})
+			sr, err := RunShard(context.Background(), spec, r, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sr.Obs == nil || sr.Obs.Empty() {
-				t.Fatalf("trial %d: instrumented shard %s carries no snapshot", trial, r)
+			if sr.Obs.Sim.Count == 0 {
+				t.Fatalf("shard %s carries no sim spans: %s", r, sr.Obs)
 			}
 			shards[i] = sr
 		}
-		rng.Shuffle(len(shards), func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
-		merged, err := MergeShards(items, shards)
+		merged, err := MergeShards(spec.Items(), shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,10 +65,7 @@ func TestObsDoesNotChangeCanonicalBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, refBytes) {
-			t.Fatalf("trial %d: instrumented partition %v merged to different bytes", trial, part)
-		}
-		if merged.Obs.Empty() {
-			t.Fatalf("trial %d: merged snapshot empty despite instrumented shards", trial)
+			t.Fatalf("partition %v merged to different bytes", part)
 		}
 	}
 }
@@ -89,12 +80,12 @@ func TestObsSnapshotMergesAcrossPartitions(t *testing.T) {
 	var want obs.Snapshot
 	shards := make([]ShardResult, len(part))
 	for i, r := range part {
-		sr, err := RunShard(context.Background(), spec, r, Options{Obs: true})
+		sr, err := RunShard(context.Background(), spec, r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards[i] = sr
-		want = want.Merge(*sr.Obs)
+		want = want.Merge(sr.Obs)
 	}
 	merged, err := MergeShards(items, shards)
 	if err != nil {
@@ -105,12 +96,12 @@ func TestObsSnapshotMergesAcrossPartitions(t *testing.T) {
 	}
 }
 
-// TestObsPhaseBreakdownPlausible: an instrumented run attributes time
-// to the phases the campaign actually executes — test generation,
-// simulation, and one verification span per checked iteration.
+// TestObsPhaseBreakdownPlausible: a run attributes time to the phases
+// the campaign actually executes — test generation, simulation, and one
+// verification span per checked iteration.
 func TestObsPhaseBreakdownPlausible(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 2, 6, 23, "mesi-tso")
-	m, err := LocalMerged(context.Background(), spec, Options{Obs: true})
+	m, err := LocalMerged(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

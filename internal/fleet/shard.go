@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -66,11 +65,11 @@ type ShardResult struct {
 	CoverageKey    string        `json:"coverage_key,omitempty"`
 	CoverageCounts []uint64      `json:"coverage_counts,omitempty"`
 	CoverageMixed  bool          `json:"coverage_mixed,omitempty"`
-	// Obs is the shard's phase timing breakdown (set when the shard ran
-	// with Options.Obs). It crosses the wire with the shard but never
-	// enters the merged CanonicalBytes: wall time is the one shard
-	// output that is NOT a pure function of (spec, range).
-	Obs *obs.Snapshot `json:"obs,omitempty"`
+	// Obs is the shard's phase timing breakdown. It crosses the wire
+	// with the shard but never enters the merged CanonicalBytes: wall
+	// time is the one shard output that is NOT a pure function of
+	// (spec, range).
+	Obs obs.Snapshot `json:"obs"`
 	// Fastpath sums the per-item fast-path checker tallies: every
 	// iteration is checked, so it is a pure function of (spec, range).
 	// It counts checker work, not simulated events, so it rides the wire
@@ -82,12 +81,11 @@ type ShardResult struct {
 // an independent campaign with its spec-derived scenario and seed.
 // Events carry the item's global index in Sample.
 //
-// Islands and StopOnFound are honoured when r is the whole spec and
-// rejected for a strict sub-range: island migration couples samples
-// across the whole campaign set (it cannot be sharded), and early stop
-// makes partial tallies timing-dependent — both would break the
-// byte-identical merge the distributed tier is built on. Islands is
-// also rejected across more than one scenario.
+// Islands is honoured when r is the whole spec and rejected for a
+// strict sub-range: island migration couples samples across the whole
+// campaign set (it cannot be sharded), which would break the
+// byte-identical merge the distributed tier is built on. It is also
+// rejected across more than one scenario.
 //
 // When a campaign fails or ctx is cancelled, the error is returned
 // beside the partial ShardResult: items that started keep their tally
@@ -100,17 +98,14 @@ func RunShard(ctx context.Context, spec core.Spec, r Range, opts Options) (Shard
 	if r.Start < 0 || r.End > spec.Items() || r.Len() <= 0 {
 		return ShardResult{}, fmt.Errorf("fleet: shard range %s outside spec items [0,%d)", r, spec.Items())
 	}
-	if (opts.Islands || opts.StopOnFound) && r.Len() != spec.Items() {
-		return ShardResult{}, fmt.Errorf("fleet: Islands and StopOnFound need the whole spec, not sub-range %s", r)
+	if opts.Islands && r.Len() != spec.Items() {
+		return ShardResult{}, fmt.Errorf("fleet: Islands needs the whole spec, not sub-range %s", r)
 	}
 	if opts.Islands && len(spec.Scenarios) > 1 {
 		return ShardResult{}, fmt.Errorf("fleet: Islands needs a single scenario, spec has %d", len(spec.Scenarios))
 	}
 
 	s := &shardRun{spec: spec, r: r, opts: opts.withDefaults()}
-	if opts.Obs {
-		s.ps = &obs.PhaseStats{}
-	}
 
 	var (
 		results []core.Result
@@ -122,12 +117,8 @@ func RunShard(ctx context.Context, spec core.Spec, r Range, opts Options) (Shard
 		results, err = s.pooled(ctx)
 	}
 
-	out := ShardResult{Range: r, Results: results, CoverageMixed: s.cov.mixed, Fastpath: s.fp}
+	out := ShardResult{Range: r, Results: results, CoverageMixed: s.cov.mixed, Obs: s.ps.Snapshot(), Fastpath: s.fp}
 	out.CoverageKey, out.CoverageCounts = s.cov.merged()
-	if s.ps != nil {
-		snap := s.ps.Snapshot()
-		out.Obs = &snap
-	}
 	return out, err
 }
 
@@ -138,7 +129,7 @@ type shardRun struct {
 	spec core.Spec
 	r    Range
 	opts Options
-	ps   *obs.PhaseStats
+	ps   obs.PhaseStats
 
 	mu  sync.Mutex
 	cov coverageAcc
@@ -156,9 +147,7 @@ func (s *shardRun) newCampaign(item int) (*core.Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.ps != nil {
-		camp.InstrumentObs(s.ps)
-	}
+	camp.InstrumentObs(&s.ps)
 	return camp, nil
 }
 
@@ -186,19 +175,11 @@ func (s *shardRun) emit(item int, ev Event) {
 	s.opts.Events <- ev
 }
 
-// earlyStopped reports whether err is the cancellation a sibling's find
-// caused, as opposed to caller cancellation or a campaign's own failure.
-func earlyStopped(ctx context.Context, err error) bool {
-	return errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errEarlyStop)
-}
-
 // pooled is the plain schedule: every item is one independent campaign
-// run to completion on the worker pool.
+// run to its end on the worker pool. A failed or cancelled item keeps
+// its partial tally beside its error.
 func (s *shardRun) pooled(ctx context.Context) ([]core.Result, error) {
-	ctx, stop := context.WithCancelCause(ctx)
-	defer stop(nil)
-
-	results, err := Map(ctx, s.opts.Workers, s.r.Len(), func(ctx context.Context, k int) (core.Result, error) {
+	return Map(ctx, s.opts.Workers, s.r.Len(), func(ctx context.Context, k int) (core.Result, error) {
 		item := s.r.Start + k
 		camp, err := s.newCampaign(item)
 		if err != nil {
@@ -209,25 +190,6 @@ func (s *shardRun) pooled(ctx context.Context) ([]core.Result, error) {
 		res, err := camp.RunContext(ctx)
 		//mcvlint:allow nondeterm per-sample Elapsed telemetry; never feeds results
 		s.finish(item, camp, Event{Stopped: err != nil, Result: res, Elapsed: time.Since(t0)})
-		if err != nil {
-			// The item keeps its partial tally either way. Only a
-			// cancellation caused by a sibling's find is benign; a
-			// campaign's own failure (or caller cancellation) must still
-			// surface even if the early-stop cause is already set.
-			if earlyStopped(ctx, err) {
-				return res, nil
-			}
-			return res, err
-		}
-		if s.opts.StopOnFound && res.Found {
-			stop(errEarlyStop) // first cancel wins; later calls are no-ops
-		}
-		return res, nil
+		return res, err
 	})
-	// Map records the bare cancellation for items it never started;
-	// clear it only when the cancellation came from early stop.
-	if earlyStopped(ctx, err) {
-		err = nil
-	}
-	return results, err
 }

@@ -44,9 +44,9 @@ func TestPlanShards(t *testing.T) {
 }
 
 // TestRunShardEventsAndGuards: per-item Done events carry global item
-// indices; invalid ranges are rejected, and so are the options that
-// couple items — for a strict sub-range, and Islands across scenarios
-// even for the whole spec.
+// indices and the shard carries its phase spans; invalid ranges are
+// rejected, and so is Islands — for a strict sub-range, and across
+// scenarios even for the whole spec.
 func TestRunShardEventsAndGuards(t *testing.T) {
 	spec := shardSpec(core.GenRandom, 2, 4, 3, "mesi-tso", "mesi-pso")
 	events := make(chan Event, 16)
@@ -72,6 +72,9 @@ func TestRunShardEventsAndGuards(t *testing.T) {
 	if len(sr.Results) != 2 || sr.Results[0].Scenario == "" {
 		t.Errorf("shard results malformed: %+v", sr.Results)
 	}
+	if sr.Obs.Sim.Count == 0 {
+		t.Errorf("shard carries no sim spans: %s", sr.Obs)
+	}
 
 	if _, err := RunShard(context.Background(), spec, Range{Start: 2, End: 7}, Options{}); err == nil {
 		t.Error("out-of-range shard accepted")
@@ -82,15 +85,9 @@ func TestRunShardEventsAndGuards(t *testing.T) {
 	if _, err := RunShard(context.Background(), spec, Range{Start: 0, End: 1}, Options{Islands: true}); err == nil {
 		t.Error("Islands accepted for a sub-range")
 	}
-	if _, err := RunShard(context.Background(), spec, Range{Start: 0, End: 1}, Options{StopOnFound: true}); err == nil {
-		t.Error("StopOnFound accepted for a sub-range")
-	}
 	whole := Range{Start: 0, End: spec.Items()}
 	if _, err := RunShard(context.Background(), spec, whole, Options{Islands: true}); err == nil {
 		t.Error("Islands accepted across two scenarios")
-	}
-	if sr, err := RunShard(context.Background(), spec, whole, Options{StopOnFound: true}); err != nil || len(sr.Results) != spec.Items() {
-		t.Errorf("StopOnFound over the whole spec: %d results, err %v", len(sr.Results), err)
 	}
 }
 

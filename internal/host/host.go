@@ -148,12 +148,12 @@ type Host struct {
 	opts Options
 	trap *errorTrap
 
-	// obs, when non-nil, receives per-phase wall-clock spans for every
-	// test-run: compile under testgen, execution under sim, and
-	// verification under fastcheck or check depending on whether the
-	// fast path decided the iteration. Spans are a pure side channel —
-	// they never influence simulation or verdicts, so results are
-	// identical with obs on or off.
+	// obs receives per-phase wall-clock spans for every test-run:
+	// compile under testgen, execution under sim, and verification
+	// under fastcheck or check depending on whether the fast path
+	// decided the iteration; nil discards them. Spans are a pure side
+	// channel — they never influence simulation or verdicts, so results
+	// are identical with a tracer or without.
 	obs *obs.PhaseStats
 
 	// Buffers RunTest reuses from one test-run to the next, and Reset from
@@ -246,30 +246,23 @@ func (h *Host) resetTestMem(lines []memsys.Addr) {
 func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 	// Phase spans: lap() attributes the section since the last mark to
 	// one pipeline phase. The loop is the hottest in the system and
-	// tracing it must stay under 2% (obs.overhead_share), so each lap is
-	// a single monotonic clock read (time.Since on a monotonic base, not
+	// every fleet campaign traces it, so each lap is a single monotonic
+	// clock read (time.Since on a monotonic base, not
 	// time.Now, which also reads the wall clock) and spans accumulate in
-	// locals, flushed to the shared tracer once per test-run. With obs
-	// detached the cost is one nil check per section.
+	// locals, flushed to the shared tracer once per test-run.
 	var (
-		base    time.Time
 		mark    time.Duration
 		phaseNs [obs.NumPhases]int64
 		phaseN  [obs.NumPhases]uint64
 	)
-	if h.obs != nil {
-		//mcvlint:allow nondeterm monotonic lap base for phase observability; results unaffected
-		base = time.Now()
-		defer func() {
-			for p := obs.Phase(0); p < obs.NumPhases; p++ {
-				h.obs.ObserveN(p, phaseNs[p], phaseN[p])
-			}
-		}()
-	}
-	lap := func(p obs.Phase) {
-		if h.obs == nil {
-			return
+	//mcvlint:allow nondeterm monotonic lap base for phase observability; results unaffected
+	base := time.Now()
+	defer func() {
+		for p := obs.Phase(0); p < obs.NumPhases; p++ {
+			h.obs.ObserveN(p, phaseNs[p], phaseN[p])
 		}
+	}()
+	lap := func(p obs.Phase) {
 		//mcvlint:allow nondeterm monotonic lap read for phase observability; results unaffected
 		now := time.Since(base)
 		phaseNs[p] += int64(now - mark)
@@ -327,13 +320,10 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 		// answered conclusively and check otherwise, read off the
 		// recorder's own fast-path counter, so no checker-layer hook is
 		// needed.
-		var fast0 uint64
-		if h.obs != nil {
-			fast0 = h.rec.Fastpath().Conclusive()
-		}
+		fast0 := h.rec.Fastpath().Conclusive()
 		v := h.rec.EndIteration()
 		checkPhase := obs.PhaseCheck
-		if h.obs != nil && h.rec.Fastpath().Conclusive() > fast0 {
+		if h.rec.Fastpath().Conclusive() > fast0 {
 			checkPhase = obs.PhaseFastCheck
 		}
 		lap(checkPhase)

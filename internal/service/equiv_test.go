@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
 )
 
 // runTopology submits spec to a fresh service behind a real HTTP server
@@ -70,32 +69,12 @@ func runTopology(t *testing.T, spec core.Spec, shardSize, embedded, remote int) 
 // pool, 1/2/4 remote workers, and a mixed fleet. The shard results
 // themselves cross the wire as JSON, so this also proves the wire
 // encoding round-trips every stat exactly.
-//
-// The sweep is also the observability-neutrality proof: service
-// workers always run their shards with phase-span instrumentation on,
-// while the local reference runs with it off — so every topology
-// compared here is an instrumented-vs-uninstrumented pair. An explicit
-// obs-on local reference is checked too, closing the square.
 func TestServiceDistributedEquivalence(t *testing.T) {
 	spec := testSpec(core.GenRandom, 3, 4, 23, "mesi-tso", "mesi-pso") // 6 items, 3 shards
 	if testing.Short() {
 		spec = testSpec(core.GenRandom, 2, 3, 23, "mesi-tso") // 2 items, 1 shard
 	}
 	want := referenceBytes(t, spec)
-
-	obsOn, err := fleet.LocalMerged(context.Background(), spec,
-		fleet.Options{Obs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsOnBytes, err := obsOn.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(obsOnBytes, want) {
-		t.Fatalf("instrumented local reference diverged from uninstrumented:\n  want %s\n  got  %s",
-			want, obsOnBytes)
-	}
 
 	topologies := []struct {
 		name             string

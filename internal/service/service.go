@@ -349,10 +349,8 @@ func (s *Service) Complete(leaseID string, sr fleet.ShardResult) error {
 	res := sr
 	sh.result = &res
 
-	if sr.Obs != nil {
-		c.obs = c.obs.Merge(*sr.Obs)
-		s.totals.Obs = s.totals.Obs.Merge(*sr.Obs)
-	}
+	c.obs = c.obs.Merge(sr.Obs)
+	s.totals.Obs = s.totals.Obs.Merge(sr.Obs)
 	c.itemsDone += sh.rng.Len()
 	s.totals.ItemsDone += sh.rng.Len()
 	for i, r := range sr.Results {

@@ -83,7 +83,7 @@ func RunWorker(ctx context.Context, src Source, opts WorkerOptions) error {
 
 // runLease executes one lease to completion, heartbeating the whole
 // time.
-func runLease(ctx context.Context, src Source, lease *Lease, opts WorkerOptions) {
+func runLease(ctx context.Context, src Source, lease *Lease, wo WorkerOptions) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -112,10 +112,7 @@ func runLease(ctx context.Context, src Source, lease *Lease, opts WorkerOptions)
 		}
 	}()
 
-	sr, err := fleet.RunShard(runCtx, lease.Spec, lease.Range, fleet.Options{
-		Workers: opts.FleetWorkers,
-		Obs:     true,
-	})
+	sr, err := fleet.RunShard(runCtx, lease.Spec, lease.Range, fleet.Options{Workers: wo.FleetWorkers})
 	// Read before the cancel below: a run cut off because the lease was
 	// lost or the worker is stopping is abandoned, not failed.
 	abandoned := runCtx.Err() != nil
@@ -129,9 +126,7 @@ func runLease(ctx context.Context, src Source, lease *Lease, opts WorkerOptions)
 		}
 		return
 	}
-	if sr.Obs != nil {
-		opts.Obs.Absorb(*sr.Obs)
-	}
+	wo.Obs.Absorb(sr.Obs)
 	_ = src.Complete(ctx, lease.ID, sr)
 }
 

@@ -134,14 +134,10 @@ func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig 
 // preserving all generator behaviours. memBytes selects the test-memory
 // size (1024 or 8192 in the paper); it panics on a size
 // NewMemoryLayout(memBytes, TestMemoryStride) rejects, so callers
-// holding user input check that first.
+// holding user input check that first. The evaluation tables run the
+// same configuration.
 func ScaledScenarioConfig(gen GeneratorKind, scen Scenario, memBytes int) CampaignConfig {
-	cfg := NewScenarioCampaignConfig(gen, scen)
-	cfg.Test.Size = 96
-	cfg.Test.Layout = memsys.MustLayout(memBytes, TestMemoryStride)
-	cfg.GP.PopulationSize = 24
-	cfg.Host.Iterations = 3
-	return cfg
+	return core.ScaledConfig(gen, scen, memBytes)
 }
 
 // Scenario is a named, serializable verification target: coherence
@@ -180,24 +176,26 @@ type CampaignSet = fleet.Merged
 // RunCampaignSet runs samples campaigns of cfg per scenario (the
 // paper's 10 samples per generator/bug pair, §5.1, times a scenario
 // axis) with seeds derived from baseSeed, sharded across the fleet's
-// workers. ctx bounds the whole run; opts selects worker count, early
-// stop on first bug found and the GP island model. On cancellation the
-// partial set is returned beside the error. cfg contributes what a
-// serializable spec carries — generator, test generation, GP, coverage,
-// host options and budget; its Scenario, Seed and Memo are not used. See internal/fleet for the determinism guarantees.
+// workers. Every campaign runs until it finds a bug or spends its
+// budget, and the set carries its phase breakdown in Obs. ctx bounds
+// the whole run; opts selects worker count, the GP island model and
+// progress events. On cancellation the partial set is returned beside
+// the error. cfg contributes what a serializable spec carries —
+// generator, test generation, GP, coverage, host options and budget;
+// its Scenario, Seed and Memo are not used. See internal/fleet for the
+// determinism guarantees.
 func RunCampaignSet(ctx context.Context, cfg CampaignConfig, scens []Scenario, samples int, baseSeed int64, opts FleetOptions) (CampaignSet, error) {
 	return fleet.LocalMerged(ctx, core.NewSpec(cfg, scens, samples, baseSeed), opts)
 }
 
-// FleetOptions tune a parallel campaign fleet (worker count, early
-// stop, GP island migration, progress events, phase spans).
+// FleetOptions tune a parallel campaign fleet (worker count, GP island
+// migration, progress events).
 type FleetOptions = fleet.Options
 
 // FleetEvent is one streamed fleet progress report.
 type FleetEvent = fleet.Event
 
-// DefaultFleetOptions runs on all cores with every sample completing
-// and the island model off.
+// DefaultFleetOptions runs on all cores with the island model off.
 func DefaultFleetOptions() FleetOptions { return fleet.DefaultOptions() }
 
 // LitmusTest is one diy-style generated litmus test.
