@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/collective"
@@ -92,6 +93,10 @@ func FuzzTextDecoder(f *testing.F) {
 	}
 	f.Add(extreme.String())
 	f.Add("mctrace 1\ntrace sparse\nthread 2147483647\nw 0xfffffffffffffff8 1 @2147483647\nr 0xfffffffffffffff8 1 @5.2147483647\nthread 0\nf ll @99\nr 0xfffffffffffffff8 0 @7\nrf 0:7 init\nend\n")
+	// Non-canonical spellings the decoder hands to strconv: octal, 0o,
+	// 0b, upper-case hex, underscores, signs and leading zeros.
+	f.Add("mctrace 1\ntrace spelled\nthread +07\nw 0o400 0b101 a @+3.00\nw 0X1_00 017 @4\nu 0x_100 1_000 0 @05\nr 0400 18446744073709551615\nrf 7:6 +7:04.1\nco 256 07:3.00 7:4 7:5.1\nend\n")
+	f.Add("mctrace 1\ntrace bad\nthread 0\nw 0x 1\nw 0x1_ 18446744073709551616 @0.2147483648\nend\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		traces, err := DecodeAll(bytes.NewReader([]byte(in)))
 		if err != nil {
@@ -113,6 +118,21 @@ func FuzzTextDecoder(f *testing.F) {
 		for _, tr := range traces {
 			materializeBothWays(t, tr)
 		}
+	})
+}
+
+// FuzzTextNumbers: a token spelled as a thread id, an address, a value,
+// a key pin's sub and an rf ref decodes to what strconv makes of it there,
+// or fails with the error strconv's answer gives.
+func FuzzTextNumbers(f *testing.F) {
+	for _, tok := range numberSpellings {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		if fs := strings.Fields(tok); len(fs) != 1 || fs[0] != tok || strings.ContainsRune(tok, '#') {
+			return // not one token of a line
+		}
+		checkNumberSpelling(t, tok)
 	})
 }
 

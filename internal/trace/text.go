@@ -2,10 +2,10 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -32,88 +32,150 @@ const TextHeader = "mctrace 1"
 //	co <addr> <tid>:<i>[.<s>] ...             coherence order of addr
 //	end                      finish the trace
 //
-// Addresses and values accept any base strconv.ParseUint base-0 does
-// (0x..., 0o..., decimal); the canonical encoder writes addresses in
-// hex and values in decimal. "a" marks a manually-paired RMW half;
-// "@i[.s]" pins the event key when it differs from the positional
-// default (running instruction index, sub 0).
+// Addresses and values accept any spelling strconv.ParseUint base-0
+// does (0x..., 0o..., 0b..., leading-zero octal, decimal, underscores);
+// the canonical encoder writes addresses in hex and values in decimal,
+// and the decoder reads those spellings in place, handing every other
+// one to strconv. "a" marks a manually-paired RMW half; "@i[.s]" pins
+// the event key when it differs from the positional default (running
+// instruction index, sub 0). A line may be of any length (see the
+// package comment); the decoder's memory grows only as its bytes arrive.
 
 // WriteText encodes traces canonically to w, header first.
 func WriteText(w io.Writer, traces ...*Trace) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, TextHeader)
+	bw.WriteString(TextHeader + "\n")
+	var buf []byte
 	for _, t := range traces {
-		writeTextTrace(bw, t)
+		buf = appendTextTrace(buf[:0], t)
+		bw.Write(buf)
 	}
 	return bw.Flush()
 }
 
-func writeTextTrace(bw *bufio.Writer, t *Trace) {
+// appendTextTrace appends t's canonical text encoding to buf.
+func appendTextTrace(buf []byte, t *Trace) []byte {
+	buf = append(buf, "trace"...)
 	if t.Name != "" {
-		fmt.Fprintf(bw, "trace %s\n", t.Name)
-	} else {
-		fmt.Fprintln(bw, "trace")
+		buf = append(buf, ' ')
+		buf = append(buf, t.Name...)
 	}
+	buf = append(buf, '\n')
 	for _, th := range t.Threads {
-		fmt.Fprintf(bw, "thread %d\n", th.TID)
+		buf = append(buf, "thread "...)
+		buf = strconv.AppendInt(buf, int64(th.TID), 10)
+		buf = append(buf, '\n')
 		for i := range th.Ops {
 			op := &th.Ops[i]
 			switch op.Kind {
 			case OpRead, OpWrite:
-				fmt.Fprintf(bw, "%s 0x%x %d", op.Kind, uint64(op.Addr), op.Value)
+				buf = append(buf, op.Kind.String()...)
+				buf = appendAddr(buf, op.Addr)
+				buf = append(buf, ' ')
+				buf = strconv.AppendUint(buf, op.Value, 10)
 				if op.Atomic {
-					bw.WriteString(" a")
+					buf = append(buf, " a"...)
 				}
 			case OpFence:
-				fmt.Fprintf(bw, "f %s", op.Fence)
+				buf = append(buf, "f "...)
+				buf = append(buf, op.Fence.String()...)
 			case OpRMW:
-				fmt.Fprintf(bw, "u 0x%x %d %d", uint64(op.Addr), op.Value, op.Value2)
+				buf = append(buf, 'u')
+				buf = appendAddr(buf, op.Addr)
+				buf = append(buf, ' ')
+				buf = strconv.AppendUint(buf, op.Value, 10)
+				buf = append(buf, ' ')
+				buf = strconv.AppendUint(buf, op.Value2, 10)
 			}
 			if op.Keyed {
+				buf = append(buf, " @"...)
+				buf = strconv.AppendInt(buf, int64(op.Instr), 10)
 				if op.Sub != 0 && op.Kind != OpRMW {
-					fmt.Fprintf(bw, " @%d.%d", op.Instr, op.Sub)
-				} else {
-					fmt.Fprintf(bw, " @%d", op.Instr)
+					buf = append(buf, '.')
+					buf = strconv.AppendInt(buf, int64(op.Sub), 10)
 				}
 			}
-			bw.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
 	}
 	for _, e := range t.RF {
+		buf = append(buf, "rf "...)
+		buf = appendRef(buf, e.Read)
 		if e.Init {
-			fmt.Fprintf(bw, "rf %s init\n", e.Read)
+			buf = append(buf, " init\n"...)
 		} else {
-			fmt.Fprintf(bw, "rf %s %s\n", e.Read, e.Write)
+			buf = append(buf, ' ')
+			buf = appendRef(buf, e.Write)
+			buf = append(buf, '\n')
 		}
 	}
 	for _, c := range t.CO {
-		fmt.Fprintf(bw, "co 0x%x", uint64(c.Addr))
+		buf = append(buf, "co"...)
+		buf = appendAddr(buf, c.Addr)
 		for _, w := range c.Writes {
-			fmt.Fprintf(bw, " %s", w)
+			buf = append(buf, ' ')
+			buf = appendRef(buf, w)
 		}
-		bw.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
-	fmt.Fprintln(bw, "end")
+	return append(buf, "end\n"...)
+}
+
+// appendAddr appends " 0x" and a in lower-case hex.
+func appendAddr(buf []byte, a memsys.Addr) []byte {
+	return strconv.AppendUint(append(buf, " 0x"...), uint64(a), 16)
+}
+
+// appendRef appends r as Ref.String spells it.
+func appendRef(buf []byte, r Ref) []byte {
+	buf = strconv.AppendInt(buf, int64(r.TID), 10)
+	buf = append(buf, ':')
+	buf = strconv.AppendInt(buf, int64(r.Instr), 10)
+	if r.Sub != 0 {
+		buf = append(buf, '.')
+		buf = strconv.AppendInt(buf, int64(r.Sub), 10)
+	}
+	return buf
 }
 
 // Decoder streams traces out of a text stream, validating the header
 // on the first read. Errors carry the 1-based line number they were
 // detected on.
 type Decoder struct {
-	sc       *bufio.Scanner
+	br       *bufio.Reader
 	line     int
 	headerOK bool
 	err      error
-	// f holds the fields of the line being parsed, in storage reused from
-	// line to line.
-	f []string
+	// long gathers a line longer than br's buffer.
+	long []byte
+	// f holds the fields of the line being parsed.
+	f [][]byte
+	// The trace being decoded gathers here, in storage reused from trace
+	// to trace, and is copied out into exact-size slices at its end:
+	// threads (each one's Ops set as it closes), the open thread's ops,
+	// rf edges, and co orders, whose writes all sit in coRefs.
+	threads []Thread
+	ops     []Op
+	rf      []RFEdge
+	co      []coSpan
+	coRefs  []Ref
 }
 
-// NewDecoder returns a streaming text decoder reading from r.
+// coSpan is one co order while its trace is decoded: its writes are
+// coRefs[previous span's end:end].
+type coSpan struct {
+	addr memsys.Addr
+	end  int
+}
+
+// NewDecoder returns a streaming text decoder reading from r, through r
+// itself when it is a *bufio.Reader already.
 func NewDecoder(r io.Reader) *Decoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return &Decoder{sc: sc}
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 64*1024)
+	}
+	return &Decoder{br: br}
 }
 
 func (d *Decoder) errf(format string, args ...any) error {
@@ -123,42 +185,95 @@ func (d *Decoder) errf(format string, args ...any) error {
 	return d.err
 }
 
-// next returns the next meaningful line (comments stripped, blanks
-// skipped), or ok=false at end of stream.
-func (d *Decoder) next() (string, bool) {
-	for d.sc.Scan() {
+// next returns the next meaningful line (comments cut off, white space
+// trimmed, blanks skipped), or ok=false at end of stream or on a read
+// error. The line is only good until the next call.
+func (d *Decoder) next() ([]byte, bool) {
+	for {
+		b, err := d.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			d.long = append(d.long[:0], b...)
+			for err == bufio.ErrBufferFull {
+				b, err = d.br.ReadSlice('\n')
+				d.long = append(d.long, b...)
+			}
+			b = d.long
+		}
+		if err != nil && err != io.EOF {
+			if d.err == nil {
+				d.err = fmt.Errorf("trace: line %d: read: %w", d.line+1, err)
+			}
+			return nil, false
+		}
+		if len(b) == 0 {
+			return nil, false
+		}
 		d.line++
-		s := d.sc.Text()
-		if i := strings.IndexByte(s, '#'); i >= 0 {
-			s = s[:i]
+		if i := bytes.IndexByte(b, '#'); i >= 0 {
+			b = b[:i]
 		}
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
+		if b = bytes.TrimSpace(b); len(b) > 0 {
+			return b, true
 		}
-		return s, true
 	}
-	if err := d.sc.Err(); err != nil && d.err == nil {
-		d.err = fmt.Errorf("trace: read: %w", err)
-	}
-	return "", false
 }
 
 // fields splits a line around runs of white space, as strings.Fields
 // does, into the decoder's field buffer: the result is only good until
-// the next call.
-func (d *Decoder) fields(line string) []string {
+// the next call. An all-ASCII line splits by table; any other byte sends
+// the line to unicodeFields.
+func (d *Decoder) fields(line []byte) [][]byte {
+	f := d.f[:0]
+	for i := 0; i < len(line); {
+		switch byteClass[line[i]] {
+		case spaceByte:
+			i++
+			continue
+		case otherByte:
+			return d.unicodeFields(line)
+		}
+		start := i
+		for i < len(line) && byteClass[line[i]] == fieldByte {
+			i++
+		}
+		if i < len(line) && byteClass[line[i]] == otherByte {
+			return d.unicodeFields(line)
+		}
+		f = append(f, line[start:i])
+	}
+	d.f = f
+	return f
+}
+
+// byteClass sorts bytes for fields: the ASCII white space strings.Fields
+// splits at, the rest of ASCII, and the bytes of multi-byte runes.
+var byteClass = func() (c [256]uint8) {
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = otherByte
+	}
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = spaceByte
+	}
+	return c
+}()
+
+const (
+	fieldByte = iota
+	spaceByte
+	otherByte
+)
+
+// unicodeFields is fields for a line that is not all ASCII: runes
+// unicode.IsSpace reports split, and invalid UTF-8 stays inside a field.
+func (d *Decoder) unicodeFields(line []byte) [][]byte {
 	d.f = d.f[:0]
 	start := -1
 	for i := 0; i < len(line); {
-		c, size := line[i], 1
-		space := c == ' ' || c-'\t' < 5 // \t \n \v \f \r
-		if c >= utf8.RuneSelf {
-			var r rune
-			r, size = utf8.DecodeRuneInString(line[i:])
-			space = unicode.IsSpace(r)
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
 		}
-		if !space {
+		if !unicode.IsSpace(r) {
 			if start < 0 {
 				start = i
 			}
@@ -189,10 +304,10 @@ func (d *Decoder) Next() (*Trace, error) {
 			return nil, io.EOF
 		}
 		f := d.fields(line)
-		if len(f) != 2 || f[0] != "mctrace" {
+		if len(f) != 2 || string(f[0]) != "mctrace" {
 			return nil, d.errf("expected header %q, got %q", TextHeader, line)
 		}
-		v, err := strconv.Atoi(f[1])
+		v, err := strconv.Atoi(string(f[1]))
 		if err != nil || v < 1 {
 			return nil, d.errf("malformed trace format version %q", f[1])
 		}
@@ -210,8 +325,9 @@ func (d *Decoder) Next() (*Trace, error) {
 		return nil, io.EOF
 	}
 	t := &Trace{}
+	d.threads, d.ops, d.rf, d.co, d.coRefs = d.threads[:0], d.ops[:0], d.rf[:0], d.co[:0], d.coRefs[:0]
 	f := d.fields(line)
-	switch f[0] {
+	switch string(f[0]) {
 	case "trace":
 		if len(f) > 2 {
 			return nil, d.errf("trace takes at most one name token, got %q", line)
@@ -220,11 +336,11 @@ func (d *Decoder) Next() (*Trace, error) {
 			if len(f[1]) > maxNameLen {
 				return nil, d.errf("trace name length %d exceeds limit %d", len(f[1]), maxNameLen)
 			}
-			t.Name = f[1]
+			t.Name = string(f[1])
 		}
 	case "thread":
 		// A trace may start implicitly at its first thread.
-		if err := d.thread(t, f); err != nil {
+		if err := d.thread(f); err != nil {
 			return nil, err
 		}
 	default:
@@ -240,47 +356,42 @@ func (d *Decoder) Next() (*Trace, error) {
 			return nil, d.errf("unexpected end of stream: trace %s not closed with 'end'", t.label())
 		}
 		f := d.fields(line)
-		switch f[0] {
+		switch string(f[0]) {
 		case "end":
 			if len(f) != 1 {
 				return nil, d.errf("'end' takes no arguments, got %q", line)
 			}
+			d.finish(t)
 			return t, nil
 		case "thread":
-			if err := d.thread(t, f); err != nil {
+			if err := d.thread(f); err != nil {
 				return nil, err
 			}
 		case "r", "w", "f", "u":
-			if len(t.Threads) == 0 {
+			if len(d.threads) == 0 {
 				return nil, d.errf("op %q before any 'thread' line", line)
 			}
 			op, err := d.op(f)
 			if err != nil {
 				return nil, err
 			}
-			th := &t.Threads[len(t.Threads)-1]
-			if len(th.Ops) == maxCount {
-				return nil, d.errf("thread %d has more than %d ops", th.TID, maxCount)
+			if len(d.ops) == maxCount {
+				return nil, d.errf("thread %d has more than %d ops", d.threads[len(d.threads)-1].TID, maxCount)
 			}
-			th.Ops = append(th.Ops, op)
+			d.ops = append(d.ops, op)
 		case "rf":
-			edge, err := d.rf(f)
+			edge, err := d.rfEdge(f)
 			if err != nil {
 				return nil, err
 			}
-			if len(t.RF) == maxCount {
+			if len(d.rf) == maxCount {
 				return nil, d.errf("more than %d rf edges", maxCount)
 			}
-			t.RF = append(t.RF, edge)
+			d.rf = append(d.rf, edge)
 		case "co":
-			c, err := d.co(f)
-			if err != nil {
+			if err := d.coOrder(f); err != nil {
 				return nil, err
 			}
-			if len(t.CO) == maxCount {
-				return nil, d.errf("more than %d co orders", maxCount)
-			}
-			t.CO = append(t.CO, c)
 		case "trace":
 			return nil, d.errf("trace %s not closed with 'end' before the next 'trace'", t.label())
 		default:
@@ -289,13 +400,51 @@ func (d *Decoder) Next() (*Trace, error) {
 	}
 }
 
-func (d *Decoder) thread(t *Trace, f []string) error {
+// closeThread hands the open thread, if any, its ops.
+func (d *Decoder) closeThread() {
+	if len(d.threads) > 0 {
+		d.threads[len(d.threads)-1].Ops = exact(d.ops)
+		d.ops = d.ops[:0]
+	}
+}
+
+// finish copies the trace gathered in the decoder's storage into t, each
+// list in a slice of its exact size and every co order's writes in one.
+func (d *Decoder) finish(t *Trace) {
+	d.closeThread()
+	t.Threads = exact(d.threads)
+	clear(d.threads) // drop the handed-out Ops
+	t.RF = exact(d.rf)
+	if len(d.co) == 0 {
+		return
+	}
+	refs := exact(d.coRefs)
+	t.CO = make([]COOrder, len(d.co))
+	start := 0
+	for i, c := range d.co {
+		t.CO[i] = COOrder{Addr: c.addr, Writes: refs[start:c.end:c.end]}
+		start = c.end
+	}
+}
+
+// exact returns a copy of s in a slice of its length, nil when empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+func (d *Decoder) thread(f [][]byte) error {
 	if len(f) != 2 {
 		return d.errf("'thread' takes exactly one TID, got %d tokens", len(f)-1)
 	}
-	tid, err := strconv.Atoi(f[1])
-	if err != nil {
-		return d.errf("malformed thread id %q: %v", f[1], err)
+	tid, ok := smallDecimal(f[1])
+	if !ok {
+		var err error
+		if tid, err = strconv.Atoi(string(f[1])); err != nil {
+			return d.errf("malformed thread id %q: %v", f[1], err)
+		}
 	}
 	if tid < 0 {
 		return d.errf("thread id %d is negative (TID -1 is reserved for initial writes)", tid)
@@ -303,19 +452,20 @@ func (d *Decoder) thread(t *Trace, f []string) error {
 	if tid >= maxIntField {
 		return d.errf("thread id %d out of range (limit %d)", tid, maxIntField)
 	}
-	if len(t.Threads) == maxCount {
+	if len(d.threads) == maxCount {
 		return d.errf("more than %d threads", maxCount)
 	}
-	t.Threads = append(t.Threads, Thread{TID: tid})
+	d.closeThread()
+	d.threads = append(d.threads, Thread{TID: tid})
 	return nil
 }
 
 // op parses one r/w/f/u line into an Op.
-func (d *Decoder) op(f []string) (Op, error) {
+func (d *Decoder) op(f [][]byte) (Op, error) {
 	var op Op
 	args := f[1:]
 	// Peel the trailing key pin, if present.
-	if len(args) > 0 && strings.HasPrefix(args[len(args)-1], "@") {
+	if len(args) > 0 && args[len(args)-1][0] == '@' {
 		instr, sub, err := parseKeyPin(args[len(args)-1])
 		if err != nil {
 			return op, d.errf("%v", err)
@@ -323,13 +473,13 @@ func (d *Decoder) op(f []string) (Op, error) {
 		op.Keyed, op.Instr, op.Sub = true, instr, sub
 		args = args[:len(args)-1]
 	}
-	switch f[0] {
-	case "r", "w":
+	switch f[0][0] {
+	case 'r', 'w':
 		op.Kind = OpRead
-		if f[0] == "w" {
+		if f[0][0] == 'w' {
 			op.Kind = OpWrite
 		}
-		if len(args) == 3 && args[2] == "a" {
+		if len(args) == 3 && string(args[2]) == "a" {
 			op.Atomic = true
 			args = args[:2]
 		}
@@ -340,17 +490,17 @@ func (d *Decoder) op(f []string) (Op, error) {
 		if err != nil {
 			return op, d.errf("%v", err)
 		}
-		val, err := strconv.ParseUint(args[1], 0, 64)
+		val, err := parseUint(args[1])
 		if err != nil {
 			return op, d.errf("malformed value %q: %v", args[1], err)
 		}
 		op.Addr, op.Value = addr, val
-	case "f":
+	case 'f':
 		if len(args) != 1 {
 			return op, d.errf("'f' takes one fence kind, got %d args", len(args))
 		}
 		op.Kind = OpFence
-		switch args[0] {
+		switch string(args[0]) {
 		case "full":
 			op.Fence = memmodel.FenceFull
 		case "ss":
@@ -360,7 +510,7 @@ func (d *Decoder) op(f []string) (Op, error) {
 		default:
 			return op, d.errf("unknown fence kind %q (want full, ss, or ll)", args[0])
 		}
-	case "u":
+	case 'u':
 		if len(args) != 3 {
 			return op, d.errf("'u' takes <addr> <rval> <wval>, got %d args", len(args))
 		}
@@ -369,11 +519,11 @@ func (d *Decoder) op(f []string) (Op, error) {
 		if err != nil {
 			return op, d.errf("%v", err)
 		}
-		rv, err := strconv.ParseUint(args[1], 0, 64)
+		rv, err := parseUint(args[1])
 		if err != nil {
 			return op, d.errf("malformed read value %q: %v", args[1], err)
 		}
-		wv, err := strconv.ParseUint(args[2], 0, 64)
+		wv, err := parseUint(args[2])
 		if err != nil {
 			return op, d.errf("malformed write value %q: %v", args[2], err)
 		}
@@ -385,7 +535,7 @@ func (d *Decoder) op(f []string) (Op, error) {
 	return op, nil
 }
 
-func (d *Decoder) rf(f []string) (RFEdge, error) {
+func (d *Decoder) rfEdge(f [][]byte) (RFEdge, error) {
 	var e RFEdge
 	if len(f) != 3 {
 		return e, d.errf("'rf' takes <read-ref> <write-ref>|init, got %d args", len(f)-1)
@@ -395,7 +545,7 @@ func (d *Decoder) rf(f []string) (RFEdge, error) {
 		return e, d.errf("%v", err)
 	}
 	e.Read = read
-	if f[2] == "init" {
+	if string(f[2]) == "init" {
 		e.Init = true
 		return e, nil
 	}
@@ -407,73 +557,139 @@ func (d *Decoder) rf(f []string) (RFEdge, error) {
 	return e, nil
 }
 
-func (d *Decoder) co(f []string) (COOrder, error) {
-	var c COOrder
+// coOrder parses one co line into the decoder's co storage.
+func (d *Decoder) coOrder(f [][]byte) error {
 	if len(f) < 3 {
-		return c, d.errf("'co' takes <addr> and at least one write ref")
+		return d.errf("'co' takes <addr> and at least one write ref")
+	}
+	if len(f)-2 > maxCount {
+		return d.errf("co order of %d writes exceeds limit %d", len(f)-2, maxCount)
 	}
 	addr, err := parseAddr(f[1])
 	if err != nil {
-		return c, d.errf("%v", err)
+		return d.errf("%v", err)
 	}
-	c.Addr = addr
-	c.Writes = make([]Ref, 0, len(f)-2) // as many as the line has tokens
 	for _, tok := range f[2:] {
 		ref, err := parseRef(tok)
 		if err != nil {
-			return c, d.errf("%v", err)
+			return d.errf("%v", err)
 		}
-		c.Writes = append(c.Writes, ref)
+		d.coRefs = append(d.coRefs, ref)
 	}
-	return c, nil
+	if len(d.co) == maxCount {
+		return d.errf("more than %d co orders", maxCount)
+	}
+	d.co = append(d.co, coSpan{addr: addr, end: len(d.coRefs)})
+	return nil
 }
 
-func parseAddr(s string) (memsys.Addr, error) {
-	v, err := strconv.ParseUint(s, 0, 64)
+func parseAddr(b []byte) (memsys.Addr, error) {
+	v, err := parseUint(b)
 	if err != nil {
-		return 0, fmt.Errorf("malformed address %q: %v", s, err)
+		return 0, fmt.Errorf("malformed address %q: %v", b, err)
 	}
 	return memsys.Addr(v), nil
 }
 
+// parseUint parses b as strconv.ParseUint(b, 0, 64) does. The canonical
+// spellings — decimal of at most 19 digits without a leading zero, and
+// 0x or 0X with at most 16 hex digits — are read in place; every other
+// spelling, and every error, is strconv's.
+func parseUint(b []byte) (uint64, error) {
+	var v uint64
+	switch {
+	case len(b) > 2 && b[0] == '0' && b[1]|0x20 == 'x' && len(b) <= 18:
+		for _, c := range b[2:] {
+			switch {
+			case c-'0' < 10:
+				v = v<<4 | uint64(c-'0')
+			case c|0x20-'a' < 6:
+				v = v<<4 | uint64(c|0x20-'a'+10)
+			default:
+				return strconv.ParseUint(string(b), 0, 64)
+			}
+		}
+		return v, nil
+	case len(b) > 0 && len(b) <= 19 && (b[0] != '0' || len(b) == 1):
+		for _, c := range b {
+			if c-'0' >= 10 {
+				return strconv.ParseUint(string(b), 0, 64)
+			}
+			v = v*10 + uint64(c-'0')
+		}
+		return v, nil
+	}
+	return strconv.ParseUint(string(b), 0, 64)
+}
+
+// smallDecimal reads b if it is 1 to 9 decimal digits, the spellings of
+// an int-typed field that cannot reach maxIntField.
+func smallDecimal(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 9 {
+		return 0, false
+	}
+	v := 0
+	for _, c := range b {
+		if c-'0' >= 10 {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
+}
+
 // parseIntField parses a non-negative int-typed field (tid, instr, sub)
-// under the ceiling the binary format puts on the same fields.
-func parseIntField(s string) (int, bool) {
-	v, err := strconv.Atoi(s)
+// as strconv.Atoi does, under the ceiling the binary format puts on the
+// same fields.
+func parseIntField(b []byte) (int, bool) {
+	if v, ok := smallDecimal(b); ok {
+		return v, true
+	}
+	v, err := strconv.Atoi(string(b))
 	return v, err == nil && v >= 0 && v < maxIntField
 }
 
+// cut slices b around the first c, as bytes.Cut does; a loop beats
+// bytes.Cut on fields a few bytes long.
+func cut(b []byte, c byte) (before, after []byte, found bool) {
+	for i, x := range b {
+		if x == c {
+			return b[:i], b[i+1:], true
+		}
+	}
+	return b, nil, false
+}
+
 // parseKeyPin parses "@i" or "@i.s".
-func parseKeyPin(s string) (instr, sub int, err error) {
-	body := strings.TrimPrefix(s, "@")
-	is, ss, dotted := strings.Cut(body, ".")
+func parseKeyPin(b []byte) (instr, sub int, err error) {
+	is, ss, dotted := cut(b[1:], '.')
 	instr, ok := parseIntField(is)
 	if ok && dotted {
 		sub, ok = parseIntField(ss)
 	}
 	if !ok {
-		return 0, 0, fmt.Errorf("malformed or out-of-range key pin %q", s)
+		return 0, 0, fmt.Errorf("malformed or out-of-range key pin %q", b)
 	}
 	return instr, sub, nil
 }
 
 // parseRef parses "tid:instr" or "tid:instr.sub".
-func parseRef(s string) (Ref, error) {
+func parseRef(b []byte) (Ref, error) {
 	var r Ref
-	ts, rest, ok := strings.Cut(s, ":")
+	ts, rest, ok := cut(b, ':')
 	if !ok {
-		return r, fmt.Errorf("malformed event ref %q (want tid:instr[.sub])", s)
+		return r, fmt.Errorf("malformed event ref %q (want tid:instr[.sub])", b)
 	}
 	if r.TID, ok = parseIntField(ts); !ok {
-		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad tid)", s)
+		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad tid)", b)
 	}
-	is, ss, dotted := strings.Cut(rest, ".")
+	is, ss, dotted := cut(rest, '.')
 	if r.Instr, ok = parseIntField(is); !ok {
-		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad instr)", s)
+		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad instr)", b)
 	}
 	if dotted {
 		if r.Sub, ok = parseIntField(ss); !ok {
-			return r, fmt.Errorf("malformed or out-of-range event ref %q (bad sub)", s)
+			return r, fmt.Errorf("malformed or out-of-range event ref %q (bad sub)", b)
 		}
 	}
 	return r, nil

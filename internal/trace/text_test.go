@@ -1,10 +1,16 @@
 package trace
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memmodel"
 )
@@ -248,10 +254,249 @@ func TestDecoderFieldsMatchStringsFields(t *testing.T) {
 	for _, line := range []string{
 		"", " ", "a", " a ", "r 0x10 1 a @3.1", "co\t0x100  0:1\v1:2\f2:3\r", "w\n1",
 		"ffull", "f full @2", "\u3000trace\u2003x\u00a0", "n\u0085el", "a\xffb \xc2 c\x80", "\u00e9 \u00e8",
-		"\x1c\x1f\x00 x", strings.Repeat("k ", 70),
+		"\x1c\x1f\x00 x", strings.Repeat("k ", 70), "r 0x10 \u00a0x", "w 1 2\u2003@3", "u 1 2 3\xff",
 	} {
-		if got, want := d.fields(line), strings.Fields(line); !slices.Equal(got, want) {
+		var got []string
+		for _, f := range d.fields([]byte(line)) {
+			got = append(got, string(f))
+		}
+		if want := strings.Fields(line); !slices.Equal(got, want) {
 			t.Errorf("fields(%q) = %q, strings.Fields gives %q", line, got, want)
 		}
 	}
+}
+
+// TestDecodeAllocatesOnlyTheTrace: a decoder that has held one trace
+// decodes the next one into storage it keeps, and allocates only what
+// it hands out — the Trace, its name, Threads, one Ops per thread, RF,
+// CO and the writes all co orders share — each at its exact size.
+func TestDecodeAllocatesOnlyTheTrace(t *testing.T) {
+	tr := benchTrace(t)
+	// AllocsPerRun makes one more call than it counts, after the warming
+	// one here.
+	const runs = 50
+	var buf bytes.Buffer
+	if err := WriteText(&buf, slices.Repeat([]*Trace{tr}, runs+2)...); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(&buf)
+	if _, err := d.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var got *Trace
+	runtime.ReadMemStats(&before)
+	objects := testing.AllocsPerRun(runs, func() {
+		var err error
+		if got, err = d.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+
+	own := unsafe.Sizeof(Trace{}) + uintptr(len(got.Name)) +
+		uintptr(len(got.Threads))*unsafe.Sizeof(Thread{}) +
+		uintptr(len(got.RF))*unsafe.Sizeof(RFEdge{}) +
+		uintptr(len(got.CO))*unsafe.Sizeof(COOrder{})
+	for _, th := range got.Threads {
+		own += uintptr(len(th.Ops)) * unsafe.Sizeof(Op{})
+	}
+	for _, c := range got.CO {
+		own += uintptr(len(c.Writes)) * unsafe.Sizeof(Ref{})
+	}
+	t.Logf("%.1f objects, %.0f bytes per trace; the trace holds %d bytes", objects, allocated, own)
+	if limit := float64(len(got.Threads) + 6); objects > limit {
+		t.Errorf("decoding a trace of %d threads allocates %.1f objects, want at most %.0f", len(got.Threads), objects, limit)
+	}
+	if limit := 1.25 * float64(own); allocated > limit {
+		t.Errorf("decoding a trace allocates %.0f bytes, want at most %.0f (1.25 x the %d it holds)", allocated, limit, own)
+	}
+}
+
+// TestLongCoLineRoundTrips: a co order of 600 000 writes on one address
+// is a text line of several megabytes. The text decoder takes it as the
+// binary one does, text -> binary -> text is the identity on it, and a
+// stream cut off inside that line fails with the line named.
+func TestLongCoLineRoundTrips(t *testing.T) {
+	const n = 600_000
+	ops := make([]Op, n)
+	writes := make([]Ref, n)
+	for i := range ops {
+		ops[i] = Op{Kind: OpWrite, Addr: 0x100, Value: uint64(i + 1)}
+		writes[i] = Ref{TID: 0, Instr: i}
+	}
+	tr := &Trace{Name: "long-co", Threads: []Thread{{TID: 0, Ops: ops}}, CO: []COOrder{{Addr: 0x100, Writes: writes}}}
+	var text bytes.Buffer
+	if err := WriteText(&text, tr); err != nil {
+		t.Fatal(err)
+	}
+	in := text.Bytes()
+	coStart := bytes.Index(in, []byte("\nco ")) + 1
+	if coLen := bytes.IndexByte(in[coStart:], '\n'); coLen < 4<<20 {
+		t.Fatalf("co line is %d bytes, want a line longer than 4 MiB", coLen)
+	}
+
+	fromText, err := DecodeAll(bytes.NewReader(in))
+	if err != nil {
+		t.Fatalf("text decoder rejects the long co line: %v", err)
+	}
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, fromText...); err != nil {
+		t.Fatal(err)
+	}
+	fromText = nil
+	fromBin, err := DecodeAllBinary(&bin)
+	if err != nil {
+		t.Fatalf("binary decoder rejects the text-accepted trace: %v", err)
+	}
+	var again bytes.Buffer
+	if err := WriteText(&again, fromBin...); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), in) {
+		t.Fatal("text -> binary -> text is not the identity on the long co line")
+	}
+
+	coLine := 1 + bytes.Count(in[:coStart], []byte("\n"))
+	for _, cut := range []int{coStart + (len(in)-coStart)/2, len(in) - len("end\n")} {
+		_, err := DecodeAll(bytes.NewReader(in[:cut]))
+		if want := fmt.Sprintf("trace: line %d: ", coLine); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("stream cut at byte %d of %d: error %v, want one starting %q", cut, len(in), err, want)
+		}
+	}
+}
+
+// failingReader serves its bytes, then an error instead of io.EOF.
+type failingReader struct{ r io.Reader }
+
+var errReadFailed = errors.New("device gone")
+
+func (f failingReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err == io.EOF {
+		err = errReadFailed
+	}
+	return n, err
+}
+
+// TestReadErrorNamesTheLine: an error from the reader is reported at the
+// line being read when it struck, wrapped so errors.Is finds it.
+func TestReadErrorNamesTheLine(t *testing.T) {
+	for _, c := range []struct {
+		in, want string
+	}{
+		{"mctrace 1\ntrace t\nthread 0\n", "trace: line 4: read: device gone"},
+		{"mctrace 1\ntrace t\nthread 0\nw 0x1", "trace: line 4: read: device gone"},
+		{"", "trace: line 1: read: device gone"},
+	} {
+		_, err := DecodeAll(failingReader{strings.NewReader(c.in)})
+		if err == nil || err.Error() != c.want || !errors.Is(err, errReadFailed) {
+			t.Errorf("input %q: error %v, want %q wrapping the read error", c.in, err, c.want)
+		}
+	}
+}
+
+// numberSpellings are the spellings the decoder's in-place number
+// parsing must treat exactly as strconv does: the canonical ones it
+// reads itself and their neighbours it must hand over.
+var numberSpellings = []string{
+	"0", "00", "017", "0o17", "0b101", "0x", "0X1f", "0xFFFFFFFFFFFFFFFF", "0x1_0", "1_000",
+	"+5", "-1", "18446744073709551615", "18446744073709551616", "2147483647", "2147483648",
+	"0x10000000000000000", "9999999999999999999", "10000000000000000000", "0x00000000000000001",
+	"000000001", "999999999", "1000000000", "0xg", "1a", "@1", "1.2", "1:2", "é",
+}
+
+// TestNumberSpellingsMatchStrconv: every spelling, as a thread id, an
+// address, a value, a key pin's sub and an rf ref's instruction, decodes
+// to what strconv makes of it, or fails with the error strconv's answer
+// gives.
+func TestNumberSpellingsMatchStrconv(t *testing.T) {
+	for _, tok := range numberSpellings {
+		checkNumberSpelling(t, tok)
+	}
+}
+
+// checkNumberSpelling decodes tok in each place a trace spells a number,
+// a one-trace stream per place, and compares the field decoded or the
+// error with what the strconv calls the format is defined by give.
+func checkNumberSpelling(t *testing.T, tok string) {
+	t.Helper()
+	u, uerr := strconv.ParseUint(tok, 0, 64)
+	i, ierr := strconv.Atoi(tok)
+	intField := ierr == nil && i >= 0 && i < maxIntField
+	var tidErr string
+	switch {
+	case ierr != nil:
+		tidErr = fmt.Sprintf("trace: line 3: malformed thread id %q: %v", tok, ierr)
+	case i < 0:
+		tidErr = fmt.Sprintf("trace: line 3: thread id %d is negative (TID -1 is reserved for initial writes)", i)
+	case i >= maxIntField:
+		tidErr = fmt.Sprintf("trace: line 3: thread id %d out of range (limit %d)", i, maxIntField)
+	}
+	errText := func(ok bool, format string, args ...any) string {
+		if ok {
+			return ""
+		}
+		return fmt.Sprintf(format, args...)
+	}
+	ref, refErr := stringRef("0:" + tok)
+	for _, c := range []struct {
+		place, body string
+		got         func(*Trace) uint64
+		want        uint64
+		wantErr     string
+	}{
+		{"tid", "thread " + tok, func(tr *Trace) uint64 { return uint64(tr.Threads[0].TID) }, uint64(i), tidErr},
+		{"address", "thread 0\nw " + tok + " 1", func(tr *Trace) uint64 { return uint64(tr.Threads[0].Ops[0].Addr) }, u,
+			errText(uerr == nil, "trace: line 4: malformed address %q: %v", tok, uerr)},
+		{"value", "thread 0\nw 0x100 " + tok + " a", func(tr *Trace) uint64 { return tr.Threads[0].Ops[0].Value }, u,
+			errText(uerr == nil, "trace: line 4: malformed value %q: %v", tok, uerr)},
+		{"pin", "thread 0\nw 0x100 1 @0." + tok, func(tr *Trace) uint64 { return uint64(tr.Threads[0].Ops[0].Sub) }, uint64(i),
+			errText(intField, "trace: line 4: malformed or out-of-range key pin %q", "@0."+tok)},
+		{"ref", "thread 0\nr 0x100 0\nrf 0:" + tok + " init", func(tr *Trace) uint64 {
+			r := tr.RF[0].Read
+			return uint64(r.Instr)<<32 | uint64(r.Sub)
+		}, uint64(ref.Instr)<<32 | uint64(ref.Sub), errText(refErr == nil, "trace: line 5: %v", refErr)},
+	} {
+		in := "mctrace 1\ntrace n\n" + c.body + "\nend\n"
+		traces, err := DecodeAll(strings.NewReader(in))
+		switch {
+		case c.wantErr != "":
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%q as %s: error %v, want %q", tok, c.place, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%q as %s: %v, want %d", tok, c.place, err, c.want)
+		case c.got(traces[0]) != c.want:
+			t.Errorf("%q as %s decodes to %d, want %d", tok, c.place, c.got(traces[0]), c.want)
+		}
+	}
+}
+
+// stringRef is the event-ref parser as the format defines it, on strings
+// with strconv.Atoi: the reference the decoder's in-place one answers to.
+func stringRef(s string) (Ref, error) {
+	var r Ref
+	field := func(s string) (int, bool) {
+		v, err := strconv.Atoi(s)
+		return v, err == nil && v >= 0 && v < maxIntField
+	}
+	ts, rest, ok := strings.Cut(s, ":")
+	if !ok {
+		return r, fmt.Errorf("malformed event ref %q (want tid:instr[.sub])", s)
+	}
+	if r.TID, ok = field(ts); !ok {
+		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad tid)", s)
+	}
+	is, ss, dotted := strings.Cut(rest, ".")
+	if r.Instr, ok = field(is); !ok {
+		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad instr)", s)
+	}
+	if dotted {
+		if r.Sub, ok = field(ss); !ok {
+			return r, fmt.Errorf("malformed or out-of-range event ref %q (bad sub)", s)
+		}
+	}
+	return r, nil
 }

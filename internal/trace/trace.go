@@ -20,6 +20,14 @@
 // explicitly whenever they differ from their positional defaults, so
 // RMW pairing and signature identity survive), and encode(decode(t))
 // is byte-identical for canonically encoded traces.
+//
+// Both decoders bound a trace by the same ceilings — name length,
+// element counts, int-typed fields — and nothing else: a text line may
+// be of any length (a co order of millions of writes is one line), and
+// an address or value may be spelled any way strconv base 0 reads
+// (0o17, 0b101, 1_000, ...), though the encoder writes only hex
+// addresses and decimal values and the text decoder reads those
+// spellings fastest.
 package trace
 
 import (
@@ -112,12 +120,7 @@ type Ref struct {
 	Sub   int `json:"sub,omitempty"`
 }
 
-func (r Ref) String() string {
-	if r.Sub != 0 {
-		return fmt.Sprintf("%d:%d.%d", r.TID, r.Instr, r.Sub)
-	}
-	return fmt.Sprintf("%d:%d", r.TID, r.Instr)
-}
+func (r Ref) String() string { return string(appendRef(nil, r)) }
 
 // RFEdge is one observed read-from edge: Read observed Write's value,
 // or the initial value when Init. Reads without an explicit edge
