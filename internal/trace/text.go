@@ -38,8 +38,8 @@ const TextHeader = "mctrace 1"
 // and the decoder reads those spellings in place, handing every other
 // one to strconv. "a" marks a manually-paired RMW half; "@i[.s]" pins
 // the event key when it differs from the positional default (running
-// instruction index, sub 0). A line may be of any length (see the
-// package comment); the decoder's memory grows only as its bytes arrive.
+// instruction index, sub 0). A line may be longer than 4 MiB only
+// within the format's ceilings; see the line rule below.
 
 // WriteText encodes traces canonically to w, header first.
 func WriteText(w io.Writer, traces ...*Trace) error {
@@ -168,15 +168,24 @@ type coSpan struct {
 	end  int
 }
 
-// NewDecoder returns a streaming text decoder reading from r, through r
-// itself when it is a *bufio.Reader already.
+// NewDecoder returns a streaming text decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
-	return &Decoder{br: br}
+	return &Decoder{br: bufio.NewReaderSize(r, readBufSize)}
 }
+
+// The text format's line rule. A line that fits the decoder's read
+// buffer is parsed where it lies; a longer one is gathered and held to
+// the rule as its bytes arrive, so memory grows only with the fields a
+// trace may hold. Any line may run to shortLineLen bytes. Past the
+// header, a longer line is taken while it holds at most maxLineFields
+// fields (a co line of maxCount writes) and averages at most
+// bytesPerField bytes a field; a canonical ref takes at most 33.
+const (
+	readBufSize   = 64 << 10
+	shortLineLen  = 4 << 20
+	maxLineFields = maxCount + 2
+	bytesPerField = 64
+)
 
 func (d *Decoder) errf(format string, args ...any) error {
 	if d.err == nil {
@@ -192,12 +201,7 @@ func (d *Decoder) next() ([]byte, bool) {
 	for {
 		b, err := d.br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			d.long = append(d.long[:0], b...)
-			for err == bufio.ErrBufferFull {
-				b, err = d.br.ReadSlice('\n')
-				d.long = append(d.long, b...)
-			}
-			b = d.long
+			b, err = d.longLine(b)
 		}
 		if err != nil && err != io.EOF {
 			if d.err == nil {
@@ -218,76 +222,92 @@ func (d *Decoder) next() ([]byte, bool) {
 	}
 }
 
-// fields splits a line around runs of white space, as strings.Fields
-// does, into the decoder's field buffer: the result is only good until
-// the next call. An all-ASCII line splits by table; any other byte sends
-// the line to unicodeFields.
-func (d *Decoder) fields(line []byte) [][]byte {
-	f := d.f[:0]
-	for i := 0; i < len(line); {
-		switch byteClass[line[i]] {
-		case spaceByte:
-			i++
-			continue
-		case otherByte:
-			return d.unicodeFields(line)
+// longLine gathers a line that overflowed the read buffer, first holding
+// b, into d.long, counting its fields as they arrive and failing it as
+// soon as it breaks the line rule.
+func (d *Decoder) longLine(b []byte) ([]byte, error) {
+	d.long = append(d.long[:0], b...)
+	fields, inField, scanned := 0, false, 0
+	for err := bufio.ErrBufferFull; ; {
+		// A rune cut by the chunk's end is counted once it is whole.
+		for scanned < len(d.long) && (err != bufio.ErrBufferFull || utf8.FullRune(d.long[scanned:])) {
+			space, size := asciiSpace[d.long[scanned]], 1
+			if d.long[scanned] >= utf8.RuneSelf {
+				space, size = runeSpaceAt(d.long[scanned:])
+			}
+			if !space && !inField {
+				fields++
+			}
+			inField = !space
+			scanned += size
 		}
-		start := i
-		for i < len(line) && byteClass[line[i]] == fieldByte {
-			i++
+		if broken := d.breaksLineRule(len(d.long), fields); broken != "" {
+			d.err = fmt.Errorf("trace: line %d: line of %s", d.line+1, broken)
+			return nil, d.err
 		}
-		if i < len(line) && byteClass[line[i]] == otherByte {
-			return d.unicodeFields(line)
+		if err != bufio.ErrBufferFull {
+			return d.long, err
 		}
-		f = append(f, line[start:i])
+		b, err = d.br.ReadSlice('\n')
+		d.long = append(d.long, b...)
 	}
-	d.f = f
-	return f
 }
 
-// byteClass sorts bytes for fields: the ASCII white space strings.Fields
-// splits at, the rest of ASCII, and the bytes of multi-byte runes.
-var byteClass = func() (c [256]uint8) {
-	for b := utf8.RuneSelf; b < len(c); b++ {
-		c[b] = otherByte
+// breaksLineRule says how a line of n bytes and the given fields breaks
+// the line rule, or "" if it keeps it.
+func (d *Decoder) breaksLineRule(n, fields int) string {
+	switch {
+	case fields > maxLineFields:
+		return fmt.Sprintf("more than %d fields (a co order holds at most %d writes)", maxLineFields, maxCount)
+	case n <= shortLineLen:
+		return ""
+	case !d.headerOK:
+		return fmt.Sprintf("more than %d bytes before the header", shortLineLen)
+	case n > bytesPerField*fields:
+		return fmt.Sprintf("%d bytes exceeds %d with more than %d bytes a field (fields: %d)", n, shortLineLen, bytesPerField, fields)
 	}
-	for _, b := range "\t\n\v\f\r " {
-		c[b] = spaceByte
-	}
-	return c
-}()
+	return ""
+}
 
-const (
-	fieldByte = iota
-	spaceByte
-	otherByte
-)
-
-// unicodeFields is fields for a line that is not all ASCII: runes
-// unicode.IsSpace reports split, and invalid UTF-8 stays inside a field.
-func (d *Decoder) unicodeFields(line []byte) [][]byte {
-	d.f = d.f[:0]
+// fields splits a line around runs of white space, as strings.Fields
+// does, into the decoder's field buffer: the result is only good until
+// the next call. ASCII bytes are looked up in asciiSpace, and only a
+// multi-byte rune is decoded.
+func (d *Decoder) fields(line []byte) [][]byte {
+	f := d.f[:0]
 	start := -1
 	for i := 0; i < len(line); {
-		r, size := rune(line[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRune(line[i:])
+		space, size := asciiSpace[line[i]], 1
+		if line[i] >= utf8.RuneSelf {
+			space, size = runeSpaceAt(line[i:])
 		}
-		if !unicode.IsSpace(r) {
+		if !space {
 			if start < 0 {
 				start = i
 			}
 		} else if start >= 0 {
-			d.f = append(d.f, line[start:i])
+			f = append(f, line[start:i])
 			start = -1
 		}
 		i += size
 	}
 	if start >= 0 {
-		d.f = append(d.f, line[start:])
+		f = append(f, line[start:])
 	}
-	return d.f
+	d.f = f
+	return f
 }
+
+// runeSpaceAt reports whether b opens with a multi-byte rune that
+// unicode.IsSpace reports — invalid UTF-8 is not white space — and the
+// width of that rune.
+func runeSpaceAt(b []byte) (bool, int) {
+	r, size := utf8.DecodeRune(b)
+	return unicode.IsSpace(r), size
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Next decodes and returns the next trace, or io.EOF after the last
 // one. The first call validates the stream header.
@@ -432,7 +452,9 @@ func exact[T any](s []T) []T {
 	if len(s) == 0 {
 		return nil
 	}
-	return append(make([]T, 0, len(s)), s...)
+	t := make([]T, len(s))
+	copy(t, s) // make then copy skips zeroing t
+	return t
 }
 
 func (d *Decoder) thread(f [][]byte) error {
@@ -562,9 +584,6 @@ func (d *Decoder) coOrder(f [][]byte) error {
 	if len(f) < 3 {
 		return d.errf("'co' takes <addr> and at least one write ref")
 	}
-	if len(f)-2 > maxCount {
-		return d.errf("co order of %d writes exceeds limit %d", len(f)-2, maxCount)
-	}
 	addr, err := parseAddr(f[1])
 	if err != nil {
 		return d.errf("%v", err)
@@ -649,20 +668,9 @@ func parseIntField(b []byte) (int, bool) {
 	return v, err == nil && v >= 0 && v < maxIntField
 }
 
-// cut slices b around the first c, as bytes.Cut does; a loop beats
-// bytes.Cut on fields a few bytes long.
-func cut(b []byte, c byte) (before, after []byte, found bool) {
-	for i, x := range b {
-		if x == c {
-			return b[:i], b[i+1:], true
-		}
-	}
-	return b, nil, false
-}
-
 // parseKeyPin parses "@i" or "@i.s".
 func parseKeyPin(b []byte) (instr, sub int, err error) {
-	is, ss, dotted := cut(b[1:], '.')
+	is, ss, dotted := bytes.Cut(b[1:], []byte{'.'})
 	instr, ok := parseIntField(is)
 	if ok && dotted {
 		sub, ok = parseIntField(ss)
@@ -676,14 +684,14 @@ func parseKeyPin(b []byte) (instr, sub int, err error) {
 // parseRef parses "tid:instr" or "tid:instr.sub".
 func parseRef(b []byte) (Ref, error) {
 	var r Ref
-	ts, rest, ok := cut(b, ':')
+	ts, rest, ok := bytes.Cut(b, []byte{':'})
 	if !ok {
 		return r, fmt.Errorf("malformed event ref %q (want tid:instr[.sub])", b)
 	}
 	if r.TID, ok = parseIntField(ts); !ok {
 		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad tid)", b)
 	}
-	is, ss, dotted := cut(rest, '.')
+	is, ss, dotted := bytes.Cut(rest, []byte{'.'})
 	if r.Instr, ok = parseIntField(is); !ok {
 		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad instr)", b)
 	}

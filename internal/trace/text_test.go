@@ -367,6 +367,43 @@ func TestLongCoLineRoundTrips(t *testing.T) {
 	}
 }
 
+// repeatReader serves its pattern over and over and never ends.
+type repeatReader struct {
+	pat []byte
+	off int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		c := copy(p[n:], r.pat[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.pat)
+	}
+	return len(p), nil
+}
+
+// TestEndlessLineFails: a line that never ends is cut off by the line
+// rule, at the line it is on, once it passes the format's ceilings:
+// 4 MiB before the header, 64 bytes a field past 4 MiB after it, and
+// the fields of a maximal co order.
+func TestEndlessLineFails(t *testing.T) {
+	for _, c := range []struct {
+		prefix, pat, want string
+	}{
+		{"", "x", "trace: line 1: line of more than 4194304 bytes before the header"},
+		{"# a comment\n", "no header ", "trace: line 2: line of more than 4194304 bytes before the header"},
+		{"mctrace 1\ntrace t\nthread 0\n", "0", "trace: line 4: line of 4259840 bytes exceeds 4194304 with more than 64 bytes a field (fields: 1)"},
+		{"mctrace 1\ntrace t\nco 0x1", " ", "trace: line 3: line of 4259840 bytes exceeds 4194304 with more than 64 bytes a field (fields: 2)"},
+		{"mctrace 1\ntrace t\nco 0x1", " 0", "trace: line 3: line of more than 16777218 fields (a co order holds at most 16777216 writes)"},
+	} {
+		r := io.MultiReader(strings.NewReader(c.prefix), &repeatReader{pat: bytes.Repeat([]byte(c.pat), 4096)})
+		_, err := DecodeAll(r)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q then %q forever: error %v, want %q", c.prefix, c.pat, err, c.want)
+		}
+	}
+}
+
 // failingReader serves its bytes, then an error instead of io.EOF.
 type failingReader struct{ r io.Reader }
 

@@ -22,10 +22,13 @@
 // is byte-identical for canonically encoded traces.
 //
 // Both decoders bound a trace by the same ceilings — name length,
-// element counts, int-typed fields — and nothing else: a text line may
-// be of any length (a co order of millions of writes is one line), and
-// an address or value may be spelled any way strconv base 0 reads
-// (0o17, 0b101, 1_000, ...), though the encoder writes only hex
+// element counts, int-typed fields. A text line may run to 4 MiB; past
+// the header a longer one is read while it holds no more fields than a
+// co order of the largest count plus its keyword and address, at an
+// average of at most 64 bytes a field, so a co order of millions of
+// writes is one line and a line that never ends fails once it breaks
+// that rule. An address or value may be spelled any way strconv base 0
+// reads (0o17, 0b101, 1_000, ...), though the encoder writes only hex
 // addresses and decimal values and the text decoder reads those
 // spellings fastest.
 package trace
