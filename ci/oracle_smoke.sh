@@ -79,5 +79,24 @@ if ! grep -Eq 'collective checking: ([0-9]+) checks, .*, \1 durable' "$WORKDIR/w
   exit 1
 fi
 
+# A malformed trace of the canonical shape (its one read names a source
+# whose value it did not read) is signed without being built, so it
+# reaches the warm store's lookup before it fails to build. Appended to
+# the corpus, it must fail the run with the same positioned error against
+# the warm store as against a cold one, exit 2 both times.
+cp "$WORKDIR/corpus.mctrace" "$WORKDIR/malformed.mctrace"
+printf 'trace malformed\nthread 0\nw 0x100 1\nthread 1\nr 0x100 2\nrf 1:0 0:0\nco 0x100 0:0\nend\n' >>"$WORKDIR/malformed.mctrace"
+for store in verdicts cold-verdicts; do
+  status=0
+  "$WORKDIR/check" -json -model all -store "$WORKDIR/$store" "$WORKDIR/malformed.mctrace" >/dev/null 2>"$WORKDIR/$store.err" || status=$?
+  [ "$status" -eq 2 ] || { echo "FAIL: malformed trace against $store exited $status, want 2" >&2; cat "$WORKDIR/$store.err" >&2; exit 1; }
+  grep '^check: trace [0-9]*:' "$WORKDIR/$store.err" >"$WORKDIR/$store.lines" || true
+done
+if ! [ -s "$WORKDIR/verdicts.lines" ] || ! cmp -s "$WORKDIR/verdicts.lines" "$WORKDIR/cold-verdicts.lines"; then
+  echo "FAIL: the malformed trace's error differs between the warm and the cold store:" >&2
+  cat "$WORKDIR/verdicts.err" "$WORKDIR/cold-verdicts.err" >&2
+  exit 1
+fi
+
 lines=$(wc -l <"$GOLDEN")
-echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths"
+echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths; a malformed trace fails alike warm and cold"

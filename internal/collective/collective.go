@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/memmodel"
+	"repro/internal/memsys"
 	"repro/internal/stats"
 )
 
@@ -61,9 +62,48 @@ const (
 // as the producing write's stable Key, and co is walked per address in
 // address order. Initial writes — whose Keys depend on creation order,
 // i.e. on the interleaving — are canonicalized by their address. The
-// digest is FNV-128a over the little-endian words of that walk; on an
-// execution that has answered Threads and Addresses before, computing it
-// allocates nothing.
+// words and their order are Hasher's; Signature is its walker over a
+// built execution. On an execution that has answered Threads and
+// Addresses before, computing it allocates nothing.
+func Signature(x *memmodel.Execution) Sig {
+	h := NewHasher()
+	events := x.Events()
+	for _, tid := range x.Threads() {
+		h.Thread(tid)
+		for _, id := range x.ThreadEvents(tid) {
+			e := &events[id]
+			h.Event(e.Key, e.Kind, e.Fence, e.Addr, e.Value, e.Atomic)
+			if e.IsRead() {
+				if w, ok := x.RF(id); ok {
+					h.Write(events[w].Key, events[w].Addr)
+				} else {
+					h.NoRF()
+				}
+			}
+		}
+	}
+	for _, addr := range x.Addresses() {
+		h.CO(addr)
+		for _, id := range x.CO(addr) {
+			h.Write(events[id].Key, events[id].Addr)
+		}
+	}
+	return h.Sum()
+}
+
+// Hasher folds the canonical serialization of one execution into its
+// Sig. It is the one definition of that serialization — its section
+// markers, its words and their order — so any walker feeding it the
+// same calls in the same order signs the same execution alike, whatever
+// representation it walks. The calls:
+//
+//   - Thread for each thread with at least one event, in ascending TID
+//     order, each followed by Event for the thread's events in program
+//     order, and after a read's Event either Write naming the write it
+//     reads from or NoRF;
+//   - then CO for each address an event reads or writes, in ascending
+//     order, each followed by Write for the address's coherence order,
+//     the initial write first when there is one.
 //
 // What makes it cheap is what the words are: sub, kind, fence, the
 // atomic flag and TID fit one byte, instruction indices, addresses and
@@ -72,60 +112,61 @@ const (
 // (fnv128a.u64). The digest is the same 128 bits hashing all eight bytes
 // one by one gives — every stored verdict and golden signature is keyed
 // under it.
-func Signature(x *memmodel.Execution) Sig {
-	h := fnv128a{offset128Hi, offset128Lo}
-	events := x.Events()
-	for _, tid := range x.Threads() {
-		h.u64(sigThread)
-		h.u64(uint64(int64(tid)))
-		for _, id := range x.ThreadEvents(tid) {
-			e := &events[id]
-			// Instr and Sub matter beyond position: RMW atomicity
-			// pairs events by (Instr, consecutive Subs), so two
-			// kind/addr/value-identical slices with different pairing
-			// must not collide.
-			h.u64(uint64(int64(e.Key.Instr)))
-			h.u64(uint64(int64(e.Key.Sub)))
-			h.u64(uint64(e.Kind))
-			h.u64(uint64(e.Fence))
-			h.u64(uint64(e.Addr))
-			h.u64(e.Value)
-			if e.Atomic {
-				h.u64(1)
-			} else {
-				h.u64(0)
-			}
-			if e.IsRead() {
-				if w, ok := x.RF(id); ok {
-					h.eventKey(&events[w])
-				} else {
-					h.u64(sigNoRF)
-				}
-			}
-		}
-	}
-	for _, addr := range x.Addresses() {
-		h.u64(sigCO)
-		h.u64(uint64(addr))
-		for _, id := range x.CO(addr) {
-			h.eventKey(&events[id])
-		}
-	}
-	return Sig{Hi: h.hi, Lo: h.lo}
+type Hasher struct{ h fnv128a }
+
+// NewHasher returns a Hasher over the empty serialization.
+func NewHasher() Hasher { return Hasher{fnv128a{offset128Hi, offset128Lo}} }
+
+// Thread opens the section of the thread tid.
+func (h *Hasher) Thread(tid int) {
+	h.h.u64(sigThread)
+	h.h.u64(uint64(int64(tid)))
 }
 
-// eventKey hashes the stable name of a write another event refers to:
-// its Key, or for an initial write its address.
-func (h *fnv128a) eventKey(e *memmodel.Event) {
-	if e.IsInit() {
-		h.u64(sigInit)
-		h.u64(uint64(e.Addr))
+// Event hashes one event of the current thread: its key, kind, fence
+// flavour, address, value and atomic flag. Instr and Sub matter beyond
+// position: RMW atomicity pairs events by (Instr, consecutive Subs), so
+// two kind/addr/value-identical slices with different pairing must not
+// collide.
+func (h *Hasher) Event(key memmodel.Key, kind memmodel.Kind, fence memmodel.FenceKind, addr memsys.Addr, value uint64, atomic bool) {
+	h.h.u64(uint64(int64(key.Instr)))
+	h.h.u64(uint64(int64(key.Sub)))
+	h.h.byte1(uint64(kind))
+	h.h.byte1(uint64(fence))
+	h.h.u64(uint64(addr))
+	h.h.u64(value)
+	if atomic {
+		h.h.byte1(1)
+	} else {
+		h.h.byte1(0)
+	}
+}
+
+// Write hashes the stable name of a write another word refers to — a
+// read's source or an element of a coherence order: its key, or, for
+// the initial write of addr (a key with memmodel.InitTID), addr.
+func (h *Hasher) Write(key memmodel.Key, addr memsys.Addr) {
+	if key.TID == memmodel.InitTID {
+		h.h.u64(sigInit)
+		h.h.u64(uint64(addr))
 		return
 	}
-	h.u64(uint64(int64(e.Key.TID)))
-	h.u64(uint64(int64(e.Key.Instr)))
-	h.u64(uint64(int64(e.Key.Sub)))
+	h.h.u64(uint64(int64(key.TID)))
+	h.h.u64(uint64(int64(key.Instr)))
+	h.h.u64(uint64(int64(key.Sub)))
 }
+
+// NoRF marks a read that reads from no write.
+func (h *Hasher) NoRF() { h.h.u64(sigNoRF) }
+
+// CO opens the coherence-order section of addr.
+func (h *Hasher) CO(addr memsys.Addr) {
+	h.h.u64(sigCO)
+	h.h.u64(uint64(addr))
+}
+
+// Sum returns the signature of everything hashed so far.
+func (h *Hasher) Sum() Sig { return Sig{Hi: h.h.hi, Lo: h.h.lo} }
 
 // fnv128a is the FNV-1a 128-bit hash state — hash/fnv's New128a, inlined
 // so hashing a word is a few multiply steps with no interface call and
@@ -166,7 +207,22 @@ func (h *fnv128a) mul(p fnv128a) {
 // costs as many steps as it has significant bytes (one when it is zero),
 // not eight.
 func (h *fnv128a) u64(v uint64) {
-	n := max((bits.Len64(v)+7)/8, 1)
+	if v >= 0x100 {
+		h.wide(v)
+		return
+	}
+	h.byte1(v)
+}
+
+// byte1 is u64 for a word below 0x100: one xor, one multiplication.
+func (h *fnv128a) byte1(v uint64) {
+	h.lo ^= v
+	h.mul(primePow[8])
+}
+
+// wide is u64 for a word of more than one significant byte.
+func (h *fnv128a) wide(v uint64) {
+	n := (bits.Len64(v) + 7) / 8
 	hi, lo := h.hi, h.lo
 	for i := 1; i < n; i++ {
 		lo ^= v & 0xff
@@ -246,6 +302,8 @@ type memoShard struct {
 type memoEntry struct {
 	once sync.Once
 	res  memmodel.Result
+	// done publishes res to KnownValid, which never waits on once.
+	done atomic.Bool
 }
 
 // NewMemo returns an empty verdict table.
@@ -333,6 +391,7 @@ func (m *Memo) CheckScopedVia(scope string, sig Sig, x *memmodel.Execution, arch
 	e, _ := m.entry(key)
 	computed := false
 	e.once.Do(func() {
+		defer e.done.Store(true)
 		// Two-tier lookup: consult the durable store once per unique
 		// scoped key (the once.Do makes this race-free), then fall back
 		// to a fresh check whose verdict is written through. Durable
@@ -365,6 +424,28 @@ func (m *Memo) CheckScopedVia(scope string, sig Sig, x *memmodel.Execution, arch
 		return check(x, arch), true
 	}
 	return e.res, true
+}
+
+// KnownValid reports whether CheckScopedVia would answer (scope, sig,
+// arch) valid without calling check: the memo holds a valid verdict for
+// it, or the store below it does. It is a peek — it counts nothing and
+// records nothing — so a caller can skip building an execution the
+// lookup will not read. An entry another submitter is still computing
+// is not yet known, unless the store knows it.
+func (m *Memo) KnownValid(scope string, sig Sig, arch memmodel.Arch) bool {
+	key := archKey(sig, arch, scope)
+	s := &m.shards[key.Lo%memoShards]
+	s.mu.Lock()
+	e, ok := s.m[key]
+	s.mu.Unlock()
+	if ok && e.done.Load() {
+		return e.res.Valid
+	}
+	if m.store == nil {
+		return false
+	}
+	v, ok := m.store.Get(key)
+	return ok && v.Valid
 }
 
 // Len returns the number of unique signatures seen.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/stats"
 )
 
 // mapStore is a trivial in-RAM VerdictStore that counts traffic — the
@@ -67,6 +68,8 @@ func TestMemoStoreWriteThrough(t *testing.T) {
 // TestMemoStoreWarmHit: a fresh memo sharing the store answers a valid
 // signature from the durable tier without any check call, counts it in
 // Durable, and returns a Result byte-identical to the cold compute.
+// KnownValid, which counts nothing, says so beforehand — for this scope
+// only — as it does for the cold memo once it has decided.
 func TestMemoStoreWarmHit(t *testing.T) {
 	st := newMapStore()
 	ops, co, rf := mpOps(102, 101)
@@ -74,12 +77,24 @@ func TestMemoStoreWarmHit(t *testing.T) {
 	cold := NewMemo()
 	cold.SetStore(st)
 	x := replay(t, ops, co, rf)
+	if cold.KnownValid("s1", Signature(x), memmodel.TSO{}) {
+		t.Fatal("an empty memo over an empty store knows a verdict")
+	}
 	coldRes, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check)
+	if !cold.KnownValid("s1", Signature(x), memmodel.TSO{}) {
+		t.Fatal("the memo does not know the valid verdict it decided")
+	}
 
 	warm := NewMemo()
 	warm.SetStore(st)
 	calls := 0
 	x2 := replay(t, ops, co, rf)
+	if !warm.KnownValid("s1", Signature(x2), memmodel.TSO{}) || warm.KnownValid("s2", Signature(x2), memmodel.TSO{}) {
+		t.Fatal("KnownValid does not read the stored verdict of its own scope alone")
+	}
+	if d := warm.Stats(); d != (stats.Dedupe{}) {
+		t.Fatalf("KnownValid moved the counters: %+v", d)
+	}
 	warmRes, hit := warm.CheckScopedVia("s1", Signature(x2), x2, memmodel.TSO{}, countingCheck(&calls))
 	if hit {
 		t.Fatal("durable hit must not count as an in-RAM hit (Checks-Unique==Hits)")
@@ -115,6 +130,9 @@ func TestMemoStoreWarmInvalidRederives(t *testing.T) {
 	warm.SetStore(st)
 	calls := 0
 	x2 := replay(t, permute(ops), co, rf) // same signature, new EventIDs
+	if warm.KnownValid("s1", Signature(x2), memmodel.TSO{}) || cold.KnownValid("s1", Signature(x), memmodel.TSO{}) {
+		t.Fatal("an invalid verdict is known valid")
+	}
 	got, _ := warm.CheckScopedVia("s1", Signature(x2), x2, memmodel.TSO{}, countingCheck(&calls))
 	if calls != 1 {
 		t.Fatalf("invalid durable hit ran %d checks, want 1 (witness re-derivation)", calls)

@@ -87,9 +87,10 @@ func (ps *PhaseStats) Observe(p Phase, d time.Duration) {
 // ObserveN records n spans totalling ns nanoseconds against phase p —
 // the batched flush for hot loops that accumulate spans locally and
 // deposit them once per test-run instead of paying two atomic adds per
-// iteration.
+// iteration. With n = 0 it books time that belongs to the phase without
+// being a span of its own.
 func (ps *PhaseStats) ObserveN(p Phase, ns int64, n uint64) {
-	if ps == nil || p < 0 || p >= NumPhases || n == 0 {
+	if ps == nil || p < 0 || p >= NumPhases || ns == 0 && n == 0 {
 		return
 	}
 	ps.ns[p].Add(ns)

@@ -15,7 +15,8 @@ func TestPhaseStatsObserveAndSnapshot(t *testing.T) {
 	ps.Observe(PhaseSim, 2*time.Second)
 	ps.Observe(PhaseSim, time.Second)
 	ps.Observe(PhaseTestgen, 500*time.Millisecond)
-	ps.Observe(Phase(-1), time.Hour) // out of range: dropped
+	ps.ObserveN(PhaseMemo, int64(time.Second), 0) // time without a span
+	ps.Observe(Phase(-1), time.Hour)              // out of range: dropped
 	ps.Observe(Phase(NumPhases), time.Hour)
 
 	s := ps.Snapshot()
@@ -25,7 +26,10 @@ func TestPhaseStatsObserveAndSnapshot(t *testing.T) {
 	if got := s.Testgen; got.Ns != int64(500*time.Millisecond) || got.Count != 1 {
 		t.Errorf("testgen = %+v", got)
 	}
-	if total := s.TotalNs(); total != int64(3500*time.Millisecond) {
+	if got := s.Memo; got.Ns != int64(time.Second) || got.Count != 0 {
+		t.Errorf("memo = %+v", got)
+	}
+	if total := s.TotalNs(); total != int64(4500*time.Millisecond) {
 		t.Errorf("total = %d", total)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/memmodel"
 	"repro/internal/memmodel/exectest"
 )
@@ -38,6 +39,37 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkExec = x
+	}
+}
+
+var sinkSig collective.Sig
+
+// BenchmarkSignTrace signs the trace from its fields in storage that
+// has signed it before — what a warm store hit pays for its key.
+func BenchmarkSignTrace(b *testing.B) {
+	tr := benchTrace(b)
+	var m Materializer
+	if _, ok := m.Sign(tr); !ok {
+		b.Fatal("the trace fell back to materializing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSig, _ = m.Sign(tr)
+	}
+}
+
+// BenchmarkSignExecution is BenchmarkSignTrace's twin on the execution
+// walker: collective.Signature of the trace's materialized execution.
+func BenchmarkSignExecution(b *testing.B) {
+	x, err := benchTrace(b).Execution()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSig = collective.Signature(x)
 	}
 }
 

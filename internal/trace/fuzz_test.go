@@ -53,7 +53,7 @@ var residue = &Trace{
 // materializeBothWays materializes tr fresh and into a Materializer that
 // last held a different trace, and requires the two to be
 // indistinguishable: the same events, the same signature, the same error
-// text.
+// text. Signing tr from its fields (checkDirect) must agree with both.
 func materializeBothWays(t *testing.T, tr *Trace) {
 	t.Helper()
 	fresh, ferr := tr.Execution()
@@ -65,6 +65,7 @@ func materializeBothWays(t *testing.T, tr *Trace) {
 	if fmt.Sprint(ferr) != fmt.Sprint(rerr) {
 		t.Fatalf("fresh materialization: %v\nreused: %v", ferr, rerr)
 	}
+	checkDirect(t, tr, fresh)
 	if ferr != nil {
 		return
 	}

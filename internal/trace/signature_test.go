@@ -11,10 +11,11 @@ import (
 )
 
 // TestSignatureOncePerTrace: goroutines racing for one trace's signature
-// materialize it once, get the signature of the execution Execution
-// builds, and only the computing call is handed that execution; a
-// malformed trace remembers nothing, so every call materializes and
-// meets the same error.
+// sign it once and get what its execution signs as; only the computing
+// call is handed the execution its sign built. A malformed trace whose
+// sign fails remembers nothing, so every call signs it again and meets
+// the same error; a malformed trace of the canonical shape is signed
+// from its fields, once.
 func TestSignatureOncePerTrace(t *testing.T) {
 	good, err := FromExecution("good", exectest.SC(1))
 	if err != nil {
@@ -30,39 +31,61 @@ func TestSignatureOncePerTrace(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("a read of a value nobody wrote materialized")
 	}
+	// The same read, given the initial write as its source: canonical,
+	// and still not an execution.
+	badCanonical := &Trace{Name: "bad-canonical", Threads: bad.Threads, RF: []RFEdge{{Read: Ref{TID: 0}, Init: true}}}
+	if _, err := badCanonical.Execution(); err == nil {
+		t.Fatal("a read of 7 from the initial write materialized")
+	}
 
 	const goroutines = 8
-	var built, rebuilt, handed atomic.Int32
+	var calls [3]atomic.Int32
+	var handed atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var m Materializer
-			materialize := func(tr *Trace) (*memmodel.Execution, error) {
-				if tr == good {
-					built.Add(1)
-				} else {
-					rebuilt.Add(1)
+			// Build the execution to sign it, as for a trace that is not
+			// canonical.
+			build := func(tr *Trace) (collective.Sig, *memmodel.Execution, error) {
+				calls[0].Add(1)
+				x, err := m.Execution(tr)
+				if err != nil {
+					return collective.Sig{}, nil, err
 				}
-				return m.Execution(tr)
+				return collective.Signature(x), x, nil
 			}
-			sig, x, err := good.Signature(materialize)
+			sig, x, err := good.Signature(build)
 			if err != nil || sig != want {
 				t.Errorf("signature %s, %v; want %s", sig, err, want)
 			}
 			if x != nil {
 				handed.Add(1)
 			}
-			if _, x, err := bad.Signature(materialize); x != nil || err == nil || err.Error() != wantErr.Error() {
+			if _, x, err := bad.Signature(func(tr *Trace) (collective.Sig, *memmodel.Execution, error) {
+				calls[1].Add(1)
+				return build(tr)
+			}); x != nil || err == nil || err.Error() != wantErr.Error() {
 				t.Errorf("malformed trace: %v, %v; want %v", x, err, wantErr)
+			}
+			if _, x, err := badCanonical.Signature(func(tr *Trace) (collective.Sig, *memmodel.Execution, error) {
+				calls[2].Add(1)
+				sig, ok := m.Sign(tr)
+				if !ok {
+					t.Error("a canonical trace fell back to materializing")
+				}
+				return sig, nil, nil
+			}); x != nil || err != nil {
+				t.Errorf("malformed canonical trace: %v, %v; want a signature", x, err)
 			}
 		}()
 	}
 	wg.Wait()
-	if built.Load() != 1 || handed.Load() != 1 || rebuilt.Load() != goroutines {
-		t.Fatalf("good trace: %d materializations, %d executions handed out; malformed: %d materializations; want 1, 1, %d",
-			built.Load(), handed.Load(), rebuilt.Load(), goroutines)
+	if handed.Load() != 1 || calls[0].Load() != 1+goroutines || calls[1].Load() != goroutines || calls[2].Load() != 1 {
+		t.Fatalf("%d builds, %d executions handed out, %d signings of the malformed trace, %d of the canonical one; want %d, 1, %d, 1",
+			calls[0].Load(), handed.Load(), calls[1].Load(), calls[2].Load(), 1+goroutines, goroutines)
 	}
 }
 

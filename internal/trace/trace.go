@@ -21,6 +21,12 @@
 // RMW pairing and signature identity survive), and encode(decode(t))
 // is byte-identical for canonically encoded traces.
 //
+// A trace in that canonical shape — threads in TID order, one rf edge
+// per read in program order, a co order per written address in address
+// order — is signed from its own fields (Materializer.Sign), to the same
+// 128 bits collective.Signature gives the execution it builds, without
+// building it. Any other trace is signed through its execution.
+//
 // Both decoders bound a trace by the same ceilings — name length,
 // element counts, int-typed fields. A text line may run to 4 MiB; past
 // the header a longer one is read while it holds no more fields than a
@@ -171,28 +177,33 @@ type Trace struct {
 }
 
 // identity is a trace's signature once computed: mu serializes the call
-// computing it, done publishes sig to calls that never take mu. valid is
-// one more than the position in memmodel.Names() of the strongest model
-// the trace was decided valid under, 0 while it has been under none; it
-// only ever moves to a stronger model.
+// computing it, done publishes sig and its spelling hex to calls that
+// never take mu. valid is one more than the position in memmodel.Names()
+// of the strongest model the trace was decided valid under, 0 while it
+// has been under none; it only ever moves to a stronger model.
 type identity struct {
 	mu    sync.Mutex
 	done  atomic.Bool
 	sig   collective.Sig
+	hex   string
 	valid atomic.Int32
 }
 
 // Signature returns the canonical signature of t's execution —
 // collective.Signature of what Execution builds — computing it at most
-// once across all goroutines. The call that computes it builds the
-// execution with materialize, which chooses the storage (and may time
-// it), and returns that execution as well; every other call returns a
-// nil execution. Concurrent callers wait for the computing call instead
-// of repeating it: materialize runs under the trace's lock, as
-// sync.Once runs its function, so it must not ask t for its signature.
-// Errors are not remembered: the next call materializes again and meets
-// the same error, so a malformed trace answers every caller alike.
-func (t *Trace) Signature(materialize func(*Trace) (*memmodel.Execution, error)) (collective.Sig, *memmodel.Execution, error) {
+// once across all goroutines. The call that computes it runs sign,
+// which chooses how: from t's fields (Materializer.Sign), or by
+// materializing t and signing the execution, which it then returns, and
+// so does Signature; every other call returns a nil execution.
+// Concurrent callers wait for the computing call instead of repeating
+// it: sign runs under the trace's lock, as sync.Once runs its function,
+// so it must not ask t for its signature. Errors are not remembered: the
+// next call runs sign again and meets the same error, so a malformed
+// trace answers every caller alike. A signature is remembered even for
+// a malformed trace of the canonical shape, which Sign signs without
+// building it; every check of such a trace still errors, since deciding
+// it means materializing it.
+func (t *Trace) Signature(sign func(*Trace) (collective.Sig, *memmodel.Execution, error)) (collective.Sig, *memmodel.Execution, error) {
 	id := &t.id
 	if id.done.Load() {
 		return id.sig, nil, nil
@@ -202,13 +213,23 @@ func (t *Trace) Signature(materialize func(*Trace) (*memmodel.Execution, error))
 	if id.done.Load() {
 		return id.sig, nil, nil
 	}
-	x, err := materialize(t)
+	sig, x, err := sign(t)
 	if err != nil {
 		return collective.Sig{}, nil, err
 	}
-	id.sig = collective.Signature(x)
+	id.sig, id.hex = sig, sig.String()
 	id.done.Store(true)
-	return id.sig, x, nil
+	return sig, x, nil
+}
+
+// SignatureString is the signature Signature remembered, spelled as
+// Sig.String spells it: one string for every verdict on t. It is ""
+// until a Signature call has succeeded.
+func (t *Trace) SignatureString() string {
+	if !t.id.done.Load() {
+		return ""
+	}
+	return t.id.hex
 }
 
 // ProvedValid records that t's execution was decided valid under the
@@ -266,18 +287,28 @@ func (t *Trace) Execution() (*memmodel.Execution, error) {
 	return new(Materializer).Execution(t)
 }
 
-// Materializer materializes traces one after another into storage it
-// keeps — one memmodel.Builder and the execution inside it — so a
-// caller deciding a stream of traces allocates for the largest, not for
-// each. The execution a call returns is only good until the next call:
-// whoever needs to keep one uses Trace.Execution. The zero value is
-// ready; a Materializer is single-goroutine.
+// Materializer materializes and signs traces one after another in
+// storage it keeps — one memmodel.Builder and the execution inside it,
+// and Sign's address index — so a caller deciding a stream of traces
+// allocates for the largest, not for each. The execution a call returns
+// is only good until the next call: whoever needs to keep one uses
+// Trace.Execution. The zero value is ready; a Materializer is
+// single-goroutine.
 type Materializer struct {
 	b *memmodel.Builder
 	// decls is the thread declarations sorted by TID; writes one
 	// coherence order's resolved refs.
 	decls  []threadDecl
 	writes []relation.EventID
+	// addrs, cells and shift are Sign's address index: addrs holds the
+	// co orders' addresses, then those read only from their initial
+	// write; a cell, found from the top shift bits of an address's
+	// Fibonacci hash, holds a position in addrs. coInit marks the co
+	// orders whose address a read reads from the initial write.
+	addrs  []memsys.Addr
+	cells  []int32
+	shift  uint8
+	coInit []bool
 }
 
 // threadDecl is one thread declaration: its TID and its position in

@@ -9,8 +9,8 @@ import (
 // BenchmarkCheckTraceWarm is what the oracle pays per trace once every
 // verdict is known: one benchmark-sized trace, new to the Checkers,
 // decided under the four models by four Checkers over one memo that has
-// answered it before — one materialization and signature, then a memo
-// hit per model.
+// answered it before — one signature from the trace's fields, then a
+// memo hit per model.
 func BenchmarkCheckTraceWarm(b *testing.B) {
 	tr, err := TraceFromExecution("bench", exectest.SC(1))
 	if err != nil {

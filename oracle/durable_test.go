@@ -95,3 +95,58 @@ func TestGoldenSignaturesAnswerFromStore(t *testing.T) {
 		}
 	}
 }
+
+// TestExecutionSignedStoreAnswersTraces: a store filled through
+// CheckExecution, whose keys the execution walker signs, answers
+// CheckTrace on the same traces, whose keys are signed from the traces'
+// fields: every check a durable hit, every verdict the one stored.
+func TestExecutionSignedStoreAnswersTraces(t *testing.T) {
+	traces := append(generatedTraces(t), largeTraces(t, 2)...)
+	classics, err := LitmusCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range classics {
+		traces = append(traces, e.Trace)
+	}
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	models := Models()
+	var (
+		kept []*Trace
+		want [][]Result
+	)
+	fill := newCheckers(t, 1, Options{Store: st})[0]
+	for _, tr := range traces {
+		x, err := tr.Execution()
+		if err != nil {
+			continue
+		}
+		kept = append(kept, clone(tr))
+		row := make([]Result, len(models))
+		for mi, c := range fill {
+			row[mi] = c.CheckExecution(x)
+		}
+		want = append(want, row)
+	}
+
+	memo := NewMemo()
+	for mi, c := range newCheckers(t, 1, Options{Memo: memo, Store: st})[0] {
+		for i, tr := range kept {
+			v, err := c.CheckTrace(tr, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := want[i][mi]
+			if v.Valid != w.Valid || !w.Valid && (v.Kind != w.Kind.String() || v.Detail != w.Detail) {
+				t.Errorf("%s under %s: %+v, stored through CheckExecution %+v", tr.Name, models[mi], v, w)
+			}
+		}
+	}
+	if d := memo.Stats(); d.Checks != uint64(len(kept)*len(models)) || d.Durable != d.Checks {
+		t.Errorf("%d traces × %d models: %s; want every check a durable hit", len(kept), len(models), d)
+	}
+}

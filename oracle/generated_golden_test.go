@@ -1,12 +1,14 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/checker"
@@ -360,6 +362,58 @@ func TestGeneratedCorpusGolden(t *testing.T) {
 			res := want[i].Results[model]
 			if want[i].Err != "" || v.Sig != want[i].Sig || v.Valid != res.Valid || v.Kind != res.Kind || v.Detail != res.Detail {
 				t.Errorf("%s under %s: CheckTrace %+v, golden %+v (err %q, sig %s)", tr.Name, model, v, res, want[i].Err, want[i].Sig)
+			}
+		}
+	}
+}
+
+// TestSignTraceMatchesExecution: the generated corpus — valid, invalid
+// and malformed — and the litmus classics signed from their fields agree
+// with their built executions whenever the walk answers; the unmutated
+// generated traces and the classics, as traces and after a text and a
+// binary round trip, all sign without building.
+func TestSignTraceMatchesExecution(t *testing.T) {
+	var canonical []*Trace
+	var m trace.Materializer
+	for _, tr := range generatedTraces(t) {
+		x, err := tr.Execution()
+		if sig, ok := m.Sign(tr); ok && err == nil && sig != Signature(x) {
+			t.Errorf("%s: signed %s from its fields, %s from its execution", tr.Name, sig, Signature(x))
+		}
+		if strings.HasSuffix(tr.Name, "asis") {
+			canonical = append(canonical, tr)
+		}
+	}
+	classics, err := LitmusCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range classics {
+		canonical = append(canonical, e.Trace)
+	}
+	var text, bin bytes.Buffer
+	if err := WriteTraces(&text, canonical...); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTracesBinary(&bin, canonical...); err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := DecodeTraces(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := DecodeTracesBinary(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range [][]*Trace{canonical, fromText, fromBin} {
+		for _, tr := range set {
+			x, err := tr.Execution()
+			if err != nil {
+				t.Fatalf("%s: %v", tr.Name, err)
+			}
+			if sig, ok := m.Sign(tr); !ok || sig != Signature(x) {
+				t.Errorf("%s: signed %s, %v from its fields; want %s directly", tr.Name, sig, ok, Signature(x))
 			}
 		}
 	}

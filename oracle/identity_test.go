@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // identityCorpus is what the shared-identity tests decide: the generated
@@ -152,9 +156,9 @@ func TestSharedIdentityConcurrent(t *testing.T) {
 }
 
 // TestSharedIdentitySignsOnce: over a filled store, traces valid under
-// every model are materialized once each — for their signature, by
-// whichever Checker got there first — and never again: every valid hit is
-// a lookup.
+// every model are signed once each — from their fields, by whichever
+// Checker got there first — and never materialized: every valid hit is a
+// signature and a lookup.
 func TestSharedIdentitySignsOnce(t *testing.T) {
 	all := identityCorpus(t)
 	var valid []*Trace
@@ -192,8 +196,8 @@ func TestSharedIdentitySignsOnce(t *testing.T) {
 		}
 	}
 	// A decode span is one materialization.
-	if p.Decode.Count != uint64(len(traces)) {
-		t.Errorf("%d traces materialized %d times, want once each", len(traces), p.Decode.Count)
+	if p.Decode.Count != 0 {
+		t.Errorf("%d traces materialized %d times, want never", len(traces), p.Decode.Count)
 	}
 	if want := uint64(len(traces) * len(Models())); p.Memo.Count != want || p.Check.Count+p.FastCheck.Count != 0 || memo.Stats().Durable != want {
 		t.Errorf("%d jobs: %d memo spans, %d decisions, %s; want every job a durable hit",
@@ -205,6 +209,8 @@ func TestSharedIdentitySignsOnce(t *testing.T) {
 // is invalid re-derives its witness from the store byte for byte — Kind,
 // Cycle and Detail as the cold check found them — when another model's
 // Checker signed the trace and this one materializes it only to decide.
+// The signer too materializes only the classics it re-derives: signing
+// builds nothing.
 func TestSharedIdentityInvalidWarmHit(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -219,7 +225,7 @@ func TestSharedIdentityInvalidWarmHit(t *testing.T) {
 	cold := make([][]Result, len(classics))
 	for mi, c := range newCheckers(t, 1, Options{Store: st})[0] {
 		for i, e := range classics {
-			_, res, err := c.checkTrace(e.Trace)
+			res, err := c.checkTrace(e.Trace)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,14 +249,14 @@ func TestSharedIdentityInvalidWarmHit(t *testing.T) {
 	for i, e := range classics {
 		tr := clone(e.Trace)
 		for _, mi := range order {
-			_, res, err := checkers[mi].checkTrace(tr)
+			res, err := checkers[mi].checkTrace(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(res, cold[i][mi]) {
 				t.Errorf("%s under %s from the store:\n got  %+v\n cold %+v", e.Trace.Name, models[mi], res, cold[i][mi])
 			}
-			if !res.Valid && mi != signer {
+			if !res.Valid {
 				rederived[mi]++
 			}
 		}
@@ -259,13 +265,12 @@ func TestSharedIdentityInvalidWarmHit(t *testing.T) {
 		t.Errorf("warm: %s, want every check a durable hit", d)
 	}
 	for mi, c := range checkers {
-		want := rederived[mi]
-		if mi == signer {
-			want = uint64(len(classics))
-		}
-		if got := c.Phases().Decode.Count; got != want {
+		if got, want := c.Phases().Decode.Count, rederived[mi]; got != want {
 			t.Errorf("%s materialized %d times, want %d", models[mi], got, want)
 		}
+	}
+	if rederived[signer] == uint64(len(classics)) {
+		t.Errorf("%s re-derived every classic, want some valid under it", models[signer])
 	}
 	if rederived[0] != uint64(len(classics)) {
 		t.Errorf("SC re-derived %d witnesses, want one per classic (every one is forbidden under SC)", rederived[0])
@@ -274,9 +279,14 @@ func TestSharedIdentityInvalidWarmHit(t *testing.T) {
 
 // TestSharedIdentityMalformed: a malformed trace returns the same error
 // from every model's CheckTrace — materializing each time, since an
-// error is not remembered — and the error Trace.Execution returns.
+// error is not remembered — and the error Trace.Execution returns. The
+// generated corpus's malformed traces are checked over a cold memo; the
+// canonical-shape ones, which are signed from their fields before they
+// fail to build, over a cold memo, over a warm store and by four workers
+// at once. None of them leaves a memo entry or a stored record.
 func TestSharedIdentityMalformed(t *testing.T) {
-	checkers := newCheckers(t, 1, Options{Memo: NewMemo()})[0]
+	memo := NewMemo()
+	checkers := newCheckers(t, 1, Options{Memo: memo})[0]
 	malformed := 0
 	for i, tr := range generatedTraces(t) {
 		_, want := tr.Execution()
@@ -298,4 +308,139 @@ func TestSharedIdentityMalformed(t *testing.T) {
 	if malformed < 3 {
 		t.Fatalf("%d malformed traces in the generated corpus, want several", malformed)
 	}
+	if memo.Len() != 0 {
+		t.Errorf("malformed traces left %d memo entries", memo.Len())
+	}
+
+	base, bad := canonicalMalformed(t)
+	wants := make([]string, len(bad))
+	for i, tr := range bad {
+		_, err := tr.Execution()
+		if err == nil {
+			t.Fatalf("%s materialized", tr.Name)
+		}
+		wants[i] = err.Error()
+	}
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, c := range newCheckers(t, 1, Options{Store: st})[0] {
+		if _, err := c.CheckTrace(base, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stored := st.Len()
+	for _, pass := range []struct {
+		name    string
+		opts    Options
+		workers int
+	}{
+		{"cold memo", Options{Memo: NewMemo()}, 1},
+		{"warm store", Options{Memo: NewMemo(), Store: st}, 1},
+		{"four workers over the warm store", Options{Memo: NewMemo(), Store: st}, 4},
+	} {
+		traces := make([]*Trace, len(bad))
+		for i, tr := range bad {
+			traces[i] = clone(tr)
+		}
+		workers := newCheckers(t, pass.workers, pass.opts)
+		for i, row := range concurrentAnswers(traces, workers, 3) {
+			for mi, a := range row {
+				if a.err != wants[i] {
+					t.Errorf("%s: %s under %s: %q, want %q", pass.name, traces[i].Name, Models()[mi], a.err, wants[i])
+				}
+			}
+		}
+		if n := pass.opts.Memo.Len(); n != 0 {
+			t.Errorf("%s: malformed traces left %d memo entries", pass.name, n)
+		}
+		if n := st.Len(); n != stored {
+			t.Errorf("%s: malformed traces stored %d records", pass.name, n-stored)
+		}
+	}
+}
+
+// canonicalMalformed returns a valid generated trace and copies of it
+// that keep the canonical shape and do not build: an rf edge to a write
+// at another address, a co order short of a write, two ops sharing a
+// key, and a read of a value no write produced. All but the short co
+// order are signed from their fields — a co order short of a write
+// leaves the shape, as the signing walk counts writes — so the four
+// reach the memo's doorstep by both routes.
+func canonicalMalformed(t *testing.T) (*Trace, []*Trace) {
+	t.Helper()
+	var base *Trace
+	var rfi int
+	for _, tr := range generatedTraces(t) {
+		if _, err := tr.Execution(); err != nil || !strings.HasSuffix(tr.Name, "asis") || len(tr.CO) < 2 {
+			continue
+		}
+		rfi = slices.IndexFunc(tr.RF, func(e trace.RFEdge) bool { return !e.Init })
+		long := slices.IndexFunc(tr.CO, func(c trace.COOrder) bool { return len(c.Writes) >= 2 })
+		if rfi >= 0 && long >= 0 {
+			base = tr
+			break
+		}
+	}
+	if base == nil {
+		t.Fatal("no generated trace to break")
+	}
+	edits := []struct {
+		name   string
+		direct bool
+		edit   func(tr *Trace)
+	}{
+		{"rf-foreign", true, func(tr *Trace) {
+			e := &tr.RF[rfi]
+			read := findOp(tr, e.Read.TID, e.Read.Instr)
+			for _, c := range tr.CO {
+				if c.Addr != read.Addr {
+					e.Write = c.Writes[0]
+					return
+				}
+			}
+		}},
+		{"co-short", false, func(tr *Trace) {
+			c := &tr.CO[slices.IndexFunc(tr.CO, func(c trace.COOrder) bool { return len(c.Writes) >= 2 })]
+			c.Writes = c.Writes[1:]
+		}},
+		{"dup-key", true, func(tr *Trace) {
+			// A write after a thread's last read takes the key of the
+			// thread's first op. The ops after it shift down by one key,
+			// and none of them is a read, whose rf edge names its key.
+			for ti := range tr.Threads {
+				ops := tr.Threads[ti].Ops
+				for i := len(ops) - 1; i >= 1 && ops[i].Kind != trace.OpRead && ops[i].Kind != trace.OpRMW; i-- {
+					if ops[i].Kind == trace.OpWrite {
+						ops[i].Keyed, ops[i].Instr, ops[i].Sub = true, 0, 0
+						return
+					}
+				}
+			}
+			t.Fatal("no write to re-key")
+		}},
+		{"value-unproduced", true, func(tr *Trace) {
+			e := tr.RF[rfi]
+			findOp(tr, e.Read.TID, e.Read.Instr).Value = 0xdeadbeef
+		}},
+	}
+	var out []*Trace
+	for _, ed := range edits {
+		tr := &Trace{Name: base.Name + "-" + ed.name, RF: slices.Clone(base.RF)}
+		for _, th := range base.Threads {
+			tr.Threads = append(tr.Threads, trace.Thread{TID: th.TID, Ops: slices.Clone(th.Ops)})
+		}
+		for _, c := range base.CO {
+			tr.CO = append(tr.CO, trace.COOrder{Addr: c.Addr, Writes: slices.Clone(c.Writes)})
+		}
+		ed.edit(tr)
+		var m trace.Materializer
+		if _, ok := m.Sign(tr); ok != ed.direct {
+			t.Fatalf("%s: signed from its fields %v, want %v", tr.Name, ok, ed.direct)
+		}
+		out = append(out, tr)
+	}
+	return base, out
 }

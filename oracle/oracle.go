@@ -13,13 +13,17 @@
 // Memo and through it a Store.
 //
 // A trace's identity is shared: the first CheckTrace to see a Trace —
-// whichever model's Checker, on whichever goroutine — materializes and
-// signs it, and every other Checker reuses that signature (concurrent
-// ones wait for it). So a Trace is read-only once checked. CheckTrace
-// materializes only to decide: to sign a trace no Checker has signed,
-// or when its model must actually be decided (a memo or store miss, or
-// a stored invalid verdict re-deriving its witness). A valid hit costs
-// one ScopedKey fold and one lookup.
+// whichever model's Checker, on whichever goroutine — signs it, and every
+// other Checker reuses that signature (concurrent ones wait for it). So a
+// Trace is read-only once checked. A trace in the canonical shape the
+// encoders write is signed from its own fields, without building its
+// execution; any other is materialized to be signed, and that execution
+// goes on to be decided. CheckTrace materializes only to decide: when its
+// model must actually be decided (a memo or store miss, or a stored
+// invalid verdict re-deriving its witness). A valid hit costs a signature
+// the first time a trace is seen, then one ScopedKey fold and a lookup. A
+// trace that does not build is an error from every model before the memo
+// is asked, so it never becomes a memo entry or a stored record.
 //
 // A trace also remembers the strongest model it was decided valid under.
 // The bundled models form a chain, SC ⊇ TSO ⊇ PSO ⊇ RMO in what they
@@ -35,10 +39,11 @@
 // four.
 //
 // What a Checker keeps: its scratch for the exact procedure and, for
-// CheckTrace, one builder with the execution inside it, into which a
-// trace is materialized when it has to be — the storage grows to the
-// largest trace seen and is reused for the next, so deciding a stream of
-// traces does not allocate an execution per trace. Nothing of it
+// CheckTrace, the index it signs traces with and one builder with the
+// execution inside it, into which a trace is materialized when it has to
+// be — the storage grows to the largest trace seen and is reused for the
+// next, so deciding a stream of traces does not allocate an execution
+// per trace. Nothing of it
 // escapes: verdicts and memo entries carry event IDs and strings, never
 // the execution. Executions a caller builds (Builder), takes from
 // Trace.Execution or hands to CheckExecution/CheckSig are the caller's:
@@ -223,14 +228,12 @@ type Checker struct {
 	// so a check does not allocate a closure; decided records that it ran.
 	decide  collective.CheckFunc
 	decided bool
-	// materialize is the method value a trace is built with, made once
-	// for the same reason. It books its time as decode and adds it to
-	// inner, the decode time spent inside the current CheckSig.
-	materialize func(*Trace) (*Execution, error)
-	inner       time.Duration
-	// mat is where CheckTrace materializes: one builder and execution,
-	// reused for every trace. pending is the trace CheckTrace is
-	// deciding, materialized into mat only if the memo asks for it.
+	// sign is the method value a trace no Checker has signed is signed
+	// with, made once for the same reason.
+	sign func(*Trace) (Sig, *Execution, error)
+	// mat is where CheckTrace signs and materializes: Sign's index, one
+	// builder and execution, reused for every trace. pending is the trace
+	// CheckTrace is deciding.
 	mat     trace.Materializer
 	pending *Trace
 }
@@ -259,7 +262,7 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 		scope: opts.Scope,
 	}
 	c.decide = c.runCheck
-	c.materialize = c.materializeTrace
+	c.sign = c.signTrace
 	return c, nil
 }
 
@@ -268,22 +271,14 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 // Checker decided valid under this model or a stronger one is valid
 // here, answered without a decision. Otherwise it runs the unified
 // checker, noting that it was reached, and a valid decision on a pending
-// trace is recorded on the trace for the weaker models. A nil x is the
-// pending trace, materialized now that it has to be decided.
+// trace is recorded on the trace for the weaker models. x is nil only
+// where checkTrace knew the memo would not ask for a decision.
 func (c *Checker) runCheck(x *Execution, arch Model) Result {
 	t := c.pending
 	if t != nil && c.rank >= 0 && t.ValidUnder(c.rank) {
 		return Result{Valid: true}
 	}
 	c.decided = true
-	if x == nil {
-		var err error
-		if x, err = c.materialize(t); err != nil {
-			// It materialized once already, to be signed, and
-			// materializing is a function of the trace alone.
-			panic(fmt.Sprintf("oracle: trace %s changed after it was checked: %v", t.Name, err))
-		}
-	}
 	res := c.chk.Check(x, arch)
 	if res.Valid && t != nil && c.rank >= 0 {
 		t.ProvedValid(c.rank)
@@ -291,17 +286,40 @@ func (c *Checker) runCheck(x *Execution, arch Model) Result {
 	return res
 }
 
-// materializeTrace builds t's execution in the Checker's storage, booked
-// as decode.
-func (c *Checker) materializeTrace(t *Trace) (*Execution, error) {
+// signTrace signs a trace no Checker has signed: from its fields when it
+// has the canonical shape, else by materializing it and signing the
+// execution, which it hands on to be decided. Signing is memo time, as
+// the memo key is all it is for, though not a memo span: those count the
+// checks the memo answered. Materializing is a decode span.
+func (c *Checker) signTrace(t *Trace) (Sig, *Execution, error) {
+	//mcvlint:allow nondeterm phase telemetry; never feeds results
+	t0 := time.Now()
+	sig, ok := c.mat.Sign(t)
+	var (
+		x     *Execution
+		build time.Duration
+		err   error
+	)
+	if !ok {
+		if x, build, err = c.materialize(t); err == nil {
+			sig = collective.Signature(x)
+		}
+	}
+	//mcvlint:allow nondeterm phase telemetry; never feeds results
+	c.phases.ObserveN(obs.PhaseMemo, int64(time.Since(t0)-build), 0)
+	return sig, x, err
+}
+
+// materialize builds t's execution in the Checker's storage, booked as
+// decode, and returns how long that took.
+func (c *Checker) materialize(t *Trace) (*Execution, time.Duration, error) {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
 	x, err := c.mat.Execution(t)
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	d := time.Since(t0)
 	c.phases.Observe(obs.PhaseDecode, d)
-	c.inner += d
-	return x, err
+	return x, d, err
 }
 
 // Model returns the model this Checker decides against.
@@ -324,7 +342,7 @@ func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
 	fastBefore := c.chk.Fastpath()
-	c.decided, c.inner = false, 0
+	c.decided = false
 	res, hit := c.memo.CheckScopedVia(c.scope, sig, x, c.arch, c.decide)
 	fastAfter := c.chk.Fastpath()
 	phase := obs.PhaseCheck
@@ -342,7 +360,7 @@ func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
 		phase = obs.PhaseFastCheck
 	}
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	c.phases.Observe(phase, time.Since(t0)-c.inner)
+	c.phases.Observe(phase, time.Since(t0))
 	return res, hit
 }
 
@@ -370,15 +388,15 @@ type Verdict struct {
 // execution at all) return an error rather than a verdict, the same one
 // from every model. The trace's signature is computed once across all
 // Checkers (Trace.Signature); its execution is materialized only to
-// sign it or to decide it, into storage the Checker keeps and overwrites
-// on the next call — the same routine as Trace.Execution, the same
+// decide it, or to sign a trace not in the canonical shape, into storage
+// the Checker keeps and overwrites on the next call — the same routine as Trace.Execution, the same
 // execution event for event, so verdicts, signatures and errors do not
 // depend on what was checked before, or by whom. A trace this Checker
 // decides valid is recorded as valid under its model, and a trace some
 // Checker recorded valid under this model or a stronger one is answered
 // valid without being decided again (see the package doc).
 func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
-	sig, res, err := c.checkTrace(t)
+	res, err := c.checkTrace(t)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -386,7 +404,7 @@ func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 		Name:  t.Name,
 		Index: index,
 		Model: c.arch.Name(),
-		Sig:   sig.String(),
+		Sig:   t.SignatureString(),
 		Valid: res.Valid,
 	}
 	if !res.Valid {
@@ -396,19 +414,34 @@ func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 	return v, nil
 }
 
-// checkTrace is CheckTrace's decision: the trace's signature and the
-// full Result, witness cycle included.
-func (c *Checker) checkTrace(t *Trace) (Sig, Result, error) {
-	// x is nil unless this call signed the trace; the memo asks runCheck
-	// for an execution only when the model must be decided.
-	sig, x, err := t.Signature(c.materialize)
+// checkTrace is CheckTrace's decision: the full Result, witness cycle
+// included.
+func (c *Checker) checkTrace(t *Trace) (Result, error) {
+	// x is nil unless this call signed the trace by building it. The
+	// trace is built now only when the memo may ask for a decision: a
+	// trace that does not build is then an error, and never a memo entry
+	// or a stored record.
+	sig, x, err := t.Signature(c.sign)
 	if err != nil {
-		return Sig{}, Result{}, err
+		return Result{}, err
+	}
+	if x == nil && !c.answered(t, sig) {
+		if x, _, err = c.materialize(t); err != nil {
+			return Result{}, err
+		}
 	}
 	c.pending = t
 	res, _ := c.CheckSig(sig, x)
 	c.pending = nil
-	return sig, res, nil
+	return res, nil
+}
+
+// answered reports whether the memo will answer t valid under this
+// Checker's model without reading its execution: the model chain holds
+// it valid, or the memo or the store below it holds a valid verdict for
+// its key.
+func (c *Checker) answered(t *Trace, sig Sig) bool {
+	return c.rank >= 0 && t.ValidUnder(c.rank) || c.memo.KnownValid(c.scope, sig, c.arch)
 }
 
 // Dedupe snapshots the memo's effectiveness counters (shared across
@@ -423,7 +456,8 @@ func (c *Checker) Fastpath() FastpathStats { return c.chk.Fastpath() }
 // Phases snapshots this Checker's per-phase time breakdown: decode
 // (one span per trace materialization, to sign or to decide), fastcheck
 // (fast-pass-proved decisions), check (exact decisions), memo (answered
-// without a decision, from a tier or the model chain).
+// without a decision, from a tier or the model chain; its time also
+// holds signing traces, which counts no span).
 func (c *Checker) Phases() PhaseSnapshot { return c.phases.Snapshot() }
 
 // LitmusCorpus returns the bundled weak-memory classics as traces of
