@@ -102,10 +102,10 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // TestMaterializeSizedByCountsNotValues: the three-op trace carrying
-// TID and Instr 2³¹−1, sparse keys and address 2⁶⁴−8 materializes in
-// exactly the bytes its twin with small values takes, within a fixed
-// bound — storage is sized by how many things a trace has, never by what
-// they are called.
+// TID and Instr 2³¹−1, sparse keys and address 2⁶⁴−8 materializes, and
+// in its canonical form signs, in exactly the bytes its twin with small
+// values takes, within a fixed bound — storage is sized by how many
+// things a trace has, never by what they are called.
 func TestMaterializeSizedByCountsNotValues(t *testing.T) {
 	extreme := extremeTrace()
 	twin := &Trace{
@@ -135,6 +135,29 @@ func TestMaterializeSizedByCountsNotValues(t *testing.T) {
 	const bound = 8 << 10
 	if small != large || large > bound {
 		t.Fatalf("%d B allocated with small values, %d B with the largest (bound %d)", small, large, bound)
+	}
+
+	// Signing their canonical forms from their fields, likewise.
+	sign := func(tr *Trace) func() {
+		x, err := tr.Execution()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := FromExecution(tr.Name, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			var m Materializer
+			if _, ok := m.Sign(canon); !ok {
+				t.Fatalf("%s: the canonical form fell back to materializing", tr.Name)
+			}
+		}
+	}
+	small, large = allocatedBytes(sign(twin)), allocatedBytes(sign(extreme))
+	t.Logf("signing: %d B with small values, %d B with the largest", small, large)
+	if small != large || large > bound {
+		t.Fatalf("signing: %d B allocated with small values, %d B with the largest (bound %d)", small, large, bound)
 	}
 }
 
