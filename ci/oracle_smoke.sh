@@ -98,5 +98,22 @@ if ! [ -s "$WORKDIR/verdicts.lines" ] || ! cmp -s "$WORKDIR/verdicts.lines" "$WO
   exit 1
 fi
 
+# A binary corpus cut inside its last frame must fail the run with one
+# error naming the trace and the byte where the stream ends early,
+# exit 2, alike against the warm store and a cold one.
+size=$(wc -c <"$WORKDIR/corpus.mctrace.bin")
+head -c $((size - 7)) "$WORKDIR/corpus.mctrace.bin" >"$WORKDIR/cut.bin"
+for store in verdicts cut-cold-verdicts; do
+  status=0
+  "$WORKDIR/check" -json -model all -store "$WORKDIR/$store" "$WORKDIR/cut.bin" >/dev/null 2>"$WORKDIR/$store.cut.err" || status=$?
+  [ "$status" -eq 2 ] || { echo "FAIL: cut binary corpus against $store exited $status, want 2" >&2; cat "$WORKDIR/$store.cut.err" >&2; exit 1; }
+  grep '^check: .*cut\.bin: trace: binary: trace [0-9]*, byte [0-9]*: truncated .*: unexpected EOF$' "$WORKDIR/$store.cut.err" >"$WORKDIR/$store.cut.lines" || true
+done
+if ! [ -s "$WORKDIR/verdicts.cut.lines" ] || ! cmp -s "$WORKDIR/verdicts.cut.lines" "$WORKDIR/cut-cold-verdicts.cut.lines"; then
+  echo "FAIL: the cut binary corpus's error is not positioned, or differs between the warm and the cold store:" >&2
+  cat "$WORKDIR/verdicts.cut.err" "$WORKDIR/cut-cold-verdicts.cut.err" >&2
+  exit 1
+fi
+
 lines=$(wc -l <"$GOLDEN")
-echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths; a malformed trace fails alike warm and cold"
+echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths; a malformed trace and a cut binary corpus fail alike warm and cold"

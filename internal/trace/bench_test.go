@@ -117,3 +117,43 @@ func BenchmarkEncodeText(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeBinary is BenchmarkDecodeText's twin on the trace's
+// binary encoding.
+func BenchmarkDecodeBinary(b *testing.B) {
+	tr := benchTrace(b)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, slices.Repeat([]*Trace{tr}, benchStream)...); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len() / benchStream))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var d *BinaryDecoder
+	for i := 0; i < b.N; i++ {
+		if i%benchStream == 0 {
+			d = NewBinaryDecoder(bytes.NewReader(buf.Bytes()))
+		}
+		if _, err := d.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeBinary is BenchmarkEncodeText's twin on the binary
+// encoding.
+func BenchmarkEncodeBinary(b *testing.B) {
+	traces := slices.Repeat([]*Trace{benchTrace(b)}, benchStream)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, traces...); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len() / benchStream))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += benchStream {
+		if err := WriteBinary(io.Discard, traces...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,13 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
 )
-
-func memAddrFromU64(v uint64) memsys.Addr     { return memsys.Addr(v) }
-func fenceFromByte(b byte) memmodel.FenceKind { return memmodel.FenceKind(b) }
 
 // BinaryMagic opens every binary trace stream, followed by a uvarint
 // format version. The magic differs from both the text header and the
@@ -46,115 +44,109 @@ const (
 	opFlagKeyed    = 0b1000
 )
 
-// WriteBinary encodes traces to w in binary framing, magic first.
+// WriteBinary encodes traces to w in binary framing, magic first. A
+// trace the formats cannot carry is refused before any of its bytes are
+// written.
 func WriteBinary(w io.Writer, traces ...*Trace) error {
 	bw := bufio.NewWriter(w)
-	bw.WriteString(BinaryMagic)
-	writeUvarint(bw, FormatVersion)
+	buf := binary.AppendUvarint([]byte(BinaryMagic), FormatVersion)
+	bw.Write(buf)
 	for _, t := range traces {
-		if err := writeBinaryTrace(bw, t); err != nil {
+		if err := t.encodable(); err != nil {
 			return err
 		}
+		buf = appendBinaryTrace(buf[:0], t)
+		bw.Write(buf)
 	}
 	return bw.Flush()
 }
 
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n])
-}
-
-func writeRef(bw *bufio.Writer, r Ref) error {
-	if r.TID < 0 || r.Instr < 0 || r.Sub < 0 {
-		return fmt.Errorf("trace: binary encoding: negative ref %v", r)
-	}
-	writeUvarint(bw, uint64(r.TID))
-	writeUvarint(bw, uint64(r.Instr))
-	writeUvarint(bw, uint64(r.Sub))
-	return nil
-}
-
-func writeBinaryTrace(bw *bufio.Writer, t *Trace) error {
-	writeUvarint(bw, uint64(len(t.Name)))
-	bw.WriteString(t.Name)
-	writeUvarint(bw, uint64(len(t.Threads)))
+// appendBinaryTrace appends t's binary frame to buf; t is encodable.
+func appendBinaryTrace(buf []byte, t *Trace) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(t.Name)))
+	buf = append(buf, t.Name...)
+	buf = binary.AppendUvarint(buf, uint64(len(t.Threads)))
 	for _, th := range t.Threads {
-		if th.TID < 0 {
-			return fmt.Errorf("trace: binary encoding: negative tid %d", th.TID)
-		}
-		writeUvarint(bw, uint64(th.TID))
-		writeUvarint(bw, uint64(len(th.Ops)))
+		buf = binary.AppendUvarint(buf, uint64(th.TID))
+		buf = binary.AppendUvarint(buf, uint64(len(th.Ops)))
 		for i := range th.Ops {
 			op := &th.Ops[i]
-			flags := byte(op.Kind) & opFlagKindMask
+			flags := byte(op.Kind)
 			if op.Atomic {
 				flags |= opFlagAtomic
 			}
 			if op.Keyed {
 				flags |= opFlagKeyed
 			}
-			bw.WriteByte(flags)
+			buf = append(buf, flags)
 			switch op.Kind {
 			case OpRead, OpWrite:
-				writeUvarint(bw, uint64(op.Addr))
-				writeUvarint(bw, op.Value)
+				buf = binary.AppendUvarint(buf, uint64(op.Addr))
+				buf = binary.AppendUvarint(buf, op.Value)
 			case OpFence:
-				bw.WriteByte(byte(op.Fence))
+				buf = append(buf, byte(op.Fence))
 			case OpRMW:
-				writeUvarint(bw, uint64(op.Addr))
-				writeUvarint(bw, op.Value)
-				writeUvarint(bw, op.Value2)
-			default:
-				return fmt.Errorf("trace: binary encoding: unknown op kind %d", op.Kind)
+				buf = binary.AppendUvarint(buf, uint64(op.Addr))
+				buf = binary.AppendUvarint(buf, op.Value)
+				buf = binary.AppendUvarint(buf, op.Value2)
 			}
 			if op.Keyed {
-				if op.Instr < 0 || op.Sub < 0 {
-					return fmt.Errorf("trace: binary encoding: negative key pin @%d.%d", op.Instr, op.Sub)
-				}
-				writeUvarint(bw, uint64(op.Instr))
-				writeUvarint(bw, uint64(op.Sub))
+				buf = binary.AppendUvarint(buf, uint64(op.Instr))
+				buf = binary.AppendUvarint(buf, uint64(op.Sub))
 			}
 		}
 	}
-	writeUvarint(bw, uint64(len(t.RF)))
+	buf = binary.AppendUvarint(buf, uint64(len(t.RF)))
 	for _, e := range t.RF {
-		if err := writeRef(bw, e.Read); err != nil {
-			return err
-		}
+		buf = appendBinaryRef(buf, e.Read)
 		if e.Init {
-			bw.WriteByte(1)
+			buf = append(buf, 1)
 			continue
 		}
-		bw.WriteByte(0)
-		if err := writeRef(bw, e.Write); err != nil {
-			return err
-		}
+		buf = appendBinaryRef(append(buf, 0), e.Write)
 	}
-	writeUvarint(bw, uint64(len(t.CO)))
+	buf = binary.AppendUvarint(buf, uint64(len(t.CO)))
 	for _, c := range t.CO {
-		writeUvarint(bw, uint64(c.Addr))
-		writeUvarint(bw, uint64(len(c.Writes)))
+		buf = binary.AppendUvarint(buf, uint64(c.Addr))
+		buf = binary.AppendUvarint(buf, uint64(len(c.Writes)))
 		for _, w := range c.Writes {
-			if err := writeRef(bw, w); err != nil {
-				return err
-			}
+			buf = appendBinaryRef(buf, w)
 		}
 	}
-	return nil
+	return buf
+}
+
+func appendBinaryRef(buf []byte, r Ref) []byte {
+	buf = binary.AppendUvarint(buf, uint64(r.TID))
+	buf = binary.AppendUvarint(buf, uint64(r.Instr))
+	return binary.AppendUvarint(buf, uint64(r.Sub))
 }
 
 // BinaryDecoder streams traces out of a binary stream, validating the
-// magic and version on the first read.
+// magic and version on the first read. It reads through a window of the
+// stream that it owns and refills, and decodes each list of a trace
+// straight into a slice of its exact size. Errors carry the 1-based
+// index of the trace being decoded and the stream offset of the field
+// they were detected at; a stream that ends inside a frame fails with
+// io.ErrUnexpectedEOF.
 type BinaryDecoder struct {
-	br       *bufio.Reader
+	r io.Reader
+	// buf is the window: buf[pos:] is read from r but not yet decoded.
+	// off is the stream offset of buf[0], rerr what r last returned
+	// besides bytes (io.EOF at the end of the stream).
+	buf  []byte
+	pos  int
+	off  int64
+	rerr error
+	// traces counts the traces decoded.
+	traces   int
 	headerOK bool
 	err      error
 }
 
 // NewBinaryDecoder returns a streaming binary decoder reading from r.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	return &BinaryDecoder{br: bufio.NewReader(r)}
+	return &BinaryDecoder{r: r}
 }
 
 // limits keep a corrupt or adversarial length prefix from ballooning
@@ -162,83 +154,207 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 // same name, count and int-field ceilings, so every trace one format
 // accepts survives re-encoding into the other.
 const (
-	maxNameLen     = 1 << 16
-	maxCount       = 1 << 24
-	maxBinaryFence = 0x7f
+	maxNameLen = 1 << 16
+	maxCount   = 1 << 24
+	// maxBinaryFence is the largest fence byte the binary decoder
+	// accepts: the last fence kind the text format names.
+	maxBinaryFence = byte(memmodel.NumFenceKinds - 1)
 	maxIntField    = 1 << 31 // int-typed fields (tid, instr, sub) and counts
 	// maxPresize caps how many elements a decoder allocates on the word
 	// of a count it has just read; a longer list grows as its elements
 	// actually arrive, so a lying prefix costs at most this much.
 	maxPresize = 1 << 10
+	// binaryWindow is the size of a binary decoder's window; it grows
+	// to hold a longer name whole.
+	binaryWindow = 4 << 10
 )
 
-// presized returns an empty slice with room for n elements, or for
-// maxPresize if n is larger; an empty list stays nil, as appending
-// nothing would have left it.
-func presized[T any](n int) []T {
-	if n == 0 {
+// sized returns the slice a list of n elements decodes into: of length
+// n, when n is at most maxPresize, for the elements to be decoded in
+// place; else empty with room for maxPresize, to grow as the elements
+// arrive. An empty list is nil.
+func sized[T any](n int) []T {
+	switch {
+	case n == 0:
 		return nil
+	case n <= maxPresize:
+		return make([]T, n)
 	}
-	return make([]T, 0, min(n, maxPresize))
+	return make([]T, 0, maxPresize)
 }
 
-func (d *BinaryDecoder) fail(err error) error {
+// offset is the stream offset of the next byte to decode.
+func (d *BinaryDecoder) offset() int64 { return d.off + int64(d.pos) }
+
+// failAt fails the stream at offset at, unless it has failed already.
+func (d *BinaryDecoder) failAt(at int64, format string, args ...any) error {
 	if d.err == nil {
-		d.err = err
+		d.err = fmt.Errorf("trace: binary: trace %d, byte %d: "+format, append([]any{d.traces + 1, at}, args...)...)
 	}
 	return d.err
 }
 
-func (d *BinaryDecoder) failf(format string, args ...any) error {
-	return d.fail(fmt.Errorf("trace: binary: "+format, args...))
+// short fails the field what, at offset at, that the end of the stream
+// or a read error cut short.
+func (d *BinaryDecoder) short(at int64, what string) error {
+	if d.rerr == io.EOF {
+		return d.failAt(at, "truncated %s: %w", what, io.ErrUnexpectedEOF)
+	}
+	return d.failAt(at, "reading %s: %w", what, d.rerr)
 }
 
-func (d *BinaryDecoder) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, d.failf("truncated %s: %v", what, err)
+// fill refills the window until it holds n unread bytes, the stream
+// ends or a read fails, and reports whether it holds them.
+func (d *BinaryDecoder) fill(n int) bool {
+	if len(d.buf)-d.pos >= n {
+		return true
 	}
-	return v, nil
+	d.off += int64(d.pos)
+	if cap(d.buf) < n {
+		d.buf = append(make([]byte, 0, max(n, binaryWindow)), d.buf[d.pos:]...)
+	} else {
+		d.buf = d.buf[:copy(d.buf[:cap(d.buf)], d.buf[d.pos:])]
+	}
+	d.pos = 0
+	for empty := 0; len(d.buf) < n && d.rerr == nil; {
+		k, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+		d.buf = d.buf[:len(d.buf)+k]
+		switch {
+		case err != nil:
+			d.rerr = err
+		case k > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 { // as bufio gives up on a reader
+				d.rerr = io.ErrNoProgress
+			}
+		}
+	}
+	return len(d.buf) >= n
 }
 
-// uint reads a uvarint destined for an int-typed field, bounding it. The
-// field is named what+part in errors; the two are only joined when there
-// is an error to name it in.
-func (d *BinaryDecoder) uint(what, part string) (int, error) {
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, d.failf("truncated %s: %v", what+part, err)
+// The window's fast paths read a field that lies whole in the window —
+// a byte, a uvarint of one or two bytes, a ref of three one-byte
+// uvarints — and report true, or read nothing and report false; the
+// caller then reads the field through the slow path of the same name,
+// which takes any field and refills the window. Making no call, they
+// inline into the decoding loops.
+
+func (d *BinaryDecoder) nextByte() (byte, bool) {
+	if d.pos < len(d.buf) {
+		d.pos++
+		return d.buf[d.pos-1], true
 	}
+	return 0, false
+}
+
+func (d *BinaryDecoder) nextUvarint() (uint64, bool) {
+	if p := d.pos; p+1 < len(d.buf) {
+		b0, b1 := d.buf[p], d.buf[p+1]
+		if b0 < 0x80 {
+			d.pos = p + 1
+			return uint64(b0), true
+		}
+		if b1 < 0x80 {
+			d.pos = p + 2
+			return uint64(b0&0x7f) | uint64(b1)<<7, true
+		}
+	}
+	return 0, false
+}
+
+func (d *BinaryDecoder) nextRef() (Ref, bool) {
+	if p := d.pos; p+3 <= len(d.buf) {
+		if b := d.buf[p : p+3]; b[0]|b[1]|b[2] < 0x80 {
+			d.pos = p + 3
+			return Ref{TID: int(b[0]), Instr: int(b[1]), Sub: int(b[2])}, true
+		}
+	}
+	return Ref{}, false
+}
+
+// byte reads one byte, what naming it in errors.
+func (d *BinaryDecoder) byte(what string) byte {
+	if d.pos == len(d.buf) && !d.fill(1) {
+		d.short(d.offset(), what)
+		return 0
+	}
+	d.pos++
+	return d.buf[d.pos-1]
+}
+
+// uvarint reads a uvarint, refilling the window first if it may end
+// inside it. The field is named what+part in errors, joined only when
+// there is one.
+func (d *BinaryDecoder) uvarint(what, part string) uint64 {
+	if len(d.buf)-d.pos < binary.MaxVarintLen64 {
+		d.fill(binary.MaxVarintLen64)
+	}
+	b := d.buf[d.pos:]
+	if len(b) >= 8 {
+		if v, n := uvarint8(b); n > 0 {
+			d.pos += n
+			return v
+		}
+	}
+	v, n := binary.Uvarint(b)
+	switch {
+	case n > 0:
+		d.pos += n
+		return v
+	case n == 0:
+		d.short(d.offset(), what+part)
+	default:
+		d.failAt(d.offset(), "%s overflows 64 bits", what+part)
+	}
+	return 0
+}
+
+// uvarint8 decodes the uvarint b opens, as binary.Uvarint does, when it
+// is at most eight bytes long, reading those eight bytes as one word; n
+// is 0 for a longer one. The first byte with its top bit clear ends the
+// uvarint; the bytes past it are masked off, and the three steps gather
+// the 7-bit groups into pairs, fours and the eight.
+func uvarint8(b []byte) (v uint64, n int) {
+	x := binary.LittleEndian.Uint64(b)
+	stop := ^x & 0x8080808080808080
+	if stop == 0 {
+		return 0, 0
+	}
+	end := bits.TrailingZeros64(stop) + 1
+	x &= (1<<end - 1) & 0x7f7f7f7f7f7f7f7f
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+	return x, end / 8
+}
+
+// int reads a uvarint bound for an int-typed field, which must be below
+// maxIntField; what+part names it in errors.
+func (d *BinaryDecoder) int(what, part string) int {
+	at := d.offset()
+	v := d.uvarint(what, part)
 	if v >= maxIntField {
-		return 0, d.failf("%s %d out of range", what+part, v)
+		d.failAt(at, "%s %d out of range", what+part, v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (d *BinaryDecoder) count(what string) (int, error) {
-	n, err := d.uint(what, "")
-	if err != nil {
-		return 0, err
-	}
+// count reads a list's element count, at most maxCount.
+func (d *BinaryDecoder) count(what string) int {
+	at := d.offset()
+	n := d.int(what, "")
 	if n > maxCount {
-		return 0, d.failf("%s %d exceeds limit %d", what, n, maxCount)
+		d.failAt(at, "%s %d exceeds limit %d", what, n, maxCount)
+		return 0
 	}
-	return n, nil
+	return n
 }
 
-func (d *BinaryDecoder) ref(what string) (Ref, error) {
-	var r Ref
-	var err error
-	if r.TID, err = d.uint(what, " tid"); err != nil {
-		return r, err
-	}
-	if r.Instr, err = d.uint(what, " instr"); err != nil {
-		return r, err
-	}
-	if r.Sub, err = d.uint(what, " sub"); err != nil {
-		return r, err
-	}
-	return r, nil
+// ref reads an event ref, what naming it in errors.
+func (d *BinaryDecoder) ref(what string) Ref {
+	return Ref{TID: d.int(what, " tid"), Instr: d.int(what, " instr"), Sub: d.int(what, " sub")}
 }
 
 // Next decodes and returns the next trace, or io.EOF after the last
@@ -248,170 +364,213 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 		return nil, d.err
 	}
 	if !d.headerOK {
-		magic := make([]byte, len(BinaryMagic))
-		if _, err := io.ReadFull(d.br, magic); err != nil {
-			if err == io.EOF {
+		if !d.fill(len(BinaryMagic)) {
+			if len(d.buf) == 0 && d.rerr == io.EOF {
 				return nil, io.EOF
 			}
-			return nil, d.failf("truncated magic: %v", err)
+			return nil, d.short(0, "magic")
 		}
-		if string(magic) != BinaryMagic {
-			return nil, d.failf("bad magic %q (want %q)", magic, BinaryMagic)
+		if magic := d.buf[:len(BinaryMagic)]; string(magic) != BinaryMagic {
+			return nil, d.failAt(0, "bad magic %q (want %q)", magic, BinaryMagic)
 		}
-		v, err := d.uvarint("format version")
-		if err != nil {
-			return nil, err
+		d.pos = len(BinaryMagic)
+		at := d.offset()
+		v := d.uvarint("format version", "")
+		if d.err != nil {
+			return nil, d.err
 		}
 		if v != FormatVersion {
-			return nil, d.failf("unsupported trace format version %d (decoder speaks %d)", v, FormatVersion)
+			return nil, d.failAt(at, "unsupported trace format version %d (decoder speaks %d)", v, FormatVersion)
 		}
 		d.headerOK = true
 	}
 
-	// Frame boundary: a clean EOF here means the stream is done.
-	nameLen, err := binary.ReadUvarint(d.br)
-	if err == io.EOF {
-		return nil, io.EOF
+	// Frame boundary: a clean end of stream here means the stream is done.
+	if !d.fill(1) {
+		if d.rerr == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, d.short(d.offset(), "name length")
 	}
-	if err != nil {
-		return nil, d.failf("truncated frame: %v", err)
+	t := d.frame()
+	if d.err != nil {
+		return nil, d.err
+	}
+	d.traces++
+	return t, nil
+}
+
+// frame decodes one trace's frame; the trace is only good if it leaves
+// d.err nil. Each list is decoded into the slice sized gives it, and
+// every loop stops at the first error.
+func (d *BinaryDecoder) frame() *Trace {
+	t := &Trace{}
+	at := d.offset()
+	nameLen := d.uvarint("name length", "")
+	if d.err != nil {
+		return nil
 	}
 	if nameLen > maxNameLen {
-		return nil, d.failf("name length %d exceeds limit %d", nameLen, maxNameLen)
+		d.failAt(at, "name length %d exceeds limit %d", nameLen, maxNameLen)
+		return nil
 	}
-	t := &Trace{}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(d.br, name); err != nil {
-		return nil, d.failf("truncated name: %v", err)
+	at = d.offset()
+	if !d.fill(int(nameLen)) {
+		d.short(at, "name")
+		return nil
 	}
-	t.Name = string(name)
-
-	nthreads, err := d.count("thread count")
-	if err != nil {
-		return nil, err
-	}
-	t.Threads = presized[Thread](nthreads)
-	for i := 0; i < nthreads; i++ {
-		var th Thread
-		if th.TID, err = d.uint("tid", ""); err != nil {
-			return nil, err
-		}
-		nops, err := d.count("op count")
-		if err != nil {
-			return nil, err
-		}
-		th.Ops = presized[Op](nops)
-		for j := 0; j < nops; j++ {
-			flags, err := d.br.ReadByte()
-			if err != nil {
-				return nil, d.failf("truncated op flags: %v", err)
-			}
-			var op Op
-			op.Kind = OpKind(flags & opFlagKindMask)
-			op.Atomic = flags&opFlagAtomic != 0
-			op.Keyed = flags&opFlagKeyed != 0
-			if flags&^(opFlagKindMask|opFlagAtomic|opFlagKeyed) != 0 {
-				return nil, d.failf("op flags %#x have unknown bits set", flags)
-			}
-			switch op.Kind {
-			case OpRead, OpWrite:
-				addr, err := d.uvarint("op addr")
-				if err != nil {
-					return nil, err
-				}
-				op.Addr = memAddrFromU64(addr)
-				if op.Value, err = d.uvarint("op value"); err != nil {
-					return nil, err
-				}
-			case OpFence:
-				fb, err := d.br.ReadByte()
-				if err != nil {
-					return nil, d.failf("truncated fence kind: %v", err)
-				}
-				if fb > maxBinaryFence {
-					return nil, d.failf("fence kind %d out of range", fb)
-				}
-				op.Fence = fenceFromByte(fb)
-			case OpRMW:
-				addr, err := d.uvarint("op addr")
-				if err != nil {
-					return nil, err
-				}
-				op.Addr = memAddrFromU64(addr)
-				if op.Value, err = d.uvarint("op read value"); err != nil {
-					return nil, err
-				}
-				if op.Value2, err = d.uvarint("op write value"); err != nil {
-					return nil, err
-				}
-			}
-			if op.Keyed {
-				if op.Instr, err = d.uint("op key instr", ""); err != nil {
-					return nil, err
-				}
-				if op.Sub, err = d.uint("op key sub", ""); err != nil {
-					return nil, err
-				}
-			}
-			th.Ops = append(th.Ops, op)
-		}
-		t.Threads = append(t.Threads, th)
+	t.Name = string(d.buf[d.pos : d.pos+int(nameLen)])
+	d.pos += int(nameLen)
+	if why := nameProblem(t.Name); why != "" {
+		d.failAt(at, "name %q %s", t.Name, why)
+		return nil
 	}
 
-	nrf, err := d.count("rf count")
-	if err != nil {
-		return nil, err
-	}
-	t.RF = presized[RFEdge](nrf)
-	for i := 0; i < nrf; i++ {
-		var e RFEdge
-		if e.Read, err = d.ref("rf read"); err != nil {
-			return nil, err
+	writes := 0 // the w and u ops
+	n := d.count("thread count")
+	t.Threads = sized[Thread](n)
+	for i := 0; i < n && d.err == nil; i++ {
+		if i == len(t.Threads) {
+			t.Threads = append(t.Threads, Thread{})
 		}
-		ib, err := d.br.ReadByte()
-		if err != nil {
-			return nil, d.failf("truncated rf init flag: %v", err)
+		th := &t.Threads[i]
+		th.TID = d.int("tid", "")
+		nops := d.count("op count")
+		th.Ops = sized[Op](nops)
+		for j := 0; j < nops && d.err == nil; j++ {
+			if j == len(th.Ops) {
+				th.Ops = append(th.Ops, Op{})
+			}
+			d.op(&th.Ops[j])
+			if k := th.Ops[j].Kind; k == OpWrite || k == OpRMW {
+				writes++
+			}
+		}
+	}
+	if d.err != nil {
+		return nil
+	}
+
+	n = d.count("rf count")
+	t.RF = sized[RFEdge](n)
+	for i := 0; i < n && d.err == nil; i++ {
+		if i == len(t.RF) {
+			t.RF = append(t.RF, RFEdge{})
+		}
+		e := &t.RF[i]
+		var ok bool
+		if e.Read, ok = d.nextRef(); !ok {
+			e.Read = d.ref("rf read")
+		}
+		ib, ok := d.nextByte()
+		if !ok {
+			ib = d.byte("rf init flag")
 		}
 		switch ib {
+		case 0:
+			if e.Write, ok = d.nextRef(); !ok {
+				e.Write = d.ref("rf write")
+			}
 		case 1:
 			e.Init = true
-		case 0:
-			if e.Write, err = d.ref("rf write"); err != nil {
-				return nil, err
-			}
 		default:
-			return nil, d.failf("rf init flag %d is not 0 or 1", ib)
+			d.failAt(d.offset()-1, "rf init flag %d is not 0 or 1", ib)
 		}
-		t.RF = append(t.RF, e)
+	}
+	if d.err != nil {
+		return nil
 	}
 
-	nco, err := d.count("co count")
-	if err != nil {
-		return nil, err
+	// A canonical trace's co orders list each of its writes once: all of
+	// them go into one slice of that size, which grows if more arrive.
+	n = d.count("co count")
+	t.CO = sized[COOrder](n)
+	var refs []Ref
+	if n > 0 {
+		refs = make([]Ref, 0, writes)
 	}
-	t.CO = presized[COOrder](nco)
-	for i := 0; i < nco; i++ {
-		var c COOrder
-		addr, err := d.uvarint("co addr")
-		if err != nil {
-			return nil, err
+	for i := 0; i < n && d.err == nil; i++ {
+		if i == len(t.CO) {
+			t.CO = append(t.CO, COOrder{})
 		}
-		c.Addr = memAddrFromU64(addr)
-		nwrites, err := d.count("co write count")
-		if err != nil {
-			return nil, err
+		c := &t.CO[i]
+		addr, ok := d.nextUvarint()
+		if !ok {
+			addr = d.uvarint("co addr", "")
 		}
-		c.Writes = presized[Ref](nwrites)
-		for j := 0; j < nwrites; j++ {
-			w, err := d.ref("co write")
-			if err != nil {
-				return nil, err
+		c.Addr = memsys.Addr(addr)
+		at := d.offset()
+		nw, ok := d.nextUvarint() // below 2¹⁴, so within maxCount
+		if !ok {
+			nw = uint64(d.count("co write count"))
+		}
+		if nw == 0 {
+			d.failAt(at, "co order of %#x has no writes", addr)
+		}
+		start := len(refs)
+		for j := uint64(0); j < nw && d.err == nil; j++ {
+			r, ok := d.nextRef()
+			if !ok {
+				r = d.ref("co write")
 			}
-			c.Writes = append(c.Writes, w)
+			refs = append(refs, r)
 		}
-		t.CO = append(t.CO, c)
+		c.Writes = refs[start:len(refs):len(refs)]
 	}
-	return t, nil
+	if d.err != nil {
+		return nil
+	}
+	return t
+}
+
+// op decodes one op into op, which is zero.
+func (d *BinaryDecoder) op(op *Op) {
+	flags, ok := d.nextByte()
+	if !ok {
+		flags = d.byte("op flags")
+	}
+	op.Kind = OpKind(flags & opFlagKindMask)
+	op.Atomic = flags&opFlagAtomic != 0
+	op.Keyed = flags&opFlagKeyed != 0
+	switch {
+	case flags&^(opFlagKindMask|opFlagAtomic|opFlagKeyed) != 0:
+		d.failAt(d.offset()-1, "op flags %#x have unknown bits set", flags)
+		return
+	case op.Atomic && (op.Kind == OpFence || op.Kind == OpRMW):
+		d.failAt(d.offset()-1, "op flags %#x mark %s op atomic (the formats carry the flag on r and w only)", flags, op.Kind)
+		return
+	}
+	if op.Kind == OpFence {
+		fb, ok := d.nextByte()
+		if !ok {
+			fb = d.byte("fence kind")
+		}
+		if fb > maxBinaryFence {
+			d.failAt(d.offset()-1, "fence kind %d out of range (the formats carry full, ss and ll, 0 to %d)", fb, maxBinaryFence)
+		}
+		op.Fence = memmodel.FenceKind(fb)
+	} else {
+		addr, ok := d.nextUvarint()
+		if !ok {
+			addr = d.uvarint("op addr", "")
+		}
+		op.Addr = memsys.Addr(addr)
+		if op.Value, ok = d.nextUvarint(); !ok {
+			op.Value = d.uvarint("op value", "")
+		}
+		if op.Kind == OpRMW {
+			if op.Value2, ok = d.nextUvarint(); !ok {
+				op.Value2 = d.uvarint("op write value", "")
+			}
+		}
+	}
+	if op.Keyed {
+		op.Instr = d.int("op key instr", "")
+		at := d.offset()
+		if op.Sub = d.int("op key sub", ""); op.Sub != 0 && op.Kind == OpRMW {
+			d.failAt(at, "op key sub %d on a u op (the pair is always subs 0 and 1)", op.Sub)
+		}
+	}
 }
 
 // DecodeAllBinary reads every trace in the binary stream.

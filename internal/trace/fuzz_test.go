@@ -80,7 +80,7 @@ func materializeBothWays(t *testing.T, tr *Trace) {
 // FuzzTextDecoder: arbitrary input must never panic the text decoder,
 // and anything it accepts must re-encode and re-decode to the same
 // traces (decode∘encode is the identity on the decoder's image up to
-// canonicalization of a second pass).
+// canonicalization of a second pass), in text and in binary.
 func FuzzTextDecoder(f *testing.F) {
 	f.Add("mctrace 1\ntrace mp\nthread 1\nw 0x100 1\nw 0x140 1\nthread 2\nr 0x140 1\nr 0x100 0\nrf 2:0 1:1\nrf 2:1 init\nco 0x100 1:0\nco 0x140 1:1\nend\n")
 	f.Add("mctrace 1\ntrace\nthread 0\nu 0x100 0 1\nf full\nf ss\nf ll\nw 0x100 2 a @7\nend\n")
@@ -114,6 +114,14 @@ func FuzzTextDecoder(f *testing.F) {
 		if len(traces) > 0 && !reflect.DeepEqual(traces, again) {
 			t.Fatalf("decode(encode(decode(in))) != decode(in)\nin: %q", in)
 		}
+		// The binary format carries every trace the text decoder accepts.
+		var bin bytes.Buffer
+		if err := WriteBinary(&bin, traces...); err != nil {
+			t.Fatalf("accepted traces failed to encode in binary: %v", err)
+		}
+		if fromBin, err := DecodeAllBinary(&bin); err != nil || len(traces) > 0 && !reflect.DeepEqual(traces, fromBin) {
+			t.Fatalf("text decode(binary encode(decode(in))) != decode(in) (%v)\nin: %q", err, in)
+		}
 		// Materialization may legitimately fail (structural errors), but
 		// must not panic, and must not depend on what the storage held.
 		for _, tr := range traces {
@@ -138,36 +146,24 @@ func FuzzTextNumbers(f *testing.F) {
 }
 
 // FuzzBinaryDecoder: arbitrary bytes must never panic or over-allocate
-// the binary decoder, and whatever it accepts materializes — or fails to
-// — the same way fresh and into reused storage.
+// the binary decoder; whatever it accepts materializes — or fails to —
+// the same way fresh and into reused storage, and survives binary →
+// text → binary unchanged: the text format carries every trace the
+// binary decoder accepts.
 func FuzzBinaryDecoder(f *testing.F) {
-	tr := &Trace{
-		Name: "seed",
-		Threads: []Thread{
-			{TID: 0, Ops: []Op{
-				{Kind: OpWrite, Addr: 0x100, Value: 1},
-				{Kind: OpRMW, Addr: 0x100, Value: 1, Value2: 2},
-				{Kind: OpFence},
-				{Kind: OpRead, Addr: 0x100, Value: 2, Keyed: true, Instr: 9},
-			}},
-		},
-		RF: []RFEdge{{Read: Ref{TID: 0, Instr: 9}, Write: Ref{TID: 0, Instr: 1, Sub: 1}}},
-		CO: []COOrder{{Addr: 0x100, Writes: []Ref{{TID: 0}, {TID: 0, Instr: 1, Sub: 1}}}},
-	}
-	var seed bytes.Buffer
-	if err := WriteBinary(&seed, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte("MCVB\x01"))
-	f.Add([]byte("MCVB\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
-	f.Add([]byte{})
-	for _, tr := range []*Trace{extremeTrace(), residue} {
+	for _, tr := range []*Trace{binarySeedTrace(), extremeTrace(), residue} {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, tr); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("MCVB\x01"))
+	f.Add([]byte("MCVB\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add([]byte{})
+	// Frames the text format cannot carry, which the decoder must reject.
+	for _, c := range unencodable {
+		f.Add(appendBinaryTrace([]byte("MCVB\x01"), c.trace))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		traces, err := DecodeAllBinary(bytes.NewReader(in))
@@ -177,16 +173,30 @@ func FuzzBinaryDecoder(f *testing.F) {
 		for _, tr := range traces {
 			materializeBothWays(t, tr)
 		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, traces...); err != nil {
-			return // decoder is laxer than the encoder (e.g. odd flags)
+		if len(traces) == 0 {
+			return
 		}
-		again, err := DecodeAllBinary(&buf)
+		var text bytes.Buffer
+		if err := WriteText(&text, traces...); err != nil {
+			t.Fatalf("accepted traces failed to encode as text: %v", err)
+		}
+		fromText, err := DecodeAll(&text)
+		if err != nil {
+			t.Fatalf("their text failed to decode: %v\n%s", err, text.String())
+		}
+		if !reflect.DeepEqual(traces, fromText) {
+			t.Fatalf("binary decode(text encode(decode(in))) != decode(in)\n%s", text.String())
+		}
+		var bin bytes.Buffer
+		if err := WriteBinary(&bin, fromText...); err != nil {
+			t.Fatalf("traces back from text failed to encode: %v", err)
+		}
+		again, err := DecodeAllBinary(&bin)
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)
 		}
-		if len(traces) > 0 && !reflect.DeepEqual(traces, again) {
-			t.Fatal("binary decode(encode(decode(in))) != decode(in)")
+		if !reflect.DeepEqual(traces, again) {
+			t.Fatal("binary decode(encode(decode(text(decode(in))))) != decode(in)")
 		}
 	})
 }

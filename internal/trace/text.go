@@ -41,12 +41,16 @@ const TextHeader = "mctrace 1"
 // instruction index, sub 0). A line may be longer than 4 MiB only
 // within the format's ceilings; see the line rule below.
 
-// WriteText encodes traces canonically to w, header first.
+// WriteText encodes traces canonically to w, header first. A trace the
+// formats cannot carry is refused before any of its bytes are written.
 func WriteText(w io.Writer, traces ...*Trace) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(TextHeader + "\n")
 	var buf []byte
 	for _, t := range traces {
+		if err := t.encodable(); err != nil {
+			return err
+		}
 		buf = appendTextTrace(buf[:0], t)
 		bw.Write(buf)
 	}

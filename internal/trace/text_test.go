@@ -271,40 +271,8 @@ func TestDecoderFieldsMatchStringsFields(t *testing.T) {
 // it hands out — the Trace, its name, Threads, one Ops per thread, RF,
 // CO and the writes all co orders share — each at its exact size.
 func TestDecodeAllocatesOnlyTheTrace(t *testing.T) {
-	tr := benchTrace(t)
-	// AllocsPerRun makes one more call than it counts, after the warming
-	// one here.
-	const runs = 50
-	var buf bytes.Buffer
-	if err := WriteText(&buf, slices.Repeat([]*Trace{tr}, runs+2)...); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDecoder(&buf)
-	if _, err := d.Next(); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	var got *Trace
-	runtime.ReadMemStats(&before)
-	objects := testing.AllocsPerRun(runs, func() {
-		var err error
-		if got, err = d.Next(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	runtime.ReadMemStats(&after)
-	allocated := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-
-	own := unsafe.Sizeof(Trace{}) + uintptr(len(got.Name)) +
-		uintptr(len(got.Threads))*unsafe.Sizeof(Thread{}) +
-		uintptr(len(got.RF))*unsafe.Sizeof(RFEdge{}) +
-		uintptr(len(got.CO))*unsafe.Sizeof(COOrder{})
-	for _, th := range got.Threads {
-		own += uintptr(len(th.Ops)) * unsafe.Sizeof(Op{})
-	}
-	for _, c := range got.CO {
-		own += uintptr(len(c.Writes)) * unsafe.Sizeof(Ref{})
-	}
+	objects, allocated, got := decodeCost(t, WriteText, func(r io.Reader) func() (*Trace, error) { return NewDecoder(r).Next })
+	own := heldBytes(got)
 	t.Logf("%.1f objects, %.0f bytes per trace; the trace holds %d bytes", objects, allocated, own)
 	if limit := float64(len(got.Threads) + 6); objects > limit {
 		t.Errorf("decoding a trace of %d threads allocates %.1f objects, want at most %.0f", len(got.Threads), objects, limit)
@@ -312,6 +280,52 @@ func TestDecodeAllocatesOnlyTheTrace(t *testing.T) {
 	if limit := 1.25 * float64(own); allocated > limit {
 		t.Errorf("decoding a trace allocates %.0f bytes, want at most %.0f (1.25 x the %d it holds)", allocated, limit, own)
 	}
+}
+
+// decodeCost encodes benchTrace in a stream and measures what decoding
+// one trace of it costs a decoder that has decoded one before: objects
+// and bytes allocated per trace, and the last trace decoded.
+func decodeCost(t *testing.T, encode func(io.Writer, ...*Trace) error, decoder func(io.Reader) func() (*Trace, error)) (objects, allocated float64, got *Trace) {
+	t.Helper()
+	tr := benchTrace(t)
+	// AllocsPerRun makes one more call than it counts, after the warming
+	// one here.
+	const runs = 50
+	var buf bytes.Buffer
+	if err := encode(&buf, slices.Repeat([]*Trace{tr}, runs+2)...); err != nil {
+		t.Fatal(err)
+	}
+	next := decoder(&buf)
+	if _, err := next(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	objects = testing.AllocsPerRun(runs, func() {
+		var err error
+		if got, err = next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	allocated = float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	return objects, allocated, got
+}
+
+// heldBytes is what tr's own storage holds: the Trace, its name and
+// every list at its length.
+func heldBytes(tr *Trace) uintptr {
+	own := unsafe.Sizeof(Trace{}) + uintptr(len(tr.Name)) +
+		uintptr(len(tr.Threads))*unsafe.Sizeof(Thread{}) +
+		uintptr(len(tr.RF))*unsafe.Sizeof(RFEdge{}) +
+		uintptr(len(tr.CO))*unsafe.Sizeof(COOrder{})
+	for _, th := range tr.Threads {
+		own += uintptr(len(th.Ops)) * unsafe.Sizeof(Op{})
+	}
+	for _, c := range tr.CO {
+		own += uintptr(len(c.Writes)) * unsafe.Sizeof(Ref{})
+	}
+	return own
 }
 
 // TestLongCoLineRoundTrips: a co order of 600 000 writes on one address

@@ -27,6 +27,11 @@
 // 128 bits collective.Signature gives the execution it builds, without
 // building it. Any other trace is signed through its execution.
 //
+// The two formats carry exactly the same traces: both encoders refuse,
+// and both decoders reject, a trace the other format could not carry
+// (Trace.encodable states the rule). Text decoding errors name their
+// line; binary ones the trace and the byte offset they were met at.
+//
 // Both decoders bound a trace by the same ceilings — name length,
 // element counts, int-typed fields. A text line may run to 4 MiB; past
 // the header a longer one is read while it holds no more fields than a
@@ -43,8 +48,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
 	"repro/internal/collective"
 	"repro/internal/memmodel"
@@ -437,6 +444,97 @@ func (t *Trace) label() string {
 		return "(unnamed)"
 	}
 	return t.Name
+}
+
+// encodable says why the trace formats cannot carry t, or returns nil.
+// Both encoders refuse such a trace, and both decoders reject its
+// encoding, so a trace either decoder accepts re-encodes in either
+// format and decodes back unchanged. The formats carry:
+//
+//   - a name of at most maxNameLen bytes with no white space and no '#'
+//     (text spells it as one token of a line, and '#' opens a comment);
+//   - at most maxCount threads, ops in a thread, rf edges, co orders and
+//     writes in a co order, and at least one write in each co order;
+//   - TIDs, key pins and refs in [0, maxIntField);
+//   - ops r, w, f and u, fences full, ss and ll, the atomic flag on r
+//     and w only, and no sub on a u op's key pin.
+func (t *Trace) encodable() error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("trace: cannot encode trace %q: "+format, append([]any{t.Name}, args...)...)
+	}
+	if why := nameProblem(t.Name); why != "" {
+		return fail("its name %s", why)
+	}
+	switch {
+	case len(t.Threads) > maxCount:
+		return fail("more than %d threads", maxCount)
+	case len(t.RF) > maxCount:
+		return fail("more than %d rf edges", maxCount)
+	case len(t.CO) > maxCount:
+		return fail("more than %d co orders", maxCount)
+	}
+	for _, th := range t.Threads {
+		if !intField(th.TID) {
+			return fail("thread id %d out of range [0, %d)", th.TID, maxIntField)
+		}
+		if len(th.Ops) > maxCount {
+			return fail("thread %d has more than %d ops", th.TID, maxCount)
+		}
+		for i := range th.Ops {
+			op := &th.Ops[i]
+			switch {
+			case op.Kind >= numOpKinds:
+				return fail("thread %d op %d: unknown kind %d", th.TID, i, op.Kind)
+			case op.Kind == OpFence && op.Fence >= memmodel.NumFenceKinds:
+				return fail("thread %d op %d: unknown fence kind %d", th.TID, i, op.Fence)
+			case op.Atomic && (op.Kind == OpFence || op.Kind == OpRMW):
+				return fail("thread %d op %d: %s op marked atomic (the formats carry the flag on r and w only)", th.TID, i, op.Kind)
+			case op.Keyed && !(intField(op.Instr) && intField(op.Sub)):
+				return fail("thread %d op %d: key pin @%d.%d out of range [0, %d)", th.TID, i, op.Instr, op.Sub, maxIntField)
+			case op.Keyed && op.Kind == OpRMW && op.Sub != 0:
+				return fail("thread %d op %d: u op pinned to sub %d (the pair is always subs 0 and 1)", th.TID, i, op.Sub)
+			}
+		}
+	}
+	for _, e := range t.RF {
+		if !refField(e.Read) || !e.Init && !refField(e.Write) {
+			return fail("rf edge %v -> %v out of range [0, %d)", e.Read, e.Write, maxIntField)
+		}
+	}
+	for _, c := range t.CO {
+		switch {
+		case len(c.Writes) == 0:
+			return fail("co order of %#x has no writes", uint64(c.Addr))
+		case len(c.Writes) > maxCount:
+			return fail("co order of %#x has more than %d writes", uint64(c.Addr), maxCount)
+		}
+		for _, w := range c.Writes {
+			if !refField(w) {
+				return fail("co order of %#x: write %v out of range [0, %d)", uint64(c.Addr), w, maxIntField)
+			}
+		}
+	}
+	return nil
+}
+
+// intField reports whether v fits an int-typed field of the formats.
+func intField(v int) bool { return uint(v) < maxIntField }
+
+// refField reports whether every field of r fits the formats.
+func refField(r Ref) bool { return intField(r.TID) && intField(r.Instr) && intField(r.Sub) }
+
+// nameProblem says why name cannot name a trace in the formats, or
+// returns "": it must fit maxNameLen and be one token of a text line.
+func nameProblem(name string) string {
+	switch {
+	case len(name) > maxNameLen:
+		return fmt.Sprintf("is longer than %d bytes", maxNameLen)
+	case strings.ContainsFunc(name, unicode.IsSpace):
+		return "holds white space"
+	case strings.Contains(name, "#"):
+		return "holds '#'"
+	}
+	return ""
 }
 
 // FromExecution encodes a candidate execution as a canonical trace:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -48,6 +49,28 @@ var pinFuzzSeeds = []string{
 // a change to the encoder that moves a single byte of canonical output
 // fails here even if it still round-trips through the decoder.
 func TestTextEncodingPinned(t *testing.T) {
+	checkEncodingPinned(t, WriteTraces, map[string]string{
+		"litmus":     "6fbb96d3d512f0c6688cf7ba593b4042b633928c561e481343891946116d284f",
+		"generated":  "bbcba6f88444c6fe212207276ee945e735a3e33543e7a58c1879ee824f6885ca",
+		"extreme":    "a23f2900271aca50c5870b3af19fe8c5751ce616d482dbb4bbfbdabe8b4b9b79",
+		"fuzz-seeds": "8ca805f3a6e0c30429175368e9f2638ae672bf1f6820a01f1bf4a1c148bc5b74",
+	})
+}
+
+// TestBinaryEncodingPinned: WriteTracesBinary's bytes are fixed, over
+// the same four sets as the text encoding's pins.
+func TestBinaryEncodingPinned(t *testing.T) {
+	checkEncodingPinned(t, WriteTracesBinary, map[string]string{
+		"litmus":     "4e1b7f3ec271e8d5b867463373eb3dc16f3f6390b718285af991e121b226beea",
+		"generated":  "dd6f82994b8328a00dd8e2236a6e20663d9211b4b979901da2432c452facefa1",
+		"extreme":    "a778db8cdeb2981b11660dc6070ec345a1903ca6319643fb84efa71ea132d54d",
+		"fuzz-seeds": "171f64c721bd66456cc7b4df440d5bb183ba0c90a9c38f466e3289a6d8993f6d",
+	})
+}
+
+// checkEncodingPinned requires encode's output for each pinned set to
+// hash to the SHA-256 want holds under the set's name.
+func checkEncodingPinned(t *testing.T, encode func(io.Writer, ...*Trace) error, want map[string]string) {
 	corpus, err := LitmusCorpus()
 	if err != nil {
 		t.Fatal(err)
@@ -67,20 +90,19 @@ func TestTextEncodingPinned(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		traces []*Trace
-		want   string
 	}{
-		{"litmus", litmus, "6fbb96d3d512f0c6688cf7ba593b4042b633928c561e481343891946116d284f"},
-		{"generated", generatedTraces(t), "bbcba6f88444c6fe212207276ee945e735a3e33543e7a58c1879ee824f6885ca"},
-		{"extreme", []*Trace{pinExtremeTrace()}, "a23f2900271aca50c5870b3af19fe8c5751ce616d482dbb4bbfbdabe8b4b9b79"},
-		{"fuzz-seeds", seeds, "8ca805f3a6e0c30429175368e9f2638ae672bf1f6820a01f1bf4a1c148bc5b74"},
+		{"litmus", litmus},
+		{"generated", generatedTraces(t)},
+		{"extreme", []*Trace{pinExtremeTrace()}},
+		{"fuzz-seeds", seeds},
 	} {
 		var buf bytes.Buffer
-		if err := WriteTraces(&buf, c.traces...); err != nil {
+		if err := encode(&buf, c.traces...); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("%s: %d bytes hash to %s, want %s", c.name, buf.Len(), got, c.want)
+		if got := hex.EncodeToString(sum[:]); got != want[c.name] {
+			t.Errorf("%s: %d bytes hash to %s, want %s", c.name, buf.Len(), got, want[c.name])
 		}
 	}
 }

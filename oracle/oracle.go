@@ -58,7 +58,7 @@
 package oracle
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -183,15 +183,18 @@ func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 	case "binary":
 		return trace.NewBinaryDecoder(r), nil
 	case "auto", "":
-		br := bufio.NewReader(r)
-		magic, err := br.Peek(len(trace.BinaryMagic))
-		if err != nil && err != io.EOF {
+		// Sniff the magic, then hand its bytes on ahead of the rest of r:
+		// the decoder's own buffer is the only one.
+		magic := make([]byte, len(trace.BinaryMagic))
+		n, err := io.ReadFull(r, magic)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("oracle: sniff trace format: %w", err)
 		}
-		if string(magic) == trace.BinaryMagic {
-			return trace.NewBinaryDecoder(br), nil
+		r = io.MultiReader(bytes.NewReader(magic[:n]), r)
+		if string(magic[:n]) == trace.BinaryMagic {
+			return trace.NewBinaryDecoder(r), nil
 		}
-		return trace.NewDecoder(br), nil
+		return trace.NewDecoder(r), nil
 	default:
 		return nil, fmt.Errorf("oracle: unknown trace format %q (want text, binary, or auto)", format)
 	}

@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -193,6 +195,70 @@ func TestTraceReaderAuto(t *testing.T) {
 	}
 	if _, err := NewTraceReader(&bytes.Buffer{}, "sideways"); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+}
+
+// TestTraceReaderAutoMatchesExplicit: the sniffing reader hands the
+// bytes it sniffed on to the decoder it picks, so it decodes exactly what
+// that format's reader decodes — the same traces, the same error at the
+// same line or byte — for whole streams, a cut one, streams shorter than
+// the magic and an empty one.
+func TestTraceReaderAutoMatchesExplicit(t *testing.T) {
+	corpus, err := LitmusCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces []*Trace
+	for _, e := range corpus {
+		traces = append(traces, e.Trace)
+	}
+	var text, bin bytes.Buffer
+	if err := WriteTraces(&text, traces...); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTracesBinary(&bin, traces...); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, format string
+		in           []byte
+	}{
+		{"text", "text", text.Bytes()},
+		{"binary", "binary", bin.Bytes()},
+		{"cut text", "text", text.Bytes()[:text.Len()/2]},
+		{"cut binary", "binary", bin.Bytes()[:bin.Len()/2]},
+		{"binary magic alone", "binary", []byte("MCVB")},
+		{"shorter than the magic", "text", []byte("MCV")},
+		{"empty", "text", nil},
+	} {
+		got, gotErr := readAll(t, c.in, "auto")
+		want, wantErr := readAll(t, c.in, c.format)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: auto fails with %v, %s with %v", c.name, gotErr, c.format, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: auto decodes %d traces, %s %d, or they differ", c.name, len(got), c.format, len(want))
+		}
+	}
+}
+
+// readAll decodes every trace in in through a reader of format.
+func readAll(t *testing.T, in []byte, format string) ([]*Trace, error) {
+	t.Helper()
+	r, err := NewTraceReader(bytes.NewReader(in), format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*Trace
+	for {
+		tr, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, tr)
 	}
 }
 
