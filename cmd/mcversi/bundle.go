@@ -134,18 +134,25 @@ func (b *bundle) write(dir string, tr *oracle.Trace) error {
 	return f.Close()
 }
 
-// readBundle loads the bundle in dir.
+// readBundle loads the bundle in dir. A field the bundle does not have
+// is an error, as it is in core.ParseSpec: a bundle naming a retired
+// knob must not replay at the default.
 func readBundle(dir string) (*bundle, error) {
 	data, err := os.ReadFile(filepath.Join(dir, bundleFile))
 	if err != nil {
 		return nil, err
 	}
 	var b bundle
-	if err := json.Unmarshal(data, &b); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&b); err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
 	if len(b.Spec.Scenarios) != 1 || b.Spec.Samples != 1 || b.Test == nil || b.TestRun < 1 {
 		return nil, fmt.Errorf("%s: not a bundle: want a one-item spec, a test and a test-run", dir)
+	}
+	if err := b.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
 	return &b, nil
 }

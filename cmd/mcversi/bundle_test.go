@@ -103,7 +103,8 @@ func TestBundleReplayShrink(t *testing.T) {
 }
 
 // TestBundleOfFirstTestRun: a find at test-run 1 has no prefix to re-run;
-// its bundle is written and replays like any other.
+// its bundle is written and replays like any other, and refuses to
+// replay once its spec names a field the spec does not have.
 func TestBundleOfFirstTestRun(t *testing.T) {
 	dir := t.TempDir()
 	mergedOut := filepath.Join(t.TempDir(), "merged.json")
@@ -120,6 +121,36 @@ func TestBundleOfFirstTestRun(t *testing.T) {
 	}
 	if code, stdout, stderr = mcversiRun("-replay", item); code != 0 || !strings.Contains(stdout, "replay matches") {
 		t.Fatalf("replay: exit %d\n%s%s", code, stdout, stderr)
+	}
+
+	// A field the bundle's spec does not have, such as a retired GP
+	// rate or a misspelt budget, is a usage error naming it.
+	data, err := os.ReadFile(filepath.Join(item, bundleFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(spec map[string]any)
+	}{
+		{"PMutt", func(spec map[string]any) { spec["gp"].(map[string]any)["PMutt"] = 0.9 }},
+		{"max_test_run", func(spec map[string]any) { spec["max_test_run"] = 3 }},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(doc["spec"].(map[string]any))
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(item, bundleFile), edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, stdout, stderr = mcversiRun("-replay", item); code != 2 || stdout != "" || !strings.Contains(stderr, `"`+tc.field+`"`) {
+			t.Errorf("replay of a bundle naming %s: exit %d\n%s%s", tc.field, code, stdout, stderr)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func newSys(t *testing.T, proto string, seed int64, bug bugs.Set) *testSys {
 func newSysSink(t *testing.T, proto string, seed int64, bug bugs.Set, sink CoverageSink) *testSys {
 	t.Helper()
 	s := sim.New(seed)
-	net := interconnect.New(s, interconnect.DefaultConfig())
+	net := interconnect.New(s)
 	mem := memsys.NewMemory()
 	msgs := NewMsgPool()
 	ts := &testSys{

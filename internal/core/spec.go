@@ -52,7 +52,8 @@ type Spec struct {
 	MemBytes int `json:"mem_bytes"`
 	Stride   int `json:"stride"`
 
-	// GP holds the GP parameters (gp-* generators).
+	// GP holds the GP population size (gp-* generators); the
+	// generator decides the crossover.
 	GP gp.Params `json:"gp"`
 	// Coverage tunes the adaptive-coverage fitness.
 	Coverage coverage.Params `json:"coverage"`

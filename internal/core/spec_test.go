@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,6 +107,9 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 		{"sampels", func(doc map[string]any) { doc["sampels"] = 9 }},
 		{"Patiense", func(doc map[string]any) { doc["coverage"].(map[string]any)["Patiense"] = 1 }},
 		{"cores", func(doc map[string]any) { doc["scenarios"].([]any)[0].(map[string]any)["cores"] = 4 }},
+		{"Crossover", func(doc map[string]any) { doc["gp"].(map[string]any)["Crossover"] = 1 }},
+		{"TournamentSize", func(doc map[string]any) { doc["gp"].(map[string]any)["TournamentSize"] = 2 }},
+		{"PMut", func(doc map[string]any) { doc["gp"].(map[string]any)["PMut"] = 0.005 }},
 	} {
 		var doc map[string]any
 		if err := json.Unmarshal(data, &doc); err != nil {
@@ -122,6 +126,55 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := ParseSpec(append(data, "{}"...)); err == nil {
 		t.Error("a spec with trailing data was accepted")
+	}
+}
+
+// TestSpecWireKeys pins every key of a spec's encoding, nested objects
+// included: renaming a field of any struct the spec carries breaks the
+// wire, so it must show here.
+func TestSpecWireKeys(t *testing.T) {
+	scen := scenario.Default()
+	scen.Bugs = []string{"LQ+no-TSO"}
+	data, err := json.Marshal(NewSpec(ScaledConfig(GenGPAll, scen, 1024), []scenario.Scenario{scen}, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, sub := range v {
+				keys = append(keys, prefix+k)
+				walk(prefix+k+".", sub)
+			}
+		case []any:
+			for _, sub := range v {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", sub)
+			}
+		}
+	}
+	walk("", doc)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	want := []string{
+		"base_seed",
+		"coverage", "coverage.InitialCutoff", "coverage.LowFitness", "coverage.Patience",
+		"generator",
+		"gp", "gp.PopulationSize",
+		"host", "host.Barrier", "host.Iterations", "host.MaxTicksPerIteration",
+		"max_test_runs", "mem_bytes", "samples",
+		"scenarios", "scenarios[].bugs", "scenarios[].description", "scenarios[].model",
+		"scenarios[].name", "scenarios[].protocol", "scenarios[].relax",
+		"scenarios[].relax.NoLoadSquash", "scenarios[].relax.NonFIFOSB", "scenarios[].relax.StrongStores",
+		"stride", "test_size", "threads",
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("spec keys = %q\nwant %q", keys, want)
 	}
 }
 

@@ -26,13 +26,13 @@ type TransitionID = uint32
 type Params struct {
 	// InitialCutoff is the low initial transition-count cut-off; a
 	// transition with fewer global occurrences counts as rare.
-	InitialCutoff uint64
+	InitialCutoff uint64 `json:"InitialCutoff"`
 	// LowFitness is the adaptive-coverage threshold below which a run
 	// counts as unproductive.
-	LowFitness float64
+	LowFitness float64 `json:"LowFitness"`
 	// Patience is how many consecutive unproductive evaluations
 	// trigger an exponential cut-off increase.
-	Patience int
+	Patience int `json:"Patience"`
 }
 
 // DefaultParams returns the parameters used in the evaluation.

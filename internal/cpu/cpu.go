@@ -75,18 +75,18 @@ type Relax struct {
 	// scenarios require it. Store-to-load forwarding is disabled in
 	// favour of stalling, since forwarding a globally-invisible store
 	// is itself the relaxation SC forbids.
-	StrongStores bool
-	// NonFIFOSB drains up to Config.NoFIFOWays store-buffer entries
+	StrongStores bool `json:"StrongStores"`
+	// NonFIFOSB drains up to NoFIFOWays store-buffer entries
 	// concurrently — relaxing W→W — while preserving same-address FIFO
 	// and never draining past a store-store fence group boundary. Legal
 	// under PSO and RMO only.
-	NonFIFOSB bool
+	NonFIFOSB bool `json:"NonFIFOSB"`
 	// NoLoadSquash disables the LQ invalidation squash — relaxing R→R —
 	// while keeping same-address loads issuing in order (coherence still
 	// demands SC per location) and blocking loads from issuing past
 	// uncommitted full/load-load fences and atomics. Legal under RMO
 	// only.
-	NoLoadSquash bool
+	NoLoadSquash bool `json:"NoLoadSquash"`
 }
 
 // Any reports whether at least one knob deviates from the Table 2 core.
@@ -107,26 +107,26 @@ func (r Relax) String() string {
 	return s
 }
 
-// Config holds the core parameters (Table 2).
-type Config struct {
+// The core's sizes (Table 2).
+const (
 	// ROBSize bounds how far past the oldest uncommitted instruction
 	// the core looks for issueable loads (reorder window).
-	ROBSize int
+	ROBSize = 40
 	// LSQSize bounds outstanding loads.
-	LSQSize int
+	LSQSize = 32
 	// SBSize bounds the store buffer.
-	SBSize int
+	SBSize = 8
 	// NoFIFOWays is how many store-buffer entries drain concurrently
 	// under the SQ+no-FIFO bug or the legal NonFIFOSB relaxation.
-	NoFIFOWays int
+	NoFIFOWays = 4
+)
+
+// Config is what varies between cores: the scenario's legal ordering
+// and the injected bugs. The sizes are Table 2's constants.
+type Config struct {
 	// Relax is the legal ordering configuration (scenario feature).
 	Relax Relax
 	Bugs  bugs.Set
-}
-
-// DefaultConfig returns the Table 2 core configuration.
-func DefaultConfig() Config {
-	return Config{ROBSize: 40, LSQSize: 32, SBSize: 8, NoFIFOWays: 4}
 }
 
 type instState struct {
@@ -154,6 +154,8 @@ type Core struct {
 	l1  coherence.CacheL1
 	cfg Config
 	obs Observer
+	// window is the reorder window, ROBSize; tests narrow it.
+	window int
 
 	prog testgen.Program
 	// linker links a program the first time it is loaded.
@@ -198,7 +200,7 @@ type Core struct {
 // New creates a core bound to its L1. The LQ invalidation listener is
 // registered here.
 func New(id int, s *sim.Sim, l1 coherence.CacheL1, cfg Config, obs Observer) *Core {
-	c := &Core{id: id, sim: s, l1: l1, cfg: cfg}
+	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, window: ROBSize}
 	c.advanceH = func(any, uint64) { c.advance() }
 	c.timerH = func(arg any, _ uint64) { c.timerDone(arg.(*coherence.Request)) }
 	l1.SetInvalListener(c.onInvalidation)
@@ -304,7 +306,7 @@ func (c *Core) onInvalidation(lineAddr memsys.Addr) {
 	// store buffer whose source store has since drained would otherwise
 	// commit a value older than the invalidating write — also while it
 	// is still a tick from performing, if the source drained meanwhile.
-	for j := c.nextCommit; j < len(c.prog) && j < c.nextCommit+c.cfg.ROBSize; j++ {
+	for j := c.nextCommit; j < len(c.prog) && j < c.nextCommit+c.window; j++ {
 		if line, _ := c.prog.SnoopLine(j); line != lineAddr {
 			continue
 		}
@@ -541,12 +543,12 @@ func (c *Core) loadStalled(j int) bool {
 // uncommitted full or load-load fence (and at atomics, which imply
 // them).
 func (c *Core) issueWindow() {
-	limit := min(c.nextCommit+c.cfg.ROBSize, len(c.prog))
+	limit := min(c.nextCommit+c.window, len(c.prog))
 	if c.cfg.Relax.NoLoadSquash {
 		limit = min(limit, c.prog.NextLoadBarrier(c.nextCommit))
 	}
 	for j := c.prog.NextLoad(c.nextCommit); j < limit; j = c.prog.NextLoad(j + 1) {
-		if c.outLoads >= c.cfg.LSQSize {
+		if c.outLoads >= LSQSize {
 			return
 		}
 		if c.status[j].issued {
@@ -570,7 +572,7 @@ func (c *Core) drainSB() {
 	relaxOOO := c.cfg.Relax.NonFIFOSB && !bugOOO
 	ways := 1
 	if bugOOO || relaxOOO {
-		ways = c.cfg.NoFIFOWays
+		ways = NoFIFOWays
 	}
 	for i := 0; i < len(c.sb) && c.sbDrains < ways; i++ {
 		e := &c.sb[i]
@@ -666,7 +668,7 @@ func (c *Core) commitHead() bool {
 			c.nextCommit++
 			return true
 		}
-		if len(c.sb) >= c.cfg.SBSize {
+		if len(c.sb) >= SBSize {
 			return false
 		}
 		c.sb = append(c.sb, sbEntry{addr: in.Addr, val: in.WriteID, instr: idx, sub: 0, group: c.sbGroup})

@@ -42,10 +42,9 @@ func fencedTest() *testgen.Test {
 // unconditional selection on, Algorithm 1 inherits fence genes intact —
 // slot position and flavour survive recombination.
 func TestSelectiveCrossoverPreservesFences(t *testing.T) {
-	params := PaperParams()
-	params.PMut = 0
-	params.PUSel = 1.0 // select everything from t1
-	e, _ := newEngine(t, params, 3)
+	e, _ := newEngine(t, PaperParams(), 3)
+	e.ops.pMut = 0
+	e.ops.pUSel = 1.0 // select everything from t1
 	p := &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}}
 	child := e.crossoverMutate(p, &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}})
 	want := fenceNodes(p.Test)
@@ -64,9 +63,9 @@ func TestSelectiveCrossoverPreservesFences(t *testing.T) {
 // fence genes from both parents without corrupting them.
 func TestSinglePointCrossoverPreservesFences(t *testing.T) {
 	params := PaperParams()
-	params.PMut = 0
 	params.Crossover = SinglePointCrossover
 	e, _ := newEngine(t, params, 5)
+	e.ops.pMut = 0
 	p1 := &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}}
 	p2 := &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}}
 	child := e.singlePoint(p1, p2)

@@ -36,37 +36,43 @@ func (k CrossoverKind) String() string {
 	return "selective"
 }
 
-// Params are the GP parameters of Table 3.
+// Params are the GP settings a campaign chooses.
 type Params struct {
-	// PopulationSize is the steady-state population size (100).
-	PopulationSize int
-	// TournamentSize is the selection tournament size (2).
-	TournamentSize int
-	// PMut is the mutation probability (0.005).
-	PMut float64
-	// PCrossover is the crossover probability (1.0).
-	PCrossover float64
-	// PUSel is the unconditional memory-operation selection
-	// probability PUSEL (0.2).
-	PUSel float64
-	// PBFA is the bias with which a mutated operation draws its
-	// address from the parents' fitaddrs (0.05).
-	PBFA float64
-	// Crossover selects the operator.
-	Crossover CrossoverKind
+	// PopulationSize is the steady-state population size (Table 3:
+	// 100).
+	PopulationSize int `json:"PopulationSize"`
+	// Crossover selects the operator. It stays off the wire: the
+	// campaign's generator decides it.
+	Crossover CrossoverKind `json:"-"`
 }
 
 // PaperParams returns Table 3's GP parameters for McVerSi-ALL.
 func PaperParams() Params {
-	return Params{
-		PopulationSize: 100,
-		TournamentSize: 2,
-		PMut:           0.005,
-		PCrossover:     1.0,
-		PUSel:          0.2,
-		PBFA:           0.05,
-		Crossover:      SelectiveCrossover,
-	}
+	return Params{PopulationSize: 100, Crossover: SelectiveCrossover}
+}
+
+// Table 3's GP operator settings.
+const (
+	// tournamentSize is the selection tournament size.
+	tournamentSize = 2
+	// pMut is the mutation probability.
+	pMut = 0.005
+	// pCrossover is the crossover probability: every child is a
+	// crossover.
+	pCrossover = 1.0
+	// pUSel is the unconditional memory-operation selection
+	// probability PUSEL.
+	pUSel = 0.2
+	// pBFA is the bias with which a mutated operation draws its
+	// address from the parents' fitaddrs.
+	pBFA = 0.05
+)
+
+// operators are an engine's operator settings: Table 3's, narrowed
+// only by the operator tests.
+type operators struct {
+	tournament        int
+	pMut, pUSel, pBFA float64
 }
 
 // Individual is one population member with its evaluation results.
@@ -87,6 +93,7 @@ type Individual struct {
 // seeded, Next returns fresh random tests.
 type Engine struct {
 	params Params
+	ops    operators
 	gen    *testgen.Generator
 	rng    *rand.Rand
 
@@ -106,14 +113,8 @@ func New(params Params, gen *testgen.Generator, rng *rand.Rand) (*Engine, error)
 	if params.PopulationSize <= 1 {
 		return nil, fmt.Errorf("gp: population size must exceed 1, got %d", params.PopulationSize)
 	}
-	if params.TournamentSize <= 0 {
-		return nil, fmt.Errorf("gp: tournament size must be positive")
-	}
-	if params.PUSel < 0 || params.PUSel > 1 || params.PBFA < 0 || params.PBFA > 1 ||
-		params.PMut < 0 || params.PMut > 1 || params.PCrossover < 0 || params.PCrossover > 1 {
-		return nil, fmt.Errorf("gp: probabilities must lie in [0,1]")
-	}
-	return &Engine{params: params, gen: gen, rng: rng}, nil
+	ops := operators{tournament: tournamentSize, pMut: pMut, pUSel: pUSel, pBFA: pBFA}
+	return &Engine{params: params, ops: ops, gen: gen, rng: rng}, nil
 }
 
 // PopulationSize returns the current population fill.
@@ -134,18 +135,16 @@ func (e *Engine) Next() *testgen.Test {
 	}
 	p1 := e.tournament()
 	p2 := e.tournament()
+	// The draw against pCrossover always passes; it stays so that every
+	// campaign's random stream is the one its pins record.
+	e.rng.Float64()
+	e.crossovers++
 	var child *testgen.Test
-	if e.rng.Float64() < e.params.PCrossover {
-		e.crossovers++
-		switch e.params.Crossover {
-		case SinglePointCrossover:
-			child = e.singlePoint(p1, p2)
-		default:
-			child = e.crossoverMutate(p1, p2)
-		}
-	} else {
-		child = p1.Test.Clone()
-		e.mutate(child, nil)
+	switch e.params.Crossover {
+	case SinglePointCrossover:
+		child = e.singlePoint(p1, p2)
+	default:
+		child = e.crossoverMutate(p1, p2)
 	}
 	e.pending = child
 	return child
@@ -226,10 +225,10 @@ func (e *Engine) Immigrate(migrants []*Individual) {
 	}
 }
 
-// tournament picks the fittest of TournamentSize random members.
+// tournament picks the fittest of tournamentSize random members.
 func (e *Engine) tournament() *Individual {
 	best := e.pop[e.rng.Intn(len(e.pop))]
-	for i := 1; i < e.params.TournamentSize; i++ {
+	for i := 1; i < e.ops.tournament; i++ {
 		c := e.pop[e.rng.Intn(len(e.pop))]
 		if c.Fitness > best.Fitness {
 			best = c
@@ -265,8 +264,8 @@ func fitaddrFraction(t *testgen.Test, fitaddrs map[memsys.Addr]bool) float64 {
 func (e *Engine) crossoverMutate(t1, t2 *Individual) *testgen.Test {
 	a1 := fitaddrFraction(t1.Test, t1.FitAddrs)
 	a2 := fitaddrFraction(t2.Test, t2.FitAddrs)
-	pSel1 := a1 + e.params.PUSel - a1*e.params.PUSel
-	pSel2 := a2 + e.params.PUSel - a2*e.params.PUSel
+	pSel1 := a1 + e.ops.pUSel - a1*e.ops.pUSel
+	pSel2 := a2 + e.ops.pUSel - a2*e.ops.pUSel
 
 	combined := make([]memsys.Addr, 0, len(t1.FitAddrs)+len(t2.FitAddrs))
 	seen := make(map[memsys.Addr]bool)
@@ -287,14 +286,14 @@ func (e *Engine) crossoverMutate(t1, t2 *Individual) *testgen.Test {
 		n1 := t1.Test.Nodes[i]
 		var select1 bool
 		if n1.Op.Kind.IsMemOp() {
-			select1 = e.rng.Float64() < e.params.PUSel || t1.FitAddrs[n1.Op.Addr]
+			select1 = e.rng.Float64() < e.ops.pUSel || t1.FitAddrs[n1.Op.Addr]
 		} else {
 			select1 = e.rng.Float64() < pSel1
 		}
 		n2 := t2.Test.Nodes[i]
 		var select2 bool
 		if n2.Op.Kind.IsMemOp() {
-			select2 = e.rng.Float64() < e.params.PUSel || t2.FitAddrs[n2.Op.Addr]
+			select2 = e.rng.Float64() < e.ops.pUSel || t2.FitAddrs[n2.Op.Addr]
 		} else {
 			select2 = e.rng.Float64() < pSel2
 		}
@@ -303,7 +302,7 @@ func (e *Engine) crossoverMutate(t1, t2 *Individual) *testgen.Test {
 			child.Nodes[i] = n2
 		case !select1 && !select2:
 			mutations++
-			if e.rng.Float64() < e.params.PBFA && len(combined) > 0 {
+			if e.rng.Float64() < e.ops.pBFA && len(combined) > 0 {
 				child.Nodes[i] = e.gen.RandomNode(combined)
 			} else {
 				child.Nodes[i] = e.gen.RandomNode(nil)
@@ -312,7 +311,7 @@ func (e *Engine) crossoverMutate(t1, t2 *Individual) *testgen.Test {
 			// Retain child[i] (from t1).
 		}
 	}
-	if float64(mutations)/float64(len(child.Nodes)) < e.params.PMut {
+	if float64(mutations)/float64(len(child.Nodes)) < e.ops.pMut {
 		e.mutate(child, combined)
 	}
 	return child
@@ -332,9 +331,9 @@ func (e *Engine) singlePoint(t1, t2 *Individual) *testgen.Test {
 // positions (relative scheduling).
 func (e *Engine) mutate(t *testgen.Test, constrained []memsys.Addr) {
 	for i := range t.Nodes {
-		if e.rng.Float64() < e.params.PMut {
+		if e.rng.Float64() < e.ops.pMut {
 			e.mutations++
-			if len(constrained) > 0 && e.rng.Float64() < e.params.PBFA {
+			if len(constrained) > 0 && e.rng.Float64() < e.ops.pBFA {
 				t.Nodes[i] = e.gen.RandomNode(constrained)
 			} else {
 				t.Nodes[i] = e.gen.RandomNode(nil)

@@ -32,23 +32,18 @@ func TestParamValidation(t *testing.T) {
 	gen, _ := testgen.NewGenerator(testgen.Config{
 		Size: 8, Threads: 2, Layout: memsys.MustLayout(64, 16),
 	}, rand.New(rand.NewSource(1)))
-	if _, err := New(Params{PopulationSize: 1, TournamentSize: 2}, gen, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := New(Params{PopulationSize: 1}, gen, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("population 1 accepted")
-	}
-	if _, err := New(Params{PopulationSize: 4, TournamentSize: 0}, gen, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("tournament 0 accepted")
-	}
-	if _, err := New(Params{PopulationSize: 4, TournamentSize: 2, PMut: 1.5}, gen, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("PMut > 1 accepted")
 	}
 }
 
 func TestPaperParamsMatchTable3(t *testing.T) {
-	p := PaperParams()
-	if p.PopulationSize != 100 || p.TournamentSize != 2 ||
-		p.PMut != 0.005 || p.PCrossover != 1.0 ||
-		p.PUSel != 0.2 || p.PBFA != 0.05 {
+	if p := PaperParams(); p.PopulationSize != 100 || p.Crossover != SelectiveCrossover {
 		t.Fatalf("PaperParams = %+v does not match Table 3", p)
+	}
+	if tournamentSize != 2 || pMut != 0.005 || pCrossover != 1.0 || pUSel != 0.2 || pBFA != 0.05 {
+		t.Fatalf("tournament/PMut/PCrossover/PUSel/PBFA = %v/%v/%v/%v/%v does not match Table 3",
+			tournamentSize, pMut, pCrossover, pUSel, pBFA)
 	}
 }
 
@@ -89,11 +84,8 @@ func TestConstantNodeCountInvariant(t *testing.T) {
 // parent — with PUSel = 0 and PBFA = 0 and no mutation, every slot where
 // parent-1 has a fitaddr memory op must survive into the child.
 func TestFitaddrNodesAlwaysInherited(t *testing.T) {
-	params := PaperParams()
-	params.PUSel = 0
-	params.PBFA = 0
-	params.PMut = 0
-	e, gen := newEngine(t, params, 4)
+	e, gen := newEngine(t, PaperParams(), 4)
+	e.ops.pUSel, e.ops.pBFA, e.ops.pMut = 0, 0, 0
 	pool := gen.Pool()
 	hot := pool[0]
 	fit := map[memsys.Addr]bool{hot: true}
@@ -119,9 +111,8 @@ func TestFitaddrNodesAlwaysInherited(t *testing.T) {
 // is ever selected, so every slot must be regenerated (Algorithm 1's
 // directed mutation path) — children differ from parents almost surely.
 func TestUnselectedSlotsMutate(t *testing.T) {
-	params := PaperParams()
-	params.PUSel = 0
-	e, _ := newEngine(t, params, 5)
+	e, _ := newEngine(t, PaperParams(), 5)
+	e.ops.pUSel = 0
 	for i := 0; i < 8; i++ {
 		feedback(e, e.Next(), 0.5, 1.0, nil)
 	}
@@ -159,12 +150,11 @@ func TestDeleteOldestReplacement(t *testing.T) {
 }
 
 func TestTournamentPrefersFitter(t *testing.T) {
-	params := PaperParams()
+	e, _ := newEngine(t, PaperParams(), 7)
 	// Tournament draws with replacement; 200 draws over 8 members make
 	// missing the best member astronomically unlikely (and the rng is
 	// seeded, so the test is deterministic).
-	params.TournamentSize = 200
-	e, _ := newEngine(t, params, 7)
+	e.ops.tournament = 200
 	for i := 0; i < 8; i++ {
 		fit := 0.0
 		if i == 3 {

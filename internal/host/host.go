@@ -51,11 +51,11 @@ func (b BarrierKind) String() string {
 type Options struct {
 	// Iterations is the number of executions per test-run (Table 3:
 	// 10; scaled configurations use fewer).
-	Iterations int
+	Iterations int `json:"Iterations"`
 	// Barrier selects host-assisted or guest barriers.
-	Barrier BarrierKind
+	Barrier BarrierKind `json:"Barrier"`
 	// MaxTicksPerIteration is the deadlock/livelock watchdog.
-	MaxTicksPerIteration sim.Tick
+	MaxTicksPerIteration sim.Tick `json:"MaxTicksPerIteration"`
 }
 
 // DefaultOptions returns the Table 3 run options.

@@ -46,36 +46,33 @@ func (v VNet) String() string {
 	}
 }
 
-// Config holds the network timing parameters (Table 2: 2D mesh, 2 rows,
-// 16B flits; latencies chosen to land L2 round trips in the 30–80 cycle
-// band and memory in the 120–230 band together with controller
-// latencies).
-type Config struct {
-	Rows, Cols int
+// The Table 2 mesh: 2 rows × 4 columns, 16B flits, with latencies
+// chosen to land L2 round trips in the 30–80 cycle band and memory in
+// the 120–230 band together with controller latencies.
+const (
+	// Rows and Cols are the mesh's shape.
+	Rows, Cols = 2, 4
 	// LinkLatency is the per-hop link traversal time in ticks.
-	LinkLatency sim.Tick
+	LinkLatency sim.Tick = 2
 	// RouterLatency is the per-router pipeline latency in ticks.
-	RouterLatency sim.Tick
+	RouterLatency sim.Tick = 2
 	// JitterMax is the maximum uniform random extra latency per
 	// message; jitter is the controlled source of message-race
 	// non-determinism between virtual networks.
-	JitterMax sim.Tick
+	JitterMax sim.Tick = 12
 	// CongestionWindow models back-pressure: each in-flight message on
 	// a channel delays the next by this many ticks.
-	CongestionWindow sim.Tick
+	CongestionWindow sim.Tick = 1
+)
+
+// timing is a network's latencies: the Table 2 constants, or none at
+// all in the tests that order deliveries by the channel table alone.
+type timing struct {
+	link, router, jitterMax, congestion sim.Tick
 }
 
-// DefaultConfig returns the Table 2 mesh configuration.
-func DefaultConfig() Config {
-	return Config{
-		Rows:             2,
-		Cols:             4,
-		LinkLatency:      2,
-		RouterLatency:    2,
-		JitterMax:        12,
-		CongestionWindow: 1,
-	}
-}
+// table2 is the mesh's timing.
+var table2 = timing{LinkLatency, RouterLatency, JitterMax, CongestionWindow}
 
 type node struct {
 	row, col int
@@ -93,7 +90,7 @@ type node struct {
 // single-threaded by design.
 type Network struct {
 	sim *sim.Sim
-	cfg Config
+	timing
 	// nodes is indexed by NodeID (nil = unregistered); count is the
 	// number of registered nodes.
 	nodes []*node
@@ -111,9 +108,14 @@ type Network struct {
 	sent [NumVNets]uint64
 }
 
-// New returns an empty network on the given simulator.
-func New(s *sim.Sim, cfg Config) *Network {
-	return &Network{sim: s, cfg: cfg}
+// New returns an empty Table 2 mesh on the given simulator.
+func New(s *sim.Sim) *Network {
+	return newNetwork(s, table2)
+}
+
+// newNetwork returns an empty mesh with timing t.
+func newNetwork(s *sim.Sim, t timing) *Network {
+	return &Network{sim: s, timing: t}
 }
 
 // node returns the registered node id, or nil.
@@ -128,8 +130,8 @@ func (n *Network) node(id NodeID) *node {
 // are delivered to deliver(payload, vnet). Multiple logical nodes (an
 // L1, its co-located L2 tile) may share a position.
 func (n *Network) Register(id NodeID, deliver sim.Handler, row, col int) error {
-	if row < 0 || row >= n.cfg.Rows || col < 0 || col >= n.cfg.Cols {
-		return fmt.Errorf("interconnect: position (%d,%d) outside %dx%d mesh", row, col, n.cfg.Rows, n.cfg.Cols)
+	if row < 0 || row >= Rows || col < 0 || col >= Cols {
+		return fmt.Errorf("interconnect: position (%d,%d) outside %dx%d mesh", row, col, Rows, Cols)
 	}
 	if id < 0 {
 		return fmt.Errorf("interconnect: negative node id %d", id)
@@ -195,9 +197,9 @@ func (n *Network) Send(src, dst NodeID, vnet VNet, payload interface{}) {
 		panic(fmt.Sprintf("interconnect: send to unregistered node %d", dst))
 	}
 	h := hops(from, to)
-	lat := n.cfg.RouterLatency*sim.Tick(h+1) + n.cfg.LinkLatency*sim.Tick(h)
-	if n.cfg.JitterMax > 0 {
-		lat += sim.Tick(n.sim.Rand().Int63n(int64(n.cfg.JitterMax) + 1))
+	lat := n.router*sim.Tick(h+1) + n.link*sim.Tick(h)
+	if n.jitterMax > 0 {
+		lat += sim.Tick(n.sim.Rand().Int63n(int64(n.jitterMax) + 1))
 	}
 	arrive := n.sim.Now() + lat
 	if n.laid != n.count {
@@ -205,7 +207,7 @@ func (n *Network) Send(src, dst NodeID, vnet VNet, payload interface{}) {
 	}
 	free := &n.nextFree[(from.idx*n.laid+to.idx)*int(NumVNets)+int(vnet)]
 	if arrive < *free {
-		arrive = *free + n.cfg.CongestionWindow
+		arrive = *free + n.congestion
 	}
 	*free = arrive + 1
 	n.sent[vnet]++

@@ -20,14 +20,14 @@ func (r *recorder) deliver(payload any, vnet uint64) {
 	r.at = append(r.at, r.s.Now())
 }
 
-func build(t *testing.T, seed int64, cfg Config) (*sim.Sim, *Network, map[NodeID]*recorder) {
+func build(t *testing.T, seed int64, tm timing) (*sim.Sim, *Network, map[NodeID]*recorder) {
 	t.Helper()
 	s := sim.New(seed)
-	n := New(s, cfg)
+	n := newNetwork(s, tm)
 	recs := make(map[NodeID]*recorder)
 	id := NodeID(0)
-	for r := 0; r < cfg.Rows; r++ {
-		for c := 0; c < cfg.Cols; c++ {
+	for r := 0; r < Rows; r++ {
+		for c := 0; c < Cols; c++ {
 			rec := &recorder{s: s}
 			if err := n.Register(id, rec.deliver, r, c); err != nil {
 				t.Fatalf("Register: %v", err)
@@ -41,7 +41,7 @@ func build(t *testing.T, seed int64, cfg Config) (*sim.Sim, *Network, map[NodeID
 
 func TestRegisterValidation(t *testing.T) {
 	s := sim.New(1)
-	n := New(s, DefaultConfig())
+	n := New(s)
 	if err := n.Register(0, (&recorder{s: s}).deliver, 0, 0); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestHops(t *testing.T) {
-	_, n, _ := build(t, 1, DefaultConfig())
+	_, n, _ := build(t, 1, table2)
 	// Node 0 at (0,0), node 7 at (1,3): 4 hops.
 	if got := n.Hops(0, 7); got != 4 {
 		t.Fatalf("Hops(0,7) = %d, want 4", got)
@@ -65,8 +65,7 @@ func TestHops(t *testing.T) {
 }
 
 func TestDeliveryAndLatencyBounds(t *testing.T) {
-	cfg := DefaultConfig()
-	s, n, recs := build(t, 2, cfg)
+	s, n, recs := build(t, 2, table2)
 	n.Send(0, 7, VNetRequest, "hello")
 	s.Run()
 	rec := recs[7]
@@ -74,8 +73,8 @@ func TestDeliveryAndLatencyBounds(t *testing.T) {
 		t.Fatalf("delivery wrong: %+v", rec)
 	}
 	hops := 4
-	min := cfg.RouterLatency*sim.Tick(hops+1) + cfg.LinkLatency*sim.Tick(hops)
-	max := min + cfg.JitterMax
+	min := RouterLatency*sim.Tick(hops+1) + LinkLatency*sim.Tick(hops)
+	max := min + JitterMax
 	if rec.at[0] < min || rec.at[0] > max {
 		t.Fatalf("arrival %d outside [%d,%d]", rec.at[0], min, max)
 	}
@@ -85,7 +84,7 @@ func TestChannelFIFO(t *testing.T) {
 	// Messages on one (src,dst,vnet) channel always arrive in order,
 	// whatever the jitter.
 	for seed := int64(0); seed < 20; seed++ {
-		s, n, recs := build(t, seed, DefaultConfig())
+		s, n, recs := build(t, seed, table2)
 		for i := 0; i < 50; i++ {
 			n.Send(0, 5, VNetResponse, i)
 		}
@@ -113,7 +112,7 @@ func TestCrossVNetReorderingPossible(t *testing.T) {
 	// jitter up to 12 some seed must reorder.
 	reordered := false
 	for seed := int64(0); seed < 64 && !reordered; seed++ {
-		s, n, recs := build(t, seed, DefaultConfig())
+		s, n, recs := build(t, seed, table2)
 		n.Send(1, 2, VNetResponse, "data")
 		n.Send(1, 2, VNetForward, "inv")
 		s.Run()
@@ -128,7 +127,7 @@ func TestCrossVNetReorderingPossible(t *testing.T) {
 }
 
 func TestLocalDeliver(t *testing.T) {
-	s, n, recs := build(t, 3, DefaultConfig())
+	s, n, recs := build(t, 3, table2)
 	n.LocalDeliver(4, VNetRequest, 7, "self")
 	s.Run()
 	rec := recs[4]
@@ -138,7 +137,7 @@ func TestLocalDeliver(t *testing.T) {
 }
 
 func TestSentCounters(t *testing.T) {
-	s, n, _ := build(t, 4, DefaultConfig())
+	s, n, _ := build(t, 4, table2)
 	n.Send(0, 1, VNetRequest, 1)
 	n.Send(0, 1, VNetRequest, 2)
 	n.Send(0, 1, VNetResponse, 3)
@@ -150,7 +149,7 @@ func TestSentCounters(t *testing.T) {
 
 func TestDeterministicDelivery(t *testing.T) {
 	run := func() []sim.Tick {
-		s, n, recs := build(t, 11, DefaultConfig())
+		s, n, recs := build(t, 11, table2)
 		for i := 0; i < 20; i++ {
 			n.Send(NodeID(i%4), NodeID(4+i%4), VNet(i%int(NumVNets)), i)
 		}
@@ -180,16 +179,14 @@ func TestVNetString(t *testing.T) {
 
 // zeroLatency is a network in which every unclamped message would arrive
 // the tick it is sent: only the channel table orders deliveries.
-func zeroLatency() Config {
-	return Config{Rows: 2, Cols: 4, LinkLatency: 0, RouterLatency: 0, JitterMax: 0, CongestionWindow: 0}
-}
+var zeroLatency = timing{}
 
 func TestChannelFIFOFromTickZero(t *testing.T) {
 	// At tick 0 with zero latency the first message of a channel arrives
 	// at tick 0 — the tick that also encodes "no previous arrival". The
 	// table must still clamp every later message of that channel behind
 	// it, one tick apart, and independently per (src, dst, vnet).
-	s, n, recs := build(t, 1, zeroLatency())
+	s, n, recs := build(t, 1, zeroLatency)
 	for i := 0; i < 4; i++ {
 		n.Send(0, 5, VNetRequest, i)
 	}
@@ -229,9 +226,8 @@ func TestRegisterAfterSendKeepsChannelState(t *testing.T) {
 	// Registering a node re-lays out the channel table; channels already
 	// in use must keep their FIFO clamp, and channels of the new node
 	// start empty.
-	cfg := zeroLatency()
 	s := sim.New(1)
-	n := New(s, cfg)
+	n := newNetwork(s, zeroLatency)
 	recs := map[NodeID]*recorder{}
 	register := func(id NodeID) {
 		recs[id] = &recorder{s: s}
@@ -262,7 +258,7 @@ func TestRegisterAfterSendKeepsChannelState(t *testing.T) {
 }
 
 func TestUnregisteredEndpointsPanic(t *testing.T) {
-	_, n, _ := build(t, 1, DefaultConfig())
+	_, n, _ := build(t, 1, table2)
 	panicOf := func(fn func()) (v any) {
 		defer func() { v = recover() }()
 		fn()
@@ -289,7 +285,7 @@ func TestUnregisteredEndpointsPanic(t *testing.T) {
 
 func TestSendAllocatesNothing(t *testing.T) {
 	s := sim.New(1)
-	n := New(s, DefaultConfig())
+	n := New(s)
 	sink := sim.Nop
 	for _, at := range []struct {
 		id       NodeID
@@ -315,7 +311,7 @@ func TestChannelTableLaidOutOnce(t *testing.T) {
 	// A machine registers its 17 nodes before the first message: the
 	// table is sized once, for all of them, by that message.
 	s := sim.New(1)
-	n := New(s, DefaultConfig())
+	n := New(s)
 	sink := sim.Nop
 	for id := NodeID(0); id < 17; id++ {
 		if err := n.Register(id, sink, int(id)%2, int(id)%4); err != nil {
@@ -335,7 +331,7 @@ func TestResetIdlesChannels(t *testing.T) {
 	// Three messages at tick 0 leave the channel busy until tick 3. On a
 	// reset network (and simulator) the next message arrives at tick 0
 	// again, and the counters restart.
-	s, n, recs := build(t, 1, zeroLatency())
+	s, n, recs := build(t, 1, zeroLatency)
 	for i := 0; i < 3; i++ {
 		n.Send(0, 5, VNetRequest, i)
 	}

@@ -134,8 +134,7 @@ func build(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	s := new(sim.Sim) // seeded by reset
-	mesh := interconnect.DefaultConfig()
-	net := interconnect.New(s, mesh)
+	net := interconnect.New(s)
 	mem := memsys.NewMemory()
 	m := &Machine{Cfg: cfg, Sim: s, Net: net, Mem: mem}
 	m.coreDone = func() { m.running-- }
@@ -151,10 +150,8 @@ func build(cfg Config) (*Machine, error) {
 	}
 	m.Ctrl = ctrl
 
-	pos := func(i int) (int, int) { return i / mesh.Cols, i % mesh.Cols }
-	cpuCfg := cpu.DefaultConfig()
-	cpuCfg.Bugs = cfg.Bugs
-	cpuCfg.Relax = cfg.Relax
+	pos := func(i int) (int, int) { return i / interconnect.Cols, i % interconnect.Cols }
+	cpuCfg := cpu.Config{Relax: cfg.Relax, Bugs: cfg.Bugs}
 
 	for i := 0; i < Cores; i++ {
 		row, col := pos(i)

@@ -25,11 +25,16 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if l2TileSize != 128*1024 || l2Ways != 4 {
 		t.Errorf("L2 tile = %d/%d-way, want 128KB 4-way", l2TileSize, l2Ways)
 	}
-	if mesh := interconnect.DefaultConfig(); mesh.Rows != 2 || mesh.Cols != 4 {
-		t.Errorf("mesh = %dx%d, want 2x4", mesh.Rows, mesh.Cols)
+	if interconnect.Rows != 2 || interconnect.Cols != 4 {
+		t.Errorf("mesh = %dx%d, want 2x4", interconnect.Rows, interconnect.Cols)
 	}
-	if c := cpu.DefaultConfig(); c.ROBSize != 40 || c.LSQSize != 32 || c.SBSize != 8 {
-		t.Errorf("ROB/LSQ/SB = %d/%d/%d, want 40/32/8", c.ROBSize, c.LSQSize, c.SBSize)
+	if interconnect.LinkLatency != 2 || interconnect.RouterLatency != 2 ||
+		interconnect.JitterMax != 12 || interconnect.CongestionWindow != 1 {
+		t.Errorf("link/router/jitter/congestion = %d/%d/%d/%d, want 2/2/12/1",
+			interconnect.LinkLatency, interconnect.RouterLatency, interconnect.JitterMax, interconnect.CongestionWindow)
+	}
+	if cpu.ROBSize != 40 || cpu.LSQSize != 32 || cpu.SBSize != 8 || cpu.NoFIFOWays != 4 {
+		t.Errorf("ROB/LSQ/SB/no-FIFO ways = %d/%d/%d/%d, want 40/32/8/4", cpu.ROBSize, cpu.LSQSize, cpu.SBSize, cpu.NoFIFOWays)
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/memmodel"
-	"repro/internal/memsys"
 )
 
 // Sign returns the signature of t's execution — collective.Signature of
@@ -27,24 +25,21 @@ import (
 // and a write sharing its key with subs 0 and 1, a fence with a zero
 // address and value. What the execution finds by building, the walk
 // reads off the shape: an rf edge names its source by the key it will
-// resolve to, a co order its writes, and the addresses the execution
-// holds without a co order are those read only from their initial
-// write — found, with the co orders that begin with one, through an
-// index of the trace's addresses. Its storage is the Materializer's,
-// so in steady state Sign allocates nothing.
+// resolve to, a co order its writes. The addresses reads take from the
+// initial write, sorted and each once, say which co orders begin with
+// the initial write and which addresses the execution holds with no co
+// order: those read only from it. Its storage is the Materializer's, so
+// in steady state Sign allocates nothing.
 func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
-	m.addrs, m.coInit = m.addrs[:0], m.coInit[:0]
 	listed := 0
 	for i := range t.CO {
 		c := &t.CO[i]
 		if len(c.Writes) == 0 || i > 0 && c.Addr <= t.CO[i-1].Addr {
 			return sig, false
 		}
-		m.addrs = append(m.addrs, c.Addr)
-		m.coInit = append(m.coInit, false)
 		listed += len(c.Writes)
 	}
-	m.index()
+	m.addrs = m.addrs[:0]
 
 	h := collective.NewHasher()
 	writes, rf := 0, t.RF
@@ -82,7 +77,7 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 			}
 			if rf[0].Init {
 				h.Write(memmodel.Key{TID: memmodel.InitTID}, op.Addr)
-				m.readsInit(op.Addr)
+				m.addrs = append(m.addrs, op.Addr)
 			} else {
 				w := rf[0].Write
 				h.Write(memmodel.Key{TID: w.TID, Instr: w.Instr, Sub: w.Sub}, op.Addr)
@@ -102,76 +97,31 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 		return sig, false
 	}
 
-	// The addresses read only from their initial write, in order, merged
-	// into the co orders' (already in order).
-	readOnly := m.addrs[len(t.CO):]
-	slices.Sort(readOnly)
+	// The addresses read from their initial write, in order and once
+	// each, merged into the co orders' (already in order): on an
+	// address with a co order the initial write comes first, on one
+	// without it is the order.
+	slices.Sort(m.addrs)
+	inits := slices.Compact(m.addrs)
 	for i := range t.CO {
 		c := &t.CO[i]
-		for len(readOnly) > 0 && readOnly[0] < c.Addr {
-			h.CO(readOnly[0])
-			h.Write(memmodel.Key{TID: memmodel.InitTID}, readOnly[0])
-			readOnly = readOnly[1:]
+		for len(inits) > 0 && inits[0] < c.Addr {
+			h.CO(inits[0])
+			h.Write(memmodel.Key{TID: memmodel.InitTID}, inits[0])
+			inits = inits[1:]
 		}
 		h.CO(c.Addr)
-		if m.coInit[i] {
+		if len(inits) > 0 && inits[0] == c.Addr {
 			h.Write(memmodel.Key{TID: memmodel.InitTID}, c.Addr)
+			inits = inits[1:]
 		}
 		for _, w := range c.Writes {
 			h.Write(memmodel.Key{TID: w.TID, Instr: w.Instr, Sub: w.Sub}, c.Addr)
 		}
 	}
-	for _, addr := range readOnly {
+	for _, addr := range inits {
 		h.CO(addr)
 		h.Write(memmodel.Key{TID: memmodel.InitTID}, addr)
 	}
 	return h.Sum(), true
-}
-
-// index builds the address index over addrs: an open-addressed table, a
-// power of two long and at most half full, whose cells hold a position
-// in addrs plus one (zero is empty).
-func (m *Materializer) index() {
-	size := 16
-	for size < 2*(len(m.addrs)+1) {
-		size *= 2
-	}
-	if cap(m.cells) < size {
-		m.cells = make([]int32, size)
-	}
-	m.cells = m.cells[:size]
-	m.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	clear(m.cells)
-	for i, addr := range m.addrs {
-		m.cells[m.probe(addr)] = int32(i) + 1
-	}
-}
-
-// probe returns the cell of addr, or the empty cell that ends its probe
-// sequence. Fibonacci hashing, as the execution's address table.
-func (m *Materializer) probe(addr memsys.Addr) int {
-	mask := len(m.cells) - 1
-	i := int(uint64(addr) * 0x9e3779b97f4a7c15 >> m.shift)
-	for ; m.cells[i] != 0 && m.addrs[m.cells[i]-1] != addr; i = (i + 1) & mask {
-	}
-	return i
-}
-
-// readsInit records that a read of addr reads the initial write: on the
-// address's co order when it has one, else by indexing the address as
-// one without.
-func (m *Materializer) readsInit(addr memsys.Addr) {
-	i := m.probe(addr)
-	if c := int(m.cells[i]); c != 0 {
-		if c <= len(m.coInit) {
-			m.coInit[c-1] = true
-		}
-		return
-	}
-	m.addrs = append(m.addrs, addr)
-	if 2*len(m.addrs) > len(m.cells) {
-		m.index()
-		return
-	}
-	m.cells[i] = int32(len(m.addrs))
 }

@@ -307,15 +307,8 @@ type Materializer struct {
 	// coherence order's resolved refs.
 	decls  []threadDecl
 	writes []relation.EventID
-	// addrs, cells and shift are Sign's address index: addrs holds the
-	// co orders' addresses, then those read only from their initial
-	// write; a cell, found from the top shift bits of an address's
-	// Fibonacci hash, holds a position in addrs. coInit marks the co
-	// orders whose address a read reads from the initial write.
-	addrs  []memsys.Addr
-	cells  []int32
-	shift  uint8
-	coInit []bool
+	// addrs is Sign's: the addresses reads take from the initial write.
+	addrs []memsys.Addr
 }
 
 // threadDecl is one thread declaration: its TID and its position in

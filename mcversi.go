@@ -35,13 +35,12 @@
 // RunCampaignSet runs the paper's unit of evaluation — several seeds of
 // one configuration, optionally across a scenario list — on all cores.
 //
-// See examples/ for complete programs and EXPERIMENTS.md for the
-// reproduction of every table and figure.
+// See examples/quickstart for a complete program and EXPERIMENTS.md for
+// the reproduction of every table and figure.
 package mcversi
 
 import (
 	"context"
-	"math/rand"
 
 	"repro/internal/bugs"
 	"repro/internal/core"
@@ -235,20 +234,12 @@ func DefaultLitmusConfig(proto Protocol) LitmusSuiteConfig {
 // TestCase is the GP chromosome: a flat list of ⟨pid, op⟩ genes.
 type TestCase = testgen.Test
 
-// NewRandomTestGenerator returns a Table 3 pseudo-random generator for
-// building tests outside a campaign (see examples/quickstart).
-func NewRandomTestGenerator(cfg testgen.Config, seed int64) (*testgen.Generator, error) {
-	return testgen.NewGenerator(cfg, rand.New(rand.NewSource(seed)))
-}
-
 // TestGenConfig configures test generation (Table 3).
 type TestGenConfig = testgen.Config
 
-// GPParams are the GP parameters (Table 3).
+// GPParams are the GP settings a campaign chooses: the population size.
+// Table 3's operator settings are constants.
 type GPParams = gp.Params
-
-// PaperGPParams returns Table 3's GP parameters.
-func PaperGPParams() GPParams { return gp.PaperParams() }
 
 // HostOptions configure the guest-host execution loop (Table 1, §4).
 type HostOptions = host.Options
