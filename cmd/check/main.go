@@ -229,43 +229,54 @@ func resolveModels(spec string) ([]string, error) {
 }
 
 // readTraces decodes every trace from the named files in order, or from
-// stdin when no files (or "-") are given.
+// stdin when no files (or "-") are given. Each file is closed once it is
+// decoded, so any number of files can be read.
 func readTraces(files []string, format string, stdin io.Reader) ([]*oracle.Trace, error) {
 	if len(files) == 0 {
 		files = []string{"-"}
 	}
 	var traces []*oracle.Trace
 	for _, name := range files {
-		var r io.Reader
 		if name == "-" {
-			r = stdin
-		} else {
-			f, err := os.Open(name)
-			if err != nil {
+			var err error
+			if traces, err = decodeTraces(traces, stdin, format, ""); err != nil {
 				return nil, err
 			}
-			defer f.Close()
-			r = f
+			continue
 		}
-		dec, err := oracle.NewTraceReader(r, format)
+		f, err := os.Open(name)
 		if err != nil {
 			return nil, err
 		}
-		for {
-			tr, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if name != "-" {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				return nil, err
-			}
-			traces = append(traces, tr)
+		traces, err = decodeTraces(traces, f, format, name)
+		f.Close()
+		if err != nil {
+			return nil, err
 		}
 	}
 	return traces, nil
+}
+
+// decodeTraces appends every trace of r to traces. An error met past the
+// stream's header names the file, unless name is "" (stdin).
+func decodeTraces(traces []*oracle.Trace, r io.Reader, format, name string) ([]*oracle.Trace, error) {
+	dec, err := oracle.NewTraceReader(r, format)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		tr, err := dec.Next()
+		if err == io.EOF {
+			return traces, nil
+		}
+		if err != nil {
+			if name != "" {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			return nil, err
+		}
+		traces = append(traces, tr)
+	}
 }
 
 // runEmitCorpus dumps the bundled litmus classics as a trace stream —

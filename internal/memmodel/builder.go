@@ -39,15 +39,6 @@ import (
 // overriding coherence orders) are spans of shared arrays, not slices of
 // their own: a trace touches hundreds of addresses a handful of times
 // each.
-//
-// Lookup is cheap on the strength of one property of its callers: keys
-// ascend within a thread (every canonical trace; builderThread.unordered
-// marks a thread whose keys do not, and only that thread pays for a
-// sorted index). Program order is then the key index, and the event
-// carrying instruction i of a thread whose last is n sits near the
-// i/(n+1)-th part of the thread — off only by how unevenly RMW halves
-// and pinned gaps fall — close enough that searching outward from there
-// beats searching the thread.
 type Builder struct {
 	x    *Execution
 	err  error
@@ -110,6 +101,17 @@ const pinInit relation.EventID = -2
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
 	return &Builder{x: NewExecution()}
+}
+
+// NewBuilderInto returns an empty builder that builds into x, which it
+// empties: x's storage is the builder's from then on, and the execution
+// Build returns is x. A caller that fills an execution by other means
+// too keeps one execution, not two, by handing it to the builder it
+// falls back on.
+func NewBuilderInto(x *Execution) *Builder {
+	b := &Builder{x: x}
+	b.Reset()
+	return b
 }
 
 // Reset empties the builder for another execution, keeping its storage.
@@ -278,65 +280,27 @@ func (b *Builder) keyIndex(slot int) []relation.EventID {
 }
 
 // Lookup returns the event carrying key — the first added, should
-// several carry it.
-//
-// It is a lower-bound search of the thread's key index that starts where
-// the key would sit were the thread's instructions spread evenly over its
-// events (exactly right when every key is positional), gallops out from
-// there until the key is bracketed and binary-searches only the bracket.
-// While a thread's keys ascend — every canonical trace — the index is the
-// program order itself and the guess is off by how unevenly RMW pairs and
-// pinned gaps fall, so resolving a trace's refs costs a few probes each,
-// not log(thread length). The guess is only a starting point: any index
-// sorted by (key, ID) gives the same answer from anywhere.
+// several carry it: a lower-bound binary search of the thread's key
+// index.
 func (b *Builder) Lookup(key Key) (relation.EventID, bool) {
 	slot := b.x.findThread(key.TID)
 	if slot < 0 || slot >= len(b.threads) {
 		return 0, false
 	}
 	events, ids := b.x.events, b.keyIndex(slot)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	// Invariant: every index ≤ lo holds a smaller key, every index ≥ hi
-	// one that is not smaller.
-	lo, hi := -1, len(ids)
-	at := 0
-	if last := events[ids[len(ids)-1]].Key.Instr; key.Instr > 0 && last > 0 {
-		// A product that wraps is still a guess.
-		at = int(min(uint64(key.Instr)*uint64(len(ids))/(uint64(last)+1), uint64(len(ids)-1)))
-	}
-	if compareKeys(events[ids[at]].Key, key) < 0 {
-		lo = at
-		for step := 1; lo+step < hi; step *= 2 {
-			if compareKeys(events[ids[lo+step]].Key, key) >= 0 {
-				hi = lo + step
-				break
-			}
-			lo += step
-		}
-	} else {
-		hi = at
-		for step := 1; hi-step > lo; step *= 2 {
-			if compareKeys(events[ids[hi-step]].Key, key) < 0 {
-				lo = hi - step
-				break
-			}
-			hi -= step
-		}
-	}
-	for lo+1 < hi {
+	lo, hi := 0, len(ids)
+	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if compareKeys(events[ids[mid]].Key, key) < 0 {
-			lo = mid
+			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if hi == len(ids) || events[ids[hi]].Key != key {
+	if lo == len(ids) || events[ids[lo]].Key != key {
 		return 0, false
 	}
-	return ids[hi], true
+	return ids[lo], true
 }
 
 // DuplicateKey reports whether two events share a key, returning the key
@@ -517,7 +481,7 @@ func (b *Builder) Build() (*Execution, error) {
 			a.seqFilled++
 		}
 	}
-	x.reserveCO(b.room)
+	x.ReserveCO(b.room)
 
 	// Coherence order first (the recorder's order too), address by
 	// address in first-write order: initial writes created during rf

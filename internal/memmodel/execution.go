@@ -54,7 +54,7 @@ type Execution struct {
 	addrTab []addrState
 	nInit   int
 	// coArena backs the coherence orders of an execution whose builder
-	// knew their lengths ahead (reserveCO).
+	// knew their lengths ahead (ReserveCO).
 	coArena []relation.EventID
 	// addrs is the answer of Addresses, valid while addrsValid (an
 	// address gaining its first event, or a reset, invalidates it).
@@ -234,20 +234,27 @@ func (x *Execution) slotOf(addr memsys.Addr) int32 {
 	return int32(slot)
 }
 
-// reserveCO gives the (still empty) coherence order of every address slot
-// room for room[slot] events, all out of one array the execution keeps —
-// for a builder that knows the lengths, one allocation at most instead of
-// one growing slice per address.
-func (x *Execution) reserveCO(room []int32) {
+// ReserveCO gives the coherence order of every address slot room for
+// room[slot] events, all out of one array the execution keeps — for a
+// builder that knows the lengths, one allocation at most instead of one
+// growing slice per address. It empties every coherence order, so it is
+// called before the first AppendCO or InitWrite; a slot past the end of
+// room gets no room. The room is a capacity, not a limit: an order that
+// outgrows it moves to storage of its own.
+func (x *Execution) ReserveCO(room []int32) {
 	total := 0
 	for _, n := range room {
 		total += int(n)
 	}
 	x.coArena = slices.Grow(x.coArena[:0], total)[:total]
 	off := 0
-	for slot, n := range room {
-		x.addrTab[slot].co = x.coArena[off : off : off+int(n)]
-		off += int(n)
+	for slot := range x.addrTab {
+		n := 0
+		if slot < len(room) {
+			n = int(room[slot])
+		}
+		x.addrTab[slot].co = x.coArena[off : off : off+n]
+		off += n
 	}
 }
 

@@ -1,13 +1,20 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/litmus"
+	"repro/internal/memmodel"
 	"repro/internal/memmodel/exectest"
+	"repro/internal/memsys"
+	"repro/internal/relation"
 )
 
 // TestMaterializeErrorPrecedence: the first malformed thing in trace
@@ -182,4 +189,233 @@ func TestMaterializeIntoGrownStorageAllocatesNothing(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("materializing into grown storage allocates %.0f objects, want 0", n)
 	}
+}
+
+// executionDiff says how got differs from want, or returns "": the
+// events (ID, key, kind, PO and the rest), each event's rf source,
+// coherence position and address slot, each address's coherence order,
+// the number of address slots, Threads and Addresses.
+func executionDiff(want, got *memmodel.Execution) string {
+	switch {
+	case !slices.Equal(want.Events(), got.Events()):
+		return fmt.Sprintf("events\n want %v\n got  %v", want.Events(), got.Events())
+	case !slices.Equal(want.Threads(), got.Threads()):
+		return fmt.Sprintf("threads %v, want %v", got.Threads(), want.Threads())
+	case !slices.Equal(want.Addresses(), got.Addresses()):
+		return fmt.Sprintf("addresses %v, want %v", got.Addresses(), want.Addresses())
+	case want.NumAddrSlots() != got.NumAddrSlots():
+		return fmt.Sprintf("%d address slots, want %d", got.NumAddrSlots(), want.NumAddrSlots())
+	}
+	for id := range relation.EventID(want.NumEvents()) {
+		wrf, wok := want.RF(id)
+		grf, gok := got.RF(id)
+		wco, wcok := want.COIndex(id)
+		gco, gcok := got.COIndex(id)
+		switch {
+		case wrf != grf || wok != gok:
+			return fmt.Sprintf("event %d reads from %d, %v; want %d, %v", id, grf, gok, wrf, wok)
+		case wco != gco || wcok != gcok:
+			return fmt.Sprintf("event %d at co position %d, %v; want %d, %v", id, gco, gcok, wco, wcok)
+		case want.AddrSlot(id) != got.AddrSlot(id):
+			return fmt.Sprintf("event %d in address slot %d, want %d", id, got.AddrSlot(id), want.AddrSlot(id))
+		}
+	}
+	for _, addr := range want.Addresses() {
+		if !slices.Equal(want.CO(addr), got.CO(addr)) {
+			return fmt.Sprintf("co of %#x is %v, want %v", uint64(addr), got.CO(addr), want.CO(addr))
+		}
+	}
+	return ""
+}
+
+// checkRoutes holds Materializer.Execution to the Builder route on tr:
+// fresh, and on storage that last held residue (built by the Builder)
+// and then canonicalResidue (built from its fields), it gives the
+// execution, or the error, the Builder route gives on storage of its
+// own. It reports whether tr was built from its fields.
+func checkRoutes(t testing.TB, tr *Trace) bool {
+	t.Helper()
+	var ref Materializer
+	want, werr := ref.viaBuilder(tr)
+	var used Materializer
+	for _, prior := range []*Trace{residue, canonicalResidue} {
+		if _, err := used.Execution(prior); err != nil {
+			t.Fatalf("%s: %v", prior.Name, err)
+		}
+	}
+	for _, m := range []*Materializer{new(Materializer), &used} {
+		got, gerr := m.Execution(tr)
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+			t.Fatalf("%s: the Builder route gives error %v, Execution %v", tr.Name, werr, gerr)
+		}
+		if werr == nil {
+			if d := executionDiff(want, got); d != "" {
+				t.Fatalf("%s: Execution differs from the Builder route: %s", tr.Name, d)
+			}
+		}
+	}
+	var probe Materializer
+	_, direct := probe.build(tr)
+	if direct && werr != nil {
+		t.Fatalf("%s: built from its fields, but the Builder route fails: %v", tr.Name, werr)
+	}
+	return direct
+}
+
+// TestMaterializeMatchesBuilder: random executions as canonical traces,
+// their text and binary round trips and the litmus classics are built
+// from their fields, into fresh and into used storage, to exactly the
+// execution the Builder route builds; the extreme and residue traces,
+// which are not canonical, and their canonical forms agree as well; and
+// traces of the canonical shape that fail one check each go through the
+// Builder and fail with its error.
+func TestMaterializeMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xb1d))
+	for i := 0; i < 3000; i++ {
+		tr, err := FromExecution("rand", randExec(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text, bin bytes.Buffer
+		if err := WriteText(&text, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(&bin, tr); err != nil {
+			t.Fatal(err)
+		}
+		fromText, err := DecodeAll(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBin, err := DecodeAllBinary(&bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []*Trace{tr, fromText[0], fromBin[0]} {
+			if !checkRoutes(t, v) {
+				t.Fatalf("iter %d: a canonical trace went through the Builder", i)
+			}
+		}
+	}
+	for _, tr := range []*Trace{extremeTrace(), residue} {
+		if checkRoutes(t, tr) {
+			t.Fatalf("%s: a trace of another shape was built from its fields", tr.Name)
+		}
+		canon, err := FromExecution(tr.Name, executionOf(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkRoutes(t, canon) {
+			t.Fatalf("%s: its canonical form went through the Builder", tr.Name)
+		}
+	}
+	// Of the canonical shape, but failing one check each: the Builder
+	// route words the error.
+	w := func(instr int, addr memsys.Addr, v uint64) Op {
+		return Op{Kind: OpWrite, Addr: addr, Value: v, Keyed: true, Instr: instr}
+	}
+	r := func(instr int, addr memsys.Addr, v uint64) Op {
+		return Op{Kind: OpRead, Addr: addr, Value: v, Keyed: true, Instr: instr}
+	}
+	ref := func(instr int) Ref { return Ref{TID: 0, Instr: instr} }
+	co := func(addr memsys.Addr, instrs ...int) COOrder {
+		o := COOrder{Addr: addr}
+		for _, i := range instrs {
+			o.Writes = append(o.Writes, ref(i))
+		}
+		return o
+	}
+	for name, tr := range map[string]*Trace{
+		"fence repeats a write's key": {
+			Threads: []Thread{{Ops: []Op{w(0, 0x100, 1), {Kind: OpFence, Keyed: true}}}},
+			CO:      []COOrder{co(0x100, 0)},
+		},
+		"write repeats a read's key": {
+			Threads: []Thread{{Ops: []Op{r(0, 0x100, 0), w(0, 0x100, 1)}}},
+			RF:      []RFEdge{{Read: ref(0), Init: true}},
+			CO:      []COOrder{co(0x100, 0)},
+		},
+		"unknown fence kind": {
+			Threads: []Thread{{Ops: []Op{{Kind: OpFence, Fence: memmodel.NumFenceKinds}}}},
+		},
+		"write listed at another address": {
+			Threads: []Thread{{Ops: []Op{w(0, 0x100, 1), w(1, 0x200, 2)}}},
+			CO:      []COOrder{co(0x100, 1), co(0x200, 0)},
+		},
+		"write listed twice": {
+			Threads: []Thread{{Ops: []Op{w(0, 0x100, 1), w(1, 0x100, 2)}}},
+			CO:      []COOrder{co(0x100, 0, 0)},
+		},
+		"co names an unknown event": {
+			Threads: []Thread{{Ops: []Op{w(0, 0x100, 1)}}},
+			CO:      []COOrder{co(0x100, 5)},
+		},
+		"rf across addresses": {
+			Threads: []Thread{{Ops: []Op{w(0, 0x100, 1), r(1, 0x200, 1)}}},
+			RF:      []RFEdge{{Read: ref(1), Write: ref(0)}},
+			CO:      []COOrder{co(0x100, 0)},
+		},
+		"rf from a read": {
+			Threads: []Thread{{Ops: []Op{r(0, 0x100, 0), r(1, 0x100, 0)}}},
+			RF:      []RFEdge{{Read: ref(0), Init: true}, {Read: ref(1), Write: ref(0)}},
+		},
+		"rf value mismatch": {
+			Threads: []Thread{{Ops: []Op{w(0, 0x100, 1), r(1, 0x100, 2)}}},
+			RF:      []RFEdge{{Read: ref(1), Write: ref(0)}},
+			CO:      []COOrder{co(0x100, 0)},
+		},
+	} {
+		tr.Name = strings.ReplaceAll(name, " ", "-")
+		var m Materializer
+		if _, ok := m.Sign(tr); !ok {
+			t.Fatalf("%s: not of the canonical shape", name)
+		}
+		if checkRoutes(t, tr) {
+			t.Fatalf("%s: built from its fields", name)
+		}
+		if _, err := tr.Execution(); err == nil {
+			t.Fatalf("%s: materialized", name)
+		}
+	}
+	for _, k := range litmus.Corpus() {
+		lt, ok := k.Materialize()
+		if !ok {
+			t.Fatalf("%s does not materialize", k.Name)
+		}
+		x, ok := lt.Execution()
+		if !ok {
+			t.Fatalf("%s has no execution", k.Name)
+		}
+		tr, err := FromExecution(k.Name, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkRoutes(t, tr) {
+			t.Fatalf("%s: a litmus classic went through the Builder", k.Name)
+		}
+	}
+}
+
+// FuzzMaterialize: a random execution as a canonical trace, edited as
+// FuzzSignTrace edits it, materializes — fresh and into used storage —
+// to what the Builder route builds, or fails with its error. Unedited,
+// it is built from its fields.
+func FuzzMaterialize(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{4, 3})
+	f.Add(int64(3), []byte{5, 0, 7, 1})
+	f.Add(int64(4), []byte{6, 7, 8, 2})
+	f.Add(int64(5), []byte{1, 0, 11, 4})
+	f.Add(int64(6), []byte{9, 0, 10, 1, 4, 8})
+	f.Add(int64(7), []byte{12, 0})
+	f.Fuzz(func(t *testing.T, seed int64, muts []byte) {
+		tr, err := FromExecution("fuzz", randExec(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(tr, muts)
+		if !checkRoutes(t, tr) && len(muts) < 2 {
+			t.Fatal("an unedited canonical trace went through the Builder")
+		}
+	})
 }

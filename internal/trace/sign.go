@@ -9,17 +9,10 @@ import (
 
 // Sign returns the signature of t's execution — collective.Signature of
 // what Execution builds — computed from t's fields, with no builder and
-// no execution, when t has the canonical shape FromExecution and both
-// encoders write:
-//
-//   - thread TIDs strictly ascending, none of them memmodel.InitTID;
-//   - exactly one rf edge per read, in thread-major program order;
-//   - a nonempty co order for every written address, strictly ascending
-//     by address.
-//
-// ok is false for any other shape; the caller then signs the execution.
-// For a canonical trace that fails to materialize, Sign still answers:
-// a signature no execution has, under which nothing is ever decided.
+// no execution, when t has the canonical shape (see canonical). ok is
+// false for any other shape; the caller then signs the execution. For a
+// canonical trace that fails to materialize, Sign still answers: a
+// signature no execution has, under which nothing is ever decided.
 //
 // The walk is the materializer's: op keys by Op.key, an RMW as a read
 // and a write sharing its key with subs 0 and 1, a fence with a zero
@@ -31,23 +24,18 @@ import (
 // order: those read only from it. Its storage is the Materializer's, so
 // in steady state Sign allocates nothing.
 func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
-	listed := 0
-	for i := range t.CO {
-		c := &t.CO[i]
-		if len(c.Writes) == 0 || i > 0 && c.Addr <= t.CO[i-1].Addr {
-			return sig, false
-		}
-		listed += len(c.Writes)
+	var c canonical
+	if !c.start(t) {
+		return sig, false
 	}
 	m.addrs = m.addrs[:0]
 
 	h := collective.NewHasher()
-	writes, rf := 0, t.RF
 	for ti := range t.Threads {
-		th := &t.Threads[ti]
-		if th.TID == memmodel.InitTID || ti > 0 && th.TID <= t.Threads[ti-1].TID {
+		if !c.thread(ti) {
 			return sig, false
 		}
+		th := &t.Threads[ti]
 		if len(th.Ops) > 0 {
 			h.Thread(th.TID)
 		}
@@ -61,7 +49,7 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 				h.Event(k, memmodel.KindRead, 0, op.Addr, op.Value, op.Atomic)
 			case OpWrite:
 				h.Event(k, memmodel.KindWrite, 0, op.Addr, op.Value, op.Atomic)
-				writes++
+				c.write()
 				continue
 			case OpFence:
 				h.Event(k, memmodel.KindFence, op.Fence, 0, 0, false)
@@ -72,28 +60,24 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 				return sig, false
 			}
 			// The read, or an RMW's read half: its source.
-			if len(rf) == 0 || rf[0].Read != (Ref{TID: k.TID, Instr: k.Instr, Sub: k.Sub}) {
+			e, ok := c.read(k)
+			if !ok {
 				return sig, false
 			}
-			if rf[0].Init {
+			if e.Init {
 				h.Write(memmodel.Key{TID: memmodel.InitTID}, op.Addr)
 				m.addrs = append(m.addrs, op.Addr)
 			} else {
-				w := rf[0].Write
-				h.Write(memmodel.Key{TID: w.TID, Instr: w.Instr, Sub: w.Sub}, op.Addr)
+				h.Write(memmodel.Key{TID: e.Write.TID, Instr: e.Write.Instr, Sub: e.Write.Sub}, op.Addr)
 			}
-			rf = rf[1:]
 			if op.Kind == OpRMW {
 				k.Sub = 1
 				h.Event(k, memmodel.KindWrite, 0, op.Addr, op.Value2, true)
-				writes++
+				c.write()
 			}
 		}
 	}
-	// Every rf edge named a read, and the co orders list as many writes
-	// as there are: a trace that materializes lists each write once, at
-	// its own address, so no written address is left without an order.
-	if len(rf) != 0 || listed != writes {
+	if !c.end() {
 		return sig, false
 	}
 

@@ -178,7 +178,7 @@ func mutate(tr *Trace, muts []byte) {
 		return th, &th.Ops[(arg/len(tr.Threads))%len(th.Ops)]
 	}
 	for len(muts) >= 2 {
-		edit, arg := muts[0]%12, int(muts[1])
+		edit, arg := muts[0]%13, int(muts[1])
 		muts = muts[2:]
 		switch edit {
 		case 0: // reorder two rf edges
@@ -233,15 +233,21 @@ func mutate(tr *Trace, muts []byte) {
 			if _, op := ops(arg); op != nil {
 				op.Value = math.MaxUint64
 			}
+		case 12: // two co orders trade their first writes
+			if n := len(tr.CO); n > 1 {
+				a, b := &tr.CO[arg%n], &tr.CO[(arg/n+1)%n]
+				a.Writes[0], b.Writes[0] = b.Writes[0], a.Writes[0]
+			}
 		}
 	}
 }
 
 // FuzzSignTrace: a random execution as a canonical trace, edited —
-// rf edges reordered, co orders dropped or unsorted, threads swapped,
-// keys pinned, RMWs, fences, initial-write reads, read-only addresses,
-// extreme TIDs, addresses and values — signs directly, if at all, as its
-// execution signs when it has one. Unedited, it always signs directly.
+// rf edges reordered, co orders dropped, unsorted or trading writes,
+// threads swapped, keys pinned, RMWs, fences, initial-write reads,
+// read-only addresses, extreme TIDs, addresses and values — signs
+// directly, if at all, as its execution signs when it has one. Unedited,
+// it always signs directly.
 func FuzzSignTrace(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{0, 3})

@@ -25,7 +25,9 @@
 // per read in program order, a co order per written address in address
 // order — is signed from its own fields (Materializer.Sign), to the same
 // 128 bits collective.Signature gives the execution it builds, without
-// building it. Any other trace is signed through its execution.
+// building it, and is built from them too, with no memmodel.Builder.
+// Any other trace is signed through its execution, which the Builder
+// builds.
 //
 // The two formats carry exactly the same traces: both encoders refuse,
 // and both decoders reject, a trace the other format could not carry
@@ -283,30 +285,37 @@ func (o *Op) key(tid, next int) (memmodel.Key, int) {
 	return memmodel.Key{TID: tid, Instr: next}, next + 1
 }
 
-// Execution materializes the trace as a candidate execution via
-// memmodel.Builder, sharing its well-formedness rules: explicit rf/co
-// observations are pinned, everything else resolves by value and
-// registration order. Events are added thread-major in declaration
-// order, so decoding the same trace always yields byte-identical
-// executions. The execution is built in storage of its own and belongs
+// Execution materializes the trace as a candidate execution with
+// memmodel.Builder's well-formedness rules: explicit rf/co observations
+// are pinned, everything else resolves by value and registration order.
+// Events are added thread-major in declaration order, so decoding the
+// same trace always yields byte-identical executions. The execution is built in storage of its own and belongs
 // to the caller; a Materializer is the variant that reuses storage.
 func (t *Trace) Execution() (*memmodel.Execution, error) {
 	return new(Materializer).Execution(t)
 }
 
 // Materializer materializes and signs traces one after another in
-// storage it keeps — one memmodel.Builder and the execution inside it,
-// and Sign's address index — so a caller deciding a stream of traces
-// allocates for the largest, not for each. The execution a call returns
-// is only good until the next call: whoever needs to keep one uses
+// storage it keeps — one execution, and Sign's list of the addresses
+// read from their initial writes — so a caller deciding a stream of
+// traces allocates for the largest, not for each. A trace of the
+// canonical shape is built straight into the execution (build); any
+// other goes through a memmodel.Builder over the same execution, made
+// when the first such trace arrives. The execution a call returns is
+// only good until the next call: whoever needs to keep one uses
 // Trace.Execution. The zero value is ready; a Materializer is
 // single-goroutine.
 type Materializer struct {
+	x *memmodel.Execution
 	b *memmodel.Builder
 	// decls is the thread declarations sorted by TID; writes one
-	// coherence order's resolved refs.
+	// coherence order's resolved refs (both the Builder route's).
 	decls  []threadDecl
 	writes []relation.EventID
+	// keys and room are build's: its events by key, and the room for
+	// each address slot's coherence order.
+	keys keyTable
+	room []int32
 	// addrs is Sign's: the addresses reads take from the initial write.
 	addrs []memsys.Addr
 }
@@ -342,10 +351,30 @@ func (m *Materializer) declare(t *Trace) int {
 }
 
 // Execution is Trace.Execution into the materializer's storage: the same
-// routine, the same execution event for event, the same errors.
+// execution event for event, the same errors. A trace of the canonical
+// shape is built from its fields; any other, and a canonical one that
+// fails a check, through the Builder, from scratch.
 func (m *Materializer) Execution(t *Trace) (*memmodel.Execution, error) {
+	if x, ok := m.build(t); ok {
+		return x, nil
+	}
+	return m.viaBuilder(t)
+}
+
+// execution returns the one execution m keeps, made on first use.
+func (m *Materializer) execution() *memmodel.Execution {
+	if m.x == nil {
+		m.x = memmodel.NewExecution()
+	}
+	return m.x
+}
+
+// viaBuilder materializes t through a memmodel.Builder over m.x: the
+// route of every trace build does not take, and the reference build is
+// tested against.
+func (m *Materializer) viaBuilder(t *Trace) (*memmodel.Execution, error) {
 	if m.b == nil {
-		m.b = memmodel.NewBuilder()
+		m.b = memmodel.NewBuilderInto(m.execution())
 	} else {
 		m.b.Reset()
 	}

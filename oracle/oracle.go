@@ -39,11 +39,12 @@
 // four.
 //
 // What a Checker keeps: its scratch for the exact procedure and, for
-// CheckTrace, the index it signs traces with and one builder with the
-// execution inside it, into which a trace is materialized when it has to
-// be — the storage grows to the largest trace seen and is reused for the
-// next, so deciding a stream of traces does not allocate an execution
-// per trace. Nothing of it
+// CheckTrace, one execution into which a trace is materialized when it
+// has to be — straight from the trace's fields when it has the canonical
+// shape every encoder writes, else through a Builder over the same
+// execution — the storage grows to the largest trace seen and is reused
+// for the next, so deciding a stream of traces does not allocate an
+// execution per trace. Nothing of it
 // escapes: verdicts and memo entries carry event IDs and strings, never
 // the execution. Executions a caller builds (Builder), takes from
 // Trace.Execution or hands to CheckExecution/CheckSig are the caller's:
@@ -234,9 +235,8 @@ type Checker struct {
 	// sign is the method value a trace no Checker has signed is signed
 	// with, made once for the same reason.
 	sign func(*Trace) (Sig, *Execution, error)
-	// mat is where CheckTrace signs and materializes: Sign's index, one
-	// builder and execution, reused for every trace. pending is the trace
-	// CheckTrace is deciding.
+	// mat is where CheckTrace signs and materializes, in one execution
+	// reused for every trace. pending is the trace CheckTrace is deciding.
 	mat     trace.Materializer
 	pending *Trace
 }
