@@ -1,28 +1,18 @@
 package mcversi
 
-// The benchmark harness regenerates every table of the paper's
-// evaluation at a scaled budget (see EXPERIMENTS.md, "Table 4" to
-// "Table 6" for the scale and "Benchmarks" for how to run these):
-//
-//	BenchmarkTable4 — bug coverage per generator configuration
-//	BenchmarkTable5 — bugs found under stepped budgets
-//	BenchmarkTable6 — maximum total transition coverage
-//
-// plus the ablations the paper reports in prose: checker share of
-// wall-clock (§5.2.1), host-vs-guest barrier cost (§4) and NDT evolution
-// under the selective crossover (§6.1). cmd/tables regenerates the same
-// tables at larger budgets.
+// Microbenchmarks of the loop's layers: the checker on one long
+// execution, the simulator's instruction rate, one litmus suite pass,
+// Algorithm 1's selective crossover and the island schedule. The
+// paper's tables are regenerated by cmd/tables, and its in-text claims
+// are measured once in EXPERIMENTS.md, "The paper's prose claims".
 
 import (
 	"context"
 	"math/rand"
-	"os"
 	"testing"
 
-	"repro/internal/bugs"
 	"repro/internal/checker"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/fleet"
 	"repro/internal/gp"
 	"repro/internal/host"
@@ -33,79 +23,9 @@ import (
 	"repro/internal/testgen"
 )
 
-// skipHeavy keeps the multi-minute eval benches out of -short runs
-// (CI runs go test -short -race; see .github/workflows/ci.yml).
-func skipHeavy(b *testing.B) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("heavy eval benchmark; skipped in -short mode")
-	}
-}
-
-// quickBugs is the Table 4 subset exercised per benchmark run: one easy
-// pipeline bug, one write-reorder bug, one transient-state protocol bug
-// and one replacement bug (the 8KB-only class). cmd/tables runs all 11.
-func quickBugs() []bugs.Bug {
-	var out []bugs.Bug
-	for _, name := range []string{"LQ+no-TSO", "SQ+no-FIFO", "MESI,LQ+IS,Inv", "MESI,LQ+S,Replacement"} {
-		b, err := bugs.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-func BenchmarkTable4(b *testing.B) {
-	skipHeavy(b)
-	sc := eval.QuickScale()
-	for i := 0; i < b.N; i++ {
-		out := os.Stdout
-		if i > 0 {
-			out, _ = os.Open(os.DevNull)
-		}
-		if err := eval.Table4(out, eval.Columns(), quickBugs(), sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5(b *testing.B) {
-	skipHeavy(b)
-	sc := eval.QuickScale()
-	specs := []eval.GeneratorSpec{eval.Columns()[1], eval.Columns()[5], eval.Columns()[6]}
-	for i := 0; i < b.N; i++ {
-		out := os.Stdout
-		if i > 0 {
-			out, _ = os.Open(os.DevNull)
-		}
-		if err := eval.Table5(out, specs, quickBugs(), sc, []int{60, 150, 300}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable6(b *testing.B) {
-	skipHeavy(b)
-	sc := eval.QuickScale()
-	sc.Samples = 1
-	sc.Budget = 120
-	specs := []eval.GeneratorSpec{eval.Columns()[0], eval.Columns()[1], eval.Columns()[4], eval.Columns()[5]}
-	for i := 0; i < b.N; i++ {
-		out := os.Stdout
-		if i > 0 {
-			out, _ = os.Open(os.DevNull)
-		}
-		if err := eval.Table6(out, specs, sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCheckerShare measures the axiomatic checker in isolation: the
-// paper reports it consumes 30–40% of wall-clock time at 1k-operation
-// tests (§5.2.1).
+// BenchmarkCheckerShare times the axiomatic checker alone on one serial
+// 1000-op execution. The paper's §5.2.1 share of wall time is recorded
+// in EXPERIMENTS.md, "The paper's prose claims".
 func BenchmarkCheckerShare(b *testing.B) {
 	gen, err := testgen.NewGenerator(testgen.Config{
 		Size: 1000, Threads: 8, Layout: memsys.MustLayout(8192, 16),
@@ -143,82 +63,9 @@ func BenchmarkCheckerShare(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierAblation compares host-assisted and guest barriers:
-// the §4 claim that host assistance is mandatory for very short tests.
-// Reported metric: simulated ticks per test-run under each barrier.
-func BenchmarkBarrierAblation(b *testing.B) {
-	for _, kind := range []host.BarrierKind{host.HostBarrier, host.GuestBarrier} {
-		b.Run(kind.String(), func(b *testing.B) {
-			cfg := machine.DefaultConfig()
-			cfg.Seed = 5
-			rec := checker.NewRecorder(memmodel.TSO{})
-			trap := host.NewErrorTrap()
-			m, err := machine.New(cfg, nil, trap, rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := host.New(m, rec, trap, host.Options{
-				Iterations: 3, Barrier: kind, MaxTicksPerIteration: 30_000_000,
-			})
-			gen, err := testgen.NewGenerator(testgen.Config{
-				Size: 96, Threads: 8, Layout: memsys.MustLayout(1024, 16),
-			}, rand.New(rand.NewSource(7)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ticks uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := h.RunTest(gen.NewTest())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Violation != nil {
-					b.Fatalf("unexpected violation: %v", res.Violation)
-				}
-				ticks += uint64(res.Ticks)
-			}
-			b.ReportMetric(float64(ticks)/float64(b.N), "sim-ticks/run")
-		})
-	}
-}
-
-// BenchmarkNDTEvolution runs a short GP campaign at 8KB and reports the
-// maximum NDT reached — §6.1: 8KB configurations start near 1.1 and only
-// the selective crossover pushes past 2.0 at the paper's scale.
-func BenchmarkNDTEvolution(b *testing.B) {
-	skipHeavy(b)
-	for _, kind := range []core.GeneratorKind{core.GenGPAll, core.GenRandom} {
-		b.Run(string(kind), func(b *testing.B) {
-			var maxNDT float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.Generator = kind
-				cfg.Seed = 13
-				cfg.Test = testgen.Config{
-					Size: 96, Threads: 8, Layout: memsys.MustLayout(8192, 16),
-				}
-				cfg.GP = gp.PaperParams()
-				cfg.GP.PopulationSize = 24
-				cfg.Host = host.Options{Iterations: 3, Barrier: host.HostBarrier, MaxTicksPerIteration: 30_000_000}
-				cfg.MaxTestRuns = 150
-				res, err := core.RunCampaign(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Found {
-					b.Fatalf("bug-free campaign found %s", res.Detail)
-				}
-				maxNDT = res.MaxNDT
-			}
-			b.ReportMetric(maxNDT, "maxNDT")
-		})
-	}
-}
-
-// BenchmarkSimThroughput reports simulated instructions per host second
-// (the paper's host sustains ~30k; the simplified substrate is far
-// faster, which is what lets the scaled tables run in minutes).
+// BenchmarkSimThroughput reports simulated instructions per test-run;
+// with ns/op that is the simulator's instruction rate, recorded beside
+// the paper's ~30k/s in EXPERIMENTS.md, "The paper's prose claims".
 func BenchmarkSimThroughput(b *testing.B) {
 	cfg := machine.DefaultConfig()
 	cfg.Seed = 9

@@ -78,8 +78,6 @@ type Cell struct {
 	Samples   int
 	MeanRuns  float64 // mean test-runs to find, over found samples
 	MeanSimMS float64 // mean simulated milliseconds to find
-	Coverage  float64 // max total coverage across samples (Table 6)
-	MaxNDT    float64
 }
 
 func (c Cell) String() string {
@@ -128,12 +126,6 @@ func RunCell(spec GeneratorSpec, bug bugs.Bug, sc Scale) (Cell, error) {
 			return cell, err
 		}
 		for _, res := range set.Results {
-			if res.TotalCoverage > cell.Coverage {
-				cell.Coverage = res.TotalCoverage
-			}
-			if res.MaxNDT > cell.MaxNDT {
-				cell.MaxNDT = res.MaxNDT
-			}
 			if res.Found {
 				cell.Found++
 				runs = append(runs, float64(res.TestRuns))
@@ -289,66 +281,40 @@ func ScenarioMatrix(w io.Writer, sc Scale) error {
 }
 
 // Table6 reports maximum total transition coverage per protocol per
-// generator, from bug-free campaigns.
+// generator, from bug-free campaigns. Each generator column is one
+// campaign set over both protocols, so a column's numbers do not depend
+// on which other columns are requested.
 func Table6(w io.Writer, specs []GeneratorSpec, sc Scale) error {
 	fmt.Fprintf(w, "Table 6 (scaled): max total transition coverage observed\n\n")
 	fmt.Fprintf(w, "%-10s", "Protocol")
+	protos := []machine.Protocol{machine.MESI, machine.TSOCC}
+	scens := []scenario.Scenario{scenario.ForBug(protos[0], ""), scenario.ForBug(protos[1], "")}
+	// best[c][p] is column c's maximum over protocol p's samples.
+	var best [][]float64
 	for _, spec := range specs {
 		if spec.Litmus {
 			continue
 		}
 		fmt.Fprintf(w, " | %-22s", spec.Name)
+		cfg := core.ScaledConfig(spec.Kind, scens[0], spec.MemBytes)
+		cfg.MaxTestRuns = sc.Budget
+		set, err := fleet.LocalMerged(context.Background(), core.NewSpec(cfg, scens, sc.Samples, sc.Seed),
+			fleet.Options{Workers: sc.Parallel})
+		if err != nil {
+			return err
+		}
+		col := make([]float64, len(protos))
+		for i, res := range set.Results {
+			p := i / sc.Samples
+			col[p] = max(col[p], res.TotalCoverage)
+		}
+		best = append(best, col)
 	}
 	fmt.Fprintln(w)
-	protos := []machine.Protocol{machine.MESI, machine.TSOCC}
-	var cols []GeneratorSpec
-	for _, spec := range specs {
-		if !spec.Litmus {
-			cols = append(cols, spec)
-		}
-	}
-	// One work item per (protocol, generator, sample); Table 6 keeps
-	// its historical 104729 seed stride, independent of sharding.
-	type item struct {
-		proto  machine.Protocol
-		spec   GeneratorSpec
-		sample int
-	}
-	var items []item
-	for _, proto := range protos {
-		for _, spec := range cols {
-			for s := 0; s < sc.Samples; s++ {
-				items = append(items, item{proto, spec, s})
-			}
-		}
-	}
-	bests, err := fleet.Map(context.Background(), sc.Parallel, len(items),
-		func(_ context.Context, i int) (float64, error) {
-			cfg := core.ScaledConfig(items[i].spec.Kind, scenario.ForBug(items[i].proto, ""), items[i].spec.MemBytes)
-			cfg.MaxTestRuns = sc.Budget
-			cfg.Seed = sc.Seed + int64(items[i].sample)*104729
-			res, err := core.RunCampaign(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.TotalCoverage, nil
-		})
-	if err != nil {
-		return err
-	}
-	// Consume in the exact order items was built.
-	k := 0
-	for _, proto := range protos {
+	for p, proto := range protos {
 		fmt.Fprintf(w, "%-10s", proto)
-		for range cols {
-			best := 0.0
-			for s := 0; s < sc.Samples; s++ {
-				if bests[k] > best {
-					best = bests[k]
-				}
-				k++
-			}
-			fmt.Fprintf(w, " | %21.1f%%", 100*best)
+		for _, col := range best {
+			fmt.Fprintf(w, " | %21.1f%%", 100*col[p])
 		}
 		fmt.Fprintln(w)
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,9 +65,11 @@ func TestTable5ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTable6Parallel: sharding does not change Table 6, and a column
+// reads the same whichever other columns are requested with it.
 func TestTable6Parallel(t *testing.T) {
 	var seq, par bytes.Buffer
-	specs := []GeneratorSpec{Columns()[4]}
+	specs := []GeneratorSpec{Columns()[4], Columns()[0]}
 	if err := Table6(&seq, specs, tinyScale(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +79,25 @@ func TestTable6Parallel(t *testing.T) {
 	if seq.String() != par.String() {
 		t.Errorf("parallel Table 6 diverges from sequential:\n--- seq ---\n%s--- par ---\n%s", seq.String(), par.String())
 	}
+	for c, spec := range specs {
+		var alone bytes.Buffer
+		if err := Table6(&alone, []GeneratorSpec{spec}, tinyScale(1)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := table6Column(alone.String(), 0), table6Column(seq.String(), c); !slices.Equal(got, want) {
+			t.Errorf("column %q alone reads %q, beside another column %q", spec.Name, got, want)
+		}
+	}
+}
+
+// table6Column returns column c of a rendered Table 6: its header cell,
+// then one cell per protocol row.
+func table6Column(out string, c int) []string {
+	var col []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
+		col = append(col, strings.Split(line, " | ")[c+1])
+	}
+	return col
 }
 
 // TestScenarioMatrixReport: the matrix report renders the corpus
