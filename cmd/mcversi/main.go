@@ -3,9 +3,8 @@
 // simulated MESI or TSO-CC machine, checked against a scenario's
 // axiomatic model. Every invocation is one campaign set — scenarios ×
 // samples, described by a serializable spec — sharded across cores by
-// the campaign fleet, or across machines by a mcversid service with
-// -remote; results are identical either way for a fixed seed, and at
-// any -parallel.
+// the campaign fleet. Results are identical for a fixed seed at any
+// -parallel.
 //
 // The verification target is a scenario (-list-scenarios to enumerate):
 //
@@ -15,6 +14,15 @@
 //
 // Without -scenario, -protocol/-bug describe one: the paper's TSO
 // target on that protocol with that bug injected.
+//
+// A campaign set spreads across processes or hosts as static shards:
+// each of N processes runs one contiguous item range and writes a shard
+// file, and -merge folds the files into what one local run prints and
+// writes:
+//
+//	mcversi -samples 10 -shard 0/2 -shard-out s0.json
+//	mcversi -samples 10 -shard 1/2 -shard-out s1.json
+//	mcversi -merge -merged-out merged.json s0.json s1.json
 package main
 
 import (
@@ -25,13 +33,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/service"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -39,8 +48,8 @@ func main() {
 }
 
 // run is main with its process surface injected: 0 on a finished
-// campaign set (finding a bug is not a failure), 1 when the run or the
-// service failed, 2 on a usage error.
+// campaign set (finding a bug is not a failure), 1 when the run, the
+// merge or an output file failed, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcversi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -60,11 +69,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scenarioFlag := fs.String("scenario", "",
 		"verification scenario(s): a registered name, a comma-separated list, or 'all' (-list-scenarios for names); overrides -protocol/-bug")
 	listScenarios := fs.Bool("list-scenarios", false, "list the registered scenarios and exit")
-	remote := fs.String("remote", "",
-		"submit the campaign to a mcversid service at this base URL instead of running locally")
-	tenant := fs.String("tenant", "", "tenant id for -remote admission control")
+	shardFlag := fs.String("shard", "",
+		"run only shard i/N (0 <= i < N <= items): the i-th of N contiguous item ranges, written to -shard-out for -merge")
+	shardOut := fs.String("shard-out", "", "with -shard: write the spec and the shard's results to this JSON file")
+	merge := fs.Bool("merge", false,
+		"merge the shard files given as arguments and report the campaign set exactly as a local run of it would")
 	mergedOut := fs.String("merged-out", "",
-		"write the canonical merged result JSON to this file (local and -remote runs of one campaign produce byte-identical files)")
+		"write the canonical merged result JSON to this file (a local run and a -merge of its shards write byte-identical files)")
 	bundleDir := fs.String("bundle", "",
 		"for each sample that found a bug, write a repro bundle (campaign, failing test, and for checker violations the failing iteration's trace) under this directory")
 	replayDir := fs.String("replay", "",
@@ -80,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mcversi:", err)
 		return code
 	}
-	if fs.NArg() > 0 {
+	if fs.NArg() > 0 && !*merge {
 		// flag stops at the first non-flag argument: every flag after it
 		// would be silently ignored.
 		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
@@ -108,16 +119,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *replayDir != "":
 		// A bundle carries its whole campaign; any other flag would be
 		// silently ignored.
-		var extra []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name != "replay" && f.Name != "shrink" {
-				extra = append(extra, "-"+f.Name)
-			}
-		})
-		if len(extra) > 0 {
-			return fail(2, fmt.Errorf("-replay takes only -shrink, not %s", strings.Join(extra, " ")))
+		if extra := otherFlags(fs, "replay", "shrink"); extra != "" {
+			return fail(2, fmt.Errorf("-replay takes only -shrink, not %s", extra))
 		}
 		return replay(*replayDir, *shrinkFlag, stdout, stderr)
+	case *merge:
+		// Shard files carry their campaign set; only its outputs are
+		// chosen here.
+		if extra := otherFlags(fs, "merge", "merged-out", "bundle"); extra != "" {
+			return fail(2, fmt.Errorf("-merge takes only -merged-out and -bundle, not %s", extra))
+		}
+		if fs.NArg() == 0 {
+			return fail(2, errors.New("-merge needs the shard files to merge"))
+		}
+		return runMerge(fs.Args(), *mergedOut, *bundleDir, stdout, stderr)
+	}
+
+	var shard, shards int
+	switch {
+	case *shardOut != "" && *shardFlag == "":
+		return fail(2, errors.New("-shard-out needs -shard"))
+	case *shardFlag == "":
+	case *shardOut == "":
+		return fail(2, errors.New("-shard needs -shard-out"))
+	case *islands || *bundleDir != "" || *mergedOut != "":
+		// Islands couple every sample of the set; bundles and the merged
+		// result are the merge's to write.
+		return fail(2, errors.New("-shard runs part of a campaign set: -islands, -bundle and -merged-out need all of it"))
+	default:
+		var err error
+		if shard, shards, err = parseShard(*shardFlag); err != nil {
+			return fail(2, err)
+		}
 	}
 
 	var scens []mcversi.Scenario
@@ -144,8 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Islands exchange chromosomes between populations bred for one
 		// machine contract; a sweep runs different contracts side by side.
 		return fail(2, errors.New("-islands needs a single scenario, not a sweep"))
-	case *remote != "" && *islands:
-		return fail(2, errors.New("-islands is not available with -remote (shards must be independent)"))
 	case *parallel < 0:
 		return fail(2, fmt.Errorf("-parallel must not be negative, got %d", *parallel))
 	case *timeout < 0:
@@ -155,8 +186,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *islands && mcversi.GeneratorKind(*gen) == mcversi.GenRandom:
 		// The fleet migrates GP elites; rand has no population to migrate.
 		return fail(2, errors.New("-islands needs a GP generator, not -gen rand"))
-	case *tenant != "" && *remote == "":
-		return fail(2, errors.New("-tenant is only used with -remote"))
 	case *bundleDir != "" && *islands:
 		// A bundle re-runs one sample on its own; an island's tests came
 		// from its neighbours' elites too.
@@ -171,6 +200,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := spec.Validate(); err != nil {
 		return fail(2, err)
 	}
+	if items := spec.Items(); shards > items {
+		return fail(2, fmt.Errorf("-shard %s: %d shards of %d items would leave one empty", *shardFlag, shards, items))
+	}
+
+	// The output file exists before the run, so an unwritable
+	// destination costs no test-run.
+	path := *mergedOut
+	if *shardFlag != "" {
+		path = *shardOut
+	}
+	out, err := createOutput(path)
+	if err != nil {
+		return fail(1, err)
+	}
+	defer out.discard()
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -178,56 +222,88 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-
-	var (
-		merged fleet.Merged
-		data   []byte // the service's exact result bytes (-remote only)
-		runErr error
-	)
-	if *remote != "" {
-		merged, data, runErr = runRemote(ctx, *remote, *tenant, spec, *progress, stderr)
-	} else {
-		opts := fleet.Options{
-			Workers:           *parallel,
-			Islands:           *islands,
-			MigrationInterval: *migrate,
-		}
-		merged, runErr = runLocal(ctx, spec, opts, *progress, stderr)
+	opts := fleet.Options{
+		Workers:           *parallel,
+		Islands:           *islands,
+		MigrationInterval: *migrate,
 	}
 
-	// On error (e.g. -timeout expiry) a local run still reports every
+	if *shardFlag != "" {
+		items := spec.Items()
+		r := fleet.Range{Start: shard * items / shards, End: (shard + 1) * items / shards}
+		var sr fleet.ShardResult
+		var runErr error
+		withProgress(opts, *progress, stderr, func(opts fleet.Options) obs.Snapshot {
+			sr, runErr = fleet.RunShard(ctx, spec, r, opts)
+			return sr.Obs
+		})
+		if runErr != nil {
+			// A partial shard is never written: -merge must not fold it.
+			return fail(1, runErr)
+		}
+		data, err := json.Marshal(shardFile{Spec: spec, Shard: sr})
+		if err == nil {
+			err = out.write(data)
+		}
+		if err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stderr, "mcversi: wrote shard %s (items %s) to %s\n", *shardFlag, r, *shardOut)
+		return 0
+	}
+
+	var merged fleet.Merged
+	var runErr error
+	withProgress(opts, *progress, stderr, func(opts fleet.Options) obs.Snapshot {
+		merged, runErr = fleet.LocalMerged(ctx, spec, opts)
+		return merged.Obs
+	})
+	// On error (e.g. -timeout expiry) the run still reports every
 	// sample's tally — completed samples and partial ones — before
 	// exiting nonzero.
 	report(stdout, spec, merged)
 	if runErr != nil {
 		return fail(1, runErr)
 	}
-	if *bundleDir != "" {
-		if err := writeBundles(*bundleDir, spec, merged, stderr); err != nil {
-			return fail(1, err)
-		}
-	}
-	if *mergedOut != "" {
-		if data == nil {
-			var err error
-			if data, err = merged.CanonicalBytes(); err != nil {
-				return fail(1, err)
-			}
-		}
-		if err := os.WriteFile(*mergedOut, data, 0o644); err != nil {
-			return fail(1, err)
-		}
-		fmt.Fprintf(stderr, "mcversi: wrote canonical merged result to %s (%d bytes)\n", *mergedOut, len(data))
+	if err := writeOutputs(spec, merged, *bundleDir, out, stderr); err != nil {
+		return fail(1, err)
 	}
 	return 0
 }
 
-// runLocal runs the spec on this process's fleet, streaming events and
-// the phase breakdown — the one the daemon's /statusz reports — to
-// stderr under progress.
-func runLocal(ctx context.Context, spec core.Spec, opts fleet.Options, progress bool, stderr io.Writer) (fleet.Merged, error) {
+// otherFlags names the flags set on the command line besides keep, in
+// flag order, or returns "".
+func otherFlags(fs *flag.FlagSet, keep ...string) string {
+	var extra []string
+	fs.Visit(func(f *flag.Flag) {
+		for _, k := range keep {
+			if f.Name == k {
+				return
+			}
+		}
+		extra = append(extra, "-"+f.Name)
+	})
+	return strings.Join(extra, " ")
+}
+
+// parseShard reads -shard's i/N.
+func parseShard(v string) (shard, shards int, err error) {
+	is, ns, ok := strings.Cut(v, "/")
+	shard, ierr := strconv.Atoi(is)
+	shards, nerr := strconv.Atoi(ns)
+	if !ok || ierr != nil || nerr != nil || shard < 0 || shard >= shards {
+		return 0, 0, fmt.Errorf("-shard %q: want i/N with 0 <= i < N", v)
+	}
+	return shard, shards, nil
+}
+
+// withProgress calls run with opts; under progress it streams the
+// fleet's events to stderr while run runs, then the phase breakdown run
+// returns.
+func withProgress(opts fleet.Options, progress bool, stderr io.Writer, run func(fleet.Options) obs.Snapshot) {
 	if !progress {
-		return fleet.LocalMerged(ctx, spec, opts)
+		run(opts)
+		return
 	}
 	events := make(chan fleet.Event, 64) // slack so a slow terminal does not stall workers
 	drained := make(chan struct{})
@@ -238,63 +314,36 @@ func runLocal(ctx context.Context, spec core.Spec, opts fleet.Options, progress 
 			renderEvent(stderr, ev)
 		}
 	}()
-	merged, err := fleet.LocalMerged(ctx, spec, opts)
+	phases := run(opts)
 	close(events)
 	<-drained
-	fmt.Fprintf(stderr, "[obs] phase breakdown: %s\n", merged.Obs)
-	return merged, err
+	fmt.Fprintf(stderr, "[obs] phase breakdown: %s\n", phases)
 }
 
-// runRemote submits the spec to a mcversid service, waits for it —
-// narrating its progress log under progress — and fetches the merged
-// result: the decoded aggregate and the exact bytes the service
-// produced.
-func runRemote(ctx context.Context, url, tenant string, spec core.Spec, progress bool, stderr io.Writer) (fleet.Merged, []byte, error) {
-	client := service.NewClient(url)
-	id, err := client.Submit(ctx, tenant, spec)
-	if err != nil {
-		return fleet.Merged{}, nil, err
-	}
-	fmt.Fprintf(stderr, "mcversi: submitted campaign %s to %s (%d items)\n", id, url, spec.Items())
-	if progress {
-		var failed error
-		err = client.Events(ctx, id, func(ev service.Event) bool {
-			switch ev.Type {
-			case service.EventSample:
-				if ev.Result != nil {
-					renderEvent(stderr, fleet.Event{Sample: ev.Sample, Scenario: ev.Scenario, Done: true, Result: *ev.Result})
-				}
-			case service.EventLeased:
-				fmt.Fprintf(stderr, "[fleet] shard %s leased to %s\n", ev.Shard, ev.Worker)
-			case service.EventExpired:
-				fmt.Fprintf(stderr, "[fleet] shard %s lease expired on %s, re-issuing\n", ev.Shard, ev.Worker)
-			case service.EventFailed:
-				failed = fmt.Errorf("service: campaign failed: %s", ev.Err)
-			}
-			return true
-		})
-		if err == nil {
-			err = failed
+// writeOutputs writes what a finished campaign set leaves besides its
+// report: the repro bundles under bundleDir, then the canonical merged
+// JSON into out (when either was asked for).
+func writeOutputs(spec core.Spec, merged fleet.Merged, bundleDir string, out *output, stderr io.Writer) error {
+	if bundleDir != "" {
+		if err := writeBundles(bundleDir, spec, merged, stderr); err != nil {
+			return err
 		}
-	} else {
-		_, err = client.WaitDone(ctx, id, 100*time.Millisecond)
 	}
+	if out == nil {
+		return nil
+	}
+	data, err := merged.CanonicalBytes()
 	if err != nil {
-		return fleet.Merged{}, nil, err
+		return err
 	}
-	data, err := client.ResultBytes(ctx, id)
-	if err != nil {
-		return fleet.Merged{}, nil, err
+	if err := out.write(data); err != nil {
+		return err
 	}
-	var merged fleet.Merged
-	if err := json.Unmarshal(data, &merged); err != nil {
-		return fleet.Merged{}, nil, err
-	}
-	return merged, data, nil
+	fmt.Fprintf(stderr, "mcversi: wrote canonical merged result to %s (%d bytes)\n", out.path, len(data))
+	return nil
 }
 
-// renderEvent writes one progress line to stderr; local fleet events
-// and remote sample events read identically.
+// renderEvent writes one progress line to stderr.
 func renderEvent(w io.Writer, ev fleet.Event) {
 	state := "epoch"
 	switch {

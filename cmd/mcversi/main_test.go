@@ -20,6 +20,7 @@ func mcversiRun(args ...string) (code int, stdout, stderr string) {
 // stops -samples -1 before it sizes the pool's result slice; -mem is
 // checked before the configuration is built, whose MustLayout panics.
 func TestUsageErrors(t *testing.T) {
+	shardOut := filepath.Join(t.TempDir(), "s.json")
 	cases := []struct {
 		name string
 		args []string
@@ -27,7 +28,6 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"negative samples", []string{"-samples", "-1"}, "samples must be positive"},
 		{"islands across a sweep", []string{"-islands", "-scenario", "mesi-tso,mesi-pso"}, "-islands"},
-		{"islands remote", []string{"-islands", "-remote", "http://127.0.0.1:1"}, "-remote"},
 		{"unknown scenario", []string{"-scenario", "no-such"}, "no-such"},
 		{"unknown generator", []string{"-gen", "bogus"}, "bogus"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
@@ -39,7 +39,17 @@ func TestUsageErrors(t *testing.T) {
 		{"islands with zero migrate", []string{"-islands", "-migrate", "0"}, "-migrate must be positive"},
 		{"islands with negative migrate", []string{"-islands", "-migrate", "-4"}, "-migrate must be positive"},
 		{"islands with rand", []string{"-islands", "-gen", "rand"}, "-islands needs a GP generator"},
-		{"tenant without remote", []string{"-tenant", "foo"}, "-tenant is only used with -remote"},
+		{"shard i not below N", []string{"-shard", "3/3", "-shard-out", shardOut}, `-shard "3/3": want i/N`},
+		{"shard of zero", []string{"-shard", "0/0", "-shard-out", shardOut}, `-shard "0/0": want i/N`},
+		{"shard not i/N", []string{"-shard", "x", "-shard-out", shardOut}, `-shard "x": want i/N`},
+		{"more shards than items", []string{"-samples", "2", "-shard", "0/3", "-shard-out", shardOut}, "3 shards of 2 items"},
+		{"shard with islands", []string{"-shard", "0/2", "-shard-out", shardOut, "-islands"}, "-shard runs part of a campaign set"},
+		{"shard with bundle", []string{"-shard", "0/2", "-shard-out", shardOut, "-bundle", t.TempDir()}, "-shard runs part of a campaign set"},
+		{"shard with merged-out", []string{"-shard", "0/2", "-shard-out", shardOut, "-merged-out", shardOut + ".merged"}, "-shard runs part of a campaign set"},
+		{"shard without shard-out", []string{"-shard", "0/2"}, "-shard needs -shard-out"},
+		{"shard-out without shard", []string{"-shard-out", shardOut}, "-shard-out needs -shard"},
+		{"merge with campaign flags", []string{"-merge", "-seed", "3", "-merged-out", shardOut, "-parallel", "2", shardOut}, "-merge takes only -merged-out and -bundle, not -parallel -seed"},
+		{"merge of no files", []string{"-merge", "-merged-out", shardOut}, "-merge needs the shard files"},
 		{"shrink without replay", []string{"-shrink"}, "-shrink needs -replay"},
 		{"bundle with islands", []string{"-islands", "-bundle", t.TempDir()}, "-bundle is not available with -islands"},
 		{"replay of no bundle", []string{"-replay", t.TempDir()}, "bundle.json"},
@@ -58,6 +68,9 @@ func TestUsageErrors(t *testing.T) {
 				t.Errorf("stderr %q does not mention %q", stderr, c.want)
 			}
 		})
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(shardOut)); len(entries) != 0 {
+		t.Errorf("usage errors left files behind: %v", entries)
 	}
 }
 

@@ -179,8 +179,8 @@ func (r Result) String() string {
 	if r.Found {
 		status = fmt.Sprintf("FOUND (%s)", r.Source)
 	}
-	return fmt.Sprintf("%s after %d test-runs, %.3f sim-s, coverage %.1f%%, maxNDT %.2f",
-		status, r.TestRuns, r.SimSeconds, 100*r.TotalCoverage, r.MaxNDT)
+	return fmt.Sprintf("%s after %d test-runs, %.1f sim-µs, coverage %.1f%%, maxNDT %.2f",
+		status, r.TestRuns, r.SimSeconds*1e6, 100*r.TotalCoverage, r.MaxNDT)
 }
 
 // Campaign is an assembled verification campaign. A campaign is

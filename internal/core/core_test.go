@@ -235,15 +235,22 @@ func TestMemoDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestResultString covers the report rendering.
+// TestResultString pins the report rendering. Simulated time reads in
+// µs: a CLI-scale campaign runs well under a simulated millisecond,
+// which a seconds figure rounds to 0.000.
 func TestResultString(t *testing.T) {
-	r := Result{Found: true, Source: "mcm-violation", TestRuns: 5, SimSeconds: 0.001, TotalCoverage: 0.5, MaxNDT: 2.5}
-	if r.String() == "" {
-		t.Error("empty String")
-	}
-	r.Found = false
-	if r.String() == "" {
-		t.Error("empty String")
+	for _, c := range []struct {
+		r    Result
+		want string
+	}{
+		{Result{Found: true, Source: "mcm-violation", TestRuns: 5, SimSeconds: 0.001, TotalCoverage: 0.5, MaxNDT: 2.5},
+			"FOUND (mcm-violation) after 5 test-runs, 1000.0 sim-µs, coverage 50.0%, maxNDT 2.50"},
+		{Result{TestRuns: 300, SimSeconds: 4.26e-4, TotalCoverage: 0.383, MaxNDT: 1.21},
+			"no bug found after 300 test-runs, 426.0 sim-µs, coverage 38.3%, maxNDT 1.21"},
+	} {
+		if got := c.r.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
 }
 

@@ -122,8 +122,8 @@ func (f *FoundBy) note(r core.Result) error {
 
 // Merged is a campaign set's complete deterministic output: per-item
 // results in flat item order plus the aggregate. Its canonical JSON
-// encoding is the service's equivalence currency — a distributed run at
-// any worker topology must produce the same bytes as a local run.
+// encoding is the equivalence currency — a run split into shards at any
+// worker topology must produce the same bytes as a local run.
 type Merged struct {
 	Results []core.Result `json:"results"`
 	Stats   MergedStats   `json:"stats"`
@@ -208,9 +208,8 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 
 // LocalMerged is the one local entry point and the single-process
 // reference: it runs the whole spec as one shard on the calling
-// process's pool and merges it. The distributed tier's acceptance test
-// is byte equality between this and a remote-worker run of the same
-// spec. Like RunShard it returns the partial merge beside a campaign
+// process's pool and merges it. Any split of the spec into shards run
+// elsewhere must merge to the same bytes. Like RunShard it returns the partial merge beside a campaign
 // or cancellation error.
 func LocalMerged(ctx context.Context, spec core.Spec, opts Options) (Merged, error) {
 	sr, runErr := RunShard(ctx, spec, Range{Start: 0, End: spec.Items()}, opts)

@@ -17,8 +17,8 @@ import (
 	"repro/internal/testgen"
 )
 
-// serviceShapeSpec is the shape mcversid workers run all day (and the
-// benchmark's service-loopback workload): McVerSi-RAND, 48-op tests,
+// serviceShapeSpec is the shape of the benchmark's service-loopback
+// workload: McVerSi-RAND, 48-op tests,
 // 2 iterations, 10 test-runs per item, 1 KB, TSO and PSO side by side.
 func serviceShapeSpec(samples int, baseSeed int64) core.Spec {
 	var scens []scenario.Scenario

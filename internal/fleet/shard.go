@@ -12,7 +12,7 @@ import (
 )
 
 // Range is a half-open interval [Start, End) of campaign-item indices
-// within a core.Spec — the unit of work a distributed worker leases.
+// within a core.Spec — the unit of work a shard runs.
 // Item i's seed and scenario are pure functions of (spec, i), so a
 // range re-run anywhere, any number of times, yields identical bytes.
 type Range struct {
@@ -28,8 +28,7 @@ func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
 // PlanShards partitions [0, items) into contiguous ranges of at most
 // shardSize items (shardSize <= 0 means one shard). The plan is a pure
 // function of its inputs: every process planning the same spec derives
-// the same ranges, which is what lets a restarted service re-issue
-// leases without coordinating with anyone.
+// the same ranges without coordinating with anyone.
 func PlanShards(items, shardSize int) []Range {
 	if items <= 0 {
 		return nil

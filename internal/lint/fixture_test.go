@@ -134,9 +134,9 @@ func TestNondetermScope(t *testing.T) {
 		{"repro/internal/service", false},
 		{"repro/internal/lint", false},
 		{"repro/benchmark", false},
-		{"repro/cmd/mcversid", false},
+		{"repro/cmd/mcversi", false},
 		{"repro/examples/quickstart", false},
-		{"repro/ci/statuszcheck", false},
+		{"repro/ci/tool", true},
 	} {
 		pkg.Path = c.path
 		diags := lint.Run(pkg, []*lint.Analyzer{lint.NewNondeterm()})

@@ -34,10 +34,9 @@ var osEnvBanned = map[string]bool{
 }
 
 // exempt lists the packages nondeterm leaves alone, each with every
-// package below it. The daemon half of internal/service (lease TTLs,
-// admission, checkpoint mtimes) runs on real wall clocks by design and
-// delegates its determinism-critical work to fleet and core; the rest
-// are commands, examples and tooling. Every other package of the
+// package below it. internal/service (lease TTLs, admission) runs on
+// real wall clocks by design and delegates its determinism-critical
+// work to fleet and core; the rest are commands, examples and tooling. Every other package of the
 // module is determinism-critical, obs and host included: their clock
 // laps carry //mcvlint:allow, which keeps every other clock read there
 // a finding.
@@ -47,7 +46,6 @@ var exempt = []string{
 	"repro/benchmark",
 	"repro/cmd",
 	"repro/examples",
-	"repro/ci",
 }
 
 func critical(path string) bool {

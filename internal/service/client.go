@@ -14,9 +14,9 @@ import (
 	"repro/internal/fleet"
 )
 
-// Client talks to a remote mcversid. It implements Source, so the same
-// RunWorker loop drives embedded and remote workers, and carries the
-// submit/status/result/events calls cmd/mcversi -remote uses.
+// Client talks to a Service over HTTP. It implements Source, so the
+// same RunWorker loop drives embedded and remote workers, and carries
+// the submit/status/result calls of a submitter.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -123,49 +123,6 @@ func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
-}
-
-// eventPoll is how long Events waits before pulling again when the
-// log had nothing new.
-const eventPoll = 100 * time.Millisecond
-
-// Events pulls a campaign's progress log, invoking fn per event in log
-// order until the terminal event, fn returns false, or ctx is
-// cancelled. Every event reaches fn exactly once, however long fn
-// takes: the log is pulled from the reader's own offset. A daemon
-// restart rebuilds the log shorter; a reader left past its end when the
-// campaign has ended gets an error instead of polling forever.
-func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {
-	for from := 0; ; {
-		resp, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/campaigns/%s/events?from=%d", id, from), "", nil)
-		if err != nil {
-			return err
-		}
-		var page EventPage
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("service: bad event page: %w", err)
-		}
-		for _, ev := range page.Events {
-			if !fn(ev) || ev.Terminal() {
-				return nil
-			}
-		}
-		from += len(page.Events)
-		if len(page.Events) > 0 {
-			continue
-		}
-		// The terminal event is in the log once the state is terminal
-		// (both change under one lock), so an empty page then means the
-		// log was rebuilt behind this reader's offset.
-		if page.State == StateDone || page.State == StateFailed {
-			return fmt.Errorf("service: campaign %s ended (%s) but its event log was reset below offset %d", id, page.State, from)
-		}
-		if !sleepCtx(ctx, eventPoll) {
-			return ctx.Err()
-		}
-	}
 }
 
 // WaitDone polls until the campaign reaches a terminal state and

@@ -2,12 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -58,27 +55,5 @@ func TestClientSentinels(t *testing.T) {
 	}
 	if errors.Is(queueFull, ErrTenantBudget) || errors.Is(tenantBudget, ErrQueueFull) {
 		t.Errorf("429s confused: queue full %v, tenant budget %v", queueFull, tenantBudget)
-	}
-}
-
-// TestClientEventsLogReset: a reader whose offset lies past a log that a
-// daemon restart rebuilt shorter, on a campaign that has since ended,
-// gets an error rather than polling for a terminal event it will never
-// see.
-func TestClientEventsLogReset(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		page := EventPage{State: StateDone}
-		if r.URL.Query().Get("from") == "0" {
-			page = EventPage{Events: []Event{{Type: EventQueued}, {Type: EventStarted}}, State: StateRunning}
-		}
-		_ = json.NewEncoder(w).Encode(page)
-	}))
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	seen := 0
-	err := NewClient(srv.URL).Events(ctx, "c00000001", func(Event) bool { seen++; return true })
-	if err == nil || ctx.Err() != nil || seen != 2 {
-		t.Fatalf("reset log: err %v (ctx %v), %d events seen, want a reset error after 2", err, ctx.Err(), seen)
 	}
 }

@@ -101,7 +101,7 @@ func TestServiceDistributedEquivalence(t *testing.T) {
 }
 
 // TestServiceCrossProtocolEquivalence repeats the byte-identity check
-// with a spec that mixes protocols (the `mcversi -scenario all -remote`
+// with a spec that mixes protocols (the `mcversi -scenario all`
 // shape). With samples=3 and ShardSize=4 the first shard straddles the
 // protocol boundary (CoverageMixed) and the only other shard is pure
 // TSO-CC — the adversarial partition: if merges treat a mixed shard as
@@ -133,62 +133,5 @@ func TestServiceGPEquivalence(t *testing.T) {
 	got := runTopology(t, spec, 2, 0, 2)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("GP campaign diverged over the wire:\n  want %s\n  got  %s", want, got)
-	}
-}
-
-// TestServiceEventFeed: a client that starts pulling the event log
-// while the campaign runs sees every item exactly once plus the
-// terminal event — the contract cmd/mcversi -remote's progress
-// rendering relies on.
-func TestServiceEventFeed(t *testing.T) {
-	s, err := New(Config{ShardSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	client := NewClient(srv.URL)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	spec := testSpec(core.GenRandom, 2, 3, 13, "mesi-tso", "mesi-pso")
-	id, err := client.Submit(ctx, "", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wg := s.StartWorkers(ctx, 2)
-	defer wg.Wait()
-	defer cancel()
-
-	samples := map[int]int{}
-	var last Event
-	err = client.Events(ctx, id, func(ev Event) bool {
-		if ev.Type == EventSample {
-			samples[ev.Sample]++
-			if ev.Result == nil || ev.Scenario == "" {
-				t.Errorf("sample event missing payload: %+v", ev)
-			}
-		}
-		last = ev
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.Type != EventDone {
-		t.Fatalf("feed ended on %q, want done", last.Type)
-	}
-	if len(samples) != spec.Items() {
-		t.Fatalf("feed carried %d distinct samples, want %d", len(samples), spec.Items())
-	}
-	for idx, n := range samples {
-		if n != 1 {
-			t.Errorf("sample %d delivered %d times", idx, n)
-		}
-	}
-	if last.TestRuns == 0 || last.ItemsDone != spec.Items() {
-		t.Errorf("terminal event counters wrong: %+v", last)
 	}
 }

@@ -3,10 +3,8 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -14,16 +12,13 @@ import (
 
 // Handler exposes the service as an HTTP/JSON API:
 //
-//	GET  /v1/healthz                        liveness
 //	POST /v1/campaigns                      submit a core.Spec (X-Tenant header), 202 + {"id": ...}
 //	GET  /v1/campaigns/{id}                 status
 //	GET  /v1/campaigns/{id}/result          canonical merged bytes (409 until done)
-//	GET  /v1/campaigns/{id}/events?from=N   EventPage: the progress log from event N on, plus the state
 //	POST /v1/leases                         claim a shard lease (204 when idle)
 //	POST /v1/leases/{id}/renew              heartbeat
 //	POST /v1/leases/{id}/complete           report a fleet.ShardResult
 //	POST /v1/leases/{id}/fail               report a shard error
-//	GET  /statusz                           service counters and every campaign with its phase breakdown
 //
 // Admission errors map onto statuses: 429 queue/tenant pressure, 413
 // oversized campaign, 410 lost lease, 409 result not ready, 404
@@ -31,20 +26,13 @@ import (
 // is what the Client restores the sentinels from.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
 	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)
 	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/campaigns/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /v1/leases", s.handleClaim)
 	mux.HandleFunc("POST /v1/leases/{id}/renew", s.handleRenew)
 	mux.HandleFunc("POST /v1/leases/{id}/complete", s.handleComplete)
 	mux.HandleFunc("POST /v1/leases/{id}/fail", s.handleFail)
-	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Statusz())
-	})
 	return mux
 }
 
@@ -85,25 +73,6 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
-}
-
-// handleEvents serves one pull of a campaign's progress log.
-func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad event offset %q", q))
-			return
-		}
-		from = n
-	}
-	page, err := s.Events(r.PathValue("id"), from)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, page)
 }
 
 func (s *Service) handleClaim(w http.ResponseWriter, r *http.Request) {

@@ -1,15 +1,19 @@
-// Package service is the McVerSi campaign service: a long-running
-// registry of verification campaigns behind an HTTP/JSON API, with
-// admission control (queue depth, per-tenant budgets), a seed-range
-// lease manager, and a shard-result merger.
+// Package service is an in-process campaign queue behind an HTTP/JSON
+// API, with admission control (queue depth, per-tenant budgets), a
+// seed-range lease manager, and a shard-result merger. It has no
+// daemon or command of its own: it is what the benchmark's
+// service-loopback workload measures, and it goes when that workload
+// is replaced by one that times static shards and their merge
+// (cmd/mcversi -shard and -merge, the one way to spread a campaign set
+// across processes).
 //
 // A submitted campaign is a serializable core.Spec — a scenario list ×
 // sample count whose items each have a spec-derived seed. The service
 // plans the items into contiguous fleet.Range shards and leases them to
-// workers: the embedded pool (Service.StartWorkers) and/or remote
-// cmd/mcversi-worker processes claiming over HTTP. Workers run shards
-// through fleet.RunShard and report fleet.ShardResult; the service
-// merges them with fleet.MergeShards.
+// workers: the embedded pool (Service.StartWorkers) and/or RunWorker
+// loops claiming over HTTP. Workers run shards through fleet.RunShard
+// and report fleet.ShardResult; the service merges them with
+// fleet.MergeShards.
 //
 // Determinism is the load-bearing wall: every shard is a pure function
 // of (spec, range), so leases that expire on worker death are simply
@@ -26,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 )
 
 // Config tunes the service. The admission, lease and retention limits
@@ -37,10 +40,6 @@ type Config struct {
 	// FleetWorkers is the intra-shard worker count used by the
 	// embedded pool (0 = all cores). Results never depend on it.
 	FleetWorkers int
-	// CheckpointDir, when non-empty, makes campaigns durable: specs,
-	// completed shard results and terminal states are persisted as
-	// JSON and recovered by New after a restart.
-	CheckpointDir string
 	// Now is the clock (tests inject a fake one).
 	Now func() time.Time
 }
@@ -65,10 +64,10 @@ const (
 	// forever).
 	maxAttempts = 5
 	// retainTerminal caps how many finished (done or failed) campaigns
-	// the service keeps; beyond it the oldest are evicted — event log,
-	// merged bytes and checkpoint file included — and their IDs return
-	// ErrNotFound. Without a cap a long-running daemon's memory and
-	// per-request scan cost grow without bound.
+	// the service keeps; beyond it the oldest are evicted — merged
+	// bytes included — and their IDs return ErrNotFound. Without a cap
+	// a long-lived service's memory and per-request scan cost grow
+	// without bound.
 	retainTerminal = 64
 )
 
@@ -131,25 +130,10 @@ type campaign struct {
 	// itemsDone/testRuns/found aggregate completed shards for status
 	// reporting; the authoritative numbers come from the final merge.
 	itemsDone, testRuns, found int
-	merged                     *fleet.Merged
 	mergedBytes                []byte
 	errMsg                     string
-	// ckErr is the latest checkpoint write failure, kept apart from
-	// errMsg (the campaign failure reason): a durability degradation
-	// must not masquerade as a failed campaign, and a later successful
-	// checkpoint clears it.
-	ckErr string
 
-	// events is the campaign's progress log; readers pull it from any
-	// offset (Events), so none of them can miss an entry.
-	events []Event
-
-	// obs accumulates the phase timing of every completed shard (plus
-	// the final merge span), for /statusz. Pure side channel: never part
-	// of mergedBytes.
-	obs obs.Snapshot
-
-	submitted, started, finished time.Time
+	submitted, finished time.Time
 }
 
 // leaseRef locates a lease's shard.
@@ -164,10 +148,7 @@ type leaseRef struct {
 type Service struct {
 	cfg Config
 
-	mu sync.Mutex
-	// totals holds the since-start counters of ServiceStats; Statusz
-	// fills in the rest.
-	totals    ServiceStats
+	mu        sync.Mutex
 	campaigns map[string]*campaign
 	order     []string // admission order; scheduling scans it FIFO
 	leases    map[string]*leaseRef
@@ -177,22 +158,15 @@ type Service struct {
 	leaseSeq  int64
 }
 
-// New builds a service and, when cfg.CheckpointDir is set, recovers
-// campaigns from a previous incarnation: terminal campaigns are
-// restored as-is (done results re-merged from their shard results),
-// in-flight and queued ones re-enter the queue with their completed
-// shards retained and their leased shards reset to pending.
+// New builds an empty service. It cannot fail; the error result keeps
+// the benchmark's call site unchanged.
 func New(cfg Config) (*Service, error) {
-	s := &Service{
+	return &Service{
 		cfg:       cfg.withDefaults(),
 		campaigns: map[string]*campaign{},
 		leases:    map[string]*leaseRef{},
 		tenants:   map[string]int{},
-	}
-	if err := s.loadCheckpoints(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	}, nil
 }
 
 // Submit admits a campaign: validation, size cap, queue depth and
@@ -202,9 +176,6 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 		tenant = "default"
 	}
 	if err := spec.Validate(); err != nil {
-		s.mu.Lock()
-		s.totals.RejectedInvalid++
-		s.mu.Unlock()
 		return "", err
 	}
 	items := spec.Items()
@@ -212,7 +183,6 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if items > maxItems {
-		s.totals.RejectedTooLarge++
 		return "", fmt.Errorf("%w: %d items > cap %d", ErrTooLarge, items, maxItems)
 	}
 	queued := 0
@@ -222,15 +192,11 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 		}
 	}
 	if queued >= maxQueued {
-		s.totals.RejectedQueueFull++
 		return "", fmt.Errorf("%w: %d campaigns queued", ErrQueueFull, queued)
 	}
 	if s.tenants[tenant] >= tenantMaxPending {
-		s.totals.RejectedTenantBudget++
 		return "", fmt.Errorf("%w: tenant %q has %d campaigns pending", ErrTenantBudget, tenant, s.tenants[tenant])
 	}
-	s.totals.Submitted++
-
 	s.seq++
 	c := &campaign{
 		id:        fmt.Sprintf("c%08d", s.seq),
@@ -245,9 +211,7 @@ func (s *Service) Submit(tenant string, spec core.Spec) (string, error) {
 	s.campaigns[c.id] = c
 	s.order = append(s.order, c.id)
 	s.tenants[tenant]++
-	s.emitLocked(c, Event{Type: EventQueued, Items: items})
 	s.promoteLocked()
-	s.checkpointLocked(c)
 	return c.id, nil
 }
 
@@ -263,9 +227,7 @@ func (s *Service) promoteLocked() {
 			continue
 		}
 		c.state = StateRunning
-		c.started = s.cfg.Now()
 		s.active++
-		s.emitLocked(c, Event{Type: EventStarted, Items: c.spec.Items()})
 	}
 }
 
@@ -294,8 +256,6 @@ func (s *Service) Claim(worker string) (*Lease, error) {
 			sh.expiry = s.cfg.Now().Add(leaseTTL)
 			sh.attempts++
 			s.leases[sh.leaseID] = &leaseRef{camp: c, shard: sh}
-			s.totals.LeasesIssued++
-			s.emitLocked(c, Event{Type: EventLeased, Shard: &sh.rng, Worker: worker})
 			return &Lease{
 				ID:        sh.leaseID,
 				Campaign:  c.id,
@@ -317,7 +277,6 @@ func (s *Service) Renew(leaseID string) error {
 		return ErrNoLease
 	}
 	ref.shard.expiry = s.cfg.Now().Add(leaseTTL)
-	s.totals.LeaseRenewals++
 	return nil
 }
 
@@ -331,7 +290,6 @@ func (s *Service) Complete(leaseID string, sr fleet.ShardResult) error {
 	defer s.mu.Unlock()
 	ref, ok := s.leases[leaseID]
 	if !ok {
-		s.totals.ZombieReports++
 		return ErrNoLease
 	}
 	c, sh := ref.camp, ref.shard
@@ -349,33 +307,16 @@ func (s *Service) Complete(leaseID string, sr fleet.ShardResult) error {
 	res := sr
 	sh.result = &res
 
-	c.obs = c.obs.Merge(sr.Obs)
-	s.totals.Obs = s.totals.Obs.Merge(sr.Obs)
 	c.itemsDone += sh.rng.Len()
-	s.totals.ItemsDone += sh.rng.Len()
-	for i, r := range sr.Results {
+	for _, r := range sr.Results {
 		c.testRuns += r.TestRuns
-		s.totals.TestRuns += r.TestRuns
 		if r.Found {
 			c.found++
-			s.totals.Found++
 		}
-		rr := r
-		s.emitLocked(c, Event{
-			Type: EventSample, Sample: sr.Range.Start + i,
-			Scenario: c.spec.ItemScenario(sr.Range.Start + i).Name,
-			Result:   &rr,
-		})
 	}
-	s.emitLocked(c, Event{
-		Type: EventShard, Shard: &sh.rng, Worker: sh.worker,
-		ItemsDone: c.itemsDone, Items: c.spec.Items(), TestRuns: c.testRuns,
-	})
-
 	if c.itemsDone == c.spec.Items() {
 		s.finishLocked(c)
 	}
-	s.checkpointLocked(c)
 	return nil
 }
 
@@ -386,10 +327,8 @@ func (s *Service) Fail(leaseID, reason string) error {
 	defer s.mu.Unlock()
 	ref, ok := s.leases[leaseID]
 	if !ok {
-		s.totals.ZombieReports++
 		return ErrNoLease
 	}
-	s.totals.ShardFailures++
 	delete(s.leases, leaseID)
 	c, sh := ref.camp, ref.shard
 	if sh.phase != shardLeased {
@@ -400,7 +339,6 @@ func (s *Service) Fail(leaseID, reason string) error {
 	if sh.attempts >= maxAttempts {
 		s.failLocked(c, fmt.Sprintf("shard %s failed %d times, last: %s", sh.rng, sh.attempts, reason))
 	}
-	s.checkpointLocked(c)
 	return nil
 }
 
@@ -411,10 +349,6 @@ func (s *Service) finishLocked(c *campaign) {
 	for _, sh := range c.shards {
 		shards = append(shards, *sh.result)
 	}
-	// The merge itself is a measured phase. MergeShards stays clock-free
-	// (pure function of the shard results); the service times the call —
-	// real wall clock, not cfg.Now, which tests fake.
-	t0 := time.Now()
 	merged, err := fleet.MergeShards(c.spec.Items(), shards)
 	if err != nil {
 		s.failLocked(c, err.Error())
@@ -425,19 +359,11 @@ func (s *Service) finishLocked(c *campaign) {
 		s.failLocked(c, err.Error())
 		return
 	}
-	mergeSpan := obs.Span(obs.PhaseMerge, time.Since(t0))
-	c.obs = merged.Obs.Merge(mergeSpan)
-	s.totals.Obs = s.totals.Obs.Merge(mergeSpan)
-	c.merged = &merged
 	c.mergedBytes = bytes
 	c.state = StateDone
 	c.finished = s.cfg.Now()
 	s.active--
 	s.tenants[c.tenant]--
-	s.emitLocked(c, Event{
-		Type: EventDone, Items: merged.Stats.Items,
-		ItemsDone: merged.Stats.Items, TestRuns: merged.Stats.TestRuns,
-	})
 	s.promoteLocked()
 	s.pruneTerminalLocked()
 }
@@ -460,7 +386,6 @@ func (s *Service) failLocked(c *campaign, msg string) {
 			sh.leaseID, sh.worker = "", ""
 		}
 	}
-	s.emitLocked(c, Event{Type: EventFailed, Err: msg})
 	s.promoteLocked()
 	s.pruneTerminalLocked()
 }
@@ -468,9 +393,8 @@ func (s *Service) failLocked(c *campaign, msg string) {
 // pruneTerminalLocked enforces the terminal-campaign retention cap:
 // when more than retainTerminal campaigns are done/failed, the oldest
 // (by admission order) are evicted — dropped from memory along with
-// their event logs and merged bytes, and their checkpoint files
-// deleted. Queued and running campaigns are never touched, so the
-// admission scans over s.order stay bounded by
+// their merged bytes. Queued and running campaigns are never touched,
+// so the admission scans over s.order stay bounded by
 // active + queued + retainTerminal.
 func (s *Service) pruneTerminalLocked() {
 	terminal := 0
@@ -490,7 +414,6 @@ func (s *Service) pruneTerminalLocked() {
 		if evict > 0 && (c.state == StateDone || c.state == StateFailed) {
 			evict--
 			delete(s.campaigns, id)
-			s.removeCheckpointLocked(c)
 			continue
 		}
 		kept = append(kept, id)
@@ -498,30 +421,16 @@ func (s *Service) pruneTerminalLocked() {
 	s.order = kept
 }
 
-// ExpireLeases reclaims leases past their TTL (also done lazily on
-// every Claim); it returns how many were re-issued. The daemon runs
-// this on a ticker so ranges held by dead workers free up even when no
-// live worker is polling.
-func (s *Service) ExpireLeases() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expireLocked(s.cfg.Now())
-}
-
-func (s *Service) expireLocked(now time.Time) int {
-	n := 0
+// expireLocked reclaims leases past their TTL, so their ranges are
+// re-issued.
+func (s *Service) expireLocked(now time.Time) {
 	for id, ref := range s.leases {
 		if ref.shard.phase == shardLeased && now.After(ref.shard.expiry) {
 			delete(s.leases, id)
 			ref.shard.phase = shardPending
-			ref.shard.leaseID = ""
-			s.totals.LeasesExpired++
-			s.emitLocked(ref.camp, Event{Type: EventExpired, Shard: &ref.shard.rng, Worker: ref.shard.worker})
-			ref.shard.worker = ""
-			n++
+			ref.shard.leaseID, ref.shard.worker = "", ""
 		}
 	}
-	return n
 }
 
 // Status is a campaign's externally visible state.
@@ -536,11 +445,8 @@ type Status struct {
 	TestRuns  int           `json:"test_runs"`
 	Found     int           `json:"found"`
 	Err       string        `json:"error,omitempty"`
-	// CheckpointErr reports a degraded-durability condition (the latest
-	// checkpoint write failed); the campaign itself is unaffected.
-	CheckpointErr string    `json:"checkpoint_error,omitempty"`
-	Submitted     time.Time `json:"submitted"`
-	Finished      time.Time `json:"finished"`
+	Submitted time.Time     `json:"submitted"`
+	Finished  time.Time     `json:"finished"`
 }
 
 // Get returns a campaign's status.
@@ -559,7 +465,7 @@ func (s *Service) statusLocked(c *campaign) Status {
 		ID: c.id, Tenant: c.tenant, State: c.state,
 		Items: c.spec.Items(), ItemsDone: c.itemsDone,
 		Shards: len(c.shards), TestRuns: c.testRuns, Found: c.found,
-		Err: c.errMsg, CheckpointErr: c.ckErr,
+		Err:       c.errMsg,
 		Submitted: c.submitted, Finished: c.finished,
 	}
 	for _, sh := range c.shards {
@@ -586,81 +492,4 @@ func (s *Service) ResultBytes(id string) ([]byte, error) {
 	default:
 		return nil, ErrNotReady
 	}
-}
-
-// ServiceStats is the service-wide block of the status page. The first
-// group is the state of the retained campaigns and live leases when the
-// page was taken; the rest are totals since the process started.
-type ServiceStats struct {
-	Campaigns int `json:"campaigns"`
-	Queued    int `json:"queued"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Leases    int `json:"leases"`
-
-	Submitted            int `json:"submitted"`
-	RejectedInvalid      int `json:"rejected_invalid"`
-	RejectedTooLarge     int `json:"rejected_too_large"`
-	RejectedQueueFull    int `json:"rejected_queue_full"`
-	RejectedTenantBudget int `json:"rejected_tenant_budget"`
-	LeasesIssued         int `json:"leases_issued"`
-	LeaseRenewals        int `json:"lease_renewals"`
-	LeasesExpired        int `json:"leases_expired"`
-	// ZombieReports counts completions and failures for unknown or
-	// expired leases (their results discarded).
-	ZombieReports int `json:"zombie_reports"`
-	ShardFailures int `json:"shard_failures"`
-	ItemsDone     int `json:"items_done"`
-	TestRuns      int `json:"test_runs"`
-	Found         int `json:"found"`
-	// Obs totals the phase spans of every completed shard and merge.
-	Obs obs.Snapshot `json:"obs"`
-}
-
-// CampaignStatusz is one campaign's status plus its phase timing
-// breakdown — the accumulated spans of every completed shard, and for
-// finished campaigns the merge span too.
-type CampaignStatusz struct {
-	Status
-	Obs obs.Snapshot `json:"obs"`
-	// PhaseSummary is the human rendering of Obs ("sim 2.4s (63%), ...").
-	PhaseSummary string `json:"phase_summary"`
-}
-
-// Statusz is the GET /statusz payload: service-wide stats plus every
-// retained campaign in admission order with its per-phase breakdown.
-type Statusz struct {
-	Stats     ServiceStats      `json:"stats"`
-	Campaigns []CampaignStatusz `json:"campaigns"`
-}
-
-// Statusz snapshots the service: the one status page, over HTTP and in
-// mcversid's shutdown log.
-func (s *Service) Statusz() Statusz {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.totals
-	st.Campaigns, st.Leases = len(s.campaigns), len(s.leases)
-	out := Statusz{Campaigns: make([]CampaignStatusz, 0, len(s.order))}
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		switch c.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		}
-		out.Campaigns = append(out.Campaigns, CampaignStatusz{
-			Status:       s.statusLocked(c),
-			Obs:          c.obs,
-			PhaseSummary: c.obs.String(),
-		})
-	}
-	out.Stats = st
-	return out
 }

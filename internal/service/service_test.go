@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -235,14 +233,23 @@ func TestServiceKillAndResume(t *testing.T) {
 		t.Fatalf("claim failed: lease %v, err %v", doomed, err)
 	}
 
-	// Nothing expires before the TTL.
-	if n := s.ExpireLeases(); n != 0 {
-		t.Fatalf("premature expiry of %d leases", n)
+	// Nothing expires before the TTL: the other shard is the only one
+	// left to claim, and a healthy worker finishes it.
+	other, err := s.Claim("healthy")
+	if err != nil || other == nil || other.Range == doomed.Range {
+		t.Fatalf("claim before the TTL: lease %v, err %v, want the other shard", other, err)
+	}
+	out, err := fleet.RunShard(context.Background(), spec, other.Range, fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Complete(other.ID, out); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := s.Claim("healthy"); err != nil || l != nil {
+		t.Fatalf("premature expiry: lease %v, err %v", l, err)
 	}
 	clk.Advance(leaseTTL + time.Second)
-	if n := s.ExpireLeases(); n != 1 {
-		t.Fatalf("expired %d leases, want 1", n)
-	}
 
 	// The dead worker's range must be claimable again, by someone else.
 	release, err := s.Claim("healthy")
@@ -263,25 +270,9 @@ func TestServiceKillAndResume(t *testing.T) {
 		t.Fatalf("zombie completion: got %v, want ErrNoLease", err)
 	}
 
-	// The healthy worker finishes the re-issued shard and the rest.
+	// The healthy worker finishes the re-issued shard.
 	if err := s.Complete(release.ID, sr); err != nil {
 		t.Fatal(err)
-	}
-	for {
-		l, err := s.Claim("healthy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l == nil {
-			break
-		}
-		out, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Complete(l.ID, out); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	st := waitDone(t, s, id)
@@ -294,21 +285,6 @@ func TestServiceKillAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("kill-and-resume changed the merged output:\n  want %s\n  got  %s", want, got)
-	}
-
-	// The expiry shows up in the event log.
-	page, err := s.Events(id, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawExpired := false
-	for _, ev := range page.Events {
-		if ev.Type == EventExpired && ev.Worker == "doomed" {
-			sawExpired = true
-		}
-	}
-	if !sawExpired {
-		t.Error("no expired event for the dead worker")
 	}
 }
 
@@ -403,14 +379,12 @@ func drainClaims(t *testing.T, s *Service) {
 	}
 }
 
-// TestServiceTerminalRetention: the daemon keeps at most retainTerminal
-// finished campaigns; older ones are evicted — memory, event log and
-// checkpoint file — while recent terminal campaigns keep serving their
-// results, in memory and across a restart.
+// TestServiceTerminalRetention: the service keeps at most
+// retainTerminal finished campaigns; older ones are evicted with their
+// merged bytes, while recent terminal campaigns keep serving their
+// results.
 func TestServiceTerminalRetention(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{ShardSize: 2, CheckpointDir: dir}
-	s, err := New(cfg)
+	s, err := New(Config{ShardSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,9 +409,6 @@ func TestServiceTerminalRetention(t *testing.T) {
 		if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("evicted campaign %s still visible: %v", id, err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, id+".json")); !os.IsNotExist(err) {
-			t.Errorf("evicted campaign %s kept its checkpoint file", id)
-		}
 	}
 	if st, err := s.Get(ids[2]); err != nil || st.State != StateFailed {
 		t.Fatalf("retained failed campaign %s: %+v, %v", ids[2], st, err)
@@ -450,184 +421,5 @@ func TestServiceTerminalRetention(t *testing.T) {
 		if _, err := s.ResultBytes(id); err != nil {
 			t.Errorf("retained campaign %s lost its result: %v", id, err)
 		}
-	}
-
-	// A restart recovers exactly the retained set.
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Get(ids[0]); !errors.Is(err, ErrNotFound) {
-		t.Errorf("evicted campaign resurrected by restart: %v", err)
-	}
-	if got := len(s2.Statusz().Campaigns); got != retainTerminal {
-		t.Errorf("restart recovered %d campaigns, want %d", got, retainTerminal)
-	}
-	if _, err := s2.ResultBytes(ids[len(ids)-1]); err != nil {
-		t.Errorf("retained campaign unreadable after restart: %v", err)
-	}
-}
-
-// TestServiceCheckpointRestart: a service restart loses nothing — done
-// campaigns keep serving identical bytes without recomputation, and an
-// in-flight campaign resumes with its completed shards retained,
-// finishing to the same output.
-func TestServiceCheckpointRestart(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{ShardSize: 2, CheckpointDir: dir}
-
-	specA := testSpec(core.GenRandom, 2, 3, 31, "mesi-tso")             // 2 items, 1 shard
-	specB := testSpec(core.GenRandom, 2, 3, 37, "mesi-tso", "mesi-pso") // 4 items, 2 shards
-	wantB := referenceBytes(t, specB)
-
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idA, err := s1.Submit("t1", specA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := s1.Submit("t2", specB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Finish A completely and B's first shard only; B's second shard is
-	// claimed but never completed (the process "dies" holding it).
-	for _, want := range []string{idA, idB} {
-		l, err := s1.Claim("w")
-		if err != nil || l == nil || l.Campaign != want {
-			t.Fatalf("claim order: got %+v, want campaign %s", l, want)
-		}
-		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s1.Complete(l.ID, sr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l, err := s1.Claim("w"); err != nil || l == nil || l.Campaign != idB {
-		t.Fatal("expected B's second shard to be claimable")
-	}
-	wantA, err := s1.ResultBytes(idA)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart.
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotA, err := s2.ResultBytes(idA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotA, wantA) {
-		t.Fatalf("done campaign changed bytes across restart:\n  want %s\n  got  %s", wantA, gotA)
-	}
-	stB, err := s2.Get(idB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stB.State != StateRunning || stB.ItemsDone != 2 {
-		t.Fatalf("restored B: state %s itemsDone %d, want running with 2 done", stB.State, stB.ItemsDone)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	wg := s2.StartWorkers(ctx, 1)
-	defer wg.Wait()
-	defer cancel()
-	if st := waitDone(t, s2, idB); st.State != StateDone {
-		t.Fatalf("restored campaign failed: %s", st.Err)
-	}
-	gotB, err := s2.ResultBytes(idB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotB, wantB) {
-		t.Fatalf("resumed campaign diverged from reference:\n  want %s\n  got  %s", wantB, gotB)
-	}
-
-	// IDs keep advancing from the restored sequence.
-	idC, err := s2.Submit("t3", specA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idC != "c00000003" {
-		t.Errorf("post-restart id %s, want c00000003", idC)
-	}
-}
-
-// TestServiceCheckpointUnwritable: a checkpoint directory that becomes
-// unwritable degrades durability, never the campaign. The campaign
-// finishes with the checkpoint-less bytes, Status.CheckpointErr says
-// why, and the first write after the directory returns clears it and
-// leaves no temporary file behind.
-func TestServiceCheckpointUnwritable(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ck")
-	s, err := New(Config{ShardSize: 2, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A regular file in the directory's place refuses every write, even
-	// to root, which a chmod does not.
-	if err := os.Remove(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	spec := testSpec(core.GenRandom, 2, 3, 41, "mesi-tso", "mesi-pso") // 4 items, 2 shards
-	id, err := s.Submit("t", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runShard := func() {
-		t.Helper()
-		l, err := s.Claim("w")
-		if err != nil || l == nil {
-			t.Fatalf("claim: %+v, %v", l, err)
-		}
-		sr, err := fleet.RunShard(context.Background(), l.Spec, l.Range, fleet.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Complete(l.ID, sr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runShard()
-	if st, _ := s.Get(id); st.CheckpointErr == "" || st.State != StateRunning {
-		t.Fatalf("after a failed write: state %s, CheckpointErr %q; want running with the error", st.State, st.CheckpointErr)
-	}
-
-	if err := os.Remove(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	runShard()
-	st, _ := s.Get(id)
-	if st.State != StateDone || st.CheckpointErr != "" {
-		t.Fatalf("after the directory returned: state %s, CheckpointErr %q; want done and cleared", st.State, st.CheckpointErr)
-	}
-	got, err := s.ResultBytes(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := referenceBytes(t, spec); !bytes.Equal(got, want) {
-		t.Fatalf("campaign diverged from reference:\n  want %s\n  got  %s", want, got)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != id+".json" {
-		t.Errorf("checkpoint directory holds %v, want only %s.json", entries, id)
 	}
 }

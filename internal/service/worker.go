@@ -7,9 +7,20 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 )
+
+// Lease is one claimed seed-range: everything a worker needs to run
+// the shard and nothing process-local — the spec travels with it, so
+// workers hold no per-campaign state between leases.
+type Lease struct {
+	ID        string      `json:"id"`
+	Campaign  string      `json:"campaign"`
+	Spec      core.Spec   `json:"spec"`
+	Range     fleet.Range `json:"range"`
+	TTLMillis int64       `json:"ttl_ms"`
+}
 
 // Source is where a worker gets its leases: the in-process Service
 // (embedded pool) or an HTTP Client (remote fleet). Claim returns nil
@@ -23,7 +34,7 @@ type Source interface {
 
 // WorkerOptions tune a worker loop.
 type WorkerOptions struct {
-	// Name identifies the worker in leases and events.
+	// Name identifies the worker in its leases.
 	Name string
 	// Poll is the idle claim interval (default 250ms; the embedded
 	// pool uses a few ms).
@@ -31,12 +42,6 @@ type WorkerOptions struct {
 	// FleetWorkers is the intra-shard parallelism (0 = all cores).
 	// Results never depend on it.
 	FleetWorkers int
-	// Obs, when non-nil, accumulates the worker's own copy of every
-	// completed shard's phase timing — the local breakdown a worker
-	// process prints at shutdown. Shards always run instrumented either
-	// way (the snapshot also rides the ShardResult to the service);
-	// results are byte-identical regardless.
-	Obs *obs.Agg
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -51,11 +56,10 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 
 // RunWorker claims and executes leases until ctx is cancelled. Each
 // lease runs through fleet.RunShard; a renewal heartbeat at TTL/3 keeps
-// the lease alive across long shards, and a lease lost mid-run (service
-// restart, TTL missed under overload) cancels the run and discards the
-// shard — the service has
-// already re-issued the range, and the re-run produces identical
-// bytes. Shard errors are reported via Fail so the service can re-issue
+// the lease alive across long shards, and a lease lost mid-run (TTL
+// missed under overload) cancels the run and discards the shard — the
+// service has already re-issued the range, and the re-run produces
+// identical bytes. Shard errors are reported via Fail so the service can re-issue
 // or give up.
 func RunWorker(ctx context.Context, src Source, opts WorkerOptions) error {
 	opts = opts.withDefaults()
@@ -126,7 +130,6 @@ func runLease(ctx context.Context, src Source, lease *Lease, wo WorkerOptions) {
 		}
 		return
 	}
-	wo.Obs.Absorb(sr.Obs)
 	_ = src.Complete(ctx, lease.ID, sr)
 }
 
@@ -155,7 +158,7 @@ func (l localSource) Fail(_ context.Context, leaseID, reason string) error {
 }
 
 // StartWorkers launches n embedded workers against the service's own
-// lease queue, making a lone mcversid useful without any remote fleet.
+// lease queue, so a service needs no remote fleet to make progress.
 // They stop when ctx is cancelled; Wait on the returned WaitGroup for
 // drain.
 func (s *Service) StartWorkers(ctx context.Context, n int) *sync.WaitGroup {
