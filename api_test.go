@@ -72,17 +72,18 @@ func TestLitmusSuiteExposed(t *testing.T) {
 	if len(suite) != 38 {
 		t.Fatalf("suite = %d tests, want 38", len(suite))
 	}
-	cfg := DefaultLitmusConfig(MESI)
+	cfg := DefaultLitmusConfig(DefaultScenario())
 	cfg.MaxPasses = 1
 	cfg.IterationsPerTest = 2
-	res, err := RunLitmus(cfg, "", 4)
+	res, err := RunLitmus(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Found {
 		t.Errorf("bug-free litmus run fired: %s", res.Detail)
 	}
-	if _, err := RunLitmus(cfg, "no-such-bug", 4); err == nil {
+	cfg.Scenario.Bugs = []string{"no-such-bug"}
+	if _, err := RunLitmus(cfg, 4); err == nil {
 		t.Error("unknown bug accepted by RunLitmus")
 	}
 }

@@ -35,10 +35,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	model := fs.String("model", "all", "model(s) to check against: a name, a comma-separated list, or 'all'")
-	format := fs.String("format", "auto", "trace encoding: text | binary | auto (sniff the stream magic)")
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
 	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces")
-	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs and with campaigns)")
+	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs)")
 	scope := fs.String("scope", "", "verdict scope isolating this run's memo entries from other scenarios")
 	progress := fs.Bool("progress", false, "report phase breakdown and memo/fast-path counters to stderr")
 	emitCorpus := fs.String("emit-corpus", "", "write the litmus known-answer corpus to stdout (text | binary) and exit")
@@ -51,6 +50,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *emitCorpus != "" {
+		// The corpus is written, not checked: any other flag or an input
+		// would be silently ignored.
+		var extra []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "emit-corpus" {
+				extra = append(extra, "-"+f.Name)
+			}
+		})
+		if extra = append(extra, fs.Args()...); len(extra) > 0 {
+			fmt.Fprintf(stderr, "check: -emit-corpus takes no other flag or file, not %s\n", strings.Join(extra, " "))
+			return 2
+		}
 		return runEmitCorpus(*emitCorpus, stdout, stderr)
 	}
 
@@ -60,7 +71,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	traces, err := readTraces(fs.Args(), *format, stdin)
+	traces, err := readTraces(fs.Args(), stdin)
 	if err != nil {
 		fmt.Fprintln(stderr, "check:", err)
 		return 2
@@ -229,9 +240,10 @@ func resolveModels(spec string) ([]string, error) {
 }
 
 // readTraces decodes every trace from the named files in order, or from
-// stdin when no files (or "-") are given. Each file is closed once it is
-// decoded, so any number of files can be read.
-func readTraces(files []string, format string, stdin io.Reader) ([]*oracle.Trace, error) {
+// stdin when no files (or "-") are given; each stream names its own
+// format. Each file is closed once it is decoded, so any number of files
+// can be read.
+func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, error) {
 	if len(files) == 0 {
 		files = []string{"-"}
 	}
@@ -239,7 +251,7 @@ func readTraces(files []string, format string, stdin io.Reader) ([]*oracle.Trace
 	for _, name := range files {
 		if name == "-" {
 			var err error
-			if traces, err = decodeTraces(traces, stdin, format, ""); err != nil {
+			if traces, err = decodeTraces(traces, stdin, ""); err != nil {
 				return nil, err
 			}
 			continue
@@ -248,7 +260,7 @@ func readTraces(files []string, format string, stdin io.Reader) ([]*oracle.Trace
 		if err != nil {
 			return nil, err
 		}
-		traces, err = decodeTraces(traces, f, format, name)
+		traces, err = decodeTraces(traces, f, name)
 		f.Close()
 		if err != nil {
 			return nil, err
@@ -259,8 +271,8 @@ func readTraces(files []string, format string, stdin io.Reader) ([]*oracle.Trace
 
 // decodeTraces appends every trace of r to traces. An error met past the
 // stream's header names the file, unless name is "" (stdin).
-func decodeTraces(traces []*oracle.Trace, r io.Reader, format, name string) ([]*oracle.Trace, error) {
-	dec, err := oracle.NewTraceReader(r, format)
+func decodeTraces(traces []*oracle.Trace, r io.Reader, name string) ([]*oracle.Trace, error) {
+	dec, err := oracle.NewTraceReader(r, "auto")
 	if err != nil {
 		return nil, err
 	}

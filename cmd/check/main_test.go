@@ -74,7 +74,7 @@ func TestCorpusGolden(t *testing.T) {
 	}
 }
 
-// TestBinaryPathMatchesText: the binary corpus through -format auto
+// TestBinaryPathMatchesText: the binary corpus, sniffed by its magic,
 // produces byte-identical output to the text corpus.
 func TestBinaryPathMatchesText(t *testing.T) {
 	var bin, errb bytes.Buffer
@@ -131,8 +131,13 @@ func TestExitCodes(t *testing.T) {
 
 	for _, args := range [][]string{
 		{"-model", "XC"},
-		{"-format", "sideways"},
+		// The stream names its own format; there is no flag for it.
+		{"-format", "text"},
 		{"-emit-corpus", "sideways"},
+		// -emit-corpus checks nothing: a model or a file is refused.
+		{"-emit-corpus", "text", "-model", "TSO"},
+		{"-emit-corpus", "text", "nosuch.txt"},
+		{"-emit-corpus", "text", "-model", "TSO", "nosuch.txt"},
 	} {
 		errb.Reset()
 		if code := run(args, strings.NewReader(""), &out, &errb); code != 2 {

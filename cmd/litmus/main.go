@@ -1,19 +1,21 @@
 // Command litmus generates the diy-style x86-TSO litmus suite and
-// optionally runs it against the simulated machine.
+// optionally runs it against the simulated machine: a scenario checked
+// against TSO (mesi-tso or tsocc-tso), with -bug injected into it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
 )
 
 func main() {
 	show := flag.Bool("show", false, "print the generated suite and exit")
-	proto := flag.String("protocol", "MESI", "protocol: MESI | TSO-CC")
-	bug := flag.String("bug", "", "bug to inject (empty = none)")
+	scenarioFlag := flag.String("scenario", "mesi-tso", "scenario to run the suite on: one checked against TSO (mesi-tso | tsocc-tso)")
+	bug := flag.String("bug", "", "bug to inject into the scenario (empty = none)")
 	passes := flag.Int("passes", 20, "whole-suite passes")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
@@ -27,6 +29,16 @@ func main() {
 
 	suite := mcversi.LitmusSuite()
 	if *show {
+		var extra []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "show" {
+				extra = append(extra, "-"+f.Name)
+			}
+		})
+		if len(extra) > 0 {
+			// -show runs nothing: a run flag would be silently ignored.
+			usage(fmt.Errorf("-show takes no other flag, not %s", strings.Join(extra, " ")))
+		}
 		for i, t := range suite {
 			fmt.Printf("#%d %s", i+1, t)
 		}
@@ -37,18 +49,22 @@ func main() {
 		// Zero passes would report a vacuous "no forbidden outcome".
 		usage(fmt.Errorf("-passes must be positive, got %d", *passes))
 	}
-	// The suite runs the TSO machine under -protocol with -bug injected:
-	// the scenario rules name an unknown protocol or bug, or a bug of the
-	// other protocol.
-	cfg := mcversi.DefaultLitmusConfig(mcversi.Protocol(*proto))
-	if *bug != "" {
-		cfg.Scenario.Bugs = []string{*bug}
-	}
-	if err := cfg.Scenario.Validate(); err != nil {
+	// The scenario rules name an unknown bug or a bug of the other
+	// protocol; the suite's forbidden outcomes are TSO's.
+	scen, err := mcversi.ScenarioByName(*scenarioFlag)
+	if err != nil {
 		usage(err)
 	}
+	scen = scen.Inject(*bug)
+	if err := scen.Validate(); err != nil {
+		usage(err)
+	}
+	if scen.Model != "TSO" {
+		usage(fmt.Errorf("-scenario %s is checked against %s; the litmus suite needs a TSO scenario", *scenarioFlag, scen.Model))
+	}
+	cfg := mcversi.DefaultLitmusConfig(scen)
 	cfg.MaxPasses = *passes
-	res, err := mcversi.RunLitmus(cfg, "", *seed)
+	res, err := mcversi.RunLitmus(cfg, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "litmus:", err)
 		os.Exit(1)

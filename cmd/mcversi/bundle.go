@@ -134,18 +134,16 @@ func (b *bundle) write(dir string, tr *oracle.Trace) error {
 	return f.Close()
 }
 
-// readBundle loads the bundle in dir. A field the bundle does not have
-// is an error, as it is in core.ParseSpec: a bundle naming a retired
-// knob must not replay at the default.
+// readBundle loads the bundle in dir through decodeStrict: a bundle
+// naming a retired knob must not replay at the default, and one with
+// data appended is not the bundle that was written.
 func readBundle(dir string) (*bundle, error) {
 	data, err := os.ReadFile(filepath.Join(dir, bundleFile))
 	if err != nil {
 		return nil, err
 	}
 	var b bundle
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&b); err != nil {
+	if err := decodeStrict(data, &b); err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
 	if len(b.Spec.Scenarios) != 1 || b.Spec.Samples != 1 || b.Test == nil || b.TestRun < 1 {

@@ -104,7 +104,8 @@ func TestBundleReplayShrink(t *testing.T) {
 
 // TestBundleOfFirstTestRun: a find at test-run 1 has no prefix to re-run;
 // its bundle is written and replays like any other, and refuses to
-// replay once its spec names a field the spec does not have.
+// replay once its spec names a field the spec does not have or data
+// follows its object.
 func TestBundleOfFirstTestRun(t *testing.T) {
 	dir := t.TempDir()
 	mergedOut := filepath.Join(t.TempDir(), "merged.json")
@@ -151,6 +152,14 @@ func TestBundleOfFirstTestRun(t *testing.T) {
 		if code, stdout, stderr = mcversiRun("-replay", item); code != 2 || stdout != "" || !strings.Contains(stderr, `"`+tc.field+`"`) {
 			t.Errorf("replay of a bundle naming %s: exit %d\n%s%s", tc.field, code, stdout, stderr)
 		}
+	}
+
+	// Data after the bundle's object is refused too.
+	if err := os.WriteFile(filepath.Join(item, bundleFile), []byte(string(data)+"garbage{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, stdout, stderr = mcversiRun("-replay", item); code != 2 || stdout != "" || !strings.Contains(stderr, "data after the JSON object") {
+		t.Errorf("replay of a bundle with trailing data: exit %d\n%s%s", code, stdout, stderr)
 	}
 }
 

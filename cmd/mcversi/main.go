@@ -6,14 +6,13 @@
 // the campaign fleet. Results are identical for a fixed seed at any
 // -parallel.
 //
-// The verification target is a scenario (-list-scenarios to enumerate):
+// The verification target is a scenario (-list-scenarios to enumerate),
+// mesi-tso — the paper's — by default; -bug injects a bug into each:
 //
 //	mcversi -scenario mesi-pso            # one scenario
 //	mcversi -scenario mesi-tso,mesi-rmo   # sweep a subset
 //	mcversi -scenario all                 # sweep every registered one
-//
-// Without -scenario, -protocol/-bug describe one: the paper's TSO
-// target on that protocol with that bug injected.
+//	mcversi -scenario tsocc-tso -bug TSO-CC+compare
 //
 // A campaign set spreads across processes or hosts as static shards:
 // each of N processes runs one contiguous item range and writes a shard
@@ -54,8 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcversi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	gen := fs.String("gen", "gp-all", "generator: rand | gp-all | gp-std-xo")
-	proto := fs.String("protocol", "MESI", "protocol: MESI | TSO-CC")
-	bug := fs.String("bug", "", "bug to inject (empty = none); -list for names")
+	bug := fs.String("bug", "", "bug to inject into every scenario (empty = none); -list for names")
 	mem := fs.Int("mem", 8192, "test memory bytes (paper: 1024 or 8192)")
 	budget := fs.Int("budget", 1000, "campaign budget in test-runs")
 	samples := fs.Int("samples", 1, "number of samples (distinct seeds)")
@@ -66,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	migrate := fs.Int("migrate", 50, "island migration interval in test-runs")
 	progress := fs.Bool("progress", false, "stream per-sample fleet events and the phase breakdown to stderr")
 	list := fs.Bool("list", false, "list the 11 studied bugs and exit")
-	scenarioFlag := fs.String("scenario", "",
-		"verification scenario(s): a registered name, a comma-separated list, or 'all' (-list-scenarios for names); overrides -protocol/-bug")
+	scenarioFlag := fs.String("scenario", "mesi-tso",
+		"verification scenario(s): a registered name, a comma-separated list, or 'all' (-list-scenarios for names)")
 	listScenarios := fs.Bool("list-scenarios", false, "list the registered scenarios and exit")
 	shardFlag := fs.String("shard", "",
 		"run only shard i/N (0 <= i < N <= items): the i-th of N contiguous item ranges, written to -shard-out for -merge")
@@ -97,6 +95,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
 
+	if *list || *listScenarios {
+		// A listing runs nothing: any other flag would be silently ignored.
+		if extra := otherFlags(fs, "list", "list-scenarios"); extra != "" {
+			return fail(2, fmt.Errorf("-list and -list-scenarios take no other flag, not %s", extra))
+		}
+	}
 	if *list {
 		for _, b := range mcversi.Bugs() {
 			star := " "
@@ -154,16 +158,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var scens []mcversi.Scenario
-	switch *scenarioFlag {
-	case "":
-		s := mcversi.Scenario{Protocol: mcversi.Protocol(*proto), Model: "TSO"}
-		if *bug != "" {
-			s.Bugs = []string{*bug}
-		}
-		scens = []mcversi.Scenario{s}
-	case "all":
+	if *scenarioFlag == "all" {
 		scens = mcversi.Scenarios()
-	default:
+	} else {
 		for _, name := range strings.Split(*scenarioFlag, ",") {
 			s, err := mcversi.ScenarioByName(strings.TrimSpace(name))
 			if err != nil {
@@ -172,6 +169,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			scens = append(scens, s)
 		}
 	}
+	// A bug of the other protocol is refused by spec.Validate below.
+	for i := range scens {
+		scens[i] = scens[i].Inject(*bug)
+	}
+	migrateSet := false
+	fs.Visit(func(f *flag.Flag) { migrateSet = migrateSet || f.Name == "migrate" })
 	switch {
 	case *islands && len(scens) > 1:
 		// Islands exchange chromosomes between populations bred for one
@@ -181,6 +184,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("-parallel must not be negative, got %d", *parallel))
 	case *timeout < 0:
 		return fail(2, fmt.Errorf("-timeout must not be negative, got %v", *timeout))
+	case migrateSet && !*islands:
+		return fail(2, errors.New("-migrate needs -islands"))
 	case *islands && *migrate <= 0:
 		return fail(2, fmt.Errorf("-migrate must be positive with -islands, got %d", *migrate))
 	case *islands && mcversi.GeneratorKind(*gen) == mcversi.GenRandom:

@@ -2,10 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/machine"
+	"repro/internal/scenario"
 )
 
 // mcversiRun runs the CLI in-process and returns its exit code and output.
@@ -54,6 +60,12 @@ func TestUsageErrors(t *testing.T) {
 		{"bundle with islands", []string{"-islands", "-bundle", t.TempDir()}, "-bundle is not available with -islands"},
 		{"replay of no bundle", []string{"-replay", t.TempDir()}, "bundle.json"},
 		{"replay with campaign flags", []string{"-replay", t.TempDir(), "-shrink", "-seed", "3", "-bundle", t.TempDir()}, "-replay takes only -shrink, not -bundle -seed"},
+		{"list with a shard", []string{"-list", "-shard", "9/2"}, "-list and -list-scenarios take no other flag, not -shard"},
+		{"list-scenarios with a seed", []string{"-list-scenarios", "-seed", "1"}, "take no other flag, not -seed"},
+		{"migrate without islands", []string{"-migrate", "7", "-gen", "rand"}, "-migrate needs -islands"},
+		{"protocol flag", []string{"-protocol", "TSO-CC"}, "-protocol"},
+		{"bug of the other protocol", []string{"-scenario", "tsocc-tso", "-bug", "MESI+PUTX-Race"}, "applies to protocol MESI, not TSO-CC"},
+		{"bug into both protocols", []string{"-scenario", "all", "-bug", "TSO-CC+compare"}, "applies to protocol TSO-CC, not MESI"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,7 +86,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestBugHuntAndMergedOut: -protocol/-bug build a one-scenario set that
+// TestBugHuntAndMergedOut: -bug injected into the default scenario
 // finds the bug, reported under its detection channel, and -merged-out
 // is an output option — it adds the file and changes nothing on stdout.
 func TestBugHuntAndMergedOut(t *testing.T) {
@@ -103,6 +115,44 @@ func TestBugHuntAndMergedOut(t *testing.T) {
 	}
 	if data, err := os.ReadFile(file); err != nil || !bytes.HasPrefix(data, []byte(`{"results":[`)) {
 		t.Errorf("merged file: err %v, content %.40q", err, data)
+	}
+}
+
+// TestBugInjectsIntoScenario: -bug injects into a named -scenario, which
+// then runs exactly the spec the (protocol, bug) pair describes: the
+// same report as -bug alone on mesi-tso, and the canonical result of a
+// fleet run of scenario.ForBug on tsocc-tso.
+func TestBugInjectsIntoScenario(t *testing.T) {
+	hunt := []string{"-bug", "LQ+no-TSO", "-gen", "rand", "-mem", "1024", "-budget", "120", "-seed", "5"}
+	_, plain, _ := mcversiRun(hunt...)
+	code, named, stderr := mcversiRun(append([]string{"-scenario", "mesi-tso"}, hunt...)...)
+	if code != 0 || !strings.Contains(named, "\n1/1 samples found a bug (") {
+		t.Fatalf("-scenario mesi-tso -bug: exit %d (stderr %q)\n%s", code, stderr, named)
+	}
+	if named != plain {
+		t.Errorf("-scenario mesi-tso changed the hunt:\n--- -bug alone\n%s--- with -scenario\n%s", plain, named)
+	}
+
+	const bug = "TSO-CC+compare"
+	file := filepath.Join(t.TempDir(), "merged.json")
+	code, _, stderr = mcversiRun("-scenario", "tsocc-tso", "-bug", bug, "-mem", "1024", "-budget", "1000",
+		"-seed", "1", "-merged-out", file)
+	if code != 0 {
+		t.Fatalf("-scenario tsocc-tso -bug: exit %d (stderr %q)", code, stderr)
+	}
+	scen := scenario.ForBug(machine.TSOCC, bug)
+	cfg := core.ScaledConfig(core.GenGPAll, scen, 1024)
+	cfg.MaxTestRuns = 1000
+	merged, err := fleet.LocalMerged(context.Background(), core.NewSpec(cfg, []scenario.Scenario{scen}, 1, 1), fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := merged.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRead(t, file); !bytes.Equal(got, want) {
+		t.Errorf("-merged-out differs from a fleet run of scenario.ForBug:\n got %s\nwant %s", got, want)
 	}
 }
 

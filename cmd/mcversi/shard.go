@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,17 +21,29 @@ type shardFile struct {
 	Shard fleet.ShardResult `json:"shard"`
 }
 
-// readShard loads a shard file. Like core.ParseSpec it refuses a field
-// it does not know, and a cut-off file fails to decode.
+// decodeStrict decodes data, one JSON object, into v. Like
+// core.ParseSpec it refuses a field v does not have and anything after
+// the object, so a cut-off or appended-to file fails.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON object")
+	}
+	return nil
+}
+
+// readShard loads a shard file through decodeStrict.
 func readShard(path string) (shardFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return shardFile{}, err
 	}
 	var f shardFile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(data, &f); err != nil {
 		return shardFile{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if err := f.Spec.Validate(); err != nil {

@@ -40,8 +40,8 @@ func mustRead(t *testing.T, path string) []byte {
 // a local run and writes its -merged-out byte for byte. Every shard
 // range is a pure function of (spec, i, N), so the split is invisible
 // in the merge. Files that do not cover the set exactly once, that
-// belong to another set, or that are cut off are refused, naming the
-// file.
+// belong to another set, or that are cut off or appended to are
+// refused, naming the file.
 func TestShardMergeEquivalence(t *testing.T) {
 	const items = 4
 	// The GP budget outlasts the 100-test initial population, so the
@@ -103,6 +103,10 @@ func TestShardMergeEquivalence(t *testing.T) {
 	if err := os.WriteFile(truncated, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	appended := filepath.Join(t.TempDir(), "appended.json")
+	if err := os.WriteFile(appended, []byte(string(mustRead(t, rand[1]))+"garbage{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name  string
 		files []string
@@ -114,6 +118,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 		{"shard given twice", []string{rand[0], rand[1], rand[1], rand[2]}, rand[1], "overlaps"},
 		{"another campaign set", []string{rand[0], gp[1], rand[2]}, gp[1], "campaign set differs"},
 		{"truncated file", []string{rand[0], truncated, rand[2]}, truncated, "unexpected EOF"},
+		{"trailing data", []string{rand[0], appended, rand[2]}, appended, "data after the JSON object"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			code, stdout, stderr := mcversiRun(append([]string{"-merge"}, c.files...)...)

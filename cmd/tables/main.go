@@ -1,8 +1,5 @@
 // Command tables regenerates the paper's evaluation tables (4, 5 and 6)
-// at a configurable scale, plus the scenario-matrix report (-table
-// matrix): litmus-shape discrimination across SC/TSO/PSO/RMO and a
-// bug-free soundness smoke over every registered scenario. See
-// EXPERIMENTS.md for paper-vs-measured.
+// at a configurable scale. See EXPERIMENTS.md for paper-vs-measured.
 package main
 
 import (
@@ -15,7 +12,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "4", "table to regenerate: 4, 5, 6 or matrix")
+	table := flag.String("table", "4", "table to regenerate: 4, 5 or 6")
 	full := flag.Bool("full", false, "use the full reproduction scale (slower)")
 	parallel := flag.Int("parallel", 0, "fleet workers sharding table cells (0 = all cores, 1 = sequential)")
 	flag.Parse()
@@ -41,10 +38,8 @@ func main() {
 		err = eval.Table5(os.Stdout, eval.Columns(), bugs.All(), sc, []int{100, 400, 1000})
 	case "6":
 		err = eval.Table6(os.Stdout, eval.Columns(), sc)
-	case "matrix":
-		err = eval.ScenarioMatrix(os.Stdout, sc)
 	default:
-		fmt.Fprintf(os.Stderr, "tables: unknown table %q (4, 5, 6 or matrix)\n", *table)
+		fmt.Fprintf(os.Stderr, "tables: unknown table %q (4, 5 or 6)\n", *table)
 		os.Exit(2)
 	}
 	if err != nil {

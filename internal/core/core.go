@@ -47,7 +47,7 @@ const (
 type Config struct {
 	// Scenario is the verification target: coherence protocol, axiomatic
 	// model, legal core relaxations and injected bugs, on the Table 2
-	// machine. An unset protocol is MESI and an unset model TSO.
+	// machine.
 	Scenario scenario.Scenario
 	// Seed drives simulation and test generation.
 	Seed int64
@@ -77,9 +77,10 @@ type Config struct {
 
 // DefaultConfig returns a campaign configuration at the paper's
 // parameters (Table 2 machine, Table 3 test generation, 1k-operation
-// tests, 10 iterations per run).
+// tests, 10 iterations per run) against the paper's scenario.
 func DefaultConfig() Config {
 	return Config{
+		Scenario:    scenario.Default(),
 		Generator:   GenGPAll,
 		GP:          gp.PaperParams(),
 		Coverage:    coverage.DefaultParams(),
@@ -109,19 +110,6 @@ func ScaledConfig(gen GeneratorKind, scen scenario.Scenario, memBytes int) Confi
 	return cfg
 }
 
-// ResolvedScenario normalizes and validates the campaign's scenario:
-// an unset protocol is MESI, an unset model TSO.
-func (c Config) ResolvedScenario() (scenario.Scenario, error) {
-	s := c.Scenario
-	if s.Protocol == "" {
-		s.Protocol = machine.MESI
-	}
-	if s.Model == "" {
-		s.Model = "TSO"
-	}
-	return s, s.Validate()
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch c.Generator {
@@ -135,11 +123,7 @@ func (c Config) Validate() error {
 	if err := c.Test.Validate(); err != nil {
 		return err
 	}
-	s, err := c.ResolvedScenario()
-	if err != nil {
-		return err
-	}
-	_, err = s.Apply()
+	_, err := c.Scenario.Apply()
 	return err
 }
 
@@ -189,7 +173,6 @@ func (r Result) String() string {
 // the tally at any point.
 type Campaign struct {
 	cfg     Config
-	scn     scenario.Scenario
 	tracker *coverage.Tracker
 	// h drives the campaign's machine; nil once Release gave it back,
 	// together with the generator and engine, whose random sources the
@@ -270,11 +253,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	scn, err := cfg.ResolvedScenario()
-	if err != nil {
-		return nil, err
-	}
-	mcfg, err := scn.Apply()
+	mcfg, err := cfg.Scenario.Apply()
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +264,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	// the tracker's count vector.
 	tracker := coverage.NewTracker(len(machine.Transitions(mcfg.Protocol)), cfg.Coverage)
 
-	arch, err := scn.Arch()
+	arch, err := cfg.Scenario.Arch()
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +274,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	k := kitFor(m, arch, cfg.Host)
 	k.rec.SetMemo(cfg.Memo)
-	k.rec.SetScope(scn.ID())
+	k.rec.SetScope(cfg.Scenario.ID())
 	m.Reset(mcfg.Seed, tracker, k.trap, k.rec)
 
 	k.genRng = seeded(k.genRng, cfg.Seed^0x5eed)
@@ -304,7 +283,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 
-	c := &Campaign{cfg: cfg, scn: scn, tracker: tracker, h: k.h, gen: gen, test: &k.test}
+	c := &Campaign{cfg: cfg, tracker: tracker, h: k.h, gen: gen, test: &k.test}
 	if cfg.Generator != GenRandom {
 		params := cfg.GP
 		if cfg.Generator == GenGPStdXO {
@@ -467,7 +446,7 @@ func (c *Campaign) Advance(ctx context.Context, extra int) (bool, error) {
 // point, including after a cancelled Advance.
 func (c *Campaign) Result() Result {
 	out := c.out
-	out.Scenario = c.scn.ID()
+	out.Scenario = c.cfg.Scenario.ID()
 	if c.h != nil { // after Release, c.out holds the machine's final totals
 		out.SimTicks = c.h.Machine().Sim.Now()
 		out.Committed = c.h.Machine().CommittedInstructions()

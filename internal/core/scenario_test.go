@@ -116,24 +116,24 @@ func TestScenarioBugHunt(t *testing.T) {
 	}
 }
 
-// TestResolvedScenarioCompatibility: an unset scenario resolves to the
-// paper's target, and an explicit one is kept.
-func TestResolvedScenarioCompatibility(t *testing.T) {
+// TestDefaultConfigScenario: DefaultConfig carries the paper's target,
+// and a scenario is used as given — one without a model is refused, not
+// filled in.
+func TestDefaultConfigScenario(t *testing.T) {
 	cfg := DefaultConfig()
-	s, err := cfg.ResolvedScenario()
+	cfg.Test = testgen.Config{Size: 16, Threads: 8, Layout: memsys.MustLayout(1024, 16)}
+	cfg.Host.Iterations = 1
+	cfg.MaxTestRuns = 1
+	res, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Protocol != "MESI" || s.Model != "TSO" {
-		t.Errorf("resolved %s/%s, want MESI/TSO", s.Protocol, s.Model)
+	if res.Scenario != "MESI/TSO" {
+		t.Errorf("Result.Scenario = %q, want MESI/TSO", res.Scenario)
 	}
-	cfg.Scenario = scenario.Scenario{Protocol: "MESI", Model: "PSO", Relax: scenario.RelaxFor("PSO")}
-	s, err = cfg.ResolvedScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Protocol != "MESI" || s.Model != "PSO" {
-		t.Errorf("resolved %s/%s, want MESI/PSO", s.Protocol, s.Model)
+	cfg.Scenario = scenario.Scenario{Protocol: "MESI"}
+	if err := cfg.Validate(); err == nil {
+		t.Error("scenario without a model accepted")
 	}
 }
 

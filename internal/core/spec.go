@@ -16,8 +16,8 @@ import (
 	"repro/internal/testgen"
 )
 
-// Spec is the serializable wire form of a campaign set: everything a
-// remote worker needs to reproduce a slice of a campaign byte-for-byte.
+// Spec is the serializable wire form of a campaign set: everything
+// another process needs to reproduce a slice of it byte-for-byte.
 // It covers the whole configuration surface (scenario list, generator
 // selection, Table 3 test-generation sizes, GP/coverage/host parameters
 // and the budget) on the one Table 2 machine; the benchmark's shared
@@ -27,10 +27,10 @@ import (
 // ("items") — the paper's samples-per-cell (§5.1) times a scenario
 // axis. Item i runs scenario Scenarios[i/Samples] with seed
 // SampleSeed(BaseSeed, i); both are pure functions of (spec, i), which
-// is what makes a sharded remote run mergeable into a whole that is
+// is what makes a run split into shards mergeable into a whole that is
 // byte-identical to a local one. The spec is the only description of a
-// campaign set: fleet.RunShard, local or on a remote worker, runs
-// nothing else.
+// campaign set: fleet.RunShard, in whichever process, runs nothing
+// else.
 type Spec struct {
 	// Scenarios are the verification targets, one campaign column per
 	// entry. At least one is required.

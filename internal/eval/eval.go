@@ -18,7 +18,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/litmus"
 	"repro/internal/machine"
-	"repro/internal/memmodel"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -214,68 +213,6 @@ func Table5(w io.Writer, specs []GeneratorSpec, bugList []bugs.Bug, sc Scale, bu
 			fmt.Fprintf(w, " | %9.0f%%", 100*float64(found)/float64(len(bugList)))
 		}
 		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// ScenarioMatrix reports the scenario layer's two discrimination views.
-//
-// The first half is purely axiomatic: each weak-model classic of the
-// litmus corpus against each bundled model, showing which shapes
-// separate which adjacent model pair (the known answers pinning the
-// SC/TSO/PSO/RMO checkers). The second half runs one short bug-free
-// campaign per registered scenario — sharded across the fleet — as a
-// cross-scenario soundness smoke: a relaxed machine checked against its
-// own model must stay quiet.
-func ScenarioMatrix(w io.Writer, sc Scale) error {
-	models := memmodel.Names()
-	fmt.Fprintf(w, "Scenario matrix: litmus-shape discrimination across models\n")
-	fmt.Fprintf(w, "(F = outcome forbidden by the model, - = allowed; a shape separates\n")
-	fmt.Fprintf(w, "the adjacent pair where F flips to -)\n\n")
-	fmt.Fprintf(w, "%-16s", "Shape")
-	for _, m := range models {
-		fmt.Fprintf(w, " | %-4s", m)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, strings.Repeat("-", 16+len(models)*7))
-	for _, k := range litmus.Corpus() {
-		t, ok := k.Materialize()
-		if !ok {
-			return fmt.Errorf("eval: corpus shape %s did not materialize", k.Name)
-		}
-		fmt.Fprintf(w, "%-16s", k.Name)
-		for _, m := range models {
-			arch, err := memmodel.ByName(m)
-			if err != nil {
-				return err
-			}
-			cell := "-"
-			if litmus.Forbidden(t, arch) {
-				cell = "F"
-			}
-			fmt.Fprintf(w, " | %-4s", cell)
-		}
-		fmt.Fprintln(w)
-	}
-
-	scens := scenario.All()
-	fmt.Fprintf(w, "\nRegistered scenarios: bug-free soundness smoke (%d runs each)\n\n", sc.Budget)
-	fmt.Fprintf(w, "%-12s %-28s %8s %10s %8s\n", "Scenario", "Identity", "Runs", "Coverage", "Quiet")
-	cfg := core.ScaledConfig(core.GenGPAll, scenario.ForBug(machine.MESI, ""), 1024)
-	cfg.MaxTestRuns = sc.Budget
-	set, err := fleet.LocalMerged(context.Background(), core.NewSpec(cfg, scens, 1, sc.Seed),
-		fleet.Options{Workers: sc.Parallel})
-	if err != nil {
-		return err
-	}
-	for i, s := range scens {
-		res := set.Results[i]
-		quiet := "yes"
-		if res.Found {
-			quiet = "NO: " + res.Detail
-		}
-		fmt.Fprintf(w, "%-12s %-28s %8d %9.1f%% %8s\n",
-			s.Name, s.ID(), res.TestRuns, 100*res.TotalCoverage, quiet)
 	}
 	return nil
 }

@@ -99,22 +99,3 @@ func table6Column(out string, c int) []string {
 	}
 	return col
 }
-
-// TestScenarioMatrixReport: the matrix report renders the corpus
-// discrimination rows and one soundness-smoke line per registered
-// scenario, and the (tiny) bug-free smokes stay quiet.
-func TestScenarioMatrixReport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := ScenarioMatrix(&buf, tinyScale(0)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"SB", "MP", "LB", "SB+mfences", "mesi-pso", "mesi-rmo", "tsocc-rmo", "mesi-sc"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("matrix report missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "NO:") {
-		t.Errorf("scenario soundness smoke reported a violation:\n%s", out)
-	}
-}

@@ -47,7 +47,7 @@ func PlanShards(items, shardSize int) []Range {
 	return plan
 }
 
-// ShardResult is one leased range's outcome: per-item campaign results
+// ShardResult is one item range's outcome: per-item campaign results
 // (indexed Range.Start+i) plus the shard's merged per-transition
 // coverage count vector, indexed by TransitionID over the protocol's
 // interned vocabulary. TransitionIDs are sorted-order-stable per

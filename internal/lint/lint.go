@@ -2,7 +2,7 @@
 // equivalent of golang.org/x/tools/go/analysis sized to this repo's
 // needs. It exists because the invariants the rest of the codebase is
 // built on — a campaign is a pure function of (scenario, seed), so
-// merges are byte-identical at any worker topology and checkpoints are
+// merges are byte-identical at any worker topology and shard files are
 // wire-stable — are invisible to the Go compiler, and violations of
 // them (map order leaking into output, untagged wire fields, a clock
 // read in the campaign path) were caught by hand in review until now.

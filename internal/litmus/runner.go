@@ -37,8 +37,8 @@ type SuiteResult struct {
 // SuiteConfig parameterizes a litmus campaign (§5.2.2: all generated
 // tests run in an outer loop until the time limit).
 type SuiteConfig struct {
-	// Scenario is the machine the suite runs on, checked against TSO:
-	// scenario.ForBug(protocol, bug).
+	// Scenario is the machine the suite runs on; it must be checked
+	// against TSO (mesi-tso or tsocc-tso, with any bug injected).
 	Scenario scenario.Scenario
 	// IterationsPerTest is how many times each litmus test executes
 	// per pass (diy's -r/-s scaled down).
@@ -48,10 +48,10 @@ type SuiteConfig struct {
 }
 
 // DefaultSuiteConfig returns a scaled-down campaign configuration on
-// the bug-free MESI machine.
+// the paper's scenario.
 func DefaultSuiteConfig() SuiteConfig {
 	return SuiteConfig{
-		Scenario:          scenario.ForBug(machine.MESI, ""),
+		Scenario:          scenario.Default(),
 		IterationsPerTest: 10,
 		MaxPasses:         20,
 	}

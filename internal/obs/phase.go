@@ -7,14 +7,13 @@
 // fleet.Merged.CanonicalBytes, so an instrumented campaign is
 // byte-identical to an uninstrumented one.
 //
-// Every handle type is nil-safe — methods on a nil *PhaseStats or *Agg
-// are no-ops — so call sites need no "is obs on?" branches of their own.
+// A nil *PhaseStats is the disabled tracer — its methods are no-ops — so
+// call sites need no "is obs on?" branches of their own.
 package obs
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -237,32 +236,4 @@ func (s Snapshot) String() string {
 			p, time.Duration(st.Ns).Round(time.Millisecond), 100*st.Ns/total))
 	}
 	return strings.Join(parts, ", ")
-}
-
-// Agg is a concurrency-safe snapshot accumulator for sites that merge
-// snapshots from many goroutines (a worker absorbing shard results, a
-// daemon totalling campaigns).
-type Agg struct {
-	mu sync.Mutex
-	s  Snapshot
-}
-
-// Absorb folds one snapshot in. Nil-safe.
-func (a *Agg) Absorb(s Snapshot) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.s = a.s.Merge(s)
-	a.mu.Unlock()
-}
-
-// Snapshot returns the accumulated total.
-func (a *Agg) Snapshot() Snapshot {
-	if a == nil {
-		return Snapshot{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.s
 }

@@ -34,7 +34,7 @@ func TestPhaseStatsObserveAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestNilHandlesAreNoOps: a nil *PhaseStats or *Agg is the disabled
+// TestNilHandlesAreNoOps: a nil *PhaseStats is the disabled
 // tracer, so call sites need no enable flag of their own.
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var ps *PhaseStats
@@ -42,11 +42,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	ps.ObserveN(PhaseSim, int64(time.Hour), 3)
 	if !ps.Snapshot().Empty() {
 		t.Error("nil PhaseStats accumulated spans")
-	}
-	var agg *Agg
-	agg.Absorb(Span(PhaseSim, time.Second))
-	if !agg.Snapshot().Empty() {
-		t.Error("nil Agg accumulated")
 	}
 }
 
@@ -145,24 +140,6 @@ func TestSpanAndString(t *testing.T) {
 	str := full.String()
 	if !strings.Contains(str, "sim 3s (75%)") || !strings.Contains(str, "testgen 1s (25%)") {
 		t.Errorf("String() = %q", str)
-	}
-}
-
-func TestAgg(t *testing.T) {
-	agg := &Agg{}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				agg.Absorb(Span(PhaseCheck, time.Microsecond))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := agg.Snapshot().Check; got.Count != 800 || got.Ns != 800*int64(time.Microsecond) {
-		t.Fatalf("agg check = %+v", got)
 	}
 }
 

@@ -173,16 +173,24 @@ func RelaxFor(model string) cpu.Relax {
 	}
 }
 
-// ForBug is the pre-scenario configuration surface in scenario form:
-// the paper's TSO machine under proto with one named bug injected ("" =
-// bug-free). It is how the eval tables and the compatibility API map
-// their (protocol, bug) pairs onto the scenario layer.
-func ForBug(proto machine.Protocol, bug string) Scenario {
-	s := Scenario{Protocol: proto, Model: "TSO"}
-	if bug != "" {
-		s.Bugs = []string{bug}
+// Inject returns s with the named bug injected ("" = s unchanged). The
+// result is an ad-hoc target, no longer the registered one: its Name and
+// Description are cleared. Validate refuses a bug of the other protocol.
+func (s Scenario) Inject(bug string) Scenario {
+	if bug == "" {
+		return s
 	}
+	s.Name, s.Description = "", ""
+	s.Bugs = []string{bug}
 	return s
+}
+
+// ForBug is the paper's TSO machine under proto with one named bug
+// injected ("" = bug-free): the (protocol, bug) pair the evaluation
+// tables iterate over. For MESI and TSO-CC it equals the mesi-tso and
+// tsocc-tso scenarios with the bug injected.
+func ForBug(proto machine.Protocol, bug string) Scenario {
+	return Scenario{Protocol: proto, Model: "TSO"}.Inject(bug)
 }
 
 // ByName returns the named scenario; the error lists the known names.

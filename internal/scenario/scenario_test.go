@@ -214,4 +214,22 @@ func TestForBug(t *testing.T) {
 	if s2 := ForBug(machine.MESI, ""); len(s2.Bugs) != 0 {
 		t.Errorf("bug-free ForBug carries bugs: %+v", s2)
 	}
+	// A bug injected into the protocol's TSO scenario is exactly ForBug's
+	// target, so both spellings of a bug hunt run the same spec.
+	for _, c := range []struct {
+		name  string
+		proto machine.Protocol
+		bug   string
+	}{{"mesi-tso", machine.MESI, "LQ+no-TSO"}, {"tsocc-tso", machine.TSOCC, "TSO-CC+compare"}} {
+		named, err := ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := named.Inject(c.bug), ForBug(c.proto, c.bug); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s.Inject(%q) = %+v, want %+v", c.name, c.bug, got, want)
+		}
+		if got := named.Inject(""); !reflect.DeepEqual(got, named) {
+			t.Errorf("%s.Inject(\"\") = %+v, want it unchanged", c.name, got)
+		}
+	}
 }

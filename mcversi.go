@@ -211,23 +211,19 @@ type LitmusSuiteConfig = litmus.SuiteConfig
 // LitmusSuiteResult reports a litmus campaign's outcome.
 type LitmusSuiteResult = litmus.SuiteResult
 
-// RunLitmus executes the litmus suite on cfg's scenario or, when bug is
-// named, on the TSO machine of that scenario's protocol with the bug
-// injected. A find is a protocol error, a watchdog, or a TSO checker
-// violation whose execution realises the detecting test's forbidden
-// outcome.
-func RunLitmus(cfg LitmusSuiteConfig, bug string, seed int64) (LitmusSuiteResult, error) {
-	if bug != "" {
-		cfg.Scenario = scenario.ForBug(cfg.Scenario.Protocol, bug)
-	}
+// RunLitmus executes the litmus suite on cfg's scenario, which must be
+// checked against TSO. A find is a protocol error, a watchdog, or a TSO
+// checker violation whose execution realises the detecting test's
+// forbidden outcome.
+func RunLitmus(cfg LitmusSuiteConfig, seed int64) (LitmusSuiteResult, error) {
 	return litmus.RunSuite(cfg, litmus.Suite(), seed)
 }
 
 // DefaultLitmusConfig returns the scaled litmus campaign configuration
-// on the bug-free proto machine.
-func DefaultLitmusConfig(proto Protocol) LitmusSuiteConfig {
+// on scen, which RunLitmus needs checked against TSO.
+func DefaultLitmusConfig(scen Scenario) LitmusSuiteConfig {
 	cfg := litmus.DefaultSuiteConfig()
-	cfg.Scenario = scenario.ForBug(proto, "")
+	cfg.Scenario = scen
 	return cfg
 }
 

@@ -7,7 +7,7 @@
 // The shape mirrors the in-repo campaign pipeline: a Checker holds one
 // model plus the unified fast-path-first decision procedure, consults a
 // shareable verdict Memo (optionally backed by a durable on-disk Store
-// shared across processes and campaigns), and returns Results
+// shared across processes and runs), and returns Results
 // byte-identical to the exact checker's regardless of which tier or
 // pass decided. A Checker is single-goroutine; Checkers may share a
 // Memo and through it a Store.
