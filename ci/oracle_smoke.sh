@@ -115,5 +115,19 @@ if ! [ -s "$WORKDIR/verdicts.cut.lines" ] || ! cmp -s "$WORKDIR/verdicts.cut.lin
   exit 1
 fi
 
+# An input holding no trace checks nothing: empty stdin and a stream of
+# only the text header each exit 2 naming the input, so a producer that
+# died before writing cannot pass as "every trace valid".
+printf 'mctrace 1\n' >"$WORKDIR/header-only.mctrace"
+for input in /dev/null "$WORKDIR/header-only.mctrace"; do
+  status=0
+  "$WORKDIR/check" -model all <"$input" >"$WORKDIR/empty.out" 2>"$WORKDIR/empty.err" || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$WORKDIR/empty.out" ] || ! grep -q '^check: stdin: no trace' "$WORKDIR/empty.err"; then
+    echo "FAIL: check on $input exited $status, want 2 naming stdin" >&2
+    cat "$WORKDIR/empty.out" "$WORKDIR/empty.err" >&2
+    exit 1
+  fi
+done
+
 lines=$(wc -l <"$GOLDEN")
-echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths; a malformed trace and a cut binary corpus fail alike warm and cold"
+echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths; a malformed trace and a cut binary corpus fail alike warm and cold; an input with no trace exits 2"

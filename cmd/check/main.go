@@ -12,7 +12,8 @@
 //	check -emit-corpus text               # dump the litmus known-answer corpus
 //
 // Exit status: 0 when every trace is valid under every requested model,
-// 1 when any violation was found, 2 on usage, decode, or I/O errors.
+// 1 when any violation was found, 2 on usage, decode, or I/O errors and
+// on an input holding no trace.
 package main
 
 import (
@@ -270,15 +271,24 @@ func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, error) {
 }
 
 // decodeTraces appends every trace of r to traces. An error met past the
-// stream's header names the file, unless name is "" (stdin).
+// stream's header names the file, unless name is "" (stdin). An input
+// holding no trace is an error: an empty stream, as from a producer
+// that died before writing, must not read as "every trace valid".
 func decodeTraces(traces []*oracle.Trace, r io.Reader, name string) ([]*oracle.Trace, error) {
 	dec, err := oracle.NewTraceReader(r, "auto")
 	if err != nil {
 		return nil, err
 	}
+	n := len(traces)
 	for {
 		tr, err := dec.Next()
 		if err == io.EOF {
+			if len(traces) == n {
+				if name == "" {
+					name = "stdin"
+				}
+				return nil, fmt.Errorf("%s: no trace in the input", name)
+			}
 			return traces, nil
 		}
 		if err != nil {

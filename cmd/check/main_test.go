@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -159,6 +160,35 @@ func TestExitCodes(t *testing.T) {
 	if code := run([]string{"-model", "SC"}, strings.NewReader(oversized), &out, &errb); code != 2 ||
 		!strings.Contains(errb.String(), "line 3") {
 		t.Errorf("oversized thread id exited %d, want 2 naming line 3 (stderr %q)", code, errb.String())
+	}
+	// An input holding no trace checks nothing: exit 2 naming it, so a
+	// producer that died before writing does not pass.
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.mctrace")
+	headerOnly := filepath.Join(dir, "header.mctrace")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(headerOnly, []byte("mctrace 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args  []string
+		stdin string
+		names string
+	}{
+		{[]string{"-model", "TSO", empty}, "", empty},
+		{[]string{"-model", "TSO", headerOnly}, "", headerOnly},
+		{[]string{"-model", "TSO"}, "", "stdin"},
+		{[]string{"-model", "TSO"}, "mctrace 1\n", "stdin"},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run(c.args, strings.NewReader(c.stdin), &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), c.names) || out.Len() != 0 {
+			t.Errorf("%v on stdin %q exited %d, want 2 naming %s (stdout %q, stderr %q)",
+				c.args, c.stdin, code, c.names, out.String(), errb.String())
+		}
 	}
 	// Structurally broken trace: decodes, fails at materialization.
 	errb.Reset()

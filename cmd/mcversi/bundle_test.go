@@ -104,8 +104,8 @@ func TestBundleReplayShrink(t *testing.T) {
 
 // TestBundleOfFirstTestRun: a find at test-run 1 has no prefix to re-run;
 // its bundle is written and replays like any other, and refuses to
-// replay once its spec names a field the spec does not have or data
-// follows its object.
+// replay once its spec names a field the spec does not have or a
+// barrier other than the host's, or data follows its object.
 func TestBundleOfFirstTestRun(t *testing.T) {
 	dir := t.TempDir()
 	mergedOut := filepath.Join(t.TempDir(), "merged.json")
@@ -125,17 +125,22 @@ func TestBundleOfFirstTestRun(t *testing.T) {
 	}
 
 	// A field the bundle's spec does not have, such as a retired GP
-	// rate or a misspelt budget, is a usage error naming it.
+	// rate, a misspelt budget or a scenario's relaxations, is a usage
+	// error naming it; so is a barrier other than the host's.
 	data, err := os.ReadFile(filepath.Join(item, bundleFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		field string
-		edit  func(spec map[string]any)
+		want string
+		edit func(spec map[string]any)
 	}{
-		{"PMutt", func(spec map[string]any) { spec["gp"].(map[string]any)["PMutt"] = 0.9 }},
-		{"max_test_run", func(spec map[string]any) { spec["max_test_run"] = 3 }},
+		{`"PMutt"`, func(spec map[string]any) { spec["gp"].(map[string]any)["PMutt"] = 0.9 }},
+		{`"max_test_run"`, func(spec map[string]any) { spec["max_test_run"] = 3 }},
+		{`"relax"`, func(spec map[string]any) {
+			spec["scenarios"].([]any)[0].(map[string]any)["relax"] = map[string]any{}
+		}},
+		{"Host.Barrier", func(spec map[string]any) { spec["host"].(map[string]any)["Barrier"] = 1 }},
 	} {
 		var doc map[string]any
 		if err := json.Unmarshal(data, &doc); err != nil {
@@ -149,8 +154,8 @@ func TestBundleOfFirstTestRun(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(item, bundleFile), edited, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if code, stdout, stderr = mcversiRun("-replay", item); code != 2 || stdout != "" || !strings.Contains(stderr, `"`+tc.field+`"`) {
-			t.Errorf("replay of a bundle naming %s: exit %d\n%s%s", tc.field, code, stdout, stderr)
+		if code, stdout, stderr = mcversiRun("-replay", item); code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("replay of a bundle refused for %s: exit %d\n%s%s", tc.want, code, stdout, stderr)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,13 +36,40 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
+// editSpec writes a copy of the JSON file at path, its "spec" object
+// changed by edit, under dir and returns the copy's path.
+func editSpec(t *testing.T, path, dir string, edit func(spec map[string]any)) string {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(mustRead(t, path), &doc); err != nil {
+		t.Fatal(err)
+	}
+	edit(doc["spec"].(map[string]any))
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.CreateTemp(dir, "edited-*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := out.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Name()
+}
+
 // TestShardMergeEquivalence: a campaign set split into 1, 2, 3 or one
 // shard per item and merged in either file order prints the stdout of
 // a local run and writes its -merged-out byte for byte. Every shard
 // range is a pure function of (spec, i, N), so the split is invisible
 // in the merge. Files that do not cover the set exactly once, that
-// belong to another set, or that are cut off or appended to are
-// refused, naming the file.
+// belong to another set, that are cut off or appended to, or whose
+// spec names a scenario's relaxations or the guest barrier are refused,
+// naming the file.
 func TestShardMergeEquivalence(t *testing.T) {
 	const items = 4
 	// The GP budget outlasts the 100-test initial population, so the
@@ -107,6 +135,12 @@ func TestShardMergeEquivalence(t *testing.T) {
 	if err := os.WriteFile(appended, []byte(string(mustRead(t, rand[1]))+"garbage{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	relaxed := editSpec(t, rand[1], t.TempDir(), func(spec map[string]any) {
+		spec["scenarios"].([]any)[1].(map[string]any)["relax"] = map[string]any{"NonFIFOSB": true}
+	})
+	guest := editSpec(t, rand[1], t.TempDir(), func(spec map[string]any) {
+		spec["host"].(map[string]any)["Barrier"] = 1
+	})
 	for _, c := range []struct {
 		name  string
 		files []string
@@ -119,6 +153,8 @@ func TestShardMergeEquivalence(t *testing.T) {
 		{"another campaign set", []string{rand[0], gp[1], rand[2]}, gp[1], "campaign set differs"},
 		{"truncated file", []string{rand[0], truncated, rand[2]}, truncated, "unexpected EOF"},
 		{"trailing data", []string{rand[0], appended, rand[2]}, appended, "data after the JSON object"},
+		{"scenario relaxations", []string{rand[0], relaxed, rand[2]}, relaxed, `unknown field "relax"`},
+		{"guest barrier", []string{rand[0], guest, rand[2]}, guest, "Host.Barrier"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			code, stdout, stderr := mcversiRun(append([]string{"-merge"}, c.files...)...)

@@ -46,8 +46,8 @@ const (
 // Table 4 cell).
 type Config struct {
 	// Scenario is the verification target: coherence protocol, axiomatic
-	// model, legal core relaxations and injected bugs, on the Table 2
-	// machine.
+	// model (which fixes the cores' legal relaxations) and injected bugs,
+	// on the Table 2 machine.
 	Scenario scenario.Scenario
 	// Seed drives simulation and test generation.
 	Seed int64
@@ -59,7 +59,8 @@ type Config struct {
 	GP gp.Params
 	// Coverage tunes the adaptive-coverage fitness.
 	Coverage coverage.Params
-	// Host holds iteration count and barrier options.
+	// Host holds the iteration count and the watchdog; its Barrier must
+	// be host.HostBarrier.
 	Host host.Options
 	// MaxTestRuns bounds the campaign in test-runs (the scaled
 	// equivalent of the paper's 24-hour limit).
@@ -122,6 +123,15 @@ func (c Config) Validate() error {
 	}
 	if err := c.Test.Validate(); err != nil {
 		return err
+	}
+	if c.Host.Iterations < 1 {
+		return fmt.Errorf("core: Host.Iterations must be positive, got %d", c.Host.Iterations)
+	}
+	if c.Host.MaxTicksPerIteration == 0 {
+		return fmt.Errorf("core: Host.MaxTicksPerIteration must be positive, got 0")
+	}
+	if c.Host.Barrier != host.HostBarrier {
+		return fmt.Errorf("core: Host.Barrier must be %d (the host-assisted barrier), got %d", host.HostBarrier, c.Host.Barrier)
 	}
 	_, err := c.Scenario.Apply()
 	return err

@@ -136,13 +136,3 @@ func TestDefaultConfigScenario(t *testing.T) {
 		t.Error("scenario without a model accepted")
 	}
 }
-
-// TestIncoherentScenarioRejected: a relaxation the model forbids cannot
-// build a campaign.
-func TestIncoherentScenarioRejected(t *testing.T) {
-	cfg := scaledConfig(GenRandom, "MESI", "", 1024, 10)
-	cfg.Scenario = scenario.Scenario{Protocol: "MESI", Model: "TSO", Relax: scenario.RelaxFor("PSO")}
-	if _, err := NewCampaign(cfg); err == nil {
-		t.Error("NonFIFOSB under TSO accepted")
-	}
-}

@@ -57,7 +57,8 @@ type Spec struct {
 	GP gp.Params `json:"gp"`
 	// Coverage tunes the adaptive-coverage fitness.
 	Coverage coverage.Params `json:"coverage"`
-	// Host holds iteration count and barrier options.
+	// Host holds the iteration count and the watchdog; its Barrier must
+	// be host.HostBarrier.
 	Host host.Options `json:"host"`
 }
 

@@ -107,6 +107,11 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 		{"sampels", func(doc map[string]any) { doc["sampels"] = 9 }},
 		{"Patiense", func(doc map[string]any) { doc["coverage"].(map[string]any)["Patiense"] = 1 }},
 		{"cores", func(doc map[string]any) { doc["scenarios"].([]any)[0].(map[string]any)["cores"] = 4 }},
+		// A scenario's relaxations follow from its model: even the set
+		// its model implies is not spelled out.
+		{"relax", func(doc map[string]any) {
+			doc["scenarios"].([]any)[0].(map[string]any)["relax"] = map[string]any{"NonFIFOSB": false}
+		}},
 		{"Crossover", func(doc map[string]any) { doc["gp"].(map[string]any)["Crossover"] = 1 }},
 		{"TournamentSize", func(doc map[string]any) { doc["gp"].(map[string]any)["TournamentSize"] = 2 }},
 		{"PMut", func(doc map[string]any) { doc["gp"].(map[string]any)["PMut"] = 0.005 }},
@@ -126,6 +131,42 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := ParseSpec(append(data, "{}"...)); err == nil {
 		t.Error("a spec with trailing data was accepted")
+	}
+}
+
+// TestParseSpecRefusesHostOptions: the host options a spec carries are
+// refused, not defaulted, when no campaign can run them: zero
+// iterations, no watchdog, or a barrier other than the host-assisted
+// one.
+func TestParseSpecRefusesHostOptions(t *testing.T) {
+	data, err := json.Marshal(testSpec(GenRandom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSpec(data); err != nil {
+		t.Fatalf("unedited spec: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		value any
+	}{
+		{"Iterations", 0},
+		{"Iterations", -1},
+		{"MaxTicksPerIteration", 0},
+		{"Barrier", 1},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["host"].(map[string]any)[tc.field] = tc.value
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSpec(edited); err == nil || !strings.Contains(err.Error(), "Host."+tc.field) {
+			t.Errorf("%s: %v: ParseSpec = %v, want an error naming Host.%s", tc.field, tc.value, err, tc.field)
+		}
 	}
 }
 
@@ -169,8 +210,7 @@ func TestSpecWireKeys(t *testing.T) {
 		"host", "host.Barrier", "host.Iterations", "host.MaxTicksPerIteration",
 		"max_test_runs", "mem_bytes", "samples",
 		"scenarios", "scenarios[].bugs", "scenarios[].description", "scenarios[].model",
-		"scenarios[].name", "scenarios[].protocol", "scenarios[].relax",
-		"scenarios[].relax.NoLoadSquash", "scenarios[].relax.NonFIFOSB", "scenarios[].relax.StrongStores",
+		"scenarios[].name", "scenarios[].protocol",
 		"stride", "test_size", "threads",
 	}
 	if !slices.Equal(keys, want) {

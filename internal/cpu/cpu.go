@@ -67,26 +67,26 @@ func (nopObserver) CommitFence(int, int, int, memmodel.FenceKind)        {}
 // features, not bugs. Unlike the bugs.Set toggles (which silently break
 // an enforcement mechanism the checker still assumes), these knobs
 // change the architecture contract itself and are only valid when the
-// scenario checks against a model that permits them (see
-// internal/scenario's legality rules).
+// core is checked against a model that permits them (a scenario derives
+// them from its model).
 type Relax struct {
 	// StrongStores drains each store to its coherence point before the
 	// store commits, removing the W→R (store buffer) relaxation. SC
 	// scenarios require it. Store-to-load forwarding is disabled in
 	// favour of stalling, since forwarding a globally-invisible store
 	// is itself the relaxation SC forbids.
-	StrongStores bool `json:"StrongStores"`
+	StrongStores bool
 	// NonFIFOSB drains up to NoFIFOWays store-buffer entries
 	// concurrently — relaxing W→W — while preserving same-address FIFO
 	// and never draining past a store-store fence group boundary. Legal
 	// under PSO and RMO only.
-	NonFIFOSB bool `json:"NonFIFOSB"`
+	NonFIFOSB bool
 	// NoLoadSquash disables the LQ invalidation squash — relaxing R→R —
 	// while keeping same-address loads issuing in order (coherence still
 	// demands SC per location) and blocking loads from issuing past
 	// uncommitted full/load-load fences and atomics. Legal under RMO
 	// only.
-	NoLoadSquash bool `json:"NoLoadSquash"`
+	NoLoadSquash bool
 }
 
 // Any reports whether at least one knob deviates from the Table 2 core.

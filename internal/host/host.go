@@ -6,11 +6,12 @@
 // host-assisted precise barrier, and verification and test-memory resets
 // happen between iterations without consuming guest execution time.
 //
-// Both barrier implementations are provided: the host-assisted barrier
-// releases threads with single-digit-cycle skew, while the simulated
-// guest spin-barrier costs thousands of cycles per use and releases
-// threads with large offsets — the §4 observation that host assistance
-// is a mandatory prerequisite for very short tests.
+// The barrier is the host-assisted one, which releases threads with
+// single-digit-cycle skew: §4 calls host assistance a prerequisite for
+// very short tests. A simulated guest spin-barrier, with its thousands
+// of cycles per use and large release offsets, is not modelled; what it
+// measured is recorded in EXPERIMENTS.md, "§4 — host-assisted against
+// guest barriers".
 package host
 
 import (
@@ -28,31 +29,21 @@ import (
 	"repro/internal/testgen"
 )
 
-// BarrierKind selects the thread-synchronization implementation.
+// BarrierKind names the thread-synchronization implementation.
+// HostBarrier is its one value, and core.Config.Validate refuses any
+// other.
 type BarrierKind int
 
-const (
-	// HostBarrier is the host-assisted precise barrier (Table 1:
-	// barrier_wait_precise with host assistance).
-	HostBarrier BarrierKind = iota
-	// GuestBarrier simulates a guest spin-barrier: large per-use
-	// overhead and large release skew.
-	GuestBarrier
-)
-
-func (b BarrierKind) String() string {
-	if b == GuestBarrier {
-		return "guest"
-	}
-	return "host"
-}
+// HostBarrier is the host-assisted precise barrier (Table 1:
+// barrier_wait_precise with host assistance).
+const HostBarrier BarrierKind = 0
 
 // Options configures the per-test-run execution loop.
 type Options struct {
 	// Iterations is the number of executions per test-run (Table 3:
 	// 10; scaled configurations use fewer).
 	Iterations int `json:"Iterations"`
-	// Barrier selects host-assisted or guest barriers.
+	// Barrier must be HostBarrier.
 	Barrier BarrierKind `json:"Barrier"`
 	// MaxTicksPerIteration is the deadlock/livelock watchdog.
 	MaxTicksPerIteration sim.Tick `json:"MaxTicksPerIteration"`
@@ -67,15 +58,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// Barrier skew and overhead parameters. The host barrier releases
-// threads within a few cycles; the guest barrier models a software
-// sense-reversal barrier: every thread spins across the interconnect, so
-// release skew and per-use overhead are orders of magnitude larger.
-const (
-	hostSkewMax     = 4
-	guestSkewMax    = 4000
-	guestBarrierGap = 20000
-)
+// hostSkewMax bounds the host barrier's release skew: each core starts
+// an iteration within this many cycles of the others.
+const hostSkewMax = 4
 
 // ViolationSource classifies how a bug manifested.
 type ViolationSource int
@@ -180,14 +165,9 @@ func New(m *machine.Machine, rec *checker.Recorder, trap ErrorTrap, opts Options
 
 // Reset re-wires the host to drive m with opts, as New would, keeping
 // its recorder, its trap and the buffers it has grown. No test-run may
-// be in progress. New reaches its state through this call.
+// be in progress. New reaches its state through this call. The options
+// are taken as given: core.Config.Validate is what refuses bad ones.
 func (h *Host) Reset(m *machine.Machine, opts Options) {
-	if opts.Iterations <= 0 {
-		opts.Iterations = 1
-	}
-	if opts.MaxTicksPerIteration == 0 {
-		opts.MaxTicksPerIteration = DefaultOptions().MaxTicksPerIteration
-	}
 	h.m, h.opts, h.obs, h.runs = m, opts, nil, 0
 	h.trap.errs = h.trap.errs[:0]
 	h.offsets = slices.Grow(h.offsets[:0], len(m.Cores))[:len(m.Cores)]
@@ -221,12 +201,8 @@ func (h *Host) Runs() uint64 { return h.runs }
 // barrierOffsets draws per-core release offsets for one iteration.
 func (h *Host) barrierOffsets() []sim.Tick {
 	rng := h.m.Sim.Rand()
-	max := int64(hostSkewMax)
-	if h.opts.Barrier == GuestBarrier {
-		max = guestSkewMax
-	}
 	for i := range h.offsets {
-		h.offsets[i] = sim.Tick(rng.Int63n(max + 1))
+		h.offsets[i] = sim.Tick(rng.Int63n(hostSkewMax + 1))
 	}
 	return h.offsets
 }
@@ -287,12 +263,6 @@ func (h *Host) RunTest(t *testgen.Test) (RunResult, error) {
 	h.resetTestMem(lines)
 
 	for iter := 0; iter < h.opts.Iterations; iter++ {
-		if h.opts.Barrier == GuestBarrier {
-			// A software barrier burns simulated time before the
-			// test even starts.
-			h.m.Sim.ScheduleEvent(guestBarrierGap, sim.Nop, nil, 0)
-			h.m.Quiesce()
-		}
 		if err := h.m.LoadPrograms(progs); err != nil {
 			return RunResult{}, err
 		}

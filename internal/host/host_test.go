@@ -141,29 +141,6 @@ func TestFindsSQNoFIFO(t *testing.T) {
 	}
 }
 
-// TestGuestBarrierCostsMoreTime reproduces the §4 ablation direction:
-// the same test-run takes substantially more simulated time under the
-// guest barrier.
-func TestGuestBarrierCostsMoreTime(t *testing.T) {
-	layout := memsys.MustLayout(1024, 16)
-	run := func(b BarrierKind) sim.Tick {
-		opts := smallOpts()
-		opts.Barrier = b
-		h := build(t, machine.MESI, bugs.Set{}, 5, opts)
-		tst := randomTest(t, 77, 64, 8, layout)
-		res, err := h.RunTest(tst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Ticks
-	}
-	hostTicks := run(HostBarrier)
-	guestTicks := run(GuestBarrier)
-	if guestTicks <= hostTicks {
-		t.Fatalf("guest barrier (%d ticks) not slower than host (%d ticks)", guestTicks, hostTicks)
-	}
-}
-
 // TestDeterministicRuns: identical seeds give identical results.
 func TestDeterministicRuns(t *testing.T) {
 	layout := memsys.MustLayout(1024, 16)

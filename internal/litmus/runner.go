@@ -80,7 +80,9 @@ func RunSuite(cfg SuiteConfig, tests []*Test, seed int64) (SuiteResult, error) {
 	if err != nil {
 		return SuiteResult{}, err
 	}
-	h := host.New(m, rec, trap, host.Options{Iterations: 1})
+	opts := host.DefaultOptions()
+	opts.Iterations = 1
+	h := host.New(m, rec, trap, opts)
 
 	lowered := make([]*Lowered, 0, len(tests))
 	for _, t := range tests {

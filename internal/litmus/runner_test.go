@@ -349,7 +349,7 @@ func TestSuiteMissesReplacementBugs(t *testing.T) {
 func TestRunSuiteRejectsScenarios(t *testing.T) {
 	tests := Generate(memmodel.TSO{}, 4, 2)
 	for _, s := range []scenario.Scenario{
-		{Protocol: machine.MESI, Model: "PSO", Relax: scenario.RelaxFor("PSO")},
+		{Protocol: machine.MESI, Model: "PSO"},
 		scenario.ForBug(machine.MESI, "no-such-bug"),
 		scenario.ForBug(machine.MESI, "TSO-CC+compare"),
 	} {

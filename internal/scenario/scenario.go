@@ -2,11 +2,12 @@
 // serializable value. The paper's reproduction hard-wires one target —
 // the Table 2 machine checked against TSO — with its pieces scattered
 // across machine.Config, bugs.Set and the recorder's model; a Scenario
-// gathers them: coherence protocol, the legal core relaxations (cpu.Relax), the injected bug set, and the
-// axiomatic model to check against. A sorted table names the bundled
-// scenarios and Validate enforces the legality rules that keep a
-// scenario coherent (a relaxed core must be checked against a model
-// that permits the relaxation).
+// gathers them: coherence protocol, the axiomatic model to check
+// against, and the injected bug set. The model fixes the cores' legal
+// relaxations (cpu.Relax): each model is realized by exactly one core
+// configuration, so a scenario cannot name a relaxation its model
+// forbids. A sorted table names the bundled scenarios and Validate
+// refuses the pairings that cannot be checked.
 package scenario
 
 import (
@@ -30,12 +31,8 @@ type Scenario struct {
 	// Protocol selects the coherence protocol.
 	Protocol machine.Protocol `json:"protocol"`
 	// Model names the axiomatic model to check against (SC, TSO, PSO,
-	// RMO).
+	// RMO). It also fixes the cores' legal relaxations (relaxFor).
 	Model string `json:"model"`
-	// Relax is the cores' legal ordering configuration. It must be
-	// covered by Model: a relaxation the model forbids would make every
-	// bug-free run a false positive.
-	Relax cpu.Relax `json:"relax,omitempty"`
 	// Bugs names the injected bugs (empty for a bug-free target).
 	Bugs []string `json:"bugs,omitempty"`
 }
@@ -60,14 +57,8 @@ func (s Scenario) BugSet() (bugs.Set, error) {
 
 // Validate reports whether the scenario is internally coherent:
 // protocol and model known, bug names valid and applicable to the
-// protocol, and the relaxation set covered by the model. The relaxation
-// rules encode the model containment chain SC ⊃ TSO ⊃ PSO ⊃ RMO:
-//
-//   - Model SC requires StrongStores (the Table 2 store buffer is the
-//     W→R relaxation SC forbids) and the eager MESI protocol (TSO-CC's
-//     lazy self-invalidation only promises TSO);
-//   - NonFIFOSB (W→W relaxed) needs PSO or RMO;
-//   - NoLoadSquash (R→R relaxed) needs RMO.
+// protocol, and model SC only on the eager MESI protocol (TSO-CC's lazy
+// self-invalidation only promises TSO).
 func (s Scenario) Validate() error {
 	valid := false
 	for _, p := range machine.Protocols() {
@@ -92,20 +83,8 @@ func (s Scenario) Validate() error {
 				s.describe(), name, b.Protocol, s.Protocol)
 		}
 	}
-	switch s.Model {
-	case "SC":
-		if !s.Relax.StrongStores {
-			return fmt.Errorf("scenario %s: model SC requires Relax.StrongStores (the store buffer is a W→R relaxation SC forbids)", s.describe())
-		}
-		if s.Protocol != machine.MESI {
-			return fmt.Errorf("scenario %s: model SC requires the MESI protocol (TSO-CC's lazy coherence only promises TSO)", s.describe())
-		}
-	}
-	if s.Relax.NonFIFOSB && s.Model != "PSO" && s.Model != "RMO" {
-		return fmt.Errorf("scenario %s: Relax.NonFIFOSB (W→W relaxed) needs model PSO or RMO, not %s", s.describe(), s.Model)
-	}
-	if s.Relax.NoLoadSquash && s.Model != "RMO" {
-		return fmt.Errorf("scenario %s: Relax.NoLoadSquash (R→R relaxed) needs model RMO, not %s", s.describe(), s.Model)
+	if s.Model == "SC" && s.Protocol != machine.MESI {
+		return fmt.Errorf("scenario %s: model SC requires the MESI protocol (TSO-CC's lazy coherence only promises TSO)", s.describe())
 	}
 	return nil
 }
@@ -119,12 +98,13 @@ func (s Scenario) describe() string {
 }
 
 // ID returns the canonical scenario identity: protocol, model, the
-// relaxation set and the sorted bug list. Two scenarios with equal IDs
-// describe the same machine contract; collective-checking memo scopes
-// key on it so verdicts never leak between different contracts.
+// relaxation set the model fixes and the sorted bug list. Two scenarios
+// with equal IDs describe the same machine contract; collective-checking
+// memo scopes key on it so verdicts never leak between different
+// contracts.
 func (s Scenario) ID() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s%s", s.Protocol, s.Model, s.Relax)
+	fmt.Fprintf(&b, "%s/%s%s", s.Protocol, s.Model, relaxFor(s.Model))
 	if len(s.Bugs) > 0 {
 		names := append([]string(nil), s.Bugs...)
 		sort.Strings(names)
@@ -141,9 +121,9 @@ func (s Scenario) String() string {
 	return s.ID()
 }
 
-// Apply returns the machine the scenario describes: its protocol,
-// relaxations and bug set on the Table 2 system. The caller sets the
-// seed.
+// Apply returns the machine the scenario describes: its protocol, the
+// relaxations its model fixes and its bug set on the Table 2 system.
+// The caller sets the seed.
 func (s Scenario) Apply() (machine.Config, error) {
 	if err := s.Validate(); err != nil {
 		return machine.Config{}, err
@@ -152,15 +132,16 @@ func (s Scenario) Apply() (machine.Config, error) {
 	if err != nil {
 		return machine.Config{}, err
 	}
-	return machine.Config{Protocol: s.Protocol, Relax: s.Relax, Bugs: set}, nil
+	return machine.Config{Protocol: s.Protocol, Relax: relaxFor(s.Model), Bugs: set}, nil
 }
 
-// RelaxFor returns the canonical legal relaxation set realizing the
-// given model on the simulated cores: the strongest hardware the model
-// still permits to be tested as relaxed (SC strengthens the stores; TSO
-// is the Table 2 default; PSO adds out-of-order drain; RMO adds
-// squash-free loads).
-func RelaxFor(model string) cpu.Relax {
+// relaxFor returns the legal relaxation set realizing the given model
+// on the simulated cores: the strongest hardware the model still
+// permits to be tested as relaxed (SC strengthens the stores, removing
+// the W→R relaxation of the Table 2 store buffer; TSO is the Table 2
+// default; PSO adds out-of-order drain, relaxing W→W; RMO adds
+// squash-free loads, relaxing R→R).
+func relaxFor(model string) cpu.Relax {
 	switch model {
 	case "SC":
 		return cpu.Relax{StrongStores: true}
@@ -234,7 +215,6 @@ var registry = func() []Scenario {
 			Description: "MESI with store-drain-before-commit cores, checked against SC",
 			Protocol:    machine.MESI,
 			Model:       "SC",
-			Relax:       RelaxFor("SC"),
 		},
 		{
 			Name:        "mesi-tso",
@@ -247,14 +227,12 @@ var registry = func() []Scenario {
 			Description: "MESI with out-of-order store-buffer drain, checked against PSO",
 			Protocol:    machine.MESI,
 			Model:       "PSO",
-			Relax:       RelaxFor("PSO"),
 		},
 		{
 			Name:        "mesi-rmo",
 			Description: "MESI with non-FIFO stores and squash-free loads, checked against RMO",
 			Protocol:    machine.MESI,
 			Model:       "RMO",
-			Relax:       RelaxFor("RMO"),
 		},
 		{
 			Name:        "tsocc-tso",
@@ -267,14 +245,12 @@ var registry = func() []Scenario {
 			Description: "TSO-CC with out-of-order store-buffer drain, checked against PSO",
 			Protocol:    machine.TSOCC,
 			Model:       "PSO",
-			Relax:       RelaxFor("PSO"),
 		},
 		{
 			Name:        "tsocc-rmo",
 			Description: "TSO-CC with non-FIFO stores and squash-free loads, checked against RMO",
 			Protocol:    machine.TSOCC,
 			Model:       "RMO",
-			Relax:       RelaxFor("RMO"),
 		},
 	}
 	slices.SortFunc(r, func(a, b Scenario) int { return strings.Compare(a.Name, b.Name) })

@@ -47,6 +47,44 @@ func TestRegisteredScenariosValid(t *testing.T) {
 	}
 }
 
+// TestRegistryPinned: each registered scenario's identity and the
+// cores its model fixes. Memo scopes, Result.Scenario and the benchmark
+// fingerprints key on these IDs, so none may move.
+func TestRegistryPinned(t *testing.T) {
+	want := map[string]struct {
+		id    string
+		relax cpu.Relax
+	}{
+		"mesi-sc":   {"MESI/SC+sc-stores", cpu.Relax{StrongStores: true}},
+		"mesi-tso":  {"MESI/TSO", cpu.Relax{}},
+		"mesi-pso":  {"MESI/PSO+sb-ooo", cpu.Relax{NonFIFOSB: true}},
+		"mesi-rmo":  {"MESI/RMO+sb-ooo+lq-nosquash", cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}},
+		"tsocc-tso": {"TSO-CC/TSO", cpu.Relax{}},
+		"tsocc-pso": {"TSO-CC/PSO+sb-ooo", cpu.Relax{NonFIFOSB: true}},
+		"tsocc-rmo": {"TSO-CC/RMO+sb-ooo+lq-nosquash", cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}},
+	}
+	if got := Names(); len(got) != len(want) {
+		t.Fatalf("registry holds %q, want the %d pinned scenarios", got, len(want))
+	}
+	for _, s := range All() {
+		w, ok := want[s.Name]
+		if !ok {
+			t.Errorf("scenario %s not pinned", s.Name)
+			continue
+		}
+		if got := s.ID(); got != w.id {
+			t.Errorf("%s: ID %q, want %q", s.Name, got, w.id)
+		}
+		cfg, err := s.Apply()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if cfg.Relax != w.relax {
+			t.Errorf("%s: Apply().Relax %+v, want %+v", s.Name, cfg.Relax, w.relax)
+		}
+	}
+}
+
 func TestValidateLegality(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,13 +92,8 @@ func TestValidateLegality(t *testing.T) {
 		ok   bool
 	}{
 		{"tso-default", Scenario{Protocol: machine.MESI, Model: "TSO"}, true},
-		{"sc-needs-strong-stores", Scenario{Protocol: machine.MESI, Model: "SC"}, false},
-		{"sc-with-strong-stores", Scenario{Protocol: machine.MESI, Model: "SC", Relax: cpu.Relax{StrongStores: true}}, true},
-		{"sc-on-tsocc", Scenario{Protocol: machine.TSOCC, Model: "SC", Relax: cpu.Relax{StrongStores: true}}, false},
-		{"nonfifo-under-tso", Scenario{Protocol: machine.MESI, Model: "TSO", Relax: cpu.Relax{NonFIFOSB: true}}, false},
-		{"nonfifo-under-pso", Scenario{Protocol: machine.MESI, Model: "PSO", Relax: cpu.Relax{NonFIFOSB: true}}, true},
-		{"nosquash-under-pso", Scenario{Protocol: machine.MESI, Model: "PSO", Relax: cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}}, false},
-		{"nosquash-under-rmo", Scenario{Protocol: machine.MESI, Model: "RMO", Relax: cpu.Relax{NoLoadSquash: true}}, true},
+		{"sc-on-mesi", Scenario{Protocol: machine.MESI, Model: "SC"}, true},
+		{"sc-on-tsocc", Scenario{Protocol: machine.TSOCC, Model: "SC"}, false},
 		{"unknown-model", Scenario{Protocol: machine.MESI, Model: "POWER"}, false},
 		{"unknown-protocol", Scenario{Protocol: "MOESI", Model: "TSO"}, false},
 		{"unknown-bug", Scenario{Protocol: machine.MESI, Model: "TSO", Bugs: []string{"nope"}}, false},
@@ -97,15 +130,10 @@ func TestErrorsEnumerateAlternatives(t *testing.T) {
 }
 
 func TestIDCanonical(t *testing.T) {
-	a := Scenario{Protocol: machine.MESI, Model: "PSO", Relax: RelaxFor("PSO"), Bugs: []string{"SQ+no-FIFO", "LQ+no-TSO"}}
-	b := Scenario{Name: "other", Protocol: machine.MESI, Model: "PSO", Relax: RelaxFor("PSO"), Bugs: []string{"LQ+no-TSO", "SQ+no-FIFO"}}
+	a := Scenario{Protocol: machine.MESI, Model: "PSO", Bugs: []string{"SQ+no-FIFO", "LQ+no-TSO"}}
+	b := Scenario{Name: "other", Protocol: machine.MESI, Model: "PSO", Bugs: []string{"LQ+no-TSO", "SQ+no-FIFO"}}
 	if a.ID() != b.ID() {
 		t.Errorf("bug order changes ID: %q vs %q", a.ID(), b.ID())
-	}
-	c := a
-	c.Relax = cpu.Relax{}
-	if a.ID() == c.ID() {
-		t.Error("relaxation set not part of ID")
 	}
 	d := a
 	d.Model = "RMO"
@@ -160,7 +188,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	// An incoherent scenario decodes; Validate is what refuses it.
 	var bad Scenario
-	if err := json.Unmarshal([]byte(`{"protocol":"MESI","model":"TSO","relax":{"NonFIFOSB":true}}`), &bad); err != nil {
+	if err := json.Unmarshal([]byte(`{"protocol":"TSO-CC","model":"SC"}`), &bad); err != nil {
 		t.Fatal(err)
 	}
 	if bad.Validate() == nil {

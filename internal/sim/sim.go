@@ -59,8 +59,7 @@ var (
 	// as arg (func values are pointer-shaped, so the conversion does not
 	// allocate — only the closure itself does).
 	InvokeFunc Handler = func(arg any, _ uint64) { arg.(func())() }
-	// Nop discards the event; used for pure time-keeping events such as
-	// the guest barrier gap.
+	// Nop discards the event; it schedules pure time-keeping events.
 	Nop Handler = func(any, uint64) {}
 )
 
@@ -78,8 +77,8 @@ type event struct {
 // Wheel geometry. The ring spans wheelSize ticks at one-tick
 // resolution, sized to cover the modeled latency spectrum (L1 hits at
 // 3 ticks up to memory round trips under 300) so virtually every event
-// is a direct ring insert; only far-future timers (e.g. the simulated
-// guest barrier's 20k-tick gap) take the overflow tier.
+// is a direct ring insert; only far-future timers (beyond wheelSize
+// ticks) take the overflow tier.
 const (
 	wheelBits  = 11
 	wheelSize  = 1 << wheelBits

@@ -45,7 +45,6 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/coverage"
-	"repro/internal/cpu"
 	"repro/internal/fleet"
 	"repro/internal/gp"
 	"repro/internal/host"
@@ -114,8 +113,7 @@ const TestMemoryStride = 16
 // NewScenarioCampaignConfig assembles a campaign at the paper's
 // parameters (Table 2 machine, Table 3 test generation: 1k-operation
 // tests over 8 threads, 10 iterations per test-run, 8KB/16B test
-// memory) against a verification scenario (protocol × model ×
-// relaxations × bugs).
+// memory) against a verification scenario (protocol × model × bugs).
 func NewScenarioCampaignConfig(gen GeneratorKind, scen Scenario) CampaignConfig {
 	cfg := core.DefaultConfig()
 	cfg.Scenario = scen
@@ -140,11 +138,9 @@ func ScaledScenarioConfig(gen GeneratorKind, scen Scenario, memBytes int) Campai
 }
 
 // Scenario is a named, serializable verification target: coherence
-// protocol, axiomatic model, legal core relaxations and injected bugs.
+// protocol, axiomatic model (which fixes the cores' legal relaxations)
+// and injected bugs.
 type Scenario = scenario.Scenario
-
-// CoreRelax is the legal core ordering configuration of a scenario.
-type CoreRelax = cpu.Relax
 
 // Scenarios returns the registered scenarios (MESI/TSO-CC × SC/TSO/
 // PSO/RMO where coherent), sorted by name.

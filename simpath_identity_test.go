@@ -223,25 +223,27 @@ func TestMachineReuseIdentity(t *testing.T) {
 // otherShapes are campaigns on the pinned campaign's machine
 // configuration whose kit it must be able to take over: the rand
 // generator on the pinned scenario (the pins are all GP), and the pinned
-// machine checked against RMO, which permits every relaxation (RMO pins
-// have no other model).
+// scenario at the other test-memory size, with that size's test length
+// and two more iterations per test-run, so the host's buffers and the
+// recorder's execution were last sized by other counts. A scenario's
+// model fixes its cores, so no campaign against another model runs on
+// the pinned machine.
 func otherShapes(t *testing.T, tc identityCase) []CampaignConfig {
 	pinned := tc.cfg(t)
 	rnd := pinned
 	rnd.Generator = GenRandom
-	shapes := []CampaignConfig{rnd}
-	if pinned.Scenario.Model != "RMO" {
-		rmo := pinned
-		rmo.Scenario.Name, rmo.Scenario.Model = "", "RMO"
-		shapes = append(shapes, rmo)
+	mem := 8192
+	if pinned.Test.Layout.Size > 1024 {
+		mem = 1024
 	}
-	return shapes
+	resized := ScaledScenarioConfig(pinned.Generator, pinned.Scenario, mem)
+	if mem > 1024 {
+		resized.Test.Size = 512
+	}
+	resized.Host.Iterations += 2
+	return []CampaignConfig{rnd, resized}
 }
 
-// onKitLeftBy runs pin's campaign on the machine, and the kit — recorder,
-// host buffers, random sources, test buffer — a short campaign of another
-// shape on the same machine configuration has just parked, and holds it
-// to the pinned hash and to ref.
 func onKitLeftBy(t *testing.T, tc identityCase, p identityPin, other CampaignConfig, ref core.Result) {
 	t.Helper()
 	other.MaxTestRuns, other.Seed = 10, p.seed+2000
