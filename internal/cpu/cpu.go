@@ -14,16 +14,16 @@
 //     fence), clflush likewise;
 //   - loads forward from earlier same-address stores (TSO rfi).
 //
-// Beyond the Table 2 TSO core, Relax selects *legal* ordering
-// configurations as scenario features rather than bugs: StrongStores
-// drains every store before commit (realizing SC), NonFIFOSB drains the
-// store buffer out of order while keeping same-address FIFO and
-// store-store fence groups (realizing PSO's W→W relaxation), and
-// NoLoadSquash disables the invalidation squash while keeping
-// same-address load issue in order (realizing RMO's R→R relaxation).
-// Explicit fences (testgen.OpFence) re-impose the dropped orders: a full
-// fence drains the store buffer and blocks younger loads, a store-store
-// fence opens a new drain group, a load-load fence blocks younger loads.
+// Beyond the Table 2 TSO core, the model a core implements fixes its
+// orderings (orderingsFor), so each of SC, TSO, PSO and RMO is realized
+// by exactly one core: SC drains every store before commit, TSO is the
+// Table 2 core, PSO drains the store buffer out of order while keeping
+// same-address FIFO and store-store fence groups (relaxing W→W), and RMO
+// adds squash-free loads that keep same-address issue in order (relaxing
+// R→R). These are legal orderings of the model, not bugs. Explicit
+// fences (testgen.OpFence) re-impose the dropped orders: a full fence
+// drains the store buffer and blocks younger loads, a store-store fence
+// opens a new drain group, a load-load fence blocks younger loads.
 package cpu
 
 import (
@@ -63,45 +63,60 @@ func (nopObserver) CommitWrite(int, int, int, memsys.Addr, uint64, bool) {}
 func (nopObserver) WriteSerialized(int, int, int, memsys.Addr, uint64)   {}
 func (nopObserver) CommitFence(int, int, int, memmodel.FenceKind)        {}
 
-// Relax selects the core's legal ordering configuration — scenario
-// features, not bugs. Unlike the bugs.Set toggles (which silently break
-// an enforcement mechanism the checker still assumes), these knobs
-// change the architecture contract itself and are only valid when the
-// core is checked against a model that permits them (a scenario derives
-// them from its model).
-type Relax struct {
-	// StrongStores drains each store to its coherence point before the
+// orderings are the ways a core departs from the Table 2 TSO core. A
+// model fixes them (orderingsFor); unlike the bugs.Set toggles, which
+// silently break an enforcement the checker still assumes, they are
+// legal under that model.
+type orderings struct {
+	// strongStores drains each store to its coherence point before the
 	// store commits, removing the W→R (store buffer) relaxation. SC
-	// scenarios require it. Store-to-load forwarding is disabled in
-	// favour of stalling, since forwarding a globally-invisible store
-	// is itself the relaxation SC forbids.
-	StrongStores bool
-	// NonFIFOSB drains up to NoFIFOWays store-buffer entries
+	// requires it. Store-to-load forwarding is disabled in favour of
+	// stalling, since forwarding a globally-invisible store is itself
+	// the relaxation SC forbids.
+	strongStores bool
+	// nonFIFOSB drains up to NoFIFOWays store-buffer entries
 	// concurrently — relaxing W→W — while preserving same-address FIFO
 	// and never draining past a store-store fence group boundary. Legal
 	// under PSO and RMO only.
-	NonFIFOSB bool
-	// NoLoadSquash disables the LQ invalidation squash — relaxing R→R —
+	nonFIFOSB bool
+	// noLoadSquash disables the LQ invalidation squash — relaxing R→R —
 	// while keeping same-address loads issuing in order (coherence still
 	// demands SC per location) and blocking loads from issuing past
 	// uncommitted full/load-load fences and atomics. Legal under RMO
 	// only.
-	NoLoadSquash bool
+	noLoadSquash bool
 }
 
-// Any reports whether at least one knob deviates from the Table 2 core.
-func (r Relax) Any() bool { return r != Relax{} }
+// orderingsFor returns the orderings realizing the given model: the
+// most relaxed core the model still permits (SC strengthens the stores;
+// TSO, and an empty or unknown name, is the Table 2 core; PSO adds the
+// out-of-order drain, relaxing W→W; RMO adds squash-free loads, relaxing
+// R→R). It is the one model-to-core mapping.
+func orderingsFor(model string) orderings {
+	switch model {
+	case "SC":
+		return orderings{strongStores: true}
+	case "PSO":
+		return orderings{nonFIFOSB: true}
+	case "RMO":
+		return orderings{nonFIFOSB: true, noLoadSquash: true}
+	default:
+		return orderings{}
+	}
+}
 
-// String renders the enabled knobs canonically (empty for the default).
-func (r Relax) String() string {
-	s := ""
-	if r.StrongStores {
+// Orderings names how the model's core departs from the Table 2 TSO
+// core, as scenario IDs spell it: "+sc-stores" for SC, "" for TSO,
+// "+sb-ooo" for PSO and "+sb-ooo+lq-nosquash" for RMO.
+func Orderings(model string) string {
+	o, s := orderingsFor(model), ""
+	if o.strongStores {
 		s += "+sc-stores"
 	}
-	if r.NonFIFOSB {
+	if o.nonFIFOSB {
 		s += "+sb-ooo"
 	}
-	if r.NoLoadSquash {
+	if o.noLoadSquash {
 		s += "+lq-nosquash"
 	}
 	return s
@@ -117,15 +132,16 @@ const (
 	// SBSize bounds the store buffer.
 	SBSize = 8
 	// NoFIFOWays is how many store-buffer entries drain concurrently
-	// under the SQ+no-FIFO bug or the legal NonFIFOSB relaxation.
+	// under the SQ+no-FIFO bug or the legal PSO/RMO out-of-order drain.
 	NoFIFOWays = 4
 )
 
-// Config is what varies between cores: the scenario's legal ordering
-// and the injected bugs. The sizes are Table 2's constants.
+// Config is what varies between cores: the model they realize and the
+// injected bugs. The sizes are Table 2's constants.
 type Config struct {
-	// Relax is the legal ordering configuration (scenario feature).
-	Relax Relax
+	// Model names the memory model the core realizes (SC, TSO, PSO,
+	// RMO); machine.Config.Validate refuses any other.
+	Model string
 	Bugs  bugs.Set
 }
 
@@ -153,6 +169,7 @@ type Core struct {
 	sim *sim.Sim
 	l1  coherence.CacheL1
 	cfg Config
+	ord orderings // fixed by cfg.Model
 	obs Observer
 	// window is the reorder window, ROBSize; tests narrow it.
 	window int
@@ -200,7 +217,7 @@ type Core struct {
 // New creates a core bound to its L1. The LQ invalidation listener is
 // registered here.
 func New(id int, s *sim.Sim, l1 coherence.CacheL1, cfg Config, obs Observer) *Core {
-	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, window: ROBSize}
+	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, ord: orderingsFor(cfg.Model), window: ROBSize}
 	c.advanceH = func(any, uint64) { c.advance() }
 	c.timerH = func(arg any, _ uint64) { c.timerDone(arg.(*coherence.Request)) }
 	l1.SetInvalListener(c.onInvalidation)
@@ -282,16 +299,16 @@ func (c *Core) schedule() {
 
 // squashDisabled reports whether LQ invalidation squashes are off:
 // either the LQ+no-TSO bug (silently breaking the TSO contract) or the
-// legal NoLoadSquash relaxation (the RMO contract never promised R→R).
+// legal noLoadSquash ordering (the RMO contract never promised R→R).
 func (c *Core) squashDisabled() bool {
-	return c.cfg.Bugs.LQNoTSO || c.cfg.Relax.NoLoadSquash
+	return c.cfg.Bugs.LQNoTSO || c.ord.noLoadSquash
 }
 
 // onInvalidation is the LQ snoop: the protocol forwarded an invalidation
 // of lineAddr. All speculatively-performed, uncommitted loads on that
 // line are marked violated and will squash at commit.
 //
-// Bug LQ+no-TSO (and the legal NoLoadSquash relaxation): the squash is
+// Bug LQ+no-TSO (and the legal noLoadSquash ordering): the squash is
 // skipped entirely.
 func (c *Core) onInvalidation(lineAddr memsys.Addr) {
 	if c.squashDisabled() || !c.running {
@@ -505,17 +522,17 @@ func (c *Core) storeDone(instr, sub int, addr memsys.Addr, val uint64) {
 }
 
 // loadStalled reports whether load j must wait before issuing, under the
-// legal ordering knobs:
+// core's orderings:
 //
-//   - StrongStores: an older in-window same-word store has not reached
+//   - strongStores: an older in-window same-word store has not reached
 //     its coherence point. Forwarding a globally-invisible store is the
 //     store-buffer relaxation SC forbids, so the load waits for the
 //     drain instead of forwarding.
-//   - NoLoadSquash: an older same-word load (or RMW) has not performed.
+//   - noLoadSquash: an older same-word load (or RMW) has not performed.
 //     With invalidation squashes off, issuing same-address loads in
 //     order is what keeps SC-per-location intact.
 func (c *Core) loadStalled(j int) bool {
-	if !c.cfg.Relax.StrongStores && !c.cfg.Relax.NoLoadSquash {
+	if !c.ord.strongStores && !c.ord.noLoadSquash {
 		return false
 	}
 	for k := c.prog.PrevWord(j); k >= c.nextCommit; k = c.prog.PrevWord(k) {
@@ -523,10 +540,10 @@ func (c *Core) loadStalled(j int) bool {
 		if c.status[k].performed {
 			continue
 		}
-		if c.cfg.Relax.StrongStores && (in.Kind == testgen.OpWrite || in.Kind == testgen.OpRMW) {
+		if c.ord.strongStores && (in.Kind == testgen.OpWrite || in.Kind == testgen.OpRMW) {
 			return true
 		}
-		if c.cfg.Relax.NoLoadSquash && in.IsLoad() {
+		if c.ord.noLoadSquash && in.IsLoad() {
 			return true
 		}
 	}
@@ -538,13 +555,13 @@ func (c *Core) loadStalled(j int) bool {
 // With squashing available, loads speculate past uncommitted fences and
 // atomics and the LQ invalidation squash repairs any too-early value at
 // commit — which is precisely how the LQ bugs manifest through fenced
-// litmus shapes. Only under the legal NoLoadSquash relaxation does the
+// litmus shapes. Only under the legal noLoadSquash ordering does the
 // fence enforce younger-load order structurally: the walk stops at an
 // uncommitted full or load-load fence (and at atomics, which imply
 // them).
 func (c *Core) issueWindow() {
 	limit := min(c.nextCommit+c.window, len(c.prog))
-	if c.cfg.Relax.NoLoadSquash {
+	if c.ord.noLoadSquash {
 		limit = min(limit, c.prog.NextLoadBarrier(c.nextCommit))
 	}
 	for j := c.prog.NextLoad(c.nextCommit); j < limit; j = c.prog.NextLoad(j + 1) {
@@ -564,12 +581,12 @@ func (c *Core) issueWindow() {
 // SQ+no-FIFO bug drains several entries concurrently with no further
 // constraint, so younger stores can reach the coherence point first —
 // including same-address ones, which is exactly why it is a bug under
-// every model. The legal NonFIFOSB relaxation also drains concurrently,
+// every model. The legal nonFIFOSB ordering also drains concurrently,
 // but keeps same-address stores FIFO (coherence requires SC per
 // location) and never drains past a store-store fence group boundary.
 func (c *Core) drainSB() {
 	bugOOO := c.cfg.Bugs.SQNoFIFO
-	relaxOOO := c.cfg.Relax.NonFIFOSB && !bugOOO
+	relaxOOO := c.ord.nonFIFOSB && !bugOOO
 	ways := 1
 	if bugOOO || relaxOOO {
 		ways = NoFIFOWays
@@ -651,7 +668,7 @@ func (c *Core) commitHead() bool {
 		return true
 
 	case testgen.OpWrite:
-		if c.cfg.Relax.StrongStores {
+		if c.ord.strongStores {
 			// SC stores: the store reaches its coherence point before
 			// it commits, so no later operation can overtake it.
 			if !st.issued {

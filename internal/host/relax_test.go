@@ -5,20 +5,19 @@ import (
 
 	"repro/internal/bugs"
 	"repro/internal/checker"
-	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
 	"repro/internal/memsys"
 )
 
-// buildRelax assembles a host whose machine runs with the given legal
-// relaxations, checked against an arbitrary model — the harness for
-// showing that a relaxation is a real reordering (a stronger model
-// flags it) and that the matching model absorbs it.
-func buildRelax(t *testing.T, relax cpu.Relax, arch memmodel.Arch, seed int64) *Host {
+// buildRelax assembles a host whose machine's cores realize model,
+// checked against arch, which may be another model — the harness for
+// showing that a model's core makes a real reordering (a stronger
+// model's checker flags it) and that its own model absorbs it.
+func buildRelax(t *testing.T, model string, arch memmodel.Arch, seed int64) *Host {
 	t.Helper()
 	cfg := machine.DefaultConfig()
-	cfg.Relax = relax
+	cfg.Model = model
 	cfg.Seed = seed
 	rec := checker.NewRecorder(arch)
 	trap := NewErrorTrap()
@@ -29,11 +28,11 @@ func buildRelax(t *testing.T, relax cpu.Relax, arch memmodel.Arch, seed int64) *
 	return New(m, rec, trap, smallOpts())
 }
 
-// TestNonFIFOSBViolatesTSO: the legal out-of-order store-buffer drain is
-// a genuine W→W reordering — checking the relaxed machine against TSO
-// (which it no longer implements) must flag it quickly.
+// TestNonFIFOSBViolatesTSO: the PSO core's out-of-order store-buffer
+// drain is a genuine W→W reordering — checking it against TSO (which it
+// does not implement) must flag it quickly.
 func TestNonFIFOSBViolatesTSO(t *testing.T) {
-	h := buildRelax(t, cpu.Relax{NonFIFOSB: true}, memmodel.TSO{}, 3)
+	h := buildRelax(t, "PSO", memmodel.TSO{}, 3)
 	v := hunt(t, h, memsys.MustLayout(1024, 16), 60, 9)
 	if v == nil {
 		t.Fatal("non-FIFO store buffer not flagged under TSO within budget")
@@ -43,49 +42,48 @@ func TestNonFIFOSBViolatesTSO(t *testing.T) {
 	}
 }
 
-// TestNonFIFOSBSoundUnderPSO: the same relaxed machine checked against
-// PSO — the model that permits the reordering — stays quiet.
+// TestNonFIFOSBSoundUnderPSO: the PSO core checked against PSO — the
+// model that permits the reordering — stays quiet.
 func TestNonFIFOSBSoundUnderPSO(t *testing.T) {
-	h := buildRelax(t, cpu.Relax{NonFIFOSB: true}, memmodel.PSO{}, 4)
+	h := buildRelax(t, "PSO", memmodel.PSO{}, 4)
 	if v := hunt(t, h, memsys.MustLayout(1024, 16), 25, 10); v != nil {
 		t.Fatalf("false positive under PSO: %v", v)
 	}
 }
 
-// TestNoLoadSquashViolatesPSO: squash-free loads are a genuine R→R
-// reordering — PSO (which preserves R→R) must flag the RMO-relaxed
-// machine.
+// TestNoLoadSquashViolatesPSO: the RMO core's squash-free loads are a
+// genuine R→R reordering — PSO (which preserves R→R) must flag it.
 func TestNoLoadSquashViolatesPSO(t *testing.T) {
-	h := buildRelax(t, cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}, memmodel.PSO{}, 3)
+	h := buildRelax(t, "RMO", memmodel.PSO{}, 3)
 	v := hunt(t, h, memsys.MustLayout(1024, 16), 40, 9)
 	if v == nil {
 		t.Fatal("squash-free loads not flagged under PSO within budget")
 	}
 }
 
-// TestRMORelaxSoundUnderRMO: the fully relaxed machine checked against
-// RMO stays quiet.
+// TestRMORelaxSoundUnderRMO: the RMO core checked against RMO stays
+// quiet.
 func TestRMORelaxSoundUnderRMO(t *testing.T) {
-	h := buildRelax(t, cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}, memmodel.RMO{}, 3)
+	h := buildRelax(t, "RMO", memmodel.RMO{}, 3)
 	if v := hunt(t, h, memsys.MustLayout(1024, 16), 25, 9); v != nil {
 		t.Fatalf("false positive under RMO: %v", v)
 	}
 }
 
-// TestStrongStoresSoundUnderSC: the store-drain-before-commit core
-// checked against SC — the strongest contract — stays quiet.
+// TestStrongStoresSoundUnderSC: the SC core, which drains each store
+// before it commits, checked against SC stays quiet.
 func TestStrongStoresSoundUnderSC(t *testing.T) {
-	h := buildRelax(t, cpu.Relax{StrongStores: true}, memmodel.SC{}, 6)
+	h := buildRelax(t, "SC", memmodel.SC{}, 6)
 	if v := hunt(t, h, memsys.MustLayout(1024, 16), 25, 11); v != nil {
 		t.Fatalf("false positive under SC: %v", v)
 	}
 }
 
-// TestDefaultCoreViolatesSC: without StrongStores the Table 2 store
-// buffer is visible to an SC checker — the reason scenario validation
-// requires the knob for SC targets.
+// TestDefaultCoreViolatesSC: the Table 2 TSO core's store buffer is
+// visible to an SC checker — the reason the SC core drains its stores
+// before commit.
 func TestDefaultCoreViolatesSC(t *testing.T) {
-	h := buildRelax(t, cpu.Relax{}, memmodel.SC{}, 6)
+	h := buildRelax(t, "TSO", memmodel.SC{}, 6)
 	v := hunt(t, h, memsys.MustLayout(1024, 16), 40, 11)
 	if v == nil {
 		t.Fatal("store buffer not flagged under SC within budget")
@@ -93,11 +91,11 @@ func TestDefaultCoreViolatesSC(t *testing.T) {
 }
 
 // TestRelaxedBugStillFound: a real bug on a relaxed machine is still a
-// bug — the LQ+no-TSO squash bug composes with the PSO store relaxation
-// and the PSO checker still catches the R→R break.
+// bug — the LQ+no-TSO squash bug composes with the PSO core's store
+// relaxation and the PSO checker still catches the R→R break.
 func TestRelaxedBugStillFound(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	cfg.Relax = cpu.Relax{NonFIFOSB: true}
+	cfg.Model = "PSO"
 	set, err := bugs.SetFor("LQ+no-TSO")
 	if err != nil {
 		t.Fatal(err)

@@ -286,7 +286,7 @@ func TestUnregisteredEndpointsPanic(t *testing.T) {
 func TestSendAllocatesNothing(t *testing.T) {
 	s := sim.New(1)
 	n := New(s)
-	sink := sim.Nop
+	sink := sim.Handler(func(any, uint64) {})
 	for _, at := range []struct {
 		id       NodeID
 		row, col int
@@ -312,7 +312,7 @@ func TestChannelTableLaidOutOnce(t *testing.T) {
 	// table is sized once, for all of them, by that message.
 	s := sim.New(1)
 	n := New(s)
-	sink := sim.Nop
+	sink := sim.Handler(func(any, uint64) {})
 	for id := NodeID(0); id < 17; id++ {
 		if err := n.Register(id, sink, int(id)%2, int(id)%4); err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/cpu"
 	"repro/internal/interconnect"
+	"repro/internal/memmodel"
 	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/testgen"
@@ -52,30 +53,33 @@ const (
 	l2TileSize, l2Ways = 128 * 1024, 4
 )
 
-// Config is what varies between machines: the protocol, the cores'
-// legal relaxations, the injected bugs and the seed. Everything else is
-// Table 2.
+// Config is what varies between machines: the protocol, the memory
+// model the cores implement, the injected bugs and the seed. Everything
+// else is Table 2.
 type Config struct {
 	// Protocol selects MESI or TSO-CC.
 	Protocol Protocol
-	// Relax is the cores' legal ordering configuration (scenario
-	// feature, not a bug; see cpu.Relax).
-	Relax cpu.Relax
+	// Model names the memory model the cores realize (one of
+	// memmodel.Names()); it fixes their orderings (see package cpu).
+	Model string
 	// Bugs are the enabled bug injections.
 	Bugs bugs.Set
 	// Seed drives all simulation randomness.
 	Seed int64
 }
 
-// DefaultConfig returns the Table 2 system under MESI, bug-free.
+// DefaultConfig returns the Table 2 system: MESI, TSO, bug-free.
 func DefaultConfig() Config {
-	return Config{Protocol: MESI}
+	return Config{Protocol: MESI, Model: "TSO"}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Protocol != MESI && c.Protocol != TSOCC {
 		return fmt.Errorf("machine: unknown protocol %q (valid: %s)", c.Protocol, ProtocolNames())
+	}
+	if !slices.Contains(memmodel.Names(), c.Model) {
+		return fmt.Errorf("machine: unknown model %q (valid: %s)", c.Model, strings.Join(memmodel.Names(), ", "))
 	}
 	return nil
 }
@@ -151,7 +155,7 @@ func build(cfg Config) (*Machine, error) {
 	m.Ctrl = ctrl
 
 	pos := func(i int) (int, int) { return i / interconnect.Cols, i % interconnect.Cols }
-	cpuCfg := cpu.Config{Relax: cfg.Relax, Bugs: cfg.Bugs}
+	cpuCfg := cpu.Config{Model: cfg.Model, Bugs: cfg.Bugs}
 
 	for i := 0; i < Cores; i++ {
 		row, col := pos(i)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/cpu"
 	"repro/internal/interconnect"
+	"repro/internal/memmodel"
 	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/testgen"
@@ -49,6 +50,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(cfg, nil, nil, nil); err == nil {
 		t.Error("New built a machine with a bogus protocol")
+	}
+}
+
+// TestConfigRefusesUnknownModels: a machine realizes one of the four
+// models; an empty or unknown name builds nothing.
+func TestConfigRefusesUnknownModels(t *testing.T) {
+	for _, model := range memmodel.Names() {
+		cfg := DefaultConfig()
+		cfg.Model = model
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("model %s refused: %v", model, err)
+		}
+	}
+	for _, model := range []string{"", "POWER", "tso"} {
+		cfg := DefaultConfig()
+		cfg.Model = model
+		if cfg.Validate() == nil {
+			t.Errorf("model %q accepted", model)
+		}
+		if _, err := New(cfg, nil, nil, nil); err == nil {
+			t.Errorf("New built a machine with model %q", model)
+		}
 	}
 }
 
@@ -241,7 +264,7 @@ func TestReleaseKeepsOnlyQuiescentMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Sim.ScheduleEvent(10, sim.Nop, nil, 0)
+	m.Sim.ScheduleEvent(10, func(any, uint64) {}, nil, 0)
 	Release(m)
 	if n := len(idle.list); n != 0 {
 		t.Fatalf("idle list holds %d machines after releasing one with a pending event", n)
@@ -257,11 +280,12 @@ func TestReleaseKeepsOnlyQuiescentMachines(t *testing.T) {
 // never grows past maxIdle and keeps the most recent ones.
 func TestIdleListIsBounded(t *testing.T) {
 	emptyIdle(t)
-	// Eight relaxation sets times the first seven bugs: fifty distinct
-	// configurations.
+	// Two protocols times four models times the first seven bugs: fifty
+	// distinct configurations.
 	cfgAt := func(i int) Config {
 		cfg := DefaultConfig()
-		cfg.Relax = cpu.Relax{StrongStores: i&1 != 0, NonFIFOSB: i&2 != 0, NoLoadSquash: i&4 != 0}
+		cfg.Protocol = Protocols()[i&1]
+		cfg.Model = memmodel.Names()[i>>1&3]
 		bugs.All()[i>>3].Enable(&cfg.Bugs)
 		return cfg
 	}

@@ -3,11 +3,11 @@
 // the Table 2 machine checked against TSO — with its pieces scattered
 // across machine.Config, bugs.Set and the recorder's model; a Scenario
 // gathers them: coherence protocol, the axiomatic model to check
-// against, and the injected bug set. The model fixes the cores' legal
-// relaxations (cpu.Relax): each model is realized by exactly one core
-// configuration, so a scenario cannot name a relaxation its model
-// forbids. A sorted table names the bundled scenarios and Validate
-// refuses the pairings that cannot be checked.
+// against, and the injected bug set. The model also fixes the cores'
+// orderings (package cpu): each model is realized by exactly one core,
+// so a scenario cannot name a core its model forbids. A sorted table
+// names the bundled scenarios and Validate refuses the pairings that
+// cannot be checked.
 package scenario
 
 import (
@@ -31,7 +31,7 @@ type Scenario struct {
 	// Protocol selects the coherence protocol.
 	Protocol machine.Protocol `json:"protocol"`
 	// Model names the axiomatic model to check against (SC, TSO, PSO,
-	// RMO). It also fixes the cores' legal relaxations (relaxFor).
+	// RMO). The machine's cores realize the same model.
 	Model string `json:"model"`
 	// Bugs names the injected bugs (empty for a bug-free target).
 	Bugs []string `json:"bugs,omitempty"`
@@ -97,14 +97,14 @@ func (s Scenario) describe() string {
 	return fmt.Sprintf("%s/%s", s.Protocol, s.Model)
 }
 
-// ID returns the canonical scenario identity: protocol, model, the
-// relaxation set the model fixes and the sorted bug list. Two scenarios
-// with equal IDs describe the same machine contract; collective-checking
-// memo scopes key on it so verdicts never leak between different
-// contracts.
+// ID returns the canonical scenario identity: protocol, model, how the
+// model's core departs from the Table 2 one (cpu.Orderings) and the
+// sorted bug list. Two scenarios with equal IDs describe the same
+// machine contract; collective-checking memo scopes key on it so
+// verdicts never leak between different contracts.
 func (s Scenario) ID() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s%s", s.Protocol, s.Model, relaxFor(s.Model))
+	fmt.Fprintf(&b, "%s/%s%s", s.Protocol, s.Model, cpu.Orderings(s.Model))
 	if len(s.Bugs) > 0 {
 		names := append([]string(nil), s.Bugs...)
 		sort.Strings(names)
@@ -121,8 +121,8 @@ func (s Scenario) String() string {
 	return s.ID()
 }
 
-// Apply returns the machine the scenario describes: its protocol, the
-// relaxations its model fixes and its bug set on the Table 2 system.
+// Apply returns the machine the scenario describes: its protocol, cores
+// realizing its model and its bug set on the Table 2 system.
 // The caller sets the seed.
 func (s Scenario) Apply() (machine.Config, error) {
 	if err := s.Validate(); err != nil {
@@ -132,26 +132,7 @@ func (s Scenario) Apply() (machine.Config, error) {
 	if err != nil {
 		return machine.Config{}, err
 	}
-	return machine.Config{Protocol: s.Protocol, Relax: relaxFor(s.Model), Bugs: set}, nil
-}
-
-// relaxFor returns the legal relaxation set realizing the given model
-// on the simulated cores: the strongest hardware the model still
-// permits to be tested as relaxed (SC strengthens the stores, removing
-// the W→R relaxation of the Table 2 store buffer; TSO is the Table 2
-// default; PSO adds out-of-order drain, relaxing W→W; RMO adds
-// squash-free loads, relaxing R→R).
-func relaxFor(model string) cpu.Relax {
-	switch model {
-	case "SC":
-		return cpu.Relax{StrongStores: true}
-	case "PSO":
-		return cpu.Relax{NonFIFOSB: true}
-	case "RMO":
-		return cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}
-	default:
-		return cpu.Relax{}
-	}
+	return machine.Config{Protocol: s.Protocol, Model: s.Model, Bugs: set}, nil
 }
 
 // Inject returns s with the named bug injected ("" = s unchanged). The

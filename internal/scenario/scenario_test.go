@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/machine"
 )
 
@@ -48,20 +47,18 @@ func TestRegisteredScenariosValid(t *testing.T) {
 }
 
 // TestRegistryPinned: each registered scenario's identity and the
-// cores its model fixes. Memo scopes, Result.Scenario and the benchmark
-// fingerprints key on these IDs, so none may move.
+// machine it applies, whose cores realize its model. Memo scopes,
+// Result.Scenario and the benchmark fingerprints key on these IDs, so
+// none may move.
 func TestRegistryPinned(t *testing.T) {
-	want := map[string]struct {
-		id    string
-		relax cpu.Relax
-	}{
-		"mesi-sc":   {"MESI/SC+sc-stores", cpu.Relax{StrongStores: true}},
-		"mesi-tso":  {"MESI/TSO", cpu.Relax{}},
-		"mesi-pso":  {"MESI/PSO+sb-ooo", cpu.Relax{NonFIFOSB: true}},
-		"mesi-rmo":  {"MESI/RMO+sb-ooo+lq-nosquash", cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}},
-		"tsocc-tso": {"TSO-CC/TSO", cpu.Relax{}},
-		"tsocc-pso": {"TSO-CC/PSO+sb-ooo", cpu.Relax{NonFIFOSB: true}},
-		"tsocc-rmo": {"TSO-CC/RMO+sb-ooo+lq-nosquash", cpu.Relax{NonFIFOSB: true, NoLoadSquash: true}},
+	want := map[string]string{
+		"mesi-sc":   "MESI/SC+sc-stores",
+		"mesi-tso":  "MESI/TSO",
+		"mesi-pso":  "MESI/PSO+sb-ooo",
+		"mesi-rmo":  "MESI/RMO+sb-ooo+lq-nosquash",
+		"tsocc-tso": "TSO-CC/TSO",
+		"tsocc-pso": "TSO-CC/PSO+sb-ooo",
+		"tsocc-rmo": "TSO-CC/RMO+sb-ooo+lq-nosquash",
 	}
 	if got := Names(); len(got) != len(want) {
 		t.Fatalf("registry holds %q, want the %d pinned scenarios", got, len(want))
@@ -72,15 +69,15 @@ func TestRegistryPinned(t *testing.T) {
 			t.Errorf("scenario %s not pinned", s.Name)
 			continue
 		}
-		if got := s.ID(); got != w.id {
-			t.Errorf("%s: ID %q, want %q", s.Name, got, w.id)
+		if got := s.ID(); got != w {
+			t.Errorf("%s: ID %q, want %q", s.Name, got, w)
 		}
 		cfg, err := s.Apply()
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		if cfg.Relax != w.relax {
-			t.Errorf("%s: Apply().Relax %+v, want %+v", s.Name, cfg.Relax, w.relax)
+		if want := (machine.Config{Protocol: s.Protocol, Model: s.Model}); cfg != want {
+			t.Errorf("%s: Apply() %+v, want %+v", s.Name, cfg, want)
 		}
 	}
 }
@@ -154,8 +151,8 @@ func TestApply(t *testing.T) {
 	if cfg.Protocol != machine.MESI {
 		t.Errorf("protocol = %s, want MESI", cfg.Protocol)
 	}
-	if !cfg.Relax.NonFIFOSB || !cfg.Relax.NoLoadSquash {
-		t.Errorf("relax not applied: %+v", cfg.Relax)
+	if cfg.Model != "RMO" {
+		t.Errorf("model = %q, want RMO", cfg.Model)
 	}
 	if cfg.Bugs.Any() {
 		t.Error("bug-free scenario enabled bugs")

@@ -171,6 +171,7 @@ func kernelTrace(t *testing.T, seed int64, s kernel) []dispatch {
 // draws the same random numbers, and schedules out of the nodes it
 // already owns.
 func TestResetReplaysANewSim(t *testing.T) {
+	nop := sim.Handler(func(any, uint64) {}) // a pure time-keeping event
 	for seed := int64(0); seed < 5; seed++ {
 		want := kernelTrace(t, seed, sim.New(seed))
 		wantRand := sim.New(seed).Rand().Int63()
@@ -178,7 +179,7 @@ func TestResetReplaysANewSim(t *testing.T) {
 		s := sim.New(seed + 100)
 		kernelTrace(t, seed+100, s)
 		for i := 0; i < 500; i++ {
-			s.ScheduleEvent(sim.Tick(i*37), sim.Nop, nil, 0) // out to tick 18 463: ring and overflow
+			s.ScheduleEvent(sim.Tick(i*37), nop, nil, 0) // out to tick 18 463: ring and overflow
 		}
 		if err := s.RunUntil(func() bool { return false }, 1000); err == nil {
 			t.Fatal("RunUntil finished without watchdog")
@@ -200,7 +201,7 @@ func TestResetReplaysANewSim(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(5, func() {
 			for i := 0; i < 300; i++ {
-				s.ScheduleEvent(sim.Tick(i*37), sim.Nop, nil, 0)
+				s.ScheduleEvent(sim.Tick(i*37), nop, nil, 0)
 			}
 			s.Reset(seed)
 		}); n != 0 {

@@ -59,8 +59,6 @@ var (
 	// as arg (func values are pointer-shaped, so the conversion does not
 	// allocate — only the closure itself does).
 	InvokeFunc Handler = func(arg any, _ uint64) { arg.(func())() }
-	// Nop discards the event; it schedules pure time-keeping events.
-	Nop Handler = func(any, uint64) {}
 )
 
 // event is one queue node: pooled, reused through the freelist, and

@@ -197,7 +197,7 @@ func TestNextEventTime(t *testing.T) {
 // nodes released by dispatch are reused by later schedules.
 func TestFreelistReuse(t *testing.T) {
 	s := New(1)
-	h := Nop
+	h := Handler(func(any, uint64) {})
 	warm := func() {
 		for i := 0; i < 4*slabSize; i++ {
 			s.ScheduleEvent(Tick(i%97), h, nil, 0)
@@ -227,10 +227,11 @@ func TestParallelSimsRace(t *testing.T) {
 			defer wg.Done()
 			s := New(42)
 			var sum uint64
+			nop := Handler(func(any, uint64) {})
 			add := Handler(func(_ any, aux uint64) {
 				sum = sum*31 + aux + uint64(s.Now())
 				if aux%7 == 0 {
-					s.ScheduleEvent(Tick(s.Rand().Int63n(int64(3*wheelSize))), Nop, nil, aux+1)
+					s.ScheduleEvent(Tick(s.Rand().Int63n(int64(3*wheelSize))), nop, nil, aux+1)
 				}
 			})
 			for i := 0; i < 20_000; i++ {

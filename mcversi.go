@@ -236,12 +236,13 @@ type GPParams = gp.Params
 // HostOptions configure the guest-host execution loop (Table 1, §4).
 type HostOptions = host.Options
 
-// MachineConfig is what varies between simulated systems: protocol,
-// core relaxations, injected bugs and seed. The shape is always Table 2's
-// (8 cores, 32 KB 4-way L1s, 8 × 128 KB 4-way L2 tiles, a 2×4 mesh).
+// MachineConfig is what varies between simulated systems: protocol, the
+// model the cores realize (SC, TSO, PSO or RMO), injected bugs and seed.
+// The shape is always Table 2's (8 cores, 32 KB 4-way L1s, 8 × 128 KB
+// 4-way L2 tiles, a 2×4 mesh).
 type MachineConfig = machine.Config
 
-// DefaultMachineConfig returns the Table 2 system under MESI, bug-free.
+// DefaultMachineConfig returns the Table 2 system: MESI, TSO, bug-free.
 func DefaultMachineConfig() MachineConfig { return machine.DefaultConfig() }
 
 // CoverageParams tune the adaptive-coverage fitness (§3.2).
