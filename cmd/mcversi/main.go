@@ -112,8 +112,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *listScenarios {
-		for _, s := range mcversi.Scenarios() {
-			fmt.Fprintf(stdout, "%-12s %-28s %s\n", s.Name, s.ID(), s.Description)
+		scens := mcversi.Scenarios()
+		width := 0
+		for _, s := range scens {
+			width = max(width, len(s.ID()))
+		}
+		for _, s := range scens {
+			fmt.Fprintf(stdout, "%-12s %-*s %s\n", s.Name, width, s.ID(), s.Description)
 		}
 		return 0
 	}

@@ -86,6 +86,33 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestListScenariosAligned: -list-scenarios prints every description
+// at one column, past the longest ID.
+func TestListScenariosAligned(t *testing.T) {
+	code, out, _ := mcversiRun("-list-scenarios")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	scens := scenario.All()
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != len(scens) {
+		t.Fatalf("%d lines for %d scenarios:\n%s", len(lines), len(scens), out)
+	}
+	col := -1
+	for i, s := range scens {
+		at := strings.Index(lines[i], " "+s.Description)
+		if at < 0 || !strings.Contains(lines[i][:at], s.ID()) {
+			t.Fatalf("line %q lacks %s's ID and description", lines[i], s.Name)
+		}
+		if col == -1 {
+			col = at
+		}
+		if at != col {
+			t.Errorf("%s's description starts at column %d, want %d:\n%s", s.Name, at+1, col+1, out)
+		}
+	}
+}
+
 // TestBugHuntAndMergedOut: -bug injected into the default scenario
 // finds the bug, reported under its detection channel, and -merged-out
 // is an output option — it adds the file and changes nothing on stdout.

@@ -454,15 +454,16 @@ func (r *Recorder) NDe(key memmodel.Key) int {
 	return len(r.run[sl.run].preds)
 }
 
-// FitAddrs returns the addresses of events whose NDe exceeds the rounded
-// NDT of the test (§3.3) — the selective crossover's preferred set.
-func (r *Recorder) FitAddrs() map[memsys.Addr]bool {
+// FitAddrs adds to into the addresses of events whose NDe exceeds the
+// rounded NDT of the test (§3.3) — the selective crossover's preferred
+// set — and returns into. Into is the caller's, typically an emptied
+// set it recycles.
+func (r *Recorder) FitAddrs(into map[memsys.Addr]bool) map[memsys.Addr]bool {
 	cut := int(math.Round(r.NDT()))
-	out := make(map[memsys.Addr]bool)
 	for i := range r.run {
 		if len(r.run[i].preds) > cut {
-			out[r.run[i].addr] = true
+			into[r.run[i].addr] = true
 		}
 	}
-	return out
+	return into
 }

@@ -82,8 +82,8 @@ func TestNDTDeterministicRunIsOne(t *testing.T) {
 	if got := r.NDT(); got != 1.0 {
 		t.Fatalf("NDT = %v, want 1.0", got)
 	}
-	if len(r.FitAddrs()) != 0 {
-		t.Fatalf("deterministic run has fitaddrs: %v", r.FitAddrs())
+	if fit := r.FitAddrs(map[memsys.Addr]bool{}); len(fit) != 0 {
+		t.Fatalf("deterministic run has fitaddrs: %v", fit)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestNDTGrowsWithRacyOutcomes(t *testing.T) {
 	}
 	// The reads observed two distinct rf sources each: their addresses
 	// become fitaddrs when NDe > round(NDT).
-	fit := r.FitAddrs()
+	fit := r.FitAddrs(map[memsys.Addr]bool{})
 	if math.Round(got) == 1 && len(fit) == 0 {
 		t.Fatalf("no fitaddrs despite NDe=2 > round(NDT)=%v", math.Round(got))
 	}
@@ -131,7 +131,7 @@ func TestResetAllClearsRunState(t *testing.T) {
 	serialMP(r, 102, 101)
 	r.EndIteration()
 	r.ResetAll()
-	if r.NDT() != 0 || r.Iteration() != 0 || len(r.FitAddrs()) != 0 {
+	if r.NDT() != 0 || r.Iteration() != 0 || len(r.FitAddrs(map[memsys.Addr]bool{})) != 0 {
 		t.Fatal("ResetAll left run state behind")
 	}
 }

@@ -170,7 +170,7 @@ func TestReusedRecorderMatchesReference(t *testing.T) {
 				wantFit[addr] = true
 			}
 		}
-		gotFit := reused.FitAddrs()
+		gotFit := reused.FitAddrs(map[memsys.Addr]bool{})
 		if len(gotFit) != len(wantFit) {
 			t.Fatalf("run %d: FitAddrs = %v, reference %v", run, gotFit, wantFit)
 		}

@@ -185,8 +185,8 @@ type Campaign struct {
 	cfg     Config
 	tracker *coverage.Tracker
 	// h drives the campaign's machine; nil once Release gave it back,
-	// together with the generator and engine, whose random sources the
-	// machine's next campaign re-seeds.
+	// together with the generator and the kit's engine, which the
+	// machine's next campaign re-seeds and re-arms.
 	h      *host.Host
 	gen    *testgen.Generator
 	engine *gp.Engine
@@ -214,17 +214,20 @@ type Campaign struct {
 
 // kit is what a campaign builds around its machine and hands on with it
 // (machine.Machine.Kit): the recorder, the error trap, the host with its
-// buffers, the two random sources and the rand generator's test buffer.
-// NewCampaign re-arms every piece to its campaign — arch, memo and scope,
-// machine and options, seeds — so a reused kit replays a new one,
-// whichever campaign on a machine of that configuration left it (another
-// model, generator, memo or seed).
+// buffers, the two random sources, the rand generator's test buffer and
+// the GP engine with its population's storage. NewCampaign re-arms every
+// piece to its campaign — arch, memo and scope, machine and options,
+// seeds, GP parameters — so a reused kit replays a new one, whichever
+// campaign on a machine of that configuration left it (another model,
+// generator, memo, seed, population size or test size).
 type kit struct {
 	rec           *checker.Recorder
 	trap          host.ErrorTrap
 	h             *host.Host
 	genRng, gpRng *rand.Rand
 	test          testgen.Test
+	// engine is nil until a GP campaign runs on the kit.
+	engine *gp.Engine
 }
 
 // kitFor returns m's kit re-armed for a campaign against arch with
@@ -302,11 +305,15 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 			params.Crossover = gp.SelectiveCrossover
 		}
 		k.gpRng = seeded(k.gpRng, cfg.Seed^0x6e61)
-		engine, err := gp.New(params, gen, k.gpRng)
+		if k.engine == nil {
+			k.engine, err = gp.New(params, gen, k.gpRng)
+		} else {
+			err = k.engine.Reset(params, gen, k.gpRng)
+		}
 		if err != nil {
 			return nil, err
 		}
-		c.engine = engine
+		c.engine = k.engine
 	}
 	return c, nil
 }
@@ -364,7 +371,7 @@ func (c *Campaign) nextTest() *testgen.Test {
 }
 
 // feedback returns the evaluation to the generator.
-func (c *Campaign) feedback(tst *testgen.Test, res host.RunResult, covFitness float64) {
+func (c *Campaign) feedback(res host.RunResult, covFitness float64) {
 	if c.engine == nil {
 		return
 	}
@@ -374,12 +381,12 @@ func (c *Campaign) feedback(tst *testgen.Test, res host.RunResult, covFitness fl
 		// weighting (§5.2.1).
 		fitness = 0.5*covFitness + 0.5*c.norm.Norm(res.NDT)
 	}
-	c.engine.Feedback(&gp.Individual{
-		Test:     tst,
-		Fitness:  fitness,
-		NDT:      res.NDT,
-		FitAddrs: c.h.FitAddrs(),
-	})
+	// The engine's own Individual for the test, so its storage is
+	// recycled.
+	ind := c.engine.Pending()
+	ind.Fitness, ind.NDT = fitness, res.NDT
+	c.h.FitAddrs(ind.FitAddrs)
+	c.engine.Feedback(ind)
 }
 
 // Step runs one test-run and returns its host result and fitness.
@@ -398,7 +405,7 @@ func (c *Campaign) Step() (host.RunResult, float64, error) {
 	fitness := c.tracker.EndRun()
 	//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
 	t0 = time.Now()
-	c.feedback(tst, res, fitness)
+	c.feedback(res, fitness)
 	//mcvlint:allow nondeterm phase-timing lap; obs wall times never enter canonical results
 	c.ps.Observe(obs.PhaseTestgen, time.Since(t0))
 	return res, fitness, nil

@@ -46,7 +46,8 @@ func TestSelectiveCrossoverPreservesFences(t *testing.T) {
 	e.ops.pMut = 0
 	e.ops.pUSel = 1.0 // select everything from t1
 	p := &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}}
-	child := e.crossoverMutate(p, &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}})
+	child := new(testgen.Test)
+	e.crossoverMutate(child, p, &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}})
 	want := fenceNodes(p.Test)
 	got := fenceNodes(child)
 	if len(got) != len(want) {
@@ -68,7 +69,8 @@ func TestSinglePointCrossoverPreservesFences(t *testing.T) {
 	e.ops.pMut = 0
 	p1 := &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}}
 	p2 := &Individual{Test: fencedTest(), FitAddrs: map[memsys.Addr]bool{}}
-	child := e.singlePoint(p1, p2)
+	child := new(testgen.Test)
+	e.singlePoint(child, p1, p2)
 	// Both parents agree slot-wise, so the child must too.
 	want := fenceNodes(p1.Test)
 	got := fenceNodes(child)

@@ -4,12 +4,23 @@
 // selective crossover that preferentially inherits memory operations on
 // highly non-deterministic addresses (fitaddrs), plus the McVerSi-Std.XO
 // single-point-crossover baseline of §5.2.1.
+//
+// Storage. An engine owns the tests and fitaddr sets it hands out: the
+// test Next returns and the empty set Pending carries. Delete-oldest
+// replacement frees exactly one individual's worth whenever it admits
+// one, so each child is written into the storage of the individual the
+// ring last evicted, and Reset keeps a finished campaign's population as
+// storage for the next. Only storage the engine itself handed out is
+// recycled, and only once its Individual has left the population: an
+// Individual, test or fitaddr map that a caller builds and passes to
+// Feedback or Immigrate is never cleared or written.
 package gp
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/memsys"
@@ -98,23 +109,63 @@ type Engine struct {
 	rng    *rand.Rand
 
 	pop []*Individual
+	// own[i] is the storage pop[i] came in, when pop[i] is an
+	// Individual Pending handed out, and nil when pop[i] is the
+	// caller's (a migrant, an Individual the caller built).
+	own []*storage
 	// oldest indexes the next delete-oldest replacement slot: the
 	// population is a FIFO ring, matching the delete-oldest strategy
 	// that outperforms generational GAs in non-stationary
 	// environments (Vavak & Fogarty).
-	oldest  int
-	pending *testgen.Test
+	oldest int
+	// pending carries the test Next last returned until Feedback takes
+	// it; free holds storage no individual carries any more.
+	pending *storage
+	free    []*storage
 
-	proposed, crossovers, mutations uint64
+	// combined is crossoverMutate's scratch: the parents' fitaddrs.
+	combined []memsys.Addr
+}
+
+// storage is one individual's worth of what the engine hands out: the
+// Individual, its test and its fitaddr set. ind's fields are the
+// caller's to write; the engine recycles only test and fit, which it
+// allocated.
+type storage struct {
+	ind  Individual
+	test *testgen.Test
+	fit  map[memsys.Addr]bool
 }
 
 // New returns an engine drawing random genes from gen.
 func New(params Params, gen *testgen.Generator, rng *rand.Rand) (*Engine, error) {
-	if params.PopulationSize <= 1 {
-		return nil, fmt.Errorf("gp: population size must exceed 1, got %d", params.PopulationSize)
+	e := &Engine{}
+	if err := e.Reset(params, gen, rng); err != nil {
+		return nil, err
 	}
-	ops := operators{tournament: tournamentSize, pMut: pMut, pUSel: pUSel, pBFA: pBFA}
-	return &Engine{params: params, ops: ops, gen: gen, rng: rng}, nil
+	return e, nil
+}
+
+// Reset re-arms e as New(params, gen, rng) would build it, keeping the
+// storage of its population for the new one's children: a reused
+// engine seeds into the tests and fitaddr sets its last campaign left.
+// Tests and individuals obtained from e before Reset must not be used
+// after it.
+func (e *Engine) Reset(params Params, gen *testgen.Generator, rng *rand.Rand) error {
+	if params.PopulationSize <= 1 {
+		return fmt.Errorf("gp: population size must exceed 1, got %d", params.PopulationSize)
+	}
+	for _, s := range e.own {
+		if s != nil {
+			e.free = append(e.free, s)
+		}
+	}
+	clear(e.pop)
+	clear(e.own)
+	e.params, e.gen, e.rng = params, gen, rng
+	e.ops = operators{tournament: tournamentSize, pMut: pMut, pUSel: pUSel, pBFA: pBFA}
+	e.pop, e.own, e.oldest, e.pending = e.pop[:0], e.own[:0], 0, nil
+	return nil
 }
 
 // PopulationSize returns the current population fill.
@@ -126,41 +177,87 @@ func (e *Engine) Seeded() bool { return len(e.pop) >= e.params.PopulationSize }
 // Population exposes the population for inspection (benchmarks, tests).
 func (e *Engine) Population() []*Individual { return e.pop }
 
-// Next proposes the next test to evaluate.
+// take returns free storage, or new storage when none is free, with
+// its Individual reset to carry its test and its emptied fitaddr set.
+func (e *Engine) take() *storage {
+	var s *storage
+	if n := len(e.free); n > 0 {
+		s, e.free = e.free[n-1], e.free[:n-1]
+		clear(s.fit)
+	} else {
+		s = &storage{test: new(testgen.Test), fit: map[memsys.Addr]bool{}}
+	}
+	s.ind = Individual{Test: s.test, FitAddrs: s.fit}
+	return s
+}
+
+// Next proposes the next test to evaluate. The test is the engine's.
+// Once it comes back in Pending's Individual, the engine writes a later
+// child into it after the ring has evicted that Individual.
 func (e *Engine) Next() *testgen.Test {
-	e.proposed++
+	// A test Next returned that never came back through Feedback may
+	// still be held by its caller, so it is left to the caller.
+	e.pending = e.take()
+	child := e.pending.test
 	if !e.Seeded() {
-		e.pending = e.gen.NewTest()
-		return e.pending
+		return e.gen.NewTestInto(child)
 	}
 	p1 := e.tournament()
 	p2 := e.tournament()
 	// The draw against pCrossover always passes; it stays so that every
 	// campaign's random stream is the one its pins record.
 	e.rng.Float64()
-	e.crossovers++
-	var child *testgen.Test
 	switch e.params.Crossover {
 	case SinglePointCrossover:
-		child = e.singlePoint(p1, p2)
+		e.singlePoint(child, p1, p2)
 	default:
-		child = e.crossoverMutate(p1, p2)
+		e.crossoverMutate(child, p1, p2)
 	}
-	e.pending = child
 	return child
 }
 
+// Pending returns the Individual carrying the test Next last returned,
+// or nil before the first Next. Its FitAddrs is an empty set the engine
+// owns: a caller fills it and the other fields and passes the
+// Individual to Feedback, which then allocates nothing.
+func (e *Engine) Pending() *Individual {
+	if e.pending == nil {
+		return nil
+	}
+	return &e.pending.ind
+}
+
 // Feedback records the evaluation of the test last returned by Next.
+// When ind is Pending's Individual, its storage is recycled once the
+// ring evicts it. Any other ind is the caller's, and so is the test it
+// carries, even one Next returned: the engine never writes it, nor its
+// FitAddrs, and defaults only a nil FitAddrs.
 func (e *Engine) Feedback(ind *Individual) {
 	if ind.FitAddrs == nil {
 		ind.FitAddrs = map[memsys.Addr]bool{}
 	}
+	var own *storage
+	if e.pending != nil && ind == &e.pending.ind {
+		own = e.pending
+	}
+	e.pending = nil
+	e.admit(ind, own)
+}
+
+// admit puts ind into the population: appended while seeding, else in
+// the oldest member's slot, whose storage — if the engine handed it out
+// — becomes free for the next child.
+func (e *Engine) admit(ind *Individual, own *storage) {
 	if !e.Seeded() {
 		e.pop = append(e.pop, ind)
+		e.own = append(e.own, own)
 		return
 	}
 	// Steady-state, delete-oldest replacement.
-	e.pop[e.oldest] = ind
+	if old := e.own[e.oldest]; old != nil {
+		e.free = append(e.free, old)
+	}
+	e.pop[e.oldest], e.own[e.oldest] = ind, own
 	e.oldest = (e.oldest + 1) % len(e.pop)
 }
 
@@ -207,7 +304,9 @@ func (e *Engine) Elites(k int) []*Individual {
 // same delete-oldest ring that Feedback uses, so migrants immediately
 // compete in tournament selection and recombine through the configured
 // crossover path (the island model's exchange channel). Migrants are
-// deep-copied by the sender; the engine takes ownership.
+// deep-copied by the sender; the engine keeps them in its population
+// but never writes their tests or fitaddr sets, and defaults only a
+// nil FitAddrs.
 func (e *Engine) Immigrate(migrants []*Individual) {
 	for _, ind := range migrants {
 		if ind == nil {
@@ -216,12 +315,12 @@ func (e *Engine) Immigrate(migrants []*Individual) {
 		if ind.FitAddrs == nil {
 			ind.FitAddrs = map[memsys.Addr]bool{}
 		}
-		if !e.Seeded() {
-			e.pop = append(e.pop, ind)
-			continue
+		if e.pending != nil && (ind == &e.pending.ind || ind.Test == e.pending.test) {
+			// The caller made a migrant of the pending test: it is
+			// the caller's now.
+			e.pending = nil
 		}
-		e.pop[e.oldest] = ind
-		e.oldest = (e.oldest + 1) % len(e.pop)
+		e.admit(ind, nil)
 	}
 }
 
@@ -256,31 +355,31 @@ func fitaddrFraction(t *testgen.Test, fitaddrs map[memsys.Addr]bool) float64 {
 	return float64(hits) / float64(memOps)
 }
 
-// crossoverMutate is Algorithm 1: the selective crossover always
-// inherits memory operations whose address is in the parent's fitaddrs,
-// selects other nodes with matched probabilities, and pseudo-randomly
-// regenerates slots neither parent claims (directed mutation), biased
-// towards the parents' combined fitaddrs with probability PBFA.
-func (e *Engine) crossoverMutate(t1, t2 *Individual) *testgen.Test {
+// crossoverMutate is Algorithm 1, written into child: the selective
+// crossover always inherits memory operations whose address is in the
+// parent's fitaddrs, selects other nodes with matched probabilities,
+// and pseudo-randomly regenerates slots neither parent claims (directed
+// mutation), biased towards the parents' combined fitaddrs with
+// probability PBFA.
+func (e *Engine) crossoverMutate(child *testgen.Test, t1, t2 *Individual) {
 	a1 := fitaddrFraction(t1.Test, t1.FitAddrs)
 	a2 := fitaddrFraction(t2.Test, t2.FitAddrs)
 	pSel1 := a1 + e.ops.pUSel - a1*e.ops.pUSel
 	pSel2 := a2 + e.ops.pUSel - a2*e.ops.pUSel
 
-	combined := make([]memsys.Addr, 0, len(t1.FitAddrs)+len(t2.FitAddrs))
-	seen := make(map[memsys.Addr]bool)
-	for _, set := range []map[memsys.Addr]bool{t1.FitAddrs, t2.FitAddrs} {
-		for a := range set {
-			if !seen[a] {
-				seen[a] = true
-				combined = append(combined, a)
-			}
-		}
+	combined := e.combined[:0]
+	for a := range t1.FitAddrs {
+		combined = append(combined, a)
 	}
-	// Deterministic order for reproducibility.
-	sortAddrs(combined)
+	for a := range t2.FitAddrs {
+		combined = append(combined, a)
+	}
+	// Deterministic order for reproducibility, each address once.
+	slices.Sort(combined)
+	combined = slices.Compact(combined)
+	e.combined = combined
 
-	child := t1.Test.Clone()
+	copyTest(child, t1.Test)
 	mutations := 0
 	for i := range child.Nodes {
 		n1 := t1.Test.Nodes[i]
@@ -314,17 +413,22 @@ func (e *Engine) crossoverMutate(t1, t2 *Individual) *testgen.Test {
 	if float64(mutations)/float64(len(child.Nodes)) < e.ops.pMut {
 		e.mutate(child, combined)
 	}
-	return child
 }
 
-// singlePoint is the Std.XO baseline: a standard single-point crossover
-// over the flat list, followed by per-node mutation.
-func (e *Engine) singlePoint(t1, t2 *Individual) *testgen.Test {
-	child := t1.Test.Clone()
+// singlePoint is the Std.XO baseline, written into child: a standard
+// single-point crossover over the flat list, followed by per-node
+// mutation.
+func (e *Engine) singlePoint(child *testgen.Test, t1, t2 *Individual) {
+	copyTest(child, t1.Test)
 	cut := e.rng.Intn(len(child.Nodes) + 1)
 	copy(child.Nodes[cut:], t2.Test.Nodes[cut:])
 	e.mutate(child, nil)
-	return child
+}
+
+// copyTest makes dst a copy of src in dst's own node storage.
+func copyTest(dst, src *testgen.Test) {
+	dst.Nodes = append(dst.Nodes[:0], src.Nodes...)
+	dst.Layout, dst.Threads = src.Layout, src.Threads
 }
 
 // mutate randomizes nodes with probability PMut each, preserving slot
@@ -332,20 +436,11 @@ func (e *Engine) singlePoint(t1, t2 *Individual) *testgen.Test {
 func (e *Engine) mutate(t *testgen.Test, constrained []memsys.Addr) {
 	for i := range t.Nodes {
 		if e.rng.Float64() < e.ops.pMut {
-			e.mutations++
 			if len(constrained) > 0 && e.rng.Float64() < e.ops.pBFA {
 				t.Nodes[i] = e.gen.RandomNode(constrained)
 			} else {
 				t.Nodes[i] = e.gen.RandomNode(nil)
 			}
-		}
-	}
-}
-
-func sortAddrs(addrs []memsys.Addr) {
-	for i := 1; i < len(addrs); i++ {
-		for j := i; j > 0 && addrs[j] < addrs[j-1]; j-- {
-			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
 		}
 	}
 }

@@ -316,3 +316,46 @@ func TestIndividualClone(t *testing.T) {
 		t.Fatal("nil Test cloned into non-nil")
 	}
 }
+
+// TestCallerStorageNeverWritten: tests and fitaddr maps a caller passes
+// in Individuals it built — even tests Next returned — keep their
+// contents after they leave the population, while Pending's Individuals
+// hand their storage to later children.
+func TestCallerStorageNeverWritten(t *testing.T) {
+	e, gen := newEngine(t, PaperParams(), 12)
+	fit := map[memsys.Addr]bool{gen.Pool()[0]: true}
+	var fed []*testgen.Test
+	var snaps [][]testgen.Node
+	for i := 0; i < 40; i++ {
+		tst := e.Next()
+		fed = append(fed, tst)
+		snaps = append(snaps, append([]testgen.Node(nil), tst.Nodes...))
+		feedback(e, tst, float64(i%5), 1.5, fit)
+	}
+	for i, tst := range fed {
+		for j := range tst.Nodes {
+			if tst.Nodes[j] != snaps[i][j] {
+				t.Fatalf("caller's test %d was written at slot %d", i, j)
+			}
+		}
+	}
+	if len(fit) != 1 || !fit[gen.Pool()[0]] {
+		t.Fatalf("caller's fitaddr map was written: %v", fit)
+	}
+
+	// Pending's Individuals: once the ring evicts one (the ninth
+	// evicts the first), the next child is written into its test.
+	owned := map[*testgen.Test]bool{}
+	for i := 0; i < 9; i++ {
+		owned[e.Next()] = true
+		ind := e.Pending()
+		ind.Fitness, ind.FitAddrs[gen.Pool()[1]] = 0.5, true
+		e.Feedback(ind)
+	}
+	if child := e.Next(); !owned[child] {
+		t.Fatal("the child after an evicted Pending Individual got new storage")
+	}
+	if ind := e.Pending(); len(ind.FitAddrs) != 0 {
+		t.Fatalf("a recycled fitaddr set arrives with %v", ind.FitAddrs)
+	}
+}

@@ -191,9 +191,12 @@ func (h *Host) SetObs(ps *obs.PhaseStats) { h.obs = ps }
 // Machine returns the underlying machine.
 func (h *Host) Machine() *machine.Machine { return h.m }
 
-// FitAddrs returns the selective crossover's preferred address set of
-// the last test-run (a fresh map; only the GP generators ask for it).
-func (h *Host) FitAddrs() map[memsys.Addr]bool { return h.rec.FitAddrs() }
+// FitAddrs adds the selective crossover's preferred address set of the
+// last test-run to into and returns it (only the GP generators ask for
+// it, into the set their engine recycles).
+func (h *Host) FitAddrs(into map[memsys.Addr]bool) map[memsys.Addr]bool {
+	return h.rec.FitAddrs(into)
+}
 
 // Runs returns the number of completed test-runs.
 func (h *Host) Runs() uint64 { return h.runs }

@@ -198,7 +198,7 @@ func TestRunResultFields(t *testing.T) {
 	if h.Runs() != 1 {
 		t.Errorf("Runs = %d, want 1", h.Runs())
 	}
-	if h.FitAddrs() == nil {
+	if h.FitAddrs(map[memsys.Addr]bool{}) == nil {
 		t.Error("FitAddrs nil")
 	}
 }
