@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/checker"
@@ -182,15 +183,17 @@ func (r Result) String() string {
 // scheduler interleaves migration between slices) and Result snapshots
 // the tally at any point.
 type Campaign struct {
-	cfg     Config
-	tracker *coverage.Tracker
+	cfg Config
+	// id is cfg.Scenario.ID(), the Scenario of every Result.
+	id string
 	// h drives the campaign's machine; nil once Release gave it back,
-	// together with the generator and the kit's engine, which the
-	// machine's next campaign re-seeds and re-arms.
-	h      *host.Host
-	gen    *testgen.Generator
-	engine *gp.Engine
-	norm   gp.NormalizeNDT
+	// together with the kit's tracker, generator and engine, which the
+	// machine's next campaign re-arms.
+	h       *host.Host
+	tracker *coverage.Tracker
+	gen     *testgen.Generator
+	engine  *gp.Engine
+	norm    gp.NormalizeNDT
 	// test is the kit's buffer the rand generator writes each test into.
 	test *testgen.Test
 
@@ -214,20 +217,36 @@ type Campaign struct {
 
 // kit is what a campaign builds around its machine and hands on with it
 // (machine.Machine.Kit): the recorder, the error trap, the host with its
-// buffers, the two random sources, the rand generator's test buffer and
+// buffers, the coverage tracker, the test generator with its address
+// pool, the two random sources, the rand generator's test buffer and
 // the GP engine with its population's storage. NewCampaign re-arms every
 // piece to its campaign — arch, memo and scope, machine and options,
-// seeds, GP parameters — so a reused kit replays a new one, whichever
-// campaign on a machine of that configuration left it (another model,
-// generator, memo, seed, population size or test size).
+// vocabulary and coverage parameters, test configuration, seeds, GP
+// parameters — so a reused kit replays a new one, whichever campaign on
+// a machine of that configuration left it (another model, generator,
+// memo, seed, population size, memory size or test size).
 type kit struct {
 	rec           *checker.Recorder
 	trap          host.ErrorTrap
 	h             *host.Host
+	tracker       coverage.Tracker
+	gen           testgen.Generator
 	genRng, gpRng *rand.Rand
 	test          testgen.Test
 	// engine is nil until a GP campaign runs on the kit.
 	engine *gp.Engine
+	// id is the ID of idOf, the last scenario a campaign ran on the kit.
+	id   string
+	idOf scenario.Scenario
+}
+
+// scenarioID returns s.ID(), spelling it only when s differs from the
+// kit's last scenario in what an ID reads.
+func (k *kit) scenarioID(s scenario.Scenario) string {
+	if k.id == "" || s.Protocol != k.idOf.Protocol || s.Model != k.idOf.Model || !slices.Equal(s.Bugs, k.idOf.Bugs) {
+		k.id, k.idOf = s.ID(), scenario.Scenario{Protocol: s.Protocol, Model: s.Model, Bugs: slices.Clone(s.Bugs)}
+	}
+	return k.id
 }
 
 // kitFor returns m's kit re-armed for a campaign against arch with
@@ -272,11 +291,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	mcfg.Seed = cfg.Seed
 
-	// The transition vocabulary is numbered once per protocol and shared
-	// by every controller, so per-event recording is an increment into
-	// the tracker's count vector.
-	tracker := coverage.NewTracker(len(machine.Transitions(mcfg.Protocol)), cfg.Coverage)
-
 	arch, err := cfg.Scenario.Arch()
 	if err != nil {
 		return nil, err
@@ -286,17 +300,20 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	k := kitFor(m, arch, cfg.Host)
+	c := &Campaign{cfg: cfg, id: k.scenarioID(cfg.Scenario), h: k.h, tracker: &k.tracker, gen: &k.gen, test: &k.test}
 	k.rec.SetMemo(cfg.Memo)
-	k.rec.SetScope(cfg.Scenario.ID())
-	m.Reset(mcfg.Seed, tracker, k.trap, k.rec)
+	k.rec.SetScope(c.id)
+	// The transition vocabulary is numbered once per protocol and shared
+	// by every controller, so per-event recording is an increment into
+	// the tracker's count vector.
+	k.tracker.Reset(len(machine.Transitions(mcfg.Protocol)), cfg.Coverage)
+	m.Reset(mcfg.Seed, &k.tracker, k.trap, k.rec)
 
 	k.genRng = seeded(k.genRng, cfg.Seed^0x5eed)
-	gen, err := testgen.NewGenerator(cfg.Test, k.genRng)
-	if err != nil {
+	if err := k.gen.Reset(cfg.Test, k.genRng); err != nil {
 		return nil, err
 	}
 
-	c := &Campaign{cfg: cfg, tracker: tracker, h: k.h, gen: gen, test: &k.test}
 	if cfg.Generator != GenRandom {
 		params := cfg.GP
 		if cfg.Generator == GenGPStdXO {
@@ -306,9 +323,9 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		}
 		k.gpRng = seeded(k.gpRng, cfg.Seed^0x6e61)
 		if k.engine == nil {
-			k.engine, err = gp.New(params, gen, k.gpRng)
+			k.engine, err = gp.New(params, &k.gen, k.gpRng)
 		} else {
-			err = k.engine.Reset(params, gen, k.gpRng)
+			err = k.engine.Reset(params, &k.gen, k.gpRng)
 		}
 		if err != nil {
 			return nil, err
@@ -320,9 +337,10 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 
 // Release ends the campaign and gives its machine, with its kit, back
 // for reuse by a later NewCampaign. Only the campaign's one owner calls
-// it, once nobody will advance the campaign again; Result, Tracker and
-// Fastpath keep answering with the final tally, Host and Engine return
-// nil. A machine whose campaign found a violation of any source
+// it, once nobody will advance the campaign again; Result and Fastpath
+// keep answering with the final tally, Host, Tracker and Engine return
+// nil (the tracker is the kit's, which the machine's next campaign
+// re-arms). A machine whose campaign found a violation of any source
 // (checker, protocol error, watchdog) or returned an error is dropped
 // instead, kit and all: it may hold transient lines, queued events or
 // corrupted data.
@@ -333,7 +351,7 @@ func (c *Campaign) Release() {
 	c.out = c.Result()
 	c.finished = true
 	m := c.h.Machine()
-	c.h, c.gen, c.engine, c.test = nil, nil, nil, nil
+	c.h, c.tracker, c.gen, c.engine, c.test = nil, nil, nil, nil, nil
 	if !c.out.Found && !c.failed {
 		// A parked kit must not keep the campaign's memo or tracer alive.
 		k := m.Kit.(*kit)
@@ -346,7 +364,7 @@ func (c *Campaign) Release() {
 // Host exposes the campaign's host (for inspection).
 func (c *Campaign) Host() *host.Host { return c.h }
 
-// Tracker exposes the coverage tracker.
+// Tracker exposes the coverage tracker, or nil after Release.
 func (c *Campaign) Tracker() *coverage.Tracker { return c.tracker }
 
 // Engine exposes the GP engine, or nil for the rand generator and after
@@ -462,12 +480,13 @@ func (c *Campaign) Advance(ctx context.Context, extra int) (bool, error) {
 // time, committed instructions, coverage) as of now. It is valid at any
 // point, including after a cancelled Advance.
 func (c *Campaign) Result() Result {
-	out := c.out
-	out.Scenario = c.cfg.Scenario.ID()
-	if c.h != nil { // after Release, c.out holds the machine's final totals
-		out.SimTicks = c.h.Machine().Sim.Now()
-		out.Committed = c.h.Machine().CommittedInstructions()
+	if c.h == nil { // after Release, c.out holds the final tally
+		return c.out
 	}
+	out := c.out
+	out.Scenario = c.id
+	out.SimTicks = c.h.Machine().Sim.Now()
+	out.Committed = c.h.Machine().CommittedInstructions()
 	out.SimSeconds = out.SimTicks.Seconds()
 	out.TotalCoverage = c.tracker.TotalCoverage()
 	return out

@@ -91,18 +91,35 @@ type Tracker struct {
 // NewTracker returns a tracker over a vocabulary of n transitions,
 // TransitionIDs 0 to n-1.
 func NewTracker(n int, params Params) *Tracker {
-	t := &Tracker{
-		params: params.withDefaults(),
-		counts: make([]uint64, n),
-		dirty:  make([]uint64, (n+63)/64),
-		rare:   make([]bool, n),
-	}
-	t.cutoff = t.params.InitialCutoff
+	t := new(Tracker)
+	t.Reset(n, params)
+	return t
+}
+
+// Reset re-arms t as the tracker NewTracker(n, params) returns, keeping
+// the storage it has grown. NewTracker reaches its state through this
+// call.
+func (t *Tracker) Reset(n int, params Params) {
+	t.params = params.withDefaults()
+	t.counts = cleared(t.counts, n)
+	t.dirty = cleared(t.dirty, (n+63)/64)
+	t.rare = cleared(t.rare, n)
 	for i := range t.rare {
 		t.rare[i] = true
 	}
-	t.rareCount = n
-	return t
+	t.covered, t.rareCount = 0, n
+	t.cutoff, t.lowStreak, t.doubled = t.params.InitialCutoff, 0, 0
+}
+
+// cleared returns s resized to n zero elements, reusing its storage
+// when it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // RecordID implements coherence.CoverageSink: one increment into the
@@ -209,6 +226,11 @@ func (t *Tracker) Cutoff() uint64 { return t.cutoff }
 
 // Doublings returns how many times the cut-off doubled.
 func (t *Tracker) Doublings() int { return t.doubled }
+
+// Counts returns the global per-transition counts, indexed by
+// TransitionID. The slice is the tracker's own: read it before the
+// tracker records again or is Reset, and never write it.
+func (t *Tracker) Counts() []uint64 { return t.counts }
 
 // Snapshot copies the global per-transition counts (indexed by
 // TransitionID) into dst, growing it as needed, and returns it. The

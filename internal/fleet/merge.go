@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -139,12 +138,6 @@ type Merged struct {
 	Fastpath stats.Fastpath `json:"-"`
 }
 
-// CanonicalBytes returns the deterministic JSON encoding (fixed field
-// order, no maps; float64 values marshal to their exact shortest form).
-func (m Merged) CanonicalBytes() ([]byte, error) {
-	return json.Marshal(m)
-}
-
 // MergeShards assembles the deterministic merged output of a campaign
 // set from its shard results. The shards must cover [0, items) exactly
 // once; order is irrelevant (they are sorted by range). The aggregate
@@ -178,7 +171,26 @@ func MergeShards(items int, shards []ShardResult) (Merged, error) {
 	if next != items {
 		return Merged{}, fmt.Errorf("fleet: shards cover [0,%d), want [0,%d)", next, items)
 	}
+	return m.tally(items, acc)
+}
 
+// mergeWhole is MergeShards of RunShard's whole-spec shard, which the
+// caller hands over: its results and count vector become the merge's
+// instead of being copied.
+func mergeWhole(sr ShardResult) (Merged, error) {
+	m := Merged{Results: sr.Results, Obs: sr.Obs, Fastpath: sr.Fastpath}
+	var acc coverageAcc
+	if sr.CoverageMixed {
+		acc.poison()
+	} else if len(sr.CoverageCounts) > 0 {
+		acc.key, acc.counts = sr.CoverageKey, sr.CoverageCounts
+	}
+	return m.tally(sr.Range.End, acc)
+}
+
+// tally fills m's aggregate from its Results, folded in flat item
+// order, and the merged coverage acc.
+func (m Merged) tally(items int, acc coverageAcc) (Merged, error) {
 	m.Stats.Items = items
 	for i, r := range m.Results {
 		if err := m.Stats.FoundBy.note(r); err != nil {
@@ -216,11 +228,11 @@ func LocalMerged(ctx context.Context, spec core.Spec, opts Options) (Merged, err
 	if sr.Results == nil {
 		return Merged{}, runErr
 	}
-	// MergeShards itself stays clock-free (pure function of its inputs);
+	// The merge itself stays clock-free (pure function of its inputs);
 	// the caller times it so the merge phase shows up in the breakdown.
 	//mcvlint:allow nondeterm merge-span telemetry; CanonicalBytes strips phase timing
 	t0 := time.Now()
-	merged, err := MergeShards(spec.Items(), []ShardResult{sr})
+	merged, err := mergeWhole(sr)
 	if err != nil {
 		return Merged{}, err
 	}

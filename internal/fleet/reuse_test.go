@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,10 +42,12 @@ func serviceShapeSpec(samples int, baseSeed int64) core.Spec {
 
 // TestShardSteadyStateAllocationBudget guards what a shard worker's
 // steady state costs: by the third shard every item runs on a machine an
-// earlier item gave back, with the kit (recorder, host buffers, random
-// sources, test buffer) that came with it, so an item allocates what its
-// own tracker and generator need — not a machine, and not a recorder. Building a machine per item cost 632 kB and 2 768 objects;
-// building the kit per item, 116 kB and 640.
+// earlier item gave back, with the kit (recorder, host buffers, tracker,
+// generator, random sources, test buffer) that came with it, so an item
+// allocates its Campaign and its share of the shard's results and
+// coverage vector. Building a machine per item cost 632 kB and 2 768
+// objects; building the kit per item, 116 kB and 640; building the
+// tracker and generator per item, 8.4 kB in 62.
 func TestShardSteadyStateAllocationBudget(t *testing.T) {
 	spec := serviceShapeSpec(4, 5)
 	whole := Range{Start: 0, End: spec.Items()}
@@ -71,7 +74,7 @@ func TestShardSteadyStateAllocationBudget(t *testing.T) {
 	bytes := (after.TotalAlloc - before.TotalAlloc) / items
 	objects := (after.Mallocs - before.Mallocs) / items
 	t.Logf("third shard: %d B and %d objects per item", bytes, objects)
-	const maxBytes, maxObjects = 30_000, 300 // measured: 8.4 kB in 62
+	const maxBytes, maxObjects = 1_200, 4 // measured: 856 B in 1
 	if bytes > maxBytes || objects > maxObjects {
 		t.Fatalf("an item allocates %d B in %d objects, budget %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}
@@ -156,5 +159,67 @@ func TestConcurrentShardsOwnTheirMachines(t *testing.T) {
 		if !bytes.Equal(data, want) {
 			t.Errorf("concurrent shard %d merged to %d bytes that differ from the sequential %d", g, len(data), len(want))
 		}
+	}
+}
+
+// TestCampaignSetAllocationIgnoresCollector: once the machines and their
+// kits are parked, a campaign set — LocalMerged and CanonicalBytes —
+// allocates the same bytes whether or not the collector just ran. A
+// sync.Pool anywhere on the path (the exact checker's scratch,
+// encoding/json's encode state, fmt's printers) hands out a warm object
+// in one case and builds a new one in the other. The RMO item sends
+// every check to the exact checker. The runtime's own background work
+// (the scavenger re-arming its timer) can add 16 B to any one reading
+// of the process-wide counter, so the test compares the least of
+// several readings on each side: a pool refilled after every
+// collection raises all of them.
+func TestCampaignSetAllocationIgnoresCollector(t *testing.T) {
+	spec := shardSpec(core.GenGPAll, 1, 20, 3, "mesi-sc", "mesi-tso", "mesi-pso", "mesi-rmo")
+	opts := DefaultOptions()
+	opts.Workers = 1
+	run := func() {
+		m, err := LocalMerged(context.Background(), spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Stats.Found != 0 || m.Stats.TestRuns != spec.Items()*spec.MaxTestRuns {
+			t.Fatalf("stats %+v", m.Stats)
+		}
+		if _, err := m.CanonicalBytes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect := func() {
+		runtime.GC()
+		runtime.GC() // the second empties the pools' victim caches
+	}
+	run() // builds one machine and kit per scenario
+	// Free lists, cache ways and memory lines reach their steady size;
+	// so do the runtime structures a collection touches first.
+	collect()
+	run()
+	var plain, collected []uint64
+	for i := 0; i < 8; i++ {
+		gc := i%2 == 1
+		if gc {
+			collect()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if gc {
+			collected = append(collected, after.TotalAlloc-before.TotalAlloc)
+		} else {
+			plain = append(plain, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	t.Logf("steady-state campaign set: %v B, after a collection %v B", plain, collected)
+	if p, c := slices.Min(plain), slices.Min(collected); p != c {
+		t.Errorf("a set allocates %d B, %d B after a collection: allocation depends on the collector", p, c)
+	}
+	const maxBytes = 8_192 // measured: 7 328 B (25.5–45 kB while the path drew on pools)
+	if b := slices.Min(plain); b > maxBytes {
+		t.Errorf("a steady-state campaign set allocates %d B, budget %d B", b, maxBytes)
 	}
 }

@@ -119,9 +119,11 @@ type Engine struct {
 	// environments (Vavak & Fogarty).
 	oldest int
 	// pending carries the test Next last returned until Feedback takes
-	// it; free holds storage no individual carries any more.
+	// it; free holds storage no individual carries any more, and made
+	// counts the storage ever taken new.
 	pending *storage
 	free    []*storage
+	made    int
 
 	// combined is crossoverMutate's scratch: the parents' fitaddrs.
 	combined []memsys.Addr
@@ -135,6 +137,8 @@ type storage struct {
 	ind  Individual
 	test *testgen.Test
 	fit  map[memsys.Addr]bool
+	// seq is the storage's place in the order the engine made it.
+	seq int
 }
 
 // New returns an engine drawing random genes from gen.
@@ -160,6 +164,10 @@ func (e *Engine) Reset(params Params, gen *testgen.Generator, rng *rand.Rand) er
 			e.free = append(e.free, s)
 		}
 	}
+	// Children take free storage in the order it was made, whichever
+	// order the last campaign freed it in: a campaign replayed on the
+	// engine fills the same sets into the same maps, so none grows.
+	slices.SortFunc(e.free, func(a, b *storage) int { return b.seq - a.seq })
 	clear(e.pop)
 	clear(e.own)
 	e.params, e.gen, e.rng = params, gen, rng
@@ -185,7 +193,8 @@ func (e *Engine) take() *storage {
 		s, e.free = e.free[n-1], e.free[:n-1]
 		clear(s.fit)
 	} else {
-		s = &storage{test: new(testgen.Test), fit: map[memsys.Addr]bool{}}
+		s = &storage{test: new(testgen.Test), fit: map[memsys.Addr]bool{}, seq: e.made}
+		e.made++
 	}
 	s.ind = Individual{Test: s.test, FitAddrs: s.fit}
 	return s

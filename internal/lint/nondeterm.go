@@ -59,8 +59,11 @@ func critical(path string) bool {
 
 // NewNondeterm returns the nondeterm analyzer: in every package not
 // exempt, any use — call or value — of a wall-clock read, the global
-// math/rand RNG, or an environment read is a finding. Test files are
-// exempt (they time out, fake clocks, and benchmark freely).
+// math/rand RNG, or an environment read is a finding, and so is any
+// mention of sync.Pool: a pool hands out what the collector has not yet
+// emptied, so what its users allocate depends on when the collector
+// ran. Test files are exempt (they time out, fake clocks, and benchmark
+// freely).
 func NewNondeterm() *Analyzer {
 	a := &Analyzer{Name: "nondeterm"}
 	a.Run = func(pass *Pass) {
@@ -74,6 +77,10 @@ func NewNondeterm() *Analyzer {
 			ast.Inspect(f, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
+					return true
+				}
+				if tn, ok := pass.Info.Uses[sel.Sel].(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+					pass.Reportf(sel.Pos(), "sync.Pool in determinism-critical package %s: what it allocates would depend on when the collector ran; give the object an owner that keeps it", pass.Path)
 					return true
 				}
 				fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)

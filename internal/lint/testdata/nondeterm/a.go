@@ -1,11 +1,12 @@
 // Package nd seeds nondeterm true positives (wall-clock reads, global
-// RNG draws, environment reads) and the allowlisted/constructor cases
-// that must stay silent.
+// RNG draws, environment reads, sync.Pools) and the
+// allowlisted/constructor cases that must stay silent.
 package nd
 
 import (
 	"math/rand"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -38,4 +39,12 @@ func envs() (string, bool) {
 	// Non-environment os calls are fine.
 	_ = os.PathSeparator
 	return v, ok
+}
+
+// A pool's Get builds a new object whenever the collector emptied it.
+var scratch = sync.Pool{New: func() any { return new([64]byte) }} // want `sync\.Pool .* depend on when the collector ran`
+
+type owner struct {
+	mu   sync.Mutex // other sync types are deterministic
+	free *sync.Pool // want `sync\.Pool`
 }

@@ -3,7 +3,6 @@ package memmodel
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/relation"
 )
@@ -70,8 +69,9 @@ func (r Result) Err() error {
 // with its edge list and search arrays, and the per-address marks of
 // the uniproc scan and the po-loc walk — so repeated checks reuse
 // allocations instead of growing them per execution. A Scratch is
-// single-use-at-a-time; a Checker draws one from an internal pool
-// unless it was built WithScratch.
+// single-use-at-a-time; every Checker owns one, its own unless it was
+// built WithScratch, so what a check allocates does not depend on when
+// the collector ran.
 type Scratch struct {
 	graph relation.Graph
 	marks AddrMarks
@@ -79,8 +79,6 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch ready for WithScratch.
 func NewScratch() *Scratch { return new(Scratch) }
-
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // check decides whether execution x is valid under arch, using s as
 // working state; it is the exact procedure under Checker.Check. The

@@ -72,20 +72,21 @@ func WithFastDecider(fd FastDecider) CheckerOption {
 	return func(c *Checker) { c.fast = fd }
 }
 
-// WithScratch gives the Checker a dedicated exact-check scratch instead
-// of the shared pool — for callers that keep a Checker per worker and
-// want allocation reuse independent of pool churn.
+// WithScratch gives the Checker s as its exact-check scratch instead of
+// the one NewChecker builds.
 func WithScratch(s *Scratch) CheckerOption {
 	return func(c *Checker) { c.scratch = s }
 }
 
 // NewChecker returns a Checker with the given options. The zero
-// configuration (no options) checks exactly, drawing scratch from the
-// shared pool.
+// configuration (no options) checks exactly, in a scratch of its own.
 func NewChecker(opts ...CheckerOption) *Checker {
 	c := &Checker{}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.scratch == nil {
+		c.scratch = NewScratch()
 	}
 	return c
 }
@@ -106,16 +107,7 @@ func (c *Checker) Check(x *Execution, arch Arch) Result {
 		// the same trade the collective memo makes on invalid re-hits.
 		// FastFallback: the exact checker is the decision procedure.
 	}
-	return c.exact(x, arch)
-}
-
-func (c *Checker) exact(x *Execution, arch Arch) Result {
-	s := c.scratch
-	if s == nil {
-		s = scratchPool.Get().(*Scratch)
-		defer scratchPool.Put(s)
-	}
-	return check(x, arch, s)
+	return check(x, arch, c.scratch)
 }
 
 // Fastpath returns the fast-pass outcome counters accumulated since

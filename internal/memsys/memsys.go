@@ -9,6 +9,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -170,14 +171,17 @@ func (l Layout) Translate(off int) Addr {
 // Pool returns all word-aligned physical addresses usable by the test
 // generator: every multiple of Stride within the logical range, scattered
 // through the partitions. The result is sorted and duplicate-free.
-func (l Layout) Pool() []Addr {
-	n := l.Size / l.Stride
-	pool := make([]Addr, 0, n)
-	for i := 0; i < n; i++ {
-		pool = append(pool, l.Translate(i*l.Stride))
+func (l Layout) Pool() []Addr { return l.AppendPool(make([]Addr, 0, l.Size/l.Stride)) }
+
+// AppendPool appends the layout's Pool to dst and returns the extended
+// slice; into storage of the pool's size it allocates nothing.
+func (l Layout) AppendPool(dst []Addr) []Addr {
+	start := len(dst)
+	for i := 0; i < l.Size/l.Stride; i++ {
+		dst = append(dst, l.Translate(i*l.Stride))
 	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-	return pool
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Lines returns the distinct cache-line addresses covered by the layout's

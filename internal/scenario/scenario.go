@@ -44,6 +44,11 @@ func (s Scenario) Arch() (memmodel.Arch, error) {
 
 // BugSet folds the scenario's bug names into an injection set.
 func (s Scenario) BugSet() (bugs.Set, error) {
+	if len(s.Bugs) == 0 {
+		// Enable takes the set's address through a func value, so the
+		// set escapes: a bug-free scenario skips that allocation.
+		return bugs.Set{}, nil
+	}
 	var set bugs.Set
 	for _, name := range s.Bugs {
 		b, err := bugs.ByName(name)

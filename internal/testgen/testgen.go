@@ -218,9 +218,13 @@ type Config struct {
 // delayMax bounds OpDelay NOP counts (inclusive).
 const delayMax = 8
 
+// defaultBias is DefaultBias for configurations that leave Bias nil; a
+// generator only reads its bias.
+var defaultBias = DefaultBias()
+
 func (c Config) withDefaults() Config {
 	if c.Bias == nil {
-		c.Bias = DefaultBias()
+		c.Bias = defaultBias
 	}
 	return c
 }
@@ -252,21 +256,34 @@ type Generator struct {
 // NewGenerator returns a generator drawing addresses from cfg.Layout's
 // pool using the given seeded source.
 func NewGenerator(cfg Config, rng *rand.Rand) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
+	g := new(Generator)
+	if err := g.Reset(cfg, rng); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// Reset re-arms g as the generator NewGenerator(cfg, rng) returns,
+// keeping its address pool's storage; on an error g is unchanged.
+// NewGenerator reaches its state through this call.
+func (g *Generator) Reset(cfg Config, rng *rand.Rand) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	cfg = cfg.withDefaults()
-	g := &Generator{cfg: cfg, pool: cfg.Layout.Pool(), rng: rng}
+	totalW := 0
 	for _, b := range cfg.Bias {
 		if b.Weight < 0 {
-			return nil, fmt.Errorf("testgen: negative bias weight for %s", b.Kind)
+			return fmt.Errorf("testgen: negative bias weight for %s", b.Kind)
 		}
-		g.totalW += b.Weight
+		totalW += b.Weight
 	}
-	if g.totalW == 0 {
-		return nil, fmt.Errorf("testgen: bias weights sum to zero")
+	if totalW == 0 {
+		return fmt.Errorf("testgen: bias weights sum to zero")
 	}
-	return g, nil
+	g.cfg, g.rng, g.totalW = cfg, rng, totalW
+	g.pool = cfg.Layout.AppendPool(g.pool[:0])
+	return nil
 }
 
 // Pool returns the generator's address pool. Callers must not mutate it.
