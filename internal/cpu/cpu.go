@@ -15,15 +15,17 @@
 //   - loads forward from earlier same-address stores (TSO rfi).
 //
 // Beyond the Table 2 TSO core, the model a core implements fixes its
-// orderings (orderingsFor), so each of SC, TSO, PSO and RMO is realized
-// by exactly one core: SC drains every store before commit, TSO is the
-// Table 2 core, PSO drains the store buffer out of order while keeping
-// same-address FIFO and store-store fence groups (relaxing W→W), and RMO
-// adds squash-free loads that keep same-address issue in order (relaxing
-// R→R). These are legal orderings of the model, not bugs. Explicit
-// fences (testgen.OpFence) re-impose the dropped orders: a full fence
-// drains the store buffer and blocks younger loads, a store-store fence
-// opens a new drain group, a load-load fence blocks younger loads.
+// orderings, read from the model's memmodel.Row (orderingsOf), so each
+// of SC, TSO, PSO and RMO is realized by exactly one core: a row keeping
+// W→R drains every store before commit (SC), one relaxing W→W drains the
+// store buffer out of order while keeping same-address FIFO and
+// store-store fence groups (PSO, RMO), and one relaxing R→R adds
+// squash-free loads that keep same-address issue in order (RMO); TSO's
+// row is the Table 2 core. These are legal orderings of the model, not
+// bugs. Explicit fences (testgen.OpFence) re-impose the dropped orders:
+// a full fence drains the store buffer and blocks younger loads, a
+// store-store fence opens a new drain group, a load-load fence blocks
+// younger loads.
 package cpu
 
 import (
@@ -64,7 +66,7 @@ func (nopObserver) WriteSerialized(int, int, int, memsys.Addr, uint64)   {}
 func (nopObserver) CommitFence(int, int, int, memmodel.FenceKind)        {}
 
 // orderings are the ways a core departs from the Table 2 TSO core. A
-// model fixes them (orderingsFor); unlike the bugs.Set toggles, which
+// model's row fixes them (orderingsOf); unlike the bugs.Set toggles, which
 // silently break an enforcement the checker still assumes, they are
 // legal under that model.
 type orderings struct {
@@ -87,29 +89,27 @@ type orderings struct {
 	noLoadSquash bool
 }
 
-// orderingsFor returns the orderings realizing the given model: the
-// most relaxed core the model still permits (SC strengthens the stores;
-// TSO, and an empty or unknown name, is the Table 2 core; PSO adds the
-// out-of-order drain, relaxing W→W; RMO adds squash-free loads, relaxing
-// R→R). It is the one model-to-core mapping.
-func orderingsFor(model string) orderings {
-	switch model {
-	case "SC":
-		return orderings{strongStores: true}
-	case "PSO":
-		return orderings{nonFIFOSB: true}
-	case "RMO":
-		return orderings{nonFIFOSB: true, noLoadSquash: true}
-	default:
-		return orderings{}
+// orderingsOf returns the orderings realizing a model's row: the most
+// relaxed core the row still permits. W→R kept means strongStores, W→W
+// relaxed nonFIFOSB, R→R relaxed noLoadSquash; every core keeps R→W.
+func orderingsOf(row memmodel.Row) orderings {
+	return orderings{
+		strongStores: row.Keeps(memmodel.WR),
+		nonFIFOSB:    !row.Keeps(memmodel.WW),
+		noLoadSquash: !row.Keeps(memmodel.RR),
 	}
 }
 
 // Orderings names how the model's core departs from the Table 2 TSO
 // core, as scenario IDs spell it: "+sc-stores" for SC, "" for TSO,
-// "+sb-ooo" for PSO and "+sb-ooo+lq-nosquash" for RMO.
+// "+sb-ooo" for PSO and "+sb-ooo+lq-nosquash" for RMO. A name that is
+// no model has no core and no suffix.
 func Orderings(model string) string {
-	o, s := orderingsFor(model), ""
+	arch, err := memmodel.ByName(model)
+	if err != nil {
+		return ""
+	}
+	o, s := orderingsOf(arch.Row()), ""
 	if o.strongStores {
 		s += "+sc-stores"
 	}
@@ -214,10 +214,16 @@ type Core struct {
 	squashes  uint64
 }
 
-// New creates a core bound to its L1. The LQ invalidation listener is
-// registered here.
+// New creates a core bound to its L1, realizing cfg.Model; it panics on
+// a name that is no model. The LQ invalidation listener is registered
+// here.
 func New(id int, s *sim.Sim, l1 coherence.CacheL1, cfg Config, obs Observer) *Core {
-	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, ord: orderingsFor(cfg.Model), window: ROBSize}
+	arch, err := memmodel.ByName(cfg.Model)
+	if err != nil {
+		// machine.Config.Validate refuses an unknown model first.
+		panic("cpu: " + err.Error())
+	}
+	c := &Core{id: id, sim: s, l1: l1, cfg: cfg, ord: orderingsOf(arch.Row()), window: ROBSize}
 	c.advanceH = func(any, uint64) { c.advance() }
 	c.timerH = func(arg any, _ uint64) { c.timerDone(arg.(*coherence.Request)) }
 	l1.SetInvalListener(c.onInvalidation)

@@ -129,7 +129,7 @@ func write(addr memsys.Addr, id uint64) testgen.Instr {
 }
 
 func TestEmptyProgramCompletes(t *testing.T) {
-	c, _, _ := run(t, nil, Config{}, nil)
+	c, _, _ := run(t, nil, Config{Model: "TSO"}, nil)
 	if !c.Done() {
 		t.Fatal("empty program not done")
 	}
@@ -142,7 +142,7 @@ func TestCommitsInProgramOrder(t *testing.T) {
 		write(0x1010, 12),
 		read(0x1000),
 	}
-	c, _, obs := run(t, prog, Config{}, nil)
+	c, _, obs := run(t, prog, Config{Model: "TSO"}, nil)
 	want := []string{"W", "R", "W", "R"}
 	if len(obs.order) != len(want) {
 		t.Fatalf("commits = %v", obs.order)
@@ -164,7 +164,7 @@ func TestStoreBufferFIFO(t *testing.T) {
 		write(0x1080, 3),
 		write(0x10c0, 4),
 	}
-	_, l1, _ := run(t, prog, Config{}, nil)
+	_, l1, _ := run(t, prog, Config{Model: "TSO"}, nil)
 	for i, v := range l1.serializeLog {
 		if v != uint64(i+1) {
 			t.Fatalf("serialization order %v not FIFO", l1.serializeLog)
@@ -178,7 +178,7 @@ func TestNoFIFOBugAllowsReorder(t *testing.T) {
 	// stable, but multiple entries must be in flight at once. We check
 	// the drains overlap by observing that all stores issue before the
 	// first completes (storeLat > 0 and 4 stores issued).
-	cfg := Config{}
+	cfg := Config{Model: "TSO"}
 	cfg.Bugs = bugs.Set{SQNoFIFO: true}
 	prog := testgen.Program{
 		write(0x1000, 1),
@@ -199,7 +199,7 @@ func TestLoadsCompleteOutOfOrder(t *testing.T) {
 		read(0x2000), // fast
 	}
 	var l1ref *fakeL1
-	_, _, obs := run(t, prog, Config{}, func(_ *Core, l1 *fakeL1) {
+	_, _, obs := run(t, prog, Config{Model: "TSO"}, func(_ *Core, l1 *fakeL1) {
 		l1ref = l1
 		l1.loadLat[0x1000] = 200
 		l1.loadLat[0x2000] = 2
@@ -227,7 +227,7 @@ func TestInvalidationSquashesSpeculativeLoad(t *testing.T) {
 	l1.mem[0x1000] = 1
 	l1.mem[0x2000] = 10
 	obs := &events{}
-	c := New(0, s, l1, Config{}, obs)
+	c := New(0, s, l1, Config{Model: "TSO"}, obs)
 	c.Load(prog)
 	done := false
 	c.Start(0, func() { done = true })
@@ -259,7 +259,7 @@ func TestLQNoTSOBugSkipsSquash(t *testing.T) {
 	l1.loadLat[0x2000] = 2
 	l1.mem[0x2000] = 10
 	obs := &events{}
-	cfg := Config{}
+	cfg := Config{Model: "TSO"}
 	cfg.Bugs = bugs.Set{LQNoTSO: true}
 	c := New(0, s, l1, cfg, obs)
 	c.Load(prog)
@@ -287,7 +287,7 @@ func TestStoreForwarding(t *testing.T) {
 		write(0x1000, 42),
 		read(0x1000),
 	}
-	_, l1, obs := run(t, prog, Config{}, func(_ *Core, l1 *fakeL1) {
+	_, l1, obs := run(t, prog, Config{Model: "TSO"}, func(_ *Core, l1 *fakeL1) {
 		l1.storeLat = 1000 // store drains long after the load commits
 	})
 	if len(obs.reads) != 1 || obs.reads[0] != 42 {
@@ -307,7 +307,7 @@ func TestNoForwardingAfterDrain(t *testing.T) {
 		testgen.Instr{Kind: testgen.OpDelay, Delay: 50, DepLoad: -1},
 		read(0x1000),
 	}
-	_, l1, obs := run(t, prog, Config{}, func(c *Core, l1 *fakeL1) {
+	_, l1, obs := run(t, prog, Config{Model: "TSO"}, func(c *Core, l1 *fakeL1) {
 		c.window = 1
 		l1.storeLat = 2 // drains before the delayed load issues
 	})
@@ -325,7 +325,7 @@ func TestRMWDrainsSBAndSerializes(t *testing.T) {
 		testgen.Instr{Kind: testgen.OpRMW, Addr: 0x1040, WriteID: 99, DepLoad: -1},
 		read(0x1040),
 	}
-	_, l1, obs := run(t, prog, Config{}, nil)
+	_, l1, obs := run(t, prog, Config{Model: "TSO"}, nil)
 	if l1.atomics != 1 {
 		t.Fatalf("atomics = %d", l1.atomics)
 	}
@@ -355,7 +355,7 @@ func TestAddressDependencyDelaysIssue(t *testing.T) {
 	l1.loadLat[0x1000] = 100
 	l1.loadLat[0x2000] = 2
 	obs := &events{}
-	c := New(0, s, l1, Config{}, obs)
+	c := New(0, s, l1, Config{Model: "TSO"}, obs)
 	c.Load(prog)
 	done := false
 	// Wrap: record issue ticks via latency bookkeeping (the fake L1
@@ -378,7 +378,7 @@ func TestFlushCommits(t *testing.T) {
 		testgen.Instr{Kind: testgen.OpCacheFlush, Addr: 0x1000, DepLoad: -1},
 		read(0x1000),
 	}
-	_, l1, _ := run(t, prog, Config{}, nil)
+	_, l1, _ := run(t, prog, Config{Model: "TSO"}, nil)
 	if l1.flushes != 1 {
 		t.Fatalf("flushes = %d", l1.flushes)
 	}
@@ -393,7 +393,7 @@ func TestDelayOccupiesTime(t *testing.T) {
 	timeFor := func(p testgen.Program) sim.Tick {
 		s := sim.New(1)
 		l1 := newFakeL1(s)
-		c := New(0, s, l1, Config{}, nil)
+		c := New(0, s, l1, Config{Model: "TSO"}, nil)
 		c.Load(p)
 		done := false
 		c.Start(0, func() { done = true })
@@ -415,7 +415,7 @@ func TestProgramReloadIsolatesCallbacks(t *testing.T) {
 	l1.loadLat[0x1000] = 50
 	l1.loadLat[0x2000] = 2
 	obs := &events{}
-	c := New(0, s, l1, Config{}, obs)
+	c := New(0, s, l1, Config{Model: "TSO"}, obs)
 	c.Load(testgen.Program{read(0x1000), read(0x2000)})
 	done := false
 	c.Start(0, func() { done = true })
@@ -432,5 +432,28 @@ func TestProgramReloadIsolatesCallbacks(t *testing.T) {
 	}
 	if !c.Done() {
 		t.Fatal("second program not done")
+	}
+}
+
+// TestOrderingsReadTheRow: each model's core departs from the Table 2
+// core by exactly the pairs its row relaxes, and a name no model carries
+// builds no core.
+func TestOrderingsReadTheRow(t *testing.T) {
+	want := map[string]string{"SC": "+sc-stores", "TSO": "", "PSO": "+sb-ooo", "RMO": "+sb-ooo+lq-nosquash"}
+	for _, name := range memmodel.Names() {
+		if got := Orderings(name); got != want[name] {
+			t.Errorf("Orderings(%q) = %q, want %q", name, got, want[name])
+		}
+	}
+	for _, name := range []string{"", "tso", "POWER"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with model %q built a core", name)
+				}
+			}()
+			s := sim.New(1)
+			New(0, s, newFakeL1(s), Config{Model: name}, nil)
+		}()
 	}
 }

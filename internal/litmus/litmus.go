@@ -517,23 +517,23 @@ var wellKnownNames = map[string]string{
 }
 
 // alphabet returns the edge kinds relevant for arch. A fence edge whose
-// flavour restores an order the model already preserves generates a
+// flavour restores an order the model's row already keeps generates a
 // shape indistinguishable from its unfenced twin, so each fence enters
 // the alphabet only for models that relax the order it restores — the
 // same reason diy's x86 alphabet carries mfence but no membar flavours.
 func alphabet(arch memmodel.Arch) []EdgeKind {
-	base := []EdgeKind{Rfe, Fre, Wse, PodRR, PodRW, PodWR, PodWW}
-	switch arch.Name() {
-	case "SC":
-		return base
-	case "TSO":
-		return append(base, MFencedWR)
-	case "PSO":
-		return append(base, MFencedWR, SSFencedWW)
-	default:
-		// RMO (and any weaker model): the full fence vocabulary.
-		return append(base, MFencedWR, SSFencedWW, LLFencedRR)
+	edges := []EdgeKind{Rfe, Fre, Wse, PodRR, PodRW, PodWR, PodWW}
+	row := arch.Row()
+	if !row.Keeps(memmodel.WR) {
+		edges = append(edges, MFencedWR)
 	}
+	if !row.Keeps(memmodel.WW) {
+		edges = append(edges, SSFencedWW)
+	}
+	if !row.Keeps(memmodel.RR) {
+		edges = append(edges, LLFencedRR)
+	}
+	return edges
 }
 
 // Generate enumerates well-formed cycles length by length up to maxLen

@@ -2,229 +2,215 @@ package memmodel
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"repro/internal/relation"
 )
 
-// Arch describes an architecture's memory consistency model in the
-// axiomatic style: which part of program order is preserved (ppo), and
-// which fence orders exist. The checker combines these with the conflict
-// orders into the global-happens-before constraint.
-//
-// Implementations generate a *reachability-equivalent* edge set rather
-// than the full O(n²) ppo pair set: the cycle search only needs
-// reachability, so each event links to the nearest later event of each
-// kind it orders with. This keeps checking linear in practice, which
-// matters because the checker accounts for 30–40% of total wall-clock
-// time in the paper's setup (§5.2.1).
+// Row is the part of program order a model preserves between accesses:
+// a subset of the four pairs R→R, R→W, W→R and W→W. It is the one place
+// a model's meaning is written; the checker's ppo edges (GHBGraph) and
+// the cores' orderings (package cpu) both read it. The fence semantics
+// are the same under every row: a full fence or an atomic orders
+// everything, a load-load fence orders R→R, a store-store fence W→W.
+type Row uint8
+
+// The four pairs of program-ordered accesses a Row may keep.
+const (
+	RR Row = 1 << iota // read→read
+	RW                 // read→write
+	WR                 // write→read
+	WW                 // write→write
+)
+
+// Keeps reports whether r preserves every pair of p.
+func (r Row) Keeps(p Row) bool { return r&p == p }
+
+// valid reports whether r is a row the edge builder is sound for: it
+// keeps (x,x) whenever it keeps (x,y). Over two access kinds that also
+// makes it transitively closed (R→W→R needs R→R, W→R→W needs W→W).
+func valid(r Row) bool {
+	return (!r.Keeps(RW) || r.Keeps(RR)) && (!r.Keeps(WR) || r.Keeps(WW))
+}
+
+// Arch is an architecture's memory consistency model in the axiomatic
+// style: a name and the Row of program order it preserves. The checker
+// combines the row's ppo and fence edges with the conflict orders into
+// the global-happens-before constraint (GHBGraph). The edges are a
+// reachability-equivalent set linear in a thread's length, not the
+// O(n²) pair set; with them the exact checker takes 1.7–17.6 % of wall
+// time on the workloads measured (EXPERIMENTS.md, "The paper's prose
+// claims").
 type Arch interface {
 	// Name returns the model's name, e.g. "TSO".
 	Name() string
-	// PPOEdges appends the preserved-program-order and fence edges of
-	// one thread (events given in program order) to g.
-	PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph)
+	// Row returns the preserved pairs; it must satisfy valid.
+	Row() Row
 }
 
-// SC is sequential consistency: ppo = po, nothing is reordered.
+// SC is sequential consistency: all of program order is preserved.
 type SC struct{}
 
-// Name implements Arch.
-func (SC) Name() string { return "SC" }
-
-// PPOEdges implements Arch: under SC every adjacent po pair is preserved,
-// and adjacency chains give full reachability.
-func (SC) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
-	for i := 0; i+1 < len(thread); i++ {
-		g.Add(thread[i], thread[i+1])
-	}
-}
-
 // TSO is total store order (x86): all of program order is preserved
-// except write→read pairs (the store buffer), and fences (mfence or
-// either half of a locked RMW) restore full order.
+// except write→read pairs (the store buffer).
 type TSO struct{}
 
-// Name implements Arch.
-func (TSO) Name() string { return "TSO" }
-
-// PPOEdges implements Arch. The generated edge set is reachability-
-// equivalent to TSO's ppo ∪ fence:
-//
-//   - every event links to the next write and the next fence after it
-//     (R→W, W→W, F→W and *→F are all preserved);
-//   - reads and fences additionally link to the next read
-//     (R→R and F→R are preserved; W→R is not, so writes get no edge
-//     towards reads and no path from a write can reach a po-later read
-//     without passing a fence).
-func (TSO) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
-	// Scan backwards keeping the nearest later event of each class.
-	// Only full fences act as ordering points: SS/LL fence events add
-	// nothing TSO does not already preserve, and giving them in-edges
-	// would fabricate W→R paths through them, so they get none.
-	var nextRead, nextWrite, nextFence relation.EventID
-	haveRead, haveWrite, haveFence := false, false, false
-	for i := len(thread) - 1; i >= 0; i-- {
-		id := thread[i]
-		e := x.Event(id)
-		if e.Kind == KindFence && !e.IsFullFence() {
-			continue
-		}
-		if haveWrite {
-			g.Add(id, nextWrite)
-		}
-		if haveFence {
-			g.Add(id, nextFence)
-		}
-		if haveRead && (e.IsRead() || e.IsFullFence()) {
-			g.Add(id, nextRead)
-		}
-		if e.IsFullFence() {
-			// A fence orders with everything after it; later events
-			// of all classes are reachable through the fence's own
-			// next-read/next-write edges.
-			nextFence, haveFence = id, true
-		}
-		switch e.Kind {
-		case KindRead:
-			nextRead, haveRead = id, true
-		case KindWrite:
-			nextWrite, haveWrite = id, true
-		}
-	}
-}
-
 // PSO is partial store order (SPARC PSO): TSO with write→write order
-// also relaxed. Preserved program order is R→R and R→W only; full
-// fences restore everything and store-store fences restore W→W.
+// also relaxed.
 type PSO struct{}
 
-// Name implements Arch.
-func (PSO) Name() string { return "PSO" }
-
-// PPOEdges implements Arch. The generated edge set is reachability-
-// equivalent to PSO's ppo ∪ fence:
-//
-//   - reads and full fences form a chain (R→R, R→F, F→R preserved);
-//   - each write takes an in-edge from the nearest preceding chain
-//     member (R→W, F→W) and from the nearest preceding W-ordering
-//     fence (store-store or full, F→W);
-//   - W-ordering fences chain among themselves, and a backward pass
-//     links each write to the nearest following W-ordering fence, so
-//     W …fence… W paths exist exactly when a fence intervenes;
-//   - writes get no other out-edges: no path from a write reaches a
-//     po-later read or write without passing a fence that orders it.
-func (PSO) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
-	var chainPrev, lastWW relation.EventID
-	haveChain, haveWW := false, false
-	for _, id := range thread {
-		e := x.Event(id)
-		chainMember := e.IsRead() || e.IsFullFence()
-		wwMember := e.OrdersWW()
-		if haveChain && (chainMember || e.IsWrite()) {
-			g.Add(chainPrev, id)
-		}
-		if haveWW && (wwMember || e.IsWrite()) {
-			g.Add(lastWW, id)
-		}
-		if chainMember {
-			chainPrev, haveChain = id, true
-		}
-		if wwMember {
-			lastWW, haveWW = id, true
-		}
-	}
-	var nextWW relation.EventID
-	haveWW = false
-	for i := len(thread) - 1; i >= 0; i-- {
-		id := thread[i]
-		e := x.Event(id)
-		if e.IsWrite() && haveWW {
-			g.Add(id, nextWW)
-		}
-		if e.OrdersWW() {
-			nextWW, haveWW = id, true
-		}
-	}
-}
-
 // RMO is relaxed memory order (SPARC RMO): no program order is
-// preserved between plain accesses at all — ordering exists only
-// through fences (and atomics, which imply full fences). Address
-// dependencies are conservatively treated as unordered: the recorded
-// executions carry no dependency edges, which can only under-approximate
-// the forbidden set, never flag a legal execution.
+// preserved between plain accesses; ordering exists only through fences
+// and atomics. Address dependencies are conservatively treated as
+// unordered: the recorded executions carry no dependency edges, which
+// can only under-approximate the forbidden set, never flag a legal
+// execution.
 type RMO struct{}
 
-// Name implements Arch.
+func (SC) Name() string  { return "SC" }
+func (TSO) Name() string { return "TSO" }
+func (PSO) Name() string { return "PSO" }
 func (RMO) Name() string { return "RMO" }
 
-// PPOEdges implements Arch. Reads attach to the R-ordering fences
-// around them (load-load or full), writes to the W-ordering fences
-// (store-store or full), and each fence class chains among itself, so
-// a path between two accesses exists exactly when a fence flavour that
-// orders the pair intervenes. The two chains meet only at full fences,
-// which belong to both.
-func (RMO) PPOEdges(x *Execution, thread []relation.EventID, g *relation.Graph) {
-	var lastLL, lastWW relation.EventID
-	haveLL, haveWW := false, false
-	for _, id := range thread {
-		e := x.Event(id)
-		llMember := e.OrdersRR()
-		wwMember := e.OrdersWW()
-		if haveLL && (llMember || e.IsRead()) {
-			g.Add(lastLL, id)
-		}
-		if haveWW && (wwMember || e.IsWrite()) {
-			g.Add(lastWW, id)
-		}
-		if llMember {
-			lastLL, haveLL = id, true
-		}
-		if wwMember {
-			lastWW, haveWW = id, true
-		}
-	}
-	var nextLL, nextWW relation.EventID
-	haveLL, haveWW = false, false
-	for i := len(thread) - 1; i >= 0; i-- {
-		id := thread[i]
-		e := x.Event(id)
-		if e.IsRead() && haveLL {
-			g.Add(id, nextLL)
-		}
-		if e.IsWrite() && haveWW {
-			g.Add(id, nextWW)
-		}
-		if e.OrdersRR() {
-			nextLL, haveLL = id, true
-		}
-		if e.OrdersWW() {
-			nextWW, haveWW = id, true
-		}
-	}
-}
+func (SC) Row() Row  { return RR | RW | WR | WW }
+func (TSO) Row() Row { return RR | RW | WW }
+func (PSO) Row() Row { return RR | RW }
+func (RMO) Row() Row { return 0 }
 
-// Architectures returns the models bundled with the framework, keyed by
-// name, strongest first in the conventional SC ⊃ TSO ⊃ PSO ⊃ RMO chain.
-func Architectures() map[string]Arch {
-	return map[string]Arch{
-		"SC":  SC{},
-		"TSO": TSO{},
-		"PSO": PSO{},
-		"RMO": RMO{},
-	}
-}
+// models are the bundled models, strongest first in the conventional
+// SC ⊃ TSO ⊃ PSO ⊃ RMO chain.
+var models = [...]Arch{SC{}, TSO{}, PSO{}, RMO{}}
 
 // Names returns the bundled model names, strongest to weakest.
-func Names() []string { return []string{"SC", "TSO", "PSO", "RMO"} }
+func Names() []string {
+	names := make([]string, len(models))
+	for i, a := range models {
+		names[i] = a.Name()
+	}
+	return names
+}
 
 // ByName returns the named model, or an error listing the known names.
 func ByName(name string) (Arch, error) {
-	if a, ok := Architectures()[name]; ok {
-		return a, nil
+	for _, a := range models {
+		if a.Name() == name {
+			return a, nil
+		}
 	}
-	known := Names()
-	sort.Strings(known)
-	return nil, fmt.Errorf("memmodel: unknown model %q (known: %v)", name, known)
+	return nil, fmt.Errorf("memmodel: unknown model %q (known: %s)", name, strings.Join(Names(), ", "))
+}
+
+// role is the part an event plays in the two channels of ppoEdges.
+type role uint8
+
+const (
+	joinsA role = 1 << iota // member of channel A, which orders what follows reads
+	joinsB                  // member of channel B, which orders what follows writes
+	fromA                   // takes an in-edge from the last member of A
+	fromB                   // takes an in-edge from the last member of B
+)
+
+// roles are the parts each class of event plays under one row.
+type roles struct{ full, read, write, ll, ss role }
+
+// rolesOf returns the roles under row, as ppoEdges describes them.
+func rolesOf(row Row) roles {
+	rs := roles{full: joinsA | joinsB | fromA | fromB, read: fromA, write: fromB}
+	if row.Keeps(RR) {
+		rs.read |= joinsA
+	} else {
+		rs.ll = joinsA | fromA
+	}
+	if row.Keeps(WW) {
+		rs.write |= joinsB
+	} else {
+		rs.ss = joinsB | fromB
+	}
+	if row.Keeps(RW) {
+		rs.write |= fromA
+	}
+	if row.Keeps(WR) {
+		rs.read |= fromB
+	}
+	return rs
+}
+
+// of returns e's role.
+func (rs *roles) of(e *Event) role {
+	switch {
+	case e.IsFullFence():
+		return rs.full
+	case e.Kind == KindRead:
+		return rs.read
+	case e.Kind == KindWrite:
+		return rs.write
+	case e.Fence == FenceLL:
+		return rs.ll
+	}
+	return rs.ss
+}
+
+// ppoEdges appends the preserved-program-order and fence edges of one
+// thread (events in program order) under row to g. The edge set is
+// reachability-equivalent to the row's ppo ∪ fence orders rather than
+// the O(n²) pair set, since the cycle search only needs reachability:
+// for a valid row, a path between two accesses exists exactly when the
+// row keeps their pair or a fence that orders the pair lies between.
+//
+// A row keeping both R→W and W→R keeps everything: one chain through
+// the thread. Otherwise channel A holds what orders the events after it
+// as a read does: full fences, atomics, and reads when R→R is kept or
+// else load-load fences. Channel B is the same for writes, with W→W and
+// store-store fences. A forward pass links the last member of A to each
+// later A member, read, and write when R→W is kept, and the last member
+// of B to each later B member, write, and read when W→R is kept. A
+// backward pass links each read outside A to the next A member and each
+// write outside B to the next B member. Fences of neither channel, which
+// the row makes redundant, get no edge.
+func ppoEdges(x *Execution, thread []relation.EventID, row Row, g *relation.Graph) {
+	if row.Keeps(RW | WR) {
+		for i := 1; i < len(thread); i++ {
+			g.Add(thread[i-1], thread[i])
+		}
+		return
+	}
+	const none relation.EventID = -1
+	rs := rolesOf(row)
+	lastA, lastB := none, none
+	for _, id := range thread {
+		r := rs.of(x.Event(id))
+		if r&fromA != 0 && lastA != none {
+			g.Add(lastA, id)
+		}
+		if r&fromB != 0 && lastB != none {
+			g.Add(lastB, id)
+		}
+		if r&joinsA != 0 {
+			lastA = id
+		}
+		if r&joinsB != 0 {
+			lastB = id
+		}
+	}
+	if row.Keeps(RR | WW) {
+		return // every access is a member of its channel
+	}
+	nextA, nextB := none, none
+	for i := len(thread) - 1; i >= 0; i-- {
+		id := thread[i]
+		e := x.Event(id)
+		r := rs.of(e)
+		if r&joinsA == 0 && e.Kind == KindRead && nextA != none {
+			g.Add(id, nextA)
+		}
+		if r&joinsB == 0 && e.Kind == KindWrite && nextB != none {
+			g.Add(id, nextB)
+		}
+		if r&joinsA != 0 {
+			nextA = id
+		}
+		if r&joinsB != 0 {
+			nextB = id
+		}
+	}
 }

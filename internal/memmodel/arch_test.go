@@ -53,7 +53,7 @@ func naiveTSOOrdered(events []Event, i, j int) bool {
 }
 
 // TestTSOPPOEdgesMatchNaive cross-checks the compact reachability edge
-// set produced by TSO.PPOEdges against the naive all-pairs definition on
+// set produced for TSO's row against the naive all-pairs definition on
 // random single-thread programs.
 func TestTSOPPOEdgesMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -78,7 +78,7 @@ func TestTSOPPOEdgesMatchNaive(t *testing.T) {
 			}))
 		}
 		r := new(relation.Graph)
-		TSO{}.PPOEdges(x, ids, r)
+		ppoEdges(x, ids, TSO{}.Row(), r)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				want := naiveTSOOrdered(x.Events(), i, j)
@@ -107,7 +107,7 @@ func TestSCPPOEdgesTotal(t *testing.T) {
 		ids = append(ids, x.AddEvent(Event{Key: Key{TID: 0, Instr: i}, Kind: k, Addr: 0x1000}))
 	}
 	r := new(relation.Graph)
-	SC{}.PPOEdges(x, ids, r)
+	ppoEdges(x, ids, SC{}.Row(), r)
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
 			if !reachable(r, ids[i], ids[j]) {
@@ -175,16 +175,6 @@ func TestSCStricterThanTSO(t *testing.T) {
 		if !tso.Valid {
 			t.Fatalf("trial %d: SC-valid execution invalid under TSO: %s", trial, tso.Detail)
 		}
-	}
-}
-
-func TestArchitecturesRegistry(t *testing.T) {
-	m := Architectures()
-	if _, ok := m["SC"]; !ok {
-		t.Error("SC missing")
-	}
-	if _, ok := m["TSO"]; !ok {
-		t.Error("TSO missing")
 	}
 }
 

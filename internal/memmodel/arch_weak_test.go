@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/memsys"
@@ -121,7 +122,7 @@ func TestWeakPPOEdgesMatchNaive(t *testing.T) {
 				}
 			}
 			got := new(relation.Graph)
-			arch.PPOEdges(x, ids, got)
+			ppoEdges(x, ids, arch.Row(), got)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					if x.Events()[i].Kind == KindFence || x.Events()[j].Kind == KindFence {
@@ -140,6 +141,92 @@ func TestWeakPPOEdgesMatchNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// naiveRowOrdered is the row-driven pairwise definition of preserved
+// program order between mem events i < j: the row keeps the pair, an end
+// is a full fence or atomic, or a fence whose flavour orders the pair
+// lies between.
+func naiveRowOrdered(row Row, events []Event, i, j int) bool {
+	a, b := &events[i], &events[j]
+	if a.IsFullFence() || b.IsFullFence() || row.Keeps(pairOf(a.Kind, b.Kind)) {
+		return true
+	}
+	for k := i + 1; k < j; k++ {
+		e := &events[k]
+		if e.IsFullFence() || a.IsRead() && b.IsRead() && e.OrdersRR() || a.IsWrite() && b.IsWrite() && e.OrdersWW() {
+			return true
+		}
+	}
+	return false
+}
+
+// pairOf is the Row bit of the access pair a→b.
+func pairOf(a, b Kind) Row {
+	return [2][2]Row{{RR, RW}, {WR, WW}}[a][b]
+}
+
+// TestRowPPOEdgesMatchNaive: valid accepts exactly the rows of the 16
+// that are transitively closed and keep (x,x) whenever they keep (x,y),
+// and for every such row the edge builder's access-to-access
+// reachability on random threads equals the closure of
+// naiveRowOrdered.
+func TestRowPPOEdgesMatchNaive(t *testing.T) {
+	kinds := []Kind{KindRead, KindWrite}
+	var rows []Row
+	for row := Row(0); row <= RR|RW|WR|WW; row++ {
+		closed := true
+		for _, a := range kinds {
+			for _, b := range kinds {
+				if !row.Keeps(pairOf(a, b)) {
+					continue
+				}
+				closed = closed && row.Keeps(pairOf(a, a))
+				for _, c := range kinds {
+					closed = closed && (!row.Keeps(pairOf(b, c)) || row.Keeps(pairOf(a, c)))
+				}
+			}
+		}
+		if valid(row) != closed {
+			t.Errorf("valid(%04b) = %v, closed %v", row, valid(row), closed)
+		}
+		if closed {
+			rows = append(rows, row)
+		}
+	}
+	for _, name := range Names() {
+		if a, _ := ByName(name); !valid(a.Row()) {
+			t.Errorf("%s's row %04b is not valid", name, a.Row())
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 400; trial++ {
+		x, ids := randomThread(rng)
+		events := x.Events()
+		for _, row := range rows {
+			naive, got := new(relation.Graph), new(relation.Graph)
+			for i := range ids {
+				for j := i + 1; j < len(ids); j++ {
+					if events[i].Kind != KindFence && events[j].Kind != KindFence && naiveRowOrdered(row, events, i, j) {
+						naive.Add(ids[i], ids[j])
+					}
+				}
+			}
+			ppoEdges(x, ids, row, got)
+			for i := range ids {
+				for j := range ids {
+					if i == j || events[i].Kind == KindFence || events[j].Kind == KindFence {
+						continue
+					}
+					if want, have := reachable(naive, ids[i], ids[j]), reachable(got, ids[i], ids[j]); want != have {
+						t.Fatalf("trial %d row %04b: events %v: ordered(%d,%d) = %v, want %v\nedges: %v",
+							trial, row, events, i, j, have, want, got.Edges())
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d valid rows of 16", len(rows))
 }
 
 // modelChain returns Names() and the models they name, strongest first.
@@ -175,7 +262,7 @@ func TestPPOReachabilityNested(t *testing.T) {
 		graphs := make([]*relation.Graph, len(archs))
 		for i, a := range archs {
 			graphs[i] = new(relation.Graph)
-			a.PPOEdges(x, ids, graphs[i])
+			ppoEdges(x, ids, a.Row(), graphs[i])
 		}
 		for i := range ids {
 			for j := range ids {
@@ -326,6 +413,9 @@ func TestModelContainment(t *testing.T) {
 }
 
 func TestByNameAndNames(t *testing.T) {
+	if got, want := Names(), []string{"SC", "TSO", "PSO", "RMO"}; !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
+	}
 	for _, name := range Names() {
 		a, err := ByName(name)
 		if err != nil {
@@ -337,7 +427,7 @@ func TestByNameAndNames(t *testing.T) {
 	}
 	if _, err := ByName("POWER"); err == nil {
 		t.Error("unknown model accepted")
-	} else if want := "RMO"; !contains(err.Error(), want) {
+	} else if want := "(known: SC, TSO, PSO, RMO)"; !contains(err.Error(), want) {
 		t.Errorf("error %q does not list %q", err, want)
 	}
 }

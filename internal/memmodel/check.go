@@ -146,8 +146,9 @@ func GHBGraph(x *Execution, arch Arch, g *relation.Graph) {
 	x.coreEdges(g)
 	x.rfEdges(g, true)
 	g.Cut()
+	row := arch.Row()
 	for _, tid := range x.Threads() {
-		arch.PPOEdges(x, x.ThreadEvents(tid), g)
+		ppoEdges(x, x.ThreadEvents(tid), row, g)
 	}
 }
 

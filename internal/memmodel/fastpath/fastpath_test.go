@@ -226,7 +226,6 @@ func TestDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		iters = 80
 	}
-	archs := memmodel.Architectures()
 	c := New()
 	rng := rand.New(rand.NewSource(0xfa57))
 	for i := 0; i < iters; i++ {
@@ -235,7 +234,8 @@ func TestDifferentialFuzz(t *testing.T) {
 			x, _ = mutate(x, rng)
 		}
 		for _, name := range memmodel.Names() {
-			diffCheck(t, c, x, archs[name])
+			arch, _ := memmodel.ByName(name)
+			diffCheck(t, c, x, arch)
 		}
 	}
 }
