@@ -178,6 +178,24 @@ func TestSCStricterThanTSO(t *testing.T) {
 	}
 }
 
+// TestArchitecturesRegistry checks that the model table registers SC and
+// TSO under their names, each with the row that defines it.
+func TestArchitecturesRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  Row
+	}{{"SC", SC{}.Row()}, {"TSO", TSO{}.Row()}} {
+		a, err := ByName(tc.name)
+		if err != nil {
+			t.Errorf("%s missing: %v", tc.name, err)
+			continue
+		}
+		if a.Row() != tc.row {
+			t.Errorf("ByName(%q).Row() = %v, want %v", tc.name, a.Row(), tc.row)
+		}
+	}
+}
+
 func TestEventStringAndKinds(t *testing.T) {
 	e := Event{Key: Key{TID: 1, Instr: 2}, Kind: KindWrite, Addr: 0x40, Value: 5}
 	if e.String() == "" || KindRead.String() != "R" || KindWrite.String() != "W" || KindFence.String() != "F" {
