@@ -179,9 +179,6 @@ type ErrorTrap struct{ trap *errorTrap }
 // ProtocolError implements coherence.ErrorSink.
 func (t ErrorTrap) ProtocolError(err error) { t.trap.ProtocolError(err) }
 
-// ProtoErr pops the oldest pending protocol error, or nil.
-func (t ErrorTrap) ProtoErr() error { return t.trap.take() }
-
 // NewErrorTrap returns a fresh trap to pass as a machine's error sink.
 func NewErrorTrap() ErrorTrap { return ErrorTrap{trap: &errorTrap{}} }
 

@@ -325,3 +325,21 @@ func TestBuilderDeclaredThreadStaysInvisible(t *testing.T) {
 		t.Errorf("second CO of an untouched address: %v, want 'set twice'", err)
 	}
 }
+
+// TestBuilderAddressSlotsAreTouched: a CO call naming an address no
+// event touches leaves no address slot behind, so every slot of a built
+// execution is an address it lists.
+func TestBuilderAddressSlotsAreTouched(t *testing.T) {
+	b := NewBuilder()
+	b.CO(y)
+	w := b.Write(1, x, 1)
+	b.Read(2, x, 1)
+	b.CO(x, w)
+	xc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := xc.NumAddrSlots(), len(xc.Addresses()); got != want {
+		t.Fatalf("%d address slots for %d addresses %v", got, want, xc.Addresses())
+	}
+}

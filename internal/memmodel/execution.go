@@ -65,9 +65,6 @@ type Execution struct {
 // addrState is what the execution holds per address slot.
 type addrState struct {
 	addr memsys.Addr
-	// used is set by the address's first event. A slot can exist without
-	// one (Builder.CO on an address nothing touches); it stays invisible.
-	used bool
 	// init is the initial-write event, noEvent until created.
 	init relation.EventID
 	// co holds the writes in coherence order, including the (implicit)
@@ -198,8 +195,8 @@ func (x *Execution) probe(addr memsys.Addr) (int, bool) {
 	}
 }
 
-// findAddr returns addr's slot, or -1 when no event or override has
-// named the address.
+// findAddr returns addr's slot, or -1 when no event has named the
+// address.
 func (x *Execution) findAddr(addr memsys.Addr) int32 {
 	i, ok := x.probe(addr)
 	if !ok {
@@ -213,7 +210,9 @@ const minAddrCells = 16
 
 // slotOf returns addr's slot, creating it on first use. The table is
 // sized by how many addresses are present — it doubles when a new one
-// would fill it past half — never by an address's value.
+// would fill it past half — never by an address's value. Only an event
+// naming addr asks for a slot, so every slot is an address Addresses
+// lists.
 func (x *Execution) slotOf(addr memsys.Addr) int32 {
 	i, ok := x.probe(addr)
 	if ok {
@@ -231,6 +230,7 @@ func (x *Execution) slotOf(addr memsys.Addr) int32 {
 	x.addrTab, slot = grow(x.addrTab)
 	x.addrTab[slot] = addrState{addr: addr, init: noEvent, co: x.addrTab[slot].co[:0]}
 	x.cells[i] = addrCell{slot: int32(slot), gen: x.gen}
+	x.addrsValid = false
 	return int32(slot)
 }
 
@@ -313,9 +313,6 @@ func (x *Execution) AddEvent(e Event) relation.EventID {
 	l := link{rf: noEvent, coPos: -1, addr: -1}
 	if e.Kind != KindFence {
 		l.addr = x.slotOf(e.Addr)
-		if a := &x.addrTab[l.addr]; !a.used {
-			a.used, x.addrsValid = true, false
-		}
 	}
 	x.events = append(x.events, e)
 	x.links = append(x.links, l)
@@ -437,9 +434,7 @@ func (x *Execution) Addresses() []memsys.Addr {
 	}
 	x.addrs = x.addrs[:0]
 	for i := range x.addrTab {
-		if a := &x.addrTab[i]; a.used {
-			x.addrs = append(x.addrs, a.addr)
-		}
+		x.addrs = append(x.addrs, x.addrTab[i].addr)
 	}
 	slices.Sort(x.addrs)
 	x.addrsValid = true

@@ -53,8 +53,7 @@ func checkLookups(t *testing.T, keys, probes []Key, batch int) {
 
 // TestBuilderLookupMatchesLinearScan: threads mixing positional keys,
 // RMW pairs, sparse pins, descending keys and duplicates, looked up
-// while they grow — Lookup's binary search must land where a scan from
-// the front does.
+// while they grow — Lookup must land where a scan from the front does.
 func TestBuilderLookupMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for round := 0; round < 200; round++ {

@@ -94,6 +94,52 @@ func TestMaterializerReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestBuilderRouteAfterShrinkingCanonical: canonical traces reserve
+// each address slot's coherence order as a window of one shared array,
+// and a later, smaller one re-lays only its own slots over that array.
+// A trace the Builder then builds into the same storage touches more
+// slots than the last canonical one; their orders must come out as
+// they do on storage of their own, not in windows that overlap.
+func TestBuilderRouteAfterShrinkingCanonical(t *testing.T) {
+	var wide, long strings.Builder
+	wide.WriteString("trace wide\nthread 0\n")
+	for a := 0; a < 8; a++ {
+		fmt.Fprintf(&wide, "w %#x 1\nw %#x 2\n", 0x100+0x40*a, 0x100+0x40*a)
+	}
+	for a := 0; a < 8; a++ {
+		fmt.Fprintf(&wide, "co %#x 0:%d 0:%d\n", 0x100+0x40*a, 2*a, 2*a+1)
+	}
+	wide.WriteString("end\n")
+	long.WriteString("trace long\nthread 0\n")
+	for v := 1; v <= 8; v++ {
+		fmt.Fprintf(&long, "w 0x100 %d\n", v)
+	}
+	long.WriteString("co 0x100 0:0 0:1 0:2 0:3 0:4 0:5 0:6 0:7\nend\n")
+	// Threads out of TID order and no co lines: the Builder's route.
+	resolved := "trace resolved\nthread 1\nw 0x100 1\nw 0x100 2\nw 0x100 3\nw 0x100 4\nw 0x100 5\nw 0x140 6\nw 0x140 7\n" +
+		"thread 0\nr 0x100 5\nr 0x140 7\nend\n"
+
+	d := NewDecoder(strings.NewReader("mctrace 1\n" + wide.String() + long.String() + resolved))
+	var m Materializer
+	for _, name := range []string{"wide", "long", "resolved"} {
+		tr, err := d.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tr.Execution()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := m.Execution(tr)
+		if err != nil {
+			t.Fatalf("%s into used storage: %v", name, err)
+		}
+		if diff := executionDiff(want, got); diff != "" {
+			t.Fatalf("%s into used storage: %s", name, diff)
+		}
+	}
+}
+
 // allocatedBytes returns the heap bytes one call of f allocates (the
 // least of a few calls, so a stray background allocation does not count).
 func allocatedBytes(f func()) uint64 {
