@@ -267,7 +267,7 @@ func (d *BinaryDecoder) nextRef() (Ref, bool) {
 	if p := d.pos; p+3 <= len(d.buf) {
 		if b := d.buf[p : p+3]; b[0]|b[1]|b[2] < 0x80 {
 			d.pos = p + 3
-			return Ref{TID: int(b[0]), Instr: int(b[1]), Sub: int(b[2])}, true
+			return Ref{TID: int32(b[0]), Instr: int32(b[1]), Sub: int32(b[2])}, true
 		}
 	}
 	return Ref{}, false
@@ -330,21 +330,22 @@ func uvarint8(b []byte) (v uint64, n int) {
 }
 
 // int reads a uvarint bound for an int-typed field, which must be below
-// maxIntField; what+part names it in errors.
-func (d *BinaryDecoder) int(what, part string) int {
+// maxIntField — checked before it is narrowed to the field's int32;
+// what+part names it in errors.
+func (d *BinaryDecoder) int(what, part string) int32 {
 	at := d.offset()
 	v := d.uvarint(what, part)
 	if v >= maxIntField {
 		d.failAt(at, "%s %d out of range", what+part, v)
 		return 0
 	}
-	return int(v)
+	return int32(v)
 }
 
 // count reads a list's element count, at most maxCount.
 func (d *BinaryDecoder) count(what string) int {
 	at := d.offset()
-	n := d.int(what, "")
+	n := int(d.int(what, ""))
 	if n > maxCount {
 		d.failAt(at, "%s %d exceeds limit %d", what, n, maxCount)
 		return 0

@@ -224,7 +224,7 @@ var unencodable = []struct {
 	{"name with a comment", &Trace{Name: "a#b"}},
 	{"co order without writes", &Trace{Name: "co", CO: []COOrder{{Addr: 0x100}}}},
 	{"negative tid", &Trace{Name: "tid", Threads: []Thread{{TID: -1}}}},
-	{"ref past the int fields", &Trace{Name: "ref", RF: []RFEdge{{Read: Ref{Instr: maxIntField}, Init: true}}}},
+	{"negative ref", &Trace{Name: "ref", RF: []RFEdge{{Read: Ref{Instr: -1}, Init: true}}}},
 }
 
 func oneOp(op Op) *Trace {

@@ -52,7 +52,7 @@ func (c *canonical) thread(ti int) bool {
 // read returns the rf edge of the read the walk meets at key k — the
 // next edge, which must name it.
 func (c *canonical) read(k memmodel.Key) (*RFEdge, bool) {
-	if len(c.rf) == 0 || c.rf[0].Read != (Ref{TID: k.TID, Instr: k.Instr, Sub: k.Sub}) {
+	if len(c.rf) == 0 || c.rf[0].Read.key() != k {
 		return nil, false
 	}
 	e := &c.rf[0]
@@ -250,6 +250,6 @@ func (t *keyTable) add(events []memmodel.Event, id relation.EventID) bool {
 
 // find returns the event of events ref names.
 func (t *keyTable) find(events []memmodel.Event, ref Ref) (relation.EventID, bool) {
-	i, ok := t.probe(events, memmodel.Key{TID: ref.TID, Instr: ref.Instr, Sub: ref.Sub})
+	i, ok := t.probe(events, ref.key())
 	return t.cells[i].id, ok
 }

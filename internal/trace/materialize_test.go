@@ -22,7 +22,7 @@ import (
 // found after the walk still comes before a later thread's redeclaration
 // or unknown op — and sticky builder errors surface last, at Build.
 func TestMaterializeErrorPrecedence(t *testing.T) {
-	w := func(instr int) Op {
+	w := func(instr int32) Op {
 		return Op{Kind: OpWrite, Addr: 0x100, Value: uint64(instr + 1), Keyed: true, Instr: instr}
 	}
 	for name, tc := range map[string]struct {
@@ -64,16 +64,21 @@ func TestMaterializeErrorPrecedence(t *testing.T) {
 
 // TestMaterializerReuseMatchesFresh: a Materializer fed traces of every
 // size in shuffled order returns, trace for trace, what Trace.Execution
-// returns on storage of its own.
+// returns on storage of its own — the same events, rf, co orders and
+// address slots (executionDiff).
 func TestMaterializerReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var traces []*Trace
 	for i := 0; i < 40; i++ {
-		tr, err := FromExecution("", randExec(rng))
+		tr, err := FromExecution(fmt.Sprintf("rand%d", i), randExec(rng))
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces = append(traces, tr)
+		// Its threads in reverse TID order: the Builder builds it, over
+		// whatever co windows the trace before left in the storage.
+		rev := &Trace{Name: tr.Name + "-reversed", Threads: slices.Clone(tr.Threads), RF: tr.RF, CO: tr.CO}
+		slices.Reverse(rev.Threads)
+		traces = append(traces, tr, rev)
 	}
 	traces = append(traces, extremeTrace(), residue, &Trace{}, &Trace{Threads: []Thread{{TID: 4}, {TID: 4}}})
 	var m Materializer
@@ -87,8 +92,11 @@ func TestMaterializerReuseMatchesFresh(t *testing.T) {
 			if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
 				t.Fatalf("fresh: %v, reused: %v", ferr, rerr)
 			}
-			if ferr == nil && fresh.NumEvents() != reused.NumEvents() {
-				t.Fatalf("%d events fresh, %d reused", fresh.NumEvents(), reused.NumEvents())
+			if ferr != nil {
+				continue
+			}
+			if diff := executionDiff(fresh, reused); diff != "" {
+				t.Fatalf("%s reused: %s", tr.label(), diff)
 			}
 		}
 	}
@@ -357,14 +365,14 @@ func TestMaterializeMatchesBuilder(t *testing.T) {
 	}
 	// Of the canonical shape, but failing one check each: the Builder
 	// route words the error.
-	w := func(instr int, addr memsys.Addr, v uint64) Op {
+	w := func(instr int32, addr memsys.Addr, v uint64) Op {
 		return Op{Kind: OpWrite, Addr: addr, Value: v, Keyed: true, Instr: instr}
 	}
-	r := func(instr int, addr memsys.Addr, v uint64) Op {
+	r := func(instr int32, addr memsys.Addr, v uint64) Op {
 		return Op{Kind: OpRead, Addr: addr, Value: v, Keyed: true, Instr: instr}
 	}
-	ref := func(instr int) Ref { return Ref{TID: 0, Instr: instr} }
-	co := func(addr memsys.Addr, instrs ...int) COOrder {
+	ref := func(instr int32) Ref { return Ref{TID: 0, Instr: instr} }
+	co := func(addr memsys.Addr, instrs ...int32) COOrder {
 		o := COOrder{Addr: addr}
 		for _, i := range instrs {
 			o.Writes = append(o.Writes, ref(i))

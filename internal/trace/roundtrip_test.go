@@ -207,6 +207,23 @@ func TestRoundTripInvalidExecution(t *testing.T) {
 	}
 }
 
+// TestFromExecutionRefusesWideKeys: an execution whose key has a field
+// past the formats' int fields does not become a trace whose Ref would
+// wrap it; the error names the event.
+func TestFromExecutionRefusesWideKeys(t *testing.T) {
+	for _, k := range []memmodel.Key{
+		{TID: 0, Instr: 1 << 31},
+		{TID: 0, Instr: 2, Sub: 1 << 31},
+		{TID: 1 << 31, Instr: 0},
+	} {
+		b := memmodel.NewBuilder()
+		b.WriteKeyed(k, 0x100, 1, false)
+		if _, err := FromExecution("wide", b.MustBuild()); err == nil || !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("key %v: FromExecution error %v, want one naming the event", k, err)
+		}
+	}
+}
+
 // TestMultiTraceStream: several traces share one stream in both
 // encodings.
 func TestMultiTraceStream(t *testing.T) {

@@ -37,7 +37,7 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 		}
 		th := &t.Threads[ti]
 		if len(th.Ops) > 0 {
-			h.Thread(th.TID)
+			h.Thread(int(th.TID))
 		}
 		next := 0
 		for i := range th.Ops {
@@ -68,7 +68,7 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 				h.Write(memmodel.Key{TID: memmodel.InitTID}, op.Addr)
 				m.addrs = append(m.addrs, op.Addr)
 			} else {
-				h.Write(memmodel.Key{TID: e.Write.TID, Instr: e.Write.Instr, Sub: e.Write.Sub}, op.Addr)
+				h.Write(e.Write.key(), op.Addr)
 			}
 			if op.Kind == OpRMW {
 				k.Sub = 1
@@ -100,7 +100,7 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 			inits = inits[1:]
 		}
 		for _, w := range c.Writes {
-			h.Write(memmodel.Key{TID: w.TID, Instr: w.Instr, Sub: w.Sub}, c.Addr)
+			h.Write(w.key(), c.Addr)
 		}
 	}
 	for _, addr := range inits {

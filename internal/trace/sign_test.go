@@ -124,7 +124,7 @@ func TestSignAllocatesNothing(t *testing.T) {
 }
 
 // remapTID renames thread from to to everywhere it is named.
-func remapTID(tr *Trace, from, to int) {
+func remapTID(tr *Trace, from, to int32) {
 	for i := range tr.Threads {
 		if tr.Threads[i].TID == from {
 			tr.Threads[i].TID = to
@@ -203,7 +203,7 @@ func mutate(tr *Trace, muts []byte) {
 			}
 		case 4: // pin a key
 			if _, op := ops(arg); op != nil {
-				op.Keyed, op.Instr, op.Sub = true, arg%7, arg%3
+				op.Keyed, op.Instr, op.Sub = true, int32(arg%7), int32(arg%3)
 			}
 		case 5: // a read or write becomes an RMW
 			if _, op := ops(arg); op != nil && op.Kind != OpFence {

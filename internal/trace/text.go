@@ -482,7 +482,7 @@ func (d *Decoder) thread(f [][]byte) error {
 		return d.errf("more than %d threads", maxCount)
 	}
 	d.closeThread()
-	d.threads = append(d.threads, Thread{TID: tid})
+	d.threads = append(d.threads, Thread{TID: int32(tid)})
 	return nil
 }
 
@@ -663,17 +663,21 @@ func smallDecimal(b []byte) (int, bool) {
 
 // parseIntField parses a non-negative int-typed field (tid, instr, sub)
 // as strconv.Atoi does, under the ceiling the binary format puts on the
-// same fields.
-func parseIntField(b []byte) (int, bool) {
-	if v, ok := smallDecimal(b); ok {
-		return v, true
+// same fields, and narrows it to the field's int32 once it is below it.
+func parseIntField(b []byte) (int32, bool) {
+	v, ok := smallDecimal(b)
+	if !ok {
+		var err error
+		v, err = strconv.Atoi(string(b))
+		if err != nil || v < 0 || v >= maxIntField {
+			return 0, false
+		}
 	}
-	v, err := strconv.Atoi(string(b))
-	return v, err == nil && v >= 0 && v < maxIntField
+	return int32(v), true
 }
 
 // parseKeyPin parses "@i" or "@i.s".
-func parseKeyPin(b []byte) (instr, sub int, err error) {
+func parseKeyPin(b []byte) (instr, sub int32, err error) {
 	is, ss, dotted := bytes.Cut(b[1:], []byte{'.'})
 	instr, ok := parseIntField(is)
 	if ok && dotted {

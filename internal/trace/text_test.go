@@ -338,7 +338,7 @@ func TestLongCoLineRoundTrips(t *testing.T) {
 	writes := make([]Ref, n)
 	for i := range ops {
 		ops[i] = Op{Kind: OpWrite, Addr: 0x100, Value: uint64(i + 1)}
-		writes[i] = Ref{TID: 0, Instr: i}
+		writes[i] = Ref{TID: 0, Instr: int32(i)}
 	}
 	tr := &Trace{Name: "long-co", Threads: []Thread{{TID: 0, Ops: ops}}, CO: []COOrder{{Addr: 0x100, Writes: writes}}}
 	var text bytes.Buffer
@@ -529,9 +529,9 @@ func checkNumberSpelling(t *testing.T, tok string) {
 // with strconv.Atoi: the reference the decoder's in-place one answers to.
 func stringRef(s string) (Ref, error) {
 	var r Ref
-	field := func(s string) (int, bool) {
+	field := func(s string) (int32, bool) {
 		v, err := strconv.Atoi(s)
-		return v, err == nil && v >= 0 && v < maxIntField
+		return int32(v), err == nil && v >= 0 && v < maxIntField
 	}
 	ts, rest, ok := strings.Cut(s, ":")
 	if !ok {

@@ -35,7 +35,11 @@
 // line; binary ones the trace and the byte offset they were met at.
 //
 // Both decoders bound a trace by the same ceilings — name length,
-// element counts, int-typed fields. A text line may run to 4 MiB; past
+// element counts, int-typed fields. The int-typed fields (thread IDs,
+// key pins, refs) are int32 in a decoded trace, exactly the [0, 2³¹)
+// the formats carry: a decoder rejects a larger value before it narrows
+// it. With an Op's four one-byte fields in one word, a decoded canonical
+// trace takes about 77 bytes per op. A text line may run to 4 MiB; past
 // the header a longer one is read while it holds no more fields than a
 // co order of the largest count plus its keyword and address, at an
 // average of at most 64 bytes a field, so a co order of millions of
@@ -104,15 +108,12 @@ func (k OpKind) String() string {
 // producers number instructions sparsely or pair RMW halves manually —
 // keys feed collective.Signature, so preserving them preserves verdict
 // identity across encode/decode.
+//
+// The key fields are int32, the range both formats carry, and the four
+// one-byte fields share a word, so an Op is 40 bytes on 64-bit hosts.
 type Op struct {
 	// Kind is the op class.
 	Kind OpKind `json:"kind"`
-	// Addr is the word address accessed (unused for fences).
-	Addr memsys.Addr `json:"addr,omitempty"`
-	// Value is the value read (OpRead, OpRMW) or written (OpWrite).
-	Value uint64 `json:"value,omitempty"`
-	// Value2 is the value written by an OpRMW.
-	Value2 uint64 `json:"value2,omitempty"`
 	// Fence is the fence flavour for OpFence.
 	Fence memmodel.FenceKind `json:"fence,omitempty"`
 	// Atomic marks a plain read or write as an RMW half for producers
@@ -122,23 +123,41 @@ type Op struct {
 	// positional.
 	Keyed bool `json:"keyed,omitempty"`
 	// Instr is the explicit instruction index when Keyed.
-	Instr int `json:"instr,omitempty"`
+	Instr int32 `json:"instr,omitempty"`
 	// Sub is the explicit sub-event number when Keyed (OpRMW ignores
 	// it: the pair always takes subs 0 and 1).
-	Sub int `json:"sub,omitempty"`
+	Sub int32 `json:"sub,omitempty"`
+	// Addr is the word address accessed (unused for fences).
+	Addr memsys.Addr `json:"addr,omitempty"`
+	// Value is the value read (OpRead, OpRMW) or written (OpWrite).
+	Value uint64 `json:"value,omitempty"`
+	// Value2 is the value written by an OpRMW.
+	Value2 uint64 `json:"value2,omitempty"`
 }
 
 // Ref names an event by its stable key — the external form of
 // memmodel.Key. Initial writes are never referenced by Ref; rf edges
 // use RFEdge.Init and co orders list only program writes (the initial
-// write is implicitly co-minimal).
+// write is implicitly co-minimal). Its fields are int32, the range both
+// formats carry; key and refOf convert to and from memmodel.Key.
 type Ref struct {
-	TID   int `json:"tid"`
-	Instr int `json:"instr"`
-	Sub   int `json:"sub,omitempty"`
+	TID   int32 `json:"tid"`
+	Instr int32 `json:"instr"`
+	Sub   int32 `json:"sub,omitempty"`
 }
 
 func (r Ref) String() string { return string(appendRef(nil, r)) }
+
+// key is the memmodel.Key r names.
+func (r Ref) key() memmodel.Key {
+	return memmodel.Key{TID: int(r.TID), Instr: int(r.Instr), Sub: int(r.Sub)}
+}
+
+// refOf is the Ref naming k, whose fields the caller has checked are in
+// [0, maxIntField): refOf narrows them without a check.
+func refOf(k memmodel.Key) Ref {
+	return Ref{TID: int32(k.TID), Instr: int32(k.Instr), Sub: int32(k.Sub)}
+}
 
 // RFEdge is one observed read-from edge: Read observed Write's value,
 // or the initial value when Init. Reads without an explicit edge
@@ -163,8 +182,8 @@ type COOrder struct {
 
 // Thread is one thread's program slice in program order.
 type Thread struct {
-	TID int  `json:"tid"`
-	Ops []Op `json:"ops"`
+	TID int32 `json:"tid"`
+	Ops []Op  `json:"ops"`
 }
 
 // Trace is one candidate execution in interchange form.
@@ -271,18 +290,18 @@ func (t *Trace) ValidUnder(model int) bool {
 // encoder (detecting when an explicit key is needed): positional ops
 // take (next, 0) and advance by one; keyed ops take their pinned key
 // and advance the counter past it.
-func (o *Op) key(tid, next int) (memmodel.Key, int) {
+func (o *Op) key(tid int32, next int) (memmodel.Key, int) {
 	if o.Keyed {
-		k := memmodel.Key{TID: tid, Instr: o.Instr, Sub: o.Sub}
+		k := memmodel.Key{TID: int(tid), Instr: int(o.Instr), Sub: int(o.Sub)}
 		if o.Kind == OpRMW {
 			k.Sub = 0
 		}
-		if o.Instr >= next {
-			next = o.Instr + 1
+		if k.Instr >= next {
+			next = k.Instr + 1
 		}
 		return k, next
 	}
-	return memmodel.Key{TID: tid, Instr: next}, next + 1
+	return memmodel.Key{TID: int(tid), Instr: next}, next + 1
 }
 
 // Execution materializes the trace as a candidate execution with
@@ -322,7 +341,10 @@ type Materializer struct {
 
 // threadDecl is one thread declaration: its TID and its position in
 // Trace.Threads.
-type threadDecl struct{ tid, index int }
+type threadDecl struct {
+	tid   int32
+	index int
+}
 
 // declare registers t's threads with the builder in ascending TID order
 // (what Builder.DeclareThread asks for) and returns the index of the
@@ -345,7 +367,7 @@ func (m *Materializer) declare(t *Trace) int {
 			repeat = min(repeat, d.index)
 			continue
 		}
-		m.b.DeclareThread(d.tid)
+		m.b.DeclareThread(int(d.tid))
 	}
 	return repeat
 }
@@ -415,14 +437,14 @@ walk:
 		}
 	}
 	if k, dup := b.DuplicateKey(); dup {
-		return nil, fmt.Errorf("trace %s: duplicate event key %v", t.label(), Ref{TID: k.TID, Instr: k.Instr, Sub: k.Sub})
+		return nil, fmt.Errorf("trace %s: duplicate event key %v", t.label(), refOf(k))
 	}
 	if walkErr != nil {
 		return nil, walkErr
 	}
 
 	resolve := func(ref Ref, what string) (relation.EventID, error) {
-		id, ok := b.Lookup(memmodel.Key{TID: ref.TID, Instr: ref.Instr, Sub: ref.Sub})
+		id, ok := b.Lookup(ref.key())
 		if !ok {
 			return 0, fmt.Errorf("trace %s: %s references unknown event %v", t.label(), what, ref)
 		}
@@ -539,8 +561,15 @@ func (t *Trace) encodable() error {
 	return nil
 }
 
-// intField reports whether v fits an int-typed field of the formats.
-func intField(v int) bool { return uint(v) < maxIntField }
+// intField reports whether v fits an int-typed field of the formats: an
+// int32 is below maxIntField, so whether it is non-negative.
+func intField(v int32) bool { return v >= 0 }
+
+// keyField reports whether every field of k fits the formats, and so a
+// Ref.
+func keyField(k memmodel.Key) bool {
+	return uint(k.TID) < maxIntField && uint(k.Instr) < maxIntField && uint(k.Sub) < maxIntField
+}
 
 // refField reports whether every field of r fits the formats.
 func refField(r Ref) bool { return intField(r.TID) && intField(r.Instr) && intField(r.Sub) }
@@ -564,18 +593,23 @@ func nameProblem(name string) string {
 // positional defaults, adjacent atomic (read, write) pairs sharing an
 // instruction collapsed to OpRMW, every rf edge explicit, and a COOrder
 // for every address with at least one program write. Canonical traces
-// re-encode byte-identically after a decode.
+// re-encode byte-identically after a decode. An event whose key has a
+// field outside [0, maxIntField) is an error: the formats cannot carry
+// it, and a Ref could not hold it.
 func FromExecution(name string, x *memmodel.Execution) (*Trace, error) {
 	t := &Trace{Name: name}
 	for _, tid := range x.Threads() {
 		if tid == memmodel.InitTID {
 			continue
 		}
-		th := Thread{TID: tid}
 		ids := x.ThreadEvents(tid)
+		th := Thread{TID: int32(tid)} // checked with its events' keys
 		next := 0
 		for i := 0; i < len(ids); i++ {
 			e := x.Event(ids[i])
+			if !keyField(e.Key) {
+				return nil, fmt.Errorf("trace: event %v: key out of range [0, %d)", e, maxIntField)
+			}
 			// Collapse an RMW pair into one OpRMW when it matches the
 			// canonical shape CheckAtomicity pairs on.
 			if i+1 < len(ids) {
@@ -585,9 +619,9 @@ func FromExecution(name string, x *memmodel.Execution) (*Trace, error) {
 					e.Key.Sub == 0 && w.Key.Sub == 1 {
 					op := Op{Kind: OpRMW, Addr: e.Addr, Value: e.Value, Value2: w.Value}
 					if e.Key.Instr != next {
-						op.Keyed, op.Instr = true, e.Key.Instr
+						op.Keyed, op.Instr = true, int32(e.Key.Instr)
 					}
-					_, next = op.key(tid, next)
+					_, next = op.key(th.TID, next)
 					th.Ops = append(th.Ops, op)
 					i++
 					continue
@@ -605,18 +639,15 @@ func FromExecution(name string, x *memmodel.Execution) (*Trace, error) {
 				return nil, fmt.Errorf("trace: event %v has unknown kind", e)
 			}
 			if e.Key.Instr != next || e.Key.Sub != 0 {
-				op.Keyed, op.Instr, op.Sub = true, e.Key.Instr, e.Key.Sub
+				op.Keyed, op.Instr, op.Sub = true, int32(e.Key.Instr), int32(e.Key.Sub)
 			}
-			_, next = op.key(tid, next)
+			_, next = op.key(th.TID, next)
 			th.Ops = append(th.Ops, op)
 		}
 		t.Threads = append(t.Threads, th)
 	}
 
-	ref := func(id relation.EventID) Ref {
-		e := x.Event(id)
-		return Ref{TID: e.Key.TID, Instr: e.Key.Instr, Sub: e.Key.Sub}
-	}
+	ref := func(id relation.EventID) Ref { return refOf(x.Event(id).Key) }
 	for _, tid := range x.Threads() {
 		if tid == memmodel.InitTID {
 			continue

@@ -26,7 +26,7 @@ func withoutResolvedRF(tr *Trace) (*Trace, int) {
 	writes := map[trace.Ref]access{}
 	stores := map[access]int{}
 	for _, th := range tr.Threads {
-		next := 0
+		var next int32
 		for _, op := range th.Ops {
 			ref := trace.Ref{TID: th.TID, Instr: next}
 			if op.Keyed {

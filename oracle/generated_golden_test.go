@@ -183,13 +183,13 @@ func coSwap(tr *Trace, rng *rand.Rand) string {
 // findOp returns the op of thread tid at instruction index instr,
 // walking keys the way the trace format assigns them (an RMW is one op
 // holding both halves).
-func findOp(tr *Trace, tid, instr int) *trace.Op {
+func findOp(tr *Trace, tid, instr int32) *trace.Op {
 	for ti := range tr.Threads {
 		th := &tr.Threads[ti]
 		if th.TID != tid {
 			continue
 		}
-		next := 0
+		var next int32
 		for oi := range th.Ops {
 			o := &th.Ops[oi]
 			at := next
