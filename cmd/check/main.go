@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -37,7 +38,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	model := fs.String("model", "all", "model(s) to check against: a name, a comma-separated list, or 'all'")
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
-	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces")
+	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces (0 = all cores)")
 	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs)")
 	scope := fs.String("scope", "", "verdict scope isolating this run's memo entries from other scenarios")
 	progress := fs.Bool("progress", false, "report phase breakdown and memo/fast-path counters to stderr")
@@ -99,8 +100,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// model never races ahead of the stronger one's proof. Verdicts land
 	// in input-order slots.
 	workers := *parallel
-	if workers < 1 {
-		workers = 1
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(traces) && len(traces) > 0 {
 		workers = len(traces)

@@ -110,6 +110,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelZeroMeansAllCores: -parallel 0 runs a worker per core and
+// prints, byte for byte, what -parallel 1 prints, with the same exit
+// code, in text and in NDJSON.
+func TestParallelZeroMeansAllCores(t *testing.T) {
+	in := corpusText(t)
+	for _, format := range [][]string{{"-model", "all"}, {"-model", "all", "-json"}} {
+		var one, all, errb bytes.Buffer
+		codeOne := run(append(format, "-parallel", "1"), bytes.NewReader(in), &one, &errb)
+		codeAll := run(append(format, "-parallel", "0"), bytes.NewReader(in), &all, &errb)
+		if codeOne != 1 || codeAll != codeOne {
+			t.Fatalf("%v: -parallel 1 exited %d, -parallel 0 %d, want 1 both (stderr %q)", format, codeOne, codeAll, errb.String())
+		}
+		if !bytes.Equal(one.Bytes(), all.Bytes()) {
+			t.Fatalf("%v: -parallel 0 output differs from -parallel 1", format)
+		}
+	}
+}
+
 // TestExitCodes: 0 all-valid, 1 violation, 2 errors.
 func TestExitCodes(t *testing.T) {
 	const valid = "mctrace 1\ntrace ok\nthread 0\nw 0x100 1\nr 0x100 1\nend\n"

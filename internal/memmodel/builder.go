@@ -10,9 +10,9 @@ import (
 
 // Builder assembles candidate executions with validation, replacing the
 // raw struct-literal construction that used to be scattered across
-// tests and the litmus materializer. It is also the target the trace
-// decoder builds into, so every construction path shares one set of
-// well-formedness rules.
+// tests and the litmus materializer. It also builds every trace the
+// trace materializer cannot build from the trace's fields, so every
+// construction path shares one set of well-formedness rules.
 //
 // Events are appended per thread in program order; their Keys default
 // to (thread, running instruction index, sub 0) but can be pinned
@@ -25,8 +25,8 @@ import (
 // SetRF/SetRFInit.
 //
 // Errors are sticky: the first malformed call poisons the builder and
-// Build returns it. Build returns the execution at most once per use;
-// Reset starts the next use on the storage of the last.
+// Build returns it. A builder builds one execution, of its own, and
+// Build returns it at most once.
 //
 // The builder is the reference for the trace materializer's direct
 // route, not a measured path: its state is plain maps keyed by what the
@@ -53,39 +53,16 @@ type Builder struct {
 
 const pinInit relation.EventID = -2
 
-// NewBuilder returns an empty builder.
+// NewBuilder returns an empty builder over a new execution.
 func NewBuilder() *Builder {
-	return NewBuilderInto(NewExecution())
-}
-
-// NewBuilderInto returns an empty builder that builds into x, which it
-// empties: x's storage is the builder's from then on, and the execution
-// Build returns is x. A caller that fills an execution by other means
-// too keeps one execution, not two, by handing it to the builder it
-// falls back on.
-func NewBuilderInto(x *Execution) *Builder {
-	b := &Builder{
-		x:         x,
+	return &Builder{
+		x:         NewExecution(),
 		nextInstr: map[int]int{},
 		byKey:     map[Key]relation.EventID{},
+		dup:       noEvent,
 		writes:    map[memsys.Addr]int{},
 		overrides: map[memsys.Addr][]relation.EventID{},
 	}
-	b.Reset()
-	return b
-}
-
-// Reset empties the builder for another execution, keeping its storage.
-// The execution the last Build returned is part of that storage and is
-// recycled: whoever called Build must have let go of it.
-func (b *Builder) Reset() {
-	b.x.Reset()
-	b.err, b.done, b.dup = nil, false, noEvent
-	clear(b.nextInstr)
-	clear(b.byKey)
-	clear(b.writes)
-	clear(b.overrides)
-	b.pins = b.pins[:0]
 }
 
 // fail records the first error; later calls keep the original.
@@ -97,14 +74,6 @@ func (b *Builder) fail(format string, args ...any) {
 
 // Err returns the first recorded error, if any.
 func (b *Builder) Err() error { return b.err }
-
-// DeclareThread registers tid ahead of its first event. Nothing requires
-// it — a thread exists from its first event on, and one that never gets
-// an event stays invisible — but the thread table is sorted by TID and a
-// TID below one already present shifts entries on the way in, so a
-// caller about to add very many threads declares them in ascending order
-// first.
-func (b *Builder) DeclareThread(tid int) { b.x.threadSlot(tid) }
 
 func (b *Builder) autoKey(tid int) Key {
 	n := b.nextInstr[tid]
@@ -302,7 +271,7 @@ type producers struct {
 // and returns it. Unpinned reads resolve by value: 0 reads the initial
 // write; any other value must match exactly one write to the address
 // (ambiguous or unproduced values are errors). Build consumes the
-// builder until the next Reset.
+// builder.
 func (b *Builder) Build() (*Execution, error) {
 	if b.done {
 		return nil, fmt.Errorf("memmodel: builder: Build called twice")
@@ -338,10 +307,6 @@ func (b *Builder) Build() (*Execution, error) {
 		p.n++
 		byValue[k] = p
 	}
-
-	// Start every coherence order on storage of its own: the windows an
-	// earlier use of the execution left in its address slots may overlap.
-	x.ReserveCO(nil)
 
 	// Coherence order first (the recorder's order too), address by
 	// address in first-write order: initial writes created during rf

@@ -205,62 +205,6 @@ func TestBuilderCOOverrideOrder(t *testing.T) {
 	}
 }
 
-// buildShape drives one of a few differently shaped, partly malformed
-// constructions into b, the way the trace materializer would.
-func buildShape(b *Builder, shape int) (*Execution, error) {
-	switch shape % 5 {
-	case 0: // message passing with an override and pins, threads 7 and 2
-		w1 := b.Write(7, x, 1)
-		w2 := b.Write(7, x, 2)
-		wy := b.Write(7, y, 1)
-		ry := b.Read(2, y, 1)
-		rx := b.Read(2, x, 0)
-		b.CO(x, w2, w1)
-		b.SetRF(ry, wy)
-		b.SetRFInit(rx)
-	case 1: // value resolution, an RMW, fences, out-of-order keys
-		b.WriteKeyed(Key{TID: 1, Instr: 9}, y, 5, false)
-		b.FenceKeyed(Key{TID: 1, Instr: 3}, FenceSS)
-		b.RMW(1, y, 5, 6)
-		b.Read(4, y, 6)
-		b.Read(4, x, 0)
-	case 2: // ambiguous value: an error from Build
-		b.Write(1, x, 7)
-		b.Write(3, x, 7)
-		b.Read(5, x, 7)
-	case 3: // a sticky error from a call, then more calls
-		w := b.Write(1, y, 1)
-		b.CO(y, w, w)
-		b.Read(2, y, 1)
-	default: // one thread, one address, nothing else
-		b.Write(1<<30, x, 3)
-		b.Read(1<<30, x, 3)
-	}
-	return b.Build()
-}
-
-// TestBuilderResetEqualsFresh: a builder reset and driven again builds
-// what a fresh one builds — the same execution or the same error —
-// whatever it built, or failed to build, before.
-func TestBuilderResetEqualsFresh(t *testing.T) {
-	reused := NewBuilder()
-	for round := 0; round < 25; round++ {
-		shape := round * 3
-		want, wantErr := buildShape(NewBuilder(), shape)
-		reused.Reset()
-		got, gotErr := buildShape(reused, shape)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("round %d: reused builder: %v, fresh: %v", round, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if g, w := view(got), view(want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("round %d: reused builder built\n %v\nfresh\n %v", round, g, w)
-		}
-	}
-}
-
 // TestBuilderLookupAndDuplicateKey: Lookup resolves keys whether a
 // thread's keys ascend in program order or not; DuplicateKey names the
 // first event added that repeats an earlier one's key.
@@ -298,13 +242,11 @@ func TestBuilderLookupAndDuplicateKey(t *testing.T) {
 	}
 }
 
-// TestBuilderDeclaredThreadStaysInvisible: a thread declared but never
-// given an event, and an address only a CO call ever named, appear
-// nowhere in the built execution.
-func TestBuilderDeclaredThreadStaysInvisible(t *testing.T) {
+// TestBuilderUntouchedStaysInvisible: only threads and addresses that
+// events touch appear in the built execution — an address only a CO call
+// ever named appears nowhere.
+func TestBuilderUntouchedStaysInvisible(t *testing.T) {
 	b := NewBuilder()
-	b.DeclareThread(5)
-	b.DeclareThread(9)
 	b.Write(9, x, 1)
 	b.CO(y) // no writes to y: an empty order is its whole order
 	xc, err := b.Build()

@@ -237,10 +237,10 @@ func (x *Execution) slotOf(addr memsys.Addr) int32 {
 // ReserveCO gives the coherence order of every address slot room for
 // room[slot] events, all out of one array the execution keeps — for a
 // builder that knows the lengths, one allocation at most instead of one
-// growing slice per address. It empties every coherence order, so it is
-// called before the first AppendCO or InitWrite; a slot past the end of
-// room gets no room. The room is a capacity, not a limit: an order that
-// outgrows it moves to storage of its own.
+// growing slice per address. room has an entry for every address slot.
+// It empties every coherence order, so it is called before the first
+// AppendCO or InitWrite. The room is a capacity, not a limit: an order
+// that outgrows it moves to storage of its own.
 func (x *Execution) ReserveCO(room []int32) {
 	total := 0
 	for _, n := range room {
@@ -249,10 +249,7 @@ func (x *Execution) ReserveCO(room []int32) {
 	x.coArena = slices.Grow(x.coArena[:0], total)[:total]
 	off := 0
 	for slot := range x.addrTab {
-		n := 0
-		if slot < len(room) {
-			n = int(room[slot])
-		}
+		n := int(room[slot])
 		x.addrTab[slot].co = x.coArena[off : off : off+n]
 		off += n
 	}

@@ -92,7 +92,10 @@ func (m *Materializer) build(t *Trace) (*memmodel.Execution, bool) {
 	if !c.start(t) {
 		return nil, false
 	}
-	x := m.execution()
+	if m.x == nil {
+		m.x = memmodel.NewExecution()
+	}
+	x := m.x
 	x.Reset()
 	m.room = m.room[:0]
 	ops := 0

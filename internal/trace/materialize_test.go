@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -63,9 +65,9 @@ func TestMaterializeErrorPrecedence(t *testing.T) {
 }
 
 // TestMaterializerReuseMatchesFresh: a Materializer fed traces of every
-// size in shuffled order returns, trace for trace, what Trace.Execution
-// returns on storage of its own — the same events, rf, co orders and
-// address slots (executionDiff).
+// size in shuffled order, through both routes, returns, trace for trace,
+// what Trace.Execution returns on storage of its own — the same events,
+// rf, co orders and address slots (executionDiff).
 func TestMaterializerReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var traces []*Trace
@@ -74,8 +76,8 @@ func TestMaterializerReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Its threads in reverse TID order: the Builder builds it, over
-		// whatever co windows the trace before left in the storage.
+		// Its threads in reverse TID order: the Builder builds it, and the
+		// next canonical trace builds into what the one before it left.
 		rev := &Trace{Name: tr.Name + "-reversed", Threads: slices.Clone(tr.Threads), RF: tr.RF, CO: tr.CO}
 		slices.Reverse(rev.Threads)
 		traces = append(traces, tr, rev)
@@ -105,9 +107,10 @@ func TestMaterializerReuseMatchesFresh(t *testing.T) {
 // TestBuilderRouteAfterShrinkingCanonical: canonical traces reserve
 // each address slot's coherence order as a window of one shared array,
 // and a later, smaller one re-lays only its own slots over that array.
-// A trace the Builder then builds into the same storage touches more
-// slots than the last canonical one; their orders must come out as
-// they do on storage of their own, not in windows that overlap.
+// A Materializer that built a wide and then a long canonical trace
+// answers a trace of the Builder's route, which touches more slots than
+// the last canonical one, as a fresh one does: its orders come out as
+// on storage of their own.
 func TestBuilderRouteAfterShrinkingCanonical(t *testing.T) {
 	var wide, long strings.Builder
 	wide.WriteString("trace wide\nthread 0\n")
@@ -283,14 +286,13 @@ func executionDiff(want, got *memmodel.Execution) string {
 }
 
 // checkRoutes holds Materializer.Execution to the Builder route on tr:
-// fresh, and on storage that last held residue (built by the Builder)
-// and then canonicalResidue (built from its fields), it gives the
-// execution, or the error, the Builder route gives on storage of its
-// own. It reports whether tr was built from its fields.
+// a fresh Materializer, and one that has materialized residue (through
+// the Builder) and then canonicalResidue (from its fields), give the
+// execution, or the error, the Builder route gives. It reports whether
+// tr was built from its fields.
 func checkRoutes(t testing.TB, tr *Trace) bool {
 	t.Helper()
-	var ref Materializer
-	want, werr := ref.viaBuilder(tr)
+	want, werr := viaBuilder(tr)
 	var used Materializer
 	for _, prior := range []*Trace{residue, canonicalResidue} {
 		if _, err := used.Execution(prior); err != nil {
@@ -472,4 +474,52 @@ func FuzzMaterialize(f *testing.F) {
 			t.Fatal("an unedited canonical trace went through the Builder")
 		}
 	})
+}
+
+// TestOutOfOrderThreadsPinned pins the Builder route's verdicts on
+// traces whose threads are listed in descending TID order, with no rf
+// and no co lines: reads resolve by value, and each address's coherence
+// order is its writes in the order the listing registers them. Each of
+// 2000 such traces is materialized through one kept Materializer and
+// decided under every model, and the SHA-256 of the stream of (index,
+// model, Valid, Kind, Detail) is the one recorded before the Builder
+// stopped declaring threads ahead of their events. The listing is part
+// of the input: reversing it builds a different execution, so this pins
+// verdicts for one fixed listing, not independence from it.
+func TestOutOfOrderThreadsPinned(t *testing.T) {
+	const want = "6826f490f0470cfbaceb00fdc94793418b91d6844ac9dbb298cda729f20ca45c"
+	rng := rand.New(rand.NewSource(0x0d0e))
+	var m Materializer
+	c := memmodel.NewChecker()
+	h := sha256.New()
+	invalid := 0
+	for i := 0; i < 2000; {
+		canon, err := FromExecution("", randExec(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(canon.Threads) < 2 {
+			continue
+		}
+		tr := &Trace{Name: fmt.Sprintf("ooo%d", i), Threads: slices.Clone(canon.Threads)}
+		slices.Reverse(tr.Threads)
+		x, err := m.Execution(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", tr.Name, err)
+		}
+		for _, arch := range allModels {
+			res := c.Check(x, arch)
+			if !res.Valid {
+				invalid++
+			}
+			fmt.Fprintf(h, "%d %s %t %s %q\n", i, arch.Name(), res.Valid, res.Kind, res.Detail)
+		}
+		i++
+	}
+	if invalid == 0 {
+		t.Fatal("no invalid verdicts: the stream pins nothing of the checker's diagnosis")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("verdict stream SHA-256 %s (%d invalid), want %s", got, invalid, want)
+	}
 }

@@ -51,9 +51,7 @@
 package trace
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -318,58 +316,20 @@ func (t *Trace) Execution() (*memmodel.Execution, error) {
 // storage it keeps — one execution, and Sign's list of the addresses
 // read from their initial writes — so a caller deciding a stream of
 // traces allocates for the largest, not for each. A trace of the
-// canonical shape is built straight into the execution (build); any
-// other goes through a memmodel.Builder over the same execution, made
-// when the first such trace arrives. The execution a call returns is
-// only good until the next call: whoever needs to keep one uses
-// Trace.Execution. The zero value is ready; a Materializer is
+// canonical shape is built straight into the kept execution (build);
+// any other goes through a new memmodel.Builder, into an execution of
+// the Builder's own: no benchmark workload sends one. The execution a
+// call returns is only good until the next call: whoever needs to keep
+// one uses Trace.Execution. The zero value is ready; a Materializer is
 // single-goroutine.
 type Materializer struct {
 	x *memmodel.Execution
-	b *memmodel.Builder
-	// decls is the thread declarations sorted by TID; writes one
-	// coherence order's resolved refs (both the Builder route's).
-	decls  []threadDecl
-	writes []relation.EventID
 	// keys and room are build's: its events by key, and the room for
 	// each address slot's coherence order.
 	keys keyTable
 	room []int32
 	// addrs is Sign's: the addresses reads take from the initial write.
 	addrs []memsys.Addr
-}
-
-// threadDecl is one thread declaration: its TID and its position in
-// Trace.Threads.
-type threadDecl struct {
-	tid   int32
-	index int
-}
-
-// declare registers t's threads with the builder in ascending TID order
-// (what Builder.DeclareThread asks for) and returns the index of the
-// first thread declaring a TID an earlier thread already declared, or
-// len(t.Threads).
-func (m *Materializer) declare(t *Trace) int {
-	m.decls = m.decls[:0]
-	for i := range t.Threads {
-		m.decls = append(m.decls, threadDecl{tid: t.Threads[i].TID, index: i})
-	}
-	slices.SortFunc(m.decls, func(a, b threadDecl) int {
-		if c := cmp.Compare(a.tid, b.tid); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.index, b.index)
-	})
-	repeat := len(t.Threads)
-	for i, d := range m.decls {
-		if i > 0 && d.tid == m.decls[i-1].tid {
-			repeat = min(repeat, d.index)
-			continue
-		}
-		m.b.DeclareThread(int(d.tid))
-	}
-	return repeat
 }
 
 // Execution is Trace.Execution into the materializer's storage: the same
@@ -380,40 +340,28 @@ func (m *Materializer) Execution(t *Trace) (*memmodel.Execution, error) {
 	if x, ok := m.build(t); ok {
 		return x, nil
 	}
-	return m.viaBuilder(t)
+	return viaBuilder(t)
 }
 
-// execution returns the one execution m keeps, made on first use.
-func (m *Materializer) execution() *memmodel.Execution {
-	if m.x == nil {
-		m.x = memmodel.NewExecution()
-	}
-	return m.x
-}
-
-// viaBuilder materializes t through a memmodel.Builder over m.x: the
-// route of every trace build does not take, and the reference build is
-// tested against.
-func (m *Materializer) viaBuilder(t *Trace) (*memmodel.Execution, error) {
-	if m.b == nil {
-		m.b = memmodel.NewBuilderInto(m.execution())
-	} else {
-		m.b.Reset()
-	}
-	b := m.b
+// viaBuilder materializes t through a new memmodel.Builder: the route of
+// every trace build does not take, and the reference build is tested
+// against.
+func viaBuilder(t *Trace) (*memmodel.Execution, error) {
+	b := memmodel.NewBuilder()
 
 	// Walk the threads up to the first malformed declaration or op. Event
 	// keys are checked for duplicates after the walk, over the events it
 	// added: a duplicate among them came before whatever stopped it.
-	repeat := m.declare(t)
+	declared := make(map[int32]bool, len(t.Threads))
 	var walkErr error
 walk:
 	for ti := range t.Threads {
 		th := &t.Threads[ti]
-		if ti == repeat {
+		if declared[th.TID] {
 			walkErr = fmt.Errorf("trace %s: thread %d declared twice", t.label(), th.TID)
 			break
 		}
+		declared[th.TID] = true
 		next := 0
 		for i := range th.Ops {
 			op := &th.Ops[i]
@@ -465,16 +413,17 @@ walk:
 		}
 		b.SetRF(r, w)
 	}
+	var writes []relation.EventID
 	for _, c := range t.CO {
-		m.writes = m.writes[:0]
+		writes = writes[:0]
 		for _, ref := range c.Writes {
 			w, err := resolve(ref, "co")
 			if err != nil {
 				return nil, err
 			}
-			m.writes = append(m.writes, w)
+			writes = append(writes, w)
 		}
-		b.CO(c.Addr, m.writes...)
+		b.CO(c.Addr, writes...)
 	}
 	x, err := b.Build()
 	if err != nil {

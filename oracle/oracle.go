@@ -39,14 +39,14 @@
 // four.
 //
 // What a Checker keeps: its scratch for the exact procedure and, for
-// CheckTrace, one execution into which a trace is materialized when it
-// has to be — straight from the trace's fields when it has the canonical
-// shape every encoder writes, else through a Builder over the same
-// execution — the storage grows to the largest trace seen and is reused
-// for the next, so deciding a stream of traces does not allocate an
-// execution per trace. Nothing of it
-// escapes: verdicts and memo entries carry event IDs and strings, never
-// the execution. Executions a caller builds (Builder), takes from
+// CheckTrace, one execution into which a trace of the canonical shape
+// every encoder writes is materialized, straight from its fields, when
+// it has to be — the storage grows to the largest trace seen and is
+// reused for the next, so deciding a stream of encoded traces does not
+// allocate an execution per trace. Any other trace is built by a
+// Builder into an execution of its own. Nothing of either escapes:
+// verdicts and memo entries carry event IDs and strings, never the
+// execution. Executions a caller builds (Builder), takes from
 // Trace.Execution or hands to CheckExecution/CheckSig are the caller's:
 // no Checker keeps, resets or reuses them.
 //
