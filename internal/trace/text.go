@@ -3,8 +3,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -143,17 +145,18 @@ func appendRef(buf []byte, r Ref) []byte {
 }
 
 // Decoder streams traces out of a text stream, validating the header
-// on the first read. Errors carry the 1-based line number they were
-// detected on.
+// on the first read. It reads the stream into a window it owns and
+// walks each line once: one pass over a line's bytes finds its end and
+// where its tokens lie, and each token is then read in place. Errors
+// carry the 1-based line number they were detected on.
 type Decoder struct {
-	br       *bufio.Reader
+	r    io.Reader
+	rerr error // the first error r returned: io.EOF at the stream's end
+	// cur walks the line being parsed, in the decoder's window.
+	cur      cursor
 	line     int
 	headerOK bool
 	err      error
-	// long gathers a line longer than br's buffer.
-	long []byte
-	// f holds the fields of the line being parsed.
-	f [][]byte
 	// The trace being decoded gathers here, in storage reused from trace
 	// to trace, and is copied out into exact-size slices at its end:
 	// threads (each one's Ops set as it closes), the open thread's ops,
@@ -174,16 +177,19 @@ type coSpan struct {
 
 // NewDecoder returns a streaming text decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, readBufSize)}
+	d := &Decoder{r: r, cur: cursor{b: make([]byte, readBufSize)}}
+	d.cur.b[0] = '\n'
+	return d
 }
 
-// The text format's line rule. A line that fits the decoder's read
-// buffer is parsed where it lies; a longer one is gathered and held to
-// the rule as its bytes arrive, so memory grows only with the fields a
-// trace may hold. Any line may run to shortLineLen bytes. Past the
-// header, a longer line is taken while it holds at most maxLineFields
-// fields (a co line of maxCount writes) and averages at most
-// bytesPerField bytes a field; a canonical ref takes at most 33.
+// The text format's line rule. A line whose '\n' comes within its first
+// readBufSize bytes is parsed where it lies; a longer one is read a
+// readBufSize chunk at a time and held to the rule as each arrives, so
+// memory grows only with the fields a trace may hold. Any line may run
+// to shortLineLen bytes. Past the header, a longer line is taken while
+// it holds at most maxLineFields fields (a co line of maxCount writes)
+// and averages at most bytesPerField bytes a field; a canonical ref
+// takes at most 33.
 const (
 	readBufSize   = 64 << 10
 	shortLineLen  = 4 << 20
@@ -198,46 +204,71 @@ func (d *Decoder) errf(format string, args ...any) error {
 	return d.err
 }
 
-// next returns the next meaningful line (comments cut off, white space
-// trimmed, blanks skipped), or ok=false at end of stream or on a read
-// error. The line is only good until the next call.
+// next moves to the next line holding a token and returns that token,
+// the line's directive; ok=false at end of stream or on a read error.
+// The token is only good until the next call.
 func (d *Decoder) next() ([]byte, bool) {
-	for {
-		b, err := d.br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			b, err = d.longLine(b)
-		}
-		if err != nil && err != io.EOF {
-			if d.err == nil {
-				d.err = fmt.Errorf("trace: line %d: read: %w", d.line+1, err)
-			}
-			return nil, false
-		}
-		if len(b) == 0 {
-			return nil, false
-		}
+	for d.nextLine() {
 		d.line++
-		if i := bytes.IndexByte(b, '#'); i >= 0 {
-			b = b[:i]
+		if d.cur.ntok > 0 {
+			return d.cur.token(0), true
 		}
-		if b = bytes.TrimSpace(b); len(b) > 0 {
-			return b, true
+	}
+	return nil, false
+}
+
+// nextLine sets the cursor on the stream's next line, with its first
+// tokens lexed, reading more of the stream while the window holds no
+// whole line; false at the end of the stream or on an error.
+func (d *Decoder) nextLine() bool {
+	c := &d.cur
+	for start := c.end; ; {
+		if start < c.n {
+			c.from, c.i, c.end = start, start, 0
+			if c.lex(); c.end == 0 { // lex stopped short of the '\n'
+				c.end = c.i + bytes.IndexByte(c.b[c.i:], '\n') + 1
+			}
+			if c.end-start > readBufSize {
+				return d.longLine(start)
+			}
+			if c.end <= c.n {
+				return true
+			}
 		}
+		// No whole line from start: move what there is of it to the
+		// window's front and read more, unless the stream has stopped.
+		if d.rerr != nil {
+			return d.lastLine(start)
+		}
+		c.n = copy(c.b, c.b[start:c.n])
+		start = 0
+		d.fill(c.n + 1)
 	}
 }
 
-// longLine gathers a line that overflowed the read buffer, first holding
-// b, into d.long, counting its fields as they arrive and failing it as
-// soon as it breaks the line rule.
-func (d *Decoder) longLine(b []byte) ([]byte, error) {
-	d.long = append(d.long[:0], b...)
+// longLine reads the line at start, which has no '\n' in its first
+// readBufSize bytes, a readBufSize chunk at a time from the window's
+// front, counting its fields as they arrive and failing it as soon as
+// it breaks the line rule.
+func (d *Decoder) longLine(start int) bool {
+	c := &d.cur
+	c.n = copy(c.b, c.b[start:c.n])
 	fields, inField, scanned := 0, false, 0
-	for err := bufio.ErrBufferFull; ; {
+	for end := readBufSize; ; end += readBufSize {
+		d.fill(end)
+		n := min(c.n, end)
+		k := bytes.IndexByte(c.b[end-readBufSize:n], '\n')
+		if k >= 0 {
+			n = end - readBufSize + k + 1
+		}
+		// The chunk is full and the line goes on past it.
+		more := k < 0 && (c.n > end || c.n == end && d.rerr == nil)
 		// A rune cut by the chunk's end is counted once it is whole.
-		for scanned < len(d.long) && (err != bufio.ErrBufferFull || utf8.FullRune(d.long[scanned:])) {
-			space, size := asciiSpace[d.long[scanned]], 1
-			if d.long[scanned] >= utf8.RuneSelf {
-				space, size = runeSpaceAt(d.long[scanned:])
+		for scanned < n && (!more || utf8.FullRune(c.b[scanned:n])) {
+			k, size := byteClass[c.b[scanned]], 1
+			space := k == spaceByte || k == newlineByte
+			if k == runeByte {
+				space, size = runeSpaceAt(c.b[scanned:n])
 			}
 			if !space && !inField {
 				fields++
@@ -245,16 +276,67 @@ func (d *Decoder) longLine(b []byte) ([]byte, error) {
 			inField = !space
 			scanned += size
 		}
-		if broken := d.breaksLineRule(len(d.long), fields); broken != "" {
+		if broken := d.breaksLineRule(n, fields); broken != "" {
 			d.err = fmt.Errorf("trace: line %d: line of %s", d.line+1, broken)
-			return nil, d.err
+			return false
 		}
-		if err != bufio.ErrBufferFull {
-			return d.long, err
+		switch {
+		case k >= 0:
+			c.from, c.i = 0, 0
+			c.lex()
+			return true
+		case !more:
+			return d.lastLine(0)
 		}
-		b, err = d.br.ReadSlice('\n')
-		d.long = append(d.long, b...)
 	}
+}
+
+// lastLine takes what the window holds from start as the stream's last
+// line, once the reader has stopped: it fails on a read error, is no
+// line at all when empty, and is ended by the '\n' fill wrote past the
+// window's bytes.
+func (d *Decoder) lastLine(start int) bool {
+	c := &d.cur
+	switch {
+	case d.rerr != io.EOF:
+		if d.err == nil {
+			d.err = fmt.Errorf("trace: line %d: read: %w", d.line+1, d.rerr)
+		}
+		return false
+	case start == c.n:
+		return false
+	}
+	c.n++
+	c.from, c.i = start, start
+	c.lex()
+	return true
+}
+
+// fill reads the stream into the window until it holds want bytes, the
+// stream ends or a read fails, growing the window to hold them, and
+// writes a '\n' past the bytes read.
+func (d *Decoder) fill(want int) {
+	c := &d.cur
+	if want+wordSlack > len(c.b) {
+		b := make([]byte, max(2*len(c.b), want+wordSlack))
+		copy(b, c.b[:c.n])
+		c.b = b
+	}
+	for empty := 0; c.n < want && d.rerr == nil; {
+		k, err := d.r.Read(c.b[c.n : len(c.b)-wordSlack])
+		c.n += k
+		switch {
+		case err != nil:
+			d.rerr = err
+		case k > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 { // as bufio gives up on a reader
+				d.rerr = io.ErrNoProgress
+			}
+		}
+	}
+	c.b[c.n] = '\n'
 }
 
 // breaksLineRule says how a line of n bytes and the given fields breaks
@@ -273,34 +355,134 @@ func (d *Decoder) breaksLineRule(n, fields int) string {
 	return ""
 }
 
-// fields splits a line around runs of white space, as strings.Fields
-// does, into the decoder's field buffer: the result is only good until
-// the next call. ASCII bytes are looked up in asciiSpace, and only a
-// multi-byte rune is decoded.
-func (d *Decoder) fields(line []byte) [][]byte {
-	f := d.f[:0]
-	start := -1
-	for i := 0; i < len(line); {
-		space, size := asciiSpace[line[i]], 1
-		if line[i] >= utf8.RuneSelf {
-			space, size = runeSpaceAt(line[i:])
-		}
-		if !space {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			f = append(f, line[start:i])
-			start = -1
-		}
-		i += size
+// text is the line being parsed as its errors quote it: comment cut
+// off, white space trimmed.
+func (d *Decoder) text() []byte {
+	b := d.cur.b[d.cur.from:d.cur.end]
+	if i := bytes.IndexByte(b, '#'); i >= 0 {
+		b = b[:i]
 	}
-	if start >= 0 {
-		f = append(f, line[start:])
-	}
-	d.f = f
-	return f
+	return bytes.TrimSpace(b)
 }
+
+// A cursor walks a line of the decoder's window once, recording where
+// its tokens lie: the runs of bytes between white space, as
+// strings.Fields splits them, up to the first '#', which opens a comment
+// running to the line's '\n'. The window b holds n bytes read, then a
+// '\n', then room for a word read from that '\n'; the line being
+// walked is b[from:end].
+type cursor struct {
+	b               []byte
+	n, from, i, end int
+	// tok holds where the ntok tokens lex read last lie.
+	ntok int
+	tok  [8][2]int
+}
+
+// wordSlack is the room a window keeps past the bytes it holds: a '\n',
+// and seven bytes more for a word read from that '\n'.
+const wordSlack = 8
+
+// lex reads the line's next tokens from i, as many as tok holds, and
+// returns how many it read: none at the line's end or comment. It stops
+// at the line's '\n', and sets end past it. A token's end is looked for
+// eight bytes at a time; a multi-byte rune is decoded, and separates
+// tokens when unicode.IsSpace reports it.
+func (c *cursor) lex() int {
+	b, i, n := c.b, c.i, 0
+tokens:
+	for n < len(c.tok) {
+		switch byteClass[b[i]] {
+		case spaceByte:
+			i++
+			continue
+		case newlineByte:
+			c.end = i + 1
+			break tokens
+		case hashByte:
+			break tokens
+		case runeByte:
+			if space, size := runeSpaceAt(b[i:]); space {
+				i += size
+				continue
+			}
+		}
+		start := i
+		for {
+			x := binary.LittleEndian.Uint64(b[i : i+8])
+			m := stops(x)
+			if m == 0 {
+				i += 8
+				continue
+			}
+			z := bits.TrailingZeros64(m) &^ 7 // the stop byte's shift in x
+			i += z / 8
+			if k := byteClass[byte(x>>z)]; k == tokenByte { // an ASCII control byte
+				i++
+			} else if k != runeByte {
+				break
+			} else if space, size := runeSpaceAt(b[i:]); !space {
+				i += size
+			} else {
+				break
+			}
+		}
+		c.tok[n] = [2]int{start, i}
+		n++
+	}
+	c.i, c.ntok = i, n
+	return n
+}
+
+// token returns token k of those lex read last.
+func (c *cursor) token(k int) []byte { return c.b[c.tok[k][0]:c.tok[k][1]] }
+
+// args counts the operands that follow the line's directive, lexing the
+// rest of the line when tok is full, and returns the line's last token.
+// arg hands out the operands while tok holds the whole line.
+func (c *cursor) args() (n int, last []byte) {
+	n, last = c.ntok-1, c.token(c.ntok-1)
+	for c.ntok == len(c.tok) && c.lex() > 0 {
+		n, last = n+c.ntok, c.token(c.ntok-1)
+	}
+	return n, last
+}
+
+// arg returns operand k, the token after the directive's k+1st.
+func (c *cursor) arg(k int) []byte { return c.token(k + 1) }
+
+// stops marks, in the top bit of each byte of the word x, the bytes that
+// may end a token: those below '!' (ASCII white space and control
+// bytes), '#', and those of multi-byte runes (0x80 and up). The lowest
+// mark is exact; a borrow may add marks above it.
+func stops(x uint64) uint64 {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	h := x ^ ones*'#'
+	return ((x-ones*'!')&^x | (h-ones)&^h | x) & tops
+}
+
+// The classes of a line's bytes. An ASCII byte's is looked up; a byte
+// of runeByte opens a multi-byte rune or is invalid UTF-8, and the rune
+// it opens is decoded.
+const (
+	tokenByte uint8 = iota
+	spaceByte
+	newlineByte
+	hashByte
+	runeByte
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range "\t\v\f\r " {
+		c[b] = spaceByte
+	}
+	c['\n'] = newlineByte
+	c['#'] = hashByte
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = runeByte
+	}
+	return c
+}()
 
 // runeSpaceAt reports whether b opens with a multi-byte rune that
 // unicode.IsSpace reports — invalid UTF-8 is not white space — and the
@@ -310,9 +492,6 @@ func runeSpaceAt(b []byte) (bool, int) {
 	return unicode.IsSpace(r), size
 }
 
-// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
-var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
 // Next decodes and returns the next trace, or io.EOF after the last
 // one. The first call validates the stream header.
 func (d *Decoder) Next() (*Trace, error) {
@@ -320,20 +499,19 @@ func (d *Decoder) Next() (*Trace, error) {
 		return nil, d.err
 	}
 	if !d.headerOK {
-		line, ok := d.next()
+		tok, ok := d.next()
 		if !ok {
 			if d.err != nil {
 				return nil, d.err
 			}
 			return nil, io.EOF
 		}
-		f := d.fields(line)
-		if len(f) != 2 || string(f[0]) != "mctrace" {
-			return nil, d.errf("expected header %q, got %q", TextHeader, line)
+		if n, _ := d.cur.args(); n != 1 || string(tok) != "mctrace" {
+			return nil, d.errf("expected header %q, got %q", TextHeader, d.text())
 		}
-		v, err := strconv.Atoi(string(f[1]))
+		v, err := strconv.Atoi(string(d.cur.arg(0)))
 		if err != nil || v < 1 {
-			return nil, d.errf("malformed trace format version %q", f[1])
+			return nil, d.errf("malformed trace format version %q", d.cur.arg(0))
 		}
 		if v != FormatVersion {
 			return nil, d.errf("unsupported trace format version %d (decoder speaks %d)", v, FormatVersion)
@@ -341,7 +519,7 @@ func (d *Decoder) Next() (*Trace, error) {
 		d.headerOK = true
 	}
 
-	line, ok := d.next()
+	tok, ok := d.next()
 	if !ok {
 		if d.err != nil {
 			return nil, d.err
@@ -350,61 +528,60 @@ func (d *Decoder) Next() (*Trace, error) {
 	}
 	t := &Trace{}
 	d.threads, d.ops, d.rf, d.co, d.coRefs = d.threads[:0], d.ops[:0], d.rf[:0], d.co[:0], d.coRefs[:0]
-	f := d.fields(line)
-	switch string(f[0]) {
+	switch string(tok) {
 	case "trace":
-		if len(f) > 2 {
-			return nil, d.errf("trace takes at most one name token, got %q", line)
-		}
-		if len(f) == 2 {
-			if len(f[1]) > maxNameLen {
-				return nil, d.errf("trace name length %d exceeds limit %d", len(f[1]), maxNameLen)
+		switch n, _ := d.cur.args(); n {
+		case 0:
+		case 1:
+			name := d.cur.arg(0)
+			if len(name) > maxNameLen {
+				return nil, d.errf("trace name length %d exceeds limit %d", len(name), maxNameLen)
 			}
-			t.Name = string(f[1])
+			t.Name = string(name)
+		default:
+			return nil, d.errf("trace takes at most one name token, got %q", d.text())
 		}
 	case "thread":
 		// A trace may start implicitly at its first thread.
-		if err := d.thread(f); err != nil {
+		if err := d.thread(); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, d.errf("expected 'trace' or 'thread', got %q", f[0])
+		return nil, d.errf("expected 'trace' or 'thread', got %q", tok)
 	}
 
 	for {
-		line, ok := d.next()
+		tok, ok := d.next()
 		if !ok {
 			if d.err != nil {
 				return nil, d.err
 			}
 			return nil, d.errf("unexpected end of stream: trace %s not closed with 'end'", t.label())
 		}
-		f := d.fields(line)
-		switch string(f[0]) {
+		switch string(tok) {
 		case "end":
-			if len(f) != 1 {
-				return nil, d.errf("'end' takes no arguments, got %q", line)
+			if n, _ := d.cur.args(); n != 0 {
+				return nil, d.errf("'end' takes no arguments, got %q", d.text())
 			}
 			d.finish(t)
 			return t, nil
 		case "thread":
-			if err := d.thread(f); err != nil {
+			if err := d.thread(); err != nil {
 				return nil, err
 			}
 		case "r", "w", "f", "u":
 			if len(d.threads) == 0 {
-				return nil, d.errf("op %q before any 'thread' line", line)
+				return nil, d.errf("op %q before any 'thread' line", d.text())
 			}
-			op, err := d.op(f)
-			if err != nil {
+			d.ops = append(d.ops, Op{})
+			if err := d.op(tok, &d.ops[len(d.ops)-1]); err != nil {
 				return nil, err
 			}
-			if len(d.ops) == maxCount {
+			if len(d.ops) > maxCount {
 				return nil, d.errf("thread %d has more than %d ops", d.threads[len(d.threads)-1].TID, maxCount)
 			}
-			d.ops = append(d.ops, op)
 		case "rf":
-			edge, err := d.rfEdge(f)
+			edge, err := d.rfEdge()
 			if err != nil {
 				return nil, err
 			}
@@ -413,13 +590,13 @@ func (d *Decoder) Next() (*Trace, error) {
 			}
 			d.rf = append(d.rf, edge)
 		case "co":
-			if err := d.coOrder(f); err != nil {
+			if err := d.coOrder(); err != nil {
 				return nil, err
 			}
 		case "trace":
 			return nil, d.errf("trace %s not closed with 'end' before the next 'trace'", t.label())
 		default:
-			return nil, d.errf("unknown directive %q", f[0])
+			return nil, d.errf("unknown directive %q", tok)
 		}
 	}
 }
@@ -461,15 +638,17 @@ func exact[T any](s []T) []T {
 	return t
 }
 
-func (d *Decoder) thread(f [][]byte) error {
-	if len(f) != 2 {
-		return d.errf("'thread' takes exactly one TID, got %d tokens", len(f)-1)
+// thread parses the rest of a thread line and opens the thread.
+func (d *Decoder) thread() error {
+	if n, _ := d.cur.args(); n != 1 {
+		return d.errf("'thread' takes exactly one TID, got %d tokens", n)
 	}
-	tid, ok := smallDecimal(f[1])
+	tok := d.cur.arg(0)
+	tid, ok := smallDecimal(tok)
 	if !ok {
 		var err error
-		if tid, err = strconv.Atoi(string(f[1])); err != nil {
-			return d.errf("malformed thread id %q: %v", f[1], err)
+		if tid, err = strconv.Atoi(string(tok)); err != nil {
+			return d.errf("malformed thread id %q: %v", tok, err)
 		}
 	}
 	if tid < 0 {
@@ -486,47 +665,47 @@ func (d *Decoder) thread(f [][]byte) error {
 	return nil
 }
 
-// op parses one r/w/f/u line into an Op.
-func (d *Decoder) op(f [][]byte) (Op, error) {
-	var op Op
-	args := f[1:]
+// op parses the rest of an r/w/f/u line into op, which is zero.
+func (d *Decoder) op(kind []byte, op *Op) error {
+	c := &d.cur
+	n, last := c.args()
 	// Peel the trailing key pin, if present.
-	if len(args) > 0 && args[len(args)-1][0] == '@' {
-		instr, sub, err := parseKeyPin(args[len(args)-1])
+	if n > 0 && last[0] == '@' {
+		instr, sub, err := parseKeyPin(last)
 		if err != nil {
-			return op, d.errf("%v", err)
+			return d.errf("%v", err)
 		}
 		op.Keyed, op.Instr, op.Sub = true, instr, sub
-		args = args[:len(args)-1]
+		n--
 	}
-	switch f[0][0] {
+	switch kind[0] {
 	case 'r', 'w':
 		op.Kind = OpRead
-		if f[0][0] == 'w' {
+		if kind[0] == 'w' {
 			op.Kind = OpWrite
 		}
-		if len(args) == 3 && string(args[2]) == "a" {
+		if n == 3 && string(c.arg(2)) == "a" {
 			op.Atomic = true
-			args = args[:2]
+			n = 2
 		}
-		if len(args) != 2 {
-			return op, d.errf("'%s' takes <addr> <val> [a], got %d args", f[0], len(args))
+		if n != 2 {
+			return d.errf("'%s' takes <addr> <val> [a], got %d args", kind, n)
 		}
-		addr, err := parseAddr(args[0])
+		addr, err := parseAddr(c.arg(0))
 		if err != nil {
-			return op, d.errf("%v", err)
+			return d.errf("%v", err)
 		}
-		val, err := parseUint(args[1])
+		val, err := parseUint(c.arg(1))
 		if err != nil {
-			return op, d.errf("malformed value %q: %v", args[1], err)
+			return d.errf("malformed value %q: %v", c.arg(1), err)
 		}
 		op.Addr, op.Value = addr, val
 	case 'f':
-		if len(args) != 1 {
-			return op, d.errf("'f' takes one fence kind, got %d args", len(args))
+		if n != 1 {
+			return d.errf("'f' takes one fence kind, got %d args", n)
 		}
 		op.Kind = OpFence
-		switch string(args[0]) {
+		switch string(c.arg(0)) {
 		case "full":
 			op.Fence = memmodel.FenceFull
 		case "ss":
@@ -534,48 +713,50 @@ func (d *Decoder) op(f [][]byte) (Op, error) {
 		case "ll":
 			op.Fence = memmodel.FenceLL
 		default:
-			return op, d.errf("unknown fence kind %q (want full, ss, or ll)", args[0])
+			return d.errf("unknown fence kind %q (want full, ss, or ll)", c.arg(0))
 		}
 	case 'u':
-		if len(args) != 3 {
-			return op, d.errf("'u' takes <addr> <rval> <wval>, got %d args", len(args))
+		if n != 3 {
+			return d.errf("'u' takes <addr> <rval> <wval>, got %d args", n)
 		}
 		op.Kind = OpRMW
-		addr, err := parseAddr(args[0])
+		addr, err := parseAddr(c.arg(0))
 		if err != nil {
-			return op, d.errf("%v", err)
+			return d.errf("%v", err)
 		}
-		rv, err := parseUint(args[1])
+		rv, err := parseUint(c.arg(1))
 		if err != nil {
-			return op, d.errf("malformed read value %q: %v", args[1], err)
+			return d.errf("malformed read value %q: %v", c.arg(1), err)
 		}
-		wv, err := parseUint(args[2])
+		wv, err := parseUint(c.arg(2))
 		if err != nil {
-			return op, d.errf("malformed write value %q: %v", args[2], err)
+			return d.errf("malformed write value %q: %v", c.arg(2), err)
 		}
 		op.Addr, op.Value, op.Value2 = addr, rv, wv
 		if op.Keyed && op.Sub != 0 {
-			return op, d.errf("'u' key pin takes no sub (the pair is always subs 0 and 1)")
+			return d.errf("'u' key pin takes no sub (the pair is always subs 0 and 1)")
 		}
 	}
-	return op, nil
+	return nil
 }
 
-func (d *Decoder) rfEdge(f [][]byte) (RFEdge, error) {
+// rfEdge parses the rest of an rf line.
+func (d *Decoder) rfEdge() (RFEdge, error) {
 	var e RFEdge
-	if len(f) != 3 {
-		return e, d.errf("'rf' takes <read-ref> <write-ref>|init, got %d args", len(f)-1)
+	c := &d.cur
+	if n, _ := c.args(); n != 2 {
+		return e, d.errf("'rf' takes <read-ref> <write-ref>|init, got %d args", n)
 	}
-	read, err := parseRef(f[1])
+	read, err := parseRef(c.arg(0))
 	if err != nil {
 		return e, d.errf("%v", err)
 	}
 	e.Read = read
-	if string(f[2]) == "init" {
+	if string(c.arg(1)) == "init" {
 		e.Init = true
 		return e, nil
 	}
-	w, err := parseRef(f[2])
+	w, err := parseRef(c.arg(1))
 	if err != nil {
 		return e, d.errf("%v", err)
 	}
@@ -583,21 +764,27 @@ func (d *Decoder) rfEdge(f [][]byte) (RFEdge, error) {
 	return e, nil
 }
 
-// coOrder parses one co line into the decoder's co storage.
-func (d *Decoder) coOrder(f [][]byte) error {
-	if len(f) < 3 {
+// coOrder parses the rest of a co line into the decoder's co storage.
+func (d *Decoder) coOrder() error {
+	c := &d.cur
+	if c.ntok < 3 {
 		return d.errf("'co' takes <addr> and at least one write ref")
 	}
-	addr, err := parseAddr(f[1])
+	addr, err := parseAddr(c.arg(0))
 	if err != nil {
 		return d.errf("%v", err)
 	}
-	for _, tok := range f[2:] {
-		ref, err := parseRef(tok)
-		if err != nil {
-			return d.errf("%v", err)
+	for k := 2; ; k = 0 {
+		for ; k < c.ntok; k++ {
+			ref, err := parseRef(c.token(k))
+			if err != nil {
+				return d.errf("%v", err)
+			}
+			d.coRefs = append(d.coRefs, ref)
 		}
-		d.coRefs = append(d.coRefs, ref)
+		if c.ntok < len(c.tok) || c.lex() == 0 {
+			break
+		}
 	}
 	if len(d.co) == maxCount {
 		return d.errf("more than %d co orders", maxCount)
@@ -622,17 +809,14 @@ func parseUint(b []byte) (uint64, error) {
 	var v uint64
 	switch {
 	case len(b) > 2 && b[0] == '0' && b[1]|0x20 == 'x' && len(b) <= 18:
+		var bad byte
 		for _, c := range b[2:] {
-			switch {
-			case c-'0' < 10:
-				v = v<<4 | uint64(c-'0')
-			case c|0x20-'a' < 6:
-				v = v<<4 | uint64(c|0x20-'a'+10)
-			default:
-				return strconv.ParseUint(string(b), 0, 64)
-			}
+			v = v<<4 | uint64(hexDigit[c]&0xf)
+			bad |= hexDigit[c]
 		}
-		return v, nil
+		if bad < 0x10 {
+			return v, nil
+		}
 	case len(b) > 0 && len(b) <= 19 && (b[0] != '0' || len(b) == 1):
 		for _, c := range b {
 			if c-'0' >= 10 {
@@ -644,6 +828,22 @@ func parseUint(b []byte) (uint64, error) {
 	}
 	return strconv.ParseUint(string(b), 0, 64)
 }
+
+// hexDigit is the value of each hex digit, in either case, and 0xff
+// for every other byte.
+var hexDigit = func() (h [256]byte) {
+	for c := range h {
+		switch {
+		case c >= '0' && c <= '9':
+			h[c] = byte(c - '0')
+		case c|0x20 >= 'a' && c|0x20 <= 'f':
+			h[c] = byte(c | 0x20 - 'a' + 10)
+		default:
+			h[c] = 0xff
+		}
+	}
+	return h
+}()
 
 // smallDecimal reads b if it is 1 to 9 decimal digits, the spellings of
 // an int-typed field that cannot reach maxIntField.
@@ -676,10 +876,33 @@ func parseIntField(b []byte) (int32, bool) {
 	return int32(v), true
 }
 
+// leadField parses the int-typed field that opens b and runs to b's
+// first sep byte, or to its end, and returns what follows that byte;
+// found reports whether there was one. The field's digits are read as
+// the sep byte is looked for, and any spelling but 1 to 9 digits goes
+// to parseIntField.
+func leadField(b []byte, sep byte) (v int32, rest []byte, found, ok bool) {
+	i, x := 0, 0
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		x = x*10 + int(b[i]-'0')
+	}
+	end := i
+	for end < len(b) && b[end] != sep {
+		end++
+	}
+	if end < len(b) {
+		rest, found = b[end+1:], true
+	}
+	if i == end && i > 0 && i <= 9 {
+		return int32(x), rest, found, true
+	}
+	v, ok = parseIntField(b[:end])
+	return v, rest, found, ok
+}
+
 // parseKeyPin parses "@i" or "@i.s".
 func parseKeyPin(b []byte) (instr, sub int32, err error) {
-	is, ss, dotted := bytes.Cut(b[1:], []byte{'.'})
-	instr, ok := parseIntField(is)
+	instr, ss, dotted, ok := leadField(b[1:], '.')
 	if ok && dotted {
 		sub, ok = parseIntField(ss)
 	}
@@ -692,15 +915,15 @@ func parseKeyPin(b []byte) (instr, sub int32, err error) {
 // parseRef parses "tid:instr" or "tid:instr.sub".
 func parseRef(b []byte) (Ref, error) {
 	var r Ref
-	ts, rest, ok := bytes.Cut(b, []byte{':'})
-	if !ok {
+	tid, rest, colon, ok := leadField(b, ':')
+	if !colon {
 		return r, fmt.Errorf("malformed event ref %q (want tid:instr[.sub])", b)
 	}
-	if r.TID, ok = parseIntField(ts); !ok {
+	if r.TID = tid; !ok {
 		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad tid)", b)
 	}
-	is, ss, dotted := bytes.Cut(rest, []byte{'.'})
-	if r.Instr, ok = parseIntField(is); !ok {
+	instr, ss, dotted, ok := leadField(rest, '.')
+	if r.Instr = instr; !ok {
 		return r, fmt.Errorf("malformed or out-of-range event ref %q (bad instr)", b)
 	}
 	if dotted {

@@ -359,23 +359,34 @@ end
 	}
 }
 
-// TestDecoderFieldsMatchStringsFields: the decoder's line splitter
-// separates exactly where strings.Fields does — ASCII and Unicode white
-// space, invalid UTF-8 kept as field bytes — from line to line in one
-// buffer.
+// TestDecoderFieldsMatchStringsFields: the decoder's line cursor reads
+// exactly the fields strings.Fields splits the line into before its
+// first '#' — ASCII and Unicode white space separate, invalid UTF-8 is
+// field bytes — however many it takes to read them, and nothing once it
+// has reached the line's end.
 func TestDecoderFieldsMatchStringsFields(t *testing.T) {
-	var d Decoder
 	for _, line := range []string{
-		"", " ", "a", " a ", "r 0x10 1 a @3.1", "co\t0x100  0:1\v1:2\f2:3\r", "w\n1",
+		"", " ", "a", " a ", "r 0x10 1 a @3.1", "co\t0x100  0:1\v1:2\f2:3\r",
 		"ffull", "f full @2", "\u3000trace\u2003x\u00a0", "n\u0085el", "a\xffb \xc2 c\x80", "\u00e9 \u00e8",
 		"\x1c\x1f\x00 x", strings.Repeat("k ", 70), "r 0x10 \u00a0x", "w 1 2\u2003@3", "u 1 2 3\xff",
+		"#", " # a", "w 0x10 1#c", "a\u00a0#b c", "x\xc2#y", "end#", "r 1 2 # 3 4",
 	} {
+		// As the decoder's window holds it: ending in '\n', with room after.
+		b := make([]byte, len(line)+1+wordSlack)
+		b[copy(b, line)] = '\n'
+		c := cursor{b: b, n: len(line) + 1}
 		var got []string
-		for _, f := range d.fields([]byte(line)) {
-			got = append(got, string(f))
+		for c.lex() > 0 {
+			for k := range c.ntok {
+				got = append(got, string(c.token(k)))
+			}
 		}
-		if want := strings.Fields(line); !slices.Equal(got, want) {
-			t.Errorf("fields(%q) = %q, strings.Fields gives %q", line, got, want)
+		if c.lex() != 0 {
+			t.Errorf("cursor over %q reads a token past the line's end", line)
+		}
+		before, _, _ := strings.Cut(line, "#")
+		if want := strings.Fields(before); !slices.Equal(got, want) {
+			t.Errorf("tokens of %q = %q, strings.Fields before '#' gives %q", line, got, want)
 		}
 	}
 }
