@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/oracle"
 )
@@ -73,11 +74,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	traces, err := readTraces(fs.Args(), stdin)
+	//mcvlint:allow nondeterm stream-reading telemetry for -progress; never feeds verdicts
+	readStart := time.Now()
+	traces, readBytes, err := readTraces(fs.Args(), stdin)
 	if err != nil {
 		fmt.Fprintln(stderr, "check:", err)
 		return 2
 	}
+	//mcvlint:allow nondeterm stream-reading telemetry for -progress; never feeds verdicts
+	readWall := time.Since(readStart)
 
 	memo := oracle.NewMemo()
 	var store *oracle.Store
@@ -197,6 +202,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *progress {
+		fmt.Fprintf(stderr, "[obs] stream reading: %d traces, %d bytes in %.1f ms (%.1f MB/s)\n",
+			len(traces), readBytes, readWall.Seconds()*1e3, float64(readBytes)/1e6/max(readWall, time.Nanosecond).Seconds())
 		fmt.Fprintf(stderr, "[obs] %d traces × %d models; phase breakdown: %s\n",
 			len(traces), len(models), phases)
 		d := memo.Stats()
@@ -243,32 +250,51 @@ func resolveModels(spec string) ([]string, error) {
 
 // readTraces decodes every trace from the named files in order, or from
 // stdin when no files (or "-") are given; each stream names its own
-// format. Each file is closed once it is decoded, so any number of files
-// can be read.
-func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, error) {
+// format. It also returns how many bytes it read. Each file is closed
+// once it is decoded, so any number of files can be read.
+func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, int64, error) {
 	if len(files) == 0 {
 		files = []string{"-"}
 	}
-	var traces []*oracle.Trace
+	var (
+		traces []*oracle.Trace
+		read   int64
+	)
 	for _, name := range files {
 		if name == "-" {
+			in := &countingReader{r: stdin}
 			var err error
-			if traces, err = decodeTraces(traces, stdin, ""); err != nil {
-				return nil, err
+			if traces, err = decodeTraces(traces, in, ""); err != nil {
+				return nil, 0, err
 			}
+			read += in.n
 			continue
 		}
 		f, err := os.Open(name)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		traces, err = decodeTraces(traces, f, name)
+		in := &countingReader{r: f}
+		traces, err = decodeTraces(traces, in, name)
 		f.Close()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		read += in.n
 	}
-	return traces, nil
+	return traces, read, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // decodeTraces appends every trace of r to traces. An error met past the

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -292,5 +293,42 @@ func TestDurableStoreWarm(t *testing.T) {
 	}
 	if !strings.Contains(errWarm.String(), "durable") {
 		t.Errorf("warm -progress output %q does not report durable hits", errWarm.String())
+	}
+}
+
+// TestProgressReportsStreamReading: -progress prints one [obs] line for
+// reading the input streams — the traces and bytes read, over every
+// input — beside the phase breakdown, and a run without it prints none.
+func TestProgressReportsStreamReading(t *testing.T) {
+	in := corpusText(t)
+	corpus, err := oracle.LitmusCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-model", "SC", "-progress"}, bytes.NewReader(in), &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d (stderr %q), want 1", code, errb.String())
+	}
+	want := fmt.Sprintf("[obs] stream reading: %d traces, %d bytes in ", len(corpus), len(in))
+	var lines []string
+	for _, l := range strings.Split(errb.String(), "\n") {
+		if strings.HasPrefix(l, "[obs] stream reading:") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], want) || !strings.HasSuffix(lines[0], " MB/s)") {
+		t.Errorf("-progress printed stream-reading lines %q, want one starting %q", lines, want)
+	}
+	if !strings.Contains(errb.String(), "phase breakdown") {
+		t.Errorf("-progress output %q lacks the phase breakdown", errb.String())
+	}
+
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-model", "SC"}, bytes.NewReader(in), &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d (stderr %q), want 1", code, errb.String())
+	}
+	if strings.Contains(errb.String(), "[obs]") {
+		t.Errorf("a run without -progress printed %q", errb.String())
 	}
 }

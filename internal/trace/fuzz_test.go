@@ -82,22 +82,9 @@ func materializeBothWays(t *testing.T, tr *Trace) {
 // traces (decode∘encode is the identity on the decoder's image up to
 // canonicalization of a second pass), in text and in binary.
 func FuzzTextDecoder(f *testing.F) {
-	f.Add("mctrace 1\ntrace mp\nthread 1\nw 0x100 1\nw 0x140 1\nthread 2\nr 0x140 1\nr 0x100 0\nrf 2:0 1:1\nrf 2:1 init\nco 0x100 1:0\nco 0x140 1:1\nend\n")
-	f.Add("mctrace 1\ntrace\nthread 0\nu 0x100 0 1\nf full\nf ss\nf ll\nw 0x100 2 a @7\nend\n")
-	f.Add("mctrace 1\n# comment\n\ntrace x\nthread 3\nr 0x0 0\nend\ntrace y\nthread 0\nend\n")
-	f.Add("mctrace 2\n")
-	f.Add("mctrace 1\ntrace t\nthread 0\nw 99999999999999999999 1\nend\n")
-	f.Add("")
-	var extreme bytes.Buffer
-	if err := WriteText(&extreme, extremeTrace()); err != nil {
-		f.Fatal(err)
+	for _, in := range textDecoderSeeds(f) {
+		f.Add(in)
 	}
-	f.Add(extreme.String())
-	f.Add("mctrace 1\ntrace sparse\nthread 2147483647\nw 0xfffffffffffffff8 1 @2147483647\nr 0xfffffffffffffff8 1 @5.2147483647\nthread 0\nf ll @99\nr 0xfffffffffffffff8 0 @7\nrf 0:7 init\nend\n")
-	// Non-canonical spellings the decoder hands to strconv: octal, 0o,
-	// 0b, upper-case hex, underscores, signs and leading zeros.
-	f.Add("mctrace 1\ntrace spelled\nthread +07\nw 0o400 0b101 a @+3.00\nw 0X1_00 017 @4\nu 0x_100 1_000 0 @05\nr 0400 18446744073709551615\nrf 7:6 +7:04.1\nco 256 07:3.00 7:4 7:5.1\nend\n")
-	f.Add("mctrace 1\ntrace bad\nthread 0\nw 0x 1\nw 0x1_ 18446744073709551616 @0.2147483648\nend\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		traces, err := DecodeAll(bytes.NewReader([]byte(in)))
 		if err != nil {
@@ -128,6 +115,30 @@ func FuzzTextDecoder(f *testing.F) {
 			materializeBothWays(t, tr)
 		}
 	})
+}
+
+// textDecoderSeeds are FuzzTextDecoder's seeds, in the order it adds
+// them: well-formed streams, streams at the formats' ceilings, and
+// streams the decoder must refuse.
+func textDecoderSeeds(f *testing.F) []string {
+	var extreme bytes.Buffer
+	if err := WriteText(&extreme, extremeTrace()); err != nil {
+		f.Fatal(err)
+	}
+	return []string{
+		"mctrace 1\ntrace mp\nthread 1\nw 0x100 1\nw 0x140 1\nthread 2\nr 0x140 1\nr 0x100 0\nrf 2:0 1:1\nrf 2:1 init\nco 0x100 1:0\nco 0x140 1:1\nend\n",
+		"mctrace 1\ntrace\nthread 0\nu 0x100 0 1\nf full\nf ss\nf ll\nw 0x100 2 a @7\nend\n",
+		"mctrace 1\n# comment\n\ntrace x\nthread 3\nr 0x0 0\nend\ntrace y\nthread 0\nend\n",
+		"mctrace 2\n",
+		"mctrace 1\ntrace t\nthread 0\nw 99999999999999999999 1\nend\n",
+		"",
+		extreme.String(),
+		"mctrace 1\ntrace sparse\nthread 2147483647\nw 0xfffffffffffffff8 1 @2147483647\nr 0xfffffffffffffff8 1 @5.2147483647\nthread 0\nf ll @99\nr 0xfffffffffffffff8 0 @7\nrf 0:7 init\nend\n",
+		// Non-canonical spellings the decoder hands to strconv: octal, 0o,
+		// 0b, upper-case hex, underscores, signs and leading zeros.
+		"mctrace 1\ntrace spelled\nthread +07\nw 0o400 0b101 a @+3.00\nw 0X1_00 017 @4\nu 0x_100 1_000 0 @05\nr 0400 18446744073709551615\nrf 7:6 +7:04.1\nco 256 07:3.00 7:4 7:5.1\nend\n",
+		"mctrace 1\ntrace bad\nthread 0\nw 0x 1\nw 0x1_ 18446744073709551616 @0.2147483648\nend\n",
+	}
 }
 
 // FuzzTextNumbers: a token spelled as a thread id, an address, a value,

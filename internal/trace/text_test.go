@@ -152,95 +152,7 @@ func TestLinePreciseErrors(t *testing.T) {
 // here. The table was recorded from the decoder that split each line
 // into fields before parsing it; never re-record it for a codec change.
 func TestTextEdgeCasesPinned(t *testing.T) {
-	for _, c := range []struct{ name, in, want string }{
-		{"tab-separated tokens",
-			"mctrace 1\ntrace tabs\nthread\t0\nw\t0x10\t1\ta\t@3\nr\t0x10\t1\nrf\t0:1\t0:3\nco\t0x10\t0:3\nend\n",
-			"mctrace 1\ntrace tabs\nthread 0\nw 0x10 1 a @3\nr 0x10 1\nrf 0:1 0:3\nco 0x10 0:3\nend\n"},
-		{"a tab-separated arity error",
-			"mctrace\t1\ntrace tabs\nthread\t0\nw\t0x10\t1\tA\t@3\nend\n",
-			"trace: line 4: 'w' takes <addr> <val> [a], got 3 args"},
-		{"U+00A0 and U+0085 as separators",
-			"mctrace\u00a01\ntrace\u0085nbsp\nthread\u00a00\nw\u00a00x10\u00851\nr 0x10\u00851\u00a0@4.2\nrf\u00850:4.2\u00a00:0\nend\u00a0\n",
-			"mctrace 1\ntrace nbsp\nthread 0\nw 0x10 1\nr 0x10 1 @4.2\nrf 0:4.2 0:0\nend\n"},
-		{"a line of multi-byte blanks",
-			"mctrace 1\ntrace b\n\u00a0\u0085\u3000\nthread 0\nend\n",
-			"mctrace 1\ntrace b\nthread 0\nend\n"},
-		{"# glued to a token",
-			"mctrace 1#c\ntrace glued#c\nthread 0#c\nw 0x10 1#c\nr 0x10 1 @5#c\nf full#c\nrf 0:5 0:0#c\nco 0x10 0:0#c\nend#c\n",
-			"mctrace 1\ntrace glued\nthread 0\nw 0x10 1\nr 0x10 1 @5\nf full\nrf 0:5 0:0\nco 0x10 0:0\nend\n"},
-		{"CRLF endings",
-			"mctrace 1\r\ntrace crlf\r\nthread 0\r\nw 0x10 1 a\r\nr 0x10 1\r\nrf 0:1 0:0\r\nend\r\n",
-			"mctrace 1\ntrace crlf\nthread 0\nw 0x10 1 a\nr 0x10 1\nrf 0:1 0:0\nend\n"},
-		{"trailing blanks",
-			"mctrace 1  \t\ntrace trailing \t \nthread 0 \t\nw 0x10 1 \t  \nu 0x10 1 2 \v\nend \t\n",
-			"mctrace 1\ntrace trailing\nthread 0\nw 0x10 1\nu 0x10 1 2\nend\n"},
-		{"blank lines holding only a comment",
-			"mctrace 1\n   # only a comment\ntrace c\n\t#\nthread 0\n#\nw 0x10 1\n \u00a0# c\nend\n",
-			"mctrace 1\ntrace c\nthread 0\nw 0x10 1\nend\n"},
-		{"upper-case 0X",
-			"mctrace 1\ntrace upper\nthread 0\nw 0X1F 1\nw 0XAbC 0X10\nco 0X1f 0:0\nend\n",
-			"mctrace 1\ntrace upper\nthread 0\nw 0x1f 1\nw 0xabc 16\nco 0x1f 0:0\nend\n"},
-		{"a 20-digit value",
-			"mctrace 1\ntrace twenty\nthread 0\nw 0x10 18446744073709551615\nw 0x10 10000000000000000000\nend\n",
-			"mctrace 1\ntrace twenty\nthread 0\nw 0x10 18446744073709551615\nw 0x10 10000000000000000000\nend\n"},
-		{"a 20-digit value out of range",
-			"mctrace 1\ntrace twenty\nthread 0\nw 0x10 18446744073709551616\nend\n",
-			"trace: line 4: malformed value \"18446744073709551616\": strconv.ParseUint: parsing \"18446744073709551616\": value out of range"},
-		{"a 20-digit address out of range",
-			"mctrace 1\ntrace twenty\nthread 0\nw 99999999999999999999 1\nend\n",
-			"trace: line 4: malformed address \"99999999999999999999\": strconv.ParseUint: parsing \"99999999999999999999\": value out of range"},
-		{"10-digit tid and instr",
-			"mctrace 1\ntrace tid10\nthread 2147483647\nw 0x10 1 @1000000000.1000000000\nthread 1000000000\nr 0x10 1 @2147483647\nrf 1000000000:2147483647 2147483647:1000000000.1000000000\nend\n",
-			"mctrace 1\ntrace tid10\nthread 2147483647\nw 0x10 1 @1000000000.1000000000\nthread 1000000000\nr 0x10 1 @2147483647\nrf 1000000000:2147483647 2147483647:1000000000.1000000000\nend\n"},
-		{"a 10-digit tid out of range",
-			"mctrace 1\ntrace tid10\nthread 9999999999\nend\n",
-			"trace: line 3: thread id 9999999999 out of range (limit 2147483648)"},
-		{"a 10-digit instr out of range",
-			"mctrace 1\ntrace tid10\nthread 0\nw 0x10 1 @9999999999\nend\n",
-			"trace: line 4: malformed or out-of-range key pin \"@9999999999\""},
-		{"a 10-digit ref instr out of range",
-			"mctrace 1\ntrace tid10\nthread 0\nr 0x10 1\nrf 0:2147483648 init\nend\n",
-			"trace: line 5: malformed or out-of-range event ref \"0:2147483648\" (bad instr)"},
-		{"@7. with an empty sub",
-			"mctrace 1\ntrace emptysub\nthread 0\nw 0x10 1 @7.\nend\n",
-			"trace: line 4: malformed or out-of-range key pin \"@7.\""},
-		{"@ alone",
-			"mctrace 1\ntrace emptypin\nthread 0\nw 0x10 1 @\nend\n",
-			"trace: line 4: malformed or out-of-range key pin \"@\""},
-		{"@.1 with an empty instr",
-			"mctrace 1\ntrace emptypin\nthread 0\nw 0x10 1 @.1\nend\n",
-			"trace: line 4: malformed or out-of-range key pin \"@.1\""},
-		{"1: in a co order",
-			"mctrace 1\ntrace emptyinstr\nthread 0\nw 0x10 1\nco 0x10 1:\nend\n",
-			"trace: line 5: malformed or out-of-range event ref \"1:\" (bad instr)"},
-		{"1: in an rf edge",
-			"mctrace 1\ntrace emptyinstr\nthread 0\nr 0x10 1\nrf 0:0 1:\nend\n",
-			"trace: line 5: malformed or out-of-range event ref \"1:\" (bad instr)"},
-		{"0:0. with an empty sub",
-			"mctrace 1\ntrace emptysub\nthread 0\nr 0x10 1\nrf 0:0. init\nend\n",
-			"trace: line 5: malformed or out-of-range event ref \"0:0.\" (bad sub)"},
-		{":0 with an empty tid",
-			"mctrace 1\ntrace emptytid\nthread 0\nr 0x10 1\nrf :0 init\nend\n",
-			"trace: line 5: malformed or out-of-range event ref \":0\" (bad tid)"},
-		{"a ref with two colons",
-			"mctrace 1\ntrace colons\nthread 0\nr 0x10 1\nrf 0:0:1 init\nend\n",
-			"trace: line 5: malformed or out-of-range event ref \"0:0:1\" (bad instr)"},
-		{"an error quoting its line",
-			"mctrace 1\ntrace q\nthread 0\n \tend  x\u00a0# c\n",
-			"trace: line 4: 'end' takes no arguments, got \"end  x\""},
-		{"a header error quoting its line",
-			"\u3000mctrace  1 2\t# c\n",
-			"trace: line 1: expected header \"mctrace 1\", got \"mctrace  1 2\""},
-		{"an op before its thread",
-			"mctrace 1\ntrace q\n\tw\t0x10  1 # c\nend\n",
-			"trace: line 3: op \"w\\t0x10  1\" before any 'thread' line"},
-		{"a trace of two names",
-			"mctrace 1\ntrace a  b #c\nend\n",
-			"trace: line 2: trace takes at most one name token, got \"trace a  b\""},
-		{"invalid UTF-8 inside a token",
-			"mctrace 1\ntrace n\xffm\nthread 0\nw 0x10 1\xff\nend\n",
-			"trace: line 4: malformed value \"1\\xff\": strconv.ParseUint: parsing \"1\\xff\": invalid syntax"},
-	} {
+	for _, c := range textEdgeCases {
 		traces, err := DecodeAll(strings.NewReader(c.in))
 		var got string
 		if err != nil {
@@ -256,6 +168,98 @@ func TestTextEdgeCasesPinned(t *testing.T) {
 			t.Errorf("%s: %q decodes to\n%q, want\n%q", c.name, c.in, got, c.want)
 		}
 	}
+}
+
+// textEdgeCases is TestTextEdgeCasesPinned's table: each input with its
+// canonical re-encoding, or the decoder's error on it.
+var textEdgeCases = []struct{ name, in, want string }{
+	{"tab-separated tokens",
+		"mctrace 1\ntrace tabs\nthread\t0\nw\t0x10\t1\ta\t@3\nr\t0x10\t1\nrf\t0:1\t0:3\nco\t0x10\t0:3\nend\n",
+		"mctrace 1\ntrace tabs\nthread 0\nw 0x10 1 a @3\nr 0x10 1\nrf 0:1 0:3\nco 0x10 0:3\nend\n"},
+	{"a tab-separated arity error",
+		"mctrace\t1\ntrace tabs\nthread\t0\nw\t0x10\t1\tA\t@3\nend\n",
+		"trace: line 4: 'w' takes <addr> <val> [a], got 3 args"},
+	{"U+00A0 and U+0085 as separators",
+		"mctrace\u00a01\ntrace\u0085nbsp\nthread\u00a00\nw\u00a00x10\u00851\nr 0x10\u00851\u00a0@4.2\nrf\u00850:4.2\u00a00:0\nend\u00a0\n",
+		"mctrace 1\ntrace nbsp\nthread 0\nw 0x10 1\nr 0x10 1 @4.2\nrf 0:4.2 0:0\nend\n"},
+	{"a line of multi-byte blanks",
+		"mctrace 1\ntrace b\n\u00a0\u0085\u3000\nthread 0\nend\n",
+		"mctrace 1\ntrace b\nthread 0\nend\n"},
+	{"# glued to a token",
+		"mctrace 1#c\ntrace glued#c\nthread 0#c\nw 0x10 1#c\nr 0x10 1 @5#c\nf full#c\nrf 0:5 0:0#c\nco 0x10 0:0#c\nend#c\n",
+		"mctrace 1\ntrace glued\nthread 0\nw 0x10 1\nr 0x10 1 @5\nf full\nrf 0:5 0:0\nco 0x10 0:0\nend\n"},
+	{"CRLF endings",
+		"mctrace 1\r\ntrace crlf\r\nthread 0\r\nw 0x10 1 a\r\nr 0x10 1\r\nrf 0:1 0:0\r\nend\r\n",
+		"mctrace 1\ntrace crlf\nthread 0\nw 0x10 1 a\nr 0x10 1\nrf 0:1 0:0\nend\n"},
+	{"trailing blanks",
+		"mctrace 1  \t\ntrace trailing \t \nthread 0 \t\nw 0x10 1 \t  \nu 0x10 1 2 \v\nend \t\n",
+		"mctrace 1\ntrace trailing\nthread 0\nw 0x10 1\nu 0x10 1 2\nend\n"},
+	{"blank lines holding only a comment",
+		"mctrace 1\n   # only a comment\ntrace c\n\t#\nthread 0\n#\nw 0x10 1\n \u00a0# c\nend\n",
+		"mctrace 1\ntrace c\nthread 0\nw 0x10 1\nend\n"},
+	{"upper-case 0X",
+		"mctrace 1\ntrace upper\nthread 0\nw 0X1F 1\nw 0XAbC 0X10\nco 0X1f 0:0\nend\n",
+		"mctrace 1\ntrace upper\nthread 0\nw 0x1f 1\nw 0xabc 16\nco 0x1f 0:0\nend\n"},
+	{"a 20-digit value",
+		"mctrace 1\ntrace twenty\nthread 0\nw 0x10 18446744073709551615\nw 0x10 10000000000000000000\nend\n",
+		"mctrace 1\ntrace twenty\nthread 0\nw 0x10 18446744073709551615\nw 0x10 10000000000000000000\nend\n"},
+	{"a 20-digit value out of range",
+		"mctrace 1\ntrace twenty\nthread 0\nw 0x10 18446744073709551616\nend\n",
+		"trace: line 4: malformed value \"18446744073709551616\": strconv.ParseUint: parsing \"18446744073709551616\": value out of range"},
+	{"a 20-digit address out of range",
+		"mctrace 1\ntrace twenty\nthread 0\nw 99999999999999999999 1\nend\n",
+		"trace: line 4: malformed address \"99999999999999999999\": strconv.ParseUint: parsing \"99999999999999999999\": value out of range"},
+	{"10-digit tid and instr",
+		"mctrace 1\ntrace tid10\nthread 2147483647\nw 0x10 1 @1000000000.1000000000\nthread 1000000000\nr 0x10 1 @2147483647\nrf 1000000000:2147483647 2147483647:1000000000.1000000000\nend\n",
+		"mctrace 1\ntrace tid10\nthread 2147483647\nw 0x10 1 @1000000000.1000000000\nthread 1000000000\nr 0x10 1 @2147483647\nrf 1000000000:2147483647 2147483647:1000000000.1000000000\nend\n"},
+	{"a 10-digit tid out of range",
+		"mctrace 1\ntrace tid10\nthread 9999999999\nend\n",
+		"trace: line 3: thread id 9999999999 out of range (limit 2147483648)"},
+	{"a 10-digit instr out of range",
+		"mctrace 1\ntrace tid10\nthread 0\nw 0x10 1 @9999999999\nend\n",
+		"trace: line 4: malformed or out-of-range key pin \"@9999999999\""},
+	{"a 10-digit ref instr out of range",
+		"mctrace 1\ntrace tid10\nthread 0\nr 0x10 1\nrf 0:2147483648 init\nend\n",
+		"trace: line 5: malformed or out-of-range event ref \"0:2147483648\" (bad instr)"},
+	{"@7. with an empty sub",
+		"mctrace 1\ntrace emptysub\nthread 0\nw 0x10 1 @7.\nend\n",
+		"trace: line 4: malformed or out-of-range key pin \"@7.\""},
+	{"@ alone",
+		"mctrace 1\ntrace emptypin\nthread 0\nw 0x10 1 @\nend\n",
+		"trace: line 4: malformed or out-of-range key pin \"@\""},
+	{"@.1 with an empty instr",
+		"mctrace 1\ntrace emptypin\nthread 0\nw 0x10 1 @.1\nend\n",
+		"trace: line 4: malformed or out-of-range key pin \"@.1\""},
+	{"1: in a co order",
+		"mctrace 1\ntrace emptyinstr\nthread 0\nw 0x10 1\nco 0x10 1:\nend\n",
+		"trace: line 5: malformed or out-of-range event ref \"1:\" (bad instr)"},
+	{"1: in an rf edge",
+		"mctrace 1\ntrace emptyinstr\nthread 0\nr 0x10 1\nrf 0:0 1:\nend\n",
+		"trace: line 5: malformed or out-of-range event ref \"1:\" (bad instr)"},
+	{"0:0. with an empty sub",
+		"mctrace 1\ntrace emptysub\nthread 0\nr 0x10 1\nrf 0:0. init\nend\n",
+		"trace: line 5: malformed or out-of-range event ref \"0:0.\" (bad sub)"},
+	{":0 with an empty tid",
+		"mctrace 1\ntrace emptytid\nthread 0\nr 0x10 1\nrf :0 init\nend\n",
+		"trace: line 5: malformed or out-of-range event ref \":0\" (bad tid)"},
+	{"a ref with two colons",
+		"mctrace 1\ntrace colons\nthread 0\nr 0x10 1\nrf 0:0:1 init\nend\n",
+		"trace: line 5: malformed or out-of-range event ref \"0:0:1\" (bad instr)"},
+	{"an error quoting its line",
+		"mctrace 1\ntrace q\nthread 0\n \tend  x\u00a0# c\n",
+		"trace: line 4: 'end' takes no arguments, got \"end  x\""},
+	{"a header error quoting its line",
+		"\u3000mctrace  1 2\t# c\n",
+		"trace: line 1: expected header \"mctrace 1\", got \"mctrace  1 2\""},
+	{"an op before its thread",
+		"mctrace 1\ntrace q\n\tw\t0x10  1 # c\nend\n",
+		"trace: line 3: op \"w\\t0x10  1\" before any 'thread' line"},
+	{"a trace of two names",
+		"mctrace 1\ntrace a  b #c\nend\n",
+		"trace: line 2: trace takes at most one name token, got \"trace a  b\""},
+	{"invalid UTF-8 inside a token",
+		"mctrace 1\ntrace n\xffm\nthread 0\nw 0x10 1\xff\nend\n",
+		"trace: line 4: malformed value \"1\\xff\": strconv.ParseUint: parsing \"1\\xff\": invalid syntax"},
 }
 
 // TestDecoderStreaming: Next yields traces one at a time and io.EOF
