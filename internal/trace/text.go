@@ -282,7 +282,7 @@ func (d *Decoder) longLine(start int) bool {
 		}
 		switch {
 		case k >= 0:
-			c.from, c.i = 0, 0
+			c.from, c.i, c.end = 0, 0, n
 			c.lex()
 			return true
 		case !more:
@@ -307,7 +307,7 @@ func (d *Decoder) lastLine(start int) bool {
 		return false
 	}
 	c.n++
-	c.from, c.i = start, start
+	c.from, c.i, c.end = start, start, c.n
 	c.lex()
 	return true
 }

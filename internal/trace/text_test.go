@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -679,4 +680,37 @@ func stringRef(s string) (Ref, error) {
 		}
 	}
 	return r, nil
+}
+
+// TestLongLinesEndWhereTheyEnd: lines longer than the decoder's read
+// buffer whose tokens stop short of their '\n' — at a comment, or past
+// the tokens one lexing pass holds — end at their own '\n', wherever
+// they lie in the decoder's window: the lines after them decode as
+// they do without them, and an error on one quotes it.
+func TestLongLinesEndWhereTheyEnd(t *testing.T) {
+	pad := strings.Repeat("x", readBufSize)
+	comment := "w 0x10 1 # " + pad + "\n"
+	want, err := DecodeAll(strings.NewReader("mctrace 1\ntrace t\nthread 0\nw 0x10 1\nw 0x10 1\nw 0x10 1\nr 0x10 1\nend\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second long line lies whole in the window the first grew.
+	got, err := DecodeAll(strings.NewReader("mctrace 1\ntrace t\nthread 0\n" + comment + "w 0x10 1\n" + comment + "r 0x10 1\nend\n"))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("long comment lines: %v, traces equal: %v", err, reflect.DeepEqual(got, want))
+	}
+	// Ten tokens, the last one long: the op's error quotes the line.
+	long := "w 0x10 1 2 3 4 5 6 7 " + pad
+	_, err = DecodeAll(strings.NewReader("mctrace 1\ntrace t\n" + comment + long + "\nend\n"))
+	if want := fmt.Sprintf("trace: line 3: op %q before any 'thread' line", "w 0x10 1"); err == nil || err.Error() != want {
+		t.Errorf("error %.80v…, want %.80q…", err, want)
+	}
+	_, err = DecodeAll(strings.NewReader("mctrace 1\ntrace t\nthread 0\n" + comment + "f ll\n" + long + "\nend\n"))
+	if want := fmt.Sprintf("trace: line 6: 'w' takes <addr> <val> [a], got 9 args"); err == nil || err.Error() != want {
+		t.Errorf("error %.80v…, want %.80q…", err, want)
+	}
+	_, err = DecodeAll(strings.NewReader("mctrace 1\ntrace t\nthread 0\n" + comment + "f ll\n" + long + "\n"))
+	if want := fmt.Sprintf("trace: line 6: 'w' takes <addr> <val> [a], got 9 args"); err == nil || err.Error() != want {
+		t.Errorf("error %.80v…, want %.80q…", err, want)
+	}
 }
