@@ -258,31 +258,29 @@ func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, int64, error)
 	}
 	var (
 		traces []*oracle.Trace
-		read   int64
+		in     countingReader // over every input in turn
 	)
 	for _, name := range files {
 		if name == "-" {
-			in := &countingReader{r: stdin}
+			in.r = stdin
 			var err error
-			if traces, err = decodeTraces(traces, in, ""); err != nil {
+			if traces, err = decodeTraces(traces, &in, ""); err != nil {
 				return nil, 0, err
 			}
-			read += in.n
 			continue
 		}
 		f, err := os.Open(name)
 		if err != nil {
 			return nil, 0, err
 		}
-		in := &countingReader{r: f}
-		traces, err = decodeTraces(traces, in, name)
+		in.r = f
+		traces, err = decodeTraces(traces, &in, name)
 		f.Close()
 		if err != nil {
 			return nil, 0, err
 		}
-		read += in.n
 	}
-	return traces, read, nil
+	return traces, in.n, nil
 }
 
 // countingReader counts the bytes read through it.

@@ -177,9 +177,7 @@ type coSpan struct {
 
 // NewDecoder returns a streaming text decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	d := &Decoder{r: r, cur: cursor{b: make([]byte, readBufSize)}}
-	d.cur.b[0] = '\n'
-	return d
+	return &Decoder{r: r, cur: cursor{b: make([]byte, readBufSize)}}
 }
 
 // The text format's line rule. A line whose '\n' comes within its first
@@ -448,7 +446,7 @@ func (c *cursor) args() (n int, last []byte) {
 	return n, last
 }
 
-// arg returns operand k, the token after the directive's k+1st.
+// arg returns operand k: token k+1, the directive being token 0.
 func (c *cursor) arg(k int) []byte { return c.token(k + 1) }
 
 // stops marks, in the top bit of each byte of the word x, the bytes that
