@@ -234,13 +234,20 @@ func (d *Decoder) nextLine() bool {
 			}
 		}
 		// No whole line from start: move what there is of it to the
-		// window's front and read more, unless the stream has stopped.
+		// window's front and read until its '\n' comes, it outgrows the
+		// line rule's chunk or the stream stops, looking at each new
+		// byte once, so a line read in small pieces is lexed once.
 		if d.rerr != nil {
 			return d.lastLine(start)
 		}
 		c.n = copy(c.b, c.b[start:c.n])
 		start = 0
-		d.fill(c.n + 1)
+		for seen := c.n; ; seen = c.n {
+			d.fill(c.n + 1)
+			if d.rerr != nil || c.n >= readBufSize || bytes.IndexByte(c.b[seen:c.n], '\n') >= 0 {
+				break
+			}
+		}
 	}
 }
 

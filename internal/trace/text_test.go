@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 
 	"repro/internal/memmodel"
@@ -712,5 +713,56 @@ func TestLongLinesEndWhereTheyEnd(t *testing.T) {
 	_, err = DecodeAll(strings.NewReader("mctrace 1\ntrace t\nthread 0\n" + comment + "f ll\n" + long + "\n"))
 	if want := fmt.Sprintf("trace: line 6: 'w' takes <addr> <val> [a], got 9 args"); err == nil || err.Error() != want {
 		t.Errorf("error %.80v…, want %.80q…", err, want)
+	}
+}
+
+// TestTextWindowRefills: the text decoder reads the same traces whatever
+// size of pieces its reader hands it the stream in — lines cut by a
+// read, a co line just under the read buffer's size and one past it, a
+// last line without its '\n' — and a read error is reported at the
+// line it cut, wrapped.
+func TestTextWindowRefills(t *testing.T) {
+	coTrace := func(name string, n int) *Trace {
+		ops := make([]Op, n)
+		writes := make([]Ref, n)
+		for i := range ops {
+			ops[i] = Op{Kind: OpWrite, Addr: 0x100, Value: uint64(i + 1)}
+			writes[i] = Ref{Instr: int32(i)}
+		}
+		return &Trace{Name: name, Threads: []Thread{{Ops: ops}}, CO: []COOrder{{Addr: 0x100, Writes: writes}}}
+	}
+	var buf bytes.Buffer
+	if err := WriteText(&buf, extremeTrace(), residue, coTrace("near", 9_000), benchTrace(t), coTrace("past", 16_000)); err != nil {
+		t.Fatal(err)
+	}
+	stream := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	var near, past bool
+	for _, line := range bytes.Split(stream, []byte("\n")) {
+		near = near || len(line) > readBufSize*7/8 && len(line) < readBufSize
+		past = past || len(line) > readBufSize
+	}
+	if !near || !past {
+		t.Fatalf("no line just under %d bytes (%v) or past them (%v)", readBufSize, near, past)
+	}
+	want, err := DecodeAll(bytes.NewReader(stream))
+	if err != nil || len(want) != 5 {
+		t.Fatalf("whole stream: %d traces, %v", len(want), err)
+	}
+	for name, r := range map[string]io.Reader{
+		"one byte": iotest.OneByteReader(bytes.NewReader(stream)),
+		"half":     iotest.HalfReader(bytes.NewReader(stream)),
+		"data+EOF": iotest.DataErrReader(bytes.NewReader(stream)),
+	} {
+		got, err := DecodeAll(r)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %d traces (%v), want the %d of the whole stream", name, len(got), err, len(want))
+		}
+	}
+	cut := bytes.LastIndex(stream, []byte("\nthread")) + 3
+	failing := io.MultiReader(iotest.OneByteReader(bytes.NewReader(stream[:cut])), iotest.ErrReader(iotest.ErrTimeout))
+	_, err = DecodeAll(failing)
+	line := bytes.Count(stream[:cut], []byte("\n")) + 1
+	if want := fmt.Sprintf("trace: line %d: read: %v", line, iotest.ErrTimeout); err == nil || err.Error() != want || !errors.Is(err, iotest.ErrTimeout) {
+		t.Errorf("read error after byte %d: %v, want %q", cut, err, want)
 	}
 }
