@@ -39,7 +39,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	model := fs.String("model", "all", "model(s) to check against: a name, a comma-separated list, or 'all'")
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
-	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces (0 = all cores)")
+	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces (0 = all cores); text streams are decoded on every core whatever this says")
 	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs)")
 	scope := fs.String("scope", "", "verdict scope isolating this run's memo entries from other scenarios")
 	progress := fs.Bool("progress", false, "report phase breakdown and memo/fast-path counters to stderr")

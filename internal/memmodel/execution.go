@@ -60,6 +60,7 @@ type Execution struct {
 	// address gaining its first event, or a reset, invalidates it).
 	addrs      []memsys.Addr
 	addrsValid bool
+	sortTmp    []memsys.Addr // what Addresses sorts through
 }
 
 // addrState is what the execution holds per address slot.
@@ -433,7 +434,7 @@ func (x *Execution) Addresses() []memsys.Addr {
 	for i := range x.addrTab {
 		x.addrs = append(x.addrs, x.addrTab[i].addr)
 	}
-	slices.Sort(x.addrs)
+	x.sortTmp = memsys.SortAddrs(x.addrs, x.sortTmp)
 	x.addrsValid = true
 	return clipped(x.addrs)
 }

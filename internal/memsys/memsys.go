@@ -9,6 +9,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -45,6 +46,51 @@ func (a Addr) WordIndex() int { return int(a>>3) & (WordsPerLine - 1) }
 func (a Addr) WordAddr() Addr { return a &^ (WordSize - 1) }
 
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
+
+// SortAddrs sorts addrs into ascending order, the order slices.Sort
+// gives, with a least-significant-digit radix sort over the bits in
+// which the addresses differ: one counting pass per eight-bit digit,
+// each digit opening at the lowest differing bit above the last one, so
+// the bits all addresses share cost nothing. It sorts through scratch, grown to addrs' capacity
+// when short, and returns it for the next call. A short slice goes to slices.Sort.
+func SortAddrs(addrs, scratch []Addr) []Addr {
+	if len(addrs) < 64 {
+		slices.Sort(addrs)
+		return scratch
+	}
+	var differ Addr
+	for _, a := range addrs[1:] {
+		differ |= a ^ addrs[0]
+	}
+	if cap(scratch) < len(addrs) {
+		scratch = make([]Addr, cap(addrs)) // as much as addrs holds
+	}
+	src, dst := addrs, scratch[:len(addrs)]
+	for shift := bits.TrailingZeros64(uint64(differ)); shift < 64; {
+		var start [256]int
+		for _, a := range src {
+			start[byte(a>>shift)]++
+		}
+		at := 0
+		for b, n := range start {
+			start[b], at = at, at+n
+		}
+		for _, a := range src {
+			b := byte(a >> shift)
+			dst[start[b]] = a
+			start[b]++
+		}
+		src, dst = dst, src
+		// The next digit opens at the lowest differing bit above this one.
+		if shift += 8; shift < 64 {
+			shift += bits.TrailingZeros64(uint64(differ >> shift))
+		}
+	}
+	if &src[0] != &addrs[0] {
+		copy(addrs, src)
+	}
+	return scratch
+}
 
 // LineData holds the data of one cache line as eight 64-bit words.
 // Values are copied by assignment.

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +173,38 @@ func TestLayoutTranslateRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortAddrsMatchesSlicesSort: the radix sort orders every shape of
+// address set as slices.Sort does — short and long, with repeats, with
+// bytes all addresses share, and differing in every byte up to the top
+// one — and reuses its scratch.
+func TestSortAddrsMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var scratch []Addr
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 386, 1000, 5000} {
+		for _, mask := range []Addr{0xf0, 0x1f0, 0x10f001f0, 0xff00ff00ff00ff00, ^Addr(0)} {
+			addrs := make([]Addr, n)
+			for i := range addrs {
+				addrs[i] = 0x1000_0000 | Addr(rng.Uint64())&mask
+				if i > 0 && rng.Intn(4) == 0 {
+					addrs[i] = addrs[rng.Intn(i)]
+				}
+			}
+			want := slices.Clone(addrs)
+			slices.Sort(want)
+			scratch = SortAddrs(addrs, scratch)
+			if !slices.Equal(addrs, want) {
+				t.Fatalf("%d addresses under mask %#x: sorted to %v, want %v", n, mask, addrs, want)
+			}
+		}
+	}
+	addrs := make([]Addr, 1000)
+	for i := range addrs {
+		addrs[i] = Addr(rng.Uint64())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { scratch = SortAddrs(addrs, scratch) }); allocs != 0 {
+		t.Errorf("sorting through grown scratch allocates %.0f times", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/memmodel"
+	"repro/internal/memsys"
 )
 
 // Sign returns the signature of t's execution — collective.Signature of
@@ -85,7 +86,7 @@ func (m *Materializer) Sign(t *Trace) (sig collective.Sig, ok bool) {
 	// each, merged into the co orders' (already in order): on an
 	// address with a co order the initial write comes first, on one
 	// without it is the order.
-	slices.Sort(m.addrs)
+	m.sortTmp = memsys.SortAddrs(m.addrs, m.sortTmp)
 	inits := slices.Compact(m.addrs)
 	for i := range t.CO {
 		c := &t.CO[i]

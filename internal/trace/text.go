@@ -157,6 +157,10 @@ type Decoder struct {
 	line     int
 	headerOK bool
 	err      error
+	// piece marks a decoder reading one piece of a stream in place, for
+	// a TextReader: its window is the piece, which it never writes, so it
+	// fails a line longer than readBufSize rather than move it.
+	piece bool
 	// The trace being decoded gathers here, in storage reused from trace
 	// to trace, and is copied out into exact-size slices at its end:
 	// threads (each one's Ops set as it closes), the open thread's ops,
@@ -227,6 +231,10 @@ func (d *Decoder) nextLine() bool {
 				c.end = c.i + bytes.IndexByte(c.b[c.i:], '\n') + 1
 			}
 			if c.end-start > readBufSize {
+				if d.piece {
+					d.err = errLongLineInPiece
+					return false
+				}
 				return d.longLine(start)
 			}
 			if c.end <= c.n {
@@ -939,9 +947,10 @@ func parseRef(b []byte) (Ref, error) {
 	return r, nil
 }
 
-// DecodeAll reads every trace in the stream.
+// DecodeAll reads every trace in the stream, decoding on every core
+// (see TextReader).
 func DecodeAll(r io.Reader) ([]*Trace, error) {
-	d := NewDecoder(r)
+	d := NewTextReader(r)
 	var out []*Trace
 	for {
 		t, err := d.Next()

@@ -328,8 +328,9 @@ type Materializer struct {
 	// each address slot's coherence order.
 	keys keyTable
 	room []int32
-	// addrs is Sign's: the addresses reads take from the initial write.
-	addrs []memsys.Addr
+	// addrs is Sign's: the addresses reads take from the initial write,
+	// sorted through sortTmp.
+	addrs, sortTmp []memsys.Addr
 }
 
 // Execution is Trace.Execution into the materializer's storage: the same

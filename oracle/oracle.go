@@ -180,7 +180,7 @@ type TraceReader interface {
 func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 	switch format {
 	case "text":
-		return trace.NewDecoder(r), nil
+		return trace.NewTextReader(r), nil
 	case "binary":
 		return trace.NewBinaryDecoder(r), nil
 	case "auto", "":
@@ -195,7 +195,7 @@ func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 		if string(magic[:n]) == trace.BinaryMagic {
 			return trace.NewBinaryDecoder(r), nil
 		}
-		return trace.NewDecoder(r), nil
+		return trace.NewTextReader(r), nil
 	default:
 		return nil, fmt.Errorf("oracle: unknown trace format %q (want text, binary, or auto)", format)
 	}
