@@ -24,6 +24,10 @@ import (
 //     one. It hands the stream back to the pieces at the first trace end
 //     past the bytes it was handed.
 //
+// It reads ahead: it reads 64 KiB of the stream, or up to the stream's
+// end, before it cuts a piece, so a trace is returned once the piece
+// holding it has been read, not as soon as its own "end" line arrives.
+//
 // A piece's goroutine decodes it and ends: it never waits on the reader,
 // so a reader dropped mid-stream leaves no goroutine behind once its
 // pieces are decoded. Piece buffers and decoders are kept from piece to
