@@ -48,14 +48,29 @@ func (a Addr) WordAddr() Addr { return a &^ (WordSize - 1) }
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
 // SortAddrs sorts addrs into ascending order, the order slices.Sort
-// gives, with a least-significant-digit radix sort over the bits in
+// gives. It sorts fewer than radixFrom addresses with slices.Sort and
+// more with radixSort, through scratch, grown to addrs' capacity when
+// short, and returns scratch for the next call.
+func SortAddrs(addrs, scratch []Addr) []Addr {
+	if len(addrs) < radixFrom {
+		slices.Sort(addrs)
+		return scratch
+	}
+	return radixSort(addrs, scratch)
+}
+
+// radixFrom is where radixSort overtakes slices.Sort on address sets
+// drawn from the 1 KiB, 8 KiB and 1 MiB layouts (BenchmarkSortAddrs):
+// at 48 addresses slices.Sort is as fast or faster, at 64 radixSort is,
+// and at a corpus trace's 386 it takes a fifth of the time.
+const radixFrom = 64
+
+// radixSort is a least-significant-digit radix sort over the bits in
 // which the addresses differ: one counting pass per eight-bit digit,
 // each digit opening at the lowest differing bit above the last one, so
-// the bits all addresses share cost nothing. It sorts through scratch, grown to addrs' capacity
-// when short, and returns it for the next call. A short slice goes to slices.Sort.
-func SortAddrs(addrs, scratch []Addr) []Addr {
-	if len(addrs) < 64 {
-		slices.Sort(addrs)
+// the bits all addresses share cost nothing.
+func radixSort(addrs, scratch []Addr) []Addr {
+	if len(addrs) < 2 {
 		return scratch
 	}
 	var differ Addr

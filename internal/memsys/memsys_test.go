@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -176,10 +177,10 @@ func TestLayoutTranslateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSortAddrsMatchesSlicesSort: the radix sort orders every shape of
-// address set as slices.Sort does — short and long, with repeats, with
-// bytes all addresses share, and differing in every byte up to the top
-// one — and reuses its scratch.
+// TestSortAddrsMatchesSlicesSort: SortAddrs, and the radix sort at every
+// size, order every shape of address set as slices.Sort does — short and
+// long, with repeats, with bytes all addresses share, and differing in
+// every byte up to the top one — and reuse their scratch.
 func TestSortAddrsMatchesSlicesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var scratch []Addr
@@ -194,9 +195,13 @@ func TestSortAddrsMatchesSlicesSort(t *testing.T) {
 			}
 			want := slices.Clone(addrs)
 			slices.Sort(want)
+			radix := slices.Clone(addrs)
 			scratch = SortAddrs(addrs, scratch)
 			if !slices.Equal(addrs, want) {
 				t.Fatalf("%d addresses under mask %#x: sorted to %v, want %v", n, mask, addrs, want)
+			}
+			if scratch = radixSort(radix, scratch); !slices.Equal(radix, want) {
+				t.Fatalf("%d addresses under mask %#x: radixSort sorted to %v, want %v", n, mask, radix, want)
 			}
 		}
 	}
@@ -206,5 +211,44 @@ func TestSortAddrsMatchesSlicesSort(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { scratch = SortAddrs(addrs, scratch) }); allocs != 0 {
 		t.Errorf("sorting through grown scratch allocates %.0f times", allocs)
+	}
+}
+
+// BenchmarkSortAddrs times radixSort against slices.Sort on addresses
+// drawn, with repeats, from the pools of the sweeps' layout (1 KiB), the
+// oracle corpus's (8 KiB) and a wide one (1 MiB), at set sizes around
+// radixFrom and at a corpus trace's 386 initial reads. Each iteration
+// sorts the next of 64 sets, as a run sorts a new set each time: one set
+// sorted over and over is learnt by the branch predictor, which flatters
+// slices.Sort five times over on the corpus's sets.
+func BenchmarkSortAddrs(b *testing.B) {
+	for _, size := range []int{1 << 10, 8 << 10, 1 << 20} {
+		pool := MustLayout(size, 16).Pool()
+		for _, n := range []int{16, 32, 48, 64, 96, 128, 386} {
+			rng := rand.New(rand.NewSource(1))
+			in := make([][]Addr, 64)
+			for k := range in {
+				in[k] = make([]Addr, n)
+				for i := range in[k] {
+					in[k][i] = pool[rng.Intn(len(pool))]
+				}
+			}
+			addrs := make([]Addr, n)
+			var scratch []Addr
+			for _, sorter := range []struct {
+				name string
+				sort func()
+			}{
+				{"slices", func() { slices.Sort(addrs) }},
+				{"radix", func() { scratch = radixSort(addrs, scratch) }},
+			} {
+				b.Run(fmt.Sprintf("layout=%d/n=%d/%s", size, n, sorter.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(addrs, in[i%len(in)])
+						sorter.sort()
+					}
+				})
+			}
+		}
 	}
 }

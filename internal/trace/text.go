@@ -150,8 +150,7 @@ func appendRef(buf []byte, r Ref) []byte {
 // where its tokens lie, and each token is then read in place. Errors
 // carry the 1-based line number they were detected on.
 type Decoder struct {
-	r    io.Reader
-	rerr error // the first error r returned: io.EOF at the stream's end
+	src source // the stream, and how reading it stopped
 	// cur walks the line being parsed, in the decoder's window.
 	cur      cursor
 	line     int
@@ -181,7 +180,7 @@ type coSpan struct {
 
 // NewDecoder returns a streaming text decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, cur: cursor{b: make([]byte, readBufSize)}}
+	return &Decoder{src: source{r: r}, cur: cursor{b: make([]byte, readBufSize)}}
 }
 
 // The text format's line rule. A line whose '\n' comes within its first
@@ -245,14 +244,14 @@ func (d *Decoder) nextLine() bool {
 		// window's front and read until its '\n' comes, it outgrows the
 		// line rule's chunk or the stream stops, looking at each new
 		// byte once, so a line read in small pieces is lexed once.
-		if d.rerr != nil {
+		if d.src.err != nil {
 			return d.lastLine(start)
 		}
 		c.n = copy(c.b, c.b[start:c.n])
 		start = 0
 		for seen := c.n; ; seen = c.n {
 			d.fill(c.n + 1)
-			if d.rerr != nil || c.n >= readBufSize || bytes.IndexByte(c.b[seen:c.n], '\n') >= 0 {
+			if d.src.err != nil || c.n >= readBufSize || bytes.IndexByte(c.b[seen:c.n], '\n') >= 0 {
 				break
 			}
 		}
@@ -275,7 +274,7 @@ func (d *Decoder) longLine(start int) bool {
 			n = end - readBufSize + k + 1
 		}
 		// The chunk is full and the line goes on past it.
-		more := k < 0 && (c.n > end || c.n == end && d.rerr == nil)
+		more := k < 0 && (c.n > end || c.n == end && d.src.err == nil)
 		// A rune cut by the chunk's end is counted once it is whole.
 		for scanned < n && (!more || utf8.FullRune(c.b[scanned:n])) {
 			k, size := byteClass[c.b[scanned]], 1
@@ -311,9 +310,9 @@ func (d *Decoder) longLine(start int) bool {
 func (d *Decoder) lastLine(start int) bool {
 	c := &d.cur
 	switch {
-	case d.rerr != io.EOF:
+	case d.src.err != io.EOF:
 		if d.err == nil {
-			d.err = fmt.Errorf("trace: line %d: read: %w", d.line+1, d.rerr)
+			d.err = fmt.Errorf("trace: line %d: read: %w", d.line+1, d.src.err)
 		}
 		return false
 	case start == c.n:
@@ -335,21 +334,39 @@ func (d *Decoder) fill(want int) {
 		copy(b, c.b[:c.n])
 		c.b = b
 	}
-	for empty := 0; c.n < want && d.rerr == nil; {
-		k, err := d.r.Read(c.b[c.n : len(c.b)-wordSlack])
-		c.n += k
+	c.n += d.src.fill(c.b[c.n:len(c.b)-wordSlack], want-c.n)
+	c.b[c.n] = '\n'
+}
+
+// source is the stream a decoder or a TextReader reads. err is the
+// first error its reader returned, io.EOF at the stream's end; the
+// hundredth empty read in a row is io.ErrNoProgress, as bufio gives up
+// on a reader.
+type source struct {
+	r     io.Reader
+	err   error
+	empty int
+}
+
+// fill reads into b until it holds want bytes or the stream stops, and
+// returns how many bytes it read.
+func (s *source) fill(b []byte, want int) int {
+	n := 0
+	for n < want && s.err == nil {
+		k, err := s.r.Read(b[n:])
+		n += k
 		switch {
 		case err != nil:
-			d.rerr = err
+			s.err = err
 		case k > 0:
-			empty = 0
+			s.empty = 0
 		default:
-			if empty++; empty == 100 { // as bufio gives up on a reader
-				d.rerr = io.ErrNoProgress
+			if s.empty++; s.empty == 100 {
+				s.err = io.ErrNoProgress
 			}
 		}
 	}
-	c.b[c.n] = '\n'
+	return n
 }
 
 // breaksLineRule says how a line of n bytes and the given fields breaks

@@ -20,13 +20,14 @@ import (
 //   - When a piece fails, when the stream's reader returns an error, and
 //     when a trace runs past the most bytes a piece may hold, the rest of
 //     the stream, from the first byte no trace was returned from, goes to
-//     one Decoder that reads it serially, so every error is the serial
-//     one. It hands the stream back to the pieces at the first trace end
-//     past the bytes it was handed.
+//     one Decoder that reads it serially to its end, so every error is
+//     the serial one.
 //
-// It reads ahead: it reads 64 KiB of the stream, or up to the stream's
-// end, before it cuts a piece, so a trace is returned once the piece
-// holding it has been read, not as soon as its own "end" line arrives.
+// It reads ahead: before it returns the first trace it reads GOMAXPROCS
+// pieces of 64 KiB each, or up to the stream's end, and it returns a
+// trace once the piece holding it has been read, not as soon as the
+// trace's own "end" line arrives. A caller that waits on a trace before
+// it writes more of the stream must use a Decoder.
 //
 // A piece's goroutine decodes it and ends: it never waits on the reader,
 // so a reader dropped mid-stream leaves no goroutine behind once its
@@ -40,11 +41,9 @@ type TextReader struct {
 	k, size, maxBytes int
 	flight            []*piece // launched pieces, in stream order
 	free              []*piece
-	// rest is what was read from the stream and not cut into a piece. It
-	// lies in the buffer of the last piece launched, of parked, or of the
-	// serial decoder's window.
-	rest   []byte
-	parked *piece
+	// rest is what was read from the stream and not cut into a piece, in
+	// the buffer of the last piece cut or of one cutting stopped in.
+	rest []byte
 	// stop says why no piece is cut: the stream's error (io.EOF at its
 	// end), or errLongTrace.
 	stop error
@@ -52,15 +51,12 @@ type TextReader struct {
 	// was returned from; header says whether the header lies in them.
 	line   int
 	header bool
-	// started says that a piece or the serial decoder has held the
-	// stream's first byte, so later pieces start past the header.
+	// started says that a piece has held the stream's first byte, so
+	// later pieces start past the header.
 	started bool
 	out     []*Trace // the last piece's traces; next is the first not returned
 	next    int
-	// serial, when set, reads the rest of the stream; held are the
-	// pieces whose bytes it was handed.
-	serial *Decoder
-	held   []*piece
+	serial  *Decoder // when set, it reads the rest of the stream
 }
 
 // A piece is a run of whole lines of the stream and the decoder that
@@ -110,7 +106,7 @@ func (r *TextReader) Next() (*Trace, error) {
 			return t, nil
 		}
 		if r.serial != nil {
-			return r.nextSerial()
+			return r.serial.Next()
 		}
 		r.launch()
 		if len(r.flight) == 0 {
@@ -152,7 +148,7 @@ func (r *TextReader) launch() {
 		n := copy(p.buf, r.rest)
 		r.rest = nil
 		for from := 0; ; {
-			n += r.src.fill(p.buf[n:lim])
+			n += r.src.fill(p.buf[n:lim], lim-n)
 			if cut := cutPoint(p.buf[:n], from); cut > 0 {
 				r.rest = p.buf[cut:n]
 				r.start(p, cut)
@@ -172,7 +168,7 @@ func (r *TextReader) launch() {
 				if r.stop == nil {
 					r.stop = errLongTrace
 				}
-				r.rest, r.parked = p.buf[:n], p
+				r.rest = p.buf[:n]
 				break
 			}
 			from = max(0, n-len(endLine)+1)
@@ -212,7 +208,7 @@ func (r *TextReader) start(p *piece, n int) {
 		p.buf[n] = '\n'
 	}
 	d := &p.dec
-	d.r, d.rerr, d.err = nil, io.EOF, nil
+	d.src, d.err = source{err: io.EOF}, nil
 	d.cur = cursor{b: p.buf, n: end}
 	d.line, d.headerOK, d.piece = 0, r.started, true
 	r.started = true
@@ -245,97 +241,22 @@ func (r *TextReader) wait(p *piece) {
 	}
 }
 
-// toSerial hands the rest of the stream, from the first piece in flight
-// or else from rest, to the serial decoder, once every piece in flight
-// is decoded.
+// toSerial hands the rest of the stream, the bytes of the pieces in
+// flight once they are decoded and rest, then what is left to read, to
+// the serial decoder, and lets the pieces go.
 func (r *TextReader) toSerial() {
-	r.src.pre = r.src.pre[:0]
+	n := len(r.rest)
 	for _, p := range r.flight {
 		r.wait(p)
-		r.src.pre = append(r.src.pre, p.data)
+		n += len(p.data)
 	}
-	r.src.pre = append(r.src.pre, r.rest)
-	r.held = append(r.held, r.flight...)
-	if r.parked != nil {
-		r.held = append(r.held, r.parked)
+	b := make([]byte, max(readBufSize, n+wordSlack))
+	n = 0
+	for _, p := range r.flight {
+		n += copy(b[n:], p.data)
 	}
-	r.flight, r.rest, r.parked = r.flight[:0], nil, nil
-	d := NewDecoder(&r.src)
-	d.line, d.headerOK = r.line, r.header
-	r.serial, r.started = d, true
-}
-
-// nextSerial returns the serial decoder's next trace. At a trace's end
-// past every byte the decoder was handed, the stream goes back to the
-// pieces, with what the decoder's window holds of it as their rest.
-func (r *TextReader) nextSerial() (*Trace, error) {
-	d := r.serial
-	t, err := d.Next()
-	if err == nil && r.src.drained() && r.src.err == nil && d.cur.n-d.cur.end <= r.size {
-		r.free = append(r.free, r.held...)
-		r.held = r.held[:0]
-		r.rest = d.cur.b[d.cur.end:d.cur.n]
-		r.line, r.header = d.line, true
-		r.stop, r.serial = nil, nil
-	}
-	return t, err
-}
-
-// source is the stream a TextReader reads: the bytes handed to its
-// serial decoder, then r. It keeps r's first error and makes the
-// hundredth empty read in a row io.ErrNoProgress, as Decoder.fill does,
-// so a decoder reading through it meets what it would meet reading r.
-type source struct {
-	r     io.Reader
-	pre   [][]byte
-	err   error
-	empty int
-}
-
-func (s *source) Read(b []byte) (int, error) {
-	for ; len(s.pre) > 0; s.pre = s.pre[1:] {
-		if len(s.pre[0]) > 0 {
-			n := copy(b, s.pre[0])
-			s.pre[0] = s.pre[0][n:]
-			return n, nil
-		}
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n, err := s.r.Read(b)
-	switch {
-	case err != nil:
-		s.err = err
-	case n > 0:
-		s.empty = 0
-	default:
-		if s.empty++; s.empty == 100 {
-			s.err = io.ErrNoProgress
-			return 0, s.err
-		}
-	}
-	return n, err
-}
-
-// fill reads into b until it is full or the stream stops, and returns
-// how many bytes it read.
-func (s *source) fill(b []byte) int {
-	n := 0
-	for n < len(b) && s.err == nil {
-		k, _ := s.Read(b[n:])
-		n += k
-	}
-	return n
-}
-
-// drained says whether every byte handed to the serial decoder has been
-// read.
-func (s *source) drained() bool {
-	for _, b := range s.pre {
-		if len(b) > 0 {
-			return false
-		}
-	}
-	return true
+	n += copy(b[n:], r.rest)
+	b[n] = '\n'
+	r.serial = &Decoder{src: r.src, cur: cursor{b: b, n: n}, line: r.line, headerOK: r.header}
+	r.flight, r.free, r.rest = nil, nil, nil
 }

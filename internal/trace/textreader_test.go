@@ -219,16 +219,12 @@ func TestTextReaderLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// buffered is what the reader holds of the stream: its pieces' buffers
-// and the serial decoder's window.
+// buffered is what the reader holds of the stream once it has read to
+// the stream's end: its pieces' buffers and the serial decoder's window.
 func (r *TextReader) buffered() int {
 	n := 0
-	for _, ps := range [][]*piece{r.flight, r.free, r.held, {r.parked}} {
-		for _, p := range ps {
-			if p != nil {
-				n += len(p.buf)
-			}
-		}
+	for _, p := range slices.Concat(r.flight, r.free) {
+		n += len(p.buf)
 	}
 	if r.serial != nil {
 		n += len(r.serial.cur.b)
@@ -262,6 +258,30 @@ func TestTextReaderLongTraceBounded(t *testing.T) {
 			}
 			if bound := k*(size+wordSlack) + maxBytes + wordSlack + readBufSize; r.buffered() > bound {
 				t.Errorf("%s, %d at once: the reader holds %d bytes, want at most %d", name, k, r.buffered(), bound)
+			}
+		}
+	}
+}
+
+// TestTextReaderLongLines: a line longer than a piece's window, which
+// fails the piece it lies in, and one longer than the line rule allows,
+// which no piece can hold, read as one Decoder reads them, and so does
+// what follows them, up to an error in a late trace.
+func TestTextReaderLongLines(t *testing.T) {
+	head := TextHeader + "\n" + strings.Repeat("trace s\nthread 0\nw 0x10 1\nend\n", 20)
+	tail := head[len(TextHeader)+1:] + "trace late\nthread 0\nw 0x10\nend\n" + head[len(TextHeader)+1:]
+	for name, in := range map[string]string{
+		"a comment line past the window": head + "trace c\nthread 0\n# " + strings.Repeat("x", 100<<10) + "\nw 0x10 1\nend\n" + tail,
+		"a line past the rule":           head + "trace r\nthread 0\n# " + strings.Repeat("x", shortLineLen) + "\nend\n" + tail,
+	} {
+		want, werr := decodeSerially(strings.NewReader(in))
+		if werr == nil {
+			t.Fatalf("%s: the decoder read no error", name)
+		}
+		for _, k := range []int{1, 2, 8} {
+			got, err := readAll(newTextReader(strings.NewReader(in), k, readBufSize, 4*readBufSize))
+			if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d at once: %d traces, %v; the decoder read %d, %v", name, k, len(got), err, len(want), werr)
 			}
 		}
 	}

@@ -177,6 +177,10 @@ type TraceReader interface {
 // NewTraceReader returns a streaming reader for the named format:
 // "text", "binary", or "auto" (sniff the stream's magic — binary
 // streams open with "MCVB", text streams with the "mctrace" header).
+// A text stream is decoded on every core (trace.TextReader): the reader
+// reads up to GOMAXPROCS×64 KiB of it, or to its end, before it returns
+// the first trace, so a caller that waits on a verdict before it writes
+// more of the stream must decode with trace.NewDecoder itself.
 func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 	switch format {
 	case "text":
