@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -251,7 +252,10 @@ func resolveModels(spec string) ([]string, error) {
 // readTraces decodes every trace from the named files in order, or from
 // stdin when no files (or "-") are given; each stream names its own
 // format. It also returns how many bytes it read. Each file is closed
-// once it is decoded, so any number of files can be read.
+// once it is decoded, so any number of files can be read. An error names
+// its file, if it has one. An input holding no trace is an error: an
+// empty stream, as from a producer that died before writing, must not
+// read as "every trace valid".
 func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, int64, error) {
 	if len(files) == 0 {
 		files = []string{"-"}
@@ -261,24 +265,30 @@ func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, int64, error)
 		in     countingReader // over every input in turn
 	)
 	for _, name := range files {
-		if name == "-" {
-			in.r = stdin
+		var f *os.File
+		in.r = stdin
+		if name != "-" {
 			var err error
-			if traces, err = decodeTraces(traces, &in, ""); err != nil {
+			if f, err = os.Open(name); err != nil {
 				return nil, 0, err
 			}
-			continue
+			in.r = f
 		}
-		f, err := os.Open(name)
-		if err != nil {
+		got, err := oracle.DecodeTraces(&in)
+		if f != nil {
+			f.Close()
+		}
+		switch {
+		case err != nil && name == "-":
 			return nil, 0, err
+		case err != nil:
+			return nil, 0, fmt.Errorf("%s: %w", name, err)
+		case len(got) == 0 && name == "-":
+			return nil, 0, errors.New("stdin: no trace in the input")
+		case len(got) == 0:
+			return nil, 0, fmt.Errorf("%s: no trace in the input", name)
 		}
-		in.r = f
-		traces, err = decodeTraces(traces, &in, name)
-		f.Close()
-		if err != nil {
-			return nil, 0, err
-		}
+		traces = append(traces, got...)
 	}
 	return traces, in.n, nil
 }
@@ -293,37 +303,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// decodeTraces appends every trace of r to traces. An error met past the
-// stream's header names the file, unless name is "" (stdin). An input
-// holding no trace is an error: an empty stream, as from a producer
-// that died before writing, must not read as "every trace valid".
-func decodeTraces(traces []*oracle.Trace, r io.Reader, name string) ([]*oracle.Trace, error) {
-	dec, err := oracle.NewTraceReader(r, "auto")
-	if err != nil {
-		return nil, err
-	}
-	n := len(traces)
-	for {
-		tr, err := dec.Next()
-		if err == io.EOF {
-			if len(traces) == n {
-				if name == "" {
-					name = "stdin"
-				}
-				return nil, fmt.Errorf("%s: no trace in the input", name)
-			}
-			return traces, nil
-		}
-		if err != nil {
-			if name != "" {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			return nil, err
-		}
-		traces = append(traces, tr)
-	}
 }
 
 // runEmitCorpus dumps the bundled litmus classics as a trace stream —

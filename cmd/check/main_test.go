@@ -95,6 +95,34 @@ func TestBinaryPathMatchesText(t *testing.T) {
 	}
 }
 
+// TestMixedFormatFiles: files of either format, in any mix, print the
+// verdicts the same files all in text print.
+func TestMixedFormatFiles(t *testing.T) {
+	var bin, errb bytes.Buffer
+	if code := run([]string{"-emit-corpus", "binary"}, strings.NewReader(""), &bin, &errb); code != 0 {
+		t.Fatalf("emit-corpus binary exited %d: %s", code, errb.String())
+	}
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	text, binary := write("corpus.txt", corpusText(t)), write("corpus.bin", bin.Bytes())
+	var want, got bytes.Buffer
+	if code := run([]string{"-model", "SC,TSO", text, text, text}, strings.NewReader(""), &want, &errb); code != 1 {
+		t.Fatalf("text files exited %d: %s", code, errb.String())
+	}
+	if code := run([]string{"-model", "SC,TSO", text, binary, text}, strings.NewReader(""), &got, &errb); code != 1 {
+		t.Fatalf("mixed files exited %d: %s", code, errb.String())
+	}
+	if got.String() != want.String() {
+		t.Fatalf("mixed files print\n%s\nthe text files\n%s", got.String(), want.String())
+	}
+}
+
 // TestParallelMatchesSequential: -parallel fan-out preserves input-order
 // output exactly.
 func TestParallelMatchesSequential(t *testing.T) {

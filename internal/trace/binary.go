@@ -130,14 +130,12 @@ func appendBinaryRef(buf []byte, r Ref) []byte {
 // they were detected at; a stream that ends inside a frame fails with
 // io.ErrUnexpectedEOF.
 type BinaryDecoder struct {
-	r io.Reader
-	// buf is the window: buf[pos:] is read from r but not yet decoded.
-	// off is the stream offset of buf[0], rerr what r last returned
-	// besides bytes (io.EOF at the end of the stream).
-	buf  []byte
-	pos  int
-	off  int64
-	rerr error
+	src source
+	// buf is the window: buf[pos:] is read from the stream but not yet
+	// decoded. off is the stream offset of buf[0].
+	buf []byte
+	pos int
+	off int64
 	// traces counts the traces decoded.
 	traces   int
 	headerOK bool
@@ -146,7 +144,7 @@ type BinaryDecoder struct {
 
 // NewBinaryDecoder returns a streaming binary decoder reading from r.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	return &BinaryDecoder{r: r}
+	return &BinaryDecoder{src: source{r: r}}
 }
 
 // limits keep a corrupt or adversarial length prefix from ballooning
@@ -197,10 +195,10 @@ func (d *BinaryDecoder) failAt(at int64, format string, args ...any) error {
 // short fails the field what, at offset at, that the end of the stream
 // or a read error cut short.
 func (d *BinaryDecoder) short(at int64, what string) error {
-	if d.rerr == io.EOF {
+	if d.src.err == io.EOF {
 		return d.failAt(at, "truncated %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	return d.failAt(at, "reading %s: %w", what, d.rerr)
+	return d.failAt(at, "reading %s: %w", what, d.src.err)
 }
 
 // fill refills the window until it holds n unread bytes, the stream
@@ -216,20 +214,7 @@ func (d *BinaryDecoder) fill(n int) bool {
 		d.buf = d.buf[:copy(d.buf[:cap(d.buf)], d.buf[d.pos:])]
 	}
 	d.pos = 0
-	for empty := 0; len(d.buf) < n && d.rerr == nil; {
-		k, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
-		d.buf = d.buf[:len(d.buf)+k]
-		switch {
-		case err != nil:
-			d.rerr = err
-		case k > 0:
-			empty = 0
-		default:
-			if empty++; empty == 100 { // as bufio gives up on a reader
-				d.rerr = io.ErrNoProgress
-			}
-		}
-	}
+	d.buf = d.buf[:len(d.buf)+d.src.fill(d.buf[len(d.buf):cap(d.buf)], n-len(d.buf))]
 	return len(d.buf) >= n
 }
 
@@ -366,7 +351,7 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 	}
 	if !d.headerOK {
 		if !d.fill(len(BinaryMagic)) {
-			if len(d.buf) == 0 && d.rerr == io.EOF {
+			if len(d.buf) == 0 && d.src.err == io.EOF {
 				return nil, io.EOF
 			}
 			return nil, d.short(0, "magic")
@@ -388,7 +373,7 @@ func (d *BinaryDecoder) Next() (*Trace, error) {
 
 	// Frame boundary: a clean end of stream here means the stream is done.
 	if !d.fill(1) {
-		if d.rerr == io.EOF {
+		if d.src.err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, d.short(d.offset(), "name length")
@@ -571,21 +556,5 @@ func (d *BinaryDecoder) op(op *Op) {
 		if op.Sub = d.int("op key sub", ""); op.Sub != 0 && op.Kind == OpRMW {
 			d.failAt(at, "op key sub %d on a u op (the pair is always subs 0 and 1)", op.Sub)
 		}
-	}
-}
-
-// DecodeAllBinary reads every trace in the binary stream.
-func DecodeAllBinary(r io.Reader) ([]*Trace, error) {
-	d := NewBinaryDecoder(r)
-	var out []*Trace
-	for {
-		t, err := d.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
 	}
 }

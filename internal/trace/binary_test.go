@@ -77,7 +77,7 @@ func TestBinaryCutAtEveryOffset(t *testing.T) {
 	all := []*Trace{extremeTrace(), residue, binarySeedTrace()}
 	stream, ends := binaryStream(t, all...)
 	for cut := 0; cut <= len(stream); cut++ {
-		traces, err := DecodeAllBinary(bytes.NewReader(stream[:cut]))
+		traces, err := readAll(NewBinaryDecoder(bytes.NewReader(stream[:cut])))
 		whole := 0
 		for whole < len(all) && ends[whole+1] <= cut {
 			whole++
@@ -109,30 +109,42 @@ func TestBinaryCutAtEveryOffset(t *testing.T) {
 }
 
 // TestBinaryWindowRefills: the decoder reads the same traces whatever
-// size of pieces its reader hands it the stream in, and a read error is
-// reported where it cut the stream, wrapped.
+// size of pieces its reader hands it the stream in, and waits out 99
+// empty reads in a row. A read error, and the hundredth empty read in a
+// row, which is io.ErrNoProgress, are reported where they cut the
+// stream, wrapped.
 func TestBinaryWindowRefills(t *testing.T) {
 	all := []*Trace{extremeTrace(), residue, binarySeedTrace(), benchTrace(t)}
-	stream, _ := binaryStream(t, all...)
+	stream, ends := binaryStream(t, all...)
+	cut := len(stream) - 100
 	for name, r := range map[string]io.Reader{
-		"one byte":  iotest.OneByteReader(bytes.NewReader(stream)),
-		"half":      iotest.HalfReader(bytes.NewReader(stream)),
-		"data+EOF":  iotest.DataErrReader(bytes.NewReader(stream)),
-		"one piece": bytes.NewReader(stream),
+		"one byte":       iotest.OneByteReader(bytes.NewReader(stream)),
+		"half":           iotest.HalfReader(bytes.NewReader(stream)),
+		"data+EOF":       iotest.DataErrReader(bytes.NewReader(stream)),
+		"one piece":      bytes.NewReader(stream),
+		"empty reads":    &stutterReader{r: bytes.NewReader(stream)},
+		"99 empty reads": io.MultiReader(bytes.NewReader(stream[:cut]), &stalled{99}, bytes.NewReader(stream[cut:])),
 	} {
-		got, err := DecodeAllBinary(r)
+		got, err := readAll(NewBinaryDecoder(r))
 		if err != nil || !reflect.DeepEqual(got, all) {
 			t.Errorf("%s: decoded %d traces (%v), want the %d encoded", name, len(got), err, len(all))
 		}
 	}
-	cut := len(stream) - 100
-	failing := io.MultiReader(bytes.NewReader(stream[:cut]), iotest.ErrReader(iotest.ErrTimeout))
-	got, err := DecodeAllBinary(failing)
-	if !errors.Is(err, iotest.ErrTimeout) || len(got) != len(all)-1 {
-		t.Fatalf("read error after byte %d: %d traces, %v", cut, len(got), err)
-	}
-	if index, offset := errorPosition(t, err); index != len(all) || offset > cut {
-		t.Fatalf("read error after byte %d reported as %v", cut, err)
+	for _, c := range []struct {
+		name string
+		r    io.Reader
+		want error
+	}{
+		{"read error", io.MultiReader(bytes.NewReader(stream[:cut]), iotest.ErrReader(iotest.ErrTimeout)), iotest.ErrTimeout},
+		{"100 empty reads", io.MultiReader(bytes.NewReader(stream[:cut]), &stalled{100}, bytes.NewReader(stream[cut:])), io.ErrNoProgress},
+	} {
+		got, err := readAll(NewBinaryDecoder(c.r))
+		if !errors.Is(err, c.want) || len(got) != len(all)-1 {
+			t.Fatalf("%s after byte %d: %d traces, %v", c.name, cut, len(got), err)
+		}
+		if index, offset := errorPosition(t, err); index != len(all) || offset < ends[len(all)-1] || offset > cut {
+			t.Fatalf("%s after byte %d reported as %v, want trace %d at a byte in [%d, %d]", c.name, cut, err, len(all), ends[len(all)-1], cut)
+		}
 	}
 }
 
@@ -167,7 +179,7 @@ func TestBinaryLyingCountsAllocateLittle(t *testing.T) {
 	}
 }
 
-// allocatedDecoding is the bytes DecodeAllBinary allocates on stream,
+// allocatedDecoding is the bytes a BinaryDecoder allocates on stream,
 // which must fail. The heap counter is process-wide, and on a loaded
 // host the runtime now and then allocates for itself during a decoding
 // (some kilobytes), so the answer is the least of three decodings: each
@@ -178,7 +190,7 @@ func allocatedDecoding(t *testing.T, stream []byte) uintptr {
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeAllBinary(bytes.NewReader(stream))
+		_, err := readAll(NewBinaryDecoder(bytes.NewReader(stream)))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("stream %x decoded", stream)
@@ -244,7 +256,7 @@ func TestCodecsCarryTheSameTraces(t *testing.T) {
 			}
 		}
 		frame := appendBinaryTrace(binary.AppendUvarint([]byte(BinaryMagic), FormatVersion), c.trace)
-		traces, err := DecodeAllBinary(bytes.NewReader(frame))
+		traces, err := readAll(NewBinaryDecoder(bytes.NewReader(frame)))
 		if err == nil {
 			t.Errorf("%s: the binary decoder accepted %+v", c.name, traces[0])
 			continue

@@ -86,7 +86,7 @@ func FuzzTextDecoder(f *testing.F) {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		traces, err := DecodeAll(bytes.NewReader([]byte(in)))
+		traces, err := readAll(NewTextReader(bytes.NewReader([]byte(in))))
 		if err != nil {
 			return
 		}
@@ -106,7 +106,7 @@ func FuzzTextDecoder(f *testing.F) {
 		if err := WriteBinary(&bin, traces...); err != nil {
 			t.Fatalf("accepted traces failed to encode in binary: %v", err)
 		}
-		if fromBin, err := DecodeAllBinary(&bin); err != nil || len(traces) > 0 && !reflect.DeepEqual(traces, fromBin) {
+		if fromBin, err := DecodeAll(&bin); err != nil || len(traces) > 0 && !reflect.DeepEqual(traces, fromBin) {
 			t.Fatalf("text decode(binary encode(decode(in))) != decode(in) (%v)\nin: %q", err, in)
 		}
 		// Materialization may legitimately fail (structural errors), but
@@ -177,7 +177,7 @@ func FuzzBinaryDecoder(f *testing.F) {
 		f.Add(appendBinaryTrace([]byte("MCVB\x01"), c.trace))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		traces, err := DecodeAllBinary(bytes.NewReader(in))
+		traces, err := readAll(NewBinaryDecoder(bytes.NewReader(in)))
 		if err != nil {
 			return
 		}
@@ -202,7 +202,7 @@ func FuzzBinaryDecoder(f *testing.F) {
 		if err := WriteBinary(&bin, fromText...); err != nil {
 			t.Fatalf("traces back from text failed to encode: %v", err)
 		}
-		again, err := DecodeAllBinary(&bin)
+		again, err := DecodeAll(&bin)
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)
 		}

@@ -343,7 +343,7 @@ func TestMaterializeMatchesBuilder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromBin, err := DecodeAllBinary(&bin)
+		fromBin, err := DecodeAll(&bin)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -232,7 +232,7 @@ func FuzzTextDecoderReference(f *testing.F) {
 		f.Add(c.in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		got, err := DecodeAll(bytes.NewReader([]byte(in)))
+		got, err := readAll(NewTextReader(bytes.NewReader([]byte(in))))
 		want, wantLine := refDecode(in)
 		if line := errLine(err); line != wantLine {
 			t.Fatalf("decoder error %v (line %d), reference fails on line %d\nin: %q", err, line, wantLine, in)

@@ -123,7 +123,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := WriteBinary(&bin, tr); err != nil {
 			t.Fatalf("iter %d: WriteBinary: %v", i, err)
 		}
-		binTraces, err := DecodeAllBinary(bytes.NewReader(bin.Bytes()))
+		binTraces, err := DecodeAll(bytes.NewReader(bin.Bytes()))
 		if err != nil {
 			t.Fatalf("iter %d: binary decode: %v", i, err)
 		}
@@ -247,7 +247,7 @@ func TestMultiTraceStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := DecodeAllBinary(&bin)
+	fromBin, err := DecodeAll(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestTextBoundaryValuesSurviveBinary(t *testing.T) {
 	if err := WriteBinary(&bin, fromText...); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := DecodeAllBinary(&bin)
+	fromBin, err := DecodeAll(&bin)
 	if err != nil {
 		t.Fatalf("text-accepted trace rejected by the binary decoder: %v", err)
 	}

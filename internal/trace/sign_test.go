@@ -81,7 +81,7 @@ func TestSignTraceMatchesExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromBin, err := DecodeAllBinary(&bin)
+		fromBin, err := DecodeAll(&bin)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,10 +156,6 @@ type Decoder struct {
 	line     int
 	headerOK bool
 	err      error
-	// piece marks a decoder reading one piece of a stream in place, for
-	// a TextReader: its window is the piece, which it never writes, so it
-	// fails a line longer than readBufSize rather than move it.
-	piece bool
 	// The trace being decoded gathers here, in storage reused from trace
 	// to trace, and is copied out into exact-size slices at its end:
 	// threads (each one's Ops set as it closes), the open thread's ops,
@@ -184,7 +180,8 @@ func NewDecoder(r io.Reader) *Decoder {
 }
 
 // The text format's line rule. A line whose '\n' comes within its first
-// readBufSize bytes is parsed where it lies; a longer one is read a
+// readBufSize bytes, or that lies whole in the window and runs to at most
+// shortLineLen bytes, is parsed where it lies; any other is read a
 // readBufSize chunk at a time and held to the rule as each arrives, so
 // memory grows only with the fields a trace may hold. Any line may run
 // to shortLineLen bytes. Past the header, a longer line is taken while
@@ -229,11 +226,11 @@ func (d *Decoder) nextLine() bool {
 			if c.lex(); c.end == 0 { // lex stopped short of the '\n'
 				c.end = c.i + bytes.IndexByte(c.b[c.i:], '\n') + 1
 			}
-			if c.end-start > readBufSize {
-				if d.piece {
-					d.err = errLongLineInPiece
-					return false
-				}
+			// A line of at most shortLineLen bytes, its '\n' counted, is
+			// parsed where it lies once it is whole, however long: the line
+			// rule cannot refuse it, and every line of a TextReader's piece
+			// is one.
+			if n := c.end - start; n > readBufSize && (n > shortLineLen || c.end > c.n && d.src.err == nil) {
 				return d.longLine(start)
 			}
 			if c.end <= c.n {
@@ -336,37 +333,6 @@ func (d *Decoder) fill(want int) {
 	}
 	c.n += d.src.fill(c.b[c.n:len(c.b)-wordSlack], want-c.n)
 	c.b[c.n] = '\n'
-}
-
-// source is the stream a decoder or a TextReader reads. err is the
-// first error its reader returned, io.EOF at the stream's end; the
-// hundredth empty read in a row is io.ErrNoProgress, as bufio gives up
-// on a reader.
-type source struct {
-	r     io.Reader
-	err   error
-	empty int
-}
-
-// fill reads into b until it holds want bytes or the stream stops, and
-// returns how many bytes it read.
-func (s *source) fill(b []byte, want int) int {
-	n := 0
-	for n < want && s.err == nil {
-		k, err := s.r.Read(b[n:])
-		n += k
-		switch {
-		case err != nil:
-			s.err = err
-		case k > 0:
-			s.empty = 0
-		default:
-			if s.empty++; s.empty == 100 {
-				s.err = io.ErrNoProgress
-			}
-		}
-	}
-	return n
 }
 
 // breaksLineRule says how a line of n bytes and the given fields breaks
@@ -962,21 +928,4 @@ func parseRef(b []byte) (Ref, error) {
 		}
 	}
 	return r, nil
-}
-
-// DecodeAll reads every trace in the stream, decoding on every core
-// (see TextReader).
-func DecodeAll(r io.Reader) ([]*Trace, error) {
-	d := NewTextReader(r)
-	var out []*Trace
-	for {
-		t, err := d.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
 }

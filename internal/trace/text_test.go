@@ -96,11 +96,11 @@ func TestVersionRejected(t *testing.T) {
 
 func TestBinaryVersionRejected(t *testing.T) {
 	// Magic + version 2.
-	if _, err := DecodeAllBinary(strings.NewReader("MCVB\x02")); err == nil ||
+	if _, err := readAll(NewBinaryDecoder(strings.NewReader("MCVB\x02"))); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("binary version 2 accepted: %v", err)
 	}
-	if _, err := DecodeAllBinary(strings.NewReader("NOPE\x01")); err == nil ||
+	if _, err := readAll(NewBinaryDecoder(strings.NewReader("NOPE\x01"))); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Errorf("binary bad magic accepted: %v", err)
 	}
@@ -491,7 +491,7 @@ func TestLongCoLineRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromText = nil
-	fromBin, err := DecodeAllBinary(&bin)
+	fromBin, err := DecodeAll(&bin)
 	if err != nil {
 		t.Fatalf("binary decoder rejects the text-accepted trace: %v", err)
 	}
@@ -572,7 +572,7 @@ func TestReadErrorNamesTheLine(t *testing.T) {
 		{"mctrace 1\ntrace t\nthread 0\nw 0x1", "trace: line 4: read: device gone"},
 		{"", "trace: line 1: read: device gone"},
 	} {
-		_, err := DecodeAll(failingReader{strings.NewReader(c.in)})
+		_, err := readAll(NewTextReader(failingReader{strings.NewReader(c.in)}))
 		if err == nil || err.Error() != c.want || !errors.Is(err, errReadFailed) {
 			t.Errorf("input %q: error %v, want %q wrapping the read error", c.in, err, c.want)
 		}
@@ -716,21 +716,24 @@ func TestLongLinesEndWhereTheyEnd(t *testing.T) {
 	}
 }
 
+// coTrace is a trace of n writes to one address by one thread, whose
+// co line runs past readBufSize for n of 10 000 and more.
+func coTrace(name string, n int) *Trace {
+	ops := make([]Op, n)
+	writes := make([]Ref, n)
+	for i := range ops {
+		ops[i] = Op{Kind: OpWrite, Addr: 0x100, Value: uint64(i + 1)}
+		writes[i] = Ref{Instr: int32(i)}
+	}
+	return &Trace{Name: name, Threads: []Thread{{Ops: ops}}, CO: []COOrder{{Addr: 0x100, Writes: writes}}}
+}
+
 // TestTextWindowRefills: the text decoder reads the same traces whatever
 // size of pieces its reader hands it the stream in — lines cut by a
 // read, a co line just under the read buffer's size and one past it, a
 // last line without its '\n' — and a read error is reported at the
 // line it cut, wrapped.
 func TestTextWindowRefills(t *testing.T) {
-	coTrace := func(name string, n int) *Trace {
-		ops := make([]Op, n)
-		writes := make([]Ref, n)
-		for i := range ops {
-			ops[i] = Op{Kind: OpWrite, Addr: 0x100, Value: uint64(i + 1)}
-			writes[i] = Ref{Instr: int32(i)}
-		}
-		return &Trace{Name: name, Threads: []Thread{{Ops: ops}}, CO: []COOrder{{Addr: 0x100, Writes: writes}}}
-	}
 	var buf bytes.Buffer
 	if err := WriteText(&buf, extremeTrace(), residue, coTrace("near", 9_000), benchTrace(t), coTrace("past", 16_000)); err != nil {
 		t.Fatal(err)

@@ -17,6 +17,9 @@ import (
 //     reading the stream is between traces there, or has failed before
 //     it, so a piece starts between traces and one that decodes without
 //     error yields the Decoder's traces.
+//   - A piece holds fewer than shortLineLen bytes, so the line rule
+//     cannot refuse any line in it: its decoder parses every line where
+//     it lies, however long.
 //   - When a piece fails, when the stream's reader returns an error, and
 //     when a trace runs past the most bytes a piece may hold, the rest of
 //     the stream, from the first byte no trace was returned from, goes to
@@ -42,7 +45,8 @@ type TextReader struct {
 	flight            []*piece // launched pieces, in stream order
 	free              []*piece
 	// rest is what was read from the stream and not cut into a piece, in
-	// the buffer of the last piece cut or of one cutting stopped in.
+	// the buffer of the last piece cut or of one cutting stopped in, or
+	// the bytes NewReader read to tell the format.
 	rest []byte
 	// stop says why no piece is cut: the stream's error (io.EOF at its
 	// end), or errLongTrace.
@@ -76,14 +80,9 @@ type piece struct {
 // '\n' of the line before it.
 var endLine = []byte("\nend\n")
 
-// errLongLineInPiece fails a piece whose decoder met a line longer than
-// readBufSize, which only a streaming Decoder reads; errLongTrace stops
-// cutting where no "end" line lies in a piece's maxBytes. Neither is
-// ever returned: the serial decoder reads those bytes.
-var (
-	errLongLineInPiece = errors.New("trace: line longer than a piece's window")
-	errLongTrace       = errors.New("trace: trace longer than a piece")
-)
+// errLongTrace stops cutting where no "end" line lies in a piece's
+// maxBytes. It is never returned: the serial decoder reads those bytes.
+var errLongTrace = errors.New("trace: trace longer than a piece")
 
 // NewTextReader returns a reader of the text stream r that decodes its
 // traces on GOMAXPROCS goroutines.
@@ -91,8 +90,12 @@ func NewTextReader(r io.Reader) *TextReader {
 	return newTextReader(r, runtime.GOMAXPROCS(0), readBufSize, 16*readBufSize)
 }
 
+// newTextReader cuts pieces from size bytes, grown to at most maxBytes,
+// and always to fewer than shortLineLen, so that the line rule cannot
+// refuse a line in a piece.
 func newTextReader(r io.Reader, k, size, maxBytes int) *TextReader {
-	return &TextReader{src: source{r: r}, k: max(k, 1), size: size, maxBytes: max(maxBytes, size)}
+	maxBytes = min(max(maxBytes, size), shortLineLen-1)
+	return &TextReader{src: source{r: r}, k: max(k, 1), size: min(size, maxBytes), maxBytes: maxBytes}
 }
 
 // Next returns the next trace of the stream, or io.EOF after the last
@@ -210,7 +213,7 @@ func (r *TextReader) start(p *piece, n int) {
 	d := &p.dec
 	d.src, d.err = source{err: io.EOF}, nil
 	d.cur = cursor{b: p.buf, n: end}
-	d.line, d.headerOK, d.piece = 0, r.started, true
+	d.line, d.headerOK = 0, r.started
 	r.started = true
 	p.busy = true
 	r.flight = append(r.flight, p)

@@ -16,23 +16,10 @@ import (
 
 // decodeSerially reads r with one Decoder, as the reader must read it:
 // every trace up to the first error, and that error.
-func decodeSerially(r io.Reader) ([]*Trace, error) {
-	d := NewDecoder(r)
-	var out []*Trace
-	for {
-		t, err := d.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-}
+func decodeSerially(r io.Reader) ([]*Trace, error) { return readAll(NewDecoder(r)) }
 
-// readAll reads every trace of a TextReader, and the error it stops on.
-func readAll(r *TextReader) ([]*Trace, error) {
+// readAll reads every trace of r, and the error it stops on.
+func readAll(r Reader) ([]*Trace, error) {
 	var out []*Trace
 	for {
 		t, err := r.Next()
@@ -263,10 +250,10 @@ func TestTextReaderLongTraceBounded(t *testing.T) {
 	}
 }
 
-// TestTextReaderLongLines: a line longer than a piece's window, which
-// fails the piece it lies in, and one longer than the line rule allows,
-// which no piece can hold, read as one Decoder reads them, and so does
-// what follows them, up to an error in a late trace.
+// TestTextReaderLongLines: a line longer than the serial decoder's
+// window, which its piece parses in place, and one longer than the line
+// rule allows, which no piece can hold, read as one Decoder reads them,
+// and so does what follows them, up to an error in a late trace.
 func TestTextReaderLongLines(t *testing.T) {
 	head := TextHeader + "\n" + strings.Repeat("trace s\nthread 0\nw 0x10 1\nend\n", 20)
 	tail := head[len(TextHeader)+1:] + "trace late\nthread 0\nw 0x10\nend\n" + head[len(TextHeader)+1:]
@@ -283,6 +270,43 @@ func TestTextReaderLongLines(t *testing.T) {
 			if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, %d at once: %d traces, %v; the decoder read %d, %v", name, k, len(got), err, len(want), werr)
 			}
+		}
+	}
+}
+
+// TestTextReaderLongLineInPlace: a stream whose long lines, a co line
+// and a comment, run past the serial decoder's window but not past a
+// piece, and which holds no fault, is read in pieces to its end: the
+// reader never hands it to a serial decoder, and reads what one Decoder
+// reads.
+func TestTextReaderLongLineInPlace(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, benchTrace(t), coTrace("longco", 16_000), benchTrace(t)); err != nil {
+		t.Fatal(err)
+	}
+	comment := "# " + strings.Repeat("x", 100<<10) + "\n"
+	in := buf.String() + "trace c\nthread 0\n" + comment + "w 0x10 1\nend\n"
+	var long int
+	for _, line := range strings.Split(in, "\n") {
+		if len(line) > readBufSize {
+			long++
+		}
+	}
+	if long != 2 {
+		t.Fatalf("%d lines past %d bytes, want 2", long, readBufSize)
+	}
+	want, werr := decodeSerially(strings.NewReader(in))
+	if werr != nil || len(want) != 4 {
+		t.Fatalf("the decoder read %d traces, %v", len(want), werr)
+	}
+	for _, k := range []int{1, 2, 8} {
+		r := newTextReader(strings.NewReader(in), k, readBufSize, 16*readBufSize)
+		got, err := readAll(r)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d at once: %d traces, %v; the decoder read %d", k, len(got), err, len(want))
+		}
+		if r.serial != nil {
+			t.Errorf("%d at once: the reader handed the stream to a serial decoder", k)
 		}
 	}
 }

@@ -402,7 +402,7 @@ func TestSignTraceMatchesExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := DecodeTracesBinary(&bin)
+	fromBin, err := DecodeTraces(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}

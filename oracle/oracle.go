@@ -51,7 +51,7 @@
 // no Checker keeps, resets or reuses them.
 //
 //	checker, err := oracle.NewChecker("TSO", oracle.Options{})
-//	traces, err := oracle.DecodeTraces(f)
+//	traces, err := oracle.DecodeTraces(f) // a text or a binary stream
 //	for i, tr := range traces {
 //		v, err := checker.CheckTrace(tr, i)
 //		// v.Valid, v.Kind, v.Detail ...
@@ -59,7 +59,6 @@
 package oracle
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -149,11 +148,9 @@ func ScopedKey(scope string, sig Sig, model Model) Sig {
 // Trace codec surface, re-exported so cmd/check and external consumers
 // need only this package.
 
-// DecodeTraces reads every trace in a text stream.
+// DecodeTraces reads every trace in a stream of either format, which the
+// stream's first bytes name, as NewTraceReader's "auto" does.
 func DecodeTraces(r io.Reader) ([]*Trace, error) { return trace.DecodeAll(r) }
-
-// DecodeTracesBinary reads every trace in a binary stream.
-func DecodeTracesBinary(r io.Reader) ([]*Trace, error) { return trace.DecodeAllBinary(r) }
 
 // WriteTraces encodes traces canonically in the text format.
 func WriteTraces(w io.Writer, traces ...*Trace) error { return trace.WriteText(w, traces...) }
@@ -168,19 +165,18 @@ func TraceFromExecution(name string, x *Execution) (*Trace, error) {
 	return trace.FromExecution(name, x)
 }
 
-// TraceReader streams traces from either encoding; see NewTraceReader.
-type TraceReader interface {
-	// Next returns the next trace, or io.EOF after the last one.
-	Next() (*Trace, error)
-}
+// TraceReader reads traces one at a time: Next returns the next trace,
+// or io.EOF after the last one.
+type TraceReader = trace.Reader
 
-// NewTraceReader returns a streaming reader for the named format:
-// "text", "binary", or "auto" (sniff the stream's magic — binary
-// streams open with "MCVB", text streams with the "mctrace" header).
-// A text stream is decoded on every core (trace.TextReader): the reader
-// reads up to GOMAXPROCS×64 KiB of it, or to its end, before it returns
-// the first trace, so a caller that waits on a verdict before it writes
-// more of the stream must decode with trace.NewDecoder itself.
+// NewTraceReader returns a reader of r in the named format: "text",
+// "binary", or "auto" (the stream's first bytes name it — binary streams
+// open with "MCVB", text streams with the "mctrace" header).
+// A text stream is decoded on every core: before the reader returns the
+// first trace it reads up to GOMAXPROCS×64 KiB of the stream, or to the
+// stream's end. So a producer that writes more of a text stream only
+// after a verdict on what it wrote stalls; send such a stream in binary,
+// whose reader returns each trace once its bytes have arrived.
 func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 	switch format {
 	case "text":
@@ -188,18 +184,7 @@ func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
 	case "binary":
 		return trace.NewBinaryDecoder(r), nil
 	case "auto", "":
-		// Sniff the magic, then hand its bytes on ahead of the rest of r:
-		// the decoder's own buffer is the only one.
-		magic := make([]byte, len(trace.BinaryMagic))
-		n, err := io.ReadFull(r, magic)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("oracle: sniff trace format: %w", err)
-		}
-		r = io.MultiReader(bytes.NewReader(magic[:n]), r)
-		if string(magic[:n]) == trace.BinaryMagic {
-			return trace.NewBinaryDecoder(r), nil
-		}
-		return trace.NewTextReader(r), nil
+		return trace.NewReader(r)
 	default:
 		return nil, fmt.Errorf("oracle: unknown trace format %q (want text, binary, or auto)", format)
 	}
