@@ -42,7 +42,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
 	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces (0 = all cores); text streams are decoded on every core whatever this says")
 	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs)")
-	scope := fs.String("scope", "", "verdict scope isolating this run's memo entries from other scenarios")
 	progress := fs.Bool("progress", false, "report phase breakdown and memo/fast-path counters to stderr")
 	emitCorpus := fs.String("emit-corpus", "", "write the litmus known-answer corpus to stdout (text | binary) and exit")
 	if err := fs.Parse(args); err != nil {
@@ -95,7 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		defer store.Close()
 	}
-	opts := oracle.Options{Memo: memo, Scope: *scope}
+	opts := oracle.Options{Memo: memo}
 	if store != nil {
 		opts.Store = store
 	}

@@ -192,6 +192,13 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%v exited %d, want 2", args, code)
 		}
 	}
+	// A verdict depends on the execution and the model alone: there is no
+	// scope to split it by, even on an input that checks cleanly.
+	errb.Reset()
+	if code := run([]string{"-scope", "x", "-model", "SC"}, strings.NewReader(valid), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -scope") {
+		t.Errorf("-scope x exited %d, want 2 as an unknown flag (stderr %q)", code, errb.String())
+	}
 	errb.Reset()
 	if code := run([]string{"-model", "SC", "-parallel", "-3"}, strings.NewReader(valid), &out, &errb); code != 2 ||
 		!strings.Contains(errb.String(), "-parallel must not be negative") {

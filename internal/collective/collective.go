@@ -1,18 +1,18 @@
 // Package collective implements collective checking of candidate
 // executions (MTraceCheck-style, ISCA'17): across the iterations of a
-// test-run — and across the campaigns of a whole fleet — most observed
-// executions repeat the same interleaving, so re-deciding each one from
-// scratch wastes the checker's per-iteration hot path. This package
-// collapses executions into canonical, order-independent signatures
-// (per-thread program slices plus the observed rf and co conflict
-// orders), memoizes verdicts in a concurrency-safe table keyed by
-// signature so each unique (test, observed-ordering) pair is model-
-// checked at most once per memo lifetime.
+// test-run, and across the traces of a stream, most observed executions
+// repeat the same interleaving, so re-deciding each one from scratch
+// wastes the checker's hot path. This package collapses executions into
+// canonical, order-independent signatures (per-thread program slices
+// plus the observed rf and co conflict orders), memoizes verdicts in a
+// concurrency-safe table keyed by signature so each unique (test,
+// observed-ordering) pair is model-checked at most once per memo
+// lifetime.
 //
-// Sharing a Memo across fleet workers is safe and deterministic: the
+// Sharing a Memo across goroutines is safe and deterministic: the
 // verdict for a signature is a pure function of (execution, memory
-// model) — the memo keys on both — so which worker computes it first
-// never changes any campaign's results, only how much work is saved.
+// model) — the memo keys on both — so which goroutine computes it first
+// never changes any result, only how much work is saved.
 package collective
 
 import (
@@ -268,14 +268,16 @@ type VerdictStore interface {
 	Put(key Sig, v Verdict)
 }
 
-// memoShards bounds lock contention between fleet workers.
-const memoShards = 64
-
 // Memo is a concurrency-safe verdict table keyed by execution
 // signature. A signature's verdict is computed at most once across all
 // goroutines sharing the memo: concurrent submitters of the same new
 // signature block on the first one's computation instead of repeating
 // it. The zero value is not ready; call NewMemo.
+//
+// Its sharers are few: the Checkers of cmd/check's -parallel workers, or
+// the campaigns of one traced sweep. So the table is one map under one
+// mutex, held only to find or add an entry, never while a verdict is
+// computed.
 //
 // A Memo optionally backs onto a VerdictStore (SetStore), forming a
 // two-tier lookup: RAM memo first, then the durable store, then a
@@ -286,15 +288,11 @@ const memoShards = 64
 type Memo struct {
 	checks  atomic.Uint64
 	hits    atomic.Uint64
-	entries atomic.Uint64
 	durable atomic.Uint64
 	// store is the durable tier (nil = RAM only). Set before the memo
 	// is shared across goroutines.
-	store  VerdictStore
-	shards [memoShards]memoShard
-}
-
-type memoShard struct {
+	store VerdictStore
+	// mu guards m, the entries by scoped key.
 	mu sync.Mutex
 	m  map[Sig]*memoEntry
 }
@@ -307,30 +305,23 @@ type memoEntry struct {
 }
 
 // NewMemo returns an empty verdict table.
-func NewMemo() *Memo {
-	m := &Memo{}
-	for i := range m.shards {
-		m.shards[i].m = make(map[Sig]*memoEntry)
-	}
-	return m
-}
+func NewMemo() *Memo { return &Memo{m: make(map[Sig]*memoEntry)} }
 
 // SetStore attaches the durable tier (nil detaches). Call before the
 // memo is shared across goroutines: the field is read without
 // synchronization on the check path.
 func (m *Memo) SetStore(s VerdictStore) { m.store = s }
 
-func (m *Memo) entry(sig Sig) (*memoEntry, bool) {
-	s := &m.shards[sig.Lo%memoShards]
-	s.mu.Lock()
-	e, ok := s.m[sig]
+// entry returns key's entry, adding an empty one if there is none.
+func (m *Memo) entry(key Sig) *memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.m[key]
 	if !ok {
 		e = &memoEntry{}
-		s.m[sig] = e
-		m.entries.Add(1)
+		m.m[key] = e
 	}
-	s.mu.Unlock()
-	return e, ok
+	return e
 }
 
 // archKey folds the memory model and the scenario scope into the lookup
@@ -380,7 +371,7 @@ type CheckFunc func(*memmodel.Execution, memmodel.Arch) memmodel.Result
 // identical for isomorphic executions — but the witness cycle found
 // first depends on the submitter's dense EventID numbering, so reusing
 // the representative's would make Result details depend on which
-// fleet worker checked first. Violations are terminal for a campaign,
+// submitter checked first. Violations are terminal for a campaign,
 // so the re-derivation never costs more than one extra check per
 // campaign. Memo misses and these re-derivations both run through
 // check, so a recorder wiring its fast path in here keeps one set of
@@ -388,7 +379,7 @@ type CheckFunc func(*memmodel.Execution, memmodel.Arch) memmodel.Result
 func (m *Memo) CheckScopedVia(scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch, check CheckFunc) (res memmodel.Result, hit bool) {
 	m.checks.Add(1)
 	key := archKey(sig, arch, scope)
-	e, _ := m.entry(key)
+	e := m.entry(key)
 	computed := false
 	e.once.Do(func() {
 		defer e.done.Store(true)
@@ -434,10 +425,9 @@ func (m *Memo) CheckScopedVia(scope string, sig Sig, x *memmodel.Execution, arch
 // is not yet known, unless the store knows it.
 func (m *Memo) KnownValid(scope string, sig Sig, arch memmodel.Arch) bool {
 	key := archKey(sig, arch, scope)
-	s := &m.shards[key.Lo%memoShards]
-	s.mu.Lock()
-	e, ok := s.m[key]
-	s.mu.Unlock()
+	m.mu.Lock()
+	e, ok := m.m[key]
+	m.mu.Unlock()
 	if ok && e.done.Load() {
 		return e.res.Valid
 	}
@@ -449,7 +439,11 @@ func (m *Memo) KnownValid(scope string, sig Sig, arch memmodel.Arch) bool {
 }
 
 // Len returns the number of unique signatures seen.
-func (m *Memo) Len() int { return int(m.entries.Load()) }
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}
 
 // Stats snapshots the memo's global counters. Unlike per-campaign
 // counters, Hits here depends on which submitter of a concurrently-new
@@ -459,7 +453,7 @@ func (m *Memo) Stats() stats.Dedupe {
 	return stats.Dedupe{
 		Checks:  m.checks.Load(),
 		Hits:    m.hits.Load(),
-		Unique:  m.entries.Load(),
+		Unique:  uint64(m.Len()),
 		Durable: m.durable.Load(),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -348,6 +349,93 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 	}
 	if d.Checks != goroutines*20 || d.Checks-d.Unique != d.Hits {
 		t.Fatalf("inconsistent counters: %+v", d)
+	}
+}
+
+// TestMemoConcurrentPeeksAndChecks: goroutines peeking (KnownValid) and
+// submitting (CheckScopedVia) at once, on keys they all share and on
+// keys of their own, decide each key once: a valid key's check runs once
+// in all, an invalid key's once per submission (a hit re-derives its
+// witness). A peek never answers valid for an invalid key, and answers
+// valid for a valid key once its verdict is in.
+func TestMemoConcurrentPeeksAndChecks(t *testing.T) {
+	type key struct {
+		scope       string
+		arch        memmodel.Arch
+		x           *memmodel.Execution
+		sig         Sig
+		valid       bool
+		calls, subs atomic.Int64
+	}
+	execs := map[bool]*memmodel.Execution{}
+	for _, valid := range []bool{true, false} {
+		readX := uint64(0) // fresh y, stale x: forbidden under TSO and PSO
+		if valid {
+			readX = 101
+		}
+		ops, co, rf := mpOps(102, readX)
+		execs[valid] = replay(t, ops, co, rf)
+	}
+	newKey := func(scope string, arch memmodel.Arch, valid bool) *key {
+		x := execs[valid]
+		return &key{scope: scope, arch: arch, x: x, sig: Signature(x), valid: valid}
+	}
+	shared := []*key{
+		newKey("", memmodel.TSO{}, true),
+		newKey("", memmodel.PSO{}, true),
+		newKey("", memmodel.TSO{}, false),
+	}
+	const goroutines, rounds = 8, 60
+	own := make([]*key, goroutines)
+	for g := range own {
+		own[g] = newKey(fmt.Sprintf("g%d", g), memmodel.TSO{}, true)
+	}
+
+	m := NewMemo()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := own[g]
+				if i%2 == 0 {
+					k = shared[(g+i/2)%len(shared)]
+				}
+				if m.KnownValid(k.scope, k.sig, k.arch) && !k.valid {
+					t.Errorf("peek answered an invalid key (%q, %s) valid", k.scope, k.arch.Name())
+				}
+				k.subs.Add(1)
+				res, _ := m.CheckScopedVia(k.scope, k.sig, k.x, k.arch, func(x *memmodel.Execution, arch memmodel.Arch) memmodel.Result {
+					k.calls.Add(1)
+					return memmodel.NewChecker().Check(x, arch)
+				})
+				if res.Valid != k.valid {
+					t.Errorf("(%q, %s): valid = %v, want %v", k.scope, k.arch.Name(), res.Valid, k.valid)
+				}
+				if got := m.KnownValid(k.scope, k.sig, k.arch); got != k.valid {
+					t.Errorf("(%q, %s): peek after the verdict = %v, want %v", k.scope, k.arch.Name(), got, k.valid)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, k := range append(shared, own...) {
+		want := int64(1)
+		if !k.valid {
+			want = k.subs.Load()
+		}
+		if got := k.calls.Load(); got != want {
+			t.Errorf("(%q, %s, valid=%v): checked %d times over %d submissions, want %d", k.scope, k.arch.Name(), k.valid, got, k.subs.Load(), want)
+		}
+	}
+	d := m.Stats()
+	if d.Checks != goroutines*rounds || d.Unique != uint64(len(shared)+len(own)) || d.Checks-d.Unique != d.Hits {
+		t.Fatalf("counters %+v: want %d checks, %d unique, checks - unique == hits", d, goroutines*rounds, len(shared)+len(own))
+	}
+	if m.Len() != len(shared)+len(own) {
+		t.Fatalf("Len = %d, want %d", m.Len(), len(shared)+len(own))
 	}
 }
 

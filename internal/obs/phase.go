@@ -217,8 +217,10 @@ func (s Snapshot) TotalNs() int64 {
 // String renders the breakdown for human consumption, phases with
 // their share of the instrumented total:
 //
-//	testgen 1.2s (31%), sim 2.4s (63%), check 180ms (5%), memo 40ms (1%), merge 2ms (0%)
+//	testgen 1.2s (31%), sim 2.4s (63%), check 180ms (5%), memo 40.5ms (1%), merge 2.114ms (0%)
 //
+// A phase's time is rounded to the millisecond from one second up and to
+// the microsecond below, so a phase of a short run does not read 0s.
 // Phases with no spans are omitted; an empty snapshot renders as
 // "no spans".
 func (s Snapshot) String() string {
@@ -232,8 +234,11 @@ func (s Snapshot) String() string {
 		if st.Count == 0 && st.Ns == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s %s (%d%%)",
-			p, time.Duration(st.Ns).Round(time.Millisecond), 100*st.Ns/total))
+		d, unit := time.Duration(st.Ns), time.Millisecond
+		if d < time.Second {
+			unit = time.Microsecond
+		}
+		parts = append(parts, fmt.Sprintf("%s %s (%d%%)", p, d.Round(unit), 100*st.Ns/total))
 	}
 	return strings.Join(parts, ", ")
 }

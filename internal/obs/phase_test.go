@@ -141,6 +141,12 @@ func TestSpanAndString(t *testing.T) {
 	if !strings.Contains(str, "sim 3s (75%)") || !strings.Contains(str, "testgen 1s (25%)") {
 		t.Errorf("String() = %q", str)
 	}
+	// Under a second a phase keeps its microseconds, so a short run's
+	// phases do not all read 0s; from a second up, milliseconds.
+	short := Span(PhaseDecode, 1234567*time.Nanosecond).Merge(Span(PhaseCheck, 2345678901*time.Nanosecond))
+	if str := short.String(); !strings.Contains(str, "decode 1.235ms (0%)") || !strings.Contains(str, "check 2.346s (99%)") {
+		t.Errorf("String() = %q", str)
+	}
 }
 
 func TestPhaseNames(t *testing.T) {

@@ -56,7 +56,7 @@ func TestGoldenSignaturesAnswerFromStore(t *testing.T) {
 			} else {
 				invalid++
 			}
-			st.Put(ScopedKey("golden", Sig{Hi: hi, Lo: lo}, arch), collective.Verdict{Valid: res.Valid, Kind: kinds[res.Kind]})
+			st.Put(ScopedKey("", Sig{Hi: hi, Lo: lo}, arch), collective.Verdict{Valid: res.Valid, Kind: kinds[res.Kind]})
 		}
 		if valid == 0 || invalid == 0 {
 			t.Fatalf("%s: golden holds %d valid and %d invalid verdicts, want both", model, valid, invalid)
@@ -64,7 +64,7 @@ func TestGoldenSignaturesAnswerFromStore(t *testing.T) {
 
 		// Valid traces first, on a Checker of their own, then the invalid.
 		for _, wantValid := range []bool{true, false} {
-			c, err := NewChecker(model, Options{Store: st, Scope: "golden"})
+			c, err := NewChecker(model, Options{Store: st})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,10 +96,10 @@ func TestGoldenSignaturesAnswerFromStore(t *testing.T) {
 	}
 }
 
-// TestExecutionSignedStoreAnswersTraces: a store filled through
-// CheckExecution, whose keys the execution walker signs, answers
-// CheckTrace on the same traces, whose keys are signed from the traces'
-// fields: every check a durable hit, every verdict the one stored.
+// TestExecutionSignedStoreAnswersTraces: a store filled with exact
+// verdicts keyed by the execution walker's signatures answers CheckTrace
+// on the same traces, whose keys are signed from the traces' fields:
+// every check a durable hit, every verdict the one stored.
 func TestExecutionSignedStoreAnswersTraces(t *testing.T) {
 	traces := append(generatedTraces(t), largeTraces(t, 2)...)
 	classics, err := LitmusCorpus()
@@ -119,7 +119,7 @@ func TestExecutionSignedStoreAnswersTraces(t *testing.T) {
 		kept []*Trace
 		want [][]Result
 	)
-	fill := newCheckers(t, 1, Options{Store: st})[0]
+	exact := memmodel.NewChecker()
 	for _, tr := range traces {
 		x, err := tr.Execution()
 		if err != nil {
@@ -127,8 +127,13 @@ func TestExecutionSignedStoreAnswersTraces(t *testing.T) {
 		}
 		kept = append(kept, clone(tr))
 		row := make([]Result, len(models))
-		for mi, c := range fill {
-			row[mi] = c.CheckExecution(x)
+		for mi, model := range models {
+			arch, err := ModelByName(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[mi] = exact.Check(x, arch)
+			st.Put(ScopedKey("", Signature(x), arch), collective.VerdictOf(row[mi]))
 		}
 		want = append(want, row)
 	}
@@ -142,7 +147,7 @@ func TestExecutionSignedStoreAnswersTraces(t *testing.T) {
 			}
 			w := want[i][mi]
 			if v.Valid != w.Valid || !w.Valid && (v.Kind != w.Kind.String() || v.Detail != w.Detail) {
-				t.Errorf("%s under %s: %+v, stored through CheckExecution %+v", tr.Name, models[mi], v, w)
+				t.Errorf("%s under %s: %+v, stored from the exact check %+v", tr.Name, models[mi], v, w)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 // Package oracle is the public checker-as-oracle surface: external Go
-// consumers decide candidate executions — their own, or ones decoded
-// from trace streams — against the bundled axiomatic memory models
-// without importing any internal package. cmd/check is a thin CLI over
-// exactly this API.
+// consumers decide candidate executions — ones decoded from trace
+// streams, or their own, encoded by TraceFromExecution — against the
+// bundled axiomatic memory models without importing any internal
+// package. CheckTrace is the one way to decide one. cmd/check is a thin
+// CLI over exactly this API.
 //
 // The shape mirrors the in-repo campaign pipeline: a Checker holds one
 // model plus the unified fast-path-first decision procedure, consults a
@@ -46,9 +47,10 @@
 // allocate an execution per trace. Any other trace is built by a
 // Builder into an execution of its own. Nothing of either escapes:
 // verdicts and memo entries carry event IDs and strings, never the
-// execution. Executions a caller builds (Builder), takes from
-// Trace.Execution or hands to CheckExecution/CheckSig are the caller's:
-// no Checker keeps, resets or reuses them.
+// execution. Executions a caller builds (Builder) or takes from
+// Trace.Execution are the caller's: no Checker keeps, resets or reuses
+// them. To decide one, encode it with TraceFromExecution and hand the
+// trace to CheckTrace.
 //
 //	checker, err := oracle.NewChecker("TSO", oracle.Options{})
 //	traces, err := oracle.DecodeTraces(f) // a text or a binary stream
@@ -135,12 +137,15 @@ func ModelByName(name string) (Model, error) {
 }
 
 // Signature computes the canonical signature of x — the key verdicts
-// are memoized and persisted under (after the scope fold; see
-// ScopedKey).
+// are memoized and persisted under (after the model fold; see
+// ScopedKey). It equals the signature CheckTrace gives the trace
+// TraceFromExecution encodes x as.
 func Signature(x *Execution) Sig { return collective.Signature(x) }
 
 // ScopedKey folds (scenario scope, model, signature) into the key a
-// Memo — and through it a Store — looks verdicts up under.
+// Memo — and through it a Store — looks verdicts up under. A Checker
+// keys every verdict under the empty scope, so a tool pre-seeding a
+// Store for Checkers passes "".
 func ScopedKey(scope string, sig Sig, model Model) Sig {
 	return collective.ScopedKey(scope, sig, model)
 }
@@ -200,14 +205,10 @@ type Options struct {
 	// it on the first Checker built over a shared memo, before
 	// concurrent use.
 	Store VerdictStore
-	// Scope isolates this Checker's verdicts from other scenarios
-	// sharing the memo or store (empty is itself a scope).
-	Scope string
 }
 
-// Checker decides traces and executions against one model. It is
-// single-goroutine, like the underlying scratch; build one per worker
-// and share the Memo.
+// Checker decides traces against one model. It is single-goroutine,
+// like the underlying scratch; build one per worker and share the Memo.
 type Checker struct {
 	arch Model
 	// rank is arch's position in Models(), strongest first; -1 for a
@@ -215,7 +216,6 @@ type Checker struct {
 	rank   int
 	chk    *memmodel.Checker
 	memo   *Memo
-	scope  string
 	phases obs.PhaseStats
 	// decide is the method value the memo calls on a tier miss, made once
 	// so a check does not allocate a closure; decided records that it ran.
@@ -250,29 +250,28 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 		chk: memmodel.NewChecker(
 			memmodel.WithScratch(memmodel.NewScratch()),
 			memmodel.WithFastDecider(fastpath.New())),
-		memo:  memo,
-		scope: opts.Scope,
+		memo: memo,
 	}
 	c.decide = c.runCheck
 	c.sign = c.signTrace
 	return c, nil
 }
 
-// runCheck is the decision procedure as the memo sees it. For
-// CheckTrace's pending trace it first asks the model chain: a trace some
-// Checker decided valid under this model or a stronger one is valid
-// here, answered without a decision. Otherwise it runs the unified
-// checker, noting that it was reached, and a valid decision on a pending
-// trace is recorded on the trace for the weaker models. x is nil only
-// where checkTrace knew the memo would not ask for a decision.
+// runCheck is the decision procedure as the memo sees it. It first asks
+// the model chain: a pending trace some Checker decided valid under this
+// model or a stronger one is valid here, answered without a decision.
+// Otherwise it runs the unified checker, noting that it was reached, and
+// records a valid decision on the pending trace for the weaker models. x
+// is nil only where checkTrace knew the memo would not ask for a
+// decision.
 func (c *Checker) runCheck(x *Execution, arch Model) Result {
 	t := c.pending
-	if t != nil && c.rank >= 0 && t.ValidUnder(c.rank) {
+	if c.rank >= 0 && t.ValidUnder(c.rank) {
 		return Result{Valid: true}
 	}
 	c.decided = true
 	res := c.chk.Check(x, arch)
-	if res.Valid && t != nil && c.rank >= 0 {
+	if res.Valid && c.rank >= 0 {
 		t.ProvedValid(c.rank)
 	}
 	return res
@@ -316,45 +315,6 @@ func (c *Checker) materialize(t *Trace) (*Execution, time.Duration, error) {
 
 // Model returns the model this Checker decides against.
 func (c *Checker) Model() Model { return c.arch }
-
-// CheckExecution decides x, routing through the memo (and the durable
-// store when attached). The Result is byte-identical to
-// the exact memmodel.Checker's on every route. x stays the caller's: it
-// is read during the call and not kept.
-func (c *Checker) CheckExecution(x *Execution) Result {
-	sig := collective.Signature(x)
-	res, _ := c.CheckSig(sig, x)
-	return res
-}
-
-// CheckSig is CheckExecution for callers that already computed the
-// signature; hit reports whether the memo answered without a fresh
-// check.
-func (c *Checker) CheckSig(sig Sig, x *Execution) (Result, bool) {
-	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	t0 := time.Now()
-	fastBefore := c.chk.Fastpath()
-	c.decided = false
-	res, hit := c.memo.CheckScopedVia(c.scope, sig, x, c.arch, c.decide)
-	fastAfter := c.chk.Fastpath()
-	phase := obs.PhaseCheck
-	switch {
-	case hit || !c.decided:
-		// Answered without a decision: by the in-RAM memo (hit), by the
-		// durable store below it, which the memo reports as a miss it
-		// did not have to decide, or by the model chain. A stored invalid
-		// verdict re-derives its witness through the decision procedure
-		// and is booked as the check it pays.
-		phase = obs.PhaseMemo
-	case fastAfter.Valid > fastBefore.Valid && res.Valid:
-		// The fast pass proved it; invalid and fallback routes pay the
-		// exact checker, so they count as PhaseCheck.
-		phase = obs.PhaseFastCheck
-	}
-	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	c.phases.Observe(phase, time.Since(t0))
-	return res, hit
-}
 
 // Verdict is one trace's JSON-friendly check outcome — the shape
 // cmd/check emits with -json.
@@ -407,7 +367,8 @@ func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 }
 
 // checkTrace is CheckTrace's decision: the full Result, witness cycle
-// included.
+// included, routed through the memo (and the durable store when
+// attached) and booked to the phase that paid for it.
 func (c *Checker) checkTrace(t *Trace) (Result, error) {
 	// x is nil unless this call signed the trace by building it. The
 	// trace is built now only when the memo may ask for a decision: a
@@ -422,9 +383,30 @@ func (c *Checker) checkTrace(t *Trace) (Result, error) {
 			return Result{}, err
 		}
 	}
+	//mcvlint:allow nondeterm phase telemetry; never feeds results
+	t0 := time.Now()
+	fastBefore := c.chk.Fastpath()
+	c.decided = false
 	c.pending = t
-	res, _ := c.CheckSig(sig, x)
+	res, hit := c.memo.CheckScopedVia("", sig, x, c.arch, c.decide)
 	c.pending = nil
+	fastAfter := c.chk.Fastpath()
+	phase := obs.PhaseCheck
+	switch {
+	case hit || !c.decided:
+		// Answered without a decision: by the in-RAM memo (hit), by the
+		// durable store below it, which the memo reports as a miss it
+		// did not have to decide, or by the model chain. A stored invalid
+		// verdict re-derives its witness through the decision procedure
+		// and is booked as the check it pays.
+		phase = obs.PhaseMemo
+	case fastAfter.Valid > fastBefore.Valid && res.Valid:
+		// The fast pass proved it; invalid and fallback routes pay the
+		// exact checker, so they count as PhaseCheck.
+		phase = obs.PhaseFastCheck
+	}
+	//mcvlint:allow nondeterm phase telemetry; never feeds results
+	c.phases.Observe(phase, time.Since(t0))
 	return res, nil
 }
 
@@ -433,7 +415,7 @@ func (c *Checker) checkTrace(t *Trace) (Result, error) {
 // it valid, or the memo or the store below it holds a valid verdict for
 // its key.
 func (c *Checker) answered(t *Trace, sig Sig) bool {
-	return c.rank >= 0 && t.ValidUnder(c.rank) || c.memo.KnownValid(c.scope, sig, c.arch)
+	return c.rank >= 0 && t.ValidUnder(c.rank) || c.memo.KnownValid("", sig, c.arch)
 }
 
 // Dedupe snapshots the memo's effectiveness counters (shared across

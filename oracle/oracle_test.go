@@ -51,8 +51,8 @@ func TestLitmusCorpusKnownAnswers(t *testing.T) {
 }
 
 // TestExactAndFastAgree: the fast-path pass changes cost, never outcome —
-// a Checker's Results are byte-identical to the exact procedure's with
-// no fast pass in front of it.
+// a Checker's verdicts on the traces of executions are the exact
+// procedure's on those executions, with no fast pass in front of it.
 func TestExactAndFastAgree(t *testing.T) {
 	corpus, err := LitmusCorpus()
 	if err != nil {
@@ -68,15 +68,22 @@ func TestExactAndFastAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range corpus {
+		for i, e := range corpus {
 			x, err := e.Trace.Execution()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rf := fast.CheckExecution(x)
+			tr, err := TraceFromExecution(e.Trace.Name, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := fast.CheckTrace(tr, i)
+			if err != nil {
+				t.Fatal(err)
+			}
 			re := exact.Check(x, arch)
-			if !reflect.DeepEqual(rf, re) {
-				t.Fatalf("%s under %s: fast %+v != exact %+v", e.Trace.Name, model, rf, re)
+			if v.Valid != re.Valid || !re.Valid && (v.Kind != re.Kind.String() || v.Detail != re.Detail) {
+				t.Fatalf("%s under %s: fast %+v != exact %+v", e.Trace.Name, model, v, re)
 			}
 		}
 		if fast.Fastpath().Checks == 0 {
@@ -85,7 +92,9 @@ func TestExactAndFastAgree(t *testing.T) {
 	}
 }
 
-func mustCorpusExec(t *testing.T, i int) (*Execution, Sig) {
+// mustCorpusTrace encodes a fresh execution of the i-th litmus classic
+// as a trace no Checker has seen.
+func mustCorpusTrace(t *testing.T, i int) *Trace {
 	t.Helper()
 	corpus, err := LitmusCorpus()
 	if err != nil {
@@ -95,7 +104,21 @@ func mustCorpusExec(t *testing.T, i int) (*Execution, Sig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, Signature(x)
+	tr, err := TraceFromExecution(corpus[i].Trace.Name, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// mustCheck is CheckTrace that fails the test on an error.
+func mustCheck(t *testing.T, c *Checker, tr *Trace) Verdict {
+	t.Helper()
+	v, err := c.CheckTrace(tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestSharedMemoAndDurableStore: two checkers over one memo dedupe; a
@@ -108,14 +131,12 @@ func TestSharedMemoAndDurableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo := NewMemo()
-	c1, err := NewChecker("TSO", Options{Memo: memo, Store: st, Scope: "s"})
+	c1, err := NewChecker("TSO", Options{Memo: memo, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := mustCorpusExec(t, 1)
-	cold := c1.CheckExecution(x)
-	x2, _ := mustCorpusExec(t, 1)
-	c1.CheckExecution(x2)
+	cold := mustCheck(t, c1, mustCorpusTrace(t, 1))
+	mustCheck(t, c1, mustCorpusTrace(t, 1))
 	d := c1.Dedupe()
 	if d.Checks != 2 || d.Hits != 1 || d.Unique != 1 {
 		t.Fatalf("memo stats = %+v, want 2 checks / 1 hit / 1 unique", d)
@@ -130,40 +151,17 @@ func TestSharedMemoAndDurableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	c2, err := NewChecker("TSO", Options{Memo: NewMemo(), Store: st2, Scope: "s"})
+	c2, err := NewChecker("TSO", Options{Memo: NewMemo(), Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x3, _ := mustCorpusExec(t, 1)
-	warm := c2.CheckExecution(x3)
+	warm := mustCheck(t, c2, mustCorpusTrace(t, 1))
 	d2 := c2.Dedupe()
 	if d2.Durable != 1 {
 		t.Fatalf("warm stats = %+v, want 1 durable hit", d2)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("durable warm result %+v != cold %+v", warm, cold)
-	}
-}
-
-// TestScopeIsolation: the same execution under different scopes does not
-// share verdict slots.
-func TestScopeIsolation(t *testing.T) {
-	memo := NewMemo()
-	a, err := NewChecker("TSO", Options{Memo: memo, Scope: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewChecker("TSO", Options{Memo: memo, Scope: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := mustCorpusExec(t, 0)
-	a.CheckExecution(x)
-	x2, _ := mustCorpusExec(t, 0)
-	b.CheckExecution(x2)
-	d := memo.Stats()
-	if d.Hits != 0 || d.Unique != 2 {
-		t.Fatalf("scoped stats = %+v, want 0 hits / 2 unique", d)
 	}
 }
 
