@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Oracle smoke: pipe the litmus known-answer corpus through the real
 # cmd/check binary in every ingestion mode — text file, binary file,
-# stdin, parallel fan-out, cold/warm durable store, and warm again in
-# parallel — and byte-diff the NDJSON verdicts against the committed
-# golden (ci/oracle_golden.json). The golden is what the in-process checker
-# produces (cmd/check's own tests assert that equivalence), so a diff
-# here means the external-oracle path drifted from the library.
+# stdin, parallel fan-out, all cores over stdin, cold/warm durable
+# store, and warm again in parallel — and byte-diff the NDJSON verdicts
+# against the committed golden (ci/oracle_golden.json). The golden is
+# what the in-process checker produces (cmd/check's own tests assert
+# that equivalence), so a diff here means the external-oracle path
+# drifted from the library.
 #
 # cmd/check exits 1 when any verdict is INVALID; the corpus contains
 # forbidden outcomes on purpose, so 1 is the expected status and only
@@ -48,6 +49,9 @@ cmp "$GOLDEN" "$WORKDIR/stdin.json" || { echo "FAIL: stdin verdicts differ" >&2;
 
 check_json "$WORKDIR/parallel.json" -model all -parallel 4 "$WORKDIR/corpus.mctrace"
 cmp "$GOLDEN" "$WORKDIR/parallel.json" || { echo "FAIL: parallel verdicts differ" >&2; exit 1; }
+
+check_json "$WORKDIR/all-cores.json" -model all -parallel 0 <"$WORKDIR/corpus.mctrace"
+cmp "$GOLDEN" "$WORKDIR/all-cores.json" || { echo "FAIL: -parallel 0 stdin verdicts differ" >&2; exit 1; }
 
 # Durable store: a cold run populates the store, a warm run answers
 # from it. Verdict bytes must not move, and the warm run must report
@@ -100,13 +104,18 @@ fi
 
 # A binary corpus cut inside its last frame must fail the run with one
 # error naming the trace and the byte where the stream ends early,
-# exit 2, alike against the warm store and a cold one.
+# exit 2, alike against the warm store and a cold one. The verdicts of
+# every trace before the cut are printed first: the golden's first
+# lines, one per model for each of those traces.
 size=$(wc -c <"$WORKDIR/corpus.mctrace.bin")
 head -c $((size - 7)) "$WORKDIR/corpus.mctrace.bin" >"$WORKDIR/cut.bin"
+models=$(grep -c '"index":0,' "$GOLDEN")
+head -n $(($(wc -l <"$GOLDEN") - models)) "$GOLDEN" >"$WORKDIR/cut.golden"
 for store in verdicts cut-cold-verdicts; do
   status=0
-  "$WORKDIR/check" -json -model all -store "$WORKDIR/$store" "$WORKDIR/cut.bin" >/dev/null 2>"$WORKDIR/$store.cut.err" || status=$?
+  "$WORKDIR/check" -json -model all -store "$WORKDIR/$store" "$WORKDIR/cut.bin" >"$WORKDIR/$store.cut.json" 2>"$WORKDIR/$store.cut.err" || status=$?
   [ "$status" -eq 2 ] || { echo "FAIL: cut binary corpus against $store exited $status, want 2" >&2; cat "$WORKDIR/$store.cut.err" >&2; exit 1; }
+  cmp "$WORKDIR/cut.golden" "$WORKDIR/$store.cut.json" || { echo "FAIL: cut binary corpus against $store did not print the verdicts before the cut" >&2; exit 1; }
   grep '^check: .*cut\.bin: trace: binary: trace [0-9]*, byte [0-9]*: truncated .*: unexpected EOF$' "$WORKDIR/$store.cut.err" >"$WORKDIR/$store.cut.lines" || true
 done
 if ! [ -s "$WORKDIR/verdicts.cut.lines" ] || ! cmp -s "$WORKDIR/verdicts.cut.lines" "$WORKDIR/cut-cold-verdicts.cut.lines"; then
@@ -147,4 +156,4 @@ for want in 'SB: SC INVALID' 'SB: TSO valid' 'MP: TSO INVALID' 'MP: PSO valid'; 
 done
 
 lines=$(wc -l <"$GOLDEN")
-echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/store/warm-parallel paths; a malformed trace and a cut binary corpus fail alike warm and cold; an input with no trace exits 2; a value-resolved trace gets SB and MP right"
+echo "OK: $lines oracle verdicts byte-identical across text/binary/stdin/parallel/all-cores/store/warm-parallel paths; a malformed trace and a cut binary corpus fail alike warm and cold, the cut one after the verdicts before it; an input with no trace exits 2; a value-resolved trace gets SB and MP right"

@@ -1,10 +1,13 @@
 // Command check is the standalone oracle: it reads candidate-execution
 // traces (text or binary, files or stdin) and decides each against the
 // bundled axiomatic memory models through the oracle package, with
-// verdicts byte-identical to an in-process campaign's. A trace's models
-// are checked strongest first on one worker, so a trace valid under one
-// model is answered for the weaker ones without another check; the memo
-// and -store answer what was decided before.
+// verdicts byte-identical to an in-process campaign's. It is flag
+// parsing plus one oracle.CheckStream over every input in turn: traces
+// are read, decided and printed as one stream, in input order and in
+// bounded memory. A trace's models are checked strongest first on one
+// worker, so a trace valid under one model is answered for the weaker
+// ones without another check; the memo and -store answer what was
+// decided before.
 //
 //	check -model TSO trace.txt            # human-readable verdicts
 //	check -model all -json < traces.bin   # NDJSON, one verdict per line
@@ -13,7 +16,8 @@
 //
 // Exit status: 0 when every trace is valid under every requested model,
 // 1 when any violation was found, 2 on usage, decode, or I/O errors and
-// on an input holding no trace.
+// on an input holding no trace. When reading fails at trace k, the
+// verdicts of traces 0 to k−1 are printed before the error.
 package main
 
 import (
@@ -23,9 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/oracle"
@@ -42,7 +44,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
 	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces (0 = all cores); text streams are decoded on every core whatever this says")
 	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs)")
-	progress := fs.Bool("progress", false, "report phase breakdown and memo/fast-path counters to stderr")
+	progress := fs.Bool("progress", false, "report stream reading (the reader's own time, which checking overlaps), phase breakdown and memo/fast-path counters to stderr")
 	emitCorpus := fs.String("emit-corpus", "", "write the litmus known-answer corpus to stdout (text | binary) and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -74,118 +76,39 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	//mcvlint:allow nondeterm stream-reading telemetry for -progress; never feeds verdicts
-	readStart := time.Now()
-	traces, readBytes, err := readTraces(fs.Args(), stdin)
-	if err != nil {
-		fmt.Fprintln(stderr, "check:", err)
-		return 2
-	}
-	//mcvlint:allow nondeterm stream-reading telemetry for -progress; never feeds verdicts
-	readWall := time.Since(readStart)
-
-	memo := oracle.NewMemo()
-	var store *oracle.Store
+	var (
+		opts  oracle.Options
+		store *oracle.Store
+	)
 	if *storeDir != "" {
-		store, err = oracle.OpenStore(*storeDir)
-		if err != nil {
+		if store, err = oracle.OpenStore(*storeDir); err != nil {
 			fmt.Fprintln(stderr, "check:", err)
 			return 2
 		}
 		defer store.Close()
-	}
-	opts := oracle.Options{Memo: memo}
-	if store != nil {
 		opts.Store = store
 	}
 
-	// One worker = one Checker per model (Checkers are single-goroutine;
-	// the memo and store are the shared tiers). A job is one trace, whose
-	// models the worker checks in order, strongest first, so a weaker
-	// model never races ahead of the stronger one's proof. Verdicts land
-	// in input-order slots.
-	workers := *parallel
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	in := &inputs{names: fs.Args(), stdin: stdin}
+	if len(in.names) == 0 {
+		in.names = []string{"-"}
 	}
-	if workers > len(traces) && len(traces) > 0 {
-		workers = len(traces)
-	}
-	verdicts := make([][]oracle.Verdict, len(traces))
-	errs := make([]error, len(traces))
-	for i := range verdicts {
-		verdicts[i] = make([]oracle.Verdict, len(models))
-	}
-	jobs := make(chan int)
-	var (
-		wg        sync.WaitGroup
-		statMu    sync.Mutex
-		phases    oracle.PhaseSnapshot
-		fastpath  oracle.FastpathStats
-		buildErrs []error
-	)
-	for w := 0; w < workers; w++ {
-		checkers := make([]*oracle.Checker, len(models))
-		var berr error
-		for mi, m := range models {
-			checkers[mi], berr = oracle.NewChecker(m, opts)
-			if berr != nil {
-				break
-			}
-		}
-		if berr != nil {
-			buildErrs = append(buildErrs, berr)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range jobs {
-				for mi, c := range checkers {
-					// A trace that cannot be materialized fails every
-					// model with the same error.
-					if verdicts[ti][mi], errs[ti] = c.CheckTrace(traces[ti], ti); errs[ti] != nil {
-						break
-					}
-				}
-			}
-			statMu.Lock()
-			for _, c := range checkers {
-				phases = phases.Merge(c.Phases())
-				fastpath.Merge(c.Fastpath())
-			}
-			statMu.Unlock()
-		}()
-	}
-	if len(buildErrs) > 0 {
-		close(jobs)
-		wg.Wait()
-		fmt.Fprintln(stderr, "check:", buildErrs[0])
-		return 2
-	}
-	for ti := range traces {
-		jobs <- ti
-	}
-	close(jobs)
-	wg.Wait()
-
+	defer in.close()
 	status := 0
 	enc := json.NewEncoder(stdout)
-	for ti := range traces {
-		if err := errs[ti]; err != nil {
+	stats, err := oracle.CheckStream(in, models, *parallel, opts, func(ti int, verdicts []oracle.Verdict, err error) error {
+		if err != nil {
 			fmt.Fprintf(stderr, "check: trace %d: %v\n", ti, err)
 			status = 2
-			continue
+			return nil
 		}
-		for mi := range models {
-			v := verdicts[ti][mi]
+		for _, v := range verdicts {
 			if !v.Valid && status == 0 {
 				status = 1
 			}
 			if *jsonOut {
 				if err := enc.Encode(v); err != nil {
-					fmt.Fprintln(stderr, "check:", err)
-					return 2
+					return err
 				}
 				continue
 			}
@@ -199,19 +122,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%s: %s INVALID (%s): %s\n", name, v.Model, v.Kind, v.Detail)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "check:", err)
+		return 2
 	}
 
 	if *progress {
 		fmt.Fprintf(stderr, "[obs] stream reading: %d traces, %d bytes in %.1f ms (%.1f MB/s)\n",
-			len(traces), readBytes, readWall.Seconds()*1e3, float64(readBytes)/1e6/max(readWall, time.Nanosecond).Seconds())
+			in.traces, in.bytes, in.wall.Seconds()*1e3, float64(in.bytes)/1e6/max(in.wall, time.Nanosecond).Seconds())
 		fmt.Fprintf(stderr, "[obs] %d traces × %d models; phase breakdown: %s\n",
-			len(traces), len(models), phases)
-		d := memo.Stats()
-		if d.Checks > 0 {
-			fmt.Fprintf(stderr, "[obs] collective checking: %s\n", d)
+			in.traces, len(models), stats.Phases)
+		if stats.Dedupe.Checks > 0 {
+			fmt.Fprintf(stderr, "[obs] collective checking: %s\n", stats.Dedupe)
 		}
-		if fastpath.Checks > 0 {
-			fmt.Fprintf(stderr, "[obs] checker fast path: %s\n", fastpath)
+		if stats.Fastpath.Checks > 0 {
+			fmt.Fprintf(stderr, "[obs] checker fast path: %s\n", stats.Fastpath)
 		}
 	}
 	if store != nil {
@@ -248,60 +175,92 @@ func resolveModels(spec string) ([]string, error) {
 	return out, nil
 }
 
-// readTraces decodes every trace from the named files in order, or from
-// stdin when no files (or "-") are given; each stream names its own
-// format. It also returns how many bytes it read. Each file is closed
-// once it is decoded, so any number of files can be read. An error names
+// inputs reads the traces of every input in turn as one stream,
+// numbered across all of them: stdin for "-", else a file, opened once
+// the input before it is done and closed at its end, so any number of
+// files can be read. Each input names its own format, and an error names
 // its file, if it has one. An input holding no trace is an error: an
 // empty stream, as from a producer that died before writing, must not
-// read as "every trace valid".
-func readTraces(files []string, stdin io.Reader) ([]*oracle.Trace, int64, error) {
-	if len(files) == 0 {
-		files = []string{"-"}
-	}
-	var (
-		traces []*oracle.Trace
-		in     countingReader // over every input in turn
-	)
-	for _, name := range files {
-		var f *os.File
-		in.r = stdin
-		if name != "-" {
-			var err error
-			if f, err = os.Open(name); err != nil {
-				return nil, 0, err
+// read as "every trace valid". It counts the bytes read, the traces
+// returned and the time spent inside Next, which checking overlaps.
+type inputs struct {
+	names  []string // the inputs not yet opened
+	stdin  io.Reader
+	name   string             // the open input's
+	r      io.Reader          // the open input
+	rd     oracle.TraceReader // its traces; nil between inputs
+	got    int                // traces read from it
+	traces int
+	bytes  int64
+	wall   time.Duration
+}
+
+// errNoTrace is the error of an input that holds no trace.
+var errNoTrace = errors.New("no trace in the input")
+
+func (s *inputs) Next() (*oracle.Trace, error) {
+	//mcvlint:allow nondeterm stream-reading telemetry for -progress; never feeds verdicts
+	defer func(t0 time.Time) { s.wall += time.Since(t0) }(time.Now())
+	for {
+		if s.rd == nil {
+			if len(s.names) == 0 {
+				return nil, io.EOF
 			}
-			in.r = f
+			s.name, s.names, s.r, s.got = s.names[0], s.names[1:], s.stdin, 0
+			if s.name != "-" {
+				f, err := os.Open(s.name)
+				if err != nil {
+					return nil, err
+				}
+				s.r = f
+			}
+			rd, err := oracle.NewTraceReader(s, "auto")
+			if err != nil {
+				return nil, s.fail(err)
+			}
+			s.rd = rd
 		}
-		got, err := oracle.DecodeTraces(&in)
-		if f != nil {
-			f.Close()
-		}
+		t, err := s.rd.Next()
 		switch {
-		case err != nil && name == "-":
-			return nil, 0, err
-		case err != nil:
-			return nil, 0, fmt.Errorf("%s: %w", name, err)
-		case len(got) == 0 && name == "-":
-			return nil, 0, errors.New("stdin: no trace in the input")
-		case len(got) == 0:
-			return nil, 0, fmt.Errorf("%s: no trace in the input", name)
+		case err == nil:
+			s.got++
+			s.traces++
+			return t, nil
+		case err != io.EOF:
+			return nil, s.fail(err)
+		case s.got == 0:
+			return nil, s.fail(errNoTrace)
 		}
-		traces = append(traces, got...)
+		s.close()
 	}
-	return traces, in.n, nil
 }
 
-// countingReader counts the bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
+// Read reads the open input, counting its bytes.
+func (s *inputs) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.bytes += int64(n)
 	return n, err
+}
+
+// fail closes the open input and returns err naming it. A read error of
+// stdin goes unnamed; its holding no trace names it.
+func (s *inputs) fail(err error) error {
+	s.close()
+	switch {
+	case s.name != "-":
+		return fmt.Errorf("%s: %w", s.name, err)
+	case err == errNoTrace:
+		return fmt.Errorf("stdin: %w", err)
+	}
+	return err
+}
+
+// close closes the open input, if it is a file.
+func (s *inputs) close() {
+	if f, ok := s.r.(*os.File); ok && s.name != "-" {
+		f.Close()
+	}
+	s.r, s.rd = nil, nil
 }
 
 // runEmitCorpus dumps the bundled litmus classics as a trace stream —

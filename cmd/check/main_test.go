@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/oracle"
 )
@@ -365,5 +369,91 @@ func TestProgressReportsStreamReading(t *testing.T) {
 	}
 	if strings.Contains(errb.String(), "[obs]") {
 		t.Errorf("a run without -progress printed %q", errb.String())
+	}
+}
+
+// TestReadErrorAfterVerdicts: when reading fails at trace k, the
+// verdicts of traces 0 to k−1 are printed, then the one positioned
+// error, and the run exits 2, at every worker count: a text trace that
+// does not decode, a binary stream cut inside its last frame, and a
+// stream whose reader fails after its last whole trace.
+func TestReadErrorAfterVerdicts(t *testing.T) {
+	corpus, err := oracle.LitmusCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces []*oracle.Trace
+	for _, e := range corpus {
+		traces = append(traces, e.Trace)
+	}
+	k := len(traces) - 1
+	var text, head, bin bytes.Buffer
+	if err := oracle.WriteTraces(&text, traces...); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.WriteTraces(&head, traces[:k]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.WriteTracesBinary(&bin, traces...); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Count(text.Bytes(), []byte("\n"))
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		fail    error  // the reader's error after data; nil = io.EOF
+		k       int    // traces before the error
+		errLine string // a part of the error's line
+	}{
+		{"undecodable", append(slices.Clip(text.Bytes()), "trace bad\nthread 0\nzz 1\nend\n"...), nil,
+			len(traces), fmt.Sprintf("check: trace: line %d: unknown directive", lines+3)},
+		// A binary stream numbers its traces from 1 in its errors.
+		{"cut binary", bin.Bytes()[:bin.Len()-7], nil, k, fmt.Sprintf("check: trace: binary: trace %d, byte ", k+1)},
+		{"read error", head.Bytes(), errors.New("producer died"), k, "producer died"},
+	} {
+		var prefix bytes.Buffer
+		if err := oracle.WriteTraces(&prefix, traces[:c.k]...); err != nil {
+			t.Fatal(err)
+		}
+		for _, parallel := range []string{"1", "2", "0"} {
+			var want, got, errb bytes.Buffer
+			args := []string{"-model", "all", "-parallel", parallel}
+			if code := run(args, bytes.NewReader(prefix.Bytes()), &want, &errb); code != 1 {
+				t.Fatalf("%s: the traces before the error exited %d: %s", c.name, code, errb.String())
+			}
+			in := io.Reader(bytes.NewReader(c.data))
+			if c.fail != nil {
+				in = io.MultiReader(in, iotest.ErrReader(c.fail))
+			}
+			code := run(args, in, &got, &got)
+			rest, ok := bytes.CutPrefix(got.Bytes(), want.Bytes())
+			if code != 2 || !ok || bytes.Count(rest, []byte("\n")) != 1 || !strings.Contains(string(rest), c.errLine) {
+				t.Errorf("%s at -parallel %s exited %d, printed\n%s\nwant 2, the verdicts of the %d traces before the error, then one line holding %q",
+					c.name, parallel, code, got.String(), c.k, c.errLine)
+			}
+		}
+	}
+}
+
+// TestLaterFileWithNoTrace: files good and bad-empty print good's
+// verdicts, then an error naming bad-empty, and exit 2.
+func TestLaterFileWithNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	good, empty := filepath.Join(dir, "good"), filepath.Join(dir, "bad-empty")
+	if err := os.WriteFile(good, corpusText(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []string{"1", "2", "0"} {
+		var want, got, errb bytes.Buffer
+		if code := run([]string{"-json", "-parallel", parallel, good}, strings.NewReader(""), &want, &errb); code != 1 {
+			t.Fatalf("good alone exited %d: %s", code, errb.String())
+		}
+		code := run([]string{"-json", "-parallel", parallel, good, empty}, strings.NewReader(""), &got, &got)
+		if wantAll := want.String() + "check: " + empty + ": no trace in the input\n"; code != 2 || got.String() != wantAll {
+			t.Errorf("good bad-empty at -parallel %s exited %d, printed\n%s\nwant 2 and\n%s", parallel, code, got.String(), wantAll)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/oracle"
 )
 
@@ -29,7 +30,7 @@ func checkTrace(t *testing.T, dir string, b *bundle) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	traces, err := oracle.DecodeTraces(f)
+	traces, err := trace.DecodeAll(f)
 	if err != nil || len(traces) != 1 {
 		t.Fatalf("bundle trace: %d traces, %v", len(traces), err)
 	}

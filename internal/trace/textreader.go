@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync"
 )
 
 // TextReader decodes a text stream on every core. It cuts the stream
@@ -35,7 +36,9 @@ import (
 // A piece's goroutine decodes it and ends: it never waits on the reader,
 // so a reader dropped mid-stream leaves no goroutine behind once its
 // pieces are decoded. Piece buffers and decoders are kept from piece to
-// piece, and at most k pieces of at most maxBytes each are held at once.
+// piece, and at most k pieces of at most maxBytes each are held at once;
+// a reader that reads its stream to its end leaves them to the next
+// (see idle).
 type TextReader struct {
 	src source
 	// k pieces are decoded at once at most. A piece is cut from size
@@ -85,9 +88,40 @@ var endLine = []byte("\nend\n")
 var errLongTrace = errors.New("trace: trace longer than a piece")
 
 // NewTextReader returns a reader of the text stream r that decodes its
-// traces on GOMAXPROCS goroutines.
+// traces on GOMAXPROCS goroutines, in pieces idle keeps, if it keeps any.
 func NewTextReader(r io.Reader) *TextReader {
-	return newTextReader(r, runtime.GOMAXPROCS(0), readBufSize, 16*readBufSize)
+	t := newTextReader(r, runtime.GOMAXPROCS(0), readBufSize, 16*readBufSize)
+	idle.Lock()
+	n := max(0, len(idle.pieces)-t.k)
+	t.free = append(t.free, idle.pieces[n:]...)
+	clear(idle.pieces[n:])
+	idle.pieces = idle.pieces[:n]
+	idle.Unlock()
+	return t
+}
+
+// idle keeps the pieces of readers that read their stream to its end,
+// for the next NewTextReader: a run over many streams, as check over
+// many files, grows a piece's buffer and its decoder's gathering storage
+// once, not once a stream. It keeps at most GOMAXPROCS pieces, each with
+// a buffer of readBufSize bytes, so its decoder holds no more than what
+// so many bytes decode to.
+var idle struct {
+	sync.Mutex
+	pieces []*piece
+}
+
+// release hands the reader's pieces to idle, up to what it keeps, once
+// the stream is read to its end.
+func (r *TextReader) release() {
+	idle.Lock()
+	defer idle.Unlock()
+	for _, p := range r.free {
+		if len(p.buf) == readBufSize+wordSlack && len(idle.pieces) < runtime.GOMAXPROCS(0) {
+			idle.pieces = append(idle.pieces, p)
+		}
+	}
+	r.free = nil
 }
 
 // newTextReader cuts pieces from size bytes, grown to at most maxBytes,
@@ -114,6 +148,7 @@ func (r *TextReader) Next() (*Trace, error) {
 		r.launch()
 		if len(r.flight) == 0 {
 			if r.stop == io.EOF {
+				r.release()
 				return nil, io.EOF
 			}
 			r.toSerial()
@@ -137,6 +172,10 @@ func (r *TextReader) Next() (*Trace, error) {
 // are in flight or no piece can be cut.
 func (r *TextReader) launch() {
 	for len(r.flight) < r.k && r.stop == nil {
+		if len(r.rest) == 0 && r.src.err != nil {
+			r.stop = r.src.err // nothing is left to cut
+			break
+		}
 		var p *piece
 		if n := len(r.free); n > 0 {
 			p, r.free = r.free[n-1], r.free[:n-1]

@@ -310,3 +310,56 @@ func TestTextReaderLongLineInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestTextReaderCarriesPieces: a reader that read its stream to its end
+// leaves its pieces to the next NewTextReader, at most GOMAXPROCS of
+// them and only those of a piece's first size, so a run over many
+// one-trace streams decodes each allocating about what the trace holds,
+// where every reader used to grow its own buffers and decoder storage.
+func TestTextReaderCarriesPieces(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, benchTrace(t)); err != nil {
+		t.Fatal(err)
+	}
+	one := buf.Bytes()
+	long := []byte(TextHeader + "\ntrace long\nthread 0\n" + strings.Repeat("w 0x100 1\n", 2*readBufSize/10) + "end\n")
+	ops := 0
+	read := func(in []byte) {
+		got, err := readAll(NewTextReader(bytes.NewReader(in)))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("%d traces, %v; want 1", len(got), err)
+		}
+		ops = 0
+		for _, th := range got[0].Threads {
+			ops += len(th.Ops)
+		}
+	}
+	// A reader whose piece outgrew its first size leaves it behind.
+	for _, in := range [][]byte{one, long} {
+		read(in)
+		idle.Lock()
+		n := len(idle.pieces)
+		for _, p := range idle.pieces {
+			if len(p.buf) != readBufSize+wordSlack {
+				t.Errorf("an idle piece holds a buffer of %d bytes, want %d", len(p.buf), readBufSize+wordSlack)
+			}
+		}
+		idle.Unlock()
+		if n == 0 && len(in) == len(one) || n > runtime.GOMAXPROCS(0) {
+			t.Errorf("%d idle pieces, want 1 to GOMAXPROCS", n)
+		}
+	}
+	read(one)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reads = 10
+	for range reads {
+		read(one)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / reads
+	t.Logf("%.0f bytes a one-trace stream of %d ops", allocated, ops)
+	if budget := float64(ops*decodeBytesPerOp + 1<<10); allocated > budget {
+		t.Errorf("a one-trace stream allocates %.0f bytes, want at most %.0f", allocated, budget)
+	}
+}

@@ -81,7 +81,7 @@ func checkEncodingPinned(t *testing.T, encode func(io.Writer, ...*Trace) error, 
 	}
 	var seeds []*Trace
 	for _, in := range pinFuzzSeeds {
-		ts, err := DecodeTraces(strings.NewReader(in))
+		ts, err := trace.DecodeAll(strings.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -398,11 +398,11 @@ func TestSignTraceMatchesExecution(t *testing.T) {
 	if err := WriteTracesBinary(&bin, canonical...); err != nil {
 		t.Fatal(err)
 	}
-	fromText, err := DecodeTraces(&text)
+	fromText, err := trace.DecodeAll(&text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := DecodeTraces(&bin)
+	fromBin, err := trace.DecodeAll(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}

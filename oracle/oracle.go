@@ -2,8 +2,10 @@
 // consumers decide candidate executions — ones decoded from trace
 // streams, or their own, encoded by TraceFromExecution — against the
 // bundled axiomatic memory models without importing any internal
-// package. CheckTrace is the one way to decide one. cmd/check is a thin
-// CLI over exactly this API.
+// package. CheckTrace is the one way to decide one; CheckStream is the
+// one loop that reads a stream, decides its traces on several
+// goroutines and hands the verdicts on in input order. cmd/check is a
+// thin CLI over exactly this API: flag parsing and one CheckStream.
 //
 // The shape mirrors the in-repo campaign pipeline: a Checker holds one
 // model plus the unified fast-path-first decision procedure, consults a
@@ -52,12 +54,12 @@
 // them. To decide one, encode it with TraceFromExecution and hand the
 // trace to CheckTrace.
 //
-//	checker, err := oracle.NewChecker("TSO", oracle.Options{})
-//	traces, err := oracle.DecodeTraces(f) // a text or a binary stream
-//	for i, tr := range traces {
-//		v, err := checker.CheckTrace(tr, i)
-//		// v.Valid, v.Kind, v.Detail ...
-//	}
+//	rd, err := oracle.NewTraceReader(f, "auto") // a text or a binary stream
+//	stats, err := oracle.CheckStream(rd, oracle.Models(), 0, oracle.Options{},
+//		func(i int, verdicts []oracle.Verdict, err error) error {
+//			// trace i's verdicts, one per model: v.Valid, v.Kind, v.Detail ...
+//			return nil
+//		})
 package oracle
 
 import (
@@ -152,10 +154,6 @@ func ScopedKey(scope string, sig Sig, model Model) Sig {
 
 // Trace codec surface, re-exported so cmd/check and external consumers
 // need only this package.
-
-// DecodeTraces reads every trace in a stream of either format, which the
-// stream's first bytes name, as NewTraceReader's "auto" does.
-func DecodeTraces(r io.Reader) ([]*Trace, error) { return trace.DecodeAll(r) }
 
 // WriteTraces encodes traces canonically in the text format.
 func WriteTraces(w io.Writer, traces ...*Trace) error { return trace.WriteText(w, traces...) }
@@ -321,7 +319,8 @@ func (c *Checker) Model() Model { return c.arch }
 type Verdict struct {
 	// Name is the trace's name, when it carries one.
 	Name string `json:"name,omitempty"`
-	// Index is the trace's position in its stream (0-based).
+	// Index is the trace's position in its stream (0-based). cmd/check
+	// numbers traces across every input, in order.
 	Index int `json:"index"`
 	// Model is the model the trace was decided against.
 	Model string `json:"model"`

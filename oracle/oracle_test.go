@@ -196,34 +196,6 @@ func TestTraceReaderAuto(t *testing.T) {
 	}
 }
 
-// TestDecodeTracesReadsEitherFormat: DecodeTraces reads the binary form
-// of a stream to the traces it reads from the text form.
-func TestDecodeTracesReadsEitherFormat(t *testing.T) {
-	corpus, err := LitmusCorpus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traces []*Trace
-	for _, e := range corpus {
-		traces = append(traces, e.Trace)
-	}
-	var text, bin bytes.Buffer
-	if err := WriteTraces(&text, traces...); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTracesBinary(&bin, traces...); err != nil {
-		t.Fatal(err)
-	}
-	fromText, err := DecodeTraces(&text)
-	if err != nil || len(fromText) != len(traces) {
-		t.Fatalf("text: %d traces, %v; want %d", len(fromText), err, len(traces))
-	}
-	fromBin, err := DecodeTraces(&bin)
-	if err != nil || !reflect.DeepEqual(fromBin, fromText) {
-		t.Fatalf("binary: %d traces, %v; want the %d the text form holds", len(fromBin), err, len(fromText))
-	}
-}
-
 // TestTraceReaderAutoMatchesExplicit: the sniffing reader hands the
 // bytes it sniffed on to the decoder it picks, so it decodes exactly what
 // that format's reader decodes — the same traces, the same error at the
