@@ -28,7 +28,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/oracle"
 )
@@ -44,7 +43,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit NDJSON verdicts (one oracle.Verdict per line) instead of text")
 	parallel := fs.Int("parallel", 1, "verdict workers fanning out over independent traces (0 = all cores); text streams are decoded on every core whatever this says")
 	storeDir := fs.String("store", "", "durable verdict store directory (shared across runs)")
-	progress := fs.Bool("progress", false, "report stream reading (the reader's own time, which checking overlaps), phase breakdown and memo/fast-path counters to stderr")
+	progress := fs.Bool("progress", false, "report the traces and bytes read, phase breakdown and memo/fast-path counters to stderr")
 	emitCorpus := fs.String("emit-corpus", "", "write the litmus known-answer corpus to stdout (text | binary) and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -130,8 +129,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *progress {
-		fmt.Fprintf(stderr, "[obs] stream reading: %d traces, %d bytes in %.1f ms (%.1f MB/s)\n",
-			in.traces, in.bytes, in.wall.Seconds()*1e3, float64(in.bytes)/1e6/max(in.wall, time.Nanosecond).Seconds())
+		fmt.Fprintf(stderr, "[obs] stream reading: %d traces, %d bytes\n", in.traces, in.bytes)
 		fmt.Fprintf(stderr, "[obs] %d traces × %d models; phase breakdown: %s\n",
 			in.traces, len(models), stats.Phases)
 		if stats.Dedupe.Checks > 0 {
@@ -181,8 +179,8 @@ func resolveModels(spec string) ([]string, error) {
 // files can be read. Each input names its own format, and an error names
 // its file, if it has one. An input holding no trace is an error: an
 // empty stream, as from a producer that died before writing, must not
-// read as "every trace valid". It counts the bytes read, the traces
-// returned and the time spent inside Next, which checking overlaps.
+// read as "every trace valid". It counts the bytes read and the traces
+// returned.
 type inputs struct {
 	names  []string // the inputs not yet opened
 	stdin  io.Reader
@@ -192,15 +190,12 @@ type inputs struct {
 	got    int                // traces read from it
 	traces int
 	bytes  int64
-	wall   time.Duration
 }
 
 // errNoTrace is the error of an input that holds no trace.
 var errNoTrace = errors.New("no trace in the input")
 
 func (s *inputs) Next() (*oracle.Trace, error) {
-	//mcvlint:allow nondeterm stream-reading telemetry for -progress; never feeds verdicts
-	defer func(t0 time.Time) { s.wall += time.Since(t0) }(time.Now())
 	for {
 		if s.rd == nil {
 			if len(s.names) == 0 {

@@ -83,10 +83,6 @@ func initPred(addr memsys.Addr) pred { return ^pred(addr >> 3) }
 // per iteration and accumulates run-level non-determinism state.
 type Recorder struct {
 	arch memmodel.Arch
-	// scope is the scenario identity memo lookups are confined to (see
-	// SetScope); verdicts recorded under one scope are invisible to
-	// every other.
-	scope string
 
 	// memo, when set, answers repeated executions (see SetMemo); nil
 	// checks every iteration.
@@ -97,9 +93,9 @@ type Recorder struct {
 	// counters. Results are identical with the fast path on or off, so
 	// the toggle can never change verdicts — only the counters.
 	chk *memmodel.Checker
-	// checkFn caches the chk.Check method value so the per-iteration
+	// decide caches the checkExec method value so the per-iteration
 	// memo call does not allocate a fresh closure.
-	checkFn collective.CheckFunc
+	decide collective.CheckFunc
 
 	// slots is the per-key state, grown on demand to the shape of the
 	// programs being recorded.
@@ -126,17 +122,17 @@ type Recorder struct {
 // first.
 func NewRecorder(arch memmodel.Arch) *Recorder {
 	r := &Recorder{chk: memmodel.NewChecker(memmodel.WithFastDecider(fastpath.New()))}
-	r.checkFn = r.chk.Check
+	r.decide = r.checkExec
 	r.Reset(arch)
 	return r
 }
 
-// Reset re-arms the recorder to check against arch with no memo and no
-// scope, and forgets the run and iteration state: the recorder
-// NewRecorder(arch) returns, keeping the storage it has grown.
-// NewRecorder reaches its state through this call.
+// Reset re-arms the recorder to check against arch with no memo, and
+// forgets the run and iteration state: the recorder NewRecorder(arch)
+// returns, keeping the storage it has grown. NewRecorder reaches its
+// state through this call.
 func (r *Recorder) Reset(arch memmodel.Arch) {
-	r.arch, r.memo, r.scope = arch, nil, ""
+	r.arch, r.memo = arch, nil
 	r.ResetAll()
 }
 
@@ -156,15 +152,12 @@ func (r *Recorder) ResetAll() {
 // recorders and goroutines; passing nil checks every iteration again.
 func (r *Recorder) SetMemo(m *collective.Memo) { r.memo = m }
 
-// SetScope confines the recorder's memo lookups to the given scenario
-// identity (model + relaxation set + bugs). Two recorders sharing one
-// memo under different scopes can never exchange verdicts: a signature
-// that is valid under one scenario's machine contract may carry a
-// different meaning under another's, so verdicts must not leak across.
-func (r *Recorder) SetScope(scope string) { r.scope = scope }
-
 // Fastpath returns the current run's fast-path outcome counters.
 func (r *Recorder) Fastpath() stats.Fastpath { return r.chk.Fastpath() }
+
+// checkExec is the memo's CheckFunc: it decides the iteration's
+// execution, which the recorder has built, so it never fails.
+func (r *Recorder) checkExec() (memmodel.Result, error) { return r.chk.Check(r.exec, r.arch), nil }
 
 func (r *Recorder) resetIteration() {
 	if r.exec == nil || r.lent {
@@ -383,8 +376,8 @@ func (r *Recorder) EndIteration() *Violation {
 	var res memmodel.Result
 	if r.memo != nil {
 		// The memo model-checks each unique (program, observed-ordering)
-		// pair at most once.
-		res, _ = r.memo.CheckScopedVia(r.scope, collective.Signature(exec), exec, r.arch, r.checkFn)
+		// pair at most once. Its error is checkExec's, which has none.
+		res, _, _ = r.memo.Check(collective.Signature(exec), r.arch, r.decide)
 	} else {
 		res = r.chk.Check(exec, r.arch)
 	}

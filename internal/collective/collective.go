@@ -254,7 +254,7 @@ func VerdictOf(res memmodel.Result) Verdict {
 }
 
 // VerdictStore is the durable tier below the in-RAM memo: an on-disk
-// verdict table keyed by scoped signature (see ScopedKey) shared across
+// verdict table keyed like the memo (see ScopedKey) shared across
 // process restarts and campaigns. Implementations must be safe for
 // concurrent use; Put may be called multiple times for the same key
 // (idempotent append semantics). The store subpackage provides the
@@ -263,16 +263,16 @@ type VerdictStore interface {
 	// Get returns the stored verdict for key, if present.
 	Get(key Sig) (Verdict, bool)
 	// Put records the verdict for key. Errors are the store's to
-	// surface (a memo lookup cannot fail); implementations log or
-	// latch them.
+	// surface (a memo lookup fails only when its check does);
+	// implementations log or latch them.
 	Put(key Sig, v Verdict)
 }
 
-// Memo is a concurrency-safe verdict table keyed by execution
-// signature. A signature's verdict is computed at most once across all
+// Memo is a concurrency-safe verdict table keyed by execution signature
+// and memory model. A key's verdict is computed at most once across all
 // goroutines sharing the memo: concurrent submitters of the same new
-// signature block on the first one's computation instead of repeating
-// it. The zero value is not ready; call NewMemo.
+// key block on the first one's computation instead of repeating it. The
+// zero value is not ready; call NewMemo.
 //
 // Its sharers are few: the Checkers of cmd/check's -parallel workers, or
 // the campaigns of one traced sweep. So the table is one map under one
@@ -289,19 +289,23 @@ type Memo struct {
 	checks  atomic.Uint64
 	hits    atomic.Uint64
 	durable atomic.Uint64
+	unique  atomic.Uint64
 	// store is the durable tier (nil = RAM only). Set before the memo
 	// is shared across goroutines.
 	store VerdictStore
-	// mu guards m, the entries by scoped key.
+	// mu guards m, the entries by key.
 	mu sync.Mutex
 	m  map[Sig]*memoEntry
 }
 
+// memoEntry is one key's verdict. mu serializes the submitters deciding
+// it; done publishes res to the submitters that never take mu. A key
+// whose check failed keeps an entry without a verdict, which its next
+// submitter decides.
 type memoEntry struct {
-	once sync.Once
-	res  memmodel.Result
-	// done publishes res to KnownValid, which never waits on once.
+	mu   sync.Mutex
 	done atomic.Bool
+	res  memmodel.Result
 }
 
 // NewMemo returns an empty verdict table.
@@ -324,13 +328,14 @@ func (m *Memo) entry(key Sig) *memoEntry {
 	return e
 }
 
-// archKey folds the memory model and the scenario scope into the lookup
-// key: a verdict is a function of (execution, arch), and memos are
-// exported for sharing, so a TSO verdict must never answer an SC query —
-// and verdicts recorded under one scenario (model + relaxation set +
-// bugs) must never answer a query from another, even when both check the
-// same model name.
-func archKey(sig Sig, arch memmodel.Arch, scope string) Sig {
+// ScopedKey folds a scope, a memory model and an execution signature
+// into a 128-bit store key. A verdict is a function of (execution,
+// model), and memos are shared, so a TSO verdict must never answer an SC
+// query. The memo — and through it any attached VerdictStore — looks
+// verdicts up under the empty scope, so a tool that inspects or
+// pre-seeds a store passes ""; any other scope makes keys no lookup
+// reads.
+func ScopedKey(scope string, sig Sig, arch memmodel.Arch) Sig {
 	h := fnv.New64a()
 	h.Write([]byte(arch.Name()))
 	h.Write([]byte{0})
@@ -339,121 +344,108 @@ func archKey(sig Sig, arch memmodel.Arch, scope string) Sig {
 	return Sig{Hi: sig.Hi ^ n, Lo: sig.Lo ^ (n<<32 | n>>32)}
 }
 
-// ScopedKey is the exported fold of (scenario scope, memory model,
-// execution signature) into the 128-bit key the memo — and through it
-// any attached VerdictStore — looks verdicts up under. External tooling
-// that inspects or pre-seeds a store must key records with exactly this
-// fold to interoperate with campaign lookups.
-func ScopedKey(scope string, sig Sig, arch memmodel.Arch) Sig {
-	return archKey(sig, arch, scope)
-}
+// CheckFunc is the decision procedure behind one memo lookup: it
+// decides the execution the lookup's signature was computed from, under
+// the lookup's model. It must return Results identical to the exact
+// memmodel.Checker's for every input — the contract a Checker with a
+// fast pass keeps by falling back to the exact procedure whenever the
+// clock rules cannot decide. It fails only when it cannot produce the
+// execution to decide. It runs under its key's lock, so it must not
+// look the same key up.
+type CheckFunc func() (memmodel.Result, error)
 
-// CheckFunc is the decision procedure behind a memo: it must return
-// Results identical to the exact memmodel.Checker's for every input —
-// the contract a Checker with a fast pass keeps by falling back to the
-// exact procedure whenever the clock rules cannot decide. A
-// memmodel.Checker's Check method is one.
-type CheckFunc func(*memmodel.Execution, memmodel.Arch) memmodel.Result
-
-// CheckScopedVia returns the verdict for the execution whose signature
-// is sig, running check at most once per *valid* signature. hit reports
-// whether the verdict was already present (or being computed by a
-// concurrent submitter). It is the memo's one entry point.
+// Check returns the verdict under arch for the execution whose
+// signature is sig, running check at most once per *valid* key. It is
+// the memo's one entry point. hit reports whether the verdict was
+// already in RAM (or being computed by a concurrent submitter).
 //
-// Lookups are confined to a scenario scope: different scopes never
-// share verdicts, so one memo can serve a whole scenario matrix without
-// cross-scenario leakage. The empty scope is itself a scope.
+// A check that fails leaves nothing behind — no verdict, no store
+// record, no moved counter — and the key's next submitter runs its own.
 //
-// Invalid verdicts are special-cased: a hit on a known-invalid
-// signature re-derives the witness (Cycle, Detail) from the submitted
-// execution instead of returning the representative's. Signature-equal
-// executions agree on Valid and Kind — those are graph properties,
-// identical for isomorphic executions — but the witness cycle found
-// first depends on the submitter's dense EventID numbering, so reusing
-// the representative's would make Result details depend on which
-// submitter checked first. Violations are terminal for a campaign,
-// so the re-derivation never costs more than one extra check per
-// campaign. Memo misses and these re-derivations both run through
-// check, so a recorder wiring its fast path in here keeps one set of
-// outcome counters covering every execution it submits.
-func (m *Memo) CheckScopedVia(scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch, check CheckFunc) (res memmodel.Result, hit bool) {
-	m.checks.Add(1)
-	key := archKey(sig, arch, scope)
+// Invalid verdicts are special-cased: a hit on a known-invalid key
+// re-derives the witness (Cycle, Detail) through check instead of
+// returning the representative's. Signature-equal executions agree on
+// Valid and Kind — those are graph properties, identical for isomorphic
+// executions — but the witness cycle found first depends on the
+// submitter's dense EventID numbering, so reusing the representative's
+// would make Result details depend on which submitter checked first.
+// Violations are terminal for a campaign, so the re-derivation never
+// costs more than one extra check per campaign. Memo misses and these
+// re-derivations both run through check, so a recorder wiring its fast
+// path in here keeps one set of outcome counters covering every
+// execution it submits.
+func (m *Memo) Check(sig Sig, arch memmodel.Arch, check CheckFunc) (res memmodel.Result, hit bool, err error) {
+	key := ScopedKey("", sig, arch)
 	e := m.entry(key)
-	computed := false
-	e.once.Do(func() {
-		defer e.done.Store(true)
-		// Two-tier lookup: consult the durable store once per unique
-		// scoped key (the once.Do makes this race-free), then fall back
-		// to a fresh check whose verdict is written through. Durable
-		// verdicts carry no witness, so a stored invalid re-derives it
-		// via check — the same trade as in-RAM invalid re-hits — which
-		// keeps Results byte-identical with and without a store.
-		if m.store != nil {
-			if v, ok := m.store.Get(key); ok {
-				m.durable.Add(1)
-				if v.Valid {
-					e.res = memmodel.Result{Valid: true}
-				} else {
-					e.res = check(x, arch)
-				}
-				computed = true
-				return
-			}
+	if !e.done.Load() {
+		decided, err := m.fill(e, key, check)
+		if err != nil {
+			return memmodel.Result{}, false, err
 		}
-		e.res = check(x, arch)
-		if m.store != nil {
-			m.store.Put(key, VerdictOf(e.res))
+		if decided {
+			return e.res, false, nil
 		}
-		computed = true
-	})
-	if computed {
-		return e.res, false
 	}
+	res = e.res
+	if !res.Valid {
+		if res, err = check(); err != nil {
+			return res, true, err
+		}
+	}
+	m.checks.Add(1)
 	m.hits.Add(1)
-	if !e.res.Valid {
-		return check(x, arch), true
-	}
-	return e.res, true
+	return res, true, nil
 }
 
-// KnownValid reports whether CheckScopedVia would answer (scope, sig,
-// arch) valid without calling check: the memo holds a valid verdict for
-// it, or the store below it does. It is a peek — it counts nothing and
-// records nothing — so a caller can skip building an execution the
-// lookup will not read. An entry another submitter is still computing
-// is not yet known, unless the store knows it.
-func (m *Memo) KnownValid(scope string, sig Sig, arch memmodel.Arch) bool {
-	key := archKey(sig, arch, scope)
-	m.mu.Lock()
-	e, ok := m.m[key]
-	m.mu.Unlock()
-	if ok && e.done.Load() {
-		return e.res.Valid
+// fill gives e, the entry of key, its verdict, unless a submitter it
+// waited on did, and reports whether it did. Below the RAM tier it
+// consults the durable store, then falls back to a fresh check whose
+// verdict it writes through. Durable verdicts carry no witness, so a
+// stored invalid re-derives it via check — the same trade as in-RAM
+// invalid re-hits — which keeps Results byte-identical with and without
+// a store.
+func (m *Memo) fill(e *memoEntry, key Sig, check CheckFunc) (bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done.Load() {
+		return false, nil
 	}
-	if m.store == nil {
-		return false
+	var stored Verdict
+	inStore := false
+	if m.store != nil {
+		stored, inStore = m.store.Get(key)
 	}
-	v, ok := m.store.Get(key)
-	return ok && v.Valid
+	res := memmodel.Result{Valid: true}
+	if !inStore || !stored.Valid {
+		var err error
+		if res, err = check(); err != nil {
+			return false, err
+		}
+	}
+	if inStore {
+		m.durable.Add(1)
+	} else if m.store != nil {
+		m.store.Put(key, VerdictOf(res))
+	}
+	e.res = res
+	m.checks.Add(1)
+	m.unique.Add(1)
+	e.done.Store(true)
+	return true, nil
 }
 
-// Len returns the number of unique signatures seen.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
+// Len returns the number of keys holding a verdict.
+func (m *Memo) Len() int { return int(m.unique.Load()) }
 
 // Stats snapshots the memo's global counters. Unlike per-campaign
 // counters, Hits here depends on which submitter of a concurrently-new
-// signature won the race only in attribution, never in total: Checks -
-// Unique == Hits always holds.
+// key won the race only in attribution, never in total: Checks - Unique
+// == Hits always holds.
 func (m *Memo) Stats() stats.Dedupe {
 	return stats.Dedupe{
 		Checks:  m.checks.Load(),
 		Hits:    m.hits.Load(),
-		Unique:  uint64(m.Len()),
+		Unique:  m.unique.Load(),
 		Durable: m.durable.Load(),
 	}
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -160,10 +161,40 @@ func TestSignatureDistinguishesCO(t *testing.T) {
 	}
 }
 
-// exactVia submits x to m the way every caller does, through
-// CheckScopedVia, with a fresh exact checker as the decision procedure.
-func exactVia(m *Memo, scope string, sig Sig, x *memmodel.Execution, arch memmodel.Arch) (memmodel.Result, bool) {
-	return m.CheckScopedVia(scope, sig, x, arch, memmodel.NewChecker().Check)
+// TestSignatureDistinguishesFenceKinds: two otherwise identical
+// executions whose fence events differ only in flavour must not
+// collide — a store-store fence and a full fence mean different things
+// to every weak model.
+func TestSignatureDistinguishesFenceKinds(t *testing.T) {
+	build := func(kind memmodel.FenceKind) Sig {
+		ops, co, rf := mpOps(102, 101)
+		x := replay(t, ops, co, rf)
+		x.AddEvent(memmodel.Event{
+			Key:   memmodel.Key{TID: 1, Instr: 2},
+			Kind:  memmodel.KindFence,
+			Fence: kind,
+		})
+		return Signature(x)
+	}
+	if build(memmodel.FenceFull) == build(memmodel.FenceSS) {
+		t.Fatal("fence flavour not part of the signature")
+	}
+	if build(memmodel.FenceSS) != build(memmodel.FenceSS) {
+		t.Fatal("equal executions hash differently")
+	}
+}
+
+// exactVia submits x to m the way every caller does, through Check,
+// with a fresh exact checker deciding x as the decision procedure.
+func exactVia(m *Memo, sig Sig, x *memmodel.Execution, arch memmodel.Arch) (memmodel.Result, bool) {
+	res, hit, _ := m.Check(sig, arch, exactCheck(x, arch))
+	return res, hit
+}
+
+// exactCheck is the CheckFunc deciding x under arch with a fresh exact
+// checker.
+func exactCheck(x *memmodel.Execution, arch memmodel.Arch) CheckFunc {
+	return func() (memmodel.Result, error) { return memmodel.NewChecker().Check(x, arch), nil }
 }
 
 func TestMemoChecksOncePerSignature(t *testing.T) {
@@ -171,7 +202,7 @@ func TestMemoChecksOncePerSignature(t *testing.T) {
 	ops, co, rf := mpOps(102, 101)
 	for i := 0; i < 5; i++ {
 		x := replay(t, ops, co, rf)
-		res, hit := exactVia(m, "", Signature(x), x, memmodel.TSO{})
+		res, hit := exactVia(m, Signature(x), x, memmodel.TSO{})
 		if !res.Valid {
 			t.Fatalf("valid MP outcome rejected: %s", res.Detail)
 		}
@@ -194,7 +225,7 @@ func TestMemoVerdictMatchesDirectCheck(t *testing.T) {
 		// Submit a different interleaving of the same execution: the
 		// memoized verdict must match the direct check of either.
 		x2 := replay(t, permute(ops), co, rf)
-		got, _ := exactVia(m, "", Signature(x2), x2, memmodel.TSO{})
+		got, _ := exactVia(m, Signature(x2), x2, memmodel.TSO{})
 		if got.Valid != want.Valid || got.Kind != want.Kind {
 			t.Fatalf("outcome %v: memo (%v,%v) != direct (%v,%v)",
 				o, got.Valid, got.Kind, want.Valid, want.Kind)
@@ -221,10 +252,10 @@ func TestMemoKeysPerArch(t *testing.T) {
 	}
 	x := sb()
 	sig := Signature(x)
-	if res, _ := exactVia(m, "", sig, x, memmodel.TSO{}); !res.Valid {
+	if res, _ := exactVia(m, sig, x, memmodel.TSO{}); !res.Valid {
 		t.Fatalf("SB rejected under TSO: %s", res.Detail)
 	}
-	res, hit := exactVia(m, "", sig, sb(), memmodel.SC{})
+	res, hit := exactVia(m, sig, sb(), memmodel.SC{})
 	if hit {
 		t.Fatal("SC query answered from the TSO entry")
 	}
@@ -244,11 +275,11 @@ func TestMemoHitRederivesInvalidWitness(t *testing.T) {
 	m := NewMemo()
 	ops, co, rf := mpOps(102, 0) // forbidden MP outcome
 	x1 := replay(t, ops, co, rf)
-	if res, hit := exactVia(m, "", Signature(x1), x1, memmodel.TSO{}); res.Valid || hit {
+	if res, hit := exactVia(m, Signature(x1), x1, memmodel.TSO{}); res.Valid || hit {
 		t.Fatalf("representative: valid=%v hit=%v", res.Valid, hit)
 	}
 	x2 := replay(t, permute(ops), co, rf) // same signature, new EventIDs
-	got, hit := exactVia(m, "", Signature(x2), x2, memmodel.TSO{})
+	got, hit := exactVia(m, Signature(x2), x2, memmodel.TSO{})
 	if !hit || got.Valid {
 		t.Fatalf("repeat: valid=%v hit=%v", got.Valid, hit)
 	}
@@ -331,7 +362,7 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				c := cases[i%2]
-				res, _ := exactVia(m, "", c.sig, c.x, memmodel.TSO{})
+				res, _ := exactVia(m, c.sig, c.x, memmodel.TSO{})
 				if res.Valid != c.valid {
 					flipped.Store(i, res.Kind)
 				}
@@ -352,43 +383,49 @@ func TestMemoConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentPeeksAndChecks: goroutines peeking (KnownValid) and
-// submitting (CheckScopedVia) at once, on keys they all share and on
-// keys of their own, decide each key once: a valid key's check runs once
-// in all, an invalid key's once per submission (a hit re-derives its
-// witness). A peek never answers valid for an invalid key, and answers
-// valid for a valid key once its verdict is in.
-func TestMemoConcurrentPeeksAndChecks(t *testing.T) {
+// TestMemoConcurrentChecksAndFailures: goroutines submitting at once,
+// on keys they all share and on keys of their own, decide each key once:
+// a valid key's check runs once in all, an invalid key's once per
+// submission (a hit re-derives its witness), and a failing key's once
+// per submission, as a failed check leaves no verdict for the next. The
+// memo reads nothing but the signature and the model, so the keys are
+// signatures alone, their checks counters.
+func TestMemoConcurrentChecksAndFailures(t *testing.T) {
+	type outcome int
+	const (
+		valid outcome = iota
+		invalid
+		failing
+	)
+	errBuild := errors.New("the execution does not build")
 	type key struct {
-		scope       string
-		arch        memmodel.Arch
-		x           *memmodel.Execution
 		sig         Sig
-		valid       bool
+		arch        memmodel.Arch
+		outcome     outcome
 		calls, subs atomic.Int64
 	}
-	execs := map[bool]*memmodel.Execution{}
-	for _, valid := range []bool{true, false} {
-		readX := uint64(0) // fresh y, stale x: forbidden under TSO and PSO
-		if valid {
-			readX = 101
+	check := func(k *key) CheckFunc {
+		return func() (memmodel.Result, error) {
+			k.calls.Add(1)
+			switch k.outcome {
+			case valid:
+				return memmodel.Result{Valid: true}, nil
+			case invalid:
+				return memmodel.Result{Kind: memmodel.ViolationGHB}, nil
+			}
+			return memmodel.Result{}, errBuild
 		}
-		ops, co, rf := mpOps(102, readX)
-		execs[valid] = replay(t, ops, co, rf)
-	}
-	newKey := func(scope string, arch memmodel.Arch, valid bool) *key {
-		x := execs[valid]
-		return &key{scope: scope, arch: arch, x: x, sig: Signature(x), valid: valid}
 	}
 	shared := []*key{
-		newKey("", memmodel.TSO{}, true),
-		newKey("", memmodel.PSO{}, true),
-		newKey("", memmodel.TSO{}, false),
+		{sig: Sig{Hi: 1}, arch: memmodel.TSO{}, outcome: valid},
+		{sig: Sig{Hi: 1}, arch: memmodel.PSO{}, outcome: valid},
+		{sig: Sig{Hi: 2}, arch: memmodel.TSO{}, outcome: invalid},
+		{sig: Sig{Hi: 3}, arch: memmodel.TSO{}, outcome: failing},
 	}
 	const goroutines, rounds = 8, 60
 	own := make([]*key, goroutines)
 	for g := range own {
-		own[g] = newKey(fmt.Sprintf("g%d", g), memmodel.TSO{}, true)
+		own[g] = &key{sig: Sig{Lo: uint64(g)}, arch: memmodel.TSO{}, outcome: outcome(g % 3)}
 	}
 
 	m := NewMemo()
@@ -402,40 +439,39 @@ func TestMemoConcurrentPeeksAndChecks(t *testing.T) {
 				if i%2 == 0 {
 					k = shared[(g+i/2)%len(shared)]
 				}
-				if m.KnownValid(k.scope, k.sig, k.arch) && !k.valid {
-					t.Errorf("peek answered an invalid key (%q, %s) valid", k.scope, k.arch.Name())
-				}
 				k.subs.Add(1)
-				res, _ := m.CheckScopedVia(k.scope, k.sig, k.x, k.arch, func(x *memmodel.Execution, arch memmodel.Arch) memmodel.Result {
-					k.calls.Add(1)
-					return memmodel.NewChecker().Check(x, arch)
-				})
-				if res.Valid != k.valid {
-					t.Errorf("(%q, %s): valid = %v, want %v", k.scope, k.arch.Name(), res.Valid, k.valid)
-				}
-				if got := m.KnownValid(k.scope, k.sig, k.arch); got != k.valid {
-					t.Errorf("(%q, %s): peek after the verdict = %v, want %v", k.scope, k.arch.Name(), got, k.valid)
+				res, _, err := m.Check(k.sig, k.arch, check(k))
+				switch {
+				case k.outcome == failing && !errors.Is(err, errBuild):
+					t.Errorf("(%s, %s): error %v, want %v", k.sig, k.arch.Name(), err, errBuild)
+				case k.outcome != failing && (err != nil || res.Valid != (k.outcome == valid)):
+					t.Errorf("(%s, %s): %+v, %v; want valid = %v", k.sig, k.arch.Name(), res, err, k.outcome == valid)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 
+	var decided, succeeded int64
 	for _, k := range append(shared, own...) {
-		want := int64(1)
-		if !k.valid {
-			want = k.subs.Load()
+		want := k.subs.Load()
+		if k.outcome == valid {
+			want = 1
 		}
 		if got := k.calls.Load(); got != want {
-			t.Errorf("(%q, %s, valid=%v): checked %d times over %d submissions, want %d", k.scope, k.arch.Name(), k.valid, got, k.subs.Load(), want)
+			t.Errorf("(%s, %s, outcome %d): checked %d times over %d submissions, want %d", k.sig, k.arch.Name(), k.outcome, got, k.subs.Load(), want)
+		}
+		if k.outcome != failing {
+			decided++
+			succeeded += k.subs.Load()
 		}
 	}
 	d := m.Stats()
-	if d.Checks != goroutines*rounds || d.Unique != uint64(len(shared)+len(own)) || d.Checks-d.Unique != d.Hits {
-		t.Fatalf("counters %+v: want %d checks, %d unique, checks - unique == hits", d, goroutines*rounds, len(shared)+len(own))
+	if d.Checks != uint64(succeeded) || d.Unique != uint64(decided) || d.Checks-d.Unique != d.Hits || d.Durable != 0 {
+		t.Fatalf("counters %+v: want %d checks, %d unique, checks - unique == hits", d, succeeded, decided)
 	}
-	if m.Len() != len(shared)+len(own) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(shared)+len(own))
+	if m.Len() != int(decided) {
+		t.Fatalf("Len = %d, want %d: a failed key holds no verdict", m.Len(), decided)
 	}
 }
 

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -30,17 +31,17 @@ func (s *mapStore) Put(key Sig, v Verdict) {
 	s.m[key] = v
 }
 
-// countingCheck wraps the exact checker with a call counter.
-func countingCheck(n *int) CheckFunc {
-	return func(x *memmodel.Execution, arch memmodel.Arch) memmodel.Result {
+// countingCheck is exactCheck with a call counter.
+func countingCheck(n *int, x *memmodel.Execution, arch memmodel.Arch) CheckFunc {
+	return func() (memmodel.Result, error) {
 		*n++
-		return memmodel.NewChecker().Check(x, arch)
+		return memmodel.NewChecker().Check(x, arch), nil
 	}
 }
 
 // TestMemoStoreWriteThrough: a cold memo with a store computes once,
 // writes the verdict through, and never consults the store again for
-// the same scoped key (the RAM tier answers re-hits).
+// the same key (the RAM tier answers re-hits).
 func TestMemoStoreWriteThrough(t *testing.T) {
 	st := newMapStore()
 	m := NewMemo()
@@ -49,7 +50,7 @@ func TestMemoStoreWriteThrough(t *testing.T) {
 	ops, co, rf := mpOps(102, 101) // valid MP outcome
 	for i := 0; i < 3; i++ {
 		x := replay(t, ops, co, rf)
-		res, _ := m.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, countingCheck(&calls))
+		res, _, _ := m.Check(Signature(x), memmodel.TSO{}, countingCheck(&calls, x, memmodel.TSO{}))
 		if !res.Valid {
 			t.Fatalf("submission %d: %s", i, res.Detail)
 		}
@@ -68,8 +69,6 @@ func TestMemoStoreWriteThrough(t *testing.T) {
 // TestMemoStoreWarmHit: a fresh memo sharing the store answers a valid
 // signature from the durable tier without any check call, counts it in
 // Durable, and returns a Result byte-identical to the cold compute.
-// KnownValid, which counts nothing, says so beforehand — for this scope
-// only — as it does for the cold memo once it has decided.
 func TestMemoStoreWarmHit(t *testing.T) {
 	st := newMapStore()
 	ops, co, rf := mpOps(102, 101)
@@ -77,25 +76,13 @@ func TestMemoStoreWarmHit(t *testing.T) {
 	cold := NewMemo()
 	cold.SetStore(st)
 	x := replay(t, ops, co, rf)
-	if cold.KnownValid("s1", Signature(x), memmodel.TSO{}) {
-		t.Fatal("an empty memo over an empty store knows a verdict")
-	}
-	coldRes, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check)
-	if !cold.KnownValid("s1", Signature(x), memmodel.TSO{}) {
-		t.Fatal("the memo does not know the valid verdict it decided")
-	}
+	coldRes, _, _ := cold.Check(Signature(x), memmodel.TSO{}, exactCheck(x, memmodel.TSO{}))
 
 	warm := NewMemo()
 	warm.SetStore(st)
 	calls := 0
 	x2 := replay(t, ops, co, rf)
-	if !warm.KnownValid("s1", Signature(x2), memmodel.TSO{}) || warm.KnownValid("s2", Signature(x2), memmodel.TSO{}) {
-		t.Fatal("KnownValid does not read the stored verdict of its own scope alone")
-	}
-	if d := warm.Stats(); d != (stats.Dedupe{}) {
-		t.Fatalf("KnownValid moved the counters: %+v", d)
-	}
-	warmRes, hit := warm.CheckScopedVia("s1", Signature(x2), x2, memmodel.TSO{}, countingCheck(&calls))
+	warmRes, hit, _ := warm.Check(Signature(x2), memmodel.TSO{}, countingCheck(&calls, x2, memmodel.TSO{}))
 	if hit {
 		t.Fatal("durable hit must not count as an in-RAM hit (Checks-Unique==Hits)")
 	}
@@ -122,7 +109,7 @@ func TestMemoStoreWarmInvalidRederives(t *testing.T) {
 	cold := NewMemo()
 	cold.SetStore(st)
 	x := replay(t, ops, co, rf)
-	if res, _ := cold.CheckScopedVia("s1", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check); res.Valid {
+	if res, _, _ := cold.Check(Signature(x), memmodel.TSO{}, exactCheck(x, memmodel.TSO{})); res.Valid {
 		t.Fatal("forbidden MP outcome accepted")
 	}
 
@@ -130,10 +117,7 @@ func TestMemoStoreWarmInvalidRederives(t *testing.T) {
 	warm.SetStore(st)
 	calls := 0
 	x2 := replay(t, permute(ops), co, rf) // same signature, new EventIDs
-	if warm.KnownValid("s1", Signature(x2), memmodel.TSO{}) || cold.KnownValid("s1", Signature(x), memmodel.TSO{}) {
-		t.Fatal("an invalid verdict is known valid")
-	}
-	got, _ := warm.CheckScopedVia("s1", Signature(x2), x2, memmodel.TSO{}, countingCheck(&calls))
+	got, _, _ := warm.Check(Signature(x2), memmodel.TSO{}, countingCheck(&calls, x2, memmodel.TSO{}))
 	if calls != 1 {
 		t.Fatalf("invalid durable hit ran %d checks, want 1 (witness re-derivation)", calls)
 	}
@@ -146,37 +130,9 @@ func TestMemoStoreWarmInvalidRederives(t *testing.T) {
 	}
 }
 
-// TestMemoStoreScopeIsolation: the store is keyed by the same scoped
-// fold as the memo, so a verdict recorded under one scope never answers
-// another scope's query.
-func TestMemoStoreScopeIsolation(t *testing.T) {
-	st := newMapStore()
-	ops, co, rf := mpOps(102, 101)
-
-	m1 := NewMemo()
-	m1.SetStore(st)
-	x := replay(t, ops, co, rf)
-	m1.CheckScopedVia("scopeA", Signature(x), x, memmodel.TSO{}, memmodel.NewChecker().Check)
-
-	m2 := NewMemo()
-	m2.SetStore(st)
-	calls := 0
-	x2 := replay(t, ops, co, rf)
-	m2.CheckScopedVia("scopeB", Signature(x2), x2, memmodel.TSO{}, countingCheck(&calls))
-	if calls != 1 {
-		t.Fatalf("cross-scope query reused a verdict: calls = %d, want 1", calls)
-	}
-	if d := m2.Stats(); d.Durable != 0 {
-		t.Fatalf("cross-scope Durable = %d, want 0", d.Durable)
-	}
-	if len(st.m) != 2 {
-		t.Fatalf("store entries = %d, want one per scope", len(st.m))
-	}
-}
-
-// TestScopedKeyMatchesMemoFold: ScopedKey is the documented external
-// view of the memo's lookup fold — a record written under ScopedKey
-// must be found by a campaign lookup with the same (scope, sig, arch).
+// TestScopedKeyMatchesMemoFold: ScopedKey under the empty scope is the
+// documented external view of the memo's key — a record written under
+// ScopedKey("", sig, arch) must be found by a lookup of (sig, arch).
 func TestScopedKeyMatchesMemoFold(t *testing.T) {
 	st := newMapStore()
 	ops, co, rf := mpOps(102, 101)
@@ -184,15 +140,76 @@ func TestScopedKeyMatchesMemoFold(t *testing.T) {
 	sig := Signature(x)
 
 	// Pre-seed the store externally, then query through a memo.
-	st.m[ScopedKey("s1", sig, memmodel.TSO{})] = Verdict{Valid: true}
+	st.m[ScopedKey("", sig, memmodel.TSO{})] = Verdict{Valid: true}
 	m := NewMemo()
 	m.SetStore(st)
 	calls := 0
-	res, _ := m.CheckScopedVia("s1", sig, x, memmodel.TSO{}, countingCheck(&calls))
+	res, _, _ := m.Check(sig, memmodel.TSO{}, countingCheck(&calls, x, memmodel.TSO{}))
 	if calls != 0 || !res.Valid {
 		t.Fatalf("pre-seeded verdict not found: calls=%d valid=%v", calls, res.Valid)
 	}
 	if d := m.Stats(); d.Durable != 1 {
 		t.Fatalf("Durable = %d, want 1", d.Durable)
 	}
+}
+
+// TestMemoFailedCheckLeavesNothing: a check that fails — a cold key, a
+// key whose stored verdict is invalid, a known-invalid key's witness
+// re-derivation — leaves Len, Stats and the store as they were and
+// returns its error, and the key's next submitter runs its own check.
+func TestMemoFailedCheckLeavesNothing(t *testing.T) {
+	errBuild := errors.New("the execution does not build")
+	failing := func(n *int) CheckFunc {
+		return func() (memmodel.Result, error) {
+			*n++
+			return memmodel.Result{}, errBuild
+		}
+	}
+	st := newMapStore()
+	ops, co, rf := mpOps(102, 0) // forbidden MP outcome
+	x := replay(t, ops, co, rf)
+	sig := Signature(x)
+	m := NewMemo()
+	m.SetStore(st)
+	expect := func(when string, d stats.Dedupe, records int) {
+		t.Helper()
+		if got := m.Stats(); got != d || m.Len() != int(d.Unique) || len(st.m) != records || st.puts != records {
+			t.Fatalf("%s: %+v, Len %d, %d records in %d puts; want %+v and %d records", when, got, m.Len(), len(st.m), st.puts, d, records)
+		}
+	}
+
+	calls := 0
+	for i := 0; i < 2; i++ {
+		if _, _, err := m.Check(sig, memmodel.TSO{}, failing(&calls)); !errors.Is(err, errBuild) {
+			t.Fatalf("cold failure %d: %v, want %v", i, err, errBuild)
+		}
+	}
+	if calls != 2 || st.gets != 2 {
+		t.Fatalf("two cold failures ran %d checks and %d store reads, want 2 and 2", calls, st.gets)
+	}
+	expect("after cold failures", stats.Dedupe{}, 0)
+
+	// The next submitter decides the key, and a failed re-derivation of
+	// its invalid witness moves nothing.
+	if res, hit, err := m.Check(sig, memmodel.TSO{}, exactCheck(x, memmodel.TSO{})); err != nil || hit || res.Valid {
+		t.Fatalf("deciding after failures: %+v, hit %v, %v", res, hit, err)
+	}
+	expect("decided", stats.Dedupe{Checks: 1, Unique: 1}, 1)
+	if _, hit, err := m.Check(sig, memmodel.TSO{}, failing(&calls)); !errors.Is(err, errBuild) || !hit {
+		t.Fatalf("failed re-derivation: hit %v, %v; want a hit failing with %v", hit, err, errBuild)
+	}
+	expect("after a failed re-derivation", stats.Dedupe{Checks: 1, Unique: 1}, 1)
+
+	// A new memo over the store holding the invalid verdict: a failed
+	// re-derivation is no durable hit.
+	m = NewMemo()
+	m.SetStore(st)
+	if _, _, err := m.Check(sig, memmodel.TSO{}, failing(&calls)); !errors.Is(err, errBuild) {
+		t.Fatalf("failure over a stored invalid verdict: %v, want %v", err, errBuild)
+	}
+	expect("after a failure over the store", stats.Dedupe{}, 1)
+	if res, _, err := m.Check(sig, memmodel.TSO{}, exactCheck(x, memmodel.TSO{})); err != nil || res.Valid {
+		t.Fatalf("deciding over the store: %+v, %v", res, err)
+	}
+	expect("durable hit", stats.Dedupe{Checks: 1, Unique: 1, Durable: 1}, 1)
 }

@@ -68,12 +68,12 @@ type Config struct {
 	MaxTestRuns int
 	// Memo, when non-nil, puts a verdict memo in front of the checker:
 	// each iteration's execution is signed and each unique (program,
-	// observed-ordering) pair is model-checked at most once per memo
-	// lifetime. Results are identical with or without it. Campaigns do
-	// not set it: a signature costs about what a check does, and a
-	// campaign rarely repeats an execution. Its last caller is the
-	// benchmark's traced sweep pass; the field goes when that pass stops
-	// setting it.
+	// observed-ordering) pair is model-checked at most once per model
+	// and memo lifetime, whichever scenario's campaign submits it.
+	// Results are identical with or without it. Campaigns do not set it:
+	// a signature costs about what a check does, and a campaign rarely
+	// repeats an execution. Its last caller is the benchmark's traced
+	// sweep pass; the field goes when that pass stops setting it.
 	Memo *collective.Memo
 }
 
@@ -220,7 +220,7 @@ type Campaign struct {
 // buffers, the coverage tracker, the test generator with its address
 // pool, the two random sources, the rand generator's test buffer and
 // the GP engine with its population's storage. NewCampaign re-arms every
-// piece to its campaign — arch, memo and scope, machine and options,
+// piece to its campaign — arch and memo, machine and options,
 // vocabulary and coverage parameters, test configuration, seeds, GP
 // parameters — so a reused kit replays a new one, whichever campaign on
 // a machine of that configuration left it (another model, generator,
@@ -276,11 +276,10 @@ func seeded(r *rand.Rand, seed int64) *rand.Rand {
 
 // NewCampaign builds all components for one campaign: the scenario is
 // resolved once and supplies the machine contract (protocol, relax,
-// bugs), the checker's axiomatic model, and the collective-checking
-// memo scope. The machine comes from machine.Acquire — a used one, with
-// the kit its last campaign left on it, when an earlier campaign
-// released one at the same configuration — and the campaign's owner
-// returns both with Release.
+// bugs) and the checker's axiomatic model. The machine comes from
+// machine.Acquire — a used one, with the kit its last campaign left on
+// it, when an earlier campaign released one at the same configuration —
+// and the campaign's owner returns both with Release.
 func NewCampaign(cfg Config) (*Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -302,7 +301,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	k := kitFor(m, arch, cfg.Host)
 	c := &Campaign{cfg: cfg, id: k.scenarioID(cfg.Scenario), h: k.h, tracker: &k.tracker, gen: &k.gen, test: &k.test}
 	k.rec.SetMemo(cfg.Memo)
-	k.rec.SetScope(c.id)
 	// The transition vocabulary is numbered once per protocol and shared
 	// by every controller, so per-event recording is an increment into
 	// the tracker's count vector.

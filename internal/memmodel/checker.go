@@ -53,9 +53,10 @@ type FastDecider interface {
 // costs, never its outcome.
 //
 // A Checker is single-goroutine, like Scratch; give each worker its
-// own (they may share a collective.Memo). Checker.Check satisfies
-// collective.CheckFunc directly, so a Checker plugs into the memo seam
-// as a method value: memo.CheckScopedVia(scope, sig, x, arch, c.Check).
+// own (they may share a collective.Memo). A Checker plugs into the
+// memo seam through a collective.CheckFunc that decides the execution
+// being looked up: memo.Check(sig, arch, decide), where decide returns
+// c.Check(x, arch).
 type Checker struct {
 	scratch *Scratch
 	fast    FastDecider

@@ -11,8 +11,7 @@ import (
 )
 
 // TestSignatureOncePerTrace: goroutines racing for one trace's signature
-// sign it once and get what its execution signs as; only the computing
-// call is handed the execution its sign built. A malformed trace whose
+// sign it once and get what its execution signs as. A malformed trace whose
 // sign fails remembers nothing, so every call signs it again and meets
 // the same error; a malformed trace of the canonical shape is signed
 // from its fields, once.
@@ -40,7 +39,6 @@ func TestSignatureOncePerTrace(t *testing.T) {
 
 	const goroutines = 8
 	var calls [3]atomic.Int32
-	var handed atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -49,43 +47,40 @@ func TestSignatureOncePerTrace(t *testing.T) {
 			var m Materializer
 			// Build the execution to sign it, as for a trace that is not
 			// canonical.
-			build := func(tr *Trace) (collective.Sig, *memmodel.Execution, error) {
+			build := func(tr *Trace) (collective.Sig, error) {
 				calls[0].Add(1)
 				x, err := m.Execution(tr)
 				if err != nil {
-					return collective.Sig{}, nil, err
+					return collective.Sig{}, err
 				}
-				return collective.Signature(x), x, nil
+				return collective.Signature(x), nil
 			}
-			sig, x, err := good.Signature(build)
+			sig, err := good.Signature(build)
 			if err != nil || sig != want {
 				t.Errorf("signature %s, %v; want %s", sig, err, want)
 			}
-			if x != nil {
-				handed.Add(1)
-			}
-			if _, x, err := bad.Signature(func(tr *Trace) (collective.Sig, *memmodel.Execution, error) {
+			if _, err := bad.Signature(func(tr *Trace) (collective.Sig, error) {
 				calls[1].Add(1)
 				return build(tr)
-			}); x != nil || err == nil || err.Error() != wantErr.Error() {
-				t.Errorf("malformed trace: %v, %v; want %v", x, err, wantErr)
+			}); err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("malformed trace: %v; want %v", err, wantErr)
 			}
-			if _, x, err := badCanonical.Signature(func(tr *Trace) (collective.Sig, *memmodel.Execution, error) {
+			if _, err := badCanonical.Signature(func(tr *Trace) (collective.Sig, error) {
 				calls[2].Add(1)
 				sig, ok := m.Sign(tr)
 				if !ok {
 					t.Error("a canonical trace fell back to materializing")
 				}
-				return sig, nil, nil
-			}); x != nil || err != nil {
-				t.Errorf("malformed canonical trace: %v, %v; want a signature", x, err)
+				return sig, nil
+			}); err != nil {
+				t.Errorf("malformed canonical trace: %v; want a signature", err)
 			}
 		}()
 	}
 	wg.Wait()
-	if handed.Load() != 1 || calls[0].Load() != 1+goroutines || calls[1].Load() != goroutines || calls[2].Load() != 1 {
-		t.Fatalf("%d builds, %d executions handed out, %d signings of the malformed trace, %d of the canonical one; want %d, 1, %d, 1",
-			calls[0].Load(), handed.Load(), calls[1].Load(), calls[2].Load(), 1+goroutines, goroutines)
+	if calls[0].Load() != 1+goroutines || calls[1].Load() != goroutines || calls[2].Load() != 1 {
+		t.Fatalf("%d builds, %d signings of the malformed trace, %d of the canonical one; want %d, %d, 1",
+			calls[0].Load(), calls[1].Load(), calls[2].Load(), 1+goroutines, goroutines)
 	}
 }
 

@@ -219,33 +219,32 @@ type identity struct {
 // collective.Signature of what Execution builds — computing it at most
 // once across all goroutines. The call that computes it runs sign,
 // which chooses how: from t's fields (Materializer.Sign), or by
-// materializing t and signing the execution, which it then returns, and
-// so does Signature; every other call returns a nil execution.
-// Concurrent callers wait for the computing call instead of repeating
-// it: sign runs under the trace's lock, as sync.Once runs its function,
-// so it must not ask t for its signature. Errors are not remembered: the
-// next call runs sign again and meets the same error, so a malformed
-// trace answers every caller alike. A signature is remembered even for
-// a malformed trace of the canonical shape, which Sign signs without
-// building it; every check of such a trace still errors, since deciding
-// it means materializing it.
-func (t *Trace) Signature(sign func(*Trace) (collective.Sig, *memmodel.Execution, error)) (collective.Sig, *memmodel.Execution, error) {
+// materializing t and signing the execution. Concurrent callers wait
+// for the computing call instead of repeating it: sign runs under the
+// trace's lock, as sync.Once runs its function, so it must not ask t
+// for its signature. Errors are not remembered: the next call runs sign
+// again and meets the same error, so a malformed trace answers every
+// caller alike. A signature is remembered even for a malformed trace of
+// the canonical shape, which Sign signs without building it; every
+// check of such a trace still errors, since deciding it means
+// materializing it.
+func (t *Trace) Signature(sign func(*Trace) (collective.Sig, error)) (collective.Sig, error) {
 	id := &t.id
 	if id.done.Load() {
-		return id.sig, nil, nil
+		return id.sig, nil
 	}
 	id.mu.Lock()
 	defer id.mu.Unlock()
 	if id.done.Load() {
-		return id.sig, nil, nil
+		return id.sig, nil
 	}
-	sig, x, err := sign(t)
+	sig, err := sign(t)
 	if err != nil {
-		return collective.Sig{}, nil, err
+		return collective.Sig{}, err
 	}
 	id.sig, id.hex = sig, sig.String()
 	id.done.Store(true)
-	return sig, x, nil
+	return sig, nil
 }
 
 // SignatureString is the signature Signature remembered, spelled as

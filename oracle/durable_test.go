@@ -1,7 +1,10 @@
 package oracle
 
 import (
+	"fmt"
+	"io"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/collective"
@@ -153,5 +156,106 @@ func TestExecutionSignedStoreAnswersTraces(t *testing.T) {
 	}
 	if d := memo.Stats(); d.Checks != uint64(len(kept)*len(models)) || d.Durable != d.Checks {
 		t.Errorf("%d traces × %d models: %s; want every check a durable hit", len(kept), len(models), d)
+	}
+}
+
+// countingStore is a VerdictStore that counts its reads and writes per
+// key.
+type countingStore struct {
+	VerdictStore
+	mu         sync.Mutex
+	gets, puts map[Sig]int
+}
+
+func (s *countingStore) Get(key Sig) (collective.Verdict, bool) {
+	s.mu.Lock()
+	s.gets[key]++
+	s.mu.Unlock()
+	return s.VerdictStore.Get(key)
+}
+
+func (s *countingStore) Put(key Sig, v collective.Verdict) {
+	s.mu.Lock()
+	s.puts[key]++
+	s.mu.Unlock()
+	s.VerdictStore.Put(key, v)
+}
+
+// sliceReader hands out unsigned copies of traces, in order.
+type sliceReader struct {
+	traces []*Trace
+	next   int
+}
+
+func (r *sliceReader) Next() (*Trace, error) {
+	if r.next == len(r.traces) {
+		return nil, io.EOF
+	}
+	r.next++
+	return clone(r.traces[r.next-1]), nil
+}
+
+// TestCheckStreamReadsTheStoreOncePerKey: a cold pass of the generated
+// corpus through CheckStream, then a warm pass over a new memo, at 1 and
+// 2 workers, read the store at most once per (trace, model) key. The
+// cold pass writes each key it decides once; the warm pass answers every
+// key from disk and writes nothing.
+func TestCheckStreamReadsTheStoreOncePerKey(t *testing.T) {
+	traces := generatedTraces(t)
+	models := Models()
+	for _, workers := range []int{1, 2} {
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			cs := &countingStore{VerdictStore: st, gets: map[Sig]int{}, puts: map[Sig]int{}}
+			keys := map[Sig]bool{}
+			stats, err := CheckStream(&sliceReader{traces: traces}, models, workers, Options{Store: cs},
+				func(i int, verdicts []Verdict, err error) error {
+					for mi, v := range verdicts {
+						hi, errHi := strconv.ParseUint(v.Sig[:16], 16, 64)
+						lo, errLo := strconv.ParseUint(v.Sig[16:], 16, 64)
+						arch, errArch := ModelByName(models[mi])
+						if errHi != nil || errLo != nil || errArch != nil {
+							t.Fatalf("%s: verdict %+v", traces[i].Name, v)
+						}
+						keys[ScopedKey("", Sig{Hi: hi, Lo: lo}, arch)] = true
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%d workers, %s pass", workers, pass)
+			for key, n := range cs.gets {
+				if n > 1 {
+					t.Errorf("%s: key %s read %d times, want at most once", where, key, n)
+				}
+			}
+			for key := range keys {
+				if cs.gets[key] != 1 {
+					t.Errorf("%s: key %s read %d times, want once", where, key, cs.gets[key])
+				}
+			}
+			wantPuts := len(keys)
+			if pass == "warm" {
+				wantPuts = 0
+				if stats.Dedupe.Durable != uint64(len(keys)) {
+					t.Errorf("%s: %s; want every one of %d keys answered from disk", where, stats.Dedupe, len(keys))
+				}
+			}
+			for key, n := range cs.puts {
+				if n != 1 || !keys[key] {
+					t.Errorf("%s: key %s written %d times (a verdict's key: %v), want once, for a verdict", where, key, n, keys[key])
+				}
+			}
+			if len(cs.puts) != wantPuts {
+				t.Errorf("%s: %d keys written, want %d", where, len(cs.puts), wantPuts)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -21,12 +21,14 @@
 // Trace is read-only once checked. A trace in the canonical shape the
 // encoders write is signed from its own fields, without building its
 // execution; any other is materialized to be signed, and that execution
-// goes on to be decided. CheckTrace materializes only to decide: when its
-// model must actually be decided (a memo or store miss, or a stored
-// invalid verdict re-deriving its witness). A valid hit costs a signature
-// the first time a trace is seen, then one ScopedKey fold and a lookup. A
-// trace that does not build is an error from every model before the memo
-// is asked, so it never becomes a memo entry or a stored record.
+// goes on to be decided. Otherwise CheckTrace materializes only when the
+// memo's one lookup asks it to decide: a key neither the memo, the store
+// nor the model chain answers, or a known-invalid verdict re-deriving
+// its witness. A valid hit costs a signature the first time a trace is
+// seen, then one ScopedKey fold and one lookup, which reads the store
+// once for a key new to the memo. A trace that does not build is an
+// error from every model, and the lookup that asked for it keeps
+// nothing: no memo verdict, no stored record, no moved counter.
 //
 // A trace also remembers the strongest model it was decided valid under.
 // The bundled models form a chain, SC ⊇ TSO ⊇ PSO ⊇ RMO in what they
@@ -128,7 +130,7 @@ func Models() []string { return memmodel.Names() }
 
 // ModelByName resolves a model name (case-insensitive). This is the one
 // place case is folded: memmodel.ByName and everything that compares
-// model names behind it (scenario IDs, store scopes) see canonical names.
+// model names behind it (scenario IDs, store keys) see canonical names.
 func ModelByName(name string) (Model, error) {
 	for _, known := range memmodel.Names() {
 		if strings.EqualFold(name, known) {
@@ -144,10 +146,9 @@ func ModelByName(name string) (Model, error) {
 // TraceFromExecution encodes x as.
 func Signature(x *Execution) Sig { return collective.Signature(x) }
 
-// ScopedKey folds (scenario scope, model, signature) into the key a
-// Memo — and through it a Store — looks verdicts up under. A Checker
-// keys every verdict under the empty scope, so a tool pre-seeding a
-// Store for Checkers passes "".
+// ScopedKey folds (scope, model, signature) into a store key. A Memo —
+// and through it a Store — looks every verdict up under the empty
+// scope, so a tool pre-seeding a Store for Checkers passes "".
 func ScopedKey(scope string, sig Sig, model Model) Sig {
 	return collective.ScopedKey(scope, sig, model)
 }
@@ -215,17 +216,21 @@ type Checker struct {
 	chk    *memmodel.Checker
 	memo   *Memo
 	phases obs.PhaseStats
-	// decide is the method value the memo calls on a tier miss, made once
-	// so a check does not allocate a closure; decided records that it ran.
+	// decide is the method value the memo calls to decide, made once so
+	// a check does not allocate a closure; decided records that it ran.
 	decide  collective.CheckFunc
 	decided bool
 	// sign is the method value a trace no Checker has signed is signed
 	// with, made once for the same reason.
-	sign func(*Trace) (Sig, *Execution, error)
+	sign func(*Trace) (Sig, error)
 	// mat is where CheckTrace signs and materializes, in one execution
-	// reused for every trace. pending is the trace CheckTrace is deciding.
+	// reused for every trace. pending is the trace CheckTrace is deciding,
+	// x its execution once this call built it (nil before), and built
+	// the time building took in signing or in the memo lookup.
 	mat     trace.Materializer
 	pending *Trace
+	x       *Execution
+	built   time.Duration
 }
 
 // NewChecker returns a Checker for the named model ("SC", "TSO",
@@ -258,57 +263,60 @@ func NewChecker(model string, opts Options) (*Checker, error) {
 // runCheck is the decision procedure as the memo sees it. It first asks
 // the model chain: a pending trace some Checker decided valid under this
 // model or a stronger one is valid here, answered without a decision.
-// Otherwise it runs the unified checker, noting that it was reached, and
-// records a valid decision on the pending trace for the weaker models. x
-// is nil only where checkTrace knew the memo would not ask for a
-// decision.
-func (c *Checker) runCheck(x *Execution, arch Model) Result {
+// Otherwise it materializes the trace, unless signing it did, runs the
+// unified checker, noting that it was reached, and records a valid
+// decision on the pending trace for the weaker models. A trace that does
+// not build is its error.
+func (c *Checker) runCheck() (Result, error) {
 	t := c.pending
 	if c.rank >= 0 && t.ValidUnder(c.rank) {
-		return Result{Valid: true}
+		return Result{Valid: true}, nil
+	}
+	if c.x == nil {
+		if err := c.materialize(t); err != nil {
+			return Result{}, err
+		}
 	}
 	c.decided = true
-	res := c.chk.Check(x, arch)
+	res := c.chk.Check(c.x, c.arch)
 	if res.Valid && c.rank >= 0 {
 		t.ProvedValid(c.rank)
 	}
-	return res
+	return res, nil
 }
 
 // signTrace signs a trace no Checker has signed: from its fields when it
 // has the canonical shape, else by materializing it and signing the
-// execution, which it hands on to be decided. Signing is memo time, as
-// the memo key is all it is for, though not a memo span: those count the
-// checks the memo answered. Materializing is a decode span.
-func (c *Checker) signTrace(t *Trace) (Sig, *Execution, error) {
+// execution, which it keeps for this call to decide. Signing is memo
+// time, as the memo key is all it is for, though not a memo span: those
+// count the checks the memo answered. Materializing is a decode span.
+func (c *Checker) signTrace(t *Trace) (Sig, error) {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
+	c.built = 0
 	sig, ok := c.mat.Sign(t)
-	var (
-		x     *Execution
-		build time.Duration
-		err   error
-	)
+	var err error
 	if !ok {
-		if x, build, err = c.materialize(t); err == nil {
-			sig = collective.Signature(x)
+		if err = c.materialize(t); err == nil {
+			sig = collective.Signature(c.x)
 		}
 	}
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	c.phases.ObserveN(obs.PhaseMemo, int64(time.Since(t0)-build), 0)
-	return sig, x, err
+	c.phases.ObserveN(obs.PhaseMemo, int64(time.Since(t0)-c.built), 0)
+	return sig, err
 }
 
-// materialize builds t's execution in the Checker's storage, booked as
-// decode, and returns how long that took.
-func (c *Checker) materialize(t *Trace) (*Execution, time.Duration, error) {
+// materialize builds t's execution in the Checker's storage as x,
+// booked as decode, and adds how long that took to built.
+func (c *Checker) materialize(t *Trace) error {
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
 	x, err := c.mat.Execution(t)
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	d := time.Since(t0)
 	c.phases.Observe(obs.PhaseDecode, d)
-	return x, d, err
+	c.x, c.built = x, c.built+d
+	return err
 }
 
 // Model returns the model this Checker decides against.
@@ -369,26 +377,23 @@ func (c *Checker) CheckTrace(t *Trace, index int) (Verdict, error) {
 // included, routed through the memo (and the durable store when
 // attached) and booked to the phase that paid for it.
 func (c *Checker) checkTrace(t *Trace) (Result, error) {
-	// x is nil unless this call signed the trace by building it. The
-	// trace is built now only when the memo may ask for a decision: a
-	// trace that does not build is then an error, and never a memo entry
-	// or a stored record.
-	sig, x, err := t.Signature(c.sign)
+	// The trace is built only to sign it, when it is not canonical, or
+	// when the memo asks for a decision; the memo keeps nothing of a
+	// lookup whose trace does not build.
+	sig, err := t.Signature(c.sign)
 	if err != nil {
+		c.x = nil
 		return Result{}, err
-	}
-	if x == nil && !c.answered(t, sig) {
-		if x, _, err = c.materialize(t); err != nil {
-			return Result{}, err
-		}
 	}
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
 	t0 := time.Now()
 	fastBefore := c.chk.Fastpath()
-	c.decided = false
-	c.pending = t
-	res, hit := c.memo.CheckScopedVia("", sig, x, c.arch, c.decide)
-	c.pending = nil
+	c.decided, c.pending, c.built = false, t, 0
+	res, hit, err := c.memo.Check(sig, c.arch, c.decide)
+	c.pending, c.x = nil, nil
+	if err != nil {
+		return Result{}, err
+	}
 	fastAfter := c.chk.Fastpath()
 	phase := obs.PhaseCheck
 	switch {
@@ -405,16 +410,8 @@ func (c *Checker) checkTrace(t *Trace) (Result, error) {
 		phase = obs.PhaseFastCheck
 	}
 	//mcvlint:allow nondeterm phase telemetry; never feeds results
-	c.phases.Observe(phase, time.Since(t0))
+	c.phases.Observe(phase, time.Since(t0)-c.built)
 	return res, nil
-}
-
-// answered reports whether the memo will answer t valid under this
-// Checker's model without reading its execution: the model chain holds
-// it valid, or the memo or the store below it holds a valid verdict for
-// its key.
-func (c *Checker) answered(t *Trace, sig Sig) bool {
-	return c.rank >= 0 && t.ValidUnder(c.rank) || c.memo.KnownValid("", sig, c.arch)
 }
 
 // Dedupe snapshots the memo's effectiveness counters (shared across
